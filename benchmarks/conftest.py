@@ -3,9 +3,12 @@
 Every benchmark regenerates one of the paper's tables or figures at a reduced
 scale (see ``repro.experiments.config.ExperimentScale``); set the
 ``REPRO_SCALE`` environment variable to ``1.0`` to run the paper-size
-experiments instead.  Each benchmark writes the series it produced to
-``benchmarks/results/<name>.txt`` so the numbers survive pytest's output
-capture and can be compared against the paper (see EXPERIMENTS.md).
+experiments instead.  Each benchmark prints the series it produced and writes
+it to ``benchmarks/out/<name>.txt`` (ignored by git) so the numbers survive
+pytest's output capture; the tracked copies under ``benchmarks/results/`` —
+the ones compared against the paper (see EXPERIMENTS.md) — carry wall-clock
+figures, so they are rewritten only when asked to: ``pytest benchmarks
+--update-results``.  A plain tier-1 run leaves ``git status`` clean.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import pytest
 from repro.experiments.config import ExperimentScale
 
 RESULTS_DIR = Path(__file__).parent / "results"
+SCRATCH_DIR = Path(__file__).parent / "out"
 
 
 @pytest.fixture(scope="session")
@@ -26,14 +30,16 @@ def experiment_scale() -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(request) -> Path:
+    """Where result tables go: the tracked directory only under ``--update-results``."""
+    directory = RESULTS_DIR if request.config.getoption("--update-results") else SCRATCH_DIR
+    directory.mkdir(exist_ok=True)
+    return directory
 
 
 @pytest.fixture()
 def record_result(results_dir):
-    """Write a benchmark's human-readable result table to the results directory."""
+    """Print a benchmark's human-readable result table and write it to ``results_dir``."""
 
     def _record(name: str, content: str) -> Path:
         destination = results_dir / f"{name}.txt"

@@ -55,11 +55,7 @@ from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
-from repro.coordinator.overlaps import (
-    DerivedRegionCache,
-    FsaOverlapStructure,
-    build_structures,
-)
+from repro.coordinator.overlaps import FsaOverlapStructure
 from repro.coordinator.sharding import ShardRouter, plan_shard_overlaps
 from repro.coordinator.stitching import stitch_paths
 from repro.experiments.config import scaled_simulation_config
@@ -119,31 +115,6 @@ def _overlap_build_rows(repeats: int = 5):
     elapsed_ms = (time.perf_counter() - started) / repeats * 1000.0
     rows.append(("global", "serial", elapsed_ms, 1, len(structure)))
 
-    # The cross-pool derived-region cache (PR 4, opt-in): halo pools overlap,
-    # so boundary regions are derived once per pool; the cache shares them by
-    # member set.  Both directions are measured — the sharing it finds *and*
-    # what the sharing costs — which is why the epoch pipeline builds
-    # cacheless by default (member-set hashing outweighs the saved
-    # four-comparison intersections at epoch-sized pools).
-    started = time.perf_counter()
-    for _ in range(repeats):
-        build_structures(plan.pools)
-    uncached_ms = (time.perf_counter() - started) / repeats * 1000.0
-    started = time.perf_counter()
-    for _ in range(repeats):
-        cache = DerivedRegionCache()
-        build_structures(plan.pools, cache=cache)
-    cached_ms = (time.perf_counter() - started) / repeats * 1000.0
-    cache_note = (
-        f"derived-region cache (opt-in) over {len(plan.pools)} halo pools: "
-        f"{cache.hits} hits / {cache.misses} misses "
-        f"({cache.hits / (cache.hits + cache.misses) * 100.0:.1f}% of derivations shared); "
-        f"inline build {uncached_ms:.1f} ms cacheless vs {cached_ms:.1f} ms cached "
-        "(the sharing is real, the hashing costs more — pipeline stays cacheless)"
-        if cache.hits + cache.misses
-        else "derived-region cache: no derivations"
-    )
-
     for backend_name in BACKENDS:
         router = ShardRouter(
             OVERLAP_BOUNDS, window=60, cells_per_axis=32, num_shards=16, backend=backend_name
@@ -159,7 +130,7 @@ def _overlap_build_rows(repeats: int = 5):
             rows.append(("shard-local", backend_name, elapsed_ms, len(plan.pools), regions))
         finally:
             router.pipeline.close()
-    return rows, cache_note
+    return rows
 
 
 def _chained_hot_router(backend: str = "serial") -> ShardRouter:
@@ -725,12 +696,10 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
     )
     lines.append(overlap_header)
     lines.append("-" * len(overlap_header))
-    overlap_rows, cache_note = _overlap_build_rows()
-    for mode, backend, elapsed_ms, pools, regions in overlap_rows:
+    for mode, backend, elapsed_ms, pools, regions in _overlap_build_rows():
         lines.append(
             f"{mode:>12} {backend:>10} {elapsed_ms:>10.3f} {pools:>6d} {regions:>8d}"
         )
-    lines.append(cache_note)
 
     # Corridor stitching: the global reference stitch vs the distributed
     # per-shard weld passes + merge on every backend (identical hot set,

@@ -38,7 +38,7 @@ from repro.experiments.figure9 import run_figure9, run_figure10
 from repro.experiments.report import ablation_rows_to_csv, write_experiment_bundle, write_sweep_csv
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
-from repro.coordinator.columnar import KERNELS
+from repro.coordinator.columnar import KERNELS, resolve_kernel
 from repro.coordinator.delta import EPOCH_MODES
 from repro.coordinator.execution import BACKEND_NAMES
 from repro.coordinator.partition import PARTITION_KINDS
@@ -404,7 +404,10 @@ def _command_run(args: argparse.Namespace) -> int:
     )
     result = HotPathSimulation(config).run()
     summary = result.summary()
-    print(f"objects={config.num_objects} tolerance={config.tolerance} duration={config.duration}")
+    print(
+        f"objects={config.num_objects} tolerance={config.tolerance} duration={config.duration} "
+        f"kernel={resolve_kernel(config.kernel)}"
+    )
     if config.num_shards > 1:
         shards = result.coordinator.shard_statistics()
         halo = "adaptive" if config.overlap_halo is None else f"{config.overlap_halo} rings"
@@ -647,7 +650,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"serving on {args.host}:{server.port} "
-            f"(shards={args.shards}, backend={args.backend}, partition={args.partition}, {ticking})",
+            f"(shards={args.shards}, backend={args.backend}, partition={args.partition}, "
+            f"kernel={resolve_kernel(args.kernel)}, {ticking})",
             flush=True,
         )
         try:

@@ -2,20 +2,23 @@
 
 The scalar pipeline spends its epochs in per-object python geometry: grid-cell
 membership tests, closed-interval rectangle containment, FSA intersection
-scans and the region tie-break loops of the overlap queries.  This module
-flattens those inner loops into contiguous numpy arrays:
+scans and the region tie-break loops of the overlap queries.  The grid of
+Section 5.1 exists to keep 1-3 entries per cell, so a kernel that vectorises
+*inside* a cell pays numpy's per-call overhead on arrays of one to three
+rows; the batching unit here is the **epoch** instead (SinglePath runs once
+per epoch over the whole batch of state messages):
 
-* :class:`CellBlock` / :class:`ColumnarCellStore` — per-cell SoA endpoint
-  tables behind :class:`~repro.coordinator.grid_index.GridIndex`.  Each
-  occupied grid cell keeps parallel ``float64`` coordinate columns and
-  ``int64`` path-id columns, so one candidate query tests every entry of a
-  cell block in a handful of vectorized comparisons instead of a python loop
-  (the batched form of the Case 1 / Case 2 candidate scans).
+* :class:`EndpointTable` — the endpoint entries of one
+  :class:`~repro.coordinator.grid_index.GridIndex`: one flat SoA table of its
+  *end* entries, so a region query is a single mask over the table, and a
+  hash from a path's exact start vertex to its entries, which answers the two
+  exact-match lookups without numpy.
 * :class:`RegionTable` — a lazily built SoA view over an
-  :class:`~repro.coordinator.overlaps.FsaOverlapStructure`'s region table.
-  The two overlap queries become masked lexicographic argmins whose final
-  tie-break key is the region's *insertion index*, reproducing the scalar
-  first-encountered-wins semantics bit for bit.
+  :class:`~repro.coordinator.overlaps.FsaOverlapStructure`'s region table,
+  ranked once in each query's total order, so a query is one mask and its
+  first set bit; the batched forms answer many points / many FSAs at once.
+* :func:`end_entries_in` — the states x end-entries broadcast of the epoch
+  pass (:func:`repro.coordinator.single_path.prefetch_vertex_candidates`).
 * :class:`ShipmentRing` / :func:`decode_work_shipment` — the shared-memory
   transport of :class:`~repro.coordinator.execution.ProcessBackend`: one
   reusable ``multiprocessing.shared_memory`` block per worker carrying the
@@ -30,18 +33,24 @@ pipeline.  The equality argument is mechanical: coordinates are stored
 verbatim (python floats and ``float64`` are the same IEEE doubles, and
 ``==`` / ``<=`` agree), areas are computed with the same two double
 multiplications, and wherever the scalar code breaks ties by encounter
-order the vectorized argmin carries the insertion index as its last sort
-key.  ``tests/test_columnar_equivalence.py`` enforces the contract over the
+order the ranking carries the insertion index as its last sort key.
+``tests/test_columnar_equivalence.py`` enforces the contract over the
 full harness matrix and with hypothesis kernel-level suites.
 
-numpy is an optional dependency: without it :func:`resolve_kernel` silently
-degrades ``columnar`` to ``object`` so every configuration keeps working on
-a bare interpreter.
+**Scale.**  A region query scans every live end entry of its index —
+O(entries) per epoch batch, hundreds of records at the benchmark's sizes.
+No cell-pruned variant is kept beside it; if a workload with >= 10^4 paths
+per shard shows the scan, sorting the table by cell is the fix.
+
+numpy is an optional dependency: without it :func:`resolve_kernel` degrades
+``columnar`` to ``object`` (logging one warning per process) so every
+configuration keeps working on a bare interpreter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import logging
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
@@ -55,9 +64,10 @@ __all__ = [
     "KERNELS",
     "HAVE_NUMPY",
     "resolve_kernel",
-    "CellBlock",
-    "ColumnarCellStore",
+    "EndpointTable",
     "RegionTable",
+    "concat_end_tables",
+    "end_entries_in",
     "ShipmentRing",
     "decode_work_shipment",
     "close_attachments",
@@ -70,158 +80,218 @@ HAVE_NUMPY = _np is not None
 #: default) runs the vectorized kernels of this module, bit-for-bit equal.
 KERNELS: Tuple[str, ...] = ("object", "columnar")
 
+_log = logging.getLogger(__name__)
+_degrade_logged = False
+
 
 def resolve_kernel(kernel: str) -> str:
     """Validate a kernel name, degrading ``columnar`` without numpy.
 
     The fallback is deliberate rather than an error: the two kernels are
-    bit-for-bit equal, so a numpy-less interpreter silently running the
-    scalar reference is a performance change, never a behaviour change.
+    bit-for-bit equal, so a numpy-less interpreter running the scalar
+    reference is a performance change, never a behaviour change.  It is
+    logged once per process so the slower kernel is not a silent surprise.
     """
+    global _degrade_logged
     if kernel not in KERNELS:
         raise ConfigurationError(
             f"kernel must be one of {', '.join(KERNELS)}, got {kernel!r}"
         )
     if kernel == "columnar" and not HAVE_NUMPY:
+        if not _degrade_logged:
+            _degrade_logged = True
+            _log.warning(
+                "numpy is not installed: kernel 'columnar' degrades to the scalar "
+                "'object' kernel (same answers, scalar speed)"
+            )
         return "object"
     return kernel
 
 
+#: Cells of one transient broadcast (rows x columns of a boolean mask); the
+#: batched kernels chunk their row axis so a large epoch against a large
+#: table never materialises more than this at once.
+_BROADCAST_CELLS = 1 << 20
+
+
+def _row_chunks(rows: int, columns: int) -> Iterator[slice]:
+    step = max(1, _BROADCAST_CELLS // max(1, columns))
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
+def _bounds(rectangles: Sequence[Rectangle]):
+    """An ``(n, 4)`` array of ``(low x, low y, high x, high y)`` rows."""
+    return _np.array(
+        [(r.low.x, r.low.y, r.high.x, r.high.y) for r in rectangles], dtype=_np.float64
+    ).reshape(len(rectangles), 4)
+
+
+def _box_columns(rectangles: Sequence[Rectangle]):
+    """:func:`_bounds` as four column vectors, to broadcast against a table's rows."""
+    boxes = _bounds(rectangles)
+    return tuple(boxes[:, column, None] for column in range(4))
+
+
+def concat_end_tables(tables: Sequence[tuple]) -> tuple:
+    """One ``(path ids, xs, ys)`` table out of many (a fleet's shards)."""
+    return tuple(_np.concatenate(columns) for columns in zip(*tables))
+
+
+def end_entries_in(end_table: tuple, regions: Sequence[Rectangle]):
+    """Every (region, end entry inside it) pair, in one broadcast.
+
+    ``end_table`` is an index's ``(path ids, xs, ys)`` columns
+    (:meth:`EndpointTable.end_columns`).  Returns four parallel python lists
+    ``(region indexes, path ids, xs, ys)`` sorted by region — closed
+    containment, the batched form of :meth:`EndpointTable.end_rows_in`.
+    """
+    pids, xs, ys = end_table
+    lx, ly, hx, hy = _box_columns(regions)
+    region_hits, row_hits = [], []
+    for chunk in _row_chunks(len(regions), len(xs)):
+        mask = (lx[chunk] <= xs) & (xs <= hx[chunk]) & (ly[chunk] <= ys) & (ys <= hy[chunk])
+        region_index, row_index = _np.nonzero(mask)
+        region_hits.append(region_index + chunk.start)
+        row_hits.append(row_index)
+    if not row_hits:
+        return [], [], [], []
+    rows = _np.concatenate(row_hits)
+    return (
+        _np.concatenate(region_hits).tolist(),
+        pids[rows].tolist(),
+        xs[rows].tolist(),
+        ys[rows].tolist(),
+    )
+
+
 # ---------------------------------------------------------------------------
-# Grid-index cell blocks
+# Grid-index endpoint table
 # ---------------------------------------------------------------------------
 
-_INITIAL_CAPACITY = 8
+_INITIAL_CAPACITY = 64
+
+#: ``(path_id, is_start)`` — the entry key of the object kernel's cell dicts.
+EntryKey = Tuple[int, bool]
 
 
-class CellBlock:
-    """SoA endpoint table of one occupied grid cell.
+class EndpointTable:
+    """The endpoint entries of one grid index under the columnar kernel.
 
-    Parallel capacity-doubling columns: ``pids`` / ``starts`` identify the
-    entry (the ``(path_id, is_start)`` key of the object kernel), ``ex, ey``
-    hold the indexed endpoint and ``ox, oy`` the path's other endpoint —
-    the same two points the scalar cell dict stores per entry.  ``_rows``
-    maps entry keys to row numbers for O(1) upsert/remove; removal swaps the
-    last row in, so the block is always dense in ``[0, count)``.
+    ``pids, ex, ey`` are parallel capacity-doubling columns over the *end*
+    entries (``_rows`` maps a path id to its row; removal swaps the last row
+    in, so the table is always dense in ``[0, count)``): a region query is
+    one mask over them, whatever the number of grid cells it overlaps.
+    ``_by_start`` maps a path's start vertex to ``{entry key: path end}`` for
+    every entry — start entries (indexed at that vertex) and end entries
+    (whose *other* endpoint it is) alike — so ``paths_starting_at`` and
+    ``paths_from_into`` are one dict probe and a scan of that vertex's
+    paths.  A process-backend replica holds start entries only and never
+    touches the columns.
     """
 
-    __slots__ = ("count", "pids", "starts", "ex", "ey", "ox", "oy", "_rows")
+    __slots__ = ("count", "pids", "ex", "ey", "_rows", "_by_start", "_start_of")
 
     def __init__(self) -> None:
         self.count = 0
         self.pids = _np.empty(_INITIAL_CAPACITY, dtype=_np.int64)
-        self.starts = _np.empty(_INITIAL_CAPACITY, dtype=_np.bool_)
         self.ex = _np.empty(_INITIAL_CAPACITY, dtype=_np.float64)
         self.ey = _np.empty(_INITIAL_CAPACITY, dtype=_np.float64)
-        self.ox = _np.empty(_INITIAL_CAPACITY, dtype=_np.float64)
-        self.oy = _np.empty(_INITIAL_CAPACITY, dtype=_np.float64)
-        self._rows: Dict[Tuple[int, bool], int] = {}
+        self._rows: Dict[int, int] = {}
+        self._by_start: Dict[Point, Dict[EntryKey, Point]] = {}
+        self._start_of: Dict[EntryKey, Point] = {}
 
-    def _grow(self) -> None:
-        capacity = len(self.pids) * 2
-        for name in ("pids", "starts", "ex", "ey", "ox", "oy"):
-            column = getattr(self, name)
-            grown = _np.empty(capacity, dtype=column.dtype)
-            grown[: self.count] = column[: self.count]
-            setattr(self, name, grown)
+    def __len__(self) -> int:
+        return len(self._start_of)
 
-    def upsert(self, key: Tuple[int, bool], endpoint: Point, other: Point) -> None:
+    def upsert(self, key: EntryKey, endpoint: Point, other: Point) -> None:
         """Insert or overwrite one entry (matches the scalar dict assignment)."""
-        row = self._rows.get(key)
-        if row is None:
-            if self.count == len(self.pids):
-                self._grow()
-            row = self.count
-            self.count += 1
-            self._rows[key] = row
-        self.pids[row] = key[0]
-        self.starts[row] = key[1]
-        self.ex[row] = endpoint.x
-        self.ey[row] = endpoint.y
-        self.ox[row] = other.x
-        self.oy[row] = other.y
+        if key in self._start_of:
+            self.remove(key)
+        path_id, is_start = key
+        start, end = (endpoint, other) if is_start else (other, endpoint)
+        self._start_of[key] = start
+        self._by_start.setdefault(start, {})[key] = end
+        if is_start:
+            return
+        row = self.count
+        if row == len(self.pids):
+            for name in ("pids", "ex", "ey"):
+                column = getattr(self, name)
+                grown = _np.empty(2 * row, dtype=column.dtype)
+                grown[:row] = column
+                setattr(self, name, grown)
+        self.count = row + 1
+        self._rows[path_id] = row
+        self.pids[row] = path_id
+        self.ex[row] = end.x
+        self.ey[row] = end.y
 
-    def remove(self, key: Tuple[int, bool]) -> int:
-        """Drop one entry (swap-with-last); returns the remaining count."""
-        row = self._rows.pop(key, None)
-        if row is not None:
-            last = self.count - 1
-            if row != last:
-                moved_key = (int(self.pids[last]), bool(self.starts[last]))
-                for name in ("pids", "starts", "ex", "ey", "ox", "oy"):
-                    column = getattr(self, name)
-                    column[row] = column[last]
-                self._rows[moved_key] = row
-            self.count = last
-        return self.count
+    def remove(self, key: EntryKey) -> None:
+        """Drop one entry; an absent key is a no-op."""
+        start = self._start_of.pop(key, None)
+        if start is None:
+            return
+        bucket = self._by_start[start]
+        del bucket[key]
+        if not bucket:
+            del self._by_start[start]
+        if key[1]:
+            return
+        row = self._rows.pop(key[0])
+        last = self.count - 1
+        if row != last:
+            self._rows[int(self.pids[last])] = row
+            self.pids[row] = self.pids[last]
+            self.ex[row] = self.ex[last]
+            self.ey[row] = self.ey[last]
+        self.count = last
 
-    # -- vectorized candidate kernels ---------------------------------------
+    # -- exact-match lookups (no numpy) ---------------------------------------
 
-    def start_matches(self, start: Point, region: Rectangle) -> List[int]:
-        """Case 1 kernel: start entries at ``start`` whose other endpoint is
-        inside ``region`` (closed containment, like the scalar reference)."""
+    def starting_at(self, start: Point, region: Rectangle) -> List[int]:
+        """Case 1: start entries at ``start`` whose path ends inside ``region``."""
+        return [
+            path_id
+            for (path_id, is_start), end in self._by_start.get(start, {}).items()
+            if is_start and region.contains_point(end)
+        ]
+
+    def from_into(self, start: Point, region: Rectangle) -> List[int]:
+        """End entries inside ``region`` whose path starts at ``start``."""
+        return [
+            path_id
+            for (path_id, is_start), end in self._by_start.get(start, {}).items()
+            if not is_start and region.contains_point(end)
+        ]
+
+    # -- region scans (one mask over the end columns) -------------------------------
+
+    def end_columns(self):
+        """Live views ``(path ids, xs, ys)`` of the end entries."""
         n = self.count
-        mask = self.starts[:n] & (self.ex[:n] == start.x) & (self.ey[:n] == start.y)
-        mask &= (region.low.x <= self.ox[:n]) & (self.ox[:n] <= region.high.x)
-        mask &= (region.low.y <= self.oy[:n]) & (self.oy[:n] <= region.high.y)
-        return [int(pid) for pid in self.pids[:n][mask]]
-
-    def from_into_matches(self, start: Point, region: Rectangle) -> List[int]:
-        """End entries whose path starts at ``start`` and ends inside ``region``."""
-        n = self.count
-        mask = ~self.starts[:n] & (self.ox[:n] == start.x) & (self.oy[:n] == start.y)
-        mask &= (region.low.x <= self.ex[:n]) & (self.ex[:n] <= region.high.x)
-        mask &= (region.low.y <= self.ey[:n]) & (self.ey[:n] <= region.high.y)
-        return [int(pid) for pid in self.pids[:n][mask]]
+        return self.pids[:n], self.ex[:n], self.ey[:n]
 
     def end_rows_in(self, region: Rectangle):
-        """Case 2 kernel: ``(path_ids, xs, ys)`` of end entries inside ``region``."""
-        n = self.count
-        mask = ~self.starts[:n]
-        mask &= (region.low.x <= self.ex[:n]) & (self.ex[:n] <= region.high.x)
-        mask &= (region.low.y <= self.ey[:n]) & (self.ey[:n] <= region.high.y)
-        rows = _np.flatnonzero(mask)
-        return self.pids[rows], self.ex[rows], self.ey[rows]
+        """Case 2: ``(path ids, xs, ys)`` of the end entries inside ``region``."""
+        pids, xs, ys = self.end_columns()
+        mask = (region.low.x <= xs) & (xs <= region.high.x)
+        mask &= (region.low.y <= ys) & (ys <= region.high.y)
+        return pids[mask], xs[mask], ys[mask]
 
-    def endpoints_in(self, region: Rectangle):
-        """Path ids (row order, possibly repeated) with the indexed endpoint inside."""
-        n = self.count
-        mask = (region.low.x <= self.ex[:n]) & (self.ex[:n] <= region.high.x)
-        mask &= (region.low.y <= self.ey[:n]) & (self.ey[:n] <= region.high.y)
-        return self.pids[:n][mask]
+    def endpoints_in(self, region: Rectangle) -> List[int]:
+        """Path ids (possibly repeated) with an indexed endpoint inside ``region``."""
+        found = self.end_rows_in(region)[0].tolist()
+        for start, bucket in self._by_start.items():
+            if region.contains_point(start):
+                found.extend(path_id for path_id, is_start in bucket if is_start)
+        return found
 
-
-class ColumnarCellStore:
-    """The columnar counterpart of the grid index's cell dict.
-
-    Maps occupied cell keys to :class:`CellBlock` tables; empty blocks are
-    dropped so occupancy statistics mirror the scalar store.
-    """
-
-    __slots__ = ("blocks",)
-
-    def __init__(self) -> None:
-        self.blocks: Dict[Tuple[int, int], CellBlock] = {}
-
-    def upsert(
-        self,
-        cell: Tuple[int, int],
-        key: Tuple[int, bool],
-        endpoint: Point,
-        other: Point,
-    ) -> None:
-        block = self.blocks.get(cell)
-        if block is None:
-            block = self.blocks[cell] = CellBlock()
-        block.upsert(key, endpoint, other)
-
-    def remove(self, cell: Tuple[int, int], key: Tuple[int, bool]) -> None:
-        block = self.blocks.get(cell)
-        if block is not None and block.remove(key) == 0:
-            del self.blocks[cell]
-
-    def occupancy(self) -> List[int]:
-        return [block.count for block in self.blocks.values()]
+    def indexed_endpoints(self) -> Iterator[Point]:
+        """The indexed endpoint of every entry (occupancy diagnostics)."""
+        for start, bucket in self._by_start.items():
+            for (_path_id, is_start), end in bucket.items():
+                yield start if is_start else end
 
 
 # ---------------------------------------------------------------------------
@@ -233,54 +303,91 @@ class RegionTable:
     """SoA query accelerator over an overlap structure's region dict.
 
     Built once per structure (lazily, invalidated by ``add``) from the
-    regions *in insertion order*; both queries keep that order as the last
-    lexicographic sort key, so the vectorized argmin reproduces the scalar
-    loops' first-encountered-wins tie-breaks exactly:
+    regions *in insertion order*, and ranked once in each query's total
+    order with that order as the last sort key:
 
     * smallest containing region — min by ``(area, -count, insertion index)``;
     * hottest intersecting region — min by ``(-count, area, insertion index)``.
+
+    Each ranking keeps its own copy of the bound columns in rank order, so a
+    query is one mask and its first set bit — by construction the winner of
+    the scalar loops' first-encountered-wins tie-breaks.  Winners are
+    insertion indexes into ``members`` / ``rects`` / ``counts``.
     """
 
-    __slots__ = ("lx", "ly", "hx", "hy", "area", "neg_count", "members", "rects")
+    __slots__ = ("members", "rects", "counts", "_smallest", "_hottest")
 
     def __init__(self, regions: Dict) -> None:
-        n = len(regions)
         self.members = list(regions.keys())
         self.rects = list(regions.values())
-        self.lx = _np.empty(n, dtype=_np.float64)
-        self.ly = _np.empty(n, dtype=_np.float64)
-        self.hx = _np.empty(n, dtype=_np.float64)
-        self.hy = _np.empty(n, dtype=_np.float64)
-        self.neg_count = _np.empty(n, dtype=_np.int64)
-        for index, (members, rect) in enumerate(regions.items()):
-            self.lx[index] = rect.low.x
-            self.ly[index] = rect.low.y
-            self.hx[index] = rect.high.x
-            self.hy[index] = rect.high.y
-            self.neg_count[index] = -len(members)
+        self.counts = [len(members) for members in self.members]
+        bounds = _bounds(self.rects)
+        lx, ly, hx, hy = bounds.T
         # The same two IEEE multiplications Rectangle.area performs, so a
         # float area tie in the scalar loop is a float area tie here too.
-        self.area = (self.hx - self.lx) * (self.hy - self.ly)
+        area = (hx - lx) * (hy - ly)
+        neg_count = -_np.array(self.counts, dtype=_np.int64)
+        index = _np.arange(len(self.rects))
+        self._smallest = self._ranked(_np.lexsort((index, neg_count, area)), bounds)
+        self._hottest = self._ranked(_np.lexsort((index, area, neg_count)), bounds)
+
+    @staticmethod
+    def _ranked(rank, bounds):
+        lx, ly, hx, hy = _np.ascontiguousarray(bounds[rank].T)
+        return rank, lx, ly, hx, hy
+
+    @staticmethod
+    def _first_hit(rank, mask) -> Optional[int]:
+        if not rank.size:
+            return None
+        first = int(mask.argmax())
+        return int(rank[first]) if mask[first] else None
+
+    @staticmethod
+    def _first_hits(rank, mask) -> List[int]:
+        """Per mask row, the insertion index of its first set bit, or -1."""
+        if not rank.size:
+            return [-1] * len(mask)
+        first = mask.argmax(axis=1)
+        hit = mask[_np.arange(len(mask)), first]
+        return _np.where(hit, rank[first], -1).tolist()
 
     def smallest_containing(self, point: Point) -> Optional[int]:
         """Index of the scalar winner of ``smallest_region_containing``."""
-        mask = (self.lx <= point.x) & (point.x <= self.hx)
-        mask &= (self.ly <= point.y) & (point.y <= self.hy)
-        rows = _np.flatnonzero(mask)
-        if rows.size == 0:
-            return None
-        order = _np.lexsort((rows, self.neg_count[rows], self.area[rows]))
-        return int(rows[order[0]])
+        rank, lx, ly, hx, hy = self._smallest
+        mask = (lx <= point.x) & (point.x <= hx) & (ly <= point.y) & (point.y <= hy)
+        return self._first_hit(rank, mask)
 
     def hottest_intersecting(self, fsa: Rectangle) -> Optional[int]:
         """Index of the scalar winner of ``hottest_region_intersecting``."""
-        mask = (self.lx <= fsa.high.x) & (fsa.low.x <= self.hx)
-        mask &= (self.ly <= fsa.high.y) & (fsa.low.y <= self.hy)
-        rows = _np.flatnonzero(mask)
-        if rows.size == 0:
-            return None
-        order = _np.lexsort((rows, self.area[rows], self.neg_count[rows]))
-        return int(rows[order[0]])
+        rank, lx, ly, hx, hy = self._hottest
+        mask = (lx <= fsa.high.x) & (fsa.low.x <= hx)
+        mask &= (ly <= fsa.high.y) & (fsa.low.y <= hy)
+        return self._first_hit(rank, mask)
+
+    def smallest_containing_many(self, points: Sequence[Point]) -> List[int]:
+        """Per point, :meth:`smallest_containing`'s winner (-1 for none)."""
+        rank, lx, ly, hx, hy = self._smallest
+        xs = _np.array([point.x for point in points], dtype=_np.float64)[:, None]
+        ys = _np.array([point.y for point in points], dtype=_np.float64)[:, None]
+        winners: List[int] = []
+        for chunk in _row_chunks(len(points), rank.size):
+            x, y = xs[chunk], ys[chunk]
+            winners.extend(
+                self._first_hits(rank, (lx <= x) & (x <= hx) & (ly <= y) & (y <= hy))
+            )
+        return winners
+
+    def hottest_intersecting_many(self, fsas: Sequence[Rectangle]) -> List[int]:
+        """Per FSA, :meth:`hottest_intersecting`'s winner (-1 for none)."""
+        rank, lx, ly, hx, hy = self._hottest
+        f_lx, f_ly, f_hx, f_hy = _box_columns(fsas)
+        winners: List[int] = []
+        for chunk in _row_chunks(len(fsas), rank.size):
+            mask = (lx <= f_hx[chunk]) & (f_lx[chunk] <= hx)
+            mask &= (ly <= f_hy[chunk]) & (f_ly[chunk] <= hy)
+            winners.extend(self._first_hits(rank, mask))
+        return winners
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +537,38 @@ class ShipmentRing:
         self._float_capacity = 0
 
 
-def _attach(name: str, attachments: Dict[str, object]):
-    """Worker-side attach with caching; unregisters from the resource tracker.
+def _open_untracked(name: str):
+    """Attach to the parent's block without telling the resource tracker.
 
-    Attaching registers the segment with ``multiprocessing.resource_tracker``,
-    which would unlink it when this worker exits even though the parent still
-    owns it (bpo-39959); ownership stays with the parent's
-    :class:`ShipmentRing`, so the attachment is unregistered right away.
+    The tracker is for segments a process *owns*; ownership stays with the
+    parent's :class:`ShipmentRing`.  A forked worker shares the parent's
+    tracker process, so registering the attachment and unregistering it
+    again (the usual bpo-39959 workaround) removes the **parent's** entry:
+    the parent's ``unlink()`` then makes the tracker print a ``KeyError``
+    traceback, and until then nothing would reclaim the block if the parent
+    died abnormally.  Python 3.13 has ``track=False`` for this; below it the
+    ``register`` call is suppressed around the attach — safe here because the
+    worker loop is single-threaded, so no owned segment can be created in
+    the gap.
     """
+    import sys
+    from multiprocessing import resource_tracker, shared_memory
+
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    register = resource_tracker.register
+    resource_tracker.register = lambda *_args, **_kwargs: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
+
+
+def _attach(name: str, attachments: Dict[str, object]):
+    """Worker-side attach with caching (see :func:`_open_untracked`)."""
     shm = attachments.get(name)
     if shm is None:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        try:  # pragma: no cover - tracker layout is an implementation detail
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
+        shm = _open_untracked(name)
         # A reallocation (new name) replaces the ring wholesale, so stale
         # attachments can be dropped as soon as a new name arrives.
         for stale in list(attachments.values()):

@@ -30,13 +30,14 @@ the optional ``record_resolver`` callback.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
-from repro.coordinator.columnar import ColumnarCellStore, resolve_kernel
+from repro.coordinator.columnar import EndpointTable, resolve_kernel
 
 __all__ = ["GridConfig", "GridIndex"]
 
@@ -80,15 +81,16 @@ class GridIndex:
         self._cell_width = config.bounds.width / config.cells_per_axis
         self._cell_height = config.bounds.height / config.cells_per_axis
         # ``object`` keeps entries in per-cell dicts (the scalar reference);
-        # ``columnar`` keeps them in per-cell SoA blocks and answers the
-        # queries below with vectorized kernels — bit-for-bit equal (see
+        # ``columnar`` keeps them in one endpoint table for the whole index
+        # — a flat SoA of end entries plus a start-vertex hash — and answers
+        # the queries below from it, bit-for-bit equal (see
         # :mod:`repro.coordinator.columnar`).  The default stays ``object``
         # at this layer: the coordinator config flips it fleet-wide.
         self.kernel = resolve_kernel(kernel)
         # cell -> {(path_id, is_start) -> (indexed endpoint, other endpoint)}
         self._cells: Dict[Tuple[int, int], Dict[EntryKey, Entry]] = {}
-        self._columnar: Optional[ColumnarCellStore] = (
-            ColumnarCellStore() if self.kernel == "columnar" else None
+        self._endpoints: Optional[EndpointTable] = (
+            EndpointTable() if self.kernel == "columnar" else None
         )
         # path_id -> record, for direct lookups and deletion.
         self._records: Dict[int, MotionPathRecord] = {}
@@ -158,10 +160,8 @@ class GridIndex:
             endpoint, other = record.path.start, record.path.end
         else:
             endpoint, other = record.path.end, record.path.start
-        if self._columnar is not None:
-            self._columnar.upsert(
-                self._cell_of(endpoint), (record.path_id, is_start), endpoint, other
-            )
+        if self._endpoints is not None:
+            self._endpoints.upsert((record.path_id, is_start), endpoint, other)
             return
         self._cells.setdefault(self._cell_of(endpoint), {})[
             (record.path_id, is_start)
@@ -169,10 +169,10 @@ class GridIndex:
 
     def remove_entry(self, path_id: int, endpoint: Point, is_start: bool) -> None:
         """Remove one endpoint entry, dropping its cell when it becomes empty."""
-        key = self._cell_of(endpoint)
-        if self._columnar is not None:
-            self._columnar.remove(key, (path_id, is_start))
+        if self._endpoints is not None:
+            self._endpoints.remove((path_id, is_start))
             return
+        key = self._cell_of(endpoint)
         cell = self._cells.get(key)
         if cell is not None:
             cell.pop((path_id, is_start), None)
@@ -184,15 +184,15 @@ class GridIndex:
     def paths_starting_at(self, start: Point, region: Rectangle) -> List[MotionPathRecord]:
         """Motion paths starting exactly at ``start`` whose end lies inside ``region``.
 
-        Answered from the single cell containing ``start``, so the cost is
-        independent of the query rectangle's size — this is the hot-loop form
-        of the Case 1 candidate query.
+        Answered from the single cell containing ``start`` (the columnar
+        kernel: from that vertex's hash bucket), so the cost is independent
+        of the query rectangle's size — this is the hot-loop form of the
+        Case 1 candidate query.
         """
-        if self._columnar is not None:
-            block = self._columnar.blocks.get(self._cell_of(start))
-            if block is None:
-                return []
-            return [self._record_of(pid) for pid in block.start_matches(start, region)]
+        if self._endpoints is not None:
+            return [
+                self._record_of(pid) for pid in self._endpoints.starting_at(start, region)
+            ]
         cell = self._cells.get(self._cell_of(start))
         results: List[MotionPathRecord] = []
         if cell:
@@ -208,16 +208,10 @@ class GridIndex:
         chaining guarantees that a reporting object's SSA start coincides with
         the endpoint the coordinator previously assigned to it.
         """
-        if self._columnar is not None:
-            results = []
-            for cell_key in self._cells_overlapping(region):
-                block = self._columnar.blocks.get(cell_key)
-                if block is not None:
-                    results.extend(
-                        self._record_of(pid)
-                        for pid in block.from_into_matches(start, region)
-                    )
-            return results
+        if self._endpoints is not None:
+            return [
+                self._record_of(pid) for pid in self._endpoints.from_into(start, region)
+            ]
         results: List[MotionPathRecord] = []
         for (path_id, is_start), (endpoint, other) in self._entries_in(region):
             if is_start:
@@ -229,14 +223,10 @@ class GridIndex:
     def end_vertices_in(self, region: Rectangle) -> Dict[Point, List[int]]:
         """Distinct end vertices inside ``region`` mapped to the ids of paths ending there."""
         vertices: Dict[Point, List[int]] = {}
-        if self._columnar is not None:
-            for cell_key in self._cells_overlapping(region):
-                block = self._columnar.blocks.get(cell_key)
-                if block is None:
-                    continue
-                pids, xs, ys = block.end_rows_in(region)
-                for pid, x, y in zip(pids, xs, ys):
-                    vertices.setdefault(Point(float(x), float(y)), []).append(int(pid))
+        if self._endpoints is not None:
+            pids, xs, ys = self._endpoints.end_rows_in(region)
+            for pid, x, y in zip(pids.tolist(), xs.tolist(), ys.tolist()):
+                vertices.setdefault(Point(x, y), []).append(pid)
             return vertices
         for (path_id, is_start), (endpoint, _other) in self._entries_in(region):
             if is_start:
@@ -253,16 +243,11 @@ class GridIndex:
         """
         seen: Set[int] = set()
         results: List[MotionPathRecord] = []
-        if self._columnar is not None:
-            for cell_key in self._cells_overlapping(region):
-                block = self._columnar.blocks.get(cell_key)
-                if block is None:
-                    continue
-                for pid in block.endpoints_in(region):
-                    path_id = int(pid)
-                    if path_id not in seen:
-                        seen.add(path_id)
-                        results.append(self._record_of(path_id))
+        if self._endpoints is not None:
+            for path_id in self._endpoints.endpoints_in(region):
+                if path_id not in seen:
+                    seen.add(path_id)
+                    results.append(self._record_of(path_id))
             return results
         for (path_id, _is_start), (endpoint, _other) in self._entries_in(region):
             if path_id in seen:
@@ -271,6 +256,16 @@ class GridIndex:
                 seen.add(path_id)
                 results.append(self._record_of(path_id))
         return results
+
+    def end_table(self):
+        """Columnar kernel: live ``(path ids, xs, ys)`` columns of the end entries.
+
+        The input of the epoch pass
+        (:func:`repro.coordinator.single_path.prefetch_vertex_candidates`),
+        which tests every reporting object's FSA against them in one
+        broadcast.  ``None`` under the object kernel.
+        """
+        return self._endpoints.end_columns() if self._endpoints is not None else None
 
     # -- cell arithmetic ------------------------------------------------------------------
 
@@ -300,8 +295,11 @@ class GridIndex:
 
     def cell_statistics(self) -> Dict[str, float]:
         """Occupancy statistics of the grid, useful for the resolution ablation."""
-        if self._columnar is not None:
-            occupied = self._columnar.occupancy()
+        if self._endpoints is not None:
+            # The object kernel's figures, derived from the table on demand.
+            occupied = list(
+                Counter(map(self._cell_of, self._endpoints.indexed_endpoints())).values()
+            )
         else:
             occupied = [len(cell) for cell in self._cells.values()]
         total_cells = self.config.cells_per_axis ** 2

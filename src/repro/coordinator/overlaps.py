@@ -43,7 +43,6 @@ __all__ = [
     "OverlapRegion",
     "FsaOverlapStructure",
     "SerializedRegion",
-    "DerivedRegionCache",
     "OverlapPoolCache",
     "build_structures",
 ]
@@ -53,53 +52,6 @@ __all__ = [
 #: with :meth:`FsaOverlapStructure.from_serialized` iterates its regions in
 #: exactly the original insertion order (tie-breaks depend on it).
 SerializedRegion = Tuple[Tuple[int, ...], float, float, float, float]
-
-
-class DerivedRegionCache:
-    """Cross-pool cache of derived overlap regions, keyed by member set.
-
-    Neighbouring halo pools overlap heavily, so shard-local builds used to
-    re-derive the same boundary regions once per pool (the redundancy called
-    out in ROADMAP and measured by the overlap-build benchmark table).  The
-    rectangle of a member set is the exact intersection of its members' FSAs
-    — componentwise ``max`` of lows and ``min`` of highs, associative and
-    commutative, so the result is bit-identical however the derivation is
-    bracketed — which makes it safely cacheable *across* pools, provided
-    every pool maps an object id to the same FSA (one epoch's pools do;
-    :func:`build_structures` verifies the invariant before enabling the
-    cache).  ``None`` entries record empty-or-degenerate intersections, so
-    negative results are shared too.  ``hits`` / ``misses`` are exposed for
-    the benchmark table and the cache-hit regression tests.
-    """
-
-    __slots__ = ("_table", "hits", "misses")
-
-    _MISSING = object()
-
-    def __init__(self) -> None:
-        self._table: Dict[FrozenSet[int], Optional[Rectangle]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def derive(
-        self, combined: FrozenSet[int], rectangle: Rectangle, fsa: Rectangle
-    ) -> Optional[Rectangle]:
-        """The region of ``combined`` = ``rectangle`` (the stored region of
-        ``combined`` minus the new member) intersected with ``fsa``; ``None``
-        when empty or degenerate (not a usable overlap)."""
-        cached = self._table.get(combined, self._MISSING)
-        if cached is not self._MISSING:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        intersection = rectangle.intersection(fsa)
-        if intersection is not None and intersection.is_degenerate():
-            intersection = None
-        self._table[combined] = intersection
-        return intersection
 
 
 @dataclass(frozen=True)
@@ -118,11 +70,14 @@ class OverlapRegion:
 class FsaOverlapStructure:
     """The ``R_all`` structure of Algorithm 2: FSAs and their overlaps with counts."""
 
-    #: Region count below which the columnar kernel answers queries with the
-    #: scalar loops anyway: building (or consulting) an array table for a
-    #: handful of regions costs more than it saves, and both paths are
-    #: bit-for-bit equal so the crossover is purely a performance knob.
-    _COLUMNAR_MIN_REGIONS = 8
+    #: Region count below which the columnar kernel answers a *single* query
+    #: with the scalar loops anyway: one pre-ranked table query costs a flat
+    #: 4-7 us of numpy call overhead, the scalar loops 0.15-0.25 us a region,
+    #: so they cross at 20-40 regions (both paths are bit-for-bit equal; the
+    #: crossover is purely a performance constant).  The batched queries of
+    #: the epoch pass amortise the call overhead over the whole epoch and
+    #: always use the table.
+    _COLUMNAR_MIN_REGIONS = 32
 
     def __init__(self, max_regions: int = 10000, kernel: str = "object") -> None:
         # Hard cap on the number of stored regions, guarding against
@@ -145,7 +100,6 @@ class FsaOverlapStructure:
         fsas: Mapping[int, Rectangle],
         max_regions: int = 10000,
         base: Optional["FsaOverlapStructure"] = None,
-        cache: Optional[DerivedRegionCache] = None,
         kernel: str = "object",
     ) -> "FsaOverlapStructure":
         """Build the structure from ``object_id -> FSA`` of all reporting objects.
@@ -153,14 +107,11 @@ class FsaOverlapStructure:
         ``base`` resumes from a snapshot of an already-built structure instead
         of starting empty — the shared-prefix path of :func:`build_structures`
         (neighbouring shards see almost the same halo pool, so the common
-        prefix of their pools is built once).  ``cache`` shares derived-region
-        intersections with other builds over the same epoch's FSAs (see
-        :class:`DerivedRegionCache`); it never changes the result, only skips
-        recomputing intersections another pool already derived.
+        prefix of their pools is built once).
         """
         structure = base.snapshot() if base is not None else cls(max_regions, kernel=kernel)
         for object_id, fsa in fsas.items():
-            structure.add(object_id, fsa, cache=cache)
+            structure.add(object_id, fsa)
         return structure
 
     def snapshot(self) -> "FsaOverlapStructure":
@@ -176,12 +127,7 @@ class FsaOverlapStructure:
         clone._regions = dict(self._regions)
         return clone
 
-    def add(
-        self,
-        object_id: int,
-        fsa: Rectangle,
-        cache: Optional[DerivedRegionCache] = None,
-    ) -> None:
+    def add(self, object_id: int, fsa: Rectangle) -> None:
         """Insert one object's FSA, deriving intersections with existing regions.
 
         Two deterministic guards bound the derivation:
@@ -211,18 +157,12 @@ class FsaOverlapStructure:
                 break
             if object_id in members:
                 continue
-            if cache is not None:
-                combined = members | singleton
-                intersection = cache.derive(combined, rectangle, fsa)
-                if intersection is None:
-                    continue
-            else:
-                # The hot path computes the (4-comparison) intersection first
-                # and builds the combined member set only for real overlaps.
-                intersection = rectangle.intersection(fsa)
-                if intersection is None or intersection.is_degenerate():
-                    continue
-                combined = members | singleton
+            # The (4-comparison) intersection comes first; the combined
+            # member set is built only for real overlaps.
+            intersection = rectangle.intersection(fsa)
+            if intersection is None or intersection.is_degenerate():
+                continue
+            combined = members | singleton
             existing = new_regions.get(combined)
             if existing is None or intersection.area < existing.area:
                 new_regions[combined] = intersection
@@ -260,13 +200,17 @@ class FsaOverlapStructure:
 
     # -- queries -------------------------------------------------------------------
 
-    def _query_table(self) -> Optional[RegionTable]:
-        """The columnar query table, built lazily; ``None`` on the scalar path."""
-        if self._kernel != "columnar" or len(self._regions) < self._COLUMNAR_MIN_REGIONS:
-            return None
+    def _region_table(self) -> RegionTable:
+        """The columnar query table, built lazily."""
         if self._table is None:
             self._table = RegionTable(self._regions)
         return self._table
+
+    def _query_table(self) -> Optional[RegionTable]:
+        """The table for a *single* query; ``None`` on the scalar path."""
+        if self._kernel != "columnar" or len(self._regions) < self._COLUMNAR_MIN_REGIONS:
+            return None
+        return self._region_table()
 
     def __len__(self) -> int:
         return len(self._regions)
@@ -342,6 +286,26 @@ class FsaOverlapStructure:
         if region is None:
             return None
         return (region.rectangle.center, region.count)
+
+    # -- batched queries (columnar kernel; the epoch pass of SinglePath) ---------------
+
+    def containing_counts(self, points: Sequence[Point]) -> List[int]:
+        """Per point, the count of :meth:`smallest_region_containing` (0 for none)."""
+        table = self._region_table()
+        return [
+            table.counts[winner] if winner >= 0 else 0
+            for winner in table.smallest_containing_many(points)
+        ]
+
+    def candidate_vertices_for(
+        self, fsas: Sequence[Rectangle]
+    ) -> List[Optional[Tuple[Point, int]]]:
+        """Per FSA, :meth:`candidate_vertex_for`."""
+        table = self._region_table()
+        return [
+            (table.rects[winner].center, table.counts[winner]) if winner >= 0 else None
+            for winner in table.hottest_intersecting_many(fsas)
+        ]
 
 
 #: Content address of one halo pool: its ``(object_id, FSA coordinates)``
@@ -479,27 +443,9 @@ class OverlapPoolCache:
             self._table.popitem(last=False)
 
 
-def _pools_are_consistent(pools: Sequence[Mapping[int, Rectangle]]) -> bool:
-    """Whether every pool maps each object id to the identical FSA.
-
-    The derived-region cache keys intersections by member set alone, which
-    is only sound under this invariant (true for the pools of one epoch's
-    overlap plan, all filtered from the same ``fsas`` map).  Checked in one
-    dict probe per pool entry.
-    """
-    canonical: Dict[int, Rectangle] = {}
-    for pool in pools:
-        for object_id, fsa in pool.items():
-            existing = canonical.setdefault(object_id, fsa)
-            if existing != fsa:
-                return False
-    return True
-
-
 def build_structures(
     pools: Sequence[Mapping[int, Rectangle]],
     max_regions: int = 10000,
-    cache: Optional[DerivedRegionCache] = None,
     kernel: str = "object",
 ) -> List[FsaOverlapStructure]:
     """Build one structure per FSA pool, sharing work across related pools.
@@ -508,33 +454,15 @@ def build_structures(
     processed in sorted key order so that a pool repeating another verbatim
     reuses the same (read-only) structure object, and a pool extending another
     pool's *prefix* resumes from its snapshot instead of rebuilding from
-    scratch.  Passing a :class:`DerivedRegionCache` additionally shares
-    *derived regions* across pools that overlap without a common prefix
-    (e.g. neighbouring halo pools ``(1,2,3)`` and ``(2,3,4)`` both derive
-    the ``{2,3}`` overlap).  All three shortcuts are bit-identical to an
-    independent build — :meth:`FsaOverlapStructure.add` is a pure function
-    of the current region table and every derived rectangle is a pure
-    function of its member set, so sharing reproduces the sequential build
-    exactly, hard cap included.
-
-    The cache is opt-in rather than default: measurement (the cache line in
-    ``benchmarks/results/sharding_scaling.txt``) shows halo pools share
-    roughly two thirds of their derivations, but at epoch-sized pools the
-    per-pair member-set hashing costs more than the four-comparison
-    intersection it saves, so the epoch pipeline builds cacheless and the
-    cache exists for workloads with expensive derivation profiles (and to
-    keep the redundancy measurable).
+    scratch.  Both shortcuts are bit-identical to an independent build —
+    :meth:`FsaOverlapStructure.add` is a pure function of the current region
+    table, so sharing reproduces the sequential build exactly, hard cap
+    included.
 
     Pools must be id→FSA *consistent* (each object id maps to the identical
     FSA wherever it appears — true by construction for one epoch's overlap
-    plan): pool dedup and prefix resume key on id tuples alone, and the
-    region cache keys on member sets (checked when a cache is supplied; the
-    dedup/prefix sharing has assumed it since PR 3).
+    plan): pool dedup and prefix resume key on id tuples alone.
     """
-    if cache is not None and not _pools_are_consistent(pools):
-        raise ConfigurationError(
-            "derived-region caching requires id->FSA-consistent pools"
-        )
     keys = [tuple(pool) for pool in pools]
     structures: List[Optional[FsaOverlapStructure]] = [None] * len(pools)
     # Stack of built (key, structure) pairs forming a prefix chain: popping
@@ -554,10 +482,10 @@ def build_structures(
             base_key, base = stack[-1]
             tail = {object_id: pool[object_id] for object_id in key[len(base_key):]}
             structure = FsaOverlapStructure.build(
-                tail, max_regions, base=base, cache=cache, kernel=kernel
+                tail, max_regions, base=base, kernel=kernel
             )
         else:
-            structure = FsaOverlapStructure.build(pool, max_regions, cache=cache, kernel=kernel)
+            structure = FsaOverlapStructure.build(pool, max_regions, kernel=kernel)
         structures[index] = structure
         stack.append((key, structure))
     return structures

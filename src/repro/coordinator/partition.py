@@ -361,14 +361,27 @@ class KdSplitPartition(Partition):
             if leaves == 1:
                 leaf_bounds.append(cell)
                 return len(leaf_bounds) - 1
-            axis = 0 if cell.width >= cell.height else 1
-            low = cell.low.x if axis == 0 else cell.low.y
-            high = cell.high.x if axis == 0 else cell.high.y
             left_leaves = (leaves + 1) // 2
-            ordered = by_x if axis == 0 else by_y
-            value = cls._split_value(
-                [p[axis] for p in ordered], left_leaves / leaves, low, high
-            )
+            # The wider axis first; the other one only when the wider has no
+            # representable coordinate strictly inside the cell (its extent
+            # is a single ulp — halving a cell cut between samples a few
+            # ulps apart gets there).
+            for axis in (0, 1) if cell.width >= cell.height else (1, 0):
+                low = cell.low.x if axis == 0 else cell.low.y
+                high = cell.high.x if axis == 0 else cell.high.y
+                value = cls._split_value(
+                    [p[axis] for p in (by_x if axis == 0 else by_y)],
+                    left_leaves / leaves,
+                    low,
+                    high,
+                )
+                if value is not None:
+                    break
+            else:
+                raise ConfigurationError(
+                    f"cannot fit {leaves} cells into {cell}: no coordinate lies "
+                    "strictly inside it on either axis"
+                )
             # Filtering the pre-sorted lists preserves their order, so each
             # tree level costs O(sample) — the sample is sorted once per
             # axis up front, never inside the recursion.
@@ -396,24 +409,35 @@ class KdSplitPartition(Partition):
         return cls(bounds, root, leaf_bounds)
 
     @staticmethod
-    def _split_value(coords: List[float], fraction: float, low: float, high: float) -> float:
-        """The split coordinate: a sample quantile, clamped strictly inside the cell.
+    def _split_value(
+        coords: List[float], fraction: float, low: float, high: float
+    ) -> Optional[float]:
+        """The split coordinate: a sample quantile, clamped well inside the cell.
 
         The quantile is the midpoint of two adjacent sorted samples — which
         coincides with a sample coordinate when duplicates surround the cut
         (the coordinate then routes right, like any on-split point).  What
-        rules out degenerate cells is the clamp, not the midpoint: whenever
-        the quantile is not strictly inside ``(low, high)`` — empty sample,
-        all coordinates equal, or a cut at the cell edge — the cell
-        midpoint is used instead, and a positive-extent cell always has a
-        strictly interior midpoint.
+        rules out degenerate cells is the clamp, not the midpoint: a quantile
+        cut is refused — and the cell midpoint used instead — whenever it
+        would leave a side without a coordinate strictly inside it (empty
+        sample, all coordinates equal, a cut on or within an ulp of the cell
+        edge), so only halving ever produces a cell one ulp wide.  Such a
+        cell has no strictly interior coordinate at all (its "midpoint"
+        rounds onto an edge, and a cut there would leave a zero-extent
+        sibling): ``None``, and the caller cuts the other axis.
         """
+
+        def roomy(a: float, b: float) -> bool:
+            return a < (a + b) / 2.0 < b
+
+        if not roomy(low, high):
+            return None
         midpoint = (low + high) / 2.0
         if len(coords) < 2:
             return midpoint
         cut = min(len(coords) - 1, max(1, round(fraction * len(coords))))
         value = (coords[cut - 1] + coords[cut]) / 2.0
-        if not (low < value < high):
+        if not (roomy(low, value) and roomy(value, high)):
             return midpoint
         return value
 

@@ -148,7 +148,7 @@ from repro.coordinator.execution import (
     conflict_groups,
     create_backend,
 )
-from repro.coordinator.columnar import resolve_kernel
+from repro.coordinator.columnar import concat_end_tables, resolve_kernel
 from repro.coordinator.delta import EPOCH_MODES
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessDeltaLog, HotnessTracker
@@ -176,7 +176,9 @@ from repro.coordinator.single_path import (
     SinglePathDecision,
     SinglePathEpochResult,
     SinglePathStrategy,
+    VertexPrefetch,
     apply_co_occurrence_boost,
+    prefetch_vertex_candidates,
 )
 
 __all__ = [
@@ -440,6 +442,20 @@ class ShardedGridIndex:
                     results.append(record)
         return results
 
+    def end_table(self):
+        """Columnar kernel: every shard's end-entry columns, concatenated.
+
+        End entries are partitioned across shards by the owner of the end
+        vertex, and any point of a (closed) region is owned by a shard the
+        region overlaps, so a scan of the concatenation finds exactly what
+        the fan-out of :meth:`end_vertices_in` finds.
+        """
+        if self._router.kernel != "columnar":
+            return None
+        return concat_end_tables(
+            [shard.index.end_table() for shard in self._router.shards]
+        )
+
     # -- diagnostics --------------------------------------------------------------------------
 
     def cell_statistics(self) -> Dict[str, float]:
@@ -621,40 +637,48 @@ class ShardedSinglePath:
         # single-shard strategy interleaves them.  Every decision consults
         # its own shard's local overlap structure, which answers exactly like
         # the global build (module docstring) at the default adaptive halo.
-        if not self.backend.parallel_decisions:
-            for state, shard in routed:
-                result.tally(
-                    shard.strategy.decide(
-                        state,
-                        candidate_paths[state.object_id],
-                        overlaps_of[shard.shard_id],
-                    )
-                )
-            return result
-
+        # Under the columnar kernel the order-independent part of those reads
+        # is computed first, for the whole epoch and across every shard at
+        # once (:func:`~repro.coordinator.single_path.prefetch_vertex_candidates`).
+        parallel = self.backend.parallel_decisions
         # Parallel decision stage: non-conflicting groups commit concurrently
         # (submission order replayed within each group), with provisional path
         # ids renumbered to the serial allocation afterwards.  See the
         # :mod:`repro.coordinator.execution` docstring for the equivalence
         # argument.
-        groups = conflict_groups(states, router.grid)
+        groups = conflict_groups(states, router.grid) if parallel else None
+        prefetched: Dict[int, VertexPrefetch] = {}
+        if router.kernel == "columnar":
+            prefetched = prefetch_vertex_candidates(
+                router.index.end_table(),
+                [
+                    (position, state, overlaps_of[shard.shard_id])
+                    for position, (state, shard) in enumerate(routed)
+                    if not candidate_paths[state.object_id]
+                ],
+                groups,
+            )
+
+        def decide(position: int) -> SinglePathDecision:
+            state, shard = routed[position]
+            return shard.strategy.decide(
+                state,
+                candidate_paths[state.object_id],
+                overlaps_of[shard.shard_id],
+                prefetched.get(position),
+            )
+
+        if not parallel:
+            for position in range(len(states)):
+                result.tally(decide(position))
+            return result
 
         def commit(group: List[int]) -> List[Tuple[int, SinglePathDecision]]:
             outcomes: List[Tuple[int, SinglePathDecision]] = []
             try:
                 for position in group:
-                    state, shard = routed[position]
                     router.set_commit_position(position)
-                    outcomes.append(
-                        (
-                            position,
-                            shard.strategy.decide(
-                                state,
-                                candidate_paths[state.object_id],
-                                overlaps_of[shard.shard_id],
-                            ),
-                        )
-                    )
+                    outcomes.append((position, decide(position)))
             finally:
                 router.set_commit_position(None)
             return outcomes

@@ -20,6 +20,14 @@ In cases 2 and 3 a new motion path from the SSA start to the chosen vertex is
 inserted into the grid index.  In every case a crossing is recorded with the
 hotness tracker and the chosen endpoint is sent back to the object as the
 start of its next Spatial Safe Area.
+
+**The epoch pass (columnar kernel).**  Decisions are sequential, but most of
+what a Case 2/3 decision reads is fixed before the first one is made: the
+index does not change between the candidate stage and the decision stage, and
+the decision stage only ever *inserts*.  :func:`prefetch_vertex_candidates`
+computes that part for the whole epoch in one broadcast; the decision loop
+keeps what depends on decision order.  The object kernel takes none of this
+and queries the index per object, as the pinned reference.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import CoordinatorResponse, ObjectState
+from repro.coordinator.columnar import end_entries_in
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
@@ -41,7 +50,9 @@ __all__ = [
     "SinglePathDecision",
     "SinglePathEpochResult",
     "SinglePathStrategy",
+    "VertexPrefetch",
     "apply_co_occurrence_boost",
+    "prefetch_vertex_candidates",
 ]
 
 
@@ -115,6 +126,103 @@ def apply_co_occurrence_boost(candidate_paths: Dict[int, List[CandidatePath]]) -
             candidate.hotness += extra
 
 
+@dataclass
+class VertexPrefetch:
+    """One object's share of the epoch pass: its Case 2/3 reads as of the
+    barrier between the candidate stage and the decision stage."""
+
+    #: End vertices inside the FSA -> ids of the paths ending there.
+    end_vertices: Dict[Point, List[int]]
+    #: Vertex -> count of the smallest overlap region containing it, in the
+    #: object's overlap structure (shared by every object of that structure).
+    bonus: Dict[Point, int]
+    fabricated: Optional[Tuple[Point, int]]
+    #: Paths inserted so far by this epoch's decisions, in decision order;
+    #: shared by every object that can see them (the whole epoch, or one
+    #: conflict group of a parallel commit).
+    inserted: List[MotionPathRecord]
+
+
+def prefetch_vertex_candidates(
+    end_table: tuple,
+    pending: Sequence[Tuple[int, ObjectState, FsaOverlapStructure]],
+    groups: Optional[Sequence[Sequence[int]]] = None,
+) -> Dict[int, VertexPrefetch]:
+    """The epoch pass: every pending object's Case 2/3 geometry in one batch.
+
+    ``pending`` lists ``(position, state, overlap structure)`` for the states
+    left without a Case 1 candidate; ``end_table`` is the index's end-entry
+    columns (of every shard, for a fleet), read here — after the candidate
+    stage, before the first decision — where nothing mutates the index.
+    Returns ``position -> VertexPrefetch``.
+
+    Exact because the decision stage never deletes: what
+    ``end_vertices_in(fsa)`` would return at decision time is the set read
+    here plus the paths inserted since, which :meth:`SinglePathStrategy.decide`
+    appends to ``inserted`` and merges back in.  ``groups`` are the conflict
+    groups of a parallel commit (positions); each gets its own list, which is
+    enough: group shard footprints are disjoint, an inserted end vertex is
+    either a point of the deciding state's FSA or the centroid of a region
+    whose member FSAs all contain it and all intersect that FSA (hence sit
+    in the same group), so no other group's FSA can contain it.
+
+    The bonus of a vertex is a function of ``(structure, vertex)`` alone; it
+    is computed for every end vertex a structure's objects matched and for
+    every fabricated centroid of the epoch (the only new vertices decisions
+    normally insert), one batched query per structure.
+    """
+    if not pending:
+        return {}
+    fsas = [state.fsa for _position, state, _overlaps in pending]
+    vertex_sets: List[Dict[Point, List[int]]] = [{} for _ in pending]
+    vertex_of: Dict[Tuple[float, float], Point] = {}
+    for slot, path_id, x, y in zip(*end_entries_in(end_table, fsas)):
+        vertex = vertex_of.get((x, y))
+        if vertex is None:
+            vertex = vertex_of[(x, y)] = Point(x, y)
+        vertex_sets[slot].setdefault(vertex, []).append(path_id)
+
+    # Slots grouped by overlap structure (one per halo pool; one in all for
+    # a single shard), each structure queried once per kind of query.
+    slots_of: Dict[int, List[int]] = {}
+    for slot, (_position, _state, overlaps) in enumerate(pending):
+        slots_of.setdefault(id(overlaps), []).append(slot)
+    fabricated: List[Optional[Tuple[Point, int]]] = [None] * len(pending)
+    for slots in slots_of.values():
+        overlaps = pending[slots[0]][2]
+        for slot, answer in zip(
+            slots, overlaps.candidate_vertices_for([fsas[slot] for slot in slots])
+        ):
+            fabricated[slot] = answer
+    centroids = {answer[0] for answer in fabricated if answer is not None}
+    bonus_of: Dict[int, Dict[Point, int]] = {}
+    for key, slots in slots_of.items():
+        vertices = set(centroids)
+        for slot in slots:
+            vertices.update(vertex_sets[slot])
+        ordered = list(vertices)
+        bonus_of[key] = dict(
+            zip(ordered, pending[slots[0]][2].containing_counts(ordered))
+        )
+
+    inserted_of: Dict[int, List[MotionPathRecord]] = {}
+    if groups is not None:
+        for group in groups:
+            inserted: List[MotionPathRecord] = []
+            for position in group:
+                inserted_of[position] = inserted
+    epoch_inserted: List[MotionPathRecord] = []
+    return {
+        position: VertexPrefetch(
+            vertex_sets[slot],
+            bonus_of[id(overlaps)],
+            fabricated[slot],
+            inserted_of.get(position, epoch_inserted),
+        )
+        for slot, (position, _state, overlaps) in enumerate(pending)
+    }
+
+
 class SinglePathStrategy:
     """Implementation of Algorithm 2 over a grid index and a hotness tracker."""
 
@@ -168,9 +276,27 @@ class SinglePathStrategy:
         # candidate sets.
         apply_co_occurrence_boost(candidate_paths)
 
-        # Phase 3: selection per object, in submission order.
-        for state in states:
-            result.tally(self.decide(state, candidate_paths[state.object_id], overlaps))
+        # Phase 3: selection per object, in submission order — behind the
+        # epoch pass when the kernel is columnar (module docstring).
+        prefetched: Dict[int, VertexPrefetch] = {}
+        if self._kernel == "columnar":
+            prefetched = prefetch_vertex_candidates(
+                self._index.end_table(),
+                [
+                    (position, state, overlaps)
+                    for position, state in enumerate(states)
+                    if not candidate_paths[state.object_id]
+                ],
+            )
+        for position, state in enumerate(states):
+            result.tally(
+                self.decide(
+                    state,
+                    candidate_paths[state.object_id],
+                    overlaps,
+                    prefetched.get(position),
+                )
+            )
         return result
 
     def _overlap_structure(self, fsas: Dict[int, Rectangle]) -> FsaOverlapStructure:
@@ -201,16 +327,38 @@ class SinglePathStrategy:
         ]
 
     def _candidate_vertices(
-        self, state: ObjectState, overlaps: FsaOverlapStructure
+        self,
+        state: ObjectState,
+        overlaps: FsaOverlapStructure,
+        prefetch: Optional[VertexPrefetch] = None,
     ) -> List[CandidateVertex]:
-        """``GetCandidateVertices`` plus the overlap-derived extra candidate."""
+        """``GetCandidateVertices`` plus the overlap-derived extra candidate.
+
+        With a ``prefetch`` the index and the overlap structure are not
+        queried: the end-vertex set is the prefetched one plus the paths
+        inserted since the epoch pass read the index.
+        """
+        fsa = state.fsa
+        if prefetch is None:
+            end_vertices = self._index.end_vertices_in(fsa)
+            bonus_of: Dict[Point, int] = {}
+            fabricated = overlaps.candidate_vertex_for(fsa)
+        else:
+            end_vertices, bonus_of, fabricated = (
+                prefetch.end_vertices, prefetch.bonus, prefetch.fabricated
+            )
+            for record in prefetch.inserted:
+                if fsa.contains_point(record.path.end):
+                    end_vertices.setdefault(record.path.end, []).append(record.path_id)
         candidates: List[CandidateVertex] = []
-        for vertex, path_ids in self._index.end_vertices_in(state.fsa).items():
-            converging = sum(self._hotness.hotness(path_id) for path_id in path_ids)
-            region = overlaps.smallest_region_containing(vertex)
-            bonus = region.count if region is not None else 0
+        hotness = self._hotness.hotness
+        for vertex, path_ids in end_vertices.items():
+            converging = sum(hotness(path_id) for path_id in path_ids)
+            bonus = bonus_of.get(vertex)
+            if bonus is None:
+                region = overlaps.smallest_region_containing(vertex)
+                bonus = region.count if region is not None else 0
             candidates.append(CandidateVertex(vertex, converging + bonus))
-        fabricated = overlaps.candidate_vertex_for(state.fsa)
         if fabricated is not None:
             vertex, count = fabricated
             candidates.append(CandidateVertex(vertex, count, fabricated=True))
@@ -220,7 +368,7 @@ class SinglePathStrategy:
             # but a saturated ``max_regions`` table drops late singletons (the
             # hard cap keeps earlier insertions), so use the FSA centroid with
             # zero hotness.
-            candidates.append(CandidateVertex(state.fsa.center, 0, fabricated=True))
+            candidates.append(CandidateVertex(fsa.center, 0, fabricated=True))
         return candidates
 
     # -- selection ---------------------------------------------------------------------
@@ -230,8 +378,13 @@ class SinglePathStrategy:
         state: ObjectState,
         candidates: List[CandidatePath],
         overlaps: FsaOverlapStructure,
+        prefetch: Optional[VertexPrefetch] = None,
     ) -> SinglePathDecision:
         """Choose one object's motion path given its (boosted) candidate set.
+
+        ``prefetch`` is the object's share of the epoch pass
+        (:func:`prefetch_vertex_candidates`); without one the index and the
+        overlap structure are queried here, per object.
 
         Both selection steps use total orders — ties fall back to the path id
         or the vertex coordinates — so the outcome is independent of the order
@@ -256,7 +409,7 @@ class SinglePathStrategy:
                 fabricated_vertex=False,
             )
 
-        vertex_candidates = self._candidate_vertices(state, overlaps)
+        vertex_candidates = self._candidate_vertices(state, overlaps, prefetch)
         chosen_vertex = max(
             vertex_candidates,
             key=lambda candidate: (
@@ -276,6 +429,8 @@ class SinglePathStrategy:
                     endpoint = alternative
                     break
         record, inserted = self._insert_or_reuse(state.start, endpoint, state.t_end)
+        if inserted and prefetch is not None:
+            prefetch.inserted.append(record)
         self._hotness.record_crossing(record.path_id, state.t_end)
         response = CoordinatorResponse(state.object_id, endpoint, state.t_end)
         return SinglePathDecision(

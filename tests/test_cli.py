@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import logging
+import os
+import signal
+import subprocess
+import sys
+
 import pytest
 
+import repro.coordinator.columnar as columnar
 from repro.core.errors import ConfigurationError
 from repro.cli import build_parser, main
+
+RUN_SMALL = ["run", "--objects", "40", "--duration", "30", "--network-nodes", "6",
+             "--area", "2000", "--seed", "3"]
 
 
 class TestParser:
@@ -139,6 +149,28 @@ class TestRunCommand:
         assert "message reduction vs naive" in captured
         assert "hottest motion paths" in captured
         assert "composite corridors" in captured
+
+    @pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the default kernel needs numpy")
+    def test_run_banner_names_the_resolved_kernel(self, capsys):
+        assert main(RUN_SMALL) == 0
+        assert "kernel=columnar" in capsys.readouterr().out.splitlines()[0]
+        assert main(RUN_SMALL + ["--kernel", "object"]) == 0
+        assert "kernel=object" in capsys.readouterr().out.splitlines()[0]
+
+    def test_run_without_numpy_degrades_loudly(self, capsys, caplog, monkeypatch):
+        """numpy masked out: same answers from the scalar kernel, and both the
+        banner and the log say which kernel actually ran."""
+        assert main(RUN_SMALL + ["--kernel", "object"]) == 0
+        reference = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        monkeypatch.setattr(columnar, "_degrade_logged", False)
+        with caplog.at_level(logging.WARNING, logger=columnar.__name__):
+            assert main(RUN_SMALL + ["--kernel", "columnar"]) == 0
+        degraded = capsys.readouterr().out.splitlines()
+        assert "kernel=object" in degraded[0]
+        timing = lambda line: line.startswith("coordinator time per epoch")
+        assert [l for l in degraded if not timing(l)] == [l for l in reference if not timing(l)]
+        assert sum("degrades" in record.getMessage() for record in caplog.records) == 1
 
     def test_run_with_stitching_off_reports_truncation(self, capsys):
         exit_code = main(
@@ -296,3 +328,19 @@ class TestServeCommand:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
             main(["serve", "--scenario", "no_such_traffic"])
+
+    @pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the default kernel needs numpy")
+    def test_serve_banner_names_the_resolved_kernel(self):
+        environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=environment,
+        )
+        try:
+            banner = server.stdout.readline()
+        finally:
+            server.send_signal(signal.SIGINT)
+            server.wait(timeout=30)
+            server.stdout.close()
+        assert banner.startswith("serving on ")
+        assert "kernel=columnar" in banner

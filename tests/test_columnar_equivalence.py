@@ -9,11 +9,14 @@ same contract the delta pipeline does: **bit-for-bit equal** to the scalar
   same streams under both kernels, every epoch's responses / counters /
   index snapshot compared exactly (reusing the sharding-equivalence
   harness);
-* hypothesis kernel-level suites — :class:`CellBlock` candidate kernels
-  against a brute-force scalar scan, and :class:`RegionTable` argmin
+* hypothesis kernel-level suites — :class:`EndpointTable` queries against a
+  brute-force scalar scan, and the pre-ranked / batched :class:`RegionTable`
   queries against the scalar tie-break loops, including the insertion-order
-  tie-break cases (equal areas, equal counts) the lexsort key order exists
-  for.
+  tie-break cases (equal areas, equal counts) the ranking's last sort key
+  exists for;
+* the epoch-pass differential — at every decision, the candidate vertices
+  the epoch pass hands SinglePath against the ones a per-state query of the
+  live index produces.
 
 The shared-memory shipment transport rides the matrix (``processes``
 backend under ``columnar``) and is additionally pinned to actually engage:
@@ -22,22 +25,24 @@ epochs must ship through the ring, with zero pickled-pipe fallbacks.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List
+import logging
+from collections import Counter
+from typing import Dict
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.client.state import ObjectState
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.columnar import (
     HAVE_NUMPY,
-    KERNELS,
-    CellBlock,
+    EndpointTable,
     RegionTable,
     resolve_kernel,
 )
 from repro.core.errors import ConfigurationError
 from repro.coordinator.overlaps import FsaOverlapStructure
+from repro.coordinator.single_path import SinglePathStrategy
 from test_sharding_equivalence import (
     drive,
     index_snapshot,
@@ -68,12 +73,24 @@ class TestKernelResolution:
         assert resolve_kernel("object") == "object"
         assert resolve_kernel("columnar") == "columnar"
 
-    def test_columnar_degrades_without_numpy(self, monkeypatch):
+    def test_columnar_degrades_without_numpy(self, monkeypatch, caplog):
+        """The degrade keeps every configuration working — and says so once."""
         import repro.coordinator.columnar as columnar
 
         monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
-        assert columnar.resolve_kernel("columnar") == "object"
-        assert columnar.resolve_kernel("object") == "object"
+        monkeypatch.setattr(columnar, "_degrade_logged", False)
+        with caplog.at_level(logging.WARNING, logger=columnar.__name__):
+            assert columnar.resolve_kernel("columnar") == "object"
+            assert columnar.resolve_kernel("columnar") == "object"
+            assert columnar.resolve_kernel("object") == "object"
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1  # once per process, not once per index
+        assert "degrades" in warnings[0].getMessage()
+
+    def test_resolving_with_numpy_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            assert resolve_kernel("columnar") == "columnar"
+        assert not caplog.records
 
     def test_coordinator_default_is_columnar(self):
         coordinator = make_coordinator(num_shards=1)
@@ -193,18 +210,54 @@ coordinate_pool = st.sampled_from([0.0, 1.0, 12.5, 25.0, 49.9, 50.0, 99.0, 100.0
 points = st.builds(Point, coordinate_pool, coordinate_pool)
 
 
+entry_keys = st.tuples(st.integers(min_value=0, max_value=9), st.booleans())
+
+
 @st.composite
-def cell_entries(draw):
-    """(key, endpoint, other) upserts plus a removal subset."""
-    n = draw(st.integers(min_value=0, max_value=20))
-    entries = []
-    for index in range(n):
-        key = (draw(st.integers(min_value=0, max_value=9)), draw(st.booleans()))
-        entries.append((key, draw(points), draw(points)))
-    removals = draw(
-        st.lists(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=6)
+def table_scripts(draw):
+    """Interleaved ``("upsert", key, endpoint, other)`` / ``("remove", key)``
+    ops over a small key space, so keys are overwritten and re-added."""
+    ops = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        if draw(st.integers(min_value=0, max_value=3)):
+            ops.append(("upsert", draw(entry_keys), draw(points), draw(points)))
+        else:
+            ops.append(("remove", draw(entry_keys)))
+    return ops
+
+
+def replay(ops):
+    """The table and the scalar ``{key: (endpoint, other)}`` dict it mirrors."""
+    table = EndpointTable()
+    scalar: Dict = {}
+    for op in ops:
+        if op[0] == "upsert":
+            _tag, key, endpoint, other = op
+            table.upsert(key, endpoint, other)
+            scalar[key] = (endpoint, other)
+        else:
+            table.remove(op[1])
+            scalar.pop(op[1], None)
+    return table, scalar
+
+
+def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
+    """Dense end columns, an exact row map and a start hash with no dead keys."""
+    ends = {pid: endpoint for (pid, is_start), (endpoint, _o) in scalar.items() if not is_start}
+    assert len(table) == len(scalar)
+    assert table.count == len(ends)
+    pids, xs, ys = table.end_columns()
+    assert sorted(zip(pids.tolist(), xs.tolist(), ys.tolist())) == sorted(
+        (pid, end.x, end.y) for pid, end in ends.items()
     )
-    return entries, removals
+    assert {pid: int(pids[row]) for pid, row in table._rows.items()} == {
+        pid: pid for pid in ends
+    }
+    expected_hash: Dict = {}
+    for (pid, is_start), (endpoint, other) in scalar.items():
+        start, end = (endpoint, other) if is_start else (other, endpoint)
+        expected_hash.setdefault(start, {})[(pid, is_start)] = end
+    assert table._by_start == expected_hash
 
 
 @st.composite
@@ -213,69 +266,80 @@ def regions_strategy(draw):
     return Rectangle.bounding(a, b)
 
 
-class TestCellBlockKernels:
+class TestEndpointTableKernels:
     @settings(max_examples=150, deadline=None)
-    @given(cell_entries(), points, regions_strategy())
-    def test_kernels_match_scalar_scan(self, script, start, region):
-        entries, removals = script
-        block = CellBlock()
-        scalar: Dict = {}
-        for key, endpoint, other in entries:
-            block.upsert(key, endpoint, other)
-            scalar[key] = (endpoint, other)
-        for removal in removals:
-            if not entries:
-                break
-            key = entries[removal % len(entries)][0]
-            block.remove(key)
-            scalar.pop(key, None)
+    @given(table_scripts(), points, regions_strategy())
+    def test_queries_match_scalar_scan(self, ops, start, region):
+        table, scalar = replay(ops)
 
         expected_starts = sorted(
             pid
             for (pid, is_start), (endpoint, other) in scalar.items()
             if is_start and endpoint == start and region.contains_point(other)
         )
-        assert sorted(block.start_matches(start, region)) == expected_starts
+        assert sorted(table.starting_at(start, region)) == expected_starts
 
         expected_from_into = sorted(
             pid
             for (pid, is_start), (endpoint, other) in scalar.items()
             if not is_start and other == start and region.contains_point(endpoint)
         )
-        assert sorted(block.from_into_matches(start, region)) == expected_from_into
+        assert sorted(table.from_into(start, region)) == expected_from_into
 
-        pids, xs, ys = block.end_rows_in(region)
-        got_ends = sorted(
-            (int(pid), float(x), float(y)) for pid, x, y in zip(pids, xs, ys)
-        )
+        pids, xs, ys = table.end_rows_in(region)
         expected_ends = sorted(
             (pid, endpoint.x, endpoint.y)
             for (pid, is_start), (endpoint, _other) in scalar.items()
             if not is_start and region.contains_point(endpoint)
         )
-        assert got_ends == expected_ends
+        assert sorted(zip(pids.tolist(), xs.tolist(), ys.tolist())) == expected_ends
 
         expected_any = sorted(
             pid
             for (pid, _is_start), (endpoint, _other) in scalar.items()
             if region.contains_point(endpoint)
         )
-        assert sorted(int(p) for p in block.endpoints_in(region)) == expected_any
+        assert sorted(table.endpoints_in(region)) == expected_any
+
+        assert Counter(table.indexed_endpoints()) == Counter(
+            endpoint for endpoint, _other in scalar.values()
+        )
 
     @settings(max_examples=80, deadline=None)
-    @given(cell_entries())
-    def test_swap_with_last_removal_keeps_the_table_dense(self, script):
-        entries, _removals = script
-        block = CellBlock()
-        for key, endpoint, other in entries:
-            block.upsert(key, endpoint, other)
-        live = {key for key, _e, _o in entries}
-        for key in list(live):
-            remaining = block.remove(key)
-            live.discard(key)
-            assert remaining == len(live)
-            assert block.count == len(live)
-        assert block.remove((999, True)) == 0  # absent key is a no-op
+    @given(table_scripts())
+    def test_swap_with_last_removal_keeps_the_table_dense(self, ops):
+        table, scalar = replay(ops)
+        assert_table_consistent(table, scalar)
+        for key in list(scalar):
+            table.remove(key)
+            del scalar[key]
+            assert_table_consistent(table, scalar)
+        table.remove((999, False))  # an absent key is a no-op
+        assert_table_consistent(table, {})
+
+    def test_start_hash_emptied_on_last_removal(self):
+        """A vertex's bucket lives exactly as long as a path starts there —
+        whichever of the path's two entries goes last."""
+        table = EndpointTable()
+        start, end = Point(1.0, 1.0), Point(50.0, 50.0)
+        table.upsert((7, True), start, end)
+        table.upsert((7, False), end, start)
+        table.upsert((8, True), start, Point(99.0, 0.0))
+        assert set(table._by_start) == {start}
+        table.remove((8, True))
+        table.remove((7, True))
+        assert table._by_start == {start: {(7, False): end}}
+        table.remove((7, False))
+        assert table._by_start == {} and table._start_of == {} and table.count == 0
+
+    def test_columns_grow_past_the_initial_capacity(self):
+        table = EndpointTable()
+        capacity = len(table.pids)
+        for pid in range(3 * capacity):
+            table.upsert((pid, False), Point(float(pid), 0.0), Point(0.0, 0.0))
+        assert table.count == 3 * capacity
+        everywhere = Rectangle(Point(0.0, 0.0), Point(float(3 * capacity), 0.0))
+        assert table.end_rows_in(everywhere)[0].tolist() == list(range(3 * capacity))
 
 
 @st.composite
@@ -390,3 +454,192 @@ class TestRegionTableKernels:
             assert got is None
         else:
             assert got == best[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        overlap_pools_strategy(),
+        st.lists(points, max_size=12),
+        st.lists(regions_strategy(), max_size=12),
+    )
+    def test_batched_queries_match_single_queries_and_scalar_loops(self, pool, probes, fsas):
+        """Many points / many FSAs against one table: the same winners as one
+        pre-ranked query each, and as the object kernel's loops."""
+        reference = FsaOverlapStructure.build(pool, kernel="object")
+        columnar = FsaOverlapStructure.build(pool, kernel="columnar")
+        table = RegionTable(columnar._regions)
+        singles = [table.smallest_containing(probe) for probe in probes]
+        assert table.smallest_containing_many(probes) == [
+            -1 if winner is None else winner for winner in singles
+        ]
+        singles = [table.hottest_intersecting(fsa) for fsa in fsas]
+        assert table.hottest_intersecting_many(fsas) == [
+            -1 if winner is None else winner for winner in singles
+        ]
+        expected_counts = []
+        for probe in probes:
+            region = reference.smallest_region_containing(probe)
+            expected_counts.append(region.count if region is not None else 0)
+        assert columnar.containing_counts(probes) == expected_counts
+        assert columnar.candidate_vertices_for(fsas) == [
+            reference.candidate_vertex_for(fsa) for fsa in fsas
+        ]
+
+    def test_preranked_ties_fall_to_insertion_order(self):
+        """Equal area *and* equal count: both rankings must keep the region
+        inserted first, whichever member set that is."""
+        square = Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))
+        twin = Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))
+        probe, fsa = Point(5.0, 5.0), Rectangle(Point(2.0, 2.0), Point(3.0, 3.0))
+        for first, second in ((1, 2), (2, 1)):
+            table = RegionTable({frozenset([first]): square, frozenset([second]): twin})
+            assert table.smallest_containing(probe) == 0
+            assert table.hottest_intersecting(fsa) == 0
+            assert table.smallest_containing_many([probe, probe]) == [0, 0]
+            assert table.hottest_intersecting_many([fsa]) == [0]
+            assert table.members[0] == frozenset([first])
+
+    def test_preranked_orders_differ_between_the_two_queries(self):
+        """A big two-member region and a small singleton: the containing
+        query prefers the small one, the intersecting query the hot one."""
+        table = RegionTable(
+            {
+                frozenset([1, 2]): Rectangle(Point(0.0, 0.0), Point(100.0, 100.0)),
+                frozenset([3]): Rectangle(Point(40.0, 40.0), Point(60.0, 60.0)),
+            }
+        )
+        assert table.smallest_containing(Point(50.0, 50.0)) == 1
+        assert table.hottest_intersecting(Rectangle(Point(45.0, 45.0), Point(55.0, 55.0))) == 0
+        # Equal count, different area: the smaller area wins the hot query.
+        table = RegionTable(
+            {
+                frozenset([1]): Rectangle(Point(0.0, 0.0), Point(100.0, 100.0)),
+                frozenset([2]): Rectangle(Point(40.0, 40.0), Point(60.0, 60.0)),
+            }
+        )
+        assert table.hottest_intersecting(Rectangle(Point(45.0, 45.0), Point(55.0, 55.0))) == 1
+
+    def test_point_outside_every_region_and_single_region_table(self):
+        only = Rectangle(Point(10.0, 10.0), Point(20.0, 20.0))
+        table = RegionTable({frozenset([4]): only})
+        outside = Point(99.0, 99.0)
+        far = Rectangle(Point(50.0, 50.0), Point(60.0, 60.0))
+        assert table.smallest_containing(outside) is None
+        assert table.hottest_intersecting(far) is None
+        assert table.smallest_containing(Point(20.0, 10.0)) == 0  # closed edges
+        assert table.hottest_intersecting(Rectangle(Point(20.0, 20.0), Point(30.0, 30.0))) == 0
+        assert table.smallest_containing_many([outside, Point(15.0, 15.0)]) == [-1, 0]
+        assert table.hottest_intersecting_many([far, only]) == [-1, 0]
+        assert table.smallest_containing_many([]) == []
+
+    def test_empty_table_answers_nothing(self):
+        table = RegionTable({})
+        probe, fsa = Point(1.0, 1.0), Rectangle(Point(0.0, 0.0), Point(2.0, 2.0))
+        assert table.smallest_containing(probe) is None
+        assert table.hottest_intersecting(fsa) is None
+        assert table.smallest_containing_many([probe]) == [-1]
+        assert table.hottest_intersecting_many([fsa, fsa]) == [-1, -1]
+
+
+# ---------------------------------------------------------------------------
+# The epoch pass vs per-state queries
+# ---------------------------------------------------------------------------
+
+
+def report(object_id, start, centre, half, t_end) -> ObjectState:
+    fsa = Rectangle.from_center(Point(*centre), half)
+    return ObjectState(object_id, Point(*start), max(0, t_end - 5), fsa.low, fsa.high, t_end)
+
+
+def crafted_stream():
+    """Epochs built around what the epoch pass must merge back in.
+
+    Epoch 1 has nothing indexed: reporters 1 and 2 overlap, so the first
+    fabricates the shared centroid and inserts a path to it — an in-epoch
+    insert that lands inside the second's FSA.  Epoch 2 sends two new
+    reporters whose FSAs contain that (now stored) vertex: the first inserts
+    another path onto the already-indexed vertex, which the second must see
+    on top of what the pass read.  Reporter 9 reports twice in epoch 2 and
+    the FSAs around (500, 500) straddle all four shards of a 2x2 fleet.
+    """
+    return [
+        (10, [
+            report(1, (100.0, 100.0), (300.0, 300.0), 60.0, 8),
+            report(2, (120.0, 80.0), (320.0, 310.0), 60.0, 9),
+            report(3, (480.0, 520.0), (500.0, 500.0), 40.0, 7),
+        ]),
+        (20, [
+            report(4, (150.0, 400.0), (305.0, 310.0), 50.0, 18),
+            report(5, (400.0, 150.0), (315.0, 300.0), 50.0, 17),
+            report(9, (700.0, 700.0), (510.0, 505.0), 45.0, 16),
+            report(9, (720.0, 690.0), (495.0, 510.0), 45.0, 19),
+            report(6, (520.0, 480.0), (505.0, 495.0), 40.0, 15),
+        ]),
+    ]
+
+
+class EpochPassChecker:
+    """Wraps ``_candidate_vertices``: whenever a decision runs off the epoch
+    pass, the per-state query of the live index must produce the same
+    candidates.  Counts the cases the streams are built to reach."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.compared = 0
+        self.inserts_seen = 0
+        self.on_indexed_vertex = 0
+        original = SinglePathStrategy._candidate_vertices
+        checker = self
+
+        def checked(strategy, state, overlaps, prefetch=None):
+            if prefetch is None:
+                return original(strategy, state, overlaps)
+            fsa = state.fsa
+            for record in prefetch.inserted:
+                if fsa.contains_point(record.path.end):
+                    checker.inserts_seen += 1
+                    if record.path.end in prefetch.end_vertices:
+                        checker.on_indexed_vertex += 1
+            batched = original(strategy, state, overlaps, prefetch)
+            per_state = original(strategy, state, overlaps)
+            key = lambda c: (c.vertex.as_tuple(), c.hotness, c.fabricated)
+            assert sorted(map(key, batched)) == sorted(map(key, per_state))
+            checker.compared += 1
+            return batched
+
+        monkeypatch.setattr(SinglePathStrategy, "_candidate_vertices", checked)
+
+
+FLEETS = [
+    dict(num_shards=1),
+    dict(num_shards=4, backend="serial"),
+    dict(num_shards=4, backend="threads"),
+    dict(num_shards=4, backend="processes"),
+]
+
+
+class TestEpochPassDifferential:
+    @pytest.mark.parametrize("fleet", FLEETS, ids=lambda fleet: "-".join(map(str, fleet.values())))
+    def test_crafted_stream_hits_every_merge_case(self, fleet, monkeypatch):
+        checker = EpochPassChecker(monkeypatch)
+        drive(make_coordinator(kernel="columnar", **fleet), crafted_stream())
+        assert checker.compared >= 7
+        assert checker.inserts_seen >= 2  # an in-epoch insert inside a later FSA
+        assert checker.on_indexed_vertex >= 1  # ... onto a vertex the pass had read
+        monkeypatch.undo()
+        drive_both_kernels(crafted_stream(), **fleet)
+
+    @pytest.mark.parametrize("fleet", FLEETS, ids=lambda fleet: "-".join(map(str, fleet.values())))
+    @pytest.mark.parametrize("seed", [5, 31])
+    def test_random_streams_with_duplicate_reporters(self, fleet, seed, monkeypatch):
+        stream = synthetic_stream(seed=seed, epochs=6)
+        assert any(
+            len({state.object_id for state in states}) < len(states) for _b, states in stream
+        )
+        checker = EpochPassChecker(monkeypatch)
+        drive(make_coordinator(kernel="columnar", **fleet), stream)
+        assert checker.compared > 0 and checker.inserts_seen > 0
+        assert checker.on_indexed_vertex > 0
+
+    def test_object_kernel_never_runs_the_pass(self, monkeypatch):
+        checker = EpochPassChecker(monkeypatch)
+        drive(make_coordinator(num_shards=4, kernel="object"), crafted_stream())
+        assert checker.compared == 0

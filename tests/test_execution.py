@@ -15,7 +15,11 @@ Three layers:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
 from typing import List
 
 import pytest
@@ -24,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
+from repro.coordinator.columnar import HAVE_NUMPY
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.execution import (
     BACKEND_NAMES,
@@ -649,3 +654,79 @@ class TestWorkerFaultRecovery:
                 backend.restart_worker(coordinator.router, shard_id=999)
         finally:
             coordinator.close()
+
+
+_OWNERSHIP_SCRIPT = """
+import multiprocessing, os, sys
+from repro.coordinator.columnar import ShipmentRing, decode_work_shipment
+
+def attach(header):
+    ops, tasks, pools = decode_work_shipment(header, {})
+    assert tasks == [(0, 1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)], tasks
+
+ring = ShipmentRing()
+header = ring.pack([], [(0, 1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)], [])
+worker = multiprocessing.get_context("fork").Process(target=attach, args=(header,))
+worker.start()
+worker.join(30)
+assert worker.exitcode == 0, worker.exitcode
+print(header[1], flush=True)
+if sys.argv[1] == "die":
+    os._exit(0)  # the parent dies abnormally: no close, no unlink
+ring.close(unlink=True)
+"""
+
+
+@pytest.mark.skipif(
+    not (HAVE_NUMPY and sys.platform.startswith("linux")),
+    reason="shared-memory shipments need numpy; fork and /dev/shm need Linux",
+)
+class TestSharedMemoryOwnership:
+    """A worker's attach must leave the parent's resource-tracker entry alone.
+
+    Forked workers share the parent's tracker process, so the old
+    register-then-unregister attach removed the *parent's* registration: its
+    ``unlink()`` then made the tracker print a ``KeyError`` traceback per
+    ring, and nothing reclaimed the block if the parent died first.
+    """
+
+    @staticmethod
+    def run_script(mode: str) -> subprocess.CompletedProcess:
+        environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run(
+            [sys.executable, "-c", _OWNERSHIP_SCRIPT, mode],
+            capture_output=True, text=True, timeout=120, env=environment,
+        )
+
+    def test_unlink_after_a_worker_attach_is_silent(self):
+        done = self.run_script("unlink")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert not os.path.exists("/dev/shm/" + done.stdout.strip().lstrip("/"))
+
+    def test_registration_survives_a_worker_attach(self):
+        """Parent gone without unlinking: the tracker still knows the block
+        is the parent's and reclaims it."""
+        done = self.run_script("die")
+        assert done.returncode == 0, done.stderr
+        block = "/dev/shm/" + done.stdout.strip().lstrip("/")
+        try:
+            deadline = time.monotonic() + 30
+            while os.path.exists(block) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not os.path.exists(block), "the tracker forgot the parent's block"
+        finally:
+            if os.path.exists(block):
+                os.unlink(block)
+
+    def test_a_processes_run_prints_no_tracker_traceback(self):
+        environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--objects", "40", "--duration", "30",
+             "--network-nodes", "6", "--area", "2000", "--shards", "4",
+             "--backend", "processes", "--seed", "3"],
+            capture_output=True, text=True, timeout=300, env=environment,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "kernel=columnar" in done.stdout
+        assert done.stderr == ""

@@ -88,10 +88,12 @@ class ReferenceIndex:
 
 
 def assert_empty_cells(index: GridIndex) -> None:
-    """No stale entry may survive in either kernel's cell store."""
+    """No stale entry may survive in either kernel's entry store."""
     assert index._cells == {}
-    if index._columnar is not None:
-        assert index._columnar.blocks == {}
+    if index._endpoints is not None:
+        assert len(index._endpoints) == 0 and index._endpoints.count == 0
+        assert index._endpoints._by_start == {} and index._endpoints._rows == {}
+    assert index.cell_statistics()["occupied_cells"] == 0
 
 
 def build_both(ops, kernel: str = "object") -> Tuple[GridIndex, ReferenceIndex]:
@@ -164,9 +166,19 @@ class TestAgainstReference:
 
 
 class TestAgainstReferenceColumnar(TestAgainstReference):
-    """The full reference suite again, over the vectorized cell blocks."""
+    """The full reference suite again, over the index-wide endpoint table."""
 
     kernel = "columnar"
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations())
+def test_cell_statistics_identical_across_kernels(ops):
+    """The columnar kernel keeps no cells; it derives the object kernel's
+    occupancy figures from its endpoint table on demand."""
+    object_index, _reference = build_both(ops, "object")
+    columnar_index, _reference = build_both(ops, "columnar")
+    assert columnar_index.cell_statistics() == object_index.cell_statistics()
 
 
 # Cell widths that are not exactly representable in binary (100/cells), so

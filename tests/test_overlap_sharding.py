@@ -27,13 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
-from repro.core.errors import ConfigurationError
-from repro.coordinator.overlaps import (
-    DerivedRegionCache,
-    FsaOverlapStructure,
-    build_structures,
-)
-from repro.coordinator.overlaps import _pools_are_consistent
+from repro.coordinator.overlaps import FsaOverlapStructure, build_structures
 from repro.coordinator.sharding import ShardGrid, ShardRouter, plan_shard_overlaps
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -254,117 +248,6 @@ class TestPoolSharing:
         structures = build_structures([prefix, extended])
         short = structures[0] if len(structures[0]) < len(structures[1]) else structures[1]
         assert len(short) == 1
-
-
-class TestDerivedRegionCache:
-    """The cross-pool region cache (the ROADMAP seam): neighbouring halo
-    pools re-derive shared boundary regions, so `build_structures` shares the
-    derived rectangles through a member-set-keyed cache — bit-identically."""
-
-    def overlapping_rects(self):
-        return {
-            1: Rectangle.from_center(Point(10.0, 10.0), 8.0),
-            2: Rectangle.from_center(Point(14.0, 10.0), 8.0),
-            3: Rectangle.from_center(Point(12.0, 14.0), 8.0),
-            4: Rectangle.from_center(Point(11.0, 6.0), 8.0),
-        }
-
-    def test_cache_hits_across_neighbouring_pools(self):
-        """Pools (1,2,3) and (2,3,4) share the {2,3} overlap but no prefix,
-        so the prefix builder rebuilds — the region cache must not."""
-        rects = self.overlapping_rects()
-        pools = [
-            {1: rects[1], 2: rects[2], 3: rects[3]},
-            {2: rects[2], 3: rects[3], 4: rects[4]},
-        ]
-        cache = DerivedRegionCache()
-        built = build_structures(pools, cache=cache)
-        assert cache.hits > 0, "neighbouring pools derived nothing in common"
-        # The {2,3} intersection (and every other shared derivation) is
-        # computed exactly once: misses equal the *distinct* derived sets.
-        derived = set()
-        for pool in pools:
-            independent = FsaOverlapStructure.build(pool)
-            derived.update(
-                region.members for region in independent.regions()
-                if region.count > 1
-            )
-        assert cache.misses >= len(derived)
-        for structure, pool in zip(built, pools):
-            expected = FsaOverlapStructure.build(pool)
-            assert [(r.members, r.rectangle) for r in structure.regions()] == [
-                (r.members, r.rectangle) for r in expected.regions()
-            ]
-
-    def test_cache_shares_negative_results(self):
-        """Empty/degenerate intersections are cached too (as None)."""
-        disjoint = {
-            1: Rectangle.from_center(Point(10.0, 10.0), 2.0),
-            2: Rectangle.from_center(Point(100.0, 100.0), 2.0),
-        }
-        cache = DerivedRegionCache()
-        build_structures([dict(disjoint), {2: disjoint[2], 1: disjoint[1]}], cache=cache)
-        assert cache.hits > 0  # second pool re-probes the empty {1,2} overlap
-
-    def test_inconsistent_pools_reject_the_cache(self):
-        """An object id mapped to two different FSAs across pools would make
-        member-set keys unsound, so supplying a cache for such pools is an
-        explicit error.  (Such pools already violate `build_structures`'
-        id→FSA contract — pool dedup and prefix resume key on id tuples
-        alone — so the check keeps the cache from widening that assumption's
-        blast radius rather than legalising inconsistent input.)"""
-        pools = [
-            {1: Rectangle.from_center(Point(10.0, 10.0), 8.0), 2: Rectangle.from_center(Point(14.0, 10.0), 8.0)},
-            {1: Rectangle.from_center(Point(50.0, 50.0), 3.0), 3: Rectangle.from_center(Point(52.0, 50.0), 3.0)},
-        ]
-        assert not _pools_are_consistent(pools)
-        with pytest.raises(ConfigurationError):
-            build_structures(pools, cache=DerivedRegionCache())
-        consistent = [
-            {1: Rectangle.from_center(Point(10.0, 10.0), 8.0)},
-            {1: Rectangle.from_center(Point(10.0, 10.0), 8.0)},
-        ]
-        assert _pools_are_consistent(consistent)
-
-    def test_epoch_pipeline_builds_remain_cacheless(self):
-        """The measured trade-off (see the cache line in the sharding
-        benchmark): sharing is real but member-set hashing costs more than
-        the saved intersections at epoch-sized pools, so the default build
-        path takes no cache — the cacheless call must not create one."""
-        rects = self.overlapping_rects()
-        pools = [
-            {1: rects[1], 2: rects[2], 3: rects[3]},
-            {2: rects[2], 3: rects[3], 4: rects[4]},
-        ]
-        cacheless = build_structures(pools)
-        cached = build_structures(pools, cache=DerivedRegionCache())
-        for first, second in zip(cacheless, cached):
-            assert [(r.members, r.rectangle) for r in first.regions()] == [
-                (r.members, r.rectangle) for r in second.regions()
-            ]
-
-    @settings(max_examples=100, deadline=None)
-    @given(state_lists, st.integers(min_value=1, max_value=12))
-    def test_cached_builds_match_independent_builds(self, states, max_regions):
-        """Whatever the cache shares — positive regions, negative probes,
-        capped builds — the result is bit-identical to cacheless builds."""
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=None)
-        cache = DerivedRegionCache()
-        built = build_structures(plan.pools, max_regions=max_regions, cache=cache)
-        for structure, pool in zip(built, plan.pools):
-            expected = FsaOverlapStructure.build(pool, max_regions=max_regions)
-            assert [(r.members, r.rectangle) for r in structure.regions()] == [
-                (r.members, r.rectangle) for r in expected.regions()
-            ]
-
-    def test_cache_hit_counts_are_observable_for_the_benchmark(self):
-        rects = self.overlapping_rects()
-        cache = DerivedRegionCache()
-        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        build_structures([{1: rects[1], 2: rects[2]}], cache=cache)
-        assert cache.misses == len(cache) > 0
-        assert cache.hits == 0
 
 
 class TestBackendWorkerBuilds:

@@ -29,10 +29,11 @@ coordinator under kd partitions and mid-stream rebalances.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
@@ -70,6 +71,26 @@ def rectangles(draw):
     return Rectangle(Point(low_x, low_y), Point(high_x, high_y))
 
 
+def points_inside(region: Rectangle):
+    """Five points of ``region``.
+
+    ``st.floats`` orders ``-0.0`` below ``0.0`` and rejects ``min_value=0.0,
+    max_value=-0.0`` — which is what a rectangle whose equal bounds are zeros
+    of opposite sign asks for — so the bounds are normalised first (``-0.0 +
+    0.0`` is ``0.0``).
+    """
+    xs = st.floats(min_value=region.low.x + 0.0, max_value=region.high.x + 0.0)
+    ys = st.floats(min_value=region.low.y + 0.0, max_value=region.high.y + 0.0)
+    return st.lists(st.tuples(xs, ys), min_size=5, max_size=5)
+
+
+@st.composite
+def probed_rectangles(draw):
+    """A query rectangle and five points inside it."""
+    region = draw(rectangles())
+    return region, draw(points_inside(region))
+
+
 def clamp(point: Point, bounds: Rectangle) -> Point:
     return Point(
         min(max(point.x, bounds.low.x), bounds.high.x),
@@ -86,6 +107,37 @@ def partitions(draw):
     return KdSplitPartition.fit(BOUNDS, count, draw(samples()))
 
 
+#: Samples two ulps apart at the top edge: the quantile cut between them
+#: would leave a cell one ulp high that still owes a leaf.  ``fit`` used to
+#: take it and then cut that cell at its "midpoint" — which rounds onto the
+#: cell's own edge — leaving a zero-height sibling and routing the first
+#: cell's centre next door.
+ULP_TOP = math.nextafter(1000.0, 0.0)
+ULP_CLUSTER = [
+    (5e-324, math.nextafter(ULP_TOP, 0.0)),
+    (5e-324, 1000.0),
+    (1.5e-323, 1000.0),
+]
+
+#: A hand-built kd tree whose middle leaf is one ulp high and *interior*: its
+#: centre rounds (to even) onto its upper edge, which belongs to the leaf above.
+_ODD = math.nextafter(500.0, 1000.0)
+_EVEN = math.nextafter(_ODD, 1000.0)
+ONE_ULP_CELL = KdSplitPartition(
+    BOUNDS,
+    (1, _ODD, 0, (1, _EVEN, 1, 2)),
+    [
+        Rectangle(BOUNDS.low, Point(1000.0, _ODD)),
+        Rectangle(Point(0.0, _ODD), Point(1000.0, _EVEN)),
+        Rectangle(Point(0.0, _EVEN), BOUNDS.high),
+    ],
+)
+
+#: A rectangle whose equal y bounds are zeros of opposite sign (``sorted``
+#: keeps ``0.0`` before ``-0.0``), which ``st.floats`` refuses as a range.
+NEGATIVE_ZERO_REGION = Rectangle(Point(-0.0, 0.0), Point(5.0, -0.0))
+
+
 class TestPlaneCover:
     @given(partitions(), st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
@@ -100,6 +152,8 @@ class TestPlaneCover:
             )
 
     @given(partitions())
+    @example(KdSplitPartition.fit(BOUNDS, 7, ULP_CLUSTER))
+    @example(ONE_ULP_CELL)
     @settings(max_examples=100, deadline=None)
     def test_cells_tile_the_bounds(self, partition):
         total_area = sum(
@@ -115,20 +169,42 @@ class TestPlaneCover:
             assert cell.width > 0.0 and cell.height > 0.0, (
                 f"shard {shard_id} has a degenerate cell"
             )
-            # The cell is the clipped footprint: centre points route home.
-            assert partition.shard_id_of(cell.center) == shard_id
+            # The cell is the clipped footprint, closed below and open above
+            # (except at the bounds' own upper edges): its centre routes
+            # home whenever the centre is a point of it.  A cell one ulp
+            # wide has no representable midpoint — the centre rounds onto an
+            # edge — and when that is an interior upper edge the centre is
+            # the neighbour's; the lower corner is always the cell's own.
+            centre, bounds = cell.center, partition.bounds
+            if (centre.x < cell.high.x or cell.high.x == bounds.high.x) and (
+                centre.y < cell.high.y or cell.high.y == bounds.high.y
+            ):
+                assert partition.shard_id_of(centre) == shard_id
+            else:
+                assert partition.kind == "kd"
+                assert partition.shard_id_of(cell.low) == shard_id
 
 
 class TestOverlapQueries:
-    @given(partitions(), rectangles(), st.data())
+    @given(partitions(), probed_rectangles())
+    @example(
+        UniformGridPartition(BOUNDS, 2, 2),
+        (NEGATIVE_ZERO_REGION, [(0.0, 0.0), (-0.0, -0.0), (5.0, 0.0), (2.5, -0.0), (0.0, -0.0)]),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_overlap_set_contains_every_interior_owner(self, partition, region, data):
+    def test_overlap_set_contains_every_interior_owner(self, partition, probed):
+        region, inside = probed
         overlapping = list(partition.shard_ids_overlapping(region))
         assert overlapping == sorted(set(overlapping))  # ascending, duplicate-free
-        for _ in range(5):
-            x = data.draw(st.floats(min_value=region.low.x, max_value=region.high.x))
-            y = data.draw(st.floats(min_value=region.low.y, max_value=region.high.y))
+        for x, y in inside:
+            assert region.contains_point(Point(x, y))
             assert partition.shard_id_of(Point(x, y)) in overlapping
+
+    @given(points_inside(NEGATIVE_ZERO_REGION))
+    @settings(max_examples=10, deadline=None)
+    def test_points_can_be_drawn_from_a_negative_zero_region(self, inside):
+        """The draw itself used to die (``InvalidArgument``) on this region."""
+        assert all(NEGATIVE_ZERO_REGION.contains_point(Point(x, y)) for x, y in inside)
 
     @given(partitions(), rectangles())
     @settings(max_examples=200, deadline=None)
@@ -194,6 +270,26 @@ class TestKdDeterminism:
         assert partition.num_shards == 8
         for shard_id in range(8):
             assert partition.shard_bounds(shard_id).area > 0.0
+
+    def test_fit_refuses_a_cut_that_leaves_a_side_without_an_interior(self):
+        """The quantile between samples two ulps apart at the top edge would
+        leave a cell one ulp high that still owes a leaf; ``fit`` falls back
+        to the cell midpoint, and every leaf keeps positive extent (a
+        per-shard grid must seat in it)."""
+        partition = KdSplitPartition.fit(BOUNDS, 7, ULP_CLUSTER)
+        cells = [partition.shard_bounds(shard_id) for shard_id in range(7)]
+        assert all(cell.width > 0.0 and cell.height > 0.0 for cell in cells)
+        assert all(cell.high.y != ULP_TOP and cell.low.y != ULP_TOP for cell in cells)
+
+    def test_a_one_ulp_cell_is_cut_on_its_other_axis(self):
+        """Halving can still reach one ulp; the leaf such a cell owes comes
+        off the other axis, and a cell with no interior on either is refused."""
+        sliver = Rectangle(Point(0.0, 0.0), Point(5e-324, 1000.0))
+        partition = KdSplitPartition.fit(sliver, 2)
+        assert [partition.shard_bounds(shard_id).high.y for shard_id in range(2)] == [500.0, 1000.0]
+        speck = Rectangle(Point(0.0, 0.0), Point(5e-324, 5e-324))
+        with pytest.raises(ConfigurationError):
+            KdSplitPartition.fit(speck, 2)
 
     def test_fit_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):
