@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.coordinator.fleet import FleetConfig
 from repro.serving.scenarios import ScenarioRunner, get_scenario, replay_accepted_log
 
 BACKENDS = ("serial", "threads", "processes")
@@ -20,7 +21,7 @@ BACKENDS = ("serial", "threads", "processes")
 
 def run_backend(backend: str):
     scenario = get_scenario("ramp", load_factor=2.0)
-    runner = ScenarioRunner(num_shards=4, backend=backend, partition="kd")
+    runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend, partition="kd"))
     result = runner.run(scenario, seed=42, concurrent=True)
     assert result.report == replay_accepted_log(result.accepted_log), backend
     assert result.passed, (backend, result.validation_errors)
@@ -42,7 +43,7 @@ def test_serving_ingest_latency(benchmark, record_result):
     for result in results:
         stats = result.server_stats
         lines.append(
-            f"{result.backend:>10} {result.accepted_updates:>8d} {result.epochs_run:>7d} "
+            f"{result.fleet.backend:>10} {result.accepted_updates:>8d} {result.epochs_run:>7d} "
             f"{stats['p50_ms']:>9.2f}ms {stats['p99_ms']:>9.2f}ms "
             f"{result.ack_latency_p50_ms:>7.2f}ms {result.ack_latency_p99_ms:>7.2f}ms "
             f"{result.updates_per_sec:>10.0f}"

@@ -54,6 +54,7 @@ import pytest
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.overlaps import FsaOverlapStructure
 from repro.coordinator.sharding import ShardRouter, plan_shard_overlaps
@@ -68,11 +69,20 @@ BACKEND_SHARD_COUNTS = (4, 16)
 OVERLAP_BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
 
+def _overlap_router(window: int, num_shards: int = 16, **knobs) -> ShardRouter:
+    """A bare fleet over ``OVERLAP_BOUNDS`` (4x4 unless told otherwise)."""
+    return ShardRouter(
+        CoordinatorConfig(
+            bounds=OVERLAP_BOUNDS, window=window, cells_per_axis=32,
+            num_shards=num_shards, **knobs
+        )
+    )
+
+
 def _run(num_shards, experiment_scale, backend="serial"):
     config = scaled_simulation_config(
         scale=experiment_scale,
-        num_shards=num_shards,
-        backend=backend,
+        fleet=FleetConfig(num_shards=num_shards, backend=backend),
         run_dp_baseline=False,
         run_naive_baseline=False,
     )
@@ -100,7 +110,7 @@ def _overlap_build_rows(repeats: int = 5):
     pools (candidate buckets left empty to isolate the build).
     """
     states = _overlap_epoch()
-    grid_router = ShardRouter(OVERLAP_BOUNDS, window=60, cells_per_axis=32, num_shards=16)
+    grid_router = _overlap_router(window=60)
     buckets, fsas = {}, {}
     for position, state in enumerate(states):
         shard_id = grid_router.grid.shard_id_of(state.start)
@@ -116,9 +126,7 @@ def _overlap_build_rows(repeats: int = 5):
     rows.append(("global", "serial", elapsed_ms, 1, len(structure)))
 
     for backend_name in BACKENDS:
-        router = ShardRouter(
-            OVERLAP_BOUNDS, window=60, cells_per_axis=32, num_shards=16, backend=backend_name
-        )
+        router = _overlap_router(window=60, backend=backend_name)
         backend = router.pipeline.backend
         try:
             backend.map_candidate_buckets(router, {}, [], plan.pools)  # warm pools
@@ -136,9 +144,7 @@ def _overlap_build_rows(repeats: int = 5):
 def _chained_hot_router(backend: str = "serial") -> ShardRouter:
     """A 4x4 fleet whose hot set is ~600 chained fragments (random walks
     crossing shard borders), the workload of the stitching table."""
-    router = ShardRouter(
-        OVERLAP_BOUNDS, window=10**6, cells_per_axis=32, num_shards=16, backend=backend
-    )
+    router = _overlap_router(window=10**6, backend=backend)
     rng = random.Random(11)
     timestamp = 0
     for _walk in range(80):
@@ -295,10 +301,8 @@ MIGRATION_BOUNDARIES = 12  # boundaries driven after the request, every row
 
 def _migration_fleet(budget: int, seed: int = 13) -> ShardRouter:
     """A 2x2 elastic fleet holding the downtown-skewed migration workload."""
-    router = ShardRouter(
-        OVERLAP_BOUNDS,
+    router = _overlap_router(
         window=10**6,
-        cells_per_axis=32,
         num_shards=4,
         elastic="auto",
         migration_budget=budget,
@@ -860,7 +864,7 @@ def test_sharding_scaling_large_population(benchmark, experiment_scale, record_r
             sharded = scaled_simulation_config(
                 scale=experiment_scale,
                 num_objects=80000,
-                num_shards=num_shards,
+                fleet=FleetConfig(num_shards=num_shards),
                 run_dp_baseline=False,
                 run_naive_baseline=False,
             )
@@ -869,8 +873,7 @@ def test_sharding_scaling_large_population(benchmark, experiment_scale, record_r
             sharded = scaled_simulation_config(
                 scale=experiment_scale,
                 num_objects=80000,
-                num_shards=16,
-                backend=backend,
+                fleet=FleetConfig(num_shards=16, backend=backend),
                 run_dp_baseline=False,
                 run_naive_baseline=False,
             )

@@ -22,8 +22,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 from repro.analysis.statistics import hot_path_statistics
 from repro.experiments.ablations import (
@@ -36,14 +37,12 @@ from repro.experiments.figure7 import run_figure7
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9, run_figure10
 from repro.experiments.report import ablation_rows_to_csv, write_experiment_bundle, write_sweep_csv
+from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
-from repro.coordinator.columnar import KERNELS, resolve_kernel
-from repro.coordinator.delta import EPOCH_MODES
-from repro.coordinator.execution import BACKEND_NAMES
-from repro.coordinator.partition import PARTITION_KINDS
-from repro.coordinator.sharding import ELASTIC_MODES
-from repro.coordinator.stitching import STITCHING_MODES, select_top_k_corridors
+from repro.coordinator.columnar import resolve_kernel
+from repro.coordinator.fleet import FleetConfig
+from repro.coordinator.stitching import select_top_k_corridors
 from repro.network.generator import NetworkConfig
 from repro.serving.scenarios import (
     FAULT_TYPES,
@@ -68,6 +67,33 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
         duration=max(0.2, min(1.0, args.scale * 10)),
         network_nodes_per_axis=nodes,
     )
+
+
+def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    """One flag per :class:`FleetConfig` field — identical on every subcommand.
+
+    Name, default, choices and help come from the field's declaration; the
+    flag's type is the field's annotation with ``Optional`` stripped.
+    """
+    hints = get_type_hints(FleetConfig)
+    group = parser.add_argument_group(
+        "coordinator fleet", "topology knobs (docs/ARCHITECTURE.md, 'Fleet knobs')"
+    )
+    for knob in fields(FleetConfig):
+        options = dict(knob.metadata)
+        flag = options.pop("flag", "--" + knob.name.replace("_", "-"))
+        scalar = [t for t in get_args(hints[knob.name]) if t is not type(None)]
+        group.add_argument(
+            flag,
+            dest=knob.name,
+            type=scalar[0] if scalar else hints[knob.name],
+            default=knob.default,
+            **options,
+        )
+
+
+def _fleet_from_args(args: argparse.Namespace) -> FleetConfig:
+    return FleetConfig(**{knob.name: getattr(args, knob.name) for knob in fields(FleetConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
             "examples:\n"
             "  python -m repro run --objects 500 --tolerance 10 --duration 150\n"
             "  python -m repro run --objects 2000 --shards 4 --backend threads\n"
-            "  python -m repro run --shards 16 --backend processes --top-k 20\n"
-            "  python -m repro run --shards 4 --stitching off   # corridors truncate at shard borders"
+            "  python -m repro run --shards 16 --backend processes --top-k 20"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -113,124 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--duration", type=int, default=150, help="simulated timestamps")
     run_parser.add_argument("--epoch", type=int, default=10, help="epoch length in timestamps")
     run_parser.add_argument("--top-k", type=int, default=10, help="number of hot paths to report")
-    run_parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help=(
-            "partition the coordinator into N spatial shards arranged in an R x C grid "
-            "(e.g. 4 -> 2x2, 16 -> 4x4); 1 = the paper's central coordinator. "
-            "Results are bit-for-bit identical for every value."
-        ),
-    )
-    run_parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="serial",
-        help=(
-            "epoch execution backend for a sharded coordinator: 'serial' runs shard "
-            "passes inline; 'threads' maps them onto a thread pool (GIL-bound on "
-            "standard CPython — mainly for free-threaded builds); 'processes' runs "
-            "candidate passes in replica-holding worker processes and can use "
-            "multiple cores. Decisions commit in parallel over non-conflicting shard "
-            "groups on both parallel backends. Every backend returns identical "
-            "results. Ignored when --shards is 1."
-        ),
-    )
-    run_parser.add_argument(
-        "--partition", choices=PARTITION_KINDS, default="uniform",
-        help=(
-            "spatial partition of a sharded coordinator: 'uniform' (default) is the "
-            "fixed R x C shard grid; 'kd' fits kd splits to endpoint density and "
-            "rebalances at epoch boundaries whenever the max/mean shard-load ratio "
-            "exceeds --rebalance-threshold, migrating shard state onto the new "
-            "splits. Both partitions produce bit-for-bit identical results — 'kd' "
-            "only evens out *where* the load lives (see the shard statistics line). "
-            "Ignored when --shards is 1."
-        ),
-    )
-    run_parser.add_argument(
-        "--rebalance-threshold", type=float, default=2.0, metavar="R",
-        help=(
-            "max/mean shard-load imbalance ratio above which a kd partition refits "
-            "and migrates at the next epoch boundary (must exceed 1.0; default 2.0). "
-            "Validated always, but only consulted with --partition kd."
-        ),
-    )
-    run_parser.add_argument(
-        "--overlap-halo", type=int, default=None, metavar="H",
-        help=(
-            "halo of the shard-local FSA overlap structures, in rings of "
-            "neighbouring shards (0 = the shard's own FSAs only). Omit for the "
-            "adaptive exact halo, which stays bit-for-bit identical to the "
-            "central coordinator (below a saturated overlap-region cap); a "
-            "fixed halo bounds planning cost but may deviate when FSAs reach "
-            "past the ring. Ignored when --shards is 1."
-        ),
-    )
-    run_parser.add_argument(
-        "--stitching", choices=STITCHING_MODES, default="exact",
-        help=(
-            "cross-shard corridor stitching: 'exact' (default) chains hot motion "
-            "paths welded end-to-start into composite corridors across shard "
-            "boundaries, bit-for-bit equal to the central coordinator's long-path "
-            "report; 'off' skips the cross-shard merge, so corridors truncate at "
-            "shard boundaries (individual paths are identical either way). With "
-            "--shards 1 there are no boundaries and both modes report the full "
-            "stitch."
-        ),
-    )
-    run_parser.add_argument(
-        "--epoch-mode", choices=EPOCH_MODES, default="delta",
-        help=(
-            "epoch pipeline: 'delta' (default) makes epoch cost proportional to "
-            "what changed — unchanged halo overlap pools are reused across epochs, "
-            "corridor chains are maintained incrementally, and only dirtied pools "
-            "are shipped to process workers; 'full' rebuilds everything per epoch "
-            "(the pre-incremental pipeline). Both modes are bit-for-bit identical "
-            "on every result."
-        ),
-    )
-    run_parser.add_argument(
-        "--kernel", choices=KERNELS, default="columnar",
-        help=(
-            "coordinator geometry kernels: 'columnar' (default) runs the "
-            "vectorized numpy hot path — SoA grid-cell tables, batched "
-            "candidate scans, argmin overlap queries, and shared-memory epoch "
-            "shipments to process workers; 'object' is the scalar per-object "
-            "reference. Both kernels are bit-for-bit identical on every "
-            "result (without numpy, 'columnar' silently degrades to 'object')."
-        ),
-    )
-    run_parser.add_argument(
-        "--elastic", choices=ELASTIC_MODES, default="off",
-        help=(
-            "elastic shard fleet: 'auto' lets the router's cost model grow and "
-            "shrink the shard count at epoch boundaries — splitting hot shards, "
-            "merging cold sibling shards — between --min-shards and --max-shards; "
-            "'off' (default) keeps the fixed --shards count. Elastic runs stay "
-            "bit-for-bit identical to the central coordinator. Ignored when "
-            "--shards is 1."
-        ),
-    )
-    run_parser.add_argument(
-        "--migration-budget", type=int, default=0, metavar="N",
-        help=(
-            "cap the records any one epoch boundary migrates during a rebalance: "
-            "0 (default) migrates stop-the-world; N > 0 warms at most N backfill "
-            "records per boundary onto the incoming fleet (plus the epoch's new "
-            "inserts) while the outgoing fleet stays authoritative, spreading the "
-            "migration over ~records/N boundaries and bounding the per-epoch "
-            "latency spike."
-        ),
-    )
-    run_parser.add_argument(
-        "--min-shards", type=int, default=None, metavar="N",
-        help="elastic floor for the shard count (default 1)",
-    )
-    run_parser.add_argument(
-        "--max-shards", type=int, default=None, metavar="N",
-        help="elastic cap for the shard count (default: uncapped)",
-    )
     run_parser.add_argument("--seed", type=int, default=42)
     run_parser.add_argument("--network-nodes", type=int, default=10, help="grid nodes per axis")
     run_parser.add_argument("--area", type=float, default=4000.0, help="area side length in metres")
+    _add_fleet_arguments(run_parser)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -265,46 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--window", type=int, default=100, help="sliding window W in timestamps")
     serve_parser.add_argument("--cells", type=int, default=64, help="grid cells per axis")
     serve_parser.add_argument("--area", type=float, default=1000.0, help="monitored area side length")
-    serve_parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="shard fleet size behind the front door (1 = the paper's central coordinator)",
-    )
-    serve_parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="serial",
-        help="epoch execution backend of the served fleet (see 'repro run --help')",
-    )
-    serve_parser.add_argument(
-        "--partition", choices=PARTITION_KINDS, default="uniform",
-        help="spatial partition of the served fleet (see 'repro run --help')",
-    )
-    serve_parser.add_argument(
-        "--rebalance-threshold", type=float, default=2.0, metavar="R",
-        help="kd rebalance trigger: max/mean shard-load ratio (must exceed 1.0)",
-    )
-    serve_parser.add_argument(
-        "--epoch-mode", choices=EPOCH_MODES, default="delta",
-        help="epoch pipeline of the served coordinator (see 'repro run --help')",
-    )
-    serve_parser.add_argument(
-        "--kernel", choices=KERNELS, default="columnar",
-        help="geometry kernels of the served coordinator (see 'repro run --help')",
-    )
-    serve_parser.add_argument(
-        "--elastic", choices=ELASTIC_MODES, default="off",
-        help="elastic shard fleet of the served coordinator (see 'repro run --help')",
-    )
-    serve_parser.add_argument(
-        "--migration-budget", type=int, default=0, metavar="N",
-        help="per-boundary record cap for rebalance migrations (see 'repro run --help')",
-    )
-    serve_parser.add_argument(
-        "--min-shards", type=int, default=None, metavar="N",
-        help="elastic floor for the shard count (default 1)",
-    )
-    serve_parser.add_argument(
-        "--max-shards", type=int, default=None, metavar="N",
-        help="elastic cap for the shard count (default: uncapped)",
-    )
     serve_parser.add_argument(
         "--max-pending", type=int, default=100_000, metavar="N",
         help="bounded batcher queue: updates admitted before backpressure rejects batches",
@@ -354,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--chaos-seed", type=int, default=0, help="fault schedule seed",
     )
+    _add_fleet_arguments(serve_parser)
 
     for name, description in (
         ("figure7", "regenerate the Figure 7 sweep (vary the number of objects)"),
@@ -378,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    config = SimulationConfig(
+def _simulation_config(args: argparse.Namespace) -> SimulationConfig:
+    return SimulationConfig(
         num_objects=args.objects,
         tolerance=args.tolerance,
         delta=args.delta,
@@ -387,33 +259,27 @@ def _command_run(args: argparse.Namespace) -> int:
         epoch_length=args.epoch,
         duration=args.duration,
         top_k=args.top_k,
-        num_shards=args.shards,
-        backend=args.backend,
-        overlap_halo=args.overlap_halo,
-        stitching=args.stitching,
-        partition=args.partition,
-        rebalance_threshold=args.rebalance_threshold,
-        epoch_mode=args.epoch_mode,
-        kernel=args.kernel,
-        elastic=args.elastic,
-        migration_budget=args.migration_budget,
-        min_shards=args.min_shards,
-        max_shards=args.max_shards,
+        fleet=_fleet_from_args(args),
         seed=args.seed,
         network_config=NetworkConfig(area_size=args.area, grid_nodes_per_axis=args.network_nodes),
     )
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    config: SimulationConfig = args.config
+    fleet = config.fleet
     result = HotPathSimulation(config).run()
     summary = result.summary()
     print(
         f"objects={config.num_objects} tolerance={config.tolerance} duration={config.duration} "
-        f"kernel={resolve_kernel(config.kernel)}"
+        f"kernel={resolve_kernel(fleet.kernel)}"
     )
-    if config.num_shards > 1:
+    if fleet.num_shards > 1:
         shards = result.coordinator.shard_statistics()
-        halo = "adaptive" if config.overlap_halo is None else f"{config.overlap_halo} rings"
+        halo = "adaptive" if fleet.overlap_halo is None else f"{fleet.overlap_halo} rings"
         print(
-            f"coordinator backend: {config.backend} (partition: {config.partition}, "
-            f"overlap halo: {halo}, stitching: {config.stitching})"
+            f"coordinator backend: {fleet.backend} (partition: {fleet.partition}, "
+            f"overlap halo: {halo})"
         )
         print(
             f"coordinator shards: {shards['num_shards']:.0f} "
@@ -423,10 +289,10 @@ def _command_run(args: argparse.Namespace) -> int:
             f"rebalances: {shards['rebalances']:.0f}, "
             f"boundary-straddling paths: {shards['straddling_paths']:.0f})"
         )
-        if config.elastic != "off":
+        if fleet.elastic != "off":
             print(
-                f"elastic fleet: {config.elastic} "
-                f"(migration budget: {config.migration_budget or 'stop-the-world'}, "
+                f"elastic fleet: {fleet.elastic} "
+                f"(migration budget: {fleet.migration_budget or 'stop-the-world'}, "
                 f"migrations: {shards['elastic_migrations']:.0f}, "
                 f"records migrated: {shards['records_migrated']:.0f}"
                 + (", migration in flight" if shards["migration_active"] else "")
@@ -451,13 +317,7 @@ def _command_run(args: argparse.Namespace) -> int:
     stitched = sum(1 for corridor in corridors if corridor.num_segments > 1)
     print(
         f"\ntop-{config.top_k} composite corridors "
-        f"({len(corridors)} total, {stitched} stitched from multiple paths"
-        + (
-            ", cross-shard merge off"
-            if config.stitching == "off" and config.num_shards > 1
-            else ""
-        )
-        + "):"
+        f"({len(corridors)} total, {stitched} stitched from multiple paths):"
     )
     for rank, corridor in enumerate(select_top_k_corridors(corridors, config.top_k), start=1):
         print(
@@ -548,6 +408,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(f"  {name:<18s} clients={scenario.num_clients:<3d} epochs={scenario.epochs:<3d} {scenario.description}")
         return 0
 
+    fleet: FleetConfig = args.config
     if args.scenario is not None:
         scenario = get_scenario(args.scenario, load_factor=args.load_factor)
         injection = InjectionConfig(
@@ -557,19 +418,10 @@ def _command_serve(args: argparse.Namespace) -> int:
             seed=args.chaos_seed,
         )
         runner = ScenarioRunner(
-            num_shards=args.shards,
-            backend=args.backend,
-            partition=args.partition,
+            fleet=fleet,
             window=args.window,
             cells_per_axis=args.cells,
             epoch_length=args.epoch,
-            rebalance_threshold=args.rebalance_threshold,
-            epoch_mode=args.epoch_mode,
-            kernel=args.kernel,
-            elastic=args.elastic,
-            migration_budget=args.migration_budget,
-            min_shards=args.min_shards,
-            max_shards=args.max_shards,
             max_pending_updates=args.max_pending,
             bounds=Rectangle(Point(0.0, 0.0), Point(args.area, args.area)),
         )
@@ -581,12 +433,12 @@ def _command_serve(args: argparse.Namespace) -> int:
             bounds=runner.bounds,
             window=runner.window,
             cells_per_axis=runner.cells_per_axis,
-            kernel=args.kernel,
+            fleet=FleetConfig(kernel=fleet.kernel),
         )
         equal = result.report == seed_snapshot
         print(
-            f"scenario {scenario.scenario_id}: shards={args.shards} backend={args.backend} "
-            f"partition={args.partition}"
+            f"scenario {scenario.scenario_id}: shards={fleet.num_shards} backend={fleet.backend} "
+            f"partition={fleet.partition}"
             + (f" chaos={args.chaos} rate={args.chaos_rate} seed={args.chaos_seed}" if args.chaos else "")
         )
         print(
@@ -618,16 +470,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             bounds=Rectangle(Point(0.0, 0.0), Point(args.area, args.area)),
             window=args.window,
             cells_per_axis=args.cells,
-            num_shards=args.shards,
-            backend=args.backend,
-            partition=args.partition,
-            rebalance_threshold=args.rebalance_threshold,
-            epoch_mode=args.epoch_mode,
-            kernel=args.kernel,
-            elastic=args.elastic,
-            migration_budget=args.migration_budget,
-            min_shards=args.min_shards,
-            max_shards=args.max_shards,
+            **asdict(fleet),
         )
     )
     server = IngestionServer(
@@ -650,8 +493,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"serving on {args.host}:{server.port} "
-            f"(shards={args.shards}, backend={args.backend}, partition={args.partition}, "
-            f"kernel={resolve_kernel(args.kernel)}, {ticking})",
+            f"(shards={fleet.num_shards}, backend={fleet.backend}, partition={fleet.partition}, "
+            f"kernel={resolve_kernel(fleet.kernel)}, {ticking})",
             flush=True,
         )
         try:
@@ -679,10 +522,19 @@ _COMMANDS = {
 }
 
 
+#: Subcommands whose options become a validated config before anything runs.
+_CONFIGS = {"run": _simulation_config, "serve": _fleet_from_args}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _CONFIGS:
+        try:
+            args.config = _CONFIGS[args.command](args)
+        except ConfigurationError as error:
+            parser.error(str(error))  # one line on stderr, exit status 2
     return _COMMANDS[args.command](args)
 
 

@@ -48,12 +48,12 @@ from repro.coordinator.sharding import (
 )
 from repro.coordinator.single_path import SinglePathStrategy
 from repro.coordinator.stitching import (
-    STITCHING_MODES,
     CompositeCorridor,
     CorridorSegment,
     select_top_k_corridors,
     stitch_paths,
 )
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig, EpochOutcome
 
 __all__ = [
@@ -74,11 +74,11 @@ __all__ = [
     "ShardedHotnessTracker",
     "ShardedSinglePath",
     "shard_layout",
-    "STITCHING_MODES",
     "CompositeCorridor",
     "CorridorSegment",
     "select_top_k_corridors",
     "stitch_paths",
+    "FleetConfig",
     "Coordinator",
     "CoordinatorConfig",
     "EpochOutcome",

@@ -22,16 +22,15 @@ from repro.core.geometry import Rectangle
 from repro.core.motion_path import MotionPathRecord
 from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.client.state import CoordinatorResponse, ObjectState
-from repro.coordinator.columnar import KERNELS, resolve_kernel
-from repro.coordinator.delta import EPOCH_MODES, EpochDelta
-from repro.coordinator.execution import BACKEND_NAMES
+from repro.coordinator.columnar import resolve_kernel
+from repro.coordinator.delta import EpochDelta
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.overlaps import OverlapPoolCache
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessTracker
-from repro.coordinator.sharding import ELASTIC_MODES, PARTITION_KINDS, ShardRouter
+from repro.coordinator.sharding import ShardRouter
 from repro.coordinator.single_path import SinglePathStrategy
 from repro.coordinator.stitching import (
-    STITCHING_MODES,
     CompositeCorridor,
     IncrementalStitcher,
     select_top_k_corridors,
@@ -42,151 +41,37 @@ __all__ = ["CoordinatorConfig", "EpochOutcome", "Coordinator"]
 
 
 @dataclass(frozen=True)
-class CoordinatorConfig:
-    """Configuration of the coordinator.
-
-    ``window`` is the sliding-window length ``W`` in time units; ``bounds`` is
-    the monitored area used to size the grid index; ``cells_per_axis`` sets the
-    grid resolution.  ``num_shards`` partitions the area into an R x C shard
-    grid (see :mod:`repro.coordinator.sharding`); the default of 1 keeps the
-    single-shard structures of the paper.  ``backend`` selects how a sharded
-    fleet executes its epoch pipeline — ``serial``, ``threads`` or
-    ``processes`` (see :mod:`repro.coordinator.execution`); every backend is
-    bit-for-bit equivalent.  ``overlap_halo`` sizes the halo of the
-    shard-local FSA overlap structures: ``None`` (the default) is the
-    adaptive exact halo, still bit-for-bit with the seed coordinator (as
-    long as the overlap-region cap is not saturated — see
-    :mod:`repro.coordinator.sharding`); an
-    integer ``h >= 0`` fixes the halo at ``h`` rings of neighbouring shards,
-    trading exactness for bounded halo planning (the differential harness
-    quantifies the deviation).  A single-shard coordinator always runs the
-    paper's inline strategy and ignores the backend and the halo.
-
-    ``partition`` selects the fleet's spatial partition layer
-    (:mod:`repro.coordinator.partition`): ``uniform`` (the default) is the
-    fixed R x C shard grid; ``kd`` is the load-adaptive kd-split partition —
-    fitted to endpoint density and *rebalanced* at epoch boundaries whenever
-    the per-shard record-load imbalance (``max / mean``) exceeds
-    ``rebalance_threshold``, migrating every shard's state (index entries,
-    hotness, boundary ledgers, worker replicas) onto the new splits.  Both
-    partitions — rebalancing included — stay bit-for-bit equivalent to the
-    seed coordinator: the partition decides *where* state lives, never what
-    the algorithm answers.
-
-    ``stitching`` controls the corridor report
-    (:meth:`Coordinator.hot_corridors`): ``exact`` (the default) chains hot
-    paths welded end-to-start into composite corridors across shard
-    boundaries — bit-for-bit equal to a global stitch of the seed
-    coordinator's hot paths; ``off`` cuts corridors at shard boundaries
-    (quantified by the differential harness).  The report is maintained at
-    epoch granularity: each ``run_epoch`` commit invalidates it, and the
-    first corridor query afterwards runs the stitching merge once and
-    caches it until the next epoch — epochs that nobody asks corridors of
-    never pay for stitching.  A single-shard coordinator has no boundaries,
-    so both modes produce the full global stitch.
-
-    ``epoch_mode`` selects the incremental epoch pipeline
-    (:mod:`repro.coordinator.delta`): ``delta`` (the default) makes per-epoch
-    cost proportional to what changed — unchanged halo overlap pools are
-    reused across epochs, corridor chains are maintained incrementally under
-    insert/expire/weld events, only dirtied pools are shipped to
-    process-backend workers, and every :class:`EpochOutcome` carries the
-    epoch's :class:`~repro.coordinator.delta.EpochDelta`; ``full`` rebuilds
-    everything each epoch (the pre-incremental pipeline).  The two modes are
-    required to be bit-for-bit equal on every observable — responses, index,
-    hotness, overlap answers, corridor report — which the differential
-    harnesses enforce per epoch.
-
-    ``kernel`` selects the geometry kernel of the hot path
-    (:mod:`repro.coordinator.columnar`): ``columnar`` (the default) answers
-    the grid-index candidate scans and overlap-region queries from
-    vectorized numpy SoA tables and moves the process backend's epoch
-    shipments onto shared memory; ``object`` is the scalar per-object
-    reference, kept as the pinned bit-for-bit baseline exactly like
-    ``epoch_mode="full"``.  Without numpy, ``columnar`` silently degrades
-    to the scalar kernel (same answers, scalar speed).
-
-    ``elastic`` turns the fleet's shard *count* into a managed resource
-    (:mod:`repro.coordinator.sharding`): ``off`` (the default) keeps the
-    pre-elastic behaviour — the count is fixed at ``num_shards`` and only
-    kd refits may migrate; ``auto`` lets the router's cost model split hot
-    shards, merge cold neighbours and refit, keeping the count between
-    ``min_shards`` (default 1) and ``max_shards`` (default uncapped).
-    ``migration_budget`` bounds how many records any one rebalance migrates
-    per epoch boundary: 0 (the default) migrates stop-the-world; ``N > 0``
-    warms at most ``N`` records per boundary onto the incoming fleet while
-    the outgoing fleet stays fully authoritative, handing off only once
-    every record is warm.  Elastic decisions consume only
-    stream-deterministic signals, so every elastic run remains bit-for-bit
-    equal to the seed coordinator.
-    """
+class _MonitoredArea:
+    """The paper's coordinator parameters (Section 5): area, window ``W``, grid."""
 
     bounds: Rectangle
     window: int = 100
     cells_per_axis: int = 64
-    num_shards: int = 1
-    backend: str = "serial"
-    overlap_halo: Optional[int] = None
-    stitching: str = "exact"
-    partition: str = "uniform"
-    rebalance_threshold: float = 2.0
-    epoch_mode: str = "delta"
-    kernel: str = "columnar"
-    elastic: str = "off"
-    migration_budget: int = 0
-    min_shards: Optional[int] = None
-    max_shards: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class CoordinatorConfig(FleetConfig, _MonitoredArea):
+    """Configuration of the coordinator: the monitored area plus the fleet knobs.
+
+    ``window`` is the sliding-window length ``W`` in time units; ``bounds`` is
+    the monitored area used to size the grid index; ``cells_per_axis`` sets the
+    grid resolution.  The remaining fields are inherited from
+    :class:`~repro.coordinator.fleet.FleetConfig` — the single declaration of
+    the topology knobs, tabulated in ``docs/ARCHITECTURE.md`` ("Fleet knobs") —
+    so a layer holding a ``fleet`` builds this config with
+    ``CoordinatorConfig(bounds=..., window=..., **dataclasses.asdict(fleet))``.
+    A single-shard coordinator always runs the paper's inline strategy and
+    consults only ``epoch_mode`` and ``kernel``.
+
+    Dataclass fields are collected from the last base first, which is what
+    puts the required ``bounds`` ahead of the defaulted knobs without
+    ``kw_only`` (Python 3.9 is supported).
+    """
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.window <= 0:
             raise ConfigurationError(f"window must be positive, got {self.window}")
-        if self.num_shards <= 0:
-            raise ConfigurationError(f"num_shards must be positive, got {self.num_shards}")
-        if self.partition not in PARTITION_KINDS:
-            raise ConfigurationError(
-                f"partition must be one of {', '.join(PARTITION_KINDS)}, got {self.partition!r}"
-            )
-        if self.rebalance_threshold <= 1.0:
-            raise ConfigurationError(
-                "rebalance_threshold must exceed 1.0 (max/mean shard load), "
-                f"got {self.rebalance_threshold}"
-            )
-        if self.backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"backend must be one of {', '.join(BACKEND_NAMES)}, got {self.backend!r}"
-            )
-        if self.overlap_halo is not None and self.overlap_halo < 0:
-            raise ConfigurationError(
-                f"overlap_halo must be None (adaptive) or >= 0, got {self.overlap_halo}"
-            )
-        if self.stitching not in STITCHING_MODES:
-            raise ConfigurationError(
-                f"stitching must be one of {', '.join(STITCHING_MODES)}, got {self.stitching!r}"
-            )
-        if self.epoch_mode not in EPOCH_MODES:
-            raise ConfigurationError(
-                f"epoch_mode must be one of {', '.join(EPOCH_MODES)}, got {self.epoch_mode!r}"
-            )
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {', '.join(KERNELS)}, got {self.kernel!r}"
-            )
-        if self.elastic not in ELASTIC_MODES:
-            raise ConfigurationError(
-                f"elastic must be one of {', '.join(ELASTIC_MODES)}, got {self.elastic!r}"
-            )
-        if self.migration_budget < 0:
-            raise ConfigurationError(
-                f"migration_budget must be >= 0, got {self.migration_budget}"
-            )
-        if self.min_shards is not None and self.min_shards < 1:
-            raise ConfigurationError(
-                f"min_shards must be at least 1, got {self.min_shards}"
-            )
-        if self.max_shards is not None and self.max_shards < (self.min_shards or 1):
-            raise ConfigurationError(
-                f"max_shards must be >= min_shards, got {self.max_shards}"
-            )
 
 
 @dataclass
@@ -214,8 +99,8 @@ class Coordinator:
 
     def __init__(self, config: CoordinatorConfig) -> None:
         self.config = config
-        kernel = resolve_kernel(config.kernel)
         if config.num_shards == 1:
+            kernel = resolve_kernel(config.kernel)
             self.router = None
             self.index = GridIndex(
                 GridConfig(config.bounds, config.cells_per_axis), kernel=kernel
@@ -242,23 +127,7 @@ class Coordinator:
             # The router views expose the exact GridIndex / HotnessTracker /
             # SinglePathStrategy interfaces, so the epoch loop below is the
             # same code whether the state lives in one shard or a fleet.
-            self.router = ShardRouter(
-                config.bounds,
-                config.window,
-                config.cells_per_axis,
-                config.num_shards,
-                backend=config.backend,
-                overlap_halo=config.overlap_halo,
-                stitching=config.stitching,
-                partition=config.partition,
-                rebalance_threshold=config.rebalance_threshold,
-                epoch_mode=config.epoch_mode,
-                kernel=kernel,
-                elastic=config.elastic,
-                migration_budget=config.migration_budget,
-                min_shards=config.min_shards,
-                max_shards=config.max_shards,
-            )
+            self.router = ShardRouter(config)
             self.index = self.router.index
             self.hotness = self.router.hotness
             self.strategy = self.router.pipeline
@@ -266,11 +135,6 @@ class Coordinator:
             self._stitcher = None  # the router owns the incremental stitcher
         self._pending_states: List[ObjectState] = []
         self._corridor_cache: Optional[List[CompositeCorridor]] = None
-        # Rebalance count the cached corridor report was computed at: a
-        # manual ShardRouter.rebalance() between epochs redraws the shard
-        # boundaries the 'off'-mode report truncates at, so the cache must
-        # not outlive the partition it was stitched against.
-        self._corridor_cache_rebalances = 0
         self._epochs_processed = 0
         self._total_processing_seconds = 0.0
 
@@ -473,24 +337,21 @@ class Coordinator:
         """The current hot paths stitched into composite corridors.
 
         A sharded fleet runs the distributed stitching merge (per-shard weld
-        passes on the execution backend; corridors cut at shard boundaries
-        in ``off`` mode); a single-shard coordinator stitches its hot paths
-        globally — the seed long-path report the sharded ``exact`` mode is
-        required to reproduce bit for bit.  The first query after an
-        epoch's commit stitches once and caches the report until the next
-        epoch; mutating the index or hotness directly between epochs
-        (outside ``run_epoch``) does not refresh that cache.  A partition
-        rebalance *does* refresh it — in ``off`` mode corridors truncate at
-        shard boundaries, and a migration moves the boundaries.
+        passes on the execution backend); a single-shard coordinator stitches
+        its hot paths globally — the seed long-path report the fleet is
+        required to reproduce bit for bit.  The first query after an epoch's
+        commit stitches once and caches the report until the next epoch;
+        mutating the index or hotness directly between epochs (outside
+        ``run_epoch``) does not refresh that cache.  A partition rebalance
+        needs no refresh: it moves state, never corridors.
         """
-        rebalances = self.router.rebalances if self.router is not None else 0
-        if self._corridor_cache is None or self._corridor_cache_rebalances != rebalances:
+        if self._corridor_cache is None:
             if self.router is not None:
                 self._corridor_cache = self.router.stitch_epoch()
             elif self._stitcher is not None:
                 # Single-shard delta mode: same incremental maintenance as
                 # the sharded delta path, with one constant owner (no
-                # boundaries, so exact == off and boundary welds are zero).
+                # boundaries, so boundary welds are zero).
                 current = {
                     path_id: (self.index.get(path_id).path, hotness)
                     for path_id, hotness in self.hotness.items()
@@ -498,11 +359,10 @@ class Coordinator:
                 }
                 self._stitcher.sync(current)
                 self._corridor_cache, _stats = self._stitcher.report(
-                    "exact", lambda path_id: 0
+                    lambda path_id: 0
                 )
             else:
                 self._corridor_cache = stitch_paths(self.hot_paths())
-            self._corridor_cache_rebalances = rebalances
         return self._corridor_cache
 
     def top_k_corridors(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:

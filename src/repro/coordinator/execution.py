@@ -670,7 +670,6 @@ class ProcessBackend(ExecutionBackend):
     def _ensure_workers(self, router) -> None:
         if self._processes:
             return
-        context = self._spawn_context()
         workers = self._requested_workers
         if workers is None:
             workers = _default_workers()
@@ -687,53 +686,74 @@ class ProcessBackend(ExecutionBackend):
         self._assignment = self.assign_shards(
             [len(shard.index) for shard in router.shards], workers
         )
-        shard_configs: List[list] = [[] for _ in range(workers)]
-        for shard in router.shards:
-            shard_configs[self._assignment[shard.shard_id]].append(
-                (
-                    shard.shard_id,
-                    (
-                        shard.index.config.bounds.low.x,
-                        shard.index.config.bounds.low.y,
-                        shard.index.config.bounds.high.x,
-                        shard.index.config.bounds.high.y,
-                    ),
-                    shard.index.config.cells_per_axis,
-                )
-            )
-        # Bootstrap snapshot of the live records: replicas never need journal
-        # history from before the spawn, so the journal can be truncated as
-        # soon as every worker has replayed it (see map_candidate_buckets).
-        snapshot_ops: List[list] = [[] for _ in range(workers)]
-        for path_id, shard in router.owners.items():
-            record = shard.index.get(path_id)
-            snapshot_ops[self._assignment[shard.shard_id]].append(
-                (
-                    "i",
-                    path_id,
-                    shard.shard_id,
-                    record.path.start.x,
-                    record.path.start.y,
-                    record.path.end.x,
-                    record.path.end.y,
-                    record.created_at,
-                )
-            )
+        payloads = self._worker_payloads(router, range(workers))
         journal_seq = len(router.journal)
-        kernel = getattr(router, "kernel", "object")
         for worker in range(workers):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_process_worker_main,
-                args=(child_conn, shard_configs[worker], snapshot_ops[worker], kernel),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
+            process, connection = self._spawn(router, payloads[worker])
             self._processes.append(process)
-            self._connections.append(parent_conn)
+            self._connections.append(connection)
             self._journal_seqs.append(journal_seq)
             self._rings.append(ShipmentRing())
+
+    def _worker_payloads(self, router, workers) -> Dict[int, Tuple[list, list]]:
+        """Bootstrap ``(shard_configs, snapshot_ops)`` for each of ``workers``.
+
+        One pass over the fleet under the current assignment: spawn asks for
+        every worker, respawn for one.  The snapshot holds the live records
+        only — replicas never need journal history from before they spawn,
+        so the journal can be truncated as soon as every worker has replayed
+        it (see ``map_candidate_buckets``).  Snapshot ops are drawn from
+        ``router.owners`` in insertion order, which is also the order a
+        continuously journal-fed replica ends up holding survivors in — so a
+        respawned replica answers identically.
+        """
+        payloads: Dict[int, Tuple[list, list]] = {worker: ([], []) for worker in workers}
+        for shard in router.shards:
+            payload = payloads.get(self._assignment[shard.shard_id])
+            if payload is not None:
+                grid = shard.index.config
+                payload[0].append(
+                    (
+                        shard.shard_id,
+                        (
+                            grid.bounds.low.x,
+                            grid.bounds.low.y,
+                            grid.bounds.high.x,
+                            grid.bounds.high.y,
+                        ),
+                        grid.cells_per_axis,
+                    )
+                )
+        for path_id, shard in router.owners.items():
+            payload = payloads.get(self._assignment[shard.shard_id])
+            if payload is not None:
+                record = shard.index.get(path_id)
+                payload[1].append(
+                    (
+                        "i",
+                        path_id,
+                        shard.shard_id,
+                        record.path.start.x,
+                        record.path.start.y,
+                        record.path.end.x,
+                        record.path.end.y,
+                        record.created_at,
+                    )
+                )
+        return payloads
+
+    def _spawn(self, router, payload: Tuple[list, list]):
+        """Start one worker process from its bootstrap payload."""
+        context = self._spawn_context()
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_process_worker_main,
+            args=(child_conn, *payload, getattr(router, "kernel", "object")),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return process, parent_conn
 
     def _worker_of(self, shard_id: int) -> int:
         return self._assignment[shard_id]
@@ -790,49 +810,6 @@ class ProcessBackend(ExecutionBackend):
         self._respawn_worker(worker, router)
         return worker
 
-    def _worker_payload(self, worker: int, router) -> Tuple[list, list]:
-        """Shard configs and snapshot ops for one worker's assigned shards.
-
-        Mirrors the bootstrap in :meth:`_ensure_workers`: snapshot ops are
-        drawn from ``router.owners`` in insertion order, which is also the
-        order a continuously journal-fed replica ends up holding survivors
-        in — so a respawned replica answers identically.
-        """
-        shard_configs = []
-        for shard in router.shards:
-            if self._assignment[shard.shard_id] != worker:
-                continue
-            shard_configs.append(
-                (
-                    shard.shard_id,
-                    (
-                        shard.index.config.bounds.low.x,
-                        shard.index.config.bounds.low.y,
-                        shard.index.config.bounds.high.x,
-                        shard.index.config.bounds.high.y,
-                    ),
-                    shard.index.config.cells_per_axis,
-                )
-            )
-        snapshot_ops = []
-        for path_id, shard in router.owners.items():
-            if self._assignment[shard.shard_id] != worker:
-                continue
-            record = shard.index.get(path_id)
-            snapshot_ops.append(
-                (
-                    "i",
-                    path_id,
-                    shard.shard_id,
-                    record.path.start.x,
-                    record.path.start.y,
-                    record.path.end.x,
-                    record.path.end.y,
-                    record.created_at,
-                )
-            )
-        return shard_configs, snapshot_ops
-
     def _respawn_worker(self, worker: int, router) -> None:
         """Replace one worker with a fresh process snapshotted from live state."""
         process = self._processes[worker]
@@ -848,18 +825,8 @@ class ProcessBackend(ExecutionBackend):
             self._connections[worker].close()
         except OSError:  # pragma: no cover - defensive cleanup
             pass
-        shard_configs, snapshot_ops = self._worker_payload(worker, router)
-        context = self._spawn_context()
-        parent_conn, child_conn = context.Pipe()
-        replacement = context.Process(
-            target=_process_worker_main,
-            args=(child_conn, shard_configs, snapshot_ops, getattr(router, "kernel", "object")),
-            daemon=True,
-        )
-        replacement.start()
-        child_conn.close()
-        self._processes[worker] = replacement
-        self._connections[worker] = parent_conn
+        payload = self._worker_payloads(router, [worker])[worker]
+        self._processes[worker], self._connections[worker] = self._spawn(router, payload)
         # The snapshot already reflects every journaled mutation, so the new
         # replica resumes from the journal's current tail.
         self._journal_seqs[worker] = len(router.journal)

@@ -88,7 +88,7 @@ itself) has all of its member FSAs intersecting that FSA, hence routed into
 the halo pool — so the local structure stores exactly the relevant regions of
 the global one, in the same relative order (the construction is a set
 function of the pool below the region cap, and pool order is the submission
-order filtered).  ``ShardRouter.overlap_halo`` trades this adaptive halo for
+order filtered).  The ``overlap_halo`` knob trades this adaptive halo for
 a fixed ring of neighbouring shards: cheaper to plan, but FSAs reaching past
 the ring are truncated from the pool and decisions may deviate from the seed
 coordinator — the differential harness quantifies the deviation
@@ -103,13 +103,10 @@ routing guarantees it holds every endpoint entry there, including the far
 side of straddling paths — tracked per boundary in
 :attr:`ShardRouter.boundary_ledger`), the weld passes run as per-shard tasks
 on the execution backend, and a merge pass chains the union of welds into
-:class:`~repro.coordinator.stitching.CompositeCorridor` objects.  In ``exact``
-mode the result is bit-for-bit the global stitch of the seed coordinator's
-hot paths (each vertex has exactly one owner, so the per-shard weld sets
-partition the global one); ``off`` cuts the stitched chains at every
-cross-shard weld, truncating corridors at shard boundaries — the deviation
-the differential harness quantifies, exactly one extra corridor per cut
-(``tests/test_stitching_equivalence.py``).
+:class:`~repro.coordinator.stitching.CompositeCorridor` objects.  The result
+is bit-for-bit the global stitch of the seed coordinator's hot paths (each
+vertex has exactly one owner, so the per-shard weld sets partition the global
+one; ``tests/test_stitching_equivalence.py``).
 
 **Exactness.**  The sharded coordinator is behaviour-identical to the
 single-shard coordinator, not an approximation: path ids come from one global
@@ -136,7 +133,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
@@ -149,7 +146,6 @@ from repro.coordinator.execution import (
     create_backend,
 )
 from repro.coordinator.columnar import concat_end_tables, resolve_kernel
-from repro.coordinator.delta import EPOCH_MODES
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessDeltaLog, HotnessTracker
 from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
@@ -162,13 +158,11 @@ from repro.coordinator.partition import (
     shard_layout,
 )
 from repro.coordinator.stitching import (
-    STITCHING_MODES,
     CompositeCorridor,
     IncrementalStitcher,
     StitchFragment,
     build_corridors,
     chain_fragments,
-    split_chains_at_boundaries,
     successors_from_runs,
 )
 from repro.coordinator.single_path import (
@@ -181,10 +175,12 @@ from repro.coordinator.single_path import (
     prefetch_vertex_candidates,
 )
 
+if TYPE_CHECKING:  # the coordinator module imports this one
+    from repro.coordinator.coordinator import CoordinatorConfig
+
 __all__ = [
     "shard_layout",
     "PARTITION_KINDS",
-    "ELASTIC_MODES",
     "Partition",
     "UniformGridPartition",
     "KdSplitPartition",
@@ -197,15 +193,6 @@ __all__ = [
     "ShardedHotnessTracker",
     "ShardedSinglePath",
 ]
-
-#: Values accepted by the ``elastic`` knob (config layers and ``--elastic``):
-#: ``off`` (the default) keeps the fleet size fixed at construction — every
-#: rebalance preserves the shard count, exactly the pre-elastic behaviour;
-#: ``auto`` enables the cost-model-driven controller that may split hot
-#: shards, merge cold sibling cells or refit the layout at epoch boundaries,
-#: bounded by ``min_shards``/``max_shards``.
-ELASTIC_MODES: Tuple[str, ...] = ("off", "auto")
-
 
 #: Backwards-compatible name of the uniform R x C partition (PR 1's only
 #: layout); the partition layer itself lives in
@@ -584,7 +571,7 @@ class ShardedSinglePath:
             routed.append((state, shard))
             buckets.setdefault(shard.shard_id, []).append((position, state))
             fsas[state.object_id] = state.fsa
-        plan = plan_shard_overlaps(router.grid, buckets, fsas, router.overlap_halo)
+        plan = plan_shard_overlaps(router.grid, buckets, fsas, router.config.overlap_halo)
         router._note_epoch_buckets(
             {shard_id: len(bucket) for shard_id, bucket in buckets.items()},
             {
@@ -709,44 +696,12 @@ class ShardRouter:
     whether it holds one shard or a fleet.
     """
 
-    def __init__(
-        self,
-        bounds: Rectangle,
-        window: int,
-        cells_per_axis: int,
-        num_shards: int,
-        backend: Union[str, ExecutionBackend] = "serial",
-        overlap_halo: Optional[int] = None,
-        stitching: str = "exact",
-        partition: Union[str, Partition] = "uniform",
-        rebalance_threshold: float = 2.0,
-        epoch_mode: str = "delta",
-        kernel: str = "object",
-        elastic: str = "off",
-        migration_budget: int = 0,
-        min_shards: Optional[int] = None,
-        max_shards: Optional[int] = None,
-    ) -> None:
-        if isinstance(partition, Partition):
-            if partition.num_shards != num_shards:
-                raise ConfigurationError(
-                    f"partition has {partition.num_shards} cells, expected {num_shards}"
-                )
-            if partition.bounds != bounds:
-                raise ConfigurationError(
-                    f"partition bounds {partition.bounds} do not match the "
-                    f"monitored bounds {bounds}"
-                )
-            self.grid = partition
-        else:
-            self.grid = create_partition(partition, bounds, num_shards)
-        if rebalance_threshold <= 1.0:
-            raise ConfigurationError(
-                f"rebalance_threshold must exceed 1.0 (max/mean load), got {rebalance_threshold}"
-            )
-        #: Load-imbalance ratio (``max_shard_records / mean_shard_records``)
-        #: above which :meth:`maybe_rebalance` refits a kd partition.
-        self.rebalance_threshold = rebalance_threshold
+    def __init__(self, config: "CoordinatorConfig") -> None:
+        #: The validated configuration (area, window, grid and every fleet
+        #: knob — :class:`~repro.coordinator.fleet.FleetConfig` documents and
+        #: validates them; the router only consults them).
+        self.config = config
+        self.grid = create_partition(config.partition, config.bounds, config.num_shards)
         # Auto-rebalancing follows the *configured* layout, not the active
         # one: a fleet configured uniform stays a deliberate fixed layout
         # even after a manual rebalance() migrates it onto kd splits.
@@ -756,33 +711,6 @@ class ShardRouter:
         #: Lifetime record inserts — the in-flight migration protocol reads
         #: the increment between boundaries as the epoch's churn.
         self.inserts_total = 0
-        if elastic not in ELASTIC_MODES:
-            raise ConfigurationError(
-                f"elastic must be one of {', '.join(ELASTIC_MODES)}, got {elastic!r}"
-            )
-        if migration_budget < 0:
-            raise ConfigurationError(
-                f"migration_budget must be >= 0 (0 = stop-the-world), got {migration_budget}"
-            )
-        resolved_min = 1 if min_shards is None else min_shards
-        if resolved_min < 1:
-            raise ConfigurationError(f"min_shards must be >= 1, got {min_shards}")
-        if max_shards is not None and max_shards < resolved_min:
-            raise ConfigurationError(
-                f"max_shards ({max_shards}) must be >= min_shards ({resolved_min})"
-            )
-        #: ``off`` keeps the fleet size fixed at construction (every pre-PR-10
-        #: behaviour, including the shard-count guard on explicit
-        #: :meth:`rebalance` partitions); ``auto`` enables the elastic cost
-        #: model: :meth:`maybe_rebalance` may split a hot shard, merge cold
-        #: sibling cells or refit the layout, within ``[min_shards,
-        #: max_shards]``.
-        self.elastic = elastic
-        #: Records moved per epoch boundary by an incremental migration; 0
-        #: migrates stop-the-world at a single boundary (the PR-5 protocol).
-        self.migration_budget = migration_budget
-        self.min_shards = resolved_min
-        self.max_shards = max_shards
         #: In-flight incremental migration, if any (see ``_begin_migration``).
         self._migration: Optional[_ShardMigration] = None
         #: Records warmed at the most recent epoch boundary / whether a
@@ -817,52 +745,26 @@ class ShardRouter:
         # so the schedule stays deterministic and backend-independent.
         self._refit_backoff = 0
         self._refit_wait = 0
-        self.global_grid_config = GridConfig(bounds, cells_per_axis)
-        if overlap_halo is not None and overlap_halo < 0:
-            raise ConfigurationError(
-                f"overlap_halo must be None (adaptive) or >= 0, got {overlap_halo}"
-            )
-        if stitching not in STITCHING_MODES:
-            raise ConfigurationError(
-                f"stitching must be one of {', '.join(STITCHING_MODES)}, got {stitching!r}"
-            )
-        if epoch_mode not in EPOCH_MODES:
-            raise ConfigurationError(
-                f"epoch_mode must be one of {', '.join(EPOCH_MODES)}, got {epoch_mode!r}"
-            )
-        #: ``delta`` (default) makes epoch cost proportional to what changed:
-        #: halo pools are reused across epochs through :attr:`pool_cache`,
-        #: the corridor report is maintained incrementally by the
-        #: :class:`~repro.coordinator.stitching.IncrementalStitcher`, and
-        #: per-shard hotness trackers log their transitions for the epoch's
-        #: :class:`~repro.coordinator.delta.EpochDelta`.  ``full`` rebuilds
-        #: everything per epoch — the differential reference the delta mode
-        #: must match bit for bit.
-        self.epoch_mode = epoch_mode
-        #: Geometry kernel of the fleet's hot paths: ``object`` (scalar
-        #: reference) or ``columnar`` (vectorized SoA kernels plus the
-        #: process backend's shared-memory shipments) — bit-for-bit equal
-        #: (see :mod:`repro.coordinator.columnar`).  Execution backends read
-        #: this attribute rather than carrying their own copy.
-        self.kernel = resolve_kernel(kernel)
+        self.global_grid_config = GridConfig(config.bounds, config.cells_per_axis)
+        #: The geometry kernel that actually runs (``columnar`` degrades to
+        #: ``object`` without numpy).  Execution backends read this
+        #: attribute rather than carrying their own copy.
+        self.kernel = resolve_kernel(config.kernel)
+        # Delta mode keeps halo pools (:attr:`pool_cache`) and corridor
+        # chains (the incremental stitcher) alive across epochs; full mode
+        # rebuilds both per epoch — the differential reference.
+        delta_mode = config.epoch_mode == "delta"
         self.pool_cache: Optional[OverlapPoolCache] = (
-            OverlapPoolCache(kernel=self.kernel) if epoch_mode == "delta" else None
+            OverlapPoolCache(kernel=self.kernel) if delta_mode else None
         )
         self._stitcher: Optional[IncrementalStitcher] = (
-            IncrementalStitcher() if epoch_mode == "delta" else None
+            IncrementalStitcher() if delta_mode else None
         )
         #: Pool-cache outcome of the most recent epoch (zeros outside delta
         #: mode and on empty epochs).
         self.last_pool_stats: Dict[str, int] = self.zero_pool_stats()
         #: Provisional ids renumbered by the most recent epoch's commit.
         self.last_renumbered = 0
-        #: Halo of the shard-local overlap structures: ``None`` = adaptive
-        #: exact halo (bit-for-bit with the global build), ``h`` = fixed ring
-        #: of ``h`` neighbouring shards (see :func:`plan_shard_overlaps`).
-        self.overlap_halo = overlap_halo
-        #: Default mode of :meth:`stitch_epoch`: ``exact`` merges corridors
-        #: across shard boundaries, ``off`` truncates them at the boundary.
-        self.stitching = stitching
         #: Per-boundary ledgers of straddling paths: ``(shard_a, shard_b)``
         #: (sorted pair) -> ``{path_id: (start_shard, end_shard)}``.  A path
         #: whose endpoints are owned by different shards is recorded here on
@@ -888,7 +790,7 @@ class ShardRouter:
         self.owners: Dict[int, Shard] = {}
         self._next_path_id = 0
         self.shards: List[Shard] = []
-        for shard_id in range(num_shards):
+        for shard_id in range(config.num_shards):
             sub_bounds = self.grid.shard_bounds(shard_id)
             index = GridIndex(
                 GridConfig(sub_bounds, shard_cells),
@@ -900,17 +802,16 @@ class ShardRouter:
                     shard_id=shard_id,
                     bounds=sub_bounds,
                     index=index,
-                    hotness=HotnessTracker(window),
+                    hotness=HotnessTracker(config.window),
                     strategy=None,  # bound below, once the router views exist
                 )
             )
-        if epoch_mode == "delta":
+        if delta_mode:
             for shard in self.shards:
                 shard.hotness.enable_delta_log()
         self.index = ShardedGridIndex(self)
-        self.hotness = ShardedHotnessTracker(self, window)
-        if isinstance(backend, str):
-            backend = create_backend(backend)
+        self.hotness = ShardedHotnessTracker(self, config.window)
+        backend = create_backend(config.backend)
         self._journal_enabled = backend.needs_journal
         self.pipeline = ShardedSinglePath(self, backend)
         for shard in self.shards:
@@ -946,7 +847,7 @@ class ShardRouter:
         grid is a deliberate fixed layout — manually migrating one onto kd
         splits does not opt it into automatic rebalancing).  When the
         record-load imbalance (``max / mean`` shard
-        records) exceeds :attr:`rebalance_threshold`, the partition is
+        records) exceeds ``rebalance_threshold``, the partition is
         refitted to the current endpoint density and the fleet migrates; a
         refit that reproduces the active splits is skipped — and backed off
         exponentially — so a workload the kd tree cannot split further
@@ -967,12 +868,12 @@ class ShardRouter:
         self.last_migration_active = False
         if self._migration is not None:
             return self._advance_migration()
-        if self.elastic == "auto":
+        if self.config.elastic == "auto":
             target = self._elastic_proposal()
             if target is not None and self.rebalance(target):
                 return True
         auto_refit = self._auto_rebalance or (
-            self.elastic == "auto" and self.grid.kind == "kd"
+            self.config.elastic == "auto" and self.grid.kind == "kd"
         )
         if not auto_refit or len(self.shards) <= 1:
             return False
@@ -982,7 +883,7 @@ class ShardRouter:
         statistics = self.shard_statistics()
         if not statistics["total_records"]:
             return False
-        if statistics["imbalance"] <= self.rebalance_threshold:
+        if statistics["imbalance"] <= self.config.rebalance_threshold:
             return False
         migrated = self.rebalance(
             KdSplitPartition.fit(
@@ -1030,13 +931,13 @@ class ShardRouter:
         if self._migration is not None:
             self._complete_migration()
         if partition is None:
-            if self.elastic == "auto":
+            if self.config.elastic == "auto":
                 partition = self._forced_elastic_partition()
             else:
                 partition = KdSplitPartition.fit(
                     self.grid.bounds, len(self.shards), self._endpoint_samples()
                 )
-        elif partition.num_shards != len(self.shards) and self.elastic != "auto":
+        elif partition.num_shards != len(self.shards) and self.config.elastic != "auto":
             raise ConfigurationError(
                 f"rebalance must keep the shard count: fleet has {len(self.shards)}, "
                 f"partition has {partition.num_shards}"
@@ -1051,7 +952,7 @@ class ShardRouter:
             and partition.describe() == self.grid.describe()
         ):
             return False
-        if self.migration_budget > 0:
+        if self.config.migration_budget > 0:
             self._begin_migration(partition)
             return True
         self._migrate(partition)
@@ -1171,7 +1072,8 @@ class ShardRouter:
         loads = self._elastic_loads()
         total = sum(loads.values())
         num_shards = len(self.shards)
-        if num_shards < self.min_shards:
+        min_shards = self.config.min_shards or 1
+        if num_shards < min_shards:
             if not self.owners:
                 return None  # nothing to split against yet
             try:
@@ -1185,9 +1087,9 @@ class ShardRouter:
             self._merge_streak = 0
             return None
         mean = total / num_shards
-        at_cap = self.max_shards is not None and num_shards >= self.max_shards
+        at_cap = self.config.max_shards is not None and num_shards >= self.config.max_shards
         hottest = self._hottest_shard(loads)
-        if not at_cap and loads[hottest] > self.rebalance_threshold * mean:
+        if not at_cap and loads[hottest] > self.config.rebalance_threshold * mean:
             self._split_streak += 1
             if self._split_streak >= self._elastic_patience:
                 self._split_streak = 0
@@ -1197,7 +1099,7 @@ class ShardRouter:
                     pass  # degenerate cell: fall through to merge checks
         else:
             self._split_streak = 0
-        if num_shards > self.min_shards:
+        if num_shards > min_shards:
             best: Optional[Tuple[float, int, int]] = None
             for pair_a, pair_b in self.grid.mergeable_pairs():
                 combined = loads.get(pair_a, 0.0) + loads.get(pair_b, 0.0)
@@ -1222,7 +1124,7 @@ class ShardRouter:
         the current count when the fleet sits at ``max_shards``, holds no
         records, or the hottest cell is degenerate.
         """
-        at_cap = self.max_shards is not None and len(self.shards) >= self.max_shards
+        at_cap = self.config.max_shards is not None and len(self.shards) >= self.config.max_shards
         if not at_cap and self.owners:
             try:
                 return self.grid.split(
@@ -1316,7 +1218,7 @@ class ShardRouter:
         """
         migration = self._migration
         assert migration is not None
-        quota = self.migration_budget + (
+        quota = self.config.migration_budget + (
             self.inserts_total - migration.last_insert_total
         )
         migration.last_insert_total = self.inserts_total
@@ -1377,7 +1279,7 @@ class ShardRouter:
         assert migration is not None
         window = self.hotness.window
         carried: Optional[HotnessDeltaLog] = None
-        if self.epoch_mode == "delta":
+        if self.config.epoch_mode == "delta":
             carried = HotnessDeltaLog()
             for shard in self.shards:
                 carried.merge_from(shard.hotness.drain_delta_log())
@@ -1385,7 +1287,7 @@ class ShardRouter:
         # trackers fresh for the exact transfer below.
         for shard in migration.shadow:
             shard.hotness = HotnessTracker(window)
-            if self.epoch_mode == "delta":
+            if self.config.epoch_mode == "delta":
                 shard.hotness.enable_delta_log()
         exported = [shard.hotness.export_state() for shard in self.shards]
         old_bounds = [shard.bounds for shard in self.shards]
@@ -1498,7 +1400,7 @@ class ShardRouter:
         # expiry events migrate through export/adopt below), appended shards
         # start with fresh trackers.
         carried: Optional[HotnessDeltaLog] = None
-        if self.epoch_mode == "delta" and partition.num_shards < len(self.shards):
+        if self.config.epoch_mode == "delta" and partition.num_shards < len(self.shards):
             carried = HotnessDeltaLog()
             for shard in self.shards[partition.num_shards :]:
                 carried.merge_from(shard.hotness.drain_delta_log())
@@ -1508,7 +1410,7 @@ class ShardRouter:
         del self.shards[partition.num_shards :]
         while len(self.shards) < partition.num_shards:
             hotness = HotnessTracker(window)
-            if self.epoch_mode == "delta":
+            if self.config.epoch_mode == "delta":
                 hotness.enable_delta_log()
             self.shards.append(
                 Shard(
@@ -1693,31 +1595,21 @@ class ShardRouter:
 
     # -- cross-shard corridor stitching ------------------------------------------------
 
-    def stitch_epoch(self, mode: Optional[str] = None) -> List[CompositeCorridor]:
+    def stitch_epoch(self) -> List[CompositeCorridor]:
         """Stitch the current hot paths into composite corridors.
 
         Runs on demand after an epoch's stage-3 commit (the coordinator
         invalidates its cached corridor report at every commit and calls
         this on the first query that follows): every shard's hot fragments
-        are gathered — straddling fragments,
-        found by walking the per-boundary ledgers, are shipped to *both*
-        endpoint owners — the per-shard weld passes run on the execution
+        are gathered — straddling fragments, found by walking the
+        per-boundary ledgers, are shipped to *both* endpoint owners — the
+        per-shard weld passes run on the execution
         backend (:meth:`ExecutionBackend.map_stitch_buckets`), and the union
-        of welds is chained into corridors.
-
-        ``mode=None`` uses the router's configured default.  ``exact``
-        reproduces the global stitch of the seed coordinator's hot paths bit
-        for bit; ``off`` truncates at shard boundaries — by construction it
-        is the exact chains cut at every cross-owner weld, so the deviation
-        is exactly one extra corridor per reported ``boundary_welds`` (weld
-        cycles included: the cycle break happens once, before the cut — the
-        invariant the deviation harness pins).
+        of welds is chained into corridors, reproducing the global stitch of
+        the seed coordinator's hot paths bit for bit.  ``stitch_stats``
+        records what the merge did, including ``boundary_welds`` — the welds
+        whose two fragments have different owners.
         """
-        mode = self.stitching if mode is None else mode
-        if mode not in STITCHING_MODES:
-            raise ConfigurationError(
-                f"stitching mode must be one of {', '.join(STITCHING_MODES)}, got {mode!r}"
-            )
         if self._stitcher is not None:
             # Delta mode: diff the current hot set into the incremental
             # stitcher (the same O(hot) gather the full path pays below) and
@@ -1733,10 +1625,9 @@ class ShardRouter:
                         continue  # hot entry without a live record (mirrors hot_paths())
                     current[path_id] = (shard.index.get(path_id).path, hotness)
             self._stitcher.sync(current)
-            corridors, stats = self._stitcher.report(
-                mode, lambda path_id: self.owners[path_id].shard_id
+            corridors, self.stitch_stats = self._stitcher.report(
+                lambda path_id: self.owners[path_id].shard_id
             )
-            self.stitch_stats = {"mode": mode, **stats}
             return corridors
         straddling: Dict[int, Tuple[int, int]] = {}
         for entries in self.boundary_ledger.values():
@@ -1771,13 +1662,11 @@ class ShardRouter:
         successor = successors_from_runs(runs)
         owner_of = lambda path_id: info[path_id][2]
         chains = chain_fragments(info, successor)
-        # Both weld stats count the welds the exact chaining actually
-        # *consumes* (one closing weld per cycle drops out first): that
-        # makes ``welds`` layout-independent — a cycle broken inside one
-        # shard's run and a cycle broken by the merge report the same
-        # number — keeps ``fragments - welds == corridors`` in exact mode,
-        # and makes ``len(off corridors) == len(exact) + boundary_welds``
-        # hold unconditionally.
+        # Both weld stats count the welds the chaining actually *consumes*
+        # (one closing weld per cycle drops out first): that makes ``welds``
+        # layout-independent — a cycle broken inside one shard's run and a
+        # cycle broken by the merge report the same number — and keeps
+        # ``fragments - welds == corridors``.
         welds_used = sum(len(chain) - 1 for chain in chains)
         boundary_welds = sum(
             1
@@ -1785,11 +1674,8 @@ class ShardRouter:
             for predecessor_id, successor_id in zip(chain, chain[1:])
             if owner_of(predecessor_id) != owner_of(successor_id)
         )
-        if mode == "off":
-            chains = split_chains_at_boundaries(chains, owner_of)
         corridors = build_corridors(chains, lambda path_id: info[path_id][:2])
         self.stitch_stats = {
-            "mode": mode,
             "fragments": len(info),
             "welds": welds_used,
             "boundary_welds": boundary_welds,

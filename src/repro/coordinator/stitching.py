@@ -71,7 +71,6 @@ from repro.core.geometry import Point
 from repro.core.motion_path import MotionPath, MotionPathRecord
 
 __all__ = [
-    "STITCHING_MODES",
     "CorridorSegment",
     "CompositeCorridor",
     "IncrementalStitcher",
@@ -79,18 +78,11 @@ __all__ = [
     "weld_runs",
     "successors_from_runs",
     "chain_fragments",
-    "split_chains_at_boundaries",
     "build_corridors",
     "stitch_paths",
     "select_top_k_corridors",
     "top_k_corridor_score",
 ]
-
-#: Values accepted by the ``stitching`` knob (config layers and ``--stitching``):
-#: ``off`` truncates corridors at shard boundaries (no cross-shard merge),
-#: ``exact`` stitches across boundaries, bit-for-bit equal to a global stitch
-#: over the seed coordinator's hot paths.
-STITCHING_MODES: Tuple[str, ...] = ("off", "exact")
 
 #: Wire format of one hot fragment shipped to a per-shard stitch task:
 #: ``(path_id, start_x, start_y, end_x, end_y, owns_start, owns_end)``.
@@ -290,33 +282,6 @@ def chain_fragments(
     return sorted(chains, key=lambda chain: chain[0])
 
 
-def split_chains_at_boundaries(
-    chains: Iterable[Sequence[int]], owner_of: Callable[[int], int]
-) -> List[List[int]]:
-    """Cut every chain where consecutive fragments have different owners.
-
-    The ``stitching='off'`` report: the exact corridors truncated at shard
-    boundaries.  Defining truncation as a cut of the *exact* chains (rather
-    than re-chaining with the cross-owner welds filtered out) makes the
-    deviation invariant hold unconditionally — one extra corridor per cut,
-    weld cycles included: a cycle is broken once, identically, before the
-    cut, so the off report can never regroup fragments across the break the
-    exact report chose.  The resulting pieces are re-sorted by head id, the
-    same canonical order :func:`chain_fragments` produces.
-    """
-    pieces: List[List[int]] = []
-    for chain in chains:
-        piece = [chain[0]]
-        for path_id in chain[1:]:
-            if owner_of(piece[-1]) != owner_of(path_id):
-                pieces.append(piece)
-                piece = [path_id]
-            else:
-                piece.append(path_id)
-        pieces.append(piece)
-    return sorted(pieces, key=lambda piece: piece[0])
-
-
 def build_corridors(
     chains: Iterable[Sequence[int]],
     resolve: Callable[[int], Tuple[MotionPath, int]],
@@ -339,8 +304,8 @@ def stitch_paths(
 
     ``hot_paths`` yields ``(record, hotness)`` pairs (the output of
     :meth:`Coordinator.hot_paths`).  A sharded fleet's
-    :meth:`~repro.coordinator.sharding.ShardRouter.stitch_epoch` in ``exact``
-    mode must reproduce this bit for bit — the contract of
+    :meth:`~repro.coordinator.sharding.ShardRouter.stitch_epoch` must
+    reproduce this bit for bit — the contract of
     ``tests/test_stitching_equivalence.py``.
     """
     info: Dict[int, Tuple[MotionPath, int]] = {}
@@ -374,7 +339,7 @@ class IncrementalStitcher:
     The full stitch re-welds the entire hot fragment set every time the
     corridor report is queried; this class keeps the weld structure — vertex
     occupancy, the weld decided at each vertex, the successor/predecessor
-    maps, the chain partition and (in ``exact`` mode) the materialised
+    maps, the chain partition and the materialised
     :class:`CompositeCorridor` per chain — alive across epochs, so a query
     only pays for the fragments that changed since the last one.
 
@@ -567,15 +532,16 @@ class IncrementalStitcher:
     # -- the patched report -------------------------------------------------------
 
     def report(
-        self, mode: str, owner_of: Callable[[int], int]
+        self, owner_of: Callable[[int], int]
     ) -> Tuple[List[CompositeCorridor], Dict[str, int]]:
         """The corridor report plus its stats, rebuilt only where dirtied.
 
         Chains come out sorted by head id — the canonical order
-        :func:`chain_fragments` produces globally.  ``exact`` mode serves
-        each untouched chain's corridor from the per-chain cache; ``off``
-        mode cuts the exact chains at owner boundaries per call (owners may
-        change under rebalancing, so boundary cuts are never cached).
+        :func:`chain_fragments` produces globally — and each untouched
+        chain's corridor is served from the per-chain cache.  ``owner_of``
+        only feeds the ``boundary_welds`` diagnostic (welds whose fragments
+        have different owners; owners may change under rebalancing, so it is
+        counted per call).
         """
         heads = sorted(self._chains)
         chains = [self._chains[head] for head in heads]
@@ -585,20 +551,16 @@ class IncrementalStitcher:
             for left, right in zip(chain, chain[1:]):
                 if owner_of(left) != owner_of(right):
                     boundary_welds += 1
-        if mode == "off":
-            pieces = split_chains_at_boundaries(chains, owner_of)
-            corridors = build_corridors(pieces, self._resolve)
-        else:
-            corridors = []
-            for head, chain in zip(heads, chains):
-                cached = self._corridors.get(head)
-                if cached is None:
-                    cached = build_corridors([chain], self._resolve)[0]
-                    self._corridors[head] = cached
-                    self._bump("corridors_patched")
-                else:
-                    self._bump("corridors_reused")
-                corridors.append(cached)
+        corridors = []
+        for head, chain in zip(heads, chains):
+            cached = self._corridors.get(head)
+            if cached is None:
+                cached = build_corridors([chain], self._resolve)[0]
+                self._corridors[head] = cached
+                self._bump("corridors_patched")
+            else:
+                self._bump("corridors_reused")
+            corridors.append(cached)
         self._bump(
             "chains_reused", len(chains) - min(self._since_report["chains_rewelded"], len(chains))
         )

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
+from repro.coordinator.fleet import FleetConfig
 from repro.network.generator import NetworkConfig
 from repro.simulation.engine import SimulationConfig
 
@@ -130,18 +131,7 @@ def scaled_simulation_config(
     run_dp_baseline: bool = True,
     run_naive_baseline: bool = True,
     cells_per_axis: int = 64,
-    num_shards: int = 1,
-    backend: str = "serial",
-    overlap_halo: Optional[int] = None,
-    stitching: str = "exact",
-    partition: str = "uniform",
-    rebalance_threshold: float = 2.0,
-    epoch_mode: str = "delta",
-    kernel: str = "columnar",
-    elastic: str = "off",
-    migration_budget: int = 0,
-    min_shards: Optional[int] = None,
-    max_shards: Optional[int] = None,
+    fleet: FleetConfig = FleetConfig(),
     seed: int = 42,
 ) -> SimulationConfig:
     """Build a :class:`SimulationConfig` from paper defaults, scaled for Python.
@@ -170,18 +160,7 @@ def scaled_simulation_config(
         positional_error=PAPER_DEFAULTS["positional_error"],
         top_k=int(PAPER_DEFAULTS["top_k"]),
         cells_per_axis=cells_per_axis,
-        num_shards=num_shards,
-        backend=backend,
-        overlap_halo=overlap_halo,
-        stitching=stitching,
-        partition=partition,
-        rebalance_threshold=rebalance_threshold,
-        epoch_mode=epoch_mode,
-        kernel=kernel,
-        elastic=elastic,
-        migration_budget=migration_budget,
-        min_shards=min_shards,
-        max_shards=max_shards,
+        fleet=fleet,
         seed=seed,
         run_dp_baseline=run_dp_baseline,
         run_naive_baseline=run_naive_baseline,

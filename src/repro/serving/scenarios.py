@@ -50,13 +50,14 @@ import asyncio
 import random
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.fleet import FleetConfig
 from repro.serving.protocol import decode_message, decode_update, encode_message, encode_update
 from repro.serving.server import IngestionServer, ServingConfig
 
@@ -467,9 +468,7 @@ class ScenarioResult:
     """Everything one scenario run produced, measured and pinned."""
 
     scenario_id: str
-    backend: str
-    num_shards: int
-    partition: str
+    fleet: FleetConfig
     injection: InjectionConfig
     # Traffic accounting.
     submitted_updates: int = 0
@@ -557,53 +556,26 @@ class ScenarioRunner:
 
     def __init__(
         self,
-        num_shards: int = 4,
-        backend: str = "serial",
-        partition: str = "uniform",
+        fleet: FleetConfig = FleetConfig(num_shards=4),
         window: int = 60,
         cells_per_axis: int = 32,
         epoch_length: int = 10,
-        rebalance_threshold: float = 2.0,
         max_pending_updates: int = 100_000,
         bounds: Rectangle = BOUNDS,
-        epoch_mode: str = "delta",
-        kernel: str = "columnar",
-        elastic: str = "off",
-        migration_budget: int = 0,
-        min_shards: Optional[int] = None,
-        max_shards: Optional[int] = None,
     ) -> None:
-        self.num_shards = num_shards
-        self.backend = backend
-        self.partition = partition
+        self.fleet = fleet
         self.window = window
         self.cells_per_axis = cells_per_axis
         self.epoch_length = epoch_length
-        self.rebalance_threshold = rebalance_threshold
         self.max_pending_updates = max_pending_updates
         self.bounds = bounds
-        self.epoch_mode = epoch_mode
-        self.kernel = kernel
-        self.elastic = elastic
-        self.migration_budget = migration_budget
-        self.min_shards = min_shards
-        self.max_shards = max_shards
 
     def coordinator_config(self) -> CoordinatorConfig:
         return CoordinatorConfig(
             bounds=self.bounds,
             window=self.window,
             cells_per_axis=self.cells_per_axis,
-            num_shards=self.num_shards,
-            backend=self.backend,
-            partition=self.partition,
-            rebalance_threshold=self.rebalance_threshold,
-            epoch_mode=self.epoch_mode,
-            kernel=self.kernel,
-            elastic=self.elastic,
-            migration_budget=self.migration_budget,
-            min_shards=self.min_shards,
-            max_shards=self.max_shards,
+            **asdict(self.fleet),
         )
 
     def run(
@@ -630,9 +602,7 @@ class ScenarioRunner:
         schedule = build_fault_schedule(injection, plan)
         result = ScenarioResult(
             scenario_id=scenario.scenario_id,
-            backend=self.backend,
-            num_shards=self.num_shards,
-            partition=self.partition,
+            fleet=self.fleet,
             injection=injection,
         )
         result.submitted_updates = sum(
@@ -844,26 +814,17 @@ def replay_accepted_log(
     bounds: Rectangle = BOUNDS,
     window: int = 60,
     cells_per_axis: int = 32,
-    num_shards: int = 1,
-    backend: str = "serial",
-    partition: str = "uniform",
-    rebalance_threshold: float = 2.0,
+    fleet: FleetConfig = FleetConfig(),
     rebalance_before: Sequence[int] = (),
-    epoch_mode: str = "delta",
-    kernel: str = "columnar",
-    elastic: str = "off",
-    migration_budget: int = 0,
-    min_shards: Optional[int] = None,
-    max_shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Replay an accepted-update log into a fresh coordinator; return its snapshot.
 
     The defaults build the *seed* shape — single shard, serial, the paper's
     architecture — so ``replay_accepted_log(result.accepted_log)`` is the
-    reference every served run is compared against bit for bit.  Other
-    shapes replay the same log through a fleet; ``rebalance_before`` forces
-    partition migrations before the listed epoch indexes (answers must not
-    change).
+    reference every served run is compared against bit for bit.  Another
+    ``fleet`` replays the same log through that fleet; ``rebalance_before``
+    forces partition migrations before the listed epoch indexes (answers
+    must not change).
     """
     from repro.serving.protocol import coordinator_snapshot
 
@@ -872,16 +833,7 @@ def replay_accepted_log(
             bounds=bounds,
             window=window,
             cells_per_axis=cells_per_axis,
-            num_shards=num_shards,
-            backend=backend,
-            partition=partition,
-            rebalance_threshold=rebalance_threshold,
-            epoch_mode=epoch_mode,
-            kernel=kernel,
-            elastic=elastic,
-            migration_budget=migration_budget,
-            min_shards=min_shards,
-            max_shards=max_shards,
+            **asdict(fleet),
         )
     )
     try:

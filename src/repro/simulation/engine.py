@@ -18,7 +18,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ConfigurationError
@@ -29,6 +29,7 @@ from repro.core.trajectory import TimePoint, UncertainTimePoint
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.stitching import CompositeCorridor
 from repro.baselines.dp_hot import DPHotSegmentTracker
 from repro.baselines.naive import NaiveClient
@@ -51,33 +52,11 @@ class SimulationConfig:
     ``duration`` the total number of timestamps.  ``top_k`` is the k of the
     quality metric.  ``run_dp_baseline`` / ``run_naive_baseline`` toggle the
     comparison methods (they share the measurement stream, so enabling them
-    does not perturb the main method).  ``num_shards`` partitions the
-    coordinator into a shard fleet (1 = the paper's central coordinator) and
-    ``backend`` selects the fleet's epoch execution backend (``serial``,
-    ``threads`` or ``processes``); sharding and every backend are
-    behaviour-identical, so results are comparable across values.
-    ``overlap_halo`` sizes the halo of the fleet's shard-local FSA overlap
-    structures (``None`` = adaptive exact halo, behaviour-identical below a
-    saturated region cap; ``h`` = fixed ring of ``h`` neighbouring shards,
-    which may deviate).  ``stitching`` controls the composite-corridor
-    report: ``exact`` (default) stitches hot-path chains across shard
-    boundaries — bit-for-bit the seed coordinator's long-path report —
-    while ``off`` truncates corridors at shard boundaries (quantified by
-    the differential harness); individual path results are identical either
-    way.  ``partition`` selects the fleet's spatial layout: ``uniform`` (the
-    fixed R x C grid) or ``kd`` (load-adaptive kd splits, rebalanced at
-    epoch boundaries when the shard-load imbalance exceeds
-    ``rebalance_threshold``); both are behaviour-identical.  ``epoch_mode``
-    selects the incremental epoch pipeline: ``delta`` (the default) reuses
-    unchanged halo pools and corridor chains across epochs — bit-for-bit
-    equal to ``full``, which rebuilds everything per epoch.  ``kernel``
-    selects the coordinator's geometry kernels: ``columnar`` (the default)
-    runs the vectorized numpy hot path, bit-for-bit equal to the ``object``
-    scalar reference.  ``elastic`` hands the shard *count* to the router's
-    cost model (``auto`` splits hot shards and merges cold neighbours
-    between ``min_shards`` and ``max_shards``; ``off`` keeps the fixed
-    count) and ``migration_budget`` caps the records any one epoch boundary
-    migrates (0 = stop-the-world); elastic runs stay behaviour-identical.
+    does not perturb the main method).  ``fleet`` is the coordinator's
+    topology (:class:`~repro.coordinator.fleet.FleetConfig` — shards, backend,
+    partition, kernel, ...; knob table in ``docs/ARCHITECTURE.md``): every
+    value but a fixed overlap halo is behaviour-identical, so results are
+    comparable across fleets.
     """
 
     num_objects: int = 20000
@@ -91,18 +70,7 @@ class SimulationConfig:
     positional_error: float = 1.0
     top_k: int = 10
     cells_per_axis: int = 64
-    num_shards: int = 1
-    backend: str = "serial"
-    overlap_halo: Optional[int] = None
-    stitching: str = "exact"
-    partition: str = "uniform"
-    rebalance_threshold: float = 2.0
-    epoch_mode: str = "delta"
-    kernel: str = "columnar"
-    elastic: str = "off"
-    migration_budget: int = 0
-    min_shards: Optional[int] = None
-    max_shards: Optional[int] = None
+    fleet: FleetConfig = FleetConfig()
     seed: int = 42
     report_uncertainty: bool = False
     run_dp_baseline: bool = True
@@ -197,18 +165,7 @@ class HotPathSimulation:
                 bounds=bounds,
                 window=config.window,
                 cells_per_axis=config.cells_per_axis,
-                num_shards=config.num_shards,
-                backend=config.backend,
-                overlap_halo=config.overlap_halo,
-                stitching=config.stitching,
-                partition=config.partition,
-                rebalance_threshold=config.rebalance_threshold,
-                epoch_mode=config.epoch_mode,
-                kernel=config.kernel,
-                elastic=config.elastic,
-                migration_budget=config.migration_budget,
-                min_shards=config.min_shards,
-                max_shards=config.max_shards,
+                **asdict(config.fleet),
             )
         )
         self.dp_baseline: Optional[DPHotSegmentTracker] = None

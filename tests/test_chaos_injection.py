@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.coordinator.coordinator import Coordinator
+from repro.coordinator.fleet import FleetConfig
 from repro.serving.scenarios import (
     FAULT_TYPES,
     InjectionConfig,
@@ -33,9 +34,8 @@ from repro.serving.scenarios import (
 
 
 def make_runner(backend="serial", **overrides):
-    defaults = dict(num_shards=4, backend=backend, partition="kd")
-    defaults.update(overrides)
-    return ScenarioRunner(**defaults)
+    fleet = FleetConfig(num_shards=4, backend=backend, partition="kd")
+    return ScenarioRunner(fleet, **overrides)
 
 
 def injection(fault, rate=0.4, seed=0):
@@ -200,7 +200,7 @@ class TestMidCommitRebalanceGuard:
     between commits — where it is provably invisible."""
 
     def test_rebalance_inside_open_commit_is_refused(self):
-        runner = make_runner(backend="threads", partition="kd")
+        runner = make_runner(backend="threads")
         coordinator = Coordinator(runner.coordinator_config())
         try:
             router = coordinator.router

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import logging
 import os
+from dataclasses import fields
 import signal
 import subprocess
 import sys
 
 import pytest
 
+import repro.cli as cli
 import repro.coordinator.columnar as columnar
 from repro.core.errors import ConfigurationError
 from repro.cli import build_parser, main
+from repro.coordinator.fleet import FleetConfig
+from repro.simulation.engine import HotPathSimulation
 
 RUN_SMALL = ["run", "--objects", "40", "--duration", "30", "--network-nodes", "6",
              "--area", "2000", "--seed", "3"]
@@ -46,48 +50,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["not-a-command"])
 
-    def test_run_shards_flag(self):
-        args = build_parser().parse_args(["run", "--shards", "4"])
-        assert args.shards == 4
-        assert build_parser().parse_args(["run"]).shards == 1
-
-    def test_run_backend_flag(self):
-        for backend in ("serial", "threads", "processes"):
-            args = build_parser().parse_args(["run", "--backend", backend])
-            assert args.backend == backend
-        assert build_parser().parse_args(["run"]).backend == "serial"
-
-    def test_run_backend_rejects_unknown_value(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--backend", "gpu"])
-
-    def test_run_stitching_flag(self):
-        for mode in ("off", "exact"):
-            args = build_parser().parse_args(["run", "--stitching", mode])
-            assert args.stitching == mode
-        assert build_parser().parse_args(["run"]).stitching == "exact"
-
-    def test_run_stitching_rejects_unknown_value(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--stitching", "approximate"])
-
-    def test_run_partition_flag(self):
-        for kind in ("uniform", "kd"):
-            args = build_parser().parse_args(["run", "--partition", kind])
-            assert args.partition == kind
-        defaults = build_parser().parse_args(["run"])
-        assert defaults.partition == "uniform"
-        assert defaults.rebalance_threshold == 2.0
-
-    def test_run_partition_rejects_unknown_value(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--partition", "voronoi"])
-
-    def test_run_rebalance_threshold_flag(self):
-        args = build_parser().parse_args(["run", "--rebalance-threshold", "1.3"])
-        assert args.rebalance_threshold == pytest.approx(1.3)
-
-
 class TestHelp:
     """``python -m repro --help`` must document the scale-out flags."""
 
@@ -110,15 +72,20 @@ class TestHelp:
         assert "central coordinator" in captured
         assert "examples:" in captured
 
-    def test_run_help_documents_stitching(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--help"])
-        assert excinfo.value.code == 0
-        captured = capsys.readouterr().out
-        assert "--stitching" in captured
-        assert "{off,exact}" in captured
-        assert "composite corridors" in captured
-        assert "truncate at" in captured
+    def test_run_and_serve_list_the_same_fleet_flags(self, capsys):
+        """Both subcommands generate their fleet flags from FleetConfig, so the
+        help sections are identical — and name one flag per field."""
+        sections = []
+        for command in ("run", "serve"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out
+            section = text[text.index("coordinator fleet:"):]
+            sections.append(section[: section.index("\n\n", section.index("  --"))])
+        assert sections[0] == sections[1]
+        flags = [line.split()[0] for line in sections[0].splitlines() if line.startswith("  --")]
+        assert len(flags) == len(fields(FleetConfig))
+        assert "--stitching" not in flags
 
     def test_run_help_documents_partition(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -129,6 +96,93 @@ class TestHelp:
         assert "{uniform,kd}" in captured
         assert "--rebalance-threshold" in captured
         assert "endpoint density" in captured
+
+
+#: Per knob: a valid non-default value, and values ``FleetConfig`` must reject.
+FLEET_VALUES = {
+    "num_shards": (4, [0, -2]),
+    "backend": ("threads", ["gpu"]),
+    "partition": ("kd", ["voronoi"]),
+    "rebalance_threshold": (1.3, [1.0, 0.5]),
+    "overlap_halo": (1, [-1]),
+    "epoch_mode": ("full", ["lazy"]),
+    "kernel": ("object", ["simd"]),
+    "elastic": ("auto", ["on"]),
+    "migration_budget": (7, [-1]),
+    "min_shards": (2, [0]),
+    "max_shards": (9, [0]),
+}
+
+
+def flag_of(knob) -> str:
+    return knob.metadata.get("flag", "--" + knob.name.replace("_", "-"))
+
+
+class TestFleetFlags:
+    """Every ``FleetConfig`` field, through both subcommands' argv."""
+
+    def test_the_value_table_covers_every_field(self):
+        assert set(FLEET_VALUES) == {knob.name for knob in fields(FleetConfig)}
+
+    @pytest.mark.parametrize("knob", fields(FleetConfig), ids=lambda knob: knob.name)
+    def test_flag_reaches_the_coordinator_config_unchanged(self, knob, monkeypatch, capsys):
+        value, _invalid = FLEET_VALUES[knob.name]
+        assert value != knob.default
+        coordinators = []
+
+        class CapturingSimulation(HotPathSimulation):
+            def __init__(self, config):
+                super().__init__(config)
+                coordinators.append(self.coordinator)
+
+        class CapturingServer:
+            """Stands in for IngestionServer: keeps the coordinator, serves nothing."""
+
+            port = 0
+
+            def __init__(self, coordinator, config):
+                coordinators.append(coordinator)
+
+            async def start(self):
+                pass
+
+            async def serve_forever(self):
+                pass
+
+        monkeypatch.setattr(cli, "HotPathSimulation", CapturingSimulation)
+        monkeypatch.setattr(cli, "IngestionServer", CapturingServer)
+        assert main(RUN_SMALL + [flag_of(knob), str(value)]) == 0
+        assert main(["serve", "--port", "0", flag_of(knob), str(value)]) == 0
+        capsys.readouterr()
+        expected = FleetConfig(**{knob.name: value})
+        assert len(coordinators) == 2
+        for coordinator in coordinators:
+            for other in fields(FleetConfig):
+                assert getattr(coordinator.config, other.name) == getattr(expected, other.name)
+
+    @pytest.mark.parametrize("knob", fields(FleetConfig), ids=lambda knob: knob.name)
+    def test_invalid_value_is_rejected_by_fleet_config_alone(self, knob, capsys):
+        """``ConfigurationError`` comes from ``FleetConfig.__post_init__`` —
+        the layers above raise nothing of their own — and the CLI turns it
+        into a one-line usage error (exit status 2), not a traceback."""
+        _value, invalid = FLEET_VALUES[knob.name]
+        for bad in invalid:
+            with pytest.raises(ConfigurationError) as excinfo:
+                FleetConfig(**{knob.name: bad})
+            assert excinfo.traceback[-1].path.name == "fleet.py"
+            for command in (RUN_SMALL, ["serve", "--port", "0"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(command + [flag_of(knob), str(bad)])
+                assert exit_info.value.code == 2
+                error_lines = capsys.readouterr().err.strip().splitlines()
+                assert error_lines[-1].startswith("repro: error:") or "invalid choice" in error_lines[-1]
+                assert not any("Traceback" in line for line in error_lines)
+
+    def test_cross_field_error_is_a_usage_error_too(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(RUN_SMALL + ["--shards", "16", "--elastic", "auto", "--max-shards", "4"])
+        assert exit_info.value.code == 2
+        assert "max_shards (4) must be >= num_shards (16)" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -171,24 +225,6 @@ class TestRunCommand:
         timing = lambda line: line.startswith("coordinator time per epoch")
         assert [l for l in degraded if not timing(l)] == [l for l in reference if not timing(l)]
         assert sum("degrades" in record.getMessage() for record in caplog.records) == 1
-
-    def test_run_with_stitching_off_reports_truncation(self, capsys):
-        exit_code = main(
-            [
-                "run",
-                "--objects", "60",
-                "--duration", "60",
-                "--network-nodes", "6",
-                "--area", "2000",
-                "--seed", "3",
-                "--shards", "4",
-                "--stitching", "off",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "stitching: off" in captured
-        assert "cross-shard merge off" in captured
 
     def test_run_with_kd_partition_reports_rebalances(self, capsys):
         exit_code = main(

@@ -19,7 +19,7 @@ event sequences check that claim for each delta carrier independently:
   (:class:`repro.coordinator.stitching.IncrementalStitcher`) — after any
   sequence of insert/expire/hotness-change events, the patched corridor
   report equals :func:`~repro.coordinator.stitching.stitch_paths` run fresh
-  over the surviving hot set, in both stitching modes.
+  over the surviving hot set.
 """
 
 from __future__ import annotations
@@ -380,13 +380,13 @@ class TestIncrementalStitcherProperties:
                         path, _old = hot[path_id]
                         hot[path_id] = (path, event[2])
             stitcher.sync(dict(hot))
-            corridors, _stats = stitcher.report("exact", lambda path_id: 0)
+            corridors, _stats = stitcher.report(lambda path_id: 0)
             assert corridors == _reference(hot)
 
     @settings(max_examples=100, deadline=None)
     @given(stitch_events)
-    def test_off_mode_report_matches_boundary_split_reference(self, events):
-        """The boundary-truncating mode, with a real 2x2 ownership map."""
+    def test_boundary_welds_count_the_owner_changes(self, events):
+        """The ``boundary_welds`` diagnostic, with a real 2x2 ownership map."""
         grid = ShardGrid(BOUNDS, 2, 2)
         stitcher = IncrementalStitcher()
         hot: Dict[int, Tuple[MotionPath, int]] = {}
@@ -411,22 +411,13 @@ class TestIncrementalStitcherProperties:
         def owner_of(path_id: int) -> int:
             return grid.shard_id_of(hot[path_id][0].start)
 
-        off_corridors, _stats = stitcher.report("off", owner_of)
-        # Reference: global stitch cut where consecutive segments change owner.
-        pieces = []
-        for corridor in _reference(hot):
-            piece = [corridor.segments[0]]
-            for previous, segment in zip(corridor.segments, corridor.segments[1:]):
-                if owner_of(previous.path_id) != owner_of(segment.path_id):
-                    pieces.append(tuple(piece))
-                    piece = [segment]
-                else:
-                    piece.append(segment)
-            pieces.append(tuple(piece))
-        expected = sorted(
-            tuple(segment.path_id for segment in piece) for piece in pieces
+        corridors, stats = stitcher.report(owner_of)
+        assert corridors == _reference(hot)
+        assert stats["boundary_welds"] == sum(
+            owner_of(previous.path_id) != owner_of(segment.path_id)
+            for corridor in corridors
+            for previous, segment in zip(corridor.segments, corridor.segments[1:])
         )
-        assert sorted(corridor.path_ids for corridor in off_corridors) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(stitch_events)
@@ -441,9 +432,9 @@ class TestIncrementalStitcherProperties:
                 hot[next_id] = (MotionPath(Point(x1, y1), Point(x2, y2)), hotness)
                 next_id += 1
         stitcher.sync(dict(hot))
-        first, _ = stitcher.report("exact", lambda path_id: 0)
+        first, _ = stitcher.report(lambda path_id: 0)
         stitcher.sync(dict(hot))
-        second, stats = stitcher.report("exact", lambda path_id: 0)
+        second, stats = stitcher.report(lambda path_id: 0)
         assert second == first
         if first:
             assert stats["corridors_reused"] == len(first)

@@ -217,7 +217,12 @@ class TestCostModel:
 
     @staticmethod
     def make_router(num_shards: int = 4, **kwargs) -> ShardRouter:
-        return ShardRouter(BOUNDS, 60, 32, num_shards, elastic="auto", **kwargs)
+        return ShardRouter(
+            CoordinatorConfig(
+                bounds=BOUNDS, window=60, cells_per_axis=32, num_shards=num_shards,
+                elastic="auto", **kwargs
+            )
+        )
 
     @staticmethod
     def load_downtown(router: ShardRouter, count: int = 30, seed: int = 3) -> None:
@@ -336,8 +341,10 @@ class TestBudgetedMigration:
     @staticmethod
     def seeded_router(migration_budget: int) -> ShardRouter:
         router = ShardRouter(
-            BOUNDS, 60, 32, 4, elastic="auto", migration_budget=migration_budget,
-            max_shards=9,
+            CoordinatorConfig(
+                bounds=BOUNDS, window=60, cells_per_axis=32, num_shards=4,
+                elastic="auto", migration_budget=migration_budget, max_shards=9,
+            )
         )
         rng = random.Random(11)
         for step in range(24):

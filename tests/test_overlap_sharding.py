@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
 from repro.coordinator.overlaps import FsaOverlapStructure, build_structures
+from repro.coordinator.coordinator import CoordinatorConfig
 from repro.coordinator.sharding import ShardGrid, ShardRouter, plan_shard_overlaps
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -256,7 +257,11 @@ class TestBackendWorkerBuilds:
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_worker_side_builds_match_inline_build(self, backend):
-        router = ShardRouter(BOUNDS, window=40, cells_per_axis=32, num_shards=16, backend=backend)
+        router = ShardRouter(
+            CoordinatorConfig(
+                bounds=BOUNDS, window=40, cells_per_axis=32, num_shards=16, backend=backend
+            )
+        )
         try:
             pools = [
                 {

@@ -35,7 +35,11 @@ BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
 
 def make_router(num_shards: int = 4, window: int = 60, **kwargs) -> ShardRouter:
-    return ShardRouter(BOUNDS, window, 32, num_shards, **kwargs)
+    return ShardRouter(
+        CoordinatorConfig(
+            bounds=BOUNDS, window=window, cells_per_axis=32, num_shards=num_shards, **kwargs
+        )
+    )
 
 
 def insert_walk(router: ShardRouter, seed: int, walks: int = 12, steps: int = 6) -> None:
@@ -230,8 +234,6 @@ class TestRebalanceMigration:
 
     def test_mismatched_partition_bounds_rejected(self):
         other = Rectangle(Point(0.0, 0.0), Point(500.0, 500.0))
-        with pytest.raises(ConfigurationError):
-            make_router(4, partition=UniformGridPartition(other, 2, 2))
         router = make_router(4)
         with pytest.raises(ConfigurationError):
             router.rebalance(KdSplitPartition.fit(other, 4))
@@ -286,10 +288,9 @@ class TestRebalanceMigration:
         # handful of fits instead of 16.
         assert 1 <= len(fits) <= 6
 
-    def test_manual_rebalance_refreshes_the_corridor_cache(self):
-        """In 'off' stitching mode corridors truncate at shard boundaries,
-        and a migration moves the boundaries — a corridor report cached
-        before a manual rebalance() must not be served afterwards."""
+    def test_manual_rebalance_leaves_the_corridor_report_valid(self):
+        """A migration moves state, never corridors: the report cached before
+        a manual rebalance() is still the report of the migrated fleet."""
         coordinator = Coordinator(
             CoordinatorConfig(
                 bounds=BOUNDS,
@@ -297,7 +298,6 @@ class TestRebalanceMigration:
                 cells_per_axis=32,
                 num_shards=4,
                 partition="kd",
-                stitching="off",
             )
         )
         router = coordinator.router
@@ -318,12 +318,10 @@ class TestRebalanceMigration:
         assert router.rebalance(
             KdSplitPartition.fit(BOUNDS, 4, router._endpoint_samples())
         )
-        after = coordinator.hot_corridors()
-        assert after is not before  # cache refreshed against the new boundaries
-        # Same hot set, so the truncation bookkeeping must still add up.
-        assert sorted(
-            path_id for corridor in after for path_id in corridor.path_ids
-        ) == sorted(path_id for corridor in before for path_id in corridor.path_ids)
+        assert coordinator.hot_corridors() is before  # still cached ...
+        assert [c.path_ids for c in router.stitch_epoch()] == [  # ... and still right
+            c.path_ids for c in before
+        ]
         coordinator.close()
 
     def test_coordinator_config_validates_partition_knobs(self):
@@ -376,7 +374,7 @@ class TestSingleShardDeltaStatistics:
                 bounds=BOUNDS, window=60, cells_per_axis=32, epoch_mode="delta"
             )
         )
-        fleet = ShardRouter(BOUNDS, 60, 32, 1)
+        fleet = make_router(1)
         for boundary, states in self._stream():
             for state in states:
                 coordinator.submit_state(state)

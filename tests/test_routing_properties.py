@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
+from repro.coordinator.coordinator import CoordinatorConfig
 from repro.coordinator.sharding import ShardRouter
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -47,7 +48,9 @@ path_lists = st.lists(motion_paths(), min_size=1, max_size=25)
 
 
 def make_router(num_shards: int = 16) -> ShardRouter:
-    return ShardRouter(BOUNDS, window=50, cells_per_axis=32, num_shards=num_shards)
+    return ShardRouter(
+        CoordinatorConfig(bounds=BOUNDS, window=50, cells_per_axis=32, num_shards=num_shards)
+    )
 
 
 class TestEndpointOwnerRouting:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.serving.protocol import coordinator_snapshot, encode_update
 from repro.serving.scenarios import (
@@ -51,7 +52,7 @@ class TestServedMatchesSeedReplay:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("partition", PARTITIONS)
     def test_uniform_trickle_bit_for_bit(self, backend, partition):
-        runner = ScenarioRunner(num_shards=4, backend=backend, partition=partition)
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend, partition=partition))
         result = runner.run("uniform_trickle", seed=11)
 
         assert result.accepted_updates == result.submitted_updates
@@ -59,7 +60,7 @@ class TestServedMatchesSeedReplay:
 
     @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
     def test_every_scenario_on_a_kd_fleet(self, scenario_id):
-        runner = ScenarioRunner(num_shards=4, backend="threads", partition="kd")
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", partition="kd"))
         result = runner.run(scenario_id, seed=5)
 
         assert result.accepted_updates == result.submitted_updates
@@ -67,7 +68,7 @@ class TestServedMatchesSeedReplay:
         assert result.passed, result.validation_errors
 
     def test_snapshot_reports_real_state(self):
-        result = ScenarioRunner(num_shards=1).run("uniform_trickle", seed=2)
+        result = ScenarioRunner(FleetConfig(num_shards=1)).run("uniform_trickle", seed=2)
 
         report = result.report
         assert report["size"] == len(report["records"]) > 0
@@ -80,7 +81,7 @@ class TestForcedRebalanceInvariance:
     """kd migrations mid-run and mid-replay must be invisible in the answers."""
 
     def test_forced_mid_run_rebalances_leave_answers_unchanged(self):
-        runner = ScenarioRunner(num_shards=4, backend="threads", partition="kd")
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", partition="kd"))
         injection = InjectionConfig(
             enabled=True, fault="force_rebalance", rate=0.6, seed=9
         )
@@ -91,16 +92,14 @@ class TestForcedRebalanceInvariance:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_replay_through_rebalancing_fleets_matches_seed(self, backend):
-        result = ScenarioRunner(num_shards=4, backend="serial", partition="kd").run(
+        result = ScenarioRunner(FleetConfig(num_shards=4, backend="serial", partition="kd")).run(
             "bursty_downtown", seed=3
         )
         reference = seed_replay(result)
 
         fleet = replay_accepted_log(
             result.accepted_log,
-            num_shards=4,
-            backend=backend,
-            partition="kd",
+            fleet=FleetConfig(num_shards=4, backend=backend, partition="kd"),
             rebalance_before=(1, 3),
         )
         assert fleet == reference
@@ -112,7 +111,7 @@ class TestConcurrentClients:
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_concurrent_sends_replay_bit_for_bit(self, backend):
-        runner = ScenarioRunner(num_shards=4, backend=backend, partition="kd")
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend, partition="kd"))
         result = runner.run("bursty_downtown", seed=13, concurrent=True)
 
         assert result.accepted_updates == result.submitted_updates
@@ -125,7 +124,7 @@ class TestConcurrentClients:
         commit independent of the arrival interleaving — so the two modes
         must agree on everything but timing.
         """
-        runner = ScenarioRunner(num_shards=2, backend="threads", partition="uniform")
+        runner = ScenarioRunner(FleetConfig(num_shards=2, backend="threads", partition="uniform"))
         ordered = runner.run("uniform_trickle", seed=21, concurrent=False)
         racing = runner.run("uniform_trickle", seed=21, concurrent=True)
 
@@ -140,24 +139,33 @@ class TestEpochModeServing:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_delta_serving_matches_full_seed_replay(self, backend):
         runner = ScenarioRunner(
-            num_shards=4, backend=backend, partition="kd", epoch_mode="delta"
+            FleetConfig(num_shards=4, backend=backend, partition="kd", epoch_mode="delta"),
         )
         result = runner.run("bursty_downtown", seed=7)
 
-        full_reference = replay_accepted_log(result.accepted_log, epoch_mode="full")
+        full_reference = replay_accepted_log(
+            result.accepted_log,
+            fleet=FleetConfig(epoch_mode="full"),
+        )
         assert result.report == full_reference
-        assert replay_accepted_log(result.accepted_log, epoch_mode="delta") == full_reference
+        assert replay_accepted_log(
+            result.accepted_log,
+            fleet=FleetConfig(epoch_mode="delta"),
+        ) == full_reference
 
     def test_full_mode_serving_still_matches_delta_replay(self):
-        runner = ScenarioRunner(num_shards=4, backend="threads", epoch_mode="full")
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", epoch_mode="full"))
         result = runner.run("uniform_trickle", seed=11)
 
-        assert result.report == replay_accepted_log(result.accepted_log, epoch_mode="delta")
+        assert result.report == replay_accepted_log(
+            result.accepted_log,
+            fleet=FleetConfig(epoch_mode="delta"),
+        )
 
     def test_chaos_faults_with_delta_mode_match_full_replay(self):
         """Forced rebalances racing the delta pipeline's caches mid-run."""
         runner = ScenarioRunner(
-            num_shards=4, backend="threads", partition="kd", epoch_mode="delta"
+            FleetConfig(num_shards=4, backend="threads", partition="kd", epoch_mode="delta"),
         )
         injection = InjectionConfig(
             enabled=True, fault="force_rebalance", rate=0.6, seed=9
@@ -165,20 +173,20 @@ class TestEpochModeServing:
         result = runner.run("bursty_downtown", seed=7, injection=injection)
 
         assert result.forced_rebalances >= 1
-        assert result.report == replay_accepted_log(result.accepted_log, epoch_mode="full")
+        assert result.report == replay_accepted_log(
+            result.accepted_log,
+            fleet=FleetConfig(epoch_mode="full"),
+        )
 
     def test_delta_replay_through_rebalancing_fleet_matches_full(self):
-        result = ScenarioRunner(num_shards=4, epoch_mode="delta").run(
+        result = ScenarioRunner(FleetConfig(num_shards=4, epoch_mode="delta")).run(
             "bursty_downtown", seed=3
         )
-        reference = replay_accepted_log(result.accepted_log, epoch_mode="full")
+        reference = replay_accepted_log(result.accepted_log, fleet=FleetConfig(epoch_mode="full"))
         fleet = replay_accepted_log(
             result.accepted_log,
-            num_shards=4,
-            backend="processes",
-            partition="kd",
+            fleet=FleetConfig(num_shards=4, backend="processes", partition="kd", epoch_mode="delta"),
             rebalance_before=(1, 3),
-            epoch_mode="delta",
         )
         assert fleet == reference
 
@@ -293,14 +301,14 @@ class TestAutoEpochTicker:
                 accepted_log,
                 window=1_000_000,
                 cells_per_axis=32,
-                epoch_mode=replay_mode,
+                fleet=FleetConfig(epoch_mode=replay_mode),
             ), f"served {epoch_mode} snapshot != {replay_mode} seed replay"
 
 
 class TestReconnectStorm:
     def test_thundering_herd_reconnects_and_stays_equal(self):
         scenario = get_scenario("thundering_herd")
-        result = ScenarioRunner(num_shards=4, backend="threads", partition="kd").run(
+        result = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", partition="kd")).run(
             scenario, seed=17
         )
 

@@ -36,6 +36,7 @@ import pytest
 
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
@@ -693,8 +694,7 @@ class TestSimulationDifferential:
             tolerance=10.0,
             window=50,
             epoch_length=10,
-            num_shards=num_shards,
-            backend=backend,
+            fleet=FleetConfig(num_shards=num_shards, backend=backend),
             seed=seed,
             network_config=NetworkConfig(area_size=2000.0, grid_nodes_per_axis=6, seed=seed),
             run_dp_baseline=False,

@@ -1,11 +1,11 @@
 """Stitching differential harness: composite corridors must match the seed.
 
 Extends the differential contract of ``tests/test_sharding_equivalence.py``
-to the corridor report: a sharded fleet with ``stitching='exact'`` must
-produce, after every epoch, exactly the corridors a *global* stitch of the
-seed coordinator's hot paths produces — path ids, segment order, geometry,
-per-segment hotness, merged hotness and score, bit for bit — for 2x2 and 4x4
-grids on every execution backend.
+to the corridor report: a sharded fleet must produce, after every epoch,
+exactly the corridors a *global* stitch of the seed coordinator's hot paths
+produces — path ids, segment order, geometry, per-segment hotness, merged
+hotness and score, bit for bit — for 2x2 and 4x4 grids on every execution
+backend.
 
 The streams here are *feedback-driven*: each object's next SSA start is the
 endpoint the coordinator returned for it, exactly as RayTrace consumes
@@ -15,13 +15,6 @@ identical streams because their responses are identical (the existing
 bit-for-bit contract).  A guard test asserts the streams really do produce
 multi-segment, multi-shard corridors — without it the differential would be
 vacuous.
-
-``TestStitchingOff`` is the harness's deviation mode, mirroring
-``TestOverlapHalo``: ``stitching='off'`` drops the cross-shard welds, and the
-truncation is *quantified*, not just allowed — the off corridors must be
-exactly the exact corridors cut at shard boundaries, the corridor count must
-grow by exactly the number of dropped boundary welds, and the truncation must
-be deterministic and backend-independent.
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.sharding import ShardRouter
 from repro.coordinator.stitching import CompositeCorridor, stitch_paths
 from repro.network.generator import NetworkConfig
@@ -50,7 +44,6 @@ def make_coordinator(
     num_shards: int,
     window: int = 120,
     backend: str = "serial",
-    stitching: str = "exact",
     epoch_mode: str = "delta",
     partition: str = "uniform",
     rebalance_threshold: float = 2.0,
@@ -62,7 +55,6 @@ def make_coordinator(
             cells_per_axis=32,
             num_shards=num_shards,
             backend=backend,
-            stitching=stitching,
             epoch_mode=epoch_mode,
             partition=partition,
             rebalance_threshold=rebalance_threshold,
@@ -166,7 +158,7 @@ def drive_feedback_no_close(coordinator: Coordinator, seed: int, epochs: int = 8
 
 
 class TestStitchingDifferential:
-    """Sharded ``exact`` stitching vs the seed coordinator's global stitch."""
+    """Sharded stitching vs the seed coordinator's global stitch."""
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
@@ -345,158 +337,49 @@ class TestIncrementalStitching:
         )
 
 
-def cut_at_shard_boundaries(
-    corridors: List[CompositeCorridor], grid
-) -> List[tuple]:
-    """Reference truncation: split every corridor where segment ownership
-    changes (owner = shard of the segment's start vertex)."""
-    pieces = []
-    for corridor in corridors:
-        piece = [corridor.segments[0]]
-        for previous, segment in zip(corridor.segments, corridor.segments[1:]):
-            if grid.shard_id_of(previous.path.start) != grid.shard_id_of(
-                segment.path.start
-            ):
-                pieces.append(tuple(piece))
-                piece = [segment]
-            else:
-                piece.append(segment)
-        pieces.append(tuple(piece))
-    return sorted(
-        tuple(segment.path_id for segment in piece) for piece in pieces
-    )
-
-
-class TestStitchingOff:
-    """Deviation mode: ``stitching='off'`` truncation, quantified."""
-
-    @pytest.mark.parametrize("seed", [11, 42])
-    def test_off_truncation_is_quantified(self, seed):
-        """The off report must be exactly the exact report cut at shard
-        boundaries: corridor count grows by precisely the number of dropped
-        cross-shard welds, and the pieces match segment for segment."""
-        exact = make_coordinator(16, stitching="exact")
-        off = make_coordinator(16, stitching="off")
-        try:
-            drive_feedback_no_close(exact, seed)
-            drive_feedback_no_close(off, seed)
-            exact_corridors = exact.hot_corridors()
-            exact_stats = dict(exact.router.stitch_stats)
-            off_corridors = off.hot_corridors()
-            off_stats = dict(off.router.stitch_stats)
-
-            boundary_welds = exact_stats["boundary_welds"]
-            assert boundary_welds > 0, "stream produced no cross-shard welds"
-            assert off_stats["boundary_welds"] == boundary_welds
-            # Truncation is real and exactly accounted for: one extra
-            # corridor per dropped boundary weld, nothing else changes.
-            assert len(off_corridors) == len(exact_corridors) + boundary_welds
-            off_ids = sorted(corridor.path_ids for corridor in off_corridors)
-            assert off_ids == cut_at_shard_boundaries(
-                exact_corridors, exact.router.grid
-            )
-            # Fragment coverage is identical — truncation regroups, never drops.
-            assert sorted(
-                path_id for c in off_corridors for path_id in c.path_ids
-            ) == sorted(path_id for c in exact_corridors for path_id in c.path_ids)
-            # Scores are additive, so truncation never *increases* a
-            # corridor's score, and the longest chain can only shrink.
-            assert max(c.num_segments for c in off_corridors) <= max(
-                c.num_segments for c in exact_corridors
-            )
-            assert max(c.score for c in off_corridors) <= max(
-                c.score for c in exact_corridors
-            )
-        finally:
-            exact.close()
-            off.close()
-
-    @pytest.mark.parametrize("stitching", ("off", "exact"))
-    def test_stitching_is_lazy_until_queried(self, stitching):
+class TestLazyStitching:
+    def test_stitching_is_lazy_until_queried(self):
         """Epochs that nobody asks corridors of never pay for stitching:
         run_epoch only invalidates the cached report, and the first query
-        afterwards stitches once in the configured mode."""
-        coordinator = make_coordinator(4, stitching=stitching)
+        afterwards stitches once."""
+        coordinator = make_coordinator(4)
         try:
             drive_feedback_no_close(coordinator, seed=3, epochs=2)
             assert coordinator.router.stitch_stats == {}  # no query yet
             corridors = coordinator.hot_corridors()
             assert corridors
-            assert coordinator.router.stitch_stats["mode"] == stitching
+            assert coordinator.router.stitch_stats["corridors"] == len(corridors)
             assert coordinator.hot_corridors() is corridors  # cached
         finally:
             coordinator.close()
 
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_off_is_deterministic_and_backend_independent(self, num_shards):
-        reference = None
-        for backend in ALL_BACKENDS:
-            coordinator = make_coordinator(num_shards, backend=backend, stitching="off")
-            try:
-                drive_feedback_no_close(coordinator, seed=42)
-                snapshot = corridor_snapshot(coordinator.hot_corridors())
-            finally:
-                coordinator.close()
-            if reference is None:
-                reference = snapshot
-                again = make_coordinator(num_shards, backend=backend, stitching="off")
-                try:
-                    drive_feedback_no_close(again, seed=42)
-                    assert corridor_snapshot(again.hot_corridors()) == reference
-                finally:
-                    again.close()
-            else:
-                assert snapshot == reference, (
-                    f"off-mode stitching diverged on backend={backend}"
-                )
-
-    def test_single_shard_has_no_boundaries_to_truncate(self):
-        """With one shard both modes are the full global stitch."""
-        exact = make_coordinator(1, stitching="exact")
-        off = make_coordinator(1, stitching="off")
-        try:
-            drive_feedback_no_close(exact, seed=11)
-            drive_feedback_no_close(off, seed=11)
-            assert corridor_snapshot(off.hot_corridors()) == corridor_snapshot(
-                exact.hot_corridors()
-            )
-        finally:
-            exact.close()
-            off.close()
-
 
 class TestWeldCycles:
-    """Weld cycles (closed hot-path loops) are broken once — at the minimum
-    member id, before the off-mode cut — so the deviation accounting holds
-    even in the adversarial case where the dropped closing weld is a
-    *same-owner* weld while the cycle spans shards (filtering cross-owner
-    welds first and re-chaining would regroup across the break and report
-    one corridor too few)."""
+    """Weld cycles (closed hot-path loops) are broken once, at the minimum
+    member id, whichever shards' weld passes decided the cycle's welds."""
 
     def _cycle_router(self) -> ShardRouter:
         # 2x2 grid over 1000^2: V0, V1 in shard 0 (x < 500), V2 in shard 1.
         # Paths 0: V0->V2, 1: V1->V0, 2: V2->V1 close the weld cycle
         # 0 -> 2 -> 1 -> 0 with welds {1->0 same-owner, 2->1 and 0->2 cross}.
-        router = ShardRouter(BOUNDS, window=10**6, cells_per_axis=32, num_shards=4)
+        router = ShardRouter(
+            CoordinatorConfig(bounds=BOUNDS, window=10**6, cells_per_axis=32, num_shards=4)
+        )
         v0, v1, v2 = Point(100.0, 100.0), Point(200.0, 100.0), Point(600.0, 100.0)
         for path in (MotionPath(v0, v2), MotionPath(v1, v0), MotionPath(v2, v1)):
             record = router.insert(path, created_at=0)
             router.hotness.record_crossing(record.path_id, 0)
         return router
 
-    def test_cross_shard_cycle_deviation_accounting(self):
+    def test_cross_shard_cycle_weld_accounting(self):
         router = self._cycle_router()
-        exact = router.stitch_epoch("exact")
-        exact_stats = dict(router.stitch_stats)
-        assert [c.path_ids for c in exact] == [(0, 2, 1)]  # broken at min id 0
+        corridors = router.stitch_epoch()
+        assert [c.path_ids for c in corridors] == [(0, 2, 1)]  # broken at min id 0
         # Stats count *consumed* welds — the cycle-closing 1->0 weld drops
         # out before counting, so fragments - welds == corridors and the
         # numbers match whatever shard layout decided the welds.
-        assert exact_stats["welds"] == 2
-        assert exact_stats["boundary_welds"] == 2
-        off = router.stitch_epoch("off")
-        assert [c.path_ids for c in off] == [(0,), (1,), (2,)]
-        assert len(off) == len(exact) + exact_stats["boundary_welds"]
+        assert router.stitch_stats["welds"] == 2
+        assert router.stitch_stats["boundary_welds"] == 2
 
     def test_cycle_matches_the_global_stitch(self):
         router = self._cycle_router()
@@ -504,7 +387,7 @@ class TestWeldCycles:
             (router.index.get(path_id), hotness)
             for path_id, hotness in sorted(router.hotness.items())
         ]
-        assert corridor_snapshot(router.stitch_epoch("exact")) == corridor_snapshot(
+        assert corridor_snapshot(router.stitch_epoch()) == corridor_snapshot(
             stitch_paths(hot)
         )
 
@@ -513,7 +396,7 @@ class TestSimulationStitching:
     """End-to-end simulations: the corridor report survives the full stack."""
 
     @staticmethod
-    def _run(num_shards: int, backend: str = "serial", stitching: str = "exact"):
+    def _run(num_shards: int, backend: str = "serial"):
         config = SimulationConfig(
             num_objects=60,
             duration=80,
@@ -521,9 +404,7 @@ class TestSimulationStitching:
             tolerance=10.0,
             window=50,
             epoch_length=10,
-            num_shards=num_shards,
-            backend=backend,
-            stitching=stitching,
+            fleet=FleetConfig(num_shards=num_shards, backend=backend),
             seed=9,
             network_config=NetworkConfig(area_size=2000.0, grid_nodes_per_axis=6, seed=9),
             run_dp_baseline=False,

@@ -34,7 +34,6 @@ from repro.coordinator.stitching import (
     build_corridors,
     chain_fragments,
     select_top_k_corridors,
-    split_chains_at_boundaries,
     stitch_paths,
     successors_from_runs,
     weld_runs,
@@ -127,7 +126,6 @@ def distributed_stitch(
     fragments: Fragments,
     order: List[int],
     grid: ShardGrid,
-    mode: str = "exact",
 ) -> List[CompositeCorridor]:
     """Replicate the sharded merge without a router: route every fragment to
     its endpoint owners, weld per shard, merge the runs, chain."""
@@ -150,8 +148,6 @@ def distributed_stitch(
         runs.extend(weld_runs(tasks[shard_id]))
     successor = successors_from_runs(runs)
     chains = chain_fragments(info, successor)
-    if mode == "off":
-        chains = split_chains_at_boundaries(chains, lambda path_id: info[path_id][2])
     return build_corridors(chains, lambda path_id: info[path_id][:2])
 
 
@@ -257,26 +253,6 @@ class TestMergeOrderIndependence:
         rng.shuffle(shuffled)
         reference = snapshot(stitch_paths(hot_path_list(fragments, order)))
         assert snapshot(distributed_stitch(fragments, shuffled, grid)) == reference
-
-    @settings(max_examples=100, deadline=None)
-    @given(fragment_sets(), shard_grids)
-    def test_off_mode_is_the_exact_stitch_cut_at_boundaries(self, fragments, grid):
-        order = sorted(fragments)
-        exact = distributed_stitch(fragments, order, grid, mode="exact")
-        off = distributed_stitch(fragments, order, grid, mode="off")
-        pieces = []
-        for corridor in exact:
-            piece = [corridor.segments[0]]
-            for previous, segment in zip(corridor.segments, corridor.segments[1:]):
-                if grid.shard_id_of(previous.path.start) != grid.shard_id_of(
-                    segment.path.start
-                ):
-                    pieces.append(tuple(s.path_id for s in piece))
-                    piece = [segment]
-                else:
-                    piece.append(segment)
-            pieces.append(tuple(s.path_id for s in piece))
-        assert sorted(c.path_ids for c in off) == sorted(pieces)
 
 
 class TestScoring:
