@@ -276,11 +276,7 @@ def _command_run(args: argparse.Namespace) -> int:
     )
     if fleet.num_shards > 1:
         shards = result.coordinator.shard_statistics()
-        halo = "adaptive" if fleet.overlap_halo is None else f"{fleet.overlap_halo} rings"
-        print(
-            f"coordinator backend: {fleet.backend} (partition: {fleet.partition}, "
-            f"overlap halo: {halo})"
-        )
+        print(f"coordinator backend: {fleet.backend} (partition: {fleet.partition})")
         print(
             f"coordinator shards: {shards['num_shards']:.0f} "
             f"(records per shard min/mean/max: {shards['min_shard_records']:.0f}"

@@ -16,7 +16,7 @@ The tier runs in two layouts behind one interface:
   boundary are split by *endpoint-owner routing* — each endpoint entry lives
   with the shard owning its location while the record and hotness stay with
   the start owner.  Epochs run as a batched pipeline (group-by-shard intake,
-  one candidate pass and one halo-pooled FSA overlap structure per shard,
+  one candidate pass per shard, one FSA overlap structure per epoch,
   deferred per-shard expiry drains) and the global top-k is an exact merge
   of the per-shard hot paths.  Hot paths welded end-to-start are stitched
   into cross-shard *composite corridors*

@@ -22,7 +22,7 @@ per epoch over the whole batch of state messages):
 * :class:`ShipmentRing` / :func:`decode_work_shipment` — the shared-memory
   transport of :class:`~repro.coordinator.execution.ProcessBackend`: one
   reusable ``multiprocessing.shared_memory`` block per worker carrying the
-  epoch's journal slice, candidate tasks and halo FSA pools as packed
+  epoch's journal slice, candidate tasks and missed FSA pools as packed
   ``int64``/``float64`` sections, so replicas read arrays instead of
   unpickling per-record tuples.
 
@@ -68,6 +68,7 @@ __all__ = [
     "RegionTable",
     "concat_end_tables",
     "end_entries_in",
+    "overlapping_pairs",
     "ShipmentRing",
     "decode_work_shipment",
     "close_attachments",
@@ -163,6 +164,30 @@ def end_entries_in(end_table: tuple, regions: Sequence[Rectangle]):
         xs[rows].tolist(),
         ys[rows].tolist(),
     )
+
+
+def overlapping_pairs(rectangles: Sequence[Rectangle]):
+    """Index pairs ``i < j`` of rectangles sharing positive area, in one broadcast.
+
+    The edges of the epoch's overlap components
+    (:func:`repro.coordinator.overlaps.plan_shard_overlaps`): strict
+    comparisons, because an intersection of zero width or height is dropped
+    by the build as well.
+    """
+    lx, ly, hx, hy = _box_columns(rectangles)
+    firsts, seconds = [], []
+    for chunk in _row_chunks(len(rectangles), len(rectangles)):
+        mask = (_np.maximum(lx[chunk], lx.T) < _np.minimum(hx[chunk], hx.T)) & (
+            _np.maximum(ly[chunk], ly.T) < _np.minimum(hy[chunk], hy.T)
+        )
+        first, second = _np.nonzero(mask)
+        first += chunk.start
+        above = first < second
+        firsts.append(first[above])
+        seconds.append(second[above])
+    if not firsts:
+        return []
+    return zip(_np.concatenate(firsts).tolist(), _np.concatenate(seconds).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +458,7 @@ class ShipmentRing:
 
     Grows geometrically and is reused across epochs, so the steady state
     allocates nothing: the parent packs each epoch's journal slice, candidate
-    tasks and cache-missed halo pools into the existing block and ships a
+    tasks and cache-missed FSA pools into the existing block and ships a
     constant-size header over the pipe.  ``pack`` returns that header;
     :func:`decode_work_shipment` is its worker-side inverse.
     """

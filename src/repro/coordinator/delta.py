@@ -2,14 +2,14 @@
 
 Most epochs of an online deployment change only a small fraction of the hot
 set: a handful of crossings arrive, a handful of window events expire, and
-everything else — the grid index, the hotness table, the halo overlap pools,
+everything else — the grid index, the hotness table, the overlap components,
 the corridor chains — is byte-identical to the previous epoch.  The classic
 pipeline nevertheless pays full-rebuild cost every tick, because each stage
 re-derives its inputs from the full state.  In ``epoch_mode="delta"`` the
 pipeline instead *emits* what changed — this module's :class:`EpochDelta` —
 and every stage consumes the delta:
 
-* unchanged halo overlap pools are reused across epochs
+* unchanged overlap components are reused across epochs
   (:class:`~repro.coordinator.overlaps.OverlapPoolCache`; only the dirtied
   pools are rebuilt, and only those are shipped to process-backend workers);
 * corridor chains are maintained incrementally under the epoch's
@@ -56,7 +56,7 @@ __all__ = [
 #: Values accepted by the ``epoch_mode`` knob (config layers and
 #: ``--epoch-mode``): ``full`` rebuilds every per-epoch structure from the
 #: full state (the pre-incremental pipeline, kept as the differential
-#: reference); ``delta`` (the default) reuses unchanged halo pools, maintains
+#: reference); ``delta`` (the default) reuses unchanged overlap pools, maintains
 #: corridor chains incrementally and ships only deltas to workers — required
 #: to stay bit-for-bit equal to ``full``.
 EPOCH_MODES: Tuple[str, ...] = ("full", "delta")
@@ -84,7 +84,7 @@ class EpochDelta:
       respectively dropped it to hotness zero.
     * ``renumbered`` — provisional ids renamed by the parallel-commit
       renumbering (0 on the serial backend).
-    * ``pools_total`` .. ``pools_rebuilt`` — the epoch's halo overlap pools:
+    * ``pools_total`` .. ``pools_rebuilt`` — the epoch's overlap pools (components):
       how many were reused verbatim from the cross-epoch pool cache, resumed
       from a cached prefix, or rebuilt from scratch (the only ones shipped to
       workers).  ``pools_total = pools_reused + pools_prefix_reused +

@@ -8,13 +8,13 @@ concurrently without giving up the bit-for-bit exactness contract of
 
 * :class:`SerialBackend` — the reference pipeline: every pass runs inline on
   the calling thread, decisions replay global submission order directly.
-* :class:`ThreadBackend` — per-shard candidate passes and shard-local
-  overlap-structure builds are submitted to a thread pool; decisions commit
+* :class:`ThreadBackend` — per-shard candidate passes and the builds of the
+  epoch's overlap components are submitted to a thread pool; decisions commit
   concurrently, one thread per conflict group.
 * :class:`ProcessBackend` — candidate passes and overlap builds run in
   persistent worker processes, each holding a replica of every shard's
   start-entry grid index kept in sync through the router's mutation journal
-  (halo FSA pools are shipped per epoch and built structures return as
+  (component FSA pools are shipped per epoch and built structures return as
   ordered region lists); decisions commit on an in-process thread pool
   (index mutations must happen where the authoritative state lives).
 
@@ -30,12 +30,12 @@ API — no backend needs delta awareness:
 
 * *Overlap pools.*  The router's cross-epoch
   :class:`~repro.coordinator.overlaps.OverlapPoolCache` resolves each epoch's
-  halo pools first, and only the cache-missed (dirtied) pools reach
+  overlap components first, and only the cache-missed (dirtied) pools reach
   ``map_candidate_buckets``.  Process replicas therefore stop receiving full
   per-epoch pool shipments: an unchanged pool is reused parent-side and
   never crosses the pipe again.  Pool identity is content-addressed
   (fingerprint of the member ``(object_id, FSA)`` tuples in pool order), so
-  reuse survives kd rebalances and worker respawns untouched.
+  reuse survives any layout change and worker respawns untouched.
 * *Weld passes.*  Delta mode never calls ``map_stitch_buckets`` at all: the
   router's :class:`~repro.coordinator.stitching.IncrementalStitcher`
   maintains weld chains under insert/expire events and answers corridor
@@ -89,14 +89,9 @@ vertex are transitively grouped together.
    the component too.
 2. *Reads.*  Case 1 candidate sets and their co-occurrence boost are computed
    before any decision runs, from the pre-epoch snapshot — identical in the
-   serial and grouped replays.  The shard-local FSA overlap structures are
-   built at the same barrier and are read-only; each group's decisions
-   consult their own shard's structure, which answers exactly like a global
-   build at the default adaptive halo (see the halo argument in
-   :mod:`repro.coordinator.sharding`), so grouped and serial replays read the
-   same regions.  The lemma above is halo-independent: a region's members are
-   reporters of this epoch whose FSAs all contain the region, wherever the
-   structure holding it was built.  ``end_vertices_in(fsa)`` touches only
+   serial and grouped replays.  The epoch's one FSA overlap structure is
+   built at the same barrier and is read-only, so grouped and serial replays
+   read the same regions.  ``end_vertices_in(fsa)`` touches only
    shards overlapping the FSA, and the ``paths_from_into`` reuse probe
    touches the shard of the probed endpoint (an FSA point or a lemma-covered
    centroid).  The one read that can leave the component... cannot: the
@@ -153,7 +148,7 @@ BACKEND_NAMES: Tuple[str, ...] = ("serial", "threads", "processes")
 #: ``(position, state)`` pairs grouped by owning shard id.
 Buckets = Dict[int, List[Tuple[int, ObjectState]]]
 
-#: Distinct halo FSA pools of one epoch's overlap plan, in pool-index order.
+#: The component pools of one epoch's overlap plan that need building.
 OverlapPools = Sequence[Mapping[int, Rectangle]]
 
 #: Per-shard stitch tasks: hot fragments with ownership flags (see
@@ -248,11 +243,11 @@ class ExecutionBackend(ABC):
     """How the sharded epoch pipeline maps its stages onto workers.
 
     ``map_candidate_buckets`` runs the read-only stage-2 worker pass: the
-    per-shard Case 1 candidate scans *and* the shard-local FSA overlap
-    structure builds (one per distinct halo pool of the epoch's overlap
-    plan — under ``delta`` epoch mode the pipeline pre-filters this argument
-    to the cache-missed pools only, so backends always build exactly what
-    they are handed); ``map_decision_groups`` replays the decision stage
+    per-shard Case 1 candidate scans *and* the FSA overlap structure builds
+    (one per component pool of the epoch's overlap plan — under ``delta``
+    epoch mode the pipeline pre-filters this argument to the cache-missed
+    pools only, so backends always build exactly what they are handed);
+    ``map_decision_groups`` replays the decision stage
     over conflict groups.  Backends with ``parallel_decisions = False`` never receive the
     latter call — the pipeline replays global submission order inline.
     ``needs_journal`` tells the router whether to record its mutation journal
@@ -450,7 +445,7 @@ def _process_worker_main(connection, shard_configs, snapshot_ops, kernel="object
     bootstrapped from a snapshot of the live records and kept fresh by
     replaying the worker's slice of the router's mutation journal, and
     answers batched ``paths_starting_at`` queries.  It also builds its slice
-    of the epoch's shard-local overlap structures from the halo FSA pools the
+    of the epoch's overlap components from the FSA pools the
     parent ships (flat float tuples in pool order) and returns them as
     serialized region lists — region order is part of the answer, because
     first-encountered tie-breaks in the overlap queries depend on it.
@@ -862,7 +857,7 @@ class ProcessBackend(ExecutionBackend):
                         state.fsa_high.y,
                     )
                 )
-        # Overlap builds ride the same round trip: each distinct halo pool is
+        # Overlap builds ride the same round trip: each component pool is
         # statically assigned to a worker (pool_index % workers) and shipped
         # as flat float tuples; the worker returns the built structure as a
         # serialized region list.

@@ -2,10 +2,9 @@
 
 The paper's coordinator has three parameters — the window ``W``, the grid and
 the epoch ``Lambda``.  Everything this module declares sits on top of them
-and may never change an answer (the one quantified exception is a fixed
-``overlap_halo``): how many shards hold the state, how they are laid out,
-which backend, kernel and epoch pipeline run them, and whether the shard
-count is elastic.
+and may never change an answer: how many shards hold the state, how they are
+laid out, which backend, kernel and epoch pipeline run them, and whether the
+shard count is elastic.
 
 :class:`FleetConfig` is the only place a knob's name, type, default, choices,
 help text and validation appear.  Every other layer carries one value of it
@@ -91,21 +90,11 @@ class FleetConfig:
         "splits the hottest shard when its load exceeds it times the fleet mean.",
         metavar="R",
     )
-    overlap_halo: Optional[int] = _knob(
-        None,
-        "halo of the shard-local FSA overlap structures, in rings of "
-        "neighbouring shards (0 = the shard's own FSAs only). Omit for the "
-        "adaptive exact halo, which stays bit-for-bit identical to the "
-        "central coordinator (below a saturated overlap-region cap); a "
-        "fixed halo bounds planning cost but may deviate when FSAs reach "
-        "past the ring. Ignored when --shards is 1.",
-        metavar="H",
-    )
     epoch_mode: str = _knob(
         "delta",
         "epoch pipeline: 'delta' (default) makes epoch cost proportional to "
-        "what changed — unchanged halo overlap pools are reused across epochs, "
-        "corridor chains are maintained incrementally, and only dirtied pools "
+        "what changed — unchanged overlap components are reused across epochs, "
+        "corridor chains are maintained incrementally, and only dirtied components "
         "are shipped to process workers; 'full' rebuilds everything per epoch "
         "(the pre-incremental pipeline). Both modes are bit-for-bit identical "
         "on every result.",
@@ -165,10 +154,6 @@ class FleetConfig:
             raise ConfigurationError(
                 "rebalance_threshold must exceed 1.0 (max/mean shard load), "
                 f"got {self.rebalance_threshold}"
-            )
-        if self.overlap_halo is not None and self.overlap_halo < 0:
-            raise ConfigurationError(
-                f"overlap_halo must be None (adaptive) or >= 0, got {self.overlap_halo}"
             )
         if self.migration_budget < 0:
             raise ConfigurationError(

@@ -15,10 +15,26 @@ contributing objects.  Because axis-aligned rectangles have Helly number two,
 the incremental construction is *order-independent* below the region cap: the
 stored regions are exactly the singletons plus every member subset whose
 common intersection has positive area, and the rectangle of a subset is the
-exact intersection of its members' FSAs regardless of insertion order.  That
-set-function property is what lets a sharded coordinator build one structure
-per shard from a halo-filtered FSA pool and still answer every query exactly
-as the global structure would (see :mod:`repro.coordinator.sharding`).
+exact intersection of its members' FSAs regardless of insertion order.
+
+**One structure per epoch, built per component.**  A stored subset has a
+positive-area common intersection, so its members overlap pairwise: the region
+set is the disjoint union, over the connected components of the pairwise
+positive-area intersection graph, of each component's own region set.
+:func:`plan_shard_overlaps` splits the epoch's FSA map into those components
+(disjoint *pools*, each in submission order), :class:`OverlapPoolCache` serves
+the pools that repeat from earlier epochs, the rest are built independently
+(:func:`build_structures` — on worker processes under that backend), and
+:meth:`OverlapPlan.merge` interleaves the per-component region lists into the
+one structure the sequential build would have produced, *order included*:
+``add`` appends the block of regions whose latest-submitted member is the FSA
+being added, and inside a block it walks the earlier regions in their own
+order, so the sequential insertion order is the lexicographic order of each
+region's member submission positions sorted descending.  The first element of
+that key names one FSA, hence one component, whose own build already has the
+block in sequential order — placing every component's blocks at their FSAs'
+submission positions is the whole merge.  The seed coordinator and every
+shard of a fleet read that one structure; nothing here knows the shard layout.
 
 Queries used by SinglePath:
 
@@ -33,11 +49,23 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
-from repro.coordinator.columnar import RegionTable, resolve_kernel
+from repro.coordinator.columnar import RegionTable, overlapping_pairs, resolve_kernel
 
 __all__ = [
     "OverlapRegion",
@@ -45,6 +73,8 @@ __all__ = [
     "SerializedRegion",
     "OverlapPoolCache",
     "build_structures",
+    "OverlapPlan",
+    "plan_shard_overlaps",
 ]
 
 #: Wire format of one region: ``(sorted member ids, low x, low y, high x, high y)``.
@@ -105,9 +135,8 @@ class FsaOverlapStructure:
         """Build the structure from ``object_id -> FSA`` of all reporting objects.
 
         ``base`` resumes from a snapshot of an already-built structure instead
-        of starting empty — the shared-prefix path of :func:`build_structures`
-        (neighbouring shards see almost the same halo pool, so the common
-        prefix of their pools is built once).
+        of starting empty — the prefix path of :class:`OverlapPoolCache` (a
+        pool that extends a cached pool by late arrivals builds only the tail).
         """
         structure = base.snapshot() if base is not None else cls(max_regions, kernel=kernel)
         for object_id, fsa in fsas.items():
@@ -145,9 +174,9 @@ class FsaOverlapStructure:
           flood of late arrivals would otherwise overflow the table, and
           ``len(self) <= max_regions`` holds unconditionally.
 
-        When the cap binds, a halo-filtered shard-local build may keep a
-        different subset of regions than the global build (both are
-        deterministic); below the cap the stored set is order-independent.
+        Below the cap the stored set is order-independent; when it binds the
+        kept subset depends on insertion order, which is why a saturated epoch
+        is built whole rather than per component (:meth:`OverlapPlan.merge`).
         """
         self._table = None  # derived query table no longer matches the dict
         singleton = frozenset([object_id])
@@ -308,55 +337,72 @@ class FsaOverlapStructure:
         ]
 
 
-#: Content address of one halo pool: its ``(object_id, FSA coordinates)``
+
+
+#: Content address of one component pool: its ``(object_id, FSA coordinates)``
 #: entries *in pool order*.  Region insertion order feeds the structure's
 #: area tie-breaks, so only an order-identical pool may share a structure.
 PoolFingerprint = Tuple[Tuple[int, float, float, float, float], ...]
 
+#: Default bound of :class:`OverlapPoolCache`, in cached *regions* (about
+#: 1.5 kB each) left over from earlier epochs: one dense component holds as
+#: many regions as a whole epoch of small ones, so a bound on entries would
+#: let a run of never-repeating dense epochs pin several times the memory a
+#: steady run needs.  An epoch of ~120 reporters holds ~250 regions, so this
+#: is a few epochs of history — hits only ever come from the last one or two.
+_CACHED_REGIONS = 1024
+
 
 def pool_fingerprint(pool: Mapping[int, Rectangle]) -> PoolFingerprint:
-    """The content address of a halo pool (see :class:`OverlapPoolCache`)."""
+    """The content address of a component pool (see :class:`OverlapPoolCache`)."""
     return tuple(
         (object_id, fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y)
         for object_id, fsa in pool.items()
     )
 
 
-class OverlapPoolCache:
-    """Cross-epoch, content-addressed cache of built halo-pool structures.
+def zero_pool_stats() -> Dict[str, int]:
+    """The all-zero pool-cache outcome (full mode, empty epochs)."""
+    return {"pools_total": 0, "pools_reused": 0, "pools_prefix_reused": 0, "pools_rebuilt": 0}
 
-    :func:`build_structures` already shares work *within* one epoch's pools;
-    under low churn the far bigger redundancy is *across* epochs — most
-    shards' halo pools repeat verbatim from one epoch to the next, and the
-    rest usually extend a previous pool by a few late arrivals.  The delta
-    pipeline (``epoch_mode="delta"``) resolves every pool here first and
-    ships only the misses to the execution backend's workers.
+
+class OverlapPoolCache:
+    """Cross-epoch, content-addressed cache of built component structures.
+
+    Under low churn most of an epoch's components repeat verbatim from one
+    epoch to the next, and the rest usually extend a previous component by a
+    few late arrivals.  The delta pipeline (``epoch_mode="delta"``) resolves
+    every pool here first and ships only the misses to the execution
+    backend's workers.  A component is dirtied by any fresh FSA overlapping
+    any member, and by nothing else: neither the shard layout nor FSAs
+    elsewhere in the epoch are part of its address.
 
     Three outcomes per pool, every one bit-identical to a from-scratch build:
 
     * **reused** — the fingerprint matches a cached pool exactly; the cached
-      structure is returned as-is (structures are read-only to the decision
-      stage, exactly like the verbatim-repeat sharing inside
-      :func:`build_structures`).
+      structure is returned as-is (structures are read-only to the merge).
     * **prefix_reused** — a cached pool is an order-preserving *prefix* of
       this one; the tail is built parent-side resuming from the cached
-      structure's snapshot (:meth:`FsaOverlapStructure.build` with ``base``),
-      the same shared-prefix construction the intra-epoch builder uses.
+      structure's snapshot (:meth:`FsaOverlapStructure.build` with ``base``).
     * **rebuilt** — no usable entry; the pool is built from scratch (on the
       backend) and stored for future epochs.
 
-    Keying on content rather than shard ids means kd rebalances need no
-    invalidation: a migrated shard whose halo pool happens to match any pool
-    ever built still hits.  The cache is LRU-bounded (``capacity`` pools) so
-    long replays with high churn cannot grow it without bound.
+    The cache is LRU-bounded by the regions it holds (``capacity``), so long
+    replays with high churn cannot grow it without bound.  The pools of the
+    current epoch are exempt: their regions are alive in the epoch's own
+    structure anyway, and a component larger than the bound — the most
+    expensive kind to rebuild — must still be able to repeat.
     """
 
-    def __init__(self, capacity: int = 64, kernel: str = "object") -> None:
+    def __init__(self, capacity: int = _CACHED_REGIONS, kernel: str = "object") -> None:
         if capacity <= 0:
             raise ConfigurationError(f"pool cache capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._kernel = resolve_kernel(kernel)
         self._table: "OrderedDict[PoolFingerprint, FsaOverlapStructure]" = OrderedDict()
+        self._regions_held = 0
+        # Fingerprints served or stored since the latest ``resolve`` began.
+        self._current: Set[PoolFingerprint] = set()
         # Lifetime totals, surfaced by ``shard_statistics()``.
         self.reused = 0
         self.prefix_reused = 0
@@ -367,28 +413,27 @@ class OverlapPoolCache:
 
     def resolve(
         self, pools: Sequence[Mapping[int, Rectangle]], max_regions: int = 10000
-    ) -> Tuple[List[Optional[FsaOverlapStructure]], List[int], Dict[str, int]]:
+    ) -> Tuple[List[Optional[FsaOverlapStructure]], Dict[int, PoolFingerprint], Dict[str, int]]:
         """Serve what the cache can; report the rest as misses.
 
-        Returns ``(structures, miss_indexes, stats)`` where ``structures``
-        holds a ready structure per pool except at the ``miss_indexes``
-        (``None`` there — the caller builds those, on workers, and hands them
-        back via :meth:`store`).  ``stats`` is the per-call outcome tally
-        feeding :class:`repro.coordinator.delta.EpochDelta`.
+        Returns ``(structures, misses, stats)`` where ``structures`` holds a
+        ready structure per pool except at the missed indexes (``None`` there
+        — the caller builds those, on workers, and hands them back via
+        :meth:`store` together with ``misses``, which keeps each missed
+        pool's fingerprint so it is computed once).  ``stats`` is the per-call
+        outcome tally feeding :class:`repro.coordinator.delta.EpochDelta`.
         """
+        self._current = set()
         structures: List[Optional[FsaOverlapStructure]] = [None] * len(pools)
-        miss_indexes: List[int] = []
-        stats = {
-            "pools_total": len(pools),
-            "pools_reused": 0,
-            "pools_prefix_reused": 0,
-            "pools_rebuilt": 0,
-        }
+        misses: Dict[int, PoolFingerprint] = {}
+        stats = zero_pool_stats()
+        stats["pools_total"] = len(pools)
         for index, pool in enumerate(pools):
             fingerprint = pool_fingerprint(pool)
             cached = self._table.get(fingerprint)
             if cached is not None:
                 self._table.move_to_end(fingerprint)
+                self._current.add(fingerprint)
                 structures[index] = cached
                 stats["pools_reused"] += 1
                 self.reused += 1
@@ -400,10 +445,10 @@ class OverlapPoolCache:
                 stats["pools_prefix_reused"] += 1
                 self.prefix_reused += 1
                 continue
-            miss_indexes.append(index)
+            misses[index] = fingerprint
             stats["pools_rebuilt"] += 1
             self.rebuilt += 1
-        return structures, miss_indexes, stats
+        return structures, misses, stats
 
     def _resume_from_prefix(
         self,
@@ -429,18 +474,25 @@ class OverlapPoolCache:
 
     def store(
         self,
-        pools: Sequence[Mapping[int, Rectangle]],
-        structures: Sequence[FsaOverlapStructure],
+        misses: Mapping[int, PoolFingerprint],
+        built: Sequence[FsaOverlapStructure],
     ) -> None:
-        """Remember this epoch's built structures for future epochs."""
-        for pool, structure in zip(pools, structures):
-            self._insert(pool_fingerprint(pool), structure)
+        """Remember the structures built for :meth:`resolve`'s ``misses``."""
+        for fingerprint, structure in zip(misses.values(), built):
+            self._insert(fingerprint, structure)
 
     def _insert(self, fingerprint: PoolFingerprint, structure: FsaOverlapStructure) -> None:
+        replaced = self._table.pop(fingerprint, None)
         self._table[fingerprint] = structure
-        self._table.move_to_end(fingerprint)
-        while len(self._table) > self._capacity:
-            self._table.popitem(last=False)
+        self._current.add(fingerprint)
+        self._regions_held += len(structure) - (len(replaced) if replaced is not None else 0)
+        # Hits and inserts both move to the end, so the first current-epoch
+        # entry met from the old end means only current ones are left.
+        while self._regions_held > self._capacity:
+            oldest = next(iter(self._table))
+            if oldest in self._current:
+                break
+            self._regions_held -= len(self._table.pop(oldest))
 
 
 def build_structures(
@@ -448,44 +500,125 @@ def build_structures(
     max_regions: int = 10000,
     kernel: str = "object",
 ) -> List[FsaOverlapStructure]:
-    """Build one structure per FSA pool, sharing work across related pools.
+    """Build one structure per component pool (the backends' unit of work)."""
+    return [FsaOverlapStructure.build(pool, max_regions, kernel=kernel) for pool in pools]
 
-    The shared-prefix builder behind the shard-local overlap stage: pools are
-    processed in sorted key order so that a pool repeating another verbatim
-    reuses the same (read-only) structure object, and a pool extending another
-    pool's *prefix* resumes from its snapshot instead of rebuilding from
-    scratch.  Both shortcuts are bit-identical to an independent build —
-    :meth:`FsaOverlapStructure.add` is a pure function of the current region
-    table, so sharing reproduces the sequential build exactly, hard cap
-    included.
 
-    Pools must be id→FSA *consistent* (each object id maps to the identical
-    FSA wherever it appears — true by construction for one epoch's overlap
-    plan): pool dedup and prefix resume key on id tuples alone.
+def _overlapping_pairs(rectangles: Sequence[Rectangle]) -> Iterator[Tuple[int, int]]:
+    """Index pairs ``i < j`` whose rectangles share positive area (scalar reference).
+
+    The same predicate :meth:`FsaOverlapStructure.add` stores a derived region
+    under, so two FSAs are linked exactly when the build would pair them.
     """
-    keys = [tuple(pool) for pool in pools]
-    structures: List[Optional[FsaOverlapStructure]] = [None] * len(pools)
-    # Stack of built (key, structure) pairs forming a prefix chain: popping
-    # until the top is a prefix of the current key leaves the *longest*
-    # already-built prefix, so sibling pools diverging in their tails (e.g.
-    # (1,2,3) then (1,2,4)) still resume from the shared (1,2) snapshot
-    # instead of rebuilding from scratch.
-    stack: List[Tuple[Tuple[int, ...], FsaOverlapStructure]] = []
-    for index in sorted(range(len(pools)), key=lambda i: keys[i]):
-        key, pool = keys[index], pools[index]
-        while stack and key[: len(stack[-1][0])] != stack[-1][0]:
-            stack.pop()
-        if stack and key == stack[-1][0]:
-            structures[index] = stack[-1][1]
-            continue
-        if stack:
-            base_key, base = stack[-1]
-            tail = {object_id: pool[object_id] for object_id in key[len(base_key):]}
-            structure = FsaOverlapStructure.build(
-                tail, max_regions, base=base, kernel=kernel
-            )
-        else:
-            structure = FsaOverlapStructure.build(pool, max_regions, kernel=kernel)
-        structures[index] = structure
-        stack.append((key, structure))
-    return structures
+    for i, rectangle in enumerate(rectangles):
+        for j in range(i + 1, len(rectangles)):
+            intersection = rectangle.intersection(rectangles[j])
+            if intersection is not None and not intersection.is_degenerate():
+                yield i, j
+
+
+@dataclass
+class OverlapPlan:
+    """One epoch's overlap stage between :func:`plan_shard_overlaps` and :meth:`merge`."""
+
+    #: The epoch's ``object_id -> FSA`` map, in submission order.
+    fsas: Mapping[int, Rectangle]
+    #: Its connected components: disjoint pools, each in submission order,
+    #: ordered by their first member.
+    pools: List[Dict[int, Rectangle]]
+    #: Per pool, the structure the cache served (``None`` where it missed).
+    structures: List[Optional[FsaOverlapStructure]]
+    #: ``pool index -> fingerprint`` of the pools still to build (the
+    #: fingerprint is ``None`` without a cache).
+    misses: Dict[int, Optional[PoolFingerprint]]
+    #: Pool-cache outcome tally (zeros without a cache).
+    stats: Dict[str, int]
+    kernel: str
+    cache: Optional[OverlapPoolCache]
+    max_regions: int
+
+    @property
+    def missed_pools(self) -> List[Dict[int, Rectangle]]:
+        """The pools to hand to :func:`build_structures` (or a backend)."""
+        return [self.pools[index] for index in self.misses]
+
+    def merge(self, built: Sequence[FsaOverlapStructure]) -> FsaOverlapStructure:
+        """The epoch's one structure, given the structures of :attr:`missed_pools`.
+
+        Equal to ``FsaOverlapStructure.build(fsas)``, region order included
+        (module docstring).  When the components' regions sum to the cap, the
+        sequential build would have hit it and kept an order-dependent subset
+        the components cannot reproduce (a capped component reads exactly
+        ``max_regions``, so the sum sees it) — the whole map is then built
+        sequentially, which *is* that structure.
+        """
+        if self.cache is not None:
+            self.cache.store(self.misses, built)
+        structures = self.structures
+        for index, structure in zip(self.misses, built):
+            structures[index] = structure
+        if len(structures) == 1:
+            return structures[0]
+        if sum(len(structure) for structure in structures) >= self.max_regions:
+            return FsaOverlapStructure.build(self.fsas, self.max_regions, kernel=self.kernel)
+        # Every block opens with its FSA's singleton (always stored below the
+        # cap), so a walk over each component drops its blocks into their
+        # submission slots.
+        position = {object_id: index for index, object_id in enumerate(self.fsas)}
+        blocks: List[list] = [[] for _ in position]
+        for structure in structures:
+            for item in structure._regions.items():
+                if len(item[0]) == 1:
+                    (object_id,) = item[0]
+                    block = blocks[position[object_id]]
+                block.append(item)
+        merged = FsaOverlapStructure(self.max_regions, kernel=self.kernel)
+        merged._regions = dict(chain.from_iterable(blocks))
+        return merged
+
+
+def plan_shard_overlaps(
+    kernel: str,
+    cache: Optional[OverlapPoolCache],
+    fsas: Mapping[int, Rectangle],
+    max_regions: int = 10000,
+) -> OverlapPlan:
+    """Split an epoch's FSAs into overlap components and resolve them.
+
+    ``fsas`` is the epoch's ``object_id -> final FSA`` map in submission order
+    (a duplicate reporter keeps its first position but the later FSA — the
+    same replacement the sequential build applies).  Two FSAs are linked when
+    their intersection has positive area; each connected component becomes
+    one pool.  The pairwise test is one broadcast under the columnar kernel
+    and a scalar loop under ``object``, the pinned reference.  The plan is
+    the same whatever the shard layout: every shard of a fleet, and the
+    1-shard strategy, read the one structure :meth:`OverlapPlan.merge`
+    returns.  (The name and ``fsas`` as third positional argument are what
+    ``bench/trace.py`` wraps and reads.)
+    """
+    rectangles = list(fsas.values())
+    columnar = resolve_kernel(kernel) == "columnar"
+    pairs = overlapping_pairs(rectangles) if columnar else _overlapping_pairs(rectangles)
+    # Union-find whose roots are the smallest index of their component, so a
+    # pass in submission order meets the pools ordered by first member.
+    root = list(range(len(rectangles)))
+
+    def find(index: int) -> int:
+        while root[index] != index:
+            root[index] = index = root[root[index]]
+        return index
+
+    for i, j in pairs:
+        low, high = sorted((find(i), find(j)))
+        root[high] = low
+    pools: Dict[int, Dict[int, Rectangle]] = {}
+    for index, (object_id, fsa) in enumerate(fsas.items()):
+        pools.setdefault(find(index), {})[object_id] = fsa
+    plan_pools = list(pools.values())
+    if cache is None:
+        structures, misses, stats = (
+            [None] * len(plan_pools), dict.fromkeys(range(len(plan_pools))), zero_pool_stats()
+        )
+    else:
+        structures, misses, stats = cache.resolve(plan_pools, max_regions)
+    return OverlapPlan(fsas, plan_pools, structures, misses, stats, kernel, cache, max_regions)

@@ -1,8 +1,7 @@
 """Spatial partition layer behind the shard router.
 
-PR 1 hard-wired the shard fleet to a uniform R x C grid: routing, halo
-planning, conflict grouping and worker bootstrap all did grid arithmetic
-directly.  This module extracts the partition into one small abstraction so
+PR 1 hard-wired the shard fleet to a uniform R x C grid: routing, conflict
+grouping and worker bootstrap all did grid arithmetic directly.  This module extracts the partition into one small abstraction so
 the fleet can run non-uniform, load-adaptive layouts behind the unchanged
 :class:`~repro.coordinator.sharding.ShardRouter` interface:
 
@@ -24,9 +23,6 @@ case.  The contract the router relies on:
   miss an endpoint entry), in ascending shard-id order;
 * :meth:`Partition.single_shard_of` is the fast path of the shard-local
   view: the one shard fully containing a rectangle, or ``None``;
-* :meth:`Partition.ring_of` generalises the fixed overlap halo: the shards
-  within ``h`` adjacency steps (Chebyshev rings on the uniform grid, BFS
-  over cell adjacency on a kd partition);
 * :meth:`Partition.describe` is a canonical value-equality key — two
   partitions with equal descriptions route every point identically, which
   the rebalance protocol uses to skip no-op migrations.
@@ -34,9 +30,8 @@ case.  The contract the router relies on:
 **Exactness.**  Nothing the differential harness pins depends on the
 partition's *shape*: path ids come from a global counter, decisions replay
 submission order, endpoint-owner routing holds every vertex's entries with
-exactly one shard, and the adaptive overlap halo is exact for any plane
-cover (two intersecting FSAs share the shard owning any point of their
-intersection).  Swapping the uniform grid for a kd partition — or migrating
+exactly one shard, and the epoch's overlap structure never consults the
+layout (:func:`~repro.coordinator.overlaps.plan_shard_overlaps`).  Swapping the uniform grid for a kd partition — or migrating
 between two kd partitions mid-stream — therefore preserves bit-for-bit
 equivalence with the seed coordinator; ``tests/test_sharding_equivalence.py``
 asserts it.
@@ -46,7 +41,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
@@ -114,10 +109,6 @@ class Partition(ABC):
     @abstractmethod
     def single_shard_of(self, region: Rectangle) -> Optional[int]:
         """The one shard whose cell contains all of ``region``, else ``None``."""
-
-    @abstractmethod
-    def ring_of(self, shard_id: int, halo: int) -> Set[int]:
-        """Shards within ``halo`` adjacency steps of ``shard_id`` (inclusive)."""
 
     @abstractmethod
     def describe(self) -> tuple:
@@ -231,15 +222,6 @@ class UniformGridPartition(Partition):
         row, col = divmod(shard_id, self.cols)
         return self.sub_bounds(col, row)
 
-    def ring_of(self, shard_id: int, halo: int) -> Set[int]:
-        """All shards within Chebyshev distance ``halo`` in shard coordinates."""
-        row, col = divmod(shard_id, self.cols)
-        return {
-            ring_row * self.cols + ring_col
-            for ring_row in range(max(0, row - halo), min(self.rows, row + halo + 1))
-            for ring_col in range(max(0, col - halo), min(self.cols, col + halo + 1))
-        }
-
     def describe(self) -> tuple:
         return (
             "uniform",
@@ -325,7 +307,6 @@ class KdSplitPartition(Partition):
         self.bounds = bounds
         self._root = root
         self._leaf_bounds: List[Rectangle] = list(leaf_bounds)
-        self._adjacency: Optional[List[Set[int]]] = None
 
     # -- construction -----------------------------------------------------------
 
@@ -489,46 +470,6 @@ class KdSplitPartition(Partition):
             else:
                 return None
         return node
-
-    def ring_of(self, shard_id: int, halo: int) -> Set[int]:
-        """BFS over cell adjacency — the kd analogue of a Chebyshev ring.
-
-        Two cells are adjacent when their (closed) rectangles touch, corners
-        included, mirroring the uniform grid where a ring of 1 covers the
-        eight surrounding cells.
-        """
-        if self._adjacency is None:
-            cells = self._leaf_bounds
-            self._adjacency = [
-                {
-                    other
-                    for other in range(len(cells))
-                    if other != cell_id and self._touch(cells[cell_id], cells[other])
-                }
-                for cell_id in range(len(cells))
-            ]
-        frontier = {shard_id}
-        ring = {shard_id}
-        for _step in range(halo):
-            frontier = {
-                neighbour
-                for cell_id in frontier
-                for neighbour in self._adjacency[cell_id]
-                if neighbour not in ring
-            }
-            if not frontier:
-                break
-            ring.update(frontier)
-        return ring
-
-    @staticmethod
-    def _touch(a: Rectangle, b: Rectangle) -> bool:
-        return (
-            a.low.x <= b.high.x
-            and b.low.x <= a.high.x
-            and a.low.y <= b.high.y
-            and b.low.y <= a.high.y
-        )
 
     def describe(self) -> tuple:
         def serialize(node: _KdNode) -> tuple:

@@ -75,24 +75,17 @@ reproducing exactly the ids the serial replay allocates.  The full
 correctness argument lives in the :mod:`repro.coordinator.execution`
 docstring.
 
-**Sharded overlap structure.**  The epoch's FSA overlap structure (``R_all``
-of Algorithm 2) is partitioned by shard as well: stage 1 routes every
-reporting object's FSA to the shards its rectangle overlaps, and each shard
-with a bucket builds a *local* :class:`FsaOverlapStructure` from the FSAs of
-its **halo** — by default the adaptive exact halo, every shard any of the
-bucket's FSAs overlaps (see :func:`plan_shard_overlaps`).  The local build is
-exact, not approximate: every region relevant to a query the shard's strategy
-can issue (``smallest_region_containing`` on an end vertex inside a state's
-FSA, ``hottest_region_intersecting`` / ``candidate_vertex_for`` on the FSA
-itself) has all of its member FSAs intersecting that FSA, hence routed into
-the halo pool — so the local structure stores exactly the relevant regions of
-the global one, in the same relative order (the construction is a set
-function of the pool below the region cap, and pool order is the submission
-order filtered).  The ``overlap_halo`` knob trades this adaptive halo for
-a fixed ring of neighbouring shards: cheaper to plan, but FSAs reaching past
-the ring are truncated from the pool and decisions may deviate from the seed
-coordinator — the differential harness quantifies the deviation
-(``tests/test_sharding_equivalence.py::TestOverlapHalo``).
+**One overlap structure.**  The epoch's FSA overlap structure (``R_all`` of
+Algorithm 2) is not sharded: stage 1 collects the epoch's ``object_id -> FSA``
+map, :func:`~repro.coordinator.overlaps.plan_shard_overlaps` splits it into
+the connected components of the positive-area intersection graph, the
+cross-epoch cache serves the components that repeat, the backend builds the
+rest beside the candidate passes, and the merge yields the one structure the
+seed coordinator's sequential build produces, region order included (the
+argument is in :mod:`repro.coordinator.overlaps`).  Every shard's decisions
+and the epoch pass read that structure; the stage never consults the layout.
+A saturated region cap makes the stage build the whole map sequentially —
+the seed's structure by definition.
 
 **Cross-shard corridor stitching.**  Hot motion paths chain by construction
 (the coordinator's response endpoint becomes the reporting object's next SSA
@@ -112,19 +105,12 @@ one; ``tests/test_stitching_equivalence.py``).
 single-shard coordinator, not an approximation: path ids come from one global
 counter, decisions execute in submission order against the same live state
 (or in conflict groups proven equivalent to it), every SinglePath tie-break
-is a total order (independent of candidate enumeration order), shard-local
-overlap structures answer exactly like the global build (previous paragraph),
-and the top-k merge ranks the union of per-shard hot paths with the same
-total key.  ``tests/test_sharding_equivalence.py`` holds the differential
-harness asserting bit-for-bit equality on full simulation workloads, for
-every execution backend.  Two deliberate, documented exceptions: a fixed
-``overlap_halo`` relaxes exactness for bounded halo-planning cost (the
-harness quantifies the deviation rather than assuming it away), and a
-*saturated* overlap-region cap makes shard-local and global builds keep
-different — still deterministic — region subsets, because the capped
-construction is no longer a set function of its pool
-(:meth:`FsaOverlapStructure.add`; the default cap of 10000 sits far above
-any harness or benchmark epoch).
+is a total order (independent of candidate enumeration order), every shard
+reads the overlap structure the seed builds (previous paragraph), and the
+top-k merge ranks the union of per-shard hot paths with the same total key.
+``tests/test_sharding_equivalence.py`` holds the differential harness
+asserting bit-for-bit equality on full simulation workloads, for every
+execution backend.
 """
 
 from __future__ import annotations
@@ -148,7 +134,7 @@ from repro.coordinator.execution import (
 from repro.coordinator.columnar import concat_end_tables, resolve_kernel
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessDeltaLog, HotnessTracker
-from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
+from repro.coordinator.overlaps import OverlapPoolCache, plan_shard_overlaps, zero_pool_stats
 from repro.coordinator.partition import (
     PARTITION_KINDS,
     KdSplitPartition,
@@ -184,7 +170,6 @@ __all__ = [
     "Partition",
     "UniformGridPartition",
     "KdSplitPartition",
-    "OverlapPlan",
     "plan_shard_overlaps",
     "ShardGrid",
     "Shard",
@@ -198,80 +183,6 @@ __all__ = [
 #: layout); the partition layer itself lives in
 #: :mod:`repro.coordinator.partition`.
 ShardGrid = UniformGridPartition
-
-
-@dataclass
-class OverlapPlan:
-    """Per-shard FSA pools for the epoch's shard-local overlap structures.
-
-    ``pools`` holds the *distinct* pools only — neighbouring shards frequently
-    resolve to the identical halo pool, and the built structures are read-only
-    in the decision stage, so shards sharing a pool share one structure.
-    Every pool preserves the global submission order of its members, which
-    makes the shard-local build's region iteration order the global build's
-    order restricted to the pool (first-encountered tie-breaks depend on it).
-    """
-
-    #: ``shard_id -> index into pools`` for every shard with a bucket.
-    pool_of_shard: Dict[int, int]
-    #: Distinct ``object_id -> FSA`` pools, each in submission order.
-    pools: List[Dict[int, Rectangle]]
-
-
-def plan_shard_overlaps(
-    grid: Partition,
-    buckets: Dict[int, List[Tuple[int, "ObjectState"]]],
-    fsas: Dict[int, Rectangle],
-    halo: Optional[int] = None,
-) -> OverlapPlan:
-    """Assign every bucketed shard the FSA pool of its overlap halo.
-
-    ``grid`` is any :class:`~repro.coordinator.partition.Partition` — the
-    plan derives halo shards from the partition's own routing and adjacency,
-    never from grid arithmetic, so non-uniform (kd) layouts plan identically.
-    ``fsas`` is the epoch's ``object_id -> final FSA`` map in submission order
-    (a duplicate reporter keeps its first position but the later FSA — the
-    same replacement the global build applies).  Each FSA is routed to every
-    shard its rectangle overlaps; a shard's pool is the union of the FSAs
-    routed to its *halo shards*:
-
-    * ``halo=None`` (the default) uses the **adaptive exact halo**: the shard
-      itself plus every shard overlapped by any FSA in its bucket.  Any FSA
-      intersecting a bucket state's FSA shares a shard with it (the shard
-      owning any point of the intersection — partitions cover the plane),
-      hence lands in the pool — the construction the equivalence argument in
-      the module docstring relies on.
-    * ``halo=h >= 0`` uses a **fixed ring**: all shards within ``h``
-      adjacency steps (:meth:`Partition.ring_of` — Chebyshev rings on the
-      uniform grid, cell-adjacency BFS on a kd partition).  FSAs interacting
-      only beyond the ring are truncated away, so queries may deviate from
-      the global build; a ring covering the whole fleet is again exact.
-    """
-    spans = {
-        object_id: frozenset(grid.shard_ids_overlapping(fsa))
-        for object_id, fsa in fsas.items()
-    }
-    pool_of_shard: Dict[int, int] = {}
-    pools: List[Dict[int, Rectangle]] = []
-    index_of_members: Dict[Tuple[int, ...], int] = {}
-    for shard_id, bucket in buckets.items():
-        if halo is None:
-            halo_shards = {shard_id}
-            for _position, state in bucket:
-                halo_shards.update(grid.shard_ids_overlapping(state.fsa))
-        else:
-            halo_shards = grid.ring_of(shard_id, halo)
-        members = tuple(
-            object_id for object_id, span in spans.items()
-            if not halo_shards.isdisjoint(span)
-        )
-        index = index_of_members.get(members)
-        if index is None:
-            index = len(pools)
-            index_of_members[members] = index
-            pools.append({object_id: fsas[object_id] for object_id in members})
-        pool_of_shard[shard_id] = index
-    return OverlapPlan(pool_of_shard, pools)
 
 
 @dataclass
@@ -548,19 +459,20 @@ class ShardedSinglePath:
         # Per-epoch delta diagnostics reset up front so an empty epoch (or a
         # serial commit) never reports the previous epoch's numbers.
         router.last_renumbered = 0
-        router.last_pool_stats = ShardRouter.zero_pool_stats()
+        router.last_pool_stats = zero_pool_stats()
         result = SinglePathEpochResult()
         if not states:
-            router._note_epoch_buckets({}, {})
+            router._note_epoch_buckets({})
             return result
 
         # Stage 1: group the batch by owning shard — one dict operation per
-        # message — collect the FSAs for the epoch's overlap structures and
-        # route each FSA to the shards it overlaps (the overlap plan).
+        # message — and collect the FSAs for the epoch's overlap structure,
+        # split into overlap components and resolved against the cross-epoch
+        # cache (delta mode; full mode has no cache and misses everything).
         # Duplicate reporters: like the candidate dict below, ``fsas`` keeps
-        # only the *later* state's FSA per object — the overlap structures
-        # hold one FSA per object, not per state message, while both state
-        # messages are still decided against them.  This mirrors the
+        # only the *later* state's FSA per object — the overlap structure
+        # holds one FSA per object, not per state message, while both state
+        # messages are still decided against it.  This mirrors the
         # single-shard strategy bit for bit and is pinned by
         # tests/test_overlaps.py::TestDuplicateReports.
         routed: List[Tuple[ObjectState, Shard]] = []
@@ -571,62 +483,39 @@ class ShardedSinglePath:
             routed.append((state, shard))
             buckets.setdefault(shard.shard_id, []).append((position, state))
             fsas[state.object_id] = state.fsa
-        plan = plan_shard_overlaps(router.grid, buckets, fsas, router.config.overlap_halo)
+        plan = plan_shard_overlaps(router.kernel, router.pool_cache, fsas)
+        router.last_pool_stats = plan.stats
         router._note_epoch_buckets(
-            {shard_id: len(bucket) for shard_id, bucket in buckets.items()},
-            {
-                shard_id: len(plan.pools[index])
-                for shard_id, index in plan.pool_of_shard.items()
-            },
+            {shard_id: len(bucket) for shard_id, bucket in buckets.items()}
         )
 
         # Stage 2: per-shard candidate generation, one pass over each bucket,
-        # mapped onto the backend's workers together with the shard-local
-        # overlap-structure builds (both are read-only).  Candidate paths
-        # start at the object's SSA start, which the bucket's shard owns, so
-        # no cross-shard traffic happens here.  The per-object dict is
-        # rebuilt in submission order afterwards: when one object reports
-        # twice in an epoch the single-shard strategy keeps the later state's
-        # candidates, and bucket order must not change which one wins.
-        if router.pool_cache is not None:
-            # Delta mode: resolve every pool against the cross-epoch cache
-            # first and ship only the *misses* to the backend — under low
-            # churn most pools repeat verbatim, so process replicas receive
-            # a handful of dirtied pools instead of the full epoch shipment.
-            # Bit-identical to the full build: exact hits reuse a structure
-            # built from identical ordered content, prefix hits resume the
-            # same shared-prefix construction ``build_structures`` uses.
-            structures, miss_indexes, pool_stats = router.pool_cache.resolve(
-                plan.pools
-            )
-            per_state, built = self.backend.map_candidate_buckets(
-                router, buckets, states, [plan.pools[index] for index in miss_indexes]
-            )
-            for slot, structure in zip(miss_indexes, built):
-                structures[slot] = structure
-            router.pool_cache.store(plan.pools, structures)
-            router.last_pool_stats = pool_stats
-        else:
-            per_state, structures = self.backend.map_candidate_buckets(
-                router, buckets, states, plan.pools
-            )
+        # mapped onto the backend's workers together with the builds of the
+        # components the cache missed (both are read-only) — under low churn
+        # most components repeat verbatim, so process replicas receive a
+        # handful of dirtied pools instead of the full epoch shipment.
+        # Candidate paths start at the object's SSA start, which the bucket's
+        # shard owns, so no cross-shard traffic happens here.  The per-object
+        # dict is rebuilt in submission order afterwards: when one object
+        # reports twice in an epoch the single-shard strategy keeps the later
+        # state's candidates, and bucket order must not change which one wins.
+        per_state, built = self.backend.map_candidate_buckets(
+            router, buckets, states, plan.missed_pools
+        )
+        overlaps = plan.merge(built)
         candidate_paths: Dict[int, List[CandidatePath]] = {}
         for position, state in enumerate(states):
             candidate_paths[state.object_id] = per_state[position]
-        overlaps_of: Dict[int, FsaOverlapStructure] = {
-            shard_id: structures[index] for shard_id, index in plan.pool_of_shard.items()
-        }
         apply_co_occurrence_boost(candidate_paths)
 
         # Stage 3: decisions in global submission order.  Sequential order is
         # what makes the pipeline exact: within an epoch, later objects see
         # the paths and crossings earlier objects produced, exactly as the
         # single-shard strategy interleaves them.  Every decision consults
-        # its own shard's local overlap structure, which answers exactly like
-        # the global build (module docstring) at the default adaptive halo.
-        # Under the columnar kernel the order-independent part of those reads
-        # is computed first, for the whole epoch and across every shard at
-        # once (:func:`~repro.coordinator.single_path.prefetch_vertex_candidates`).
+        # the epoch's one overlap structure.  Under the columnar kernel the
+        # order-independent part of those reads is computed first, for the
+        # whole epoch and across every shard at once
+        # (:func:`~repro.coordinator.single_path.prefetch_vertex_candidates`).
         parallel = self.backend.parallel_decisions
         # Parallel decision stage: non-conflicting groups commit concurrently
         # (submission order replayed within each group), with provisional path
@@ -639,10 +528,11 @@ class ShardedSinglePath:
             prefetched = prefetch_vertex_candidates(
                 router.index.end_table(),
                 [
-                    (position, state, overlaps_of[shard.shard_id])
-                    for position, (state, shard) in enumerate(routed)
+                    (position, state)
+                    for position, (state, _shard) in enumerate(routed)
                     if not candidate_paths[state.object_id]
                 ],
+                overlaps,
                 groups,
             )
 
@@ -651,7 +541,7 @@ class ShardedSinglePath:
             return shard.strategy.decide(
                 state,
                 candidate_paths[state.object_id],
-                overlaps_of[shard.shard_id],
+                overlaps,
                 prefetched.get(position),
             )
 
@@ -729,7 +619,6 @@ class ShardRouter:
         # *ratios* are deterministic, the scale is diagnostics-only and
         # never consulted by decisions.
         self._last_buckets: Dict[int, int] = {}
-        self._last_halo_sizes: Dict[int, int] = {}
         self._activity_ewma: Dict[int, float] = {}
         self._epoch_seconds_ewma: Dict[int, float] = {}
         # Hysteresis: a split/merge condition must hold for this many
@@ -750,7 +639,7 @@ class ShardRouter:
         #: ``object`` without numpy).  Execution backends read this
         #: attribute rather than carrying their own copy.
         self.kernel = resolve_kernel(config.kernel)
-        # Delta mode keeps halo pools (:attr:`pool_cache`) and corridor
+        # Delta mode keeps overlap components (:attr:`pool_cache`) and corridor
         # chains (the incremental stitcher) alive across epochs; full mode
         # rebuilds both per epoch — the differential reference.
         delta_mode = config.epoch_mode == "delta"
@@ -762,7 +651,7 @@ class ShardRouter:
         )
         #: Pool-cache outcome of the most recent epoch (zeros outside delta
         #: mode and on empty epochs).
-        self.last_pool_stats: Dict[str, int] = self.zero_pool_stats()
+        self.last_pool_stats: Dict[str, int] = zero_pool_stats()
         #: Provisional ids renumbered by the most recent epoch's commit.
         self.last_renumbered = 0
         #: Per-boundary ledgers of straddling paths: ``(shard_a, shard_b)``
@@ -979,19 +868,15 @@ class ShardRouter:
 
     # -- elastic cost model -------------------------------------------------------
 
-    def _note_epoch_buckets(
-        self, buckets: Dict[int, int], halo_sizes: Dict[int, int]
-    ) -> None:
-        """Record the epoch's per-shard routing signals (called by the pipeline).
+    def _note_epoch_buckets(self, buckets: Dict[int, int]) -> None:
+        """Record the epoch's per-shard routing signal (called by the pipeline).
 
         ``buckets`` maps each shard to the number of states routed to it this
-        epoch, ``halo_sizes`` to the size of its halo FSA pool.  Both are
-        deterministic functions of the input stream, as is the activity EWMA
-        maintained here — the property that keeps elastic decisions
-        bit-for-bit reproducible across backends and reruns.
+        epoch — a deterministic function of the input stream, as is the
+        activity EWMA maintained here — the property that keeps elastic
+        decisions bit-for-bit reproducible across backends and reruns.
         """
         self._last_buckets = buckets
-        self._last_halo_sizes = halo_sizes
         for shard in self.shards:
             previous = self._activity_ewma.get(shard.shard_id, 0.0)
             self._activity_ewma[shard.shard_id] = (
@@ -1031,10 +916,9 @@ class ShardRouter:
 
         Blends the shard-statistics signals: owned records (state size),
         straddling paths on the shard's boundaries (stitching and ledger
-        cost, counted for both endpoint owners), the shard's halo pool size
-        (overlap-structure build cost) and the activity EWMA (epoch routing
-        pressure — the deterministic stand-in for per-shard epoch time).
-        Every term is a deterministic function of the input stream.
+        cost, counted for both endpoint owners) and the activity EWMA (epoch
+        routing pressure — the deterministic stand-in for per-shard epoch
+        time).  Every term is a deterministic function of the input stream.
         """
         straddling: Dict[int, int] = {}
         for (shard_a, shard_b), entries in self.boundary_ledger.items():
@@ -1046,7 +930,6 @@ class ShardRouter:
             loads[shard_id] = (
                 len(shard.index)
                 + 2.0 * straddling.get(shard_id, 0)
-                + 0.25 * self._last_halo_sizes.get(shard_id, 0)
                 + self._activity_ewma.get(shard_id, 0.0)
             )
         return loads
@@ -1328,7 +1211,6 @@ class ShardRouter:
     def _reset_elastic_signals(self) -> None:
         """Drop per-shard signal state after a layout change (new load profile)."""
         self._last_buckets = {}
-        self._last_halo_sizes = {}
         self._activity_ewma = {}
         self._epoch_seconds_ewma = {}
         self._split_streak = 0
@@ -1746,16 +1628,6 @@ class ShardRouter:
         return mapping
 
     # -- diagnostics ----------------------------------------------------------------
-
-    @staticmethod
-    def zero_pool_stats() -> Dict[str, int]:
-        """The all-zero pool-cache outcome (full mode, empty epochs)."""
-        return {
-            "pools_total": 0,
-            "pools_reused": 0,
-            "pools_prefix_reused": 0,
-            "pools_rebuilt": 0,
-        }
 
     def delta_statistics(self) -> Dict[str, float]:
         """Lifetime incrementality counters of the delta pipeline.

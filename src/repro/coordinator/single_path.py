@@ -42,7 +42,13 @@ from repro.client.state import CoordinatorResponse, ObjectState
 from repro.coordinator.columnar import end_entries_in
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
-from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
+from repro.coordinator.overlaps import (
+    FsaOverlapStructure,
+    OverlapPoolCache,
+    build_structures,
+    plan_shard_overlaps,
+    zero_pool_stats,
+)
 
 __all__ = [
     "CandidatePath",
@@ -133,8 +139,8 @@ class VertexPrefetch:
 
     #: End vertices inside the FSA -> ids of the paths ending there.
     end_vertices: Dict[Point, List[int]]
-    #: Vertex -> count of the smallest overlap region containing it, in the
-    #: object's overlap structure (shared by every object of that structure).
+    #: Vertex -> count of the smallest overlap region containing it (one
+    #: dict an epoch, shared by every object).
     bonus: Dict[Point, int]
     fabricated: Optional[Tuple[Point, int]]
     #: Paths inserted so far by this epoch's decisions, in decision order;
@@ -145,16 +151,17 @@ class VertexPrefetch:
 
 def prefetch_vertex_candidates(
     end_table: tuple,
-    pending: Sequence[Tuple[int, ObjectState, FsaOverlapStructure]],
+    pending: Sequence[Tuple[int, ObjectState]],
+    overlaps: FsaOverlapStructure,
     groups: Optional[Sequence[Sequence[int]]] = None,
 ) -> Dict[int, VertexPrefetch]:
     """The epoch pass: every pending object's Case 2/3 geometry in one batch.
 
-    ``pending`` lists ``(position, state, overlap structure)`` for the states
-    left without a Case 1 candidate; ``end_table`` is the index's end-entry
-    columns (of every shard, for a fleet), read here — after the candidate
-    stage, before the first decision — where nothing mutates the index.
-    Returns ``position -> VertexPrefetch``.
+    ``pending`` lists ``(position, state)`` for the states left without a
+    Case 1 candidate, ``overlaps`` is the epoch's overlap structure and
+    ``end_table`` the index's end-entry columns (of every shard, for a
+    fleet), read here — after the candidate stage, before the first decision
+    — where nothing mutates the index.  Returns ``position -> VertexPrefetch``.
 
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
@@ -166,14 +173,14 @@ def prefetch_vertex_candidates(
     whose member FSAs all contain it and all intersect that FSA (hence sit
     in the same group), so no other group's FSA can contain it.
 
-    The bonus of a vertex is a function of ``(structure, vertex)`` alone; it
-    is computed for every end vertex a structure's objects matched and for
-    every fabricated centroid of the epoch (the only new vertices decisions
-    normally insert), one batched query per structure.
+    The bonus of a vertex is a function of the vertex alone; it is computed
+    for every end vertex matched and for every fabricated centroid of the
+    epoch (the only new vertices decisions normally insert), in one batched
+    query beside the one that fabricates the centroids.
     """
     if not pending:
         return {}
-    fsas = [state.fsa for _position, state, _overlaps in pending]
+    fsas = [state.fsa for _position, state in pending]
     vertex_sets: List[Dict[Point, List[int]]] = [{} for _ in pending]
     vertex_of: Dict[Tuple[float, float], Point] = {}
     for slot, path_id, x, y in zip(*end_entries_in(end_table, fsas)):
@@ -182,28 +189,11 @@ def prefetch_vertex_candidates(
             vertex = vertex_of[(x, y)] = Point(x, y)
         vertex_sets[slot].setdefault(vertex, []).append(path_id)
 
-    # Slots grouped by overlap structure (one per halo pool; one in all for
-    # a single shard), each structure queried once per kind of query.
-    slots_of: Dict[int, List[int]] = {}
-    for slot, (_position, _state, overlaps) in enumerate(pending):
-        slots_of.setdefault(id(overlaps), []).append(slot)
-    fabricated: List[Optional[Tuple[Point, int]]] = [None] * len(pending)
-    for slots in slots_of.values():
-        overlaps = pending[slots[0]][2]
-        for slot, answer in zip(
-            slots, overlaps.candidate_vertices_for([fsas[slot] for slot in slots])
-        ):
-            fabricated[slot] = answer
-    centroids = {answer[0] for answer in fabricated if answer is not None}
-    bonus_of: Dict[int, Dict[Point, int]] = {}
-    for key, slots in slots_of.items():
-        vertices = set(centroids)
-        for slot in slots:
-            vertices.update(vertex_sets[slot])
-        ordered = list(vertices)
-        bonus_of[key] = dict(
-            zip(ordered, pending[slots[0]][2].containing_counts(ordered))
-        )
+    fabricated = overlaps.candidate_vertices_for(fsas)
+    vertices = list(
+        {answer[0] for answer in fabricated if answer is not None}.union(*vertex_sets)
+    )
+    bonus = dict(zip(vertices, overlaps.containing_counts(vertices)))
 
     inserted_of: Dict[int, List[MotionPathRecord]] = {}
     if groups is not None:
@@ -215,11 +205,11 @@ def prefetch_vertex_candidates(
     return {
         position: VertexPrefetch(
             vertex_sets[slot],
-            bonus_of[id(overlaps)],
+            bonus,
             fabricated[slot],
             inserted_of.get(position, epoch_inserted),
         )
-        for slot, (position, _state, overlaps) in enumerate(pending)
+        for slot, (position, _state) in enumerate(pending)
     }
 
 
@@ -236,30 +226,16 @@ class SinglePathStrategy:
         self._index = index
         self._hotness = hotness
         self._kernel = kernel
-        # Cross-epoch overlap-structure cache of the single-shard delta
-        # pipeline.  A sharded fleet resolves its halo pools against the
-        # router's cache before the backend builds the misses; the
-        # single-shard strategy has exactly one "pool" per epoch (the full
-        # FSA map) and runs it through the same resolve/store protocol, so a
-        # 1-shard coordinator reports the same ``pools_*`` counter semantics
-        # as a 1-shard fleet instead of hardcoded zeros.
+        # Cross-epoch component cache of the delta pipeline (``None`` in full
+        # mode), consulted by the same overlap stage a fleet runs.
         self._pool_cache = pool_cache
         #: Pool-cache outcome of the most recent epoch (mirrors
         #: ``ShardRouter.last_pool_stats``; all zeros without a cache).
-        self.last_pool_stats: Dict[str, int] = self._zero_pool_stats()
-
-    @staticmethod
-    def _zero_pool_stats() -> Dict[str, int]:
-        return {
-            "pools_total": 0,
-            "pools_reused": 0,
-            "pools_prefix_reused": 0,
-            "pools_rebuilt": 0,
-        }
+        self.last_pool_stats: Dict[str, int] = zero_pool_stats()
 
     def process_epoch(self, states: Sequence[ObjectState]) -> SinglePathEpochResult:
         """Run SinglePath over the batch of state messages of one epoch."""
-        self.last_pool_stats = self._zero_pool_stats()
+        self.last_pool_stats = zero_pool_stats()
         result = SinglePathEpochResult()
         if not states:
             return result
@@ -283,10 +259,11 @@ class SinglePathStrategy:
             prefetched = prefetch_vertex_candidates(
                 self._index.end_table(),
                 [
-                    (position, state, overlaps)
+                    (position, state)
                     for position, state in enumerate(states)
                     if not candidate_paths[state.object_id]
                 ],
+                overlaps,
             )
         for position, state in enumerate(states):
             result.tally(
@@ -300,15 +277,10 @@ class SinglePathStrategy:
         return result
 
     def _overlap_structure(self, fsas: Dict[int, Rectangle]) -> FsaOverlapStructure:
-        """Build (or resolve from the delta-mode cache) the epoch's structure."""
-        if self._pool_cache is None:
-            return FsaOverlapStructure.build(fsas, kernel=self._kernel)
-        structures, miss_indexes, stats = self._pool_cache.resolve([fsas])
-        if miss_indexes:
-            structures[0] = FsaOverlapStructure.build(fsas, kernel=self._kernel)
-        self._pool_cache.store([fsas], structures)
-        self.last_pool_stats = stats
-        return structures[0]
+        """The epoch's structure: the fleet's overlap stage, built inline."""
+        plan = plan_shard_overlaps(self._kernel, self._pool_cache, fsas)
+        self.last_pool_stats = plan.stats
+        return plan.merge(build_structures(plan.missed_pools, kernel=self._kernel))
 
     # -- candidate generation ------------------------------------------------------
 

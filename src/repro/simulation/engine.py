@@ -55,8 +55,7 @@ class SimulationConfig:
     does not perturb the main method).  ``fleet`` is the coordinator's
     topology (:class:`~repro.coordinator.fleet.FleetConfig` — shards, backend,
     partition, kernel, ...; knob table in ``docs/ARCHITECTURE.md``): every
-    value but a fixed overlap halo is behaviour-identical, so results are
-    comparable across fleets.
+    value is behaviour-identical, so results are comparable across fleets.
     """
 
     num_objects: int = 20000

@@ -104,7 +104,6 @@ FLEET_VALUES = {
     "backend": ("threads", ["gpu"]),
     "partition": ("kd", ["voronoi"]),
     "rebalance_threshold": (1.3, [1.0, 0.5]),
-    "overlap_halo": (1, [-1]),
     "epoch_mode": ("full", ["lazy"]),
     "kernel": ("object", ["simd"]),
     "elastic": ("auto", ["on"]),
@@ -177,6 +176,19 @@ class TestFleetFlags:
                 error_lines = capsys.readouterr().err.strip().splitlines()
                 assert error_lines[-1].startswith("repro: error:") or "invalid choice" in error_lines[-1]
                 assert not any("Traceback" in line for line in error_lines)
+
+    @pytest.mark.parametrize("command", (["run"], ["serve", "--port", "0"]), ids=("run", "serve"))
+    def test_there_are_ten_fleet_flags_and_no_overlap_halo(self, command, capsys):
+        """The halo knob retired with the halo: the flag is a usage error and
+        the help text of neither subcommand mentions it."""
+        assert len(fields(FleetConfig)) == 10
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--overlap-halo", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --overlap-halo" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(command[:1] + ["--help"])
+        assert "halo" not in capsys.readouterr().out
 
     def test_cross_field_error_is_a_usage_error_too(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -212,16 +212,23 @@ def pool_epochs(draw) -> List[List[Dict[int, Rectangle]]]:
     return epochs
 
 
+def resolve_and_build(cache, pools):
+    """One epoch against the cache: build what it missed, hand it back."""
+    structures, misses, stats = cache.resolve(pools)
+    built = [FsaOverlapStructure.build(pools[index]) for index in misses]
+    cache.store(misses, built)
+    for index, structure in zip(misses, built):
+        structures[index] = structure
+    return structures, list(misses), stats
+
+
 class TestPoolCacheBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(pool_epochs())
     def test_resolved_structures_equal_fresh_builds(self, epochs):
         cache = OverlapPoolCache()
         for pools in epochs:
-            structures, miss_indexes, stats = cache.resolve(pools)
-            for index in miss_indexes:
-                structures[index] = FsaOverlapStructure.build(pools[index])
-            cache.store(pools, structures)
+            structures, _missed, stats = resolve_and_build(cache, pools)
             assert stats["pools_total"] == len(pools)
             assert stats["pools_total"] == (
                 stats["pools_reused"]
@@ -241,12 +248,9 @@ class TestPoolCacheBitIdentity:
         time — the low-churn speedup the benchmark table measures."""
         cache = OverlapPoolCache()
         pools = epochs[0]
-        structures, miss_indexes, _stats = cache.resolve(pools)
-        for index in miss_indexes:
-            structures[index] = FsaOverlapStructure.build(pools[index])
-        cache.store(pools, structures)
+        structures, _missed, _stats = resolve_and_build(cache, pools)
         again, miss_again, stats = cache.resolve(pools)
-        assert miss_again == []
+        assert miss_again == {}
         assert stats["pools_reused"] == len(pools)
         for first, second in zip(structures, again):
             assert first.serialized() == second.serialized()
@@ -269,21 +273,17 @@ class TestPoolCacheBitIdentity:
         extended_pool = dict(base_pool)
         extended_pool[3] = Rectangle.from_center(Point(110.0, 110.0), 50.0)
 
-        structures, miss_indexes, _stats = cache.resolve([base_pool])
-        for index in miss_indexes:
-            structures[index] = FsaOverlapStructure.build(base_pool)
-        cache.store([base_pool], structures)
+        structures, _missed, _stats = resolve_and_build(cache, [base_pool])
         pristine = structures[0].serialized()
 
-        resumed, miss_indexes, stats = cache.resolve([extended_pool])
-        assert miss_indexes == [] and stats["pools_prefix_reused"] == 1
+        resumed, missed, stats = resolve_and_build(cache, [extended_pool])
+        assert missed == [] and stats["pools_prefix_reused"] == 1
         assert resumed[0].serialized() == FsaOverlapStructure.build(
             extended_pool
         ).serialized()
-        cache.store([extended_pool], resumed)
 
-        verbatim, miss_indexes, stats = cache.resolve([base_pool])
-        assert miss_indexes == [] and stats["pools_reused"] == 1
+        verbatim, missed, stats = resolve_and_build(cache, [base_pool])
+        assert missed == [] and stats["pools_reused"] == 1
         assert verbatim[0].serialized() == pristine
         assert verbatim[0].serialized() == FsaOverlapStructure.build(
             base_pool
@@ -298,10 +298,7 @@ class TestPoolCacheBitIdentity:
         cache = OverlapPoolCache()
         seen = []
         for pools in epochs:
-            structures, miss_indexes, _stats = cache.resolve(pools)
-            for index in miss_indexes:
-                structures[index] = FsaOverlapStructure.build(pools[index])
-            cache.store(pools, structures)
+            resolve_and_build(cache, pools)
             seen.extend(pools)
         replayed, _miss, _stats = cache.resolve(seen)
         for pool, structure in zip(seen, replayed):
@@ -310,6 +307,52 @@ class TestPoolCacheBitIdentity:
             assert structure.serialized() == FsaOverlapStructure.build(
                 pool
             ).serialized()
+
+    def test_each_pool_is_fingerprinted_once_an_epoch(self, monkeypatch):
+        """``store`` takes the fingerprints ``resolve`` computed."""
+        from repro.coordinator import overlaps
+
+        calls = []
+        fingerprint = overlaps.pool_fingerprint
+        monkeypatch.setattr(
+            overlaps, "pool_fingerprint", lambda pool: calls.append(pool) or fingerprint(pool)
+        )
+        pools = [
+            {1: Rectangle.from_center(Point(100.0, 100.0), 50.0)},
+            {2: Rectangle.from_center(Point(700.0, 700.0), 50.0)},
+        ]
+        cache = OverlapPoolCache()
+        resolve_and_build(cache, pools)
+        assert len(calls) == len(pools)
+
+    def test_the_lru_is_bounded_by_regions_not_entries(self):
+        """One large pool evicts as much history as many small ones — the
+        bound is on what the entries hold — and the current epoch's own
+        pools are exempt, so a pool larger than the bound can still repeat."""
+        def pool(first_id, members):
+            # ``members`` identical FSAs: 2 ** members - 1 regions.
+            return {
+                first_id + offset: Rectangle.from_center(Point(100.0, 100.0), 50.0)
+                for offset in range(members)
+            }
+
+        cache = OverlapPoolCache(capacity=20)
+        singles = [pool(object_id, 1) for object_id in range(12)]
+        resolve_and_build(cache, singles)
+        assert len(cache) == 12  # twelve entries, twelve regions
+        resolve_and_build(cache, [pool(100, 4)])  # one entry, fifteen regions
+        assert len(cache) == 6  # ... pushed seven singles out
+        _structures, missed, _stats = resolve_and_build(cache, singles[-5:])
+        assert missed == []  # the five most recent singles survived
+
+        giant = pool(200, 5)  # 31 regions: over the bound on its own
+        resolve_and_build(cache, [giant])
+        assert len(cache) == 1  # all history went, the epoch's own pool stayed
+        _structures, missed, stats = resolve_and_build(cache, [giant, singles[0]])
+        assert missed == [1] and stats["pools_reused"] == 1
+        # Once an epoch no longer submits it, it is history over the bound.
+        resolve_and_build(cache, [singles[1]])
+        assert len(cache) == 2  # singles[0] and singles[1]
 
 
 # ---------------------------------------------------------------------------

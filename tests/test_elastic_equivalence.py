@@ -21,8 +21,7 @@ equal to the seed single-shard coordinator.  Three layers:
   handed-off state being *identical* to what a stop-the-world migration to
   the same partition produces.
 
-Streams reuse the sharding-equivalence generators (8 epochs x 30 states —
-the exact-halo regime where bit-for-bit equality is the contract).
+Streams reuse the sharding-equivalence generators (8 epochs x 30 states).
 """
 
 from __future__ import annotations

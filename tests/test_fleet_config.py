@@ -24,14 +24,12 @@ from repro.simulation.engine import HotPathSimulation, SimulationConfig
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
-#: Every knob away from its default (a 2-ring halo covers a 2x2 fleet, so it
-#: stays exact).
+#: Every knob away from its default.
 FLAT = dict(
     num_shards=4,
     backend="threads",
     partition="kd",
     rebalance_threshold=1.2,
-    overlap_halo=2,
     epoch_mode="full",
     kernel="object",
     elastic="auto",

@@ -9,6 +9,11 @@ mirrors ``tests/test_grid_index_properties.py`` for the overlap structure and
 pins the set-function property the sharded overlap stage relies on: below the
 region cap, the structure is a pure function of the FSA *set*, independent of
 insertion order.
+
+:class:`TestMergedEpochStructure` pins the stronger, *ordered* statement the
+one-structure-per-epoch stage relies on: splitting an epoch into overlap
+components, building (or fetching from the cache) each one alone and merging
+yields the sequential build's region list, order included.
 """
 
 from __future__ import annotations
@@ -16,10 +21,16 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
-from repro.coordinator.overlaps import FsaOverlapStructure
+from repro.coordinator.overlaps import (
+    FsaOverlapStructure,
+    OverlapPoolCache,
+    build_structures,
+    plan_shard_overlaps,
+)
 
 # Deliberately coarse pool: values collide, producing identical FSAs, nested
 # FSAs, edge-adjacent FSAs (zero-area intersections) and degenerate FSAs.
@@ -158,3 +169,72 @@ class TestHardCapProperties:
         assert [(r.members, r.rectangle) for r in first.regions()] == [
             (r.members, r.rectangle) for r in second.regions()
         ]
+
+
+# Small integer coordinates: areas and counts tie constantly, FSAs collapse to
+# zero width, touch along edges and at corners — every tie-break the merged
+# order has to reproduce.
+integer_coordinate = st.integers(min_value=0, max_value=7).map(float)
+
+
+@st.composite
+def integer_rectangles(draw) -> Rectangle:
+    x_low, x_high = sorted((draw(integer_coordinate), draw(integer_coordinate)))
+    y_low, y_high = sorted((draw(integer_coordinate), draw(integer_coordinate)))
+    return Rectangle(Point(x_low, y_low), Point(x_high, y_high))
+
+
+#: One epoch's reports in submission order; ids repeat, so an object re-reports.
+submissions = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=9), integer_rectangles()),
+    min_size=1,
+    max_size=12,
+)
+
+
+def epoch_map(reports) -> Dict[int, Rectangle]:
+    """First position, later FSA — the map both pipelines build in stage 1."""
+    fsas: Dict[int, Rectangle] = {}
+    for object_id, fsa in reports:
+        fsas[object_id] = fsa
+    return fsas
+
+
+def ordered_regions(structure: FsaOverlapStructure) -> List[Tuple[FrozenSet[int], Rectangle]]:
+    return [(region.members, region.rectangle) for region in structure.regions()]
+
+
+def merged_structure(kernel, cache, fsas, max_regions=10000) -> FsaOverlapStructure:
+    plan = plan_shard_overlaps(kernel, cache, fsas, max_regions)
+    return plan.merge(build_structures(plan.missed_pools, max_regions, kernel))
+
+
+@pytest.mark.parametrize("kernel", ("object", "columnar"))
+class TestMergedEpochStructure:
+    @settings(max_examples=200, deadline=None)
+    @given(reports=submissions)
+    def test_merged_regions_equal_the_sequential_build_in_order(self, kernel, reports):
+        fsas = epoch_map(reports)
+        assert ordered_regions(merged_structure(kernel, None, fsas)) == ordered_regions(
+            FsaOverlapStructure.build(fsas)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(reports=submissions, max_regions=st.integers(min_value=1, max_value=12))
+    def test_a_saturated_cap_falls_back_to_the_sequential_build(self, kernel, reports, max_regions):
+        fsas = epoch_map(reports)
+        assert ordered_regions(merged_structure(kernel, None, fsas, max_regions)) == (
+            ordered_regions(FsaOverlapStructure.build(fsas, max_regions))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(epochs=st.lists(submissions, min_size=2, max_size=4), extra=submissions)
+    def test_cached_components_merge_to_the_same_structure(self, kernel, epochs, extra):
+        """Verbatim and prefix hits from earlier epochs change nothing: each
+        epoch is followed by itself plus late arrivals, so both paths fire."""
+        cache = OverlapPoolCache(kernel=kernel)
+        for reports in epochs:
+            for fsas in (epoch_map(reports), epoch_map(reports + extra)):
+                assert ordered_regions(merged_structure(kernel, cache, fsas)) == (
+                    ordered_regions(FsaOverlapStructure.build(fsas))
+                )

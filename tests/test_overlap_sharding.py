@@ -1,45 +1,53 @@
-"""Tests for the shard-local FSA overlap stage (:func:`plan_shard_overlaps`).
+"""Tests for the overlap stage's planning half (:func:`plan_shard_overlaps`).
 
-The equivalence argument in :mod:`repro.coordinator.sharding` rests on three
-facts, each pinned here independently of the end-to-end differential harness:
+The stage builds one overlap structure per epoch out of independently built
+(and cached) *components*; :mod:`repro.coordinator.overlaps` argues why that
+equals the sequential build.  The facts the argument rests on are pinned here
+independently of the end-to-end differential harness:
 
-* **halo closure** — the adaptive pool of a shard contains every epoch FSA
-  that intersects any FSA in the shard's bucket, so all regions relevant to
-  the shard's queries exist locally;
-* **order restriction** — a pool preserves the global submission order, so
-  the local structure's region iteration order (which first-encountered
-  tie-breaks depend on) is the global order restricted to the pool;
-* **query equality** — consequently every overlap query a shard's strategy
-  can issue returns the identical region from the local and global builds.
+* **partition** — every epoch FSA sits in exactly one pool, with its FSA;
+* **separation and connectivity** — FSAs of different pools share no positive
+  area (so no region spans two pools), and a pool cannot be split further;
+* **order** — a pool preserves the submission order of its members, and the
+  pools come ordered by their first member;
+* **layout independence** — the pools of an epoch are the same for every shard
+  count, partition and kernel, because the stage never sees the layout.
 
-Plus the mechanics: pool dedup and structure sharing, shared-prefix builds,
-the fixed-ring halo shapes, and worker-side builds agreeing across all three
-execution backends (the process backend round-trips structures through its
-serialized wire format).
+Plus the mechanics: what the plan asks to be built with and without a cache,
+and worker-side builds agreeing across all three execution backends (the
+process backend round-trips structures through its serialized wire format).
+``tests/test_overlap_properties.py`` holds the merged-structure equality.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
-from repro.coordinator.overlaps import FsaOverlapStructure, build_structures
-from repro.coordinator.coordinator import CoordinatorConfig
-from repro.coordinator.sharding import ShardGrid, ShardRouter, plan_shard_overlaps
+from repro.coordinator import sharding, single_path
+from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.overlaps import (
+    FsaOverlapStructure,
+    OverlapPoolCache,
+    build_structures,
+    plan_shard_overlaps,
+)
+from repro.coordinator.sharding import ShardRouter
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-GRID = ShardGrid(BOUNDS, 4, 4)
+KERNELS = ("object", "columnar")
 
-# Coordinates collide with the 4x4 shard borders (multiples of 250) and fall
-# outside the bounds, so FSAs routinely straddle shards and clamp in.
+# Coordinates collide with the 4x4 shard borders (multiples of 250) and with
+# each other, so FSAs routinely touch along an edge or at a corner — linked
+# only when the shared area is positive.
 coordinate_pool = st.sampled_from(
     [-40.0, 0.0, 100.0, 249.9, 250.0, 500.0, 625.0, 750.0, 999.0, 1000.0, 1100.0]
 )
-half_extents = st.sampled_from([1.0, 30.0, 130.0, 300.0])
+half_extents = st.sampled_from([0.0, 1.0, 30.0, 125.0, 130.0, 300.0])
 
 
 @st.composite
@@ -55,200 +63,199 @@ def object_states(draw) -> ObjectState:
 state_lists = st.lists(object_states(), min_size=1, max_size=20)
 
 
-def stage1(states) -> Tuple[Dict[int, List[Tuple[int, ObjectState]]], Dict[int, Rectangle]]:
-    """Replicate the pipeline's stage-1 grouping (later FSA wins per object)."""
-    buckets: Dict[int, List[Tuple[int, ObjectState]]] = {}
+def epoch_fsas(states) -> Dict[int, Rectangle]:
+    """The pipeline's stage-1 FSA map (first position, later FSA per object)."""
     fsas: Dict[int, Rectangle] = {}
-    for position, state in enumerate(states):
-        buckets.setdefault(GRID.shard_id_of(state.start), []).append((position, state))
+    for state in states:
         fsas[state.object_id] = state.fsa
-    return buckets, fsas
+    return fsas
 
 
-class TestAdaptiveHaloClosure:
-    @settings(max_examples=150, deadline=None)
-    @given(state_lists)
-    def test_pool_contains_every_intersecting_fsa(self, states):
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=None)
-        for shard_id, bucket in buckets.items():
-            pool = plan.pools[plan.pool_of_shard[shard_id]]
-            for _position, state in bucket:
-                for object_id, fsa in fsas.items():
-                    if fsa.intersects(state.fsa):
-                        assert object_id in pool, (
-                            f"shard {shard_id}: FSA of object {object_id} intersects "
-                            f"a bucket state's FSA but is missing from the halo pool"
-                        )
+def share_area(a: Rectangle, b: Rectangle) -> bool:
+    intersection = a.intersection(b)
+    return intersection is not None and not intersection.is_degenerate()
 
+
+def regions_of(structure: FsaOverlapStructure):
+    return [(region.members, region.rectangle) for region in structure.regions()]
+
+
+class TestComponents:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=120, deadline=None)
+    @given(states=state_lists)
+    def test_every_fsa_sits_in_exactly_one_pool(self, kernel, states):
+        fsas = epoch_fsas(states)
+        plan = plan_shard_overlaps(kernel, None, fsas)
+        pooled = [object_id for pool in plan.pools for object_id in pool]
+        assert sorted(pooled) == sorted(fsas)
+        for pool in plan.pools:
+            for object_id, fsa in pool.items():
+                assert fsa == fsas[object_id]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=120, deadline=None)
+    @given(states=state_lists)
+    def test_pools_are_the_connected_components(self, kernel, states):
+        fsas = epoch_fsas(states)
+        plan = plan_shard_overlaps(kernel, None, fsas)
+        for index, pool in enumerate(plan.pools):
+            for other in plan.pools[index + 1:]:
+                for fsa in pool.values():
+                    for far in other.values():
+                        assert not share_area(fsa, far)
+            # Flood from the first member over positive-area links: a pool
+            # that could be split further would leave members unreached.
+            members = list(pool)
+            reached, frontier = {members[0]}, [members[0]]
+            while frontier:
+                current = frontier.pop()
+                for object_id in members:
+                    if object_id not in reached and share_area(pool[current], pool[object_id]):
+                        reached.add(object_id)
+                        frontier.append(object_id)
+            assert reached == set(members)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=100, deadline=None)
-    @given(state_lists)
-    def test_pool_preserves_submission_order(self, states):
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=None)
+    @given(states=state_lists)
+    def test_pools_keep_submission_order(self, kernel, states):
+        fsas = epoch_fsas(states)
+        plan = plan_shard_overlaps(kernel, None, fsas)
         submission = {object_id: rank for rank, object_id in enumerate(fsas)}
+        firsts = []
         for pool in plan.pools:
             ranks = [submission[object_id] for object_id in pool]
             assert ranks == sorted(ranks)
-            for object_id in pool:
-                assert pool[object_id] == fsas[object_id]
+            firsts.append(ranks[0])
+        assert firsts == sorted(firsts)
 
     @settings(max_examples=100, deadline=None)
-    @given(state_lists)
-    def test_local_queries_equal_global_queries(self, states):
-        """The tentpole property, asserted directly on the query surface."""
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=None)
-        global_structure = FsaOverlapStructure.build(fsas)
-        structures = build_structures(plan.pools)
-        for shard_id, bucket in buckets.items():
-            local = structures[plan.pool_of_shard[shard_id]]
-            for _position, state in bucket:
-                assert local.candidate_vertex_for(state.fsa) == (
-                    global_structure.candidate_vertex_for(state.fsa)
+    @given(states=state_lists)
+    def test_both_kernels_plan_the_same_pools(self, states):
+        fsas = epoch_fsas(states)
+        scalar = plan_shard_overlaps("object", None, fsas)
+        batched = plan_shard_overlaps("columnar", None, fsas)
+        assert [list(pool.items()) for pool in batched.pools] == [
+            list(pool.items()) for pool in scalar.pools
+        ]
+
+    def test_touching_fsas_are_not_linked_and_a_bridge_links_them(self):
+        left = Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))
+        right = Rectangle(Point(10.0, 0.0), Point(20.0, 10.0))   # shares an edge
+        corner = Rectangle(Point(20.0, 10.0), Point(30.0, 20.0))  # shares a corner
+        sliver = Rectangle(Point(5.0, 5.0), Point(5.0, 9.0))      # zero width, inside left
+        for kernel in KERNELS:
+            plan = plan_shard_overlaps(kernel, None, {1: left, 2: right, 3: corner, 4: sliver})
+            assert [list(pool) for pool in plan.pools] == [[1], [2], [3], [4]]
+            bridge = Rectangle(Point(9.0, 1.0), Point(11.0, 2.0))
+            plan = plan_shard_overlaps(
+                kernel, None, {1: left, 2: right, 3: corner, 4: sliver, 5: bridge}
+            )
+            assert [list(pool) for pool in plan.pools] == [[1, 2, 5], [3], [4]]
+
+
+class TestLayoutIndependence:
+    """The pool set of an epoch does not depend on the fleet it runs on."""
+
+    LAYOUTS = (
+        dict(num_shards=1),
+        dict(num_shards=4),
+        dict(num_shards=16),
+        dict(num_shards=16, partition="kd"),
+        dict(num_shards=4, kernel="object"),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(epochs=st.lists(state_lists, min_size=1, max_size=3))
+    def test_pools_are_the_same_on_every_layout(self, epochs):
+        planned: List[list] = []
+        original = sharding.plan_shard_overlaps
+
+        def recording(*args, **kwargs):
+            plan = original(*args, **kwargs)
+            seen.append([list(pool.items()) for pool in plan.pools])
+            return plan
+
+        sharding.plan_shard_overlaps = single_path.plan_shard_overlaps = recording
+        try:
+            for layout in self.LAYOUTS:
+                seen: List[list] = []
+                coordinator = Coordinator(
+                    CoordinatorConfig(bounds=BOUNDS, window=40, cells_per_axis=32, **layout)
                 )
-                local_hot = local.hottest_region_intersecting(state.fsa)
-                global_hot = global_structure.hottest_region_intersecting(state.fsa)
-                assert (local_hot is None) == (global_hot is None)
-                if local_hot is not None:
-                    assert local_hot.members == global_hot.members
-                    assert local_hot.rectangle == global_hot.rectangle
-                # Points a decision can probe: anywhere inside the state's FSA.
-                for point in (*state.fsa.corners(), state.fsa.center):
-                    local_small = local.smallest_region_containing(point)
-                    global_small = global_structure.smallest_region_containing(point)
-                    assert (local_small is None) == (global_small is None)
-                    if local_small is not None:
-                        assert local_small.members == global_small.members
-                        assert local_small.rectangle == global_small.rectangle
+                try:
+                    for tick, states in enumerate(epochs):
+                        for state in states:
+                            coordinator.submit_state(state)
+                        coordinator.run_epoch(100 * (tick + 1))
+                finally:
+                    coordinator.close()
+                planned.append(seen)
+        finally:
+            sharding.plan_shard_overlaps = single_path.plan_shard_overlaps = original
+        assert all(seen == planned[0] for seen in planned[1:])
 
 
-class TestFixedRingHalo:
-    def state_at(self, x, y, object_id=0, half=10.0):
-        fsa = Rectangle.from_center(Point(x, y), half)
-        return ObjectState(object_id, Point(x, y), 0, fsa.low, fsa.high, 5)
+class TestPlanAgainstTheCache:
+    FAR = Rectangle.from_center(Point(800.0, 800.0), 20.0)
+    PAIR = {
+        1: Rectangle.from_center(Point(100.0, 100.0), 30.0),
+        2: Rectangle.from_center(Point(120.0, 100.0), 30.0),
+    }
 
-    def test_halo_zero_pools_only_own_shard_fsas(self):
-        states = [
-            self.state_at(100.0, 100.0, object_id=1),   # shard 0
-            self.state_at(900.0, 900.0, object_id=2),   # shard 15
-        ]
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=0)
-        shard_of = {1: GRID.shard_id_of(Point(100.0, 100.0)), 2: GRID.shard_id_of(Point(900.0, 900.0))}
-        for object_id, shard_id in shard_of.items():
-            pool = plan.pools[plan.pool_of_shard[shard_id]]
-            assert list(pool) == [object_id]
+    def run(self, cache, fsas):
+        plan = plan_shard_overlaps("object", cache, fsas)
+        return plan, plan.merge(build_structures(plan.missed_pools))
 
-    def test_full_cover_ring_equals_adaptive_pool_of_everything(self):
-        states = [
-            self.state_at(100.0, 100.0, object_id=1),
-            self.state_at(900.0, 900.0, object_id=2),
-            self.state_at(500.0, 500.0, object_id=3, half=400.0),  # straddles all
-        ]
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=3)  # 3 rings cover 4x4
-        for shard_id in buckets:
-            pool = plan.pools[plan.pool_of_shard[shard_id]]
-            assert list(pool) == list(fsas)
+    def test_without_a_cache_every_pool_is_built_and_nothing_is_tallied(self):
+        fsas = {**self.PAIR, 3: self.FAR}
+        plan, merged = self.run(None, fsas)
+        assert plan.missed_pools == plan.pools
+        assert set(plan.stats.values()) == {0}
+        assert regions_of(merged) == regions_of(FsaOverlapStructure.build(fsas))
 
-    @settings(max_examples=60, deadline=None)
-    @given(state_lists, st.integers(min_value=0, max_value=3))
-    def test_fixed_ring_pool_is_the_ring_membership(self, states, halo):
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=halo)
-        spans = {
-            object_id: set(GRID.shard_ids_overlapping(fsa))
-            for object_id, fsa in fsas.items()
+    def test_a_fresh_fsa_dirties_only_the_component_it_overlaps(self):
+        cache = OverlapPoolCache()
+        self.run(cache, {**self.PAIR, 3: self.FAR})
+        # Object 3 moves; objects 1 and 2 resubmit verbatim: their component
+        # hits whatever happens elsewhere in the epoch, on any layout.
+        moved = Rectangle.from_center(Point(500.0, 500.0), 20.0)
+        plan, merged = self.run(cache, {**self.PAIR, 3: moved})
+        assert plan.missed_pools == [{3: moved}]
+        assert plan.stats == {
+            "pools_total": 2, "pools_reused": 1, "pools_prefix_reused": 0, "pools_rebuilt": 1,
         }
-        for shard_id in buckets:
-            row, col = divmod(shard_id, GRID.cols)
-            ring = {
-                r * GRID.cols + c
-                for r in range(max(0, row - halo), min(GRID.rows, row + halo + 1))
-                for c in range(max(0, col - halo), min(GRID.cols, col + halo + 1))
-            }
-            pool = plan.pools[plan.pool_of_shard[shard_id]]
-            expected = [object_id for object_id in fsas if spans[object_id] & ring]
-            assert list(pool) == expected
+        assert regions_of(merged) == regions_of(FsaOverlapStructure.build({**self.PAIR, 3: moved}))
+
+    def test_a_late_arrival_resumes_its_component_from_the_cached_prefix(self):
+        cache = OverlapPoolCache()
+        self.run(cache, self.PAIR)
+        late = Rectangle.from_center(Point(110.0, 120.0), 30.0)
+        plan, merged = self.run(cache, {**self.PAIR, 9: late})
+        assert plan.missed_pools == []
+        assert plan.stats["pools_prefix_reused"] == 1
+        assert regions_of(merged) == regions_of(FsaOverlapStructure.build({**self.PAIR, 9: late}))
+
+    def test_a_verbatim_epoch_is_served_whole(self):
+        cache = OverlapPoolCache()
+        _plan, first = self.run(cache, self.PAIR)
+        plan, again = self.run(cache, dict(self.PAIR))
+        assert plan.missed_pools == []
+        assert again is first
 
 
-class TestPoolSharing:
-    def test_identical_pools_deduplicate_to_one_entry(self):
-        fsa = Rectangle.from_center(Point(500.0, 500.0), 450.0)  # overlaps all shards
-        states = [
-            ObjectState(1, Point(100.0, 100.0), 0, fsa.low, fsa.high, 5),
-            ObjectState(2, Point(900.0, 900.0), 0, fsa.low, fsa.high, 5),
-        ]
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=None)
-        assert len(plan.pools) == 1
-        assert len(set(plan.pool_of_shard.values())) == 1
-
-    def test_build_structures_shares_identical_pools(self):
-        pool = {1: Rectangle.from_center(Point(10.0, 10.0), 5.0)}
-        structures = build_structures([dict(pool), dict(pool)])
-        assert structures[0] is structures[1]
-
-    def test_shared_prefix_build_matches_independent_build(self):
-        rects = {
-            1: Rectangle.from_center(Point(10.0, 10.0), 8.0),
-            2: Rectangle.from_center(Point(14.0, 10.0), 8.0),
-            3: Rectangle.from_center(Point(12.0, 14.0), 8.0),
-            4: Rectangle.from_center(Point(30.0, 30.0), 8.0),
-        }
-        prefix = {1: rects[1], 2: rects[2]}
-        extended = {1: rects[1], 2: rects[2], 3: rects[3], 4: rects[4]}
-        shared = build_structures([prefix, extended])
-        independent = [FsaOverlapStructure.build(prefix), FsaOverlapStructure.build(extended)]
-        for built, expected in zip(shared, independent):
-            assert [(r.members, r.rectangle) for r in built.regions()] == [
-                (r.members, r.rectangle) for r in expected.regions()
-            ]
-
-    def test_sibling_pools_share_a_common_prefix_snapshot(self):
-        """Pools (1,2,3) and (1,2,4) must both resume from the (1,2) build —
-        the prefix chain is a stack, not just the immediately preceding pool —
-        and still match fully independent builds."""
-        rects = {
-            1: Rectangle.from_center(Point(10.0, 10.0), 8.0),
-            2: Rectangle.from_center(Point(14.0, 10.0), 8.0),
-            3: Rectangle.from_center(Point(12.0, 14.0), 8.0),
-            4: Rectangle.from_center(Point(11.0, 6.0), 8.0),
-        }
-        pools = [
-            {1: rects[1], 2: rects[2]},
-            {1: rects[1], 2: rects[2], 3: rects[3]},
-            {1: rects[1], 2: rects[2], 4: rects[4]},
-        ]
-        built = build_structures(pools)
-        for structure, pool in zip(built, pools):
-            expected = FsaOverlapStructure.build(pool)
-            assert [(r.members, r.rectangle) for r in structure.regions()] == [
-                (r.members, r.rectangle) for r in expected.regions()
-            ]
-
+class TestBuildStructures:
     @settings(max_examples=100, deadline=None)
-    @given(state_lists, st.integers(min_value=1, max_value=12))
-    def test_build_structures_matches_independent_builds(self, states, max_regions):
-        """Whatever sharing path a pool takes (dedup, prefix resume, fresh
-        build), the result is bit-identical to an independent build — capped
-        builds included."""
-        buckets, fsas = stage1(states)
-        plan = plan_shard_overlaps(GRID, buckets, fsas, halo=None)
+    @given(states=state_lists, max_regions=st.integers(min_value=1, max_value=12))
+    def test_one_independent_build_per_pool(self, states, max_regions):
+        plan = plan_shard_overlaps("object", None, epoch_fsas(states))
         built = build_structures(plan.pools, max_regions=max_regions)
+        assert len(built) == len(plan.pools)
         for structure, pool in zip(built, plan.pools):
-            expected = FsaOverlapStructure.build(pool, max_regions=max_regions)
-            assert [(r.members, r.rectangle) for r in structure.regions()] == [
-                (r.members, r.rectangle) for r in expected.regions()
-            ]
-
-    def test_shared_prefix_does_not_mutate_the_prefix_structure(self):
-        prefix = {1: Rectangle.from_center(Point(10.0, 10.0), 8.0)}
-        extended = {1: prefix[1], 2: Rectangle.from_center(Point(12.0, 10.0), 8.0)}
-        structures = build_structures([prefix, extended])
-        short = structures[0] if len(structures[0]) < len(structures[1]) else structures[1]
-        assert len(short) == 1
+            assert regions_of(structure) == regions_of(
+                FsaOverlapStructure.build(pool, max_regions=max_regions)
+            )
 
 
 class TestBackendWorkerBuilds:
@@ -268,10 +275,7 @@ class TestBackendWorkerBuilds:
                     1: Rectangle.from_center(Point(200.0, 200.0), 80.0),
                     2: Rectangle.from_center(Point(260.0, 200.0), 80.0),
                 },
-                {
-                    2: Rectangle.from_center(Point(260.0, 200.0), 80.0),
-                    3: Rectangle.from_center(Point(800.0, 800.0), 50.0),
-                },
+                {3: Rectangle.from_center(Point(800.0, 800.0), 50.0)},
                 {4: Rectangle.from_center(Point(500.0, 500.0), 5.0)},
             ]
             per_state, structures = router.pipeline.backend.map_candidate_buckets(
@@ -281,8 +285,6 @@ class TestBackendWorkerBuilds:
             expected = [FsaOverlapStructure.build(pool) for pool in pools]
             assert len(structures) == len(expected)
             for built, reference in zip(structures, expected):
-                assert [(r.members, r.rectangle) for r in built.regions()] == [
-                    (r.members, r.rectangle) for r in reference.regions()
-                ]
+                assert regions_of(built) == regions_of(reference)
         finally:
             router.pipeline.close()

@@ -14,9 +14,8 @@ that hold for *any* layout — uniform grid or kd split:
 * kd fits are **total-order deterministic**: the splits are a pure function
   of the sample *set* — permuting the sample never changes the partition;
 * cells tile the bounds: positive areas summing to the monitored area;
-* ``ring_of`` grows monotonically from the shard itself to the full fleet;
 * the elastic operations preserve all of the above: any sequence of
-  ``split``/``merge`` actions keeps the plane covered and the rings sound,
+  ``split``/``merge`` actions keeps the plane covered,
   splits touch only the split cell (replica reuse depends on every other
   shard keeping its id and bounds), and a split is a pure function of the
   sample *set* — never its order.
@@ -298,26 +297,6 @@ class TestKdDeterminism:
             KdSplitPartition.fit(Rectangle(Point(0, 0), Point(0, 5)), 4)
 
 
-class TestRings:
-    @given(partitions(), st.integers(min_value=0, max_value=6))
-    @settings(max_examples=150, deadline=None)
-    def test_rings_grow_monotonically_from_self(self, partition, halo):
-        for shard_id in range(partition.num_shards):
-            ring = partition.ring_of(shard_id, halo)
-            assert shard_id in ring
-            assert ring <= set(range(partition.num_shards))
-            if halo == 0:
-                assert ring == {shard_id}
-            else:
-                assert partition.ring_of(shard_id, halo - 1) <= ring
-
-    @given(partitions())
-    @settings(max_examples=100, deadline=None)
-    def test_a_wide_ring_covers_the_fleet(self, partition):
-        ring = partition.ring_of(0, partition.num_shards)
-        assert ring == set(range(partition.num_shards))
-
-
 @st.composite
 def fleet_actions(draw):
     """A partition with an arbitrary *valid* split/merge history applied.
@@ -371,19 +350,6 @@ class TestElasticActions:
             cell = partition.shard_bounds(shard_id)
             assert cell.width > 0.0 and cell.height > 0.0
             assert partition.shard_id_of(cell.center) == shard_id
-
-    @given(fleet_actions(), st.integers(min_value=0, max_value=4))
-    @settings(max_examples=100, deadline=None)
-    def test_rings_stay_sound(self, partition, halo):
-        for shard_id in range(partition.num_shards):
-            ring = partition.ring_of(shard_id, halo)
-            assert shard_id in ring
-            assert ring <= set(range(partition.num_shards))
-            if halo:
-                assert partition.ring_of(shard_id, halo - 1) <= ring
-        assert partition.ring_of(0, partition.num_shards) == set(
-            range(partition.num_shards)
-        )
 
     @given(partitions(), samples(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -19,12 +19,11 @@ creation times), the hotness table and the top-k under both rankings.  Any
 divergence — an approximate merge, a non-deterministic tie-break, a missed
 cross-shard path — fails the suite.
 
-The shard-local FSA overlap structures run inside every one of these
-scenarios (the default adaptive halo is exact, so the bit-for-bit contract
-covers them); :class:`TestOverlapHalo` adds the harness's *deviation mode*,
-which quantifies — instead of forbidding — the divergence a truncated fixed
-``overlap_halo`` introduces, and pins that it is deterministic and
-backend-independent.
+The overlap stage (one structure per epoch, merged from cached components)
+runs inside every one of these scenarios; :class:`TestSaturatedRegionCap`
+adds the one epoch shape the streams above never produce — enough mutually
+overlapping FSAs to fill the region cap, where the kept regions depend on
+insertion order and the stage must fall back to the seed's own build.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ def make_coordinator(
     num_shards: int,
     window: int = 60,
     backend: str = "serial",
-    overlap_halo: int = None,
     partition: str = "uniform",
     rebalance_threshold: float = 2.0,
     epoch_mode: str = "delta",
@@ -67,7 +65,6 @@ def make_coordinator(
             cells_per_axis=32,
             num_shards=num_shards,
             backend=backend,
-            overlap_halo=overlap_halo,
             partition=partition,
             rebalance_threshold=rebalance_threshold,
             epoch_mode=epoch_mode,
@@ -419,7 +416,7 @@ def assert_mode_equal(full_trace, delta_trace, context: str) -> None:
 class TestEpochModeDifferential:
     """``epoch_mode="delta"`` vs ``epoch_mode="full"``, bit for bit per epoch.
 
-    The incremental pipeline (cross-epoch halo-pool reuse, corridor-chain
+    The incremental pipeline (cross-epoch overlap-pool reuse, corridor-chain
     patching, delta-shipped worker state) is pure plumbing: every epoch's
     responses, index contents, hotness table, top-k and corridor report must
     equal a full per-epoch rebuild exactly — under churn, expiry, forced
@@ -584,98 +581,61 @@ class TestEpochModeDifferential:
             assert full_stats[key] == 0
 
 
-def trace_deviation(expected, actual):
-    """Harness deviation mode: quantify a halo-truncated run against the seed.
+def saturating_stream() -> List[Tuple[int, List[ObjectState]]]:
+    """Three epochs; the middle one fills the overlap-region cap.
 
-    A fixed ``overlap_halo`` may truncate FSAs out of a shard's pool, so the
-    trace is allowed to diverge — but the divergence must be *measured*, not
-    waved away.  Returns the fraction of per-object responses that differ and
-    the relative final top-k score delta.  Both traces must still process the
-    same submissions (deviation changes answers, never drops work).
+    Fourteen FSAs around the centre of the area all contain the square
+    [430, 570]^2, so every one of their 2^14 - 1 subsets is a region — past
+    the cap of 10000 — and which ones the capped build keeps depends on how
+    many other FSAs were inserted before each of them.  They are interleaved
+    with sparse reporters spread over every shard of a 4x4 fleet, and several
+    reporters without a stored path probe the clique, so a build that kept
+    a different subset answers differently.
     """
-    assert len(actual) == len(expected)  # deviation never drops an epoch
-    responses = mismatched = 0
-    for exp, act in zip(expected, actual):
-        assert act["states_processed"] == exp["states_processed"]
-        assert len(act["responses"]) == len(exp["responses"])
-        for expected_response, actual_response in zip(exp["responses"], act["responses"]):
-            responses += 1
-            mismatched += expected_response != actual_response
-    expected_score = expected[-1]["snapshot"]["top_k_score_value"]
-    actual_score = actual[-1]["snapshot"]["top_k_score_value"]
-    if expected_score:
-        score_delta = abs(actual_score - expected_score) / expected_score
-    else:
-        score_delta = abs(actual_score - expected_score)
-    return {
-        "response_mismatch_fraction": mismatched / responses if responses else 0.0,
-        "top_k_score_relative_delta": score_delta,
-    }
+    rng = random.Random(7)
+
+    def state(object_id, start, fsa, t_end):
+        return ObjectState(object_id, start, t_end - 5, fsa.low, fsa.high, t_end)
+
+    def sparse(object_id, t_end):
+        start = Point(rng.uniform(20.0, 980.0), rng.uniform(20.0, 980.0))
+        return state(object_id, start, Rectangle.from_center(start, rng.uniform(5.0, 15.0)), t_end)
+
+    stream = [(10, [sparse(object_id, 9) for object_id in range(100, 124)])]
+    saturated = []
+    for member in range(14):
+        low = Point(430.0 - rng.uniform(1.0, 200.0), 430.0 - rng.uniform(1.0, 200.0))
+        high = Point(570.0 + rng.uniform(1.0, 200.0), 570.0 + rng.uniform(1.0, 200.0))
+        start = Point(rng.uniform(low.x, high.x), rng.uniform(low.y, high.y))
+        saturated.append(state(member, start, Rectangle(low, high), 19))
+        saturated.extend(sparse(200 + 3 * member + extra, 19) for extra in range(3))
+    for prober in range(6):
+        centre = Point(rng.uniform(300.0, 700.0), rng.uniform(300.0, 700.0))
+        saturated.append(
+            state(300 + prober, centre, Rectangle.from_center(centre, rng.uniform(40.0, 120.0)), 19)
+        )
+    stream.append((20, saturated))
+    stream.append((30, [sparse(object_id, 29) for object_id in range(100, 124)]))
+    return stream
 
 
-class TestOverlapHalo:
-    """Shard-local overlap structures: the adaptive halo and full-cover rings
-    stay bit-for-bit; truncated rings deviate by a quantified, bounded amount.
-    """
+class TestSaturatedRegionCap:
+    """A saturated overlap-region cap is not an exception to the contract."""
+
+    def test_the_stream_saturates_the_real_cap(self):
+        from repro.coordinator.overlaps import FsaOverlapStructure
+
+        _boundary, states = saturating_stream()[1]
+        fsas = {state.object_id: state.fsa for state in states}
+        assert len(FsaOverlapStructure.build(fsas)) == 10000
 
     @pytest.mark.parametrize("backend", ("serial",) + PARALLEL_BACKENDS)
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_full_cover_fixed_halo_matches_seed(self, num_shards, backend):
-        """A ring covering the whole shard grid pools every FSA everywhere,
-        so the fixed-halo code path must reproduce the seed bit for bit."""
-        stream = synthetic_stream(11)
-        seed_trace = drive(make_coordinator(1), stream)
-        full_cover = drive(
-            make_coordinator(num_shards, backend=backend, overlap_halo=4), stream
-        )
-        for epoch, (expected, actual) in enumerate(zip(seed_trace, full_cover)):
-            assert actual == expected, f"full-cover halo diverged at epoch {epoch}"
-
-    @pytest.mark.parametrize("seed", [11, 42])
-    def test_adaptive_halo_deviation_is_zero(self, seed):
-        """The default halo is exact; the deviation mode must report zero."""
-        stream = synthetic_stream(seed)
-        seed_trace = drive(make_coordinator(1), stream)
-        adaptive = drive(make_coordinator(16, overlap_halo=None), stream)
-        deviation = trace_deviation(seed_trace, adaptive)
-        assert deviation == {
-            "response_mismatch_fraction": 0.0,
-            "top_k_score_relative_delta": 0.0,
-        }
-
-    @pytest.mark.parametrize("seed", [11, 42])
-    def test_truncated_halo_deviation_is_quantified_and_bounded(self, seed):
-        """``overlap_halo=0`` strips the cross-shard pool down to each shard's
-        own FSAs.  On the boundary-stressing stream roughly a quarter of the
-        responses shift (measured: 0.23-0.29), so the deviation must be real
-        (> 0, the knob is not a no-op), bounded (the truncation degrades
-        gracefully), and shrink to nothing as the ring grows."""
-        stream = synthetic_stream(seed)
-        seed_trace = drive(make_coordinator(1), stream)
-        deviations = {}
-        for halo in (0, 1, 4):
-            trace = drive(make_coordinator(16, overlap_halo=halo), stream)
-            deviations[halo] = trace_deviation(seed_trace, trace)
-        assert 0.0 < deviations[0]["response_mismatch_fraction"] <= 0.5
-        assert deviations[0]["top_k_score_relative_delta"] <= 0.25
-        assert (
-            deviations[1]["response_mismatch_fraction"]
-            <= deviations[0]["response_mismatch_fraction"]
-        )
-        assert deviations[4]["response_mismatch_fraction"] == 0.0
-
-    def test_truncated_halo_is_deterministic_and_backend_independent(self):
-        """Approximation must still be reproducible: the same fixed halo gives
-        the same trace on every run and every execution backend."""
-        stream = synthetic_stream(42)
-        serial = drive(make_coordinator(16, overlap_halo=0), stream)
-        again = drive(make_coordinator(16, overlap_halo=0), stream)
-        assert again == serial
-        for backend in PARALLEL_BACKENDS:
-            parallel = drive(
-                make_coordinator(16, backend=backend, overlap_halo=0), stream
-            )
-            assert parallel == serial, f"halo run diverged on backend={backend}"
+    def test_sixteen_shards_match_the_seed_through_a_saturated_epoch(self, backend):
+        stream = saturating_stream()
+        seed_trace = drive(make_coordinator(1, kernel="object", epoch_mode="full"), stream)
+        fleet_trace = drive(make_coordinator(16, backend=backend), stream)
+        for epoch, (expected, actual) in enumerate(zip(seed_trace, fleet_trace)):
+            assert actual == expected, f"backend={backend} diverged at epoch {epoch}"
 
 
 class TestSimulationDifferential:
