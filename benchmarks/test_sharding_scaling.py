@@ -8,14 +8,16 @@ so the benchmark asserts the discovered top-k is bit-for-bit equal across every
 combination and records the per-epoch coordinator time, the fleet's load
 balance and the per-backend speedup over the serial pipeline.
 
-Interpreting the backend table: candidate passes fan out per shard and
-decisions commit per conflict group, so available parallelism is bounded by
-the group structure of each epoch and the machine's cores (the table records
-both).  On standard CPython the GIL caps the ``threads`` backend at serial
-throughput regardless of cores — it is measured as the coordination-overhead
-baseline and for free-threaded builds; ``processes`` is the backend that can
-win on multi-core hardware, and on a single-core container both show their
-overhead rather than a speedup.
+Interpreting the backend table: candidate passes run inline in the parent on
+every backend; what the parallel backends spread is the builds of the epoch's
+cache-missed overlap components (thread pool / stateless worker processes)
+and the decision commits (per conflict group), so available parallelism is
+bounded by the component and group structure of each epoch and the machine's
+cores (the table records the cores).  On standard CPython the GIL caps the
+``threads`` backend at serial throughput regardless of cores — it is measured
+as the coordination-overhead baseline and for free-threaded builds;
+``processes`` can win only where off-parent builds outweigh their shipment,
+and on a small container both show their overhead rather than a speedup.
 
 The stitching table isolates the corridor-stitching merge pass: the
 ``global`` row stitches one flat hot-path list (the seed coordinator's
@@ -735,8 +737,8 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
     lines.append(
         f"(single-shard columnar speedup: {kernel_speedup:.2f}x — the candidate "
         "scans, overlap queries and cell upkeep run as numpy column kernels; "
-        "process rows additionally ship epochs through shared memory instead "
-        "of pickling)"
+        "process rows additionally ship their overlap pools through shared "
+        "memory instead of pickling)"
     )
     record_result("sharding_scaling", "\n".join(lines))
 

@@ -21,10 +21,10 @@ per epoch over the whole batch of state messages):
   pass (:func:`repro.coordinator.single_path.prefetch_vertex_candidates`).
 * :class:`ShipmentRing` / :func:`decode_work_shipment` — the shared-memory
   transport of :class:`~repro.coordinator.execution.ProcessBackend`: one
-  reusable ``multiprocessing.shared_memory`` block per worker carrying the
-  epoch's journal slice, candidate tasks and missed FSA pools as packed
-  ``int64``/``float64`` sections, so replicas read arrays instead of
-  unpickling per-record tuples.
+  reusable ``multiprocessing.shared_memory`` block per worker carrying its
+  share of the epoch's cache-missed FSA pools as packed ``int64``/``float64``
+  sections, so build workers read arrays instead of unpickling per-member
+  tuples.
 
 **Exactness.**  Every kernel is required to be bit-for-bit equal to the
 scalar reference (``kernel="object"``), which stays the pinned
@@ -211,8 +211,7 @@ class EndpointTable:
     every entry — start entries (indexed at that vertex) and end entries
     (whose *other* endpoint it is) alike — so ``paths_starting_at`` and
     ``paths_from_into`` are one dict probe and a scan of that vertex's
-    paths.  A process-backend replica holds start entries only and never
-    touches the columns.
+    paths.
     """
 
     __slots__ = ("count", "pids", "ex", "ey", "_rows", "_by_start", "_start_of")
@@ -424,42 +423,31 @@ class RegionTable:
 # the block's integer capacity, carried in the pipe header so parent and
 # worker never disagree about it).  Section order is fixed:
 #
-#   ints:   ops[n_ops, 4]      -- (tag, a, b, c); tag 0=insert, 1=delete,
-#                                  2=renumber; a/b/c are (path_id, shard,
-#                                  created_at) for inserts, (path_id, shard,
-#                                  0) for deletes, (old, new, shard) for
-#                                  renumbers
-#           tasks[n_tasks, 2]  -- (position, shard_id)
-#           pools[n_pools, 2]  -- (pool_index, member_count)
+#   ints:   pools[n_pools, 2]  -- (pool_index, member_count)
 #           members[n_entries] -- object ids, pool-concatenated
-#   floats: ops[n_ops, 4]      -- (sx, sy, ex, ey) for inserts, zeros else
-#           tasks[n_tasks, 6]  -- (sx, sy, flx, fly, fhx, fhy)
-#           members[n_entries, 4] -- FSA (lx, ly, hx, hy), pool-concatenated
+#   floats: members[n_entries, 4] -- FSA (lx, ly, hx, hy), pool-concatenated
 #
 # The pipe still carries a small header per shipment (and all replies), so
 # it keeps providing the happens-before edge between the parent's writes
 # and the worker's reads; the block itself is plain memory.
 
-_OP_TAGS = {"i": 0, "d": 1, "r": 2}
 
-
-def _shipment_sizes(ops, tasks, overlap_tasks) -> Tuple[int, int, int, int, int, int]:
-    n_ops = len(ops)
-    n_tasks = len(tasks)
-    n_pools = len(overlap_tasks)
-    n_entries = sum(len(members) for _pool_index, members in overlap_tasks)
-    ints = 4 * n_ops + 2 * n_tasks + 2 * n_pools + n_entries
-    floats = 4 * n_ops + 6 * n_tasks + 4 * n_entries
-    return n_ops, n_tasks, n_pools, n_entries, ints, floats
+def _shipment_sections(buffer, int_capacity: int, n_pools: int, n_entries: int):
+    """``(pools, member ids, member FSAs)`` views of a block, per the layout above."""
+    ints = _np.ndarray((2 * n_pools + n_entries,), dtype=_np.int64, buffer=buffer)
+    floats = _np.ndarray(
+        (n_entries, 4), dtype=_np.float64, buffer=buffer, offset=8 * int_capacity
+    )
+    return ints[: 2 * n_pools].reshape(n_pools, 2), ints[2 * n_pools :], floats
 
 
 class ShipmentRing:
     """One worker's reusable shared-memory shipment block (parent side).
 
     Grows geometrically and is reused across epochs, so the steady state
-    allocates nothing: the parent packs each epoch's journal slice, candidate
-    tasks and cache-missed FSA pools into the existing block and ships a
-    constant-size header over the pipe.  ``pack`` returns that header;
+    allocates nothing: the parent packs the worker's share of each epoch's
+    cache-missed FSA pools into the existing block and ships a constant-size
+    header over the pipe.  ``pack`` returns that header;
     :func:`decode_work_shipment` is its worker-side inverse.
     """
 
@@ -485,51 +473,14 @@ class ShipmentRing:
         self._int_capacity = int_capacity
         self._float_capacity = float_capacity
 
-    def pack(self, ops, tasks, overlap_tasks) -> tuple:
-        """Write one epoch shipment; returns the ``("work_shm", ...)`` header."""
-        n_ops, n_tasks, n_pools, n_entries, ints, floats = _shipment_sizes(
-            ops, tasks, overlap_tasks
+    def pack(self, overlap_tasks) -> tuple:
+        """Write one build shipment; returns the ``("work_shm", ...)`` header."""
+        n_pools = len(overlap_tasks)
+        n_entries = sum(len(members) for _pool_index, members in overlap_tasks)
+        self._ensure_capacity(2 * n_pools + n_entries, 4 * n_entries)
+        pool_ints, member_ints, member_floats = _shipment_sections(
+            self._shm.buf, self._int_capacity, n_pools, n_entries
         )
-        self._ensure_capacity(ints, floats)
-        int_view = _np.ndarray(
-            (self._int_capacity,), dtype=_np.int64, buffer=self._shm.buf
-        )
-        float_view = _np.ndarray(
-            (self._float_capacity,),
-            dtype=_np.float64,
-            buffer=self._shm.buf,
-            offset=8 * self._int_capacity,
-        )
-        cursor = 0
-        op_ints = int_view[cursor : cursor + 4 * n_ops].reshape(n_ops, 4)
-        cursor += 4 * n_ops
-        task_ints = int_view[cursor : cursor + 2 * n_tasks].reshape(n_tasks, 2)
-        cursor += 2 * n_tasks
-        pool_ints = int_view[cursor : cursor + 2 * n_pools].reshape(n_pools, 2)
-        cursor += 2 * n_pools
-        member_ints = int_view[cursor : cursor + n_entries]
-        cursor = 0
-        op_floats = float_view[cursor : cursor + 4 * n_ops].reshape(n_ops, 4)
-        cursor += 4 * n_ops
-        task_floats = float_view[cursor : cursor + 6 * n_tasks].reshape(n_tasks, 6)
-        cursor += 6 * n_tasks
-        member_floats = float_view[cursor : cursor + 4 * n_entries].reshape(n_entries, 4)
-
-        for row, op in enumerate(ops):
-            tag = _OP_TAGS[op[0]]
-            if tag == 0:
-                _t, path_id, shard_id, s_x, s_y, e_x, e_y, created_at = op
-                op_ints[row] = (0, path_id, shard_id, created_at)
-                op_floats[row] = (s_x, s_y, e_x, e_y)
-            elif tag == 1:
-                op_ints[row] = (1, op[1], op[2], 0)
-                op_floats[row] = 0.0
-            else:
-                op_ints[row] = (2, op[1], op[2], op[3])
-                op_floats[row] = 0.0
-        for row, task in enumerate(tasks):
-            task_ints[row] = task[:2]
-            task_floats[row] = task[2:]
         entry = 0
         for row, (pool_index, members) in enumerate(overlap_tasks):
             pool_ints[row] = (pool_index, len(members))
@@ -537,15 +488,7 @@ class ShipmentRing:
                 member_ints[entry] = object_id
                 member_floats[entry] = (f_lx, f_ly, f_hx, f_hy)
                 entry += 1
-        return (
-            "work_shm",
-            self._shm.name,
-            self._int_capacity,
-            n_ops,
-            n_tasks,
-            n_pools,
-            n_entries,
-        )
+        return ("work_shm", self._shm.name, self._int_capacity, n_pools, n_entries)
 
     def close(self, unlink: bool = True) -> None:
         """Release the block (and destroy it with ``unlink=True``)."""
@@ -609,56 +552,13 @@ def _attach(name: str, attachments: Dict[str, object]):
 def decode_work_shipment(header: Sequence, attachments: Dict[str, object]):
     """Worker-side inverse of :meth:`ShipmentRing.pack`.
 
-    Returns ``(ops, tasks, overlap_tasks)`` in exactly the shapes the pickled
-    pipe protocol ships, so the worker loop downstream of the decode is
-    transport-agnostic.
+    Returns ``overlap_tasks`` in exactly the shape the pickled pipe protocol
+    ships, so the worker loop downstream of the decode is transport-agnostic.
     """
-    _kind, name, int_capacity, n_ops, n_tasks, n_pools, n_entries = header
-    shm = _attach(name, attachments)
-    int_view = _np.ndarray((int_capacity,), dtype=_np.int64, buffer=shm.buf)
-    ints = 4 * n_ops + 2 * n_tasks + 2 * n_pools + n_entries
-    floats = 4 * n_ops + 6 * n_tasks + 4 * n_entries
-    float_view = _np.ndarray(
-        (floats,), dtype=_np.float64, buffer=shm.buf, offset=8 * int_capacity
+    _kind, name, int_capacity, n_pools, n_entries = header
+    pool_ints, member_ints, member_floats = _shipment_sections(
+        _attach(name, attachments).buf, int_capacity, n_pools, n_entries
     )
-    cursor = 0
-    op_ints = int_view[cursor : cursor + 4 * n_ops].reshape(n_ops, 4)
-    cursor += 4 * n_ops
-    task_ints = int_view[cursor : cursor + 2 * n_tasks].reshape(n_tasks, 2)
-    cursor += 2 * n_tasks
-    pool_ints = int_view[cursor : cursor + 2 * n_pools].reshape(n_pools, 2)
-    cursor += 2 * n_pools
-    member_ints = int_view[cursor : cursor + n_entries]
-    cursor = 0
-    op_floats = float_view[cursor : cursor + 4 * n_ops].reshape(n_ops, 4)
-    cursor += 4 * n_ops
-    task_floats = float_view[cursor : cursor + 6 * n_tasks].reshape(n_tasks, 6)
-    cursor += 6 * n_tasks
-    member_floats = float_view[cursor : cursor + 4 * n_entries].reshape(n_entries, 4)
-
-    ops = []
-    for row in range(n_ops):
-        tag, a, b, c = (int(value) for value in op_ints[row])
-        if tag == 0:
-            s_x, s_y, e_x, e_y = (float(value) for value in op_floats[row])
-            ops.append(("i", a, b, s_x, s_y, e_x, e_y, c))
-        elif tag == 1:
-            ops.append(("d", a, b))
-        else:
-            ops.append(("r", a, b, c))
-    tasks = [
-        (
-            int(task_ints[row, 0]),
-            int(task_ints[row, 1]),
-            float(task_floats[row, 0]),
-            float(task_floats[row, 1]),
-            float(task_floats[row, 2]),
-            float(task_floats[row, 3]),
-            float(task_floats[row, 4]),
-            float(task_floats[row, 5]),
-        )
-        for row in range(n_tasks)
-    ]
     overlap_tasks = []
     entry = 0
     for row in range(n_pools):
@@ -675,7 +575,7 @@ def decode_work_shipment(header: Sequence, attachments: Dict[str, object]):
         ]
         entry += member_count
         overlap_tasks.append((pool_index, members))
-    return ops, tasks, overlap_tasks
+    return overlap_tasks
 
 
 def close_attachments(attachments: Dict[str, object]) -> None:

@@ -61,13 +61,14 @@ class FleetConfig:
     )
     backend: str = _knob(
         "serial",
-        "epoch execution backend for a sharded coordinator: 'serial' runs shard "
-        "passes inline; 'threads' maps them onto a thread pool (GIL-bound on "
-        "standard CPython — mainly for free-threaded builds); 'processes' runs "
-        "candidate passes in replica-holding worker processes and can use "
-        "multiple cores. Decisions commit in parallel over non-conflicting shard "
-        "groups on both parallel backends. Every backend returns identical "
-        "results. Ignored when --shards is 1.",
+        "epoch execution backend for a sharded coordinator: 'serial' runs every "
+        "pass inline; 'threads' builds the epoch's overlap components on a thread "
+        "pool (GIL-bound on standard CPython — mainly for free-threaded builds); "
+        "'processes' builds them in stateless worker processes and can use "
+        "multiple cores. Every index read and mutation stays in the parent; "
+        "decisions commit in parallel over non-conflicting shard groups on both "
+        "parallel backends. Every backend returns identical results. Ignored "
+        "when --shards is 1.",
         choices=BACKEND_NAMES,
     )
     partition: str = _knob(

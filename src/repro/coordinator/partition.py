@@ -1,7 +1,7 @@
 """Spatial partition layer behind the shard router.
 
-PR 1 hard-wired the shard fleet to a uniform R x C grid: routing, conflict
-grouping and worker bootstrap all did grid arithmetic directly.  This module extracts the partition into one small abstraction so
+PR 1 hard-wired the shard fleet to a uniform R x C grid: routing and conflict
+grouping did grid arithmetic directly.  This module extracts the partition into one small abstraction so
 the fleet can run non-uniform, load-adaptive layouts behind the unchanged
 :class:`~repro.coordinator.sharding.ShardRouter` interface:
 
@@ -124,10 +124,11 @@ class Partition(ABC):
 
         The split leaf keeps its id and the new sibling is appended at
         ``num_shards`` — every other shard keeps both its id and its cell,
-        which is what lets the process backend keep those shards' replicas
-        alive across the migration.  ``points`` (endpoint samples inside the
-        cell) place the cut at the load median; without a sample the cut is
-        the cell midpoint on its wider axis.
+        so shard ids are a deterministic function of the action sequence
+        (nothing else depends on the numbering: no backend holds per-shard
+        state).  ``points`` (endpoint samples inside the cell) place the cut
+        at the load median; without a sample the cut is the cell midpoint on
+        its wider axis.
         """
 
     @abstractmethod

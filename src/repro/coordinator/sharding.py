@@ -37,12 +37,11 @@ exceeds the configured threshold, a fresh
 :class:`~repro.coordinator.partition.KdSplitPartition` is fitted to the
 live records' start-vertex density and the fleet *migrates* — grid-index
 entries re-route by endpoint ownership, hotness counters and pending expiry
-events follow their paths' new owners, boundary ledgers are recomputed, the
-mutation journal resets and process-backend replicas re-bootstrap from a
-fresh snapshot under a new load-aware shard→worker assignment.  Migration
-moves state, never answers: ids, geometry, counters and event times are
-preserved bit for bit, so a rebalanced fleet stays on the differential
-harness's exactness contract (``TestRebalanceDifferential``).
+events follow their paths' new owners and boundary ledgers are recomputed;
+no execution backend holds fleet state, so none is told.  Migration moves
+state, never answers: ids, geometry, counters and event times are preserved
+bit for bit, so a rebalanced fleet stays on the differential harness's
+exactness contract (``TestRebalanceDifferential``).
 
 **Batched epoch pipeline.**  :class:`ShardedSinglePath` processes an epoch's
 submissions in three batched stages instead of per-message dispatch:
@@ -61,12 +60,13 @@ Per-shard expiry queues are drained lazily at the epoch boundary (the
 shard's event heap once per epoch rather than interleaving expiry work with
 message intake.
 
-**Parallel execution.**  Both stages of the pipeline can run on a worker pool
-(see :mod:`repro.coordinator.execution`): the per-shard candidate passes are
-read-only and embarrassingly parallel, and the decision stage is partitioned
-into *conflict groups* — two states conflict when the shards touched by their
-FSAs or SSA starts intersect — that commit concurrently while submission
-order is replayed inside each group.  Parallel commits allocate provisional
+**Parallel execution.**  The overlap builds and the decision stage can run
+on a worker pool (see :mod:`repro.coordinator.execution`): the builds of the
+epoch's cache-missed overlap components are read-only and independent, and
+the decision stage is partitioned into *conflict groups* — two states
+conflict when the shards touched by their FSAs or SSA starts intersect — that
+commit concurrently while submission order is replayed inside each group.
+Parallel commits allocate provisional
 path ids (``_commit_base + submission position``, a range disjoint from both
 pre-epoch and final ids); because no decision ever compares the numeric id of
 a path inserted in the same epoch, :meth:`ShardRouter.finish_parallel_commit`
@@ -440,8 +440,8 @@ class ShardedSinglePath:
 
     Drop-in replacement for :meth:`SinglePathStrategy.process_epoch`: the
     intake is grouped by shard and candidate generation runs as one pass per
-    shard on the execution backend's worker pool, while the decision stage
-    replays global submission order — directly on the serial backend, or per
+    shard beside the execution backend's overlap builds, while the decision
+    stage replays global submission order — directly on the serial backend, or per
     conflict group with deferred id renumbering on the parallel backends —
     so the outcome is identical to the single-shard strategy.
     """
@@ -490,10 +490,10 @@ class ShardedSinglePath:
         )
 
         # Stage 2: per-shard candidate generation, one pass over each bucket,
-        # mapped onto the backend's workers together with the builds of the
-        # components the cache missed (both are read-only) — under low churn
-        # most components repeat verbatim, so process replicas receive a
-        # handful of dirtied pools instead of the full epoch shipment.
+        # beside the backend's builds of the components the cache missed
+        # (both are read-only) — under low churn most components repeat
+        # verbatim, so process workers receive a handful of dirtied pools
+        # instead of the full epoch shipment.
         # Candidate paths start at the object's SSA start, which the bucket's
         # shard owns, so no cross-shard traffic happens here.  The per-object
         # dict is rebuilt in submission order afterwards: when one object
@@ -663,12 +663,6 @@ class ShardRouter:
         self.boundary_ledger: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
         #: Diagnostics of the most recent :meth:`stitch_epoch` run.
         self.stitch_stats: Dict[str, object] = {}
-        #: Mutation journal replayed by process-backend replicas: one compact
-        #: tuple per insert/delete, appended in commit order.  Recorded only
-        #: when the backend consumes it (``needs_journal``), and truncated by
-        #: the consumer once every replica has replayed a prefix.
-        self.journal: List[tuple] = []
-        self._journal_enabled = False
         # Parallel-commit state: while a commit is open, inserts performed by
         # group workers allocate the provisional id ``_commit_base + position``
         # of the deciding state (position communicated via a thread-local).
@@ -700,9 +694,7 @@ class ShardRouter:
                 shard.hotness.enable_delta_log()
         self.index = ShardedGridIndex(self)
         self.hotness = ShardedHotnessTracker(self, config.window)
-        backend = create_backend(config.backend)
-        self._journal_enabled = backend.needs_journal
-        self.pipeline = ShardedSinglePath(self, backend)
+        self.pipeline = ShardedSinglePath(self, create_backend(config.backend))
         for shard in self.shards:
             shard.strategy = SinglePathStrategy(
                 _ShardLocalView(self, shard.shard_id), self.hotness
@@ -1173,11 +1165,6 @@ class ShardRouter:
             if self.config.epoch_mode == "delta":
                 shard.hotness.enable_delta_log()
         exported = [shard.hotness.export_state() for shard in self.shards]
-        old_bounds = [shard.bounds for shard in self.shards]
-        old_cells = self._shard_cells()
-        old_owner_ids = {
-            path_id: shard.shard_id for path_id, shard in self.owners.items()
-        }
         self.grid = migration.target
         self.shards = migration.shadow
         self.owners = migration.shadow_owners
@@ -1201,11 +1188,6 @@ class ShardRouter:
             )
         self._migration = None
         self._reset_elastic_signals()
-        if self._journal_enabled:
-            self.journal.clear()
-        self.pipeline.backend.on_rebalance(
-            self._fleet_update(old_bounds, old_cells, old_owner_ids)
-        )
         self.rebalances += 1
 
     def _reset_elastic_signals(self) -> None:
@@ -1215,43 +1197,6 @@ class ShardRouter:
         self._epoch_seconds_ewma = {}
         self._split_streak = 0
         self._merge_streak = 0
-
-    def _fleet_update(
-        self,
-        old_bounds: List[Rectangle],
-        old_cells: int,
-        old_owner_ids: Dict[int, int],
-    ) -> Dict[str, object]:
-        """Describe a completed migration for the execution backend.
-
-        ``unchanged`` holds the shard ids whose replica-visible state is
-        byte-identical across the migration — same bounds, same per-shard
-        grid resolution and the same owned record set — so a process backend
-        can keep those shards' replicas alive instead of tearing the whole
-        fleet down (the id-stable split/merge numbering of the partition
-        layer exists to make this set large).
-        """
-        new_owned: Dict[int, set] = {shard.shard_id: set() for shard in self.shards}
-        for path_id, shard in self.owners.items():
-            new_owned[shard.shard_id].add(path_id)
-        old_owned: Dict[int, set] = {}
-        for path_id, shard_id in old_owner_ids.items():
-            old_owned.setdefault(shard_id, set()).add(path_id)
-        unchanged = set()
-        if old_cells == self._shard_cells():
-            for shard in self.shards:
-                shard_id = shard.shard_id
-                if (
-                    shard_id < len(old_bounds)
-                    and old_bounds[shard_id] == shard.bounds
-                    and old_owned.get(shard_id, set()) == new_owned[shard_id]
-                ):
-                    unchanged.add(shard_id)
-        return {
-            "unchanged": unchanged,
-            "num_shards": len(self.shards),
-            "loads": [len(shard.index) for shard in self.shards],
-        }
 
     def _migrate(self, partition: Partition) -> None:
         """Move every piece of per-shard state onto ``partition``'s layout.
@@ -1263,20 +1208,12 @@ class ShardRouter:
         of the rebuild is not observable), and the boundary ledgers are
         recomputed from the migrated records.  Hotness entries whose record
         is gone (possible via direct index manipulation) stay with their
-        previous shard id so their expiry events keep draining.  The
-        mutation journal is reset and the execution backend told to
-        re-bootstrap: process workers respawn lazily with a fresh snapshot
-        of the migrated fleet and a new load-aware shard assignment.
+        previous shard id so their expiry events keep draining.
         """
         records = [
             (path_id, shard.index.get(path_id)) for path_id, shard in self.owners.items()
         ]
         migrated_hotness = [shard.hotness.export_state() for shard in self.shards]
-        old_bounds = [shard.bounds for shard in self.shards]
-        old_cells = self._shard_cells()
-        old_owner_ids = {
-            path_id: shard.shard_id for path_id, shard in self.owners.items()
-        }
         # Elastic migrations may change the fleet size: dropped tail shards'
         # pending delta-log events are carried over (their counters and
         # expiry events migrate through export/adopt below), appended shards
@@ -1340,11 +1277,6 @@ class ShardRouter:
         if carried is not None:
             self.shards[0].hotness.absorb_delta_log(carried)
         self._reset_elastic_signals()
-        if self._journal_enabled:
-            self.journal.clear()
-        self.pipeline.backend.on_rebalance(
-            self._fleet_update(old_bounds, old_cells, old_owner_ids)
-        )
         self.rebalances += 1
 
     # -- routing -----------------------------------------------------------------
@@ -1387,19 +1319,6 @@ class ShardRouter:
         self.inserts_total += 1
         if start_owner is not end_owner:
             self._ledger_add(record.path_id, start_owner.shard_id, end_owner.shard_id)
-        if self._journal_enabled:
-            self.journal.append(
-                (
-                    "i",
-                    record.path_id,
-                    start_owner.shard_id,
-                    path.start.x,
-                    path.start.y,
-                    path.end.x,
-                    path.end.y,
-                    created_at,
-                )
-            )
         return record
 
     def delete(self, path_id: int) -> None:
@@ -1417,8 +1336,6 @@ class ShardRouter:
         del self.owners[path_id]
         if owner is not end_owner:
             self._ledger_discard(path_id, owner.shard_id, end_owner.shard_id)
-        if self._journal_enabled:
-            self.journal.append(("d", path_id, owner.shard_id))
         if self._migration is not None:
             # Deletion is the only way a warmed record can go stale (geometry
             # is immutable and warmed ids are final): unwind it from the
@@ -1616,8 +1533,6 @@ class ShardRouter:
                 self._ledger_discard(provisional_id, owner.shard_id, end_owner.shard_id)
                 self._ledger_add(final_id, owner.shard_id, end_owner.shard_id)
             hotness_renames.setdefault(owner.shard_id, {})[provisional_id] = final_id
-            if self._journal_enabled:
-                self.journal.append(("r", provisional_id, final_id, owner.shard_id))
         # Every shard flushes its deferred expiry events (crossings happen on
         # shards that inserted nothing too); renames re-key counters and the
         # buffered events without touching the existing heaps.

@@ -20,8 +20,9 @@ optionally injects faults from an :class:`InjectionConfig`:
 
 * ``drop_batch`` / ``duplicate_batch`` / ``reorder_batch`` — network
   faults applied to client batches before they reach the socket;
-* ``kill_worker`` — hard-kill a process-backend worker between epochs and
-  recover it through :meth:`ProcessBackend.restart_worker`;
+* ``kill_worker`` — hard-kill a process-backend build worker (addressed by
+  worker index) between epochs and recover it through
+  :meth:`ProcessBackend.restart_worker`;
 * ``force_rebalance`` — migrate the fleet onto freshly fitted kd splits
   mid-run;
 * ``stall_epoch`` — withhold an epoch's tick so updates pile up against
@@ -371,7 +372,7 @@ class FaultSchedule:
     duplicates: frozenset = frozenset()
     #: Per epoch: adjacent send-order swaps ``(i, i + 1)``.
     swaps: Tuple[Tuple[int, int], ...] = ()
-    #: Per epoch: a uniform draw selecting which shard's worker to kill.
+    #: Per epoch: a uniform draw selecting which worker to kill.
     kills: Tuple[Tuple[int, float], ...] = ()
     rebalances: frozenset = frozenset()
     stalls: frozenset = frozenset()
@@ -718,11 +719,11 @@ class ScenarioRunner:
                 # the tick — mid-stream from the clients' point of view.
                 for kill_epoch, draw in schedule.kills:
                     if kill_epoch == epoch_index:
-                        detail = self._inject_kill(coordinator, draw)
-                        if detail is not None:
+                        worker = self._inject_kill(coordinator, draw)
+                        if worker is not None:
                             result.worker_kills += 1
                             result.fault_events.append(
-                                ("kill_worker", epoch_index) + detail
+                                ("kill_worker", epoch_index, worker)
                             )
                 if epoch_index in schedule.rebalances and coordinator.router is not None:
                     if coordinator.router.rebalance():
@@ -783,12 +784,12 @@ class ScenarioRunner:
         result.validation_errors = scenario.validate_result(result)
         return result
 
-    def _inject_kill(self, coordinator, draw: float) -> Optional[Tuple[int, int]]:
-        """Kill the worker replicating a drawn shard, then restart it.
+    def _inject_kill(self, coordinator, draw: float) -> Optional[int]:
+        """Kill the drawn worker, then restart it.
 
         Only meaningful on the processes backend with a spawned fleet;
-        returns ``(shard_id, worker)`` when a kill fired, ``None`` when the
-        fleet shape makes the fault inapplicable (recorded as not-fired).
+        returns the worker index when a kill fired, ``None`` when the fleet
+        shape makes the fault inapplicable (recorded as not-fired).
         """
         router = coordinator.router
         if router is None:
@@ -796,11 +797,10 @@ class ScenarioRunner:
         backend = router.pipeline.backend
         if backend.name != "processes" or backend.worker_count == 0:
             return None
-        shard_id = min(len(router.shards) - 1, int(draw * len(router.shards)))
-        worker = backend.worker_for_shard(shard_id)
+        worker = min(backend.worker_count - 1, int(draw * backend.worker_count))
         backend.kill_worker(worker)
-        backend.restart_worker(router, shard_id)
-        return (shard_id, worker)
+        backend.restart_worker(worker)
+        return worker
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,10 @@ class TestExactRecoveryFaults:
         )
 
         assert chaotic.worker_kills >= 1
+        # Kills address workers, not shards: ("kill_worker", epoch, worker).
+        assert len(chaotic.fault_events) == chaotic.worker_kills
+        for kind, epoch, worker in chaotic.fault_events:
+            assert kind == "kill_worker" and epoch >= 1 and 0 <= worker < 8
         assert chaotic.accepted_log == baseline.accepted_log
         assert chaotic.report == baseline.report
         assert chaotic.report == replay_accepted_log(chaotic.accepted_log)

@@ -30,7 +30,7 @@ from collections import Counter
 from typing import Dict
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.client.state import ObjectState
 from repro.core.geometry import Point, Rectangle
@@ -38,6 +38,9 @@ from repro.coordinator.columnar import (
     HAVE_NUMPY,
     EndpointTable,
     RegionTable,
+    ShipmentRing,
+    close_attachments,
+    decode_work_shipment,
     resolve_kernel,
 )
 from repro.core.errors import ConfigurationError
@@ -146,8 +149,51 @@ class TestFullMatrixEquivalence:
         assert seed_trace == fleet_trace
 
 
+#: Wire-format edge values: signed zero, subnormals, the float64 extremes.
+wire_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+wire_members = st.tuples(
+    st.integers(min_value=0, max_value=2**62), wire_floats, wire_floats, wire_floats, wire_floats
+)
+#: One shipment: ``[(pool_index, [(object_id, lx, ly, hx, hy), ...]), ...]``.
+wire_shipments = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=10**6), st.lists(wire_members, max_size=6)),
+    max_size=6,
+)
+#: 300 members outgrow a fresh ring's 256-slot sections.
+_REGROWTH = [(0, [(2**40 + i, -0.0, 5e-324, float(i), 1e300) for i in range(300)])]
+
+
+def wire_image(shipment):
+    """Bit-exact comparison form (``-0.0 == 0.0`` would hide a lost sign)."""
+    return [
+        (pool_index, [(object_id, *(value.hex() for value in box)) for object_id, *box in members])
+        for pool_index, members in shipment
+    ]
+
+
 class TestSharedMemoryTransport:
     """The process backend must actually ship epochs through shared memory."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(wire_shipments, max_size=4))
+    @example([[]])
+    @example([_REGROWTH, []])
+    @example([[(3, [(2**40, -0.0, 5e-324, 1.0, 2.0)])], [(0, []), (9, [(1, 0.0, 0.0, 0.0, 0.0)])]])
+    def test_pack_decode_round_trip(self, shipments):
+        """``ShipmentRing.pack`` -> ``decode_work_shipment`` is the identity
+        on pool lists, shipment after shipment through one reused ring."""
+        ring = ShipmentRing()
+        attachments: Dict[str, object] = {}
+        try:
+            for shipment in shipments:
+                decoded = decode_work_shipment(ring.pack(shipment), attachments)
+                assert wire_image(decoded) == wire_image(shipment)
+        finally:
+            close_attachments(attachments)
+            ring.close(unlink=True)
 
     def test_columnar_ships_via_shared_memory(self):
         stream = synthetic_stream(seed=3, epochs=6)
@@ -178,7 +224,8 @@ class TestSharedMemoryTransport:
             coordinator.close()
 
     def test_worker_kill_mid_stream_stays_equivalent(self):
-        """Respawn ships inline; answers must still match the object kernel."""
+        """A replaced worker attaches to the ring afresh; answers must still
+        match the object kernel."""
         stream = synthetic_stream(seed=21, epochs=8)
 
         def run(kernel: str):

@@ -160,8 +160,8 @@ class TestElasticMatrix:
 
     def test_worker_kill_during_inflight_budgeted_migration(self, seed_trace):
         """A process worker dies while the incoming fleet is still warming:
-        the respawn bootstraps from the (authoritative) outgoing fleet and
-        the replay stays exact."""
+        its replacement needs nothing of either fleet and the replay stays
+        exact."""
         observed = {"active_when_killed": False}
 
         def fault(coordinator: Coordinator, index: int) -> None:

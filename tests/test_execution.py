@@ -10,16 +10,21 @@ Three layers:
 * a regression differential driving the ``threads`` and ``processes``
   backends with a boundary-stressing stream (shared starts, FSAs straddling
   shard borders, duplicate object ids, out-of-order timestamps) and asserting
-  bit-for-bit equality with the ``serial`` backend.
+  bit-for-bit equality with the ``serial`` backend — including under worker
+  kills, a hung worker, and (:class:`TestStatelessWorkers`) every worker
+  killed before every epoch across migrations.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 from typing import List
 
 import pytest
@@ -27,9 +32,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
+from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
+from repro.coordinator import execution
 from repro.coordinator.columnar import HAVE_NUMPY
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.overlaps import build_structures
 from repro.coordinator.execution import (
     BACKEND_NAMES,
     ProcessBackend,
@@ -136,6 +144,15 @@ class TestBackendSelection:
         assert coordinator.router is None
         coordinator.close()  # must be a safe no-op
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_pool_width_follows_the_affinity_mask_not_the_host(self, monkeypatch):
+        """Two usable CPUs on a 64-core host must mean two workers, not eight."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for usable, width in ((1, 2), (2, 2), (5, 5), (64, 8)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, n=usable: set(range(n)))
+            assert execution._default_workers() == width
+            assert ThreadBackend()._workers == width
+
     def test_sharded_coordinator_uses_requested_backend(self):
         for name in BACKEND_NAMES:
             coordinator = Coordinator(
@@ -215,6 +232,22 @@ def boundary_stream(seed: int, epochs: int = 6, per_epoch: int = 24):
     return stream
 
 
+def epoch_snapshot(coordinator: Coordinator, outcome) -> dict:
+    """One epoch's answers plus the full coordinator state after it."""
+    return {
+        "responses": outcome.responses,
+        "inserted": outcome.paths_inserted,
+        "reused": outcome.paths_reused,
+        "expired": outcome.paths_expired,
+        "records": sorted(
+            (r.path_id, r.path.start.as_tuple(), r.path.end.as_tuple(), r.created_at)
+            for r in coordinator.index.records
+        ),
+        "hotness": sorted(coordinator.hotness.items()),
+        "top_k": coordinator.top_k(10),
+    }
+
+
 def drive(coordinator: Coordinator, stream, close_before_epoch: int = -1) -> List[dict]:
     """Feed the stream epoch by epoch, snapshotting the full state after each.
 
@@ -228,21 +261,7 @@ def drive(coordinator: Coordinator, stream, close_before_epoch: int = -1) -> Lis
                 coordinator.close()
             for state in states:
                 coordinator.submit_state(state)
-            outcome = coordinator.run_epoch(boundary)
-            trace.append(
-                {
-                    "responses": outcome.responses,
-                    "inserted": outcome.paths_inserted,
-                    "reused": outcome.paths_reused,
-                    "expired": outcome.paths_expired,
-                    "records": sorted(
-                        (r.path_id, r.path.start.as_tuple(), r.path.end.as_tuple(), r.created_at)
-                        for r in coordinator.index.records
-                    ),
-                    "hotness": sorted(coordinator.hotness.items()),
-                    "top_k": coordinator.top_k(10),
-                }
-            )
+            trace.append(epoch_snapshot(coordinator, coordinator.run_epoch(boundary)))
     finally:
         coordinator.close()
     return trace
@@ -271,10 +290,9 @@ class TestBackendRegression:
         for epoch, (exp, act) in enumerate(zip(expected, actual)):
             assert act == exp, f"{backend} diverged from serial at epoch {epoch}"
 
-    def test_process_workers_revive_from_snapshot_after_close(self):
-        """Closing mid-stream forces a respawn: fresh workers must bootstrap
-        their replicas from the live-record snapshot (the journal prefix they
-        never saw has been truncated) and stay bit-for-bit exact."""
+    def test_process_workers_revive_after_close_and_stay_exact(self):
+        """Closing mid-stream retires the pool: the next epoch spawns fresh
+        workers (there is nothing to bootstrap) and stays bit-for-bit exact."""
         stream = boundary_stream(seed=31, epochs=6)
         serial = drive(
             Coordinator(
@@ -291,61 +309,34 @@ class TestBackendRegression:
         )
         assert revived == serial
 
-    def test_journal_only_recorded_for_process_backend(self):
-        """serial/threads never consume the journal, so it must stay empty."""
-        stream = boundary_stream(seed=7, epochs=2)
-        for backend, journal_expected in (("serial", False), ("threads", False)):
-            coordinator = Coordinator(
-                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend=backend)
-            )
-            drive(coordinator, stream)
-            assert bool(coordinator.router.journal) == journal_expected, backend
-
-    def test_more_workers_than_shards_is_clamped_and_exact(self):
-        """Satellite regression: ``workers > num_shards`` used to spawn
-        workers with empty shard sets that replayed empty journals forever.
-        The pool must clamp to the shard count, and the results must stay
-        bit-for-bit identical."""
+    def test_more_workers_than_shards_is_exact(self):
+        """Workers build overlap pools, not shards, so the pool is as wide as
+        asked: 6 workers on 4 shards all spawn, and the results stay
+        bit-for-bit identical to the seed coordinator."""
         stream = boundary_stream(seed=13, epochs=4)
-        serial = drive(
-            Coordinator(
-                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
-            ),
+        drive_with_fault = TestWorkerFaultRecovery.drive_with_fault
+        seed = drive_with_fault(
+            Coordinator(CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=1)),
             stream,
+            lambda coordinator, index: None,
         )
         coordinator = Coordinator(
             CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
         )
         # Swap in an oversized process pool directly (the CLI has no worker
         # knob, but the backend API does).
-        backend = ProcessBackend(workers=9)
+        backend = ProcessBackend(workers=6)
         coordinator.router.pipeline.backend = backend
-        coordinator.router._journal_enabled = True
+        widths = []
         try:
-            oversized = drive(coordinator, stream)
-            assert oversized == serial
-            assert len(backend._processes) == 0  # drive() closed the pool
+            oversized = drive_with_fault(
+                coordinator, stream, lambda _c, _index: widths.append(backend.worker_count)
+            )
+            assert oversized == seed
+            assert widths == [0, 6, 6, 6]
+            assert backend.worker_count == 0  # drive_with_fault() closed the pool
         finally:
             backend.close()
-
-    def test_oversized_pool_spawns_at_most_one_worker_per_shard(self):
-        coordinator = Coordinator(
-            CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
-        )
-        backend = ProcessBackend(workers=9)
-        coordinator.router.pipeline.backend = backend
-        coordinator.router._journal_enabled = True
-        try:
-            for state in boundary_stream(seed=13, epochs=1)[0][1]:
-                coordinator.submit_state(state)
-            coordinator.run_epoch(10)
-            assert len(backend._processes) == 4
-            # Every shard is assigned, and every spawned worker holds >= 1 shard.
-            assert sorted(backend._assignment) == [0, 1, 2, 3]
-            assert set(backend._assignment.values()) == set(range(4))
-        finally:
-            backend.close()
-            coordinator.close()
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -354,9 +345,6 @@ class TestBackendRegression:
             ThreadBackend(workers=-1)
         with pytest.raises(ConfigurationError):
             create_backend("processes", workers=0)
-        with pytest.raises(ConfigurationError):
-            ProcessBackend.assign_shards([5, 3], workers=0)
-
 
     def test_parallel_path_ids_match_serial_allocation(self):
         """Renumbering reproduces the exact ids the serial replay allocates."""
@@ -377,180 +365,13 @@ class TestBackendRegression:
             assert [r[0] for r in act["records"]] == [r[0] for r in exp["records"]]
 
 
-class TestLoadAwareAssignment:
-    """``ProcessBackend.assign_shards``: deterministic LPT balancing."""
-
-    def test_heaviest_shards_spread_across_workers(self):
-        assignment = ProcessBackend.assign_shards([100, 90, 1, 2], workers=2)
-        # The two hot shards must not share a worker.
-        assert assignment[0] != assignment[1]
-        loads = {}
-        for shard_id, worker in assignment.items():
-            loads[worker] = loads.get(worker, 0) + [100, 90, 1, 2][shard_id]
-        assert max(loads.values()) <= 102
-
-    def test_assignment_is_deterministic(self):
-        loads = [5, 30, 30, 1, 17, 0, 8, 2]
-        reference = ProcessBackend.assign_shards(loads, workers=3)
-        for _ in range(5):
-            assert ProcessBackend.assign_shards(loads, workers=3) == reference
-
-    def test_every_shard_gets_a_worker(self):
-        assignment = ProcessBackend.assign_shards([0] * 16, workers=5)
-        assert sorted(assignment) == list(range(16))
-        assert set(assignment.values()) <= set(range(5))
-
-    def test_previous_pins_are_honoured(self):
-        """Pinned shards stay on their workers; the rest LPT-balance around
-        the pinned totals."""
-        loads = [50, 1, 1, 1]
-        assignment = ProcessBackend.assign_shards(
-            loads, workers=4, previous={1: 3, 2: 2}
-        )
-        assert assignment[1] == 3
-        assert assignment[2] == 2
-        assert sorted(assignment) == [0, 1, 2, 3]
-        # The heavy unpinned shard lands on an idle worker, not a pinned one.
-        assert assignment[0] in (0, 1)
-
-    def test_out_of_range_pins_are_ignored(self):
-        assignment = ProcessBackend.assign_shards(
-            [5, 5], workers=2, previous={7: 0, 0: 9}
-        )
-        assert sorted(assignment) == [0, 1]
-        assert set(assignment.values()) <= {0, 1}
-
-    def test_reassignment_is_stable_under_unchanged_load(self):
-        """Satellite regression: re-running the assignment with the old map
-        pinned must reproduce it exactly — the from-scratch LPT used to
-        reshuffle shards (and so retire replicas) even when nothing moved."""
-        loads = [30, 20, 10, 5, 5]
-        first = ProcessBackend.assign_shards(loads, workers=3)
-        assert ProcessBackend.assign_shards(loads, workers=3, previous=first) == first
-
-    def test_skewed_loads_beat_the_old_modulo_split(self):
-        """The motivating case: hot downtown shards used to collide on the
-        same modulo worker.  With shard loads concentrated on shards 0 and
-        4 (which share ``shard_id % 4 == 0``), LPT must separate them."""
-        loads = [80, 1, 1, 1, 70, 1, 1, 1]
-        assignment = ProcessBackend.assign_shards(loads, workers=4)
-        assert assignment[0] != assignment[4]
-        per_worker = {}
-        for shard_id, worker in assignment.items():
-            per_worker[worker] = per_worker.get(worker, 0) + loads[shard_id]
-        # Old modulo split would put 150 on one worker; LPT caps near max load.
-        assert max(per_worker.values()) <= 81
-
-
-class TestReplicaReuse:
-    """Satellite regression: a migration that leaves a worker's shard set
-    untouched must keep its process (and warmed replicas) alive — the old
-    ``on_rebalance`` tore the whole fleet down on every migration."""
-
-    def test_elastic_split_reuses_untouched_workers(self):
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=BOUNDS,
-                window=200,
-                cells_per_axis=32,
-                num_shards=4,
-                backend="serial",
-                elastic="auto",
-                max_shards=6,
-                # Quiet threshold: only the *forced* split below migrates —
-                # the post-split kd fleet must not auto-refit at the next
-                # boundary (that would legitimately re-stale every worker).
-                rebalance_threshold=6.0,
-            )
-        )
-        router = coordinator.router
-        # Pin the worker count below any clamp crossing (4 workers serve
-        # both the 4- and the 5-shard fleet), as the oversized-pool tests do.
-        backend = ProcessBackend(workers=4)
-        router.pipeline.backend = backend
-        router._journal_enabled = True
-        try:
-            rng = random.Random(5)
-            states = []
-            for i in range(40):  # downtown: shard 0 of the 2x2 layout
-                x, y = rng.uniform(10.0, 400.0), rng.uniform(10.0, 400.0)
-                states.append(
-                    ObjectState(
-                        i, Point(x, y), 0, Point(x - 20, y - 20), Point(x + 20, y + 20), 5
-                    )
-                )
-            for offset, (cx, cy) in enumerate(
-                [(700.0, 200.0), (200.0, 700.0), (700.0, 700.0)]
-            ):
-                states.append(
-                    ObjectState(
-                        100 + offset,
-                        Point(cx, cy),
-                        0,
-                        Point(cx - 20, cy - 20),
-                        Point(cx + 20, cy + 20),
-                        5,
-                    )
-                )
-            for state in states:
-                coordinator.submit_state(state)
-            coordinator.run_epoch(10)
-            assert len(backend._processes) == 4
-            assert backend.workers_reused == 0
-            # Forced elastic action: split the hot downtown shard (4 -> 5).
-            # Shards 1-3 keep their bounds and records; with one shard per
-            # worker, the downtown worker must rebuild (its shard split) and
-            # one cold worker inherits the spilled half — the other two keep
-            # their exact sets and must survive untouched.
-            assert router.rebalance() is True
-            assert len(router.shards) == 5
-            assert backend.workers_reused == 2
-            stale = set(backend._stale_workers)
-            assert len(stale) == 2
-            # The next epoch touches every shard: exactly the stale workers
-            # respawn lazily; nothing counts as a crash restart.
-            followup = [
-                (200 + i, x, y)
-                for i, (x, y) in enumerate(
-                    [(30.0, 30.0), (480.0, 100.0), (700.0, 200.0), (200.0, 700.0), (700.0, 700.0)]
-                )
-            ]
-            for object_id, x, y in followup:
-                coordinator.submit_state(
-                    ObjectState(
-                        object_id,
-                        Point(x, y),
-                        10,
-                        Point(x - 15, y - 15),
-                        Point(x + 15, y + 15),
-                        15,
-                    )
-                )
-            coordinator.run_epoch(20)
-            assert backend.workers_respawned == len(stale)
-            assert backend.worker_restarts == 0
-            assert not backend._stale_workers
-            assert len(backend._processes) == 4
-        finally:
-            coordinator.close()
-
-    def test_stop_the_world_fallback_without_fleet_update(self):
-        """``on_rebalance(None)`` (or before any fleet exists) still means
-        full retirement — the legacy contract."""
-        backend = ProcessBackend(workers=2)
-        backend.on_rebalance(None)  # no fleet: harmless no-op shutdown
-        assert backend.workers_reused == 0
-        assert backend.workers_respawned == 0
-        backend.close()
-
-
 class TestWorkerFaultRecovery:
     """Kill-and-restart of process workers must be answer-invariant.
 
-    ``restart_worker`` is the explicit recovery path (callable from outside
-    ``on_rebalance`` — the kill-worker fault injection depends on it); the
-    pipeline's dead-worker detection is the implicit one.  Both respawn from
-    a live-state snapshot and must stay bit-for-bit equal to serial.
+    ``restart_worker`` is the explicit recovery path (the kill-worker fault
+    injection depends on it); the pipeline's dead-worker detection is the
+    implicit one.  Both replace the worker with a bare fork and must stay
+    bit-for-bit equal to serial.
     """
 
     @staticmethod
@@ -586,9 +407,8 @@ class TestWorkerFaultRecovery:
         return trace
 
     def test_explicit_restart_after_kill_is_exact(self):
-        """The regression this satellite exists for: ``restart_worker`` used
-        to be reachable only through ``on_rebalance``; killed workers now
-        recover eagerly between epochs without perturbing any answer."""
+        """Killed workers recover eagerly between epochs without perturbing
+        any answer."""
         stream = boundary_stream(seed=23, epochs=6)
         expected = self.drive_with_fault(self.make("serial"), stream, lambda c, i: None)
 
@@ -596,11 +416,10 @@ class TestWorkerFaultRecovery:
             if index not in (2, 4):
                 return
             backend = coordinator.router.pipeline.backend
-            shard_id = index % len(coordinator.router.shards)
-            worker = backend.worker_for_shard(shard_id)
+            worker = index % backend.worker_count
             backend.kill_worker(worker)
             assert not backend.workers_alive()[worker]
-            assert backend.restart_worker(coordinator.router, shard_id) == worker
+            backend.restart_worker(worker)
             assert backend.workers_alive()[worker]
 
         coordinator = self.make("processes")
@@ -611,8 +430,8 @@ class TestWorkerFaultRecovery:
 
     def test_dead_worker_is_detected_and_respawned_mid_pipeline(self):
         """A worker that dies *without* an explicit restart: the next pipeline
-        round trip must detect the corpse, respawn from snapshot and retry —
-        still bit-for-bit equal to serial."""
+        round trip must detect the corpse and replace it — still bit-for-bit
+        equal to serial."""
         stream = boundary_stream(seed=23, epochs=6)
         expected = self.drive_with_fault(self.make("serial"), stream, lambda c, i: None)
 
@@ -626,6 +445,32 @@ class TestWorkerFaultRecovery:
         assert backend.worker_restarts >= 1
         assert actual == expected
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_hung_worker_is_replaced_within_the_reply_deadline(self, monkeypatch, caplog):
+        """A worker that accepts its build and never answers (SIGSTOP) must
+        not block the epoch: past the reply deadline it is killed and
+        replaced, the parent builds its pools, and nothing changes."""
+        monkeypatch.setattr(execution, "_REPLY_DEADLINE_S", 0.2)
+        stream = boundary_stream(seed=23, epochs=6)
+        expected = self.drive_with_fault(self.make("serial"), stream, lambda c, i: None)
+        stopped = []
+
+        def hang(coordinator: Coordinator, index: int) -> None:
+            if index == 3:
+                process = coordinator.router.pipeline.backend._processes[0]
+                os.kill(process.pid, signal.SIGSTOP)
+                stopped.append(process)
+
+        coordinator = self.make("processes")
+        backend = coordinator.router.pipeline.backend
+        with caplog.at_level(logging.WARNING, logger=execution.__name__):
+            actual = self.drive_with_fault(coordinator, stream, hang)
+        assert actual == expected
+        assert backend.worker_restarts == 1
+        assert len(caplog.records) == 1 and "no reply" in caplog.records[0].getMessage()
+        (process,) = stopped
+        assert not process.is_alive()  # killed and reaped, not left stopped
+
     def test_restart_worker_spawns_the_fleet_when_cold(self):
         """Before the first epoch there is no fleet; restart_worker must
         bring one up rather than index into an empty pool."""
@@ -633,9 +478,9 @@ class TestWorkerFaultRecovery:
         try:
             backend = coordinator.router.pipeline.backend
             assert backend.worker_count == 0
-            worker = backend.restart_worker(coordinator.router, shard_id=0)
+            backend.restart_worker(0)
             assert backend.worker_count > 0
-            assert backend.workers_alive()[worker]
+            assert backend.workers_alive()[0]
         finally:
             coordinator.close()
 
@@ -643,15 +488,182 @@ class TestWorkerFaultRecovery:
         coordinator = self.make("processes")
         try:
             backend = coordinator.router.pipeline.backend
-            assert backend.worker_for_shard(0) is None  # fleet not spawned yet
             with pytest.raises(ConfigurationError):
-                backend.kill_worker(0)
+                backend.kill_worker(0)  # fleet not spawned yet
             coordinator.submit_state(boundary_stream(seed=1, epochs=1)[0][1][0])
             coordinator.run_epoch(10)
             with pytest.raises(ConfigurationError):
                 backend.kill_worker(backend.worker_count)
             with pytest.raises(ConfigurationError):
-                backend.restart_worker(coordinator.router, shard_id=999)
+                backend.restart_worker(backend.worker_count)
+        finally:
+            coordinator.close()
+
+
+def pool_of(rng: random.Random, members: int, base_id: int) -> dict:
+    """One overlap pool: ``members`` FSAs around a common centre."""
+    cx, cy = rng.uniform(100.0, 900.0), rng.uniform(100.0, 900.0)
+    return {
+        base_id + offset: Rectangle.from_center(
+            Point(cx + rng.uniform(-40.0, 40.0), cy + rng.uniform(-40.0, 40.0)),
+            rng.uniform(10.0, 90.0),
+        )
+        for offset in range(members)
+    }
+
+
+KERNELS_AVAILABLE = ["object", "columnar"] if HAVE_NUMPY else ["object"]
+
+
+class TestStatelessWorkers:
+    """Process workers hold no state: they are handed overlap pools and
+    return built structures, so any worker is replaceable at any time by a
+    bare fork and an idle one is never messaged."""
+
+    #: Fleet shapes whose migrations the kill-everything stream runs across:
+    #: a stop-the-world kd refit, an elastic split, a budgeted migration.
+    FLEETS = {
+        "rebalance": dict(),
+        "elastic-split": dict(elastic="auto", max_shards=20),
+        "budgeted": dict(elastic="auto", max_shards=20, migration_budget=15),
+    }
+
+    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    @pytest.mark.parametrize("kernel", KERNELS_AVAILABLE)
+    @pytest.mark.parametrize("num_shards", [4, 16])
+    def test_every_worker_killed_before_every_epoch(self, num_shards, kernel, fleet):
+        stream = boundary_stream(seed=41, epochs=30)
+        seed = drive(
+            Coordinator(
+                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=1, kernel=kernel)
+            ),
+            stream,
+        )
+        coordinator = Coordinator(
+            CoordinatorConfig(
+                bounds=BOUNDS,
+                window=40,
+                num_shards=num_shards,
+                backend="processes",
+                kernel=kernel,
+                **self.FLEETS[fleet],
+            )
+        )
+        router = coordinator.router
+        backend = router.pipeline.backend
+        kills = 0
+        trace = []
+        try:
+            for index, (boundary, states) in enumerate(stream):
+                if index in (6, 14, 22):
+                    router.rebalance()
+                for worker, alive in enumerate(backend.workers_alive()):
+                    if alive:
+                        backend.kill_worker(worker)
+                        kills += 1
+                for state in states:
+                    coordinator.submit_state(state)
+                trace.append(epoch_snapshot(coordinator, coordinator.run_epoch(boundary)))
+            assert router.rebalances + router.migrations_started >= 1
+            # Every kill is answered by exactly one restart, made when the
+            # pipeline next has a pool for that worker — a worker killed
+            # while idle stays down until then.
+            assert kills >= 29
+            assert backend.worker_restarts == kills - backend.workers_alive().count(False)
+        finally:
+            coordinator.close()
+        assert trace == seed
+
+    def test_spawn_time_cannot_change_an_answer(self):
+        """A worker forked before the first insert and one forked after
+        1 000 live records build the same pools into identical serialized
+        structures — there is no bootstrap that could differ."""
+        rng = random.Random(9)
+        coordinator = Coordinator(
+            CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
+        )
+        router = coordinator.router
+        backend = router.pipeline.backend = ProcessBackend(workers=2)
+        try:
+            backend.restart_worker(1)  # cold: forks the whole fleet, index empty
+            for _ in range(1000):
+                router.insert(
+                    MotionPath(
+                        Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
+                        Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
+                    )
+                )
+            assert len(router.index) == 1000
+            backend.restart_worker(0)  # forked from a parent holding 1 000 records
+            pool = pool_of(rng, members=12, base_id=0)
+            # Pool i goes to worker i % 2: the same pool, once to each worker.
+            _none, (late, early) = backend.map_candidate_buckets(router, {}, [], [pool, pool])
+            assert backend.worker_restarts == 2
+            reference = build_structures([pool], kernel=router.kernel)[0].serialized()
+            assert late.serialized() == early.serialized() == reference
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize("kernel", KERNELS_AVAILABLE)
+    def test_builds_pools_without_a_router(self, kernel):
+        """The backend needs nothing of a fleet to do its one job: no
+        ``ShardRouter`` exists here, only the kernel name it would carry."""
+        rng = random.Random(3)
+        pools = [pool_of(rng, members, base_id=100 * i) for i, members in enumerate([1, 7, 3, 12, 2])]
+        backend = ProcessBackend(workers=2)
+        try:
+            per_state, structures = backend.map_candidate_buckets(
+                SimpleNamespace(kernel=kernel), {}, [], pools
+            )
+            assert per_state == []
+            assert backend.workers_alive() == [True, True]
+            assert [structure.serialized() for structure in structures] == [
+                structure.serialized() for structure in build_structures(pools, kernel=kernel)
+            ]
+        finally:
+            backend.close()
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="shared-memory shipments need numpy")
+    def test_idle_workers_are_not_messaged(self):
+        """On a steady stream most epochs miss few pools or none: a worker
+        is shipped to exactly when the epoch hands it a missed pool."""
+        rng = random.Random(5)
+        roster = []
+        for object_id in range(12):  # spatially separate: one pool each
+            x, y = 80.0 * object_id + 40.0, 500.0
+            roster.append(
+                ObjectState(object_id, Point(x, y), 0, Point(x - 15, y - 15), Point(x + 15, y + 15), 5)
+            )
+        coordinator = Coordinator(
+            CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
+        )
+        backend = coordinator.router.pipeline.backend = ProcessBackend(workers=2)
+        expected = 0
+        missed_per_epoch = []
+        try:
+            for epoch in range(1, 13):
+                # The roster repeats verbatim (cache hits); every third epoch
+                # a visitor or three dirties that many pools.
+                visitors = [
+                    ObjectState(
+                        100 + epoch * 10 + v,
+                        Point(900.0, 100.0 + 60.0 * v),
+                        0,
+                        Point(880.0, 85.0 + 60.0 * v + epoch),
+                        Point(920.0, 115.0 + 60.0 * v + epoch),
+                        5,
+                    )
+                    for v in range(rng.choice([1, 3]) if epoch % 3 == 0 else 0)
+                ]
+                for state in roster + visitors:
+                    coordinator.submit_state(state)
+                coordinator.run_epoch(epoch * 10)
+                missed = coordinator.router.last_pool_stats["pools_rebuilt"]
+                missed_per_epoch.append(missed)
+                expected += min(missed, 2)
+            assert 0 in missed_per_epoch and 1 in missed_per_epoch  # idle epochs, idle workers
+            assert backend.shm_shipments == expected
+            assert backend.shm_fallbacks == 0
         finally:
             coordinator.close()
 
@@ -660,12 +672,14 @@ _OWNERSHIP_SCRIPT = """
 import multiprocessing, os, sys
 from repro.coordinator.columnar import ShipmentRing, decode_work_shipment
 
+POOLS = [(0, [(7, 1.0, 2.0, 3.0, 4.0), (8, 2.0, 3.0, 5.0, 6.0)])]
+
 def attach(header):
-    ops, tasks, pools = decode_work_shipment(header, {})
-    assert tasks == [(0, 1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)], tasks
+    pools = decode_work_shipment(header, {})
+    assert pools == POOLS, pools
 
 ring = ShipmentRing()
-header = ring.pack([], [(0, 1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)], [])
+header = ring.pack(POOLS)
 worker = multiprocessing.get_context("fork").Process(target=attach, args=(header,))
 worker.start()
 worker.join(30)

@@ -16,9 +16,9 @@ that hold for *any* layout — uniform grid or kd split:
 * cells tile the bounds: positive areas summing to the monitored area;
 * the elastic operations preserve all of the above: any sequence of
   ``split``/``merge`` actions keeps the plane covered,
-  splits touch only the split cell (replica reuse depends on every other
-  shard keeping its id and bounds), and a split is a pure function of the
-  sample *set* — never its order.
+  splits touch only the split cell (every other shard keeps its id and
+  bounds, which keeps shard ids deterministic), and a split is a pure
+  function of the sample *set* — never its order.
 
 These are hypothesis properties over random bounds, samples and shard
 counts; the differential harness (`tests/test_sharding_equivalence.py`)
@@ -365,9 +365,9 @@ class TestElasticActions:
     @given(partitions(), samples(), st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=100, deadline=None)
     def test_split_touches_only_the_split_cell(self, partition, sample, selector):
-        """Replica reuse depends on this: every other shard keeps its id
-        *and* its bounds, and the two halves tile the split cell exactly
-        (the new shard takes the next free id)."""
+        """Deterministic shard ids depend on this: every other shard keeps
+        its id *and* its bounds, and the two halves tile the split cell
+        exactly (the new shard takes the next free id)."""
         shard_id = selector % partition.num_shards
         grown = partition.split(shard_id, sample)
         new_id = partition.num_shards

@@ -288,8 +288,9 @@ class TestRebalanceDifferential:
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_forced_migration_on_parallel_backends_matches_seed(self, backend):
-        """Process workers must re-bootstrap replicas from the migrated
-        snapshot (journal reset, new load-aware assignment) mid-stream."""
+        """A migration mid-stream is invisible on the parallel backends too
+        (the pools and conflict groups they are handed follow the new layout;
+        nothing of the old one is held anywhere)."""
         stream = skewed_stream(11)
         seed_trace = drive(make_coordinator(1), stream)
         migrated = make_coordinator(16, backend=backend, partition="kd")
