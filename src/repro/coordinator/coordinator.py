@@ -28,11 +28,11 @@ from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.overlaps import OverlapPoolCache
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessTracker
+from repro.coordinator.query_view import HotPathView
 from repro.coordinator.sharding import ShardRouter
 from repro.coordinator.single_path import SinglePathStrategy
 from repro.coordinator.stitching import (
     CompositeCorridor,
-    IncrementalStitcher,
     select_top_k_corridors,
     stitch_paths,
 )
@@ -118,11 +118,12 @@ class Coordinator:
             self.strategy = SinglePathStrategy(
                 self.index, self.hotness, kernel=kernel, pool_cache=self._pool_cache
             )
+            # Delta mode only: the view is fed by the delta log, and full
+            # mode is the reference whose queries *are* the oracle scans.
+            self._view: Optional[HotPathView] = None
             if config.epoch_mode == "delta":
                 self.hotness.enable_delta_log()
-                self._stitcher: Optional[IncrementalStitcher] = IncrementalStitcher()
-            else:
-                self._stitcher = None
+                self._view = HotPathView(self.index, self.hotness)
         else:
             # The router views expose the exact GridIndex / HotnessTracker /
             # SinglePathStrategy interfaces, so the epoch loop below is the
@@ -132,7 +133,7 @@ class Coordinator:
             self.hotness = self.router.hotness
             self.strategy = self.router.pipeline
             self._pool_cache = None  # the router owns the pool cache
-            self._stitcher = None  # the router owns the incremental stitcher
+            self._view = self.router.view  # one view for the fleet, not per shard
         self._pending_states: List[ObjectState] = []
         self._corridor_cache: Optional[List[CompositeCorridor]] = None
         self._epochs_processed = 0
@@ -226,6 +227,8 @@ class Coordinator:
         the deterministic encoding of the underlying event sets.
         """
         log = self.hotness.drain_delta_log()
+        # All the query view costs an epoch: remember which ids to re-read.
+        self._view.note(log, len(deleted))
         inserted = tuple(
             decision.path_id
             for decision in epoch_result.decisions
@@ -313,8 +316,8 @@ class Coordinator:
                 + self._pool_cache.prefix_reused
                 + self._pool_cache.rebuilt
             )
-        if self._stitcher is not None:
-            statistics.update(self._stitcher.totals)
+        if self._view is not None:
+            statistics.update(self._view.stitcher.totals)
         return statistics
 
     def hot_paths(self) -> List[Tuple[MotionPathRecord, int]]:
@@ -326,7 +329,15 @@ class Coordinator:
         return results
 
     def top_k(self, k: int, by_score: bool = False) -> List[ScoredPath]:
-        """Top-k hottest motion paths (optionally ranked by score instead)."""
+        """Top-k hottest motion paths (optionally ranked by score instead).
+
+        Always fresh, mutations made directly between epochs included.  In
+        delta mode a read of the maintained view (``k`` entries, not a
+        re-rank of every hot path); ``select_top_k(hot_paths())`` is the
+        oracle it must equal, and the full-mode implementation.
+        """
+        if self._view is not None:
+            return self._view.top_k(k, by_score)
         return select_top_k(self.hot_paths(), k, by_score=by_score)
 
     def top_k_score(self, k: int) -> float:
@@ -336,31 +347,23 @@ class Coordinator:
     def hot_corridors(self) -> List[CompositeCorridor]:
         """The current hot paths stitched into composite corridors.
 
-        A sharded fleet runs the distributed stitching merge (per-shard weld
-        passes on the execution backend); a single-shard coordinator stitches
-        its hot paths globally — the seed long-path report the fleet is
-        required to reproduce bit for bit.  The first query after an epoch's
-        commit stitches once and caches the report until the next epoch;
-        mutating the index or hotness directly between epochs (outside
+        The full report: every hot path, grouped.  Delta mode patches the
+        maintained view's chains with the ids dirtied since the last query
+        and materialises every chain (untouched ones from the per-chain
+        cache); full mode stitches the hot set from scratch — per-shard weld
+        passes on a fleet, ``stitch_paths(hot_paths())`` on a single shard,
+        the seed report every configuration must reproduce bit for bit.  The
+        first call after an epoch's commit caches the report until the next
+        epoch; mutating the index or hotness directly between epochs (outside
         ``run_epoch``) does not refresh that cache.  A partition rebalance
         needs no refresh: it moves state, never corridors.
         """
         if self._corridor_cache is None:
             if self.router is not None:
                 self._corridor_cache = self.router.stitch_epoch()
-            elif self._stitcher is not None:
-                # Single-shard delta mode: same incremental maintenance as
-                # the sharded delta path, with one constant owner (no
-                # boundaries, so boundary welds are zero).
-                current = {
-                    path_id: (self.index.get(path_id).path, hotness)
-                    for path_id, hotness in self.hotness.items()
-                    if path_id in self.index
-                }
-                self._stitcher.sync(current)
-                self._corridor_cache, _stats = self._stitcher.report(
-                    lambda path_id: 0
-                )
+            elif self._view is not None:
+                # One constant owner: no boundaries, so boundary welds are zero.
+                self._corridor_cache, _stats = self._view.report(lambda path_id: 0)
             else:
                 self._corridor_cache = stitch_paths(self.hot_paths())
         return self._corridor_cache
@@ -369,9 +372,13 @@ class Coordinator:
         """Top-k composite corridors — the corridor-aware top-k merge.
 
         Ranked by merged hotness (or summed score with ``by_score``), with
-        the same total-order tie-break style as the path top-k, so the merge
-        accepts per-shard stitching output in any arrival order.
+        the same total-order tie-break style as the path top-k.  Delta mode
+        reads the view's per-chain keys and materialises the ``k`` winners
+        only; full mode ranks the full :meth:`hot_corridors` report, which is
+        the oracle (``select_top_k_corridors``) either way.
         """
+        if self._view is not None:
+            return self._view.top_k_corridors(k, by_score)
         return select_top_k_corridors(self.hot_corridors(), k, by_score=by_score)
 
     # -- accounting ------------------------------------------------------------------------

@@ -42,9 +42,9 @@ API — no backend needs delta awareness:
   the member ``(object_id, FSA)`` tuples in pool order), so reuse survives
   any layout change and worker respawns untouched.
 * *Weld passes.*  Delta mode never calls ``map_stitch_buckets`` at all: the
-  router's :class:`~repro.coordinator.stitching.IncrementalStitcher`
-  maintains weld chains under insert/expire events and answers corridor
-  queries parent-side, patching only the chains the epoch's membership delta
+  router's query view (:mod:`repro.coordinator.query_view`) maintains weld
+  chains under insert/expire events and answers corridor queries
+  parent-side, patching only the chains the epoch's hotness transitions
   touched.  The ``full`` mode path below (and its process-worker ``stitch``
   message) remains the reference implementation the delta answers are pinned
   against bit for bit.

@@ -95,6 +95,9 @@ class GridIndex:
         # path_id -> record, for direct lookups and deletion.
         self._records: Dict[int, MotionPathRecord] = {}
         self._next_path_id = 0
+        #: Lifetime :meth:`delete` calls — lets the query view notice a record
+        #: removed behind the coordinator's back.
+        self.deletions = 0
         self._record_resolver = record_resolver
 
     # -- bookkeeping -------------------------------------------------------------
@@ -143,6 +146,7 @@ class GridIndex:
         self.remove_entry(path_id, record.path.start, is_start=True)
         self.remove_entry(path_id, record.path.end, is_start=False)
         self.unregister(path_id)
+        self.deletions += 1
 
     # -- entry-level primitives (used directly by the sharded router) ---------------
 

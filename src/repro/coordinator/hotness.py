@@ -50,6 +50,10 @@ class HotnessDeltaLog:
             for position, path_id in enumerate(events):
                 events[position] = mapping.get(path_id, path_id)
 
+    def ids(self) -> List[int]:
+        """Every path id with a logged transition (repeats included)."""
+        return self.newly_hot + self.touched + self.decayed + self.vanished
+
     def merge_from(self, other: "HotnessDeltaLog") -> None:
         """Append another tracker's events (the sharded fleet's union)."""
         self.newly_hot.extend(other.newly_hot)
@@ -84,6 +88,16 @@ class HotnessTracker:
         drained = self._delta_log
         self._delta_log = HotnessDeltaLog()
         return drained
+
+    def pending_delta_ids(self) -> List[int]:
+        """Ids with transitions logged since the last drain, left in the log.
+
+        Empty right after ``run_epoch`` (delta assembly drains); the query
+        view reads it to see crossings recorded directly between epochs.
+        """
+        if self._delta_log is None:
+            raise CoordinatorError("hotness delta log was never enabled")
+        return self._delta_log.ids()
 
     def absorb_delta_log(self, log: HotnessDeltaLog) -> None:
         """Merge another tracker's pending delta-log events into this log.

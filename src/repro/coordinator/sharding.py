@@ -143,9 +143,9 @@ from repro.coordinator.partition import (
     create_partition,
     shard_layout,
 )
+from repro.coordinator.query_view import HotPathView
 from repro.coordinator.stitching import (
     CompositeCorridor,
-    IncrementalStitcher,
     StitchFragment,
     build_corridors,
     chain_fragments,
@@ -311,6 +311,11 @@ class ShardedGridIndex:
     def delete(self, path_id: int) -> None:
         self._router.delete(path_id)
 
+    @property
+    def deletions(self) -> int:
+        """Lifetime deletes, fleet-wide (the ``GridIndex.deletions`` surface)."""
+        return self._router.deletes_total
+
     # -- queries ----------------------------------------------------------------------
 
     def paths_starting_at(self, start: Point, region: Rectangle) -> List[MotionPathRecord]:
@@ -420,6 +425,14 @@ class ShardedHotnessTracker:
 
     def total_crossings(self) -> int:
         return sum(shard.hotness.total_crossings() for shard in self._router.shards)
+
+    def pending_delta_ids(self) -> List[int]:
+        """Ids with undrained transitions on any shard (see ``HotnessTracker``)."""
+        return [
+            path_id
+            for shard in self._router.shards
+            for path_id in shard.hotness.pending_delta_ids()
+        ]
 
     def drain_delta_log(self) -> HotnessDeltaLog:
         """Union of the per-shard delta logs since the last drain.
@@ -601,6 +614,8 @@ class ShardRouter:
         #: Lifetime record inserts — the in-flight migration protocol reads
         #: the increment between boundaries as the epoch's churn.
         self.inserts_total = 0
+        #: Lifetime record deletes (``ShardedGridIndex.deletions``).
+        self.deletes_total = 0
         #: In-flight incremental migration, if any (see ``_begin_migration``).
         self._migration: Optional[_ShardMigration] = None
         #: Records warmed at the most recent epoch boundary / whether a
@@ -639,15 +654,13 @@ class ShardRouter:
         #: ``object`` without numpy).  Execution backends read this
         #: attribute rather than carrying their own copy.
         self.kernel = resolve_kernel(config.kernel)
-        # Delta mode keeps overlap components (:attr:`pool_cache`) and corridor
-        # chains (the incremental stitcher) alive across epochs; full mode
-        # rebuilds both per epoch — the differential reference.
+        # Delta mode keeps overlap components (:attr:`pool_cache`) and the
+        # query view (:attr:`view`: rank tuples and corridor chains) alive
+        # across epochs; full mode rebuilds all of it per epoch or query —
+        # the differential reference.
         delta_mode = config.epoch_mode == "delta"
         self.pool_cache: Optional[OverlapPoolCache] = (
             OverlapPoolCache(kernel=self.kernel) if delta_mode else None
-        )
-        self._stitcher: Optional[IncrementalStitcher] = (
-            IncrementalStitcher() if delta_mode else None
         )
         #: Pool-cache outcome of the most recent epoch (zeros outside delta
         #: mode and on empty epochs).
@@ -694,6 +707,11 @@ class ShardRouter:
                 shard.hotness.enable_delta_log()
         self.index = ShardedGridIndex(self)
         self.hotness = ShardedHotnessTracker(self, config.window)
+        #: The fleet's one query view, over the facades — ids and global
+        #: hotness are layout-independent, so no migration ever touches it.
+        self.view: Optional[HotPathView] = (
+            HotPathView(self.index, self.hotness) if delta_mode else None
+        )
         self.pipeline = ShardedSinglePath(self, create_backend(config.backend))
         for shard in self.shards:
             shard.strategy = SinglePathStrategy(
@@ -1334,6 +1352,7 @@ class ShardRouter:
         end_owner.index.remove_entry(path_id, record.path.end, is_start=False)
         owner.index.unregister(path_id)
         del self.owners[path_id]
+        self.deletes_total += 1
         if owner is not end_owner:
             self._ledger_discard(path_id, owner.shard_id, end_owner.shard_id)
         if self._migration is not None:
@@ -1395,36 +1414,29 @@ class ShardRouter:
     # -- cross-shard corridor stitching ------------------------------------------------
 
     def stitch_epoch(self) -> List[CompositeCorridor]:
-        """Stitch the current hot paths into composite corridors.
+        """Stitch the current hot paths into composite corridors — the full report.
 
         Runs on demand after an epoch's stage-3 commit (the coordinator
         invalidates its cached corridor report at every commit and calls
-        this on the first query that follows): every shard's hot fragments
-        are gathered — straddling fragments, found by walking the
-        per-boundary ledgers, are shipped to *both* endpoint owners — the
-        per-shard weld passes run on the execution
-        backend (:meth:`ExecutionBackend.map_stitch_buckets`), and the union
-        of welds is chained into corridors, reproducing the global stitch of
-        the seed coordinator's hot paths bit for bit.  ``stitch_stats``
+        this on the first ``hot_corridors()`` that follows; the top-k
+        queries never come here in delta mode).  Full mode gathers every
+        shard's hot fragments — straddling fragments, found by walking the
+        per-boundary ledgers, are shipped to *both* endpoint owners — runs
+        the per-shard weld passes on the execution backend
+        (:meth:`ExecutionBackend.map_stitch_buckets`) and chains the union
+        of welds into corridors; delta mode asks the fleet's query view,
+        which gathers nothing.  Either way the result is the global stitch
+        of the seed coordinator's hot paths bit for bit.  ``stitch_stats``
         records what the merge did, including ``boundary_welds`` — the welds
         whose two fragments have different owners.
         """
-        if self._stitcher is not None:
-            # Delta mode: diff the current hot set into the incremental
-            # stitcher (the same O(hot) gather the full path pays below) and
-            # let it re-weld only the touched chains — no backend round trip
-            # ships fragment tasks, untouched corridors are served from the
-            # per-chain cache, and the report stays bit-for-bit equal to the
-            # full stitch (the stitcher's exactness argument).  Owners are
-            # resolved per call, so kd migrations need no invalidation.
-            current: Dict[int, Tuple[MotionPath, int]] = {}
-            for shard in self.shards:
-                for path_id, hotness in shard.hotness.items():
-                    if path_id not in self.owners:
-                        continue  # hot entry without a live record (mirrors hot_paths())
-                    current[path_id] = (shard.index.get(path_id).path, hotness)
-            self._stitcher.sync(current)
-            corridors, self.stitch_stats = self._stitcher.report(
+        if self.view is not None:
+            # The view patches its chains with the ids dirtied since the
+            # last query: no backend round trip ships fragment tasks and
+            # untouched corridors come from the per-chain cache (exact by the
+            # stitcher's argument).  Owners are resolved per call, so kd
+            # migrations need no invalidation.
+            corridors, self.stitch_stats = self.view.report(
                 lambda path_id: self.owners[path_id].shard_id
             )
             return corridors
@@ -1577,8 +1589,8 @@ class ShardRouter:
                 + self.pool_cache.prefix_reused
                 + self.pool_cache.rebuilt
             )
-        if self._stitcher is not None:
-            statistics.update(self._stitcher.totals)
+        if self.view is not None:
+            statistics.update(self.view.stitcher.totals)
         return statistics
 
     def shard_statistics(self) -> Dict[str, float]:

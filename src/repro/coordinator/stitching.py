@@ -56,12 +56,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
     Iterable,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -69,6 +71,7 @@ from typing import (
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.scoring import RankKey, rank_top_k
 
 __all__ = [
     "CorridorSegment",
@@ -142,17 +145,20 @@ class CompositeCorridor:
     def end(self) -> Point:
         return self.segments[-1].path.end
 
-    @property
+    # Computed once per instance and cached in ``__dict__`` (not fields, so
+    # ``repr``, equality and hash are unchanged), like ``MotionPath.length``.
+
+    @cached_property
     def length(self) -> float:
         """Total Euclidean length of the chain."""
         return sum(segment.path.length for segment in self.segments)
 
-    @property
+    @cached_property
     def hotness(self) -> int:
         """Merged hotness: the corridor is only as hot as its weakest link."""
         return min(segment.hotness for segment in self.segments)
 
-    @property
+    @cached_property
     def score(self) -> float:
         """Sum of the member scores — additive, so stitching never inflates it."""
         return sum(segment.score for segment in self.segments)
@@ -339,32 +345,35 @@ class IncrementalStitcher:
     The full stitch re-welds the entire hot fragment set every time the
     corridor report is queried; this class keeps the weld structure — vertex
     occupancy, the weld decided at each vertex, the successor/predecessor
-    maps, the chain partition and the materialised
+    maps, the chain partition, one rank key and the materialised
     :class:`CompositeCorridor` per chain — alive across epochs, so a query
     only pays for the fragments that changed since the last one.
 
-    :meth:`sync` diffs the caller's current hot set against the retained one
-    (membership is authoritative — renames appear as remove+add, so the
-    stitcher never needs to trust an event log), re-decides the welds at the
-    touched vertices via the same degree-1 rule as :func:`weld_runs`, and
-    re-chains only the *tainted* chains: a chain is tainted when a member was
-    added or removed or when a weld on it appeared or disappeared.  Every
-    other chain — and its cached corridor — is reused untouched.  This is
-    corridor-aware expiry: ``k`` fragments of one corridor expiring in the
-    same epoch tear the chain down once, not ``k`` times (the coalescing is
-    counted in ``expiry_coalesced``).
+    :meth:`apply` takes the state of the ids that *may* have changed — the
+    dirty set the query view accumulated from the epoch's hotness
+    transitions — never the whole hot set.  It re-decides the welds at the
+    vertices of the ids that entered or left via the same degree-1 rule as
+    :func:`weld_runs`, and re-chains only the *tainted* chains: a chain is
+    tainted when a member was added or removed or when a weld on it appeared
+    or disappeared.  Every other chain — and its rank key and cached corridor
+    — is reused untouched.  This is corridor-aware expiry: ``k`` fragments of
+    one corridor expiring in the same epoch tear the chain down once, not
+    ``k`` times (the coalescing is counted in ``expiry_coalesced``).
 
     **Exactness.**  The retained successor map always equals the one a global
     weld pass would compute (welds are a per-vertex set function of the hot
     set, and every touched vertex is re-decided).  Re-chaining only tainted
     chains is exact because tainted-ness is closed over weld edges: an edge
-    between two surviving fragments either predates the sync — then both ends
-    sat on the same old chain, so they are rebuilt (or reused) together — or
-    was created by it, which taints both endpoint chains.  Hence
+    between two surviving fragments either predates the change — then both
+    ends sat on the same old chain, so they are rebuilt (or reused) together —
+    or was created by it, which taints both endpoint chains.  Hence
     :func:`chain_fragments` over the rebuilt members alone sees every edge a
     global re-chain would, and heads/cycle-breaks come out identically, so
     the report stays bit-for-bit equal to the full stitch — the contract of
     ``tests/test_stitching_equivalence.py`` and the delta property suite.
+    A chain's rank key is ``min`` / ``sum`` over its members in chain order,
+    the very expressions :class:`CompositeCorridor` evaluates, so
+    :meth:`top_k` equals :func:`select_top_k_corridors` over the full report.
 
     Like the rest of this module, the class is shard-agnostic: owners are
     resolved per :meth:`report` call (so kd rebalances need no invalidation —
@@ -382,6 +391,9 @@ class IncrementalStitcher:
         self._predecessor: Dict[int, int] = {}
         self._chains: Dict[int, List[int]] = {}
         self._chain_of: Dict[int, int] = {}
+        #: head id -> ``(hotness, score, -head)``; always one per chain.
+        self._keys: Dict[int, RankKey] = {}
+        #: head id -> materialised corridor; filled on demand, dropped on re-key.
         self._corridors: Dict[int, CompositeCorridor] = {}
         #: Counters accumulated since the last :meth:`report` (folded into its
         #: stats dict and then reset).
@@ -437,89 +449,114 @@ class IncrementalStitcher:
             taint(predecessor_id)
             taint(successor_id)
 
-    # -- the per-epoch diff -------------------------------------------------------
+    # -- the per-query patch ------------------------------------------------------
 
-    def sync(self, current: Mapping[int, Tuple[MotionPath, int]]) -> None:
-        """Diff ``current`` (id -> (path, hotness)) against the retained hot set.
+    def apply(self, changes: Mapping[int, Optional[Tuple[MotionPath, int]]]) -> None:
+        """Bring the ids in ``changes`` up to date; every other id is untouched.
 
-        Applies removals, then insertions, re-deciding welds at every touched
-        vertex, then re-chains exactly the tainted chains.  Hotness-only
-        changes patch the counter and drop the chain's cached corridor
-        without re-welding anything.
+        ``changes`` maps an id to its ``(path, hotness)`` if it is hot now and
+        to ``None`` if it is not (ids are never reused, so a retained id keeps
+        its path).  Ids that entered or left re-decide the welds at their two
+        vertices and the tainted chains are re-chained; a hotness-only change
+        re-keys its chain without re-welding anything; an id whose state
+        already matches costs one dict probe.
         """
-        removed = [path_id for path_id in self._paths if path_id not in current]
-        added = [path_id for path_id in current if path_id not in self._paths]
         dirty_heads: set = set()
-        loose: set = set()
+        added: set = set()
+        removed: set = set()
+        reheated: set = set()  # heads of chains with a hotness-only change
 
         def taint(path_id: int) -> None:
             head = self._chain_of.get(path_id)
-            if head is not None:
+            if head is not None:  # else just added: re-chained anyway
                 dirty_heads.add(head)
-            else:
-                loose.add(path_id)
 
         removals_by_head: Dict[int, int] = {}
-        for path_id in removed:
-            head = self._chain_of.get(path_id)
-            if head is not None:
+        for path_id, entry in changes.items():
+            path = self._paths.get(path_id)
+            if entry is None:
+                if path is None:
+                    continue
+                removed.add(path_id)
+                head = self._chain_of[path_id]
                 removals_by_head[head] = removals_by_head.get(head, 0) + 1
                 dirty_heads.add(head)
-            path = self._paths.pop(path_id)
-            del self._hotness[path_id]
-            start_vertex = (path.start.x, path.start.y)
-            end_vertex = (path.end.x, path.end.y)
-            self._discard(self._starts, start_vertex, path_id)
-            self._discard(self._ends, end_vertex, path_id)
-            self._reweld(start_vertex, taint)
-            self._reweld(end_vertex, taint)
-        for path_id in added:
-            path, hotness = current[path_id]
-            self._paths[path_id] = path
-            self._hotness[path_id] = hotness
-            start_vertex = (path.start.x, path.start.y)
-            end_vertex = (path.end.x, path.end.y)
-            self._starts.setdefault(start_vertex, set()).add(path_id)
-            self._ends.setdefault(end_vertex, set()).add(path_id)
-            loose.add(path_id)
-            self._reweld(start_vertex, taint)
-            self._reweld(end_vertex, taint)
-
-        added_set = set(added)
-        for path_id, (_path, hotness) in current.items():
-            if path_id in added_set or self._hotness[path_id] == hotness:
+                del self._paths[path_id]
+                del self._hotness[path_id]
+                start_vertex = (path.start.x, path.start.y)
+                end_vertex = (path.end.x, path.end.y)
+                self._discard(self._starts, start_vertex, path_id)
+                self._discard(self._ends, end_vertex, path_id)
+            elif path is None:
+                path, self._hotness[path_id] = entry
+                self._paths[path_id] = path
+                start_vertex = (path.start.x, path.start.y)
+                end_vertex = (path.end.x, path.end.y)
+                self._starts.setdefault(start_vertex, set()).add(path_id)
+                self._ends.setdefault(end_vertex, set()).add(path_id)
+                added.add(path_id)
+            else:
+                if self._hotness[path_id] != entry[1]:
+                    self._hotness[path_id] = entry[1]
+                    reheated.add(self._chain_of[path_id])
                 continue
-            self._hotness[path_id] = hotness
-            head = self._chain_of.get(path_id)
-            if head is not None and head not in dirty_heads:
-                if self._corridors.pop(head, None) is not None:
-                    self._bump("corridors_patched")
+            self._reweld(start_vertex, taint)
+            self._reweld(end_vertex, taint)
 
-        removed_set = set(removed)
-        rebuilt_members = set(loose)
+        rebuilt_members = set(added)
         for head in dirty_heads:
-            members = self._chains.pop(head, None)
-            if members is None:
-                continue
-            rebuilt_members.update(members)
-            for member in members:
-                self._chain_of.pop(member, None)
+            rebuilt_members.update(self._chains.pop(head))
+            del self._keys[head]
             self._corridors.pop(head, None)
-        rebuilt_members -= removed_set
+        rebuilt_members -= removed
+        for member in removed:
+            del self._chain_of[member]
         new_chains = chain_fragments(rebuilt_members, self._successor)
         for chain in new_chains:
             head = chain[0]
             self._chains[head] = chain
             for member in chain:
                 self._chain_of[member] = head
+            self._rekey(head)
+        for head in reheated - dirty_heads:
+            self._rekey(head)
 
         self._bump("fragments_added", len(added))
         self._bump("fragments_removed", len(removed))
         self._bump("chains_rewelded", len(new_chains))
+        self._bump("chains_reused", len(self._chains) - len(new_chains))
         self._bump(
             "expiry_coalesced",
             sum(count - 1 for count in removals_by_head.values() if count > 1),
         )
+
+    def _rekey(self, head: int) -> None:
+        """Recompute one chain's rank key (and drop its now-stale corridor)."""
+        hotness, paths, chain = self._hotness, self._paths, self._chains[head]
+        self._keys[head] = (
+            min(hotness[member] for member in chain),
+            sum(hotness[member] * paths[member].length for member in chain),
+            -head,
+        )
+        self._corridors.pop(head, None)
+
+    def _corridor(self, head: int) -> CompositeCorridor:
+        """The chain's corridor, materialised on first use after a re-key."""
+        cached = self._corridors.get(head)
+        if cached is None:
+            cached = build_corridors([self._chains[head]], self._resolve)[0]
+            self._corridors[head] = cached
+            self._bump("corridors_patched")
+        else:
+            self._bump("corridors_reused")
+        return cached
+
+    def top_k(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:
+        """Top-k corridors read off the chain keys; only the winners are built."""
+        return [
+            self._corridor(-negated_head)
+            for _hotness, _score, negated_head in rank_top_k(self._keys.values(), k, by_score)
+        ]
 
     @staticmethod
     def _discard(occupancy: Dict[Tuple[float, float], set], vertex: Tuple[float, float], path_id: int) -> None:
@@ -551,19 +588,7 @@ class IncrementalStitcher:
             for left, right in zip(chain, chain[1:]):
                 if owner_of(left) != owner_of(right):
                     boundary_welds += 1
-        corridors = []
-        for head, chain in zip(heads, chains):
-            cached = self._corridors.get(head)
-            if cached is None:
-                cached = build_corridors([chain], self._resolve)[0]
-                self._corridors[head] = cached
-                self._bump("corridors_patched")
-            else:
-                self._bump("corridors_reused")
-            corridors.append(cached)
-        self._bump(
-            "chains_reused", len(chains) - min(self._since_report["chains_rewelded"], len(chains))
-        )
+        corridors = [self._corridor(head) for head in heads]
         stats: Dict[str, int] = {
             "fragments": len(self._paths),
             "welds": welds_used,

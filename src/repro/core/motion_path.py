@@ -18,6 +18,7 @@ mainly so tests and analyses can verify the invariant explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import InvalidGeometryError, InvalidTrajectoryError
@@ -34,9 +35,13 @@ class MotionPath:
     start: Point
     end: Point
 
-    @property
+    @cached_property
     def length(self) -> float:
-        """Euclidean length of the segment (used by the score metric)."""
+        """Euclidean length of the segment (used by the score metric).
+
+        Cached in the instance ``__dict__``: not a field, so ``repr``,
+        equality and hash are unchanged.
+        """
         return segment_length(self.start, self.end)
 
     def point_at(self, fraction: float) -> Point:

@@ -9,12 +9,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.motion_path import MotionPath, MotionPathRecord
 
-__all__ = ["ScoredPath", "path_score", "select_top_k", "top_k_score"]
+__all__ = ["RankKey", "ScoredPath", "path_score", "rank_top_k", "select_top_k", "top_k_score"]
+
+#: Rank tuple ``(hotness, score, -id)`` of a hot path or a corridor (id = lead
+#: path id): as is, the by-hotness total order of :func:`select_top_k`; read
+#: as ``(score, hotness, -id)``, the by-score one.
+RankKey = Tuple[int, float, int]
+_SCORE_FIRST = itemgetter(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,13 @@ def select_top_k(
     else:
         key = lambda sp: (sp.hotness, sp.score, -sp.path_id)
     return heapq.nlargest(k, scored, key=key)
+
+
+def rank_top_k(keys: Iterable[RankKey], k: int, by_score: bool = False) -> List[RankKey]:
+    """The ``k`` largest precomputed rank tuples, best first (the view's read)."""
+    if k <= 0:
+        raise ConfigurationError(f"k must be positive, got {k}")
+    return heapq.nlargest(k, keys, key=_SCORE_FIRST if by_score else None)
 
 
 def top_k_score(top_k: Sequence[ScoredPath]) -> float:

@@ -188,12 +188,11 @@ class IngestionServer:
         if op == "tick":
             return self._handle_tick(message)
         if op == "topk":
-            k = int(message.get("k", 10))
+            k = self._requested_k(message)
             paths = self.coordinator.top_k(k, by_score=bool(message.get("by_score", False)))
             return {"ok": True, "paths": [encode_scored_path(s) for s in paths]}
         if op == "corridors":
-            k = int(message.get("k", 10))
-            corridors = self.coordinator.top_k_corridors(k)
+            corridors = self.coordinator.top_k_corridors(self._requested_k(message))
             return {"ok": True, "corridors": [encode_corridor(c) for c in corridors]}
         if op == "snapshot":
             return {"ok": True, "snapshot": coordinator_snapshot(self.coordinator)}
@@ -202,6 +201,13 @@ class IngestionServer:
         if op == "hello":
             return {"ok": True, "version": PROTOCOL_VERSION}
         raise ProtocolError(f"unknown op {op!r}")
+
+    @staticmethod
+    def _requested_k(message: Dict[str, Any]) -> int:
+        try:
+            return int(message.get("k", 10))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed k: {exc}") from None
 
     def _handle_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         try:

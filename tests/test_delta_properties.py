@@ -17,9 +17,11 @@ event sequences check that claim for each delta carrier independently:
   the structure a from-scratch build produces;
 * **incremental stitching**
   (:class:`repro.coordinator.stitching.IncrementalStitcher`) — after any
-  sequence of insert/expire/hotness-change events, the patched corridor
-  report equals :func:`~repro.coordinator.stitching.stitch_paths` run fresh
-  over the surviving hot set.
+  sequence of insert/expire/hotness-change events applied as per-id change
+  sets, the patched corridor report equals
+  :func:`~repro.coordinator.stitching.stitch_paths` run fresh over the
+  surviving hot set, and the key-ranked top-k equals
+  :func:`~repro.coordinator.stitching.select_top_k_corridors` over it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ from repro.coordinator.delta import (
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
 from repro.coordinator.sharding import ShardGrid
-from repro.coordinator.stitching import IncrementalStitcher, stitch_paths
+from repro.coordinator.stitching import (
+    IncrementalStitcher,
+    select_top_k_corridors,
+    stitch_paths,
+)
 
 # ---------------------------------------------------------------------------
 # Membership algebra
@@ -392,13 +398,42 @@ def _reference(hot: Dict[int, Tuple[MotionPath, int]]):
     )
 
 
+def _play(hot: Dict[int, Tuple[MotionPath, int]], next_id: int, event) -> int:
+    """Apply one ``stitch_events`` event to ``hot``; returns the next free id."""
+    if event[0] == "insert":
+        _tag, x1, y1, x2, y2, hotness = event
+        hot[next_id] = (MotionPath(Point(x1, y1), Point(x2, y2)), hotness)
+        return next_id + 1
+    live = sorted(hot)
+    if live:
+        path_id = live[event[1] % len(live)]
+        if event[0] == "expire":
+            del hot[path_id]
+        else:
+            hot[path_id] = (hot[path_id][0], event[2])
+    return next_id
+
+
+def _changes(before, after, also=()):
+    """The change set between two hot sets — what the query view derives from
+    the hotness transitions — plus ``also``: ids that did not change, which a
+    dirty set is free to contain."""
+    changes = {path_id: None for path_id in before if path_id not in after}
+    for path_id, state in after.items():
+        if before.get(path_id) != state or path_id in also:
+            changes[path_id] = state
+    return changes
+
+
 class TestIncrementalStitcherProperties:
     @settings(max_examples=200, deadline=None)
     @given(stitch_events, st.integers(0, 3))
     def test_patched_report_equals_global_restitch(self, events, epochs_split):
-        """Random insert/expire/retouch sequences, synced in arbitrary epoch
-        groupings: the incremental report must equal ``stitch_paths`` over
-        the surviving set after every sync."""
+        """Random add / remove / re-heat sequences, applied in arbitrary epoch
+        groupings with arbitrary unchanged ids riding along: the report must
+        equal ``stitch_paths`` over the surviving set, and the key-ranked
+        top-k ``select_top_k_corridors`` over that report, after every
+        ``apply``."""
         stitcher = IncrementalStitcher()
         hot: Dict[int, Tuple[MotionPath, int]] = {}
         next_id = 0
@@ -407,24 +442,19 @@ class TestIncrementalStitcherProperties:
         while pending:
             take = max(1, min(len(pending), rng.randrange(1, 8)))
             chunk, pending = pending[:take], pending[take:]
+            before = dict(hot)
             for event in chunk:
-                if event[0] == "insert":
-                    _tag, x1, y1, x2, y2, hotness = event
-                    hot[next_id] = (MotionPath(Point(x1, y1), Point(x2, y2)), hotness)
-                    next_id += 1
-                elif event[0] == "expire":
-                    live = sorted(hot)
-                    if live:
-                        del hot[live[event[1] % len(live)]]
-                else:
-                    live = sorted(hot)
-                    if live:
-                        path_id = live[event[1] % len(live)]
-                        path, _old = hot[path_id]
-                        hot[path_id] = (path, event[2])
-            stitcher.sync(dict(hot))
+                next_id = _play(hot, next_id, event)
+            bystanders = {path_id for path_id in hot if rng.random() < 0.3}
+            stitcher.apply(_changes(before, hot, also=bystanders))
+            reference = _reference(hot)
+            for by_score in (False, True):
+                for k in (1, 3, 100):
+                    assert stitcher.top_k(k, by_score) == select_top_k_corridors(
+                        reference, k, by_score
+                    )
             corridors, _stats = stitcher.report(lambda path_id: 0)
-            assert corridors == _reference(hot)
+            assert corridors == reference
 
     @settings(max_examples=100, deadline=None)
     @given(stitch_events)
@@ -435,21 +465,8 @@ class TestIncrementalStitcherProperties:
         hot: Dict[int, Tuple[MotionPath, int]] = {}
         next_id = 0
         for event in events:
-            if event[0] == "insert":
-                _tag, x1, y1, x2, y2, hotness = event
-                hot[next_id] = (MotionPath(Point(x1, y1), Point(x2, y2)), hotness)
-                next_id += 1
-            elif event[0] == "expire":
-                live = sorted(hot)
-                if live:
-                    del hot[live[event[1] % len(live)]]
-            else:
-                live = sorted(hot)
-                if live:
-                    path_id = live[event[1] % len(live)]
-                    path, _old = hot[path_id]
-                    hot[path_id] = (path, event[2])
-        stitcher.sync(dict(hot))
+            next_id = _play(hot, next_id, event)
+        stitcher.apply(hot)
 
         def owner_of(path_id: int) -> int:
             return grid.shard_id_of(hot[path_id][0].start)
@@ -464,19 +481,18 @@ class TestIncrementalStitcherProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(stitch_events)
-    def test_sync_is_idempotent(self, events):
-        """Syncing the same state twice changes nothing and reuses chains."""
+    def test_apply_is_idempotent(self, events):
+        """Re-applying the state the stitcher already holds changes nothing:
+        no chain is re-keyed and every corridor comes from the cache."""
         stitcher = IncrementalStitcher()
         hot: Dict[int, Tuple[MotionPath, int]] = {}
         next_id = 0
         for event in events:
             if event[0] == "insert":
-                _tag, x1, y1, x2, y2, hotness = event
-                hot[next_id] = (MotionPath(Point(x1, y1), Point(x2, y2)), hotness)
-                next_id += 1
-        stitcher.sync(dict(hot))
+                next_id = _play(hot, next_id, event)
+        stitcher.apply(hot)
         first, _ = stitcher.report(lambda path_id: 0)
-        stitcher.sync(dict(hot))
+        stitcher.apply(hot)
         second, stats = stitcher.report(lambda path_id: 0)
         assert second == first
         if first:

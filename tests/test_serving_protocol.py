@@ -154,6 +154,21 @@ class TestDispatch:
         finally:
             coordinator.close()
 
+    @pytest.mark.parametrize("op", ["topk", "corridors"])
+    @pytest.mark.parametrize("k", ["x", None, [1]])
+    def test_malformed_k_is_a_protocol_error_reply(self, op, k):
+        """A non-integer ``k`` used to raise ValueError/TypeError out of
+        ``handle_line``, killing the connection handler without a reply."""
+        server, coordinator = self.make()
+        try:
+            response = server.handle_line(encode_message({"op": op, "k": k}))
+            assert response["ok"] is False and "malformed k" in response["error"]
+            assert server.protocol_errors == 1
+            # The handler survived: the next request on the line is served.
+            assert server.handle_line(encode_message({"op": op, "k": 3}))["ok"] is True
+        finally:
+            coordinator.close()
+
     def test_hello_reports_protocol_version(self):
         server, coordinator = self.make()
         try:

@@ -26,11 +26,17 @@ import pytest
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
+from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.sharding import ShardRouter
-from repro.coordinator.stitching import CompositeCorridor, stitch_paths
+from repro.coordinator.stitching import (
+    CompositeCorridor,
+    IncrementalStitcher,
+    select_top_k_corridors,
+    stitch_paths,
+)
 from repro.network.generator import NetworkConfig
 from repro.simulation.engine import HotPathSimulation, SimulationConfig
 
@@ -431,3 +437,235 @@ class TestSimulationStitching:
             stitch_paths(baseline.hot_paths())
         )
         assert any(c.num_segments > 1 for c in baseline.hot_corridors())
+
+
+# ---------------------------------------------------------------------------
+# The maintained query view vs. the oracle scans
+# ---------------------------------------------------------------------------
+
+VIEW_EPOCHS = 10
+#: Epochs whose answers are checked; 4-6 go unqueried, so the view's dirty
+#: set accumulates over three commits before it is applied.
+QUERIED_EPOCHS = frozenset({1, 2, 3, 7, 8, 9, 10})
+#: Two scripted commuters shuttle A <-> B in counter-phase (different shards on
+#: both the 2x2 and the 4x4 grid); two one-off visitors travel C -> B five
+#: epochs apart.
+COMMUTE_A, COMMUTE_B, COMMUTE_C = Point(900.0, 100.0), Point(900.0, 600.0), Point(900.0, 850.0)
+LAYOUTS = ("uniform", "kd", "elastic")
+
+
+def make_view_coordinator(num_shards, backend="serial", epoch_mode="delta", layout="uniform"):
+    elastic = layout == "elastic" and num_shards > 1
+    return Coordinator(
+        CoordinatorConfig(
+            bounds=BOUNDS,
+            window=25,
+            cells_per_axis=32,
+            num_shards=num_shards,
+            backend=backend,
+            epoch_mode=epoch_mode,
+            partition="kd" if layout == "kd" else "uniform",
+            elastic="auto" if elastic else "off",
+            migration_budget=3 if elastic else 0,
+            max_shards=num_shards + 3 if elastic else None,
+        )
+    )
+
+
+def scored_snapshot(paths) -> List[tuple]:
+    return [(s.path_id, s.hotness, s.score, s.path) for s in paths]
+
+
+def assert_view_equals_oracle(coordinator: Coordinator, context: str) -> None:
+    """Every ranked answer vs ``select_top_k`` / ``stitch_paths`` +
+    ``select_top_k_corridors`` over the same coordinator's ``hot_paths()``."""
+    hot = coordinator.hot_paths()
+    report = stitch_paths(hot)
+    for k in (1, 10, len(hot) + 5):
+        for by_score in (False, True):
+            assert scored_snapshot(coordinator.top_k(k, by_score)) == scored_snapshot(
+                select_top_k(hot, k, by_score)
+            ), f"top_k({k}, by_score={by_score}) {context}"
+            assert corridor_snapshot(
+                coordinator.top_k_corridors(k, by_score)
+            ) == corridor_snapshot(select_top_k_corridors(report, k, by_score)), (
+                f"top_k_corridors({k}, by_score={by_score}) {context}"
+            )
+        assert coordinator.top_k_score(k) == top_k_score(select_top_k(hot, k))
+    assert corridor_snapshot(coordinator.hot_corridors()) == corridor_snapshot(report)
+
+
+def _hot_now(coordinator: Coordinator, path: MotionPath, crossings: int, now: int) -> int:
+    """Insert ``path`` behind the coordinator's back and cross it ``crossings`` times."""
+    record = coordinator.index.insert(path, created_at=now)
+    for _ in range(crossings):
+        coordinator.hotness.record_crossing(record.path_id, now)
+    return record.path_id
+
+
+def view_epochs(coordinator: Coordinator, seed: int = 11):
+    """The feedback stream plus everything the query view must survive.
+
+    * two commuters shuttling ``COMMUTE_A <-> COMMUTE_B`` in counter-phase:
+      both legs are crossed every epoch, so from epoch 4 on an old crossing
+      decays in the very epoch a new one touches the path; a visitor crosses
+      ``C -> B`` once in epoch 1, the path vanishes, and a second visitor
+      re-creates its geometry under a new id in epoch 6;
+    * after epoch 2, mutations made directly on the index and the trackers:
+      a three-path weld cycle with unequal hotness, and two disjoint paths of
+      equal length and hotness (equal scores, hotness ties) — one of which is
+      deleted from the index after epoch 8, while it is still hot and no
+      transition of that epoch names it;
+    * a forced layout change after epochs 2 and 6 (kd refit, or an elastic
+      split that stays in flight over several boundaries).
+
+    Yields ``(epoch, outcome)`` after the epoch's direct mutations.
+    """
+    walkers = feedback_epochs(coordinator, seed, epochs=VIEW_EPOCHS, objects=12)
+    commuter_at = {100: COMMUTE_A, 110: COMMUTE_B}
+    doomed = None
+    for epoch in range(1, VIEW_EPOCHS + 1):
+        boundary = epoch * 10
+        trips = [
+            (object_id, start, COMMUTE_B if start == COMMUTE_A else COMMUTE_A)
+            for object_id, start in commuter_at.items()
+        ]
+        if epoch in (1, 6):
+            trips.append((100 + epoch, COMMUTE_C, COMMUTE_B))
+        for object_id, start, target in trips:
+            fsa = Rectangle.from_center(target, 4.0)
+            coordinator.submit_state(
+                ObjectState(object_id, start, boundary - 6, fsa.low, fsa.high, boundary - 1)
+            )
+        outcome = next(walkers)  # submits the walkers' states and runs the epoch
+        for response in outcome.responses:
+            if response.object_id in commuter_at:
+                commuter_at[response.object_id] = response.endpoint
+        if epoch == 2:
+            v0, v1, v2 = Point(100.0, 900.0), Point(400.0, 900.0), Point(250.0, 700.0)
+            for crossings, path in enumerate(
+                (MotionPath(v0, v1), MotionPath(v1, v2), MotionPath(v2, v0)), start=1
+            ):
+                _hot_now(coordinator, path, crossings, boundary)
+            twin = MotionPath(Point(50.0, 50.0), Point(350.0, 50.0))
+            _hot_now(coordinator, twin, 2, boundary)
+            doomed = _hot_now(
+                coordinator, MotionPath(Point(50.0, 60.0), Point(350.0, 60.0)), 2, boundary + 40
+            )
+        if epoch == 8:
+            coordinator.index.delete(doomed)  # hot entry without a live record
+        if epoch in (2, 6) and coordinator.router is not None:
+            if coordinator.config.partition == "kd" or coordinator.config.elastic == "auto":
+                coordinator.router.rebalance()
+        yield epoch, outcome
+
+
+class TestQueryViewEqualsOracle:
+    """After every queried epoch of a replay, on every configuration, the
+    maintained view's answers equal the oracle scans bit for bit."""
+
+    @staticmethod
+    def _replay(coordinator: Coordinator) -> None:
+        try:
+            for epoch, _outcome in view_epochs(coordinator):
+                if epoch in QUERIED_EPOCHS:
+                    assert_view_equals_oracle(coordinator, f"after epoch {epoch}")
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize("epoch_mode", ["delta", "full"])
+    def test_single_shard(self, epoch_mode):
+        self._replay(make_view_coordinator(1, epoch_mode=epoch_mode))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("epoch_mode", ["delta", "full"])
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_fleet(self, num_shards, backend, epoch_mode, layout):
+        self._replay(make_view_coordinator(num_shards, backend, epoch_mode, layout))
+
+    def test_stream_exercises_every_scenario(self):
+        """Guard against a vacuous differential: the stream really produces
+        ties, equal scores, same-epoch touch+decay, a vanished-and-re-created
+        path, a weld cycle, and an elastic migration in flight at a query."""
+        coordinator = make_view_coordinator(4, layout="elastic")
+        touch_and_decay = recreated = False
+        geometry_of: Dict[int, MotionPath] = {}
+        vanished_geometry = set()
+        in_flight_at_a_query = False
+        dirty_before_query = {}
+        try:
+            for epoch, outcome in view_epochs(coordinator):
+                delta = outcome.delta
+                if epoch in QUERIED_EPOCHS:
+                    dirty_before_query[epoch] = coordinator._view._dirty
+                    coordinator.top_k(1)
+                touch_and_decay |= bool(set(delta.touched) & set(delta.decayed))
+                vanished_geometry.update(geometry_of[path_id] for path_id in delta.vanished)
+                for path_id in delta.inserted:
+                    geometry_of[path_id] = coordinator.index.get(path_id).path
+                    recreated |= geometry_of[path_id] in vanished_geometry
+                for record, _hotness in coordinator.hot_paths():
+                    geometry_of.setdefault(record.path_id, record.path)
+                if epoch == 2:
+                    in_flight_at_a_query = coordinator.router._migration is not None
+                    hot = coordinator.hot_paths()
+                    keys = [(h, h * record.path.length) for record, h in hot]
+                    assert len(set(keys)) < len(keys), "no equal (hotness, score) pair"
+                    cycles = [
+                        c for c in stitch_paths(hot) if c.num_segments == 3 and c.start == c.end
+                    ]
+                    assert cycles and cycles[0].hotness == 1, "no weld cycle"
+                    tenth = select_top_k(hot, 10)[-1].hotness
+                    assert sum(h == tenth for _r, h in hot) > 1, "no tie at the cut"
+        finally:
+            coordinator.close()
+        assert touch_and_decay, "no path was touched and decayed in one epoch"
+        assert recreated, "no vanished geometry came back under a new id"
+        assert in_flight_at_a_query, "the elastic migration was not in flight"
+        # Both ways of catching up ran: a patch from a small dirty set, and the
+        # rescan once the dirty set had outgrown the hot set.
+        assert dirty_before_query[9], "epoch 9 was not patched from dirty ids"
+        assert None in dirty_before_query.values(), "the dirty set never outgrew the hot set"
+
+
+class TestQueryWork:
+    """ROADMAP 7's "from all hot to O(k + touched)" as exact counts, no clock."""
+
+    def test_a_post_commit_query_builds_k_objects(self, monkeypatch):
+        k = 10
+        coordinator = make_coordinator(1)
+        built = {"scored": 0, "corridors": 0, "rewelds": 0}
+
+        def counting(owner, name, counter):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                built[counter] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        try:
+            epochs = feedback_epochs(coordinator, 11, epochs=12, objects=14)
+            for _ in range(11):
+                next(epochs)
+                coordinator.top_k(k)
+                coordinator.top_k_corridors(k)
+            counting(ScoredPath, "__init__", "scored")
+            counting(CompositeCorridor, "__post_init__", "corridors")
+            counting(IncrementalStitcher, "_reweld", "rewelds")
+            outcome = next(epochs)
+            hot = len(coordinator.hot_paths())
+            built.update(scored=0, corridors=0, rewelds=0)  # hot_paths() is the oracle's
+            coordinator.top_k(k)
+            coordinator.top_k_corridors(k)
+        finally:
+            coordinator.close()
+        delta = outcome.delta
+        dirty = set(delta.newly_hot) | set(delta.touched) | set(delta.decayed) | set(delta.vanished)
+        assert hot > 4 * k and 0 < len(dirty) < hot, "not a steady stream"
+        assert built["scored"] == k
+        assert 0 < built["corridors"] <= k
+        # Two vertices per id that entered or left the hot set.
+        assert 0 < built["rewelds"] <= 2 * len(dirty)
