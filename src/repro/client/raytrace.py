@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Deque, List, Optional, Union
 
-from repro.core.errors import ConfigurationError, CoordinatorError
+from repro.core.errors import ConfigurationError, CoordinatorError, InvalidGeometryError
 from repro.core.geometry import Point, Rectangle
 from repro.core.trajectory import TimePoint, UncertainTimePoint
 from repro.client.state import CoordinatorResponse, ObjectState
@@ -82,6 +83,12 @@ class RayTraceFilter:
     reply arrives at an epoch boundary.  Both return the state message emitted
     as a consequence (if any), which the simulation engine forwards to the
     coordinator.
+
+    The SSA is held as exactly what Algorithm 1 needs: the start point, the
+    two timestamps and the four FSA bounds as plain floats.  A measurement is
+    absorbed or buffered with scalar arithmetic only; a ``Point`` or
+    ``Rectangle`` is built where one leaves the filter (:meth:`current_state`
+    on a report, the :attr:`fsa` / :attr:`ssa_start` properties on demand).
     """
 
     def __init__(
@@ -98,12 +105,11 @@ class RayTraceFilter:
         self._tolerance_model = tolerance_model
         self.statistics = RayTraceStatistics()
 
-        initial_tp = self._as_timepoint(initial)
-        # SSA state: start timepoint and FSA rectangle at time t_end.
-        self._t_start: int = initial_tp.timestamp
-        self._t_end: int = initial_tp.timestamp
-        self._start: Point = initial_tp.point
-        self._fsa: Rectangle = Rectangle.degenerate(initial_tp.point)
+        # SSA state: start timepoint and the FSA bounds at time t_end.
+        self._t_start: int = initial.timestamp
+        self._t_end: int = initial.timestamp
+        self._start: Point = initial.point
+        self._collapse_fsa(initial.point)
 
         self._waiting: bool = False
         self._buffer: Deque[Measurement] = deque()
@@ -122,8 +128,8 @@ class RayTraceFilter:
 
     @property
     def fsa(self) -> Rectangle:
-        """Current Final Safe Area rectangle (at time :attr:`fsa_timestamp`)."""
-        return self._fsa
+        """Current Final Safe Area rectangle (at time :attr:`fsa_timestamp`), built on demand."""
+        return Rectangle.from_bounds(self._fsa_lx, self._fsa_ly, self._fsa_hx, self._fsa_hy)
 
     @property
     def fsa_timestamp(self) -> int:
@@ -135,13 +141,13 @@ class RayTraceFilter:
         return len(self._buffer)
 
     def current_state(self) -> ObjectState:
-        """The state message describing the current SSA."""
+        """The state message describing the current SSA (builds the two FSA corners)."""
         return ObjectState(
             object_id=self.object_id,
             start=self._start,
             t_start=self._t_start,
-            fsa_low=self._fsa.low,
-            fsa_high=self._fsa.high,
+            fsa_low=Point(self._fsa_lx, self._fsa_ly),
+            fsa_high=Point(self._fsa_hx, self._fsa_hy),
             t_end=self._t_end,
         )
 
@@ -154,14 +160,19 @@ class RayTraceFilter:
         SSA, or ``None`` when the measurement was absorbed (or merely buffered
         because the filter is waiting for the coordinator).
         """
-        self.statistics.measurements_processed += 1
-        self._buffer.append(measurement)
-        self.statistics.buffered_high_watermark = max(
-            self.statistics.buffered_high_watermark, len(self._buffer)
-        )
-        if self._waiting:
-            return None
-        return self._drain_buffer()
+        statistics = self.statistics
+        statistics.measurements_processed += 1
+        buffer = self._buffer
+        if self._waiting or buffer:
+            buffer.append(measurement)
+            if len(buffer) > statistics.buffered_high_watermark:
+                statistics.buffered_high_watermark = len(buffer)
+            return None if self._waiting else self._drain_buffer()
+        # Nothing is queued ahead of it: the measurement would be the buffer's
+        # only entry for the length of this call, so it skips the deque.
+        if statistics.buffered_high_watermark < 1:
+            statistics.buffered_high_watermark = 1
+        return self._process(measurement)
 
     def receive_response(self, response: CoordinatorResponse) -> Optional[ObjectState]:
         """Handle the coordinator's response at an epoch boundary.
@@ -182,11 +193,16 @@ class RayTraceFilter:
         self._t_start = response.timestamp
         self._t_end = response.timestamp
         self._start = response.endpoint
-        self._fsa = Rectangle.degenerate(response.endpoint)
+        self._collapse_fsa(response.endpoint)
         self._waiting = False
         return self._drain_buffer()
 
     # -- core SSA update -----------------------------------------------------------------
+
+    def _collapse_fsa(self, point: Point) -> None:
+        """Make the FSA the single ``point`` (a new SSA start, or a snapped report)."""
+        self._fsa_lx = self._fsa_hx = point.x
+        self._fsa_ly = self._fsa_hy = point.y
 
     def _drain_buffer(self) -> Optional[ObjectState]:
         """Process buffered measurements until one breaks the SSA or the buffer empties."""
@@ -198,29 +214,78 @@ class RayTraceFilter:
         return None
 
     def _process(self, measurement: Measurement) -> Optional[ObjectState]:
-        timepoint = self._as_timepoint(measurement)
-        if timepoint.timestamp < self._t_end:
+        """One step of Algorithm 1 on floats.
+
+        The arithmetic is, operation for operation, that of projecting the SSA
+        as a ``Rectangle`` and intersecting it with the tolerance square
+        (``tests/raytrace_oracle.py`` keeps that formulation and a hypothesis
+        differential holds the two bit-identical): ``hi if hi > lo else lo``
+        is ``max(lo, hi)`` with its tie-breaking, so ``-0.0`` and ``0.0`` land
+        where they did, and a non-finite bound raises at the measurement that
+        produced it.
+        """
+        timestamp = measurement.timestamp
+        if timestamp < self._t_end:
             raise CoordinatorError(
-                f"object {self.object_id}: measurement at t={timepoint.timestamp} "
+                f"object {self.object_id}: measurement at t={timestamp} "
                 f"arrived after SSA already extends to t={self._t_end}"
             )
-        tolerance_square = self._tolerance_square(measurement)
+        # Tolerance square of the measurement (Section 4.1 shrinks it under uncertainty).
+        if self._tolerance_model is not None and isinstance(measurement, UncertainTimePoint):
+            tol_lx, tol_ly, tol_hx, tol_hy = self._tolerance_model.tolerance_square(
+                measurement
+            ).as_bounds()
+        else:
+            point = measurement.point
+            x, y, epsilon = point.x, point.y, self.config.epsilon
+            tol_lx, tol_ly = x - epsilon, y - epsilon
+            tol_hx, tol_hy = x + epsilon, y + epsilon
+            if not (
+                isfinite(tol_lx) and isfinite(tol_ly) and isfinite(tol_hx) and isfinite(tol_hy)
+            ):
+                raise InvalidGeometryError(
+                    f"tolerance square of {point} with epsilon={epsilon} is not finite"
+                )
 
-        if self._t_end == self._t_start:
+        t_start = self._t_start
+        if self._t_end == t_start:
             # First measurement after the SSA start: the FSA is simply the
             # tolerance square of this measurement (Lines 20-23 of Algorithm 1).
-            if timepoint.timestamp == self._t_start:
-                # A duplicate of the start timestamp carries no new extent.
-                return None
-            self._t_end = timepoint.timestamp
-            self._fsa = tolerance_square
+            # A duplicate of the start timestamp carries no new extent.
+            if timestamp != t_start:
+                self._t_end = timestamp
+                self._fsa_lx, self._fsa_ly = tol_lx, tol_ly
+                self._fsa_hx, self._fsa_hy = tol_hx, tol_hy
             return None
 
-        projection = self._project_ssa(timepoint.timestamp)
-        intersection = projection.intersection(tolerance_square)
-        if intersection is not None:
-            self._t_end = timepoint.timestamp
-            self._fsa = intersection
+        # Project the SSA onto the plane t = timestamp (Lines 26-27): the
+        # pyramid spanned by the start point at t_start and the FSA at t_end
+        # keeps expanding linearly along the same rays.
+        start_x, start_y = self._start.x, self._start.y
+        fraction = (timestamp - t_start) / (self._t_end - t_start)
+        low_x = start_x + fraction * (self._fsa_lx - start_x)
+        low_y = start_y + fraction * (self._fsa_ly - start_y)
+        high_x = start_x + fraction * (self._fsa_hx - start_x)
+        high_y = start_y + fraction * (self._fsa_hy - start_y)
+        if not (isfinite(low_x) and isfinite(low_y) and isfinite(high_x) and isfinite(high_y)):
+            raise InvalidGeometryError(
+                f"object {self.object_id}: SSA projection onto t={timestamp} is not finite"
+            )
+        # Corner order as the reference normalises it (min / max of the two
+        # projected corners, the low one kept on a tie); with fraction >= 1 the
+        # corners stay ordered, so this only ever settles ties.
+        proj_lx = high_x if high_x < low_x else low_x
+        proj_ly = high_y if high_y < low_y else low_y
+        proj_hx = high_x if high_x > low_x else low_x
+        proj_hy = high_y if high_y > low_y else low_y
+
+        # Closed intersection with the tolerance square (touching counts).
+        if not (proj_hx < tol_lx or tol_hx < proj_lx or proj_hy < tol_ly or tol_hy < proj_ly):
+            self._t_end = timestamp
+            self._fsa_lx = tol_lx if tol_lx > proj_lx else proj_lx
+            self._fsa_ly = tol_ly if tol_ly > proj_ly else proj_ly
+            self._fsa_hx = tol_hx if tol_hx < proj_hx else proj_hx
+            self._fsa_hy = tol_hy if tol_hy < proj_hy else proj_hy
             return None
 
         # SSA cannot grow: report state, re-buffer the violating measurement so
@@ -232,41 +297,3 @@ class RayTraceFilter:
         self._buffer.appendleft(measurement)
         self.statistics.states_sent += 1
         return self.current_state()
-
-    def _project_ssa(self, timestamp: int) -> Rectangle:
-        """Project the SSA onto the plane ``t = timestamp`` (Lines 26-27 of Algorithm 1).
-
-        The SSA is the pyramid spanned by the start point at ``t_start`` and
-        the FSA at ``t_end``; for ``timestamp >= t_end`` the projection keeps
-        expanding linearly along the same rays.
-        """
-        span = self._t_end - self._t_start
-        if span == 0:
-            return Rectangle.degenerate(self._start)
-        fraction = (timestamp - self._t_start) / span
-        low = Point(
-            self._start.x + fraction * (self._fsa.low.x - self._start.x),
-            self._start.y + fraction * (self._fsa.low.y - self._start.y),
-        )
-        high = Point(
-            self._start.x + fraction * (self._fsa.high.x - self._start.x),
-            self._start.y + fraction * (self._fsa.high.y - self._start.y),
-        )
-        # The rays may cross for fractions > 1 when the FSA lies entirely on
-        # one side of the start point; normalise the corner order.
-        return Rectangle(
-            Point(min(low.x, high.x), min(low.y, high.y)),
-            Point(max(low.x, high.x), max(low.y, high.y)),
-        )
-
-    def _tolerance_square(self, measurement: Measurement) -> Rectangle:
-        if isinstance(measurement, UncertainTimePoint) and self._tolerance_model is not None:
-            return self._tolerance_model.tolerance_square(measurement)
-        point = measurement.point
-        return Rectangle.from_center(point, self.config.epsilon)
-
-    @staticmethod
-    def _as_timepoint(measurement: Measurement) -> TimePoint:
-        if isinstance(measurement, UncertainTimePoint):
-            return measurement.certain()
-        return measurement

@@ -7,10 +7,13 @@ Safe Area projections maintained by RayTrace are all axis-aligned rectangles,
 so :class:`Rectangle` (with intersection, containment and expansion) is the
 workhorse of both tiers.
 
-Everything in this module is a small immutable value object; the hot loops of
-the simulation create millions of them, so the implementations avoid any
-unnecessary allocation and validation can be bypassed by the internal callers
-that already guarantee well-formed inputs.
+Everything in this module is a small immutable value object, and every
+constructor validates: :class:`Point` rejects non-finite coordinates,
+:class:`Rectangle` an inverted corner pair, and there is no unchecked way
+around either.  Building one therefore costs a frozen-dataclass ``__init__``
+plus that check, so hot loops are expected to work on scalars and build a
+``Point`` / ``Rectangle`` at the boundary where a value leaves them (as
+``client/raytrace.py`` does).
 """
 
 from __future__ import annotations

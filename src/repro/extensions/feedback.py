@@ -149,5 +149,5 @@ class FeedbackRayTraceFilter(RayTraceFilter):
         )
         # Keep the filter's own FSA consistent with what was reported so the
         # next coordinator-assigned start chains correctly.
-        self._fsa = Rectangle.degenerate(best.vertex)
+        self._collapse_fsa(best.vertex)
         return snapped

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -138,3 +140,90 @@ class TestSimulationVariants:
         )
         result = HotPathSimulation(config, network=tiny_manual_network).run()
         assert result.network is tiny_manual_network
+
+
+def top_k_rows(scored_paths):
+    """``(path_id, hotness, start, end)`` per ranked path: the listing ``repro run`` prints."""
+    return [
+        (scored.path_id, scored.hotness, scored.path.start.as_tuple(), scored.path.end.as_tuple())
+        for scored in scored_paths
+    ]
+
+
+def rows_digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+# Recorded at the commit before the RayTrace filter moved from Point/Rectangle
+# objects to scalars: ``(seed, delta) -> run``.  The client tier must hand the
+# coordinator the very same reports, so every number below is an equality.
+RUNS_AT_OBJECT_GEOMETRY_FILTER = {(5, 0.0): {'uplink': (49, 1764),
+            'downlink': (48, 768),
+            'index_size': [0, 2, 4, 11, 19, 28, 30, 31],
+            'states_processed': [0, 2, 2, 7, 8, 13, 9, 7],
+            'top_k_score': [0.0,
+                            27.65333405391771,
+                            34.294945701368135,
+                            38.59410120318991,
+                            51.01902251205071,
+                            57.410156263363795,
+                            71.12242983608577,
+                            73.19181263145576],
+            'hottest': (40,
+                        1,
+                        (373.354127736049, 20.170727922822152),
+                        (461.51255199482586, 17.259783717544064)),
+            'top_k_digest': 'f6fcc06c487a5cc4'},
+ (9, 0.0): {'uplink': (77, 2772),
+            'downlink': (76, 1216),
+            'index_size': [0, 2, 4, 9, 23, 33, 42, 60],
+            'states_processed': [0, 2, 2, 5, 14, 15, 15, 23],
+            'top_k_score': [0.0,
+                            22.050836764806604,
+                            26.470328233116952,
+                            35.87923643171433,
+                            61.41475565451312,
+                            66.60562901294023,
+                            74.34821326236417,
+                            84.52411699435095],
+            'hottest': (68,
+                        1,
+                        (-0.9030807573072415, 706.2600257171003),
+                        (21.97597783602962, 824.190847739125)),
+            'top_k_digest': 'f4a0811137bc5f99'},
+ (5, 0.1): {'uplink': (66, 2376),
+            'downlink': (66, 1056),
+            'index_size': [0, 3, 8, 18, 32, 37, 36, 41],
+            'states_processed': [0, 3, 5, 10, 14, 12, 10, 12],
+            'top_k_score': [0.0,
+                            25.45829871893562,
+                            31.611085449043,
+                            41.49351330601557,
+                            50.1222199807451,
+                            56.154899166354674,
+                            67.12645436469026,
+                            71.27582537682193],
+            'hottest': (45,
+                        1,
+                        (1600.9010819571236, 1176.2815377905083),
+                        (1688.6191083759463, 1185.687843208898)),
+            'top_k_digest': 'd1da61516d4efb7d'}}
+
+
+class TestClientTierIdentity:
+    @pytest.mark.parametrize("seed, delta", sorted(RUNS_AT_OBJECT_GEOMETRY_FILTER))
+    def test_run_equals_recorded_parent_run(self, seed, delta):
+        result = HotPathSimulation(
+            small_config(seed=seed, delta=delta, run_dp_baseline=False)
+        ).run()
+        metrics = result.metrics
+        rows = top_k_rows(result.top_k_paths(10))
+        assert {
+            "uplink": (metrics.uplink.messages, metrics.uplink.bytes),
+            "downlink": (metrics.downlink.messages, metrics.downlink.bytes),
+            "index_size": [epoch.index_size for epoch in metrics.epochs],
+            "states_processed": [epoch.states_processed for epoch in metrics.epochs],
+            "top_k_score": [epoch.top_k_score for epoch in metrics.epochs],
+            "hottest": rows[0],
+            "top_k_digest": rows_digest(rows),
+        } == RUNS_AT_OBJECT_GEOMETRY_FILTER[seed, delta]
