@@ -16,7 +16,7 @@ import pytest
 from repro.coordinator.fleet import FleetConfig
 from repro.serving.scenarios import ScenarioRunner, get_scenario, replay_accepted_log
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def run_backend(backend: str):

@@ -2,22 +2,20 @@
 
 Runs the same scaled workload against a single-shard coordinator, against 2x2
 and 4x4 shard fleets, and against the fleet on every execution backend
-(``serial``, ``threads``, ``processes``).  Sharding and the backends are
+(``serial``, ``processes``).  Sharding and the backends are
 behaviour-identical by construction (see ``tests/test_sharding_equivalence.py``),
 so the benchmark asserts the discovered top-k is bit-for-bit equal across every
 combination and records the per-epoch coordinator time, the fleet's load
 balance and the per-backend speedup over the serial pipeline.
 
-Interpreting the backend table: candidate passes run inline in the parent on
-every backend; what the parallel backends spread is the builds of the epoch's
-cache-missed overlap components (thread pool / stateless worker processes)
-and the decision commits (per conflict group), so available parallelism is
-bounded by the component and group structure of each epoch and the machine's
-cores (the table records the cores).  On standard CPython the GIL caps the
-``threads`` backend at serial throughput regardless of cores — it is measured
-as the coordination-overhead baseline and for free-threaded builds;
-``processes`` can win only where off-parent builds outweigh their shipment,
-and on a small container both show their overhead rather than a speedup.
+Interpreting the backend table: candidate passes and decisions run inline in
+the parent, in submission order, on every backend; what ``processes`` moves
+off the parent is the builds of the epoch's cache-missed overlap components
+(stateless worker processes), so available parallelism is bounded by the
+component structure of each epoch and the machine's cores (the table records
+the cores).  ``processes`` can win only where off-parent builds outweigh
+their shipment, and on a small container it shows its overhead rather than a
+speedup.
 
 The stitching table isolates the corridor-stitching merge pass: the
 ``global`` row stitches one flat hot-path list (the seed coordinator's
@@ -55,7 +53,7 @@ from repro.experiments.config import scaled_simulation_config
 from repro.simulation.engine import HotPathSimulation
 
 SHARD_COUNTS = (1, 4, 16)
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 BACKEND_SHARD_COUNTS = (4, 16)
 
 OVERLAP_BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -764,8 +762,8 @@ def test_sharding_scaling_large_population(benchmark, experiment_scale, record_r
     """Heavier differential run (4x the scaled population); opt in via -m slow.
 
     Covers every backend on the 4x4 fleet as well — the larger epochs amortise
-    pool coordination, so this is the configuration where multi-core machines
-    show the candidate-pass and conflict-group parallelism most clearly.
+    worker coordination, so this is the configuration where multi-core
+    machines show off-parent overlap builds most clearly.
     """
     results = {}
     backend_results = {}

@@ -7,7 +7,7 @@ write any Python:
 .. code-block:: console
 
     python -m repro run --objects 500 --tolerance 10 --duration 150
-    python -m repro run --objects 2000 --shards 4 --backend threads
+    python -m repro run --objects 2000 --shards 4 --backend processes
     python -m repro figure7 --scale 0.02
     python -m repro figure8 --scale 0.02 --csv results/
     python -m repro figure9
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "examples:\n"
             "  python -m repro run --objects 500 --tolerance 10 --duration 150\n"
-            "  python -m repro run --objects 2000 --shards 4 --backend threads\n"
+            "  python -m repro run --objects 2000 --shards 4 --backend processes\n"
             "  python -m repro run --shards 16 --backend processes\n"
             "  python -m repro figure8 --scale 0.02 --csv results/\n"
             "run 'python -m repro <command> --help' for per-command options"
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "examples:\n"
             "  python -m repro run --objects 500 --tolerance 10 --duration 150\n"
-            "  python -m repro run --objects 2000 --shards 4 --backend threads\n"
+            "  python -m repro run --objects 2000 --shards 4 --backend processes\n"
             "  python -m repro run --shards 16 --backend processes --top-k 20"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,

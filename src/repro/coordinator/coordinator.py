@@ -220,11 +220,11 @@ class Coordinator:
     ) -> EpochDelta:
         """Fold the epoch's change record into a first-class :class:`EpochDelta`.
 
-        Inserted ids come from the decisions (already renumbered to the
-        serial allocation on parallel backends, so the tuple is
-        backend-independent); hotness transitions are drained from the
-        trackers' delta logs, with the merged categories sorted ascending —
-        the deterministic encoding of the underlying event sets.
+        Inserted ids come from the decisions (allocated in submission order
+        on every backend, so the tuple is backend-independent); hotness
+        transitions are drained from the trackers' delta logs, with the
+        merged categories sorted ascending — the deterministic encoding of
+        the underlying event sets.
         """
         log = self.hotness.drain_delta_log()
         # All the query view costs an epoch: remember which ids to re-read.
@@ -236,15 +236,13 @@ class Coordinator:
         )
         if self.router is not None:
             pool_stats = self.router.last_pool_stats
-            renumbered = self.router.last_renumbered
             records_migrated = self.router.last_migration_moved
             migration_active = self.router.last_migration_active
         else:
             # The single-shard strategy runs its one pool per epoch through
             # the same cache protocol as the sharded pipeline, so its
-            # counters slot straight in (serial commits never renumber).
+            # counters slot straight in.
             pool_stats = self.strategy.last_pool_stats
-            renumbered = 0
             records_migrated = 0
             migration_active = False
         return EpochDelta(
@@ -255,7 +253,6 @@ class Coordinator:
             touched=tuple(sorted(log.touched)),
             decayed=tuple(sorted(log.decayed)),
             vanished=tuple(sorted(log.vanished)),
-            renumbered=renumbered,
             pools_total=pool_stats["pools_total"],
             pools_reused=pool_stats["pools_reused"],
             pools_prefix_reused=pool_stats["pools_prefix_reused"],

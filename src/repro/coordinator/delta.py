@@ -66,15 +66,16 @@ EPOCH_MODES: Tuple[str, ...] = ("full", "delta")
 class EpochDelta:
     """Everything one ``run_epoch`` changed, as compact id tuples and counters.
 
-    The id tuples are sorted ascending (a deterministic, backend-independent
-    encoding of the underlying event *sets*; per-shard event logs interleave
-    nondeterministically across worker threads, their union does not).  An id
-    appears once per event, so a path crossed twice in one epoch contributes
-    one ``newly_hot`` entry and one ``touched`` entry.
+    The id tuples are sorted ascending (a deterministic, layout-independent
+    encoding of the underlying event *sets*: a fleet concatenates its
+    per-shard event logs in shard order, which depends on the layout, their
+    union does not).  An id appears once per event, so a path crossed twice
+    in one epoch contributes one ``newly_hot`` entry and one ``touched``
+    entry.
 
-    * ``inserted`` — final ids of the motion paths the epoch's decisions
-      inserted, in submission order (parallel commits are renumbered to the
-      serial allocation first, so the tuple is backend-independent).
+    * ``inserted`` — ids of the motion paths the epoch's decisions inserted,
+      in submission order (every backend allocates them in that order, so
+      the tuple is backend-independent).
     * ``deleted`` — ids whose records were evicted from the grid index at the
       epoch boundary (always a subset of ``vanished``: eviction is driven by
       hotness reaching zero).
@@ -82,8 +83,9 @@ class EpochDelta:
       path's hotness ``0 -> 1`` respectively ``n -> n+1`` (``n >= 1``).
     * ``decayed`` / ``vanished`` — window expiries that left the path hot
       respectively dropped it to hotness zero.
-    * ``renumbered`` — provisional ids renamed by the parallel-commit
-      renumbering (0 on the serial backend).
+    * ``renumbered`` — always 0: no id is ever renumbered.  Kept only because
+      ``bench/trace.py`` reads it (``bench/`` does not change with ``src/``);
+      delete it with that read.
     * ``pools_total`` .. ``pools_rebuilt`` — the epoch's overlap pools (components):
       how many were reused verbatim from the cross-epoch pool cache, resumed
       from a cached prefix, or rebuilt from scratch (the only ones shipped to
@@ -138,7 +140,6 @@ class EpochDelta:
             or self.touched
             or self.decayed
             or self.vanished
-            or self.renumbered
             or self.rebalanced
         )
 

@@ -1,31 +1,26 @@
-"""Execution backends for the sharded epoch pipeline, and conflict grouping.
+"""Execution backends for the sharded epoch pipeline.
 
 :class:`~repro.coordinator.sharding.ShardedSinglePath` splits an epoch into a
-*candidate stage* (read-only) and a *decision stage* (mutating).  Every
-index read and every mutation stays in the calling process on every backend:
-the Case 1 candidate pass is one dict probe per state under the columnar
-kernel (the paper's constant-time hash of Section 5.1), cheaper than any
-hand-off, so all backends run the serial backend's own loop over the
-authoritative shard indexes.  What a backend decides is where the epoch's
-cache-missed overlap components are *built* and how the decisions commit,
-without giving up the bit-for-bit exactness contract of
-``tests/test_sharding_equivalence.py``:
+*candidate stage* (read-only) and a *decision stage* (mutating).  The
+decision stage is Algorithm 2's sequential loop: later objects see the paths
+and crossings earlier objects produced, so every backend replays global
+submission order in the calling process — the one path the bit-for-bit
+exactness contract of ``tests/test_sharding_equivalence.py`` pins.  Every
+index read stays there too: the Case 1 candidate pass is one dict probe per
+state under the columnar kernel (the paper's constant-time hash of Section
+5.1), cheaper than any hand-off.  What a backend decides is where the
+epoch's cache-missed overlap components are *built*:
 
 * :class:`SerialBackend` — the reference pipeline: every pass runs inline on
-  the calling thread, decisions replay global submission order directly.
-* :class:`ThreadBackend` — the builds of the epoch's overlap components are
-  submitted to a thread pool; decisions commit concurrently, one thread per
-  conflict group.
+  the calling thread.
 * :class:`ProcessBackend` — overlap builds run in persistent, *stateless*
   worker processes: a worker receives component FSA pools and returns built
   structures as ordered region lists, nothing else, so it is replaced after a
-  crash or a missed reply deadline with no bootstrap; decisions commit on an
-  in-process thread pool (index mutations must happen where the
-  authoritative state lives).
+  crash or a missed reply deadline with no bootstrap.
 
 A third, read-only pass rides the same machinery: the corridor-stitching weld
 passes of :meth:`~repro.coordinator.sharding.ShardRouter.stitch_epoch` map
-per-shard fragment tasks onto the pool via ``map_stitch_buckets`` (process
+per-shard fragment tasks onto the workers via ``map_stitch_buckets`` (process
 workers receive self-contained fragment tuples and return serialized
 corridor chains).
 
@@ -48,75 +43,6 @@ API — no backend needs delta awareness:
   touched.  The ``full`` mode path below (and its process-worker ``stitch``
   message) remains the reference implementation the delta answers are pinned
   against bit for bit.
-
-**Conflict groups.**  The decision stage of Algorithm 2 is sequential: within
-an epoch, later objects observe the paths and crossings earlier objects
-produced.  :func:`conflict_groups` partitions the epoch's states so that this
-ordering only has to be enforced *within* a group.  The *shard footprint* of a
-state is the shard owning its SSA start plus every shard its FSA overlaps;
-two states conflict when their footprints intersect (or when they carry the
-same object id, because duplicate reporters share one candidate set).  Groups
-are the connected components of the conflict relation, computed with a
-union-find over shard ids.
-
-**Correctness argument** (why replaying submission order inside each group is
-exactly equivalent to replaying it globally): every read and write a decision
-performs stays inside the *connected component's* shard set — the union of
-its member footprints.  A key lemma covers the one endpoint that can leave
-the deciding state's own footprint: the Case 3 fabricated vertex is the
-centroid of an overlap region that *intersects* the state's FSA, and that
-centroid may lie outside the FSA (``candidate_vertex_for`` deliberately uses
-the region's own centroid so co-reporters converge on one vertex).
-
-*Lemma (fabricated centroids stay in the component).*  The region is the
-intersection of its member reporters' FSAs, so its centroid ``c`` lies inside
-**every** member's FSA, putting ``shard(c)`` in every member's footprint; and
-the region intersects the adopter's FSA, so any point of that intersection is
-a shard shared between the adopter and every member.  Hence the adopter, the
-members, and ``shard(c)`` all sit in one union-find component, and any two
-states that can adopt (or probe, or credit a crossing at) the same fabricated
-vertex are transitively grouped together.
-
-1. *Writes.*  A decision inserts at most one path ``start -> endpoint`` with
-   ``start`` the state's SSA start and ``endpoint`` either a point of the
-   state's FSA (Case 2 stored end vertices and every degenerate fall-back)
-   or a fabricated centroid covered by the lemma; a Case 1 reuse writes
-   nothing.  Grid entries land in the shards owning ``start`` and
-   ``endpoint`` — both in the component.  Crossings are recorded with the
-   chosen path's owner, which is the shard of the path's start vertex; every
-   choosable path starts at the state's own SSA start (Case 1 candidates and
-   ``_insert_or_reuse`` both require an exact start match), so hotness
-   writes also stay in the component.  With duplicate object ids a state may
-   adopt the *other* reporter's candidate set, whose paths start at the
-   other state's SSA start; unioning duplicate reporters keeps that shard in
-   the component too.
-2. *Reads.*  Case 1 candidate sets and their co-occurrence boost are computed
-   before any decision runs, from the pre-epoch snapshot — identical in the
-   serial and grouped replays.  The epoch's one FSA overlap structure is
-   built at the same barrier and is read-only, so grouped and serial replays
-   read the same regions.  ``end_vertices_in(fsa)`` touches only
-   shards overlapping the FSA, and the ``paths_from_into`` reuse probe
-   touches the shard of the probed endpoint (an FSA point or a lemma-covered
-   centroid).  The one read that can leave the component... cannot: the
-   hotness of a path ending inside the FSA but *owned* (started) elsewhere
-   cannot be written by another group in the same epoch, because any writer
-   must have chosen that path, which requires the path's end vertex to be
-   the writer's chosen endpoint — inside the writer's FSA or a fabricated
-   centroid, and in both cases the end vertex is a shard shared (directly or
-   through the lemma) with the reader, i.e. the writer is in the same group.
-3. *Path ids.*  No decision compares the numeric id of a path inserted in the
-   same epoch (intra-epoch paths never appear in Case 1 candidate sets, and
-   the reuse probe matches on geometry), so groups commit with provisional
-   ids and the router renumbers the epoch's insertions in global submission
-   order afterwards — reproducing the exact ids the serial replay allocates.
-
-Maintainers: the grouping must remain *component-based*; replacing it with
-per-state footprint locking would break the lemma's transitive coverage of
-fabricated centroids and race only probabilistically.
-
-Expiry pops are unaffected: per-shard event heaps receive pushes from a
-single group per epoch, and heap pops drain in sorted ``(expiry, path_id)``
-order regardless of the internal arrangement a rebuild produces.
 """
 
 from __future__ import annotations
@@ -124,8 +50,7 @@ from __future__ import annotations
 import logging
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
@@ -137,21 +62,20 @@ from repro.coordinator.columnar import (
     decode_work_shipment,
 )
 from repro.coordinator.overlaps import FsaOverlapStructure, build_structures
-from repro.coordinator.single_path import CandidatePath, SinglePathDecision
+from repro.coordinator.single_path import CandidatePath
 from repro.coordinator.stitching import StitchFragment, weld_runs
 
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "create_backend",
     "conflict_groups",
 ]
 
 #: Names accepted by :func:`create_backend` (and the CLI ``--backend`` flag).
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "threads", "processes")
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "processes")
 
 #: ``(position, state)`` pairs grouped by owning shard id.
 Buckets = Dict[int, List[Tuple[int, ObjectState]]]
@@ -162,12 +86,6 @@ OverlapPools = Sequence[Mapping[int, Rectangle]]
 #: Per-shard stitch tasks: hot fragments with ownership flags (see
 #: :data:`repro.coordinator.stitching.StitchFragment`), grouped by shard id.
 StitchTasks = Dict[int, List[StitchFragment]]
-
-#: A conflict group: the positions of its member states, in submission order.
-Group = List[int]
-
-#: Decision-stage callback: replays one group, returning ``(position, decision)``.
-GroupCommit = Callable[[Group], List[Tuple[int, SinglePathDecision]]]
 
 
 #: How long the parent waits for one worker reply before it replaces the
@@ -191,34 +109,23 @@ def _default_workers() -> int:
     return max(2, min(8, cores))
 
 
-def _chunk(items: list, chunks: int) -> List[list]:
-    """Round-robin ``items`` into at most ``chunks`` non-empty lists.
-
-    Worker tasks carry a chunk rather than a single bucket/group: per-task
-    pool overhead is paid ``O(workers)`` times per epoch instead of
-    ``O(shards + groups)`` times, which matters for the many small epochs a
-    live stream produces.
-    """
-    if not items:
-        return []
-    buckets = [items[offset::chunks] for offset in range(min(chunks, len(items)))]
-    return buckets
-
-
 # ---------------------------------------------------------------------------
-# Conflict grouping
+# Conflict grouping (no pipeline stage calls it)
 # ---------------------------------------------------------------------------
 
 
-def conflict_groups(states: Sequence[ObjectState], grid) -> List[Group]:
-    """Partition an epoch's states into independently committable groups.
+def conflict_groups(states: Sequence[ObjectState], grid) -> List[List[int]]:
+    """Partition an epoch's states into the components of their shard footprints.
 
     ``grid`` is the router's :class:`~repro.coordinator.sharding.ShardGrid`.
     Two states land in the same group when their shard footprints (owner of
     the SSA start plus all shards overlapped by the FSA) intersect, or when
     they report the same object id.  Groups list member positions in
     submission order; the group list itself is ordered by first member, so
-    the partition is deterministic.
+    the partition is deterministic.  Decisions replay global submission
+    order, so nothing groups them any more; kept only because
+    ``bench/trace.py`` binds ``sharding.conflict_groups`` (``bench/`` does
+    not change with ``src/``) — delete it with that binding.
     """
     parent: Dict[int, int] = {}
 
@@ -251,7 +158,7 @@ def conflict_groups(states: Sequence[ObjectState], grid) -> List[Group]:
         object_anchor[state.object_id] = anchor
         anchors.append(anchor)
 
-    groups: Dict[int, Group] = {}
+    groups: Dict[int, List[int]] = {}
     for position, anchor in enumerate(anchors):
         groups.setdefault(find(anchor), []).append(position)
     return sorted(groups.values(), key=lambda group: group[0])
@@ -263,7 +170,7 @@ def conflict_groups(states: Sequence[ObjectState], grid) -> List[Group]:
 
 
 class ExecutionBackend(ABC):
-    """How the sharded epoch pipeline maps its stages onto workers.
+    """Where the sharded epoch pipeline builds its overlap components.
 
     ``map_candidate_buckets`` runs the read-only stage 2: the per-shard
     Case 1 candidate scans — inline on every backend, the serial backend's
@@ -272,14 +179,13 @@ class ExecutionBackend(ABC):
     component pool of the epoch's overlap plan, wherever this backend builds
     them (under ``delta`` epoch mode the pipeline pre-filters this argument
     to the cache-missed pools only, so backends always build exactly what
-    they are handed); ``map_decision_groups`` replays the decision stage
-    over conflict groups.  Backends with ``parallel_decisions = False`` never
-    receive the latter call — the pipeline replays global submission order
-    inline.
+    they are handed).  The decision stage is not a backend's business: the
+    pipeline replays global submission order inline on every backend.
     """
 
     name: str = "abstract"
-    parallel_decisions: bool = False
+    #: Never called: bench/ (which does not change with src/) looks it up here.
+    map_decision_groups = None
 
     @abstractmethod
     def map_candidate_buckets(
@@ -292,12 +198,6 @@ class ExecutionBackend(ABC):
         """Return every state's candidate set (by position) and one built
         overlap structure per pool (by pool index)."""
 
-    def map_decision_groups(
-        self, groups: List[Group], commit: GroupCommit
-    ) -> List[List[Tuple[int, SinglePathDecision]]]:
-        """Commit every conflict group, returning the per-group decision lists."""
-        raise NotImplementedError(f"{self.name} backend does not parallelise decisions")
-
     def map_stitch_buckets(self, router, tasks: StitchTasks) -> List[List[int]]:
         """Run the per-shard weld passes of the corridor-stitching merge.
 
@@ -305,7 +205,7 @@ class ExecutionBackend(ABC):
         pass is read-only and returns every shard's weld runs — serialized
         corridor chains whose consecutive pairs are the shard's welds (see
         :func:`repro.coordinator.stitching.weld_runs`).  The default maps the
-        tasks inline; pool backends override to spread them over workers.
+        tasks inline; the process backend overrides to spread them over workers.
         """
         runs: List[List[int]] = []
         for shard_id in tasks:
@@ -330,103 +230,15 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """The reference pipeline: everything inline, decisions in global order."""
+    """The reference pipeline: every pass inline on the calling thread."""
 
     name = "serial"
-    parallel_decisions = False
 
     def map_candidate_buckets(self, router, buckets, states, overlap_pools=()):
         per_state = self._candidates_inline(router, buckets, states)
         return per_state, build_structures(
             overlap_pools, kernel=getattr(router, "kernel", "object")
         )
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool backend: chunked overlap builds and conflict groups.
-
-    The builds are read-only; the decision stage relies on the
-    conflict-group footprint argument in the module docstring (groups touch
-    disjoint shards, and the only shared structures — the owner table and
-    per-shard hotness tables — are only ever written for keys no other group
-    reads).
-
-    Both stages are pure-Python CPU-bound work, so on a standard CPython
-    build the GIL caps this backend at serial throughput — it exists for
-    free-threaded (PEP 703) builds, as the decision pool of
-    :class:`ProcessBackend`, and as the simplest harness for exercising the
-    conflict-group commit machinery.  For multi-core wins on stock CPython
-    use ``processes``.
-    """
-
-    name = "threads"
-    parallel_decisions = True
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"worker count must be at least 1, got {workers}")
-        self._workers = workers if workers is not None else _default_workers()
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-epoch"
-            )
-        return self._pool
-
-    def map_candidate_buckets(self, router, buckets, states, overlap_pools=()):
-        pool = self._ensure_pool()
-        kernel = getattr(router, "kernel", "object")
-
-        def run_builds(items):
-            built = build_structures(
-                [fsa_pool for _index, fsa_pool in items], kernel=kernel
-            )
-            return [(index, structure) for (index, _), structure in zip(items, built)]
-
-        build_futures = [
-            pool.submit(run_builds, chunk)
-            for chunk in _chunk(list(enumerate(overlap_pools)), self._workers)
-        ]
-        # The calling thread's candidate loop overlaps the pool's builds
-        # (both are read-only).
-        per_state = self._candidates_inline(router, buckets, states)
-        structures: List[Optional[FsaOverlapStructure]] = [None] * len(overlap_pools)
-        for future in build_futures:
-            for index, structure in future.result():
-                structures[index] = structure
-        return per_state, structures
-
-    def map_decision_groups(self, groups, commit):
-        pool = self._ensure_pool()
-
-        def run_groups(chunk):
-            outcomes = []
-            for group in chunk:
-                outcomes.extend(commit(group))
-            return outcomes
-
-        return list(pool.map(run_groups, _chunk(groups, self._workers)))
-
-    def map_stitch_buckets(self, router, tasks):
-        pool = self._ensure_pool()
-
-        def run_tasks(items):
-            runs = []
-            for _shard_id, fragments in items:
-                runs.extend(weld_runs(fragments))
-            return runs
-
-        runs: List[List[int]] = []
-        for chunk_runs in pool.map(run_tasks, _chunk(list(tasks.items()), self._workers)):
-            runs.extend(chunk_runs)
-        return runs
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 def _process_worker_main(connection) -> None:
@@ -491,17 +303,14 @@ class ProcessBackend(ExecutionBackend):
     hold no state, so a dead one — or one that misses
     :data:`_REPLY_DEADLINE_S` — is replaced by a bare fork, and whatever it
     owed this epoch is done in the parent instead of being re-sent.
-    Decisions commit on an in-process thread pool — they mutate the
-    authoritative state, which only exists in the parent.
     """
 
     name = "processes"
-    parallel_decisions = True
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        # The decision pool validates the width and resolves its default.
-        self._decision_pool = ThreadBackend(workers)
-        self._workers = self._decision_pool._workers
+        if workers is not None and workers < 1:
+            raise ConfigurationError(f"worker count must be at least 1, got {workers}")
+        self._workers = workers if workers is not None else _default_workers()
         self._processes: List = []
         self._connections: List = []
         self._rings: List[ShipmentRing] = []
@@ -708,9 +517,6 @@ class ProcessBackend(ExecutionBackend):
                 awaited.append(worker)
         return awaited
 
-    def map_decision_groups(self, groups, commit):
-        return self._decision_pool.map_decision_groups(groups, commit)
-
     def map_stitch_buckets(self, router, tasks):
         """Weld passes in the worker processes, one round trip per epoch.
 
@@ -751,15 +557,12 @@ class ProcessBackend(ExecutionBackend):
         self._processes = []
         self._connections = []
         self._rings = []
-        self._decision_pool.close()
 
 
 def create_backend(name: str, workers: Optional[int] = None) -> ExecutionBackend:
     """Instantiate an execution backend by name (see :data:`BACKEND_NAMES`)."""
     if name == "serial":
         return SerialBackend()
-    if name == "threads":
-        return ThreadBackend(workers)
     if name == "processes":
         return ProcessBackend(workers)
     raise ConfigurationError(

@@ -61,14 +61,12 @@ class FleetConfig:
     )
     backend: str = _knob(
         "serial",
-        "epoch execution backend for a sharded coordinator: 'serial' runs every "
-        "pass inline; 'threads' builds the epoch's overlap components on a thread "
-        "pool (GIL-bound on standard CPython — mainly for free-threaded builds); "
-        "'processes' builds them in stateless worker processes and can use "
-        "multiple cores. Every index read and mutation stays in the parent; "
-        "decisions commit in parallel over non-conflicting shard groups on both "
-        "parallel backends. Every backend returns identical results. Ignored "
-        "when --shards is 1.",
+        "where a sharded coordinator builds the epoch's cache-missed overlap "
+        "components: 'serial' builds them inline; 'processes' builds them in "
+        "stateless worker processes. Candidate passes, decisions and every "
+        "index read and mutation run in the parent, in submission order, on "
+        "both backends, so both return identical results. Ignored when "
+        "--shards is 1.",
         choices=BACKEND_NAMES,
     )
     partition: str = _knob(

@@ -26,12 +26,9 @@ class HotnessDeltaLog:
     Feeds :class:`repro.coordinator.delta.EpochDelta`: each crossing lands in
     ``newly_hot`` (hotness ``0 -> 1``) or ``touched`` (``n -> n+1``), each
     expiry in ``decayed`` (counter survived) or ``vanished`` (dropped to
-    zero).  Crossings may be recorded under provisional path ids during a
-    parallel commit; :meth:`rename` re-keys them alongside the tracker's
-    counters, so a drained log always speaks final ids.  Migration adoption
-    (:meth:`HotnessTracker.adopt_count` / ``adopt_event``) is deliberately
-    not logged — a rebalance moves counters between shards without changing
-    any path's global hotness.
+    zero).  Migration adoption (:meth:`HotnessTracker.adopt_count` /
+    ``adopt_event``) is deliberately not logged — a rebalance moves counters
+    between shards without changing any path's global hotness.
     """
 
     __slots__ = ("newly_hot", "touched", "decayed", "vanished")
@@ -41,14 +38,6 @@ class HotnessDeltaLog:
         self.touched: List[int] = []
         self.decayed: List[int] = []
         self.vanished: List[int] = []
-
-    def rename(self, mapping: Dict[int, int]) -> None:
-        """Re-key provisional path ids after a parallel-commit renumbering."""
-        if not mapping:
-            return
-        for events in (self.newly_hot, self.touched, self.decayed, self.vanished):
-            for position, path_id in enumerate(events):
-                events[position] = mapping.get(path_id, path_id)
 
     def ids(self) -> List[int]:
         """Every path id with a logged transition (repeats included)."""
@@ -71,7 +60,6 @@ class HotnessTracker:
         self.window = window
         self._hotness: Dict[int, int] = {}
         self._events: List[Tuple[int, int]] = []  # (expiry_time, path_id) min-heap
-        self._deferred: Optional[List[Tuple[int, int]]] = None
         self._delta_log: Optional[HotnessDeltaLog] = None
 
     # -- delta logging (epoch_mode="delta") ----------------------------------------
@@ -127,10 +115,7 @@ class HotnessTracker:
                 self._delta_log.newly_hot.append(path_id)
             else:
                 self._delta_log.touched.append(path_id)
-        if self._deferred is not None:
-            self._deferred.append((t_end + self.window, path_id))
-        else:
-            heapq.heappush(self._events, (t_end + self.window, path_id))
+        heapq.heappush(self._events, (t_end + self.window, path_id))
         return new_hotness
 
     # -- expiry -------------------------------------------------------------------
@@ -161,40 +146,6 @@ class HotnessTracker:
                     self._delta_log.decayed.append(path_id)
         return vanished
 
-    # -- deferred recording (parallel epoch commits) ------------------------------
-
-    def begin_deferred(self) -> None:
-        """Buffer subsequent crossings' expiry events instead of heap-pushing.
-
-        Opened by the sharded router for the span of a parallel epoch commit:
-        crossings may be recorded under provisional path ids that are
-        renumbered when the commit finishes, and expiry never runs mid-epoch,
-        so the heap pushes can wait for :meth:`flush_deferred`.  Hotness
-        counters still update immediately (same-epoch decisions read them).
-        """
-        self._deferred = []
-
-    def flush_deferred(self, mapping: Dict[int, int]) -> None:
-        """Close the deferred span, re-keying provisional ids to final ones.
-
-        ``mapping`` holds the provisional -> final renames of the finished
-        commit (see
-        :meth:`repro.coordinator.sharding.ShardRouter.finish_parallel_commit`);
-        counters and the buffered events are re-keyed in O(renames + buffered)
-        — the existing heap is never scanned — and the events are pushed.
-        Heap pops drain in sorted ``(expiry, path_id)`` order regardless of
-        push order, so deferral is not observable.
-        """
-        deferred = self._deferred if self._deferred is not None else []
-        self._deferred = None
-        if self._delta_log is not None:
-            self._delta_log.rename(mapping)
-        for old_id, new_id in mapping.items():
-            if old_id in self._hotness:
-                self._hotness[new_id] = self._hotness.pop(old_id)
-        for expiry, path_id in deferred:
-            heapq.heappush(self._events, (expiry, mapping.get(path_id, path_id)))
-
     # -- migration (shard rebalancing) ---------------------------------------------
 
     def export_state(self) -> Tuple[Dict[int, int], List[Tuple[int, int]]]:
@@ -202,12 +153,8 @@ class HotnessTracker:
 
         Used by the shard rebalance protocol: the returned ``(counters,
         events)`` are re-adopted by the migrated paths' new owner trackers
-        via :meth:`adopt_count` / :meth:`adopt_event`.  Must not be called
-        inside a deferred span (a parallel commit is never open at a
-        rebalance point).
+        via :meth:`adopt_count` / :meth:`adopt_event`.
         """
-        if self._deferred is not None:
-            raise CoordinatorError("cannot export hotness state inside a deferred span")
         counters, events = self._hotness, self._events
         self._hotness, self._events = {}, []
         return counters, events

@@ -29,11 +29,10 @@ region fans out to exactly the shards whose cells it overlaps.
 **Load-adaptive rebalancing.**  :meth:`ShardRouter.shard_statistics` exposes
 how unevenly records spread over the fleet (``imbalance`` = max/mean shard
 records); on skewed workloads (hot downtown cells vs. empty suburbs) a
-uniform grid concentrates most of the state on a few shards, which
-serialises the parallel epoch pipeline.  With ``partition="kd"`` the router
-runs an epoch-boundary *rebalance protocol* (:meth:`ShardRouter.rebalance`,
-checked by :meth:`maybe_rebalance` after every epoch): when the imbalance
-exceeds the configured threshold, a fresh
+uniform grid concentrates most of the state on a few shards.  With
+``partition="kd"`` the router runs an epoch-boundary *rebalance protocol*
+(:meth:`ShardRouter.rebalance`, checked by :meth:`maybe_rebalance` after
+every epoch): when the imbalance exceeds the configured threshold, a fresh
 :class:`~repro.coordinator.partition.KdSplitPartition` is fitted to the
 live records' start-vertex density and the fleet *migrates* — grid-index
 entries re-route by endpoint ownership, hotness counters and pending expiry
@@ -60,20 +59,11 @@ Per-shard expiry queues are drained lazily at the epoch boundary (the
 shard's event heap once per epoch rather than interleaving expiry work with
 message intake.
 
-**Parallel execution.**  The overlap builds and the decision stage can run
-on a worker pool (see :mod:`repro.coordinator.execution`): the builds of the
-epoch's cache-missed overlap components are read-only and independent, and
-the decision stage is partitioned into *conflict groups* — two states
-conflict when the shards touched by their FSAs or SSA starts intersect — that
-commit concurrently while submission order is replayed inside each group.
-Parallel commits allocate provisional
-path ids (``_commit_base + submission position``, a range disjoint from both
-pre-epoch and final ids); because no decision ever compares the numeric id of
-a path inserted in the same epoch, :meth:`ShardRouter.finish_parallel_commit`
-can renumber the epoch's insertions in global submission order afterwards,
-reproducing exactly the ids the serial replay allocates.  The full
-correctness argument lives in the :mod:`repro.coordinator.execution`
-docstring.
+**Execution backends.**  The builds of the epoch's cache-missed overlap
+components are read-only and independent, so a backend may run them off the
+parent (see :mod:`repro.coordinator.execution`).  The decision stage never
+leaves the parent: every backend replays global submission order there, and
+path ids come straight off the router's one counter.
 
 **One overlap structure.**  The epoch's FSA overlap structure (``R_all`` of
 Algorithm 2) is not sharded: stage 1 collects the epoch's ``object_id -> FSA``
@@ -103,11 +93,11 @@ one; ``tests/test_stitching_equivalence.py``).
 
 **Exactness.**  The sharded coordinator is behaviour-identical to the
 single-shard coordinator, not an approximation: path ids come from one global
-counter, decisions execute in submission order against the same live state
-(or in conflict groups proven equivalent to it), every SinglePath tie-break
-is a total order (independent of candidate enumeration order), every shard
-reads the overlap structure the seed builds (previous paragraph), and the
-top-k merge ranks the union of per-shard hot paths with the same total key.
+counter, decisions execute in submission order against the same live state,
+every SinglePath tie-break is a total order (independent of candidate
+enumeration order), every shard reads the overlap structure the seed builds
+(previous paragraph), and the top-k merge ranks the union of per-shard hot
+paths with the same total key.
 ``tests/test_sharding_equivalence.py`` holds the differential harness
 asserting bit-for-bit equality on full simulation workloads, for every
 execution backend.
@@ -116,7 +106,6 @@ execution backend.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -125,12 +114,9 @@ from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import ObjectState
-from repro.coordinator.execution import (
-    ExecutionBackend,
-    SerialBackend,
-    conflict_groups,
-    create_backend,
-)
+from repro.coordinator.execution import ExecutionBackend, SerialBackend, create_backend
+# Never called: bench/ (which does not change with src/) binds this name.
+from repro.coordinator.execution import conflict_groups  # noqa: F401
 from repro.coordinator.columnar import concat_end_tables, resolve_kernel
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessDeltaLog, HotnessTracker
@@ -153,7 +139,6 @@ from repro.coordinator.stitching import (
 )
 from repro.coordinator.single_path import (
     CandidatePath,
-    SinglePathDecision,
     SinglePathEpochResult,
     SinglePathStrategy,
     VertexPrefetch,
@@ -437,9 +422,9 @@ class ShardedHotnessTracker:
     def drain_delta_log(self) -> HotnessDeltaLog:
         """Union of the per-shard delta logs since the last drain.
 
-        Per-shard logs are chronological for that shard (a shard's crossings
-        all come from one conflict group, replayed in submission order); the
-        delta assembler sorts the merged categories, so the cross-shard
+        Per-shard logs are chronological for that shard (every crossing is
+        recorded by the decision loop, in submission order); the delta
+        assembler sorts the merged categories, so the cross-shard
         interleaving here carries no information.
         """
         merged = HotnessDeltaLog()
@@ -454,9 +439,8 @@ class ShardedSinglePath:
     Drop-in replacement for :meth:`SinglePathStrategy.process_epoch`: the
     intake is grouped by shard and candidate generation runs as one pass per
     shard beside the execution backend's overlap builds, while the decision
-    stage replays global submission order — directly on the serial backend, or per
-    conflict group with deferred id renumbering on the parallel backends —
-    so the outcome is identical to the single-shard strategy.
+    stage replays global submission order in the calling process on every
+    backend, so the outcome is identical to the single-shard strategy.
     """
 
     def __init__(self, router: "ShardRouter", backend: Optional[ExecutionBackend] = None) -> None:
@@ -469,9 +453,8 @@ class ShardedSinglePath:
 
     def process_epoch(self, states: Sequence[ObjectState]) -> SinglePathEpochResult:
         router = self._router
-        # Per-epoch delta diagnostics reset up front so an empty epoch (or a
-        # serial commit) never reports the previous epoch's numbers.
-        router.last_renumbered = 0
+        # Per-epoch delta diagnostics reset up front so an empty epoch never
+        # reports the previous epoch's numbers.
         router.last_pool_stats = zero_pool_stats()
         result = SinglePathEpochResult()
         if not states:
@@ -529,13 +512,6 @@ class ShardedSinglePath:
         # order-independent part of those reads is computed first, for the
         # whole epoch and across every shard at once
         # (:func:`~repro.coordinator.single_path.prefetch_vertex_candidates`).
-        parallel = self.backend.parallel_decisions
-        # Parallel decision stage: non-conflicting groups commit concurrently
-        # (submission order replayed within each group), with provisional path
-        # ids renumbered to the serial allocation afterwards.  See the
-        # :mod:`repro.coordinator.execution` docstring for the equivalence
-        # argument.
-        groups = conflict_groups(states, router.grid) if parallel else None
         prefetched: Dict[int, VertexPrefetch] = {}
         if router.kernel == "columnar":
             prefetched = prefetch_vertex_candidates(
@@ -546,47 +522,16 @@ class ShardedSinglePath:
                     if not candidate_paths[state.object_id]
                 ],
                 overlaps,
-                groups,
             )
-
-        def decide(position: int) -> SinglePathDecision:
-            state, shard = routed[position]
-            return shard.strategy.decide(
-                state,
-                candidate_paths[state.object_id],
-                overlaps,
-                prefetched.get(position),
+        for position, (state, shard) in enumerate(routed):
+            result.tally(
+                shard.strategy.decide(
+                    state,
+                    candidate_paths[state.object_id],
+                    overlaps,
+                    prefetched.get(position),
+                )
             )
-
-        if not parallel:
-            for position in range(len(states)):
-                result.tally(decide(position))
-            return result
-
-        def commit(group: List[int]) -> List[Tuple[int, SinglePathDecision]]:
-            outcomes: List[Tuple[int, SinglePathDecision]] = []
-            try:
-                for position in group:
-                    router.set_commit_position(position)
-                    outcomes.append((position, decide(position)))
-            finally:
-                router.set_commit_position(None)
-            return outcomes
-
-        decisions: List[Optional[SinglePathDecision]] = [None] * len(states)
-        router.begin_parallel_commit(len(states))
-        try:
-            for chunk in self.backend.map_decision_groups(groups, commit):
-                for position, decision in chunk:
-                    decisions[position] = decision
-        finally:
-            id_mapping = router.finish_parallel_commit()
-        router.last_renumbered = len(id_mapping)
-        for decision in decisions:
-            final_id = id_mapping.get(decision.path_id)
-            if final_id is not None:
-                decision.path_id = final_id
-            result.tally(decision)
         return result
 
 
@@ -598,6 +543,9 @@ class ShardRouter:
     :class:`SinglePathStrategy`, so the coordinator runs the same epoch loop
     whether it holds one shard or a fleet.
     """
+
+    #: Never called: bench/ (which does not change with src/) looks it up here.
+    finish_parallel_commit = None
 
     def __init__(self, config: "CoordinatorConfig") -> None:
         #: The validated configuration (area, window, grid and every fleet
@@ -665,8 +613,6 @@ class ShardRouter:
         #: Pool-cache outcome of the most recent epoch (zeros outside delta
         #: mode and on empty epochs).
         self.last_pool_stats: Dict[str, int] = zero_pool_stats()
-        #: Provisional ids renumbered by the most recent epoch's commit.
-        self.last_renumbered = 0
         #: Per-boundary ledgers of straddling paths: ``(shard_a, shard_b)``
         #: (sorted pair) -> ``{path_id: (start_shard, end_shard)}``.  A path
         #: whose endpoints are owned by different shards is recorded here on
@@ -676,12 +622,6 @@ class ShardRouter:
         self.boundary_ledger: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
         #: Diagnostics of the most recent :meth:`stitch_epoch` run.
         self.stitch_stats: Dict[str, object] = {}
-        # Parallel-commit state: while a commit is open, inserts performed by
-        # group workers allocate the provisional id ``_commit_base + position``
-        # of the deciding state (position communicated via a thread-local).
-        self._commit_base: Optional[int] = None
-        self._commit_log: List[Tuple[int, MotionPathRecord]] = []
-        self._commit_tls = threading.local()
         shard_cells = self._shard_cells()
         self.owners: Dict[int, Shard] = {}
         self._next_path_id = 0
@@ -812,7 +752,7 @@ class ShardRouter:
         events — only *which shard holds them* changes — so a rebalanced
         fleet remains bit-for-bit equivalent to the seed coordinator (the
         differential harness forces migrations mid-replay to prove it).
-        Must run at an epoch boundary: never inside a parallel commit.
+        Must run at an epoch boundary.
 
         **Elastic fleets** (``elastic="auto"``) lift the shard-count guard:
         an explicit partition may grow or shrink the fleet, and
@@ -825,8 +765,6 @@ class ShardRouter:
         handoff.  A second rebalance request while one is in flight
         force-completes the in-flight migration first.
         """
-        if self._commit_base is not None:
-            raise CoordinatorError("cannot rebalance during an open parallel commit")
         if self._migration is not None:
             self._complete_migration()
         if partition is None:
@@ -1072,9 +1010,8 @@ class ShardRouter:
 
         Registers the record and both endpoint entries with its incoming
         owners and mirrors the straddling-path ledger entry.  Records are
-        geometrically immutable after insert and warming happens only at
-        epoch boundaries (after any parallel commit renumbered its ids), so
-        a warmed record can go stale in exactly one way — deletion — which
+        geometrically immutable after insert and keep their ids, so a
+        warmed record can go stale in exactly one way — deletion — which
         :meth:`delete` unwinds from the shadow state directly.  The warmed
         hotness counter is provisional (handoff replaces it with the exact
         export/adopt transfer).
@@ -1314,20 +1251,9 @@ class ShardRouter:
     # -- global record lifecycle ---------------------------------------------------
 
     def insert(self, path: MotionPath, created_at: int = 0) -> MotionPathRecord:
-        """Insert a path: global id, record with the start owner, entries per endpoint.
-
-        During an open parallel commit the id is provisional (derived from the
-        deciding state's submission position, a range disjoint from real ids)
-        and the insertion is logged for renumbering; otherwise ids come
-        straight off the global counter.
-        """
-        position = getattr(self._commit_tls, "position", None)
-        if self._commit_base is not None and position is not None:
-            record = MotionPathRecord(self._commit_base + position, path, created_at)
-            self._commit_log.append((record.path_id, record))
-        else:
-            record = MotionPathRecord(self._next_path_id, path, created_at)
-            self._next_path_id += 1
+        """Insert a path: global id, record with the start owner, entries per endpoint."""
+        record = MotionPathRecord(self._next_path_id, path, created_at)
+        self._next_path_id += 1
         start_owner = self.shard_of(path.start)
         end_owner = self.shard_of(path.end)
         start_owner.index.register(record)
@@ -1357,9 +1283,9 @@ class ShardRouter:
             self._ledger_discard(path_id, owner.shard_id, end_owner.shard_id)
         if self._migration is not None:
             # Deletion is the only way a warmed record can go stale (geometry
-            # is immutable and warmed ids are final): unwind it from the
-            # incoming fleet so the handoff state stays exactly what
-            # stop-the-world migration would produce.
+            # and ids are immutable): unwind it from the incoming fleet so
+            # the handoff state stays exactly what stop-the-world migration
+            # would produce.
             migration = self._migration
             shadow_start = migration.shadow_owners.pop(path_id, None)
             if shadow_start is not None:
@@ -1496,63 +1422,6 @@ class ShardRouter:
             ),
         }
         return corridors
-
-    # -- parallel decision commits ---------------------------------------------------
-
-    def set_commit_position(self, position: Optional[int]) -> None:
-        """Bind the calling worker thread to the submission position it replays."""
-        self._commit_tls.position = position
-
-    def begin_parallel_commit(self, batch_size: int) -> None:
-        """Open a parallel commit for an epoch of ``batch_size`` states.
-
-        Provisional ids are ``_commit_base + position``; the base leaves room
-        below it for the final ids (at most one insert per state), so the
-        provisional range collides with neither pre-epoch nor renumbered ids.
-        Per-shard hotness trackers buffer their expiry-event pushes for the
-        span of the commit (crossings may carry provisional ids).
-        """
-        self._commit_base = self._next_path_id + batch_size
-        self._commit_log = []
-        for shard in self.shards:
-            shard.hotness.begin_deferred()
-
-    def finish_parallel_commit(self) -> Dict[int, int]:
-        """Renumber the commit's insertions into global submission order.
-
-        Sorting the commit log by provisional id is sorting by submission
-        position, which is exactly the order the serial replay allocates ids
-        in.  Returns the provisional -> final id mapping.
-        """
-        mapping: Dict[int, int] = {}
-        hotness_renames: Dict[int, Dict[int, int]] = {}
-        for provisional_id, record in sorted(self._commit_log, key=lambda item: item[0]):
-            final_id = self._next_path_id
-            self._next_path_id += 1
-            mapping[provisional_id] = final_id
-            owner = self.owners.pop(provisional_id)
-            start, end = record.path.start, record.path.end
-            end_owner = self.shard_of(end)
-            owner.index.remove_entry(provisional_id, start, is_start=True)
-            end_owner.index.remove_entry(provisional_id, end, is_start=False)
-            owner.index.unregister(provisional_id)
-            record.path_id = final_id
-            owner.index.register(record)
-            owner.index.add_entry(record, is_start=True)
-            end_owner.index.add_entry(record, is_start=False)
-            self.owners[final_id] = owner
-            if owner is not end_owner:
-                self._ledger_discard(provisional_id, owner.shard_id, end_owner.shard_id)
-                self._ledger_add(final_id, owner.shard_id, end_owner.shard_id)
-            hotness_renames.setdefault(owner.shard_id, {})[provisional_id] = final_id
-        # Every shard flushes its deferred expiry events (crossings happen on
-        # shards that inserted nothing too); renames re-key counters and the
-        # buffered events without touching the existing heaps.
-        for shard in self.shards:
-            shard.hotness.flush_deferred(hotness_renames.get(shard.shard_id, {}))
-        self._commit_base = None
-        self._commit_log = []
-        return mapping
 
     # -- diagnostics ----------------------------------------------------------------
 

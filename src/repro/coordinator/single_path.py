@@ -144,8 +144,7 @@ class VertexPrefetch:
     bonus: Dict[Point, int]
     fabricated: Optional[Tuple[Point, int]]
     #: Paths inserted so far by this epoch's decisions, in decision order;
-    #: shared by every object that can see them (the whole epoch, or one
-    #: conflict group of a parallel commit).
+    #: one list an epoch, shared by every object.
     inserted: List[MotionPathRecord]
 
 
@@ -153,7 +152,6 @@ def prefetch_vertex_candidates(
     end_table: tuple,
     pending: Sequence[Tuple[int, ObjectState]],
     overlaps: FsaOverlapStructure,
-    groups: Optional[Sequence[Sequence[int]]] = None,
 ) -> Dict[int, VertexPrefetch]:
     """The epoch pass: every pending object's Case 2/3 geometry in one batch.
 
@@ -166,12 +164,7 @@ def prefetch_vertex_candidates(
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
     here plus the paths inserted since, which :meth:`SinglePathStrategy.decide`
-    appends to ``inserted`` and merges back in.  ``groups`` are the conflict
-    groups of a parallel commit (positions); each gets its own list, which is
-    enough: group shard footprints are disjoint, an inserted end vertex is
-    either a point of the deciding state's FSA or the centroid of a region
-    whose member FSAs all contain it and all intersect that FSA (hence sit
-    in the same group), so no other group's FSA can contain it.
+    appends to the epoch's one ``inserted`` list and merges back in.
 
     The bonus of a vertex is a function of the vertex alone; it is computed
     for every end vertex matched and for every fabricated centroid of the
@@ -195,20 +188,9 @@ def prefetch_vertex_candidates(
     )
     bonus = dict(zip(vertices, overlaps.containing_counts(vertices)))
 
-    inserted_of: Dict[int, List[MotionPathRecord]] = {}
-    if groups is not None:
-        for group in groups:
-            inserted: List[MotionPathRecord] = []
-            for position in group:
-                inserted_of[position] = inserted
-    epoch_inserted: List[MotionPathRecord] = []
+    inserted: List[MotionPathRecord] = []
     return {
-        position: VertexPrefetch(
-            vertex_sets[slot],
-            bonus,
-            fabricated[slot],
-            inserted_of.get(position, epoch_inserted),
-        )
+        position: VertexPrefetch(vertex_sets[slot], bonus, fabricated[slot], inserted)
         for slot, (position, _state) in enumerate(pending)
     }
 

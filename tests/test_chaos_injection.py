@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ConfigurationError, CoordinatorError
-from repro.coordinator.coordinator import Coordinator
+from repro.core.errors import ConfigurationError
 from repro.coordinator.fleet import FleetConfig
 from repro.serving.scenarios import (
     FAULT_TYPES,
@@ -196,20 +195,3 @@ class TestDegradingFaults:
             tuple(row) for _b, rows in stalled.accepted_log for row in rows
         )
         assert stalled_rows == baseline_rows
-
-
-class TestMidCommitRebalanceGuard:
-    """The razor the force_rebalance fault leans on: rebalancing is refused
-    while a parallel commit is open, so a mid-epoch migration can only land
-    between commits — where it is provably invisible."""
-
-    def test_rebalance_inside_open_commit_is_refused(self):
-        runner = make_runner(backend="threads")
-        coordinator = Coordinator(runner.coordinator_config())
-        try:
-            router = coordinator.router
-            router.begin_parallel_commit(batch_size=8)
-            with pytest.raises(CoordinatorError, match="open parallel commit"):
-                router.rebalance()
-        finally:
-            coordinator.close()

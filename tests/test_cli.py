@@ -59,7 +59,7 @@ class TestHelp:
         assert excinfo.value.code == 0
         captured = capsys.readouterr().out
         assert "examples:" in captured
-        assert "--shards 4 --backend threads" in captured
+        assert "--shards 4 --backend processes" in captured
 
     def test_run_help_documents_shards_and_backend(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -68,7 +68,7 @@ class TestHelp:
         captured = capsys.readouterr().out
         assert "--shards" in captured
         assert "--backend" in captured
-        assert "{serial,threads,processes}" in captured
+        assert "{serial,processes}" in captured
         assert "central coordinator" in captured
         assert "examples:" in captured
 
@@ -101,7 +101,7 @@ class TestHelp:
 #: Per knob: a valid non-default value, and values ``FleetConfig`` must reject.
 FLEET_VALUES = {
     "num_shards": (4, [0, -2]),
-    "backend": ("threads", ["gpu"]),
+    "backend": ("processes", ["gpu", "threads"]),
     "partition": ("kd", ["voronoi"]),
     "rebalance_threshold": (1.3, [1.0, 0.5]),
     "epoch_mode": ("full", ["lazy"]),
@@ -189,6 +189,26 @@ class TestFleetFlags:
         with pytest.raises(SystemExit):
             main(command[:1] + ["--help"])
         assert "halo" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", (["run"], ["serve", "--port", "0"]), ids=("run", "serve"))
+    def test_threads_backend_is_a_usage_error(self, command, capsys):
+        """The ``threads`` backend is gone, not aliased: ``FleetConfig``
+        rejects it and both subcommands turn it into one ``error:`` line
+        after the usage, exit status 2, no traceback; neither help text
+        offers it."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            FleetConfig(backend="threads")
+        assert excinfo.traceback[-1].path.name == "fleet.py"
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--backend", "threads"])
+        assert exit_info.value.code == 2
+        error_lines = capsys.readouterr().err.strip().splitlines()
+        assert "error: argument --backend: invalid choice: 'threads'" in error_lines[-1]
+        assert sum("error:" in line for line in error_lines) == 1
+        assert not any("Traceback" in line for line in error_lines)
+        with pytest.raises(SystemExit):
+            main(command[:1] + ["--help"])
+        assert "threads" not in capsys.readouterr().out
 
     def test_cross_field_error_is_a_usage_error_too(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -284,12 +304,12 @@ class TestRunCommand:
                 "--area", "2000",
                 "--seed", "3",
                 "--shards", "4",
-                "--backend", "threads",
+                "--backend", "processes",
             ]
         )
         captured = capsys.readouterr().out
         assert exit_code == 0
-        assert "coordinator backend: threads" in captured
+        assert "coordinator backend: processes" in captured
         assert "coordinator shards: 4" in captured
 
 

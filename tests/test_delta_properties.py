@@ -10,7 +10,7 @@ event sequences check that claim for each delta carrier independently:
 * **hotness deltas** (:class:`repro.coordinator.hotness.HotnessDeltaLog`) —
   replaying a tracker's drained event log against a mirror reproduces the
   tracker's hot set and counters exactly, under random crossing/expiry
-  interleavings and provisional-id renames;
+  interleavings;
 * **pool cache** (:class:`repro.coordinator.overlaps.OverlapPoolCache`) —
   whatever mix of exact hits, prefix resumes and rebuilds the cache chooses
   for a random pool-churn sequence, every resolved structure is bit-for-bit
@@ -146,31 +146,6 @@ class TestHotnessDeltaReplay:
             for path_id in log.vanished:
                 assert mirror.pop(path_id) == 1
             assert mirror == dict(tracker.items())
-
-    @settings(max_examples=150, deadline=None)
-    @given(hotness_scripts, st.integers(1, 5))
-    def test_log_survives_provisional_renames(self, script, offset):
-        """Crossings recorded under provisional ids then renamed (the parallel
-        commit path) must drain as final ids, matching a tracker that used
-        final ids all along."""
-        provisional = HotnessTracker(window=15)
-        provisional.enable_delta_log()
-        final = HotnessTracker(window=15)
-        final.enable_delta_log()
-        provisional.begin_deferred()
-        crossed = set()
-        for op, a, b in script:
-            if op == "cross":
-                provisional.record_crossing(a + 1000, b)
-                final.record_crossing(a + offset, b)
-                crossed.add(a)
-        mapping = {a + 1000: a + offset for a in crossed}
-        provisional.flush_deferred(mapping)
-        final.flush_deferred({})
-        log_a, log_b = provisional.drain_delta_log(), final.drain_delta_log()
-        assert log_a.newly_hot == log_b.newly_hot
-        assert log_a.touched == log_b.touched
-        assert dict(provisional.items()) == dict(final.items())
 
 
 # ---------------------------------------------------------------------------

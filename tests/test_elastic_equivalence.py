@@ -128,7 +128,7 @@ class TestElasticMatrix:
     """Acceptance: elastic grow + shrink forced mid-replay stays bit-for-bit
     equal to the seed across backends x epoch modes x kernels."""
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     @pytest.mark.parametrize("epoch_mode", ["full", "delta"])
     @pytest.mark.parametrize("kernel", ["object", "columnar"])
     @pytest.mark.parametrize("budget", [0, 7])
@@ -153,6 +153,34 @@ class TestElasticMatrix:
             )
         # The run really migrated: the forced grow and shrink both landed
         # (auto cost-model actions may add more on this skewed stream).
+        assert stats["rebalances"] >= 2 or stats["elastic_migrations"] >= 2
+        if budget:
+            assert stats["elastic_migrations"] >= 1
+            assert stats["records_migrated"] > 0
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("epoch_mode", ["full", "delta"])
+    @pytest.mark.parametrize("budget", [0, 7])
+    def test_grow_and_shrink_from_a_non_square_fleet(
+        self, backend, epoch_mode, budget, seed_trace
+    ):
+        """The same forced grow + shrink starting from a 2x3 fleet, whose
+        cells are not square (it grows to 8 shards and merges back to 7)."""
+        trace, stats = drive_elastic(
+            make_elastic_coordinator(
+                num_shards=6,
+                backend=backend,
+                epoch_mode=epoch_mode,
+                migration_budget=budget,
+            ),
+            skewed_stream(seed=42),
+            fault=grow_and_shrink,
+        )
+        for epoch, (actual, expected) in enumerate(zip(trace, seed_trace)):
+            assert actual == expected, (
+                f"2x3 elastic fleet diverged from seed at epoch {epoch} "
+                f"(backend={backend}, epoch_mode={epoch_mode}, budget={budget})"
+            )
         assert stats["rebalances"] >= 2 or stats["elastic_migrations"] >= 2
         if budget:
             assert stats["elastic_migrations"] >= 1

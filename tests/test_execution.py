@@ -1,18 +1,21 @@
 """Tests for :mod:`repro.coordinator.execution`.
 
-Three layers:
+Four layers:
 
 * property tests of :func:`conflict_groups` — the partition must be exactly
   the connected components of the "shard footprints intersect or object ids
-  collide" relation, so no two conflicting states ever commit concurrently;
-* unit tests of backend selection, pool lifecycle and
-  :meth:`HotnessTracker.flush_deferred`;
-* a regression differential driving the ``threads`` and ``processes``
-  backends with a boundary-stressing stream (shared starts, FSAs straddling
-  shard borders, duplicate object ids, out-of-order timestamps) and asserting
-  bit-for-bit equality with the ``serial`` backend — including under worker
-  kills, a hung worker, and (:class:`TestStatelessWorkers`) every worker
-  killed before every epoch across migrations.
+  collide" relation (no pipeline stage calls it any more; it stays as long
+  as the benchmark trace binds it);
+* unit tests of backend selection and pool lifecycle;
+* :class:`TestOneDecisionPath` — the work an epoch does in the parent on
+  either backend, as exact counts: every insert indexed once, ids allocated
+  in submission order, nothing grouped;
+* a regression differential driving the ``processes`` backend with a
+  boundary-stressing stream (shared starts, FSAs straddling shard borders,
+  duplicate object ids, out-of-order timestamps) and asserting bit-for-bit
+  equality with the ``serial`` backend — including under worker kills, a
+  hung worker, and (:class:`TestStatelessWorkers`) every worker killed
+  before every epoch across migrations.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
-from repro.coordinator import execution
+from repro.coordinator import execution, sharding
 from repro.coordinator.columnar import HAVE_NUMPY
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.overlaps import build_structures
@@ -42,11 +45,10 @@ from repro.coordinator.execution import (
     BACKEND_NAMES,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     conflict_groups,
     create_backend,
 )
-from repro.coordinator.hotness import HotnessTracker
+from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.sharding import ShardGrid
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -123,23 +125,23 @@ class TestConflictGroups:
 class TestBackendSelection:
     def test_create_backend_names(self):
         assert isinstance(create_backend("serial"), SerialBackend)
-        assert isinstance(create_backend("threads"), ThreadBackend)
         assert isinstance(create_backend("processes"), ProcessBackend)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            create_backend("asyncio")
+        for name in ("asyncio", "threads"):
+            with pytest.raises(ConfigurationError):
+                create_backend(name)
 
     def test_coordinator_config_validates_backend(self):
         with pytest.raises(ConfigurationError):
             CoordinatorConfig(bounds=BOUNDS, backend="not-a-backend")
 
     def test_backend_names_cover_all_backends(self):
-        assert set(BACKEND_NAMES) == {"serial", "threads", "processes"}
+        assert set(BACKEND_NAMES) == {"serial", "processes"}
 
     def test_single_shard_ignores_backend(self):
         coordinator = Coordinator(
-            CoordinatorConfig(bounds=BOUNDS, num_shards=1, backend="threads")
+            CoordinatorConfig(bounds=BOUNDS, num_shards=1, backend="processes")
         )
         assert coordinator.router is None
         coordinator.close()  # must be a safe no-op
@@ -151,7 +153,7 @@ class TestBackendSelection:
         for usable, width in ((1, 2), (2, 2), (5, 5), (64, 8)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, n=usable: set(range(n)))
             assert execution._default_workers() == width
-            assert ThreadBackend()._workers == width
+            assert ProcessBackend()._workers == width
 
     def test_sharded_coordinator_uses_requested_backend(self):
         for name in BACKEND_NAMES:
@@ -160,40 +162,6 @@ class TestBackendSelection:
             )
             assert coordinator.router.pipeline.backend.name == name
             coordinator.close()
-
-
-class TestHotnessDeferral:
-    def test_flush_renames_counts_and_buffered_events(self):
-        tracker = HotnessTracker(window=10)
-        tracker.begin_deferred()
-        tracker.record_crossing(100, t_end=1)  # provisional id
-        tracker.record_crossing(100, t_end=2)
-        tracker.record_crossing(7, t_end=3)    # pre-existing id, untouched
-        assert tracker.pending_events == 0     # pushes are buffered
-        tracker.flush_deferred({100: 5})
-        assert tracker.hotness(100) == 0
-        assert tracker.hotness(5) == 2
-        assert tracker.hotness(7) == 1
-        assert tracker.pending_events == 3
-        # Expiry events follow the rename: the window closes on the new id.
-        vanished = tracker.advance_time(20)
-        assert sorted(vanished) == [5, 7]
-        assert len(tracker) == 0
-
-    def test_counters_visible_while_deferred(self):
-        tracker = HotnessTracker(window=10)
-        tracker.begin_deferred()
-        tracker.record_crossing(3, t_end=1)
-        assert tracker.hotness(3) == 1  # same-epoch reads see the crossing
-        tracker.flush_deferred({})
-        assert tracker.hotness(3) == 1
-        assert tracker.pending_events == 1
-
-    def test_flush_without_begin_is_harmless(self):
-        tracker = HotnessTracker(window=10)
-        tracker.flush_deferred({3: 4})
-        assert tracker.hotness(4) == 0
-        assert tracker.pending_events == 0
 
 
 def boundary_stream(seed: int, epochs: int = 6, per_epoch: int = 24):
@@ -268,9 +236,9 @@ def drive(coordinator: Coordinator, stream, close_before_epoch: int = -1) -> Lis
 
 
 class TestBackendRegression:
-    """``threads`` and ``processes`` must match ``serial`` on stress streams."""
+    """``processes`` must match ``serial`` on stress streams."""
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["processes"])
     @pytest.mark.parametrize("num_shards", [4, 16])
     def test_parallel_backend_matches_serial(self, backend, num_shards):
         def make(backend_name):
@@ -342,27 +310,65 @@ class TestBackendRegression:
         with pytest.raises(ConfigurationError):
             ProcessBackend(workers=0)
         with pytest.raises(ConfigurationError):
-            ThreadBackend(workers=-1)
+            ProcessBackend(workers=-1)
         with pytest.raises(ConfigurationError):
             create_backend("processes", workers=0)
 
-    def test_parallel_path_ids_match_serial_allocation(self):
-        """Renumbering reproduces the exact ids the serial replay allocates."""
-        stream = boundary_stream(seed=23, epochs=4)
-        serial = drive(
-            Coordinator(
-                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
-            ),
-            stream,
+
+class TestOneDecisionPath:
+    """What an epoch does in the parent, as exact counts, on both backends
+    and on 2x2, 2x3 and 4x4 fleets.
+
+    Every backend replays Algorithm 2 in submission order in the parent, so
+    an insert is indexed once — a start entry and an end entry — under the
+    id the router's counter hands out next, and an eviction removes the same
+    two entries.  Counts, not clocks: they repeat exactly run to run.
+    """
+
+    @pytest.mark.parametrize("num_shards", [4, 6, 16])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_each_insert_is_indexed_once_under_its_final_id(
+        self, backend, num_shards, monkeypatch
+    ):
+        calls = {"add_entry": 0, "remove_entry": 0, "conflict_groups": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("add_entry", "remove_entry"):
+            monkeypatch.setattr(GridIndex, name, counted(name, getattr(GridIndex, name)))
+        monkeypatch.setattr(
+            sharding, "conflict_groups", counted("conflict_groups", sharding.conflict_groups)
         )
-        threaded = drive(
-            Coordinator(
-                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="threads")
-            ),
-            stream,
+        coordinator = Coordinator(
+            CoordinatorConfig(
+                bounds=BOUNDS, window=20, num_shards=num_shards, backend=backend
+            )
         )
-        for exp, act in zip(serial, threaded):
-            assert [r[0] for r in act["records"]] == [r[0] for r in exp["records"]]
+        router = coordinator.router
+        inserted = deleted = 0
+        try:
+            for boundary, states in boundary_stream(seed=29, epochs=10, per_epoch=40):
+                for state in states:
+                    coordinator.submit_state(state)
+                first_id = router._next_path_id
+                for name in calls:
+                    calls[name] = 0
+                delta = coordinator.run_epoch(boundary).delta
+                assert calls["add_entry"] == 2 * len(delta.inserted)
+                assert calls["remove_entry"] == 2 * len(delta.deleted)
+                assert calls["conflict_groups"] == 0
+                assert delta.inserted == tuple(range(first_id, first_id + len(delta.inserted)))
+                assert delta.renumbered == 0
+                inserted += len(delta.inserted)
+                deleted += len(delta.deleted)
+        finally:
+            coordinator.close()
+        assert inserted and deleted  # both counts were exercised
 
 
 class TestWorkerFaultRecovery:

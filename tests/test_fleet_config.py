@@ -27,7 +27,7 @@ BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 #: Every knob away from its default.
 FLAT = dict(
     num_shards=4,
-    backend="threads",
+    backend="processes",
     partition="kd",
     rebalance_threshold=1.2,
     epoch_mode="full",

@@ -14,7 +14,7 @@ independently of the end-to-end differential harness:
   count, partition and kernel, because the stage never sees the layout.
 
 Plus the mechanics: what the plan asks to be built with and without a cache,
-and worker-side builds agreeing across all three execution backends (the
+and worker-side builds agreeing across both execution backends (the
 process backend round-trips structures through its serialized wire format).
 ``tests/test_overlap_properties.py`` holds the merged-structure equality.
 """
@@ -259,10 +259,10 @@ class TestBuildStructures:
 
 
 class TestBackendWorkerBuilds:
-    """All three backends must build identical structures from the same pools
+    """Both backends must build identical structures from the same pools
     (the process backend round-trips them through the serialized format)."""
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_worker_side_builds_match_inline_build(self, backend):
         router = ShardRouter(
             CoordinatorConfig(

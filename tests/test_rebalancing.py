@@ -4,12 +4,11 @@ Three layers:
 
 * :class:`TestRebalanceMigration` — the migration itself preserves every
   observable (records, ids, hotness counters, pending expiry events,
-  boundary ledgers) while moving state onto the new partition, refuses to
-  run inside a parallel commit, and skips no-op refits;
+  boundary ledgers) while moving state onto the new partition and skips
+  no-op refits;
 * :class:`TestShardStatistics` — the satellite audit: per-shard load counts
   never double-count boundary-straddling paths (visible from both endpoint
-  shards via ``boundary_ledger_of``) and survive parallel-commit
-  renumbering;
+  shards via ``boundary_ledger_of``);
 * :class:`TestLedgerDrain` — the satellite leak regression: window slides
   that expire straddling paths must drop their ledger entries in the same
   epoch's deferred drain, over long replays and forced rebalances (a leak
@@ -23,7 +22,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.core.errors import ConfigurationError, CoordinatorError
+from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
@@ -217,15 +216,6 @@ class TestRebalanceMigration:
             assert router.rebalance() is True
             # A second refit from the unchanged density must now be a no-op.
             assert router.rebalance() is False
-
-    def test_rebalance_inside_parallel_commit_is_refused(self):
-        router = make_router(4)
-        router.begin_parallel_commit(4)
-        try:
-            with pytest.raises(CoordinatorError):
-                router.rebalance()
-        finally:
-            router.finish_parallel_commit()
 
     def test_rebalance_keeps_the_shard_count(self):
         router = make_router(4)
@@ -440,7 +430,7 @@ class TestSingleShardDeltaStatistics:
 
 
 class TestShardStatistics:
-    """Satellite audit: straddling paths are counted once, renumbering-safe."""
+    """Satellite audit: straddling paths are counted once."""
 
     def test_straddling_paths_are_not_double_counted(self):
         router = make_router(4)
@@ -467,38 +457,6 @@ class TestShardStatistics:
         # the sum over per-shard views is 2x the ledger, never the stats.
         views = sum(len(router.boundary_ledger_of(s.shard_id)) for s in router.shards)
         assert views == 2 * stats["straddling_paths"]
-
-    def test_counts_survive_parallel_commit_renumbering(self):
-        """Straddling inserts committed under provisional ids must leave the
-        statistics and the ledger keyed by the *final* ids."""
-        router = make_router(4)
-        pre = router.insert(MotionPath(Point(60.0, 60.0), Point(70.0, 70.0)))
-        router.begin_parallel_commit(3)
-        try:
-            for position, (start, end) in enumerate(
-                [
-                    (Point(100.0, 100.0), Point(900.0, 100.0)),  # straddles
-                    (Point(200.0, 200.0), Point(210.0, 210.0)),  # local
-                    (Point(100.0, 900.0), Point(900.0, 900.0)),  # straddles
-                ]
-            ):
-                router.set_commit_position(position)
-                router.insert(MotionPath(start, end))
-            router.set_commit_position(None)
-        finally:
-            mapping = router.finish_parallel_commit()
-        assert len(mapping) == 3
-        stats = router.shard_statistics()
-        assert stats["total_records"] == 4
-        assert stats["straddling_paths"] == 2
-        # Final ids are the serial allocation: contiguous after the pre-path.
-        assert sorted(router.owners) == [pre.path_id, 1, 2, 3]
-        assert ledger_paths(router) == live_straddling(router)
-        # Deleting through the final ids fully drains the ledger.
-        for path_id in list(router.owners):
-            router.delete(path_id)
-        assert router.boundary_ledger == {}
-        assert router.shard_statistics()["straddling_paths"] == 0
 
     def test_imbalance_signal_reflects_skew(self):
         router = make_router(4)

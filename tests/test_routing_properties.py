@@ -13,7 +13,7 @@ straddling path), so they are pinned here explicitly:
 * a path is in the boundary ledger iff its endpoints are owned by different
   shards, recorded under that boundary with its true (start, end) owner pair
   and visible from **both** shards' ledger views;
-* deletion and parallel-commit renumbering keep the ledger exact.
+* deletion keeps the ledger exact.
 """
 
 from __future__ import annotations
@@ -147,32 +147,3 @@ class TestBoundaryLedger:
         assert router.boundary_ledger == {}
         assert router.owners == {}
         assert sum(len(shard.index) for shard in router.shards) == 0
-
-    @settings(max_examples=100, deadline=None)
-    @given(path_lists)
-    def test_parallel_commit_renumbering_rekeys_the_ledger(self, paths):
-        """Provisional ids recorded during a parallel commit must leave the
-        ledger keyed by the final, renumbered ids."""
-        router = make_router()
-        router.begin_parallel_commit(len(paths))
-        try:
-            for position, path in enumerate(paths):
-                router.set_commit_position(position)
-                router.insert(path)
-        finally:
-            router.set_commit_position(None)
-            mapping = router.finish_parallel_commit()
-        assert sorted(mapping.values()) == list(range(len(paths)))
-        ledgered = {
-            path_id
-            for entries in router.boundary_ledger.values()
-            for path_id in entries
-        }
-        final_ids = set(mapping.values())
-        assert ledgered <= final_ids  # no provisional id survives
-        expected = set()
-        for final_id in final_ids:
-            path = router.owners[final_id].index.get(final_id).path
-            if router.shard_of(path.start) is not router.shard_of(path.end):
-                expected.add(final_id)
-        assert ledgered == expected

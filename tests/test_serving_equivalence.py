@@ -37,7 +37,7 @@ from repro.serving.scenarios import (
 )
 from repro.serving.server import IngestionServer, ServingConfig
 
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
 PARTITIONS = ["uniform", "kd"]
 
 
@@ -58,9 +58,18 @@ class TestServedMatchesSeedReplay:
         assert result.accepted_updates == result.submitted_updates
         assert result.report == seed_replay(result)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_uniform_trickle_on_a_non_square_fleet(self, backend):
+        """A 2x3 fleet: non-square cells, an odd number of shard columns."""
+        runner = ScenarioRunner(FleetConfig(num_shards=6, backend=backend))
+        result = runner.run("uniform_trickle", seed=11)
+
+        assert result.accepted_updates == result.submitted_updates
+        assert result.report == seed_replay(result)
+
     @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
     def test_every_scenario_on_a_kd_fleet(self, scenario_id):
-        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", partition="kd"))
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="processes", partition="kd"))
         result = runner.run(scenario_id, seed=5)
 
         assert result.accepted_updates == result.submitted_updates
@@ -81,7 +90,7 @@ class TestForcedRebalanceInvariance:
     """kd migrations mid-run and mid-replay must be invisible in the answers."""
 
     def test_forced_mid_run_rebalances_leave_answers_unchanged(self):
-        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", partition="kd"))
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="processes", partition="kd"))
         injection = InjectionConfig(
             enabled=True, fault="force_rebalance", rate=0.6, seed=9
         )
@@ -124,7 +133,7 @@ class TestConcurrentClients:
         commit independent of the arrival interleaving — so the two modes
         must agree on everything but timing.
         """
-        runner = ScenarioRunner(FleetConfig(num_shards=2, backend="threads", partition="uniform"))
+        runner = ScenarioRunner(FleetConfig(num_shards=2, backend="processes", partition="uniform"))
         ordered = runner.run("uniform_trickle", seed=21, concurrent=False)
         racing = runner.run("uniform_trickle", seed=21, concurrent=True)
 
@@ -154,7 +163,7 @@ class TestEpochModeServing:
         ) == full_reference
 
     def test_full_mode_serving_still_matches_delta_replay(self):
-        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", epoch_mode="full"))
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="processes", epoch_mode="full"))
         result = runner.run("uniform_trickle", seed=11)
 
         assert result.report == replay_accepted_log(
@@ -165,7 +174,7 @@ class TestEpochModeServing:
     def test_chaos_faults_with_delta_mode_match_full_replay(self):
         """Forced rebalances racing the delta pipeline's caches mid-run."""
         runner = ScenarioRunner(
-            FleetConfig(num_shards=4, backend="threads", partition="kd", epoch_mode="delta"),
+            FleetConfig(num_shards=4, backend="processes", partition="kd", epoch_mode="delta"),
         )
         injection = InjectionConfig(
             enabled=True, fault="force_rebalance", rate=0.6, seed=9
@@ -308,7 +317,7 @@ class TestAutoEpochTicker:
 class TestReconnectStorm:
     def test_thundering_herd_reconnects_and_stays_equal(self):
         scenario = get_scenario("thundering_herd")
-        result = ScenarioRunner(FleetConfig(num_shards=4, backend="threads", partition="kd")).run(
+        result = ScenarioRunner(FleetConfig(num_shards=4, backend="processes", partition="kd")).run(
             scenario, seed=17
         )
 

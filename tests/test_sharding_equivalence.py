@@ -1,17 +1,17 @@
 """Differential harness: sharded coordinators must match the seed coordinator.
 
 Two layers of scenarios drive a single-shard coordinator (the seed
-architecture) and sharded fleets (2x2 and 4x4) with the *same* inputs:
+architecture) and sharded fleets (2x2, 2x3 and 4x4) with the *same* inputs:
 
 * synthetic state-message streams crafted to stress shard boundaries
   (shared start vertices, FSAs straddling shard borders, endpoints exactly on
   borders, points outside the monitored area, out-of-order timestamps);
 * full end-to-end simulations over several seeds and workload shapes.
 
-Every scenario runs for each execution backend (``serial``, ``threads``,
-``processes`` — see :mod:`repro.coordinator.execution`): the parallel
-backends run the candidate passes on worker pools and commit decisions per
-conflict group, and must still be bit-for-bit identical to the seed.
+Every scenario runs for each execution backend (``serial``, ``processes`` —
+see :mod:`repro.coordinator.execution`): the process backend builds the
+epoch's missed overlap components in worker processes, and must still be
+bit-for-bit identical to the seed.
 
 Equality is asserted bit-for-bit at every epoch: the responses sent back to
 objects, the bookkeeping counters, the full index contents (ids, geometry,
@@ -45,8 +45,8 @@ from repro.network.generator import NetworkConfig
 from repro.simulation.engine import HotPathSimulation, SimulationConfig
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-SHARD_COUNTS = (4, 16)  # 2x2 and 4x4
-PARALLEL_BACKENDS = ("threads", "processes")
+SHARD_COUNTS = (4, 6, 16)  # 2x2, 2x3 (non-square cells) and 4x4
+PARALLEL_BACKENDS = ("processes",)
 
 
 def make_coordinator(
@@ -223,7 +223,7 @@ class TestStreamDifferential:
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_parallel_backend_trace_matches_seed(self, num_shards, backend, seed):
-        """2x2 and 4x4 fleets on the worker-pool backends, bit for bit."""
+        """2x2, 2x3 and 4x4 fleets on the process backend, bit for bit."""
         stream = synthetic_stream(seed)
         seed_trace = drive(make_coordinator(1), stream)
         parallel_trace = drive(make_coordinator(num_shards, backend=backend), stream)
@@ -259,7 +259,7 @@ class TestRebalanceDifferential:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_kd_fleet_with_auto_rebalance_matches_seed(self, num_shards, backend):
         """The skewed downtown stream, a tight threshold (rebalances fire
-        nearly every epoch), 2x2 and 4x4 fleets, all three backends."""
+        nearly every epoch), 2x2, 2x3 and 4x4 fleets, both backends."""
         stream = skewed_stream(42)
         seed_trace = drive(make_coordinator(1), stream)
         kd = make_coordinator(
@@ -288,9 +288,9 @@ class TestRebalanceDifferential:
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_forced_migration_on_parallel_backends_matches_seed(self, backend):
-        """A migration mid-stream is invisible on the parallel backends too
-        (the pools and conflict groups they are handed follow the new layout;
-        nothing of the old one is held anywhere)."""
+        """A migration mid-stream is invisible on the process backend too
+        (the pools it is handed follow the new layout; nothing of the old
+        one is held anywhere)."""
         stream = skewed_stream(11)
         seed_trace = drive(make_coordinator(1), stream)
         migrated = make_coordinator(16, backend=backend, partition="kd")
@@ -685,7 +685,7 @@ class TestSimulationDifferential:
             assert actual.paths_reused == expected.paths_reused
             assert actual.paths_expired == expected.paths_expired
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["processes"])
     def test_simulation_with_parallel_backend_matches_seed(self, backend):
         baseline = self._run(1, 9, "agile")
         parallel = self._run(16, 9, "agile", backend=backend)

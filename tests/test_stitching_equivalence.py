@@ -4,7 +4,7 @@ Extends the differential contract of ``tests/test_sharding_equivalence.py``
 to the corridor report: a sharded fleet must produce, after every epoch,
 exactly the corridors a *global* stitch of the seed coordinator's hot paths
 produces — path ids, segment order, geometry, per-segment hotness, merged
-hotness and score, bit for bit — for 2x2 and 4x4 grids on every execution
+hotness and score, bit for bit — for 2x2, 2x3 and 4x4 grids on every execution
 backend.
 
 The streams here are *feedback-driven*: each object's next SSA start is the
@@ -41,8 +41,8 @@ from repro.network.generator import NetworkConfig
 from repro.simulation.engine import HotPathSimulation, SimulationConfig
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-SHARD_COUNTS = (4, 16)  # 2x2 and 4x4
-PARALLEL_BACKENDS = ("threads", "processes")
+SHARD_COUNTS = (4, 6, 16)  # 2x2, 2x3 (non-square cells) and 4x4
+PARALLEL_BACKENDS = ("processes",)
 ALL_BACKENDS = ("serial",) + PARALLEL_BACKENDS
 
 
@@ -178,7 +178,7 @@ class TestStitchingDifferential:
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_parallel_backend_stitched_trace_matches_seed(self, num_shards, backend, seed):
-        """2x2 and 4x4 fleets stitching on the worker-pool backends."""
+        """2x2, 2x3 and 4x4 fleets stitching on the process backend."""
         seed_trace = drive_feedback(make_coordinator(1), seed)
         parallel_trace = drive_feedback(
             make_coordinator(num_shards, backend=backend), seed
@@ -448,7 +448,7 @@ VIEW_EPOCHS = 10
 #: set accumulates over three commits before it is applied.
 QUERIED_EPOCHS = frozenset({1, 2, 3, 7, 8, 9, 10})
 #: Two scripted commuters shuttle A <-> B in counter-phase (different shards on
-#: both the 2x2 and the 4x4 grid); two one-off visitors travel C -> B five
+#: the 2x2, 2x3 and 4x4 grids); two one-off visitors travel C -> B five
 #: epochs apart.
 COMMUTE_A, COMMUTE_B, COMMUTE_C = Point(900.0, 100.0), Point(900.0, 600.0), Point(900.0, 850.0)
 LAYOUTS = ("uniform", "kd", "elastic")
