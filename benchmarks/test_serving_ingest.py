@@ -21,7 +21,7 @@ BACKENDS = ("serial", "processes")
 
 def run_backend(backend: str):
     scenario = get_scenario("ramp", load_factor=2.0)
-    runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend, partition="kd"))
+    runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend))
     result = runner.run(scenario, seed=42, concurrent=True)
     assert result.report == replay_accepted_log(result.accepted_log), backend
     assert result.passed, (backend, result.validation_errors)

@@ -59,16 +59,6 @@ BACKEND_SHARD_COUNTS = (4, 16)
 OVERLAP_BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
 
-def _overlap_router(window: int, num_shards: int = 16, **knobs) -> ShardRouter:
-    """A bare fleet over ``OVERLAP_BOUNDS`` (4x4 unless told otherwise)."""
-    return ShardRouter(
-        CoordinatorConfig(
-            bounds=OVERLAP_BOUNDS, window=window, cells_per_axis=32,
-            num_shards=num_shards, **knobs
-        )
-    )
-
-
 def _run(num_shards, experiment_scale, backend="serial"):
     config = scaled_simulation_config(
         scale=experiment_scale,
@@ -82,7 +72,12 @@ def _run(num_shards, experiment_scale, backend="serial"):
 def _chained_hot_router(backend: str = "serial") -> ShardRouter:
     """A 4x4 fleet whose hot set is ~600 chained fragments (random walks
     crossing shard borders), the workload of the stitching table."""
-    router = _overlap_router(window=10**6, backend=backend)
+    router = ShardRouter(
+        CoordinatorConfig(
+            bounds=OVERLAP_BOUNDS, window=10**6, cells_per_axis=32, num_shards=16,
+            backend=backend,
+        )
+    )
     rng = random.Random(11)
     timestamp = 0
     for _walk in range(80):
@@ -142,223 +137,6 @@ def _stitch_rows(repeats: int = 5):
             )
         finally:
             router.pipeline.close()
-    return rows
-
-
-def _skewed_downtown_stream(seed: int = 42, epochs: int = 10, per_epoch: int = 60):
-    """A density-skewed epoch stream: ~80% of reports start in the downtown
-    corner (the workload the load-adaptive kd partition exists for)."""
-    rng = random.Random(seed)
-    stream = []
-    for epoch in range(1, epochs + 1):
-        boundary = epoch * 10
-        states = []
-        for _ in range(per_epoch):
-            if rng.random() < 0.8:
-                start = Point(rng.uniform(0.0, 250.0), rng.uniform(0.0, 250.0))
-            else:
-                start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
-            centre = Point(
-                start.x + rng.uniform(-150.0, 150.0), start.y + rng.uniform(-150.0, 150.0)
-            )
-            fsa = Rectangle.from_center(centre, rng.uniform(5.0, 100.0))
-            t_end = boundary - rng.randrange(10)
-            states.append(
-                ObjectState(
-                    rng.randrange(per_epoch * 2), start, max(0, t_end - 5),
-                    fsa.low, fsa.high, t_end,
-                )
-            )
-        stream.append((boundary, states))
-    return stream
-
-
-def _rebalance_rows():
-    """Shard-load imbalance on the skewed workload: uniform grid vs the
-    load-adaptive kd partition (rebalancing enabled), identical answers.
-
-    Rows report the final fleet statistics plus per-epoch coordinator time;
-    the uniform row *is* the "before" of the rebalancing story — the fixed
-    grid piles the downtown records onto a few shards — and the kd rows are
-    the "after": the epoch-boundary rebalance protocol refits the splits to
-    the endpoint density whenever max/mean load exceeds the threshold.
-    """
-    rows = []
-    reference = None
-    stream = _skewed_downtown_stream()
-    for label, partition, threshold in (
-        ("uniform", "uniform", 2.0),
-        ("kd", "kd", 2.0),
-        ("kd tight", "kd", 1.2),
-    ):
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=OVERLAP_BOUNDS,
-                window=60,
-                cells_per_axis=32,
-                num_shards=16,
-                partition=partition,
-                rebalance_threshold=threshold,
-            )
-        )
-        trace = []
-        started = time.perf_counter()
-        for boundary, states in stream:
-            for state in states:
-                coordinator.submit_state(state)
-            outcome = coordinator.run_epoch(boundary)
-            trace.append((outcome.responses, outcome.paths_inserted, outcome.paths_expired))
-        elapsed_ms = (time.perf_counter() - started) / len(trace) * 1000.0
-        trace.append(sorted(coordinator.hotness.items()))
-        if reference is None:
-            reference = trace
-        else:
-            # The partition layer moves state, never answers.
-            assert trace == reference, f"{label} diverged from the uniform fleet"
-        stats = coordinator.shard_statistics()
-        rows.append(
-            (
-                label,
-                stats["imbalance"],
-                stats["max_shard_records"],
-                stats["mean_shard_records"],
-                stats["rebalances"],
-                elapsed_ms,
-            )
-        )
-        coordinator.close()
-    # The headline claim of the partition layer, asserted where it is measured.
-    assert rows[1][1] < rows[0][1], "kd did not improve on uniform imbalance"
-    return rows
-
-
-MIGRATION_RECORDS = 1200  # fleet size when the grow migration is requested
-MIGRATION_CHURN = 60  # records inserted per boundary while the migration runs
-MIGRATION_BOUNDARIES = 12  # boundaries driven after the request, every row
-
-
-def _migration_fleet(budget: int, seed: int = 13) -> ShardRouter:
-    """A 2x2 elastic fleet holding the downtown-skewed migration workload."""
-    router = _overlap_router(
-        window=10**6,
-        num_shards=4,
-        elastic="auto",
-        migration_budget=budget,
-        min_shards=4,
-        max_shards=5,
-        rebalance_threshold=6.0,  # quiet: only the requested grow migrates
-    )
-    rng = random.Random(seed)
-    for _ in range(MIGRATION_RECORDS):
-        if rng.random() < 0.8:
-            start = Point(rng.uniform(0.0, 250.0), rng.uniform(0.0, 250.0))
-        else:
-            start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
-        end = Point(
-            min(max(start.x + rng.uniform(-180.0, 180.0), 0.0), 1000.0),
-            min(max(start.y + rng.uniform(-180.0, 180.0), 0.0), 1000.0),
-        )
-        record = router.insert(MotionPath(start, end))
-        router.hotness.record_crossing(record.path_id, 0)
-    return router
-
-
-def _migration_churn_batches():
-    """The identical per-boundary insert churn every migration row replays."""
-    rng = random.Random(29)
-    batches = []
-    for _ in range(MIGRATION_BOUNDARIES):
-        batch = []
-        for _ in range(MIGRATION_CHURN):
-            start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
-            end = Point(
-                min(max(start.x + rng.uniform(-180.0, 180.0), 0.0), 1000.0),
-                min(max(start.y + rng.uniform(-180.0, 180.0), 0.0), 1000.0),
-            )
-            batch.append(MotionPath(start, end))
-        batches.append(batch)
-    return batches
-
-
-def _fleet_fingerprint(router: ShardRouter):
-    return (
-        router.grid.describe(),
-        {path_id: shard.shard_id for path_id, shard in router.owners.items()},
-        sorted(router.hotness.items()),
-    )
-
-
-def _elastic_migration_rows(repeats: int = 2):
-    """Worst-boundary migration cost: stop-the-world vs ``--migration-budget``.
-
-    Every row asks the same downtown-skewed 1200-record fleet for the same
-    grow migration (split the hottest shard, 4 -> 5) and then drives the
-    same churned boundaries.  The stop-the-world row pays the entire
-    migration inside the boundary that requested it — the epoch-time spike;
-    the budgeted rows warm the shadow fleet with ``budget + churn`` records
-    per boundary and hand off atomically, so the worst single boundary pays
-    a bounded slice of it.  Timed at the router so the table isolates the
-    migration's own cost from the rest of the epoch; each row runs on a
-    fresh fleet ``repeats`` times and keeps the fastest timings.  Every row
-    must converge before the boundaries run out and end in the identical
-    fleet state (the handoff-equals-stop-the-world contract, measured where
-    the pacing is claimed).
-    """
-    churn = _migration_churn_batches()
-    rows = []
-    reference = None
-    for label, budget in (("stop-the-world", 0), ("budget 120", 120), ("budget 240", 240)):
-        best = None
-        for _ in range(repeats):
-            router = _migration_fleet(budget)
-            try:
-                target = router._forced_elastic_partition()  # same split each row
-                started = time.perf_counter()
-                router.rebalance(target)
-                request_ms = (time.perf_counter() - started) * 1000.0
-                boundary_ms = []
-                warmed = 0
-                for batch in churn:
-                    for path in batch:
-                        record = router.insert(path)
-                        router.hotness.record_crossing(record.path_id, 0)
-                    if router._migration is None:
-                        continue
-                    started = time.perf_counter()
-                    router.maybe_rebalance()
-                    boundary_ms.append((time.perf_counter() - started) * 1000.0)
-                    warmed += router.last_migration_moved
-                assert router._migration is None, f"{label}: migration did not converge"
-                assert len(router.shards) == 5, f"{label}: fleet did not grow"
-                if budget:
-                    assert len(boundary_ms) >= 2 and warmed > MIGRATION_RECORDS // 2, (
-                        f"{label}: budgeted migration was not actually paced"
-                    )
-                    moved, paying = warmed, len(boundary_ms)
-                    worst = max(boundary_ms)
-                    total = request_ms + sum(boundary_ms)
-                else:
-                    moved, paying = MIGRATION_RECORDS, 1
-                    worst = total = request_ms
-                fingerprint = _fleet_fingerprint(router)
-                if reference is None:
-                    reference = fingerprint
-                else:
-                    # Pacing moves state across more boundaries, never elsewhere.
-                    assert fingerprint == reference, f"{label} fleet state diverged"
-                measured = (moved, paying, worst, total)
-                if best is None or measured[2] < best[2]:
-                    best = measured
-            finally:
-                router.pipeline.close()
-        rows.append((label, *best))
-    # The pacing claim: no budgeted boundary pays the stop-the-world spike.
-    stop_worst = rows[0][3]
-    for label, _moved, _paying, worst, _total in rows[1:]:
-        assert worst < stop_worst, (
-            f"{label} worst boundary ({worst:.1f} ms) should undercut the "
-            f"stop-the-world spike ({stop_worst:.1f} ms)"
-        )
     return rows
 
 
@@ -630,62 +408,6 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
             f"{mode:>12} {backend:>10} {elapsed_ms:>10.3f} {fragments:>10d} "
             f"{corridors:>10d} {multi:>10d} {welds:>15d}"
         )
-
-    # Load-adaptive rebalancing: shard-load imbalance before/after swapping
-    # the uniform grid for the kd partition on a skewed downtown workload
-    # (identical answers asserted inside _rebalance_rows).
-    lines.append("")
-    lines.append(
-        "shard-load rebalancing (skewed downtown workload, 4x4 fleet, "
-        "uniform vs --partition kd)"
-    )
-    rebalance_header = (
-        f"{'partition':>10} {'imbalance max/mean':>19} {'max records':>12} "
-        f"{'mean records':>13} {'rebalances':>11} {'time/epoch ms':>14}"
-    )
-    lines.append(rebalance_header)
-    lines.append("-" * len(rebalance_header))
-    for label, imbalance, max_records, mean_records, rebalances, elapsed_ms in _rebalance_rows():
-        lines.append(
-            f"{label:>10} {imbalance:>19.2f} {max_records:>12.0f} "
-            f"{mean_records:>13.1f} {rebalances:>11.0f} {elapsed_ms:>14.3f}"
-        )
-    lines.append(
-        "(answers identical across rows; imbalance is what serialises a parallel "
-        "fleet — the single-core container shows kd's denser downtown cells as "
-        "extra cross-shard reads instead of the multi-core win)"
-    )
-
-    # Elastic migration pacing: the worst-boundary cost of a stop-the-world
-    # grow migration vs the same migration spread over several boundaries by
-    # --migration-budget (identical final fleet state, convergence and the
-    # pacing claim itself asserted inside _elastic_migration_rows).
-    lines.append("")
-    lines.append(
-        f"elastic migration pacing (grow 4->5, {MIGRATION_RECORDS}-record "
-        f"downtown-skewed fleet, {MIGRATION_CHURN} churn inserts/boundary, "
-        "identical final state)"
-    )
-    elastic_header = (
-        f"{'migration':>15} {'records moved':>14} {'paying boundaries':>18} "
-        f"{'worst boundary ms':>18} {'total ms':>9}"
-    )
-    lines.append(elastic_header)
-    lines.append("-" * len(elastic_header))
-    elastic_rows = _elastic_migration_rows()
-    for label, moved, paying, worst_ms, total_ms in elastic_rows:
-        lines.append(
-            f"{label:>15} {moved:>14d} {paying:>18d} "
-            f"{worst_ms:>18.3f} {total_ms:>9.3f}"
-        )
-    spike_cut = elastic_rows[0][3] / min(row[3] for row in elastic_rows[1:])
-    lines.append(
-        f"(worst-boundary spike cut {spike_cut:.1f}x by pacing: stop-the-world "
-        "pays the whole migration inside the boundary that requested it, while "
-        "a budgeted migration warms budget + churn records per boundary behind "
-        "double-read writes and hands off atomically — the total cost is "
-        "similar, the spike is bounded)"
-    )
 
     # Incremental epoch pipeline: full vs --epoch-mode delta on a stable-core
     # workload with 10% vs 90% report turnover (identical answers asserted

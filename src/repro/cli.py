@@ -24,7 +24,7 @@ import asyncio
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Optional, Sequence, get_args, get_type_hints
+from typing import Optional, Sequence, get_type_hints
 
 from repro.analysis.statistics import hot_path_statistics
 from repro.experiments.ablations import (
@@ -72,8 +72,7 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
 def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     """One flag per :class:`FleetConfig` field — identical on every subcommand.
 
-    Name, default, choices and help come from the field's declaration; the
-    flag's type is the field's annotation with ``Optional`` stripped.
+    Name, type, default, choices and help come from the field's declaration.
     """
     hints = get_type_hints(FleetConfig)
     group = parser.add_argument_group(
@@ -82,13 +81,8 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     for knob in fields(FleetConfig):
         options = dict(knob.metadata)
         flag = options.pop("flag", "--" + knob.name.replace("_", "-"))
-        scalar = [t for t in get_args(hints[knob.name]) if t is not type(None)]
         group.add_argument(
-            flag,
-            dest=knob.name,
-            type=scalar[0] if scalar else hints[knob.name],
-            default=knob.default,
-            **options,
+            flag, dest=knob.name, type=hints[knob.name], default=knob.default, **options
         )
 
 
@@ -163,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  python -m repro serve --epoch-seconds 0.5   # wall-clock epochs\n"
             "  python -m repro serve --list-scenarios\n"
             "  python -m repro serve --scenario uniform_trickle --shards 4\n"
-            "  python -m repro serve --scenario bursty_downtown --partition kd \\\n"
+            "  python -m repro serve --scenario bursty_downtown --shards 16 \\\n"
             "      --chaos kill_worker --backend processes --chaos-seed 7"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -215,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos", choices=FAULT_TYPES, default=None, metavar="FAULT",
         help=(
             "inject this fault class during the scenario (drop_batch, duplicate_batch, "
-            "reorder_batch, kill_worker, force_rebalance, stall_epoch), scheduled "
-            "deterministically from --chaos-seed"
+            "reorder_batch, kill_worker, stall_epoch), scheduled deterministically "
+            "from --chaos-seed"
         ),
     )
     serve_parser.add_argument(
@@ -276,24 +270,14 @@ def _command_run(args: argparse.Namespace) -> int:
     )
     if fleet.num_shards > 1:
         shards = result.coordinator.shard_statistics()
-        print(f"coordinator backend: {fleet.backend} (partition: {fleet.partition})")
+        print(f"coordinator backend: {fleet.backend}")
         print(
             f"coordinator shards: {shards['num_shards']:.0f} "
             f"(records per shard min/mean/max: {shards['min_shard_records']:.0f}"
             f"/{shards['mean_shard_records']:.1f}/{shards['max_shard_records']:.0f}, "
             f"imbalance: {shards['imbalance']:.2f}, "
-            f"rebalances: {shards['rebalances']:.0f}, "
             f"boundary-straddling paths: {shards['straddling_paths']:.0f})"
         )
-        if fleet.elastic != "off":
-            print(
-                f"elastic fleet: {fleet.elastic} "
-                f"(migration budget: {fleet.migration_budget or 'stop-the-world'}, "
-                f"migrations: {shards['elastic_migrations']:.0f}, "
-                f"records migrated: {shards['records_migrated']:.0f}"
-                + (", migration in flight" if shards["migration_active"] else "")
-                + ")"
-            )
     print(f"index size (final / mean per epoch): {summary['final_index_size']:.0f} / {summary['mean_index_size']:.1f}")
     print(f"top-{config.top_k} score (mean per epoch):  {summary['mean_top_k_score']:.1f}")
     print(f"coordinator time per epoch:          {summary['mean_processing_seconds'] * 1000:.2f} ms")
@@ -433,8 +417,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         equal = result.report == seed_snapshot
         print(
-            f"scenario {scenario.scenario_id}: shards={fleet.num_shards} backend={fleet.backend} "
-            f"partition={fleet.partition}"
+            f"scenario {scenario.scenario_id}: shards={fleet.num_shards} backend={fleet.backend}"
             + (f" chaos={args.chaos} rate={args.chaos_rate} seed={args.chaos_seed}" if args.chaos else "")
         )
         print(
@@ -444,7 +427,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(
             f"  faults: drops={result.dropped_batches} dups={result.duplicated_batches} "
             f"reorders={result.reordered_swaps} kills={result.worker_kills} "
-            f"rebalances={result.forced_rebalances} stalls={result.stalled_epochs} "
+            f"stalls={result.stalled_epochs} "
             f"backpressure={result.backpressure_rejections} retried={result.retried_batches}"
         )
         print(
@@ -489,7 +472,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"serving on {args.host}:{server.port} "
-            f"(shards={fleet.num_shards}, backend={fleet.backend}, partition={fleet.partition}, "
+            f"(shards={fleet.num_shards}, backend={fleet.backend}, "
             f"kernel={resolve_kernel(fleet.kernel)}, {ticking})",
             flush=True,
         )

@@ -8,9 +8,8 @@ The tier runs in two layouts behind one interface:
   :class:`GridIndex`, one :class:`HotnessTracker` and one
   :class:`SinglePathStrategy` own the whole monitored area.
 * **Sharded** (``num_shards>1``): the area is partitioned into a shard fleet
-  — a uniform R x C grid or a load-adaptive kd-split layout rebalanced at
-  epoch boundaries (see :mod:`repro.coordinator.partition`) — and every
-  shard owns the full coordinator state for its cell
+  — a fixed uniform R x C grid (see :mod:`repro.coordinator.partition`) —
+  and every shard owns the full coordinator state for its cell
   (see :mod:`repro.coordinator.sharding`).  Object state messages are routed
   to the shard owning their SSA start; motion paths straddling a shard
   boundary are split by *endpoint-owner routing* — each endpoint entry lives
@@ -31,12 +30,6 @@ bit-for-bit equality — so scale-out never changes the discovered paths.
 from repro.coordinator.grid_index import GridIndex, GridConfig
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import OverlapRegion, FsaOverlapStructure
-from repro.coordinator.partition import (
-    PARTITION_KINDS,
-    KdSplitPartition,
-    Partition,
-    UniformGridPartition,
-)
 from repro.coordinator.sharding import (
     Shard,
     ShardGrid,
@@ -63,10 +56,6 @@ __all__ = [
     "OverlapRegion",
     "FsaOverlapStructure",
     "SinglePathStrategy",
-    "PARTITION_KINDS",
-    "Partition",
-    "UniformGridPartition",
-    "KdSplitPartition",
     "Shard",
     "ShardGrid",
     "ShardRouter",

@@ -84,9 +84,6 @@ class EpochOutcome:
     paths_inserted: int = 0
     paths_reused: int = 0
     paths_expired: int = 0
-    #: Whether the epoch boundary triggered a shard-partition rebalance
-    #: (kd partitions only; never changes any other field of the outcome).
-    rebalanced: bool = False
     processing_seconds: float = 0.0
     #: The epoch's first-class change record (``epoch_mode="delta"`` only;
     #: ``None`` in full mode).  Purely observational — no pipeline stage's
@@ -188,36 +185,15 @@ class Coordinator:
         outcome.paths_inserted = epoch_result.paths_inserted
         outcome.paths_reused = epoch_result.paths_reused
 
-        # Epoch-boundary rebalance check: a kd fleet whose record load drifted
-        # past the imbalance threshold refits its partition and migrates here,
-        # between epochs — behaviour-invisible (state moves, answers don't).
-        if self.router is not None:
-            outcome.rebalanced = self.router.maybe_rebalance()
-
         if self.config.epoch_mode == "delta":
-            outcome.delta = self._assemble_delta(
-                now, deleted, epoch_result, outcome.rebalanced
-            )
+            outcome.delta = self._assemble_delta(now, deleted, epoch_result)
 
-        elapsed = time.perf_counter() - started
-        if self.router is not None:
-            # Feed the elastic cost model's *diagnostic* timing signal.  The
-            # router attributes the epoch's wall-clock to shards by bucket
-            # share; decisions never consume it (wall-clock is not
-            # stream-deterministic), it only surfaces in shard_statistics.
-            self.router.note_epoch_seconds(elapsed)
-        outcome.processing_seconds = elapsed
+        outcome.processing_seconds = time.perf_counter() - started
         self._epochs_processed += 1
         self._total_processing_seconds += outcome.processing_seconds
         return outcome
 
-    def _assemble_delta(
-        self,
-        now: int,
-        deleted: List[int],
-        epoch_result,
-        rebalanced: bool,
-    ) -> EpochDelta:
+    def _assemble_delta(self, now: int, deleted: List[int], epoch_result) -> EpochDelta:
         """Fold the epoch's change record into a first-class :class:`EpochDelta`.
 
         Inserted ids come from the decisions (allocated in submission order
@@ -234,17 +210,11 @@ class Coordinator:
             for decision in epoch_result.decisions
             if not decision.reused_existing_path
         )
-        if self.router is not None:
-            pool_stats = self.router.last_pool_stats
-            records_migrated = self.router.last_migration_moved
-            migration_active = self.router.last_migration_active
-        else:
-            # The single-shard strategy runs its one pool per epoch through
-            # the same cache protocol as the sharded pipeline, so its
-            # counters slot straight in.
-            pool_stats = self.strategy.last_pool_stats
-            records_migrated = 0
-            migration_active = False
+        # The single-shard strategy runs its one pool per epoch through the
+        # same cache protocol as the sharded pipeline, so its counters slot
+        # straight in.
+        owner = self.router if self.router is not None else self.strategy
+        pool_stats = owner.last_pool_stats
         return EpochDelta(
             timestamp=now,
             inserted=inserted,
@@ -257,9 +227,6 @@ class Coordinator:
             pools_reused=pool_stats["pools_reused"],
             pools_prefix_reused=pool_stats["pools_prefix_reused"],
             pools_rebuilt=pool_stats["pools_rebuilt"],
-            rebalanced=rebalanced,
-            records_migrated=records_migrated,
-            migration_active=migration_active,
         )
 
     # -- queries ---------------------------------------------------------------------
@@ -276,7 +243,7 @@ class Coordinator:
         # the sharded path: record counts are ints with a float mean, and
         # the delta counters carry the pool cache's and the stitcher's live
         # lifetime totals — the same semantics a 1-shard fleet reports, not
-        # hardcoded zeros (pinned by tests/test_rebalancing.py).
+        # hardcoded zeros (pinned by tests/test_shard_grid.py).
         size = len(self.index)
         statistics = {
             "num_shards": 1,
@@ -286,12 +253,6 @@ class Coordinator:
             "mean_shard_records": float(size),
             "imbalance": 1.0,
             "straddling_paths": 0,
-            "rebalances": 0,
-            "elastic_migrations": 0,
-            "records_migrated": 0,
-            "migration_active": 0.0,
-            "max_shard_epoch_seconds": 0.0,
-            "mean_shard_epoch_seconds": 0.0,
             "pools_total": 0,
             "pools_reused": 0,
             "pools_prefix_reused": 0,
@@ -352,8 +313,7 @@ class Coordinator:
         the seed report every configuration must reproduce bit for bit.  The
         first call after an epoch's commit caches the report until the next
         epoch; mutating the index or hotness directly between epochs (outside
-        ``run_epoch``) does not refresh that cache.  A partition rebalance
-        needs no refresh: it moves state, never corridors.
+        ``run_epoch``) does not refresh that cache.
         """
         if self._corridor_cache is None:
             if self.router is not None:

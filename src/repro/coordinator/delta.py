@@ -91,17 +91,6 @@ class EpochDelta:
       from a cached prefix, or rebuilt from scratch (the only ones shipped to
       workers).  ``pools_total = pools_reused + pools_prefix_reused +
       pools_rebuilt``.
-    * ``rebalanced`` — whether the epoch boundary migrated the partition
-      (for a budgeted elastic migration, the boundary the handoff completed).
-    * ``records_migrated`` — records warmed onto the incoming fleet at this
-      epoch boundary by an in-flight elastic migration (0 outside elastic
-      migrations).  Warming is observable-invisible — the outgoing fleet
-      stays authoritative until handoff — so the counter never affects
-      :meth:`is_noop`.
-    * ``migration_active`` — whether an elastic migration was still mid-flight
-      (records warmed but handoff not yet complete) when the epoch ended.
-      Like ``records_migrated``, purely diagnostic: a delta that differs only
-      in migration counters describes identical observable state.
     """
 
     timestamp: int
@@ -116,9 +105,6 @@ class EpochDelta:
     pools_reused: int = 0
     pools_prefix_reused: int = 0
     pools_rebuilt: int = 0
-    rebalanced: bool = False
-    records_migrated: int = 0
-    migration_active: bool = False
 
     @property
     def membership(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
@@ -140,7 +126,6 @@ class EpochDelta:
             or self.touched
             or self.decayed
             or self.vanished
-            or self.rebalanced
         )
 
 

@@ -117,7 +117,7 @@ def _default_workers() -> int:
 def conflict_groups(states: Sequence[ObjectState], grid) -> List[List[int]]:
     """Partition an epoch's states into the components of their shard footprints.
 
-    ``grid`` is the router's :class:`~repro.coordinator.sharding.ShardGrid`.
+    ``grid`` is the router's :class:`~repro.coordinator.partition.ShardGrid`.
     Two states land in the same group when their shard footprints (owner of
     the SSA start plus all shards overlapped by the FSA) intersect, or when
     they report the same object id.  Groups list member positions in
@@ -318,7 +318,7 @@ class ProcessBackend(ExecutionBackend):
         #: explicitly) or missing the reply deadline — excludes ordinary
         #: spawns.
         self.worker_restarts = 0
-        #: Always 0: no migration respawns a stateless worker.  Kept only
+        #: Always 0 (``worker_restarts`` counts every replacement).  Kept only
         #: because ``bench/trace.py`` reads it (``bench/`` is frozen for
         #: source PRs); delete it with that read.
         self.workers_respawned = 0

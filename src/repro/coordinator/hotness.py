@@ -26,9 +26,7 @@ class HotnessDeltaLog:
     Feeds :class:`repro.coordinator.delta.EpochDelta`: each crossing lands in
     ``newly_hot`` (hotness ``0 -> 1``) or ``touched`` (``n -> n+1``), each
     expiry in ``decayed`` (counter survived) or ``vanished`` (dropped to
-    zero).  Migration adoption (:meth:`HotnessTracker.adopt_count` /
-    ``adopt_event``) is deliberately not logged — a rebalance moves counters
-    between shards without changing any path's global hotness.
+    zero).
     """
 
     __slots__ = ("newly_hot", "touched", "decayed", "vanished")
@@ -87,20 +85,6 @@ class HotnessTracker:
             raise CoordinatorError("hotness delta log was never enabled")
         return self._delta_log.ids()
 
-    def absorb_delta_log(self, log: HotnessDeltaLog) -> None:
-        """Merge another tracker's pending delta-log events into this log.
-
-        Used by the elastic fleet handoff: when a migration replaces the
-        shard objects mid-epoch-boundary, the epoch's already-logged hotness
-        transitions must survive the trackers that recorded them — the new
-        fleet absorbs them so the epoch's delta assembly still sees every
-        event.  The delta assembler sorts the merged categories, so the
-        interleaving carries no information.
-        """
-        if self._delta_log is None:
-            raise CoordinatorError("hotness delta log was never enabled")
-        self._delta_log.merge_from(log)
-
     # -- recording --------------------------------------------------------------
 
     def record_crossing(self, path_id: int, t_end: int) -> int:
@@ -145,28 +129,6 @@ class HotnessTracker:
                 if self._delta_log is not None:
                     self._delta_log.decayed.append(path_id)
         return vanished
-
-    # -- migration (shard rebalancing) ---------------------------------------------
-
-    def export_state(self) -> Tuple[Dict[int, int], List[Tuple[int, int]]]:
-        """Hand off all counters and pending expiry events, leaving the tracker empty.
-
-        Used by the shard rebalance protocol: the returned ``(counters,
-        events)`` are re-adopted by the migrated paths' new owner trackers
-        via :meth:`adopt_count` / :meth:`adopt_event`.
-        """
-        counters, events = self._hotness, self._events
-        self._hotness, self._events = {}, []
-        return counters, events
-
-    def adopt_count(self, path_id: int, hotness: int) -> None:
-        """Absorb a migrated hotness counter (the path's events follow separately)."""
-        if hotness:
-            self._hotness[path_id] = self._hotness.get(path_id, 0) + hotness
-
-    def adopt_event(self, expiry: int, path_id: int) -> None:
-        """Absorb one migrated expiry event, preserving the heap invariant."""
-        heapq.heappush(self._events, (expiry, path_id))
 
     # -- queries -------------------------------------------------------------------
 

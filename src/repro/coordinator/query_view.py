@@ -3,7 +3,7 @@
 An epoch changes a fraction of the hot set, and the hotness trackers already
 log which ids.  :class:`HotPathView` keeps one rank tuple per hot path and one
 :class:`IncrementalStitcher` for the whole fleet (ids and global hotness are
-layout-independent, so migrations feed it nothing).  ``run_epoch`` only
+layout-independent).  ``run_epoch`` only
 accumulates the logged ids (:meth:`HotPathView.note`); the first query after
 a commit re-reads exactly those from the index and the trackers, so epochs
 nobody queries pay nothing and every answer equals the oracle scans —

@@ -376,9 +376,8 @@ class IncrementalStitcher:
     :meth:`top_k` equals :func:`select_top_k_corridors` over the full report.
 
     Like the rest of this module, the class is shard-agnostic: owners are
-    resolved per :meth:`report` call (so kd rebalances need no invalidation —
-    geometry and ids survive a migration unchanged), and the single-shard
-    coordinator uses it with a constant owner function.
+    resolved per :meth:`report` call, and the single-shard coordinator uses
+    it with a constant owner function.
     """
 
     def __init__(self) -> None:
@@ -577,8 +576,7 @@ class IncrementalStitcher:
         :func:`chain_fragments` produces globally — and each untouched
         chain's corridor is served from the per-chain cache.  ``owner_of``
         only feeds the ``boundary_welds`` diagnostic (welds whose fragments
-        have different owners; owners may change under rebalancing, so it is
-        counted per call).
+        have different owners, counted per call).
         """
         heads = sorted(self._chains)
         chains = [self._chains[head] for head in heads]

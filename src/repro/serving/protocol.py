@@ -46,6 +46,7 @@ served reports against in-process replays with ``==``.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any, Dict, List, Sequence
 
 from repro.core.errors import ReproError
@@ -97,19 +98,44 @@ def encode_update(state: ObjectState) -> List[Any]:
     return list(state.as_tuple())
 
 
+def _wire_integer(value: Any, name: str) -> int:
+    """An id or timestamp field: an integer, or a float with no fraction.
+
+    ``int()`` alone would truncate ``1.7`` and accept ``True`` and ``"3"``,
+    so distinct wire values could collapse onto one object id or timestamp.
+    """
+    if type(value) is int:  # what JSON decodes an integer to: checked first
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ProtocolError(f"{name} must be an integer, got {value!r}")
+
+
 def decode_update(fields: Sequence[Any]) -> ObjectState:
-    """Rebuild an :class:`ObjectState` from its 9-field wire row."""
+    """Rebuild an :class:`ObjectState` from its 9-field wire row.
+
+    The object id and both timestamps must be integral (see
+    :func:`_wire_integer`), and the SSA interval ``[t_start, t_end]`` must
+    not be reversed.
+    """
     if not isinstance(fields, (list, tuple)) or len(fields) != 9:
         raise ProtocolError(f"update row must have 9 fields, got {fields!r}")
     object_id, s_x, s_y, t_start, f_lx, f_ly, f_hx, f_hy, t_end = fields
+    object_id = _wire_integer(object_id, "object id")
+    t_start = _wire_integer(t_start, "t_start")
+    t_end = _wire_integer(t_end, "t_end")
+    if t_start > t_end:
+        raise ProtocolError(f"t_start {t_start} is after t_end {t_end} in {fields!r}")
     try:
         return ObjectState(
-            int(object_id),
+            object_id,
             Point(float(s_x), float(s_y)),
-            int(t_start),
+            t_start,
             Point(float(f_lx), float(f_ly)),
             Point(float(f_hx), float(f_hy)),
-            int(t_end),
+            t_end,
         )
     except (TypeError, ValueError, ReproError) as exc:
         raise ProtocolError(f"invalid update row {fields!r}: {exc}") from None

@@ -8,8 +8,8 @@ throughput envelope the serving layer must meet for it
 
 * ``uniform_trickle`` — every client drips a small batch every epoch;
 * ``bursty_downtown`` — a heterogeneous mix: most clients burst from a
-  dense downtown corner while suburb clients trickle uniformly (the
-  workload the kd partition exists for);
+  dense downtown corner while suburb clients trickle uniformly (a skewed
+  load that piles most records onto a few cells of the shard grid);
 * ``ramp`` — per-epoch load grows linearly, probing the knee;
 * ``thundering_herd`` — near-silence, then every client reconnects at once
   and bursts (the reconnect storm after an outage).
@@ -23,8 +23,6 @@ optionally injects faults from an :class:`InjectionConfig`:
 * ``kill_worker`` — hard-kill a process-backend build worker (addressed by
   worker index) between epochs and recover it through
   :meth:`ProcessBackend.restart_worker`;
-* ``force_rebalance`` — migrate the fleet onto freshly fitted kd splits
-  mid-run;
 * ``stall_epoch`` — withhold an epoch's tick so updates pile up against
   the bounded batcher queue (the backpressure path).
 
@@ -85,13 +83,12 @@ FAULT_TYPES: Tuple[str, ...] = (
     "duplicate_batch",
     "reorder_batch",
     "kill_worker",
-    "force_rebalance",
     "stall_epoch",
 )
 
 #: Faults applied per batch vs. per epoch boundary.
 _BATCH_FAULTS = ("drop_batch", "duplicate_batch")
-_EPOCH_FAULTS = ("kill_worker", "force_rebalance", "stall_epoch")
+_EPOCH_FAULTS = ("kill_worker", "stall_epoch")
 
 #: Monitored area every scenario plays in — matches the differential
 #: harness bounds, so scenario streams stress the same shard borders.
@@ -258,8 +255,7 @@ class BurstyDowntownScenario(BaseScenario):
     name = "bursty downtown vs. suburb trickle"
     description = (
         "70% of clients burst from a dense downtown corner in alternating "
-        "epochs; the rest trickle from the suburbs — the skewed mix the kd "
-        "partition exists for"
+        "epochs; the rest trickle from the suburbs — a skewed mix"
     )
     num_clients = 10
     epochs = 6
@@ -374,7 +370,6 @@ class FaultSchedule:
     swaps: Tuple[Tuple[int, int], ...] = ()
     #: Per epoch: a uniform draw selecting which worker to kill.
     kills: Tuple[Tuple[int, float], ...] = ()
-    rebalances: frozenset = frozenset()
     stalls: frozenset = frozenset()
 
     def events(self) -> List[Tuple]:
@@ -384,7 +379,6 @@ class FaultSchedule:
         events.extend(("duplicate_batch",) + key for key in sorted(self.duplicates))
         events.extend(("reorder_batch",) + key for key in sorted(self.swaps))
         events.extend(("kill_worker", epoch, draw) for epoch, draw in sorted(self.kills))
-        events.extend(("force_rebalance", epoch) for epoch in sorted(self.rebalances))
         events.extend(("stall_epoch", epoch) for epoch in sorted(self.stalls))
         return events
 
@@ -407,7 +401,6 @@ def build_fault_schedule(
     duplicates: Set[Tuple[int, int]] = set()
     swaps: List[Tuple[int, int]] = []
     kills: List[Tuple[int, float]] = []
-    rebalances: Set[int] = set()
     stalls: Set[int] = set()
     for epoch, batches in enumerate(plan):
         if fault in _BATCH_FAULTS:
@@ -424,11 +417,9 @@ def build_fault_schedule(
                 # schedule a kill before anything has run.
                 if epoch > 0:
                     kills.append((epoch, rng.random()))
-            elif fault == "force_rebalance":
-                rebalances.add(epoch)
             else:
                 stalls.add(epoch)
-    nothing = not (drops or duplicates or swaps or kills or rebalances or stalls)
+    nothing = not (drops or duplicates or swaps or kills or stalls)
     if nothing:
         first_busy = next(
             (epoch for epoch, batches in enumerate(plan) if batches), 0
@@ -445,8 +436,6 @@ def build_fault_schedule(
                 swaps.append((two, 0))
         elif fault == "kill_worker":
             kills.append((1 if len(plan) > 1 else 0, rng.random()))
-        elif fault == "force_rebalance":
-            rebalances.add(min(1, len(plan) - 1))
         else:
             stalls.add(min(1, len(plan) - 1))
     return FaultSchedule(
@@ -454,7 +443,6 @@ def build_fault_schedule(
         duplicates=frozenset(duplicates),
         swaps=tuple(sorted(swaps)),
         kills=tuple(sorted(kills)),
-        rebalances=frozenset(rebalances),
         stalls=frozenset(stalls),
     )
 
@@ -485,7 +473,6 @@ class ScenarioResult:
     duplicated_batches: int = 0
     reordered_swaps: int = 0
     worker_kills: int = 0
-    forced_rebalances: int = 0
     stalled_epochs: int = 0
     fault_events: List[Tuple] = field(default_factory=list)
     # Determinism artifacts.
@@ -725,10 +712,6 @@ class ScenarioRunner:
                             result.fault_events.append(
                                 ("kill_worker", epoch_index, worker)
                             )
-                if epoch_index in schedule.rebalances and coordinator.router is not None:
-                    if coordinator.router.rebalance():
-                        result.forced_rebalances += 1
-                        result.fault_events.append(("force_rebalance", epoch_index))
                 if epoch_index in schedule.stalls:
                     # Withhold the tick: this epoch's updates stay queued
                     # (pressing against the bounded queue) and commit at the
@@ -815,16 +798,14 @@ def replay_accepted_log(
     window: int = 60,
     cells_per_axis: int = 32,
     fleet: FleetConfig = FleetConfig(),
-    rebalance_before: Sequence[int] = (),
 ) -> Dict[str, Any]:
     """Replay an accepted-update log into a fresh coordinator; return its snapshot.
 
     The defaults build the *seed* shape — single shard, serial, the paper's
     architecture — so ``replay_accepted_log(result.accepted_log)`` is the
     reference every served run is compared against bit for bit.  Another
-    ``fleet`` replays the same log through that fleet; ``rebalance_before``
-    forces partition migrations before the listed epoch indexes (answers
-    must not change).
+    ``fleet`` replays the same log through that fleet (answers must not
+    change).
     """
     from repro.serving.protocol import coordinator_snapshot
 
@@ -837,9 +818,7 @@ def replay_accepted_log(
         )
     )
     try:
-        for epoch_index, (boundary, rows) in enumerate(accepted_log):
-            if epoch_index in rebalance_before and coordinator.router is not None:
-                coordinator.router.rebalance()
+        for boundary, rows in accepted_log:
             for row in rows:
                 coordinator.submit_state(decode_update(row))
             coordinator.run_epoch(boundary)

@@ -238,7 +238,6 @@ class IngestionServer:
                 "paths_inserted": outcome.paths_inserted,
                 "paths_reused": outcome.paths_reused,
                 "paths_expired": outcome.paths_expired,
-                "rebalanced": outcome.rebalanced,
                 "responses": [
                     [r.object_id, r.endpoint.x, r.endpoint.y, r.timestamp]
                     for r in outcome.responses

@@ -54,7 +54,7 @@ class SimulationConfig:
     comparison methods (they share the measurement stream, so enabling them
     does not perturb the main method).  ``fleet`` is the coordinator's
     topology (:class:`~repro.coordinator.fleet.FleetConfig` — shards, backend,
-    partition, kernel, ...; knob table in ``docs/ARCHITECTURE.md``): every
+    epoch mode, kernel; knob table in ``docs/ARCHITECTURE.md``): every
     value is behaviour-identical, so results are comparable across fleets.
     """
 

@@ -8,7 +8,7 @@ Two layers:
   twice yields the same fingerprint (fault events, accepted log, report).
   That is what turns chaos runs into regression tests.
 * **Recovery vs. degradation, per fault class** — exact-recovery faults
-  (duplicate, reorder, kill_worker, force_rebalance) must leave the
+  (duplicate, reorder, kill_worker) must leave the
   committed state identical to an unfaulted run of the same scenario seed;
   degrading faults (drop_batch, stall_epoch) must land exactly where their
   quantified path predicts (accepted = submitted − dropped; commits move to
@@ -33,7 +33,7 @@ from repro.serving.scenarios import (
 
 
 def make_runner(backend="serial", **overrides):
-    fleet = FleetConfig(num_shards=4, backend=backend, partition="kd")
+    fleet = FleetConfig(num_shards=4, backend=backend)
     return ScenarioRunner(fleet, **overrides)
 
 
@@ -95,9 +95,7 @@ class TestRunDeterminism:
 class TestExactRecoveryFaults:
     """Faults the serving layer must absorb with zero observable effect."""
 
-    @pytest.mark.parametrize(
-        "fault", ["duplicate_batch", "reorder_batch", "force_rebalance"]
-    )
+    @pytest.mark.parametrize("fault", ["duplicate_batch", "reorder_batch"])
     def test_fault_run_equals_unfaulted_run(self, fault):
         runner = make_runner()
         baseline = runner.run("bursty_downtown", seed=6)

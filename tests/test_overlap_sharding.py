@@ -11,7 +11,7 @@ independently of the end-to-end differential harness:
 * **order** — a pool preserves the submission order of its members, and the
   pools come ordered by their first member;
 * **layout independence** — the pools of an epoch are the same for every shard
-  count, partition and kernel, because the stage never sees the layout.
+  count and kernel, because the stage never sees the layout.
 
 Plus the mechanics: what the plan asks to be built with and without a cache,
 and worker-side builds agreeing across both execution backends (the
@@ -162,7 +162,7 @@ class TestLayoutIndependence:
         dict(num_shards=1),
         dict(num_shards=4),
         dict(num_shards=16),
-        dict(num_shards=16, partition="kd"),
+        dict(num_shards=7),
         dict(num_shards=4, kernel="object"),
     )
 

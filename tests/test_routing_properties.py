@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
@@ -29,10 +30,12 @@ from repro.coordinator.sharding import ShardRouter
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
-# Endpoints collide with the 4x4 shard borders (multiples of 250) and fall
-# outside the bounds, so paths routinely straddle shards and clamp in.
+# Endpoints collide with the 4x4 and 2x3 shard borders (multiples of 250,
+# thirds) and the 1x7 stripe borders (sevenths), and fall outside the bounds,
+# so paths routinely straddle shards and clamp in.
 coordinate_pool = st.sampled_from(
-    [-60.0, 0.0, 100.0, 249.9, 250.0, 500.0, 501.0, 625.0, 750.0, 999.0, 1000.0, 1080.0]
+    [-60.0, 0.0, 100.0, 1000.0 / 7, 249.9, 250.0, 1000.0 / 3, 3000.0 / 7, 500.0, 501.0,
+     625.0, 2000.0 / 3, 750.0, 999.0, 1000.0, 1080.0]
 )
 points = st.builds(Point, coordinate_pool, coordinate_pool)
 
@@ -47,17 +50,22 @@ def motion_paths(draw) -> MotionPath:
 path_lists = st.lists(motion_paths(), min_size=1, max_size=25)
 
 
-def make_router(num_shards: int = 16) -> ShardRouter:
+#: 1x3 and 1x7 column stripes, 2x3 and 4x4.
+SHARD_COUNTS = (3, 6, 7, 16)
+
+
+def make_router(num_shards: int) -> ShardRouter:
     return ShardRouter(
         CoordinatorConfig(bounds=BOUNDS, window=50, cells_per_axis=32, num_shards=num_shards)
     )
 
 
 class TestEndpointOwnerRouting:
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)
-    @given(path_lists)
-    def test_every_path_lands_on_exactly_one_owner(self, paths: List[MotionPath]):
-        router = make_router()
+    @given(paths=path_lists)
+    def test_every_path_lands_on_exactly_one_owner(self, paths: List[MotionPath], num_shards):
+        router = make_router(num_shards)
         records = [router.insert(path) for path in paths]
         assert len(router.owners) == len(records)
         # The owner is the shard of the start vertex, and per-shard record
@@ -72,10 +80,11 @@ class TestEndpointOwnerRouting:
                 holds = record.path_id in shard.index
                 assert holds == (shard.shard_id == shard_id)
 
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)
-    @given(path_lists)
-    def test_endpoint_entries_live_with_their_vertex_owners(self, paths):
-        router = make_router()
+    @given(paths=path_lists)
+    def test_endpoint_entries_live_with_their_vertex_owners(self, paths, num_shards):
+        router = make_router(num_shards)
         records = [router.insert(path) for path in paths]
         for record in records:
             start, end = record.path.start, record.path.end
@@ -90,10 +99,11 @@ class TestEndpointOwnerRouting:
 
 
 class TestBoundaryLedger:
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)
-    @given(path_lists)
-    def test_straddling_paths_are_on_both_boundary_ledgers(self, paths):
-        router = make_router()
+    @given(paths=path_lists)
+    def test_straddling_paths_are_on_both_boundary_ledgers(self, paths, num_shards):
+        router = make_router(num_shards)
         records = [router.insert(path) for path in paths]
         ledgered = {
             path_id
@@ -121,10 +131,11 @@ class TestBoundaryLedger:
                         shard.shard_id
                     )
 
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)
-    @given(path_lists)
-    def test_ledger_counts_match_geometry(self, paths):
-        router = make_router()
+    @given(paths=path_lists)
+    def test_ledger_counts_match_geometry(self, paths, num_shards):
+        router = make_router(num_shards)
         records = [router.insert(path) for path in paths]
         straddling = sum(
             1
@@ -137,10 +148,11 @@ class TestBoundaryLedger:
         for entries in router.boundary_ledger.values():
             assert entries
 
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @settings(max_examples=100, deadline=None)
-    @given(path_lists)
-    def test_delete_drains_the_ledger(self, paths):
-        router = make_router()
+    @given(paths=path_lists)
+    def test_delete_drains_the_ledger(self, paths, num_shards):
+        router = make_router(num_shards)
         records = [router.insert(path) for path in paths]
         for record in records:
             router.delete(record.path_id)

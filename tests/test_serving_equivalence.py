@@ -5,7 +5,7 @@ concurrent clients, backpressure, reconnects — must leave the coordinator
 bit-for-bit equal to a *seed* coordinator (single shard, serial backend,
 the paper's architecture) replaying the same accepted updates at the same
 epoch boundaries.  And the accepted log must replay identically through
-every fleet shape, including fleets forced through kd rebalances mid-replay.
+every fleet shape.
 
 This is the serving layer's version of ``test_sharding_equivalence.py``:
 the network, the batcher and the epoch ticker are all new machinery that
@@ -29,7 +29,6 @@ from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.serving.protocol import coordinator_snapshot, encode_update
 from repro.serving.scenarios import (
     SCENARIOS,
-    InjectionConfig,
     ScenarioRunner,
     _WireClient,
     get_scenario,
@@ -38,7 +37,8 @@ from repro.serving.scenarios import (
 from repro.serving.server import IngestionServer, ServingConfig
 
 BACKENDS = ["serial", "processes"]
-PARTITIONS = ["uniform", "kd"]
+#: 1x3 and 1x7 column stripes and a 2x2 grid.
+SHARD_COUNTS = [3, 4, 7]
 
 
 def seed_replay(result):
@@ -47,12 +47,12 @@ def seed_replay(result):
 
 
 class TestServedMatchesSeedReplay:
-    """Every backend × partition fleet serves the seed coordinator's answers."""
+    """Every backend × shard-count fleet serves the seed coordinator's answers."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("partition", PARTITIONS)
-    def test_uniform_trickle_bit_for_bit(self, backend, partition):
-        runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend, partition=partition))
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_uniform_trickle_bit_for_bit(self, backend, num_shards):
+        runner = ScenarioRunner(FleetConfig(num_shards=num_shards, backend=backend))
         result = runner.run("uniform_trickle", seed=11)
 
         assert result.accepted_updates == result.submitted_updates
@@ -68,8 +68,8 @@ class TestServedMatchesSeedReplay:
         assert result.report == seed_replay(result)
 
     @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
-    def test_every_scenario_on_a_kd_fleet(self, scenario_id):
-        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="processes", partition="kd"))
+    def test_every_scenario_on_a_process_fleet(self, scenario_id):
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="processes"))
         result = runner.run(scenario_id, seed=5)
 
         assert result.accepted_updates == result.submitted_updates
@@ -86,41 +86,12 @@ class TestServedMatchesSeedReplay:
         assert json.loads(json.dumps(report)) == report
 
 
-class TestForcedRebalanceInvariance:
-    """kd migrations mid-run and mid-replay must be invisible in the answers."""
-
-    def test_forced_mid_run_rebalances_leave_answers_unchanged(self):
-        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="processes", partition="kd"))
-        injection = InjectionConfig(
-            enabled=True, fault="force_rebalance", rate=0.6, seed=9
-        )
-        result = runner.run("bursty_downtown", seed=7, injection=injection)
-
-        assert result.forced_rebalances >= 1
-        assert result.report == seed_replay(result)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_replay_through_rebalancing_fleets_matches_seed(self, backend):
-        result = ScenarioRunner(FleetConfig(num_shards=4, backend="serial", partition="kd")).run(
-            "bursty_downtown", seed=3
-        )
-        reference = seed_replay(result)
-
-        fleet = replay_accepted_log(
-            result.accepted_log,
-            fleet=FleetConfig(num_shards=4, backend=backend, partition="kd"),
-            rebalance_before=(1, 3),
-        )
-        assert fleet == reference
-        assert result.report == reference
-
-
 class TestConcurrentClients:
     """Racing clients must not perturb the committed state."""
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_concurrent_sends_replay_bit_for_bit(self, backend):
-        runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend, partition="kd"))
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend=backend))
         result = runner.run("bursty_downtown", seed=13, concurrent=True)
 
         assert result.accepted_updates == result.submitted_updates
@@ -133,7 +104,7 @@ class TestConcurrentClients:
         commit independent of the arrival interleaving — so the two modes
         must agree on everything but timing.
         """
-        runner = ScenarioRunner(FleetConfig(num_shards=2, backend="processes", partition="uniform"))
+        runner = ScenarioRunner(FleetConfig(num_shards=2, backend="processes"))
         ordered = runner.run("uniform_trickle", seed=21, concurrent=False)
         racing = runner.run("uniform_trickle", seed=21, concurrent=True)
 
@@ -148,7 +119,7 @@ class TestEpochModeServing:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_delta_serving_matches_full_seed_replay(self, backend):
         runner = ScenarioRunner(
-            FleetConfig(num_shards=4, backend=backend, partition="kd", epoch_mode="delta"),
+            FleetConfig(num_shards=4, backend=backend, epoch_mode="delta"),
         )
         result = runner.run("bursty_downtown", seed=7)
 
@@ -171,31 +142,14 @@ class TestEpochModeServing:
             fleet=FleetConfig(epoch_mode="delta"),
         )
 
-    def test_chaos_faults_with_delta_mode_match_full_replay(self):
-        """Forced rebalances racing the delta pipeline's caches mid-run."""
-        runner = ScenarioRunner(
-            FleetConfig(num_shards=4, backend="processes", partition="kd", epoch_mode="delta"),
-        )
-        injection = InjectionConfig(
-            enabled=True, fault="force_rebalance", rate=0.6, seed=9
-        )
-        result = runner.run("bursty_downtown", seed=7, injection=injection)
-
-        assert result.forced_rebalances >= 1
-        assert result.report == replay_accepted_log(
-            result.accepted_log,
-            fleet=FleetConfig(epoch_mode="full"),
-        )
-
-    def test_delta_replay_through_rebalancing_fleet_matches_full(self):
+    def test_delta_replay_through_a_process_fleet_matches_full(self):
         result = ScenarioRunner(FleetConfig(num_shards=4, epoch_mode="delta")).run(
             "bursty_downtown", seed=3
         )
         reference = replay_accepted_log(result.accepted_log, fleet=FleetConfig(epoch_mode="full"))
         fleet = replay_accepted_log(
             result.accepted_log,
-            fleet=FleetConfig(num_shards=4, backend="processes", partition="kd", epoch_mode="delta"),
-            rebalance_before=(1, 3),
+            fleet=FleetConfig(num_shards=4, backend="processes", epoch_mode="delta"),
         )
         assert fleet == reference
 
@@ -248,7 +202,6 @@ class TestAutoEpochTicker:
                 window=1_000_000,  # nothing expires mid-run: keeps rows admissible
                 cells_per_axis=32,
                 num_shards=4,
-                partition="kd",
                 epoch_mode=epoch_mode,
             )
         )
@@ -317,7 +270,7 @@ class TestAutoEpochTicker:
 class TestReconnectStorm:
     def test_thundering_herd_reconnects_and_stays_equal(self):
         scenario = get_scenario("thundering_herd")
-        result = ScenarioRunner(FleetConfig(num_shards=4, backend="processes", partition="kd")).run(
+        result = ScenarioRunner(FleetConfig(num_shards=4, backend="processes")).run(
             scenario, seed=17
         )
 

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
@@ -76,6 +77,95 @@ class TestMessageCodec:
     def test_malformed_updates_rejected(self, row):
         with pytest.raises(ProtocolError):
             decode_update(row)
+
+
+def wire_row(object_id, t_start, t_end):
+    """A 9-field update row with a valid geometry around the three integers."""
+    return [object_id, 5.0, 5.0, t_start, 1.0, 1.0, 20.0, 20.0, t_end]
+
+
+#: Row positions of the fields that must be integers on the wire.
+INTEGER_FIELDS = {"object_id": 0, "t_start": 3, "t_end": 8}
+
+#: Values ``int()`` used to accept there: bools, strings (numeric ones
+#: included), fractional floats, infinities and NaN.
+non_integers = st.one_of(
+    st.booleans(),
+    st.text(max_size=6),
+    st.integers().map(str),
+    st.floats().filter(lambda value: not value.is_integer()),
+)
+
+#: Rows accepted before wire validation, each collapsing or reversing
+#: something: ids 1.7 and True both became object 1, "3" became object 3, a
+#: fractional timestamp was truncated, and an SSA interval ran backwards.
+SILENTLY_ACCEPTED = {
+    "fractional_id": wire_row(1.7, 1, 9),
+    "bool_id": wire_row(True, 1, 9),
+    "string_id": wire_row("3", 1, 9),
+    "fractional_t_start": wire_row(1, 1.5, 9),
+    "reversed_interval": [1, 5, 5, 9, 1, 1, 20, 20, 5],
+}
+
+
+class TestUpdateValidation:
+    """``decode_update`` rejects what ``int()`` would silently coerce."""
+
+    @given(
+        st.integers(min_value=-(2**53), max_value=2**53),
+        st.integers(min_value=0, max_value=2**53),
+        st.integers(min_value=0, max_value=2**53),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integral_rows_decode_exactly(self, object_id, first, second, as_floats):
+        t_start, t_end = sorted((first, second))
+        values = (object_id, t_start, t_end)
+        if as_floats:  # JSON writers may emit 7.0 for 7; it is still 7
+            values = tuple(float(value) for value in values)
+        state = decode_update(json.loads(json.dumps(wire_row(*values))))
+        assert (state.object_id, state.t_start, state.t_end) == (object_id, t_start, t_end)
+        assert all(type(value) is int for value in (state.object_id, state.t_start, state.t_end))
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    @given(value=non_integers)
+    @settings(max_examples=100, deadline=None)
+    def test_non_integers_are_rejected(self, field, value):
+        row = wire_row(4, 1, 9)
+        row[INTEGER_FIELDS[field]] = value
+        with pytest.raises(ProtocolError):
+            decode_update(row)
+
+    @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_reversed_interval_is_rejected(self, t_end, gap):
+        with pytest.raises(ProtocolError):
+            decode_update(wire_row(4, t_end + gap, t_end))
+        assert decode_update(wire_row(4, t_end, t_end)).duration == 0
+
+    @pytest.mark.parametrize("name", sorted(SILENTLY_ACCEPTED))
+    def test_formerly_accepted_rows_are_rejected(self, name):
+        with pytest.raises(ProtocolError):
+            decode_update(SILENTLY_ACCEPTED[name])
+
+    @pytest.mark.parametrize("name", sorted(SILENTLY_ACCEPTED))
+    def test_a_bad_row_refuses_its_batch_with_a_protocol_error_reply(self, name):
+        server = make_server()
+        try:
+            rows = [wire_row(4, 1, 9), SILENTLY_ACCEPTED[name]]
+            response = server.handle_line(
+                encode_message({"op": "batch", "client": 0, "seq": 0, "updates": rows})
+            )
+            assert response["ok"] is False
+            assert server.protocol_errors == 1
+            assert server.batcher.pending_updates == 0  # nothing of the batch admitted
+            # The handler survived: the same batch without the bad row is served.
+            ok = server.handle_line(
+                encode_message({"op": "batch", "client": 0, "seq": 0, "updates": rows[:1]})
+            )
+            assert ok == {"ok": True, "accepted": 1, "seq": 0}
+        finally:
+            server.coordinator.close()
 
 
 class TestServingConfig:

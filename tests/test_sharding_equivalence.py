@@ -1,11 +1,13 @@
 """Differential harness: sharded coordinators must match the seed coordinator.
 
 Two layers of scenarios drive a single-shard coordinator (the seed
-architecture) and sharded fleets (2x2, 2x3 and 4x4) with the *same* inputs:
+architecture) and sharded fleets (1x3 and 1x7 stripes, 2x2, 2x3 and 4x4) with
+the *same* inputs:
 
 * synthetic state-message streams crafted to stress shard boundaries
   (shared start vertices, FSAs straddling shard borders, endpoints exactly on
-  borders, points outside the monitored area, out-of-order timestamps);
+  borders, points outside the monitored area, out-of-order timestamps), and a
+  density-skewed stream that piles most records onto a few shards;
 * full end-to-end simulations over several seeds and workload shapes.
 
 Every scenario runs for each execution backend (``serial``, ``processes`` —
@@ -45,7 +47,8 @@ from repro.network.generator import NetworkConfig
 from repro.simulation.engine import HotPathSimulation, SimulationConfig
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-SHARD_COUNTS = (4, 6, 16)  # 2x2, 2x3 (non-square cells) and 4x4
+#: 1x3 and 1x7 column stripes (prime counts), 2x2, 2x3 (non-square cells), 4x4.
+SHARD_COUNTS = (3, 4, 6, 7, 16)
 PARALLEL_BACKENDS = ("processes",)
 
 
@@ -53,8 +56,6 @@ def make_coordinator(
     num_shards: int,
     window: int = 60,
     backend: str = "serial",
-    partition: str = "uniform",
-    rebalance_threshold: float = 2.0,
     epoch_mode: str = "delta",
     kernel: str = "columnar",
 ) -> Coordinator:
@@ -65,8 +66,6 @@ def make_coordinator(
             cells_per_axis=32,
             num_shards=num_shards,
             backend=backend,
-            partition=partition,
-            rebalance_threshold=rebalance_threshold,
             epoch_mode=epoch_mode,
             kernel=kernel,
         )
@@ -132,9 +131,8 @@ def synthetic_stream(seed: int, epochs: int = 8, per_epoch: int = 30) -> List[Tu
 def skewed_stream(seed: int, epochs: int = 8, per_epoch: int = 30) -> List[Tuple[int, List[ObjectState]]]:
     """A density-skewed stream: most activity in a downtown hotspot corner.
 
-    The workload the load-adaptive kd partition exists for — a uniform 4x4
-    grid concentrates ~80% of the records on the downtown shards, driving the
-    imbalance statistic well past any rebalance threshold.
+    A 4x4 grid concentrates ~80% of the records on the downtown shards, so
+    the imbalance statistic ends far above 1.
     """
     rng = random.Random(seed)
     stream = []
@@ -161,18 +159,11 @@ def skewed_stream(seed: int, epochs: int = 8, per_epoch: int = 30) -> List[Tuple
     return stream
 
 
-def drive(coordinator: Coordinator, stream, rebalance_before: Tuple[int, ...] = ()) -> List[Dict]:
-    """Feed the stream epoch by epoch, snapshotting after every epoch.
-
-    ``rebalance_before`` forces a partition refit-and-migrate at those epoch
-    indices (before the epoch runs) — on top of whatever automatic
-    rebalancing the coordinator's own threshold triggers.
-    """
+def drive(coordinator: Coordinator, stream) -> List[Dict]:
+    """Feed the stream epoch by epoch, snapshotting after every epoch."""
     trace = []
     try:
-        for index, (boundary, states) in enumerate(stream):
-            if index in rebalance_before and coordinator.router is not None:
-                coordinator.router.rebalance()
+        for boundary, states in stream:
             for state in states:
                 coordinator.submit_state(state)
             outcome = coordinator.run_epoch(boundary)
@@ -245,137 +236,60 @@ class TestStreamDifferential:
         assert stats["max_shard_records"] < stats["total_records"]
 
 
-class TestRebalanceDifferential:
-    """Load-adaptive kd partitions and mid-replay migrations, bit for bit.
+class TestSkewedDifferential:
+    """The density-skewed downtown stream, bit for bit.
 
-    The partition layer decides *where* per-shard state lives, never what
-    the algorithm answers — so a kd fleet with rebalancing enabled (and a
-    fleet forced to migrate mid-replay) must reproduce the seed coordinator
-    exactly, on every backend.  Every scenario asserts rebalances actually
-    happened, so the equivalence claim is never vacuous.
+    A fixed grid piles the downtown records onto a few shards — the 4x4
+    fleet ends more than ten times above the mean on its busiest shard — and
+    the answers still equal the seed coordinator's, on every backend.
     """
 
     @pytest.mark.parametrize("backend", ("serial",) + PARALLEL_BACKENDS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_kd_fleet_with_auto_rebalance_matches_seed(self, num_shards, backend):
-        """The skewed downtown stream, a tight threshold (rebalances fire
-        nearly every epoch), 2x2, 2x3 and 4x4 fleets, both backends."""
+    def test_skewed_fleet_matches_seed(self, num_shards, backend):
         stream = skewed_stream(42)
         seed_trace = drive(make_coordinator(1), stream)
-        kd = make_coordinator(
-            num_shards, backend=backend, partition="kd", rebalance_threshold=1.2
-        )
-        kd_trace = drive(kd, stream)
-        for epoch, (expected, actual) in enumerate(zip(seed_trace, kd_trace)):
+        fleet = make_coordinator(num_shards, backend=backend)
+        fleet_trace = drive(fleet, stream)
+        for epoch, (expected, actual) in enumerate(zip(seed_trace, fleet_trace)):
             assert actual == expected, (
-                f"kd/{backend} diverged from the seed at epoch {epoch}"
+                f"{num_shards} shards/{backend} diverged from the seed at epoch {epoch}"
             )
-        stats = kd.shard_statistics()
-        assert stats["rebalances"] > 0, "no rebalance fired — vacuous scenario"
+        assert fleet.shard_statistics()["imbalance"] > 1.5, "the stream is not skewed"
 
-    @pytest.mark.parametrize("seed", [11, 42])
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_forced_midreplay_migration_matches_seed(self, num_shards, seed):
-        """Explicit migrations between epochs — including one refitting a
-        uniform fleet onto kd splits mid-stream — change nothing."""
-        stream = synthetic_stream(seed)
-        seed_trace = drive(make_coordinator(1), stream)
-        migrated = make_coordinator(num_shards)  # starts uniform
-        migrated_trace = drive(migrated, stream, rebalance_before=(2, 5))
-        for epoch, (expected, actual) in enumerate(zip(seed_trace, migrated_trace)):
-            assert actual == expected, f"migration diverged at epoch {epoch}"
-        assert migrated.router.rebalances >= 1
+    def test_the_sixteen_shard_grid_is_heavily_imbalanced(self):
+        fleet = make_coordinator(16)
+        drive(fleet, skewed_stream(42))
+        assert fleet.shard_statistics()["imbalance"] > 10.0
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_forced_migration_on_parallel_backends_matches_seed(self, backend):
-        """A migration mid-stream is invisible on the process backend too
-        (the pools it is handed follow the new layout; nothing of the old
-        one is held anywhere)."""
-        stream = skewed_stream(11)
-        seed_trace = drive(make_coordinator(1), stream)
-        migrated = make_coordinator(16, backend=backend, partition="kd")
-        migrated_trace = drive(migrated, stream, rebalance_before=(1, 3, 6))
-        for epoch, (expected, actual) in enumerate(zip(seed_trace, migrated_trace)):
-            assert actual == expected, (
-                f"{backend} migration diverged at epoch {epoch}"
-            )
-        assert migrated.router.rebalances >= 3
-
-    def test_kd_rebalancing_actually_balances_the_skew(self):
-        """The point of the whole layer: on the downtown workload the kd
-        fleet ends far better balanced than the uniform grid, at identical
-        answers."""
-        stream = skewed_stream(42)
-        uniform = make_coordinator(16)
-        kd = make_coordinator(16, partition="kd", rebalance_threshold=1.2)
-        uniform_trace = drive(uniform, stream)
-        kd_trace = drive(kd, stream)
-        assert kd_trace == uniform_trace
-        uniform_stats = uniform.shard_statistics()
-        kd_stats = kd.shard_statistics()
-        assert uniform_stats["total_records"] == kd_stats["total_records"]
-        assert kd_stats["imbalance"] < uniform_stats["imbalance"] / 2
-
-    def test_corridor_report_survives_migrations(self):
-        """The boundary ledger is *recomputed* at migration, and the corridor
-        stitch welds against it — so the corridor report after every epoch
-        (with migrations forced between epochs) must equal the seed's global
-        stitch, not just the path-level snapshot."""
+    def test_corridor_report_matches_seed_on_the_skewed_stream(self):
+        """The boundary ledgers of a skewed fleet feed the corridor stitch:
+        its report after every epoch equals the seed's global stitch."""
         stream = skewed_stream(21)
         seed = make_coordinator(1)
-        kd = make_coordinator(16, partition="kd", rebalance_threshold=1.2)
+        fleet = make_coordinator(16)
         try:
             for index, (boundary, states) in enumerate(stream):
-                if index in (2, 5):
-                    kd.router.rebalance()
                 for state in states:
                     seed.submit_state(state)
-                    kd.submit_state(state)
+                    fleet.submit_state(state)
                 seed.run_epoch(boundary)
-                kd.run_epoch(boundary)
-                assert [corridor.path_ids for corridor in kd.hot_corridors()] == [
+                fleet.run_epoch(boundary)
+                assert [corridor.path_ids for corridor in fleet.hot_corridors()] == [
                     corridor.path_ids for corridor in seed.hot_corridors()
                 ], f"corridor report diverged at epoch {index}"
-            assert kd.router.rebalances >= 2
         finally:
             seed.close()
-            kd.close()
-
-    def test_kd_is_deterministic_across_runs_and_backends(self):
-        """Adaptive rebalancing must stay reproducible: identical traces and
-        identical final partitions on every run and backend."""
-        stream = skewed_stream(7)
-
-        def run(backend):
-            coordinator = make_coordinator(
-                16, backend=backend, partition="kd", rebalance_threshold=1.2
-            )
-            trace = drive(coordinator, stream)
-            return trace, coordinator.router.grid.describe()
-
-        reference_trace, reference_partition = run("serial")
-        again_trace, again_partition = run("serial")
-        assert again_trace == reference_trace
-        assert again_partition == reference_partition
-        for backend in PARALLEL_BACKENDS:
-            parallel_trace, parallel_partition = run(backend)
-            assert parallel_trace == reference_trace, f"kd diverged on {backend}"
-            assert parallel_partition == reference_partition, (
-                f"partition fit diverged on {backend}"
-            )
+            fleet.close()
 
 
-def drive_with_corridors(
-    coordinator: Coordinator, stream, rebalance_before: Tuple[int, ...] = ()
-) -> List[Dict]:
+def drive_with_corridors(coordinator: Coordinator, stream) -> List[Dict]:
     """Like :func:`drive`, but also snapshots the corridor report and the
     per-epoch :class:`~repro.coordinator.delta.EpochDelta` after every epoch,
     so the incremental pipeline's whole answer surface is compared."""
     trace = []
     try:
-        for index, (boundary, states) in enumerate(stream):
-            if index in rebalance_before and coordinator.router is not None:
-                coordinator.router.rebalance()
+        for boundary, states in stream:
             for state in states:
                 coordinator.submit_state(state)
             outcome = coordinator.run_epoch(boundary)
@@ -420,8 +334,8 @@ class TestEpochModeDifferential:
     The incremental pipeline (cross-epoch overlap-pool reuse, corridor-chain
     patching, delta-shipped worker state) is pure plumbing: every epoch's
     responses, index contents, hotness table, top-k and corridor report must
-    equal a full per-epoch rebuild exactly — under churn, expiry, forced
-    migrations and every backend.  Each scenario also pins that the delta
+    equal a full per-epoch rebuild exactly — under churn, expiry, skew and
+    every backend.  Each scenario also pins that the delta
     machinery actually engaged (reuse counters non-zero, deltas emitted), so
     the equivalence claim is never vacuous.
     """
@@ -460,22 +374,17 @@ class TestEpochModeDifferential:
         assert_mode_equal(full_trace, delta_trace, "single-shard")
 
     @pytest.mark.parametrize("backend", ("serial",) + PARALLEL_BACKENDS)
-    def test_delta_with_kd_rebalance_matches_full(self, backend):
-        """Forced migrations + tight-threshold auto-rebalances mid-replay:
-        the pool cache (content-addressed) and the incremental stitcher
-        (geometry-based) must survive the record re-placement unchanged."""
+    def test_delta_on_the_skewed_stream_matches_full(self, backend):
+        """The pool cache (content-addressed) and the incremental stitcher
+        (geometry-based) on a fleet whose records pile onto a few shards."""
         stream = skewed_stream(42)
         full_trace = drive_with_corridors(
             make_coordinator(16, epoch_mode="full"), stream
         )
-        delta = make_coordinator(
-            16, backend=backend, partition="kd", rebalance_threshold=1.2,
-            epoch_mode="delta",
+        delta_trace = drive_with_corridors(
+            make_coordinator(16, backend=backend, epoch_mode="delta"), stream
         )
-        delta_trace = drive_with_corridors(delta, stream, rebalance_before=(2, 5))
-        assert_mode_equal(full_trace, delta_trace, f"kd/{backend}")
-        assert delta.router.rebalances >= 2, "no rebalance fired — vacuous scenario"
-        assert any(entry["delta"].rebalanced for entry in delta_trace)
+        assert_mode_equal(full_trace, delta_trace, f"skewed/{backend}")
 
     @pytest.mark.parametrize("num_shards", (1,) + SHARD_COUNTS)
     def test_delta_under_forced_expiry_churn_matches_full(self, num_shards):
@@ -685,10 +594,10 @@ class TestSimulationDifferential:
             assert actual.paths_reused == expected.paths_reused
             assert actual.paths_expired == expected.paths_expired
 
-    @pytest.mark.parametrize("backend", ["processes"])
-    def test_simulation_with_parallel_backend_matches_seed(self, backend):
+    @pytest.mark.parametrize("num_shards", [3, 7, 16])
+    def test_simulation_with_parallel_backend_matches_seed(self, num_shards):
         baseline = self._run(1, 9, "agile")
-        parallel = self._run(16, 9, "agile", backend=backend)
+        parallel = self._run(num_shards, 9, "agile", backend="processes")
         assert index_snapshot(parallel.coordinator) == index_snapshot(baseline.coordinator)
         assert parallel.top_k_paths() == baseline.top_k_paths()
         assert parallel.top_k_score() == baseline.top_k_score()

@@ -4,8 +4,8 @@ Extends the differential contract of ``tests/test_sharding_equivalence.py``
 to the corridor report: a sharded fleet must produce, after every epoch,
 exactly the corridors a *global* stitch of the seed coordinator's hot paths
 produces — path ids, segment order, geometry, per-segment hotness, merged
-hotness and score, bit for bit — for 2x2, 2x3 and 4x4 grids on every execution
-backend.
+hotness and score, bit for bit — for 1x3 and 1x7 stripes and 2x2, 2x3 and 4x4
+grids on every execution backend.
 
 The streams here are *feedback-driven*: each object's next SSA start is the
 endpoint the coordinator returned for it, exactly as RayTrace consumes
@@ -41,7 +41,8 @@ from repro.network.generator import NetworkConfig
 from repro.simulation.engine import HotPathSimulation, SimulationConfig
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-SHARD_COUNTS = (4, 6, 16)  # 2x2, 2x3 (non-square cells) and 4x4
+#: 1x3 and 1x7 column stripes (prime counts), 2x2, 2x3 (non-square cells), 4x4.
+SHARD_COUNTS = (3, 4, 6, 7, 16)
 PARALLEL_BACKENDS = ("processes",)
 ALL_BACKENDS = ("serial",) + PARALLEL_BACKENDS
 
@@ -51,8 +52,6 @@ def make_coordinator(
     window: int = 120,
     backend: str = "serial",
     epoch_mode: str = "delta",
-    partition: str = "uniform",
-    rebalance_threshold: float = 2.0,
 ) -> Coordinator:
     return Coordinator(
         CoordinatorConfig(
@@ -62,8 +61,6 @@ def make_coordinator(
             num_shards=num_shards,
             backend=backend,
             epoch_mode=epoch_mode,
-            partition=partition,
-            rebalance_threshold=rebalance_threshold,
         )
     )
 
@@ -298,33 +295,6 @@ class TestIncrementalStitching:
             "window never removed a welded fragment — vacuous scenario"
         )
 
-    def test_delta_stitching_with_kd_rebalance_matches_full(self):
-        """Chains survive partition migrations: the stitcher is keyed by path
-        geometry, and per-query ownership resolution follows the new owners."""
-        full_trace = drive_feedback(make_coordinator(16, epoch_mode="full"), 11)
-        delta = make_coordinator(
-            16, partition="kd", rebalance_threshold=1.2, epoch_mode="delta"
-        )
-        delta_trace = []
-        try:
-            for outcome in feedback_epochs(delta, 11):
-                delta_trace.append(
-                    {
-                        "responses": outcome.responses,
-                        "corridors": corridor_snapshot(delta.hot_corridors()),
-                        "top_k_by_hotness": corridor_snapshot(delta.top_k_corridors(10)),
-                        "top_k_by_score": corridor_snapshot(
-                            delta.top_k_corridors(10, by_score=True)
-                        ),
-                    }
-                )
-            rebalances = delta.router.rebalances
-        finally:
-            delta.close()
-        for epoch, (expected, actual) in enumerate(zip(full_trace, delta_trace)):
-            assert actual == expected, f"kd delta stitching diverged at {epoch}"
-        assert rebalances > 0, "no rebalance fired — vacuous scenario"
-
     def test_incremental_counters_engage_on_feedback_streams(self):
         """The welding workload must drive the patch path, not full rebuilds:
         fragments enter chains, touched chains are re-welded, untouched
@@ -419,9 +389,10 @@ class TestSimulationStitching:
         return HotPathSimulation(config).run()
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_simulation_corridors_match_seed(self, backend):
+    @pytest.mark.parametrize("num_shards", [7, 16])
+    def test_simulation_corridors_match_seed(self, num_shards, backend):
         baseline = self._run(1)
-        sharded = self._run(16, backend=backend)
+        sharded = self._run(num_shards, backend=backend)
         assert corridor_snapshot(sharded.hot_corridors()) == corridor_snapshot(
             baseline.hot_corridors()
         )
@@ -451,11 +422,9 @@ QUERIED_EPOCHS = frozenset({1, 2, 3, 7, 8, 9, 10})
 #: the 2x2, 2x3 and 4x4 grids); two one-off visitors travel C -> B five
 #: epochs apart.
 COMMUTE_A, COMMUTE_B, COMMUTE_C = Point(900.0, 100.0), Point(900.0, 600.0), Point(900.0, 850.0)
-LAYOUTS = ("uniform", "kd", "elastic")
 
 
-def make_view_coordinator(num_shards, backend="serial", epoch_mode="delta", layout="uniform"):
-    elastic = layout == "elastic" and num_shards > 1
+def make_view_coordinator(num_shards, backend="serial", epoch_mode="delta"):
     return Coordinator(
         CoordinatorConfig(
             bounds=BOUNDS,
@@ -464,10 +433,6 @@ def make_view_coordinator(num_shards, backend="serial", epoch_mode="delta", layo
             num_shards=num_shards,
             backend=backend,
             epoch_mode=epoch_mode,
-            partition="kd" if layout == "kd" else "uniform",
-            elastic="auto" if elastic else "off",
-            migration_budget=3 if elastic else 0,
-            max_shards=num_shards + 3 if elastic else None,
         )
     )
 
@@ -515,9 +480,7 @@ def view_epochs(coordinator: Coordinator, seed: int = 11):
       a three-path weld cycle with unequal hotness, and two disjoint paths of
       equal length and hotness (equal scores, hotness ties) — one of which is
       deleted from the index after epoch 8, while it is still hot and no
-      transition of that epoch names it;
-    * a forced layout change after epochs 2 and 6 (kd refit, or an elastic
-      split that stays in flight over several boundaries).
+      transition of that epoch names it.
 
     Yields ``(epoch, outcome)`` after the epoch's direct mutations.
     """
@@ -554,9 +517,6 @@ def view_epochs(coordinator: Coordinator, seed: int = 11):
             )
         if epoch == 8:
             coordinator.index.delete(doomed)  # hot entry without a live record
-        if epoch in (2, 6) and coordinator.router is not None:
-            if coordinator.config.partition == "kd" or coordinator.config.elastic == "auto":
-                coordinator.router.rebalance()
         yield epoch, outcome
 
 
@@ -577,22 +537,20 @@ class TestQueryViewEqualsOracle:
     def test_single_shard(self, epoch_mode):
         self._replay(make_view_coordinator(1, epoch_mode=epoch_mode))
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("epoch_mode", ["delta", "full"])
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_fleet(self, num_shards, backend, epoch_mode, layout):
-        self._replay(make_view_coordinator(num_shards, backend, epoch_mode, layout))
+    def test_fleet(self, num_shards, backend, epoch_mode):
+        self._replay(make_view_coordinator(num_shards, backend, epoch_mode))
 
     def test_stream_exercises_every_scenario(self):
         """Guard against a vacuous differential: the stream really produces
         ties, equal scores, same-epoch touch+decay, a vanished-and-re-created
-        path, a weld cycle, and an elastic migration in flight at a query."""
-        coordinator = make_view_coordinator(4, layout="elastic")
+        path and a weld cycle."""
+        coordinator = make_view_coordinator(4)
         touch_and_decay = recreated = False
         geometry_of: Dict[int, MotionPath] = {}
         vanished_geometry = set()
-        in_flight_at_a_query = False
         dirty_before_query = {}
         try:
             for epoch, outcome in view_epochs(coordinator):
@@ -608,7 +566,6 @@ class TestQueryViewEqualsOracle:
                 for record, _hotness in coordinator.hot_paths():
                     geometry_of.setdefault(record.path_id, record.path)
                 if epoch == 2:
-                    in_flight_at_a_query = coordinator.router._migration is not None
                     hot = coordinator.hot_paths()
                     keys = [(h, h * record.path.length) for record, h in hot]
                     assert len(set(keys)) < len(keys), "no equal (hotness, score) pair"
@@ -622,7 +579,6 @@ class TestQueryViewEqualsOracle:
             coordinator.close()
         assert touch_and_decay, "no path was touched and decayed in one epoch"
         assert recreated, "no vanished geometry came back under a new id"
-        assert in_flight_at_a_query, "the elastic migration was not in flight"
         # Both ways of catching up ran: a patch from a small dirty set, and the
         # rescan once the dirty set had outgrown the hot set.
         assert dirty_before_query[9], "epoch 9 was not patched from dirty ids"
