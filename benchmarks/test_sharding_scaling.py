@@ -456,7 +456,8 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
         )
     lines.append(
         f"(single-shard columnar speedup: {kernel_speedup:.2f}x — the candidate "
-        "scans, overlap queries and cell upkeep run as numpy column kernels; "
+        "scans, overlap queries and cell upkeep run as numpy column kernels, "
+        "while the overlap build is the same scalar code under both kernels; "
         "process rows additionally ship their overlap pools through shared "
         "memory instead of pickling)"
     )

@@ -14,7 +14,7 @@ per epoch over the whole batch of state messages):
   hash from a path's exact start vertex to its entries, which answers the two
   exact-match lookups without numpy.
 * :class:`RegionTable` — a lazily built SoA view over an
-  :class:`~repro.coordinator.overlaps.FsaOverlapStructure`'s region table,
+  :class:`~repro.coordinator.overlaps.FsaOverlapStructure`'s region boxes,
   ranked once in each query's total order, so a query is one mask and its
   first set bit; the batched forms answer many points / many FSAs at once.
 * :func:`end_entries_in` — the states x end-entries broadcast of the epoch
@@ -324,11 +324,12 @@ class EndpointTable:
 
 
 class RegionTable:
-    """SoA query accelerator over an overlap structure's region dict.
+    """SoA query accelerator over an overlap structure's ``members -> box`` dict.
 
     Built once per structure (lazily, invalidated by ``add``) from the
-    regions *in insertion order*, and ranked once in each query's total
-    order with that order as the last sort key:
+    regions' ``(low x, low y, high x, high y)`` boxes *in insertion order* —
+    one ``np.array`` over the stored tuples — and ranked once in each
+    query's total order with that order as the last sort key:
 
     * smallest containing region — min by ``(area, -count, insertion index)``;
     * hottest intersecting region — min by ``(-count, area, insertion index)``.
@@ -336,22 +337,22 @@ class RegionTable:
     Each ranking keeps its own copy of the bound columns in rank order, so a
     query is one mask and its first set bit — by construction the winner of
     the scalar loops' first-encountered-wins tie-breaks.  Winners are
-    insertion indexes into ``members`` / ``rects`` / ``counts``.
+    insertion indexes into ``members`` / ``boxes`` / ``counts``.
     """
 
-    __slots__ = ("members", "rects", "counts", "_smallest", "_hottest")
+    __slots__ = ("members", "boxes", "counts", "_smallest", "_hottest")
 
     def __init__(self, regions: Dict) -> None:
         self.members = list(regions.keys())
-        self.rects = list(regions.values())
+        self.boxes = list(regions.values())
         self.counts = [len(members) for members in self.members]
-        bounds = _bounds(self.rects)
+        bounds = _np.array(self.boxes, dtype=_np.float64).reshape(len(self.boxes), 4)
         lx, ly, hx, hy = bounds.T
         # The same two IEEE multiplications Rectangle.area performs, so a
         # float area tie in the scalar loop is a float area tie here too.
         area = (hx - lx) * (hy - ly)
         neg_count = -_np.array(self.counts, dtype=_np.int64)
-        index = _np.arange(len(self.rects))
+        index = _np.arange(len(self.boxes))
         self._smallest = self._ranked(_np.lexsort((index, neg_count, area)), bounds)
         self._hottest = self._ranked(_np.lexsort((index, area, neg_count)), bounds)
 

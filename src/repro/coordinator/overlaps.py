@@ -17,6 +17,23 @@ stored regions are exactly the singletons plus every member subset whose
 common intersection has positive area, and the rectangle of a subset is the
 exact intersection of its members' FSAs regardless of insertion order.
 
+**Regions are scalar boxes.**  A region is stored as ``members -> (low x,
+low y, high x, high y)``, four floats in a tuple, and
+:meth:`~FsaOverlapStructure.add` intersects on them inline with the IEEE
+operations of ``Rectangle.intersection`` + ``is_degenerate``: the clipped
+bounds are ``max(region, fsa)`` / ``min(region, fsa)``, and the overlap is
+kept exactly when its width and height (``high - low``, as ``Rectangle``
+computes them) are positive — for floats, ``max(lows) < min(highs)`` on both
+axes.  On a tie the *stored region's* bound is kept (``fsa if fsa > region
+else region``, and the mirror image for ``min``), as ``max`` / ``min`` with
+the region first do — visible when two equal bounds are different objects,
+``-0.0`` vs ``0.0`` or an ``int`` vs a ``float``, in
+:meth:`~FsaOverlapStructure.serialized`.  A ``Rectangle`` or ``Point`` is
+built only where a value leaves the structure: the region a single query
+returns, :meth:`~FsaOverlapStructure.regions`, and one ``Point`` per
+fabricated centroid.  The ``Rectangle`` formulation this replaced is kept
+verbatim as the test oracle ``tests/overlap_oracle.py``.
+
 **One structure per epoch, built per component.**  A stored subset has a
 positive-area common intersection, so its members overlap pairwise: the region
 set is the disjoint union, over the connected components of the pairwise
@@ -47,6 +64,7 @@ Queries used by SinglePath:
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
@@ -63,7 +81,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, InvalidGeometryError
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.columnar import RegionTable, overlapping_pairs, resolve_kernel
 
@@ -83,6 +101,9 @@ __all__ = [
 #: exactly the original insertion order (tie-breaks depend on it).
 SerializedRegion = Tuple[Tuple[int, ...], float, float, float, float]
 
+#: One stored region's bounds: ``(low x, low y, high x, high y)``.
+Box = Tuple[float, float, float, float]
+
 
 @dataclass(frozen=True)
 class OverlapRegion:
@@ -97,17 +118,46 @@ class OverlapRegion:
         return len(self.members)
 
 
+def _area(box: Box) -> float:
+    """``Rectangle.area`` of a box: the same two subtractions and one multiplication."""
+    low_x, low_y, high_x, high_y = box
+    return (high_x - low_x) * (high_y - low_y)
+
+
+def _center(box: Box) -> Point:
+    """``Rectangle.center`` of a box."""
+    low_x, low_y, high_x, high_y = box
+    return Point((low_x + high_x) / 2.0, (low_y + high_y) / 2.0)
+
+
+def _region(found: Optional[Tuple[FrozenSet[int], Box]]) -> Optional[OverlapRegion]:
+    """The :class:`OverlapRegion` a query returns for its ``(members, box)`` winner."""
+    if found is None:
+        return None
+    members, (low_x, low_y, high_x, high_y) = found
+    return OverlapRegion(Rectangle(Point(low_x, low_y), Point(high_x, high_y)), members)
+
+
 class FsaOverlapStructure:
-    """The ``R_all`` structure of Algorithm 2: FSAs and their overlaps with counts."""
+    """The ``R_all`` structure of Algorithm 2: FSAs and their overlaps with counts.
+
+    Regions live in one insertion-ordered dict ``members -> box`` of four
+    floats (module docstring); the bounds are the FSAs' own coordinate
+    objects, picked by ``max`` / ``min`` with the stored region's bound kept
+    on a tie, never re-derived.
+    """
 
     #: Region count below which the columnar kernel answers a *single* query
-    #: with the scalar loops anyway: one pre-ranked table query costs a flat
-    #: 4-7 us of numpy call overhead, the scalar loops 0.15-0.25 us a region,
-    #: so they cross at 20-40 regions (both paths are bit-for-bit equal; the
-    #: crossover is purely a performance constant).  The batched queries of
-    #: the epoch pass amortise the call overhead over the whole epoch and
-    #: always use the table.
-    _COLUMNAR_MIN_REGIONS = 32
+    #: with the scalar loops anyway (both paths are bit-for-bit equal; the
+    #: crossover is purely a performance constant).  Measured on a 2-core
+    #: Intel Xeon, CPython 3.11 / numpy 2.4, dense pools of 73-226 regions:
+    #: one pre-ranked table query costs a flat 5.6-7.3 us of numpy call
+    #: overhead, the scalar loops over boxes ~0.045 us a region plus ~1 us to
+    #: build the returned region, so they cross at 94-108 regions.  (The
+    #: ``Rectangle`` loops cost 0.10-0.19 us a region and crossed at 30-45.)
+    #: The batched queries of the epoch pass amortise the call overhead over
+    #: the whole epoch and always use the table.
+    _COLUMNAR_MIN_REGIONS = 96
 
     def __init__(self, max_regions: int = 10000, kernel: str = "object") -> None:
         # Hard cap on the number of stored regions, guarding against
@@ -115,7 +165,7 @@ class FsaOverlapStructure:
         # cap trades a little candidate quality for bounded per-epoch work.
         # ``len(self) <= max_regions`` always holds (see :meth:`add`).
         self._max_regions = max_regions
-        self._regions: Dict[FrozenSet[int], Rectangle] = {}
+        self._regions: Dict[FrozenSet[int], Box] = {}
         self._kernel = resolve_kernel(kernel)
         # Lazily built columnar query table (see
         # :class:`repro.coordinator.columnar.RegionTable`).  Mutable derived
@@ -177,40 +227,55 @@ class FsaOverlapStructure:
         Below the cap the stored set is order-independent; when it binds the
         kept subset depends on insertion order, which is why a saturated epoch
         is built whole rather than per component (:meth:`OverlapPlan.merge`).
+
+        The member sets derived by one call are pairwise distinct (``members
+        | {object_id}`` over stored sets without ``object_id``), so only the
+        final merge can meet a set twice — when an id is added again.
         """
         self._table = None  # derived query table no longer matches the dict
+        regions = self._regions
+        fsa_low_x, fsa_low_y = fsa.low.x, fsa.low.y
+        fsa_high_x, fsa_high_y = fsa.high.x, fsa.high.y
         singleton = frozenset([object_id])
-        new_regions: Dict[FrozenSet[int], Rectangle] = {singleton: fsa}
-        for members, rectangle in self._regions.items():
-            if len(self._regions) + len(new_regions) >= self._max_regions:
+        new_regions: Dict[FrozenSet[int], Box] = {
+            singleton: (fsa_low_x, fsa_low_y, fsa_high_x, fsa_high_y)
+        }
+        room = self._max_regions - len(regions)
+        for members, (low_x, low_y, high_x, high_y) in regions.items():
+            if len(new_regions) >= room:
                 break
             if object_id in members:
                 continue
-            # The (4-comparison) intersection comes first; the combined
-            # member set is built only for real overlaps.
-            intersection = rectangle.intersection(fsa)
-            if intersection is None or intersection.is_degenerate():
+            # ``max(region, fsa)`` / ``min(region, fsa)``, inline: a tie keeps
+            # the region's bound.  A positive width and height is
+            # ``intersects`` and ``not is_degenerate`` in one test (a disjoint
+            # pair clips to a negative or zero extent); the combined member
+            # set is built only for real overlaps.
+            if fsa_low_x > low_x:
+                low_x = fsa_low_x
+            if fsa_high_x < high_x:
+                high_x = fsa_high_x
+            if not high_x - low_x > 0.0:
                 continue
-            combined = members | singleton
-            existing = new_regions.get(combined)
-            if existing is None or intersection.area < existing.area:
-                new_regions[combined] = intersection
-        for members, rectangle in new_regions.items():
-            current = self._regions.get(members)
+            if fsa_low_y > low_y:
+                low_y = fsa_low_y
+            if fsa_high_y < high_y:
+                high_y = fsa_high_y
+            if high_y - low_y > 0.0:
+                new_regions[members | singleton] = (low_x, low_y, high_x, high_y)
+        for members, box in new_regions.items():
+            current = regions.get(members)
             if current is not None:
-                if rectangle.area < current.area:
-                    self._regions[members] = rectangle
-            elif len(self._regions) < self._max_regions:
-                self._regions[members] = rectangle
+                if _area(box) < _area(current):
+                    regions[members] = box
+            elif len(regions) < self._max_regions:
+                regions[members] = box
 
     # -- serialization ---------------------------------------------------------------
 
     def serialized(self) -> List[SerializedRegion]:
         """Flat region list for shipping a worker-built structure to the parent."""
-        return [
-            (tuple(sorted(members)), rect.low.x, rect.low.y, rect.high.x, rect.high.y)
-            for members, rect in self._regions.items()
-        ]
+        return [(tuple(sorted(members)), *box) for members, box in self._regions.items()]
 
     @classmethod
     def from_serialized(
@@ -219,12 +284,24 @@ class FsaOverlapStructure:
         max_regions: int = 10000,
         kernel: str = "object",
     ) -> "FsaOverlapStructure":
-        """Rebuild a structure from :meth:`serialized` output, preserving order."""
+        """Rebuild a structure from :meth:`serialized` output, preserving order.
+
+        The regions come from another process, so each box is checked as a
+        ``Rectangle`` would check it: finite bounds, low corner not above the
+        high one (:class:`InvalidGeometryError` otherwise).
+        """
         structure = cls(max_regions, kernel=kernel)
+        isfinite = math.isfinite
         for members, low_x, low_y, high_x, high_y in regions:
-            structure._regions[frozenset(members)] = Rectangle(
-                Point(low_x, low_y), Point(high_x, high_y)
-            )
+            if not (
+                isfinite(low_x) and isfinite(low_y) and isfinite(high_x) and isfinite(high_y)
+                and low_x <= high_x and low_y <= high_y
+            ):
+                raise InvalidGeometryError(
+                    f"region {members} has an invalid box "
+                    f"({low_x}, {low_y}, {high_x}, {high_y})"
+                )
+            structure._regions[frozenset(members)] = (low_x, low_y, high_x, high_y)
         return structure
 
     # -- queries -------------------------------------------------------------------
@@ -246,9 +323,7 @@ class FsaOverlapStructure:
 
     def regions(self) -> Iterable[OverlapRegion]:
         """All stored regions (original FSAs and derived overlaps)."""
-        return (
-            OverlapRegion(rectangle, members) for members, rectangle in self._regions.items()
-        )
+        return (_region(item) for item in self._regions.items())
 
     def smallest_region_containing(self, point: Point) -> Optional[OverlapRegion]:
         """Region with the smallest area containing ``point``.
@@ -263,16 +338,20 @@ class FsaOverlapStructure:
             winner = table.smallest_containing(point)
             if winner is None:
                 return None
-            return OverlapRegion(table.rects[winner], table.members[winner])
-        best: Optional[OverlapRegion] = None
-        for members, rectangle in self._regions.items():
-            if not rectangle.contains_point(point):
+            return _region((table.members[winner], table.boxes[winner]))
+        x, y = point.x, point.y
+        best = None
+        best_area = best_count = 0
+        for members, box in self._regions.items():
+            low_x, low_y, high_x, high_y = box
+            if not (low_x <= x <= high_x and low_y <= y <= high_y):
                 continue
-            if best is None or rectangle.area < best.rectangle.area or (
-                rectangle.area == best.rectangle.area and len(members) > best.count
+            area = (high_x - low_x) * (high_y - low_y)
+            if best is None or area < best_area or (
+                area == best_area and len(members) > best_count
             ):
-                best = OverlapRegion(rectangle, members)
-        return best
+                best, best_area, best_count = (members, box), area, len(members)
+        return _region(best)
 
     def hottest_region_intersecting(self, fsa: Rectangle) -> Optional[OverlapRegion]:
         """Region with the highest count that intersects ``fsa`` (Lines 27-32).
@@ -280,25 +359,31 @@ class FsaOverlapStructure:
         Ties are broken towards smaller area so the fabricated vertex lands in
         the most specific shared region.
         """
+        return _region(self._hottest_intersecting(fsa))
+
+    def _hottest_intersecting(self, fsa: Rectangle) -> Optional[Tuple[FrozenSet[int], Box]]:
+        """The ``(members, box)`` of :meth:`hottest_region_intersecting`."""
         table = self._query_table()
         if table is not None:
             winner = table.hottest_intersecting(fsa)
-            if winner is None:
-                return None
-            return OverlapRegion(table.rects[winner], table.members[winner])
-        best: Optional[OverlapRegion] = None
-        for members, rectangle in self._regions.items():
-            if not rectangle.intersects(fsa):
-                continue
-            candidate = OverlapRegion(rectangle, members)
-            if best is None:
-                best = candidate
-                continue
-            if candidate.count > best.count or (
-                candidate.count == best.count
-                and candidate.rectangle.area < best.rectangle.area
+            return None if winner is None else (table.members[winner], table.boxes[winner])
+        fsa_low_x, fsa_low_y = fsa.low.x, fsa.low.y
+        fsa_high_x, fsa_high_y = fsa.high.x, fsa.high.y
+        best = None
+        best_count = best_area = 0
+        for members, box in self._regions.items():
+            low_x, low_y, high_x, high_y = box
+            if (
+                high_x < fsa_low_x or fsa_high_x < low_x
+                or high_y < fsa_low_y or fsa_high_y < low_y
             ):
-                best = candidate
+                continue
+            count = len(members)
+            area = (high_x - low_x) * (high_y - low_y)
+            if best is None or count > best_count or (
+                count == best_count and area < best_area
+            ):
+                best, best_count, best_area = (members, box), count, area
         return best
 
     def candidate_vertex_for(self, fsa: Rectangle) -> Optional[Tuple[Point, int]]:
@@ -311,10 +396,11 @@ class FsaOverlapStructure:
         the same overlap adopts the exact same vertex and future paths through
         it can be shared.
         """
-        region = self.hottest_region_intersecting(fsa)
-        if region is None:
+        found = self._hottest_intersecting(fsa)
+        if found is None:
             return None
-        return (region.rectangle.center, region.count)
+        members, box = found
+        return (_center(box), len(members))
 
     # -- batched queries (columnar kernel; the epoch pass of SinglePath) ---------------
 
@@ -332,7 +418,7 @@ class FsaOverlapStructure:
         """Per FSA, :meth:`candidate_vertex_for`."""
         table = self._region_table()
         return [
-            (table.rects[winner].center, table.counts[winner]) if winner >= 0 else None
+            (_center(table.boxes[winner]), table.counts[winner]) if winner >= 0 else None
             for winner in table.hottest_intersecting_many(fsas)
         ]
 
@@ -345,10 +431,10 @@ class FsaOverlapStructure:
 PoolFingerprint = Tuple[Tuple[int, float, float, float, float], ...]
 
 #: Default bound of :class:`OverlapPoolCache`, in cached *regions* (about
-#: 1.5 kB each) left over from earlier epochs: one dense component holds as
-#: many regions as a whole epoch of small ones, so a bound on entries would
-#: let a run of never-repeating dense epochs pin several times the memory a
-#: steady run needs.  An epoch of ~120 reporters holds ~250 regions, so this
+#: 0.5 kB each, query table included) left over from earlier epochs: one
+#: dense component holds as many regions as a whole epoch of small ones, so
+#: a bound on entries would let a run of never-repeating dense epochs pin
+#: several times the memory a steady run needs.  An epoch of ~120 reporters holds ~250 regions, so this
 #: is a few epochs of history — hits only ever come from the last one or two.
 _CACHED_REGIONS = 1024
 

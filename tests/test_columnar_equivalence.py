@@ -526,8 +526,8 @@ class TestRegionTableKernels:
     def test_preranked_ties_fall_to_insertion_order(self):
         """Equal area *and* equal count: both rankings must keep the region
         inserted first, whichever member set that is."""
-        square = Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))
-        twin = Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))
+        square = (0.0, 0.0, 10.0, 10.0)
+        twin = (0.0, 0.0, 10.0, 10.0)
         probe, fsa = Point(5.0, 5.0), Rectangle(Point(2.0, 2.0), Point(3.0, 3.0))
         for first, second in ((1, 2), (2, 1)):
             table = RegionTable({frozenset([first]): square, frozenset([second]): twin})
@@ -542,8 +542,8 @@ class TestRegionTableKernels:
         query prefers the small one, the intersecting query the hot one."""
         table = RegionTable(
             {
-                frozenset([1, 2]): Rectangle(Point(0.0, 0.0), Point(100.0, 100.0)),
-                frozenset([3]): Rectangle(Point(40.0, 40.0), Point(60.0, 60.0)),
+                frozenset([1, 2]): (0.0, 0.0, 100.0, 100.0),
+                frozenset([3]): (40.0, 40.0, 60.0, 60.0),
             }
         )
         assert table.smallest_containing(Point(50.0, 50.0)) == 1
@@ -551,15 +551,15 @@ class TestRegionTableKernels:
         # Equal count, different area: the smaller area wins the hot query.
         table = RegionTable(
             {
-                frozenset([1]): Rectangle(Point(0.0, 0.0), Point(100.0, 100.0)),
-                frozenset([2]): Rectangle(Point(40.0, 40.0), Point(60.0, 60.0)),
+                frozenset([1]): (0.0, 0.0, 100.0, 100.0),
+                frozenset([2]): (40.0, 40.0, 60.0, 60.0),
             }
         )
         assert table.hottest_intersecting(Rectangle(Point(45.0, 45.0), Point(55.0, 55.0))) == 1
 
     def test_point_outside_every_region_and_single_region_table(self):
         only = Rectangle(Point(10.0, 10.0), Point(20.0, 20.0))
-        table = RegionTable({frozenset([4]): only})
+        table = RegionTable({frozenset([4]): only.as_bounds()})
         outside = Point(99.0, 99.0)
         far = Rectangle(Point(50.0, 50.0), Point(60.0, 60.0))
         assert table.smallest_containing(outside) is None

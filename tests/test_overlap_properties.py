@@ -14,6 +14,10 @@ insertion order.
 one-structure-per-epoch stage relies on: splitting an epoch into overlap
 components, building (or fetching from the cache) each one alone and merging
 yields the sequential build's region list, order included.
+
+:class:`TestScalarBuildEqualsOracle` pins the scalar build to the
+``Rectangle`` formulation it replaced (``tests/overlap_oracle.py``), by
+``repr``, so a tie that keeps the wrong one of two equal bounds shows up.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from repro.coordinator.overlaps import (
     build_structures,
     plan_shard_overlaps,
 )
+
+from overlap_oracle import ReferenceFsaOverlapStructure
 
 # Deliberately coarse pool: values collide, producing identical FSAs, nested
 # FSAs, edge-adjacent FSAs (zero-area intersections) and degenerate FSAs.
@@ -238,3 +244,120 @@ class TestMergedEpochStructure:
                 assert ordered_regions(merged_structure(kernel, cache, fsas)) == (
                     ordered_regions(FsaOverlapStructure.build(fsas))
                 )
+
+
+# Equal values that are different objects: ``-0.0`` / ``0.0`` / ``0`` and
+# ``2`` / ``2.0`` compare equal but print differently, so ``repr`` sees which
+# of two tied bounds a build kept.  The pool is small enough that FSAs
+# coincide, nest, collapse to zero width or height and touch along an edge or
+# at a corner.
+tie_coordinate = st.sampled_from([-0.0, 0.0, 0, 2, 2.0, 3.5, 5, 5.0, 8.0])
+
+
+@st.composite
+def tie_rectangles(draw) -> Rectangle:
+    x_low, x_high = sorted((draw(tie_coordinate), draw(tie_coordinate)))
+    y_low, y_high = sorted((draw(tie_coordinate), draw(tie_coordinate)))
+    return Rectangle(Point(x_low, y_low), Point(x_high, y_high))
+
+
+#: Direct ``add`` calls; ids repeat, so an object is added again.
+add_calls = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=7), tie_rectangles()),
+    min_size=1,
+    max_size=10,
+)
+tie_points = st.builds(Point, tie_coordinate, tie_coordinate)
+region_caps = st.one_of(st.integers(min_value=1, max_value=12), st.just(10000))
+
+
+def region_reprs(regions):
+    return [(region.members, repr(region.rectangle.as_bounds())) for region in regions]
+
+
+def answer_repr(region):
+    return None if region is None else region_reprs([region])
+
+
+@pytest.mark.parametrize(
+    "kernel, table_always", (("object", False), ("columnar", False), ("columnar", True))
+)
+class TestScalarBuildEqualsOracle:
+    """Both kernels (and the columnar table forced onto every single query)
+    against ``ReferenceFsaOverlapStructure``: same regions, same bounds down
+    to the sign of zero and ``int`` vs ``float``, same answers."""
+
+    @staticmethod
+    def assert_same(structure, reference, points, fsas):
+        assert repr(structure.serialized()) == repr(reference.serialized())
+        assert len(structure) == len(reference)
+        assert region_reprs(structure.regions()) == region_reprs(reference.regions())
+        for point in points:
+            assert answer_repr(structure.smallest_region_containing(point)) == answer_repr(
+                reference.smallest_region_containing(point)
+            )
+        for fsa in fsas:
+            assert answer_repr(structure.hottest_region_intersecting(fsa)) == answer_repr(
+                reference.hottest_region_intersecting(fsa)
+            )
+            assert repr(structure.candidate_vertex_for(fsa)) == repr(
+                reference.candidate_vertex_for(fsa)
+            )
+        assert structure.containing_counts(points) == reference.containing_counts(points)
+        assert repr(structure.candidate_vertices_for(fsas)) == repr(
+            reference.candidate_vertices_for(fsas)
+        )
+
+    @staticmethod
+    def run(table_always, check):
+        original = FsaOverlapStructure._COLUMNAR_MIN_REGIONS
+        if table_always:
+            FsaOverlapStructure._COLUMNAR_MIN_REGIONS = 1
+        try:
+            check()
+        finally:
+            FsaOverlapStructure._COLUMNAR_MIN_REGIONS = original
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        calls=add_calls,
+        max_regions=region_caps,
+        points=st.lists(tie_points, max_size=6),
+        fsas=st.lists(tie_rectangles(), max_size=6),
+    )
+    def test_direct_adds(self, kernel, table_always, calls, max_regions, points, fsas):
+        def check():
+            structure = FsaOverlapStructure(max_regions, kernel=kernel)
+            reference = ReferenceFsaOverlapStructure(max_regions)
+            for object_id, fsa in calls:
+                structure.add(object_id, fsa)
+                reference.add(object_id, fsa)
+                assert repr(structure.serialized()) == repr(reference.serialized())
+            self.assert_same(structure, reference, points, fsas)
+
+        self.run(table_always, check)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix=add_calls,
+        tail=add_calls,
+        max_regions=region_caps,
+        points=st.lists(tie_points, max_size=6),
+        fsas=st.lists(tie_rectangles(), max_size=6),
+    )
+    def test_build_resumed_from_a_base(
+        self, kernel, table_always, prefix, tail, max_regions, points, fsas
+    ):
+        def check():
+            base = FsaOverlapStructure.build(epoch_map(prefix), max_regions, kernel=kernel)
+            reference_base = ReferenceFsaOverlapStructure.build(epoch_map(prefix), max_regions)
+            self.assert_same(base, reference_base, points, fsas)
+            pristine = repr(base.serialized())
+            structure = FsaOverlapStructure.build(epoch_map(tail), max_regions, base=base)
+            reference = ReferenceFsaOverlapStructure.build(
+                epoch_map(tail), max_regions, base=reference_base
+            )
+            self.assert_same(structure, reference, points, fsas)
+            assert repr(base.serialized()) == pristine
+
+        self.run(table_always, check)

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.errors import InvalidGeometryError
 from repro.core.geometry import Point, Rectangle
+from repro.coordinator.columnar import RegionTable
 from repro.coordinator.overlaps import FsaOverlapStructure, OverlapRegion
+
+from overlap_oracle import ReferenceFsaOverlapStructure
 
 
 def rect(x0, y0, x1, y1) -> Rectangle:
@@ -212,3 +218,121 @@ class TestDuplicateReports:
         assert [(r.members, r.rectangle) for r in rebuilt.regions()] == [
             (r.members, r.rectangle) for r in structure.regions()
         ]
+
+
+class TestWorkerRepliesStayValidated:
+    """``from_serialized`` reads regions another process sent: a box no
+    ``Rectangle`` could hold is refused, not stored."""
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (10.0, 0.0, 5.0, 10.0),  # inverted in x
+            (0.0, 10.0, 10.0, 5.0),  # inverted in y
+            (0.0, float("nan"), 10.0, 10.0),
+            (0.0, 0.0, float("inf"), 10.0),
+            (float("-inf"), 0.0, 10.0, 10.0),
+        ],
+    )
+    def test_invalid_box_is_rejected(self, box):
+        good = ((1,), 0.0, 0.0, 10.0, 10.0)
+        with pytest.raises(InvalidGeometryError):
+            FsaOverlapStructure.from_serialized([good, ((2,), *box)])
+
+    def test_degenerate_box_is_accepted(self):
+        """A zero-area singleton is a legal region (a collapsed FSA)."""
+        structure = FsaOverlapStructure.from_serialized([((1,), 5.0, 5.0, 5.0, 5.0)])
+        assert len(structure) == 1
+
+
+def dense_pool(seed: int = 0, size: int = 28) -> dict:
+    """A ``fleet_dense``-like epoch: 28 FSAs deriving 124 regions."""
+    rng = random.Random(seed)
+    return {
+        object_id: Rectangle.from_center(
+            Point(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)), rng.uniform(20.0, 60.0)
+        )
+        for object_id in range(size)
+    }
+
+
+class TestObjectsOnlyAtTheBoundary:
+    """Exact construction counts (no wall clock): the build and the ranking are scalar.
+
+    ``Point`` / ``Rectangle`` constructions are counted by wrapping their
+    validating ``__post_init__``.  Building the structure and its query table
+    constructs nothing; a query builds what it returns and nothing else.  (The
+    ``Rectangle`` formulation, kept as ``tests/overlap_oracle.py``, builds a
+    ``Rectangle`` and two ``Point`` objects for every stored region a new FSA
+    touches: 96 and 192 for the dense pool below.)
+    """
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"points": 0, "rectangles": 0}
+        point_check, rectangle_check = Point.__post_init__, Rectangle.__post_init__
+
+        def counted_point(self):
+            counts["points"] += 1
+            point_check(self)
+
+        def counted_rectangle(self):
+            counts["rectangles"] += 1
+            rectangle_check(self)
+
+        monkeypatch.setattr(Point, "__post_init__", counted_point)
+        monkeypatch.setattr(Rectangle, "__post_init__", counted_rectangle)
+
+        def measure(call, *args, **kwargs):
+            counts["points"] = counts["rectangles"] = 0
+            result = call(*args, **kwargs)
+            return result, (counts["points"], counts["rectangles"])
+
+        return measure
+
+    @pytest.mark.parametrize("kernel", ("object", "columnar"))
+    def test_build_constructs_nothing(self, built, kernel):
+        pool = dense_pool()
+        structure, work = built(FsaOverlapStructure.build, pool, kernel=kernel)
+        assert len(structure) == 124
+        assert work == (0, 0)
+        reference, reference_work = built(ReferenceFsaOverlapStructure.build, pool)
+        assert repr(reference.serialized()) == repr(structure.serialized())
+        assert reference_work == (2 * 96, 96)
+
+    def test_region_table_constructs_nothing(self, built):
+        structure = FsaOverlapStructure.build(dense_pool(), kernel="columnar")
+        table, work = built(RegionTable, structure._regions)
+        assert len(table.boxes) == 124
+        assert work == (0, 0)
+
+    def test_batched_queries_construct_one_point_per_answer(self, built):
+        structure = FsaOverlapStructure.build(dense_pool(), kernel="columnar")
+        queries = list(dense_pool(seed=1, size=40).values())
+        queries.append(rect(900, 900, 910, 910))  # meets nothing
+        answers, work = built(structure.candidate_vertices_for, queries)
+        hits = sum(answer is not None for answer in answers)
+        assert 0 < hits < len(queries)
+        assert work == (hits, 0)
+        probes = [answer[0] for answer in answers if answer is not None]
+        counts, work = built(structure.containing_counts, probes + [Point(-5.0, -5.0)])
+        assert counts[-1] == 0 and all(counts[:-1])
+        assert work == (0, 0)
+
+    @pytest.mark.parametrize("kernel", ("object", "columnar"))
+    def test_single_queries_construct_only_the_winner(self, built, kernel):
+        """Exactly the winner's ``Rectangle`` (and its two corners): a loop
+        that built one per region walked would show here, not only in time."""
+        structure = FsaOverlapStructure.build(dense_pool(), kernel=kernel)
+        assert len(structure) >= FsaOverlapStructure._COLUMNAR_MIN_REGIONS
+        fsa = rect(150, 150, 250, 250)
+        region, work = built(structure.hottest_region_intersecting, fsa)
+        assert region is not None and work == (2, 1)
+        region, work = built(structure.smallest_region_containing, region.rectangle.center)
+        assert region is not None and work == (2, 1)
+        vertex, work = built(structure.candidate_vertex_for, fsa)
+        assert vertex is not None and work == (1, 0)
+        far, outside = rect(900, 900, 910, 910), Point(-5.0, -5.0)
+        assert built(structure.hottest_region_intersecting, far) == (None, (0, 0))
+        assert built(structure.smallest_region_containing, outside) == (None, (0, 0))
+        assert built(structure.candidate_vertex_for, far) == (None, (0, 0))
