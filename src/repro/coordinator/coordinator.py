@@ -103,10 +103,10 @@ class Coordinator:
                 GridConfig(config.bounds, config.cells_per_axis), kernel=kernel
             )
             self.hotness = HotnessTracker(config.window)
-            # Delta mode runs the single "pool" (the epoch's full FSA map)
-            # through the same cross-epoch cache protocol the sharded router
-            # uses, so the pools_* delta counters mean the same thing at
-            # every fleet size.
+            # Delta mode runs the epoch's overlap pools (components of two
+            # or more FSAs) through the same cross-epoch cache protocol the
+            # sharded router uses, so the pools_* delta counters mean the
+            # same thing at every fleet size.
             self._pool_cache: Optional[OverlapPoolCache] = (
                 OverlapPoolCache(kernel=kernel)
                 if config.epoch_mode == "delta"
@@ -210,9 +210,8 @@ class Coordinator:
             for decision in epoch_result.decisions
             if not decision.reused_existing_path
         )
-        # The single-shard strategy runs its one pool per epoch through the
-        # same cache protocol as the sharded pipeline, so its counters slot
-        # straight in.
+        # The single-shard strategy runs its pools through the same cache
+        # protocol as the sharded pipeline, so its counters slot straight in.
         owner = self.router if self.router is not None else self.strategy
         pool_stats = owner.last_pool_stats
         return EpochDelta(

@@ -86,7 +86,9 @@ class EpochDelta:
     * ``renumbered`` — always 0: no id is ever renumbered.  Kept only because
       ``bench/trace.py`` reads it (``bench/`` does not change with ``src/``);
       delete it with that read.
-    * ``pools_total`` .. ``pools_rebuilt`` — the epoch's overlap pools (components):
+    * ``pools_total`` .. ``pools_rebuilt`` — the epoch's overlap pools, the
+      components of two or more mutually overlapping FSAs (an FSA that
+      overlaps no other one is its own singleton region and never a pool):
       how many were reused verbatim from the cross-epoch pool cache, resumed
       from a cached prefix, or rebuilt from scratch (the only ones shipped to
       workers).  ``pools_total = pools_reused + pools_prefix_reused +

@@ -33,9 +33,12 @@ API — no backend needs delta awareness:
   overlap components first, and only the cache-missed (dirtied) pools reach
   ``map_candidate_buckets``: an unchanged pool is reused parent-side and
   never crosses the pipe again, and a worker that is handed no pool gets no
-  message that epoch.  Pool identity is content-addressed (fingerprint of
-  the member ``(object_id, FSA)`` tuples in pool order), so reuse survives
-  any layout change and worker respawns untouched.
+  message that epoch.  An FSA that overlaps no other one is never a pool (its
+  structure is its singleton region, placed by the merge), so an epoch of
+  isolated reporters messages no worker at all.  Pool identity is
+  content-addressed (fingerprint of the member ``(object_id, FSA)`` tuples
+  in pool order), so reuse survives any layout change and worker respawns
+  untouched.
 * *Weld passes.*  Delta mode never calls ``map_stitch_buckets`` at all: the
   router's query view (:mod:`repro.coordinator.query_view`) maintains weld
   chains under insert/expire events and answers corridor queries

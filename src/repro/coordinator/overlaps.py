@@ -38,9 +38,12 @@ verbatim as the test oracle ``tests/overlap_oracle.py``.
 positive-area common intersection, so its members overlap pairwise: the region
 set is the disjoint union, over the connected components of the pairwise
 positive-area intersection graph, of each component's own region set.
-:func:`plan_shard_overlaps` splits the epoch's FSA map into those components
-(disjoint *pools*, each in submission order), :class:`OverlapPoolCache` serves
-the pools that repeat from earlier epochs, the rest are built independently
+:func:`plan_shard_overlaps` splits the epoch's FSA map into those components.
+An FSA that overlaps no other one is a component whose whole region set is its
+own singleton region, so the plan records just its box (the *singletons*);
+only components of two or more FSAs become *pools* (disjoint, each in
+submission order).  :class:`OverlapPoolCache` serves the pools that repeat
+from earlier epochs, the rest are built independently
 (:func:`build_structures` — on worker processes under that backend), and
 :meth:`OverlapPlan.merge` interleaves the per-component region lists into the
 one structure the sequential build would have produced, *order included*:
@@ -49,9 +52,10 @@ being added, and inside a block it walks the earlier regions in their own
 order, so the sequential insertion order is the lexicographic order of each
 region's member submission positions sorted descending.  The first element of
 that key names one FSA, hence one component, whose own build already has the
-block in sequential order — placing every component's blocks at their FSAs'
-submission positions is the whole merge.  The seed coordinator and every
-shard of a fleet read that one structure; nothing here knows the shard layout.
+block in sequential order — an isolated FSA's block is its singleton alone —
+so placing every block at its FSA's submission position is the whole merge.
+The seed coordinator and every shard of a fleet read that one structure;
+nothing here knows the shard layout.
 
 Queries used by SinglePath:
 
@@ -67,7 +71,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -434,8 +437,12 @@ PoolFingerprint = Tuple[Tuple[int, float, float, float, float], ...]
 #: 0.5 kB each, query table included) left over from earlier epochs: one
 #: dense component holds as many regions as a whole epoch of small ones, so
 #: a bound on entries would let a run of never-repeating dense epochs pin
-#: several times the memory a steady run needs.  An epoch of ~120 reporters holds ~250 regions, so this
-#: is a few epochs of history — hits only ever come from the last one or two.
+#: several times the memory a steady run needs.  Only pool regions count
+#: (isolated FSAs never reach the cache).  Measured per epoch at seed 11,
+#: median (max): ``fleet_steady``'s 123 reporters hold 209 (226) in their
+#: pools, ``fleet_dense``'s 28 hold 122 (217), ``serve_closed``'s 60 hold 19
+#: (34) and ``sim_paper``'s 64 hold 3 (15) — so this is four or more epochs
+#: of history, and hits only ever come from the last one or two.
 _CACHED_REGIONS = 1024
 
 
@@ -461,7 +468,10 @@ class OverlapPoolCache:
     every pool here first and ships only the misses to the execution
     backend's workers.  A component is dirtied by any fresh FSA overlapping
     any member, and by nothing else: neither the shard layout nor FSAs
-    elsewhere in the epoch are part of its address.
+    elsewhere in the epoch are part of its address.  Only pools — components
+    of two or more FSAs — ever reach the cache: an isolated FSA's structure
+    is its one singleton region, which :meth:`OverlapPlan.merge` places from
+    the FSA's box for less than a fingerprint and a lookup would cost.
 
     Three outcomes per pool, every one bit-identical to a from-scratch build:
 
@@ -609,9 +619,13 @@ class OverlapPlan:
 
     #: The epoch's ``object_id -> FSA`` map, in submission order.
     fsas: Mapping[int, Rectangle]
-    #: Its connected components: disjoint pools, each in submission order,
-    #: ordered by their first member.
+    #: Its connected components of two or more FSAs: disjoint pools, each in
+    #: submission order, ordered by their first member.
     pools: List[Dict[int, Rectangle]]
+    #: The FSAs no other FSA overlaps, ``object_id -> box`` in submission
+    #: order: each one's whole component structure is its singleton region.
+    #: With :attr:`pools` they partition the ids of :attr:`fsas`.
+    singletons: Dict[int, Box]
     #: Per pool, the structure the cache served (``None`` where it missed).
     structures: List[Optional[FsaOverlapStructure]]
     #: ``pool index -> fingerprint`` of the pools still to build (the
@@ -632,34 +646,43 @@ class OverlapPlan:
         """The epoch's one structure, given the structures of :attr:`missed_pools`.
 
         Equal to ``FsaOverlapStructure.build(fsas)``, region order included
-        (module docstring).  When the components' regions sum to the cap, the
-        sequential build would have hit it and kept an order-dependent subset
-        the components cannot reproduce (a capped component reads exactly
-        ``max_regions``, so the sum sees it) — the whole map is then built
-        sequentially, which *is* that structure.
+        (module docstring).  When the components' regions — one per singleton
+        plus every pool structure's — sum to the cap, the sequential build
+        would have hit it and kept an order-dependent subset the components
+        cannot reproduce (a capped pool reads exactly ``max_regions``, so the
+        sum sees it) — the whole map is then built sequentially, which *is*
+        that structure.
         """
         if self.cache is not None:
             self.cache.store(self.misses, built)
         structures = self.structures
         for index, structure in zip(self.misses, built):
             structures[index] = structure
-        if len(structures) == 1:
+        singletons = self.singletons
+        if len(structures) == 1 and not singletons:
             return structures[0]
-        if sum(len(structure) for structure in structures) >= self.max_regions:
+        regions_total = len(singletons) + sum(len(structure) for structure in structures)
+        if regions_total >= self.max_regions:
             return FsaOverlapStructure.build(self.fsas, self.max_regions, kernel=self.kernel)
-        # Every block opens with its FSA's singleton (always stored below the
-        # cap), so a walk over each component drops its blocks into their
-        # submission slots.
-        position = {object_id: index for index, object_id in enumerate(self.fsas)}
-        blocks: List[list] = [[] for _ in position]
+        # Every pool block opens with its FSA's singleton (always stored below
+        # the cap), so one walk over each pool cuts its blocks by FSA; a walk
+        # in submission order then places every block, singletons included.
+        blocks: Dict[int, list] = {}
         for structure in structures:
             for item in structure._regions.items():
                 if len(item[0]) == 1:
                     (object_id,) = item[0]
-                    block = blocks[position[object_id]]
+                    block = blocks[object_id] = []
                 block.append(item)
+        regions: Dict[FrozenSet[int], Box] = {}
+        for object_id in self.fsas:
+            box = singletons.get(object_id)
+            if box is not None:
+                regions[frozenset((object_id,))] = box
+            else:
+                regions.update(blocks[object_id])
         merged = FsaOverlapStructure(self.max_regions, kernel=self.kernel)
-        merged._regions = dict(chain.from_iterable(blocks))
+        merged._regions = regions
         return merged
 
 
@@ -674,12 +697,14 @@ def plan_shard_overlaps(
     ``fsas`` is the epoch's ``object_id -> final FSA`` map in submission order
     (a duplicate reporter keeps its first position but the later FSA — the
     same replacement the sequential build applies).  Two FSAs are linked when
-    their intersection has positive area; each connected component becomes
-    one pool.  The pairwise test is one broadcast under the columnar kernel
-    and a scalar loop under ``object``, the pinned reference.  The plan is
-    the same whatever the shard layout: every shard of a fleet, and the
-    1-shard strategy, read the one structure :meth:`OverlapPlan.merge`
-    returns.  (The name and ``fsas`` as third positional argument are what
+    their intersection has positive area; each connected component of two or
+    more FSAs becomes one pool, and an unlinked FSA is recorded as a
+    singleton — no fingerprint, no cache entry, no build, no shipment.  The
+    pairwise test is one broadcast under the columnar kernel and a scalar
+    loop under ``object``, the pinned reference.  The plan is the same
+    whatever the shard layout: every shard of a fleet, and the 1-shard
+    strategy, read the one structure :meth:`OverlapPlan.merge` returns.
+    (The name and ``fsas`` as third positional argument are what
     ``bench/trace.py`` wraps and reads.)
     """
     rectangles = list(fsas.values())
@@ -688,6 +713,7 @@ def plan_shard_overlaps(
     # Union-find whose roots are the smallest index of their component, so a
     # pass in submission order meets the pools ordered by first member.
     root = list(range(len(rectangles)))
+    linked = [False] * len(rectangles)
 
     def find(index: int) -> int:
         while root[index] != index:
@@ -695,11 +721,16 @@ def plan_shard_overlaps(
         return index
 
     for i, j in pairs:
+        linked[i] = linked[j] = True
         low, high = sorted((find(i), find(j)))
         root[high] = low
     pools: Dict[int, Dict[int, Rectangle]] = {}
+    singletons: Dict[int, Box] = {}
     for index, (object_id, fsa) in enumerate(fsas.items()):
-        pools.setdefault(find(index), {})[object_id] = fsa
+        if linked[index]:
+            pools.setdefault(find(index), {})[object_id] = fsa
+        else:
+            singletons[object_id] = (fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y)
     plan_pools = list(pools.values())
     if cache is None:
         structures, misses, stats = (
@@ -707,4 +738,6 @@ def plan_shard_overlaps(
         )
     else:
         structures, misses, stats = cache.resolve(plan_pools, max_regions)
-    return OverlapPlan(fsas, plan_pools, structures, misses, stats, kernel, cache, max_regions)
+    return OverlapPlan(
+        fsas, plan_pools, singletons, structures, misses, stats, kernel, cache, max_regions
+    )

@@ -55,9 +55,10 @@ path ids come straight off the router's one counter.
 **One overlap structure.**  The epoch's FSA overlap structure (``R_all`` of
 Algorithm 2) is not sharded: stage 1 collects the epoch's ``object_id -> FSA``
 map, :func:`~repro.coordinator.overlaps.plan_shard_overlaps` splits it into
-the connected components of the positive-area intersection graph, the
-cross-epoch cache serves the components that repeat, the backend builds the
-rest beside the candidate passes, and the merge yields the one structure the
+the connected components of the positive-area intersection graph (an
+isolated FSA is just its singleton box; the rest are pools), the cross-epoch
+cache serves the pools that repeat, the backend builds the rest beside the
+candidate passes, and the merge yields the one structure the
 seed coordinator's sequential build produces, region order included (the
 argument is in :mod:`repro.coordinator.overlaps`).  Every shard's decisions
 and the epoch pass read that structure; the stage never consults the layout.
@@ -719,11 +720,12 @@ class ShardRouter:
 
         All zeros in ``full`` mode (stable schema): ``pools_reused`` /
         ``pools_prefix_reused`` / ``pools_rebuilt`` tally the pool cache's
-        outcomes over every epoch, the rest are the incremental stitcher's
-        totals — how many corridor chains were re-welded vs. reused, how many
-        fragments entered and left the hot set, how many expiry events
-        coalesced into a single chain teardown, and how many corridor objects
-        were patched vs. served from cache.
+        outcomes over every epoch (pools are components of two or more FSAs;
+        isolated FSAs never reach the cache), the rest are the incremental
+        stitcher's totals — how many corridor chains were re-welded vs.
+        reused, how many fragments entered and left the hot set, how many
+        expiry events coalesced into a single chain teardown, and how many
+        corridor objects were patched vs. served from cache.
         """
         statistics: Dict[str, float] = {
             "pools_total": 0,

@@ -26,15 +26,19 @@ what a Case 2/3 decision reads is fixed before the first one is made: the
 index does not change between the candidate stage and the decision stage, and
 the decision stage only ever *inserts*.  :func:`prefetch_vertex_candidates`
 computes that part for the whole epoch in one broadcast; the decision loop
-keeps what depends on decision order.  The object kernel takes none of this
-and queries the index per object, as the pinned reference.
+keeps what depends on decision order — the hotness sums, the ``max``, the
+insert, and the paths inserted earlier in the epoch, which it probes in
+:class:`InsertedEnds` (sorted by end x: two bisections and a y test per end
+in the FSA's x range) rather than rescanning them all.  The object kernel takes none of this and queries the
+index per object, as the pinned reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
@@ -53,6 +57,7 @@ from repro.coordinator.overlaps import (
 __all__ = [
     "CandidatePath",
     "CandidateVertex",
+    "InsertedEnds",
     "SinglePathDecision",
     "SinglePathEpochResult",
     "SinglePathStrategy",
@@ -132,6 +137,53 @@ def apply_co_occurrence_boost(candidate_paths: Dict[int, List[CandidatePath]]) -
             candidate.hotness += extra
 
 
+class InsertedEnds:
+    """The paths an epoch's decisions inserted, sorted by the end's x.
+
+    :meth:`within` finds the ones ending inside an FSA by bisecting the x
+    column onto ``[low x, high x]`` and testing y on that run only, with the
+    closed ``<=`` comparisons of ``Rectangle.contains_point``: the records a
+    linear ``contains_point`` scan would return, in O(log n + run) instead
+    of n ``contains_point`` calls.
+
+    Only their order differs, and a decision cannot see it: the vertex
+    ``max`` uses a total key (hotness, not fabricated, x, y) over distinct
+    vertices, and the path ids merged under one vertex are only summed.  The
+    one order-visible detail is which of two ends that compare equal but are
+    different objects (``0.0`` / ``-0.0``, ``2`` / ``2.0``) becomes the
+    vertex key, and that is the earlier insert either way: equal ends share
+    an x run, and an insert goes after its equals.
+    """
+
+    __slots__ = ("_xs", "_records")
+
+    def __init__(self) -> None:
+        self._xs: List[float] = []
+        self._records: List[MotionPathRecord] = []
+
+    def __iter__(self) -> Iterator[MotionPathRecord]:
+        """Every record, by end x."""
+        return iter(self._records)
+
+    def add(self, record: MotionPathRecord) -> None:
+        x = record.path.end.x
+        at = bisect_right(self._xs, x)
+        self._xs.insert(at, x)
+        self._records.insert(at, record)
+
+    def within(self, fsa: Rectangle) -> List[MotionPathRecord]:
+        """The records whose end ``fsa`` contains (closed bounds), by end x."""
+        xs = self._xs
+        first = bisect_left(xs, fsa.low.x)
+        last = bisect_right(xs, fsa.high.x, first)
+        low_y, high_y = fsa.low.y, fsa.high.y
+        return [
+            record
+            for record in self._records[first:last]
+            if low_y <= record.path.end.y <= high_y
+        ]
+
+
 @dataclass
 class VertexPrefetch:
     """One object's share of the epoch pass: its Case 2/3 reads as of the
@@ -143,9 +195,10 @@ class VertexPrefetch:
     #: dict an epoch, shared by every object).
     bonus: Dict[Point, int]
     fabricated: Optional[Tuple[Point, int]]
-    #: Paths inserted so far by this epoch's decisions, in decision order;
-    #: one list an epoch, shared by every object.
-    inserted: List[MotionPathRecord]
+    #: Paths inserted so far by this epoch's decisions; one probe an epoch,
+    #: shared by every object, read in x order (:class:`InsertedEnds` says
+    #: why that order cannot change a decision).
+    inserted: InsertedEnds
 
 
 def prefetch_vertex_candidates(
@@ -164,7 +217,7 @@ def prefetch_vertex_candidates(
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
     here plus the paths inserted since, which :meth:`SinglePathStrategy.decide`
-    appends to the epoch's one ``inserted`` list and merges back in.
+    adds to the epoch's one ``inserted`` probe and merges back in.
 
     The bonus of a vertex is a function of the vertex alone; it is computed
     for every end vertex matched and for every fabricated centroid of the
@@ -188,7 +241,7 @@ def prefetch_vertex_candidates(
     )
     bonus = dict(zip(vertices, overlaps.containing_counts(vertices)))
 
-    inserted: List[MotionPathRecord] = []
+    inserted = InsertedEnds()
     return {
         position: VertexPrefetch(vertex_sets[slot], bonus, fabricated[slot], inserted)
         for slot, (position, _state) in enumerate(pending)
@@ -301,9 +354,8 @@ class SinglePathStrategy:
             end_vertices, bonus_of, fabricated = (
                 prefetch.end_vertices, prefetch.bonus, prefetch.fabricated
             )
-            for record in prefetch.inserted:
-                if fsa.contains_point(record.path.end):
-                    end_vertices.setdefault(record.path.end, []).append(record.path_id)
+            for record in prefetch.inserted.within(fsa):
+                end_vertices.setdefault(record.path.end, []).append(record.path_id)
         candidates: List[CandidateVertex] = []
         hotness = self._hotness.hotness
         for vertex, path_ids in end_vertices.items():
@@ -384,7 +436,7 @@ class SinglePathStrategy:
                     break
         record, inserted = self._insert_or_reuse(state.start, endpoint, state.t_end)
         if inserted and prefetch is not None:
-            prefetch.inserted.append(record)
+            prefetch.inserted.add(record)
         self._hotness.record_crossing(record.path_id, state.t_end)
         response = CoordinatorResponse(state.object_id, endpoint, state.t_end)
         return SinglePathDecision(

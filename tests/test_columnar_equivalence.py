@@ -619,7 +619,9 @@ def crafted_stream():
 class EpochPassChecker:
     """Wraps ``_candidate_vertices``: whenever a decision runs off the epoch
     pass, the per-state query of the live index must produce the same
-    candidates.  Counts the cases the streams are built to reach."""
+    candidates, and the probe of the epoch's inserts must find what a linear
+    ``contains_point`` rescan of them finds.  Counts the cases the streams
+    are built to reach."""
 
     def __init__(self, monkeypatch) -> None:
         self.compared = 0
@@ -632,11 +634,16 @@ class EpochPassChecker:
             if prefetch is None:
                 return original(strategy, state, overlaps)
             fsa = state.fsa
-            for record in prefetch.inserted:
-                if fsa.contains_point(record.path.end):
-                    checker.inserts_seen += 1
-                    if record.path.end in prefetch.end_vertices:
-                        checker.on_indexed_vertex += 1
+            rescanned = [
+                record for record in prefetch.inserted if fsa.contains_point(record.path.end)
+            ]
+            assert sorted(record.path_id for record in prefetch.inserted.within(fsa)) == sorted(
+                record.path_id for record in rescanned
+            )
+            for record in rescanned:
+                checker.inserts_seen += 1
+                if record.path.end in prefetch.end_vertices:
+                    checker.on_indexed_vertex += 1
             batched = original(strategy, state, overlaps, prefetch)
             per_state = original(strategy, state, overlaps)
             key = lambda c: (c.vertex.as_tuple(), c.hotness, c.fabricated)

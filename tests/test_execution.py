@@ -496,8 +496,13 @@ class TestWorkerFaultRecovery:
             backend = coordinator.router.pipeline.backend
             with pytest.raises(ConfigurationError):
                 backend.kill_worker(0)  # fleet not spawned yet
-            coordinator.submit_state(boundary_stream(seed=1, epochs=1)[0][1][0])
+            # Two overlapping reporters: a pool to build, so the fleet spawns
+            # (a lone FSA is no pool and would leave the workers unforked).
+            for object_id, x in ((1, 400.0), (2, 420.0)):
+                low, high = Point(x - 30, 370.0), Point(x + 30, 430.0)
+                coordinator.submit_state(ObjectState(object_id, Point(x, 400.0), 0, low, high, 5))
             coordinator.run_epoch(10)
+            assert backend.worker_count > 0
             with pytest.raises(ConfigurationError):
                 backend.kill_worker(backend.worker_count)
             with pytest.raises(ConfigurationError):
@@ -621,8 +626,8 @@ class TestStatelessWorkers:
         is shipped to exactly when the epoch hands it a missed pool."""
         rng = random.Random(5)
         roster = []
-        for object_id in range(12):  # spatially separate: one pool each
-            x, y = 80.0 * object_id + 40.0, 500.0
+        for object_id in range(12):  # spatially separate pairs: one pool each
+            x, y = 150.0 * (object_id // 2) + 60.0 + 10.0 * (object_id % 2), 500.0
             roster.append(
                 ObjectState(object_id, Point(x, y), 0, Point(x - 15, y - 15), Point(x + 15, y + 15), 5)
             )
@@ -635,17 +640,19 @@ class TestStatelessWorkers:
         try:
             for epoch in range(1, 13):
                 # The roster repeats verbatim (cache hits); every third epoch
-                # a visitor or three dirties that many pools.
+                # a visiting pair or three dirties that many pools (a lone
+                # FSA is no pool, so a visitor brings a companion).
                 visitors = [
                     ObjectState(
-                        100 + epoch * 10 + v,
+                        100 + epoch * 10 + 2 * v + twin,
                         Point(900.0, 100.0 + 60.0 * v),
                         0,
-                        Point(880.0, 85.0 + 60.0 * v + epoch),
-                        Point(920.0, 115.0 + 60.0 * v + epoch),
+                        Point(880.0, 85.0 + 60.0 * v + epoch + 5.0 * twin),
+                        Point(920.0, 115.0 + 60.0 * v + epoch + 5.0 * twin),
                         5,
                     )
                     for v in range(rng.choice([1, 3]) if epoch % 3 == 0 else 0)
+                    for twin in (0, 1)
                 ]
                 for state in roster + visitors:
                     coordinator.submit_state(state)

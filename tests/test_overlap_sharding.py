@@ -5,7 +5,9 @@ The stage builds one overlap structure per epoch out of independently built
 equals the sequential build.  The facts the argument rests on are pinned here
 independently of the end-to-end differential harness:
 
-* **partition** — every epoch FSA sits in exactly one pool, with its FSA;
+* **partition** — every epoch FSA sits in exactly one pool (a component of
+  two or more FSAs), with its FSA, or is a singleton that overlaps no other
+  FSA, with its box;
 * **separation and connectivity** — FSAs of different pools share no positive
   area (so no region spans two pools), and a pool cannot be split further;
 * **order** — a pool preserves the submission order of its members, and the
@@ -80,18 +82,29 @@ def regions_of(structure: FsaOverlapStructure):
     return [(region.members, region.rectangle) for region in structure.regions()]
 
 
+def as_box(fsa: Rectangle):
+    return (fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y)
+
+
 class TestComponents:
     @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=120, deadline=None)
     @given(states=state_lists)
-    def test_every_fsa_sits_in_exactly_one_pool(self, kernel, states):
+    def test_pools_and_singletons_partition_the_fsas(self, kernel, states):
         fsas = epoch_fsas(states)
         plan = plan_shard_overlaps(kernel, None, fsas)
         pooled = [object_id for pool in plan.pools for object_id in pool]
-        assert sorted(pooled) == sorted(fsas)
+        assert sorted(pooled + list(plan.singletons)) == sorted(fsas)
         for pool in plan.pools:
+            assert len(pool) >= 2
             for object_id, fsa in pool.items():
                 assert fsa == fsas[object_id]
+        assert list(plan.singletons) == [i for i in fsas if i in plan.singletons]
+        for object_id, box in plan.singletons.items():
+            assert repr(box) == repr(as_box(fsas[object_id]))
+            assert not any(
+                share_area(fsas[object_id], fsa) for other, fsa in fsas.items() if other != object_id
+            )
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=120, deadline=None)
@@ -139,6 +152,7 @@ class TestComponents:
         assert [list(pool.items()) for pool in batched.pools] == [
             list(pool.items()) for pool in scalar.pools
         ]
+        assert repr(batched.singletons) == repr(scalar.singletons)
 
     def test_touching_fsas_are_not_linked_and_a_bridge_links_them(self):
         left = Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))
@@ -147,12 +161,14 @@ class TestComponents:
         sliver = Rectangle(Point(5.0, 5.0), Point(5.0, 9.0))      # zero width, inside left
         for kernel in KERNELS:
             plan = plan_shard_overlaps(kernel, None, {1: left, 2: right, 3: corner, 4: sliver})
-            assert [list(pool) for pool in plan.pools] == [[1], [2], [3], [4]]
+            assert plan.pools == []
+            assert list(plan.singletons) == [1, 2, 3, 4]
             bridge = Rectangle(Point(9.0, 1.0), Point(11.0, 2.0))
             plan = plan_shard_overlaps(
                 kernel, None, {1: left, 2: right, 3: corner, 4: sliver, 5: bridge}
             )
-            assert [list(pool) for pool in plan.pools] == [[1, 2, 5], [3], [4]]
+            assert [list(pool) for pool in plan.pools] == [[1, 2, 5]]
+            assert list(plan.singletons) == [3, 4]
 
 
 class TestLayoutIndependence:
@@ -217,16 +233,17 @@ class TestPlanAgainstTheCache:
 
     def test_a_fresh_fsa_dirties_only_the_component_it_overlaps(self):
         cache = OverlapPoolCache()
-        self.run(cache, {**self.PAIR, 3: self.FAR})
+        far_pair = {3: self.FAR, 4: Rectangle.from_center(Point(810.0, 800.0), 20.0)}
+        self.run(cache, {**self.PAIR, **far_pair})
         # Object 3 moves; objects 1 and 2 resubmit verbatim: their component
         # hits whatever happens elsewhere in the epoch, on any layout.
-        moved = Rectangle.from_center(Point(500.0, 500.0), 20.0)
-        plan, merged = self.run(cache, {**self.PAIR, 3: moved})
-        assert plan.missed_pools == [{3: moved}]
+        moved = {**far_pair, 3: Rectangle.from_center(Point(805.0, 790.0), 20.0)}
+        plan, merged = self.run(cache, {**self.PAIR, **moved})
+        assert plan.missed_pools == [moved]
         assert plan.stats == {
             "pools_total": 2, "pools_reused": 1, "pools_prefix_reused": 0, "pools_rebuilt": 1,
         }
-        assert regions_of(merged) == regions_of(FsaOverlapStructure.build({**self.PAIR, 3: moved}))
+        assert regions_of(merged) == regions_of(FsaOverlapStructure.build({**self.PAIR, **moved}))
 
     def test_a_late_arrival_resumes_its_component_from_the_cached_prefix(self):
         cache = OverlapPoolCache()
