@@ -1,29 +1,27 @@
-"""Sharding benchmark — coordinator scale-out across shard counts and backends.
+"""Sharding benchmark — the shard label and the backends on one coordinator.
 
-Runs the same scaled workload against a single-shard coordinator, against 2x2
-and 4x4 shard fleets, and against the fleet on every execution backend
-(``serial``, ``processes``).  Sharding and the backends are
-behaviour-identical by construction (see ``tests/test_sharding_equivalence.py``),
-so the benchmark asserts the discovered top-k is bit-for-bit equal across every
-combination and records the per-epoch coordinator time, the fleet's load
-balance and the per-backend speedup over the serial pipeline.
+Runs the same scaled workload with 1, 4 and 16 shards and on every execution
+backend (``serial``, ``processes``).  Every shard count runs the one index
+and one sequential pass of the paper's coordinator — shards only label
+records for the diagnostics — so the benchmark asserts the discovered top-k
+is bit-for-bit equal across every combination and records the per-epoch
+coordinator time, the label spread and the per-backend speedup over serial.
 
 Interpreting the backend table: candidate passes and decisions run inline in
 the parent, in submission order, on every backend; what ``processes`` moves
 off the parent is the builds of the epoch's cache-missed overlap components
-(stateless worker processes), so available parallelism is bounded by the
-component structure of each epoch and the machine's cores (the table records
-the cores).  ``processes`` can win only where off-parent builds outweigh
-their shipment, and on a small container it shows its overhead rather than a
-speedup.
+(stateless worker processes), at any shard count, so available parallelism
+is bounded by the component structure of each epoch and the machine's cores
+(the table records the cores).  ``processes`` can win only where off-parent
+builds outweigh their shipment, and on a small container it shows its
+overhead rather than a speedup.
 
-The stitching table isolates the corridor-stitching merge pass: the
-``global`` row stitches one flat hot-path list (the seed coordinator's
-long-path report, ``stitch_paths``), and the ``shard-merge`` rows run
-``ShardRouter.stitch_epoch`` — per-shard weld passes on each execution
-backend plus the cross-boundary merge — over the identical hot set, so the
-delta is the cost of distributing the stitch.  Every row must produce the
-identical corridors (the stitching exactness contract).
+The stitching table times the corridor report over one chained hot set: the
+``global`` row stitches the flat hot-path list (``stitch_paths``, the seed
+report), and the ``full`` / ``delta`` rows are a 4x4-labelled coordinator's
+first ``hot_corridors()`` in each epoch mode, with the report's
+``stitch_stats`` (``boundary welds``: welds whose two fragments carry
+different shard labels).  Every row must produce the identical corridors.
 
 The epoch-mode table measures the incremental epoch pipeline
 (``--epoch-mode delta``): the same stream driven in ``full`` and ``delta``
@@ -47,14 +45,13 @@ from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
-from repro.coordinator.sharding import ShardRouter
 from repro.coordinator.stitching import stitch_paths
 from repro.experiments.config import scaled_simulation_config
 from repro.simulation.engine import HotPathSimulation
 
 SHARD_COUNTS = (1, 4, 16)
 BACKENDS = ("serial", "processes")
-BACKEND_SHARD_COUNTS = (4, 16)
+BACKEND_SHARD_COUNTS = (1, 4, 16)
 
 OVERLAP_BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
@@ -69,13 +66,14 @@ def _run(num_shards, experiment_scale, backend="serial"):
     return HotPathSimulation(config).run()
 
 
-def _chained_hot_router(backend: str = "serial") -> ShardRouter:
-    """A 4x4 fleet whose hot set is ~600 chained fragments (random walks
-    crossing shard borders), the workload of the stitching table."""
-    router = ShardRouter(
+def _chained_hot_coordinator(epoch_mode: str) -> Coordinator:
+    """A 4x4-labelled coordinator whose hot set is ~600 chained fragments
+    (random walks crossing shard borders), the workload of the stitching
+    table."""
+    coordinator = Coordinator(
         CoordinatorConfig(
             bounds=OVERLAP_BOUNDS, window=10**6, cells_per_axis=32, num_shards=16,
-            backend=backend,
+            epoch_mode=epoch_mode,
         )
     )
     rng = random.Random(11)
@@ -89,54 +87,46 @@ def _chained_hot_router(backend: str = "serial") -> ShardRouter:
             )
             if target == point:
                 continue
-            record = router.insert(MotionPath(point, target), created_at=timestamp)
-            router.hotness.record_crossing(record.path_id, timestamp)
+            record = coordinator.index.insert(MotionPath(point, target), created_at=timestamp)
+            coordinator.hotness.record_crossing(record.path_id, timestamp)
             point = target
         timestamp += 1
-    return router
+    return coordinator
 
 
 def _stitch_rows(repeats: int = 5):
-    """Time the corridor-stitching merge: global reference vs per-backend
-    ``stitch_epoch`` over the identical chained hot set (and assert every
-    row produces the identical corridors)."""
+    """Time the corridor report: the global reference stitch vs each epoch
+    mode's first ``hot_corridors()`` over the identical chained hot set (and
+    assert every row produces the identical corridors)."""
     rows = []
-    reference_router = _chained_hot_router()
-    hot = [
-        (reference_router.index.get(path_id), hotness)
-        for path_id, hotness in sorted(reference_router.hotness.items())
-    ]
+    hot = sorted(
+        _chained_hot_coordinator("full").hot_paths(), key=lambda pair: pair[0].path_id
+    )
     started = time.perf_counter()
     for _ in range(repeats):
         reference = stitch_paths(hot)
     elapsed_ms = (time.perf_counter() - started) / repeats * 1000.0
     reference_ids = [corridor.path_ids for corridor in reference]
     multi = sum(1 for corridor in reference if corridor.num_segments > 1)
-    rows.append(("global", "serial", elapsed_ms, len(hot), len(reference), multi, 0))
+    rows.append(("global", elapsed_ms, len(hot), len(reference), multi, None))
 
-    for backend_name in BACKENDS:
-        router = _chained_hot_router(backend_name)
-        try:
-            router.stitch_epoch()  # warm the worker pools
-            started = time.perf_counter()
-            for _ in range(repeats):
-                corridors = router.stitch_epoch()
-            elapsed_ms = (time.perf_counter() - started) / repeats * 1000.0
-            stats = router.stitch_stats
-            assert [c.path_ids for c in corridors] == reference_ids
-            rows.append(
-                (
-                    "shard-merge",
-                    backend_name,
-                    elapsed_ms,
-                    stats["fragments"],
-                    stats["corridors"],
-                    stats["multi_segment_corridors"],
-                    stats["boundary_welds"],
-                )
+    for epoch_mode in ("full", "delta"):
+        coordinator = _chained_hot_coordinator(epoch_mode)
+        started = time.perf_counter()
+        corridors = coordinator.hot_corridors()
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        stats = coordinator.router.stitch_stats
+        assert [c.path_ids for c in corridors] == reference_ids
+        rows.append(
+            (
+                epoch_mode,
+                elapsed_ms,
+                stats["fragments"],
+                stats["corridors"],
+                stats["multi_segment_corridors"],
+                stats["boundary_welds"],
             )
-        finally:
-            router.pipeline.close()
+        )
     return rows
 
 
@@ -235,7 +225,7 @@ def _kernel_rows():
 
     Every topology must produce bit-for-bit identical traces under both
     kernels (the columnar exactness contract); the single-shard serial
-    measurement — pure kernel work, no fleet overhead — gives the printed
+    measurement — pure kernel work, no worker shipments — gives the printed
     columnar speedup.
     """
     stream = _dense_kernel_stream()
@@ -273,8 +263,8 @@ def _kernel_rows():
             if label == "1-shard serial":
                 serial_times[kernel] = elapsed_ms
             shipments = 0
-            if backend == "processes" and coordinator.router is not None:
-                shipments = coordinator.router.pipeline.backend.shm_shipments
+            if backend == "processes":
+                shipments = coordinator.strategy.backend.shm_shipments
             rows.append((label, kernel, elapsed_ms, shipments))
             coordinator.close()
     return rows, serial_times["object"] / serial_times["columnar"]
@@ -283,7 +273,7 @@ def _kernel_rows():
 def _epoch_mode_rows():
     """Full vs delta epoch cost on low-churn and high-churn workloads.
 
-    Each row drives a 4x4 fleet over the same stream in one ``epoch_mode``,
+    Each row drives a 16-shard coordinator over the same stream in one ``epoch_mode``,
     timing the epoch pipeline plus one corridor query per epoch (the serving
     cadence).  Traces must be bit-for-bit identical between modes — the
     differential contract at benchmark scale — and the delta rows carry the
@@ -373,7 +363,7 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
             f"{balance:>20.2f}"
         )
 
-    # Backend comparison: serial vs worker-pool pipelines on the same fleet.
+    # Backend comparison: serial vs off-parent overlap builds, per shard count.
     lines.append("")
     lines.append(f"backend comparison (cpu cores: {os.cpu_count()})")
     backend_header = (
@@ -392,21 +382,20 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
                 f"{num_shards:>7d} {backend:>10} {backend_time:>14.4f} {speedup:>18.2f}"
             )
 
-    # Corridor stitching: the global reference stitch vs the distributed
-    # per-shard weld passes + merge on every backend (identical hot set,
-    # identical corridors — the table records the cost of distribution).
+    # Corridor stitching: the global reference stitch vs each epoch mode's
+    # first report (identical hot set, identical corridors).
     lines.append("")
-    lines.append("corridor stitching (~600 chained hot fragments, 4x4 fleet)")
+    lines.append("corridor stitching (~600 chained hot fragments, 4x4 shard labels)")
     stitch_header = (
-        f"{'mode':>12} {'backend':>10} {'stitch ms':>10} {'fragments':>10} "
+        f"{'mode':>12} {'stitch ms':>10} {'fragments':>10} "
         f"{'corridors':>10} {'multi-seg':>10} {'boundary welds':>15}"
     )
     lines.append(stitch_header)
     lines.append("-" * len(stitch_header))
-    for mode, backend, elapsed_ms, fragments, corridors, multi, welds in _stitch_rows():
+    for mode, elapsed_ms, fragments, corridors, multi, welds in _stitch_rows():
         lines.append(
-            f"{mode:>12} {backend:>10} {elapsed_ms:>10.3f} {fragments:>10d} "
-            f"{corridors:>10d} {multi:>10d} {welds:>15d}"
+            f"{mode:>12} {elapsed_ms:>10.3f} {fragments:>10d} "
+            f"{corridors:>10d} {multi:>10d} {'-' if welds is None else welds:>15}"
         )
 
     # Incremental epoch pipeline: full vs --epoch-mode delta on a stable-core
@@ -414,7 +403,7 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
     # inside _epoch_mode_rows).
     lines.append("")
     lines.append(
-        "incremental epoch pipeline (full vs --epoch-mode delta, 4x4 fleet, "
+        "incremental epoch pipeline (full vs --epoch-mode delta, 16 shards, "
         "identical answers)"
     )
     epoch_mode_header = (
@@ -431,9 +420,8 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
         )
     lines.append(
         f"(low-churn delta speedup: {low_churn_speedup:.2f}x — epoch cost tracks "
-        "the delta, not the hot set; high churn leaves nothing to reuse and "
-        "shows the cache bookkeeping as overhead, which is why full mode "
-        "stays available)"
+        "the delta, not the hot set; high churn leaves little to reuse; one "
+        "cold run each, so compare within a run only)"
     )
 
     # Columnar kernel comparison: the object reference vs the vectorized
@@ -472,7 +460,7 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
     for result in backend_results.values():
         assert result.top_k_paths() == baseline.top_k_paths()
         assert result.top_k_score() == baseline.top_k_score()
-    # The fleet actually spreads the load over several shards.
+    # The labels actually spread the records over several shards.
     stats = shard_results[16].coordinator.shard_statistics()
     assert stats["num_shards"] == 16
     if stats["total_records"]:
@@ -484,7 +472,7 @@ def test_sharding_scaling(benchmark, experiment_scale, record_result):
 def test_sharding_scaling_large_population(benchmark, experiment_scale, record_result):
     """Heavier differential run (4x the scaled population); opt in via -m slow.
 
-    Covers every backend on the 4x4 fleet as well — the larger epochs amortise
+    Covers every backend at 16 shards as well — the larger epochs amortise
     worker coordination, so this is the configuration where multi-core
     machines show off-parent overlap builds most clearly.
     """

@@ -113,9 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run one end-to-end simulation (workload, RayTrace filters, coordinator, "
             "baselines) and print a summary with the discovered top-k hot motion paths. "
-            "Use --shards to scale the coordinator out into an R x C shard fleet and "
-            "--backend to pick how the fleet executes each epoch; every combination is "
-            "bit-for-bit equivalent to the paper's central coordinator."
+            "Use --shards to label records with an R x C shard grid (the run then "
+            "prints per-shard diagnostics) and --backend to pick where each epoch's "
+            "overlap components are built; every combination runs the paper's central "
+            "coordinator on one index, bit for bit."
         ),
         epilog=(
             "examples:\n"

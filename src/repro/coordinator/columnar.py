@@ -39,8 +39,8 @@ full harness matrix and with hypothesis kernel-level suites.
 
 **Scale.**  A region query scans every live end entry of its index —
 O(entries) per epoch batch, hundreds of records at the benchmark's sizes.
-No cell-pruned variant is kept beside it; if a workload with >= 10^4 paths
-per shard shows the scan, sorting the table by cell is the fix.
+No cell-pruned variant is kept beside it; if a workload with >= 10^4 live
+paths shows the scan, sorting the table by cell is the fix.
 
 numpy is an optional dependency: without it :func:`resolve_kernel` degrades
 ``columnar`` to ``object`` (logging one warning per process) so every
@@ -66,7 +66,6 @@ __all__ = [
     "resolve_kernel",
     "EndpointTable",
     "RegionTable",
-    "concat_end_tables",
     "end_entries_in",
     "overlapping_pairs",
     "ShipmentRing",
@@ -132,11 +131,6 @@ def _box_columns(rectangles: Sequence[Rectangle]):
     """:func:`_bounds` as four column vectors, to broadcast against a table's rows."""
     boxes = _bounds(rectangles)
     return tuple(boxes[:, column, None] for column in range(4))
-
-
-def concat_end_tables(tables: Sequence[tuple]) -> tuple:
-    """One ``(path ids, xs, ys)`` table out of many (a fleet's shards)."""
-    return tuple(_np.concatenate(columns) for columns in zip(*tables))
 
 
 def end_entries_in(end_table: tuple, regions: Sequence[Rectangle]):

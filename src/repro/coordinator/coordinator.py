@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Rectangle
@@ -24,6 +24,7 @@ from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.delta import EpochDelta
+from repro.coordinator.execution import create_backend
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.overlaps import OverlapPoolCache
 from repro.coordinator.grid_index import GridConfig, GridIndex
@@ -33,6 +34,7 @@ from repro.coordinator.sharding import ShardRouter
 from repro.coordinator.single_path import SinglePathStrategy
 from repro.coordinator.stitching import (
     CompositeCorridor,
+    corridor_stats,
     select_top_k_corridors,
     stitch_paths,
 )
@@ -60,8 +62,6 @@ class CoordinatorConfig(FleetConfig, _MonitoredArea):
     the topology knobs, tabulated in ``docs/ARCHITECTURE.md`` ("Fleet knobs") —
     so a layer holding a ``fleet`` builds this config with
     ``CoordinatorConfig(bounds=..., window=..., **dataclasses.asdict(fleet))``.
-    A single-shard coordinator always runs the paper's inline strategy and
-    consults only ``epoch_mode`` and ``kernel``.
 
     Dataclass fields are collected from the last base first, which is what
     puts the required ``bounds`` ahead of the defaulted knobs without
@@ -96,41 +96,31 @@ class Coordinator:
 
     def __init__(self, config: CoordinatorConfig) -> None:
         self.config = config
-        if config.num_shards == 1:
-            kernel = resolve_kernel(config.kernel)
-            self.router = None
-            self.index = GridIndex(
-                GridConfig(config.bounds, config.cells_per_axis), kernel=kernel
-            )
-            self.hotness = HotnessTracker(config.window)
-            # Delta mode runs the epoch's overlap pools (components of two
-            # or more FSAs) through the same cross-epoch cache protocol the
-            # sharded router uses, so the pools_* delta counters mean the
-            # same thing at every fleet size.
-            self._pool_cache: Optional[OverlapPoolCache] = (
-                OverlapPoolCache(kernel=kernel)
-                if config.epoch_mode == "delta"
-                else None
-            )
-            self.strategy = SinglePathStrategy(
-                self.index, self.hotness, kernel=kernel, pool_cache=self._pool_cache
-            )
-            # Delta mode only: the view is fed by the delta log, and full
-            # mode is the reference whose queries *are* the oracle scans.
-            self._view: Optional[HotPathView] = None
-            if config.epoch_mode == "delta":
-                self.hotness.enable_delta_log()
-                self._view = HotPathView(self.index, self.hotness)
-        else:
-            # The router views expose the exact GridIndex / HotnessTracker /
-            # SinglePathStrategy interfaces, so the epoch loop below is the
-            # same code whether the state lives in one shard or a fleet.
-            self.router = ShardRouter(config)
-            self.index = self.router.index
-            self.hotness = self.router.hotness
-            self.strategy = self.router.pipeline
-            self._pool_cache = None  # the router owns the pool cache
-            self._view = self.router.view  # one view for the fleet, not per shard
+        kernel = resolve_kernel(config.kernel)
+        delta_mode = config.epoch_mode == "delta"
+        # One index, one tracker and one strategy for every ``num_shards``:
+        # the shard grid only labels records for diagnostics (``router``).
+        self.index = GridIndex(GridConfig(config.bounds, config.cells_per_axis), kernel=kernel)
+        self.hotness = HotnessTracker(config.window)
+        # Delta mode keeps overlap components (the pool cache) and the query
+        # view (rank tuples and corridor chains) alive across epochs; full
+        # mode rebuilds all of it per epoch or query — the differential
+        # reference, whose queries *are* the oracle scans.
+        self._pool_cache: Optional[OverlapPoolCache] = (
+            OverlapPoolCache(kernel=kernel) if delta_mode else None
+        )
+        self.strategy = SinglePathStrategy(
+            self.index,
+            self.hotness,
+            kernel=kernel,
+            pool_cache=self._pool_cache,
+            backend=create_backend(config.backend),
+        )
+        self._view: Optional[HotPathView] = None
+        if delta_mode:
+            self.hotness.enable_delta_log()
+            self._view = HotPathView(self.index, self.hotness)
+        self.router = ShardRouter(config.bounds, config.num_shards, self.index, self.strategy)
         self._pending_states: List[ObjectState] = []
         self._corridor_cache: Optional[List[CompositeCorridor]] = None
         self._epochs_processed = 0
@@ -144,8 +134,7 @@ class Coordinator:
         Queries (``top_k``, ``hot_paths`` …) remain valid after closing; a
         subsequent ``run_epoch`` lazily revives the pool.
         """
-        if self.router is not None:
-            self.router.pipeline.close()
+        self.strategy.backend.close()
 
     # -- intake ---------------------------------------------------------------
 
@@ -198,9 +187,9 @@ class Coordinator:
 
         Inserted ids come from the decisions (allocated in submission order
         on every backend, so the tuple is backend-independent); hotness
-        transitions are drained from the trackers' delta logs, with the
-        merged categories sorted ascending — the deterministic encoding of
-        the underlying event sets.
+        transitions are drained from the tracker's delta log, with each
+        category sorted ascending — the deterministic encoding of the
+        underlying event sets.
         """
         log = self.hotness.drain_delta_log()
         # All the query view costs an epoch: remember which ids to re-read.
@@ -210,10 +199,7 @@ class Coordinator:
             for decision in epoch_result.decisions
             if not decision.reused_existing_path
         )
-        # The single-shard strategy runs its pools through the same cache
-        # protocol as the sharded pipeline, so its counters slot straight in.
-        owner = self.router if self.router is not None else self.strategy
-        pool_stats = owner.last_pool_stats
+        pool_stats = self.strategy.last_pool_stats
         return EpochDelta(
             timestamp=now,
             inserted=inserted,
@@ -235,44 +221,36 @@ class Coordinator:
         return len(self.index)
 
     def shard_statistics(self) -> Dict[str, float]:
-        """Load-balance diagnostics; a single-shard coordinator reports one shard."""
-        if self.router is not None:
-            return self.router.shard_statistics()
-        # The single-shard fallback reports the exact schema (and types) of
-        # the sharded path: record counts are ints with a float mean, and
-        # the delta counters carry the pool cache's and the stitcher's live
-        # lifetime totals — the same semantics a 1-shard fleet reports, not
-        # hardcoded zeros (pinned by tests/test_shard_grid.py).
-        size = len(self.index)
-        statistics = {
-            "num_shards": 1,
-            "total_records": size,
-            "max_shard_records": size,
-            "min_shard_records": size,
-            "mean_shard_records": float(size),
-            "imbalance": 1.0,
-            "straddling_paths": 0,
-            "pools_total": 0,
-            "pools_reused": 0,
-            "pools_prefix_reused": 0,
-            "pools_rebuilt": 0,
-            "chains_rewelded": 0,
-            "chains_reused": 0,
-            "fragments_added": 0,
-            "fragments_removed": 0,
-            "expiry_coalesced": 0,
-            "corridors_patched": 0,
-            "corridors_reused": 0,
-        }
-        if self._pool_cache is not None:
-            statistics["pools_reused"] = self._pool_cache.reused
-            statistics["pools_prefix_reused"] = self._pool_cache.prefix_reused
-            statistics["pools_rebuilt"] = self._pool_cache.rebuilt
-            statistics["pools_total"] = (
-                self._pool_cache.reused
-                + self._pool_cache.prefix_reused
-                + self._pool_cache.rebuilt
-            )
+        """Shard-label diagnostics plus the delta pipeline's lifetime counters.
+
+        The first seven keys are :meth:`ShardRouter.shard_statistics`.  All
+        the rest are zeros in ``full`` mode (stable schema): ``pools_reused``
+        / ``pools_prefix_reused`` / ``pools_rebuilt`` tally the pool cache's
+        outcomes over every epoch (pools are components of two or more FSAs;
+        isolated FSAs never reach the cache), the rest are the incremental
+        stitcher's totals — how many corridor chains were re-welded vs.
+        reused, how many fragments entered and left the hot set, how many
+        expiry events coalesced into a single chain teardown, and how many
+        corridor objects were patched vs. served from cache.
+        """
+        cache = self._pool_cache
+        reused, prefix_reused, rebuilt = (
+            (cache.reused, cache.prefix_reused, cache.rebuilt) if cache is not None else (0, 0, 0)
+        )
+        statistics = self.router.shard_statistics()
+        statistics.update(
+            pools_total=reused + prefix_reused + rebuilt,
+            pools_reused=reused,
+            pools_prefix_reused=prefix_reused,
+            pools_rebuilt=rebuilt,
+            chains_rewelded=0,
+            chains_reused=0,
+            fragments_added=0,
+            fragments_removed=0,
+            expiry_coalesced=0,
+            corridors_patched=0,
+            corridors_reused=0,
+        )
         if self._view is not None:
             statistics.update(self._view.stitcher.totals)
         return statistics
@@ -307,21 +285,20 @@ class Coordinator:
         The full report: every hot path, grouped.  Delta mode patches the
         maintained view's chains with the ids dirtied since the last query
         and materialises every chain (untouched ones from the per-chain
-        cache); full mode stitches the hot set from scratch — per-shard weld
-        passes on a fleet, ``stitch_paths(hot_paths())`` on a single shard,
-        the seed report every configuration must reproduce bit for bit.  The
-        first call after an epoch's commit caches the report until the next
-        epoch; mutating the index or hotness directly between epochs (outside
-        ``run_epoch``) does not refresh that cache.
+        cache); full mode is ``stitch_paths(hot_paths())``, the seed report
+        every configuration must reproduce bit for bit.  The report's shape
+        lands in ``router.stitch_stats``.  The first call after an epoch's
+        commit caches the report until the next epoch; mutating the index or
+        hotness directly between epochs (outside ``run_epoch``) does not
+        refresh that cache.
         """
         if self._corridor_cache is None:
-            if self.router is not None:
-                self._corridor_cache = self.router.stitch_epoch()
-            elif self._view is not None:
-                # One constant owner: no boundaries, so boundary welds are zero.
-                self._corridor_cache, _stats = self._view.report(lambda path_id: 0)
+            if self._view is not None:
+                corridors, stats = self._view.report(self.router.owner_of)
             else:
-                self._corridor_cache = stitch_paths(self.hot_paths())
+                corridors = stitch_paths(self.hot_paths())
+                stats = corridor_stats(corridors, self.router.owner_of)
+            self._corridor_cache, self.router.stitch_stats = corridors, stats
         return self._corridor_cache
 
     def top_k_corridors(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:

@@ -66,12 +66,10 @@ EPOCH_MODES: Tuple[str, ...] = ("full", "delta")
 class EpochDelta:
     """Everything one ``run_epoch`` changed, as compact id tuples and counters.
 
-    The id tuples are sorted ascending (a deterministic, layout-independent
-    encoding of the underlying event *sets*: a fleet concatenates its
-    per-shard event logs in shard order, which depends on the layout, their
-    union does not).  An id appears once per event, so a path crossed twice
-    in one epoch contributes one ``newly_hot`` entry and one ``touched``
-    entry.
+    The id tuples are sorted ascending (a deterministic encoding of the
+    underlying event *sets*).  An id appears once per event, so a path
+    crossed twice in one epoch contributes one ``newly_hot`` entry and one
+    ``touched`` entry.
 
     * ``inserted`` — ids of the motion paths the epoch's decisions inserted,
       in submission order (every backend allocates them in that order, so

@@ -1,51 +1,36 @@
-"""Execution backends for the sharded epoch pipeline.
+"""Execution backends: where the epoch's cache-missed overlap components are built.
 
-:class:`~repro.coordinator.sharding.ShardedSinglePath` splits an epoch into a
-*candidate stage* (read-only) and a *decision stage* (mutating).  The
+:class:`~repro.coordinator.single_path.SinglePathStrategy` splits an epoch
+into a *candidate stage* (read-only) and a *decision stage* (mutating).  The
 decision stage is Algorithm 2's sequential loop: later objects see the paths
-and crossings earlier objects produced, so every backend replays global
-submission order in the calling process — the one path the bit-for-bit
-exactness contract of ``tests/test_sharding_equivalence.py`` pins.  Every
-index read stays there too: the Case 1 candidate pass is one dict probe per
-state under the columnar kernel (the paper's constant-time hash of Section
-5.1), cheaper than any hand-off.  What a backend decides is where the
-epoch's cache-missed overlap components are *built*:
+and crossings earlier objects produced, so it runs in the calling process in
+submission order on every backend.  Every index read stays there too: the
+Case 1 candidate pass is one dict probe per state under the columnar kernel
+(the paper's constant-time hash of Section 5.1), cheaper than any hand-off.
+What a backend decides is where the epoch's overlap components are *built*,
+while the parent runs that candidate pass (:meth:`ExecutionBackend.build_overlaps`):
 
-* :class:`SerialBackend` — the reference pipeline: every pass runs inline on
-  the calling thread.
-* :class:`ProcessBackend` — overlap builds run in persistent, *stateless*
-  worker processes: a worker receives component FSA pools and returns built
+* :class:`SerialBackend` — the reference: every build runs inline on the
+  calling thread.
+* :class:`ProcessBackend` — builds run in persistent, *stateless* worker
+  processes: a worker receives component FSA pools and returns built
   structures as ordered region lists, nothing else, so it is replaced after a
   crash or a missed reply deadline with no bootstrap.
 
-A third, read-only pass rides the same machinery: the corridor-stitching weld
-passes of :meth:`~repro.coordinator.sharding.ShardRouter.stitch_epoch` map
-per-shard fragment tasks onto the workers via ``map_stitch_buckets`` (process
-workers receive self-contained fragment tuples and return serialized
-corridor chains).
+The backend is a property of the overlap stage, not of a shard layout: every
+``num_shards`` runs the same strategy on the same one index, so
+``--shards 1 --backend processes`` ships exactly what ``--shards 16`` does.
 
-**Delta shipping.**  Under the default ``delta`` epoch mode the pipeline
-ships workers *deltas*, not full epoch state, through the very same backend
-API — no backend needs delta awareness:
-
-* *Overlap pools.*  The router's cross-epoch
-  :class:`~repro.coordinator.overlaps.OverlapPoolCache` resolves each epoch's
-  overlap components first, and only the cache-missed (dirtied) pools reach
-  ``map_candidate_buckets``: an unchanged pool is reused parent-side and
-  never crosses the pipe again, and a worker that is handed no pool gets no
-  message that epoch.  An FSA that overlaps no other one is never a pool (its
-  structure is its singleton region, placed by the merge), so an epoch of
-  isolated reporters messages no worker at all.  Pool identity is
-  content-addressed (fingerprint of the member ``(object_id, FSA)`` tuples
-  in pool order), so reuse survives any layout change and worker respawns
-  untouched.
-* *Weld passes.*  Delta mode never calls ``map_stitch_buckets`` at all: the
-  router's query view (:mod:`repro.coordinator.query_view`) maintains weld
-  chains under insert/expire events and answers corridor queries
-  parent-side, patching only the chains the epoch's hotness transitions
-  touched.  The ``full`` mode path below (and its process-worker ``stitch``
-  message) remains the reference implementation the delta answers are pinned
-  against bit for bit.
+**Delta shipping.**  Under the default ``delta`` epoch mode the strategy's
+cross-epoch :class:`~repro.coordinator.overlaps.OverlapPoolCache` resolves
+each epoch's overlap components first, and only the cache-missed (dirtied)
+pools reach the backend: an unchanged pool is reused parent-side and never
+crosses the pipe again, and a worker that is handed no pool gets no message
+that epoch.  An FSA that overlaps no other one is never a pool (its structure
+is its singleton region, placed by the merge), so an epoch of isolated
+reporters messages no worker at all.  Pool identity is content-addressed
+(fingerprint of the member ``(object_id, FSA)`` tuples in pool order), so
+reuse survives worker respawns untouched.
 """
 
 from __future__ import annotations
@@ -53,7 +38,7 @@ from __future__ import annotations
 import logging
 import os
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
@@ -65,8 +50,6 @@ from repro.coordinator.columnar import (
     decode_work_shipment,
 )
 from repro.coordinator.overlaps import FsaOverlapStructure, build_structures
-from repro.coordinator.single_path import CandidatePath
-from repro.coordinator.stitching import StitchFragment, weld_runs
 
 __all__ = [
     "BACKEND_NAMES",
@@ -80,15 +63,11 @@ __all__ = [
 #: Names accepted by :func:`create_backend` (and the CLI ``--backend`` flag).
 BACKEND_NAMES: Tuple[str, ...] = ("serial", "processes")
 
-#: ``(position, state)`` pairs grouped by owning shard id.
-Buckets = Dict[int, List[Tuple[int, ObjectState]]]
-
 #: The component pools of one epoch's overlap plan that need building.
 OverlapPools = Sequence[Mapping[int, Rectangle]]
 
-#: Per-shard stitch tasks: hot fragments with ownership flags (see
-#: :data:`repro.coordinator.stitching.StitchFragment`), grouped by shard id.
-StitchTasks = Dict[int, List[StitchFragment]]
+#: What the parent computes while the pools are built.
+Alongside = TypeVar("Alongside")
 
 
 #: How long the parent waits for one worker reply before it replaces the
@@ -173,75 +152,43 @@ def conflict_groups(states: Sequence[ObjectState], grid) -> List[List[int]]:
 
 
 class ExecutionBackend(ABC):
-    """Where the sharded epoch pipeline builds its overlap components.
+    """Where the overlap stage builds the epoch's cache-missed components.
 
-    ``map_candidate_buckets`` runs the read-only stage 2: the per-shard
-    Case 1 candidate scans — inline on every backend, the serial backend's
-    own loop over the authoritative shard indexes, which is the path the
-    exactness contract pins — *and* the FSA overlap structure builds, one per
-    component pool of the epoch's overlap plan, wherever this backend builds
-    them (under ``delta`` epoch mode the pipeline pre-filters this argument
-    to the cache-missed pools only, so backends always build exactly what
-    they are handed).  The decision stage is not a backend's business: the
-    pipeline replays global submission order inline on every backend.
+    :meth:`build_overlaps` builds one FSA overlap structure per pool it is
+    handed (the strategy pre-filters to the cache-missed pools, so a backend
+    always builds exactly what it gets) and runs the parent's read-only
+    ``alongside`` pass — the Case 1 candidate loop — meanwhile.  The decision
+    stage is not a backend's business: the strategy replays submission order
+    inline on every backend.
     """
 
     name: str = "abstract"
-    #: Never called: bench/ (which does not change with src/) looks it up here.
+    #: Never called: bench/ (which does not change with src/) looks these up
+    #: here.  ``build_overlaps`` is the one stage a backend runs.
+    map_candidate_buckets = None
     map_decision_groups = None
+    map_stitch_buckets = None
 
     @abstractmethod
-    def map_candidate_buckets(
+    def build_overlaps(
         self,
-        router,
-        buckets: Buckets,
-        states: Sequence[ObjectState],
-        overlap_pools: OverlapPools = (),
-    ) -> Tuple[List[Optional[List[CandidatePath]]], List[FsaOverlapStructure]]:
-        """Return every state's candidate set (by position) and one built
-        overlap structure per pool (by pool index)."""
-
-    def map_stitch_buckets(self, router, tasks: StitchTasks) -> List[List[int]]:
-        """Run the per-shard weld passes of the corridor-stitching merge.
-
-        Each task holds one shard's hot fragments (with ownership flags); the
-        pass is read-only and returns every shard's weld runs — serialized
-        corridor chains whose consecutive pairs are the shard's welds (see
-        :func:`repro.coordinator.stitching.weld_runs`).  The default maps the
-        tasks inline; the process backend overrides to spread them over workers.
-        """
-        runs: List[List[int]] = []
-        for shard_id in tasks:
-            runs.extend(weld_runs(tasks[shard_id]))
-        return runs
+        overlap_pools: OverlapPools,
+        kernel: str,
+        alongside: Callable[[], Alongside],
+    ) -> Tuple[Alongside, List[FsaOverlapStructure]]:
+        """Return ``alongside()`` and one built structure per pool (by pool index)."""
 
     def close(self) -> None:
         """Release pool resources; the backend may be lazily revived afterwards."""
 
-    # -- shared helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _candidates_inline(
-        router, buckets: Buckets, states: Sequence[ObjectState]
-    ) -> List[Optional[List[CandidatePath]]]:
-        per_state: List[Optional[List[CandidatePath]]] = [None] * len(states)
-        for shard_id, bucket in buckets.items():
-            strategy = router.shards[shard_id].strategy
-            for position, state in bucket:
-                per_state[position] = strategy.candidate_paths(state)
-        return per_state
-
 
 class SerialBackend(ExecutionBackend):
-    """The reference pipeline: every pass inline on the calling thread."""
+    """The reference: every build inline on the calling thread."""
 
     name = "serial"
 
-    def map_candidate_buckets(self, router, buckets, states, overlap_pools=()):
-        per_state = self._candidates_inline(router, buckets, states)
-        return per_state, build_structures(
-            overlap_pools, kernel=getattr(router, "kernel", "object")
-        )
+    def build_overlaps(self, overlap_pools, kernel, alongside):
+        return alongside(), build_structures(overlap_pools, kernel=kernel)
 
 
 def _process_worker_main(connection) -> None:
@@ -266,14 +213,6 @@ def _process_worker_main(connection) -> None:
             close_attachments(attachments)
             connection.close()
             return
-        if kind == "stitch":
-            # Stitch tasks are self-contained fragment lists: weld each
-            # shard's task, reply with the serialized corridor chains.
-            runs = []
-            for fragments in message[1]:
-                runs.extend(weld_runs(fragments))
-            connection.send(runs)
-            continue
         if kind == "work_shm":
             kernel, overlap_tasks = "columnar", decode_work_shipment(message, attachments)
         else:
@@ -453,11 +392,10 @@ class ProcessBackend(ExecutionBackend):
 
     # -- pipeline stages --------------------------------------------------------
 
-    def map_candidate_buckets(self, router, buckets, states, overlap_pools=()):
-        kernel = getattr(router, "kernel", "object")
+    def build_overlaps(self, overlap_pools, kernel, alongside):
         awaited = self._ship_pools(overlap_pools, kernel)
-        # The parent's candidate loop overlaps the workers' builds.
-        per_state = self._candidates_inline(router, buckets, states)
+        # The parent's pass overlaps the workers' builds.
+        result = alongside()
         structures: List[Optional[FsaOverlapStructure]] = [None] * len(overlap_pools)
         for worker in awaited:
             for pool_index, regions in self._reply(worker) or ():
@@ -476,7 +414,7 @@ class ProcessBackend(ExecutionBackend):
             )
             for pool_index, structure in zip(unanswered, built):
                 structures[pool_index] = structure
-        return per_state, structures
+        return result, structures
 
     def _ship_pools(self, overlap_pools: OverlapPools, kernel: str) -> List[int]:
         """Send every worker its share of the pools; returns the workers that
@@ -519,30 +457,6 @@ class ProcessBackend(ExecutionBackend):
             if self._send(worker, message):
                 awaited.append(worker)
         return awaited
-
-    def map_stitch_buckets(self, router, tasks):
-        """Weld passes in the worker processes, one round trip per epoch.
-
-        Shard ``s`` goes to worker ``s % workers``.  Fragments are shipped
-        whole (id, endpoints, ownership flags); workers answer with their
-        shards' weld runs.
-        """
-        self._ensure_workers()
-        shares: List[list] = [[] for _ in self._processes]
-        for shard_id, fragments in tasks.items():
-            shares[shard_id % len(shares)].append(fragments)
-        awaited = [
-            worker
-            for worker, share in enumerate(shares)
-            if share and self._send(worker, ("stitch", share))
-        ]
-        runs: List[List[int]] = []
-        for worker, share in enumerate(shares):
-            reply = self._reply(worker) if worker in awaited else None
-            if reply is None:
-                reply = [run for fragments in share for run in weld_runs(fragments)]
-            runs.extend(reply)
-        return runs
 
     def close(self) -> None:
         for connection in self._connections:

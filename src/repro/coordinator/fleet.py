@@ -2,8 +2,9 @@
 
 The paper's coordinator has three parameters — the window ``W``, the grid and
 the epoch ``Lambda``.  Everything this module declares sits on top of them
-and may never change an answer: how many shards hold the state (laid out as
-a fixed R x C grid), and which backend, kernel and epoch pipeline run them.
+and may never change an answer: how many shards label the records (a fixed
+R x C grid, for the diagnostics only), and which backend, kernel and epoch
+pipeline run the one coordinator.
 
 :class:`FleetConfig` is the only place a knob's name, type, default, choices,
 help text and validation appear.  Every other layer carries one value of it
@@ -45,20 +46,19 @@ class FleetConfig:
 
     num_shards: int = _knob(
         1,
-        "partition the coordinator into N spatial shards arranged in an R x C grid "
-        "(e.g. 4 -> 2x2, 16 -> 4x4); 1 = the paper's central coordinator. "
-        "Results are bit-for-bit identical for every value.",
+        "label records with an R x C grid of N shards for the diagnostics "
+        "(e.g. 4 -> 2x2, 16 -> 4x4); every value runs one index, the paper's "
+        "central coordinator, so results are bit-for-bit identical.",
         flag="--shards",
         metavar="N",
     )
     backend: str = _knob(
         "serial",
-        "where a sharded coordinator builds the epoch's cache-missed overlap "
+        "where the coordinator builds the epoch's cache-missed overlap "
         "components: 'serial' builds them inline; 'processes' builds them in "
         "stateless worker processes. Candidate passes, decisions and every "
         "index read and mutation run in the parent, in submission order, on "
-        "both backends, so both return identical results. Ignored when "
-        "--shards is 1.",
+        "both backends, so both return identical results.",
         choices=BACKEND_NAMES,
     )
     epoch_mode: str = _knob(

@@ -21,18 +21,16 @@ Query operations mirror what SinglePath needs:
   query rectangle together with the ids of the paths terminating there
   (Case 2 candidates).
 
-For sharded deployments (see :mod:`repro.coordinator.sharding`) the record
-store and the endpoint entries can be decoupled: a shard indexes only the
-endpoints it owns via :meth:`add_entry` / :meth:`remove_entry`, registers only
-the records it owns via :meth:`register`, and resolves foreign records through
-the optional ``record_resolver`` callback.
+The coordinator holds exactly one index, whatever ``num_shards`` says: the
+shard grid only labels records for diagnostics
+(:mod:`repro.coordinator.sharding`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
@@ -71,12 +69,7 @@ class GridConfig:
 class GridIndex:
     """Grid-based index of motion-path endpoints keyed by path id."""
 
-    def __init__(
-        self,
-        config: GridConfig,
-        record_resolver: Optional[Callable[[int], Optional[MotionPathRecord]]] = None,
-        kernel: str = "object",
-    ) -> None:
+    def __init__(self, config: GridConfig, kernel: str = "object") -> None:
         self.config = config
         self._cell_width = config.bounds.width / config.cells_per_axis
         self._cell_height = config.bounds.height / config.cells_per_axis
@@ -98,7 +91,6 @@ class GridIndex:
         #: Lifetime :meth:`delete` calls — lets the query view notice a record
         #: removed behind the coordinator's back.
         self.deletions = 0
-        self._record_resolver = record_resolver
 
     # -- bookkeeping -------------------------------------------------------------
 
@@ -120,45 +112,28 @@ class GridIndex:
         except KeyError:
             raise CoordinatorError(f"motion path {path_id} is not in the index") from None
 
-    def _record_of(self, path_id: int) -> MotionPathRecord:
-        """Resolve a record, falling back to the foreign-record resolver."""
-        record = self._records.get(path_id)
-        if record is None and self._record_resolver is not None:
-            record = self._record_resolver(path_id)
-        if record is None:
-            raise CoordinatorError(f"motion path {path_id} is not in the index")
-        return record
-
     # -- insertion / deletion -------------------------------------------------------
 
     def insert(self, path: MotionPath, created_at: int = 0) -> MotionPathRecord:
         """Insert a new motion path and return its record (with a fresh id)."""
         record = MotionPathRecord(self._next_path_id, path, created_at)
         self._next_path_id += 1
-        self.register(record)
-        self.add_entry(record, is_start=True)
-        self.add_entry(record, is_start=False)
+        self._records[record.path_id] = record
+        self._add_entry(record, is_start=True)
+        self._add_entry(record, is_start=False)
         return record
 
     def delete(self, path_id: int) -> None:
         """Remove a motion path from the index (e.g. when its hotness expires)."""
         record = self.get(path_id)
-        self.remove_entry(path_id, record.path.start, is_start=True)
-        self.remove_entry(path_id, record.path.end, is_start=False)
-        self.unregister(path_id)
+        self._remove_entry(path_id, record.path.start, is_start=True)
+        self._remove_entry(path_id, record.path.end, is_start=False)
+        del self._records[path_id]
         self.deletions += 1
 
-    # -- entry-level primitives (used directly by the sharded router) ---------------
+    # -- entry-level primitives -------------------------------------------------------
 
-    def register(self, record: MotionPathRecord) -> None:
-        """Store a record in the record table without indexing its endpoints."""
-        self._records[record.path_id] = record
-
-    def unregister(self, path_id: int) -> None:
-        """Drop a record from the record table (its entries must be gone already)."""
-        del self._records[path_id]
-
-    def add_entry(self, record: MotionPathRecord, is_start: bool) -> None:
+    def _add_entry(self, record: MotionPathRecord, is_start: bool) -> None:
         """Index one endpoint of ``record`` in the cell that contains it."""
         if is_start:
             endpoint, other = record.path.start, record.path.end
@@ -171,7 +146,7 @@ class GridIndex:
             (record.path_id, is_start)
         ] = (endpoint, other)
 
-    def remove_entry(self, path_id: int, endpoint: Point, is_start: bool) -> None:
+    def _remove_entry(self, path_id: int, endpoint: Point, is_start: bool) -> None:
         """Remove one endpoint entry, dropping its cell when it becomes empty."""
         if self._endpoints is not None:
             self._endpoints.remove((path_id, is_start))
@@ -195,14 +170,14 @@ class GridIndex:
         """
         if self._endpoints is not None:
             return [
-                self._record_of(pid) for pid in self._endpoints.starting_at(start, region)
+                self._records[pid] for pid in self._endpoints.starting_at(start, region)
             ]
         cell = self._cells.get(self._cell_of(start))
         results: List[MotionPathRecord] = []
         if cell:
             for (path_id, is_start), (endpoint, other) in cell.items():
                 if is_start and endpoint == start and region.contains_point(other):
-                    results.append(self._record_of(path_id))
+                    results.append(self._records[path_id])
         return results
 
     def paths_from_into(self, start: Point, region: Rectangle) -> List[MotionPathRecord]:
@@ -214,14 +189,14 @@ class GridIndex:
         """
         if self._endpoints is not None:
             return [
-                self._record_of(pid) for pid in self._endpoints.from_into(start, region)
+                self._records[pid] for pid in self._endpoints.from_into(start, region)
             ]
         results: List[MotionPathRecord] = []
         for (path_id, is_start), (endpoint, other) in self._entries_in(region):
             if is_start:
                 continue
             if other == start and region.contains_point(endpoint):
-                results.append(self._record_of(path_id))
+                results.append(self._records[path_id])
         return results
 
     def end_vertices_in(self, region: Rectangle) -> Dict[Point, List[int]]:
@@ -251,14 +226,14 @@ class GridIndex:
             for path_id in self._endpoints.endpoints_in(region):
                 if path_id not in seen:
                     seen.add(path_id)
-                    results.append(self._record_of(path_id))
+                    results.append(self._records[path_id])
             return results
         for (path_id, _is_start), (endpoint, _other) in self._entries_in(region):
             if path_id in seen:
                 continue
             if region.contains_point(endpoint):
                 seen.add(path_id)
-                results.append(self._record_of(path_id))
+                results.append(self._records[path_id])
         return results
 
     def end_table(self):

@@ -41,13 +41,6 @@ class HotnessDeltaLog:
         """Every path id with a logged transition (repeats included)."""
         return self.newly_hot + self.touched + self.decayed + self.vanished
 
-    def merge_from(self, other: "HotnessDeltaLog") -> None:
-        """Append another tracker's events (the sharded fleet's union)."""
-        self.newly_hot.extend(other.newly_hot)
-        self.touched.extend(other.touched)
-        self.decayed.extend(other.decayed)
-        self.vanished.extend(other.vanished)
-
 
 class HotnessTracker:
     """Hash table + expiry event queue implementing the sliding window."""

@@ -54,8 +54,7 @@ region's member submission positions sorted descending.  The first element of
 that key names one FSA, hence one component, whose own build already has the
 block in sequential order — an isolated FSA's block is its singleton alone —
 so placing every block at its FSA's submission position is the whole merge.
-The seed coordinator and every shard of a fleet read that one structure;
-nothing here knows the shard layout.
+Every decision of the epoch reads that one structure.
 
 Queries used by SinglePath:
 
@@ -467,8 +466,8 @@ class OverlapPoolCache:
     few late arrivals.  The delta pipeline (``epoch_mode="delta"``) resolves
     every pool here first and ships only the misses to the execution
     backend's workers.  A component is dirtied by any fresh FSA overlapping
-    any member, and by nothing else: neither the shard layout nor FSAs
-    elsewhere in the epoch are part of its address.  Only pools — components
+    any member, and by nothing else: FSAs elsewhere in the epoch are not
+    part of its address.  Only pools — components
     of two or more FSAs — ever reach the cache: an isolated FSA's structure
     is its one singleton region, which :meth:`OverlapPlan.merge` places from
     the FSA's box for less than a fingerprint and a lookup would cost.
@@ -701,10 +700,9 @@ def plan_shard_overlaps(
     more FSAs becomes one pool, and an unlinked FSA is recorded as a
     singleton — no fingerprint, no cache entry, no build, no shipment.  The
     pairwise test is one broadcast under the columnar kernel and a scalar
-    loop under ``object``, the pinned reference.  The plan is the same
-    whatever the shard layout: every shard of a fleet, and the 1-shard
-    strategy, read the one structure :meth:`OverlapPlan.merge` returns.
-    (The name and ``fsas`` as third positional argument are what
+    loop under ``object``, the pinned reference.  Every decision of the
+    epoch reads the one structure :meth:`OverlapPlan.merge` returns.  (The
+    name and ``fsas`` as third positional argument are what
     ``bench/trace.py`` wraps and reads.)
     """
     rectangles = list(fsas.values())

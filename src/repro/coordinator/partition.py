@@ -1,26 +1,21 @@
-"""The fixed shard grid behind the shard router.
+"""The fixed shard grid that labels records with an owning shard.
 
-A sharded coordinator divides the **whole plane** into a uniform R x C grid
-of cells, one per shard (:class:`ShardGrid`): border cells extend past the
-monitored bounds, which is how points outside the nominal area are "clamped"
-into border shards without a special case.  The grid is fixed at
-construction.  The contract the router relies on:
+``num_shards`` divides the **whole plane** into a uniform R x C grid of cells,
+one per shard (:class:`ShardGrid`): border cells extend past the monitored
+bounds, which is how points outside the nominal area are "clamped" into
+border shards without a special case.  The grid is fixed at construction.
+Its contract:
 
 * :meth:`ShardGrid.shard_id_of` is total — every point maps to exactly one
-  shard;
+  shard, whose cell (:meth:`ShardGrid.shard_bounds`) contains the clamped
+  point;
 * :meth:`ShardGrid.shard_ids_overlapping` returns every shard whose cell
-  intersects a query rectangle (so region queries fanning out over it never
-  miss an endpoint entry), in ascending shard-id order;
-* :meth:`ShardGrid.single_shard_of` is the fast path of the shard-local
-  view: the one shard fully containing a rectangle, or ``None``.
+  intersects a query rectangle, in ascending shard-id order, and
+  :meth:`ShardGrid.single_shard_of` the one shard fully containing it, or
+  ``None``.
 
-**Exactness.**  Nothing the differential harness pins depends on the grid's
-shape: path ids come from a global counter, decisions replay submission
-order, endpoint-owner routing holds every vertex's entries with exactly one
-shard, and the epoch's overlap structure never consults the layout
-(:func:`~repro.coordinator.overlaps.plan_shard_overlaps`).  Every shard count
-therefore answers bit for bit like the seed coordinator;
-``tests/test_sharding_equivalence.py`` asserts it.
+Only the labels of :mod:`repro.coordinator.sharding` read the grid; no epoch
+stage does, so every shape answers bit for bit like the seed coordinator.
 """
 
 from __future__ import annotations

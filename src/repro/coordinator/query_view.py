@@ -1,11 +1,10 @@
 """The maintained query view: top-k paths and corridors without a re-rank.
 
-An epoch changes a fraction of the hot set, and the hotness trackers already
-log which ids.  :class:`HotPathView` keeps one rank tuple per hot path and one
-:class:`IncrementalStitcher` for the whole fleet (ids and global hotness are
-layout-independent).  ``run_epoch`` only
+An epoch changes a fraction of the hot set, and the hotness tracker already
+logs which ids.  :class:`HotPathView` keeps one rank tuple per hot path and one
+:class:`IncrementalStitcher`.  ``run_epoch`` only
 accumulates the logged ids (:meth:`HotPathView.note`); the first query after
-a commit re-reads exactly those from the index and the trackers, so epochs
+a commit re-reads exactly those from the index and the tracker, so epochs
 nobody queries pay nothing and every answer equals the oracle scans —
 ``select_top_k(hot_paths())`` and ``stitch_paths(hot_paths())`` — bit for
 bit.  ``docs/ARCHITECTURE.md`` ("Query path") has the argument.
@@ -26,8 +25,7 @@ __all__ = ["HotPathView"]
 class HotPathView:
     """Rank tuples per hot path plus corridor chains, patched from dirty ids.
 
-    ``index`` and ``hotness`` are the coordinator's own or the router's fleet
-    facades.
+    ``index`` and ``hotness`` are the coordinator's own.
     """
 
     def __init__(self, index, hotness) -> None:
@@ -61,10 +59,10 @@ class HotPathView:
     def refresh(self) -> None:
         """Bring the view up to date, proving first that the dirty set is complete.
 
-        Transitions still undrained in the trackers (a crossing recorded
+        Transitions still undrained in the tracker (a crossing recorded
         directly between epochs) are dirty too; a record deleted behind the
         coordinator's back, or a dirty set larger than the hot set, makes it
-        re-read every id it or the trackers know instead — the full scan.
+        re-read every id it or the tracker knows instead — the full scan.
         """
         self._mark(self._hotness.pending_delta_ids())
         deletions = self._index.deletions
@@ -72,7 +70,7 @@ class HotPathView:
             self._deletions = deletions
             self._dirty = None
         dirty = self._dirty
-        if dirty is None:  # the scan: every id the view or the trackers know
+        if dirty is None:  # the scan: every id the view or the tracker knows
             dirty = set(self._rank)
             dirty.update(path_id for path_id, _count in self._hotness.items())
         elif not dirty:

@@ -44,12 +44,12 @@ from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.coordinator.columnar import end_entries_in
+from repro.coordinator.execution import ExecutionBackend, SerialBackend
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import (
     FsaOverlapStructure,
     OverlapPoolCache,
-    build_structures,
     plan_shard_overlaps,
     zero_pool_stats,
 )
@@ -124,8 +124,7 @@ def apply_co_occurrence_boost(candidate_paths: Dict[int, List[CandidatePath]]) -
 
     Implements Lines 13-15 of Algorithm 2: each co-occurrence means another
     reporter could also adopt the path, making it a better shared choice.  The
-    boost is a pure function of the multiset of candidate path ids, so it can
-    be applied to per-shard candidate batches merged in any order.
+    boost is a pure function of the multiset of candidate path ids.
     """
     occurrences: Counter = Counter()
     for candidates in candidate_paths.values():
@@ -210,9 +209,9 @@ def prefetch_vertex_candidates(
 
     ``pending`` lists ``(position, state)`` for the states left without a
     Case 1 candidate, ``overlaps`` is the epoch's overlap structure and
-    ``end_table`` the index's end-entry columns (of every shard, for a
-    fleet), read here — after the candidate stage, before the first decision
-    — where nothing mutates the index.  Returns ``position -> VertexPrefetch``.
+    ``end_table`` the index's end-entry columns, read here — after the
+    candidate stage, before the first decision — where nothing mutates the
+    index.  Returns ``position -> VertexPrefetch``.
 
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
@@ -257,15 +256,19 @@ class SinglePathStrategy:
         hotness: HotnessTracker,
         kernel: str = "object",
         pool_cache: Optional[OverlapPoolCache] = None,
+        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         self._index = index
         self._hotness = hotness
         self._kernel = kernel
         # Cross-epoch component cache of the delta pipeline (``None`` in full
-        # mode), consulted by the same overlap stage a fleet runs.
+        # mode).
         self._pool_cache = pool_cache
-        #: Pool-cache outcome of the most recent epoch (mirrors
-        #: ``ShardRouter.last_pool_stats``; all zeros without a cache).
+        #: Where the overlap stage builds the pools the cache missed
+        #: (:mod:`repro.coordinator.execution`).
+        self.backend = backend if backend is not None else SerialBackend()
+        #: Pool-cache outcome of the most recent epoch (all zeros without a
+        #: cache and on empty epochs).
         self.last_pool_stats: Dict[str, int] = zero_pool_stats()
 
     def process_epoch(self, states: Sequence[ObjectState]) -> SinglePathEpochResult:
@@ -275,13 +278,22 @@ class SinglePathStrategy:
         if not states:
             return result
 
-        # Phase 1: candidate motion paths per object and the FSA overlap structure.
-        candidate_paths: Dict[int, List[CandidatePath]] = {}
-        fsas: Dict[int, Rectangle] = {}
-        for state in states:
-            candidate_paths[state.object_id] = self.candidate_paths(state)
-            fsas[state.object_id] = state.fsa
-        overlaps = self._overlap_structure(fsas)
+        # Phase 1: the FSA overlap structure and the candidate motion paths
+        # per object.  The plan splits the epoch's FSAs into components and
+        # resolves them against the cache; the backend builds the misses
+        # while the candidate loop runs here.  Both dicts keep one entry per
+        # object — a duplicate reporter's later state, at its first position
+        # — and both of its states are still decided below.
+        plan = plan_shard_overlaps(
+            self._kernel, self._pool_cache, {state.object_id: state.fsa for state in states}
+        )
+        self.last_pool_stats = plan.stats
+        candidate_paths, built = self.backend.build_overlaps(
+            plan.missed_pools,
+            self._kernel,
+            lambda: {state.object_id: self.candidate_paths(state) for state in states},
+        )
+        overlaps = plan.merge(built)
 
         # Phase 2: boost hotness of paths that appear in several objects'
         # candidate sets.
@@ -311,21 +323,13 @@ class SinglePathStrategy:
             )
         return result
 
-    def _overlap_structure(self, fsas: Dict[int, Rectangle]) -> FsaOverlapStructure:
-        """The epoch's structure: the fleet's overlap stage, built inline."""
-        plan = plan_shard_overlaps(self._kernel, self._pool_cache, fsas)
-        self.last_pool_stats = plan.stats
-        return plan.merge(build_structures(plan.missed_pools, kernel=self._kernel))
-
     # -- candidate generation ------------------------------------------------------
 
     def candidate_paths(self, state: ObjectState) -> List[CandidatePath]:
         """``GetCandidatePaths``: stored paths from the SSA start into the FSA.
 
-        Answered from the single grid cell holding the SSA start, so a shard
-        that owns the start vertex can compute the candidate set without
-        consulting its neighbours (every path starting at a vertex is stored
-        with the shard owning that vertex).
+        Answered from the single grid cell holding the SSA start (the
+        columnar kernel: from that vertex's hash bucket).
         """
         records = self._index.paths_starting_at(state.start, state.fsa)
         return [
@@ -394,9 +398,8 @@ class SinglePathStrategy:
 
         Both selection steps use total orders — ties fall back to the path id
         or the vertex coordinates — so the outcome is independent of the order
-        in which candidates were enumerated.  That invariance is what lets a
-        sharded coordinator merge per-shard candidate batches and still make
-        bit-identical decisions (see :mod:`repro.coordinator.sharding`).
+        in which candidates were enumerated (which is what lets the epoch
+        pass read the index in bulk and the inserts by end x).
         """
         if candidates:
             chosen = max(

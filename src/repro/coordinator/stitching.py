@@ -1,4 +1,4 @@
-"""Cross-shard stitching of hot motion paths into composite corridors.
+"""Stitching of hot motion paths into composite corridors.
 
 A hot *corridor* — a downtown artery, an evacuation route — is longer than any
 single motion path: SinglePath deliberately stores short segments (each
@@ -7,9 +7,7 @@ endpoint), so a corridor materialises in the index as a *chain* of hot paths,
 each starting exactly where the previous one ends (the coordinator's response
 endpoint becomes the next SSA start, so chains arise by construction).  This
 module turns those chains into first-class :class:`CompositeCorridor` report
-objects, both for the single-shard coordinator and — the interesting case —
-for a sharded fleet, where a corridor crossing the R x C shard grid would
-otherwise be reported as disjoint per-shard fragments.
+objects.
 
 **Welds.**  Stitching is driven by a purely local rule at each vertex ``v``:
 
@@ -23,17 +21,9 @@ dependence), every fragment has at most one weld-successor (its single end
 vertex) and at most one weld-predecessor (its single start vertex), so chains
 are simple and the corridor partition is unique.  A junction where several
 hot paths meet is a genuine fork — chaining through it would have to pick a
-branch, so the corridor ends there.
-
-**Why the rule shards exactly.**  Endpoint-owner routing stores *every*
-endpoint entry with the shard owning the endpoint's location, so the shard
-owning ``v`` knows all hot paths starting **and** ending at ``v`` — including
-the far side of boundary-straddling paths, whose end entries it holds.  Each
-shard can therefore decide the welds at its own vertices from local
-information alone, and the union of per-shard weld sets equals the global
-weld set (each vertex has exactly one owner, so no weld is duplicated or
-missed).  Chaining the union back into corridors is the per-boundary merge
-pass of :meth:`repro.coordinator.sharding.ShardRouter.stitch_epoch`.
+branch, so the corridor ends there.  Because the rule is per vertex, the
+welds of any partition of the vertices (a task owning some of them:
+:func:`weld_runs`' ownership flags) union to the global weld set.
 
 **Scoring.**  A corridor's ``hotness`` is the *minimum* member hotness (a
 corridor is only as hot as its least-travelled link) and its ``score`` is the
@@ -47,9 +37,8 @@ Cycles (a chain that closes on itself) are broken deterministically at the
 member with the smallest path id, which keeps the decomposition a pure
 function of the fragment set.
 
-This module is dependency-light on purpose: the execution backends' worker
-processes import :func:`weld_runs` directly, so nothing here may import from
-:mod:`repro.coordinator.sharding` or :mod:`repro.coordinator.execution`.
+A report's shape — fragments, welds, corridors and the ``boundary_welds``
+whose two fragments carry different shard labels — is :func:`corridor_stats`.
 """
 
 from __future__ import annotations
@@ -83,15 +72,17 @@ __all__ = [
     "chain_fragments",
     "build_corridors",
     "stitch_paths",
+    "corridor_stats",
     "select_top_k_corridors",
     "top_k_corridor_score",
 ]
 
-#: Wire format of one hot fragment shipped to a per-shard stitch task:
+#: One hot fragment of a stitch task:
 #: ``(path_id, start_x, start_y, end_x, end_y, owns_start, owns_end)``.
-#: The boolean flags mark which of the fragment's endpoints the task's shard
-#: owns — the worker decides welds only at vertices it owns, so a straddling
-#: path (shipped to both endpoint owners) is counted once per vertex.
+#: The boolean flags mark which of the fragment's endpoints the task owns —
+#: welds are decided only at owned vertices, so a fragment handed to the
+#: tasks of both its endpoints is counted once per vertex.  The global stitch
+#: is the one task that owns every vertex.
 StitchFragment = Tuple[int, float, float, float, float, bool, bool]
 
 
@@ -171,25 +162,23 @@ class CompositeCorridor:
 
 
 # ---------------------------------------------------------------------------
-# Weld computation (per-shard worker pass)
+# Weld computation
 # ---------------------------------------------------------------------------
 
 
 def weld_runs(fragments: Sequence[StitchFragment]) -> List[List[int]]:
     """Decide the welds at a task's *owned* vertices and chain them into runs.
 
-    ``fragments`` is one shard's stitch task: every hot fragment with at least
-    one endpoint owned by the shard, with the ``owns_start`` / ``owns_end``
-    flags marking which endpoints to count here.  Endpoint-owner routing
-    guarantees the task is complete for every owned vertex, so the local
-    degree counts equal the global ones and the welds decided here are
-    exactly the global welds at these vertices.
+    ``fragments`` is one stitch task: every hot fragment with at least one
+    endpoint the task owns, with the ``owns_start`` / ``owns_end`` flags
+    marking which endpoints to count here.  A task holding every fragment
+    that touches its owned vertices sees the global degree counts there, so
+    the welds decided here are exactly the global welds at these vertices.
 
     Returns *runs* — maximal chains ``[p1, .., pk]`` (``k >= 2``) under this
-    task's welds, each consecutive pair encoding one weld.  Runs rather than
-    raw pairs is the wire format the process backend ships back to the
-    parent (serialized corridor chains); the merge pass re-derives the pairs
-    and chains runs from different shards together.  A cycle closed entirely
+    task's welds, each consecutive pair encoding one weld;
+    :func:`successors_from_runs` re-derives the pairs, from several tasks'
+    runs at once.  A cycle closed entirely
     by this task's welds is serialized with its head repeated at the end
     (``[a, b, a]``), so the closing weld survives the run format — a cycle
     whose welds straddle two tasks already keeps every weld because each
@@ -226,10 +215,10 @@ def weld_runs(fragments: Sequence[StitchFragment]) -> List[List[int]]:
 
 
 def successors_from_runs(runs: Iterable[Sequence[int]]) -> Dict[int, int]:
-    """Rebuild the weld successor map from per-shard runs (the merge input).
+    """Rebuild the weld successor map from :func:`weld_runs` output.
 
-    Each vertex has exactly one owning shard, so no weld appears in two
-    shards' runs and the union is conflict-free.
+    When every vertex has exactly one owning task, no weld appears in two
+    tasks' runs and the union is conflict-free.
     """
     successor: Dict[int, int] = {}
     for run in runs:
@@ -309,10 +298,9 @@ def stitch_paths(
     """Global reference stitch: the seed coordinator's long-path report.
 
     ``hot_paths`` yields ``(record, hotness)`` pairs (the output of
-    :meth:`Coordinator.hot_paths`).  A sharded fleet's
-    :meth:`~repro.coordinator.sharding.ShardRouter.stitch_epoch` must
-    reproduce this bit for bit — the contract of
-    ``tests/test_stitching_equivalence.py``.
+    :meth:`Coordinator.hot_paths`).  The full-mode corridor report, and the
+    oracle the delta mode's :class:`IncrementalStitcher` must reproduce bit
+    for bit — the contract of ``tests/test_stitching_equivalence.py``.
     """
     info: Dict[int, Tuple[MotionPath, int]] = {}
     fragments: List[StitchFragment] = []
@@ -332,6 +320,33 @@ def stitch_paths(
     successor = successors_from_runs(weld_runs(fragments))
     chains = chain_fragments(info, successor)
     return build_corridors(chains, info.__getitem__)
+
+
+def corridor_stats(
+    corridors: Sequence[CompositeCorridor], owner_of: Callable[[int], int]
+) -> Dict[str, int]:
+    """The shape of a corridor report, for the ``stitch_stats`` diagnostic.
+
+    ``welds`` counts the welds the chains *consume* (a weld cycle's closing
+    weld drops out when the cycle is broken), so ``fragments - welds ==
+    corridors``; ``boundary_welds`` counts the consumed welds whose two
+    fragments ``owner_of`` labels differently.
+    """
+    welds = boundary_welds = multi_segment = 0
+    for corridor in corridors:
+        path_ids = corridor.path_ids
+        welds += len(path_ids) - 1
+        multi_segment += len(path_ids) > 1
+        boundary_welds += sum(
+            owner_of(left) != owner_of(right) for left, right in zip(path_ids, path_ids[1:])
+        )
+    return {
+        "fragments": welds + len(corridors),
+        "welds": welds,
+        "boundary_welds": boundary_welds,
+        "corridors": len(corridors),
+        "multi_segment_corridors": multi_segment,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +390,8 @@ class IncrementalStitcher:
     the very expressions :class:`CompositeCorridor` evaluates, so
     :meth:`top_k` equals :func:`select_top_k_corridors` over the full report.
 
-    Like the rest of this module, the class is shard-agnostic: owners are
-    resolved per :meth:`report` call, and the single-shard coordinator uses
-    it with a constant owner function.
+    Like the rest of this module, the class knows no shard layout: owners
+    are resolved per :meth:`report` call, for :func:`corridor_stats` only.
     """
 
     def __init__(self) -> None:
@@ -575,27 +589,11 @@ class IncrementalStitcher:
         Chains come out sorted by head id — the canonical order
         :func:`chain_fragments` produces globally — and each untouched
         chain's corridor is served from the per-chain cache.  ``owner_of``
-        only feeds the ``boundary_welds`` diagnostic (welds whose fragments
-        have different owners, counted per call).
+        only feeds the ``boundary_welds`` diagnostic of :func:`corridor_stats`;
+        the stats also carry the counters accumulated since the last report.
         """
-        heads = sorted(self._chains)
-        chains = [self._chains[head] for head in heads]
-        welds_used = sum(len(chain) - 1 for chain in chains)
-        boundary_welds = 0
-        for chain in chains:
-            for left, right in zip(chain, chain[1:]):
-                if owner_of(left) != owner_of(right):
-                    boundary_welds += 1
-        corridors = [self._corridor(head) for head in heads]
-        stats: Dict[str, int] = {
-            "fragments": len(self._paths),
-            "welds": welds_used,
-            "boundary_welds": boundary_welds,
-            "corridors": len(corridors),
-            "multi_segment_corridors": sum(
-                1 for corridor in corridors if corridor.num_segments > 1
-            ),
-        }
+        corridors = [self._corridor(head) for head in sorted(self._chains)]
+        stats = corridor_stats(corridors, owner_of)
         stats.update(self._since_report)
         self._since_report = self._zero_counters()
         return corridors, stats
@@ -614,7 +612,7 @@ def select_top_k_corridors(
     Mirrors :func:`repro.core.scoring.select_top_k` for composite corridors:
     ties fall back to the score (respectively hotness) and finally to the
     lead path id, so the ranking is a total order — independent of the order
-    in which per-shard merge results arrive.
+    in which the corridors were produced.
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")

@@ -770,14 +770,12 @@ class ScenarioRunner:
     def _inject_kill(self, coordinator, draw: float) -> Optional[int]:
         """Kill the drawn worker, then restart it.
 
-        Only meaningful on the processes backend with a spawned fleet;
-        returns the worker index when a kill fired, ``None`` when the fleet
-        shape makes the fault inapplicable (recorded as not-fired).
+        Only meaningful on the processes backend with spawned workers (at
+        any shard count); returns the worker index when a kill fired,
+        ``None`` when the configuration makes the fault inapplicable
+        (recorded as not-fired).
         """
-        router = coordinator.router
-        if router is None:
-            return None
-        backend = router.pipeline.backend
+        backend = coordinator.strategy.backend
         if backend.name != "processes" or backend.worker_count == 0:
             return None
         worker = min(backend.worker_count - 1, int(draw * backend.worker_count))

@@ -196,7 +196,7 @@ class TestSharedMemoryTransport:
                 for state in states:
                     coordinator.submit_state(state)
                 drive_trace.append(coordinator.run_epoch(boundary).responses)
-            backend = coordinator.router.pipeline.backend
+            backend = coordinator.strategy.backend
             assert backend.shm_shipments > 0
             assert backend.shm_fallbacks == 0
         finally:
@@ -210,7 +210,7 @@ class TestSharedMemoryTransport:
                 for state in states:
                     coordinator.submit_state(state)
                 coordinator.run_epoch(boundary)
-            backend = coordinator.router.pipeline.backend
+            backend = coordinator.strategy.backend
             assert backend.shm_shipments == 0
         finally:
             coordinator.close()
@@ -228,7 +228,7 @@ class TestSharedMemoryTransport:
             try:
                 for index, (boundary, states) in enumerate(stream):
                     if index == 3:
-                        coordinator.router.pipeline.backend.kill_worker(0)
+                        coordinator.strategy.backend.kill_worker(0)
                     for state in states:
                         coordinator.submit_state(state)
                     trace.append(coordinator.run_epoch(boundary).responses)

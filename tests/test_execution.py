@@ -27,7 +27,6 @@ import signal
 import subprocess
 import sys
 import time
-from types import SimpleNamespace
 from typing import List
 
 import pytest
@@ -139,12 +138,13 @@ class TestBackendSelection:
     def test_backend_names_cover_all_backends(self):
         assert set(BACKEND_NAMES) == {"serial", "processes"}
 
-    def test_single_shard_ignores_backend(self):
+    def test_single_shard_uses_requested_backend(self):
+        """The backend belongs to the overlap stage, not to a fleet."""
         coordinator = Coordinator(
             CoordinatorConfig(bounds=BOUNDS, num_shards=1, backend="processes")
         )
-        assert coordinator.router is None
-        coordinator.close()  # must be a safe no-op
+        assert coordinator.strategy.backend.name == "processes"
+        coordinator.close()  # nothing spawned yet: a safe no-op
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_pool_width_follows_the_affinity_mask_not_the_host(self, monkeypatch):
@@ -160,7 +160,7 @@ class TestBackendSelection:
             coordinator = Coordinator(
                 CoordinatorConfig(bounds=BOUNDS, num_shards=4, backend=name)
             )
-            assert coordinator.router.pipeline.backend.name == name
+            assert coordinator.strategy.backend.name == name
             coordinator.close()
 
 
@@ -294,7 +294,7 @@ class TestBackendRegression:
         # Swap in an oversized process pool directly (the CLI has no worker
         # knob, but the backend API does).
         backend = ProcessBackend(workers=6)
-        coordinator.router.pipeline.backend = backend
+        coordinator.strategy.backend = backend
         widths = []
         try:
             oversized = drive_with_fault(
@@ -317,11 +317,11 @@ class TestBackendRegression:
 
 class TestOneDecisionPath:
     """What an epoch does in the parent, as exact counts, on both backends
-    and on 2x2, 2x3 and 4x4 fleets.
+    and on 2x2, 2x3 and 4x4 grids.
 
     Every backend replays Algorithm 2 in submission order in the parent, so
     an insert is indexed once — a start entry and an end entry — under the
-    id the router's counter hands out next, and an eviction removes the same
+    id the index's counter hands out next, and an eviction removes the same
     two entries.  Counts, not clocks: they repeat exactly run to run.
     """
 
@@ -330,7 +330,7 @@ class TestOneDecisionPath:
     def test_each_insert_is_indexed_once_under_its_final_id(
         self, backend, num_shards, monkeypatch
     ):
-        calls = {"add_entry": 0, "remove_entry": 0, "conflict_groups": 0}
+        calls = {"_add_entry": 0, "_remove_entry": 0, "conflict_groups": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -339,7 +339,7 @@ class TestOneDecisionPath:
 
             return wrapper
 
-        for name in ("add_entry", "remove_entry"):
+        for name in ("_add_entry", "_remove_entry"):
             monkeypatch.setattr(GridIndex, name, counted(name, getattr(GridIndex, name)))
         monkeypatch.setattr(
             sharding, "conflict_groups", counted("conflict_groups", sharding.conflict_groups)
@@ -349,18 +349,17 @@ class TestOneDecisionPath:
                 bounds=BOUNDS, window=20, num_shards=num_shards, backend=backend
             )
         )
-        router = coordinator.router
         inserted = deleted = 0
         try:
             for boundary, states in boundary_stream(seed=29, epochs=10, per_epoch=40):
                 for state in states:
                     coordinator.submit_state(state)
-                first_id = router._next_path_id
+                first_id = coordinator.index._next_path_id
                 for name in calls:
                     calls[name] = 0
                 delta = coordinator.run_epoch(boundary).delta
-                assert calls["add_entry"] == 2 * len(delta.inserted)
-                assert calls["remove_entry"] == 2 * len(delta.deleted)
+                assert calls["_add_entry"] == 2 * len(delta.inserted)
+                assert calls["_remove_entry"] == 2 * len(delta.deleted)
                 assert calls["conflict_groups"] == 0
                 assert delta.inserted == tuple(range(first_id, first_id + len(delta.inserted)))
                 assert delta.renumbered == 0
@@ -421,7 +420,7 @@ class TestWorkerFaultRecovery:
         def kill_then_restart(coordinator: Coordinator, index: int) -> None:
             if index not in (2, 4):
                 return
-            backend = coordinator.router.pipeline.backend
+            backend = coordinator.strategy.backend
             worker = index % backend.worker_count
             backend.kill_worker(worker)
             assert not backend.workers_alive()[worker]
@@ -429,7 +428,7 @@ class TestWorkerFaultRecovery:
             assert backend.workers_alive()[worker]
 
         coordinator = self.make("processes")
-        backend = coordinator.router.pipeline.backend
+        backend = coordinator.strategy.backend
         actual = self.drive_with_fault(coordinator, stream, kill_then_restart)
         assert backend.worker_restarts == 2
         assert actual == expected
@@ -443,10 +442,10 @@ class TestWorkerFaultRecovery:
 
         def kill_only(coordinator: Coordinator, index: int) -> None:
             if index == 3:
-                coordinator.router.pipeline.backend.kill_worker(0)
+                coordinator.strategy.backend.kill_worker(0)
 
         coordinator = self.make("processes")
-        backend = coordinator.router.pipeline.backend
+        backend = coordinator.strategy.backend
         actual = self.drive_with_fault(coordinator, stream, kill_only)
         assert backend.worker_restarts >= 1
         assert actual == expected
@@ -463,12 +462,12 @@ class TestWorkerFaultRecovery:
 
         def hang(coordinator: Coordinator, index: int) -> None:
             if index == 3:
-                process = coordinator.router.pipeline.backend._processes[0]
+                process = coordinator.strategy.backend._processes[0]
                 os.kill(process.pid, signal.SIGSTOP)
                 stopped.append(process)
 
         coordinator = self.make("processes")
-        backend = coordinator.router.pipeline.backend
+        backend = coordinator.strategy.backend
         with caplog.at_level(logging.WARNING, logger=execution.__name__):
             actual = self.drive_with_fault(coordinator, stream, hang)
         assert actual == expected
@@ -482,7 +481,7 @@ class TestWorkerFaultRecovery:
         bring one up rather than index into an empty pool."""
         coordinator = self.make("processes")
         try:
-            backend = coordinator.router.pipeline.backend
+            backend = coordinator.strategy.backend
             assert backend.worker_count == 0
             backend.restart_worker(0)
             assert backend.worker_count > 0
@@ -493,7 +492,7 @@ class TestWorkerFaultRecovery:
     def test_fault_hooks_validate_their_targets(self):
         coordinator = self.make("processes")
         try:
-            backend = coordinator.router.pipeline.backend
+            backend = coordinator.strategy.backend
             with pytest.raises(ConfigurationError):
                 backend.kill_worker(0)  # fleet not spawned yet
             # Two overlapping reporters: a pool to build, so the fleet spawns
@@ -550,7 +549,7 @@ class TestStatelessWorkers:
                 kernel=kernel,
             )
         )
-        backend = coordinator.router.pipeline.backend
+        backend = coordinator.strategy.backend
         kills = 0
         trace = []
         try:
@@ -579,40 +578,38 @@ class TestStatelessWorkers:
         coordinator = Coordinator(
             CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
         )
-        router = coordinator.router
-        backend = router.pipeline.backend = ProcessBackend(workers=2)
+        backend = coordinator.strategy.backend = ProcessBackend(workers=2)
+        kernel = coordinator.index.kernel
         try:
             backend.restart_worker(1)  # cold: forks the whole fleet, index empty
             for _ in range(1000):
-                router.insert(
+                coordinator.index.insert(
                     MotionPath(
                         Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
                         Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
                     )
                 )
-            assert len(router.index) == 1000
+            assert len(coordinator.index) == 1000
             backend.restart_worker(0)  # forked from a parent holding 1 000 records
             pool = pool_of(rng, members=12, base_id=0)
             # Pool i goes to worker i % 2: the same pool, once to each worker.
-            _none, (late, early) = backend.map_candidate_buckets(router, {}, [], [pool, pool])
+            _none, (late, early) = backend.build_overlaps([pool, pool], kernel, lambda: None)
             assert backend.worker_restarts == 2
-            reference = build_structures([pool], kernel=router.kernel)[0].serialized()
+            reference = build_structures([pool], kernel=kernel)[0].serialized()
             assert late.serialized() == early.serialized() == reference
         finally:
             coordinator.close()
 
     @pytest.mark.parametrize("kernel", KERNELS_AVAILABLE)
     def test_builds_pools_without_a_router(self, kernel):
-        """The backend needs nothing of a fleet to do its one job: no
-        ``ShardRouter`` exists here, only the kernel name it would carry."""
+        """The backend needs nothing of a coordinator to do its one job: the
+        pools, the kernel name, and the parent's pass to run meanwhile."""
         rng = random.Random(3)
         pools = [pool_of(rng, members, base_id=100 * i) for i, members in enumerate([1, 7, 3, 12, 2])]
         backend = ProcessBackend(workers=2)
         try:
-            per_state, structures = backend.map_candidate_buckets(
-                SimpleNamespace(kernel=kernel), {}, [], pools
-            )
-            assert per_state == []
+            alongside, structures = backend.build_overlaps(pools, kernel, lambda: "parent")
+            assert alongside == "parent"
             assert backend.workers_alive() == [True, True]
             assert [structure.serialized() for structure in structures] == [
                 structure.serialized() for structure in build_structures(pools, kernel=kernel)
@@ -634,7 +631,7 @@ class TestStatelessWorkers:
         coordinator = Coordinator(
             CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
         )
-        backend = coordinator.router.pipeline.backend = ProcessBackend(workers=2)
+        backend = coordinator.strategy.backend = ProcessBackend(workers=2)
         expected = 0
         missed_per_epoch = []
         try:
@@ -657,7 +654,7 @@ class TestStatelessWorkers:
                 for state in roster + visitors:
                     coordinator.submit_state(state)
                 coordinator.run_epoch(epoch * 10)
-                missed = coordinator.router.last_pool_stats["pools_rebuilt"]
+                missed = coordinator.strategy.last_pool_stats["pools_rebuilt"]
                 missed_per_epoch.append(missed)
                 expected += min(missed, 2)
             assert 0 in missed_per_epoch and 1 in missed_per_epoch  # idle epochs, idle workers

@@ -195,7 +195,7 @@ class TestBoundaryCells:
 
     ``_cell_of`` truncates then clamps into ``[0, cells_per_axis - 1]``: a
     point exactly on the bounds' max edge must land in the last cell (not one
-    past it), and because ``add_entry``, ``remove_entry`` and every query
+    past it), and because ``_add_entry``, ``_remove_entry`` and every query
     funnel through the same ``_cell_of``, an entry added at any boundary
     point must be findable and removable regardless of which side of a cell
     border the float division puts it on.
@@ -249,7 +249,7 @@ class TestBoundaryCells:
             inserted.append(record)
         for record in inserted:
             # The degenerate query at each endpoint must see the entry the
-            # matching add_entry stored — whichever cell the float division
+            # matching _add_entry stored — whichever cell the float division
             # picked, queries pick the same one.
             start, end = record.path.start, record.path.end
             probe = Rectangle.degenerate(end)

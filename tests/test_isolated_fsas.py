@@ -102,9 +102,7 @@ class TestIsolatedFsasSkipThePoolStage:
             for state in disjoint_reporters():
                 coordinator.submit_state(state)
             delta = coordinator.run_epoch(10).delta
-            router = coordinator.router
-            cache = coordinator._pool_cache if router is None else router.pool_cache
-            assert len(cache) == 0
+            assert len(coordinator._pool_cache) == 0
             assert calls["build"] == 0
             assert delta.pools_total == 0
             assert coordinator.shard_statistics()["pools_total"] == 0
@@ -122,7 +120,7 @@ class TestIsolatedFsasSkipThePoolStage:
 
         monkeypatch.setattr(ProcessBackend, "_send", recorded)
         coordinator = make(4, backend="processes")
-        backend = coordinator.router.pipeline.backend
+        backend = coordinator.strategy.backend
         try:
             for epoch in (1, 2):
                 for state in disjoint_reporters(t_end=10 * epoch):

@@ -30,15 +30,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
-from repro.coordinator import sharding, single_path
+from repro.coordinator import single_path
+from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.execution import create_backend
 from repro.coordinator.overlaps import (
     FsaOverlapStructure,
     OverlapPoolCache,
     build_structures,
     plan_shard_overlaps,
 )
-from repro.coordinator.sharding import ShardRouter
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 KERNELS = ("object", "columnar")
@@ -186,14 +187,14 @@ class TestLayoutIndependence:
     @given(epochs=st.lists(state_lists, min_size=1, max_size=3))
     def test_pools_are_the_same_on_every_layout(self, epochs):
         planned: List[list] = []
-        original = sharding.plan_shard_overlaps
+        original = single_path.plan_shard_overlaps
 
         def recording(*args, **kwargs):
             plan = original(*args, **kwargs)
             seen.append([list(pool.items()) for pool in plan.pools])
             return plan
 
-        sharding.plan_shard_overlaps = single_path.plan_shard_overlaps = recording
+        single_path.plan_shard_overlaps = recording
         try:
             for layout in self.LAYOUTS:
                 seen: List[list] = []
@@ -209,7 +210,7 @@ class TestLayoutIndependence:
                     coordinator.close()
                 planned.append(seen)
         finally:
-            sharding.plan_shard_overlaps = single_path.plan_shard_overlaps = original
+            single_path.plan_shard_overlaps = original
         assert all(seen == planned[0] for seen in planned[1:])
 
 
@@ -281,11 +282,7 @@ class TestBackendWorkerBuilds:
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_worker_side_builds_match_inline_build(self, backend):
-        router = ShardRouter(
-            CoordinatorConfig(
-                bounds=BOUNDS, window=40, cells_per_axis=32, num_shards=16, backend=backend
-            )
-        )
+        backend = create_backend(backend)
         try:
             pools = [
                 {
@@ -295,13 +292,13 @@ class TestBackendWorkerBuilds:
                 {3: Rectangle.from_center(Point(800.0, 800.0), 50.0)},
                 {4: Rectangle.from_center(Point(500.0, 500.0), 5.0)},
             ]
-            per_state, structures = router.pipeline.backend.map_candidate_buckets(
-                router, {}, [], pools
+            alongside, structures = backend.build_overlaps(
+                pools, resolve_kernel("columnar"), lambda: "parent"
             )
-            assert per_state == []
+            assert alongside == "parent"
             expected = [FsaOverlapStructure.build(pool) for pool in pools]
             assert len(structures) == len(expected)
             for built, reference in zip(structures, expected):
                 assert regions_of(built) == regions_of(reference)
         finally:
-            router.pipeline.close()
+            backend.close()

@@ -1,22 +1,23 @@
-"""The fixed shard grid, shard statistics and boundary-ledger regressions.
+"""The fixed shard grid and the shard-label statistics.
 
 Four layers:
 
 * :class:`TestPlaneCover` / :class:`TestOverlapQueries` — hypothesis
-  properties of :class:`~repro.coordinator.partition.ShardGrid` the router's
-  exactness contract rests on: every point has exactly one owner whose cell
-  contains it, the cells tile the bounds, and region queries never miss an
-  owner; :class:`TestShardLayout` pins the R x C factorisation, prime counts
-  (1 x 3, 1 x 7 stripes) included;
-* :class:`TestShardStatistics` / :class:`TestStatisticsSchema` — per-shard
-  load counts never double-count boundary-straddling paths (visible from
-  both endpoint shards via ``boundary_ledger_of``), and ``shard_statistics()``
-  has one exact key set on the single-shard fallback and on every fleet;
-* :class:`TestSingleShardDeltaStatistics` — the fallback's delta counters
-  reconcile with a 1-shard fleet's;
-* :class:`TestLedgerDrain` — window slides that expire straddling paths must
-  drop their ledger entries in the same epoch's deferred drain, over long
-  replays (a leak inflates imbalance statistics and stitch work).
+  properties of :class:`~repro.coordinator.partition.ShardGrid`: every point
+  has exactly one owner whose cell contains it, the cells tile the bounds,
+  and region queries never miss an owner; :class:`TestShardLayout` pins the
+  R x C factorisation, prime counts (1 x 3, 1 x 7 stripes) included;
+* :class:`TestShardStatistics` / :class:`TestStatisticsSchema` — a record
+  counts once, for the owner of its start vertex (a boundary-straddling path
+  is never double-counted), and ``shard_statistics()`` has one exact key set
+  on every shard count;
+* :class:`TestSingleShardDeltaStatistics` — the delta counters of
+  ``shard_statistics()`` mean the same thing at every shard count;
+* :class:`TestExpiryDrain` — over long windowed replays the statistics count
+  the live records only: an expired straddling path never lingers.
+
+``tests/test_one_index.py`` holds the differential of the on-demand
+statistics against a from-scratch recount.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.partition import ShardGrid, shard_layout
-from repro.coordinator.sharding import ShardRouter
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
@@ -42,27 +42,43 @@ coordinates = st.floats(min_value=-200.0, max_value=1200.0)
 shard_counts = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 16])
 
 
-def make_router(num_shards: int = 4, window: int = 60, **kwargs) -> ShardRouter:
-    return ShardRouter(
+def make_coordinator(num_shards: int = 4, window: int = 60, **kwargs) -> Coordinator:
+    return Coordinator(
         CoordinatorConfig(
             bounds=BOUNDS, window=window, cells_per_axis=32, num_shards=num_shards, **kwargs
         )
     )
 
 
-def live_straddling(router: ShardRouter) -> List[int]:
-    """Ground truth: live paths whose endpoints have different owners."""
-    return sorted(
-        path_id
-        for path_id, shard in router.owners.items()
-        if router.shard_of(shard.index.get(path_id).path.end) is not shard
-    )
-
-
-def ledger_paths(router: ShardRouter) -> List[int]:
-    return sorted(
-        path_id for entries in router.boundary_ledger.values() for path_id in entries
-    )
+def feedback_stream(seed: int, epochs: int, per_epoch: int = 16):
+    """States whose FSAs hop across the grid borders so the decided paths
+    straddle often; objects re-report from fresh spots, so old paths go cold
+    and expire as the window slides."""
+    rng = random.Random(seed)
+    stream = []
+    for epoch in range(1, epochs + 1):
+        boundary = epoch * 10
+        states = []
+        for _ in range(per_epoch):
+            start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
+            centre = Point(
+                start.x + rng.uniform(-260.0, 260.0),
+                start.y + rng.uniform(-260.0, 260.0),
+            )
+            fsa = Rectangle.from_center(centre, rng.uniform(10.0, 120.0))
+            t_end = boundary - rng.randrange(10)
+            states.append(
+                ObjectState(
+                    rng.randrange(per_epoch * 2),
+                    start,
+                    max(0, t_end - 5),
+                    fsa.low,
+                    fsa.high,
+                    t_end,
+                )
+            )
+        stream.append((boundary, states))
+    return stream
 
 
 @st.composite
@@ -203,14 +219,13 @@ class TestShardLayout:
 
     @pytest.mark.parametrize("num_shards", [2, 3, 7, 13])
     def test_a_prime_count_is_a_row_of_full_height_stripes(self, num_shards):
-        router = make_router(num_shards)
-        assert (router.grid.rows, router.grid.cols) == (1, num_shards)
-        for shard in router.shards:
-            assert (shard.bounds.low.y, shard.bounds.high.y) == (0.0, 1000.0)
-            # One row: every stripe keeps the global grid's resolution.
-            assert shard.index.config.cells_per_axis == 32
-        assert router.shards[-1].bounds.high.x == 1000.0
-        assert [shard.bounds.width for shard in router.shards] == pytest.approx(
+        grid = make_coordinator(num_shards).router.grid
+        assert (grid.rows, grid.cols) == (1, num_shards)
+        cells = [grid.shard_bounds(shard_id) for shard_id in range(num_shards)]
+        for cell in cells:
+            assert (cell.low.y, cell.high.y) == (0.0, 1000.0)
+        assert cells[-1].high.x == 1000.0
+        assert [cell.width for cell in cells] == pytest.approx(
             [1000.0 / num_shards] * num_shards
         )
 
@@ -221,7 +236,7 @@ class TestShardLayout:
             ShardGrid(BOUNDS, 0, 3)
 
 
-#: Every key ``shard_statistics()`` reports, on the fallback and on a fleet.
+#: Every key ``shard_statistics()`` reports, on every shard count.
 STATISTICS_KEYS = {
     "num_shards",
     "total_records",
@@ -248,39 +263,25 @@ class TestStatisticsSchema:
     @pytest.mark.parametrize("epoch_mode", ["delta", "full"])
     @pytest.mark.parametrize("num_shards", [1, 3, 4, 7, 16])
     def test_the_key_set_is_exact(self, num_shards, epoch_mode):
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=BOUNDS,
-                window=60,
-                cells_per_axis=32,
-                num_shards=num_shards,
-                epoch_mode=epoch_mode,
-            )
-        )
+        coordinator = make_coordinator(num_shards, epoch_mode=epoch_mode)
         try:
-            for boundary, states in TestLedgerDrain.feedback_stream(seed=5, epochs=3):
+            for boundary, states in feedback_stream(seed=5, epochs=3):
                 for state in states:
                     coordinator.submit_state(state)
                 coordinator.run_epoch(boundary)
             stats = coordinator.shard_statistics()
         finally:
             coordinator.close()
-        assert (coordinator.router is None) == (num_shards == 1)
+        assert coordinator.router.grid.num_shards == num_shards
         assert sorted(stats) == sorted(STATISTICS_KEYS)
         assert stats["num_shards"] == num_shards
         assert stats["total_records"] == coordinator.index_size() > 0
 
 
 class TestSingleShardDeltaStatistics:
-    """Satellite regression: the single-shard ``shard_statistics`` fallback
-    must reconcile the delta counters with the sharded path.
-
-    A single-shard coordinator runs its overlap pools through the same
-    :class:`~repro.coordinator.overlaps.OverlapPoolCache` resolve/store
-    protocol a fleet uses, so its ``pools_*`` counters must
-    equal a 1-shard fleet's over the same stream — previously they were
-    hardcoded zeros (and ``total_records`` leaked out as a float).
-    """
+    """The delta counters of ``shard_statistics()`` are the pool cache's and
+    the stitcher's live lifetime totals, the same at every shard count — not
+    hardcoded zeros (and ``total_records`` is an int, not a float)."""
 
     @staticmethod
     def _stream() -> List[Tuple[int, List[ObjectState]]]:
@@ -303,20 +304,14 @@ class TestSingleShardDeltaStatistics:
         return [(10, first), (20, second), (30, [s for s in third]), (40, fourth)]
 
     def test_counters_match_a_one_shard_fleet(self):
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=BOUNDS, window=60, cells_per_axis=32, epoch_mode="delta"
-            )
-        )
-        fleet = make_router(1)
+        coordinator = make_coordinator(1, epoch_mode="delta")
+        fleet = make_coordinator(16, epoch_mode="delta")
         for boundary, states in self._stream():
             for state in states:
                 coordinator.submit_state(state)
+                fleet.submit_state(state)
             coordinator.run_epoch(boundary)
-            for path_id in fleet.hotness.advance_time(boundary):
-                if path_id in fleet.index:
-                    fleet.index.delete(path_id)
-            fleet.pipeline.process_epoch(states)
+            fleet.run_epoch(boundary)
 
         single = coordinator.shard_statistics()
         sharded = fleet.shard_statistics()
@@ -343,11 +338,7 @@ class TestSingleShardDeltaStatistics:
         )
 
     def test_fallback_schema_types_match_the_sharded_path(self):
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=BOUNDS, window=60, cells_per_axis=32, epoch_mode="delta"
-            )
-        )
+        coordinator = make_coordinator(1, epoch_mode="delta")
         for boundary, states in self._stream():
             for state in states:
                 coordinator.submit_state(state)
@@ -360,11 +351,7 @@ class TestSingleShardDeltaStatistics:
         assert stats["mean_shard_records"] == float(len(coordinator.index))
 
     def test_full_mode_single_shard_reports_zero_pool_counters(self):
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=BOUNDS, window=60, cells_per_axis=32, epoch_mode="full"
-            )
-        )
+        coordinator = make_coordinator(1, epoch_mode="full")
         for boundary, states in self._stream():
             for state in states:
                 coordinator.submit_state(state)
@@ -378,7 +365,7 @@ class TestShardStatistics:
     """Satellite audit: straddling paths are counted once."""
 
     def test_straddling_paths_are_not_double_counted(self):
-        router = make_router(4)
+        coordinator = make_coordinator(4)
         # Three straddling paths (across the 2x2 borders), two local ones.
         straddling = [
             MotionPath(Point(100.0, 100.0), Point(900.0, 100.0)),
@@ -390,106 +377,79 @@ class TestShardStatistics:
             MotionPath(Point(850.0, 850.0), Point(950.0, 950.0)),
         ]
         for path in straddling + local:
-            router.insert(path)
-        stats = router.shard_statistics()
-        # Every path contributes exactly one record to exactly one shard,
-        # even though the end owner of a straddler also indexes an entry.
+            coordinator.index.insert(path)
+        stats = coordinator.shard_statistics()
+        # Every path contributes exactly one record, to its start owner.
         assert stats["total_records"] == 5
-        assert sum(len(shard.index) for shard in router.shards) == 5
+        assert (stats["min_shard_records"], stats["max_shard_records"]) == (0, 3)
         assert stats["straddling_paths"] == 3
-        assert len(live_straddling(router)) == 3
-        # Both endpoint shards see a straddler through the ledger view —
-        # the sum over per-shard views is 2x the ledger, never the stats.
-        views = sum(len(router.boundary_ledger_of(s.shard_id)) for s in router.shards)
-        assert views == 2 * stats["straddling_paths"]
 
     def test_imbalance_signal_reflects_skew(self):
-        router = make_router(4)
+        coordinator = make_coordinator(4)
         rng = random.Random(3)
         for _ in range(30):
             start = Point(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
             end = Point(start.x + 5.0, start.y + 5.0)
-            router.insert(MotionPath(start, end))
-        stats = router.shard_statistics()
+            coordinator.index.insert(MotionPath(start, end))
+        stats = coordinator.shard_statistics()
         assert stats["imbalance"] == pytest.approx(4.0)  # all load on one of 4 shards
-        empty = make_router(4)
-        assert empty.shard_statistics()["imbalance"] == 1.0
+        assert make_coordinator(4).shard_statistics()["imbalance"] == 1.0
 
 
-class TestLedgerDrain:
-    """Satellite leak regression: expiry must drain straddling ledger entries."""
-
-    @staticmethod
-    def feedback_stream(seed: int, epochs: int, per_epoch: int = 16):
-        """States whose FSAs hop across the grid borders so the decided
-        paths straddle often; objects re-report from fresh spots, so old
-        paths go cold and expire as the window slides."""
-        rng = random.Random(seed)
-        stream = []
-        for epoch in range(1, epochs + 1):
-            boundary = epoch * 10
-            states = []
-            for _ in range(per_epoch):
-                start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
-                centre = Point(
-                    start.x + rng.uniform(-260.0, 260.0),
-                    start.y + rng.uniform(-260.0, 260.0),
-                )
-                fsa = Rectangle.from_center(centre, rng.uniform(10.0, 120.0))
-                t_end = boundary - rng.randrange(10)
-                states.append(
-                    ObjectState(
-                        rng.randrange(per_epoch * 2),
-                        start,
-                        max(0, t_end - 5),
-                        fsa.low,
-                        fsa.high,
-                        t_end,
-                    )
-                )
-            stream.append((boundary, states))
-        return stream
+class TestExpiryDrain:
+    """Expiry leaves nothing behind in the labels: the diagnostics count the
+    live records only, over long windowed replays."""
 
     @pytest.mark.parametrize("num_shards", [3, 4, 7, 16])
-    def test_no_ledger_leak_over_long_replays(self, num_shards):
-        """After every epoch of a long windowed replay, the ledger holds
-        exactly the live straddling paths — an expired straddler must never
-        linger (leaks inflate imbalance statistics and stitch work)."""
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=BOUNDS,
-                window=30,
-                cells_per_axis=32,
-                num_shards=num_shards,
-            )
-        )
-        router = coordinator.router
+    def test_no_straddler_outlives_its_expiry_over_long_replays(self, num_shards):
+        """After every epoch of a long windowed replay, ``straddling_paths``
+        and ``total_records`` count exactly the live paths, tracked here from
+        each epoch's inserted and deleted ids — an expired straddler must
+        never linger (it would inflate imbalance and the stitch report)."""
+        coordinator = make_coordinator(num_shards, window=30, epoch_mode="delta")
+        grid = coordinator.router.grid
+        live = {}
         expired_total = 0
         saw_straddling = False
-        for boundary, states in self.feedback_stream(seed=19, epochs=25):
-            for state in states:
-                coordinator.submit_state(state)
-            outcome = coordinator.run_epoch(boundary)
-            expired_total += outcome.paths_expired
-            assert ledger_paths(router) == live_straddling(router), (
-                f"ledger leaked at epoch boundary {boundary}"
-            )
-            saw_straddling = saw_straddling or bool(ledger_paths(router))
+        try:
+            for boundary, states in feedback_stream(seed=19, epochs=25):
+                for state in states:
+                    coordinator.submit_state(state)
+                outcome = coordinator.run_epoch(boundary)
+                expired_total += outcome.paths_expired
+                for path_id in outcome.delta.deleted:
+                    del live[path_id]
+                for path_id in outcome.delta.inserted:
+                    live[path_id] = coordinator.index.get(path_id).path
+                straddling = sum(
+                    grid.shard_id_of(path.start) != grid.shard_id_of(path.end)
+                    for path in live.values()
+                )
+                stats = coordinator.shard_statistics()
+                assert (stats["total_records"], stats["straddling_paths"]) == (
+                    len(live),
+                    straddling,
+                ), f"a label leaked at epoch boundary {boundary}"
+                saw_straddling = saw_straddling or straddling > 0
+        finally:
+            coordinator.close()
         assert expired_total > 0, "window never slid — the regression is vacuous"
         assert saw_straddling, "no straddling path ever existed — vacuous"
-        coordinator.close()
 
-    def test_everything_expired_means_empty_ledger(self):
-        """Once the stream stops and the window passes, the ledger is empty."""
-        coordinator = Coordinator(
-            CoordinatorConfig(bounds=BOUNDS, window=20, cells_per_axis=32, num_shards=4)
-        )
-        for boundary, states in self.feedback_stream(seed=23, epochs=5):
-            for state in states:
-                coordinator.submit_state(state)
-            coordinator.run_epoch(boundary)
-        coordinator.run_epoch(10_000)  # slide the window past everything
-        assert coordinator.router.boundary_ledger == {}
-        assert coordinator.router.shard_statistics()["straddling_paths"] == 0
-        assert coordinator.index_size() == 0
-        coordinator.close()
+    def test_everything_expired_means_no_straddlers(self):
+        """Once the stream stops and the window passes, nothing is labelled."""
+        coordinator = make_coordinator(4, window=20)
+        try:
+            for boundary, states in feedback_stream(seed=23, epochs=5):
+                for state in states:
+                    coordinator.submit_state(state)
+                coordinator.run_epoch(boundary)
+            assert coordinator.shard_statistics()["straddling_paths"] > 0
+            coordinator.run_epoch(10_000)  # slide the window past everything
+            stats = coordinator.shard_statistics()
+            assert (stats["total_records"], stats["straddling_paths"]) == (0, 0)
+            assert coordinator.index_size() == 0
+            assert coordinator.hot_corridors() == []
+            assert coordinator.router.stitch_stats["boundary_welds"] == 0
+        finally:
+            coordinator.close()

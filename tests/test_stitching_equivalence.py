@@ -1,7 +1,7 @@
 """Stitching differential harness: composite corridors must match the seed.
 
 Extends the differential contract of ``tests/test_sharding_equivalence.py``
-to the corridor report: a sharded fleet must produce, after every epoch,
+to the corridor report: a sharded coordinator must produce, after every epoch,
 exactly the corridors a *global* stitch of the seed coordinator's hot paths
 produces — path ids, segment order, geometry, per-segment hotness, merged
 hotness and score, bit for bit — for 1x3 and 1x7 stripes and 2x2, 2x3 and 4x4
@@ -30,7 +30,6 @@ from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
-from repro.coordinator.sharding import ShardRouter
 from repro.coordinator.stitching import (
     CompositeCorridor,
     IncrementalStitcher,
@@ -332,38 +331,49 @@ class TestLazyStitching:
 
 class TestWeldCycles:
     """Weld cycles (closed hot-path loops) are broken once, at the minimum
-    member id, whichever shards' weld passes decided the cycle's welds."""
+    member id, and the report's stats count the welds the chains consume."""
 
-    def _cycle_router(self) -> ShardRouter:
+    @staticmethod
+    def _cycle_coordinator(epoch_mode: str) -> Coordinator:
         # 2x2 grid over 1000^2: V0, V1 in shard 0 (x < 500), V2 in shard 1.
         # Paths 0: V0->V2, 1: V1->V0, 2: V2->V1 close the weld cycle
         # 0 -> 2 -> 1 -> 0 with welds {1->0 same-owner, 2->1 and 0->2 cross}.
-        router = ShardRouter(
-            CoordinatorConfig(bounds=BOUNDS, window=10**6, cells_per_axis=32, num_shards=4)
-        )
+        coordinator = make_coordinator(4, window=10**6, epoch_mode=epoch_mode)
         v0, v1, v2 = Point(100.0, 100.0), Point(200.0, 100.0), Point(600.0, 100.0)
         for path in (MotionPath(v0, v2), MotionPath(v1, v0), MotionPath(v2, v1)):
-            record = router.insert(path, created_at=0)
-            router.hotness.record_crossing(record.path_id, 0)
-        return router
+            record = coordinator.index.insert(path, created_at=0)
+            coordinator.hotness.record_crossing(record.path_id, 0)
+        return coordinator
 
     def test_cross_shard_cycle_weld_accounting(self):
-        router = self._cycle_router()
-        corridors = router.stitch_epoch()
+        coordinator = self._cycle_coordinator("delta")
+        corridors = coordinator.hot_corridors()
         assert [c.path_ids for c in corridors] == [(0, 2, 1)]  # broken at min id 0
         # Stats count *consumed* welds — the cycle-closing 1->0 weld drops
-        # out before counting, so fragments - welds == corridors and the
-        # numbers match whatever shard layout decided the welds.
-        assert router.stitch_stats["welds"] == 2
-        assert router.stitch_stats["boundary_welds"] == 2
+        # out before counting, so fragments - welds == corridors.
+        stats = coordinator.router.stitch_stats
+        assert (stats["fragments"], stats["welds"], stats["corridors"]) == (3, 2, 1)
+        assert stats["boundary_welds"] == 2
+
+    def test_full_mode_reports_the_same_shape(self):
+        """Full mode stitches from scratch; its stats are the same five
+        numbers, without the stitcher's incremental counters."""
+        delta = self._cycle_coordinator("delta")
+        full = self._cycle_coordinator("full")
+        assert corridor_snapshot(full.hot_corridors()) == corridor_snapshot(delta.hot_corridors())
+        shape = {key: delta.router.stitch_stats[key] for key in full.router.stitch_stats}
+        assert full.router.stitch_stats == shape
+        assert sorted(shape) == [
+            "boundary_welds", "corridors", "fragments", "multi_segment_corridors", "welds",
+        ]
 
     def test_cycle_matches_the_global_stitch(self):
-        router = self._cycle_router()
+        coordinator = self._cycle_coordinator("delta")
         hot = [
-            (router.index.get(path_id), hotness)
-            for path_id, hotness in sorted(router.hotness.items())
+            (coordinator.index.get(path_id), hotness)
+            for path_id, hotness in sorted(coordinator.hotness.items())
         ]
-        assert corridor_snapshot(router.stitch_epoch()) == corridor_snapshot(
+        assert corridor_snapshot(coordinator.hot_corridors()) == corridor_snapshot(
             stitch_paths(hot)
         )
 
