@@ -41,7 +41,11 @@ class ObjectState:
 
     @property
     def fsa(self) -> Rectangle:
-        """The Final Safe Area as a rectangle."""
+        """The Final Safe Area as a rectangle.
+
+        Builds and validates a new ``Rectangle`` on every access, so a hot
+        loop reads it once (the coordinator does, once per state per epoch).
+        """
         return Rectangle(self.fsa_low, self.fsa_high)
 
     @property

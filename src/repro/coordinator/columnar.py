@@ -1,4 +1,4 @@
-"""Columnar (structure-of-arrays) kernels for the coordinator hot path.
+"""Columnar kernels for the coordinator hot path.
 
 The scalar pipeline spends its epochs in per-object python geometry: grid-cell
 membership tests, closed-interval rectangle containment, FSA intersection
@@ -9,16 +9,17 @@ rows; the batching unit here is the **epoch** instead (SinglePath runs once
 per epoch over the whole batch of state messages):
 
 * :class:`EndpointTable` — the endpoint entries of one
-  :class:`~repro.coordinator.grid_index.GridIndex`: one flat SoA table of its
-  *end* entries, so a region query is a single mask over the table, and a
-  hash from a path's exact start vertex to its entries, which answers the two
-  exact-match lookups without numpy.
+  :class:`~repro.coordinator.grid_index.GridIndex`: its *end* entries in
+  plain lists sorted by end x, so a region query is two bisections and a
+  closed y test on the x run between them, and a hash from a path's exact
+  start vertex to its entries, which answers the exact-match lookups.  No
+  numpy: an FSA's x run holds a few percent of the entries.
 * :class:`RegionTable` — a lazily built SoA view over an
   :class:`~repro.coordinator.overlaps.FsaOverlapStructure`'s region boxes,
   ranked once in each query's total order, so a query is one mask and its
   first set bit; the batched forms answer many points / many FSAs at once.
-* :func:`end_entries_in` — the states x end-entries broadcast of the epoch
-  pass (:func:`repro.coordinator.single_path.prefetch_vertex_candidates`).
+* :func:`overlapping_pairs` — the epoch's FSA-against-FSA broadcast: the
+  positive-area pairs that link overlap components.
 * :class:`ShipmentRing` / :func:`decode_work_shipment` — the shared-memory
   transport of :class:`~repro.coordinator.execution.ProcessBackend`: one
   reusable ``multiprocessing.shared_memory`` block per worker carrying its
@@ -37,10 +38,11 @@ order the ranking carries the insertion index as its last sort key.
 ``tests/test_columnar_equivalence.py`` enforces the contract over the
 full harness matrix and with hypothesis kernel-level suites.
 
-**Scale.**  A region query scans every live end entry of its index —
-O(entries) per epoch batch, hundreds of records at the benchmark's sizes.
-No cell-pruned variant is kept beside it; if a workload with >= 10^4 live
-paths shows the scan, sorting the table by cell is the fix.
+**Scale.**  An end-table query costs two bisections plus one y test per
+entry whose x lies in the box's x range, an insert or a removal one
+bisection plus a list shift (a ``memmove`` over the live entries, hundreds
+at the benchmark's sizes).  A workload whose boxes span most of the x range
+would pay a y test per live entry for every box.
 
 numpy is an optional dependency: without it :func:`resolve_kernel` degrades
 ``columnar`` to ``object`` (logging one warning per process) so every
@@ -50,6 +52,7 @@ configuration keeps working on a bare interpreter.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -66,7 +69,6 @@ __all__ = [
     "resolve_kernel",
     "EndpointTable",
     "RegionTable",
-    "end_entries_in",
     "overlapping_pairs",
     "ShipmentRing",
     "decode_work_shipment",
@@ -133,33 +135,6 @@ def _box_columns(rectangles: Sequence[Rectangle]):
     return tuple(boxes[:, column, None] for column in range(4))
 
 
-def end_entries_in(end_table: tuple, regions: Sequence[Rectangle]):
-    """Every (region, end entry inside it) pair, in one broadcast.
-
-    ``end_table`` is an index's ``(path ids, xs, ys)`` columns
-    (:meth:`EndpointTable.end_columns`).  Returns four parallel python lists
-    ``(region indexes, path ids, xs, ys)`` sorted by region — closed
-    containment, the batched form of :meth:`EndpointTable.end_rows_in`.
-    """
-    pids, xs, ys = end_table
-    lx, ly, hx, hy = _box_columns(regions)
-    region_hits, row_hits = [], []
-    for chunk in _row_chunks(len(regions), len(xs)):
-        mask = (lx[chunk] <= xs) & (xs <= hx[chunk]) & (ly[chunk] <= ys) & (ys <= hy[chunk])
-        region_index, row_index = _np.nonzero(mask)
-        region_hits.append(region_index + chunk.start)
-        row_hits.append(row_index)
-    if not row_hits:
-        return [], [], [], []
-    rows = _np.concatenate(row_hits)
-    return (
-        _np.concatenate(region_hits).tolist(),
-        pids[rows].tolist(),
-        xs[rows].tolist(),
-        ys[rows].tolist(),
-    )
-
-
 def overlapping_pairs(rectangles: Sequence[Rectangle]):
     """Index pairs ``i < j`` of rectangles sharing positive area, in one broadcast.
 
@@ -188,8 +163,6 @@ def overlapping_pairs(rectangles: Sequence[Rectangle]):
 # Grid-index endpoint table
 # ---------------------------------------------------------------------------
 
-_INITIAL_CAPACITY = 64
-
 #: ``(path_id, is_start)`` — the entry key of the object kernel's cell dicts.
 EntryKey = Tuple[int, bool]
 
@@ -197,25 +170,30 @@ EntryKey = Tuple[int, bool]
 class EndpointTable:
     """The endpoint entries of one grid index under the columnar kernel.
 
-    ``pids, ex, ey`` are parallel capacity-doubling columns over the *end*
-    entries (``_rows`` maps a path id to its row; removal swaps the last row
-    in, so the table is always dense in ``[0, count)``): a region query is
-    one mask over them, whatever the number of grid cells it overlaps.
+    The *end* entries sit in four parallel lists sorted by end x — ``_xs``,
+    ``_ys``, the end ``Point`` itself (``_ends``) and the path id
+    (``_pids``).  An insert bisects to the right of its equal-x run, so
+    entries of equal x keep insertion order; a removal bisects to the run and
+    scans it for the path id.  A region query bisects the x column onto
+    ``[low x, high x]`` and tests y on that run only, with the closed
+    ``<=`` of ``Rectangle.contains_point``.  Among stored ends that compare
+    equal but are different objects (``0.0`` / ``-0.0``, ``2`` / ``2.0``),
+    the earliest insert is met first, so it becomes the vertex key — the one
+    the object kernel's cell dicts, which keep insertion order, meet first.
+
     ``_by_start`` maps a path's start vertex to ``{entry key: path end}`` for
     every entry — start entries (indexed at that vertex) and end entries
     (whose *other* endpoint it is) alike — so ``paths_starting_at`` and
-    ``paths_from_into`` are one dict probe and a scan of that vertex's
-    paths.
+    ``path_between`` are one dict probe and a scan of that vertex's paths.
     """
 
-    __slots__ = ("count", "pids", "ex", "ey", "_rows", "_by_start", "_start_of")
+    __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start", "_start_of")
 
     def __init__(self) -> None:
-        self.count = 0
-        self.pids = _np.empty(_INITIAL_CAPACITY, dtype=_np.int64)
-        self.ex = _np.empty(_INITIAL_CAPACITY, dtype=_np.float64)
-        self.ey = _np.empty(_INITIAL_CAPACITY, dtype=_np.float64)
-        self._rows: Dict[int, int] = {}
+        self._xs: List[float] = []
+        self._ys: List[float] = []
+        self._ends: List[Point] = []
+        self._pids: List[int] = []
         self._by_start: Dict[Point, Dict[EntryKey, Point]] = {}
         self._start_of: Dict[EntryKey, Point] = {}
 
@@ -232,18 +210,11 @@ class EndpointTable:
         self._by_start.setdefault(start, {})[key] = end
         if is_start:
             return
-        row = self.count
-        if row == len(self.pids):
-            for name in ("pids", "ex", "ey"):
-                column = getattr(self, name)
-                grown = _np.empty(2 * row, dtype=column.dtype)
-                grown[:row] = column
-                setattr(self, name, grown)
-        self.count = row + 1
-        self._rows[path_id] = row
-        self.pids[row] = path_id
-        self.ex[row] = end.x
-        self.ey[row] = end.y
+        row = bisect_right(self._xs, end.x)
+        self._xs.insert(row, end.x)
+        self._ys.insert(row, end.y)
+        self._ends.insert(row, end)
+        self._pids.insert(row, path_id)
 
     def remove(self, key: EntryKey) -> None:
         """Drop one entry; an absent key is a no-op."""
@@ -251,21 +222,18 @@ class EndpointTable:
         if start is None:
             return
         bucket = self._by_start[start]
-        del bucket[key]
+        end = bucket.pop(key)
         if not bucket:
             del self._by_start[start]
         if key[1]:
             return
-        row = self._rows.pop(key[0])
-        last = self.count - 1
-        if row != last:
-            self._rows[int(self.pids[last])] = row
-            self.pids[row] = self.pids[last]
-            self.ex[row] = self.ex[last]
-            self.ey[row] = self.ey[last]
-        self.count = last
+        path_id, pids = key[0], self._pids
+        row = bisect_left(self._xs, end.x)
+        while pids[row] != path_id:
+            row += 1
+        del self._xs[row], self._ys[row], self._ends[row], pids[row]
 
-    # -- exact-match lookups (no numpy) ---------------------------------------
+    # -- exact-match lookups ------------------------------------------------------
 
     def starting_at(self, start: Point, region: Rectangle) -> List[int]:
         """Case 1: start entries at ``start`` whose path ends inside ``region``."""
@@ -275,31 +243,35 @@ class EndpointTable:
             if is_start and region.contains_point(end)
         ]
 
-    def from_into(self, start: Point, region: Rectangle) -> List[int]:
-        """End entries inside ``region`` whose path starts at ``start``."""
-        return [
-            path_id
-            for (path_id, is_start), end in self._by_start.get(start, {}).items()
-            if not is_start and region.contains_point(end)
-        ]
+    def path_between(self, start: Point, end: Point) -> Optional[int]:
+        """The earliest-inserted live path from ``start`` ending at ``end``."""
+        for (path_id, is_start), stored_end in self._by_start.get(start, {}).items():
+            if not is_start and stored_end == end:
+                return path_id
+        return None
 
-    # -- region scans (one mask over the end columns) -------------------------------
+    # -- region queries (two bisections and a y test) -------------------------------
 
-    def end_columns(self):
-        """Live views ``(path ids, xs, ys)`` of the end entries."""
-        n = self.count
-        return self.pids[:n], self.ex[:n], self.ey[:n]
+    def end_rows_in(self, region: Rectangle) -> List[int]:
+        """Rows of the end entries inside ``region`` (closed bounds), by end x."""
+        xs, ys = self._xs, self._ys
+        first = bisect_left(xs, region.low.x)
+        last = bisect_right(xs, region.high.x, first)
+        low_y, high_y = region.low.y, region.high.y
+        return [row for row in range(first, last) if low_y <= ys[row] <= high_y]
 
-    def end_rows_in(self, region: Rectangle):
-        """Case 2: ``(path ids, xs, ys)`` of the end entries inside ``region``."""
-        pids, xs, ys = self.end_columns()
-        mask = (region.low.x <= xs) & (xs <= region.high.x)
-        mask &= (region.low.y <= ys) & (ys <= region.high.y)
-        return pids[mask], xs[mask], ys[mask]
+    def end_vertices_in(self, region: Rectangle) -> Dict[Point, List[int]]:
+        """Case 2: distinct end vertices inside ``region`` -> ids of the paths ending there."""
+        ends, pids = self._ends, self._pids
+        vertices: Dict[Point, List[int]] = {}
+        for row in self.end_rows_in(region):
+            vertices.setdefault(ends[row], []).append(pids[row])
+        return vertices
 
     def endpoints_in(self, region: Rectangle) -> List[int]:
         """Path ids (possibly repeated) with an indexed endpoint inside ``region``."""
-        found = self.end_rows_in(region)[0].tolist()
+        pids = self._pids
+        found = [pids[row] for row in self.end_rows_in(region)]
         for start, bucket in self._by_start.items():
             if region.contains_point(start):
                 found.extend(path_id for path_id, is_start in bucket if is_start)

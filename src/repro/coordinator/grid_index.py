@@ -15,8 +15,8 @@ Query operations mirror what SinglePath needs:
 * :meth:`paths_starting_at` — motion paths that start at a given vertex and
   end inside a query rectangle, answered from the single cell containing the
   start vertex (Case 1 candidates);
-* :meth:`paths_from_into` — the same result set, answered by scanning the end
-  entries inside the query rectangle instead;
+* :meth:`path_between` — the first stored path from a given start vertex to
+  a given end vertex (the duplicate-path probe of SinglePath's inserts);
 * :meth:`end_vertices_in` — distinct end vertices of stored paths inside a
   query rectangle together with the ids of the paths terminating there
   (Case 2 candidates).
@@ -75,7 +75,7 @@ class GridIndex:
         self._cell_height = config.bounds.height / config.cells_per_axis
         # ``object`` keeps entries in per-cell dicts (the scalar reference);
         # ``columnar`` keeps them in one endpoint table for the whole index
-        # — a flat SoA of end entries plus a start-vertex hash — and answers
+        # — its end entries sorted by x plus a start-vertex hash — and answers
         # the queries below from it, bit-for-bit equal (see
         # :mod:`repro.coordinator.columnar`).  The default stays ``object``
         # at this layer: the coordinator config flips it fleet-wide.
@@ -180,33 +180,32 @@ class GridIndex:
                     results.append(self._records[path_id])
         return results
 
-    def paths_from_into(self, start: Point, region: Rectangle) -> List[MotionPathRecord]:
-        """Motion paths starting at ``start`` whose end vertex lies inside ``region``.
+    def path_between(self, start: Point, end: Point) -> Optional[MotionPathRecord]:
+        """The earliest-inserted live path from exactly ``start`` to exactly
+        ``end``, or ``None``.
 
         ``start`` must match the stored start vertex exactly: the covering-set
         chaining guarantees that a reporting object's SSA start coincides with
-        the endpoint the coordinator previously assigned to it.
+        the endpoint the coordinator previously assigned to it.  Answered
+        from the start vertex's hash bucket under the columnar kernel and from
+        the one cell holding ``end`` under the object kernel, both of which
+        keep insertion order.
         """
         if self._endpoints is not None:
-            return [
-                self._records[pid] for pid in self._endpoints.from_into(start, region)
-            ]
-        results: List[MotionPathRecord] = []
-        for (path_id, is_start), (endpoint, other) in self._entries_in(region):
-            if is_start:
-                continue
-            if other == start and region.contains_point(endpoint):
-                results.append(self._records[path_id])
-        return results
+            path_id = self._endpoints.path_between(start, end)
+            return None if path_id is None else self._records[path_id]
+        cell = self._cells.get(self._cell_of(end))
+        if cell:
+            for (path_id, is_start), (endpoint, other) in cell.items():
+                if not is_start and other == start and endpoint == end:
+                    return self._records[path_id]
+        return None
 
     def end_vertices_in(self, region: Rectangle) -> Dict[Point, List[int]]:
         """Distinct end vertices inside ``region`` mapped to the ids of paths ending there."""
-        vertices: Dict[Point, List[int]] = {}
         if self._endpoints is not None:
-            pids, xs, ys = self._endpoints.end_rows_in(region)
-            for pid, x, y in zip(pids.tolist(), xs.tolist(), ys.tolist()):
-                vertices.setdefault(Point(x, y), []).append(pid)
-            return vertices
+            return self._endpoints.end_vertices_in(region)
+        vertices: Dict[Point, List[int]] = {}
         for (path_id, is_start), (endpoint, _other) in self._entries_in(region):
             if is_start:
                 continue
@@ -236,15 +235,15 @@ class GridIndex:
                 results.append(self._records[path_id])
         return results
 
-    def end_table(self):
-        """Columnar kernel: live ``(path ids, xs, ys)`` columns of the end entries.
+    def end_table(self) -> Optional[EndpointTable]:
+        """Columnar kernel: the index's :class:`EndpointTable`, end entries sorted by x.
 
         The input of the epoch pass
         (:func:`repro.coordinator.single_path.prefetch_vertex_candidates`),
-        which tests every reporting object's FSA against them in one
-        broadcast.  ``None`` under the object kernel.
+        which bisects it onto each pending FSA's x range and tests y on that
+        run only.  ``None`` under the object kernel.
         """
-        return self._endpoints.end_columns() if self._endpoints is not None else None
+        return self._endpoints
 
     # -- cell arithmetic ------------------------------------------------------------------
 

@@ -25,12 +25,18 @@ start of its next Spatial Safe Area.
 what a Case 2/3 decision reads is fixed before the first one is made: the
 index does not change between the candidate stage and the decision stage, and
 the decision stage only ever *inserts*.  :func:`prefetch_vertex_candidates`
-computes that part for the whole epoch in one broadcast; the decision loop
-keeps what depends on decision order — the hotness sums, the ``max``, the
-insert, and the paths inserted earlier in the epoch, which it probes in
-:class:`InsertedEnds` (sorted by end x: two bisections and a y test per end
-in the FSA's x range) rather than rescanning them all.  The object kernel takes none of this and queries the
-index per object, as the pinned reference.
+computes that part for the whole epoch: each pending FSA's end vertices (two
+bisections of the index's x-sorted end table and a y test on the run between
+them), and the overlap answers, in one batched query of the overlap
+structure's region table.  The decision loop keeps what depends on decision
+order — the hotness sums, the selection, the insert, and the paths inserted
+earlier in the epoch, which it probes in :class:`InsertedEnds` (sorted by end
+x, like the end table) rather than rescanning them all.  The object kernel takes none of this and queries
+the index per object, as the pinned reference.
+
+Each state's FSA is built once per epoch (:attr:`ObjectState.fsa` validates
+a new ``Rectangle`` on every access) and handed to the plan, the candidate
+stage, the pass and the decision.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import CoordinatorResponse, ObjectState
-from repro.coordinator.columnar import end_entries_in
+from repro.coordinator.columnar import EndpointTable
 from repro.coordinator.execution import ExecutionBackend, SerialBackend
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
@@ -56,7 +62,6 @@ from repro.coordinator.overlaps import (
 
 __all__ = [
     "CandidatePath",
-    "CandidateVertex",
     "InsertedEnds",
     "SinglePathDecision",
     "SinglePathEpochResult",
@@ -75,13 +80,9 @@ class CandidatePath:
     hotness: int
 
 
-@dataclass
-class CandidateVertex:
-    """A candidate endpoint for a new motion path, with its provisional hotness."""
-
-    vertex: Point
-    hotness: int
-    fabricated: bool = False
+#: A candidate endpoint for a new motion path: ``(vertex, provisional
+#: hotness, fabricated)``.
+CandidateVertex = Tuple[Point, int, bool]
 
 
 @dataclass
@@ -146,7 +147,7 @@ class InsertedEnds:
     of n ``contains_point`` calls.
 
     Only their order differs, and a decision cannot see it: the vertex
-    ``max`` uses a total key (hotness, not fabricated, x, y) over distinct
+    selection uses a total key (hotness, not fabricated, x, y) over distinct
     vertices, and the path ids merged under one vertex are only summed.  The
     one order-visible detail is which of two ends that compare equal but are
     different objects (``0.0`` / ``-0.0``, ``2`` / ``2.0``) becomes the
@@ -201,15 +202,15 @@ class VertexPrefetch:
 
 
 def prefetch_vertex_candidates(
-    end_table: tuple,
-    pending: Sequence[Tuple[int, ObjectState]],
+    end_table: EndpointTable,
+    pending: Sequence[Tuple[int, Rectangle]],
     overlaps: FsaOverlapStructure,
 ) -> Dict[int, VertexPrefetch]:
     """The epoch pass: every pending object's Case 2/3 geometry in one batch.
 
-    ``pending`` lists ``(position, state)`` for the states left without a
+    ``pending`` lists ``(position, fsa)`` for the states left without a
     Case 1 candidate, ``overlaps`` is the epoch's overlap structure and
-    ``end_table`` the index's end-entry columns, read here — after the
+    ``end_table`` the index's x-sorted end entries, read here — after the
     candidate stage, before the first decision — where nothing mutates the
     index.  Returns ``position -> VertexPrefetch``.
 
@@ -225,15 +226,8 @@ def prefetch_vertex_candidates(
     """
     if not pending:
         return {}
-    fsas = [state.fsa for _position, state in pending]
-    vertex_sets: List[Dict[Point, List[int]]] = [{} for _ in pending]
-    vertex_of: Dict[Tuple[float, float], Point] = {}
-    for slot, path_id, x, y in zip(*end_entries_in(end_table, fsas)):
-        vertex = vertex_of.get((x, y))
-        if vertex is None:
-            vertex = vertex_of[(x, y)] = Point(x, y)
-        vertex_sets[slot].setdefault(vertex, []).append(path_id)
-
+    fsas = [fsa for _position, fsa in pending]
+    vertex_sets = [end_table.end_vertices_in(fsa) for fsa in fsas]
     fabricated = overlaps.candidate_vertices_for(fsas)
     vertices = list(
         {answer[0] for answer in fabricated if answer is not None}.union(*vertex_sets)
@@ -243,7 +237,7 @@ def prefetch_vertex_candidates(
     inserted = InsertedEnds()
     return {
         position: VertexPrefetch(vertex_sets[slot], bonus, fabricated[slot], inserted)
-        for slot, (position, _state) in enumerate(pending)
+        for slot, (position, _fsa) in enumerate(pending)
     }
 
 
@@ -277,6 +271,7 @@ class SinglePathStrategy:
         result = SinglePathEpochResult()
         if not states:
             return result
+        fsas = [state.fsa for state in states]
 
         # Phase 1: the FSA overlap structure and the candidate motion paths
         # per object.  The plan splits the epoch's FSAs into components and
@@ -285,13 +280,18 @@ class SinglePathStrategy:
         # object — a duplicate reporter's later state, at its first position
         # — and both of its states are still decided below.
         plan = plan_shard_overlaps(
-            self._kernel, self._pool_cache, {state.object_id: state.fsa for state in states}
+            self._kernel,
+            self._pool_cache,
+            {state.object_id: fsa for state, fsa in zip(states, fsas)},
         )
         self.last_pool_stats = plan.stats
         candidate_paths, built = self.backend.build_overlaps(
             plan.missed_pools,
             self._kernel,
-            lambda: {state.object_id: self.candidate_paths(state) for state in states},
+            lambda: {
+                state.object_id: self.candidate_paths(state, fsa)
+                for state, fsa in zip(states, fsas)
+            },
         )
         overlaps = plan.merge(built)
 
@@ -306,16 +306,17 @@ class SinglePathStrategy:
             prefetched = prefetch_vertex_candidates(
                 self._index.end_table(),
                 [
-                    (position, state)
-                    for position, state in enumerate(states)
+                    (position, fsa)
+                    for position, (state, fsa) in enumerate(zip(states, fsas))
                     if not candidate_paths[state.object_id]
                 ],
                 overlaps,
             )
-        for position, state in enumerate(states):
+        for position, (state, fsa) in enumerate(zip(states, fsas)):
             result.tally(
                 self.decide(
                     state,
+                    fsa,
                     candidate_paths[state.object_id],
                     overlaps,
                     prefetched.get(position),
@@ -325,13 +326,14 @@ class SinglePathStrategy:
 
     # -- candidate generation ------------------------------------------------------
 
-    def candidate_paths(self, state: ObjectState) -> List[CandidatePath]:
-        """``GetCandidatePaths``: stored paths from the SSA start into the FSA.
+    def candidate_paths(self, state: ObjectState, fsa: Rectangle) -> List[CandidatePath]:
+        """``GetCandidatePaths``: stored paths from the SSA start into ``fsa``,
+        the state's FSA.
 
         Answered from the single grid cell holding the SSA start (the
         columnar kernel: from that vertex's hash bucket).
         """
-        records = self._index.paths_starting_at(state.start, state.fsa)
+        records = self._index.paths_starting_at(state.start, fsa)
         return [
             CandidatePath(record, self._hotness.hotness(record.path_id) + 1)
             for record in records
@@ -339,7 +341,7 @@ class SinglePathStrategy:
 
     def _candidate_vertices(
         self,
-        state: ObjectState,
+        fsa: Rectangle,
         overlaps: FsaOverlapStructure,
         prefetch: Optional[VertexPrefetch] = None,
     ) -> List[CandidateVertex]:
@@ -349,7 +351,6 @@ class SinglePathStrategy:
         queried: the end-vertex set is the prefetched one plus the paths
         inserted since the epoch pass read the index.
         """
-        fsa = state.fsa
         if prefetch is None:
             end_vertices = self._index.end_vertices_in(fsa)
             bonus_of: Dict[Point, int] = {}
@@ -368,17 +369,17 @@ class SinglePathStrategy:
             if bonus is None:
                 region = overlaps.smallest_region_containing(vertex)
                 bonus = region.count if region is not None else 0
-            candidates.append(CandidateVertex(vertex, converging + bonus))
+            candidates.append((vertex, converging + bonus, False))
         if fabricated is not None:
             vertex, count = fabricated
-            candidates.append(CandidateVertex(vertex, count, fabricated=True))
+            candidates.append((vertex, count, True))
         if not candidates:
             # Degenerate fall-back: nothing intersects.  The object's own FSA
             # normally sits in the overlap structure as its singleton region,
             # but a saturated ``max_regions`` table drops late singletons (the
             # hard cap keeps earlier insertions), so use the FSA centroid with
             # zero hotness.
-            candidates.append(CandidateVertex(fsa.center, 0, fabricated=True))
+            candidates.append((fsa.center, 0, True))
         return candidates
 
     # -- selection ---------------------------------------------------------------------
@@ -386,20 +387,23 @@ class SinglePathStrategy:
     def decide(
         self,
         state: ObjectState,
+        fsa: Rectangle,
         candidates: List[CandidatePath],
         overlaps: FsaOverlapStructure,
         prefetch: Optional[VertexPrefetch] = None,
     ) -> SinglePathDecision:
         """Choose one object's motion path given its (boosted) candidate set.
 
-        ``prefetch`` is the object's share of the epoch pass
-        (:func:`prefetch_vertex_candidates`); without one the index and the
-        overlap structure are queried here, per object.
+        ``fsa`` is the state's FSA; ``prefetch`` is the object's share of the
+        epoch pass (:func:`prefetch_vertex_candidates`); without one the index
+        and the overlap structure are queried here, per object.
 
         Both selection steps use total orders — ties fall back to the path id
         or the vertex coordinates — so the outcome is independent of the order
         in which candidates were enumerated (which is what lets the epoch
-        pass read the index in bulk and the inserts by end x).
+        pass read the index in bulk and the inserts by end x).  A vertex is
+        chosen by its ``(hotness, not fabricated, x, y)`` key with a strict
+        ``>``, so the first maximum wins, as in ``max``.
         """
         if candidates:
             chosen = max(
@@ -418,22 +422,16 @@ class SinglePathStrategy:
                 fabricated_vertex=False,
             )
 
-        vertex_candidates = self._candidate_vertices(state, overlaps, prefetch)
-        chosen_vertex = max(
-            vertex_candidates,
-            key=lambda candidate: (
-                candidate.hotness,
-                not candidate.fabricated,
-                candidate.vertex.x,
-                candidate.vertex.y,
-            ),
-        )
-        endpoint = chosen_vertex.vertex
+        best = None
+        for vertex, hotness, fabricated in self._candidate_vertices(fsa, overlaps, prefetch):
+            key = (hotness, not fabricated, vertex.x, vertex.y)
+            if best is None or key > best:
+                best, endpoint, fabricated_vertex = key, vertex, fabricated
         if endpoint == state.start:
             # A zero-length path carries no information and would produce a
             # degenerate segment; nudge the endpoint to another point of the
             # FSA (the centroid, falling back to a corner).
-            for alternative in (state.fsa.center, state.fsa.high, state.fsa.low):
+            for alternative in (fsa.center, fsa.high, fsa.low):
                 if alternative != state.start:
                     endpoint = alternative
                     break
@@ -447,7 +445,7 @@ class SinglePathStrategy:
             response=response,
             path_id=record.path_id,
             reused_existing_path=not inserted,
-            fabricated_vertex=chosen_vertex.fabricated,
+            fabricated_vertex=fabricated_vertex,
         )
 
     def _insert_or_reuse(
@@ -461,9 +459,7 @@ class SinglePathStrategy:
         storing a duplicate keeps the index small and concentrates hotness,
         which is the stated goal of SinglePath.
         """
-        probe = Rectangle.degenerate(endpoint)
-        for record in self._index.paths_from_into(start, probe):
-            if record.path.end == endpoint:
-                return record, False
-        record = self._index.insert(MotionPath(start, endpoint), created_at=t_end)
-        return record, True
+        record = self._index.path_between(start, endpoint)
+        if record is not None:
+            return record, False
+        return self._index.insert(MotionPath(start, endpoint), created_at=t_end), True

@@ -193,6 +193,7 @@ def weld_runs(fragments: Sequence[StitchFragment]) -> List[List[int]]:
         if owns_end:
             ends_at.setdefault((end_x, end_y), []).append(path_id)
     successor: Dict[int, int] = {}
+    predecessor: Dict[int, int] = {}
     for vertex, enders in ends_at.items():
         starters = starts_at.get(vertex)
         if starters is None or len(enders) != 1 or len(starters) != 1:
@@ -200,10 +201,11 @@ def weld_runs(fragments: Sequence[StitchFragment]) -> List[List[int]]:
         predecessor_id, successor_id = enders[0], starters[0]
         if predecessor_id != successor_id:  # a degenerate self-loop never welds
             successor[predecessor_id] = successor_id
+            predecessor[successor_id] = predecessor_id
     welded = set(successor)
-    welded.update(successor.values())
+    welded.update(predecessor)
     runs: List[List[int]] = []
-    for run in chain_fragments(welded, successor):
+    for run in chain_fragments(welded, successor, predecessor):
         if len(run) < 2:
             continue
         if successor.get(run[-1]) == run[0]:
@@ -233,7 +235,9 @@ def successors_from_runs(runs: Iterable[Sequence[int]]) -> Dict[int, int]:
 
 
 def chain_fragments(
-    path_ids: Iterable[int], successor: Mapping[int, int]
+    path_ids: Iterable[int],
+    successor: Mapping[int, int],
+    predecessor: Mapping[int, int],
 ) -> List[List[int]]:
     """Partition ``path_ids`` into maximal chains under the weld ``successor`` map.
 
@@ -241,12 +245,13 @@ def chain_fragments(
     (fragments with no predecessor, visited in ascending id order), cycles
     are broken at their smallest member id, and the resulting chain list is
     ordered by head id.  Fragments with no welds come out as singletons.
+
+    ``predecessor`` is the inverse of ``successor`` (a fragment has at most
+    one weld into its start vertex), so a head is found by testing
+    ``path_ids`` alone, never the welds outside them.
     """
     ids = set(path_ids)
-    has_predecessor = {
-        successor_id for predecessor_id, successor_id in successor.items()
-        if predecessor_id in ids
-    }
+    has_predecessor = {path_id for path_id in ids if predecessor.get(path_id) in ids}
     chains: List[List[int]] = []
     visited = set()
     for head in sorted(ids):
@@ -318,7 +323,8 @@ def stitch_paths(
             )
         )
     successor = successors_from_runs(weld_runs(fragments))
-    chains = chain_fragments(info, successor)
+    predecessor = {successor_id: path_id for path_id, successor_id in successor.items()}
+    chains = chain_fragments(info, successor, predecessor)
     return build_corridors(chains, info.__getitem__)
 
 
@@ -382,7 +388,8 @@ class IncrementalStitcher:
     between two surviving fragments either predates the change — then both
     ends sat on the same old chain, so they are rebuilt (or reused) together —
     or was created by it, which taints both endpoint chains.  Hence
-    :func:`chain_fragments` over the rebuilt members alone sees every edge a
+    :func:`chain_fragments` over the rebuilt members alone (their heads found
+    through the predecessor map, so no other weld is read) sees every edge a
     global re-chain would, and heads/cycle-breaks come out identically, so
     the report stays bit-for-bit equal to the full stitch — the contract of
     ``tests/test_stitching_equivalence.py`` and the delta property suite.
@@ -524,7 +531,7 @@ class IncrementalStitcher:
         rebuilt_members -= removed
         for member in removed:
             del self._chain_of[member]
-        new_chains = chain_fragments(rebuilt_members, self._successor)
+        new_chains = chain_fragments(rebuilt_members, self._successor, self._predecessor)
         for chain in new_chains:
             head = chain[0]
             self._chains[head] = chain

@@ -10,13 +10,18 @@ same contract the delta pipeline does: **bit-for-bit equal** to the scalar
   index snapshot compared exactly (reusing the sharding-equivalence
   harness);
 * hypothesis kernel-level suites — :class:`EndpointTable` queries against a
-  brute-force scalar scan, and the pre-ranked / batched :class:`RegionTable`
+  brute-force scalar scan and its x-sorted order under inserts and removals,
+  and the pre-ranked / batched :class:`RegionTable`
   queries against the scalar tie-break loops, including the insertion-order
   tie-break cases (equal areas, equal counts) the ranking's last sort key
   exists for;
 * the epoch-pass differential — at every decision, the candidate vertices
   the epoch pass hands SinglePath against the ones a per-state query of the
-  live index produces.
+  live index produces;
+* the equal-but-different differential — streams whose FSA bounds, starts and
+  therefore ends include values that compare equal but print apart
+  (``0.0`` / ``-0.0`` / ``0``, ``2`` / ``2.0``), compared across kernels by
+  ``repr``, so which of two equal ends became a vertex shows.
 
 The shared-memory shipment transport rides the matrix (``processes``
 backend under ``columnar``) and is additionally pinned to actually engage:
@@ -36,6 +41,7 @@ from repro.client.state import ObjectState
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.columnar import (
     HAVE_NUMPY,
+    KERNELS,
     EndpointTable,
     RegionTable,
     ShipmentRing,
@@ -250,6 +256,13 @@ points = st.builds(Point, coordinate_pool, coordinate_pool)
 
 
 entry_keys = st.tuples(st.integers(min_value=0, max_value=9), st.booleans())
+#: End coordinates with equal values that are different objects (``-0.0`` /
+#: ``0.0`` / ``0``), so equal-x runs hold several entries.
+end_points = st.builds(
+    Point,
+    st.sampled_from([-0.0, 0.0, 0, 1.0, 12.5, 50.0, 99.0]),
+    st.sampled_from([-0.0, 0.0, 1.0, 50.0]),
+)
 
 
 @st.composite
@@ -259,7 +272,7 @@ def table_scripts(draw):
     ops = []
     for _ in range(draw(st.integers(min_value=0, max_value=24))):
         if draw(st.integers(min_value=0, max_value=3)):
-            ops.append(("upsert", draw(entry_keys), draw(points), draw(points)))
+            ops.append(("upsert", draw(entry_keys), draw(st.one_of(points, end_points)), draw(points)))
         else:
             ops.append(("remove", draw(entry_keys)))
     return ops
@@ -273,6 +286,7 @@ def replay(ops):
         if op[0] == "upsert":
             _tag, key, endpoint, other = op
             table.upsert(key, endpoint, other)
+            scalar.pop(key, None)  # an overwrite is a new insert: it goes last
             scalar[key] = (endpoint, other)
         else:
             table.remove(op[1])
@@ -281,17 +295,17 @@ def replay(ops):
 
 
 def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
-    """Dense end columns, an exact row map and a start hash with no dead keys."""
-    ends = {pid: endpoint for (pid, is_start), (endpoint, _o) in scalar.items() if not is_start}
+    """End entries sorted by x, equal x in insertion order, parallel lists in
+    step, and a start hash with no dead keys."""
+    ends = [(pid, endpoint) for (pid, is_start), (endpoint, _o) in scalar.items() if not is_start]
     assert len(table) == len(scalar)
-    assert table.count == len(ends)
-    pids, xs, ys = table.end_columns()
-    assert sorted(zip(pids.tolist(), xs.tolist(), ys.tolist())) == sorted(
-        (pid, end.x, end.y) for pid, end in ends.items()
-    )
-    assert {pid: int(pids[row]) for pid, row in table._rows.items()} == {
-        pid: pid for pid in ends
-    }
+    # ``sorted`` is stable, so equal x values keep the scalar dict's
+    # insertion order — the order the table must keep them in.
+    expected = sorted(ends, key=lambda entry: entry[1].x)
+    assert table._pids == [pid for pid, _end in expected]
+    assert [repr(end) for end in table._ends] == [repr(end) for _pid, end in expected]
+    assert table._xs == [end.x for end in table._ends]
+    assert table._ys == [end.y for end in table._ends]
     expected_hash: Dict = {}
     for (pid, is_start), (endpoint, other) in scalar.items():
         start, end = (endpoint, other) if is_start else (other, endpoint)
@@ -318,20 +332,40 @@ class TestEndpointTableKernels:
         )
         assert sorted(table.starting_at(start, region)) == expected_starts
 
-        expected_from_into = sorted(
-            pid
-            for (pid, is_start), (endpoint, other) in scalar.items()
-            if not is_start and other == start and region.contains_point(endpoint)
-        )
-        assert sorted(table.from_into(start, region)) == expected_from_into
-
-        pids, xs, ys = table.end_rows_in(region)
         expected_ends = sorted(
             (pid, endpoint.x, endpoint.y)
             for (pid, is_start), (endpoint, _other) in scalar.items()
             if not is_start and region.contains_point(endpoint)
         )
-        assert sorted(zip(pids.tolist(), xs.tolist(), ys.tolist())) == expected_ends
+        rows = table.end_rows_in(region)
+        assert rows == sorted(rows)
+        assert (
+            sorted((table._pids[row], table._xs[row], table._ys[row]) for row in rows)
+            == expected_ends
+        )
+        expected_vertices: Dict = {}
+        for (pid, is_start), (endpoint, _other) in scalar.items():
+            if not is_start and region.contains_point(endpoint):
+                expected_vertices.setdefault(endpoint, []).append(pid)
+        vertices = table.end_vertices_in(region)
+        assert {repr(v): sorted(ids) for v, ids in vertices.items()} == {
+            repr(v): sorted(ids) for v, ids in expected_vertices.items()
+        }
+
+        # The first path, in insertion order, from ``start`` to exactly the
+        # probe — over every stored end, so each end entry whose path starts
+        # at ``start`` is met.
+        probes = {endpoint for (_pid, is_start), (endpoint, _o) in scalar.items() if not is_start}
+        for probe in probes | {start}:
+            expected_between = next(
+                (
+                    pid
+                    for (pid, is_start), (endpoint, other) in scalar.items()
+                    if not is_start and other == start and endpoint == probe
+                ),
+                None,
+            )
+            assert table.path_between(start, probe) == expected_between
 
         expected_any = sorted(
             pid
@@ -346,7 +380,9 @@ class TestEndpointTableKernels:
 
     @settings(max_examples=80, deadline=None)
     @given(table_scripts())
-    def test_swap_with_last_removal_keeps_the_table_dense(self, ops):
+    def test_removal_keeps_the_table_sorted(self, ops):
+        """After every removal the end entries are still sorted by x, equal x
+        values still in insertion order."""
         table, scalar = replay(ops)
         assert_table_consistent(table, scalar)
         for key in list(scalar):
@@ -369,16 +405,55 @@ class TestEndpointTableKernels:
         table.remove((7, True))
         assert table._by_start == {start: {(7, False): end}}
         table.remove((7, False))
-        assert table._by_start == {} and table._start_of == {} and table.count == 0
+        assert table._by_start == {} and table._start_of == {} and table._pids == []
 
-    def test_columns_grow_past_the_initial_capacity(self):
+    def test_removal_among_equal_x_takes_its_own_path(self):
+        """Ends of equal x — ``0.0``, ``-0.0``, ``0`` and the same point twice —
+        share one run; removing one from the middle leaves the others in
+        insertion order, and the earliest equal end stays the vertex key."""
         table = EndpointTable()
-        capacity = len(table.pids)
-        for pid in range(3 * capacity):
-            table.upsert((pid, False), Point(float(pid), 0.0), Point(0.0, 0.0))
-        assert table.count == 3 * capacity
-        everywhere = Rectangle(Point(0.0, 0.0), Point(float(3 * capacity), 0.0))
-        assert table.end_rows_in(everywhere)[0].tolist() == list(range(3 * capacity))
+        start = Point(5.0, 5.0)
+        ends = [Point(0.0, 1.0), Point(-0.0, 2.0), Point(0, 1.0), Point(-1.0, 0.0), Point(0.0, 1.0)]
+        for pid, end in enumerate(ends):
+            table.upsert((pid, False), end, start)
+        assert table._pids == [3, 0, 1, 2, 4]
+        table.remove((2, False))
+        assert table._pids == [3, 0, 1, 4]
+        assert [repr(end) for end in table._ends] == [
+            repr(ends[3]), repr(ends[0]), repr(ends[1]), repr(ends[4])
+        ]
+        table.remove((0, False))
+        assert table._pids == [3, 1, 4]
+        everywhere = Rectangle(Point(-1.0, 0.0), Point(0.0, 2.0))
+        (vertex, ids), *rest = (
+            item for item in table.end_vertices_in(everywhere).items() if item[0] == ends[4]
+        )
+        assert rest == [] and ids == [4] and repr(vertex) == "Point(x=0.0, y=1.0)"
+        # Re-adding path 0 puts it behind the equal ends already stored.
+        table.upsert((0, False), Point(-0.0, 1.0), start)
+        assert table._pids == [3, 1, 4, 0]
+        vertices = table.end_vertices_in(everywhere)
+        assert vertices[Point(0.0, 1.0)] == [4, 0]
+        assert [repr(vertex) for vertex in vertices] == [
+            "Point(x=-1.0, y=0.0)", "Point(x=-0.0, y=2.0)", "Point(x=0.0, y=1.0)"
+        ]
+
+    def test_many_entries_stay_sorted_by_x(self):
+        """Entries inserted in descending x come back in ascending x; a box
+        query returns exactly its x run."""
+        table = EndpointTable()
+        count = 192
+        for pid in range(count):
+            table.upsert((pid, False), Point(float(count - pid), 0.0), Point(0.0, 0.0))
+        assert table._xs == [float(x) for x in range(1, count + 1)]
+        everywhere = Rectangle(Point(0.0, 0.0), Point(float(count), 0.0))
+        assert [table._pids[row] for row in table.end_rows_in(everywhere)] == list(
+            range(count - 1, -1, -1)
+        )
+        middle = Rectangle(Point(10.0, 0.0), Point(12.0, 0.0))
+        assert [table._pids[row] for row in table.end_rows_in(middle)] == [
+            count - 10, count - 11, count - 12
+        ]
 
 
 @st.composite
@@ -619,7 +694,8 @@ def crafted_stream():
 class EpochPassChecker:
     """Wraps ``_candidate_vertices``: whenever a decision runs off the epoch
     pass, the per-state query of the live index must produce the same
-    candidates, and the probe of the epoch's inserts must find what a linear
+    candidates — vertex (down to ``repr``), hotness and the fabricated flag —
+    and the probe of the epoch's inserts must find what a linear
     ``contains_point`` rescan of them finds.  Counts the cases the streams
     are built to reach."""
 
@@ -630,10 +706,9 @@ class EpochPassChecker:
         original = SinglePathStrategy._candidate_vertices
         checker = self
 
-        def checked(strategy, state, overlaps, prefetch=None):
+        def checked(strategy, fsa, overlaps, prefetch=None):
             if prefetch is None:
-                return original(strategy, state, overlaps)
-            fsa = state.fsa
+                return original(strategy, fsa, overlaps)
             rescanned = [
                 record for record in prefetch.inserted if fsa.contains_point(record.path.end)
             ]
@@ -644,9 +719,9 @@ class EpochPassChecker:
                 checker.inserts_seen += 1
                 if record.path.end in prefetch.end_vertices:
                     checker.on_indexed_vertex += 1
-            batched = original(strategy, state, overlaps, prefetch)
-            per_state = original(strategy, state, overlaps)
-            key = lambda c: (c.vertex.as_tuple(), c.hotness, c.fabricated)
+            batched = original(strategy, fsa, overlaps, prefetch)
+            per_state = original(strategy, fsa, overlaps)
+            key = lambda candidate: (repr(candidate[0]), candidate[1], candidate[2])
             assert sorted(map(key, batched)) == sorted(map(key, per_state))
             checker.compared += 1
             return batched
@@ -689,3 +764,94 @@ class TestEpochPassDifferential:
         checker = EpochPassChecker(monkeypatch)
         drive(make_coordinator(num_shards=4, kernel="object"), crafted_stream())
         assert checker.compared == 0
+
+
+# ---------------------------------------------------------------------------
+# Equal but different ends
+# ---------------------------------------------------------------------------
+
+#: Values that compare equal but print apart, on a pool small enough that
+#: FSAs coincide, nest, collapse to zero width and touch at edges and corners.
+tie_values = st.sampled_from([-0.0, 0.0, 0, 2, 2.0, 3.5, 5, 5.0, 8.0])
+
+
+@st.composite
+def tie_reports(draw, t_end: int) -> ObjectState:
+    x_low, x_high = sorted((draw(tie_values), draw(tie_values)))
+    y_low, y_high = sorted((draw(tie_values), draw(tie_values)))
+    return ObjectState(
+        draw(st.integers(min_value=0, max_value=5)),
+        Point(draw(tie_values), draw(tie_values)),
+        t_end - 5,
+        Point(x_low, y_low),
+        Point(x_high, y_high),
+        t_end,
+    )
+
+
+@st.composite
+def tie_streams(draw):
+    """Up to six epochs of up to eight reports; ids repeat within an epoch,
+    and a 20-timestamp window expires paths two epochs on."""
+    return [
+        (10 * epoch, draw(st.lists(tie_reports(10 * epoch), min_size=1, max_size=8)))
+        for epoch in range(1, draw(st.integers(min_value=1, max_value=6)) + 1)
+    ]
+
+
+def repr_trace(kernel: str, epoch_mode: str, stream, window: int = 20) -> list:
+    """Per epoch, the ``repr`` of the responses and of every index record."""
+    coordinator = make_coordinator(1, window=window, kernel=kernel, epoch_mode=epoch_mode)
+    trace = []
+    try:
+        for boundary, states in stream:
+            for state in states:
+                coordinator.submit_state(state)
+            responses = coordinator.run_epoch(boundary).responses
+            records = sorted(coordinator.index.records, key=lambda record: record.path_id)
+            trace.append((repr(responses), repr(records)))
+    finally:
+        coordinator.close()
+    return trace
+
+
+class TestEqualButDifferentEnds:
+    """The columnar kernel's x-sorted end table keeps equal x values in
+    insertion order, so among ends that compare equal the earliest insert is
+    the vertex key — as in the object kernel's cell dicts (and in
+    ``InsertedEnds``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=tie_streams(), epoch_mode=st.sampled_from(["delta", "full"]))
+    def test_responses_and_records_print_alike(self, stream, epoch_mode):
+        assert repr_trace("columnar", epoch_mode, stream) == repr_trace("object", epoch_mode, stream)
+
+    def test_the_earlier_of_two_equal_ends_stays_the_vertex_key(self):
+        """Epoch 1 stores an end at ``(-0.0, 0.0)``.  In epoch 2 objects 8 and
+        9 reuse paths (Case 1) with identical FSAs, and object 10's FSA only
+        touches theirs at a corner, so it fabricates their overlap's centre,
+        ``(0.0, 0.0)``, without seeing the older end.  Epoch 3's FSA holds
+        both ends: the older object, ``-0.0``, is the vertex it answers with."""
+
+        def report(object_id, start, low, high, t_end):
+            return ObjectState(object_id, Point(*start), t_end - 5, Point(*low), Point(*high), t_end)
+
+        stream = [
+            (10, [
+                report(1, (5.0, 5.0), (-0.0, 0.0), (-0.0, 0.0), 10),
+                report(8, (8.0, 8.0), (0.9, 0.9), (0.9, 0.9), 10),
+                report(9, (9.0, 9.0), (0.9, -0.9), (0.9, -0.9), 10),
+            ]),
+            (20, [
+                report(10, (7.0, 7.0), (1.0, 1.0), (2.0, 2.0), 20),
+                report(8, (8.0, 8.0), (-1.0, -1.0), (1.0, 1.0), 20),
+                report(9, (9.0, 9.0), (-1.0, -1.0), (1.0, 1.0), 20),
+            ]),
+            (30, [report(11, (3.0, 3.0), (-0.5, -0.5), (0.5, 0.5), 30)]),
+        ]
+        traces = {kernel: repr_trace(kernel, "delta", stream, window=60) for kernel in KERNELS}
+        assert traces["columnar"] == traces["object"]
+        assert "end=Point(x=0.0, y=0.0)" in traces["columnar"][1][1]  # object 10's path
+        assert traces["columnar"][2][0] == (
+            "[CoordinatorResponse(object_id=11, endpoint=Point(x=-0.0, y=0.0), timestamp=30)]"
+        )

@@ -112,25 +112,31 @@ class TestSameCellEndpoints:
         point = Point(10.0, 10.0)
         record = index.insert(MotionPath(point, point))
         everywhere = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-        assert [r.path_id for r in index.paths_from_into(point, everywhere)] == [record.path_id]
+        assert [r.path_id for r in index.paths_starting_at(point, everywhere)] == [record.path_id]
+        assert index.path_between(point, point) is record
         index.delete(record.path_id)
         assert index._cells == {}
 
 
 class TestQueries:
     def test_paths_from_into_matches_start_and_region(self, index):
+        """Paths from ``start`` into ``region`` (``paths_starting_at``), and
+        the exact ``(start, end)`` probe of an insert (``path_between``)."""
         start = Point(100.0, 100.0)
         match = index.insert(MotionPath(start, Point(200.0, 200.0)))
         index.insert(MotionPath(Point(101.0, 100.0), Point(200.0, 201.0)))  # wrong start
         index.insert(MotionPath(start, Point(900.0, 900.0)))  # end outside region
         region = Rectangle(Point(150.0, 150.0), Point(250.0, 250.0))
-        results = index.paths_from_into(start, region)
+        results = index.paths_starting_at(start, region)
         assert [record.path_id for record in results] == [match.path_id]
+        assert index.path_between(start, Point(200.0, 200.0)) is match
+        assert index.path_between(start, Point(200.0, 201.0)) is None
+        assert index.path_between(Point(101.0, 100.0), Point(200.0, 200.0)) is None
 
     def test_paths_from_into_empty_region(self, index):
         index.insert(MotionPath(Point(100.0, 100.0), Point(200.0, 200.0)))
         region = Rectangle(Point(800.0, 800.0), Point(900.0, 900.0))
-        assert index.paths_from_into(Point(100.0, 100.0), region) == []
+        assert index.paths_starting_at(Point(100.0, 100.0), region) == []
 
     def test_end_vertices_in_groups_by_vertex(self, index):
         shared_end = Point(300.0, 300.0)

@@ -10,7 +10,7 @@ configurations behind historical delete bugs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -72,6 +72,17 @@ class ReferenceIndex:
             if r.path.start == start and region.contains_point(r.path.end)
         )
 
+    def path_between(self, start: Point, end: Point) -> Optional[int]:
+        """The earliest-inserted live path from ``start`` to exactly ``end``."""
+        return min(
+            (
+                r.path_id
+                for r in self.records.values()
+                if r.path.start == start and r.path.end == end
+            ),
+            default=None,
+        )
+
     def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], List[int]]:
         vertices: Dict[Tuple[float, float], List[int]] = {}
         for r in self.records.values():
@@ -91,8 +102,9 @@ def assert_empty_cells(index: GridIndex) -> None:
     """No stale entry may survive in either kernel's entry store."""
     assert index._cells == {}
     if index._endpoints is not None:
-        assert len(index._endpoints) == 0 and index._endpoints.count == 0
-        assert index._endpoints._by_start == {} and index._endpoints._rows == {}
+        table = index._endpoints
+        assert len(table) == 0 and table._by_start == {}
+        assert table._xs == table._ys == table._ends == table._pids == []
     assert index.cell_statistics()["occupied_cells"] == 0
 
 
@@ -127,9 +139,15 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.differing_executors])
     @given(operations(), pool_points, regions())
     def test_paths_from_into_matches_reference(self, ops, start, region):
+        """The paths from ``start`` into ``region``, probed one exact end at a
+        time through ``path_between``: each probe returns the earliest live
+        path from ``start`` to that end, or ``None``."""
         index, reference = build_both(ops, self.kernel)
-        result = sorted(r.path_id for r in index.paths_from_into(start, region))
-        assert result == reference.paths_from_into(start, region)
+        ends = {r.path.end for r in reference.records.values() if region.contains_point(r.path.end)}
+        for end in ends | {start}:
+            record = index.path_between(start, end)
+            found = None if record is None else record.path_id
+            assert found == reference.path_between(start, end)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.differing_executors])
     @given(operations(), pool_points, regions())
@@ -237,9 +255,11 @@ class TestBoundaryCells:
         kernel, cells = kernel_cells
         width = BOUNDS.width / cells
         # Accumulated cell corners (k * width drifts off the exact border for
-        # odd counts), the exact max edge, and just-outside points.
+        # odd counts), the exact max edge, just-outside points, and values
+        # that compare equal but are different objects (-0.0 / 0.0, 2 / 2.0).
         pool = [BOUNDS.low.x + k * width for k in range(cells + 1)]
         pool += [BOUNDS.high.x, BOUNDS.high.x - 1e-9, -2.0, BOUNDS.high.x + 2.0]
+        pool += [-0.0, 2, 2.0]
         coords = st.sampled_from(pool)
         points = st.builds(Point, coords, coords)
         index = GridIndex(GridConfig(BOUNDS, cells_per_axis=cells), kernel=kernel)
@@ -248,14 +268,21 @@ class TestBoundaryCells:
             record = index.insert(MotionPath(data.draw(points), data.draw(points)))
             inserted.append(record)
         for record in inserted:
+            # Every (start, end) pair of stored endpoints, probed exactly:
+            # the earliest insert from that start to that end, or None —
+            # whichever cell the float division picked, the probe picks the
+            # same one.
+            for other in inserted:
+                start, end = record.path.start, other.path.end
+                expected = next(
+                    (r for r in inserted if r.path.start == start and r.path.end == end), None
+                )
+                assert index.path_between(start, end) is expected
+        for record in inserted:
             # The degenerate query at each endpoint must see the entry the
-            # matching _add_entry stored — whichever cell the float division
-            # picked, queries pick the same one.
-            start, end = record.path.start, record.path.end
+            # matching _add_entry stored.
+            end = record.path.end
             probe = Rectangle.degenerate(end)
-            assert record.path_id in [
-                r.path_id for r in index.paths_from_into(start, probe)
-            ]
             assert any(
                 vertex == end and record.path_id in ids
                 for vertex, ids in index.end_vertices_in(probe).items()

@@ -16,7 +16,9 @@ that implements the weld rule directly from its definition, in the style of
   scores and its hotness the minimum member hotness, so stitching regroups
   the quality metric without inflating it;
 * **tie-break totality** — the corridor top-k is a total order: permuting the
-  corridor list never changes the ranking.
+  corridor list never changes the ranking;
+* **chain heads from predecessors** — chaining any subset of the fragments
+  through the inverse weld map finds the reference's chains over that subset.
 """
 
 from __future__ import annotations
@@ -96,12 +98,19 @@ def reference_welds(fragments: Fragments) -> Dict[int, int]:
     return welds
 
 
-def reference_chains(fragments: Fragments) -> List[List[int]]:
-    welds = reference_welds(fragments)
+def reference_chains(fragments: Fragments, ids=None) -> List[List[int]]:
+    """The chains over ``ids`` (default: every fragment), under the welds
+    between two of them."""
+    ids = set(fragments if ids is None else ids)
+    welds = {
+        path_id: successor_id
+        for path_id, successor_id in reference_welds(fragments).items()
+        if path_id in ids and successor_id in ids
+    }
     has_predecessor = set(welds.values())
     chains: List[List[int]] = []
     used = set()
-    for path_id in sorted(fragments):
+    for path_id in sorted(ids):
         if path_id in used or path_id in has_predecessor:
             continue
         chain = [path_id]
@@ -110,7 +119,7 @@ def reference_chains(fragments: Fragments) -> List[List[int]]:
             chain.append(welds[chain[-1]])
             used.add(chain[-1])
         chains.append(chain)
-    for path_id in sorted(fragments):  # cycles, broken at their minimum id
+    for path_id in sorted(ids):  # cycles, broken at their minimum id
         if path_id in used:
             continue
         chain = [path_id]
@@ -147,7 +156,8 @@ def distributed_stitch(
     for shard_id in tasks:
         runs.extend(weld_runs(tasks[shard_id]))
     successor = successors_from_runs(runs)
-    chains = chain_fragments(info, successor)
+    predecessor = {successor_id: path_id for path_id, successor_id in successor.items()}
+    chains = chain_fragments(info, successor, predecessor)
     return build_corridors(chains, lambda path_id: info[path_id][:2])
 
 
@@ -230,6 +240,28 @@ class TestChainClosure:
             )
             assert corridor.path_ids[0] == successor_id
             assert corridor.lead_path_id == min(corridor.path_ids)
+
+
+class TestChainHeadsFromPredecessors:
+    @settings(max_examples=200, deadline=None)
+    @given(fragment_sets(), st.data())
+    def test_predecessor_map_finds_the_same_chains(self, fragments, data):
+        """``IncrementalStitcher.apply`` re-chains a subset of the hot set,
+        whose heads ``chain_fragments`` finds through the inverse weld map:
+        on any subset the chains are the reference's over that subset."""
+        successor = reference_welds(fragments)
+        predecessor = {successor_id: path_id for path_id, successor_id in successor.items()}
+        subset = data.draw(st.sets(st.sampled_from(sorted(fragments))))
+        assert chain_fragments(subset, successor, predecessor) == reference_chains(
+            fragments, subset
+        )
+
+    def test_a_predecessor_outside_the_subset_leaves_a_head(self):
+        """5 -> 3 -> 1 chained over {3, 1}: 3's predecessor is not chained,
+        so 3 heads ``[3, 1]`` (not ``[1]`` and ``[3]``)."""
+        successor = {5: 3, 3: 1}
+        predecessor = {3: 5, 1: 3}
+        assert chain_fragments({3, 1}, successor, predecessor) == [[3, 1]]
 
 
 class TestMergeOrderIndependence:
