@@ -107,7 +107,7 @@ class Coordinator:
         # mode rebuilds all of it per epoch or query — the differential
         # reference, whose queries *are* the oracle scans.
         self._pool_cache: Optional[OverlapPoolCache] = (
-            OverlapPoolCache(kernel=kernel) if delta_mode else None
+            OverlapPoolCache() if delta_mode else None
         )
         self.strategy = SinglePathStrategy(
             self.index,
@@ -210,7 +210,6 @@ class Coordinator:
             vanished=tuple(sorted(log.vanished)),
             pools_total=pool_stats["pools_total"],
             pools_reused=pool_stats["pools_reused"],
-            pools_prefix_reused=pool_stats["pools_prefix_reused"],
             pools_rebuilt=pool_stats["pools_rebuilt"],
         )
 
@@ -225,7 +224,7 @@ class Coordinator:
 
         The first seven keys are :meth:`ShardRouter.shard_statistics`.  All
         the rest are zeros in ``full`` mode (stable schema): ``pools_reused``
-        / ``pools_prefix_reused`` / ``pools_rebuilt`` tally the pool cache's
+        / ``pools_rebuilt`` tally the pool cache's
         outcomes over every epoch (pools are components of two or more FSAs;
         isolated FSAs never reach the cache), the rest are the incremental
         stitcher's totals — how many corridor chains were re-welded vs.
@@ -234,14 +233,11 @@ class Coordinator:
         corridor objects were patched vs. served from cache.
         """
         cache = self._pool_cache
-        reused, prefix_reused, rebuilt = (
-            (cache.reused, cache.prefix_reused, cache.rebuilt) if cache is not None else (0, 0, 0)
-        )
+        reused, rebuilt = (cache.reused, cache.rebuilt) if cache is not None else (0, 0)
         statistics = self.router.shard_statistics()
         statistics.update(
-            pools_total=reused + prefix_reused + rebuilt,
+            pools_total=reused + rebuilt,
             pools_reused=reused,
-            pools_prefix_reused=prefix_reused,
             pools_rebuilt=rebuilt,
             chains_rewelded=0,
             chains_reused=0,

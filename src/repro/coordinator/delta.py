@@ -9,9 +9,9 @@ re-derives its inputs from the full state.  In ``epoch_mode="delta"`` the
 pipeline instead *emits* what changed — this module's :class:`EpochDelta` —
 and every stage consumes the delta:
 
-* unchanged overlap components are reused across epochs
-  (:class:`~repro.coordinator.overlaps.OverlapPoolCache`; only the dirtied
-  pools are rebuilt, and only those are shipped to process-backend workers);
+* overlap components that repeat verbatim are reused across epochs
+  (:class:`~repro.coordinator.overlaps.OverlapPoolCache`; every other pool
+  is rebuilt, and only those are shipped to process-backend workers);
 * corridor chains are maintained incrementally under the epoch's
   insert/expire/weld events
   (:class:`~repro.coordinator.stitching.IncrementalStitcher`; only touched
@@ -56,7 +56,7 @@ __all__ = [
 #: Values accepted by the ``epoch_mode`` knob (config layers and
 #: ``--epoch-mode``): ``full`` rebuilds every per-epoch structure from the
 #: full state (the pre-incremental pipeline, kept as the differential
-#: reference); ``delta`` (the default) reuses unchanged overlap pools, maintains
+#: reference); ``delta`` (the default) reuses repeated overlap pools, maintains
 #: corridor chains incrementally and ships only deltas to workers — required
 #: to stay bit-for-bit equal to ``full``.
 EPOCH_MODES: Tuple[str, ...] = ("full", "delta")
@@ -84,13 +84,15 @@ class EpochDelta:
     * ``renumbered`` — always 0: no id is ever renumbered.  Kept only because
       ``bench/trace.py`` reads it (``bench/`` does not change with ``src/``);
       delete it with that read.
-    * ``pools_total`` .. ``pools_rebuilt`` — the epoch's overlap pools, the
-      components of two or more mutually overlapping FSAs (an FSA that
-      overlaps no other one is its own singleton region and never a pool):
-      how many were reused verbatim from the cross-epoch pool cache, resumed
-      from a cached prefix, or rebuilt from scratch (the only ones shipped to
-      workers).  ``pools_total = pools_reused + pools_prefix_reused +
-      pools_rebuilt``.
+    * ``pools_total`` / ``pools_reused`` / ``pools_rebuilt`` — the epoch's
+      overlap pools, the components of two or more mutually overlapping FSAs
+      (an FSA that overlaps no other one is its own singleton region and
+      never a pool): how many were reused verbatim from the cross-epoch pool
+      cache or rebuilt from scratch (the only ones shipped to workers).
+      ``pools_total = pools_reused + pools_rebuilt``.
+    * ``pools_prefix_reused`` — always 0: the cache has no prefix outcome.
+      Kept only because ``bench/trace.py`` reads it (``bench/`` does not
+      change with ``src/``); delete it with that read.
     """
 
     timestamp: int

@@ -17,6 +17,13 @@ while the parent runs that candidate pass (:meth:`ExecutionBackend.build_overlap
   structures as ordered region lists, nothing else, so it is replaced after a
   crash or a missed reply deadline with no bootstrap.
 
+Neither backend knows the kernel.  A built structure carries none (its
+single and batched queries each have one path), so a backend is handed the
+pools and the parent's pass, and the process backend ships over shared
+memory whenever numpy imports (:class:`~repro.coordinator.columnar.ShipmentRing`),
+with the pickled pipe only as the fallback (no numpy, or a block that cannot
+be allocated).
+
 The backend is a property of the overlap stage, not of a shard layout: every
 ``num_shards`` runs the same strategy on the same one index, so
 ``--shards 1 --backend processes`` ships exactly what ``--shards 16`` does.
@@ -171,10 +178,7 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def build_overlaps(
-        self,
-        overlap_pools: OverlapPools,
-        kernel: str,
-        alongside: Callable[[], Alongside],
+        self, overlap_pools: OverlapPools, alongside: Callable[[], Alongside]
     ) -> Tuple[Alongside, List[FsaOverlapStructure]]:
         """Return ``alongside()`` and one built structure per pool (by pool index)."""
 
@@ -187,8 +191,8 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def build_overlaps(self, overlap_pools, kernel, alongside):
-        return alongside(), build_structures(overlap_pools, kernel=kernel)
+    def build_overlaps(self, overlap_pools, alongside):
+        return alongside(), build_structures(overlap_pools)
 
 
 def _process_worker_main(connection) -> None:
@@ -199,11 +203,10 @@ def _process_worker_main(connection) -> None:
     carries component FSA pools (flat float tuples in pool order) and is
     answered with the built structures as serialized region lists — region
     order is part of the answer, because first-encountered tie-breaks in the
-    overlap queries depend on it.  It arrives either pickled over the pipe
-    (``"work"`` with the kernel name, the object-kernel reference transport
-    and the shared-memory fallback) or as a ``"work_shm"`` header naming the
-    parent's shared-memory block (columnar kernel only), decoded into the
-    exact same python shape before the common build below.
+    overlap queries depend on it.  It arrives as a ``"work_shm"`` header
+    naming the parent's shared-memory block, decoded into the python shape
+    of the pickled ``"work"`` message (numpy missing, or the block could not
+    be allocated) before the common build below.
     """
     attachments: Dict[str, object] = {}
     while True:
@@ -214,9 +217,9 @@ def _process_worker_main(connection) -> None:
             connection.close()
             return
         if kind == "work_shm":
-            kernel, overlap_tasks = "columnar", decode_work_shipment(message, attachments)
+            overlap_tasks = decode_work_shipment(message, attachments)
         else:
-            _kind, kernel, overlap_tasks = message
+            _kind, overlap_tasks = message
         pools = [
             {
                 object_id: Rectangle(Point(f_lx, f_ly), Point(f_hx, f_hy))
@@ -228,7 +231,7 @@ def _process_worker_main(connection) -> None:
             [
                 (pool_index, structure.serialized())
                 for (pool_index, _members), structure in zip(
-                    overlap_tasks, build_structures(pools, kernel=kernel)
+                    overlap_tasks, build_structures(pools)
                 )
             ]
         )
@@ -392,16 +395,14 @@ class ProcessBackend(ExecutionBackend):
 
     # -- pipeline stages --------------------------------------------------------
 
-    def build_overlaps(self, overlap_pools, kernel, alongside):
-        awaited = self._ship_pools(overlap_pools, kernel)
+    def build_overlaps(self, overlap_pools, alongside):
+        awaited = self._ship_pools(overlap_pools)
         # The parent's pass overlaps the workers' builds.
         result = alongside()
         structures: List[Optional[FsaOverlapStructure]] = [None] * len(overlap_pools)
         for worker in awaited:
             for pool_index, regions in self._reply(worker) or ():
-                structures[pool_index] = FsaOverlapStructure.from_serialized(
-                    regions, kernel=kernel
-                )
+                structures[pool_index] = FsaOverlapStructure.from_serialized(regions)
         # Pools no worker answered for (see ``_send`` / ``_reply``).
         unanswered = [
             pool_index
@@ -409,20 +410,17 @@ class ProcessBackend(ExecutionBackend):
             if structure is None
         ]
         if unanswered:
-            built = build_structures(
-                [overlap_pools[pool_index] for pool_index in unanswered], kernel=kernel
-            )
+            built = build_structures([overlap_pools[pool_index] for pool_index in unanswered])
             for pool_index, structure in zip(unanswered, built):
                 structures[pool_index] = structure
         return result, structures
 
-    def _ship_pools(self, overlap_pools: OverlapPools, kernel: str) -> List[int]:
+    def _ship_pools(self, overlap_pools: OverlapPools) -> List[int]:
         """Send every worker its share of the pools; returns the workers that
-        now owe a reply.  Under the columnar kernel a share is packed into the
-        worker's shared block and only a constant-size header crosses the
-        pipe (the header send is the happens-before edge; the worker decodes
-        before answering, so the block is never read and rewritten
-        concurrently)."""
+        now owe a reply.  A share is packed into the worker's shared block
+        and only a constant-size header crosses the pipe (the header send is
+        the happens-before edge; the worker decodes before answering, so the
+        block is never read and rewritten concurrently)."""
         if not overlap_pools:
             return []
         self._ensure_workers()
@@ -437,23 +435,22 @@ class ProcessBackend(ExecutionBackend):
                     ],
                 )
             )
-        use_shm = HAVE_NUMPY and kernel == "columnar"
         awaited: List[int] = []
         for worker, share in enumerate(shares):
             if not share:
                 continue
             message = None
-            if use_shm:
+            if HAVE_NUMPY:
                 try:
                     message = self._rings[worker].pack(share)
                     self.shm_shipments += 1
                 except (OSError, ValueError):
                     # Block (re)allocation failed (e.g. /dev/shm exhausted):
-                    # the pickled pipe carries identical content, so degrade
+                    # the pickled pipe carries the same pools, so degrade
                     # per-shipment and keep counting.
                     self.shm_fallbacks += 1
             if message is None:
-                message = ("work", kernel, share)
+                message = ("work", share)
             if self._send(worker, message):
                 awaited.append(worker)
         return awaited

@@ -34,6 +34,14 @@ returns, :meth:`~FsaOverlapStructure.regions`, and one ``Point`` per
 fabricated centroid.  The ``Rectangle`` formulation this replaced is kept
 verbatim as the test oracle ``tests/overlap_oracle.py``.
 
+**The structure carries no kernel.**  Each query shape has one path: a single
+query is a scalar loop over the boxes, and a batched query — only the
+columnar epoch pass of :mod:`repro.coordinator.single_path` asks one — reads
+the lazily built :class:`~repro.coordinator.columnar.RegionTable`.  The two
+are pinned bit-for-bit equal, so which kernel built or merged a structure
+cannot change an answer; only :func:`plan_shard_overlaps` (a broadcast or a
+scalar pair test) still reads the kernel.
+
 **One structure per epoch, built per component.**  A stored subset has a
 positive-area common intersection, so its members overlap pairwise: the region
 set is the disjoint union, over the connected components of the pairwise
@@ -43,7 +51,7 @@ An FSA that overlaps no other one is a component whose whole region set is its
 own singleton region, so the plan records just its box (the *singletons*);
 only components of two or more FSAs become *pools* (disjoint, each in
 submission order).  :class:`OverlapPoolCache` serves the pools that repeat
-from earlier epochs, the rest are built independently
+verbatim from earlier epochs, the rest are built independently
 (:func:`build_structures` — on worker processes under that backend), and
 :meth:`OverlapPlan.merge` interleaves the per-component region lists into the
 one structure the sequential build would have produced, *order included*:
@@ -67,6 +75,7 @@ Queries used by SinglePath:
 
 from __future__ import annotations
 
+import marshal
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -149,64 +158,27 @@ class FsaOverlapStructure:
     on a tie, never re-derived.
     """
 
-    #: Region count below which the columnar kernel answers a *single* query
-    #: with the scalar loops anyway (both paths are bit-for-bit equal; the
-    #: crossover is purely a performance constant).  Measured on a 2-core
-    #: Intel Xeon, CPython 3.11 / numpy 2.4, dense pools of 73-226 regions:
-    #: one pre-ranked table query costs a flat 5.6-7.3 us of numpy call
-    #: overhead, the scalar loops over boxes ~0.045 us a region plus ~1 us to
-    #: build the returned region, so they cross at 94-108 regions.  (The
-    #: ``Rectangle`` loops cost 0.10-0.19 us a region and crossed at 30-45.)
-    #: The batched queries of the epoch pass amortise the call overhead over
-    #: the whole epoch and always use the table.
-    _COLUMNAR_MIN_REGIONS = 96
-
-    def __init__(self, max_regions: int = 10000, kernel: str = "object") -> None:
+    def __init__(self, max_regions: int = 10000) -> None:
         # Hard cap on the number of stored regions, guarding against
         # pathological inputs where thousands of FSAs overlap pairwise; the
         # cap trades a little candidate quality for bounded per-epoch work.
         # ``len(self) <= max_regions`` always holds (see :meth:`add`).
         self._max_regions = max_regions
         self._regions: Dict[FrozenSet[int], Box] = {}
-        self._kernel = resolve_kernel(kernel)
-        # Lazily built columnar query table (see
-        # :class:`repro.coordinator.columnar.RegionTable`).  Mutable derived
-        # state: invalidated by :meth:`add` and *never* shared by
-        # :meth:`snapshot` — a snapshot aliasing a live table would serve
-        # regions its own dict no longer matches once either copy grows.
+        # The batched queries' table (see
+        # :class:`repro.coordinator.columnar.RegionTable`), built on their
+        # first call and invalidated by :meth:`add`.
         self._table: Optional[RegionTable] = None
 
     @classmethod
     def build(
-        cls,
-        fsas: Mapping[int, Rectangle],
-        max_regions: int = 10000,
-        base: Optional["FsaOverlapStructure"] = None,
-        kernel: str = "object",
+        cls, fsas: Mapping[int, Rectangle], max_regions: int = 10000
     ) -> "FsaOverlapStructure":
-        """Build the structure from ``object_id -> FSA`` of all reporting objects.
-
-        ``base`` resumes from a snapshot of an already-built structure instead
-        of starting empty — the prefix path of :class:`OverlapPoolCache` (a
-        pool that extends a cached pool by late arrivals builds only the tail).
-        """
-        structure = base.snapshot() if base is not None else cls(max_regions, kernel=kernel)
+        """Build the structure from ``object_id -> FSA`` of all reporting objects."""
+        structure = cls(max_regions)
         for object_id, fsa in fsas.items():
             structure.add(object_id, fsa)
         return structure
-
-    def snapshot(self) -> "FsaOverlapStructure":
-        """A cheap independent copy (regions are immutable, the dict is not).
-
-        The clone shares no mutable state with the original: the region dict
-        is copied and the derived columnar table is left unbuilt rather than
-        aliased.  Prefix resumption in :class:`OverlapPoolCache` depends on
-        this — it extends a snapshot of a *cached* structure, and a verbatim
-        hit later must return that cached entry un-extended.
-        """
-        clone = FsaOverlapStructure(self._max_regions, kernel=self._kernel)
-        clone._regions = dict(self._regions)
-        return clone
 
     def add(self, object_id: int, fsa: Rectangle) -> None:
         """Insert one object's FSA, deriving intersections with existing regions.
@@ -281,10 +253,7 @@ class FsaOverlapStructure:
 
     @classmethod
     def from_serialized(
-        cls,
-        regions: Sequence[SerializedRegion],
-        max_regions: int = 10000,
-        kernel: str = "object",
+        cls, regions: Sequence[SerializedRegion], max_regions: int = 10000
     ) -> "FsaOverlapStructure":
         """Rebuild a structure from :meth:`serialized` output, preserving order.
 
@@ -292,7 +261,7 @@ class FsaOverlapStructure:
         ``Rectangle`` would check it: finite bounds, low corner not above the
         high one (:class:`InvalidGeometryError` otherwise).
         """
-        structure = cls(max_regions, kernel=kernel)
+        structure = cls(max_regions)
         isfinite = math.isfinite
         for members, low_x, low_y, high_x, high_y in regions:
             if not (
@@ -309,16 +278,10 @@ class FsaOverlapStructure:
     # -- queries -------------------------------------------------------------------
 
     def _region_table(self) -> RegionTable:
-        """The columnar query table, built lazily."""
+        """The batched queries' table, built lazily."""
         if self._table is None:
             self._table = RegionTable(self._regions)
         return self._table
-
-    def _query_table(self) -> Optional[RegionTable]:
-        """The table for a *single* query; ``None`` on the scalar path."""
-        if self._kernel != "columnar" or len(self._regions) < self._COLUMNAR_MIN_REGIONS:
-            return None
-        return self._region_table()
 
     def __len__(self) -> int:
         return len(self._regions)
@@ -335,12 +298,6 @@ class FsaOverlapStructure:
         the point — exactly the potential extra hotness the paper adds to an
         available vertex (Lines 23-26 of Algorithm 2).
         """
-        table = self._query_table()
-        if table is not None:
-            winner = table.smallest_containing(point)
-            if winner is None:
-                return None
-            return _region((table.members[winner], table.boxes[winner]))
         x, y = point.x, point.y
         best = None
         best_area = best_count = 0
@@ -365,10 +322,6 @@ class FsaOverlapStructure:
 
     def _hottest_intersecting(self, fsa: Rectangle) -> Optional[Tuple[FrozenSet[int], Box]]:
         """The ``(members, box)`` of :meth:`hottest_region_intersecting`."""
-        table = self._query_table()
-        if table is not None:
-            winner = table.hottest_intersecting(fsa)
-            return None if winner is None else (table.members[winner], table.boxes[winner])
         fsa_low_x, fsa_low_y = fsa.low.x, fsa.low.y
         fsa_high_x, fsa_high_y = fsa.high.x, fsa.high.y
         best = None
@@ -404,7 +357,7 @@ class FsaOverlapStructure:
         members, box = found
         return (_center(box), len(members))
 
-    # -- batched queries (columnar kernel; the epoch pass of SinglePath) ---------------
+    # -- batched queries (the columnar epoch pass of SinglePath; always the table) ------
 
     def containing_counts(self, points: Sequence[Point]) -> List[int]:
         """Per point, the count of :meth:`smallest_region_containing` (0 for none)."""
@@ -425,12 +378,8 @@ class FsaOverlapStructure:
         ]
 
 
-
-
-#: Content address of one component pool: its ``(object_id, FSA coordinates)``
-#: entries *in pool order*.  Region insertion order feeds the structure's
-#: area tie-breaks, so only an order-identical pool may share a structure.
-PoolFingerprint = Tuple[Tuple[int, float, float, float, float], ...]
+#: Content address of one component pool (:func:`pool_fingerprint`).
+PoolFingerprint = bytes
 
 #: Default bound of :class:`OverlapPoolCache`, in cached *regions* (about
 #: 0.5 kB each, query table included) left over from earlier epochs: one
@@ -446,24 +395,34 @@ _CACHED_REGIONS = 1024
 
 
 def pool_fingerprint(pool: Mapping[int, Rectangle]) -> PoolFingerprint:
-    """The content address of a component pool (see :class:`OverlapPoolCache`)."""
-    return tuple(
-        (object_id, fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y)
-        for object_id, fsa in pool.items()
+    """The content address of a component pool (see :class:`OverlapPoolCache`).
+
+    Its ``(object_id, FSA coordinates)`` entries *in pool order* — region
+    insertion order feeds the structure's area tie-breaks — marshalled
+    (format 2, which never back-references a repeated object).  Two pools get
+    the same bytes exactly when every coordinate has the same type and the
+    same IEEE bits, so a hit is ``repr``-exact: ``5`` and ``5.0``, or
+    ``-0.0`` and ``0.0``, compare equal but address different entries.
+    """
+    return marshal.dumps(
+        tuple(
+            (object_id, fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y)
+            for object_id, fsa in pool.items()
+        ),
+        2,
     )
 
 
 def zero_pool_stats() -> Dict[str, int]:
     """The all-zero pool-cache outcome (full mode, empty epochs)."""
-    return {"pools_total": 0, "pools_reused": 0, "pools_prefix_reused": 0, "pools_rebuilt": 0}
+    return {"pools_total": 0, "pools_reused": 0, "pools_rebuilt": 0}
 
 
 class OverlapPoolCache:
     """Cross-epoch, content-addressed cache of built component structures.
 
     Under low churn most of an epoch's components repeat verbatim from one
-    epoch to the next, and the rest usually extend a previous component by a
-    few late arrivals.  The delta pipeline (``epoch_mode="delta"``) resolves
+    epoch to the next.  The delta pipeline (``epoch_mode="delta"``) resolves
     every pool here first and ships only the misses to the execution
     backend's workers.  A component is dirtied by any fresh FSA overlapping
     any member, and by nothing else: FSAs elsewhere in the epoch are not
@@ -472,14 +431,12 @@ class OverlapPoolCache:
     is its one singleton region, which :meth:`OverlapPlan.merge` places from
     the FSA's box for less than a fingerprint and a lookup would cost.
 
-    Three outcomes per pool, every one bit-identical to a from-scratch build:
+    Two outcomes per pool, one table lookup each, both ``repr``-identical to
+    a from-scratch build:
 
     * **reused** — the fingerprint matches a cached pool exactly; the cached
       structure is returned as-is (structures are read-only to the merge).
-    * **prefix_reused** — a cached pool is an order-preserving *prefix* of
-      this one; the tail is built parent-side resuming from the cached
-      structure's snapshot (:meth:`FsaOverlapStructure.build` with ``base``).
-    * **rebuilt** — no usable entry; the pool is built from scratch (on the
+    * **rebuilt** — no entry; the pool is built from scratch (on the
       backend) and stored for future epochs.
 
     The cache is LRU-bounded by the regions it holds (``capacity``), so long
@@ -489,25 +446,23 @@ class OverlapPoolCache:
     expensive kind to rebuild — must still be able to repeat.
     """
 
-    def __init__(self, capacity: int = _CACHED_REGIONS, kernel: str = "object") -> None:
+    def __init__(self, capacity: int = _CACHED_REGIONS) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"pool cache capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._kernel = resolve_kernel(kernel)
         self._table: "OrderedDict[PoolFingerprint, FsaOverlapStructure]" = OrderedDict()
         self._regions_held = 0
         # Fingerprints served or stored since the latest ``resolve`` began.
         self._current: Set[PoolFingerprint] = set()
         # Lifetime totals, surfaced by ``shard_statistics()``.
         self.reused = 0
-        self.prefix_reused = 0
         self.rebuilt = 0
 
     def __len__(self) -> int:
         return len(self._table)
 
     def resolve(
-        self, pools: Sequence[Mapping[int, Rectangle]], max_regions: int = 10000
+        self, pools: Sequence[Mapping[int, Rectangle]]
     ) -> Tuple[List[Optional[FsaOverlapStructure]], Dict[int, PoolFingerprint], Dict[str, int]]:
         """Serve what the cache can; report the rest as misses.
 
@@ -521,51 +476,20 @@ class OverlapPoolCache:
         self._current = set()
         structures: List[Optional[FsaOverlapStructure]] = [None] * len(pools)
         misses: Dict[int, PoolFingerprint] = {}
-        stats = zero_pool_stats()
-        stats["pools_total"] = len(pools)
         for index, pool in enumerate(pools):
             fingerprint = pool_fingerprint(pool)
             cached = self._table.get(fingerprint)
-            if cached is not None:
-                self._table.move_to_end(fingerprint)
-                self._current.add(fingerprint)
-                structures[index] = cached
-                stats["pools_reused"] += 1
-                self.reused += 1
+            if cached is None:
+                misses[index] = fingerprint
                 continue
-            resumed = self._resume_from_prefix(fingerprint, pool, max_regions)
-            if resumed is not None:
-                self._insert(fingerprint, resumed)
-                structures[index] = resumed
-                stats["pools_prefix_reused"] += 1
-                self.prefix_reused += 1
-                continue
-            misses[index] = fingerprint
-            stats["pools_rebuilt"] += 1
-            self.rebuilt += 1
+            self._table.move_to_end(fingerprint)
+            self._current.add(fingerprint)
+            structures[index] = cached
+        reused = len(pools) - len(misses)
+        self.reused += reused
+        self.rebuilt += len(misses)
+        stats = {"pools_total": len(pools), "pools_reused": reused, "pools_rebuilt": len(misses)}
         return structures, misses, stats
-
-    def _resume_from_prefix(
-        self,
-        fingerprint: PoolFingerprint,
-        pool: Mapping[int, Rectangle],
-        max_regions: int,
-    ) -> Optional[FsaOverlapStructure]:
-        """Build from the longest cached proper prefix, or ``None`` without one."""
-        for cut in range(len(fingerprint) - 1, 0, -1):
-            base = self._table.get(fingerprint[:cut])
-            if base is None:
-                continue
-            tail = {
-                entry[0]: pool[entry[0]] for entry in fingerprint[cut:]
-            }
-            # ``build`` resumes from ``base.snapshot()`` — never from the
-            # cached structure itself — so extending the tail here cannot
-            # mutate the cached entry (pinned by tests/test_delta_properties).
-            return FsaOverlapStructure.build(
-                tail, max_regions, base=base, kernel=self._kernel
-            )
-        return None
 
     def store(
         self,
@@ -591,12 +515,10 @@ class OverlapPoolCache:
 
 
 def build_structures(
-    pools: Sequence[Mapping[int, Rectangle]],
-    max_regions: int = 10000,
-    kernel: str = "object",
+    pools: Sequence[Mapping[int, Rectangle]], max_regions: int = 10000
 ) -> List[FsaOverlapStructure]:
     """Build one structure per component pool (the backends' unit of work)."""
-    return [FsaOverlapStructure.build(pool, max_regions, kernel=kernel) for pool in pools]
+    return [FsaOverlapStructure.build(pool, max_regions) for pool in pools]
 
 
 def _overlapping_pairs(rectangles: Sequence[Rectangle]) -> Iterator[Tuple[int, int]]:
@@ -632,7 +554,6 @@ class OverlapPlan:
     misses: Dict[int, Optional[PoolFingerprint]]
     #: Pool-cache outcome tally (zeros without a cache).
     stats: Dict[str, int]
-    kernel: str
     cache: Optional[OverlapPoolCache]
     max_regions: int
 
@@ -662,7 +583,7 @@ class OverlapPlan:
             return structures[0]
         regions_total = len(singletons) + sum(len(structure) for structure in structures)
         if regions_total >= self.max_regions:
-            return FsaOverlapStructure.build(self.fsas, self.max_regions, kernel=self.kernel)
+            return FsaOverlapStructure.build(self.fsas, self.max_regions)
         # Every pool block opens with its FSA's singleton (always stored below
         # the cap), so one walk over each pool cuts its blocks by FSA; a walk
         # in submission order then places every block, singletons included.
@@ -680,7 +601,7 @@ class OverlapPlan:
                 regions[frozenset((object_id,))] = box
             else:
                 regions.update(blocks[object_id])
-        merged = FsaOverlapStructure(self.max_regions, kernel=self.kernel)
+        merged = FsaOverlapStructure(self.max_regions)
         merged._regions = regions
         return merged
 
@@ -735,7 +656,7 @@ def plan_shard_overlaps(
             [None] * len(plan_pools), dict.fromkeys(range(len(plan_pools))), zero_pool_stats()
         )
     else:
-        structures, misses, stats = cache.resolve(plan_pools, max_regions)
+        structures, misses, stats = cache.resolve(plan_pools)
     return OverlapPlan(
-        fsas, plan_pools, singletons, structures, misses, stats, kernel, cache, max_regions
+        fsas, plan_pools, singletons, structures, misses, stats, cache, max_regions
     )

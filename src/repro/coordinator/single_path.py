@@ -287,7 +287,6 @@ class SinglePathStrategy:
         self.last_pool_stats = plan.stats
         candidate_paths, built = self.backend.build_overlaps(
             plan.missed_pools,
-            self._kernel,
             lambda: {
                 state.object_id: self.candidate_paths(state, fsa)
                 for state, fsa in zip(states, fsas)

@@ -21,9 +21,9 @@ dependence), every fragment has at most one weld-successor (its single end
 vertex) and at most one weld-predecessor (its single start vertex), so chains
 are simple and the corridor partition is unique.  A junction where several
 hot paths meet is a genuine fork — chaining through it would have to pick a
-branch, so the corridor ends there.  Because the rule is per vertex, the
-welds of any partition of the vertices (a task owning some of them:
-:func:`weld_runs`' ownership flags) union to the global weld set.
+branch, so the corridor ends there.  :func:`stitch_paths` applies the rule to
+every vertex at once, :class:`IncrementalStitcher` to the vertices an epoch
+touched.
 
 **Scoring.**  A corridor's ``hotness`` is the *minimum* member hotness (a
 corridor is only as hot as its least-travelled link) and its ``score`` is the
@@ -66,9 +66,6 @@ __all__ = [
     "CorridorSegment",
     "CompositeCorridor",
     "IncrementalStitcher",
-    "StitchFragment",
-    "weld_runs",
-    "successors_from_runs",
     "chain_fragments",
     "build_corridors",
     "stitch_paths",
@@ -76,15 +73,6 @@ __all__ = [
     "select_top_k_corridors",
     "top_k_corridor_score",
 ]
-
-#: One hot fragment of a stitch task:
-#: ``(path_id, start_x, start_y, end_x, end_y, owns_start, owns_end)``.
-#: The boolean flags mark which of the fragment's endpoints the task owns —
-#: welds are decided only at owned vertices, so a fragment handed to the
-#: tasks of both its endpoints is counted once per vertex.  The global stitch
-#: is the one task that owns every vertex.
-StitchFragment = Tuple[int, float, float, float, float, bool, bool]
-
 
 @dataclass(frozen=True)
 class CorridorSegment:
@@ -162,75 +150,7 @@ class CompositeCorridor:
 
 
 # ---------------------------------------------------------------------------
-# Weld computation
-# ---------------------------------------------------------------------------
-
-
-def weld_runs(fragments: Sequence[StitchFragment]) -> List[List[int]]:
-    """Decide the welds at a task's *owned* vertices and chain them into runs.
-
-    ``fragments`` is one stitch task: every hot fragment with at least one
-    endpoint the task owns, with the ``owns_start`` / ``owns_end`` flags
-    marking which endpoints to count here.  A task holding every fragment
-    that touches its owned vertices sees the global degree counts there, so
-    the welds decided here are exactly the global welds at these vertices.
-
-    Returns *runs* — maximal chains ``[p1, .., pk]`` (``k >= 2``) under this
-    task's welds, each consecutive pair encoding one weld;
-    :func:`successors_from_runs` re-derives the pairs, from several tasks'
-    runs at once.  A cycle closed entirely
-    by this task's welds is serialized with its head repeated at the end
-    (``[a, b, a]``), so the closing weld survives the run format — a cycle
-    whose welds straddle two tasks already keeps every weld because each
-    task reports its own half.  The merge re-breaks the rebuilt cycle at its
-    smallest member id, exactly as the global chaining would.
-    """
-    ends_at: Dict[Tuple[float, float], List[int]] = {}
-    starts_at: Dict[Tuple[float, float], List[int]] = {}
-    for path_id, start_x, start_y, end_x, end_y, owns_start, owns_end in fragments:
-        if owns_start:
-            starts_at.setdefault((start_x, start_y), []).append(path_id)
-        if owns_end:
-            ends_at.setdefault((end_x, end_y), []).append(path_id)
-    successor: Dict[int, int] = {}
-    predecessor: Dict[int, int] = {}
-    for vertex, enders in ends_at.items():
-        starters = starts_at.get(vertex)
-        if starters is None or len(enders) != 1 or len(starters) != 1:
-            continue
-        predecessor_id, successor_id = enders[0], starters[0]
-        if predecessor_id != successor_id:  # a degenerate self-loop never welds
-            successor[predecessor_id] = successor_id
-            predecessor[successor_id] = predecessor_id
-    welded = set(successor)
-    welded.update(predecessor)
-    runs: List[List[int]] = []
-    for run in chain_fragments(welded, successor, predecessor):
-        if len(run) < 2:
-            continue
-        if successor.get(run[-1]) == run[0]:
-            # chain_fragments broke a task-internal weld cycle; re-append the
-            # head so the closing weld is encoded by the final pair.
-            run = run + [run[0]]
-        runs.append(run)
-    return runs
-
-
-def successors_from_runs(runs: Iterable[Sequence[int]]) -> Dict[int, int]:
-    """Rebuild the weld successor map from :func:`weld_runs` output.
-
-    When every vertex has exactly one owning task, no weld appears in two
-    tasks' runs and the union is conflict-free.
-    """
-    successor: Dict[int, int] = {}
-    for run in runs:
-        for predecessor_id, successor_id in zip(run, run[1:]):
-            successor[predecessor_id] = successor_id
-    return successor
-
-
-# ---------------------------------------------------------------------------
-# Chaining (the merge pass)
+# Chaining
 # ---------------------------------------------------------------------------
 
 
@@ -308,22 +228,23 @@ def stitch_paths(
     for bit — the contract of ``tests/test_stitching_equivalence.py``.
     """
     info: Dict[int, Tuple[MotionPath, int]] = {}
-    fragments: List[StitchFragment] = []
+    starts_at: Dict[Tuple[float, float], List[int]] = {}
+    ends_at: Dict[Tuple[float, float], List[int]] = {}
     for record, hotness in hot_paths:
-        info[record.path_id] = (record.path, hotness)
-        fragments.append(
-            (
-                record.path_id,
-                record.path.start.x,
-                record.path.start.y,
-                record.path.end.x,
-                record.path.end.y,
-                True,
-                True,
-            )
-        )
-    successor = successors_from_runs(weld_runs(fragments))
-    predecessor = {successor_id: path_id for path_id, successor_id in successor.items()}
+        path = record.path
+        info[record.path_id] = (path, hotness)
+        starts_at.setdefault((path.start.x, path.start.y), []).append(record.path_id)
+        ends_at.setdefault((path.end.x, path.end.y), []).append(record.path_id)
+    successor: Dict[int, int] = {}
+    predecessor: Dict[int, int] = {}
+    for vertex, enders in ends_at.items():
+        starters = starts_at.get(vertex)
+        if starters is None or len(enders) != 1 or len(starters) != 1:
+            continue
+        predecessor_id, successor_id = enders[0], starters[0]
+        if predecessor_id != successor_id:  # a degenerate self-loop never welds
+            successor[predecessor_id] = successor_id
+            predecessor[successor_id] = predecessor_id
     chains = chain_fragments(info, successor, predecessor)
     return build_corridors(chains, info.__getitem__)
 
@@ -374,7 +295,7 @@ class IncrementalStitcher:
     dirty set the query view accumulated from the epoch's hotness
     transitions — never the whole hot set.  It re-decides the welds at the
     vertices of the ids that entered or left via the same degree-1 rule as
-    :func:`weld_runs`, and re-chains only the *tainted* chains: a chain is
+    :func:`stitch_paths`, and re-chains only the *tainted* chains: a chain is
     tainted when a member was added or removed or when a weld on it appeared
     or disappeared.  Every other chain — and its rank key and cached corridor
     — is reused untouched.  This is corridor-aware expiry: ``k`` fragments of

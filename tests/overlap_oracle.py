@@ -36,21 +36,13 @@ class ReferenceFsaOverlapStructure:
 
     @classmethod
     def build(
-        cls,
-        fsas: Mapping[int, Rectangle],
-        max_regions: int = 10000,
-        base: Optional["ReferenceFsaOverlapStructure"] = None,
+        cls, fsas: Mapping[int, Rectangle], max_regions: int = 10000
     ) -> "ReferenceFsaOverlapStructure":
         """Build the structure from ``object_id -> FSA`` of all reporting objects."""
-        structure = base.snapshot() if base is not None else cls(max_regions)
+        structure = cls(max_regions)
         for object_id, fsa in fsas.items():
             structure.add(object_id, fsa)
         return structure
-
-    def snapshot(self) -> "ReferenceFsaOverlapStructure":
-        clone = ReferenceFsaOverlapStructure(self._max_regions)
-        clone._regions = dict(self._regions)
-        return clone
 
     def add(self, object_id: int, fsa: Rectangle) -> None:
         """Insert one object's FSA, deriving intersections with existing regions."""

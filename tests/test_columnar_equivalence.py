@@ -11,7 +11,7 @@ same contract the delta pipeline does: **bit-for-bit equal** to the scalar
   harness);
 * hypothesis kernel-level suites — :class:`EndpointTable` queries against a
   brute-force scalar scan and its x-sorted order under inserts and removals,
-  and the pre-ranked / batched :class:`RegionTable`
+  and the pre-ranked, batched :class:`RegionTable`
   queries against the scalar tie-break loops, including the insertion-order
   tie-break cases (equal areas, equal counts) the ranking's last sort key
   exists for;
@@ -23,8 +23,8 @@ same contract the delta pipeline does: **bit-for-bit equal** to the scalar
   (``0.0`` / ``-0.0`` / ``0``, ``2`` / ``2.0``), compared across kernels by
   ``repr``, so which of two equal ends became a vertex shows.
 
-The shared-memory shipment transport rides the matrix (``processes``
-backend under ``columnar``) and is additionally pinned to actually engage:
+The shared-memory shipment transport rides the matrix (the ``processes``
+backend, under either kernel) and is additionally pinned to actually engage:
 epochs must ship through the ring, with zero pickled-pipe fallbacks.
 """
 
@@ -52,6 +52,7 @@ from repro.coordinator.columnar import (
 from repro.core.errors import ConfigurationError
 from repro.coordinator.overlaps import FsaOverlapStructure
 from repro.coordinator.single_path import SinglePathStrategy
+from overlap_oracle import ReferenceFsaOverlapStructure
 from test_sharding_equivalence import (
     drive,
     index_snapshot,
@@ -208,18 +209,16 @@ class TestSharedMemoryTransport:
         finally:
             coordinator.close()
 
-    def test_object_kernel_never_touches_shared_memory(self):
+    def test_object_kernel_ships_via_shared_memory_too(self):
+        """The backend is handed no kernel: the scalar reference ships through
+        the same ring, and answers as it does on the serial backend."""
         stream = synthetic_stream(seed=3, epochs=4)
+        serial = drive(make_coordinator(num_shards=4, kernel="object"), stream)
         coordinator = make_coordinator(num_shards=4, backend="processes", kernel="object")
-        try:
-            for boundary, states in stream:
-                for state in states:
-                    coordinator.submit_state(state)
-                coordinator.run_epoch(boundary)
-            backend = coordinator.strategy.backend
-            assert backend.shm_shipments == 0
-        finally:
-            coordinator.close()
+        assert drive(coordinator, stream) == serial  # closes the coordinator
+        backend = coordinator.strategy.backend
+        assert backend.shm_shipments > 0
+        assert backend.shm_fallbacks == 0
 
     def test_worker_kill_mid_stream_stays_equivalent(self):
         """A replaced worker attaches to the ring afresh; answers must still
@@ -458,7 +457,7 @@ class TestEndpointTableKernels:
 
 @st.composite
 def overlap_pools_strategy(draw):
-    """FSA pools sized to cross the columnar activation threshold."""
+    """FSA pools of up to 14 members, dense enough to derive hundreds of regions."""
     n = draw(st.integers(min_value=1, max_value=14))
     pool = {}
     for object_id in range(n):
@@ -468,90 +467,88 @@ def overlap_pools_strategy(draw):
     return pool
 
 
+def first_hit(winners):
+    """A one-row batch's winner, as ``None`` for none."""
+    (winner,) = winners
+    return None if winner < 0 else winner
+
+
 class TestRegionTableKernels:
+    """The table answers batches only; a single query is the structure's
+    scalar loop.  Both are held to the ``Rectangle`` oracle and to each
+    other, on pools large enough to derive well over 96 regions (where a
+    single query once switched to the table)."""
+
     @settings(
         max_examples=150,
         deadline=None,
         suppress_health_check=[HealthCheck.filter_too_much],
     )
     @given(overlap_pools_strategy(), points, regions_strategy())
-    def test_structure_queries_match_across_kernels(self, pool, probe, fsa):
-        reference = FsaOverlapStructure.build(pool, kernel="object")
-        columnar = FsaOverlapStructure.build(pool, kernel="columnar")
-        assert reference.serialized() == columnar.serialized()
+    def test_structure_queries_match_the_oracle(self, pool, probe, fsa):
+        reference = ReferenceFsaOverlapStructure.build(pool)
+        structure = FsaOverlapStructure.build(pool)
+        assert repr(structure.serialized()) == repr(reference.serialized())
 
         ref_region = reference.smallest_region_containing(probe)
-        col_region = columnar.smallest_region_containing(probe)
-        assert (ref_region is None) == (col_region is None)
+        region = structure.smallest_region_containing(probe)
+        assert (ref_region is None) == (region is None)
         if ref_region is not None:
-            assert ref_region.members == col_region.members
-            assert ref_region.rectangle == col_region.rectangle
+            assert ref_region.members == region.members
+            assert ref_region.rectangle == region.rectangle
 
         ref_hot = reference.hottest_region_intersecting(fsa)
-        col_hot = columnar.hottest_region_intersecting(fsa)
-        assert (ref_hot is None) == (col_hot is None)
+        hot = structure.hottest_region_intersecting(fsa)
+        assert (ref_hot is None) == (hot is None)
         if ref_hot is not None:
-            assert ref_hot.members == col_hot.members
-            assert ref_hot.rectangle == col_hot.rectangle
+            assert ref_hot.members == hot.members
+            assert ref_hot.rectangle == hot.rectangle
 
-        assert reference.candidate_vertex_for(fsa) == columnar.candidate_vertex_for(fsa)
+        assert reference.candidate_vertex_for(fsa) == structure.candidate_vertex_for(fsa)
 
     @settings(max_examples=100, deadline=None)
     @given(overlap_pools_strategy(), points, regions_strategy())
-    def test_table_path_forced_below_threshold(self, pool, probe, fsa):
-        """Drop the activation threshold to 1 so even tiny pools run the
-        vectorized table — the threshold must be a pure perf knob."""
-        reference = FsaOverlapStructure.build(pool, kernel="object")
-        columnar = FsaOverlapStructure.build(pool, kernel="columnar")
-        original = FsaOverlapStructure._COLUMNAR_MIN_REGIONS
-        FsaOverlapStructure._COLUMNAR_MIN_REGIONS = 1
-        try:
-            ref_region = reference.smallest_region_containing(probe)
-            col_region = columnar.smallest_region_containing(probe)
-            assert (ref_region is None) == (col_region is None)
-            if ref_region is not None:
-                assert ref_region.members == col_region.members
-            ref_hot = reference.hottest_region_intersecting(fsa)
-            col_hot = columnar.hottest_region_intersecting(fsa)
-            assert (ref_hot is None) == (col_hot is None)
-            if ref_hot is not None:
-                assert ref_hot.members == col_hot.members
-        finally:
-            FsaOverlapStructure._COLUMNAR_MIN_REGIONS = original
+    def test_one_row_batches_equal_the_single_queries(self, pool, probe, fsa):
+        """A batch of one is the scalar single query's winner, whatever the
+        region count — there is no threshold left to make the two meet."""
+        structure = FsaOverlapStructure.build(pool)
+        table = RegionTable(structure._regions)
+        region = structure.smallest_region_containing(probe)
+        winner = first_hit(table.smallest_containing_many([probe]))
+        assert (region is None) == (winner is None)
+        if region is not None:
+            assert table.members[winner] == region.members
+        hot = structure.hottest_region_intersecting(fsa)
+        winner = first_hit(table.hottest_intersecting_many([fsa]))
+        assert (hot is None) == (winner is None)
+        if hot is not None:
+            assert table.members[winner] == hot.members
 
     def test_insertion_order_breaks_exact_ties(self):
         """Two regions with identical area and count: the scalar loops keep
         the first-encountered one; the lexsort's last key must reproduce it."""
         # Two disjoint members produce two singleton regions of equal area
-        # and equal count; a probe inside neither forces the intersecting
-        # query to tie on (-count, area) across both.
+        # and equal count; an FSA over both forces the intersecting query to
+        # tie on (-count, area) across them.
         pool = {
             1: Rectangle(Point(0.0, 0.0), Point(10.0, 10.0)),
             2: Rectangle(Point(20.0, 0.0), Point(30.0, 10.0)),
         }
-        reference = FsaOverlapStructure.build(pool, kernel="object")
-        columnar = FsaOverlapStructure.build(pool, kernel="columnar")
-        original = FsaOverlapStructure._COLUMNAR_MIN_REGIONS
-        FsaOverlapStructure._COLUMNAR_MIN_REGIONS = 1
-        try:
-            fsa = Rectangle(Point(0.0, 0.0), Point(30.0, 10.0))  # hits both
-            ref_hot = reference.hottest_region_intersecting(fsa)
-            col_hot = columnar.hottest_region_intersecting(fsa)
-            assert ref_hot.members == col_hot.members
-            probe = Point(5.0, 5.0)
-            # Add an identical-geometry region pair for the containment tie.
-            assert (
-                reference.smallest_region_containing(probe).members
-                == columnar.smallest_region_containing(probe).members
-            )
-        finally:
-            FsaOverlapStructure._COLUMNAR_MIN_REGIONS = original
+        structure = FsaOverlapStructure.build(pool)
+        table = RegionTable(structure._regions)
+        fsa = Rectangle(Point(0.0, 0.0), Point(30.0, 10.0))  # hits both
+        hot = structure.hottest_region_intersecting(fsa)
+        assert hot.members == frozenset([1])
+        assert table.members[first_hit(table.hottest_intersecting_many([fsa]))] == hot.members
+        probe = Point(5.0, 5.0)
+        region = structure.smallest_region_containing(probe)
+        assert table.members[first_hit(table.smallest_containing_many([probe]))] == region.members
 
     @settings(max_examples=60, deadline=None)
     @given(overlap_pools_strategy(), points)
     def test_raw_table_matches_scalar_loops(self, pool, probe):
         """RegionTable directly vs a hand-rolled scalar argmin."""
-        structure = FsaOverlapStructure.build(pool, kernel="object")
+        structure = FsaOverlapStructure.build(pool)
         regions = list(structure.regions())
         if not regions:
             return
@@ -563,7 +560,7 @@ class TestRegionTableKernels:
             key = (region.rectangle.area, -region.count, index)
             if best is None or key < best[0]:
                 best = (key, index)
-        got = table.smallest_containing(probe)
+        got = first_hit(table.smallest_containing_many([probe]))
         if best is None:
             assert got is None
         else:
@@ -575,28 +572,23 @@ class TestRegionTableKernels:
         st.lists(points, max_size=12),
         st.lists(regions_strategy(), max_size=12),
     )
-    def test_batched_queries_match_single_queries_and_scalar_loops(self, pool, probes, fsas):
-        """Many points / many FSAs against one table: the same winners as one
-        pre-ranked query each, and as the object kernel's loops."""
-        reference = FsaOverlapStructure.build(pool, kernel="object")
-        columnar = FsaOverlapStructure.build(pool, kernel="columnar")
-        table = RegionTable(columnar._regions)
-        singles = [table.smallest_containing(probe) for probe in probes]
-        assert table.smallest_containing_many(probes) == [
-            -1 if winner is None else winner for winner in singles
-        ]
-        singles = [table.hottest_intersecting(fsa) for fsa in fsas]
-        assert table.hottest_intersecting_many(fsas) == [
-            -1 if winner is None else winner for winner in singles
-        ]
-        expected_counts = []
-        for probe in probes:
-            region = reference.smallest_region_containing(probe)
-            expected_counts.append(region.count if region is not None else 0)
-        assert columnar.containing_counts(probes) == expected_counts
-        assert columnar.candidate_vertices_for(fsas) == [
-            reference.candidate_vertex_for(fsa) for fsa in fsas
-        ]
+    def test_batched_queries_match_the_scalar_loops(self, pool, probes, fsas):
+        """Many points / many FSAs against one table: per row, the winner of
+        the structure's scalar single query, and the oracle's answers."""
+        reference = ReferenceFsaOverlapStructure.build(pool)
+        structure = FsaOverlapStructure.build(pool)
+        table = RegionTable(structure._regions)
+        members = lambda region: None if region is None else region.members
+        assert [
+            None if winner < 0 else table.members[winner]
+            for winner in table.smallest_containing_many(probes)
+        ] == [members(structure.smallest_region_containing(probe)) for probe in probes]
+        assert [
+            None if winner < 0 else table.members[winner]
+            for winner in table.hottest_intersecting_many(fsas)
+        ] == [members(structure.hottest_region_intersecting(fsa)) for fsa in fsas]
+        assert structure.containing_counts(probes) == reference.containing_counts(probes)
+        assert structure.candidate_vertices_for(fsas) == reference.candidate_vertices_for(fsas)
 
     def test_preranked_ties_fall_to_insertion_order(self):
         """Equal area *and* equal count: both rankings must keep the region
@@ -606,8 +598,6 @@ class TestRegionTableKernels:
         probe, fsa = Point(5.0, 5.0), Rectangle(Point(2.0, 2.0), Point(3.0, 3.0))
         for first, second in ((1, 2), (2, 1)):
             table = RegionTable({frozenset([first]): square, frozenset([second]): twin})
-            assert table.smallest_containing(probe) == 0
-            assert table.hottest_intersecting(fsa) == 0
             assert table.smallest_containing_many([probe, probe]) == [0, 0]
             assert table.hottest_intersecting_many([fsa]) == [0]
             assert table.members[0] == frozenset([first])
@@ -621,8 +611,9 @@ class TestRegionTableKernels:
                 frozenset([3]): (40.0, 40.0, 60.0, 60.0),
             }
         )
-        assert table.smallest_containing(Point(50.0, 50.0)) == 1
-        assert table.hottest_intersecting(Rectangle(Point(45.0, 45.0), Point(55.0, 55.0))) == 0
+        fsa = Rectangle(Point(45.0, 45.0), Point(55.0, 55.0))
+        assert table.smallest_containing_many([Point(50.0, 50.0)]) == [1]
+        assert table.hottest_intersecting_many([fsa]) == [0]
         # Equal count, different area: the smaller area wins the hot query.
         table = RegionTable(
             {
@@ -630,26 +621,22 @@ class TestRegionTableKernels:
                 frozenset([2]): (40.0, 40.0, 60.0, 60.0),
             }
         )
-        assert table.hottest_intersecting(Rectangle(Point(45.0, 45.0), Point(55.0, 55.0))) == 1
+        assert table.hottest_intersecting_many([fsa]) == [1]
 
     def test_point_outside_every_region_and_single_region_table(self):
         only = Rectangle(Point(10.0, 10.0), Point(20.0, 20.0))
         table = RegionTable({frozenset([4]): only.as_bounds()})
         outside = Point(99.0, 99.0)
         far = Rectangle(Point(50.0, 50.0), Point(60.0, 60.0))
-        assert table.smallest_containing(outside) is None
-        assert table.hottest_intersecting(far) is None
-        assert table.smallest_containing(Point(20.0, 10.0)) == 0  # closed edges
-        assert table.hottest_intersecting(Rectangle(Point(20.0, 20.0), Point(30.0, 30.0))) == 0
+        touching = Rectangle(Point(20.0, 20.0), Point(30.0, 30.0))
         assert table.smallest_containing_many([outside, Point(15.0, 15.0)]) == [-1, 0]
-        assert table.hottest_intersecting_many([far, only]) == [-1, 0]
+        assert table.smallest_containing_many([Point(20.0, 10.0)]) == [0]  # closed edges
+        assert table.hottest_intersecting_many([far, only, touching]) == [-1, 0, 0]
         assert table.smallest_containing_many([]) == []
 
     def test_empty_table_answers_nothing(self):
         table = RegionTable({})
         probe, fsa = Point(1.0, 1.0), Rectangle(Point(0.0, 0.0), Point(2.0, 2.0))
-        assert table.smallest_containing(probe) is None
-        assert table.hottest_intersecting(fsa) is None
         assert table.smallest_containing_many([probe]) == [-1]
         assert table.hottest_intersecting_many([fsa, fsa]) == [-1, -1]
 

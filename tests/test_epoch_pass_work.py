@@ -4,7 +4,7 @@ The stream is the Section 6 loop at the size ``python3 -m bench --workload
 sim_paper`` runs (320 RayTrace objects on the 9 x 9 synthetic road network,
 seed 11, 10 timestamps an epoch, a 100-timestamp window, 64 cells per axis,
 one shard, delta mode, columnar kernel): ten warm-up epochs, then 20
-counted ones.  Three counts, each pinned to what the epoch pass does now:
+counted ones.  Four counts, each pinned to what the epoch pass does now:
 
 * ``ObjectState.fsa`` evaluations — one per state per epoch: the strategy
   builds each state's FSA once and hands it to the plan, the candidate stage,
@@ -13,24 +13,33 @@ counted ones.  Three counts, each pinned to what the epoch pass does now:
   insert asks ``GridIndex.path_between`` instead of a degenerate query box;
 * end entries the pass tests on y — only those in each pending FSA's x run
   of the x-sorted end table, against every live entry per pending FSA for an
-  all-pairs mask.
+  all-pairs mask;
+* pool-cache table lookups — one per overlap pool, hit or miss: a miss no
+  longer probes a lookup per prefix cut.
+
+:class:`TestSingleQueriesBuildNoTable` pins the other half of "one path per
+query shape" on a structure past the old 96-region switch: a single query is
+the scalar loop, and builds no ``RegionTable``.
 
 Counts, not clocks: they repeat exactly run to run.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, OrderedDict
 from typing import Iterator, List, Tuple
 
 import pytest
 
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.state import ObjectState
+from repro.coordinator import overlaps
 from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
-from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
-from repro.core.geometry import Rectangle
+from repro.coordinator.coordinator import Coordinator, CoordinatorConfig, EpochOutcome
+from repro.coordinator.overlaps import OverlapPoolCache, build_structures, plan_shard_overlaps
+from repro.core.geometry import Point, Rectangle
 from repro.network.generator import NetworkConfig, SyntheticRoadNetworkGenerator
 from repro.workload.moving_objects import MovingObjectWorkload, WorkloadConfig
 
@@ -81,10 +90,10 @@ def paper_stream() -> Iterator[Tuple[Coordinator, int]]:
         coordinator.close()
 
 
-def counted_epochs(counter: Counter) -> List[int]:
+def counted_epochs(counter: Counter) -> List[EpochOutcome]:
     """Run the stream; ``counter`` only counts inside the 20 counted epochs'
-    ``run_epoch``.  Returns the states each counted epoch processed."""
-    states: List[int] = []
+    ``run_epoch``.  Returns the counted epochs' outcomes."""
+    outcomes: List[EpochOutcome] = []
     stream = paper_stream()
     coordinator, now = next(stream)
     for epoch in range(WARMUP + COUNTED):
@@ -93,12 +102,12 @@ def counted_epochs(counter: Counter) -> List[int]:
         outcome = coordinator.run_epoch(now)
         counter["on"] = False
         if counting:
-            states.append(outcome.states_processed)
+            outcomes.append(outcome)
         try:
             coordinator, now = stream.send(outcome.responses)
         except StopIteration:
             break
-    return states
+    return outcomes
 
 
 def count_property(monkeypatch, owner, name: str, counter: Counter) -> None:
@@ -116,7 +125,7 @@ class TestEpochPassWork:
     def test_each_state_builds_its_fsa_once_an_epoch(self, monkeypatch):
         counter: Counter = Counter()
         count_property(monkeypatch, ObjectState, "fsa", counter)
-        states = counted_epochs(counter)
+        states = [outcome.states_processed for outcome in counted_epochs(counter)]
         assert sum(states) == 1297
         assert counter["fsa"] == sum(states)  # was 4 a pending state, 2 a Case 1 one
 
@@ -157,3 +166,69 @@ class TestEpochPassWork:
         assert counter["y_tests"] == 3880
         assert counter["matched"] == 131
 
+    def test_a_pool_cache_miss_makes_one_table_lookup(self, monkeypatch):
+        """Every pool costs one lookup, hit or miss.  A miss used to probe
+        the table once per proper prefix as well: n lookups for n members."""
+        counter: Counter = Counter()
+
+        class CountedTable(OrderedDict):
+            def get(self, key, default=None):
+                if counter["on"]:
+                    counter["lookups"] += 1
+                return super().get(key, default)
+
+        init = OverlapPoolCache.__init__
+
+        def counted_init(cache, *args, **kwargs):
+            init(cache, *args, **kwargs)
+            cache._table = CountedTable()
+
+        monkeypatch.setattr(OverlapPoolCache, "__init__", counted_init)
+        deltas = [outcome.delta for outcome in counted_epochs(counter)]
+        assert sum(delta.pools_rebuilt for delta in deltas) == 28  # every pool misses
+        assert sum(delta.pools_reused for delta in deltas) == 0
+        assert counter["lookups"] == sum(delta.pools_total for delta in deltas) == 28
+        assert all(delta.pools_prefix_reused == 0 for delta in deltas)
+
+
+def dense_pool(seed: int = 0, size: int = 28) -> dict:
+    """A ``fleet_dense``-like epoch: 28 FSAs deriving 124 regions."""
+    rng = random.Random(seed)
+    return {
+        object_id: Rectangle.from_center(
+            Point(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)), rng.uniform(20.0, 60.0)
+        )
+        for object_id in range(size)
+    }
+
+
+class TestSingleQueriesBuildNoTable:
+    def test_single_queries_on_a_large_columnar_structure(self, monkeypatch):
+        """The epoch's merged structure under the columnar plan — a 124-region
+        pool and an isolated FSA — answers single queries with the scalar
+        loops: no ``RegionTable`` is built (one was, past 96 regions).  The
+        batched queries build exactly one, once."""
+        fsas = dict(dense_pool())
+        fsas[99] = Rectangle.from_center(Point(900.0, 900.0), 10.0)
+        plan = plan_shard_overlaps("columnar", OverlapPoolCache(), fsas)
+        structure = plan.merge(build_structures(plan.missed_pools))
+        assert len(structure) == 125 and plan.singletons
+
+        tables: Counter = Counter()
+        region_table = overlaps.RegionTable
+
+        def counted(regions):
+            tables["built"] += 1
+            return region_table(regions)
+
+        monkeypatch.setattr(overlaps, "RegionTable", counted)
+        probes = [Point(x, y) for x in (100.0, 200.0, 300.0) for y in (100.0, 200.0, 300.0)]
+        boxes = [Rectangle.from_center(probe, 25.0) for probe in probes]
+        for probe, box in zip(probes, boxes):
+            structure.smallest_region_containing(probe)
+            structure.hottest_region_intersecting(box)
+            structure.candidate_vertex_for(box)
+        assert tables["built"] == 0
+        structure.containing_counts(probes)
+        structure.candidate_vertices_for(boxes)
+        assert tables["built"] == 1

@@ -37,7 +37,7 @@ from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator import execution, sharding
-from repro.coordinator.columnar import HAVE_NUMPY
+from repro.coordinator.columnar import HAVE_NUMPY, ShipmentRing
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.overlaps import build_structures
 from repro.coordinator.execution import (
@@ -579,7 +579,6 @@ class TestStatelessWorkers:
             CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
         )
         backend = coordinator.strategy.backend = ProcessBackend(workers=2)
-        kernel = coordinator.index.kernel
         try:
             backend.restart_worker(1)  # cold: forks the whole fleet, index empty
             for _ in range(1000):
@@ -593,27 +592,39 @@ class TestStatelessWorkers:
             backend.restart_worker(0)  # forked from a parent holding 1 000 records
             pool = pool_of(rng, members=12, base_id=0)
             # Pool i goes to worker i % 2: the same pool, once to each worker.
-            _none, (late, early) = backend.build_overlaps([pool, pool], kernel, lambda: None)
+            _none, (late, early) = backend.build_overlaps([pool, pool], lambda: None)
             assert backend.worker_restarts == 2
-            reference = build_structures([pool], kernel=kernel)[0].serialized()
+            reference = build_structures([pool])[0].serialized()
             assert late.serialized() == early.serialized() == reference
         finally:
             coordinator.close()
 
-    @pytest.mark.parametrize("kernel", KERNELS_AVAILABLE)
-    def test_builds_pools_without_a_router(self, kernel):
+    @pytest.mark.parametrize("transport", ["shared_memory", "pipe"])
+    def test_builds_pools_without_a_router(self, transport, monkeypatch):
         """The backend needs nothing of a coordinator to do its one job: the
-        pools, the kernel name, and the parent's pass to run meanwhile."""
+        pools and the parent's pass to run meanwhile (no kernel).  Shared
+        memory carries the pools whenever numpy imports; the pickled pipe
+        takes over, shipment by shipment, when a block cannot be allocated."""
+        if transport == "shared_memory" and not HAVE_NUMPY:
+            pytest.skip("shared-memory shipments need numpy")
+
+        def no_block(_ring, _share):
+            raise OSError("no space left on device")
+
+        if transport == "pipe":
+            monkeypatch.setattr(ShipmentRing, "pack", no_block)
         rng = random.Random(3)
         pools = [pool_of(rng, members, base_id=100 * i) for i, members in enumerate([1, 7, 3, 12, 2])]
         backend = ProcessBackend(workers=2)
         try:
-            alongside, structures = backend.build_overlaps(pools, kernel, lambda: "parent")
+            alongside, structures = backend.build_overlaps(pools, lambda: "parent")
             assert alongside == "parent"
             assert backend.workers_alive() == [True, True]
             assert [structure.serialized() for structure in structures] == [
-                structure.serialized() for structure in build_structures(pools, kernel=kernel)
+                structure.serialized() for structure in build_structures(pools)
             ]
+            shipped = (backend.shm_shipments, backend.shm_fallbacks)
+            assert shipped == ((2, 0) if transport == "shared_memory" else (0, 2 * HAVE_NUMPY))
         finally:
             backend.close()
 

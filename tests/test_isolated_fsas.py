@@ -84,11 +84,11 @@ class TestIsolatedFsasSkipThePoolStage:
         fsas = {state.object_id: state.fsa for state in disjoint_reporters()}
         reference = repr(FsaOverlapStructure.build(fsas).serialized())
         calls = count_builds(monkeypatch)
-        cache = OverlapPoolCache(kernel=kernel)
+        cache = OverlapPoolCache()
         plan = plan_shard_overlaps(kernel, cache, fsas)
         assert plan.pools == [] and plan.missed_pools == []
         assert list(plan.singletons) == list(fsas)
-        merged = plan.merge(build_structures(plan.missed_pools, kernel=kernel))
+        merged = plan.merge(build_structures(plan.missed_pools))
         assert calls["build"] == 0
         assert len(cache) == 0
         assert plan.stats["pools_total"] == 0

@@ -14,7 +14,8 @@ insertion order.
 one-structure-per-epoch stage relies on: splitting an epoch into overlap
 components, building (or fetching from the cache) each pool alone, placing
 each isolated FSA's singleton box, and merging yields the sequential build's
-region list, order and tied bounds included (by ``repr``).
+region list, order and tied bounds included (by ``repr``) — also when a cache
+hit meets a pool whose coordinates only ``==`` an earlier epoch's.
 
 :class:`TestScalarBuildEqualsOracle` pins the scalar build to the
 ``Rectangle`` formulation it replaced (``tests/overlap_oracle.py``), by
@@ -27,7 +28,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.overlaps import (
@@ -214,7 +215,7 @@ def serialized_repr(structure: FsaOverlapStructure) -> str:
 
 def merged_structure(kernel, cache, fsas, max_regions=10000) -> FsaOverlapStructure:
     plan = plan_shard_overlaps(kernel, cache, fsas, max_regions)
-    return plan.merge(build_structures(plan.missed_pools, max_regions, kernel))
+    return plan.merge(build_structures(plan.missed_pools, max_regions))
 
 
 # Equal values that are different objects: ``-0.0`` / ``0.0`` / ``0`` and
@@ -243,6 +244,24 @@ epoch_reports = st.one_of(
         max_size=12,
     ),
 )
+
+#: Each tie-pool value's equal twin of another ``repr``.
+_TWINS = {"-0.0": 0.0, "0.0": -0.0, "0": 0.0, "2": 2.0, "2.0": 2, "5": 5.0, "5.0": 5}
+
+
+def twin_map(fsas: Dict[int, Rectangle]) -> Dict[int, Rectangle]:
+    """The same epoch with every coordinate swapped for its equal twin: each
+    FSA ``==`` its original, but prints differently wherever a twin exists."""
+
+    def twin(value):
+        return _TWINS.get(repr(value), value)
+
+    return {
+        object_id: Rectangle(
+            Point(twin(fsa.low.x), twin(fsa.low.y)), Point(twin(fsa.high.x), twin(fsa.high.y))
+        )
+        for object_id, fsa in fsas.items()
+    }
 
 
 @st.composite
@@ -288,22 +307,26 @@ class TestMergedEpochStructure:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(epochs=st.lists(submissions, min_size=2, max_size=4), extra=submissions)
+    @given(epochs=st.lists(epoch_reports, min_size=2, max_size=4), extra=epoch_reports)
+    @example(
+        epochs=[
+            [(1, Rectangle(Point(0, 0), Point(5, 5))), (2, Rectangle(Point(2, 2), Point(8.0, 8.0)))],
+            [(3, Rectangle(Point(0.0, 0.0), Point(2.0, 2.0)))],
+        ],
+        extra=[],
+    )
     def test_cached_components_merge_to_the_same_structure(self, kernel, epochs, extra):
-        """Verbatim and prefix hits from earlier epochs change nothing: each
-        epoch is followed by itself plus late arrivals, so both paths fire.
-
-        Not on the tie pool: the cache addresses a pool by ``==`` on its
-        coordinates, so a hit may return a pool's earlier ``5`` for ``5.0``
-        or ``-0.0`` for ``0.0``.  Pool regions have positive extent, so no
-        such bound reaches a centroid's value or sign
-        (``tests/test_isolated_fsas.py`` pins the signed-zero case end to
-        end)."""
-        cache = OverlapPoolCache(kernel=kernel)
+        """Hits from earlier epochs change nothing, down to the ``repr``:
+        each epoch is followed by itself (a verbatim hit), by itself plus
+        late arrivals (a miss, since the cache has no prefix outcome) and by
+        its twin (:func:`twin_map`: ``==`` to the first, printed apart, so a
+        cache keyed by ``==`` would hand back the first epoch's bounds)."""
+        cache = OverlapPoolCache()
         for reports in epochs:
-            for fsas in (epoch_map(reports), epoch_map(reports + extra)):
-                assert serialized_repr(merged_structure(kernel, cache, fsas)) == (
-                    serialized_repr(FsaOverlapStructure.build(fsas))
+            fsas = epoch_map(reports)
+            for epoch in (fsas, fsas, epoch_map(reports + extra), twin_map(fsas)):
+                assert serialized_repr(merged_structure(kernel, cache, epoch)) == (
+                    serialized_repr(FsaOverlapStructure.build(epoch))
                 )
 
     @settings(max_examples=150, deadline=None)
@@ -337,7 +360,7 @@ class TestMergedEpochStructure:
             )
             fsas.setdefault(100 + object_id, shifted)
         plan = plan_shard_overlaps(kernel, None, fsas)
-        pooled = sum(len(structure) for structure in build_structures(plan.pools, kernel=kernel))
+        pooled = sum(len(structure) for structure in build_structures(plan.pools))
         max_regions = pooled + data.draw(st.integers(1, len(plan.singletons)))
         assert serialized_repr(merged_structure(kernel, None, fsas, max_regions)) == (
             serialized_repr(FsaOverlapStructure.build(fsas, max_regions))
@@ -361,13 +384,25 @@ def answer_repr(region):
     return None if region is None else region_reprs([region])
 
 
-@pytest.mark.parametrize(
-    "kernel, table_always", (("object", False), ("columnar", False), ("columnar", True))
-)
+def assert_same_batched(structure, reference, points, fsas):
+    """The batched queries (the lazily built ``RegionTable``) against the
+    oracle's single queries mapped over the same inputs."""
+    assert structure.containing_counts(points) == reference.containing_counts(points)
+    assert repr(structure.candidate_vertices_for(fsas)) == repr(
+        reference.candidate_vertices_for(fsas)
+    )
+
+
+@pytest.mark.parametrize("route", ("built", "shipped", "interleaved"))
 class TestScalarBuildEqualsOracle:
-    """Both kernels (and the columnar table forced onto every single query)
-    against ``ReferenceFsaOverlapStructure``: same regions, same bounds down
-    to the sign of zero and ``int`` vs ``float``, same answers."""
+    """The structure against ``ReferenceFsaOverlapStructure``: same regions,
+    same bounds down to the sign of zero and ``int`` vs ``float``, same
+    answers from the scalar single queries and the table's batched ones.
+
+    Three routes to the structure that is queried: as built; as shipped back
+    by a build worker (``from_serialized(serialized())``); and with the
+    batched queries' table built after every ``add``, so a table that
+    outlived the ``add`` invalidating it would answer for stale regions."""
 
     @staticmethod
     def assert_same(structure, reference, points, fsas):
@@ -385,20 +420,13 @@ class TestScalarBuildEqualsOracle:
             assert repr(structure.candidate_vertex_for(fsa)) == repr(
                 reference.candidate_vertex_for(fsa)
             )
-        assert structure.containing_counts(points) == reference.containing_counts(points)
-        assert repr(structure.candidate_vertices_for(fsas)) == repr(
-            reference.candidate_vertices_for(fsas)
-        )
+        assert_same_batched(structure, reference, points, fsas)
 
     @staticmethod
-    def run(table_always, check):
-        original = FsaOverlapStructure._COLUMNAR_MIN_REGIONS
-        if table_always:
-            FsaOverlapStructure._COLUMNAR_MIN_REGIONS = 1
-        try:
-            check()
-        finally:
-            FsaOverlapStructure._COLUMNAR_MIN_REGIONS = original
+    def routed(route, structure, max_regions):
+        if route == "shipped":
+            return FsaOverlapStructure.from_serialized(structure.serialized(), max_regions)
+        return structure
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -407,39 +435,30 @@ class TestScalarBuildEqualsOracle:
         points=st.lists(tie_points, max_size=6),
         fsas=st.lists(tie_rectangles(), max_size=6),
     )
-    def test_direct_adds(self, kernel, table_always, calls, max_regions, points, fsas):
-        def check():
-            structure = FsaOverlapStructure(max_regions, kernel=kernel)
-            reference = ReferenceFsaOverlapStructure(max_regions)
-            for object_id, fsa in calls:
-                structure.add(object_id, fsa)
-                reference.add(object_id, fsa)
-                assert repr(structure.serialized()) == repr(reference.serialized())
-            self.assert_same(structure, reference, points, fsas)
-
-        self.run(table_always, check)
+    def test_direct_adds(self, route, calls, max_regions, points, fsas):
+        structure = FsaOverlapStructure(max_regions)
+        reference = ReferenceFsaOverlapStructure(max_regions)
+        for object_id, fsa in calls:
+            structure.add(object_id, fsa)
+            reference.add(object_id, fsa)
+            assert repr(structure.serialized()) == repr(reference.serialized())
+            if route == "interleaved":
+                assert_same_batched(structure, reference, points, fsas)
+        self.assert_same(self.routed(route, structure, max_regions), reference, points, fsas)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        prefix=add_calls,
-        tail=add_calls,
+        reports=add_calls,
         max_regions=region_caps,
         points=st.lists(tie_points, max_size=6),
         fsas=st.lists(tie_rectangles(), max_size=6),
     )
-    def test_build_resumed_from_a_base(
-        self, kernel, table_always, prefix, tail, max_regions, points, fsas
-    ):
-        def check():
-            base = FsaOverlapStructure.build(epoch_map(prefix), max_regions, kernel=kernel)
-            reference_base = ReferenceFsaOverlapStructure.build(epoch_map(prefix), max_regions)
-            self.assert_same(base, reference_base, points, fsas)
-            pristine = repr(base.serialized())
-            structure = FsaOverlapStructure.build(epoch_map(tail), max_regions, base=base)
-            reference = ReferenceFsaOverlapStructure.build(
-                epoch_map(tail), max_regions, base=reference_base
-            )
-            self.assert_same(structure, reference, points, fsas)
-            assert repr(base.serialized()) == pristine
+    def test_epoch_builds(self, route, reports, max_regions, points, fsas):
+        """``build`` over an epoch map, the unit the pool cache stores and the
+        workers ship."""
+        structure = FsaOverlapStructure.build(epoch_map(reports), max_regions)
+        reference = ReferenceFsaOverlapStructure.build(epoch_map(reports), max_regions)
+        if route == "interleaved":
+            assert_same_batched(structure, reference, points, fsas)
+        self.assert_same(self.routed(route, structure, max_regions), reference, points, fsas)
 
-        self.run(table_always, check)

@@ -31,7 +31,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
 from repro.coordinator import single_path
-from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.execution import create_backend
 from repro.coordinator.overlaps import (
@@ -241,19 +240,21 @@ class TestPlanAgainstTheCache:
         moved = {**far_pair, 3: Rectangle.from_center(Point(805.0, 790.0), 20.0)}
         plan, merged = self.run(cache, {**self.PAIR, **moved})
         assert plan.missed_pools == [moved]
-        assert plan.stats == {
-            "pools_total": 2, "pools_reused": 1, "pools_prefix_reused": 0, "pools_rebuilt": 1,
-        }
+        assert plan.stats == {"pools_total": 2, "pools_reused": 1, "pools_rebuilt": 1}
         assert regions_of(merged) == regions_of(FsaOverlapStructure.build({**self.PAIR, **moved}))
 
-    def test_a_late_arrival_resumes_its_component_from_the_cached_prefix(self):
+    def test_a_late_arrival_rebuilds_its_component_and_keeps_the_old_entry(self):
+        """A cached pool extended by a late arrival is a miss (there is no
+        prefix outcome), and the cached pool itself stays a verbatim hit."""
         cache = OverlapPoolCache()
-        self.run(cache, self.PAIR)
+        _plan, first = self.run(cache, self.PAIR)
         late = Rectangle.from_center(Point(110.0, 120.0), 30.0)
         plan, merged = self.run(cache, {**self.PAIR, 9: late})
-        assert plan.missed_pools == []
-        assert plan.stats["pools_prefix_reused"] == 1
+        assert plan.missed_pools == [{**self.PAIR, 9: late}]
+        assert plan.stats == {"pools_total": 1, "pools_reused": 0, "pools_rebuilt": 1}
         assert regions_of(merged) == regions_of(FsaOverlapStructure.build({**self.PAIR, 9: late}))
+        plan, again = self.run(cache, self.PAIR)
+        assert plan.missed_pools == [] and again is first
 
     def test_a_verbatim_epoch_is_served_whole(self):
         cache = OverlapPoolCache()
@@ -292,9 +293,7 @@ class TestBackendWorkerBuilds:
                 {3: Rectangle.from_center(Point(800.0, 800.0), 50.0)},
                 {4: Rectangle.from_center(Point(500.0, 500.0), 5.0)},
             ]
-            alongside, structures = backend.build_overlaps(
-                pools, resolve_kernel("columnar"), lambda: "parent"
-            )
+            alongside, structures = backend.build_overlaps(pools, lambda: "parent")
             assert alongside == "parent"
             expected = [FsaOverlapStructure.build(pool) for pool in pools]
             assert len(structures) == len(expected)

@@ -290,10 +290,13 @@ class TestObjectsOnlyAtTheBoundary:
 
         return measure
 
-    @pytest.mark.parametrize("kernel", ("object", "columnar"))
-    def test_build_constructs_nothing(self, built, kernel):
+    @pytest.mark.parametrize("route", ("build", "from_serialized"))
+    def test_build_constructs_nothing(self, built, route):
+        """Nor does rebuilding a worker's reply from its serialized regions."""
         pool = dense_pool()
-        structure, work = built(FsaOverlapStructure.build, pool, kernel=kernel)
+        structure, work = built(FsaOverlapStructure.build, pool)
+        if route == "from_serialized":
+            structure, work = built(FsaOverlapStructure.from_serialized, structure.serialized())
         assert len(structure) == 124
         assert work == (0, 0)
         reference, reference_work = built(ReferenceFsaOverlapStructure.build, pool)
@@ -301,13 +304,13 @@ class TestObjectsOnlyAtTheBoundary:
         assert reference_work == (2 * 96, 96)
 
     def test_region_table_constructs_nothing(self, built):
-        structure = FsaOverlapStructure.build(dense_pool(), kernel="columnar")
+        structure = FsaOverlapStructure.build(dense_pool())
         table, work = built(RegionTable, structure._regions)
         assert len(table.boxes) == 124
         assert work == (0, 0)
 
     def test_batched_queries_construct_one_point_per_answer(self, built):
-        structure = FsaOverlapStructure.build(dense_pool(), kernel="columnar")
+        structure = FsaOverlapStructure.build(dense_pool())
         queries = list(dense_pool(seed=1, size=40).values())
         queries.append(rect(900, 900, 910, 910))  # meets nothing
         answers, work = built(structure.candidate_vertices_for, queries)
@@ -319,12 +322,15 @@ class TestObjectsOnlyAtTheBoundary:
         assert counts[-1] == 0 and all(counts[:-1])
         assert work == (0, 0)
 
-    @pytest.mark.parametrize("kernel", ("object", "columnar"))
-    def test_single_queries_construct_only_the_winner(self, built, kernel):
+    @pytest.mark.parametrize("table", ("unbuilt", "built"))
+    def test_single_queries_construct_only_the_winner(self, built, table):
         """Exactly the winner's ``Rectangle`` (and its two corners): a loop
-        that built one per region walked would show here, not only in time."""
-        structure = FsaOverlapStructure.build(dense_pool(), kernel=kernel)
-        assert len(structure) >= FsaOverlapStructure._COLUMNAR_MIN_REGIONS
+        that built one per region walked would show here, not only in time.
+        The same whether or not the batched queries' table exists: a single
+        query is the scalar loop either way."""
+        structure = FsaOverlapStructure.build(dense_pool())
+        if table == "built":
+            structure.containing_counts([Point(0.0, 0.0)])
         fsa = rect(150, 150, 250, 250)
         region, work = built(structure.hottest_region_intersecting, fsa)
         assert region is not None and work == (2, 1)

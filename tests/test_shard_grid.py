@@ -247,7 +247,6 @@ STATISTICS_KEYS = {
     "straddling_paths",
     "pools_total",
     "pools_reused",
-    "pools_prefix_reused",
     "pools_rebuilt",
     "chains_rewelded",
     "chains_reused",
@@ -297,7 +296,7 @@ class TestSingleShardDeltaStatistics:
 
         first = [state(1, 200.0, 200.0, 10), state(2, 230.0, 230.0, 10)]
         # Epoch 2 repeats epoch 1's FSA pool verbatim (cache hit); epoch 3
-        # extends it with one more reporter (prefix hit); epoch 4 is new.
+        # extends it with one more reporter (a miss); epoch 4 is new.
         second = [state(1, 200.0, 200.0, 20), state(2, 230.0, 230.0, 20)]
         third = second + [state(3, 215.0, 215.0, 20)]
         fourth = [state(4, 700.0, 700.0, 30)]
@@ -315,27 +314,15 @@ class TestSingleShardDeltaStatistics:
 
         single = coordinator.shard_statistics()
         sharded = fleet.shard_statistics()
-        for key in (
-            "pools_total",
-            "pools_reused",
-            "pools_prefix_reused",
-            "pools_rebuilt",
-        ):
+        for key in ("pools_total", "pools_reused", "pools_rebuilt"):
             assert single[key] == sharded[key], key
             assert isinstance(single[key], int), key
-        # The stream above must actually exercise all three outcomes — a
-        # counter stuck at zero would satisfy equality vacuously.  Epoch 4's
-        # lone reporter overlaps nothing, so it is a singleton, not a pool.
+        # The stream above must actually exercise both outcomes — a counter
+        # stuck at zero would satisfy equality vacuously.  Epoch 4's lone
+        # reporter overlaps nothing, so it is a singleton, not a pool.
         assert single["pools_total"] == 3
-        assert single["pools_reused"] >= 1
-        assert single["pools_prefix_reused"] >= 1
-        assert single["pools_rebuilt"] >= 1
-        assert (
-            single["pools_total"]
-            == single["pools_reused"]
-            + single["pools_prefix_reused"]
-            + single["pools_rebuilt"]
-        )
+        assert single["pools_reused"] == 1
+        assert single["pools_rebuilt"] == 2
 
     def test_fallback_schema_types_match_the_sharded_path(self):
         coordinator = make_coordinator(1, epoch_mode="delta")

@@ -478,9 +478,7 @@ class TestEpochModeDifferential:
         finally:
             coordinator.close()
         assert stats["pools_reused"] > 0, "pool cache never hit on a repeating stream"
-        assert stats["pools_total"] == (
-            stats["pools_reused"] + stats["pools_prefix_reused"] + stats["pools_rebuilt"]
-        )
+        assert stats["pools_total"] == stats["pools_reused"] + stats["pools_rebuilt"]
         assert stats["chains_reused"] + stats["corridors_reused"] > 0
         # Full mode reports the same schema, all-zero.
         full = make_coordinator(4, epoch_mode="full")
@@ -489,7 +487,7 @@ class TestEpochModeDifferential:
         finally:
             full.close()
         for key in (
-            "pools_total", "pools_reused", "pools_prefix_reused", "pools_rebuilt",
+            "pools_total", "pools_reused", "pools_rebuilt",
             "chains_rewelded", "chains_reused", "corridors_patched",
             "corridors_reused", "expiry_coalesced",
         ):
