@@ -41,8 +41,9 @@ verbatim (python floats and ``float64`` are the same IEEE doubles, and
 ``==`` / ``<=`` agree), areas are computed with the same two double
 multiplications, and wherever the scalar code breaks ties by encounter
 order the ranking carries the insertion index as its last sort key.
-``tests/test_columnar_equivalence.py`` enforces the contract over the
-full harness matrix and with hypothesis kernel-level suites.
+The exactness harness (``tests/test_differential.py``) enforces the
+contract over the whole configuration matrix, and ``tests/test_columnar.py``
+holds each kernel to a scalar reference with hypothesis.
 
 **Scale.**  An end-table query costs two bisections plus one y test per
 entry whose x lies in the box's x range, an insert or a removal one
@@ -282,12 +283,6 @@ class EndpointTable:
             if region.contains_point(start):
                 found.extend(path_id for path_id, is_start in bucket if is_start)
         return found
-
-    def indexed_endpoints(self) -> Iterator[Point]:
-        """The indexed endpoint of every entry (occupancy diagnostics)."""
-        for start, bucket in self._by_start.items():
-            for (_path_id, is_start), end in bucket.items():
-                yield start if is_start else end
 
 
 # ---------------------------------------------------------------------------

@@ -24,34 +24,17 @@ and every stage consumes the delta:
 **The equality contract.**  The delta mode is an *optimisation*, never an
 approximation: every epoch's responses, index contents, hotness values,
 overlap answers and corridor report must be bit-for-bit equal to the
-``full`` rebuild — enforced per-epoch by the extended differential harnesses
-(``tests/test_sharding_equivalence.py``,
-``tests/test_stitching_equivalence.py``, ``tests/test_serving_equivalence.py``)
-and property-tested against random event sequences in
-``tests/test_delta_properties.py``.
-
-**Delta algebra.**  The hot-set membership part of an epoch delta is a pair
-``(newly_hot, vanished)`` with disjoint id sets; :func:`apply_membership`
-applies it to a membership set and :func:`compose_membership` composes two
-consecutive deltas into one.  Composition is associative, and application
-distributes over composition (``apply(m, compose(a, b)) == apply(apply(m, a),
-b)``) — the claim the property suite checks.  Deltas touching disjoint id
-sets commute; deltas in general do not (an id may vanish in one epoch and
-return in the next), which is why the pipeline applies them strictly in epoch
-order.
+``full`` rebuild — enforced at every queried epoch by the exactness harness
+(``tests/test_differential.py``) and property-tested against random event
+sequences in ``tests/test_delta_properties.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-__all__ = [
-    "EPOCH_MODES",
-    "EpochDelta",
-    "apply_membership",
-    "compose_membership",
-]
+__all__ = ["EPOCH_MODES", "EpochDelta"]
 
 #: Values accepted by the ``epoch_mode`` knob (config layers and
 #: ``--epoch-mode``): ``full`` rebuilds every per-epoch structure from the
@@ -107,56 +90,3 @@ class EpochDelta:
     pools_reused: int = 0
     pools_prefix_reused: int = 0
     pools_rebuilt: int = 0
-
-    @property
-    def membership(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        """The hot-set membership delta: ``(added, removed)`` id sets.
-
-        ``added`` are the ids that became hot this epoch, ``removed`` the ids
-        that stopped being hot.  Expiry runs before the decision stage inside
-        ``run_epoch``, and a vanished path's record is evicted before any new
-        crossing could revive its id, so the two sets are disjoint.
-        """
-        return frozenset(self.newly_hot), frozenset(self.vanished)
-
-    def is_noop(self) -> bool:
-        """Whether the epoch changed nothing observable (idle tick)."""
-        return not (
-            self.inserted
-            or self.deleted
-            or self.newly_hot
-            or self.touched
-            or self.decayed
-            or self.vanished
-        )
-
-
-def apply_membership(
-    members: FrozenSet[int], delta: Tuple[FrozenSet[int], FrozenSet[int]]
-) -> FrozenSet[int]:
-    """Apply a membership delta ``(added, removed)`` to a membership set.
-
-    The contract the property suite pins: applying an epoch's
-    :attr:`EpochDelta.membership` to the previous epoch's hot set yields
-    exactly the hot set a full rebuild reports.
-    """
-    added, removed = delta
-    return (members - removed) | added
-
-
-def compose_membership(
-    first: Tuple[FrozenSet[int], FrozenSet[int]],
-    second: Tuple[FrozenSet[int], FrozenSet[int]],
-) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """Compose two consecutive membership deltas into one.
-
-    ``apply(m, compose(a, b)) == apply(apply(m, a), b)`` for every membership
-    set ``m`` — the later delta wins where the two disagree about an id (it
-    observed the state the earlier delta produced).
-    """
-    first_added, first_removed = first
-    second_added, second_removed = second
-    return (
-        (first_added - second_removed) | second_added,
-        (first_removed - second_added) | second_removed,
-    )

@@ -28,7 +28,6 @@ shard grid only labels records for diagnostics
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -268,29 +267,3 @@ class GridIndex:
                 continue
             for entry_key, entry in cell.items():
                 yield entry_key, entry
-
-    # -- diagnostics --------------------------------------------------------------------------
-
-    def cell_statistics(self) -> Dict[str, float]:
-        """Occupancy statistics of the grid, useful for the resolution ablation."""
-        if self._endpoints is not None:
-            # The object kernel's figures, derived from the table on demand.
-            occupied = list(
-                Counter(map(self._cell_of, self._endpoints.indexed_endpoints())).values()
-            )
-        else:
-            occupied = [len(cell) for cell in self._cells.values()]
-        total_cells = self.config.cells_per_axis ** 2
-        if not occupied:
-            return {
-                "occupied_cells": 0,
-                "total_cells": total_cells,
-                "max_entries_per_cell": 0,
-                "mean_entries_per_occupied_cell": 0.0,
-            }
-        return {
-            "occupied_cells": len(occupied),
-            "total_cells": total_cells,
-            "max_entries_per_cell": max(occupied),
-            "mean_entries_per_occupied_cell": sum(occupied) / len(occupied),
-        }

@@ -27,9 +27,9 @@ The execution backend belongs to the overlap stage, not to the layout
 (:attr:`SinglePathStrategy.backend`, :mod:`repro.coordinator.execution`).
 
 **Exactness.**  Every shard count executes the 1-shard code path, so its
-answers equal the seed coordinator's by construction; the differential
-harnesses (``tests/test_sharding_equivalence.py`` and its siblings) keep the
-shard dimension as a cheap guard.
+answers equal the seed coordinator's by construction; the exactness harness
+(``tests/test_differential.py``) keeps a 16-shard dimension as a cheap
+guard.
 """
 
 from __future__ import annotations

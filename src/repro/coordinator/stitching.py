@@ -225,7 +225,7 @@ def stitch_paths(
     ``hot_paths`` yields ``(record, hotness)`` pairs (the output of
     :meth:`Coordinator.hot_paths`).  The full-mode corridor report, and the
     oracle the delta mode's :class:`IncrementalStitcher` must reproduce bit
-    for bit — the contract of ``tests/test_stitching_equivalence.py``.
+    for bit — the contract of ``tests/test_differential.py``.
     """
     info: Dict[int, Tuple[MotionPath, int]] = {}
     starts_at: Dict[Tuple[float, float], List[int]] = {}
@@ -313,7 +313,7 @@ class IncrementalStitcher:
     through the predecessor map, so no other weld is read) sees every edge a
     global re-chain would, and heads/cycle-breaks come out identically, so
     the report stays bit-for-bit equal to the full stitch — the contract of
-    ``tests/test_stitching_equivalence.py`` and the delta property suite.
+    ``tests/test_differential.py`` and the delta property suite.
     A chain's rank key is ``min`` / ``sum`` over its members in chain order,
     the very expressions :class:`CompositeCorridor` evaluates, so
     :meth:`top_k` equals :func:`select_top_k_corridors` over the full report.

@@ -169,10 +169,10 @@ def encode_corridor(corridor) -> Dict[str, Any]:
 def coordinator_snapshot(coordinator, k: int = 10) -> Dict[str, Any]:
     """Canonical, order-independent, JSON-pure snapshot of coordinator state.
 
-    The serving-layer equivalence artifact — the same state the differential
-    harnesses in ``tests/test_*_equivalence.py`` compare, restricted to JSON
-    types so a snapshot fetched over the wire compares ``==`` against one
-    built in-process: sorted index records, the sorted hotness table, the
+    The serving-layer equivalence artifact — part of the answer surface the
+    exactness harness (``tests/differential.py``) compares, restricted to
+    JSON types so a snapshot fetched over the wire compares ``==`` against
+    one built in-process: sorted index records, the sorted hotness table, the
     top-k under both rankings, and the corridor report.
     """
     records = sorted(

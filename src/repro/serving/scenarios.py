@@ -37,7 +37,7 @@ report snapshot and the batcher's accepted-update log.  For every
 non-degrading fault, :func:`replay_accepted_log` feeding that log into a
 fresh coordinator (the seed single-shard shape, or any fleet shape) must
 reproduce the served snapshot **bit for bit** — the same bar as
-``tests/test_*_equivalence.py``.  Degrading faults (dropped batches,
+``tests/test_differential.py``.  Degrading faults (dropped batches,
 stalled epochs) must instead land exactly where their quantified path
 predicts: accepted = submitted − dropped, commits move to the next
 boundary, and the accepted-log replay still matches bit for bit.

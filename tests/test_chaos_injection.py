@@ -6,7 +6,9 @@ Two layers:
   ``(InjectionConfig, plan shape)``, and a whole chaos run is a pure
   function of ``(scenario seed, injection seed, fleet shape)``: running it
   twice yields the same fingerprint (fault events, accepted log, report).
-  That is what turns chaos runs into regression tests.
+  That is what turns chaos runs into regression tests.  Racing and ordered
+  sends commit the same state, every registered scenario (the reconnect
+  storm included) replays from its accepted log bit for bit.
 * **Recovery vs. degradation, per fault class** — exact-recovery faults
   (duplicate, reorder, kill_worker) must leave the
   committed state identical to an unfaulted run of the same scenario seed;
@@ -24,6 +26,7 @@ from repro.core.errors import ConfigurationError
 from repro.coordinator.fleet import FleetConfig
 from repro.serving.scenarios import (
     FAULT_TYPES,
+    SCENARIOS,
     InjectionConfig,
     ScenarioRunner,
     build_fault_schedule,
@@ -90,6 +93,29 @@ class TestRunDeterminism:
 
         assert first.fault_events, f"{fault} injection fired nothing"
         assert first.fingerprint() == second.fingerprint()
+
+    def test_concurrent_run_equals_serialized_run(self):
+        """Same scenario seed, racing vs. ordered sends: same committed state.
+
+        The batcher's canonical ``(client, seq)`` epoch ordering makes the
+        commit independent of the arrival interleaving — so the two modes
+        must agree on everything but timing.
+        """
+        runner = ScenarioRunner(FleetConfig(num_shards=2, backend="processes"))
+        ordered = runner.run("uniform_trickle", seed=21, concurrent=False)
+        racing = runner.run("uniform_trickle", seed=21, concurrent=True)
+
+        assert racing.accepted_log == ordered.accepted_log
+        assert racing.report == ordered.report
+
+    @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+    def test_every_scenario_on_a_process_fleet(self, scenario_id):
+        runner = ScenarioRunner(FleetConfig(num_shards=4, backend="processes"))
+        result = runner.run(scenario_id, seed=5)
+
+        assert result.accepted_updates == result.submitted_updates
+        assert result.report == replay_accepted_log(result.accepted_log)
+        assert result.passed, result.validation_errors
 
 
 class TestExactRecoveryFaults:
@@ -193,3 +219,15 @@ class TestDegradingFaults:
             tuple(row) for _b, rows in stalled.accepted_log for row in rows
         )
         assert stalled_rows == baseline_rows
+
+
+class TestReconnectStorm:
+    def test_thundering_herd_reconnects_and_stays_equal(self):
+        scenario = get_scenario("thundering_herd")
+        result = ScenarioRunner(FleetConfig(num_shards=4, backend="processes")).run(
+            scenario, seed=17
+        )
+
+        assert result.reconnects == scenario.num_clients
+        assert result.accepted_updates == result.submitted_updates
+        assert result.report == replay_accepted_log(result.accepted_log)

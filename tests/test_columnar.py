@@ -1,47 +1,30 @@
-"""Differential harness for the columnar kernel (``--kernel columnar``).
+"""Tests for :mod:`repro.coordinator.columnar`, the columnar kernels.
 
-The vectorized SoA kernels of :mod:`repro.coordinator.columnar` carry the
-same contract the delta pipeline does: **bit-for-bit equal** to the scalar
-``object`` reference, which stays pinned as the baseline.  Two layers:
+Whole coordinators under ``--kernel columnar`` are held to the scalar
+``object`` reference by the exactness harness (``tests/test_differential.py``).
+This module holds the kernel-level suites:
 
-* the full coordinator matrix — backends x shard counts x epoch modes, a
-  density-skewed stream and worker kills — driven with the same streams
-  under both kernels, every epoch's responses / counters /
-  index snapshot compared exactly (reusing the sharding-equivalence
-  harness);
-* hypothesis kernel-level suites — :class:`EndpointTable` queries against a
-  brute-force scalar scan and its x-sorted order under inserts and removals,
-  and the pre-ranked, batched :class:`RegionTable`
-  queries against the scalar tie-break loops, including the insertion-order
-  tie-break cases (equal areas, equal counts) the ranking's last sort key
-  exists for;
-* the epoch-pass differential — at every decision, the candidate vertices
-  the epoch pass hands SinglePath against the ones a per-state query of the
-  live index produces;
-* the equal-but-different differential — streams whose FSA bounds, starts and
-  therefore ends include values that compare equal but print apart
-  (``0.0`` / ``-0.0`` / ``0``, ``2`` / ``2.0``), compared across kernels by
-  ``repr``, so which of two equal ends became a vertex shows.
-
-The shared-memory shipment transport rides the matrix (the ``processes``
-backend, under either kernel) and is additionally pinned to actually engage:
-epochs must ship through the ring, with zero pickled-pipe fallbacks.
+* kernel resolution, and the degrade to ``object`` without numpy;
+* the shared-memory shipment round trip (``ShipmentRing.pack`` ->
+  ``decode_work_shipment``);
+* hypothesis suites — :class:`EndpointTable` queries against a brute-force
+  scalar scan and its x-sorted order under inserts and removals, and the
+  pre-ranked, batched :class:`RegionTable` queries against the scalar
+  tie-break loops, including the insertion-order tie-break cases (equal
+  areas, equal counts) the ranking's last sort key exists for.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from typing import Dict
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.client.state import ObjectState
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.columnar import (
     HAVE_NUMPY,
-    KERNELS,
     EndpointTable,
     RegionTable,
     ShipmentRing,
@@ -51,27 +34,12 @@ from repro.coordinator.columnar import (
 )
 from repro.core.errors import ConfigurationError
 from repro.coordinator.overlaps import FsaOverlapStructure
-from repro.coordinator.single_path import SinglePathStrategy
 from overlap_oracle import ReferenceFsaOverlapStructure
-from test_sharding_equivalence import (
-    drive,
-    index_snapshot,
-    make_coordinator,
-    skewed_stream,
-    synthetic_stream,
-)
+from differential import make_coordinator
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="columnar kernels require numpy"
 )
-
-
-def drive_both_kernels(stream, **coordinator_kwargs):
-    """Drive the same stream under both kernels; assert full-trace equality."""
-    reference = drive(make_coordinator(kernel="object", **coordinator_kwargs), stream)
-    columnar = drive(make_coordinator(kernel="columnar", **coordinator_kwargs), stream)
-    assert reference == columnar, f"kernels diverged for {coordinator_kwargs}"
-    return reference
 
 
 class TestKernelResolution:
@@ -103,49 +71,11 @@ class TestKernelResolution:
         assert not caplog.records
 
     def test_coordinator_default_is_columnar(self):
-        coordinator = make_coordinator(num_shards=1)
+        coordinator = make_coordinator()
         try:
             assert coordinator.config.kernel == "columnar"
         finally:
             coordinator.close()
-
-
-class TestFullMatrixEquivalence:
-    """Coordinator-level bit-for-bit equality across the harness matrix."""
-
-    @pytest.mark.parametrize("num_shards", [1, 3, 4, 7, 16])
-    @pytest.mark.parametrize("epoch_mode", ["full", "delta"])
-    def test_serial_matrix(self, num_shards, epoch_mode):
-        drive_both_kernels(
-            synthetic_stream(seed=13),
-            num_shards=num_shards,
-            backend="serial",
-            epoch_mode=epoch_mode,
-        )
-
-    @pytest.mark.parametrize("num_shards", [3, 4, 7])
-    @pytest.mark.parametrize("epoch_mode", ["full", "delta"])
-    def test_parallel_backends(self, epoch_mode, num_shards):
-        drive_both_kernels(
-            synthetic_stream(seed=29),
-            num_shards=num_shards,
-            backend="processes",
-            epoch_mode=epoch_mode,
-        )
-
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_skewed_stream(self, backend):
-        drive_both_kernels(skewed_stream(seed=7), num_shards=4, backend=backend)
-
-    def test_cross_kernel_cross_shard_same_snapshot(self):
-        """1-shard object vs 16-shard columnar: the whole stack at once."""
-        stream = synthetic_stream(seed=47)
-        seed_trace = drive(make_coordinator(num_shards=1, kernel="object"), stream)
-        fleet_trace = drive(
-            make_coordinator(num_shards=16, backend="processes", kernel="columnar"),
-            stream,
-        )
-        assert seed_trace == fleet_trace
 
 
 #: Wire-format edge values: signed zero, subnormals, the float64 extremes.
@@ -174,7 +104,7 @@ def wire_image(shipment):
 
 
 class TestSharedMemoryTransport:
-    """The process backend must actually ship epochs through shared memory."""
+    """The process backend's shipment ring carries pool lists bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(wire_shipments, max_size=4))
@@ -193,56 +123,6 @@ class TestSharedMemoryTransport:
         finally:
             close_attachments(attachments)
             ring.close(unlink=True)
-
-    def test_columnar_ships_via_shared_memory(self):
-        stream = synthetic_stream(seed=3, epochs=6)
-        coordinator = make_coordinator(num_shards=4, backend="processes", kernel="columnar")
-        try:
-            drive_trace = []
-            for boundary, states in stream:
-                for state in states:
-                    coordinator.submit_state(state)
-                drive_trace.append(coordinator.run_epoch(boundary).responses)
-            backend = coordinator.strategy.backend
-            assert backend.shm_shipments > 0
-            assert backend.shm_fallbacks == 0
-        finally:
-            coordinator.close()
-
-    def test_object_kernel_ships_via_shared_memory_too(self):
-        """The backend is handed no kernel: the scalar reference ships through
-        the same ring, and answers as it does on the serial backend."""
-        stream = synthetic_stream(seed=3, epochs=4)
-        serial = drive(make_coordinator(num_shards=4, kernel="object"), stream)
-        coordinator = make_coordinator(num_shards=4, backend="processes", kernel="object")
-        assert drive(coordinator, stream) == serial  # closes the coordinator
-        backend = coordinator.strategy.backend
-        assert backend.shm_shipments > 0
-        assert backend.shm_fallbacks == 0
-
-    def test_worker_kill_mid_stream_stays_equivalent(self):
-        """A replaced worker attaches to the ring afresh; answers must still
-        match the object kernel."""
-        stream = synthetic_stream(seed=21, epochs=8)
-
-        def run(kernel: str):
-            coordinator = make_coordinator(
-                num_shards=4, backend="processes", kernel=kernel
-            )
-            trace = []
-            try:
-                for index, (boundary, states) in enumerate(stream):
-                    if index == 3:
-                        coordinator.strategy.backend.kill_worker(0)
-                    for state in states:
-                        coordinator.submit_state(state)
-                    trace.append(coordinator.run_epoch(boundary).responses)
-                trace.append(index_snapshot(coordinator))
-            finally:
-                coordinator.close()
-            return trace
-
-        assert run("object") == run("columnar")
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +252,6 @@ class TestEndpointTableKernels:
             if region.contains_point(endpoint)
         )
         assert sorted(table.endpoints_in(region)) == expected_any
-
-        assert Counter(table.indexed_endpoints()) == Counter(
-            endpoint for endpoint, _other in scalar.values()
-        )
 
     @settings(max_examples=80, deadline=None)
     @given(table_scripts())
@@ -639,206 +515,3 @@ class TestRegionTableKernels:
         probe, fsa = Point(1.0, 1.0), Rectangle(Point(0.0, 0.0), Point(2.0, 2.0))
         assert table.smallest_containing_many([probe]) == [-1]
         assert table.hottest_intersecting_many([fsa, fsa]) == [-1, -1]
-
-
-# ---------------------------------------------------------------------------
-# The epoch pass vs per-state queries
-# ---------------------------------------------------------------------------
-
-
-def report(object_id, start, centre, half, t_end) -> ObjectState:
-    fsa = Rectangle.from_center(Point(*centre), half)
-    return ObjectState(object_id, Point(*start), max(0, t_end - 5), fsa.low, fsa.high, t_end)
-
-
-def crafted_stream():
-    """Epochs built around what the epoch pass must merge back in.
-
-    Epoch 1 has nothing indexed: reporters 1 and 2 overlap, so the first
-    fabricates the shared centroid and inserts a path to it — an in-epoch
-    insert that lands inside the second's FSA.  Epoch 2 sends two new
-    reporters whose FSAs contain that (now stored) vertex: the first inserts
-    another path onto the already-indexed vertex, which the second must see
-    on top of what the pass read.  Reporter 9 reports twice in epoch 2 and
-    the FSAs around (500, 500) straddle all four shards of a 2x2 fleet.
-    """
-    return [
-        (10, [
-            report(1, (100.0, 100.0), (300.0, 300.0), 60.0, 8),
-            report(2, (120.0, 80.0), (320.0, 310.0), 60.0, 9),
-            report(3, (480.0, 520.0), (500.0, 500.0), 40.0, 7),
-        ]),
-        (20, [
-            report(4, (150.0, 400.0), (305.0, 310.0), 50.0, 18),
-            report(5, (400.0, 150.0), (315.0, 300.0), 50.0, 17),
-            report(9, (700.0, 700.0), (510.0, 505.0), 45.0, 16),
-            report(9, (720.0, 690.0), (495.0, 510.0), 45.0, 19),
-            report(6, (520.0, 480.0), (505.0, 495.0), 40.0, 15),
-        ]),
-    ]
-
-
-class EpochPassChecker:
-    """Wraps ``_candidate_vertices``: whenever a decision runs off the epoch
-    pass, the per-state query of the live index must produce the same
-    candidates — vertex (down to ``repr``), hotness and the fabricated flag —
-    and the probe of the epoch's inserts must find what a linear
-    ``contains_point`` rescan of them finds.  Counts the cases the streams
-    are built to reach."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.compared = 0
-        self.inserts_seen = 0
-        self.on_indexed_vertex = 0
-        original = SinglePathStrategy._candidate_vertices
-        checker = self
-
-        def checked(strategy, fsa, overlaps, prefetch=None):
-            if prefetch is None:
-                return original(strategy, fsa, overlaps)
-            rescanned = [
-                record for record in prefetch.inserted if fsa.contains_point(record.path.end)
-            ]
-            assert sorted(record.path_id for record in prefetch.inserted.within(fsa)) == sorted(
-                record.path_id for record in rescanned
-            )
-            for record in rescanned:
-                checker.inserts_seen += 1
-                if record.path.end in prefetch.end_vertices:
-                    checker.on_indexed_vertex += 1
-            batched = original(strategy, fsa, overlaps, prefetch)
-            per_state = original(strategy, fsa, overlaps)
-            key = lambda candidate: (repr(candidate[0]), candidate[1], candidate[2])
-            assert sorted(map(key, batched)) == sorted(map(key, per_state))
-            checker.compared += 1
-            return batched
-
-        monkeypatch.setattr(SinglePathStrategy, "_candidate_vertices", checked)
-
-
-FLEETS = [
-    dict(num_shards=1),
-    dict(num_shards=4, backend="serial"),
-    dict(num_shards=4, backend="processes"),
-    dict(num_shards=6, backend="processes"),  # 2x3: non-square cells
-]
-
-
-class TestEpochPassDifferential:
-    @pytest.mark.parametrize("fleet", FLEETS, ids=lambda fleet: "-".join(map(str, fleet.values())))
-    def test_crafted_stream_hits_every_merge_case(self, fleet, monkeypatch):
-        checker = EpochPassChecker(monkeypatch)
-        drive(make_coordinator(kernel="columnar", **fleet), crafted_stream())
-        assert checker.compared >= 7
-        assert checker.inserts_seen >= 2  # an in-epoch insert inside a later FSA
-        assert checker.on_indexed_vertex >= 1  # ... onto a vertex the pass had read
-        monkeypatch.undo()
-        drive_both_kernels(crafted_stream(), **fleet)
-
-    @pytest.mark.parametrize("fleet", FLEETS, ids=lambda fleet: "-".join(map(str, fleet.values())))
-    @pytest.mark.parametrize("seed", [5, 31])
-    def test_random_streams_with_duplicate_reporters(self, fleet, seed, monkeypatch):
-        stream = synthetic_stream(seed=seed, epochs=6)
-        assert any(
-            len({state.object_id for state in states}) < len(states) for _b, states in stream
-        )
-        checker = EpochPassChecker(monkeypatch)
-        drive(make_coordinator(kernel="columnar", **fleet), stream)
-        assert checker.compared > 0 and checker.inserts_seen > 0
-        assert checker.on_indexed_vertex > 0
-
-    def test_object_kernel_never_runs_the_pass(self, monkeypatch):
-        checker = EpochPassChecker(monkeypatch)
-        drive(make_coordinator(num_shards=4, kernel="object"), crafted_stream())
-        assert checker.compared == 0
-
-
-# ---------------------------------------------------------------------------
-# Equal but different ends
-# ---------------------------------------------------------------------------
-
-#: Values that compare equal but print apart, on a pool small enough that
-#: FSAs coincide, nest, collapse to zero width and touch at edges and corners.
-tie_values = st.sampled_from([-0.0, 0.0, 0, 2, 2.0, 3.5, 5, 5.0, 8.0])
-
-
-@st.composite
-def tie_reports(draw, t_end: int) -> ObjectState:
-    x_low, x_high = sorted((draw(tie_values), draw(tie_values)))
-    y_low, y_high = sorted((draw(tie_values), draw(tie_values)))
-    return ObjectState(
-        draw(st.integers(min_value=0, max_value=5)),
-        Point(draw(tie_values), draw(tie_values)),
-        t_end - 5,
-        Point(x_low, y_low),
-        Point(x_high, y_high),
-        t_end,
-    )
-
-
-@st.composite
-def tie_streams(draw):
-    """Up to six epochs of up to eight reports; ids repeat within an epoch,
-    and a 20-timestamp window expires paths two epochs on."""
-    return [
-        (10 * epoch, draw(st.lists(tie_reports(10 * epoch), min_size=1, max_size=8)))
-        for epoch in range(1, draw(st.integers(min_value=1, max_value=6)) + 1)
-    ]
-
-
-def repr_trace(kernel: str, epoch_mode: str, stream, window: int = 20) -> list:
-    """Per epoch, the ``repr`` of the responses and of every index record."""
-    coordinator = make_coordinator(1, window=window, kernel=kernel, epoch_mode=epoch_mode)
-    trace = []
-    try:
-        for boundary, states in stream:
-            for state in states:
-                coordinator.submit_state(state)
-            responses = coordinator.run_epoch(boundary).responses
-            records = sorted(coordinator.index.records, key=lambda record: record.path_id)
-            trace.append((repr(responses), repr(records)))
-    finally:
-        coordinator.close()
-    return trace
-
-
-class TestEqualButDifferentEnds:
-    """The columnar kernel's x-sorted end table keeps equal x values in
-    insertion order, so among ends that compare equal the earliest insert is
-    the vertex key — as in the object kernel's cell dicts (and in
-    ``InsertedEnds``)."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(stream=tie_streams(), epoch_mode=st.sampled_from(["delta", "full"]))
-    def test_responses_and_records_print_alike(self, stream, epoch_mode):
-        assert repr_trace("columnar", epoch_mode, stream) == repr_trace("object", epoch_mode, stream)
-
-    def test_the_earlier_of_two_equal_ends_stays_the_vertex_key(self):
-        """Epoch 1 stores an end at ``(-0.0, 0.0)``.  In epoch 2 objects 8 and
-        9 reuse paths (Case 1) with identical FSAs, and object 10's FSA only
-        touches theirs at a corner, so it fabricates their overlap's centre,
-        ``(0.0, 0.0)``, without seeing the older end.  Epoch 3's FSA holds
-        both ends: the older object, ``-0.0``, is the vertex it answers with."""
-
-        def report(object_id, start, low, high, t_end):
-            return ObjectState(object_id, Point(*start), t_end - 5, Point(*low), Point(*high), t_end)
-
-        stream = [
-            (10, [
-                report(1, (5.0, 5.0), (-0.0, 0.0), (-0.0, 0.0), 10),
-                report(8, (8.0, 8.0), (0.9, 0.9), (0.9, 0.9), 10),
-                report(9, (9.0, 9.0), (0.9, -0.9), (0.9, -0.9), 10),
-            ]),
-            (20, [
-                report(10, (7.0, 7.0), (1.0, 1.0), (2.0, 2.0), 20),
-                report(8, (8.0, 8.0), (-1.0, -1.0), (1.0, 1.0), 20),
-                report(9, (9.0, 9.0), (-1.0, -1.0), (1.0, 1.0), 20),
-            ]),
-            (30, [report(11, (3.0, 3.0), (-0.5, -0.5), (0.5, 0.5), 30)]),
-        ]
-        traces = {kernel: repr_trace(kernel, "delta", stream, window=60) for kernel in KERNELS}
-        assert traces["columnar"] == traces["object"]
-        assert "end=Point(x=0.0, y=0.0)" in traces["columnar"][1][1]  # object 10's path
-        assert traces["columnar"][2][0] == (
-            "[CoordinatorResponse(object_id=11, endpoint=Point(x=-0.0, y=0.0), timestamp=30)]"
-        )

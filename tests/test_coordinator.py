@@ -6,8 +6,13 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
+from repro.core.scoring import ScoredPath
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.fleet import FleetConfig
+from repro.coordinator.stitching import CompositeCorridor, IncrementalStitcher
+
+import differential
 
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -245,3 +250,63 @@ class TestTopK:
         coordinator = make_coordinator()
         self._populate(coordinator)
         assert len(coordinator.top_k(100)) == coordinator.index_size()
+
+
+class TestLazyStitching:
+    def test_stitching_is_lazy_until_queried(self):
+        """Epochs that nobody asks corridors of never pay for stitching:
+        run_epoch only invalidates the cached report, and the first query
+        afterwards stitches once."""
+        coordinator = differential.make_coordinator(FleetConfig(num_shards=4), window=120)
+        try:
+            for _outcome in differential.feedback_epochs(coordinator, seed=3, epochs=2):
+                pass
+            assert coordinator.router.stitch_stats == {}  # no query yet
+            corridors = coordinator.hot_corridors()
+            assert corridors
+            assert coordinator.router.stitch_stats["corridors"] == len(corridors)
+            assert coordinator.hot_corridors() is corridors  # cached
+        finally:
+            coordinator.close()
+
+
+class TestQueryWork:
+    """ROADMAP 7's "from all hot to O(k + touched)" as exact counts, no clock."""
+
+    def test_a_post_commit_query_builds_k_objects(self, monkeypatch):
+        k = 10
+        coordinator = differential.make_coordinator(window=120)
+        built = {"scored": 0, "corridors": 0, "rewelds": 0}
+
+        def counting(owner, name, counter):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                built[counter] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        try:
+            epochs = differential.feedback_epochs(coordinator, 11, epochs=12, objects=14)
+            for _ in range(11):
+                next(epochs)
+                coordinator.top_k(k)
+                coordinator.top_k_corridors(k)
+            counting(ScoredPath, "__init__", "scored")
+            counting(CompositeCorridor, "__post_init__", "corridors")
+            counting(IncrementalStitcher, "_reweld", "rewelds")
+            outcome = next(epochs)
+            hot = len(coordinator.hot_paths())
+            built.update(scored=0, corridors=0, rewelds=0)  # hot_paths() is the oracle's
+            coordinator.top_k(k)
+            coordinator.top_k_corridors(k)
+        finally:
+            coordinator.close()
+        delta = outcome.delta
+        dirty = set(delta.newly_hot) | set(delta.touched) | set(delta.decayed) | set(delta.vanished)
+        assert hot > 4 * k and 0 < len(dirty) < hot, "not a steady stream"
+        assert built["scored"] == k
+        assert 0 < built["corridors"] <= k
+        # Two vertices per id that entered or left the hot set.
+        assert 0 < built["rewelds"] <= 2 * len(dirty)

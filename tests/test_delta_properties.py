@@ -1,12 +1,12 @@
 """Property-based tests for the incremental epoch pipeline (epoch_mode="delta").
 
-The delta pipeline's whole claim is *algebraic*: applying an epoch's delta to
-the previous state must equal rebuilding that state from scratch.  Random
-event sequences check that claim for each delta carrier independently:
+The delta pipeline's whole claim is that applying an epoch's delta to the
+previous state must equal rebuilding that state from scratch.  Random event
+sequences check that claim for each delta carrier independently:
 
-* **membership algebra** (:mod:`repro.coordinator.delta`) — applying a
-  composed delta equals applying its parts in order, composition is
-  associative, disjoint deltas commute, and the empty delta is the identity;
+* **the epoch journal** (:class:`repro.coordinator.delta.EpochDelta`) — the
+  previous hot set minus an epoch's vanished ids plus its newly hot ids is
+  the next hot set, and the inserted / deleted ids are the index mutations;
 * **hotness deltas** (:class:`repro.coordinator.hotness.HotnessDeltaLog`) —
   replaying a tracker's drained event log against a mirror reproduces the
   tracker's hot set and counters exactly, under random crossing/expiry
@@ -33,11 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
-from repro.coordinator.delta import (
-    EpochDelta,
-    apply_membership,
-    compose_membership,
-)
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
 from repro.coordinator.sharding import ShardGrid
@@ -47,58 +43,41 @@ from repro.coordinator.stitching import (
     stitch_paths,
 )
 
+from differential import make_coordinator, synthetic_stream
+
 # ---------------------------------------------------------------------------
-# Membership algebra
+# The epoch journal
 # ---------------------------------------------------------------------------
 
-ids = st.integers(min_value=0, max_value=12)
-id_sets = st.frozensets(ids, max_size=8)
 
-
-@st.composite
-def membership_deltas(draw) -> Tuple[frozenset, frozenset]:
-    """An ``(added, removed)`` pair with disjoint sides, like real epochs
-    produce (a vanished path's id is never re-hot in the same epoch)."""
-    added = draw(id_sets)
-    removed = draw(id_sets.map(lambda s: s - added))
-    return added, removed
-
-
-class TestMembershipAlgebra:
-    @settings(max_examples=300, deadline=None)
-    @given(id_sets, membership_deltas(), membership_deltas())
-    def test_compose_equals_sequential_application(self, members, first, second):
-        composed = compose_membership(first, second)
-        assert apply_membership(members, composed) == apply_membership(
-            apply_membership(members, first), second
-        )
-
-    @settings(max_examples=300, deadline=None)
-    @given(id_sets, membership_deltas(), membership_deltas(), membership_deltas())
-    def test_compose_is_associative(self, members, a, b, c):
-        left = compose_membership(compose_membership(a, b), c)
-        right = compose_membership(a, compose_membership(b, c))
-        # Composition itself need not be syntactically equal, but the two
-        # composites must act identically on every state.
-        assert apply_membership(members, left) == apply_membership(members, right)
-
-    @settings(max_examples=300, deadline=None)
-    @given(id_sets, membership_deltas(), membership_deltas())
-    def test_disjoint_deltas_commute(self, members, first, second):
-        touched_first = first[0] | first[1]
-        second = (second[0] - touched_first, second[1] - touched_first)
-        assert apply_membership(
-            members, compose_membership(first, second)
-        ) == apply_membership(members, compose_membership(second, first))
-
-    @settings(max_examples=200, deadline=None)
-    @given(id_sets)
-    def test_empty_delta_is_identity(self, members):
-        empty = (frozenset(), frozenset())
-        assert apply_membership(members, empty) == members
-        delta = EpochDelta(timestamp=10)
-        assert delta.is_noop()
-        assert apply_membership(members, delta.membership) == members
+def test_epoch_delta_tracks_hot_membership():
+    """The emitted delta is a faithful journal: the previous hot set minus
+    the epoch's vanished ids plus its newly hot ids is the next hot set, and
+    inserted/deleted ids match the index mutations."""
+    coordinator = make_coordinator(FleetConfig(num_shards=4), window=25)
+    hot: set = set()
+    known_ids: set = set()
+    try:
+        for boundary, states in synthetic_stream(11):
+            for state in states:
+                coordinator.submit_state(state)
+            outcome = coordinator.run_epoch(boundary)
+            delta = outcome.delta
+            assert delta is not None and delta.timestamp == boundary
+            added, removed = set(delta.newly_hot), set(delta.vanished)
+            assert not (added & removed), "newly_hot and vanished overlap"
+            hot = (hot - removed) | added
+            assert hot == {path_id for path_id, _h in coordinator.hotness.items()}
+            # Inserted ids are new, live in the index, and never recycled.
+            for path_id in delta.inserted:
+                assert path_id not in known_ids
+                known_ids.add(path_id)
+            assert len(delta.inserted) == outcome.paths_inserted
+            assert len(delta.deleted) == outcome.paths_expired
+            for path_id in delta.deleted:
+                assert path_id not in coordinator.index
+    finally:
+        coordinator.close()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ query shape" on a structure past the old 96-region switch: a single query is
 the scalar loop, and builds no ``RegionTable``.
 
 Counts, not clocks: they repeat exactly run to run.
+
+:class:`TestEpochPassDifferential` compares, at every decision of crafted
+and random streams, the candidate vertices the epoch pass hands SinglePath
+with the ones a per-state query of the live index produces.
 """
 
 from __future__ import annotations
@@ -38,10 +42,14 @@ from repro.client.state import ObjectState
 from repro.coordinator import overlaps
 from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig, EpochOutcome
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.overlaps import OverlapPoolCache, build_structures, plan_shard_overlaps
+from repro.coordinator.single_path import SinglePathStrategy
 from repro.core.geometry import Point, Rectangle
 from repro.network.generator import NetworkConfig, SyntheticRoadNetworkGenerator
 from repro.workload.moving_objects import MovingObjectWorkload, WorkloadConfig
+
+from differential import DEFAULT, crafted_stream, drive, synthetic_stream
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel needs numpy")
 
@@ -232,3 +240,66 @@ class TestSingleQueriesBuildNoTable:
         structure.containing_counts(probes)
         structure.candidate_vertices_for(boxes)
         assert tables["built"] == 1
+
+
+class EpochPassChecker:
+    """Wraps ``_candidate_vertices``: whenever a decision runs off the epoch
+    pass, the per-state query of the live index must produce the same
+    candidates — vertex (down to ``repr``), hotness and the fabricated flag —
+    and the probe of the epoch's inserts must find what a linear
+    ``contains_point`` rescan of them finds.  Counts the cases the streams
+    are built to reach."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.compared = 0
+        self.inserts_seen = 0
+        self.on_indexed_vertex = 0
+        original = SinglePathStrategy._candidate_vertices
+        checker = self
+
+        def checked(strategy, fsa, overlaps, prefetch=None):
+            if prefetch is None:
+                return original(strategy, fsa, overlaps)
+            rescanned = [
+                record for record in prefetch.inserted if fsa.contains_point(record.path.end)
+            ]
+            assert sorted(record.path_id for record in prefetch.inserted.within(fsa)) == sorted(
+                record.path_id for record in rescanned
+            )
+            for record in rescanned:
+                checker.inserts_seen += 1
+                if record.path.end in prefetch.end_vertices:
+                    checker.on_indexed_vertex += 1
+            batched = original(strategy, fsa, overlaps, prefetch)
+            per_state = original(strategy, fsa, overlaps)
+            key = lambda candidate: (repr(candidate[0]), candidate[1], candidate[2])
+            assert sorted(map(key, batched)) == sorted(map(key, per_state))
+            checker.compared += 1
+            return batched
+
+        monkeypatch.setattr(SinglePathStrategy, "_candidate_vertices", checked)
+
+
+class TestEpochPassDifferential:
+    def test_crafted_stream_hits_every_merge_case(self, monkeypatch):
+        checker = EpochPassChecker(monkeypatch)
+        drive(DEFAULT, crafted_stream())
+        assert checker.compared >= 7
+        assert checker.inserts_seen >= 2  # an in-epoch insert inside a later FSA
+        assert checker.on_indexed_vertex >= 1  # ... onto a vertex the pass had read
+
+    @pytest.mark.parametrize("seed", [5, 31])
+    def test_random_streams_with_duplicate_reporters(self, seed, monkeypatch):
+        stream = synthetic_stream(seed=seed, epochs=6)
+        assert any(
+            len({state.object_id for state in states}) < len(states) for _b, states in stream
+        )
+        checker = EpochPassChecker(monkeypatch)
+        drive(DEFAULT, stream)
+        assert checker.compared > 0 and checker.inserts_seen > 0
+        assert checker.on_indexed_vertex > 0
+
+    def test_object_kernel_never_runs_the_pass(self, monkeypatch):
+        checker = EpochPassChecker(monkeypatch)
+        drive(FleetConfig(kernel="object"), crafted_stream())
+        assert checker.compared == 0

@@ -10,11 +10,11 @@ Four layers:
 * :class:`TestOneDecisionPath` — the work an epoch does in the parent on
   either backend, as exact counts: every insert indexed once, ids allocated
   in submission order, nothing grouped;
-* a regression differential driving the ``processes`` backend with a
-  boundary-stressing stream (shared starts, FSAs straddling shard borders,
-  duplicate object ids, out-of-order timestamps) and asserting bit-for-bit
-  equality with the ``serial`` backend — including under worker kills, a
-  hung worker, and (:class:`TestStatelessWorkers`) every worker killed
+* the worker-fault tests: faults injected through the exactness harness's
+  per-epoch hook (``tests/differential.py``) into the ``processes`` backend
+  on the border scenario, whose every observation must equal the
+  reference's — a closed and revived pool, an oversized pool, worker kills,
+  a hung worker and (:class:`TestStatelessWorkers`) every worker killed
   before every epoch.
 """
 
@@ -27,7 +27,6 @@ import signal
 import subprocess
 import sys
 import time
-from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +38,7 @@ from repro.client.state import ObjectState
 from repro.coordinator import execution, sharding
 from repro.coordinator.columnar import HAVE_NUMPY, ShipmentRing
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.overlaps import build_structures
 from repro.coordinator.execution import (
     BACKEND_NAMES,
@@ -49,6 +49,17 @@ from repro.coordinator.execution import (
 )
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.sharding import ShardGrid
+
+from differential import (
+    BORDER_STREAM,
+    SCENARIO,
+    Run,
+    assert_answers_as,
+    drive,
+    make_coordinator,
+    reference_run,
+    synthetic_stream,
+)
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 GRID = ShardGrid(BOUNDS, 4, 4)
@@ -164,145 +175,51 @@ class TestBackendSelection:
             coordinator.close()
 
 
-def boundary_stream(seed: int, epochs: int = 6, per_epoch: int = 24):
-    """States engineered to stress shard boundaries and duplicate reporters."""
-    rng = random.Random(seed)
-    start_pool = [
-        Point(rng.uniform(-50.0, 1050.0), rng.uniform(-50.0, 1050.0)) for _ in range(8)
-    ] + [
-        Point(250.0, 250.0),   # 4x4 shard corner
-        Point(500.0, 500.0),   # centre corner of the 2x2 layout
-        Point(750.0, 10.0),    # on a 4x4 vertical border
-        Point(-30.0, 980.0),   # clamped into a border shard
-    ]
-    stream = []
-    for epoch in range(1, epochs + 1):
-        boundary = epoch * 10
-        states = []
-        for _ in range(per_epoch):
-            start = rng.choice(start_pool)
-            centre = Point(
-                start.x + rng.uniform(-250.0, 250.0), start.y + rng.uniform(-250.0, 250.0)
-            )
-            fsa = Rectangle.from_center(centre, rng.uniform(5.0, 150.0))
-            t_end = boundary - rng.randrange(10)
-            states.append(
-                ObjectState(
-                    rng.randrange(per_epoch),  # duplicates likely
-                    start,
-                    max(0, t_end - 5),
-                    fsa.low,
-                    fsa.high,
-                    t_end,
-                )
-            )
-        stream.append((boundary, states))
-    return stream
+#: A ``processes`` fleet labelled 2x2: the fault tests' configuration.
+PROCESSES = FleetConfig(num_shards=4, backend="processes")
 
 
-def epoch_snapshot(coordinator: Coordinator, outcome) -> dict:
-    """One epoch's answers plus the full coordinator state after it."""
-    return {
-        "responses": outcome.responses,
-        "inserted": outcome.paths_inserted,
-        "reused": outcome.paths_reused,
-        "expired": outcome.paths_expired,
-        "records": sorted(
-            (r.path_id, r.path.start.as_tuple(), r.path.end.as_tuple(), r.created_at)
-            for r in coordinator.index.records
-        ),
-        "hotness": sorted(coordinator.hotness.items()),
-        "top_k": coordinator.top_k(10),
-    }
+def processes_run(hook=None) -> Run:
+    """The border scenario on :data:`PROCESSES`; ``hook(coordinator, index)``
+    injects faults before each epoch's submissions."""
+    return drive(PROCESSES, BORDER_STREAM, hook=hook)
 
 
-def drive(coordinator: Coordinator, stream, close_before_epoch: int = -1) -> List[dict]:
-    """Feed the stream epoch by epoch, snapshotting the full state after each.
-
-    ``close_before_epoch`` closes the coordinator's worker pool just before
-    that epoch runs, forcing a parallel backend to revive it mid-stream.
-    """
-    trace = []
-    try:
-        for index, (boundary, states) in enumerate(stream):
-            if index == close_before_epoch:
-                coordinator.close()
-            for state in states:
-                coordinator.submit_state(state)
-            trace.append(epoch_snapshot(coordinator, coordinator.run_epoch(boundary)))
-    finally:
-        coordinator.close()
-    return trace
+def answers_as_the_reference(run: Run) -> None:
+    assert_answers_as(reference_run(SCENARIO["border"]), run)
 
 
 class TestBackendRegression:
-    """``processes`` must match ``serial`` on stress streams."""
-
-    @pytest.mark.parametrize("backend", ["processes"])
-    @pytest.mark.parametrize("num_shards", [4, 16])
-    def test_parallel_backend_matches_serial(self, backend, num_shards):
-        def make(backend_name):
-            return Coordinator(
-                CoordinatorConfig(
-                    bounds=BOUNDS,
-                    window=40,
-                    cells_per_axis=32,
-                    num_shards=num_shards,
-                    backend=backend_name,
-                )
-            )
-
-        stream = boundary_stream(seed=17)
-        expected = drive(make("serial"), stream)
-        actual = drive(make(backend), stream)
-        for epoch, (exp, act) in enumerate(zip(expected, actual)):
-            assert act == exp, f"{backend} diverged from serial at epoch {epoch}"
+    """Pool lifecycle faults on the ``processes`` backend, answer-invariant."""
 
     def test_process_workers_revive_after_close_and_stay_exact(self):
         """Closing mid-stream retires the pool: the next epoch spawns fresh
         workers (there is nothing to bootstrap) and stays bit-for-bit exact."""
-        stream = boundary_stream(seed=31, epochs=6)
-        serial = drive(
-            Coordinator(
-                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
-            ),
-            stream,
-        )
-        revived = drive(
-            Coordinator(
-                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="processes")
-            ),
-            stream,
-            close_before_epoch=3,
-        )
-        assert revived == serial
+
+        def close_before_the_fourth_epoch(coordinator, index):
+            if index == 3:
+                coordinator.close()
+
+        answers_as_the_reference(processes_run(close_before_the_fourth_epoch))
 
     def test_more_workers_than_shards_is_exact(self):
         """Workers build overlap pools, not shards, so the pool is as wide as
         asked: 6 workers on 4 shards all spawn, and the results stay
         bit-for-bit identical to the seed coordinator."""
-        stream = boundary_stream(seed=13, epochs=4)
-        drive_with_fault = TestWorkerFaultRecovery.drive_with_fault
-        seed = drive_with_fault(
-            Coordinator(CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=1)),
-            stream,
-            lambda coordinator, index: None,
-        )
-        coordinator = Coordinator(
-            CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend="serial")
-        )
         # Swap in an oversized process pool directly (the CLI has no worker
         # knob, but the backend API does).
         backend = ProcessBackend(workers=6)
-        coordinator.strategy.backend = backend
         widths = []
+
+        def oversize(coordinator, index):
+            if index == 0:
+                coordinator.strategy.backend = backend
+            widths.append(backend.worker_count)
+
         try:
-            oversized = drive_with_fault(
-                coordinator, stream, lambda _c, _index: widths.append(backend.worker_count)
-            )
-            assert oversized == seed
-            assert widths == [0, 6, 6, 6]
-            assert backend.worker_count == 0  # drive_with_fault() closed the pool
+            answers_as_the_reference(drive(FleetConfig(num_shards=4), BORDER_STREAM, hook=oversize))
+            assert widths == [0] + [6] * (len(BORDER_STREAM) - 1)
+            assert backend.worker_count == 0  # drive() closed the pool
         finally:
             backend.close()
 
@@ -351,7 +268,7 @@ class TestOneDecisionPath:
         )
         inserted = deleted = 0
         try:
-            for boundary, states in boundary_stream(seed=29, epochs=10, per_epoch=40):
+            for boundary, states in synthetic_stream(29, epochs=10, per_epoch=40):
                 for state in states:
                     coordinator.submit_state(state)
                 first_id = coordinator.index._next_path_id
@@ -379,43 +296,9 @@ class TestWorkerFaultRecovery:
     bit-for-bit equal to serial.
     """
 
-    @staticmethod
-    def make(backend_name: str) -> Coordinator:
-        return Coordinator(
-            CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=4, backend=backend_name)
-        )
-
-    @staticmethod
-    def drive_with_fault(coordinator: Coordinator, stream, fault) -> List[dict]:
-        """Like :func:`drive`, but calls ``fault(coordinator, index)`` before
-        each epoch's submissions."""
-        trace = []
-        try:
-            for index, (boundary, states) in enumerate(stream):
-                fault(coordinator, index)
-                for state in states:
-                    coordinator.submit_state(state)
-                outcome = coordinator.run_epoch(boundary)
-                trace.append(
-                    {
-                        "responses": outcome.responses,
-                        "records": sorted(
-                            (r.path_id, r.path.start.as_tuple(), r.path.end.as_tuple())
-                            for r in coordinator.index.records
-                        ),
-                        "hotness": sorted(coordinator.hotness.items()),
-                        "top_k": coordinator.top_k(10),
-                    }
-                )
-        finally:
-            coordinator.close()
-        return trace
-
     def test_explicit_restart_after_kill_is_exact(self):
         """Killed workers recover eagerly between epochs without perturbing
         any answer."""
-        stream = boundary_stream(seed=23, epochs=6)
-        expected = self.drive_with_fault(self.make("serial"), stream, lambda c, i: None)
 
         def kill_then_restart(coordinator: Coordinator, index: int) -> None:
             if index not in (2, 4):
@@ -427,28 +310,22 @@ class TestWorkerFaultRecovery:
             backend.restart_worker(worker)
             assert backend.workers_alive()[worker]
 
-        coordinator = self.make("processes")
-        backend = coordinator.strategy.backend
-        actual = self.drive_with_fault(coordinator, stream, kill_then_restart)
-        assert backend.worker_restarts == 2
-        assert actual == expected
+        run = processes_run(kill_then_restart)
+        assert run.coordinator.strategy.backend.worker_restarts == 2
+        answers_as_the_reference(run)
 
     def test_dead_worker_is_detected_and_respawned_mid_pipeline(self):
         """A worker that dies *without* an explicit restart: the next pipeline
         round trip must detect the corpse and replace it — still bit-for-bit
-        equal to serial."""
-        stream = boundary_stream(seed=23, epochs=6)
-        expected = self.drive_with_fault(self.make("serial"), stream, lambda c, i: None)
+        equal to the reference."""
 
         def kill_only(coordinator: Coordinator, index: int) -> None:
             if index == 3:
                 coordinator.strategy.backend.kill_worker(0)
 
-        coordinator = self.make("processes")
-        backend = coordinator.strategy.backend
-        actual = self.drive_with_fault(coordinator, stream, kill_only)
-        assert backend.worker_restarts >= 1
-        assert actual == expected
+        run = processes_run(kill_only)
+        assert run.coordinator.strategy.backend.worker_restarts >= 1
+        answers_as_the_reference(run)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
     def test_hung_worker_is_replaced_within_the_reply_deadline(self, monkeypatch, caplog):
@@ -456,8 +333,6 @@ class TestWorkerFaultRecovery:
         not block the epoch: past the reply deadline it is killed and
         replaced, the parent builds its pools, and nothing changes."""
         monkeypatch.setattr(execution, "_REPLY_DEADLINE_S", 0.2)
-        stream = boundary_stream(seed=23, epochs=6)
-        expected = self.drive_with_fault(self.make("serial"), stream, lambda c, i: None)
         stopped = []
 
         def hang(coordinator: Coordinator, index: int) -> None:
@@ -466,12 +341,10 @@ class TestWorkerFaultRecovery:
                 os.kill(process.pid, signal.SIGSTOP)
                 stopped.append(process)
 
-        coordinator = self.make("processes")
-        backend = coordinator.strategy.backend
         with caplog.at_level(logging.WARNING, logger=execution.__name__):
-            actual = self.drive_with_fault(coordinator, stream, hang)
-        assert actual == expected
-        assert backend.worker_restarts == 1
+            run = processes_run(hang)
+        answers_as_the_reference(run)
+        assert run.coordinator.strategy.backend.worker_restarts == 1
         assert len(caplog.records) == 1 and "no reply" in caplog.records[0].getMessage()
         (process,) = stopped
         assert not process.is_alive()  # killed and reaped, not left stopped
@@ -479,7 +352,7 @@ class TestWorkerFaultRecovery:
     def test_restart_worker_spawns_the_fleet_when_cold(self):
         """Before the first epoch there is no fleet; restart_worker must
         bring one up rather than index into an empty pool."""
-        coordinator = self.make("processes")
+        coordinator = make_coordinator(PROCESSES)
         try:
             backend = coordinator.strategy.backend
             assert backend.worker_count == 0
@@ -490,7 +363,7 @@ class TestWorkerFaultRecovery:
             coordinator.close()
 
     def test_fault_hooks_validate_their_targets(self):
-        coordinator = self.make("processes")
+        coordinator = make_coordinator(PROCESSES)
         try:
             backend = coordinator.strategy.backend
             with pytest.raises(ConfigurationError):
@@ -522,53 +395,43 @@ def pool_of(rng: random.Random, members: int, base_id: int) -> dict:
     }
 
 
-KERNELS_AVAILABLE = ["object", "columnar"] if HAVE_NUMPY else ["object"]
-
-
 class TestStatelessWorkers:
     """Process workers hold no state: they are handed overlap pools and
     return built structures, so any worker is replaceable at any time by a
     bare fork and an idle one is never messaged."""
 
-    @pytest.mark.parametrize("kernel", KERNELS_AVAILABLE)
-    @pytest.mark.parametrize("num_shards", [3, 4, 7, 16])
-    def test_every_worker_killed_before_every_epoch(self, num_shards, kernel):
-        stream = boundary_stream(seed=41, epochs=30)
-        seed = drive(
-            Coordinator(
-                CoordinatorConfig(bounds=BOUNDS, window=40, num_shards=1, kernel=kernel)
-            ),
-            stream,
-        )
-        coordinator = Coordinator(
-            CoordinatorConfig(
-                bounds=BOUNDS,
-                window=40,
-                num_shards=num_shards,
-                backend="processes",
-                kernel=kernel,
-            )
-        )
-        backend = coordinator.strategy.backend
-        kills = 0
-        trace = []
-        try:
-            for boundary, states in stream:
-                for worker, alive in enumerate(backend.workers_alive()):
-                    if alive:
-                        backend.kill_worker(worker)
-                        kills += 1
-                for state in states:
-                    coordinator.submit_state(state)
-                trace.append(epoch_snapshot(coordinator, coordinator.run_epoch(boundary)))
-            # Every kill is answered by exactly one restart, made when the
-            # pipeline next has a pool for that worker — a worker killed
-            # while idle stays down until then.
-            assert kills >= 29
-            assert backend.worker_restarts == kills - backend.workers_alive().count(False)
-        finally:
-            coordinator.close()
-        assert trace == seed
+    def test_every_worker_killed_before_every_epoch(self, monkeypatch):
+        kills = []
+        down_at_close = []
+
+        def kill_every_live_worker(coordinator: Coordinator, _index: int) -> None:
+            backend = coordinator.strategy.backend
+            for worker, alive in enumerate(backend.workers_alive()):
+                if alive:
+                    backend.kill_worker(worker)
+                    kills.append(worker)
+
+        close = ProcessBackend.close
+
+        def closing(backend):
+            down_at_close.append(backend.workers_alive().count(False))
+            close(backend)
+
+        monkeypatch.setattr(ProcessBackend, "close", closing)
+        run = processes_run(kill_every_live_worker)
+        answers_as_the_reference(run)
+        # Every kill is answered by exactly one restart, made when the
+        # pipeline next has a pool for that worker — a worker killed while
+        # idle stays down until then.
+        assert len(kills) >= len(BORDER_STREAM) - 1
+        assert run.coordinator.strategy.backend.worker_restarts == len(kills) - down_at_close[0]
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="shared-memory shipments need numpy")
+    def test_epochs_ship_through_shared_memory(self):
+        """Under either kernel: the backend is handed no kernel."""
+        backend = processes_run().coordinator.strategy.backend
+        assert backend.shm_shipments > 0
+        assert backend.shm_fallbacks == 0
 
     def test_spawn_time_cannot_change_an_answer(self):
         """A worker forked before the first insert and one forked after

@@ -174,18 +174,3 @@ class TestQueries:
         region = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
         results = index.paths_intersecting(region)
         assert len(results) == len(inserted)
-
-
-class TestCellStatistics:
-    def test_empty_statistics(self, index):
-        stats = index.cell_statistics()
-        assert stats["occupied_cells"] == 0
-        assert stats["total_cells"] == 256
-
-    def test_statistics_after_insertions(self, index):
-        index.insert(MotionPath(Point(10.0, 10.0), Point(20.0, 20.0)))
-        index.insert(MotionPath(Point(900.0, 900.0), Point(910.0, 910.0)))
-        stats = index.cell_statistics()
-        assert stats["occupied_cells"] >= 1
-        assert stats["max_entries_per_cell"] >= 1
-        assert stats["mean_entries_per_occupied_cell"] > 0

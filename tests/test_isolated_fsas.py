@@ -5,8 +5,9 @@ Two facts of the epoch pipeline, each pinned by what it no longer does:
 * **isolated FSAs skip the pool stage** — an FSA that overlaps no other one
   is recorded as a singleton box: no ``FsaOverlapStructure.build``, no pool,
   no pool-cache entry and no process-backend message, while the merged
-  structure stays ``repr``-equal to the sequential build (and a signed-zero
-  singleton can no longer come back from the cache with the other sign);
+  structure stays ``repr``-equal to the sequential build (the exactness
+  harness's ``signed_zero_singleton`` scenario pins that a signed-zero
+  singleton never comes back from the cache with the other sign);
 * **decisions probe the epoch's inserts** — a Case 2/3 decision reads the
   paths inserted earlier in the epoch through :class:`InsertedEnds`, not a
   ``contains_point`` rescan of all of them.  :class:`TestInsertedEndsProbe`
@@ -131,35 +132,6 @@ class TestIsolatedFsasSkipThePoolStage:
             assert backend.shm_shipments == 0
         finally:
             coordinator.close()
-
-    @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_a_signed_zero_singleton_answers_alike_in_delta_and_full_mode(self, num_shards):
-        """The pool cache addresses a pool by ``==`` on its coordinates, so a
-        hit may hand back bounds of the other sign of zero.  A zero-width
-        FSA is always isolated, so it no longer reaches the cache; when it
-        did, its cached ``-0.0`` singleton made the fabricated centroid of a
-        later ``0.0`` report ``(-0.0, 15.0)`` in delta mode only."""
-
-        def report(t_end, zero):
-            low, high = Point(zero, 10.0), Point(zero, 20.0)
-            return ObjectState(1, Point(500.0, 500.0), t_end - 5, low, high, t_end)
-
-        # The second report comes after the first one's path has expired, so
-        # the index is empty again and the object fabricates (Case 3).
-        stream = [(10, report(10, -0.0)), (100, report(100, 0.0))]
-        answers = {}
-        for epoch_mode in ("delta", "full"):
-            coordinator = make(num_shards, epoch_mode=epoch_mode)
-            try:
-                responses = []
-                for now, state in stream:
-                    coordinator.submit_state(state)
-                    responses.append(coordinator.run_epoch(now).responses)
-            finally:
-                coordinator.close()
-            answers[epoch_mode] = repr(responses)
-        assert answers["delta"] == answers["full"]
-        assert "Point(x=0.0, y=15.0)" in answers["full"]
 
 
 class TestDecisionsProbeTheirInserts:

@@ -12,8 +12,9 @@ independently of the end-to-end differential harness:
   area (so no region spans two pools), and a pool cannot be split further;
 * **order** — a pool preserves the submission order of its members, and the
   pools come ordered by their first member;
-* **layout independence** — the pools of an epoch are the same for every shard
-  count and kernel, because the stage never sees the layout.
+* **kernel independence** — the scalar and the batched plan agree, pool for
+  pool (no plan reads the shard layout: ``tests/test_one_index.py`` counts
+  zero shard-grid lookups in an epoch).
 
 Plus the mechanics: what the plan asks to be built with and without a cache,
 and worker-side builds agreeing across both execution backends (the
@@ -23,15 +24,13 @@ process backend round-trips structures through its serialized wire format).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
-from repro.coordinator import single_path
-from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.execution import create_backend
 from repro.coordinator.overlaps import (
     FsaOverlapStructure,
@@ -40,7 +39,6 @@ from repro.coordinator.overlaps import (
     plan_shard_overlaps,
 )
 
-BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 KERNELS = ("object", "columnar")
 
 # Coordinates collide with the 4x4 shard borders (multiples of 250) and with
@@ -169,48 +167,6 @@ class TestComponents:
             )
             assert [list(pool) for pool in plan.pools] == [[1, 2, 5]]
             assert list(plan.singletons) == [3, 4]
-
-
-class TestLayoutIndependence:
-    """The pool set of an epoch does not depend on the fleet it runs on."""
-
-    LAYOUTS = (
-        dict(num_shards=1),
-        dict(num_shards=4),
-        dict(num_shards=16),
-        dict(num_shards=7),
-        dict(num_shards=4, kernel="object"),
-    )
-
-    @settings(max_examples=25, deadline=None)
-    @given(epochs=st.lists(state_lists, min_size=1, max_size=3))
-    def test_pools_are_the_same_on_every_layout(self, epochs):
-        planned: List[list] = []
-        original = single_path.plan_shard_overlaps
-
-        def recording(*args, **kwargs):
-            plan = original(*args, **kwargs)
-            seen.append([list(pool.items()) for pool in plan.pools])
-            return plan
-
-        single_path.plan_shard_overlaps = recording
-        try:
-            for layout in self.LAYOUTS:
-                seen: List[list] = []
-                coordinator = Coordinator(
-                    CoordinatorConfig(bounds=BOUNDS, window=40, cells_per_axis=32, **layout)
-                )
-                try:
-                    for tick, states in enumerate(epochs):
-                        for state in states:
-                            coordinator.submit_state(state)
-                        coordinator.run_epoch(100 * (tick + 1))
-                finally:
-                    coordinator.close()
-                planned.append(seen)
-        finally:
-            single_path.plan_shard_overlaps = original
-        assert all(seen == planned[0] for seen in planned[1:])
 
 
 class TestPlanAgainstTheCache:

@@ -1,9 +1,12 @@
-"""Unit tests for the serving wire protocol and the server's dispatch table."""
+"""Unit tests for the serving wire protocol and the server's dispatch table,
+plus the wall-clock epoch ticker under concurrent load."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.coordinator.fleet import FleetConfig
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -21,6 +25,7 @@ from repro.serving.protocol import (
     encode_message,
     encode_update,
 )
+from repro.serving.scenarios import ScenarioRunner, _WireClient, replay_accepted_log
 from repro.serving.server import IngestionServer, ServingConfig
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -282,3 +287,122 @@ class TestDispatch:
             assert "p99_ms" in stats
         finally:
             coordinator.close()
+
+    def test_snapshot_reports_real_state(self):
+        result = ScenarioRunner(FleetConfig(num_shards=1)).run("uniform_trickle", seed=2)
+
+        report = result.report
+        assert report["size"] == len(report["records"]) > 0
+        assert report["top_k_hotness"]
+        # The snapshot is wire-pure: a JSON round trip is the identity.
+        assert json.loads(json.dumps(report)) == report
+
+
+class TestAutoEpochTicker:
+    """The wall-clock epoch ticker under concurrent client load.
+
+    Epoch boundaries here are *nondeterministic* (the ticker races the
+    clients), but the accepted log records exactly which updates each
+    committed epoch contained — so replaying the log through a fresh seed
+    coordinator must still reproduce the served snapshot bit for bit, in
+    both epoch modes.
+    """
+
+    CLIENTS = 4
+    BATCHES_PER_CLIENT = 12
+    UPDATES_PER_BATCH = 8
+
+    @staticmethod
+    def _batch_rows(client_id: int, seq: int):
+        rng = random.Random(client_id * 10_007 + seq)
+        rows = []
+        for _ in range(TestAutoEpochTicker.UPDATES_PER_BATCH):
+            start = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
+            fsa = Rectangle.from_center(
+                Point(
+                    min(max(start.x + rng.uniform(-150, 150), 0.0), 1000.0),
+                    min(max(start.y + rng.uniform(-150, 150), 0.0), 1000.0),
+                ),
+                rng.uniform(10, 80),
+            )
+            # Timestamps far below any boundary the ticker will reach keep
+            # every row admissible whatever epoch it happens to land in.
+            rows.append(
+                encode_update(
+                    ObjectState(
+                        rng.randrange(60), start, 0, fsa.low, fsa.high, 1
+                    )
+                )
+            )
+        return rows
+
+    async def _drive(self, epoch_mode: str):
+        coordinator = Coordinator(
+            CoordinatorConfig(
+                bounds=BOUNDS,
+                window=1_000_000,  # nothing expires mid-run: keeps rows admissible
+                cells_per_axis=32,
+                num_shards=4,
+                epoch_mode=epoch_mode,
+            )
+        )
+        server = IngestionServer(
+            coordinator,
+            ServingConfig(port=0, auto_epoch_seconds=0.01, auto_epoch_timestamps=10),
+        )
+        await server.start()
+        try:
+            host, port = server.config.host, server.port
+
+            async def client(client_id: int) -> None:
+                wire = await _WireClient.connect(host, port)
+                try:
+                    for seq in range(self.BATCHES_PER_CLIENT):
+                        ack = await wire.request(
+                            {
+                                "op": "batch",
+                                "client": client_id,
+                                "seq": seq,
+                                "updates": self._batch_rows(client_id, seq),
+                            }
+                        )
+                        assert ack["ok"], ack
+                        # Spread the batches across several ticker intervals so
+                        # the load genuinely interleaves with wall-clock commits.
+                        await asyncio.sleep(0.003)
+                finally:
+                    await wire.close()
+
+            await asyncio.gather(*(client(i) for i in range(self.CLIENTS)))
+            # Drain: wait until the ticker has committed every accepted update.
+            deadline = time.monotonic() + 5.0
+            while (
+                server.batcher.pending_updates or server.batcher.epochs_committed < 3
+            ) and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            assert server.batcher.pending_updates == 0, "ticker never drained the queue"
+            assert server.batcher.epochs_committed >= 3, (
+                "the wall-clock ticker never fired three times"
+            )
+            snapshot = coordinator_snapshot(coordinator)
+            accepted_log = list(server.batcher.accepted_log)
+            accepted = server.batcher.accepted_updates
+        finally:
+            await server.stop()
+            coordinator.close()
+        return snapshot, accepted_log, accepted
+
+    @pytest.mark.parametrize("epoch_mode", ["full", "delta"])
+    def test_ticker_committed_state_replays_bit_for_bit(self, epoch_mode):
+        snapshot, accepted_log, accepted = asyncio.run(self._drive(epoch_mode))
+        assert accepted == self.CLIENTS * self.BATCHES_PER_CLIENT * self.UPDATES_PER_BATCH
+        assert sum(len(rows) for _now, rows in accepted_log) == accepted
+        # The served snapshot equals the seed replay of the ticker's log —
+        # in both epoch modes, whatever boundaries the wall clock produced.
+        for replay_mode in ("full", "delta"):
+            assert snapshot == replay_accepted_log(
+                accepted_log,
+                window=1_000_000,
+                cells_per_axis=32,
+                fleet=FleetConfig(epoch_mode=replay_mode),
+            ), f"served {epoch_mode} snapshot != {replay_mode} seed replay"

@@ -36,6 +36,8 @@ from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.partition import ShardGrid, shard_layout
 
+from differential import synthetic_stream
+
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
 coordinates = st.floats(min_value=-200.0, max_value=1200.0)
@@ -48,37 +50,6 @@ def make_coordinator(num_shards: int = 4, window: int = 60, **kwargs) -> Coordin
             bounds=BOUNDS, window=window, cells_per_axis=32, num_shards=num_shards, **kwargs
         )
     )
-
-
-def feedback_stream(seed: int, epochs: int, per_epoch: int = 16):
-    """States whose FSAs hop across the grid borders so the decided paths
-    straddle often; objects re-report from fresh spots, so old paths go cold
-    and expire as the window slides."""
-    rng = random.Random(seed)
-    stream = []
-    for epoch in range(1, epochs + 1):
-        boundary = epoch * 10
-        states = []
-        for _ in range(per_epoch):
-            start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
-            centre = Point(
-                start.x + rng.uniform(-260.0, 260.0),
-                start.y + rng.uniform(-260.0, 260.0),
-            )
-            fsa = Rectangle.from_center(centre, rng.uniform(10.0, 120.0))
-            t_end = boundary - rng.randrange(10)
-            states.append(
-                ObjectState(
-                    rng.randrange(per_epoch * 2),
-                    start,
-                    max(0, t_end - 5),
-                    fsa.low,
-                    fsa.high,
-                    t_end,
-                )
-            )
-        stream.append((boundary, states))
-    return stream
 
 
 @st.composite
@@ -264,7 +235,7 @@ class TestStatisticsSchema:
     def test_the_key_set_is_exact(self, num_shards, epoch_mode):
         coordinator = make_coordinator(num_shards, epoch_mode=epoch_mode)
         try:
-            for boundary, states in feedback_stream(seed=5, epochs=3):
+            for boundary, states in synthetic_stream(5, epochs=3, per_epoch=16):
                 for state in states:
                     coordinator.submit_state(state)
                 coordinator.run_epoch(boundary)
@@ -399,7 +370,7 @@ class TestExpiryDrain:
         expired_total = 0
         saw_straddling = False
         try:
-            for boundary, states in feedback_stream(seed=19, epochs=25):
+            for boundary, states in synthetic_stream(19, epochs=25, per_epoch=16):
                 for state in states:
                     coordinator.submit_state(state)
                 outcome = coordinator.run_epoch(boundary)
@@ -427,7 +398,7 @@ class TestExpiryDrain:
         """Once the stream stops and the window passes, nothing is labelled."""
         coordinator = make_coordinator(4, window=20)
         try:
-            for boundary, states in feedback_stream(seed=23, epochs=5):
+            for boundary, states in synthetic_stream(23, epochs=5, per_epoch=16):
                 for state in states:
                     coordinator.submit_state(state)
                 coordinator.run_epoch(boundary)

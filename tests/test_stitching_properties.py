@@ -20,6 +20,9 @@ that implements the weld rule directly from its definition, in the style of
   corridor list never changes the ranking;
 * **chain heads from predecessors** — chaining any subset of the fragments
   through the inverse weld map finds the reference's chains over that subset.
+
+:class:`TestWeldCycles` pins a cycle of hot paths on a coordinator, in both
+epoch modes: broken once at its minimum id, with the consumed welds counted.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point
 from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.coordinator.coordinator import Coordinator
+from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.stitching import (
     CompositeCorridor,
     build_corridors,
@@ -37,6 +42,8 @@ from repro.coordinator.stitching import (
     select_top_k_corridors,
     stitch_paths,
 )
+
+from differential import make_coordinator
 
 # Coarse pool: endpoints collide, so welds, forks and cycles are common.
 coordinate_pool = st.sampled_from(
@@ -299,3 +306,51 @@ class TestTieBreakTotality:
         assert len(leads) == len(set(leads))
         ranked = select_top_k_corridors(corridors, len(corridors) or 1, by_score)
         assert sorted(c.lead_path_id for c in ranked) == sorted(leads)
+
+
+class TestWeldCycles:
+    """Weld cycles (closed hot-path loops) are broken once, at the minimum
+    member id, and the report's stats count the welds the chains consume."""
+
+    @staticmethod
+    def _cycle_coordinator(epoch_mode: str) -> Coordinator:
+        # 2x2 grid over 1000^2: V0, V1 in shard 0 (x < 500), V2 in shard 1.
+        # Paths 0: V0->V2, 1: V1->V0, 2: V2->V1 close the weld cycle
+        # 0 -> 2 -> 1 -> 0 with welds {1->0 same-owner, 2->1 and 0->2 cross}.
+        fleet = FleetConfig(num_shards=4, epoch_mode=epoch_mode)
+        coordinator = make_coordinator(fleet, window=10**6)
+        v0, v1, v2 = Point(100.0, 100.0), Point(200.0, 100.0), Point(600.0, 100.0)
+        for path in (MotionPath(v0, v2), MotionPath(v1, v0), MotionPath(v2, v1)):
+            record = coordinator.index.insert(path, created_at=0)
+            coordinator.hotness.record_crossing(record.path_id, 0)
+        return coordinator
+
+    def test_cross_shard_cycle_weld_accounting(self):
+        coordinator = self._cycle_coordinator("delta")
+        corridors = coordinator.hot_corridors()
+        assert [c.path_ids for c in corridors] == [(0, 2, 1)]  # broken at min id 0
+        # Stats count *consumed* welds — the cycle-closing 1->0 weld drops
+        # out before counting, so fragments - welds == corridors.
+        stats = coordinator.router.stitch_stats
+        assert (stats["fragments"], stats["welds"], stats["corridors"]) == (3, 2, 1)
+        assert stats["boundary_welds"] == 2
+
+    def test_full_mode_reports_the_same_shape(self):
+        """Full mode stitches from scratch; its stats are the same five
+        numbers, without the stitcher's incremental counters."""
+        delta = self._cycle_coordinator("delta")
+        full = self._cycle_coordinator("full")
+        assert snapshot(full.hot_corridors()) == snapshot(delta.hot_corridors())
+        shape = {key: delta.router.stitch_stats[key] for key in full.router.stitch_stats}
+        assert full.router.stitch_stats == shape
+        assert sorted(shape) == [
+            "boundary_welds", "corridors", "fragments", "multi_segment_corridors", "welds",
+        ]
+
+    def test_cycle_matches_the_global_stitch(self):
+        coordinator = self._cycle_coordinator("delta")
+        hot = [
+            (coordinator.index.get(path_id), hotness)
+            for path_id, hotness in sorted(coordinator.hotness.items())
+        ]
+        assert snapshot(coordinator.hot_corridors()) == snapshot(stitch_paths(hot))
