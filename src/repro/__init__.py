@@ -25,45 +25,44 @@ Quickstart::
     result = sim.run()
     for path in result.top_k_paths(10):
         print(path.path, path.hotness)
+
+Every name below is exported lazily (PEP 562): ``import repro`` loads no
+submodule, and ``from repro import X`` imports only the module defining
+``X`` — so ``python -m repro serve`` never pays for the simulation and
+experiment layers it does not run.
 """
 
-from repro.core.geometry import Point, Rectangle, max_distance
-from repro.core.trajectory import TimePoint, Trajectory, UncertainTimePoint
-from repro.core.motion_path import MotionPath, MotionPathRecord
-from repro.core.scoring import top_k_score, path_score
-from repro.client.raytrace import RayTraceFilter
-from repro.client.state import ObjectState
-from repro.client.uncertainty import NormalToleranceModel
-from repro.coordinator.coordinator import Coordinator
-from repro.coordinator.single_path import SinglePathStrategy
-from repro.simulation.engine import HotPathSimulation, SimulationConfig, SimulationResult
-from repro.network.generator import SyntheticRoadNetworkGenerator, NetworkConfig
-from repro.workload.moving_objects import MovingObjectWorkload, WorkloadConfig
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Point",
-    "Rectangle",
-    "max_distance",
-    "TimePoint",
-    "UncertainTimePoint",
-    "Trajectory",
-    "MotionPath",
-    "MotionPathRecord",
-    "top_k_score",
-    "path_score",
-    "RayTraceFilter",
-    "ObjectState",
-    "NormalToleranceModel",
-    "Coordinator",
-    "SinglePathStrategy",
-    "HotPathSimulation",
-    "SimulationConfig",
-    "SimulationResult",
-    "SyntheticRoadNetworkGenerator",
-    "NetworkConfig",
-    "MovingObjectWorkload",
-    "WorkloadConfig",
-    "__version__",
-]
+#: Exported name -> the module defining it.
+_EXPORTS = {
+    "Point": "repro.core.geometry",
+    "Rectangle": "repro.core.geometry",
+    "max_distance": "repro.core.geometry",
+    "TimePoint": "repro.core.trajectory",
+    "UncertainTimePoint": "repro.core.trajectory",
+    "Trajectory": "repro.core.trajectory",
+    "MotionPath": "repro.core.motion_path",
+    "MotionPathRecord": "repro.core.motion_path",
+    "top_k_score": "repro.core.scoring",
+    "path_score": "repro.core.scoring",
+    "RayTraceFilter": "repro.client.raytrace",
+    "ObjectState": "repro.client.state",
+    "NormalToleranceModel": "repro.client.uncertainty",
+    "Coordinator": "repro.coordinator.coordinator",
+    "SinglePathStrategy": "repro.coordinator.single_path",
+    "HotPathSimulation": "repro.simulation.engine",
+    "SimulationConfig": "repro.simulation.engine",
+    "SimulationResult": "repro.simulation.engine",
+    "SyntheticRoadNetworkGenerator": "repro.network.generator",
+    "NetworkConfig": "repro.network.generator",
+    "MovingObjectWorkload": "repro.workload.moving_objects",
+    "WorkloadConfig": "repro.workload.moving_objects",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,45 +20,26 @@ additionally writes machine-readable CSV files.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
-from repro.analysis.statistics import hot_path_statistics
-from repro.experiments.ablations import (
-    run_communication_ablation,
-    run_grid_resolution_ablation,
-    run_uncertainty_ablation,
-)
-from repro.experiments.config import ExperimentScale
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.figure9 import run_figure9, run_figure10
-from repro.experiments.report import ablation_rows_to_csv, write_experiment_bundle, write_sweep_csv
 from repro.core.errors import ConfigurationError
-from repro.core.geometry import Point, Rectangle
-from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.fleet import FleetConfig
-from repro.coordinator.stitching import select_top_k_corridors
-from repro.network.generator import NetworkConfig
-from repro.serving.scenarios import (
-    FAULT_TYPES,
-    SCENARIOS,
-    InjectionConfig,
-    ScenarioRunner,
-    get_scenario,
-    replay_accepted_log,
-)
-from repro.serving.server import IngestionServer, ServingConfig
-from repro.simulation.engine import HotPathSimulation, SimulationConfig
+from repro.serving import FAULT_TYPES
+
+# Each subcommand imports the layers it runs (the simulation, the experiment
+# runners, the scenario harness) inside its handler, so ``repro serve`` does
+# not load the simulation stack and no command loads what it does not run.
 
 __all__ = ["build_parser", "main"]
 
 
-def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
+def _scale_from_args(args: argparse.Namespace):
+    from repro.experiments.config import ExperimentScale
+
     if args.scale >= 1.0:
         return ExperimentScale(population=1.0, duration=1.0, network_nodes_per_axis=33)
     nodes = max(6, min(33, int(33 * (args.scale ** 0.5) * 2)))
@@ -245,7 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulation_config(args: argparse.Namespace) -> SimulationConfig:
+def _simulation_config(args: argparse.Namespace):
+    from repro.network.generator import NetworkConfig
+    from repro.simulation.engine import SimulationConfig
+
     return SimulationConfig(
         num_objects=args.objects,
         tolerance=args.tolerance,
@@ -261,7 +245,11 @@ def _simulation_config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    config: SimulationConfig = args.config
+    from repro.analysis.statistics import hot_path_statistics
+    from repro.coordinator.stitching import select_top_k_corridors
+    from repro.simulation.engine import HotPathSimulation
+
+    config = args.config
     fleet = config.fleet
     result = HotPathSimulation(config).run()
     summary = result.summary()
@@ -311,6 +299,9 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_figure7(args: argparse.Namespace) -> int:
+    from repro.experiments.figure7 import run_figure7
+    from repro.experiments.report import write_sweep_csv
+
     report = run_figure7(scale=_scale_from_args(args), seed=args.seed)
     print(report.format_table())
     if args.csv is not None:
@@ -320,6 +311,9 @@ def _command_figure7(args: argparse.Namespace) -> int:
 
 
 def _command_figure8(args: argparse.Namespace) -> int:
+    from repro.experiments.figure8 import run_figure8
+    from repro.experiments.report import write_sweep_csv
+
     report = run_figure8(scale=_scale_from_args(args), seed=args.seed)
     print(report.format_table())
     if args.csv is not None:
@@ -329,6 +323,8 @@ def _command_figure8(args: argparse.Namespace) -> int:
 
 
 def _command_figure9(args: argparse.Namespace) -> int:
+    from repro.experiments.figure9 import run_figure9
+
     report = run_figure9(
         scale=_scale_from_args(args), seed=args.seed, map_width=args.width, map_height=args.height
     )
@@ -341,6 +337,8 @@ def _command_figure9(args: argparse.Namespace) -> int:
 
 
 def _command_figure10(args: argparse.Namespace) -> int:
+    from repro.experiments.figure9 import run_figure10
+
     report = run_figure10(
         scale=_scale_from_args(args), seed=args.seed, map_width=args.width, map_height=args.height
     )
@@ -350,6 +348,13 @@ def _command_figure10(args: argparse.Namespace) -> int:
 
 
 def _command_ablations(args: argparse.Namespace) -> int:
+    from repro.experiments.ablations import (
+        run_communication_ablation,
+        run_grid_resolution_ablation,
+        run_uncertainty_ablation,
+    )
+    from repro.experiments.report import write_experiment_bundle
+
     scale = _scale_from_args(args)
     communication = run_communication_ablation(scale=scale, seed=args.seed)
     uncertainty = run_uncertainty_ablation(scale=scale, seed=args.seed)
@@ -382,7 +387,15 @@ def _command_ablations(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.core.geometry import Point, Rectangle
+    from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+    from repro.serving.server import IngestionServer, ServingConfig
+
     if args.list_scenarios:
+        from repro.serving.scenarios import SCENARIOS
+
         print("registered load scenarios:")
         for name in sorted(SCENARIOS):
             scenario = SCENARIOS[name]()
@@ -391,6 +404,13 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     fleet: FleetConfig = args.config
     if args.scenario is not None:
+        from repro.serving.scenarios import (
+            InjectionConfig,
+            ScenarioRunner,
+            get_scenario,
+            replay_accepted_log,
+        )
+
         scenario = get_scenario(args.scenario, load_factor=args.load_factor)
         injection = InjectionConfig(
             enabled=args.chaos is not None,

@@ -8,25 +8,27 @@ Section 5.1 exists to keep 1-3 entries per cell, so a kernel that vectorises
 rows; the batching unit here is the **epoch** instead (SinglePath runs once
 per epoch over the whole batch of state messages):
 
-* :class:`EndpointTable` — the endpoint entries of one
-  :class:`~repro.coordinator.grid_index.GridIndex`: its *end* entries in
-  plain lists sorted by end x, so a region query is two bisections and a
-  closed y test on the x run between them, and a hash from a path's exact
-  start vertex to its entries, which answers the exact-match lookups.  No
-  numpy: an FSA's x run holds a few percent of the entries.
+* :class:`EndpointTable` — the paths of one
+  :class:`~repro.coordinator.grid_index.GridIndex`, one row each: their
+  *ends* in plain lists sorted by end x, so a region query is two bisections
+  and a closed y test on the x run between them, and a hash from a path's
+  exact start vertex to ``{path id: end}``, which answers the exact-match
+  lookups.  No numpy: an FSA's x run holds a few percent of the paths.
+* :func:`touching_pairs` — the epoch's FSA-against-FSA pair pass: the pairs
+  sharing positive area (the links of the overlap components) and the pairs
+  that only touch along an edge or at a corner (which, with the first kind,
+  link the *query components* of the epoch pass).  An x-sorted sweep, no
+  numpy.
 * :class:`RegionTable` — a lazily built SoA view over an
   :class:`~repro.coordinator.overlaps.FsaOverlapStructure`'s region boxes,
   ranked once in each query's total order, so a batch of points or FSAs is
-  one mask and each row's first set bit.  It answers the epoch pass's
-  batched queries only.  A single query is always the structure's scalar
-  loop: the columnar pipeline asks one only for a vertex inserted earlier in
-  the same epoch, and a table path for those answered 4 queries in 110
-  ``fleet_steady`` epochs.
-* :func:`overlapping_pairs` — the epoch's FSA-against-FSA broadcast: the
-  positive-area pairs that link overlap components.
+  one mask and each row's first set bit.  It answers the batched queries of
+  a structure whose batch is large enough to pay for it
+  (:data:`repro.coordinator.overlaps.TABLE_WORK`); smaller batches and every
+  single query run the structure's scalar loops.
 * :class:`ShipmentRing` / :func:`decode_work_shipment` — the shared-memory
   transport of :class:`~repro.coordinator.execution.ProcessBackend`, used
-  whenever numpy imports, under either kernel: one reusable
+  whenever numpy is installed, under either kernel: one reusable
   ``multiprocessing.shared_memory`` block per worker carrying its share of
   the epoch's cache-missed FSA pools as packed ``int64``/``float64``
   sections, so build workers read arrays instead of unpickling per-member
@@ -46,29 +48,31 @@ contract over the whole configuration matrix, and ``tests/test_columnar.py``
 holds each kernel to a scalar reference with hypothesis.
 
 **Scale.**  An end-table query costs two bisections plus one y test per
-entry whose x lies in the box's x range, an insert or a removal one
-bisection plus a list shift (a ``memmove`` over the live entries, hundreds
+path whose end x lies in the box's x range, an insert or a removal one
+bisection plus a list shift (a ``memmove`` over the live paths, hundreds
 at the benchmark's sizes).  A workload whose boxes span most of the x range
-would pay a y test per live entry for every box.
+would pay a y test per live path for every box.
 
-numpy is an optional dependency: without it :func:`resolve_kernel` degrades
+**numpy is optional and imported on first use.**  :data:`HAVE_NUMPY` only
+asks whether it is installed (``importlib.util.find_spec``); the module is
+loaded by the first region table or shipment, which costs about 0.1 s once
+per process and logs one line.  A paper-sized or served epoch stays below
+the table cut-off, so such a process never loads it (13.7 MiB of
+resident memory).  Without numpy installed :func:`resolve_kernel` degrades
 ``columnar`` to ``object`` (logging one warning per process) so every
 configuration keeps working on a bare interpreter.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import logging
+import time
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
-
-try:  # pragma: no cover - exercised implicitly by every columnar test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
 
 __all__ = [
     "KERNELS",
@@ -76,13 +80,13 @@ __all__ = [
     "resolve_kernel",
     "EndpointTable",
     "RegionTable",
-    "overlapping_pairs",
+    "touching_pairs",
     "ShipmentRing",
     "decode_work_shipment",
     "close_attachments",
 ]
 
-HAVE_NUMPY = _np is not None
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Values accepted by the ``kernel`` knob (config layers and ``--kernel``):
 #: ``object`` is the scalar per-object reference pipeline; ``columnar`` (the
@@ -91,6 +95,22 @@ KERNELS: Tuple[str, ...] = ("object", "columnar")
 
 _log = logging.getLogger(__name__)
 _degrade_logged = False
+_np = None
+
+
+def _numpy():
+    """The numpy module, imported by the first caller that needs it."""
+    global _np
+    if _np is None:
+        started = time.perf_counter()
+        import numpy
+
+        _np = numpy
+        _log.info(
+            "numpy imported for the first large batch (%.0f ms, once per process)",
+            (time.perf_counter() - started) * 1000.0,
+        )
+    return _np
 
 
 def resolve_kernel(kernel: str) -> str:
@@ -129,58 +149,75 @@ def _row_chunks(rows: int, columns: int) -> Iterator[slice]:
         yield slice(start, start + step)
 
 
-def _bounds(rectangles: Sequence[Rectangle]):
-    """An ``(n, 4)`` array of ``(low x, low y, high x, high y)`` rows."""
-    return _np.array(
-        [(r.low.x, r.low.y, r.high.x, r.high.y) for r in rectangles], dtype=_np.float64
-    ).reshape(len(rectangles), 4)
+def _box_columns(boxes: Sequence[Tuple[float, float, float, float]]):
+    """``(low x, low y, high x, high y)`` boxes as four column vectors, to
+    broadcast against a table's rows."""
+    np = _numpy()
+    bounds = np.array(boxes, dtype=np.float64).reshape(len(boxes), 4)
+    return tuple(bounds[:, column, None] for column in range(4))
 
 
-def _box_columns(rectangles: Sequence[Rectangle]):
-    """:func:`_bounds` as four column vectors, to broadcast against a table's rows."""
-    boxes = _bounds(rectangles)
-    return tuple(boxes[:, column, None] for column in range(4))
+# ---------------------------------------------------------------------------
+# The epoch's pair pass
+# ---------------------------------------------------------------------------
+
+#: Pairs a list of ``(i, j)`` index pairs with ``i < j``.
+Pairs = List[Tuple[int, int]]
 
 
-def overlapping_pairs(rectangles: Sequence[Rectangle]):
-    """Index pairs ``i < j`` of rectangles sharing positive area, in one broadcast.
+def touching_pairs(boxes: Sequence[Tuple[float, float, float, float]]) -> Tuple[Pairs, Pairs]:
+    """``(overlapping, touching)``: the index pairs ``i < j`` of boxes sharing
+    positive area, and of boxes whose closed boxes meet with zero area (an
+    edge or a corner in common).
 
-    The edges of the epoch's overlap components
+    The first kind are the edges of the epoch's overlap components
     (:func:`repro.coordinator.overlaps.plan_shard_overlaps`): strict
     comparisons, because an intersection of zero width or height is dropped
-    by the build as well.
+    by the build as well.  Both kinds link its query components.  The test is
+    the same either way: ``max(lows) <= min(highs)`` on both axes is a touch,
+    ``<`` on both an overlap.  An x-sorted sweep (boxes by low x; each one
+    against the boxes whose low x lies in its x range, found by one
+    bisection) tests only the pairs whose x ranges meet.  It beats a numpy
+    ``n x n`` broadcast on every bench workload (``sim_paper`` 23 against 52
+    us an epoch, ``serve_closed`` 26 against 48, ``fleet_dense`` 22 against
+    32, ``fleet_steady`` 79 against 130; 2-core Intel Xeon, CPython 3.11),
+    so the pair pass never loads numpy.
     """
-    lx, ly, hx, hy = _box_columns(rectangles)
-    firsts, seconds = [], []
-    for chunk in _row_chunks(len(rectangles), len(rectangles)):
-        mask = (_np.maximum(lx[chunk], lx.T) < _np.minimum(hx[chunk], hx.T)) & (
-            _np.maximum(ly[chunk], ly.T) < _np.minimum(hy[chunk], hy.T)
-        )
-        first, second = _np.nonzero(mask)
-        first += chunk.start
-        above = first < second
-        firsts.append(first[above])
-        seconds.append(second[above])
-    if not firsts:
-        return []
-    return zip(_np.concatenate(firsts).tolist(), _np.concatenate(seconds).tolist())
+    count = len(boxes)
+    order = sorted(range(count), key=[box[0] for box in boxes].__getitem__)
+    lows = [boxes[index][0] for index in order]
+    overlapping: Pairs = []
+    touching: Pairs = []
+    for slot, index in enumerate(order):
+        _low_x, low_y, high_x, high_y = boxes[index]
+        for other in order[slot + 1 : bisect_right(lows, high_x, slot + 1)]:
+            # ``other``'s low x lies in [this low x, this high x]: the x
+            # ranges meet, and ``other``'s low x is the larger low.
+            other_low_x, other_low_y, other_high_x, other_high_y = boxes[other]
+            top = other_low_y if other_low_y > low_y else low_y
+            bottom = other_high_y if other_high_y < high_y else high_y
+            if top > bottom:
+                continue
+            pair = (index, other) if index < other else (other, index)
+            if top < bottom and other_low_x < (other_high_x if other_high_x < high_x else high_x):
+                overlapping.append(pair)
+            else:
+                touching.append(pair)
+    return overlapping, touching
 
 
 # ---------------------------------------------------------------------------
 # Grid-index endpoint table
 # ---------------------------------------------------------------------------
 
-#: ``(path_id, is_start)`` — the entry key of the object kernel's cell dicts.
-EntryKey = Tuple[int, bool]
-
 
 class EndpointTable:
-    """The endpoint entries of one grid index under the columnar kernel.
+    """The paths of one grid index under the columnar kernel, one row each.
 
-    The *end* entries sit in four parallel lists sorted by end x — ``_xs``,
+    The paths' *ends* sit in four parallel lists sorted by end x — ``_xs``,
     ``_ys``, the end ``Point`` itself (``_ends``) and the path id
     (``_pids``).  An insert bisects to the right of its equal-x run, so
-    entries of equal x keep insertion order; a removal bisects to the run and
+    ends of equal x keep insertion order; a removal bisects to the run and
     scans it for the path id.  A region query bisects the x column onto
     ``[low x, high x]`` and tests y on that run only, with the closed
     ``<=`` of ``Rectangle.contains_point``.  Among stored ends that compare
@@ -188,10 +225,11 @@ class EndpointTable:
     the earliest insert is met first, so it becomes the vertex key — the one
     the object kernel's cell dicts, which keep insertion order, meet first.
 
-    ``_by_start`` maps a path's start vertex to ``{entry key: path end}`` for
-    every entry — start entries (indexed at that vertex) and end entries
-    (whose *other* endpoint it is) alike — so ``paths_starting_at`` and
-    ``path_between`` are one dict probe and a scan of that vertex's paths.
+    ``_by_start`` maps a start vertex to ``{path id: end}`` of the paths
+    starting there, in insertion order, so ``starting_at`` and
+    ``path_between`` are one dict probe and a scan of that vertex's paths;
+    ``_start_of`` maps a path id back to its start.  A path id is added at
+    most once while it is live.
     """
 
     __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start", "_start_of")
@@ -201,40 +239,32 @@ class EndpointTable:
         self._ys: List[float] = []
         self._ends: List[Point] = []
         self._pids: List[int] = []
-        self._by_start: Dict[Point, Dict[EntryKey, Point]] = {}
-        self._start_of: Dict[EntryKey, Point] = {}
+        self._by_start: Dict[Point, Dict[int, Point]] = {}
+        self._start_of: Dict[int, Point] = {}
 
     def __len__(self) -> int:
         return len(self._start_of)
 
-    def upsert(self, key: EntryKey, endpoint: Point, other: Point) -> None:
-        """Insert or overwrite one entry (matches the scalar dict assignment)."""
-        if key in self._start_of:
-            self.remove(key)
-        path_id, is_start = key
-        start, end = (endpoint, other) if is_start else (other, endpoint)
-        self._start_of[key] = start
-        self._by_start.setdefault(start, {})[key] = end
-        if is_start:
-            return
+    def add_path(self, path_id: int, start: Point, end: Point) -> None:
+        """Store the path ``start -> end`` under ``path_id``."""
+        self._start_of[path_id] = start
+        self._by_start.setdefault(start, {})[path_id] = end
         row = bisect_right(self._xs, end.x)
         self._xs.insert(row, end.x)
         self._ys.insert(row, end.y)
         self._ends.insert(row, end)
         self._pids.insert(row, path_id)
 
-    def remove(self, key: EntryKey) -> None:
-        """Drop one entry; an absent key is a no-op."""
-        start = self._start_of.pop(key, None)
+    def remove_path(self, path_id: int) -> None:
+        """Drop a path; an absent id is a no-op."""
+        start = self._start_of.pop(path_id, None)
         if start is None:
             return
         bucket = self._by_start[start]
-        end = bucket.pop(key)
+        end = bucket.pop(path_id)
         if not bucket:
             del self._by_start[start]
-        if key[1]:
-            return
-        path_id, pids = key[0], self._pids
+        pids = self._pids
         row = bisect_left(self._xs, end.x)
         while pids[row] != path_id:
             row += 1
@@ -243,24 +273,24 @@ class EndpointTable:
     # -- exact-match lookups ------------------------------------------------------
 
     def starting_at(self, start: Point, region: Rectangle) -> List[int]:
-        """Case 1: start entries at ``start`` whose path ends inside ``region``."""
+        """Case 1: paths starting at ``start`` whose end lies inside ``region``."""
         return [
             path_id
-            for (path_id, is_start), end in self._by_start.get(start, {}).items()
-            if is_start and region.contains_point(end)
+            for path_id, end in self._by_start.get(start, {}).items()
+            if region.contains_point(end)
         ]
 
     def path_between(self, start: Point, end: Point) -> Optional[int]:
         """The earliest-inserted live path from ``start`` ending at ``end``."""
-        for (path_id, is_start), stored_end in self._by_start.get(start, {}).items():
-            if not is_start and stored_end == end:
+        for path_id, stored_end in self._by_start.get(start, {}).items():
+            if stored_end == end:
                 return path_id
         return None
 
     # -- region queries (two bisections and a y test) -------------------------------
 
     def end_rows_in(self, region: Rectangle) -> List[int]:
-        """Rows of the end entries inside ``region`` (closed bounds), by end x."""
+        """Rows of the ends inside ``region`` (closed bounds), by end x."""
         xs, ys = self._xs, self._ys
         first = bisect_left(xs, region.low.x)
         last = bisect_right(xs, region.high.x, first)
@@ -276,12 +306,13 @@ class EndpointTable:
         return vertices
 
     def endpoints_in(self, region: Rectangle) -> List[int]:
-        """Path ids (possibly repeated) with an indexed endpoint inside ``region``."""
+        """Path ids (possibly repeated) with an endpoint inside ``region``:
+        ends by x, then starts by vertex."""
         pids = self._pids
         found = [pids[row] for row in self.end_rows_in(region)]
         for start, bucket in self._by_start.items():
             if region.contains_point(start):
-                found.extend(path_id for path_id, is_start in bucket if is_start)
+                found.extend(bucket)
         return found
 
 
@@ -313,19 +344,20 @@ class RegionTable:
         self.members = list(regions.keys())
         self.boxes = list(regions.values())
         self.counts = [len(members) for members in self.members]
-        bounds = _np.array(self.boxes, dtype=_np.float64).reshape(len(self.boxes), 4)
+        np = _numpy()
+        bounds = np.array(self.boxes, dtype=np.float64).reshape(len(self.boxes), 4)
         lx, ly, hx, hy = bounds.T
         # The same two IEEE multiplications Rectangle.area performs, so a
         # float area tie in the scalar loop is a float area tie here too.
         area = (hx - lx) * (hy - ly)
-        neg_count = -_np.array(self.counts, dtype=_np.int64)
-        index = _np.arange(len(self.boxes))
-        self._smallest = self._ranked(_np.lexsort((index, neg_count, area)), bounds)
-        self._hottest = self._ranked(_np.lexsort((index, area, neg_count)), bounds)
+        neg_count = -np.array(self.counts, dtype=np.int64)
+        index = np.arange(len(self.boxes))
+        self._smallest = self._ranked(np.lexsort((index, neg_count, area)), bounds)
+        self._hottest = self._ranked(np.lexsort((index, area, neg_count)), bounds)
 
     @staticmethod
     def _ranked(rank, bounds):
-        lx, ly, hx, hy = _np.ascontiguousarray(bounds[rank].T)
+        lx, ly, hx, hy = _numpy().ascontiguousarray(bounds[rank].T)
         return rank, lx, ly, hx, hy
 
     @staticmethod
@@ -333,15 +365,17 @@ class RegionTable:
         """Per mask row, the insertion index of its first set bit, or -1."""
         if not rank.size:
             return [-1] * len(mask)
+        np = _numpy()
         first = mask.argmax(axis=1)
-        hit = mask[_np.arange(len(mask)), first]
-        return _np.where(hit, rank[first], -1).tolist()
+        hit = mask[np.arange(len(mask)), first]
+        return np.where(hit, rank[first], -1).tolist()
 
     def smallest_containing_many(self, points: Sequence[Point]) -> List[int]:
         """Per point, the scalar winner of ``smallest_region_containing`` (-1 for none)."""
+        np = _numpy()
         rank, lx, ly, hx, hy = self._smallest
-        xs = _np.array([point.x for point in points], dtype=_np.float64)[:, None]
-        ys = _np.array([point.y for point in points], dtype=_np.float64)[:, None]
+        xs = np.array([point.x for point in points], dtype=np.float64)[:, None]
+        ys = np.array([point.y for point in points], dtype=np.float64)[:, None]
         winners: List[int] = []
         for chunk in _row_chunks(len(points), rank.size):
             x, y = xs[chunk], ys[chunk]
@@ -353,7 +387,7 @@ class RegionTable:
     def hottest_intersecting_many(self, fsas: Sequence[Rectangle]) -> List[int]:
         """Per FSA, the scalar winner of ``hottest_region_intersecting`` (-1 for none)."""
         rank, lx, ly, hx, hy = self._hottest
-        f_lx, f_ly, f_hx, f_hy = _box_columns(fsas)
+        f_lx, f_ly, f_hx, f_hy = _box_columns([fsa.as_bounds() for fsa in fsas])
         winners: List[int] = []
         for chunk in _row_chunks(len(fsas), rank.size):
             mask = (lx <= f_hx[chunk]) & (f_lx[chunk] <= hx)
@@ -382,9 +416,10 @@ class RegionTable:
 
 def _shipment_sections(buffer, int_capacity: int, n_pools: int, n_entries: int):
     """``(pools, member ids, member FSAs)`` views of a block, per the layout above."""
-    ints = _np.ndarray((2 * n_pools + n_entries,), dtype=_np.int64, buffer=buffer)
-    floats = _np.ndarray(
-        (n_entries, 4), dtype=_np.float64, buffer=buffer, offset=8 * int_capacity
+    np = _numpy()
+    ints = np.ndarray((2 * n_pools + n_entries,), dtype=np.int64, buffer=buffer)
+    floats = np.ndarray(
+        (n_entries, 4), dtype=np.float64, buffer=buffer, offset=8 * int_capacity
     )
     return ints[: 2 * n_pools].reshape(n_pools, 2), ints[2 * n_pools :], floats
 

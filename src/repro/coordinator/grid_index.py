@@ -8,7 +8,8 @@ a hash table for constant-time insertion and deletion.  Keying by the full
 ``(path_id, is_start)`` pair (rather than the path id alone) matters when both
 endpoints of a path land in the same cell — e.g. short paths, or endpoints
 clamped into the same border cell — since each endpoint must keep its own
-entry.
+entry.  The columnar kernel keeps one row per path instead
+(:class:`~repro.coordinator.columnar.EndpointTable`).
 
 Query operations mirror what SinglePath needs:
 
@@ -73,8 +74,8 @@ class GridIndex:
         self._cell_width = config.bounds.width / config.cells_per_axis
         self._cell_height = config.bounds.height / config.cells_per_axis
         # ``object`` keeps entries in per-cell dicts (the scalar reference);
-        # ``columnar`` keeps them in one endpoint table for the whole index
-        # — its end entries sorted by x plus a start-vertex hash — and answers
+        # ``columnar`` keeps one endpoint table for the whole index — a row
+        # per path, ends sorted by x plus a start-vertex hash — and answers
         # the queries below from it, bit-for-bit equal (see
         # :mod:`repro.coordinator.columnar`).  The default stays ``object``
         # at this layer: the coordinator config flips it fleet-wide.
@@ -118,44 +119,29 @@ class GridIndex:
         record = MotionPathRecord(self._next_path_id, path, created_at)
         self._next_path_id += 1
         self._records[record.path_id] = record
-        self._add_entry(record, is_start=True)
-        self._add_entry(record, is_start=False)
+        if self._endpoints is not None:
+            self._endpoints.add_path(record.path_id, path.start, path.end)
+        else:
+            for is_start, endpoint, other in ((True, path.start, path.end), (False, path.end, path.start)):
+                self._cells.setdefault(self._cell_of(endpoint), {})[
+                    (record.path_id, is_start)
+                ] = (endpoint, other)
         return record
 
     def delete(self, path_id: int) -> None:
         """Remove a motion path from the index (e.g. when its hotness expires)."""
-        record = self.get(path_id)
-        self._remove_entry(path_id, record.path.start, is_start=True)
-        self._remove_entry(path_id, record.path.end, is_start=False)
+        path = self.get(path_id).path
+        if self._endpoints is not None:
+            self._endpoints.remove_path(path_id)
+        else:
+            for is_start, endpoint in ((True, path.start), (False, path.end)):
+                key = self._cell_of(endpoint)
+                cell = self._cells[key]
+                del cell[(path_id, is_start)]
+                if not cell:
+                    del self._cells[key]
         del self._records[path_id]
         self.deletions += 1
-
-    # -- entry-level primitives -------------------------------------------------------
-
-    def _add_entry(self, record: MotionPathRecord, is_start: bool) -> None:
-        """Index one endpoint of ``record`` in the cell that contains it."""
-        if is_start:
-            endpoint, other = record.path.start, record.path.end
-        else:
-            endpoint, other = record.path.end, record.path.start
-        if self._endpoints is not None:
-            self._endpoints.upsert((record.path_id, is_start), endpoint, other)
-            return
-        self._cells.setdefault(self._cell_of(endpoint), {})[
-            (record.path_id, is_start)
-        ] = (endpoint, other)
-
-    def _remove_entry(self, path_id: int, endpoint: Point, is_start: bool) -> None:
-        """Remove one endpoint entry, dropping its cell when it becomes empty."""
-        if self._endpoints is not None:
-            self._endpoints.remove((path_id, is_start))
-            return
-        key = self._cell_of(endpoint)
-        cell = self._cells.get(key)
-        if cell is not None:
-            cell.pop((path_id, is_start), None)
-            if not cell:
-                del self._cells[key]
 
     # -- queries ----------------------------------------------------------------------
 
@@ -235,7 +221,7 @@ class GridIndex:
         return results
 
     def end_table(self) -> Optional[EndpointTable]:
-        """Columnar kernel: the index's :class:`EndpointTable`, end entries sorted by x.
+        """Columnar kernel: the index's :class:`EndpointTable`, ends sorted by x.
 
         The input of the epoch pass
         (:func:`repro.coordinator.single_path.prefetch_vertex_candidates`),

@@ -34,13 +34,14 @@ returns, :meth:`~FsaOverlapStructure.regions`, and one ``Point`` per
 fabricated centroid.  The ``Rectangle`` formulation this replaced is kept
 verbatim as the test oracle ``tests/overlap_oracle.py``.
 
-**The structure carries no kernel.**  Each query shape has one path: a single
-query is a scalar loop over the boxes, and a batched query — only the
-columnar epoch pass of :mod:`repro.coordinator.single_path` asks one — reads
-the lazily built :class:`~repro.coordinator.columnar.RegionTable`.  The two
-are pinned bit-for-bit equal, so which kernel built or merged a structure
-cannot change an answer; only :func:`plan_shard_overlaps` (a broadcast or a
-scalar pair test) still reads the kernel.
+**The structure carries no kernel.**  A single query is a scalar loop over
+the boxes; a batched query — only the columnar epoch pass of
+:mod:`repro.coordinator.single_path` asks one — runs that loop per query
+below :data:`TABLE_WORK` and reads the lazily built
+:class:`~repro.coordinator.columnar.RegionTable` from there.  The two are
+pinned bit-for-bit equal, so which kernel built or merged a structure cannot
+change an answer; only :func:`plan_shard_overlaps` (a sweep that also finds
+zero-area touches, or a scalar pair test) still reads the kernel.
 
 **One structure per epoch, built per component.**  A stored subset has a
 positive-area common intersection, so its members overlap pairwise: the region
@@ -53,7 +54,7 @@ only components of two or more FSAs become *pools* (disjoint, each in
 submission order).  :class:`OverlapPoolCache` serves the pools that repeat
 verbatim from earlier epochs, the rest are built independently
 (:func:`build_structures` — on worker processes under that backend), and
-:meth:`OverlapPlan.merge` interleaves the per-component region lists into the
+:meth:`OverlapPlan.merged` interleaves the per-component region lists into the
 one structure the sequential build would have produced, *order included*:
 ``add`` appends the block of regions whose latest-submitted member is the FSA
 being added, and inside a block it walks the earlier regions in their own
@@ -62,7 +63,17 @@ region's member submission positions sorted descending.  The first element of
 that key names one FSA, hence one component, whose own build already has the
 block in sequential order — an isolated FSA's block is its singleton alone —
 so placing every block at its FSA's submission position is the whole merge.
-Every decision of the epoch reads that one structure.
+
+**Each FSA is answered inside its query component.**  The columnar plan also
+records the pairs that only touch (an edge or a corner, zero area): an FSA's
+*query component* is its component over both kinds of link, and every
+region that touches it or contains a vertex inside it lies there.  So the
+epoch pass answers an FSA that touches nothing from its own box, a component
+that is exactly one pool from that pool's structure (the merged order
+restricted to the pool), and only the rest from the merged structure, which
+:meth:`OverlapPlan.merged` builds on first use
+(:attr:`OverlapPlan.components`).  The object kernel, the pinned reference,
+reads the merged structure for every decision.
 
 Queries used by SinglePath:
 
@@ -78,7 +89,7 @@ from __future__ import annotations
 import marshal
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -94,7 +105,7 @@ from typing import (
 
 from repro.core.errors import ConfigurationError, InvalidGeometryError
 from repro.core.geometry import Point, Rectangle
-from repro.coordinator.columnar import RegionTable, overlapping_pairs, resolve_kernel
+from repro.coordinator.columnar import RegionTable, resolve_kernel, touching_pairs
 
 __all__ = [
     "OverlapRegion",
@@ -104,6 +115,8 @@ __all__ = [
     "build_structures",
     "OverlapPlan",
     "plan_shard_overlaps",
+    "LONE",
+    "TABLE_WORK",
 ]
 
 #: Wire format of one region: ``(sorted member ids, low x, low y, high x, high y)``.
@@ -114,6 +127,19 @@ SerializedRegion = Tuple[Tuple[int, ...], float, float, float, float]
 
 #: One stored region's bounds: ``(low x, low y, high x, high y)``.
 Box = Tuple[float, float, float, float]
+
+#: Work (queries x regions) from which a batched query reads the structure's
+#: :class:`~repro.coordinator.columnar.RegionTable` instead of running the
+#: scalar loop once per query; a structure whose table already exists (a
+#: cache hit brings its table along) always reads it.  Measured on a 2-core
+#: Intel Xeon (CPython 3.11, numpy 2.4) with a batch of FSAs and one of as
+#: many points against fresh pool structures of 7-300 regions: the two tie
+#: at ~500 per call (~60 us a pair of calls, the table's ranking included);
+#: at 150 the scalar loops take half the table's time, at 2 000 twice it.
+#: The bench workloads' batches (seed 11): ``sim_paper`` at most 9,
+#: ``serve_closed`` at most 203 over 1 500 epochs of two seeds,
+#: ``fleet_steady`` median 12 and at most 468, ``fleet_dense`` median 2 250.
+TABLE_WORK = 512
 
 
 @dataclass(frozen=True)
@@ -200,7 +226,7 @@ class FsaOverlapStructure:
 
         Below the cap the stored set is order-independent; when it binds the
         kept subset depends on insertion order, which is why a saturated epoch
-        is built whole rather than per component (:meth:`OverlapPlan.merge`).
+        is built whole rather than per component (:meth:`OverlapPlan.merged`).
 
         The member sets derived by one call are pairwise distinct (``members
         | {object_id}`` over stored sets without ``object_id``), so only the
@@ -298,6 +324,10 @@ class FsaOverlapStructure:
         the point — exactly the potential extra hotness the paper adds to an
         available vertex (Lines 23-26 of Algorithm 2).
         """
+        return _region(self._smallest_containing(point))
+
+    def _smallest_containing(self, point: Point) -> Optional[Tuple[FrozenSet[int], Box]]:
+        """The ``(members, box)`` of :meth:`smallest_region_containing`."""
         x, y = point.x, point.y
         best = None
         best_area = best_count = 0
@@ -310,7 +340,7 @@ class FsaOverlapStructure:
                 area == best_area and len(members) > best_count
             ):
                 best, best_area, best_count = (members, box), area, len(members)
-        return _region(best)
+        return best
 
     def hottest_region_intersecting(self, fsa: Rectangle) -> Optional[OverlapRegion]:
         """Region with the highest count that intersects ``fsa`` (Lines 27-32).
@@ -357,10 +387,19 @@ class FsaOverlapStructure:
         members, box = found
         return (_center(box), len(members))
 
-    # -- batched queries (the columnar epoch pass of SinglePath; always the table) ------
+    # -- batched queries (the columnar epoch pass of SinglePath) -----------------------
+
+    def _batch_uses_table(self, queries: int) -> bool:
+        """Whether a batch of ``queries`` reads the table (:data:`TABLE_WORK`)."""
+        return self._table is not None or queries * len(self._regions) >= TABLE_WORK
 
     def containing_counts(self, points: Sequence[Point]) -> List[int]:
         """Per point, the count of :meth:`smallest_region_containing` (0 for none)."""
+        if not self._batch_uses_table(len(points)):
+            return [
+                len(found[0]) if found is not None else 0
+                for found in map(self._smallest_containing, points)
+            ]
         table = self._region_table()
         return [
             table.counts[winner] if winner >= 0 else 0
@@ -371,6 +410,8 @@ class FsaOverlapStructure:
         self, fsas: Sequence[Rectangle]
     ) -> List[Optional[Tuple[Point, int]]]:
         """Per FSA, :meth:`candidate_vertex_for`."""
+        if not self._batch_uses_table(len(fsas)):
+            return list(map(self.candidate_vertex_for, fsas))
         table = self._region_table()
         return [
             (_center(table.boxes[winner]), table.counts[winner]) if winner >= 0 else None
@@ -428,7 +469,7 @@ class OverlapPoolCache:
     any member, and by nothing else: FSAs elsewhere in the epoch are not
     part of its address.  Only pools — components
     of two or more FSAs — ever reach the cache: an isolated FSA's structure
-    is its one singleton region, which :meth:`OverlapPlan.merge` places from
+    is its one singleton region, which :meth:`OverlapPlan.merged` places from
     the FSA's box for less than a fingerprint and a lookup would cost.
 
     Two outcomes per pool, one table lookup each, both ``repr``-identical to
@@ -534,9 +575,13 @@ def _overlapping_pairs(rectangles: Sequence[Rectangle]) -> Iterator[Tuple[int, i
                 yield i, j
 
 
+#: :attr:`OverlapPlan.components` value of an FSA no other FSA touches.
+LONE = -1
+
+
 @dataclass
 class OverlapPlan:
-    """One epoch's overlap stage between :func:`plan_shard_overlaps` and :meth:`merge`."""
+    """One epoch's overlap stage between :func:`plan_shard_overlaps` and :meth:`merged`."""
 
     #: The epoch's ``object_id -> FSA`` map, in submission order.
     fsas: Mapping[int, Rectangle]
@@ -556,33 +601,57 @@ class OverlapPlan:
     stats: Dict[str, int]
     cache: Optional[OverlapPoolCache]
     max_regions: int
+    #: Columnar plans: ``object_id ->`` :data:`LONE` for an FSA that touches
+    #: no other FSA, or the index of its pool when its query component — its
+    #: component over every touch, zero-area ones included — is exactly that
+    #: pool.  Every other FSA is answered by the merged structure, and so is
+    #: every FSA of an epoch that saturates the region cap (:meth:`complete`
+    #: empties the map).
+    components: Dict[int, int] = field(default_factory=dict)
+    #: Whether the components' regions reach the cap (set by :meth:`complete`).
+    saturated: bool = False
+    _merged: Optional[FsaOverlapStructure] = field(default=None, repr=False)
 
     @property
     def missed_pools(self) -> List[Dict[int, Rectangle]]:
         """The pools to hand to :func:`build_structures` (or a backend)."""
         return [self.pools[index] for index in self.misses]
 
-    def merge(self, built: Sequence[FsaOverlapStructure]) -> FsaOverlapStructure:
-        """The epoch's one structure, given the structures of :attr:`missed_pools`.
+    def complete(self, built: Sequence[FsaOverlapStructure]) -> None:
+        """Take the structures of :attr:`missed_pools`, built, into :attr:`structures`.
 
-        Equal to ``FsaOverlapStructure.build(fsas)``, region order included
-        (module docstring).  When the components' regions — one per singleton
-        plus every pool structure's — sum to the cap, the sequential build
-        would have hit it and kept an order-dependent subset the components
-        cannot reproduce (a capped pool reads exactly ``max_regions``, so the
-        sum sees it) — the whole map is then built sequentially, which *is*
-        that structure.
+        When the components' regions — one per singleton plus every pool
+        structure's — sum to the cap, the sequential build would have hit it
+        and kept an order-dependent subset the components cannot reproduce (a
+        capped pool reads exactly ``max_regions``, so the sum sees it): every
+        query then goes to the merged structure, which is that build.
         """
         if self.cache is not None:
             self.cache.store(self.misses, built)
         structures = self.structures
         for index, structure in zip(self.misses, built):
             structures[index] = structure
+        self.saturated = len(self.singletons) + sum(map(len, structures)) >= self.max_regions
+        if self.saturated:
+            self.components = {}
+
+    def merged(self) -> FsaOverlapStructure:
+        """The epoch's one structure, merged on first call (after :meth:`complete`).
+
+        Equal to ``FsaOverlapStructure.build(fsas)``, region order included
+        (module docstring); a saturated epoch is built sequentially, which
+        *is* that structure.
+        """
+        if self._merged is None:
+            self._merged = self._merge()
+        return self._merged
+
+    def _merge(self) -> FsaOverlapStructure:
+        structures = self.structures
         singletons = self.singletons
         if len(structures) == 1 and not singletons:
             return structures[0]
-        regions_total = len(singletons) + sum(len(structure) for structure in structures)
-        if regions_total >= self.max_regions:
+        if self.saturated:
             return FsaOverlapStructure.build(self.fsas, self.max_regions)
         # Every pool block opens with its FSA's singleton (always stored below
         # the cap), so one walk over each pool cuts its blocks by FSA; a walk
@@ -619,20 +688,26 @@ def plan_shard_overlaps(
     same replacement the sequential build applies).  Two FSAs are linked when
     their intersection has positive area; each connected component of two or
     more FSAs becomes one pool, and an unlinked FSA is recorded as a
-    singleton — no fingerprint, no cache entry, no build, no shipment.  The
-    pairwise test is one broadcast under the columnar kernel and a scalar
-    loop under ``object``, the pinned reference.  Every decision of the
-    epoch reads the one structure :meth:`OverlapPlan.merge` returns.  (The
-    name and ``fsas`` as third positional argument are what
-    ``bench/trace.py`` wraps and reads.)
+    singleton — no fingerprint, no cache entry, no build, no shipment.
+
+    Under the columnar kernel the same pass (:func:`touching_pairs`) also
+    finds the pairs that touch with zero area, which join components into
+    the epoch pass's query components (:attr:`OverlapPlan.components`).
+    Under ``object``, the pinned reference, the pair test is a scalar loop
+    and every decision reads the merged structure.  (The name and ``fsas``
+    as third positional argument are what ``bench/trace.py`` wraps and
+    reads.)
     """
-    rectangles = list(fsas.values())
+    boxes = [(fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y) for fsa in fsas.values()]
     columnar = resolve_kernel(kernel) == "columnar"
-    pairs = overlapping_pairs(rectangles) if columnar else _overlapping_pairs(rectangles)
+    if columnar:
+        pairs, touches = touching_pairs(boxes)
+    else:
+        pairs, touches = _overlapping_pairs(list(fsas.values())), []
     # Union-find whose roots are the smallest index of their component, so a
     # pass in submission order meets the pools ordered by first member.
-    root = list(range(len(rectangles)))
-    linked = [False] * len(rectangles)
+    root = list(range(len(boxes)))
+    linked = [False] * len(boxes)
 
     def find(index: int) -> int:
         while root[index] != index:
@@ -643,14 +718,30 @@ def plan_shard_overlaps(
         linked[i] = linked[j] = True
         low, high = sorted((find(i), find(j)))
         root[high] = low
-    pools: Dict[int, Dict[int, Rectangle]] = {}
+    # Roots of the components a zero-area touch joins to another component.
+    shared: Set[int] = set()
+    for i, j in touches:
+        first, second = find(i), find(j)
+        if first != second:
+            shared.update((first, second))
+    slots: Dict[int, int] = {}
+    plan_pools: List[Dict[int, Rectangle]] = []
     singletons: Dict[int, Box] = {}
+    components: Dict[int, int] = {}
     for index, (object_id, fsa) in enumerate(fsas.items()):
-        if linked[index]:
-            pools.setdefault(find(index), {})[object_id] = fsa
-        else:
-            singletons[object_id] = (fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y)
-    plan_pools = list(pools.values())
+        if not linked[index]:
+            singletons[object_id] = boxes[index]
+            if columnar and index not in shared:
+                components[object_id] = LONE
+            continue
+        top = find(index)
+        slot = slots.get(top)
+        if slot is None:
+            slot = slots[top] = len(plan_pools)
+            plan_pools.append({})
+        plan_pools[slot][object_id] = fsa
+        if columnar and top not in shared:
+            components[object_id] = slot
     if cache is None:
         structures, misses, stats = (
             [None] * len(plan_pools), dict.fromkeys(range(len(plan_pools))), zero_pool_stats()
@@ -658,5 +749,5 @@ def plan_shard_overlaps(
     else:
         structures, misses, stats = cache.resolve(plan_pools)
     return OverlapPlan(
-        fsas, plan_pools, singletons, structures, misses, stats, cache, max_regions
+        fsas, plan_pools, singletons, structures, misses, stats, cache, max_regions, components
     )

@@ -27,12 +27,16 @@ index does not change between the candidate stage and the decision stage, and
 the decision stage only ever *inserts*.  :func:`prefetch_vertex_candidates`
 computes that part for the whole epoch: each pending FSA's end vertices (two
 bisections of the index's x-sorted end table and a y test on the run between
-them), and the overlap answers, in one batched query of the overlap
-structure's region table.  The decision loop keeps what depends on decision
-order — the hotness sums, the selection, the insert, and the paths inserted
-earlier in the epoch, which it probes in :class:`InsertedEnds` (sorted by end
-x, like the end table) rather than rescanning them all.  The object kernel takes none of this and queries
-the index per object, as the pinned reference.
+them), and the overlap answers, each inside the FSA's query component
+(:attr:`~repro.coordinator.overlaps.OverlapPlan.components`): from the FSA's
+own box when it touches no other FSA, else one batch per pool or for the
+merged structure — scalar loops for a small batch, the region table for a
+large one.  The decision loop keeps what depends on decision order — the
+hotness sums, the selection, the insert, and the paths inserted earlier in
+the epoch, which it probes in :class:`InsertedEnds` (sorted by end x, like
+the end table) rather than rescanning them all.  The object kernel takes
+none of this and queries the index and the merged structure per object, as
+the pinned reference.
 
 Each state's FSA is built once per epoch (:attr:`ObjectState.fsa` validates
 a new ``Rectangle`` on every access) and handed to the plan, the candidate
@@ -54,7 +58,8 @@ from repro.coordinator.execution import ExecutionBackend, SerialBackend
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import (
-    FsaOverlapStructure,
+    LONE,
+    OverlapPlan,
     OverlapPoolCache,
     plan_shard_overlaps,
     zero_pool_stats,
@@ -203,41 +208,73 @@ class VertexPrefetch:
 
 def prefetch_vertex_candidates(
     end_table: EndpointTable,
-    pending: Sequence[Tuple[int, Rectangle]],
-    overlaps: FsaOverlapStructure,
+    pending: Sequence[Tuple[int, int, Rectangle]],
+    plan: OverlapPlan,
 ) -> Dict[int, VertexPrefetch]:
     """The epoch pass: every pending object's Case 2/3 geometry in one batch.
 
-    ``pending`` lists ``(position, fsa)`` for the states left without a
-    Case 1 candidate, ``overlaps`` is the epoch's overlap structure and
-    ``end_table`` the index's x-sorted end entries, read here — after the
-    candidate stage, before the first decision — where nothing mutates the
-    index.  Returns ``position -> VertexPrefetch``.
+    ``pending`` lists ``(position, object_id, fsa)`` for the states left
+    without a Case 1 candidate, ``plan`` is the epoch's completed overlap
+    plan and ``end_table`` the index's x-sorted end table, read here — after
+    the candidate stage, before the first decision — where nothing mutates
+    the index.  Returns ``position -> VertexPrefetch``.
 
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
     here plus the paths inserted since, which :meth:`SinglePathStrategy.decide`
     adds to the epoch's one ``inserted`` probe and merges back in.
 
+    The overlap answers of an FSA come from its query component
+    (:attr:`OverlapPlan.components`).  A region that touches the FSA, or
+    contains a vertex inside it or a point of a region touching it, is made
+    of FSAs that touch it or such a region, so both answers lie inside that
+    component; the component's own structure holds its regions in the merged
+    order, so the tie-breaks agree too.  An FSA that touches nothing is
+    answered from its own box (the hottest region it touches is its
+    singleton, which alone contains its end vertices and centroid); a
+    component that is one pool from the pool's structure, in one batch per
+    pool; everything else — an FSA whose component joins several, an FSA
+    outside the epoch map (the earlier state of a duplicate reporter), a
+    saturated epoch — from the merged structure, in one batch.
+
     The bonus of a vertex is a function of the vertex alone; it is computed
     for every end vertex matched and for every fabricated centroid of the
-    epoch (the only new vertices decisions normally insert), in one batched
-    query beside the one that fabricates the centroids.
+    epoch (the only new vertices decisions normally insert), in the batch
+    that fabricates the centroids.
     """
     if not pending:
         return {}
-    fsas = [fsa for _position, fsa in pending]
-    vertex_sets = [end_table.end_vertices_in(fsa) for fsa in fsas]
-    fabricated = overlaps.candidate_vertices_for(fsas)
-    vertices = list(
-        {answer[0] for answer in fabricated if answer is not None}.union(*vertex_sets)
-    )
-    bonus = dict(zip(vertices, overlaps.containing_counts(vertices)))
+    vertex_sets = [end_table.end_vertices_in(fsa) for _position, _object_id, fsa in pending]
+    fabricated: List[Optional[Tuple[Point, int]]] = [None] * len(pending)
+    bonus: Dict[Point, int] = {}
+    batches: Dict[Optional[int], List[int]] = {}
+    fsas, components = plan.fsas, plan.components
+    for slot, (_position, object_id, fsa) in enumerate(pending):
+        component = components.get(object_id) if fsas.get(object_id) is fsa else None
+        if component != LONE:
+            # ``None`` (the merged structure) never collides with a pool index.
+            batches.setdefault(component, []).append(slot)
+            continue
+        centre = fsa.center  # the centre of its singleton region's box
+        fabricated[slot] = (centre, 1)
+        bonus[centre] = 1
+        bonus.update(dict.fromkeys(vertex_sets[slot], 1))
+    for component, slots in batches.items():
+        structure = plan.merged() if component is None else plan.structures[component]
+        answers = structure.candidate_vertices_for([pending[slot][2] for slot in slots])
+        vertices = list(
+            {answer[0] for answer in answers if answer is not None}.union(
+                *(vertex_sets[slot] for slot in slots)
+            )
+        )
+        bonus.update(zip(vertices, structure.containing_counts(vertices)))
+        for slot, answer in zip(slots, answers):
+            fabricated[slot] = answer
 
     inserted = InsertedEnds()
     return {
         position: VertexPrefetch(vertex_sets[slot], bonus, fabricated[slot], inserted)
-        for slot, (position, _fsa) in enumerate(pending)
+        for slot, (position, _object_id, _fsa) in enumerate(pending)
     }
 
 
@@ -292,7 +329,7 @@ class SinglePathStrategy:
                 for state, fsa in zip(states, fsas)
             },
         )
-        overlaps = plan.merge(built)
+        plan.complete(built)
 
         # Phase 2: boost hotness of paths that appear in several objects'
         # candidate sets.
@@ -305,11 +342,11 @@ class SinglePathStrategy:
             prefetched = prefetch_vertex_candidates(
                 self._index.end_table(),
                 [
-                    (position, fsa)
+                    (position, state.object_id, fsa)
                     for position, (state, fsa) in enumerate(zip(states, fsas))
                     if not candidate_paths[state.object_id]
                 ],
-                overlaps,
+                plan,
             )
         for position, (state, fsa) in enumerate(zip(states, fsas)):
             result.tally(
@@ -317,7 +354,7 @@ class SinglePathStrategy:
                     state,
                     fsa,
                     candidate_paths[state.object_id],
-                    overlaps,
+                    plan,
                     prefetched.get(position),
                 )
             )
@@ -341,19 +378,20 @@ class SinglePathStrategy:
     def _candidate_vertices(
         self,
         fsa: Rectangle,
-        overlaps: FsaOverlapStructure,
+        plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
     ) -> List[CandidateVertex]:
         """``GetCandidateVertices`` plus the overlap-derived extra candidate.
 
         With a ``prefetch`` the index and the overlap structure are not
         queried: the end-vertex set is the prefetched one plus the paths
-        inserted since the epoch pass read the index.
+        inserted since the epoch pass read the index; only a vertex the pass
+        did not see asks the merged structure.
         """
         if prefetch is None:
             end_vertices = self._index.end_vertices_in(fsa)
             bonus_of: Dict[Point, int] = {}
-            fabricated = overlaps.candidate_vertex_for(fsa)
+            fabricated = plan.merged().candidate_vertex_for(fsa)
         else:
             end_vertices, bonus_of, fabricated = (
                 prefetch.end_vertices, prefetch.bonus, prefetch.fabricated
@@ -366,7 +404,7 @@ class SinglePathStrategy:
             converging = sum(hotness(path_id) for path_id in path_ids)
             bonus = bonus_of.get(vertex)
             if bonus is None:
-                region = overlaps.smallest_region_containing(vertex)
+                region = plan.merged().smallest_region_containing(vertex)
                 bonus = region.count if region is not None else 0
             candidates.append((vertex, converging + bonus, False))
         if fabricated is not None:
@@ -388,14 +426,15 @@ class SinglePathStrategy:
         state: ObjectState,
         fsa: Rectangle,
         candidates: List[CandidatePath],
-        overlaps: FsaOverlapStructure,
+        plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
     ) -> SinglePathDecision:
         """Choose one object's motion path given its (boosted) candidate set.
 
-        ``fsa`` is the state's FSA; ``prefetch`` is the object's share of the
-        epoch pass (:func:`prefetch_vertex_candidates`); without one the index
-        and the overlap structure are queried here, per object.
+        ``fsa`` is the state's FSA and ``plan`` the epoch's completed overlap
+        plan; ``prefetch`` is the object's share of the epoch pass
+        (:func:`prefetch_vertex_candidates`); without one the index and the
+        merged overlap structure are queried here, per object.
 
         Both selection steps use total orders — ties fall back to the path id
         or the vertex coordinates — so the outcome is independent of the order
@@ -422,7 +461,7 @@ class SinglePathStrategy:
             )
 
         best = None
-        for vertex, hotness, fabricated in self._candidate_vertices(fsa, overlaps, prefetch):
+        for vertex, hotness, fabricated in self._candidate_vertices(fsa, plan, prefetch):
             key = (hotness, not fabricated, vertex.x, vertex.y)
             if best is None or key > best:
                 best, endpoint, fabricated_vertex = key, vertex, fabricated

@@ -18,48 +18,50 @@ Layout:
   endpoint;
 * :mod:`repro.serving.scenarios` — :class:`BaseScenario` registry,
   :class:`InjectionConfig` fault injection and the :class:`ScenarioRunner`.
+
+Names are exported lazily (PEP 562): ``from repro.serving import X``
+imports only the module defining ``X``, so the server does not load the
+scenario harness.
 """
 
-from repro.serving.batcher import BatchDecision, EpochBatcher
-from repro.serving.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    coordinator_snapshot,
-    decode_message,
-    decode_update,
-    encode_message,
-    encode_update,
-)
-from repro.serving.scenarios import (
-    FAULT_TYPES,
-    SCENARIOS,
-    BaseScenario,
-    InjectionConfig,
-    ScenarioResult,
-    ScenarioRunner,
-    get_scenario,
-    replay_accepted_log,
-)
-from repro.serving.server import IngestionServer, ServingConfig
+from typing import Tuple
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "coordinator_snapshot",
-    "decode_message",
-    "decode_update",
-    "encode_message",
-    "encode_update",
-    "BatchDecision",
-    "EpochBatcher",
-    "IngestionServer",
-    "ServingConfig",
-    "FAULT_TYPES",
-    "SCENARIOS",
-    "BaseScenario",
-    "InjectionConfig",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "get_scenario",
-    "replay_accepted_log",
-]
+from repro._exports import lazy_exports
+
+#: The injectable fault classes of the chaos harness
+#: (:mod:`repro.serving.scenarios`), defined here so the command line can
+#: offer them without loading the harness.
+FAULT_TYPES: Tuple[str, ...] = (
+    "drop_batch",
+    "duplicate_batch",
+    "reorder_batch",
+    "kill_worker",
+    "stall_epoch",
+)
+
+#: Exported name -> the module defining it.
+_EXPORTS = {
+    "PROTOCOL_VERSION": "repro.serving.protocol",
+    "ProtocolError": "repro.serving.protocol",
+    "coordinator_snapshot": "repro.serving.protocol",
+    "decode_message": "repro.serving.protocol",
+    "decode_update": "repro.serving.protocol",
+    "encode_message": "repro.serving.protocol",
+    "encode_update": "repro.serving.protocol",
+    "BatchDecision": "repro.serving.batcher",
+    "EpochBatcher": "repro.serving.batcher",
+    "IngestionServer": "repro.serving.server",
+    "ServingConfig": "repro.serving.server",
+    "SCENARIOS": "repro.serving.scenarios",
+    "BaseScenario": "repro.serving.scenarios",
+    "InjectionConfig": "repro.serving.scenarios",
+    "ScenarioResult": "repro.serving.scenarios",
+    "ScenarioRunner": "repro.serving.scenarios",
+    "get_scenario": "repro.serving.scenarios",
+    "replay_accepted_log": "repro.serving.scenarios",
+}
+
+__all__ = ["FAULT_TYPES", *_EXPORTS]
+
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -57,6 +57,7 @@ from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
+from repro.serving import FAULT_TYPES
 from repro.serving.protocol import decode_message, decode_update, encode_message, encode_update
 from repro.serving.server import IngestionServer, ServingConfig
 
@@ -76,15 +77,6 @@ __all__ = [
     "get_scenario",
     "replay_accepted_log",
 ]
-
-#: The injectable fault classes (see the module docstring).
-FAULT_TYPES: Tuple[str, ...] = (
-    "drop_batch",
-    "duplicate_batch",
-    "reorder_batch",
-    "kill_worker",
-    "stall_epoch",
-)
 
 #: Faults applied per batch vs. per epoch boundary.
 _BATCH_FAULTS = ("drop_batch", "duplicate_batch")

@@ -11,11 +11,12 @@ import sys
 
 import pytest
 
-import repro.cli as cli
 import repro.coordinator.columnar as columnar
 from repro.core.errors import ConfigurationError
 from repro.cli import build_parser, main
 from repro.coordinator.fleet import FleetConfig
+from repro.serving import server
+from repro.simulation import engine
 from repro.simulation.engine import HotPathSimulation
 
 RUN_SMALL = ["run", "--objects", "40", "--duration", "30", "--network-nodes", "6",
@@ -131,8 +132,9 @@ class TestFleetFlags:
             async def serve_forever(self):
                 pass
 
-        monkeypatch.setattr(cli, "HotPathSimulation", CapturingSimulation)
-        monkeypatch.setattr(cli, "IngestionServer", CapturingServer)
+        # The subcommands import these when they run, from their modules.
+        monkeypatch.setattr(engine, "HotPathSimulation", CapturingSimulation)
+        monkeypatch.setattr(server, "IngestionServer", CapturingServer)
         assert main(RUN_SMALL + [flag_of(knob), str(value)]) == 0
         assert main(["serve", "--port", "0", flag_of(knob), str(value)]) == 0
         capsys.readouterr()

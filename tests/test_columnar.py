@@ -31,6 +31,7 @@ from repro.coordinator.columnar import (
     close_attachments,
     decode_work_shipment,
     resolve_kernel,
+    touching_pairs,
 )
 from repro.core.errors import ConfigurationError
 from repro.coordinator.overlaps import FsaOverlapStructure
@@ -134,9 +135,9 @@ coordinate_pool = st.sampled_from([0.0, 1.0, 12.5, 25.0, 49.9, 50.0, 99.0, 100.0
 points = st.builds(Point, coordinate_pool, coordinate_pool)
 
 
-entry_keys = st.tuples(st.integers(min_value=0, max_value=9), st.booleans())
+path_ids = st.integers(min_value=0, max_value=9)
 #: End coordinates with equal values that are different objects (``-0.0`` /
-#: ``0.0`` / ``0``), so equal-x runs hold several entries.
+#: ``0.0`` / ``0``), so equal-x runs hold several paths.
 end_points = st.builds(
     Point,
     st.sampled_from([-0.0, 0.0, 0, 1.0, 12.5, 50.0, 99.0]),
@@ -146,50 +147,52 @@ end_points = st.builds(
 
 @st.composite
 def table_scripts(draw):
-    """Interleaved ``("upsert", key, endpoint, other)`` / ``("remove", key)``
-    ops over a small key space, so keys are overwritten and re-added."""
-    ops = []
+    """Interleaved ``("add", path_id, start, end)`` / ``("remove", path_id)``
+    ops over a small id space, so ids are removed and added again (an id is
+    only added while it is not live, as ``GridIndex`` guarantees)."""
+    ops, live = [], set()
     for _ in range(draw(st.integers(min_value=0, max_value=24))):
-        if draw(st.integers(min_value=0, max_value=3)):
-            ops.append(("upsert", draw(entry_keys), draw(st.one_of(points, end_points)), draw(points)))
+        path_id = draw(path_ids)
+        if path_id not in live and draw(st.integers(min_value=0, max_value=3)):
+            ops.append(("add", path_id, draw(points), draw(st.one_of(points, end_points))))
+            live.add(path_id)
         else:
-            ops.append(("remove", draw(entry_keys)))
+            ops.append(("remove", path_id))
+            live.discard(path_id)
     return ops
 
 
 def replay(ops):
-    """The table and the scalar ``{key: (endpoint, other)}`` dict it mirrors."""
+    """The table and the scalar ``{path_id: (start, end)}`` dict it mirrors."""
     table = EndpointTable()
     scalar: Dict = {}
     for op in ops:
-        if op[0] == "upsert":
-            _tag, key, endpoint, other = op
-            table.upsert(key, endpoint, other)
-            scalar.pop(key, None)  # an overwrite is a new insert: it goes last
-            scalar[key] = (endpoint, other)
+        if op[0] == "add":
+            _tag, path_id, start, end = op
+            table.add_path(path_id, start, end)
+            scalar[path_id] = (start, end)
         else:
-            table.remove(op[1])
+            table.remove_path(op[1])
             scalar.pop(op[1], None)
     return table, scalar
 
 
 def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
-    """End entries sorted by x, equal x in insertion order, parallel lists in
-    step, and a start hash with no dead keys."""
-    ends = [(pid, endpoint) for (pid, is_start), (endpoint, _o) in scalar.items() if not is_start]
+    """One row per path: ends sorted by x, equal x in insertion order,
+    parallel lists in step, and a start hash with no dead keys."""
     assert len(table) == len(scalar)
     # ``sorted`` is stable, so equal x values keep the scalar dict's
     # insertion order — the order the table must keep them in.
-    expected = sorted(ends, key=lambda entry: entry[1].x)
+    expected = sorted(((pid, end) for pid, (_start, end) in scalar.items()), key=lambda row: row[1].x)
     assert table._pids == [pid for pid, _end in expected]
     assert [repr(end) for end in table._ends] == [repr(end) for _pid, end in expected]
     assert table._xs == [end.x for end in table._ends]
     assert table._ys == [end.y for end in table._ends]
     expected_hash: Dict = {}
-    for (pid, is_start), (endpoint, other) in scalar.items():
-        start, end = (endpoint, other) if is_start else (other, endpoint)
-        expected_hash.setdefault(start, {})[(pid, is_start)] = end
+    for pid, (start, end) in scalar.items():
+        expected_hash.setdefault(start, {})[pid] = end
     assert table._by_start == expected_hash
+    assert table._start_of == {pid: start for pid, (start, _end) in scalar.items()}
 
 
 @st.composite
@@ -204,17 +207,14 @@ class TestEndpointTableKernels:
     def test_queries_match_scalar_scan(self, ops, start, region):
         table, scalar = replay(ops)
 
-        expected_starts = sorted(
+        assert table.starting_at(start, region) == [
             pid
-            for (pid, is_start), (endpoint, other) in scalar.items()
-            if is_start and endpoint == start and region.contains_point(other)
-        )
-        assert sorted(table.starting_at(start, region)) == expected_starts
+            for pid, (path_start, end) in scalar.items()
+            if path_start == start and region.contains_point(end)
+        ]
 
         expected_ends = sorted(
-            (pid, endpoint.x, endpoint.y)
-            for (pid, is_start), (endpoint, _other) in scalar.items()
-            if not is_start and region.contains_point(endpoint)
+            (pid, end.x, end.y) for pid, (_start, end) in scalar.items() if region.contains_point(end)
         )
         rows = table.end_rows_in(region)
         assert rows == sorted(rows)
@@ -223,24 +223,24 @@ class TestEndpointTableKernels:
             == expected_ends
         )
         expected_vertices: Dict = {}
-        for (pid, is_start), (endpoint, _other) in scalar.items():
-            if not is_start and region.contains_point(endpoint):
-                expected_vertices.setdefault(endpoint, []).append(pid)
+        for pid, (_start, end) in scalar.items():
+            if region.contains_point(end):
+                expected_vertices.setdefault(end, []).append(pid)
         vertices = table.end_vertices_in(region)
         assert {repr(v): sorted(ids) for v, ids in vertices.items()} == {
             repr(v): sorted(ids) for v, ids in expected_vertices.items()
         }
 
         # The first path, in insertion order, from ``start`` to exactly the
-        # probe — over every stored end, so each end entry whose path starts
-        # at ``start`` is met.
-        probes = {endpoint for (_pid, is_start), (endpoint, _o) in scalar.items() if not is_start}
+        # probe — over every stored end, so each path starting at ``start``
+        # is met.
+        probes = {end for _start, end in scalar.values()}
         for probe in probes | {start}:
             expected_between = next(
                 (
                     pid
-                    for (pid, is_start), (endpoint, other) in scalar.items()
-                    if not is_start and other == start and endpoint == probe
+                    for pid, (path_start, end) in scalar.items()
+                    if path_start == start and end == probe
                 ),
                 None,
             )
@@ -248,7 +248,8 @@ class TestEndpointTableKernels:
 
         expected_any = sorted(
             pid
-            for (pid, _is_start), (endpoint, _other) in scalar.items()
+            for pid, path in scalar.items()
+            for endpoint in path
             if region.contains_point(endpoint)
         )
         assert sorted(table.endpoints_in(region)) == expected_any
@@ -256,30 +257,31 @@ class TestEndpointTableKernels:
     @settings(max_examples=80, deadline=None)
     @given(table_scripts())
     def test_removal_keeps_the_table_sorted(self, ops):
-        """After every removal the end entries are still sorted by x, equal x
+        """After every removal the ends are still sorted by x, equal x
         values still in insertion order."""
         table, scalar = replay(ops)
         assert_table_consistent(table, scalar)
-        for key in list(scalar):
-            table.remove(key)
-            del scalar[key]
+        for pid in list(scalar):
+            table.remove_path(pid)
+            del scalar[pid]
             assert_table_consistent(table, scalar)
-        table.remove((999, False))  # an absent key is a no-op
+        table.remove_path(999)  # an absent id is a no-op
         assert_table_consistent(table, {})
 
-    def test_start_hash_emptied_on_last_removal(self):
-        """A vertex's bucket lives exactly as long as a path starts there —
-        whichever of the path's two entries goes last."""
+    def test_start_hash_emptied_with_its_last_path(self):
+        """A vertex's bucket lives exactly as long as a path starts there,
+        and keeps its paths in insertion order."""
         table = EndpointTable()
         start, end = Point(1.0, 1.0), Point(50.0, 50.0)
-        table.upsert((7, True), start, end)
-        table.upsert((7, False), end, start)
-        table.upsert((8, True), start, Point(99.0, 0.0))
-        assert set(table._by_start) == {start}
-        table.remove((8, True))
-        table.remove((7, True))
-        assert table._by_start == {start: {(7, False): end}}
-        table.remove((7, False))
+        table.add_path(7, start, end)
+        table.add_path(8, start, Point(99.0, 0.0))
+        table.add_path(9, end, start)
+        assert table._by_start == {start: {7: end, 8: Point(99.0, 0.0)}, end: {9: start}}
+        table.remove_path(8)
+        assert table._by_start == {start: {7: end}, end: {9: start}}
+        table.remove_path(7)
+        assert table._by_start == {end: {9: start}}
+        table.remove_path(9)
         assert table._by_start == {} and table._start_of == {} and table._pids == []
 
     def test_removal_among_equal_x_takes_its_own_path(self):
@@ -290,14 +292,14 @@ class TestEndpointTableKernels:
         start = Point(5.0, 5.0)
         ends = [Point(0.0, 1.0), Point(-0.0, 2.0), Point(0, 1.0), Point(-1.0, 0.0), Point(0.0, 1.0)]
         for pid, end in enumerate(ends):
-            table.upsert((pid, False), end, start)
+            table.add_path(pid, start, end)
         assert table._pids == [3, 0, 1, 2, 4]
-        table.remove((2, False))
+        table.remove_path(2)
         assert table._pids == [3, 0, 1, 4]
         assert [repr(end) for end in table._ends] == [
             repr(ends[3]), repr(ends[0]), repr(ends[1]), repr(ends[4])
         ]
-        table.remove((0, False))
+        table.remove_path(0)
         assert table._pids == [3, 1, 4]
         everywhere = Rectangle(Point(-1.0, 0.0), Point(0.0, 2.0))
         (vertex, ids), *rest = (
@@ -305,21 +307,24 @@ class TestEndpointTableKernels:
         )
         assert rest == [] and ids == [4] and repr(vertex) == "Point(x=0.0, y=1.0)"
         # Re-adding path 0 puts it behind the equal ends already stored.
-        table.upsert((0, False), Point(-0.0, 1.0), start)
+        table.add_path(0, start, Point(-0.0, 1.0))
         assert table._pids == [3, 1, 4, 0]
         vertices = table.end_vertices_in(everywhere)
         assert vertices[Point(0.0, 1.0)] == [4, 0]
         assert [repr(vertex) for vertex in vertices] == [
             "Point(x=-1.0, y=0.0)", "Point(x=-0.0, y=2.0)", "Point(x=0.0, y=1.0)"
         ]
+        # ... and behind path 4 in the start bucket: 4 stays the first path
+        # from ``start`` to that vertex.
+        assert table.path_between(start, Point(0.0, 1.0)) == 4
 
     def test_many_entries_stay_sorted_by_x(self):
-        """Entries inserted in descending x come back in ascending x; a box
+        """Paths inserted in descending end x come back in ascending x; a box
         query returns exactly its x run."""
         table = EndpointTable()
         count = 192
         for pid in range(count):
-            table.upsert((pid, False), Point(float(count - pid), 0.0), Point(0.0, 0.0))
+            table.add_path(pid, Point(0.0, 0.0), Point(float(count - pid), 0.0))
         assert table._xs == [float(x) for x in range(1, count + 1)]
         everywhere = Rectangle(Point(0.0, 0.0), Point(float(count), 0.0))
         assert [table._pids[row] for row in table.end_rows_in(everywhere)] == list(
@@ -515,3 +520,39 @@ class TestRegionTableKernels:
         probe, fsa = Point(1.0, 1.0), Rectangle(Point(0.0, 0.0), Point(2.0, 2.0))
         assert table.smallest_containing_many([probe]) == [-1]
         assert table.hottest_intersecting_many([fsa, fsa]) == [-1, -1]
+
+
+#: Bounds that collide on purpose: equal values of different types and signs,
+#: so boxes nest, coincide, collapse to zero width and touch along an edge or
+#: at a corner.
+pair_coordinate = st.sampled_from([-0.0, 0.0, 0, 2, 2.0, 3.5, 5, 5.0, 8.0])
+
+
+@st.composite
+def pair_boxes(draw):
+    x_low, x_high = sorted((draw(pair_coordinate), draw(pair_coordinate)))
+    y_low, y_high = sorted((draw(pair_coordinate), draw(pair_coordinate)))
+    return (x_low, y_low, x_high, y_high)
+
+
+def reference_pairs(boxes):
+    """``(overlapping, touching)`` by ``Rectangle.intersection``, pair by pair."""
+    rectangles = [Rectangle(Point(lx, ly), Point(hx, hy)) for lx, ly, hx, hy in boxes]
+    overlapping, touching = [], []
+    for i, first in enumerate(rectangles):
+        for j in range(i + 1, len(rectangles)):
+            shared = first.intersection(rectangles[j])
+            if shared is not None:
+                (touching if shared.is_degenerate() else overlapping).append((i, j))
+    return overlapping, touching
+
+
+class TestTouchingPairs:
+    """The pair pass's x-sorted sweep against a pairwise ``Rectangle`` reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=st.lists(pair_boxes(), max_size=14))
+    @example(boxes=[(0, 0, 2, 2), (2.0, 0.0, 5, 2), (5.0, 2, 8.0, 8.0), (-0.0, 2.0, 2, 5)])
+    def test_sweep_equals_the_reference(self, boxes):
+        overlapping, touching = touching_pairs(boxes)
+        assert (sorted(overlapping), sorted(touching)) == reference_pairs(boxes)

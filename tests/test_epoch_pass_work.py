@@ -23,6 +23,14 @@ the scalar loop, and builds no ``RegionTable``.
 
 Counts, not clocks: they repeat exactly run to run.
 
+:class:`TestComponentBatches` pins where the epoch pass answers its FSAs: an
+epoch of FSAs that touch nothing builds no ``RegionTable`` and no merged
+structure, and a ``fleet_dense``-shaped epoch builds one table per large
+component.  :class:`TestNumpyStaysUnloaded` runs a fresh interpreter through
+paper-sized and served traffic, which must never import numpy, and then
+through one epoch above the cut-off, which must, and answer as the object
+kernel does.
+
 :class:`TestEpochPassDifferential` compares, at every decision of crafted
 and random streams, the candidate vertices the epoch pass hands SinglePath
 with the ones a per-state query of the live index produces.
@@ -30,9 +38,13 @@ with the ones a per-state query of the live index produces.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict
+from pathlib import Path
 from typing import Iterator, List, Tuple
 
 import pytest
@@ -219,7 +231,8 @@ class TestSingleQueriesBuildNoTable:
         fsas = dict(dense_pool())
         fsas[99] = Rectangle.from_center(Point(900.0, 900.0), 10.0)
         plan = plan_shard_overlaps("columnar", OverlapPoolCache(), fsas)
-        structure = plan.merge(build_structures(plan.missed_pools))
+        plan.complete(build_structures(plan.missed_pools))
+        structure = plan.merged()
         assert len(structure) == 125 and plan.singletons
 
         tables: Counter = Counter()
@@ -240,6 +253,190 @@ class TestSingleQueriesBuildNoTable:
         structure.containing_counts(probes)
         structure.candidate_vertices_for(boxes)
         assert tables["built"] == 1
+
+
+def count_tables_and_merges(monkeypatch) -> Counter:
+    """Count ``RegionTable`` constructions and merged epoch structures."""
+    counts: Counter = Counter()
+    region_table = overlaps.RegionTable
+    merge = overlaps.OverlapPlan._merge
+
+    def counted_table(regions):
+        counts["tables"] += 1
+        return region_table(regions)
+
+    def counted_merge(plan):
+        counts["merged"] += 1
+        return merge(plan)
+
+    monkeypatch.setattr(overlaps, "RegionTable", counted_table)
+    monkeypatch.setattr(overlaps.OverlapPlan, "_merge", counted_merge)
+    return counts
+
+
+def fresh_reporters(fsas: dict, t_end: int = 10) -> List[ObjectState]:
+    """One state per FSA, starting far from every FSA and from each other,
+    so an empty index leaves every state to the epoch pass."""
+    return [
+        ObjectState(object_id, Point(1900.0 - object_id, 1950.0), t_end - 5, fsa.low, fsa.high, t_end)
+        for object_id, fsa in fsas.items()
+    ]
+
+
+def run_one_epoch(states: List[ObjectState]) -> EpochOutcome:
+    coordinator = Coordinator(
+        CoordinatorConfig(
+            bounds=Rectangle(Point(0.0, 0.0), Point(2000.0, 2000.0)), window=40, kernel="columnar"
+        )
+    )
+    try:
+        for state in states:
+            coordinator.submit_state(state)
+        return coordinator.run_epoch(states[0].t_end)
+    finally:
+        coordinator.close()
+
+
+class TestComponentBatches:
+    def test_a_lone_only_epoch_builds_no_table_and_no_merged_structure(self, monkeypatch):
+        """24 FSAs on a lattice, none touching another: each is answered from
+        its own box (answering them from the merged structure built one
+        merged structure and one table an epoch)."""
+        fsas = {
+            object_id: Rectangle.from_center(
+                Point(80.0 + 150.0 * (object_id % 6), 80.0 + 150.0 * (object_id // 6)), 20.0
+            )
+            for object_id in range(24)
+        }
+        counts = count_tables_and_merges(monkeypatch)
+        outcome = run_one_epoch(fresh_reporters(fsas))
+        assert outcome.paths_inserted == 24  # every one a Case 3 decision
+        assert counts["tables"] == 0
+        assert counts["merged"] == 0
+
+    def test_a_dense_epoch_builds_one_table_per_large_component(self, monkeypatch):
+        """Two copies of a ``fleet_dense``-like epoch side by side, plus two
+        lone FSAs: each copy is a 20-FSA component of 104 regions (above the
+        cut-off), a 4-FSA one of 15 and a 2-FSA one of 3 (below it) and two
+        lone FSAs.  One table per large component, no merged structure."""
+        fsas = dict(dense_pool())
+        for object_id, fsa in dense_pool().items():
+            fsas[100 + object_id] = Rectangle(
+                Point(fsa.low.x + 1000.0, fsa.low.y), Point(fsa.high.x + 1000.0, fsa.high.y)
+            )
+        fsas[900] = Rectangle.from_center(Point(700.0, 1500.0), 10.0)
+        fsas[901] = Rectangle.from_center(Point(300.0, 1500.0), 10.0)
+        plan = plan_shard_overlaps("columnar", None, fsas)
+        sizes = [(len(pool), len(structure)) for pool, structure in zip(plan.pools, build_structures(plan.pools))]
+        assert sizes == [(20, 104), (4, 15), (2, 3)] * 2
+        assert len(plan.components) == len(fsas)  # nothing touches across components
+        counts = count_tables_and_merges(monkeypatch)
+        run_one_epoch(fresh_reporters(fsas))
+        assert counts["tables"] == 2
+        assert counts["merged"] == 0
+
+
+#: Run by :class:`TestNumpyStaysUnloaded` in a fresh interpreter.
+_FRESH_INTERPRETER = r"""
+import random, sys
+
+from repro.client.raytrace import RayTraceConfig, RayTraceFilter
+from repro.client.state import ObjectState
+from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.core.geometry import Point, Rectangle
+from repro.network.generator import NetworkConfig, SyntheticRoadNetworkGenerator
+from repro.serving.protocol import encode_message
+from repro.serving.server import IngestionServer
+from repro.workload.moving_objects import MovingObjectWorkload, WorkloadConfig
+
+# The Section 6 loop at sim_paper's size: 320 objects on the 9 x 9 network.
+network = SyntheticRoadNetworkGenerator(
+    NetworkConfig(area_size=16000.0 * 9 / 33.0, grid_nodes_per_axis=9, seed=2008)
+).generate()
+workload = MovingObjectWorkload(network, WorkloadConfig(num_objects=320, seed=11))
+coordinator = Coordinator(
+    CoordinatorConfig(bounds=network.bounding_box(padding=20.0), window=100, cells_per_axis=64)
+)
+assert coordinator.config.kernel == "columnar"
+config = RayTraceConfig(10.0)
+filters = {
+    object_id: RayTraceFilter(object_id, measurement, config)
+    for object_id, measurement in workload.initial_measurements(0)
+}
+now = 0
+for _epoch in range(15):
+    for _ in range(10):
+        now += 1
+        for object_id, measurement in workload.step(now):
+            state = filters[object_id].observe(measurement)
+            if state is not None:
+                coordinator.submit_state(state)
+    for response in coordinator.run_epoch(now).responses:
+        follow_up = filters[response.object_id].receive_response(response)
+        if follow_up is not None:
+            coordinator.submit_state(follow_up)
+coordinator.top_k(10)
+coordinator.top_k_corridors(10)
+coordinator.close()
+assert "numpy" not in sys.modules, "a paper-sized stream imported numpy"
+
+# Served traffic: 60 sparse updates (FSA half-width 5-25 m) an epoch over
+# six batches, through the server's line handler.
+server = IngestionServer(
+    Coordinator(CoordinatorConfig(bounds=Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0)), window=60, cells_per_axis=32))
+)
+rng = random.Random(11)
+for epoch in range(1, 31):
+    now = 10 * epoch
+    rows = []
+    for object_id in rng.sample(range(240), 60):
+        half = rng.uniform(5.0, 25.0)
+        sx, sy = rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)
+        cx = min(max(sx + rng.uniform(-30.0, 30.0), half), 1000.0 - half)
+        cy = min(max(sy + rng.uniform(-30.0, 30.0), half), 1000.0 - half)
+        rows.append([object_id, sx, sy, now - 5, cx - half, cy - half, cx + half, cy + half, now])
+    for client in range(6):
+        batch = {"op": "batch", "client": client, "seq": epoch, "updates": rows[10 * client:10 * client + 10]}
+        assert server.handle_line(encode_message(batch))["ok"]
+    assert server.handle_line(encode_message({"op": "tick", "now": now}))["ok"]
+    assert server.handle_line(encode_message({"op": "corridors", "k": 10}))["ok"]
+server.coordinator.close()
+assert "numpy" not in sys.modules, "served traffic imported numpy"
+
+# One fleet_dense-like epoch: 28 FSAs in one component, above the cut-off.
+rng = random.Random(0)
+states = []
+for object_id in range(28):
+    centre = Point(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0))
+    fsa = Rectangle.from_center(centre, rng.uniform(20.0, 60.0))
+    states.append(ObjectState(object_id, Point(900.0 - object_id, 950.0), 5, fsa.low, fsa.high, 10))
+answers = {}
+for kernel in ("columnar", "object"):
+    coordinator = Coordinator(
+        CoordinatorConfig(bounds=Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0)), window=40, kernel=kernel)
+    )
+    for state in states:
+        coordinator.submit_state(state)
+    answers[kernel] = repr(coordinator.run_epoch(10).responses)
+    coordinator.close()
+assert "numpy" in sys.modules, "the dense epoch did not reach numpy"
+assert answers["columnar"] == answers["object"]
+print("ok")
+"""
+
+
+class TestNumpyStaysUnloaded:
+    def test_paper_sized_and_served_traffic_never_import_numpy(self):
+        source = Path(__file__).resolve().parent.parent / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", _FRESH_INTERPRETER],
+            env={**os.environ, "PYTHONPATH": str(source)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok"
 
 
 class EpochPassChecker:

@@ -36,7 +36,7 @@ from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator import execution, sharding
-from repro.coordinator.columnar import HAVE_NUMPY, ShipmentRing
+from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable, ShipmentRing
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.overlaps import build_structures
@@ -47,7 +47,6 @@ from repro.coordinator.execution import (
     conflict_groups,
     create_backend,
 )
-from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.sharding import ShardGrid
 
 from differential import (
@@ -237,9 +236,9 @@ class TestOneDecisionPath:
     and on 2x2, 2x3 and 4x4 grids.
 
     Every backend replays Algorithm 2 in submission order in the parent, so
-    an insert is indexed once — a start entry and an end entry — under the
-    id the index's counter hands out next, and an eviction removes the same
-    two entries.  Counts, not clocks: they repeat exactly run to run.
+    an insert is indexed once — one row of the columnar end table — under
+    the id the index's counter hands out next, and an eviction removes that
+    row.  Counts, not clocks: they repeat exactly run to run.
     """
 
     @pytest.mark.parametrize("num_shards", [4, 6, 16])
@@ -247,7 +246,7 @@ class TestOneDecisionPath:
     def test_each_insert_is_indexed_once_under_its_final_id(
         self, backend, num_shards, monkeypatch
     ):
-        calls = {"_add_entry": 0, "_remove_entry": 0, "conflict_groups": 0}
+        calls = {"add_path": 0, "remove_path": 0, "conflict_groups": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -256,8 +255,8 @@ class TestOneDecisionPath:
 
             return wrapper
 
-        for name in ("_add_entry", "_remove_entry"):
-            monkeypatch.setattr(GridIndex, name, counted(name, getattr(GridIndex, name)))
+        for name in ("add_path", "remove_path"):
+            monkeypatch.setattr(EndpointTable, name, counted(name, getattr(EndpointTable, name)))
         monkeypatch.setattr(
             sharding, "conflict_groups", counted("conflict_groups", sharding.conflict_groups)
         )
@@ -275,8 +274,8 @@ class TestOneDecisionPath:
                 for name in calls:
                     calls[name] = 0
                 delta = coordinator.run_epoch(boundary).delta
-                assert calls["_add_entry"] == 2 * len(delta.inserted)
-                assert calls["_remove_entry"] == 2 * len(delta.deleted)
+                assert calls["add_path"] == len(delta.inserted)
+                assert calls["remove_path"] == len(delta.deleted)
                 assert calls["conflict_groups"] == 0
                 assert delta.inserted == tuple(range(first_id, first_id + len(delta.inserted)))
                 assert delta.renumbered == 0

@@ -103,7 +103,7 @@ def assert_empty_cells(index: GridIndex) -> None:
     assert index._cells == {}
     if index._endpoints is not None:
         table = index._endpoints
-        assert len(table) == 0 and table._by_start == {}
+        assert len(table) == 0 and table._by_start == {} and table._start_of == {}
         assert table._xs == table._ys == table._ends == table._pids == []
 
 

@@ -89,7 +89,8 @@ class TestIsolatedFsasSkipThePoolStage:
         plan = plan_shard_overlaps(kernel, cache, fsas)
         assert plan.pools == [] and plan.missed_pools == []
         assert list(plan.singletons) == list(fsas)
-        merged = plan.merge(build_structures(plan.missed_pools))
+        plan.complete(build_structures(plan.missed_pools))
+        merged = plan.merged()
         assert calls["build"] == 0
         assert len(cache) == 0
         assert plan.stats["pools_total"] == 0

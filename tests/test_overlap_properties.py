@@ -24,6 +24,7 @@ hit meets a pool whose coordinates only ``==`` an earlier epoch's.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Dict, FrozenSet, Optional
 
@@ -31,12 +32,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
+from repro.coordinator import overlaps
+from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
 from repro.coordinator.overlaps import (
+    LONE,
     FsaOverlapStructure,
     OverlapPoolCache,
     build_structures,
     plan_shard_overlaps,
 )
+from repro.coordinator.single_path import prefetch_vertex_candidates
 
 from overlap_oracle import ReferenceFsaOverlapStructure
 
@@ -215,7 +220,8 @@ def serialized_repr(structure: FsaOverlapStructure) -> str:
 
 def merged_structure(kernel, cache, fsas, max_regions=10000) -> FsaOverlapStructure:
     plan = plan_shard_overlaps(kernel, cache, fsas, max_regions)
-    return plan.merge(build_structures(plan.missed_pools, max_regions))
+    plan.complete(build_structures(plan.missed_pools, max_regions))
+    return plan.merged()
 
 
 # Equal values that are different objects: ``-0.0`` / ``0.0`` / ``0`` and
@@ -334,7 +340,8 @@ class TestMergedEpochStructure:
     def test_an_all_isolated_epoch_is_its_singletons(self, kernel, fsas, max_regions):
         plan = plan_shard_overlaps(kernel, None, fsas, max_regions)
         assert plan.pools == [] and list(plan.singletons) == list(fsas)
-        assert serialized_repr(plan.merge([])) == serialized_repr(
+        plan.complete([])
+        assert serialized_repr(plan.merged()) == serialized_repr(
             FsaOverlapStructure.build(fsas, max_regions)
         )
 
@@ -343,7 +350,8 @@ class TestMergedEpochStructure:
     def test_a_one_fsa_epoch_is_its_singleton(self, kernel, fsa, object_id):
         plan = plan_shard_overlaps(kernel, None, {object_id: fsa})
         assert plan.pools == [] and list(plan.singletons) == [object_id]
-        assert serialized_repr(plan.merge([])) == serialized_repr(
+        plan.complete([])
+        assert serialized_repr(plan.merged()) == serialized_repr(
             FsaOverlapStructure.build({object_id: fsa})
         )
 
@@ -385,12 +393,16 @@ def answer_repr(region):
 
 
 def assert_same_batched(structure, reference, points, fsas):
-    """The batched queries (the lazily built ``RegionTable``) against the
+    """The batched queries on both sides of :data:`overlaps.TABLE_WORK` — the
+    scalar loops, then the lazily built ``RegionTable`` — against the
     oracle's single queries mapped over the same inputs."""
-    assert structure.containing_counts(points) == reference.containing_counts(points)
-    assert repr(structure.candidate_vertices_for(fsas)) == repr(
-        reference.candidate_vertices_for(fsas)
-    )
+    for table_work in (math.inf, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(overlaps, "TABLE_WORK", table_work)
+            assert structure.containing_counts(points) == reference.containing_counts(points)
+            assert repr(structure.candidate_vertices_for(fsas)) == repr(
+                reference.candidate_vertices_for(fsas)
+            )
 
 
 @pytest.mark.parametrize("route", ("built", "shipped", "interleaved"))
@@ -462,3 +474,114 @@ class TestScalarBuildEqualsOracle:
             assert_same_batched(structure, reference, points, fsas)
         self.assert_same(self.routed(route, structure, max_regions), reference, points, fsas)
 
+
+
+#: Both sides of the table cut-off: the scalar loops or the region table.
+CUTOFFS = {"scalar": math.inf, "numpy": 0}
+
+
+def cutoffs(patch, side):
+    patch.setattr(overlaps, "TABLE_WORK", CUTOFFS[side])
+
+
+@st.composite
+def touching_epochs(draw):
+    """One epoch's reports in submission order: the tie pool's FSAs (nested,
+    zero-width, ``-0.0`` / ``0`` / ``2`` / ``2.0`` bounds, re-reporters) plus
+    an isolated lattice far from them whose cells touch along edges and at
+    corners, so touches join pools, singletons and both."""
+    reports = list(draw(epoch_reports))
+    for object_id, fsa in draw(isolated_epochs()).items():
+        shifted = Rectangle(
+            Point(fsa.low.x + 100, fsa.low.y + 100), Point(fsa.high.x + 100, fsa.high.y + 100)
+        )
+        reports.insert(draw(st.integers(0, len(reports))), (100 + object_id, shifted))
+    return reports
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel needs numpy")
+@pytest.mark.parametrize("side", sorted(CUTOFFS))
+class TestComponentAnswers:
+    """The epoch pass answers each FSA inside its query component; every
+    answer — the fabricated vertex with its count, and the bonus of every
+    vertex it reads — must ``repr``-equal the merged structure's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        reports=touching_epochs(),
+        max_regions=region_caps,
+        ends=st.lists(st.builds(Point, tie_coordinate, tie_coordinate), max_size=8),
+    )
+    def test_component_answers_equal_the_merged_structure(self, side, reports, max_regions, ends):
+        fsas = epoch_map(reports)
+        reference = FsaOverlapStructure.build(fsas, max_regions)
+        table = EndpointTable()
+        for path_id, end in enumerate(ends):
+            table.add_path(path_id, Point(500.0, 500.0), end)
+        # Submission positions; an earlier report of a re-reporter is not in
+        # the epoch map and goes to the merged structure.
+        pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(reports)]
+        cache = OverlapPoolCache()
+        with pytest.MonkeyPatch.context() as patch:
+            cutoffs(patch, side)
+            for _round in ("miss", "hit"):
+                plan = plan_shard_overlaps("columnar", cache, fsas, max_regions)
+                plan.complete(build_structures(plan.missed_pools, max_regions))
+                prefetched = prefetch_vertex_candidates(table, pending, plan)
+                for position, _object_id, fsa in pending:
+                    prefetch = prefetched[position]
+                    expected = reference.candidate_vertex_for(fsa)
+                    assert repr(prefetch.fabricated) == repr(expected)
+                    vertices = list(prefetch.end_vertices)
+                    if expected is not None:
+                        vertices.append(expected[0])
+                    for vertex in vertices:
+                        region = reference.smallest_region_containing(vertex)
+                        assert prefetch.bonus[vertex] == (region.count if region else 0)
+
+    def test_each_fsa_is_answered_where_its_component_lies(self, side):
+        """A lone FSA from its box, a pool nothing touches from the pool, and
+        a pool touching a singleton at a corner, an edge-to-edge pair of
+        singletons and an earlier report of a re-reporter from the merged
+        structure — which is merged once, for those alone."""
+
+        def box(low_x, low_y, high_x, high_y):
+            return Rectangle(Point(low_x, low_y), Point(high_x, high_y))
+
+        reports = [
+            (1, box(0, 0, 2, 2)),  # lone
+            (2, box(10, 10, 14, 14)),  # a pool nothing touches ...
+            (3, box(12, 12, 16, 16)),
+            (4, box(30, 30, 34, 34)),  # a pool touching ...
+            (5, box(32, 32, 36, 36)),
+            (6, box(36, 36, 38, 38)),  # ... this singleton at a corner
+            (7, box(50, 50, 52, 52)),  # two singletons sharing an edge
+            (8, box(52, 50, 54, 52)),
+            (9, box(60, 60, 61, 61)),  # re-reported: the first FSA is off the map
+            (9, box(70, 70, 71, 71)),
+        ]
+        fsas = epoch_map(reports)
+        merges = []
+        merge = overlaps.OverlapPlan._merge
+
+        with pytest.MonkeyPatch.context() as patch:
+            cutoffs(patch, side)
+            patch.setattr(overlaps.OverlapPlan, "_merge", lambda plan: merges.append(1) or merge(plan))
+            plan = plan_shard_overlaps("columnar", None, fsas)
+            plan.complete(build_structures(plan.missed_pools))
+            assert plan.components == {1: LONE, 2: 0, 3: 0, 9: LONE}
+            pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(reports)]
+            prefetched = prefetch_vertex_candidates(EndpointTable(), pending, plan)
+        assert len(merges) == 1
+        reference = FsaOverlapStructure.build(fsas)
+        for position, _object_id, fsa in pending:
+            assert repr(prefetched[position].fabricated) == repr(reference.candidate_vertex_for(fsa))
+
+    def test_a_saturated_epoch_answers_everything_from_the_merged_structure(self, side):
+        fsas = {object_id: Rectangle(Point(10.0 * object_id, 0.0), Point(10.0 * object_id + 1, 1.0)) for object_id in range(4)}
+        with pytest.MonkeyPatch.context() as patch:
+            cutoffs(patch, side)
+            plan = plan_shard_overlaps("columnar", None, fsas, max_regions=4)
+            assert set(plan.components.values()) == {LONE}
+            plan.complete([])
+            assert plan.components == {}

@@ -178,7 +178,8 @@ class TestPlanAgainstTheCache:
 
     def run(self, cache, fsas):
         plan = plan_shard_overlaps("object", cache, fsas)
-        return plan, plan.merge(build_structures(plan.missed_pools))
+        plan.complete(build_structures(plan.missed_pools))
+        return plan, plan.merged()
 
     def test_without_a_cache_every_pool_is_built_and_nothing_is_tallied(self):
         fsas = {**self.PAIR, 3: self.FAR}
