@@ -47,7 +47,6 @@ _EXPORTS = {
     "MotionPath": "repro.core.motion_path",
     "MotionPathRecord": "repro.core.motion_path",
     "top_k_score": "repro.core.scoring",
-    "path_score": "repro.core.scoring",
     "RayTraceFilter": "repro.client.raytrace",
     "ObjectState": "repro.client.state",
     "NormalToleranceModel": "repro.client.uncertainty",

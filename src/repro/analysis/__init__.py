@@ -5,9 +5,7 @@ from repro.analysis.render import AsciiMapRenderer, render_hot_paths
 from repro.analysis.statistics import (
     DistributionSummary,
     HotPathStatistics,
-    NetworkAlignment,
     hot_path_statistics,
-    network_alignment,
     summarise_distribution,
 )
 
@@ -19,8 +17,6 @@ __all__ = [
     "render_hot_paths",
     "DistributionSummary",
     "HotPathStatistics",
-    "NetworkAlignment",
     "hot_path_statistics",
-    "network_alignment",
     "summarise_distribution",
 ]

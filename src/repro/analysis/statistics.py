@@ -3,31 +3,23 @@
 The evaluation section of the paper reports aggregate quantities (index size,
 top-k score); when analysing a run it is equally useful to look at the full
 distributions — how hotness and path length are distributed, how much of the
-total "heat" the few hottest paths capture, and how well the discovered paths
-line up with the underlying road network when a ground-truth network is
-available (Figures 9/10 make that comparison visually).  This module provides
-those summaries as plain data classes so examples, notebooks and tests can use
-them without any plotting dependency.
+total "heat" the few hottest paths capture.  This module provides those
+summaries as plain data classes without any plotting dependency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from repro.core.errors import ConfigurationError
 from repro.core.motion_path import MotionPathRecord
-from repro.network.road_network import RoadNetwork
-from repro.baselines.douglas_peucker import perpendicular_distance
 
 __all__ = [
     "DistributionSummary",
     "HotPathStatistics",
-    "NetworkAlignment",
     "summarise_distribution",
     "hot_path_statistics",
-    "network_alignment",
 ]
 
 HotPath = Tuple[MotionPathRecord, int]
@@ -86,10 +78,6 @@ class HotPathStatistics:
     score: DistributionSummary
     top_decile_heat_share: float
 
-    @property
-    def num_paths(self) -> int:
-        return self.hotness.count
-
 
 def hot_path_statistics(hot_paths: Iterable[HotPath]) -> HotPathStatistics:
     """Distributions of hotness, length and score over a hot-path set.
@@ -116,67 +104,4 @@ def hot_path_statistics(hot_paths: Iterable[HotPath]) -> HotPathStatistics:
         length=summarise_distribution(length_values),
         score=summarise_distribution(score_values),
         top_decile_heat_share=share,
-    )
-
-
-@dataclass(frozen=True)
-class NetworkAlignment:
-    """How well discovered paths align with a ground-truth road network."""
-
-    paths_considered: int
-    aligned_paths: int
-    mean_endpoint_distance: float
-    alignment_tolerance: float
-
-    @property
-    def aligned_fraction(self) -> float:
-        if self.paths_considered == 0:
-            return 0.0
-        return self.aligned_paths / self.paths_considered
-
-
-def network_alignment(
-    hot_paths: Iterable[HotPath],
-    network: RoadNetwork,
-    tolerance: float,
-    min_hotness: int = 1,
-) -> NetworkAlignment:
-    """Measure how close discovered path endpoints are to the (hidden) network.
-
-    A path is *aligned* when both of its endpoints lie within ``tolerance`` of
-    some network link.  The algorithms never see the network, so a high
-    aligned fraction is evidence that the discovered paths trace real roads
-    (the quantitative counterpart of Figure 9).
-    """
-    if tolerance <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
-    links = [
-        (network.node(link.source).location, network.node(link.target).location)
-        for link in network.links()
-    ]
-    if not links:
-        raise ConfigurationError("cannot align against an empty network")
-
-    def distance_to_network(point) -> float:
-        return min(perpendicular_distance(point, start, end) for start, end in links)
-
-    considered = 0
-    aligned = 0
-    distance_sum = 0.0
-    for record, hotness in hot_paths:
-        if hotness < min_hotness:
-            continue
-        considered += 1
-        start_distance = distance_to_network(record.path.start)
-        end_distance = distance_to_network(record.path.end)
-        distance_sum += (start_distance + end_distance) / 2.0
-        if start_distance <= tolerance and end_distance <= tolerance:
-            aligned += 1
-
-    mean_distance = distance_sum / considered if considered else 0.0
-    return NetworkAlignment(
-        paths_considered=considered,
-        aligned_paths=aligned,
-        mean_endpoint_distance=mean_distance,
-        alignment_tolerance=tolerance,
     )

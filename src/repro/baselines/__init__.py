@@ -1,18 +1,12 @@
-"""Baselines: Douglas-Peucker variants, the DP hot-segment method and the naive client."""
+"""Baselines: the opening-window Douglas-Peucker simplifier, the DP hot-segment method and the naive client."""
 
-from repro.baselines.douglas_peucker import douglas_peucker, perpendicular_distance, synchronous_distance
-from repro.baselines.opening_window import OpeningWindowPolicy, opening_window_simplify
-from repro.baselines.dp_hot import DPHotSegmentTracker, DPSegmentRecord
-from repro.baselines.naive import NaiveClient, NaiveCoordinator
+from repro.baselines.opening_window import OpeningWindowPolicy, synchronous_distance
+from repro.baselines.dp_hot import DPHotSegmentTracker
+from repro.baselines.naive import NaiveClient
 
 __all__ = [
-    "douglas_peucker",
-    "perpendicular_distance",
     "synchronous_distance",
     "OpeningWindowPolicy",
-    "opening_window_simplify",
     "DPHotSegmentTracker",
-    "DPSegmentRecord",
     "NaiveClient",
-    "NaiveCoordinator",
 ]

@@ -16,11 +16,10 @@ expiry ``W`` time units after the segment was crossed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.geometry import Point, Rectangle
+from repro.core.geometry import Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.core.trajectory import TimePoint
@@ -32,22 +31,7 @@ from repro.baselines.opening_window import (
     OpeningWindowSimplifier,
 )
 
-__all__ = ["DPSegmentRecord", "DPHotSegmentTracker"]
-
-
-@dataclass
-class DPSegmentRecord:
-    """A stored DP segment (same shape as a motion-path record)."""
-
-    record: MotionPathRecord
-
-    @property
-    def path_id(self) -> int:
-        return self.record.path_id
-
-    @property
-    def segment(self) -> MotionPath:
-        return self.record.path
+__all__ = ["DPHotSegmentTracker"]
 
 
 class DPHotSegmentTracker:
@@ -73,8 +57,6 @@ class DPHotSegmentTracker:
         self.index = GridIndex(GridConfig(bounds, cells_per_axis))
         self.hotness = HotnessTracker(window)
         self._simplifiers: Dict[int, OpeningWindowSimplifier] = {}
-        self._segments_emitted = 0
-        self._segments_reused = 0
 
     # -- streaming interface ---------------------------------------------------------
 
@@ -93,16 +75,6 @@ class DPHotSegmentTracker:
             return None
         return self._register_segment(closed)
 
-    def flush_object(self, object_id: int) -> Optional[int]:
-        """Close the open segment of ``object_id`` at the end of its stream."""
-        simplifier = self._simplifiers.get(object_id)
-        if simplifier is None:
-            return None
-        closed = simplifier.flush()
-        if closed is None:
-            return None
-        return self._register_segment(closed)
-
     def advance_time(self, now: int) -> int:
         """Expire segments whose crossings fell outside the window; return how many vanished."""
         vanished = self.hotness.advance_time(now)
@@ -115,7 +87,6 @@ class DPHotSegmentTracker:
 
     def _register_segment(self, segment: OpeningWindowSegment) -> int:
         """Reuse an existing stored segment or insert the new one (MBB containment rule)."""
-        self._segments_emitted += 1
         candidate = MotionPath(segment.start.point, segment.end.point)
         query_box = candidate.bounding_box(padding=self.tolerance)
         reused_id: Optional[int] = None
@@ -125,7 +96,6 @@ class DPHotSegmentTracker:
                 reused_id = record.path_id
                 break
         if reused_id is not None:
-            self._segments_reused += 1
             self.hotness.record_crossing(reused_id, segment.end.timestamp)
             return reused_id
         record = self.index.insert(candidate, created_at=segment.end.timestamp)
@@ -153,17 +123,3 @@ class DPHotSegmentTracker:
     def top_k_score(self, k: int) -> float:
         """Average score of the current top-k segments."""
         return top_k_score(self.top_k(k))
-
-    @property
-    def segments_emitted(self) -> int:
-        return self._segments_emitted
-
-    @property
-    def segments_reused(self) -> int:
-        return self._segments_reused
-
-    @property
-    def reuse_ratio(self) -> float:
-        if self._segments_emitted == 0:
-            return 0.0
-        return self._segments_reused / self._segments_emitted

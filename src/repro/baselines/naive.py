@@ -3,26 +3,18 @@
 The paper argues (Section 1 and 3.2) that continuously relaying every location
 update to the coordinator is infeasible because of bandwidth and coordinator
 load.  This module implements that strawman so the communication-overhead
-ablation can quantify the saving achieved by RayTrace:
-
-* :class:`NaiveClient` transmits every measurement as-is;
-* :class:`NaiveCoordinator` receives the raw measurements and periodically runs
-  the opening-window simplifier server-side (the cheapest reasonable thing a
-  centralised design could do) so that downstream hot-segment accounting still
-  works and the comparison is about *communication*, not about path quality.
+ablation can quantify the saving achieved by RayTrace: :class:`NaiveClient`
+transmits every measurement as-is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from repro.core.geometry import Rectangle
 from repro.core.trajectory import TimePoint
-from repro.baselines.dp_hot import DPHotSegmentTracker
-from repro.baselines.opening_window import OpeningWindowPolicy
 
-__all__ = ["NaiveClient", "NaiveCoordinator"]
+__all__ = ["NaiveClient"]
 
 # Bytes per transmitted raw measurement: two coordinates, a timestamp and the
 # object id, each serialised as a 4-byte field (same convention as ObjectState).
@@ -42,40 +34,3 @@ class NaiveClient:
         self.measurements_sent += 1
         self.bytes_sent += _MEASUREMENT_BYTES
         return (self.object_id, timepoint)
-
-
-class NaiveCoordinator:
-    """Centralised processing of raw measurement streams.
-
-    Internally reuses the DP hot-segment tracker so the naive pipeline still
-    produces hot segments; the interesting outputs for the ablation are the
-    message and byte counters.
-    """
-
-    def __init__(
-        self,
-        bounds: Rectangle,
-        tolerance: float,
-        window: int = 100,
-        cells_per_axis: int = 64,
-    ) -> None:
-        self._tracker = DPHotSegmentTracker(
-            bounds, tolerance, window, cells_per_axis, OpeningWindowPolicy.NOPW
-        )
-        self.measurements_received = 0
-        self.bytes_received = 0
-
-    def receive(self, object_id: int, timepoint: TimePoint) -> None:
-        """Ingest one raw measurement from a client."""
-        self.measurements_received += 1
-        self.bytes_received += _MEASUREMENT_BYTES
-        self._tracker.observe(object_id, timepoint)
-
-    def advance_time(self, now: int) -> None:
-        self._tracker.advance_time(now)
-
-    def index_size(self) -> int:
-        return self._tracker.index_size()
-
-    def top_k_score(self, k: int) -> float:
-        return self._tracker.top_k_score(k)

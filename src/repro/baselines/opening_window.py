@@ -21,13 +21,32 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.core.errors import ConfigurationError
+from repro.core.geometry import Point, max_distance
 from repro.core.trajectory import TimePoint
-from repro.baselines.douglas_peucker import synchronous_distance
 
-__all__ = ["OpeningWindowPolicy", "OpeningWindowSegment", "OpeningWindowSimplifier", "opening_window_simplify"]
+__all__ = ["OpeningWindowPolicy", "OpeningWindowSegment", "OpeningWindowSimplifier", "synchronous_distance"]
+
+
+def synchronous_distance(timepoint: TimePoint, start: TimePoint, end: TimePoint) -> float:
+    """Spatiotemporal distance of ``timepoint`` to the segment ``start -> end``.
+
+    The segment is interpreted as uniform motion from ``start`` to ``end``;
+    the distance is the max-distance between the timepoint's position and the
+    interpolated position at the same timestamp, matching how motion-path
+    proximity is defined in the paper.
+    """
+    span = end.timestamp - start.timestamp
+    if span == 0:
+        return max_distance(timepoint.point, start.point)
+    fraction = (timepoint.timestamp - start.timestamp) / span
+    interpolated = Point(
+        start.x + fraction * (end.x - start.x),
+        start.y + fraction * (end.y - start.y),
+    )
+    return max_distance(timepoint.point, interpolated)
 
 
 class OpeningWindowPolicy(enum.Enum):
@@ -44,17 +63,12 @@ class OpeningWindowSegment:
     start: TimePoint
     end: TimePoint
 
-    @property
-    def duration(self) -> int:
-        return self.end.timestamp - self.start.timestamp
-
 
 class OpeningWindowSimplifier:
     """Streaming opening-window simplifier for a single object's measurements.
 
     Feed measurements with :meth:`observe`; each call returns the segment that
-    was closed by this measurement, if any.  Call :meth:`flush` at the end of
-    the stream to obtain the final (open) segment.
+    was closed by this measurement, if any.
     """
 
     def __init__(self, tolerance: float, policy: OpeningWindowPolicy = OpeningWindowPolicy.NOPW) -> None:
@@ -63,11 +77,6 @@ class OpeningWindowSimplifier:
         self.tolerance = tolerance
         self.policy = policy
         self._window: List[TimePoint] = []
-
-    @property
-    def window_size(self) -> int:
-        """Number of measurements currently buffered in the opening window."""
-        return len(self._window)
 
     def observe(self, timepoint: TimePoint) -> Optional[OpeningWindowSegment]:
         """Process one measurement; return the closed segment when one is emitted."""
@@ -98,29 +107,3 @@ class OpeningWindowSimplifier:
         # after it (still to be covered), followed by the new measurement.
         self._window = self._window[split_index:] + [timepoint]
         return segment
-
-    def flush(self) -> Optional[OpeningWindowSegment]:
-        """Close and return the final open segment (``None`` for a trivial window)."""
-        if len(self._window) < 2:
-            return None
-        segment = OpeningWindowSegment(self._window[0], self._window[-1])
-        self._window = [self._window[-1]]
-        return segment
-
-
-def opening_window_simplify(
-    timepoints: Iterable[TimePoint],
-    tolerance: float,
-    policy: OpeningWindowPolicy = OpeningWindowPolicy.NOPW,
-) -> List[OpeningWindowSegment]:
-    """Simplify a complete measurement sequence with the opening-window algorithm."""
-    simplifier = OpeningWindowSimplifier(tolerance, policy)
-    segments: List[OpeningWindowSegment] = []
-    for timepoint in timepoints:
-        closed = simplifier.observe(timepoint)
-        if closed is not None:
-            segments.append(closed)
-    final = simplifier.flush()
-    if final is not None:
-        segments.append(final)
-    return segments

@@ -23,12 +23,17 @@ import argparse
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, get_type_hints
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ReproError
 from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.fleet import FleetConfig
 from repro.serving import FAULT_TYPES
+
+if TYPE_CHECKING:
+    from repro.coordinator.coordinator import CoordinatorConfig
+    from repro.serving.scenarios import BaseScenario, InjectionConfig
+    from repro.serving.server import ServingConfig
 
 # Each subcommand imports the layers it runs (the simulation, the experiment
 # runners, the scenario harness) inside its handler, so ``repro serve`` does
@@ -40,6 +45,8 @@ __all__ = ["build_parser", "main"]
 def _scale_from_args(args: argparse.Namespace):
     from repro.experiments.config import ExperimentScale
 
+    if not args.scale > 0:
+        raise ConfigurationError(f"scale must be positive, got {args.scale}")
     if args.scale >= 1.0:
         return ExperimentScale(population=1.0, duration=1.0, network_nodes_per_axis=33)
     nodes = max(6, min(33, int(33 * (args.scale ** 0.5) * 2)))
@@ -69,6 +76,53 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _fleet_from_args(args: argparse.Namespace) -> FleetConfig:
     return FleetConfig(**{knob.name: getattr(args, knob.name) for knob in fields(FleetConfig)})
+
+
+class _ServeConfig(NamedTuple):
+    """What ``serve`` runs; ``scenario`` and ``injection`` only with ``--scenario``."""
+
+    fleet: FleetConfig
+    coordinator: CoordinatorConfig
+    serving: ServingConfig
+    scenario: Optional[BaseScenario] = None
+    injection: Optional[InjectionConfig] = None
+
+
+def _serve_config(args: argparse.Namespace) -> _ServeConfig:
+    from repro.core.geometry import Point, Rectangle
+    from repro.coordinator.coordinator import CoordinatorConfig
+    from repro.serving.server import ServingConfig
+
+    fleet = _fleet_from_args(args)
+    config = _ServeConfig(
+        fleet,
+        CoordinatorConfig(
+            bounds=Rectangle(Point(0.0, 0.0), Point(args.area, args.area)),
+            window=args.window,
+            cells_per_axis=args.cells,
+            **asdict(fleet),
+        ),
+        ServingConfig(
+            host=args.host,
+            port=args.port,
+            max_pending_updates=args.max_pending,
+            auto_epoch_seconds=args.epoch_seconds,
+            auto_epoch_timestamps=args.epoch,
+        ),
+    )
+    if args.scenario is None:
+        return config
+    from repro.serving.scenarios import InjectionConfig, get_scenario
+
+    return config._replace(
+        scenario=get_scenario(args.scenario, load_factor=args.load_factor),
+        injection=InjectionConfig(
+            enabled=args.chaos is not None,
+            fault=args.chaos,
+            rate=args.chaos_rate,
+            seed=args.chaos_seed,
+        ),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,27 +352,30 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_csv(args: argparse.Namespace, **experiments) -> None:
+    """``--csv DIR``: one file per experiment, ``DIR`` created when missing."""
+    from repro.experiments.report import write_experiment_bundle
+
+    if args.csv is not None:
+        for path in write_experiment_bundle(args.csv, **experiments):
+            print(f"csv written to {path}")
+
+
 def _command_figure7(args: argparse.Namespace) -> int:
     from repro.experiments.figure7 import run_figure7
-    from repro.experiments.report import write_sweep_csv
 
-    report = run_figure7(scale=_scale_from_args(args), seed=args.seed)
+    report = run_figure7(scale=args.config, seed=args.seed)
     print(report.format_table())
-    if args.csv is not None:
-        path = write_sweep_csv(report.rows, Path(args.csv) / "figure7.csv")
-        print(f"csv written to {path}")
+    _write_csv(args, figure7_rows=report.rows)
     return 0
 
 
 def _command_figure8(args: argparse.Namespace) -> int:
     from repro.experiments.figure8 import run_figure8
-    from repro.experiments.report import write_sweep_csv
 
-    report = run_figure8(scale=_scale_from_args(args), seed=args.seed)
+    report = run_figure8(scale=args.config, seed=args.seed)
     print(report.format_table())
-    if args.csv is not None:
-        path = write_sweep_csv(report.rows, Path(args.csv) / "figure8.csv")
-        print(f"csv written to {path}")
+    _write_csv(args, figure8_rows=report.rows)
     return 0
 
 
@@ -326,7 +383,7 @@ def _command_figure9(args: argparse.Namespace) -> int:
     from repro.experiments.figure9 import run_figure9
 
     report = run_figure9(
-        scale=_scale_from_args(args), seed=args.seed, map_width=args.width, map_height=args.height
+        scale=args.config, seed=args.seed, map_width=args.width, map_height=args.height
     )
     print("Ground-truth network:")
     print(report.network_map)
@@ -340,7 +397,7 @@ def _command_figure10(args: argparse.Namespace) -> int:
     from repro.experiments.figure9 import run_figure10
 
     report = run_figure10(
-        scale=_scale_from_args(args), seed=args.seed, map_width=args.width, map_height=args.height
+        scale=args.config, seed=args.seed, map_width=args.width, map_height=args.height
     )
     print(report.discovered_map)
     print(f"\ntop paths rendered: {len(report.hot_paths)}")
@@ -353,9 +410,8 @@ def _command_ablations(args: argparse.Namespace) -> int:
         run_grid_resolution_ablation,
         run_uncertainty_ablation,
     )
-    from repro.experiments.report import write_experiment_bundle
 
-    scale = _scale_from_args(args)
+    scale = args.config
     communication = run_communication_ablation(scale=scale, seed=args.seed)
     uncertainty = run_uncertainty_ablation(scale=scale, seed=args.seed)
     grid = run_grid_resolution_ablation(scale=scale, seed=args.seed)
@@ -372,26 +428,22 @@ def _command_ablations(args: argparse.Namespace) -> int:
         print(f"  cells={row.cells_per_axis:<4d} time/epoch={row.mean_processing_seconds * 1000:.2f} ms "
               f"index={row.mean_index_size:.1f}")
 
-    if args.csv is not None:
-        written = write_experiment_bundle(
-            args.csv,
-            ablations={
-                "communication": communication,
-                "uncertainty": uncertainty,
-                "grid_resolution": grid,
-            },
-        )
-        for path in written:
-            print(f"csv written to {path}")
+    _write_csv(
+        args,
+        ablations={
+            "communication": communication,
+            "uncertainty": uncertainty,
+            "grid_resolution": grid,
+        },
+    )
     return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.geometry import Point, Rectangle
-    from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
-    from repro.serving.server import IngestionServer, ServingConfig
+    from repro.coordinator.coordinator import Coordinator
+    from repro.serving.server import IngestionServer
 
     if args.list_scenarios:
         from repro.serving.scenarios import SCENARIOS
@@ -402,29 +454,17 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(f"  {name:<18s} clients={scenario.num_clients:<3d} epochs={scenario.epochs:<3d} {scenario.description}")
         return 0
 
-    fleet: FleetConfig = args.config
-    if args.scenario is not None:
-        from repro.serving.scenarios import (
-            InjectionConfig,
-            ScenarioRunner,
-            get_scenario,
-            replay_accepted_log,
-        )
+    fleet, coordinator_config, serving_config, scenario, injection = args.config
+    if scenario is not None:
+        from repro.serving.scenarios import ScenarioRunner, replay_accepted_log
 
-        scenario = get_scenario(args.scenario, load_factor=args.load_factor)
-        injection = InjectionConfig(
-            enabled=args.chaos is not None,
-            fault=args.chaos,
-            rate=args.chaos_rate,
-            seed=args.chaos_seed,
-        )
         runner = ScenarioRunner(
             fleet=fleet,
-            window=args.window,
-            cells_per_axis=args.cells,
-            epoch_length=args.epoch,
-            max_pending_updates=args.max_pending,
-            bounds=Rectangle(Point(0.0, 0.0), Point(args.area, args.area)),
+            window=coordinator_config.window,
+            cells_per_axis=coordinator_config.cells_per_axis,
+            epoch_length=serving_config.auto_epoch_timestamps,
+            max_pending_updates=serving_config.max_pending_updates,
+            bounds=coordinator_config.bounds,
         )
         result = runner.run(
             scenario, seed=args.seed, injection=injection, concurrent=args.concurrent
@@ -465,24 +505,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             print("  validation passed")
         return 0 if (equal and result.passed) else 1
 
-    coordinator = Coordinator(
-        CoordinatorConfig(
-            bounds=Rectangle(Point(0.0, 0.0), Point(args.area, args.area)),
-            window=args.window,
-            cells_per_axis=args.cells,
-            **asdict(fleet),
-        )
-    )
-    server = IngestionServer(
-        coordinator,
-        ServingConfig(
-            host=args.host,
-            port=args.port,
-            max_pending_updates=args.max_pending,
-            auto_epoch_seconds=args.epoch_seconds,
-            auto_epoch_timestamps=args.epoch,
-        ),
-    )
+    coordinator = Coordinator(coordinator_config)
+    server = IngestionServer(coordinator, serving_config)
 
     async def _serve() -> None:
         await server.start()
@@ -522,19 +546,26 @@ _COMMANDS = {
 }
 
 
-#: Subcommands whose options become a validated config before anything runs.
-_CONFIGS = {"run": _simulation_config, "serve": _fleet_from_args}
+#: Each subcommand's options become a validated config before anything runs.
+_CONFIGS = {
+    "run": _simulation_config,
+    "serve": _serve_config,
+    "figure7": _scale_from_args,
+    "figure8": _scale_from_args,
+    "ablations": _scale_from_args,
+    "figure9": _scale_from_args,
+    "figure10": _scale_from_args,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _CONFIGS:
-        try:
-            args.config = _CONFIGS[args.command](args)
-        except ConfigurationError as error:
-            parser.error(str(error))  # one line on stderr, exit status 2
+    try:
+        args.config = _CONFIGS[args.command](args)
+    except ReproError as error:  # raised by a config, so by an option value
+        parser.error(str(error))  # one line on stderr, exit status 2
     return _COMMANDS[args.command](args)
 
 

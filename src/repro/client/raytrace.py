@@ -24,9 +24,9 @@ derives per-axis admissible intervals from the measurement's reported sigmas.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
-from typing import Deque, List, Optional, Union
+from typing import Deque, Optional, Union
 
 from repro.core.errors import ConfigurationError, CoordinatorError, InvalidGeometryError
 from repro.core.geometry import Point, Rectangle
@@ -66,13 +66,6 @@ class RayTraceStatistics:
     states_sent: int = 0
     responses_received: int = 0
     buffered_high_watermark: int = 0
-
-    @property
-    def suppression_ratio(self) -> float:
-        """Fraction of measurements that did *not* trigger a state message."""
-        if self.measurements_processed == 0:
-            return 0.0
-        return 1.0 - self.states_sent / self.measurements_processed
 
 
 class RayTraceFilter:
@@ -129,7 +122,7 @@ class RayTraceFilter:
     @property
     def fsa(self) -> Rectangle:
         """Current Final Safe Area rectangle (at time :attr:`fsa_timestamp`), built on demand."""
-        return Rectangle.from_bounds(self._fsa_lx, self._fsa_ly, self._fsa_hx, self._fsa_hy)
+        return Rectangle(Point(self._fsa_lx, self._fsa_ly), Point(self._fsa_hx, self._fsa_hy))
 
     @property
     def fsa_timestamp(self) -> int:

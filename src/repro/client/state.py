@@ -48,11 +48,6 @@ class ObjectState:
         """
         return Rectangle(self.fsa_low, self.fsa_high)
 
-    @property
-    def duration(self) -> int:
-        """Length of the time interval covered by the reported SSA."""
-        return self.t_end - self.t_start
-
     def message_size_bytes(self) -> int:
         """Size of the state message on the wire.
 

@@ -22,11 +22,10 @@ intervals.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.core.errors import ToleranceError
 from repro.core.geometry import Point, Rectangle
@@ -66,17 +65,6 @@ class ToleranceInterval:
 
     low: float
     high: float
-
-    @property
-    def half_width(self) -> float:
-        return (self.high - self.low) / 2.0
-
-    @property
-    def center(self) -> float:
-        return (self.high + self.low) / 2.0
-
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
 
 
 class UnsatisfiableTolerancePolicy(enum.Enum):
@@ -140,23 +128,6 @@ class NormalToleranceModel:
 
     # -- one-dimensional interval -------------------------------------------------
 
-    def max_supported_sigma(self, axis_delta: Optional[float] = None) -> float:
-        """Largest sigma for which Equation 2 still has a solution.
-
-        A solution exists iff the probability mass of ``[-eps, eps]`` around
-        the mean itself is at least ``1 - delta`` (the best possible candidate
-        is the mean).  Solving ``2 Phi(eps / sigma) - 1 >= 1 - delta`` for sigma
-        gives the bound returned here.
-        """
-        delta = self._axis_delta if axis_delta is None else axis_delta
-        if delta <= 0.0:
-            return 0.0
-        # Invert: Phi(eps / sigma) = 1 - delta / 2  =>  eps / sigma = z
-        z = self._standard_normal_quantile(1.0 - delta / 2.0)
-        if z <= 0:
-            return math.inf
-        return self.epsilon / z
-
     def tolerance_interval(
         self, mean: float, sigma: float, axis_delta: Optional[float] = None
     ) -> ToleranceInterval:
@@ -195,11 +166,6 @@ class NormalToleranceModel:
             Point(interval_x.high, interval_y.high),
         )
 
-    def effective_half_widths(self, measurement: UncertainTimePoint) -> Tuple[float, float]:
-        """Half widths of the tolerance square on each axis (for diagnostics)."""
-        square = self.tolerance_square(measurement)
-        return (square.width / 2.0, square.height / 2.0)
-
     # -- internals --------------------------------------------------------------------
 
     def _solve_half_width(self, sigma: float, delta: float) -> Optional[float]:
@@ -236,17 +202,3 @@ class NormalToleranceModel:
                 high = mid
         self._half_width_cache[key] = low
         return low
-
-    @staticmethod
-    def _standard_normal_quantile(p: float) -> float:
-        """Inverse standard normal CDF via bisection (no scipy dependency needed)."""
-        if not 0.0 < p < 1.0:
-            raise ToleranceError(f"quantile probability must be in (0, 1), got {p}")
-        low, high = -12.0, 12.0
-        for _ in range(80):
-            mid = (low + high) / 2.0
-            if standard_normal_cdf(mid) < p:
-                low = mid
-            else:
-                high = mid
-        return (low + high) / 2.0

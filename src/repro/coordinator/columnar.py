@@ -242,9 +242,6 @@ class EndpointTable:
         self._by_start: Dict[Point, Dict[int, Point]] = {}
         self._start_of: Dict[int, Point] = {}
 
-    def __len__(self) -> int:
-        return len(self._start_of)
-
     def add_path(self, path_id: int, start: Point, end: Point) -> None:
         """Store the path ``start -> end`` under ``path_id``."""
         self._start_of[path_id] = start
@@ -304,16 +301,6 @@ class EndpointTable:
         for row in self.end_rows_in(region):
             vertices.setdefault(ends[row], []).append(pids[row])
         return vertices
-
-    def endpoints_in(self, region: Rectangle) -> List[int]:
-        """Path ids (possibly repeated) with an endpoint inside ``region``:
-        ends by x, then starts by vertex."""
-        pids = self._pids
-        found = [pids[row] for row in self.end_rows_in(region)]
-        for start, bucket in self._by_start.items():
-            if region.contains_point(start):
-                found.extend(bucket)
-        return found
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ class CoordinatorConfig(FleetConfig, _MonitoredArea):
         super().__post_init__()
         if self.window <= 0:
             raise ConfigurationError(f"window must be positive, got {self.window}")
+        GridConfig(self.bounds, self.cells_per_axis)  # validates the grid
 
 
 @dataclass
@@ -124,7 +125,6 @@ class Coordinator:
         self._pending_states: List[ObjectState] = []
         self._corridor_cache: Optional[List[CompositeCorridor]] = None
         self._epochs_processed = 0
-        self._total_processing_seconds = 0.0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -141,10 +141,6 @@ class Coordinator:
     def submit_state(self, state: ObjectState) -> None:
         """Queue a state message for processing at the next epoch."""
         self._pending_states.append(state)
-
-    @property
-    def pending_states(self) -> int:
-        return len(self._pending_states)
 
     # -- epoch processing -----------------------------------------------------------
 
@@ -179,7 +175,6 @@ class Coordinator:
 
         outcome.processing_seconds = time.perf_counter() - started
         self._epochs_processed += 1
-        self._total_processing_seconds += outcome.processing_seconds
         return outcome
 
     def _assemble_delta(self, now: int, deleted: List[int], epoch_result) -> EpochDelta:
@@ -315,13 +310,3 @@ class Coordinator:
     @property
     def epochs_processed(self) -> int:
         return self._epochs_processed
-
-    @property
-    def total_processing_seconds(self) -> float:
-        return self._total_processing_seconds
-
-    @property
-    def mean_processing_seconds_per_epoch(self) -> float:
-        if self._epochs_processed == 0:
-            return 0.0
-        return self._total_processing_seconds / self._epochs_processed

@@ -201,17 +201,14 @@ class GridIndex:
     def paths_intersecting(self, region: Rectangle) -> List[MotionPathRecord]:
         """Motion paths with at least one endpoint inside ``region``.
 
-        Used by the DP baseline and by analyses; SinglePath itself relies on
-        the more specific queries above.
+        The DP baseline's query, answered by the ``object`` kernel only (the
+        baseline's index); SinglePath relies on the more specific queries
+        above.
         """
+        if self._endpoints is not None:
+            raise CoordinatorError("paths_intersecting needs the object kernel")
         seen: Set[int] = set()
         results: List[MotionPathRecord] = []
-        if self._endpoints is not None:
-            for path_id in self._endpoints.endpoints_in(region):
-                if path_id not in seen:
-                    seen.add(path_id)
-                    results.append(self._records[path_id])
-            return results
         for (path_id, _is_start), (endpoint, _other) in self._entries_in(region):
             if path_id in seen:
                 continue

@@ -12,7 +12,6 @@ can evict them from the grid index.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
@@ -129,9 +128,6 @@ class HotnessTracker:
         """Current hotness of ``path_id`` (zero when unknown)."""
         return self._hotness.get(path_id, 0)
 
-    def __contains__(self, path_id: int) -> bool:
-        return path_id in self._hotness
-
     def __len__(self) -> int:
         """Number of paths with non-zero hotness."""
         return len(self._hotness)
@@ -144,7 +140,3 @@ class HotnessTracker:
     def items(self) -> Iterable[Tuple[int, int]]:
         """Iterate over ``(path_id, hotness)`` pairs."""
         return self._hotness.items()
-
-    def total_crossings(self) -> int:
-        """Sum of hotness over all live paths."""
-        return sum(self._hotness.values())

@@ -7,12 +7,10 @@ border shards without a special case.  The grid is fixed at construction.
 Its contract:
 
 * :meth:`ShardGrid.shard_id_of` is total — every point maps to exactly one
-  shard, whose cell (:meth:`ShardGrid.shard_bounds`) contains the clamped
-  point;
+  shard, whose cell contains the clamped point;
 * :meth:`ShardGrid.shard_ids_overlapping` returns every shard whose cell
-  intersects a query rectangle, in ascending shard-id order, and
-  :meth:`ShardGrid.single_shard_of` the one shard fully containing it, or
-  ``None``.
+  intersects a query rectangle, in ascending shard-id order (only
+  :func:`~repro.coordinator.execution.conflict_groups` asks).
 
 Only the labels of :mod:`repro.coordinator.sharding` read the grid; no epoch
 stage does, so every shape answers bit for bit like the seed coordinator.
@@ -21,7 +19,7 @@ stage does, so every shape answers bit for bit like the seed coordinator.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
@@ -93,31 +91,3 @@ class ShardGrid:
             base = row * self.cols
             for col in range(col_lo, col_hi + 1):
                 yield base + col
-
-    def single_shard_of(self, region: Rectangle) -> Optional[int]:
-        """The one shard whose cell contains all of ``region``, else ``None``."""
-        col_lo, col_hi, row_lo, row_hi = self.span_of(region)
-        if col_lo != col_hi or row_lo != row_hi:
-            return None
-        return row_lo * self.cols + col_lo
-
-    def sub_bounds(self, col: int, row: int) -> Rectangle:
-        """The sub-rectangle covered by shard ``(col, row)``.
-
-        The last row/column extends exactly to the global bounds so no strip
-        of the area is lost to floating-point division.
-        """
-        low = Point(
-            self.bounds.low.x + col * self._shard_width,
-            self.bounds.low.y + row * self._shard_height,
-        )
-        high = Point(
-            self.bounds.high.x if col == self.cols - 1 else low.x + self._shard_width,
-            self.bounds.high.y if row == self.rows - 1 else low.y + self._shard_height,
-        )
-        return Rectangle(low, high)
-
-    def shard_bounds(self, shard_id: int) -> Rectangle:
-        """The sub-rectangle of the monitored bounds covered by ``shard_id``."""
-        row, col = divmod(shard_id, self.cols)
-        return self.sub_bounds(col, row)

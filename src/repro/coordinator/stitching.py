@@ -71,7 +71,6 @@ __all__ = [
     "stitch_paths",
     "corridor_stats",
     "select_top_k_corridors",
-    "top_k_corridor_score",
 ]
 
 @dataclass(frozen=True)
@@ -141,12 +140,6 @@ class CompositeCorridor:
     def score(self) -> float:
         """Sum of the member scores — additive, so stitching never inflates it."""
         return sum(segment.score for segment in self.segments)
-
-    def vertices(self) -> List[Point]:
-        """The chain's polyline: start, every weld vertex, end."""
-        points = [self.segments[0].path.start]
-        points.extend(segment.path.end for segment in self.segments)
-        return points
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +542,3 @@ def select_top_k_corridors(
     else:
         key = lambda corridor: (corridor.hotness, corridor.score, -corridor.lead_path_id)
     return heapq.nlargest(k, corridors, key=key)
-
-
-def top_k_corridor_score(top_k: Sequence[CompositeCorridor]) -> float:
-    """Average score of a corridor top-k set; zero for an empty set."""
-    if not top_k:
-        return 0.0
-    return sum(corridor.score for corridor in top_k) / len(top_k)

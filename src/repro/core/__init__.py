@@ -5,13 +5,11 @@ from repro.core.geometry import (
     Rectangle,
     max_distance,
     euclidean_distance,
-    manhattan_distance,
-    lp_distance,
     interpolate_point,
 )
 from repro.core.trajectory import TimePoint, UncertainTimePoint, Trajectory
-from repro.core.motion_path import MotionPath, MotionPathRecord, CoveringMotionPathSet
-from repro.core.scoring import path_score, top_k_score, select_top_k
+from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.scoring import top_k_score, select_top_k
 from repro.core.errors import (
     ReproError,
     InvalidGeometryError,
@@ -25,16 +23,12 @@ __all__ = [
     "Rectangle",
     "max_distance",
     "euclidean_distance",
-    "manhattan_distance",
-    "lp_distance",
     "interpolate_point",
     "TimePoint",
     "UncertainTimePoint",
     "Trajectory",
     "MotionPath",
     "MotionPathRecord",
-    "CoveringMotionPathSet",
-    "path_score",
     "top_k_score",
     "select_top_k",
     "ReproError",

@@ -4,7 +4,7 @@ The paper works on the xy plane with the max-distance (L-infinity) metric: a
 point ``p_a`` is *close* to ``p_k`` when ``max(|x_a - x_k|, |y_a - y_k|) <= eps``.
 The tolerance square of side ``2 * eps`` around a measurement and the Spatial
 Safe Area projections maintained by RayTrace are all axis-aligned rectangles,
-so :class:`Rectangle` (with intersection, containment and expansion) is the
+so :class:`Rectangle` (with intersection and containment) is the
 workhorse of both tiers.
 
 Everything in this module is a small immutable value object, and every
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.errors import InvalidGeometryError
 
@@ -29,8 +29,6 @@ __all__ = [
     "Rectangle",
     "max_distance",
     "euclidean_distance",
-    "manhattan_distance",
-    "lp_distance",
     "interpolate_point",
     "interpolate_scalar",
     "segment_length",
@@ -52,29 +50,13 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise InvalidGeometryError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
-    def __iter__(self) -> Iterator[float]:
-        yield self.x
-        yield self.y
-
     def as_tuple(self) -> Tuple[float, float]:
         """Return the point as a plain ``(x, y)`` tuple."""
         return (self.x, self.y)
 
-    def translate(self, dx: float, dy: float) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def max_distance_to(self, other: "Point") -> float:
-        """L-infinity distance to ``other`` (the paper's default metric)."""
-        return max(abs(self.x - other.x), abs(self.y - other.y))
-
     def euclidean_distance_to(self, other: "Point") -> float:
         """L2 distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def is_close_to(self, other: "Point", tolerance: float) -> bool:
-        """Return ``True`` when ``other`` is within ``tolerance`` under L-infinity."""
-        return self.max_distance_to(other) <= tolerance
 
     def midpoint(self, other: "Point") -> "Point":
         """Return the midpoint of the segment joining this point and ``other``."""
@@ -89,23 +71,6 @@ def max_distance(a: Point, b: Point) -> float:
 def euclidean_distance(a: Point, b: Point) -> float:
     """Euclidean (L2) distance between two points."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def manhattan_distance(a: Point, b: Point) -> float:
-    """Manhattan (L1) distance between two points."""
-    return abs(a.x - b.x) + abs(a.y - b.y)
-
-
-def lp_distance(a: Point, b: Point, p: float) -> float:
-    """General Lp distance between two points.
-
-    ``p`` must be at least 1; ``math.inf`` selects the max-distance metric.
-    """
-    if p < 1:
-        raise InvalidGeometryError(f"Lp distance requires p >= 1, got {p}")
-    if math.isinf(p):
-        return max_distance(a, b)
-    return (abs(a.x - b.x) ** p + abs(a.y - b.y) ** p) ** (1.0 / p)
 
 
 def segment_length(a: Point, b: Point) -> float:
@@ -154,11 +119,6 @@ class Rectangle:
             )
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_bounds(cls, x_min: float, y_min: float, x_max: float, y_max: float) -> "Rectangle":
-        """Build a rectangle from explicit bounds."""
-        return cls(Point(x_min, y_min), Point(x_max, y_max))
 
     @classmethod
     def from_center(cls, center: Point, half_extent: float) -> "Rectangle":
@@ -249,39 +209,6 @@ class Rectangle:
         return Rectangle(
             Point(max(self.low.x, other.low.x), max(self.low.y, other.low.y)),
             Point(min(self.high.x, other.high.x), min(self.high.y, other.high.y)),
-        )
-
-    def union_bounds(self, other: "Rectangle") -> "Rectangle":
-        """Minimum bounding rectangle of this rectangle and ``other``."""
-        return Rectangle(
-            Point(min(self.low.x, other.low.x), min(self.low.y, other.low.y)),
-            Point(max(self.high.x, other.high.x), max(self.high.y, other.high.y)),
-        )
-
-    def expand(self, margin: float) -> "Rectangle":
-        """Grow (or shrink, for negative ``margin``) the rectangle on all sides."""
-        low = Point(self.low.x - margin, self.low.y - margin)
-        high = Point(self.high.x + margin, self.high.y + margin)
-        if low.x > high.x or low.y > high.y:
-            raise InvalidGeometryError(
-                f"shrinking by {margin} would invert rectangle {self}"
-            )
-        return Rectangle(low, high)
-
-    def clamp_point(self, point: Point) -> Point:
-        """Project ``point`` onto the rectangle (nearest point inside it)."""
-        return Point(
-            min(max(point.x, self.low.x), self.high.x),
-            min(max(point.y, self.low.y), self.high.y),
-        )
-
-    def corners(self) -> Tuple[Point, Point, Point, Point]:
-        """The four corners in counter-clockwise order starting at ``low``."""
-        return (
-            self.low,
-            Point(self.high.x, self.low.y),
-            self.high,
-            Point(self.low.x, self.high.y),
         )
 
     def as_bounds(self) -> Tuple[float, float, float, float]:

@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.core.errors import ConfigurationError
 from repro.core.motion_path import MotionPath, MotionPathRecord
 
-__all__ = ["RankKey", "ScoredPath", "path_score", "rank_top_k", "select_top_k", "top_k_score"]
+__all__ = ["RankKey", "ScoredPath", "rank_top_k", "select_top_k", "top_k_score"]
 
 #: Rank tuple ``(hotness, score, -id)`` of a hot path or a corridor (id = lead
 #: path id): as is, the by-hotness total order of :func:`select_top_k`; read
@@ -35,13 +35,6 @@ class ScoredPath:
     @property
     def score(self) -> float:
         return self.hotness * self.path.length
-
-
-def path_score(path: MotionPath, hotness: int) -> float:
-    """Score of one path: ``hotness * length``."""
-    if hotness < 0:
-        raise ConfigurationError(f"hotness must be non-negative, got {hotness}")
-    return hotness * path.length
 
 
 def select_top_k(

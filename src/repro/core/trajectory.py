@@ -13,12 +13,11 @@ those into shrunken tolerance intervals.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional
 
 from repro.core.errors import InvalidTrajectoryError
-from repro.core.geometry import Point, Rectangle, interpolate_point
+from repro.core.geometry import Point
 
 __all__ = ["TimePoint", "UncertainTimePoint", "Trajectory"]
 
@@ -37,11 +36,6 @@ class TimePoint:
     @property
     def y(self) -> float:
         return self.point.y
-
-    def as_tuple(self) -> Tuple[float, float, int]:
-        """Return ``(x, y, t)``."""
-        return (self.point.x, self.point.y, self.timestamp)
-
 
 @dataclass(frozen=True)
 class UncertainTimePoint:
@@ -79,9 +73,7 @@ class UncertainTimePoint:
 class Trajectory:
     """A time-ordered sequence of timepoints for a single object.
 
-    The class enforces strictly increasing timestamps, supports interpolation
-    at arbitrary times inside the observed range, and offers the bounding-box
-    and proximity helpers needed by tests and by the baselines.
+    The class enforces strictly increasing timestamps.
     """
 
     __slots__ = ("object_id", "_timepoints", "_timestamps")
@@ -105,11 +97,6 @@ class Trajectory:
         self._timepoints.append(timepoint)
         self._timestamps.append(timepoint.timestamp)
 
-    def extend(self, timepoints: Iterable[TimePoint]) -> None:
-        """Append several timepoints in order."""
-        for timepoint in timepoints:
-            self.append(timepoint)
-
     # -- container protocol -----------------------------------------------------
 
     def __len__(self) -> int:
@@ -121,15 +108,7 @@ class Trajectory:
     def __getitem__(self, index: int) -> TimePoint:
         return self._timepoints[index]
 
-    def __bool__(self) -> bool:
-        return bool(self._timepoints)
-
     # -- accessors ---------------------------------------------------------------
-
-    @property
-    def timepoints(self) -> Sequence[TimePoint]:
-        """Read-only view of the underlying timepoints."""
-        return tuple(self._timepoints)
 
     @property
     def start_time(self) -> int:
@@ -143,96 +122,8 @@ class Trajectory:
             raise InvalidTrajectoryError("empty trajectory has no end time")
         return self._timestamps[-1]
 
-    @property
-    def duration(self) -> int:
-        """Time spanned by the trajectory (zero for a single timepoint)."""
-        return self.end_time - self.start_time
-
-    def location_at(self, timestamp: float) -> Point:
-        """Position of the object at ``timestamp`` using linear interpolation.
-
-        Raises :class:`InvalidTrajectoryError` when the timestamp falls outside
-        the observed range, matching the paper's definition of ``T(t)``.
-        """
-        if not self._timepoints:
-            raise InvalidTrajectoryError("cannot interpolate an empty trajectory")
-        if timestamp < self._timestamps[0] or timestamp > self._timestamps[-1]:
-            raise InvalidTrajectoryError(
-                f"timestamp {timestamp} outside observed range "
-                f"[{self._timestamps[0]}, {self._timestamps[-1]}]"
-            )
-        index = bisect.bisect_left(self._timestamps, timestamp)
-        if index < len(self._timestamps) and self._timestamps[index] == timestamp:
-            return self._timepoints[index].point
-        previous = self._timepoints[index - 1]
-        following = self._timepoints[index]
-        span = following.timestamp - previous.timestamp
-        fraction = (timestamp - previous.timestamp) / span
-        return interpolate_point(previous.point, following.point, fraction)
-
     def covers_time(self, timestamp: float) -> bool:
         """True when ``timestamp`` lies inside the observed time range."""
         if not self._timepoints:
             return False
         return self._timestamps[0] <= timestamp <= self._timestamps[-1]
-
-    def bounding_box(self, padding: float = 0.0) -> Rectangle:
-        """Minimum bounding rectangle of all observed positions."""
-        if not self._timepoints:
-            raise InvalidTrajectoryError("empty trajectory has no bounding box")
-        xs = [tp.x for tp in self._timepoints]
-        ys = [tp.y for tp in self._timepoints]
-        return Rectangle(
-            Point(min(xs) - padding, min(ys) - padding),
-            Point(max(xs) + padding, max(ys) + padding),
-        )
-
-    def total_length(self) -> float:
-        """Sum of Euclidean lengths of the consecutive segments."""
-        total = 0.0
-        for previous, following in zip(self._timepoints, self._timepoints[1:]):
-            total += previous.point.euclidean_distance_to(following.point)
-        return total
-
-    def passes_near(self, point: Point, tolerance: float) -> bool:
-        """True when the (interpolated) trajectory gets within ``tolerance`` of ``point``.
-
-        Proximity is evaluated with the max-distance metric at every discrete
-        timestamp in the observed range, which is exactly the paper's notion of
-        a point being *close* to an object given that time is discrete.
-        """
-        if not self._timepoints:
-            return False
-        for timestamp in range(self.start_time, self.end_time + 1):
-            if self.location_at(timestamp).max_distance_to(point) <= tolerance:
-                return True
-        return False
-
-    def slice_time(self, start: int, end: int) -> "Trajectory":
-        """Return a new trajectory restricted to timepoints with ``start <= t <= end``."""
-        if start > end:
-            raise InvalidTrajectoryError(f"invalid time slice [{start}, {end}]")
-        selected = [tp for tp in self._timepoints if start <= tp.timestamp <= end]
-        return Trajectory(self.object_id, selected)
-
-    def resample(self, step: int) -> "Trajectory":
-        """Resample the trajectory on a regular grid of ``step`` time units.
-
-        Interpolated positions are emitted for every multiple of ``step`` that
-        falls inside the observed range. Useful when comparing against
-        baselines that require uniformly spaced measurements.
-        """
-        if step <= 0:
-            raise InvalidTrajectoryError(f"resample step must be positive, got {step}")
-        if not self._timepoints:
-            return Trajectory(self.object_id)
-        first = ((self.start_time + step - 1) // step) * step
-        resampled = Trajectory(self.object_id)
-        timestamp = first
-        while timestamp <= self.end_time:
-            resampled.append(TimePoint(self.location_at(timestamp), timestamp))
-            timestamp += step
-        return resampled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Trajectory(object_id={self.object_id}, n={len(self)})"

@@ -44,13 +44,6 @@ class Figure8Report:
             "dp_score": [row.dp_top_k_score for row in self.rows],
         }
 
-    def panel_c(self) -> Dict[str, List[float]]:
-        """Coordinator processing time per epoch (seconds)."""
-        return {
-            "tolerance": self.tolerances,
-            "processing_seconds": [row.processing_seconds for row in self.rows],
-        }
-
     def format_table(self) -> str:
         """Human-readable table of all three panels."""
         header = (

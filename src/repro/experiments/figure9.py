@@ -10,13 +10,11 @@ redrawn with any plotting tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPathRecord
-from repro.core.scoring import ScoredPath
-from repro.analysis.export import paths_to_csv
 from repro.analysis.render import AsciiMapRenderer
 from repro.experiments.config import ExperimentScale, scaled_simulation_config
 from repro.simulation.engine import HotPathSimulation, SimulationResult
@@ -57,10 +55,6 @@ class NetworkDiscoveryReport:
         if network_cells == 0:
             return 0.0
         return shared_cells / network_cells
-
-    def to_csv(self) -> str:
-        """CSV export of the hot paths behind the figure."""
-        return paths_to_csv(self.hot_paths)
 
 
 def run_figure9(

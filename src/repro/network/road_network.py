@@ -16,9 +16,8 @@ whole network.  It is deliberately independent of any external graph library.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle, interpolate_point
@@ -125,17 +124,6 @@ class RoadNetwork:
 
     # -- accessors ---------------------------------------------------------------------
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def num_links(self) -> int:
-        return len(self._links)
-
-    def nodes(self) -> Iterator[RoadNode]:
-        return iter(self._nodes.values())
-
     def links(self) -> Iterator[RoadLink]:
         return iter(self._links.values())
 
@@ -157,9 +145,6 @@ class RoadNetwork:
     def outgoing_links(self, node_id: int) -> List[RoadLink]:
         """All links incident to ``node_id``."""
         return [self._links[link_id] for link_id in self._adjacency.get(node_id, [])]
-
-    def degree(self, node_id: int) -> int:
-        return len(self._adjacency.get(node_id, []))
 
     # -- geometry -----------------------------------------------------------------------
 
@@ -206,32 +191,3 @@ class RoadNetwork:
         if total == 0.0 or not links:
             return []
         return [(link, link.weight / total) for link in links]
-
-    # -- analysis helpers ------------------------------------------------------------------
-
-    def total_length(self) -> float:
-        """Sum of the lengths of all links."""
-        return sum(self.link_length(link_id) for link_id in self._links)
-
-    def is_connected(self) -> bool:
-        """True when every node is reachable from every other node."""
-        if not self._nodes:
-            return True
-        start = next(iter(self._nodes))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for link in self.outgoing_links(current):
-                neighbour = link.other_end(current)
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen) == len(self._nodes)
-
-    def class_histogram(self) -> Dict[RoadClass, int]:
-        """Number of links per road class."""
-        histogram: Dict[RoadClass, int] = {road_class: 0 for road_class in RoadClass}
-        for link in self._links.values():
-            histogram[link.road_class] += 1
-        return histogram

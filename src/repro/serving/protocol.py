@@ -113,12 +113,23 @@ def _wire_integer(value: Any, name: str) -> int:
     raise ProtocolError(f"{name} must be an integer, got {value!r}")
 
 
+def _wire_coordinate(value: Any) -> float:
+    """A coordinate field: a JSON number.
+
+    ``float()`` alone would accept ``" 7 "`` and ``True``.
+    """
+    if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return float(value)
+    raise ProtocolError(f"a coordinate must be a number, got {value!r}")
+
+
 def decode_update(fields: Sequence[Any]) -> ObjectState:
     """Rebuild an :class:`ObjectState` from its 9-field wire row.
 
     The object id and both timestamps must be integral (see
-    :func:`_wire_integer`), and the SSA interval ``[t_start, t_end]`` must
-    not be reversed.
+    :func:`_wire_integer`), every coordinate a number (see
+    :func:`_wire_coordinate`), and neither the SSA interval ``[t_start,
+    t_end]`` nor the FSA corners may be reversed.
     """
     if not isinstance(fields, (list, tuple)) or len(fields) != 9:
         raise ProtocolError(f"update row must have 9 fields, got {fields!r}")
@@ -128,13 +139,16 @@ def decode_update(fields: Sequence[Any]) -> ObjectState:
     t_end = _wire_integer(t_end, "t_end")
     if t_start > t_end:
         raise ProtocolError(f"t_start {t_start} is after t_end {t_end} in {fields!r}")
+    s_x, s_y, f_lx, f_ly, f_hx, f_hy = map(_wire_coordinate, (s_x, s_y, f_lx, f_ly, f_hx, f_hy))
+    if f_lx > f_hx or f_ly > f_hy:
+        raise ProtocolError(f"the FSA's low corner exceeds its high corner in {fields!r}")
     try:
         return ObjectState(
             object_id,
-            Point(float(s_x), float(s_y)),
+            Point(s_x, s_y),
             t_start,
-            Point(float(f_lx), float(f_ly)),
-            Point(float(f_hx), float(f_hy)),
+            Point(f_lx, f_ly),
+            Point(f_hx, f_hy),
             t_end,
         )
     except (TypeError, ValueError, ReproError) as exc:

@@ -364,16 +364,6 @@ class FaultSchedule:
     kills: Tuple[Tuple[int, float], ...] = ()
     stalls: frozenset = frozenset()
 
-    def events(self) -> List[Tuple]:
-        """Canonical event list (the seed-determinism fingerprint)."""
-        events: List[Tuple] = []
-        events.extend(("drop_batch",) + key for key in sorted(self.drops))
-        events.extend(("duplicate_batch",) + key for key in sorted(self.duplicates))
-        events.extend(("reorder_batch",) + key for key in sorted(self.swaps))
-        events.extend(("kill_worker", epoch, draw) for epoch, draw in sorted(self.kills))
-        events.extend(("stall_epoch", epoch) for epoch in sorted(self.stalls))
-        return events
-
 
 def build_fault_schedule(
     injection: InjectionConfig, plan: Sequence[Sequence[PlannedBatch]]
@@ -481,17 +471,6 @@ class ScenarioResult:
     @property
     def passed(self) -> bool:
         return not self.validation_errors
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """The deterministic portion of the result (same seed ⇒ same value)."""
-        return {
-            "fault_events": list(self.fault_events),
-            "accepted_log": self.accepted_log,
-            "report": self.report,
-            "accepted_updates": self.accepted_updates,
-            "dropped_updates": self.dropped_updates,
-            "epochs_run": self.epochs_run,
-        }
 
 
 class _WireClient:

@@ -62,6 +62,12 @@ class ServingConfig:
     auto_epoch_timestamps: int = 10
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")
+        if self.max_pending_updates < 1:
+            raise ConfigurationError(
+                f"max_pending_updates must be at least 1, got {self.max_pending_updates}"
+            )
         if self.auto_epoch_seconds is not None and self.auto_epoch_seconds <= 0:
             raise ConfigurationError(
                 f"auto_epoch_seconds must be positive, got {self.auto_epoch_seconds}"

@@ -19,10 +19,9 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError
-from repro.core.geometry import Rectangle
 from repro.core.motion_path import MotionPathRecord
 from repro.core.scoring import ScoredPath
 from repro.core.trajectory import TimePoint, UncertainTimePoint
@@ -90,6 +89,8 @@ class SimulationConfig:
             raise ConfigurationError(f"window must be positive, got {self.window}")
         if self.top_k <= 0:
             raise ConfigurationError(f"top_k must be positive, got {self.top_k}")
+        RayTraceConfig(self.tolerance, self.delta)  # validates delta
+        self.workload_config()  # validates the population and motion fields
 
     def workload_config(self) -> WorkloadConfig:
         """Derive the workload configuration for this simulation."""
@@ -129,14 +130,6 @@ class SimulationResult:
     def hot_corridors(self) -> List[CompositeCorridor]:
         """The final hot paths stitched into composite corridors."""
         return self.coordinator.hot_corridors()
-
-    def top_k_corridors(
-        self, k: Optional[int] = None, by_score: bool = False
-    ) -> List[CompositeCorridor]:
-        """Top-k composite corridors at the end of the run."""
-        return self.coordinator.top_k_corridors(
-            k if k is not None else self.config.top_k, by_score
-        )
 
     def summary(self) -> Dict[str, float]:
         """Flat metric summary (see :meth:`MetricsCollector.as_dict`)."""

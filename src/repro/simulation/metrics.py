@@ -13,7 +13,7 @@ versus the naive approach can be quantified (ablation A1 in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["EpochMetrics", "CommunicationStats", "MetricsCollector"]
@@ -29,9 +29,6 @@ class CommunicationStats:
     def record(self, size_bytes: int) -> None:
         self.messages += 1
         self.bytes += size_bytes
-
-    def merge(self, other: "CommunicationStats") -> "CommunicationStats":
-        return CommunicationStats(self.messages + other.messages, self.bytes + other.bytes)
 
 
 @dataclass

@@ -18,7 +18,7 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 from repro.core.errors import ConfigurationError
 from repro.core.trajectory import TimePoint, Trajectory, UncertainTimePoint
@@ -102,13 +102,6 @@ class TrajectoryReplayDriver:
             self._flush(end_time)
         self._run_epoch(end_time + 1)
         return self.statistics
-
-    def filter_for(self, object_id: int) -> RayTraceFilter:
-        """The filter driving ``object_id`` (available after :meth:`replay`)."""
-        try:
-            return self._filters[object_id]
-        except KeyError:
-            raise ConfigurationError(f"object {object_id} was not part of the replay") from None
 
     # -- internals ---------------------------------------------------------------------
 

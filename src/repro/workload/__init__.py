@@ -1,9 +1,8 @@
 """Workload generation: network-constrained moving objects and scenario builders."""
 
-from repro.workload.noise import UniformNoiseModel, GaussianNoiseModel, NoNoiseModel
+from repro.workload.noise import UniformNoiseModel
 from repro.workload.moving_objects import MovingObjectWorkload, WorkloadConfig, ObjectMotionState
 from repro.workload.scenarios import (
-    linear_corridor_trajectories,
     waypoint_corridor_trajectories,
     converging_event_trajectories,
     evacuation_trajectories,
@@ -11,12 +10,9 @@ from repro.workload.scenarios import (
 
 __all__ = [
     "UniformNoiseModel",
-    "GaussianNoiseModel",
-    "NoNoiseModel",
     "MovingObjectWorkload",
     "WorkloadConfig",
     "ObjectMotionState",
-    "linear_corridor_trajectories",
     "waypoint_corridor_trajectories",
     "converging_event_trajectories",
     "evacuation_trajectories",

@@ -14,19 +14,18 @@ The workload knows nothing about how the measurements will be consumed; it
 simply yields ``(object_id, measurement)`` pairs per timestamp, where the
 measurement is a plain :class:`~repro.core.trajectory.TimePoint` or an
 :class:`~repro.core.trajectory.UncertainTimePoint` when ``report_uncertainty``
-is enabled.  It also records the exact (noise-free) trajectories so tests and
-analyses can validate discovered paths against the ground truth.
+is enabled.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
-from repro.core.trajectory import TimePoint, Trajectory, UncertainTimePoint
+from repro.core.trajectory import TimePoint, UncertainTimePoint
 from repro.network.road_network import RoadLink, RoadNetwork
 from repro.workload.noise import NoiseModel, UniformNoiseModel
 
@@ -100,7 +99,6 @@ class MovingObjectWorkload:
         )
         self._rng = random.Random(self.config.seed)
         self._states: Dict[int, ObjectMotionState] = {}
-        self._trajectories: Dict[int, Trajectory] = {}
         self._initialise_objects()
 
     # -- initialisation ------------------------------------------------------------
@@ -119,20 +117,14 @@ class MovingObjectWorkload:
                 distance_along=0.0,
                 position=position,
             )
-            self._trajectories[object_id] = Trajectory(object_id)
 
     # -- public API -------------------------------------------------------------------
-
-    @property
-    def num_objects(self) -> int:
-        return self.config.num_objects
 
     def initial_measurements(self, timestamp: int = 0) -> List[Tuple[int, Measurement]]:
         """Initial measurement of every object (used to seed the RayTrace filters)."""
         measurements: List[Tuple[int, Measurement]] = []
         for object_id, state in self._states.items():
-            measurements.append((object_id, self._measure(object_id, state.position, timestamp)))
-            self._record_truth(object_id, state.position, timestamp)
+            measurements.append((object_id, self._measure(state.position, timestamp)))
         return measurements
 
     def step(self, timestamp: int) -> List[Tuple[int, Measurement]]:
@@ -146,22 +138,8 @@ class MovingObjectWorkload:
             if self._rng.random() > self.config.agility:
                 continue
             self._advance(state)
-            measurements.append((object_id, self._measure(object_id, state.position, timestamp)))
-            self._record_truth(object_id, state.position, timestamp)
+            measurements.append((object_id, self._measure(state.position, timestamp)))
         return measurements
-
-    def run(self) -> Iterator[Tuple[int, List[Tuple[int, Measurement]]]]:
-        """Iterate over ``(timestamp, measurements)`` for the configured duration."""
-        yield 0, self.initial_measurements(0)
-        for timestamp in range(1, self.config.duration):
-            yield timestamp, self.step(timestamp)
-
-    def true_trajectory(self, object_id: int) -> Trajectory:
-        """Noise-free trajectory recorded for an object (ground truth)."""
-        try:
-            return self._trajectories[object_id]
-        except KeyError:
-            raise ConfigurationError(f"unknown object {object_id}") from None
 
     def object_state(self, object_id: int) -> ObjectMotionState:
         """Current motion state of an object."""
@@ -215,15 +193,9 @@ class MovingObjectWorkload:
 
     # -- measurement --------------------------------------------------------------------------
 
-    def _measure(self, object_id: int, true_position: Point, timestamp: int) -> Measurement:
+    def _measure(self, true_position: Point, timestamp: int) -> Measurement:
         measured = self.noise_model.perturb(true_position, self._rng)
         if not self.config.report_uncertainty:
             return TimePoint(measured, timestamp)
         sigma_x, sigma_y = self.noise_model.reported_sigma()
         return UncertainTimePoint(measured, timestamp, sigma_x, sigma_y)
-
-    def _record_truth(self, object_id: int, position: Point, timestamp: int) -> None:
-        trajectory = self._trajectories[object_id]
-        if trajectory and trajectory.end_time >= timestamp:
-            return
-        trajectory.append(TimePoint(position, timestamp))

@@ -2,21 +2,20 @@
 
 The paper's generator adds *white noise* to object locations: a value chosen
 uniformly at random in ``[-err, err]`` is added independently to each
-coordinate.  The Gaussian model is provided for the uncertainty-aware
-experiments, where clients report a standard deviation along with each
-measurement; the no-noise model is useful in tests.
+coordinate; the sensor then reports the standard deviation of that noise
+along with each measurement when the uncertainty-aware filter is exercised.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Protocol, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 
-__all__ = ["NoiseModel", "NoNoiseModel", "UniformNoiseModel", "GaussianNoiseModel"]
+__all__ = ["NoiseModel", "UniformNoiseModel"]
 
 
 class NoiseModel(Protocol):
@@ -29,17 +28,6 @@ class NoiseModel(Protocol):
     def reported_sigma(self) -> Tuple[float, float]:
         """Per-axis standard deviation the sensor would report (0 when noiseless)."""
         ...
-
-
-@dataclass(frozen=True)
-class NoNoiseModel:
-    """Measurements are exact."""
-
-    def perturb(self, point: Point, rng: random.Random) -> Point:
-        return point
-
-    def reported_sigma(self) -> Tuple[float, float]:
-        return (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,26 +53,3 @@ class UniformNoiseModel:
         # characterised by this model would report that figure.
         sigma = self.err / (3.0 ** 0.5)
         return (sigma, sigma)
-
-
-@dataclass(frozen=True)
-class GaussianNoiseModel:
-    """Gaussian noise with per-axis standard deviations (for (eps, delta) experiments)."""
-
-    sigma_x: float
-    sigma_y: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_x < 0 or self.sigma_y < 0:
-            raise ConfigurationError(
-                f"standard deviations must be non-negative, got ({self.sigma_x}, {self.sigma_y})"
-            )
-
-    def perturb(self, point: Point, rng: random.Random) -> Point:
-        return Point(
-            point.x + (rng.gauss(0.0, self.sigma_x) if self.sigma_x > 0 else 0.0),
-            point.y + (rng.gauss(0.0, self.sigma_y) if self.sigma_y > 0 else 0.0),
-        )
-
-    def reported_sigma(self) -> Tuple[float, float]:
-        return (self.sigma_x, self.sigma_y)

@@ -6,8 +6,8 @@ deterministic trajectory sets that exercise the same code paths with known
 ground truth, which is what the example applications and many integration
 tests need:
 
-* :func:`linear_corridor_trajectories` — several objects travelling the same
-  straight corridor with small lateral offsets (the canonical "hot path").
+* :func:`waypoint_corridor_trajectories` — several objects following the same
+  polyline corridor with small lateral offsets (the canonical "hot path").
 * :func:`converging_event_trajectories` — objects starting from scattered
   positions and converging on a single venue (the targeted-advertising
   motivation of the paper's introduction).
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.trajectory import TimePoint, Trajectory
 
 __all__ = [
-    "linear_corridor_trajectories",
     "waypoint_corridor_trajectories",
     "converging_event_trajectories",
     "evacuation_trajectories",
@@ -88,48 +87,6 @@ def waypoint_corridor_trajectories(
             trajectory.append(
                 TimePoint(Point(base.x + offset_x, base.y + offset_y), departure + step)
             )
-        trajectories[object_id] = trajectory
-    return trajectories
-
-
-def linear_corridor_trajectories(
-    num_objects: int = 5,
-    length: float = 1000.0,
-    duration: int = 50,
-    lateral_spread: float = 2.0,
-    start: Point = Point(0.0, 0.0),
-    heading_degrees: float = 0.0,
-    start_stagger: int = 0,
-    seed: int = 0,
-) -> Dict[int, Trajectory]:
-    """Objects travelling the same straight corridor at constant speed.
-
-    ``lateral_spread`` is the maximum perpendicular offset of an object from
-    the corridor axis; keeping it below the tolerance epsilon guarantees that
-    all objects cross the same motion path.  ``start_stagger`` delays each
-    object's departure by that many timestamps relative to the previous one,
-    which exercises the "hot even when not synchronous" property that
-    distinguishes hot motion paths from moving clusters.
-    """
-    if num_objects <= 0:
-        raise ConfigurationError(f"num_objects must be positive, got {num_objects}")
-    if duration < 2:
-        raise ConfigurationError(f"duration must be at least 2, got {duration}")
-    rng = random.Random(seed)
-    heading = math.radians(heading_degrees)
-    direction = (math.cos(heading), math.sin(heading))
-    normal = (-direction[1], direction[0])
-    trajectories: Dict[int, Trajectory] = {}
-    for object_id in range(num_objects):
-        offset = rng.uniform(-lateral_spread, lateral_spread)
-        departure = object_id * start_stagger
-        trajectory = Trajectory(object_id)
-        for step in range(duration):
-            timestamp = departure + step
-            progress = length * step / (duration - 1)
-            x = start.x + direction[0] * progress + normal[0] * offset
-            y = start.y + direction[1] * progress + normal[1] * offset
-            trajectory.append(TimePoint(Point(x, y), timestamp))
         trajectories[object_id] = trajectory
     return trajectories
 

@@ -27,12 +27,25 @@ from repro.coordinator.fleet import FleetConfig
 from repro.serving.scenarios import (
     FAULT_TYPES,
     SCENARIOS,
+    FaultSchedule,
     InjectionConfig,
     ScenarioRunner,
     build_fault_schedule,
     get_scenario,
     replay_accepted_log,
 )
+
+
+def replayable_part(result):
+    """The deterministic portion of a scenario result (same seed => same value)."""
+    return (
+        list(result.fault_events),
+        result.accepted_log,
+        result.report,
+        result.accepted_updates,
+        result.dropped_updates,
+        result.epochs_run,
+    )
 
 
 def make_runner(backend="serial", **overrides):
@@ -58,7 +71,6 @@ class TestScheduleDeterminism:
         first = build_fault_schedule(injection(fault, seed=31), plan)
         second = build_fault_schedule(injection(fault, seed=31), plan)
         assert first == second
-        assert first.events() == second.events()
 
     @pytest.mark.parametrize("fault", FAULT_TYPES)
     def test_enabled_injection_is_never_vacuous(self, fault):
@@ -69,11 +81,11 @@ class TestScheduleDeterminism:
         schedule = build_fault_schedule(
             InjectionConfig(enabled=True, fault=fault, rate=1e-12, seed=0), plan
         )
-        assert schedule.events()
+        assert schedule != FaultSchedule()
 
     def test_disabled_injection_is_empty(self):
         plan = get_scenario("uniform_trickle").plan(seed=4)
-        assert build_fault_schedule(InjectionConfig(), plan).events() == []
+        assert build_fault_schedule(InjectionConfig(), plan) == FaultSchedule()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -92,7 +104,7 @@ class TestRunDeterminism:
         second = runner.run("uniform_trickle", seed=8, injection=injection(fault, seed=5))
 
         assert first.fault_events, f"{fault} injection fired nothing"
-        assert first.fingerprint() == second.fingerprint()
+        assert replayable_part(first) == replayable_part(second)
 
     def test_concurrent_run_equals_serialized_run(self):
         """Same scenario seed, racing vs. ordered sends: same committed state.

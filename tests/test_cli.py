@@ -239,6 +239,46 @@ class TestRemovedFlags:
         assert _retired_name(argument) not in capsys.readouterr().out
 
 
+class TestBadValues:
+    """A bad option value is one ``repro: error:`` line after the usage, exit
+    status 2, raised while the options become a config, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["run", "--objects", "0"],
+            ["run", "--delta", "1.0"],
+            ["figure7", "--scale", "0"],
+            ["figure8", "--scale", "0"],
+            ["figure9", "--scale", "nan"],
+            ["figure10", "--scale", "-1"],
+            ["ablations", "--scale", "-1"],
+            ["serve", "--scenario", "nope"],
+            ["serve", "--scenario", "uniform_trickle", "--chaos", "drop_batch", "--chaos-rate", "0"],
+            ["serve", "--scenario", "uniform_trickle", "--load-factor", "-1"],
+            ["serve", "--scenario", "uniform_trickle", "--epoch", "0"],
+            ["serve", "--scenario", "uniform_trickle", "--max-pending", "0"],
+            ["serve", "--scenario", "uniform_trickle", "--area", "-3"],
+            ["serve", "--window", "0"],
+            ["serve", "--cells", "0"],
+            ["serve", "--area", "0"],
+            ["serve", "--epoch-seconds", "-1"],
+            ["serve", "--port", "70000"],
+        ),
+        ids=" ".join,
+    )
+    def test_bad_value_is_one_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        error_lines = captured.err.strip().splitlines()
+        assert error_lines[-1].startswith("repro: error: ")
+        assert sum("error:" in line for line in error_lines) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestRunCommand:
     def test_run_prints_summary_and_paths(self, capsys):
         exit_code = main(
@@ -330,6 +370,17 @@ class TestFigureCommands:
         assert (tmp_path / "figure8.csv").exists()
         assert "csv written" in captured
 
+    @pytest.mark.parametrize(
+        "command, written",
+        (("figure7", "figure7"), ("figure8", "figure8"), ("ablations", "ablation_communication")),
+    )
+    def test_csv_directory_is_created(self, command, written, capsys, tmp_path):
+        directory = tmp_path / "new" / "dir"
+        exit_code = main([command, "--scale", "0.002", "--seed", "3", "--csv", str(directory)])
+        assert exit_code == 0
+        assert (directory / f"{written}.csv").exists()
+        assert f"csv written to {directory / written}.csv" in capsys.readouterr().out
+
     def test_figure9_renders_maps(self, capsys):
         exit_code = main(["figure9", "--scale", "0.002", "--seed", "3", "--width", "30", "--height", "12"])
         captured = capsys.readouterr().out
@@ -395,8 +446,9 @@ class TestServeCommand:
         assert "bit-for-bit EQUAL" in captured
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--scenario", "no_such_traffic"])
+        assert exit_info.value.code == 2
 
     @pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the default kernel needs numpy")
     def test_serve_banner_names_the_resolved_kernel(self):

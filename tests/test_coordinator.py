@@ -31,6 +31,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             CoordinatorConfig(bounds=BOUNDS, window=0)
 
+    @pytest.mark.parametrize(
+        "area",
+        (
+            dict(bounds=BOUNDS, cells_per_axis=0),
+            dict(bounds=Rectangle(Point(0.0, 0.0), Point(0.0, 1000.0))),
+        ),
+        ids=("cells", "flat-bounds"),
+    )
+    def test_the_grid_is_validated_with_the_config(self, area):
+        """Before any coordinator is built (``repro serve`` validates its flags so)."""
+        with pytest.raises(ConfigurationError):
+            CoordinatorConfig(**area)
+
 
 class TestEpochProcessing:
     def test_empty_epoch(self):
@@ -46,13 +59,12 @@ class TestEpochProcessing:
         coordinator.submit_state(
             state(1, Point(100.0, 100.0), Point(150.0, 150.0), Point(170.0, 170.0), 0, 8)
         )
-        assert coordinator.pending_states == 1
         outcome = coordinator.run_epoch(10)
-        assert coordinator.pending_states == 0
         assert outcome.states_processed == 1
         assert len(outcome.responses) == 1
         assert outcome.responses[0].object_id == 1
         assert coordinator.index_size() == 1
+        assert coordinator.run_epoch(20).states_processed == 0
 
     def test_processing_time_recorded(self):
         coordinator = make_coordinator()
@@ -60,9 +72,7 @@ class TestEpochProcessing:
             state(1, Point(100.0, 100.0), Point(150.0, 150.0), Point(170.0, 170.0), 0, 8)
         )
         outcome = coordinator.run_epoch(10)
-        assert outcome.processing_seconds >= 0.0
-        assert coordinator.total_processing_seconds >= outcome.processing_seconds
-        assert coordinator.mean_processing_seconds_per_epoch > 0.0
+        assert outcome.processing_seconds > 0.0
 
     def test_two_objects_same_start_share_path(self):
         coordinator = make_coordinator()
@@ -166,10 +176,9 @@ class TestEpochBoundaries:
         coordinator.submit_state(
             state(1, Point(100.0, 100.0), Point(150.0, 150.0), Point(170.0, 170.0), 11, 14)
         )
-        assert coordinator.pending_states == 1
         outcome = coordinator.run_epoch(20)
         assert outcome.states_processed == 1
-        assert coordinator.pending_states == 0
+        assert coordinator.run_epoch(30).states_processed == 0
 
 
 class TestShardedCoordinatorSurface:

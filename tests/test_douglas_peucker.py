@@ -1,23 +1,16 @@
-"""Unit tests for the Douglas-Peucker baselines (offline and opening-window)."""
+"""Unit tests for the opening-window Douglas-Peucker baseline."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.trajectory import TimePoint
-from repro.baselines.douglas_peucker import (
-    douglas_peucker,
-    perpendicular_distance,
-    synchronous_distance,
-)
 from repro.baselines.opening_window import (
     OpeningWindowPolicy,
     OpeningWindowSimplifier,
-    opening_window_simplify,
+    synchronous_distance,
 )
 
 
@@ -32,18 +25,10 @@ def straight(n: int) -> list:
     return [TimePoint(Point(float(i), 0.0), i) for i in range(n)]
 
 
-class TestPerpendicularDistance:
-    def test_point_on_segment(self):
-        assert perpendicular_distance(Point(5.0, 0.0), Point(0.0, 0.0), Point(10.0, 0.0)) == 0.0
-
-    def test_point_off_segment(self):
-        assert perpendicular_distance(Point(5.0, 3.0), Point(0.0, 0.0), Point(10.0, 0.0)) == 3.0
-
-    def test_point_beyond_endpoint_clamps(self):
-        assert perpendicular_distance(Point(13.0, 4.0), Point(0.0, 0.0), Point(10.0, 0.0)) == 5.0
-
-    def test_degenerate_segment(self):
-        assert perpendicular_distance(Point(3.0, 4.0), Point(0.0, 0.0), Point(0.0, 0.0)) == 5.0
+def closed_segments(points, tolerance, policy=OpeningWindowPolicy.NOPW) -> list:
+    """The segments the simplifier closes while observing ``points``."""
+    simplifier = OpeningWindowSimplifier(tolerance, policy)
+    return [segment for segment in map(simplifier.observe, points) if segment is not None]
 
 
 class TestSynchronousDistance:
@@ -62,96 +47,25 @@ class TestSynchronousDistance:
         assert synchronous_distance(TimePoint(Point(3.0, 4.0), 5), start, end) == 4.0
 
 
-class TestDouglasPeucker:
-    def test_short_input_unchanged(self):
-        points = straight(2)
-        assert douglas_peucker(points, 1.0) == points
-
-    def test_straight_line_collapses_to_endpoints(self):
-        simplified = douglas_peucker(straight(50), tolerance=0.5)
-        assert len(simplified) == 2
-        assert simplified[0].timestamp == 0
-        assert simplified[-1].timestamp == 49
-
-    def test_zigzag_below_tolerance_collapses(self):
-        simplified = douglas_peucker(zigzag(20, amplitude=0.4), tolerance=1.0)
-        assert len(simplified) == 2
-
-    def test_zigzag_above_tolerance_keeps_vertices(self):
-        simplified = douglas_peucker(zigzag(20, amplitude=5.0), tolerance=1.0)
-        assert len(simplified) > 2
-
-    def test_simplification_respects_tolerance(self):
-        """Every dropped point stays within tolerance of the simplified polyline."""
-        points = [
-            TimePoint(Point(float(i), math.sin(i / 3.0) * 4.0), i) for i in range(40)
-        ]
-        tolerance = 1.5
-        simplified = douglas_peucker(points, tolerance)
-        kept_times = [tp.timestamp for tp in simplified]
-        for tp in points:
-            # Find the simplification segment covering this timestamp.
-            for left, right in zip(simplified, simplified[1:]):
-                if left.timestamp <= tp.timestamp <= right.timestamp:
-                    assert synchronous_distance(tp, left, right) <= tolerance + 1e-9
-                    break
-            else:
-                pytest.fail(f"timestamp {tp.timestamp} not covered by {kept_times}")
-
-    def test_spatial_mode(self):
-        simplified = douglas_peucker(zigzag(20, amplitude=5.0), tolerance=1.0, spatiotemporal=False)
-        assert len(simplified) > 2
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ConfigurationError):
-            douglas_peucker(straight(5), -1.0)
-
-
 class TestOpeningWindow:
     def test_invalid_tolerance(self):
         with pytest.raises(ConfigurationError):
             OpeningWindowSimplifier(0.0)
 
-    def test_straight_line_produces_single_segment(self):
-        segments = opening_window_simplify(straight(30), tolerance=0.5)
-        assert len(segments) == 1
-        assert segments[0].start.timestamp == 0
-        assert segments[0].end.timestamp == 29
-
     def test_sharp_turn_splits_segments(self):
         points = straight(10) + [TimePoint(Point(9.0 - i, 10.0 + i), 10 + i) for i in range(10)]
-        segments = opening_window_simplify(points, tolerance=1.0)
+        segments = closed_segments(points, tolerance=1.0)
         assert len(segments) >= 2
 
     def test_segments_chain_in_time(self):
         points = zigzag(40, amplitude=3.0)
-        segments = opening_window_simplify(points, tolerance=1.0)
+        segments = closed_segments(points, tolerance=1.0)
         for previous, following in zip(segments, segments[1:]):
             assert previous.end.timestamp <= following.start.timestamp
 
     def test_nopw_vs_bopw_split_points(self):
         """The eager policy closes at the latest point, the conservative one earlier or equal."""
         points = straight(5) + [TimePoint(Point(float(5 + i), 5.0 * (i + 1)), 5 + i) for i in range(5)]
-        nopw = opening_window_simplify(points, tolerance=1.0, policy=OpeningWindowPolicy.NOPW)
-        bopw = opening_window_simplify(points, tolerance=1.0, policy=OpeningWindowPolicy.BOPW)
+        nopw = closed_segments(points, tolerance=1.0, policy=OpeningWindowPolicy.NOPW)
+        bopw = closed_segments(points, tolerance=1.0, policy=OpeningWindowPolicy.BOPW)
         assert nopw[0].end.timestamp <= bopw[0].end.timestamp
-
-    def test_flush_emits_trailing_segment(self):
-        simplifier = OpeningWindowSimplifier(1.0)
-        for tp in straight(5):
-            assert simplifier.observe(tp) is None
-        segment = simplifier.flush()
-        assert segment is not None
-        assert segment.start.timestamp == 0
-        assert segment.end.timestamp == 4
-
-    def test_flush_on_trivial_window(self):
-        simplifier = OpeningWindowSimplifier(1.0)
-        simplifier.observe(straight(1)[0])
-        assert simplifier.flush() is None
-
-    def test_window_size_tracking(self):
-        simplifier = OpeningWindowSimplifier(1.0)
-        for tp in straight(4):
-            simplifier.observe(tp)
-        assert simplifier.window_size == 4

@@ -8,7 +8,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.core.trajectory import TimePoint
 from repro.baselines.dp_hot import DPHotSegmentTracker
-from repro.baselines.naive import NaiveClient, NaiveCoordinator
+from repro.baselines.naive import NaiveClient
 
 
 BOUNDS = Rectangle(Point(-100.0, -100.0), Point(1100.0, 1100.0))
@@ -38,8 +38,6 @@ class TestDPHotSegmentTracker:
         for tp in straight(20):
             assert tracker.observe(1, tp) is None
         assert tracker.index_size() == 0
-        assert tracker.flush_object(1) is not None
-        assert tracker.index_size() == 1
 
     def test_turn_produces_segment(self):
         tracker = DPHotSegmentTracker(BOUNDS, tolerance=1.0)
@@ -57,8 +55,6 @@ class TestDPHotSegmentTracker:
         for tp in l_shaped(20):
             tracker.observe(2, TimePoint(Point(tp.x + 0.5, tp.y + 0.5), tp.timestamp + 100))
         assert tracker.index_size() == size_after_first
-        assert tracker.segments_reused >= 1
-        assert tracker.reuse_ratio > 0.0
         top = tracker.top_k(1)
         assert top[0].hotness >= 2
 
@@ -68,7 +64,7 @@ class TestDPHotSegmentTracker:
             tracker.observe(1, tp)
         for tp in l_shaped(20):
             tracker.observe(2, TimePoint(Point(tp.x, tp.y + 500.0), tp.timestamp))
-        assert tracker.segments_reused == 0
+        assert all(hotness == 1 for _record, hotness in tracker.hot_segments())
         assert tracker.index_size() >= 2
 
     def test_window_expiry_removes_segments(self):
@@ -84,12 +80,8 @@ class TestDPHotSegmentTracker:
         tracker = DPHotSegmentTracker(BOUNDS, tolerance=1.0)
         for tp in l_shaped(20):
             tracker.observe(1, tp)
-        tracker.flush_object(1)
         assert tracker.top_k_score(5) > 0.0
 
-    def test_flush_unknown_object(self):
-        tracker = DPHotSegmentTracker(BOUNDS, tolerance=1.0)
-        assert tracker.flush_object(99) is None
 
 
 class TestNaiveBaseline:
@@ -99,20 +91,3 @@ class TestNaiveBaseline:
             client.observe(tp)
         assert client.measurements_sent == 10
         assert client.bytes_sent == 10 * 16
-
-    def test_coordinator_receives_and_tracks(self):
-        coordinator = NaiveCoordinator(BOUNDS, tolerance=1.0, window=100)
-        for tp in l_shaped(20):
-            coordinator.receive(1, tp)
-        assert coordinator.measurements_received == 20
-        assert coordinator.bytes_received == 20 * 16
-        coordinator.advance_time(30)
-        assert coordinator.index_size() >= 0
-
-    def test_coordinator_top_k_score(self):
-        coordinator = NaiveCoordinator(BOUNDS, tolerance=1.0, window=100)
-        for tp in l_shaped(30):
-            coordinator.receive(1, tp)
-        # The L-shaped trajectory has at least one closed segment, so the score
-        # is non-negative and finite.
-        assert coordinator.top_k_score(5) >= 0.0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core.errors import InvalidGeometryError
@@ -13,17 +11,16 @@ from repro.core.geometry import (
     euclidean_distance,
     interpolate_point,
     interpolate_scalar,
-    lp_distance,
-    manhattan_distance,
     max_distance,
     segment_length,
 )
 
 
-class TestPoint:
-    def test_point_is_iterable(self):
-        assert tuple(Point(1.0, 2.0)) == (1.0, 2.0)
+def box(x_min: float, y_min: float, x_max: float, y_max: float) -> Rectangle:
+    return Rectangle(Point(x_min, y_min), Point(x_max, y_max))
 
+
+class TestPoint:
     def test_point_as_tuple(self):
         assert Point(3.5, -1.0).as_tuple() == (3.5, -1.0)
 
@@ -35,23 +32,8 @@ class TestPoint:
         with pytest.raises(InvalidGeometryError):
             Point(0.0, float("inf"))
 
-    def test_translate(self):
-        assert Point(1.0, 1.0).translate(2.0, -1.0) == Point(3.0, 0.0)
-
-    def test_max_distance_to(self):
-        assert Point(0.0, 0.0).max_distance_to(Point(3.0, 4.0)) == 4.0
-
     def test_euclidean_distance_to(self):
         assert Point(0.0, 0.0).euclidean_distance_to(Point(3.0, 4.0)) == 5.0
-
-    def test_is_close_to_within_tolerance(self):
-        assert Point(0.0, 0.0).is_close_to(Point(1.0, -1.0), 1.0)
-
-    def test_is_close_to_outside_tolerance(self):
-        assert not Point(0.0, 0.0).is_close_to(Point(1.5, 0.0), 1.0)
-
-    def test_is_close_to_boundary_inclusive(self):
-        assert Point(0.0, 0.0).is_close_to(Point(1.0, 0.0), 1.0)
 
     def test_midpoint(self):
         assert Point(0.0, 0.0).midpoint(Point(2.0, 4.0)) == Point(1.0, 2.0)
@@ -67,25 +49,6 @@ class TestDistances:
 
     def test_euclidean_distance(self):
         assert euclidean_distance(Point(0.0, 0.0), Point(3.0, 4.0)) == 5.0
-
-    def test_manhattan_distance(self):
-        assert manhattan_distance(Point(0.0, 0.0), Point(3.0, 4.0)) == 7.0
-
-    def test_lp_distance_p2_matches_euclidean(self):
-        a, b = Point(1.0, 2.0), Point(4.0, 6.0)
-        assert lp_distance(a, b, 2.0) == pytest.approx(euclidean_distance(a, b))
-
-    def test_lp_distance_p1_matches_manhattan(self):
-        a, b = Point(1.0, 2.0), Point(4.0, 6.0)
-        assert lp_distance(a, b, 1.0) == pytest.approx(manhattan_distance(a, b))
-
-    def test_lp_distance_infinity_matches_max(self):
-        a, b = Point(1.0, 2.0), Point(4.0, 6.0)
-        assert lp_distance(a, b, math.inf) == max_distance(a, b)
-
-    def test_lp_distance_rejects_p_below_one(self):
-        with pytest.raises(InvalidGeometryError):
-            lp_distance(Point(0.0, 0.0), Point(1.0, 1.0), 0.5)
 
     def test_segment_length_is_euclidean(self):
         assert segment_length(Point(0.0, 0.0), Point(0.0, 7.0)) == 7.0
@@ -110,11 +73,6 @@ class TestInterpolation:
 
 
 class TestRectangle:
-    def test_from_bounds(self):
-        rect = Rectangle.from_bounds(0.0, 1.0, 2.0, 3.0)
-        assert rect.low == Point(0.0, 1.0)
-        assert rect.high == Point(2.0, 3.0)
-
     def test_invalid_corners_rejected(self):
         with pytest.raises(InvalidGeometryError):
             Rectangle(Point(1.0, 0.0), Point(0.0, 1.0))
@@ -141,81 +99,54 @@ class TestRectangle:
         assert rect.high == Point(6.0, 6.0)
 
     def test_width_height_area(self):
-        rect = Rectangle.from_bounds(0.0, 0.0, 4.0, 2.0)
+        rect = box(0.0, 0.0, 4.0, 2.0)
         assert rect.width == 4.0
         assert rect.height == 2.0
         assert rect.area == 8.0
 
     def test_center(self):
-        rect = Rectangle.from_bounds(0.0, 0.0, 4.0, 2.0)
+        rect = box(0.0, 0.0, 4.0, 2.0)
         assert rect.center == Point(2.0, 1.0)
 
     def test_contains_point_boundary(self):
-        rect = Rectangle.from_bounds(0.0, 0.0, 1.0, 1.0)
+        rect = box(0.0, 0.0, 1.0, 1.0)
         assert rect.contains_point(Point(1.0, 1.0))
         assert not rect.contains_point(Point(1.0001, 1.0))
 
     def test_contains_rectangle(self):
-        outer = Rectangle.from_bounds(0.0, 0.0, 10.0, 10.0)
-        inner = Rectangle.from_bounds(2.0, 2.0, 5.0, 5.0)
+        outer = box(0.0, 0.0, 10.0, 10.0)
+        inner = box(2.0, 2.0, 5.0, 5.0)
         assert outer.contains_rectangle(inner)
         assert not inner.contains_rectangle(outer)
 
     def test_intersects_touching(self):
-        a = Rectangle.from_bounds(0.0, 0.0, 1.0, 1.0)
-        b = Rectangle.from_bounds(1.0, 1.0, 2.0, 2.0)
+        a = box(0.0, 0.0, 1.0, 1.0)
+        b = box(1.0, 1.0, 2.0, 2.0)
         assert a.intersects(b)
 
     def test_intersects_disjoint(self):
-        a = Rectangle.from_bounds(0.0, 0.0, 1.0, 1.0)
-        b = Rectangle.from_bounds(1.5, 0.0, 2.0, 1.0)
+        a = box(0.0, 0.0, 1.0, 1.0)
+        b = box(1.5, 0.0, 2.0, 1.0)
         assert not a.intersects(b)
 
     def test_intersection_overlapping(self):
-        a = Rectangle.from_bounds(0.0, 0.0, 2.0, 2.0)
-        b = Rectangle.from_bounds(1.0, 1.0, 3.0, 3.0)
+        a = box(0.0, 0.0, 2.0, 2.0)
+        b = box(1.0, 1.0, 3.0, 3.0)
         inter = a.intersection(b)
-        assert inter == Rectangle.from_bounds(1.0, 1.0, 2.0, 2.0)
+        assert inter == box(1.0, 1.0, 2.0, 2.0)
 
     def test_intersection_disjoint_returns_none(self):
-        a = Rectangle.from_bounds(0.0, 0.0, 1.0, 1.0)
-        b = Rectangle.from_bounds(5.0, 5.0, 6.0, 6.0)
+        a = box(0.0, 0.0, 1.0, 1.0)
+        b = box(5.0, 5.0, 6.0, 6.0)
         assert a.intersection(b) is None
 
     def test_intersection_degenerate_touching(self):
-        a = Rectangle.from_bounds(0.0, 0.0, 1.0, 1.0)
-        b = Rectangle.from_bounds(1.0, 0.0, 2.0, 1.0)
+        a = box(0.0, 0.0, 1.0, 1.0)
+        b = box(1.0, 0.0, 2.0, 1.0)
         inter = a.intersection(b)
         assert inter is not None
         assert inter.is_degenerate()
 
-    def test_union_bounds(self):
-        a = Rectangle.from_bounds(0.0, 0.0, 1.0, 1.0)
-        b = Rectangle.from_bounds(5.0, 5.0, 6.0, 6.0)
-        assert a.union_bounds(b) == Rectangle.from_bounds(0.0, 0.0, 6.0, 6.0)
-
-    def test_expand_positive(self):
-        rect = Rectangle.from_bounds(0.0, 0.0, 2.0, 2.0).expand(1.0)
-        assert rect == Rectangle.from_bounds(-1.0, -1.0, 3.0, 3.0)
-
-    def test_expand_negative_too_far_rejected(self):
-        with pytest.raises(InvalidGeometryError):
-            Rectangle.from_bounds(0.0, 0.0, 2.0, 2.0).expand(-2.0)
-
-    def test_clamp_point_inside_unchanged(self):
-        rect = Rectangle.from_bounds(0.0, 0.0, 2.0, 2.0)
-        assert rect.clamp_point(Point(1.0, 1.0)) == Point(1.0, 1.0)
-
-    def test_clamp_point_outside(self):
-        rect = Rectangle.from_bounds(0.0, 0.0, 2.0, 2.0)
-        assert rect.clamp_point(Point(5.0, -3.0)) == Point(2.0, 0.0)
-
-    def test_corners_order(self):
-        rect = Rectangle.from_bounds(0.0, 0.0, 2.0, 1.0)
-        corners = rect.corners()
-        assert corners[0] == Point(0.0, 0.0)
-        assert corners[2] == Point(2.0, 1.0)
-
     def test_as_bounds_roundtrip(self):
-        rect = Rectangle.from_bounds(0.5, 1.5, 2.5, 3.5)
-        assert Rectangle.from_bounds(*rect.as_bounds()) == rect
+        rect = box(0.5, 1.5, 2.5, 3.5)
+        assert box(*rect.as_bounds()) == rect

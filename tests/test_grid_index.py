@@ -7,6 +7,7 @@ import pytest
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
+from repro.coordinator.columnar import HAVE_NUMPY
 from repro.coordinator.grid_index import GridConfig, GridIndex
 
 
@@ -158,6 +159,14 @@ class TestQueries:
         region = Rectangle(Point(90.0, 90.0), Point(120.0, 120.0))
         results = index.paths_intersecting(region)
         assert [r.path_id for r in results] == [record.path_id]
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel needs numpy")
+    def test_paths_intersecting_needs_the_object_kernel(self, unit_bounds):
+        """The DP baseline's query: a columnar index refuses it instead of answering empty."""
+        columnar = GridIndex(GridConfig(unit_bounds, cells_per_axis=16), kernel="columnar")
+        columnar.insert(MotionPath(Point(100.0, 100.0), Point(110.0, 110.0)))
+        with pytest.raises(CoordinatorError):
+            columnar.paths_intersecting(Rectangle(Point(90.0, 90.0), Point(120.0, 120.0)))
 
     def test_points_outside_bounds_are_clamped_into_border_cells(self, index):
         # Endpoint beyond the nominal bounds must still be indexed and findable.

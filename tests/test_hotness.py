@@ -18,7 +18,7 @@ class TestConstruction:
         assert len(tracker) == 0
         assert tracker.hotness(3) == 0
         assert tracker.pending_events == 0
-        assert tracker.total_crossings() == 0
+        assert sum(hotness for _path_id, hotness in tracker.items()) == 0
 
 
 class TestRecording:
@@ -36,13 +36,7 @@ class TestRecording:
         assert tracker.hotness(1) == 1
         assert tracker.hotness(2) == 2
         assert len(tracker) == 2
-        assert tracker.total_crossings() == 3
-
-    def test_contains(self):
-        tracker = HotnessTracker(10)
-        tracker.record_crossing(5, 0)
-        assert 5 in tracker
-        assert 6 not in tracker
+        assert sum(hotness for _path_id, hotness in tracker.items()) == 3
 
     def test_items(self):
         tracker = HotnessTracker(10)

@@ -20,7 +20,6 @@ from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.workload.scenarios import (
     converging_event_trajectories,
     evacuation_trajectories,
-    linear_corridor_trajectories,
     waypoint_corridor_trajectories,
 )
 
@@ -85,8 +84,12 @@ class TestStraightCorridorScenario:
         with a single covering path of hotness 1 — the degenerate case discussed
         in Section 3.1 (a single object's problem reduces to trajectory
         simplification)."""
-        trajectories = linear_corridor_trajectories(
-            num_objects=6, length=1000.0, duration=50, lateral_spread=2.0, seed=1
+        trajectories = waypoint_corridor_trajectories(
+            [Point(0.0, 0.0), Point(1000.0, 0.0)],
+            num_objects=6,
+            duration=50,
+            lateral_spread=2.0,
+            seed=1,
         )
         coordinator = replay_trajectories(trajectories, tolerance=10.0, bounds=BOUNDS)
         assert coordinator.index_size() == 6
@@ -133,7 +136,7 @@ class TestTurningCorridorScenario:
         merged = dict(north)
         offset = len(north)
         for object_id, trajectory in south.items():
-            clone = Trajectory(object_id + offset, trajectory.timepoints)
+            clone = Trajectory(object_id + offset, trajectory)
             merged[object_id + offset] = clone
         coordinator = replay_trajectories(merged, tolerance=10.0, bounds=BOUNDS)
         for record, _ in coordinator.hot_paths():

@@ -30,11 +30,6 @@ class TestCommunicationStats:
         assert stats.messages == 2
         assert stats.bytes == 40
 
-    def test_merge(self):
-        merged = CommunicationStats(1, 10).merge(CommunicationStats(2, 20))
-        assert merged.messages == 3
-        assert merged.bytes == 30
-
 
 class TestMetricsCollector:
     def test_empty_collector_defaults(self):

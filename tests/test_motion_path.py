@@ -4,24 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import (
-    ConfigurationError,
-    InvalidGeometryError,
-    InvalidTrajectoryError,
-)
+from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
-from repro.core.motion_path import (
-    CoveringMotionPathSet,
-    MotionPath,
-    MotionPathRecord,
-    PathCrossing,
-)
-from repro.core.scoring import ScoredPath, path_score, select_top_k, top_k_score
-from repro.core.trajectory import TimePoint, Trajectory
-
-
-def straight_trajectory(n: int = 11, step: float = 1.0) -> Trajectory:
-    return Trajectory(0, [TimePoint(Point(i * step, 0.0), i) for i in range(n)])
+from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 
 
 class TestMotionPath:
@@ -38,121 +24,24 @@ class TestMotionPath:
         path = MotionPath(Point(0.0, 0.0), Point(10.0, 20.0))
         assert path.point_at(0.5) == Point(5.0, 10.0)
 
-    def test_reversed(self):
-        path = MotionPath(Point(1.0, 2.0), Point(3.0, 4.0))
-        assert path.reversed() == MotionPath(Point(3.0, 4.0), Point(1.0, 2.0))
-
     def test_bounding_box_with_padding(self):
         path = MotionPath(Point(0.0, 0.0), Point(10.0, 5.0))
         box = path.bounding_box(padding=1.0)
         assert box.low == Point(-1.0, -1.0)
         assert box.high == Point(11.0, 6.0)
 
-    def test_fits_exact_trajectory(self):
-        trajectory = straight_trajectory(11)
-        path = MotionPath(Point(0.0, 0.0), Point(10.0, 0.0))
-        assert path.fits(trajectory, 0, 10, tolerance=0.1)
-
-    def test_fits_within_tolerance(self):
-        trajectory = straight_trajectory(11)
-        path = MotionPath(Point(0.0, 2.0), Point(10.0, 2.0))
-        assert path.fits(trajectory, 0, 10, tolerance=2.0)
-        assert not path.fits(trajectory, 0, 10, tolerance=1.0)
-
-    def test_fits_requires_time_alignment(self):
-        trajectory = straight_trajectory(11)
-        # Same geometry but crossed over the wrong interval: at t=0 the path
-        # point is x=5 while the object is at x=0.
-        path = MotionPath(Point(5.0, 0.0), Point(10.0, 0.0))
-        assert not path.fits(trajectory, 0, 10, tolerance=1.0)
-        assert path.fits(trajectory, 5, 10, tolerance=0.1)
-
-    def test_fits_outside_observed_time_is_false(self):
-        trajectory = straight_trajectory(5)
-        path = MotionPath(Point(0.0, 0.0), Point(10.0, 0.0))
-        assert not path.fits(trajectory, 0, 10, tolerance=1.0)
-
-    def test_fits_invalid_interval_rejected(self):
-        trajectory = straight_trajectory(5)
-        path = MotionPath(Point(0.0, 0.0), Point(4.0, 0.0))
-        with pytest.raises(InvalidTrajectoryError):
-            path.fits(trajectory, 3, 1, tolerance=1.0)
-
-
-class TestPathCrossing:
-    def test_duration(self):
-        crossing = PathCrossing(MotionPath(Point(0.0, 0.0), Point(1.0, 0.0)), 2, 7)
-        assert crossing.duration == 5
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(InvalidTrajectoryError):
-            PathCrossing(MotionPath(Point(0.0, 0.0), Point(1.0, 0.0)), 7, 2)
-
 
 class TestMotionPathRecord:
     def test_accessors(self):
         record = MotionPathRecord(3, MotionPath(Point(0.0, 0.0), Point(3.0, 4.0)), 10)
         assert record.path_id == 3
-        assert record.start == Point(0.0, 0.0)
-        assert record.end == Point(3.0, 4.0)
-        assert record.length == 5.0
+        assert record.path.start == Point(0.0, 0.0)
+        assert record.path.end == Point(3.0, 4.0)
+        assert record.path.length == 5.0
         assert record.created_at == 10
 
 
-class TestCoveringMotionPathSet:
-    def test_chaining_accepted(self):
-        covering = CoveringMotionPathSet(0)
-        covering.append(PathCrossing(MotionPath(Point(0.0, 0.0), Point(5.0, 0.0)), 0, 5))
-        covering.append(PathCrossing(MotionPath(Point(5.0, 0.0), Point(10.0, 0.0)), 5, 10))
-        assert len(covering) == 2
-        assert covering.time_span == (0, 10)
-        assert covering.total_length() == pytest.approx(10.0)
-
-    def test_time_chaining_violation_rejected(self):
-        covering = CoveringMotionPathSet(0)
-        covering.append(PathCrossing(MotionPath(Point(0.0, 0.0), Point(5.0, 0.0)), 0, 5))
-        with pytest.raises(InvalidTrajectoryError):
-            covering.append(PathCrossing(MotionPath(Point(5.0, 0.0), Point(10.0, 0.0)), 6, 10))
-
-    def test_space_chaining_violation_rejected(self):
-        covering = CoveringMotionPathSet(0)
-        covering.append(PathCrossing(MotionPath(Point(0.0, 0.0), Point(5.0, 0.0)), 0, 5))
-        with pytest.raises(InvalidGeometryError):
-            covering.append(PathCrossing(MotionPath(Point(6.0, 0.0), Point(10.0, 0.0)), 5, 10))
-
-    def test_empty_time_span_rejected(self):
-        with pytest.raises(InvalidTrajectoryError):
-            _ = CoveringMotionPathSet(0).time_span
-
-    def test_is_valid_for_straight_trajectory(self):
-        trajectory = straight_trajectory(11)
-        covering = CoveringMotionPathSet(
-            0,
-            [
-                PathCrossing(MotionPath(Point(0.0, 0.0), Point(5.0, 0.0)), 0, 5),
-                PathCrossing(MotionPath(Point(5.0, 0.0), Point(10.0, 0.0)), 5, 10),
-            ],
-        )
-        assert covering.is_valid_for(trajectory, tolerance=0.5)
-
-    def test_is_valid_for_detects_bad_fit(self):
-        trajectory = straight_trajectory(11)
-        covering = CoveringMotionPathSet(
-            0,
-            [PathCrossing(MotionPath(Point(0.0, 10.0), Point(5.0, 10.0)), 0, 5)],
-        )
-        assert not covering.is_valid_for(trajectory, tolerance=2.0)
-
-
 class TestScoring:
-    def test_path_score(self):
-        path = MotionPath(Point(0.0, 0.0), Point(0.0, 10.0))
-        assert path_score(path, 3) == pytest.approx(30.0)
-
-    def test_path_score_negative_hotness_rejected(self):
-        with pytest.raises(ConfigurationError):
-            path_score(MotionPath(Point(0.0, 0.0), Point(1.0, 0.0)), -1)
-
     def test_scored_path_score_property(self):
         scored = ScoredPath(MotionPath(Point(0.0, 0.0), Point(4.0, 0.0)), 2)
         assert scored.score == pytest.approx(8.0)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle, interpolate_point, max_distance
@@ -11,8 +9,7 @@ from repro.core.trajectory import TimePoint
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.uncertainty import NormalToleranceModel, interval_probability
 from repro.coordinator.hotness import HotnessTracker
-from repro.baselines.douglas_peucker import douglas_peucker, synchronous_distance
-from repro.baselines.opening_window import opening_window_simplify
+from repro.baselines.opening_window import OpeningWindowSimplifier
 
 
 coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -43,12 +40,10 @@ class TestGeometryProperties:
 
     @given(points, points, st.floats(min_value=0.0, max_value=1.0))
     def test_interpolation_stays_in_bounding_box(self, a, b, fraction):
-        box = Rectangle.bounding(a, b)
         interpolated = interpolate_point(a, b, fraction)
         # Allow a whisker of floating-point slack at the box boundary.
-        assert box.expand(1e-6 * (1.0 + abs(a.x) + abs(b.x) + abs(a.y) + abs(b.y))).contains_point(
-            interpolated
-        )
+        slack = 1e-6 * (1.0 + abs(a.x) + abs(b.x) + abs(a.y) + abs(b.y))
+        assert Rectangle.bounding(a, b, padding=slack).contains_point(interpolated)
 
     @given(rectangle_strategy(), rectangle_strategy())
     def test_intersection_commutative_and_contained(self, a, b):
@@ -59,16 +54,6 @@ class TestGeometryProperties:
             assert inter_ab == inter_ba
             assert a.contains_rectangle(inter_ab)
             assert b.contains_rectangle(inter_ab)
-
-    @given(rectangle_strategy(), rectangle_strategy())
-    def test_union_bounds_contains_both(self, a, b):
-        union = a.union_bounds(b)
-        assert union.contains_rectangle(a)
-        assert union.contains_rectangle(b)
-
-    @given(rectangle_strategy(), small_points)
-    def test_clamp_point_lands_inside(self, rect, point):
-        assert rect.contains_point(rect.clamp_point(point))
 
 
 class TestUncertaintyProperties:
@@ -82,7 +67,7 @@ class TestUncertaintyProperties:
         """Any solved tolerance interval is centred, no wider than 2*eps, and meets the probability bound."""
         model = NormalToleranceModel(epsilon=epsilon, delta=delta)
         interval = model.tolerance_interval(mean=0.0, sigma=sigma, axis_delta=delta)
-        half = interval.half_width
+        half = (interval.high - interval.low) / 2.0
         assert half <= epsilon + 1e-6
         if half > model.minimal_half_width + 1e-12:
             # A genuine (non-fallback) solution: the boundary offset satisfies Equation 2.
@@ -99,7 +84,8 @@ class TestUncertaintyProperties:
         """More measurement noise never widens the admissible interval.
 
         The property only holds while Equation 2 remains solvable; beyond
-        ``max_supported_sigma`` the MINIMAL fallback kicks in with a fixed
+        the sigma where the mean itself stops covering ``1 - delta`` (no
+        solution exists) the MINIMAL fallback kicks in with a fixed
         width, so those cases are excluded here (they are covered separately
         by the unsatisfiable-policy unit tests).
         """
@@ -107,10 +93,10 @@ class TestUncertaintyProperties:
 
         model = NormalToleranceModel(epsilon=epsilon, delta=delta)
         low, high = sorted((sigma_a, sigma_b))
-        assume(high <= model.max_supported_sigma(delta))
+        assume(interval_probability(0.0, epsilon, high) >= 1.0 - delta)
         wide = model.tolerance_interval(mean=0.0, sigma=low, axis_delta=delta)
         narrow = model.tolerance_interval(mean=0.0, sigma=high, axis_delta=delta)
-        assert narrow.half_width <= wide.half_width + 1e-9
+        assert (narrow.high - narrow.low) / 2.0 <= (wide.high - wide.low) / 2.0 + 1e-9
 
 
 @st.composite
@@ -171,7 +157,7 @@ class TestRayTraceProperties:
                 state.start.x + fraction * (endpoint.x - state.start.x),
                 state.start.y + fraction * (endpoint.y - state.start.y),
             )
-            assert on_path.max_distance_to(measurement.point) <= epsilon + 1e-6
+            assert max_distance(on_path, measurement.point) <= epsilon + 1e-6
 
     @given(random_walk_measurements(), st.floats(min_value=0.5, max_value=10.0))
     @settings(max_examples=30, deadline=None)
@@ -187,20 +173,9 @@ class TestRayTraceProperties:
 class TestDouglasPeuckerProperties:
     @given(random_walk_measurements(), st.floats(min_value=0.5, max_value=10.0))
     @settings(max_examples=50, deadline=None)
-    def test_simplification_error_bounded(self, measurements, tolerance):
-        simplified = douglas_peucker(measurements, tolerance)
-        assert simplified[0] == measurements[0]
-        assert simplified[-1] == measurements[-1]
-        for tp in measurements:
-            for left, right in zip(simplified, simplified[1:]):
-                if left.timestamp <= tp.timestamp <= right.timestamp:
-                    assert synchronous_distance(tp, left, right) <= tolerance + 1e-6
-                    break
-
-    @given(random_walk_measurements(), st.floats(min_value=0.5, max_value=10.0))
-    @settings(max_examples=50, deadline=None)
     def test_opening_window_segments_are_chained(self, measurements, tolerance):
-        segments = opening_window_simplify(measurements, tolerance)
+        simplifier = OpeningWindowSimplifier(tolerance)
+        segments = [s for s in map(simplifier.observe, measurements) if s is not None]
         for previous, following in zip(segments, segments[1:]):
             assert previous.end.timestamp <= following.start.timestamp
         if segments:

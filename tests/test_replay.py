@@ -40,11 +40,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             driver.replay({})
 
-    def test_unknown_filter_lookup(self):
-        driver = TrajectoryReplayDriver(make_coordinator(), RayTraceConfig(10.0))
-        with pytest.raises(ConfigurationError):
-            driver.filter_for(3)
-
 
 class TestReplay:
     def _trajectories(self, **overrides):
@@ -69,13 +64,6 @@ class TestReplay:
         # Every response answers a previously submitted state.
         assert stats.downlink.messages <= stats.uplink.messages
         assert stats.epochs > 0
-
-    def test_filters_available_after_replay(self):
-        driver = TrajectoryReplayDriver(make_coordinator(), RayTraceConfig(10.0), epoch_length=5)
-        driver.replay(self._trajectories(num_objects=3))
-        for object_id in range(3):
-            filt = driver.filter_for(object_id)
-            assert filt.statistics.measurements_processed > 0
 
     def test_without_flush_trailing_motion_not_indexed(self):
         with_flush = make_coordinator()

@@ -9,12 +9,14 @@ from repro.core.geometry import Point
 from repro.network.generator import NetworkConfig, SyntheticRoadNetworkGenerator
 from repro.network.road_network import RoadClass, RoadNetwork
 
+from road_reference import class_histogram, is_connected
+
 
 class TestRoadNetworkConstruction:
     def test_add_node_and_lookup(self):
         network = RoadNetwork()
         network.add_node(1, Point(5.0, 5.0))
-        assert network.num_nodes == 1
+        assert len(network.node_ids()) == 1
         assert network.node(1).location == Point(5.0, 5.0)
 
     def test_duplicate_node_rejected(self):
@@ -89,9 +91,6 @@ class TestRoadNetworkGeometry:
         with pytest.raises(ConfigurationError):
             RoadNetwork().bounding_box()
 
-    def test_total_length(self, tiny_manual_network):
-        assert tiny_manual_network.total_length() == pytest.approx(400.0)
-
 
 class TestLinkSelection:
     def test_choice_weights_sum_to_one(self, tiny_manual_network):
@@ -110,30 +109,6 @@ class TestLinkSelection:
         network.add_node(0, Point(0.0, 0.0))
         assert network.link_choice_weights(0) == []
 
-    def test_degree(self, tiny_manual_network):
-        assert tiny_manual_network.degree(0) == 2
-
-
-class TestConnectivityAndHistogram:
-    def test_manual_network_is_connected(self, tiny_manual_network):
-        assert tiny_manual_network.is_connected()
-
-    def test_disconnected_network_detected(self):
-        network = RoadNetwork()
-        network.add_node(0, Point(0.0, 0.0))
-        network.add_node(1, Point(1.0, 0.0))
-        network.add_node(2, Point(5.0, 5.0))
-        network.add_link(0, 1)
-        assert not network.is_connected()
-
-    def test_empty_network_is_connected(self):
-        assert RoadNetwork().is_connected()
-
-    def test_class_histogram(self, tiny_manual_network):
-        histogram = tiny_manual_network.class_histogram()
-        assert histogram[RoadClass.MOTORWAY] == 1
-        assert histogram[RoadClass.SECONDARY] == 2
-
 
 class TestSyntheticGenerator:
     def test_invalid_config(self):
@@ -147,15 +122,15 @@ class TestSyntheticGenerator:
     def test_node_and_link_counts(self):
         config = NetworkConfig(grid_nodes_per_axis=10, seed=1)
         network = SyntheticRoadNetworkGenerator(config).generate()
-        assert network.num_nodes == 100
+        assert len(network.node_ids()) == 100
         # Grid links: 2 * n * (n - 1) = 180, plus optional diagonals.
-        assert network.num_links >= 180
+        assert len(list(network.links())) >= 180
 
     def test_generated_network_is_connected(self, small_network):
-        assert small_network.is_connected()
+        assert is_connected(small_network)
 
     def test_all_road_classes_present(self, small_network):
-        histogram = small_network.class_histogram()
+        histogram = class_histogram(small_network)
         assert histogram[RoadClass.MOTORWAY] > 0
         assert histogram[RoadClass.HIGHWAY] > 0
         assert histogram[RoadClass.PRIMARY] > 0
@@ -170,22 +145,22 @@ class TestSyntheticGenerator:
         config = NetworkConfig(grid_nodes_per_axis=8, seed=11)
         first = SyntheticRoadNetworkGenerator(config).generate()
         second = SyntheticRoadNetworkGenerator(config).generate()
-        assert first.num_nodes == second.num_nodes
-        assert first.num_links == second.num_links
-        assert [node.location for node in first.nodes()] == [
-            node.location for node in second.nodes()
+        assert len(first.node_ids()) == len(second.node_ids())
+        assert len(list(first.links())) == len(list(second.links()))
+        assert [node.location for node in map(first.node, first.node_ids())] == [
+            node.location for node in map(second.node, second.node_ids())
         ]
 
     def test_different_seeds_differ(self):
         first = SyntheticRoadNetworkGenerator(NetworkConfig(grid_nodes_per_axis=8, seed=1)).generate()
         second = SyntheticRoadNetworkGenerator(NetworkConfig(grid_nodes_per_axis=8, seed=2)).generate()
-        assert [node.location for node in first.nodes()] != [
-            node.location for node in second.nodes()
+        assert [node.location for node in map(first.node, first.node_ids())] != [
+            node.location for node in map(second.node, second.node_ids())
         ]
 
     def test_paper_scale_counts(self):
         """At the paper's scale (33x33 grid) node/link counts are close to Athens'."""
         config = NetworkConfig(grid_nodes_per_axis=33, seed=7, diagonal_fraction=0.0)
         network = SyntheticRoadNetworkGenerator(config).generate()
-        assert network.num_nodes == 1089  # paper: 1125 nodes
-        assert network.num_links == 2 * 33 * 32  # 2112; paper: 1831 links
+        assert len(network.node_ids()) == 1089  # paper: 1125 nodes
+        assert len(list(network.links())) == 2 * 33 * 32  # 2112; paper: 1831 links

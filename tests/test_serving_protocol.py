@@ -103,14 +103,29 @@ non_integers = st.one_of(
 
 #: Rows accepted before wire validation, each collapsing or reversing
 #: something: ids 1.7 and True both became object 1, "3" became object 3, a
-#: fractional timestamp was truncated, and an SSA interval ran backwards.
+#: fractional timestamp was truncated, an SSA interval ran backwards, the
+#: coordinates " 7 " and True became 7.0 and 1.0, and an inverted FSA was
+#: queued until its epoch failed for every client.
 SILENTLY_ACCEPTED = {
     "fractional_id": wire_row(1.7, 1, 9),
     "bool_id": wire_row(True, 1, 9),
     "string_id": wire_row("3", 1, 9),
     "fractional_t_start": wire_row(1, 1.5, 9),
     "reversed_interval": [1, 5, 5, 9, 1, 1, 20, 20, 5],
+    "string_coordinate": [1, " 7 ", 2, 0, 0, 0, 10, 10, 5],
+    "bool_coordinate": [1, True, 2, 0, 0, 0, 10, 10, 5],
+    "inverted_fsa": [1, 5, 5, 0, 10, 10, 0, 0, 5],
 }
+
+COORDINATE_FIELDS = {"start_x": 1, "start_y": 2, "low_x": 4, "low_y": 5, "high_x": 6, "high_y": 7}
+
+#: Values ``float()`` used to accept as a coordinate: bools and numeric strings.
+non_numbers = st.one_of(
+    st.booleans(),
+    st.text(max_size=6),
+    st.integers(min_value=1, max_value=19).map(lambda value: f" {value} "),
+    st.floats(min_value=1.0, max_value=19.0).map(str),
+)
 
 
 class TestUpdateValidation:
@@ -141,12 +156,31 @@ class TestUpdateValidation:
         with pytest.raises(ProtocolError):
             decode_update(row)
 
+    @pytest.mark.parametrize("field", sorted(COORDINATE_FIELDS))
+    @given(value=non_numbers)
+    @settings(max_examples=100, deadline=None)
+    def test_non_number_coordinates_are_rejected(self, field, value):
+        row = wire_row(4, 1, 9)
+        row[COORDINATE_FIELDS[field]] = value
+        with pytest.raises(ProtocolError):
+            decode_update(row)
+
+    @pytest.mark.parametrize("field", sorted(COORDINATE_FIELDS))
+    @given(value=st.one_of(st.integers(min_value=1, max_value=19), st.floats(min_value=1.0, max_value=19.0)))
+    @settings(max_examples=50, deadline=None)
+    def test_number_coordinates_decode_exactly(self, field, value):
+        row = wire_row(4, 1, 9)
+        row[COORDINATE_FIELDS[field]] = value
+        decoded = decode_update(json.loads(json.dumps(row)))
+        assert decoded.as_tuple()[COORDINATE_FIELDS[field]] == float(value)
+
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=100, deadline=None)
     def test_a_reversed_interval_is_rejected(self, t_end, gap):
         with pytest.raises(ProtocolError):
             decode_update(wire_row(4, t_end + gap, t_end))
-        assert decode_update(wire_row(4, t_end, t_end)).duration == 0
+        state = decode_update(wire_row(4, t_end, t_end))
+        assert state.t_end - state.t_start == 0
 
     @pytest.mark.parametrize("name", sorted(SILENTLY_ACCEPTED))
     def test_formerly_accepted_rows_are_rejected(self, name):
@@ -179,6 +213,13 @@ class TestServingConfig:
             ServingConfig(auto_epoch_seconds=0.0)
         with pytest.raises(ConfigurationError):
             ServingConfig(auto_epoch_timestamps=0)
+
+    @pytest.mark.parametrize(
+        "field", (dict(port=-1), dict(port=65536), dict(max_pending_updates=0)), ids=str
+    )
+    def test_port_and_queue_bound_are_validated(self, field):
+        with pytest.raises(ConfigurationError):
+            ServingConfig(**field)
 
     def test_port_requires_started_server(self):
         server = make_server()

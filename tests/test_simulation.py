@@ -41,6 +41,14 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             small_config(duration=10, epoch_length=10)
 
+    @pytest.mark.parametrize(
+        "field", (dict(num_objects=0), dict(agility=0.0), dict(delta=1.0), dict(delta=-0.1)), ids=str
+    )
+    def test_workload_and_filter_fields_are_validated_with_the_config(self, field):
+        """Before the simulation builds its network (``repro run`` validates its flags so)."""
+        with pytest.raises(ConfigurationError):
+            small_config(**field)
+
     def test_workload_config_derivation(self):
         config = small_config(delta=0.1)
         workload = config.workload_config()

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.analysis.statistics import (
     DistributionSummary,
     hot_path_statistics,
-    network_alignment,
     summarise_distribution,
 )
-from repro.network.road_network import RoadNetwork
+
+from road_reference import distance_to_network
 
 
 def record(path_id: int, start: Point, end: Point) -> MotionPathRecord:
@@ -61,12 +60,12 @@ class TestHotPathStatistics:
 
     def test_empty_input(self):
         statistics = hot_path_statistics([])
-        assert statistics.num_paths == 0
+        assert statistics.hotness.count == 0
         assert statistics.top_decile_heat_share == 0.0
 
     def test_distributions(self):
         statistics = hot_path_statistics(self._paths())
-        assert statistics.num_paths == 4
+        assert statistics.hotness.count == 4
         assert statistics.hotness.maximum == 10.0
         assert statistics.hotness.total == 14.0
         assert statistics.length.maximum == 100.0
@@ -84,52 +83,6 @@ class TestHotPathStatistics:
 
 
 class TestNetworkAlignment:
-    def _network(self) -> RoadNetwork:
-        network = RoadNetwork()
-        network.add_node(0, Point(0.0, 0.0))
-        network.add_node(1, Point(1000.0, 0.0))
-        network.add_node(2, Point(1000.0, 1000.0))
-        network.add_link(0, 1)
-        network.add_link(1, 2)
-        return network
-
-    def test_aligned_paths_detected(self):
-        network = self._network()
-        paths = [
-            (record(0, Point(100.0, 2.0), Point(500.0, -3.0)), 3),   # on the horizontal road
-            (record(1, Point(998.0, 100.0), Point(1003.0, 600.0)), 2),  # on the vertical road
-            (record(2, Point(500.0, 500.0), Point(600.0, 600.0)), 1),   # off-network
-        ]
-        alignment = network_alignment(paths, network, tolerance=10.0)
-        assert alignment.paths_considered == 3
-        assert alignment.aligned_paths == 2
-        assert alignment.aligned_fraction == pytest.approx(2.0 / 3.0)
-        assert alignment.mean_endpoint_distance > 0.0
-
-    def test_min_hotness_filter(self):
-        network = self._network()
-        paths = [
-            (record(0, Point(100.0, 2.0), Point(500.0, -3.0)), 3),
-            (record(2, Point(500.0, 500.0), Point(600.0, 600.0)), 1),
-        ]
-        alignment = network_alignment(paths, network, tolerance=10.0, min_hotness=2)
-        assert alignment.paths_considered == 1
-        assert alignment.aligned_fraction == 1.0
-
-    def test_empty_paths(self):
-        alignment = network_alignment([], self._network(), tolerance=10.0)
-        assert alignment.paths_considered == 0
-        assert alignment.aligned_fraction == 0.0
-        assert alignment.mean_endpoint_distance == 0.0
-
-    def test_invalid_tolerance(self):
-        with pytest.raises(ConfigurationError):
-            network_alignment([], self._network(), tolerance=0.0)
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ConfigurationError):
-            network_alignment([], RoadNetwork(), tolerance=5.0)
-
     def test_simulation_paths_align_with_network(self, small_network):
         """Paths discovered on the synthetic workload hug the generating network."""
         from repro.network.generator import NetworkConfig
@@ -147,8 +100,13 @@ class TestNetworkAlignment:
             network_config=NetworkConfig(area_size=2000.0, grid_nodes_per_axis=6, seed=3),
         )
         result = HotPathSimulation(config).run()
-        alignment = network_alignment(
-            result.hot_paths(), result.network, tolerance=config.tolerance * 2
-        )
-        assert alignment.paths_considered > 0
-        assert alignment.aligned_fraction > 0.8
+        tolerance = config.tolerance * 2
+        hot_paths = result.hot_paths()
+        aligned = [
+            record
+            for record, _hotness in hot_paths
+            if distance_to_network(record.path.start, result.network) <= tolerance
+            and distance_to_network(record.path.end, result.network) <= tolerance
+        ]
+        assert hot_paths
+        assert len(aligned) / len(hot_paths) > 0.8

@@ -23,9 +23,6 @@ class TestTimePoint:
         assert tp.y == 2.0
         assert tp.timestamp == 7
 
-    def test_as_tuple(self):
-        assert TimePoint(Point(1.0, 2.0), 3).as_tuple() == (1.0, 2.0, 3)
-
 
 class TestUncertainTimePoint:
     def test_negative_sigma_rejected(self):
@@ -58,21 +55,10 @@ class TestTrajectoryConstruction:
         with pytest.raises(InvalidTrajectoryError):
             trajectory.append(TimePoint(Point(1.0, 1.0), 5))
 
-    def test_extend(self):
-        trajectory = Trajectory(0)
-        trajectory.extend([TimePoint(Point(0.0, 0.0), 0), TimePoint(Point(1.0, 0.0), 1)])
-        assert len(trajectory) == 2
-
     def test_getitem_and_iter(self):
         trajectory = straight_line_trajectory(3)
         assert trajectory[1].point == Point(10.0, 0.0)
         assert [tp.timestamp for tp in trajectory] == [0, 1, 2]
-
-    def test_timepoints_view_is_immutable_copy(self):
-        trajectory = straight_line_trajectory(3)
-        view = trajectory.timepoints
-        assert isinstance(view, tuple)
-        assert len(view) == 3
 
 
 class TestTrajectoryTimes:
@@ -80,7 +66,6 @@ class TestTrajectoryTimes:
         trajectory = straight_line_trajectory(4)
         assert trajectory.start_time == 0
         assert trajectory.end_time == 3
-        assert trajectory.duration == 3
 
     def test_empty_trajectory_time_errors(self):
         with pytest.raises(InvalidTrajectoryError):
@@ -94,100 +79,3 @@ class TestTrajectoryTimes:
         assert trajectory.covers_time(2.5)
         assert not trajectory.covers_time(3.5)
         assert not Trajectory(0).covers_time(0)
-
-
-class TestInterpolation:
-    def test_location_at_observed_timestamp(self):
-        trajectory = straight_line_trajectory(4)
-        assert trajectory.location_at(2) == Point(20.0, 0.0)
-
-    def test_location_at_intermediate_timestamp(self):
-        trajectory = straight_line_trajectory(4)
-        assert trajectory.location_at(1.5) == Point(15.0, 0.0)
-
-    def test_location_outside_range_rejected(self):
-        trajectory = straight_line_trajectory(4)
-        with pytest.raises(InvalidTrajectoryError):
-            trajectory.location_at(10)
-
-    def test_location_on_empty_trajectory_rejected(self):
-        with pytest.raises(InvalidTrajectoryError):
-            Trajectory(0).location_at(0)
-
-    def test_interpolation_with_gap_in_timestamps(self):
-        trajectory = Trajectory(
-            0, [TimePoint(Point(0.0, 0.0), 0), TimePoint(Point(10.0, 10.0), 10)]
-        )
-        assert trajectory.location_at(5) == Point(5.0, 5.0)
-
-
-class TestGeometryHelpers:
-    def test_bounding_box(self):
-        trajectory = Trajectory(
-            0,
-            [
-                TimePoint(Point(0.0, 5.0), 0),
-                TimePoint(Point(10.0, -5.0), 1),
-                TimePoint(Point(4.0, 2.0), 2),
-            ],
-        )
-        box = trajectory.bounding_box()
-        assert box.low == Point(0.0, -5.0)
-        assert box.high == Point(10.0, 5.0)
-
-    def test_bounding_box_with_padding(self):
-        trajectory = straight_line_trajectory(2)
-        box = trajectory.bounding_box(padding=1.0)
-        assert box.low == Point(-1.0, -1.0)
-        assert box.high == Point(11.0, 1.0)
-
-    def test_bounding_box_empty_rejected(self):
-        with pytest.raises(InvalidTrajectoryError):
-            Trajectory(0).bounding_box()
-
-    def test_total_length(self):
-        trajectory = straight_line_trajectory(4, step=10.0)
-        assert trajectory.total_length() == pytest.approx(30.0)
-
-    def test_passes_near_true(self):
-        trajectory = straight_line_trajectory(5)
-        assert trajectory.passes_near(Point(22.0, 1.0), tolerance=3.0)
-
-    def test_passes_near_false(self):
-        trajectory = straight_line_trajectory(5)
-        assert not trajectory.passes_near(Point(22.0, 50.0), tolerance=3.0)
-
-    def test_passes_near_empty_is_false(self):
-        assert not Trajectory(0).passes_near(Point(0.0, 0.0), tolerance=1.0)
-
-
-class TestSliceAndResample:
-    def test_slice_time(self):
-        trajectory = straight_line_trajectory(6)
-        sliced = trajectory.slice_time(1, 3)
-        assert [tp.timestamp for tp in sliced] == [1, 2, 3]
-
-    def test_slice_time_invalid_range(self):
-        with pytest.raises(InvalidTrajectoryError):
-            straight_line_trajectory(3).slice_time(3, 1)
-
-    def test_resample_regular(self):
-        trajectory = straight_line_trajectory(7)
-        resampled = trajectory.resample(2)
-        assert [tp.timestamp for tp in resampled] == [0, 2, 4, 6]
-        assert resampled[1].point == Point(20.0, 0.0)
-
-    def test_resample_interpolates(self):
-        trajectory = Trajectory(
-            0, [TimePoint(Point(0.0, 0.0), 0), TimePoint(Point(10.0, 0.0), 10)]
-        )
-        resampled = trajectory.resample(4)
-        assert [tp.timestamp for tp in resampled] == [0, 4, 8]
-        assert resampled[1].point == Point(4.0, 0.0)
-
-    def test_resample_invalid_step(self):
-        with pytest.raises(InvalidTrajectoryError):
-            straight_line_trajectory(3).resample(0)
-
-    def test_resample_empty(self):
-        assert len(Trajectory(0).resample(5)) == 0
