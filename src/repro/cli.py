@@ -116,12 +116,7 @@ def _serve_config(args: argparse.Namespace) -> _ServeConfig:
 
     return config._replace(
         scenario=get_scenario(args.scenario, load_factor=args.load_factor),
-        injection=InjectionConfig(
-            enabled=args.chaos is not None,
-            fault=args.chaos,
-            rate=args.chaos_rate,
-            seed=args.chaos_seed,
-        ),
+        injection=InjectionConfig(fault=args.chaos, rate=args.chaos_rate, seed=args.chaos_seed),
     )
 
 
@@ -244,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--chaos", choices=FAULT_TYPES, default=None, metavar="FAULT",
         help=(
-            "inject this fault class during the scenario (drop_batch, duplicate_batch, "
-            "reorder_batch, kill_worker, stall_epoch), scheduled deterministically "
-            "from --chaos-seed"
+            f"inject this fault class during the scenario ({', '.join(FAULT_TYPES)}), "
+            "scheduled deterministically from --chaos-seed"
         ),
     )
     serve_parser.add_argument(

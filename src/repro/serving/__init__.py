@@ -17,7 +17,11 @@ Layout:
 * :mod:`repro.serving.server` — :class:`IngestionServer`, the asyncio TCP
   endpoint;
 * :mod:`repro.serving.scenarios` — :class:`BaseScenario` registry,
-  :class:`InjectionConfig` fault injection and the :class:`ScenarioRunner`.
+  :class:`InjectionConfig` fault injection (``InjectionConfig(fault=...)``
+  switches it on) and the :class:`ScenarioRunner`, whose
+  ``ScenarioResult.fault_events`` records each fault that fired once, and
+  whose validation gate fails a run that leaves an update neither
+  committed nor dropped by a fault.
 
 Names are exported lazily (PEP 562): ``from repro.serving import X``
 imports only the module defining ``X``, so the server does not load the

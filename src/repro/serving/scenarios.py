@@ -16,7 +16,8 @@ throughput envelope the serving layer must meet for it
 
 :class:`ScenarioRunner` boots a real :class:`IngestionServer` on an
 ephemeral port, drives the scenario over genuine TCP connections, and
-optionally injects faults from an :class:`InjectionConfig`:
+injects the fault an :class:`InjectionConfig` names (``fault=None``, the
+default, injects nothing):
 
 * ``drop_batch`` / ``duplicate_batch`` / ``reorder_batch`` — network
   faults applied to client batches before they reach the socket;
@@ -26,11 +27,13 @@ optionally injects faults from an :class:`InjectionConfig`:
 * ``stall_epoch`` — withhold an epoch's tick so updates pile up against
   the bounded batcher queue (the backpressure path).
 
-The entire fault schedule is a pure function of ``(seed, scenario plan)``
-— :func:`build_fault_schedule` draws every decision from one
+The fault schedule is a pure function of ``(seed, scenario plan)`` —
+:func:`build_fault_schedule` draws its ``(epoch, where)`` sites from one
 ``random.Random(seed)`` in canonical order — so the same seed replays the
 same kills, drops and stalls, which is what lets the chaos suite pin
-recovery behaviour as a regression test.
+recovery behaviour as a regression test.  Each fault that fires is recorded
+once, as a :attr:`ScenarioResult.fault_events` tuple; the per-fault
+counters are counts over that list.
 
 **The equivalence contract.**  Every run yields the server's canonical
 report snapshot and the batcher's accepted-update log.  For every
@@ -40,7 +43,9 @@ reproduce the served snapshot **bit for bit** — the same bar as
 ``tests/test_differential.py``.  Degrading faults (dropped batches,
 stalled epochs) must instead land exactly where their quantified path
 predicts: accepted = submitted − dropped, commits move to the next
-boundary, and the accepted-log replay still matches bit for bit.
+boundary, and the accepted-log replay still matches bit for bit.  An update
+that is neither committed nor dropped by a fault once the run's bounded
+drain gives up fails :meth:`BaseScenario.validate_result`.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
@@ -78,13 +83,13 @@ __all__ = [
     "replay_accepted_log",
 ]
 
-#: Faults applied per batch vs. per epoch boundary.
-_BATCH_FAULTS = ("drop_batch", "duplicate_batch")
-_EPOCH_FAULTS = ("kill_worker", "stall_epoch")
-
 #: Monitored area every scenario plays in — matches the differential
 #: harness bounds, so scenario streams stress the same shard borders.
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
+
+#: Ticks the runner adds after the plan to commit retries and queued
+#: updates; traffic still uncommitted after them fails validation.
+_DRAIN_ROUNDS = 8
 
 #: One planned batch: ``(client_id, seq, states)``.
 PlannedBatch = Tuple[int, int, List[ObjectState]]
@@ -112,8 +117,9 @@ class BaseScenario(ABC):
     """
 
     scenario_id: str = "base"
-    name: str = "base scenario"
     description: str = ""
+    num_clients: int = 8
+    epochs: int = 6
     #: Close-and-reopen every client connection before this epoch index
     #: (``None`` = never) — the thundering-herd reconnect storm.
     reconnect_before_epoch: Optional[int] = None
@@ -122,22 +128,10 @@ class BaseScenario(ABC):
     max_p99_ack_ms: float = 2000.0
     min_updates_per_sec: float = 5.0
 
-    def __init__(
-        self,
-        num_clients: Optional[int] = None,
-        epochs: Optional[int] = None,
-        load_factor: float = 1.0,
-    ) -> None:
+    def __init__(self, load_factor: float = 1.0) -> None:
         if load_factor <= 0:
             raise ConfigurationError(f"load_factor must be positive, got {load_factor}")
-        if num_clients is not None:
-            self.num_clients = num_clients
-        if epochs is not None:
-            self.epochs = epochs
         self.load_factor = load_factor
-
-    num_clients: int = 8
-    epochs: int = 6
 
     # -- traffic shape ----------------------------------------------------------
 
@@ -228,15 +222,19 @@ class BaseScenario(ABC):
                 f"sustained throughput {result.updates_per_sec:.1f} updates/s is below "
                 f"the {self.min_updates_per_sec:.0f} updates/s floor"
             )
+        committed = sum(len(rows) for _boundary, rows in result.accepted_log)
+        lost = result.submitted_updates - result.dropped_updates - committed
+        if lost > 0:
+            errors.append(
+                f"{lost} of {result.submitted_updates} updates were neither committed nor "
+                f"dropped by a fault after {_DRAIN_ROUNDS} drain rounds"
+            )
         return errors
 
 
 class UniformTrickleScenario(BaseScenario):
     scenario_id = "uniform_trickle"
-    name = "uniform trickle"
     description = "every client drips one small batch per epoch, uniformly spread"
-    num_clients = 8
-    epochs = 6
 
     def epoch_batches(self, rng, epoch, client):
         return [self._scaled(2)]
@@ -244,13 +242,11 @@ class UniformTrickleScenario(BaseScenario):
 
 class BurstyDowntownScenario(BaseScenario):
     scenario_id = "bursty_downtown"
-    name = "bursty downtown vs. suburb trickle"
     description = (
         "70% of clients burst from a dense downtown corner in alternating "
         "epochs; the rest trickle from the suburbs — a skewed mix"
     )
     num_clients = 10
-    epochs = 6
 
     def _downtown(self, client: int) -> bool:
         return client < (self.num_clients * 7) // 10
@@ -268,10 +264,8 @@ class BurstyDowntownScenario(BaseScenario):
 
 class RampScenario(BaseScenario):
     scenario_id = "ramp"
-    name = "linear ramp"
     description = "per-client batch size grows linearly with the epoch index"
     num_clients = 6
-    epochs = 6
 
     def epoch_batches(self, rng, epoch, client):
         return [self._scaled(2 * (epoch + 1))]
@@ -279,23 +273,18 @@ class RampScenario(BaseScenario):
 
 class ThunderingHerdScenario(BaseScenario):
     scenario_id = "thundering_herd"
-    name = "thundering-herd reconnect"
     description = (
         "one scout trickles while the fleet idles; then every client "
         "reconnects at once and bursts (post-outage reconnect storm)"
     )
     num_clients = 12
-    epochs = 6
-
-    def __init__(self, num_clients=None, epochs=None, load_factor=1.0):
-        super().__init__(num_clients, epochs, load_factor)
-        self.herd_epoch = max(1, self.epochs // 2)
-        self.reconnect_before_epoch = self.herd_epoch
+    #: The herd reconnects, then bursts, at epoch 3 of 6.
+    reconnect_before_epoch = 3
 
     def epoch_batches(self, rng, epoch, client):
-        if epoch < self.herd_epoch:
+        if epoch < self.reconnect_before_epoch:
             return [self._scaled(1)] if client == 0 else []
-        if epoch == self.herd_epoch:
+        if epoch == self.reconnect_before_epoch:
             return [self._scaled(5)]
         return [self._scaled(1)]
 
@@ -311,10 +300,10 @@ SCENARIOS: Dict[str, Type[BaseScenario]] = {
 }
 
 
-def get_scenario(name: str, **overrides) -> BaseScenario:
+def get_scenario(name: str, load_factor: float = 1.0) -> BaseScenario:
     """Instantiate a registered scenario by id."""
     try:
-        return SCENARIOS[name](**overrides)
+        return SCENARIOS[name](load_factor)
     except KeyError:
         raise ConfigurationError(
             f"unknown scenario {name!r}; registered: {', '.join(sorted(SCENARIOS))}"
@@ -328,41 +317,46 @@ def get_scenario(name: str, **overrides) -> BaseScenario:
 
 @dataclass(frozen=True)
 class InjectionConfig:
-    """Seed-driven fault injection knobs (disabled by default).
+    """Seed-driven fault injection; ``fault=None`` (the default) injects nothing.
 
     ``fault`` selects one class from :data:`FAULT_TYPES`; ``rate`` is the
-    per-batch (network faults) or per-epoch (infrastructure faults)
+    per-batch (drop, duplicate) or per-epoch (reorder, kill, stall)
     injection probability; ``seed`` makes the whole schedule a pure
     function of the configuration — same seed, same kills.
     """
 
-    enabled: bool = False
     fault: Optional[str] = None
     rate: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.enabled:
-            if self.fault not in FAULT_TYPES:
-                raise ConfigurationError(
-                    f"fault must be one of {', '.join(FAULT_TYPES)}, got {self.fault!r}"
-                )
-            if not 0.0 < self.rate <= 1.0:
-                raise ConfigurationError(f"rate must be in (0, 1], got {self.rate}")
+        if self.fault is None:
+            return
+        if self.fault not in FAULT_TYPES:
+            raise ConfigurationError(
+                f"fault must be one of {', '.join(FAULT_TYPES)}, got {self.fault!r}"
+            )
+        if not 0.0 < self.rate <= 1.0:
+            raise ConfigurationError(f"rate must be in (0, 1], got {self.rate}")
 
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    """The concrete fault plan drawn for one run — pinned by the chaos suite."""
+    """The concrete fault plan drawn for one run — pinned by the chaos suite.
 
-    #: ``(epoch, slot)`` batch positions to drop / redeliver.
-    drops: frozenset = frozenset()
-    duplicates: frozenset = frozenset()
-    #: Per epoch: adjacent send-order swaps ``(i, i + 1)``.
-    swaps: Tuple[Tuple[int, int], ...] = ()
-    #: Per epoch: a uniform draw selecting which worker to kill.
-    kills: Tuple[Tuple[int, float], ...] = ()
-    stalls: frozenset = frozenset()
+    ``sites`` are ``(epoch, where)`` pairs in epoch order.  ``where`` is the
+    batch's canonical slot for ``drop_batch`` / ``duplicate_batch``, the
+    first of two adjacent send positions to swap for ``reorder_batch``, a
+    uniform draw selecting the worker for ``kill_worker`` and ``None`` for
+    ``stall_epoch``.
+    """
+
+    fault: Optional[str] = None
+    sites: Tuple[Tuple[int, Any], ...] = ()
+
+    def at(self, epoch: int) -> List[Any]:
+        """The ``where`` of every site in ``epoch``."""
+        return [where for site_epoch, where in self.sites if site_epoch == epoch]
 
 
 def build_fault_schedule(
@@ -372,61 +366,41 @@ def build_fault_schedule(
 
     Decisions are drawn from one ``random.Random(seed)`` walking the plan in
     canonical order.  When the probability draws produce no fault at all,
-    one is forced at a deterministic position, so an enabled injection is
-    never vacuous (and the chaos suite never passes by accident).
+    one is forced at a deterministic position, so an injection is never
+    vacuous (and the chaos suite never passes by accident).
     """
-    if not injection.enabled:
+    fault = injection.fault
+    if fault is None:
         return FaultSchedule()
     rng = random.Random(injection.seed)
-    fault = injection.fault
-    drops: Set[Tuple[int, int]] = set()
-    duplicates: Set[Tuple[int, int]] = set()
-    swaps: List[Tuple[int, int]] = []
-    kills: List[Tuple[int, float]] = []
-    stalls: Set[int] = set()
+    sites: List[Tuple[int, Any]] = []
     for epoch, batches in enumerate(plan):
-        if fault in _BATCH_FAULTS:
-            for slot in range(len(batches)):
-                if rng.random() < injection.rate:
-                    (drops if fault == "drop_batch" else duplicates).add((epoch, slot))
+        if fault in ("drop_batch", "duplicate_batch"):
+            sites += [
+                (epoch, slot) for slot in range(len(batches)) if rng.random() < injection.rate
+            ]
         elif fault == "reorder_batch":
             if len(batches) >= 2 and rng.random() < injection.rate:
-                position = rng.randrange(len(batches) - 1)
-                swaps.append((epoch, position))
+                sites.append((epoch, rng.randrange(len(batches) - 1)))
         elif rng.random() < injection.rate:
-            if fault == "kill_worker":
+            if fault == "stall_epoch":
+                sites.append((epoch, None))
+            elif epoch > 0:
                 # Workers spawn on the first committed epoch, so never
                 # schedule a kill before anything has run.
-                if epoch > 0:
-                    kills.append((epoch, rng.random()))
-            else:
-                stalls.add(epoch)
-    nothing = not (drops or duplicates or swaps or kills or stalls)
-    if nothing:
-        first_busy = next(
-            (epoch for epoch, batches in enumerate(plan) if batches), 0
-        )
-        if fault == "drop_batch":
-            drops.add((first_busy, 0))
-        elif fault == "duplicate_batch":
-            duplicates.add((first_busy, 0))
+                sites.append((epoch, rng.random()))
+    if not sites:
+        if fault in ("drop_batch", "duplicate_batch"):
+            sites.append((next((e for e, batches in enumerate(plan) if batches), 0), 0))
         elif fault == "reorder_batch":
-            two = next(
-                (epoch for epoch, batches in enumerate(plan) if len(batches) >= 2), None
-            )
+            two = next((e for e, batches in enumerate(plan) if len(batches) >= 2), None)
             if two is not None:
-                swaps.append((two, 0))
+                sites.append((two, 0))
         elif fault == "kill_worker":
-            kills.append((1 if len(plan) > 1 else 0, rng.random()))
+            sites.append((1 if len(plan) > 1 else 0, rng.random()))
         else:
-            stalls.add(min(1, len(plan) - 1))
-    return FaultSchedule(
-        drops=frozenset(drops),
-        duplicates=frozenset(duplicates),
-        swaps=tuple(sorted(swaps)),
-        kills=tuple(sorted(kills)),
-        stalls=frozenset(stalls),
-    )
+            sites.append((min(1, len(plan) - 1), None))
+    return FaultSchedule(fault, tuple(sites))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +408,17 @@ def build_fault_schedule(
 # ---------------------------------------------------------------------------
 
 
+def _fault_count(fault: str) -> property:
+    return property(lambda result: sum(event[0] == fault for event in result.fault_events))
+
+
 @dataclass
 class ScenarioResult:
-    """Everything one scenario run produced, measured and pinned."""
+    """Everything one scenario run produced, measured and pinned.
+
+    ``fault_events`` is the one record of what fired: one tuple per fault,
+    its class first; the per-class counters below count it.
+    """
 
     scenario_id: str
     fleet: FleetConfig
@@ -450,12 +432,6 @@ class ScenarioResult:
     retried_batches: int = 0
     reconnects: int = 0
     epochs_run: int = 0
-    # Fault accounting (what actually fired).
-    dropped_batches: int = 0
-    duplicated_batches: int = 0
-    reordered_swaps: int = 0
-    worker_kills: int = 0
-    stalled_epochs: int = 0
     fault_events: List[Tuple] = field(default_factory=list)
     # Determinism artifacts.
     accepted_log: List[Tuple[int, List[List[Any]]]] = field(default_factory=list)
@@ -467,6 +443,12 @@ class ScenarioResult:
     ack_latency_p50_ms: float = 0.0
     ack_latency_p99_ms: float = 0.0
     validation_errors: List[str] = field(default_factory=list)
+
+    dropped_batches = _fault_count("drop_batch")
+    duplicated_batches = _fault_count("duplicate_batch")
+    reordered_swaps = _fault_count("reorder_batch")
+    worker_kills = _fault_count("kill_worker")
+    stalled_epochs = _fault_count("stall_epoch")
 
     @property
     def passed(self) -> bool:
@@ -559,14 +541,8 @@ class ScenarioRunner:
     ) -> ScenarioResult:
         plan = scenario.plan(seed, self.epoch_length)
         schedule = build_fault_schedule(injection, plan)
-        result = ScenarioResult(
-            scenario_id=scenario.scenario_id,
-            fleet=self.fleet,
-            injection=injection,
-        )
-        result.submitted_updates = sum(
-            len(states) for batches in plan for _c, _s, states in batches
-        )
+        result = ScenarioResult(scenario.scenario_id, self.fleet, injection)
+        result.submitted_updates = sum(len(batch[2]) for batches in plan for batch in batches)
         coordinator = Coordinator(self.coordinator_config())
         server = IngestionServer(
             coordinator,
@@ -601,113 +577,94 @@ class ScenarioRunner:
                     return False
                 raise ConfigurationError(f"unexpected batch rejection: {ack}")
 
+            async def flush_retries() -> None:
+                """Resend the backpressure-rejected batches, oldest first."""
+                pending = retry_queue[:]
+                retry_queue.clear()
+                for client_id, seq, rows in pending:
+                    if await send_batch(client_id, seq, rows):
+                        result.retried_batches += 1
+
+            async def send_client(epoch: int, client_id: int, entries) -> None:
+                """One client's batches in order; a duplicated one is redelivered."""
+                for batch_seq, rows, duplicated in entries:
+                    if await send_batch(client_id, batch_seq, rows) and duplicated:
+                        result.fault_events.append(
+                            ("duplicate_batch", epoch, client_id, batch_seq)
+                        )
+                        await send_batch(client_id, batch_seq, rows)
+
             for epoch_index, batches in enumerate(plan):
                 if scenario.reconnect_before_epoch == epoch_index:
                     # The herd: every client drops its connection and
                     # reconnects at once before bursting.
                     await asyncio.gather(*(c.close() for c in clients.values()))
-                    reconnected = await asyncio.gather(
-                        *(
-                            _WireClient.connect(host, port)
-                            for _ in range(scenario.num_clients)
-                        )
-                    )
-                    clients = dict(enumerate(reconnected))
+                    connects = [_WireClient.connect(host, port) for _ in clients]
+                    clients = dict(enumerate(await asyncio.gather(*connects)))
                     result.reconnects += scenario.num_clients
 
                 # Retries of backpressure-rejected batches go first — the
                 # client has been waiting since the last commit.
-                pending_retries, retry_queue = retry_queue, []
-                for client_id, seq, rows in pending_retries:
-                    if await send_batch(client_id, seq, rows):
-                        result.retried_batches += 1
+                await flush_retries()
 
                 # Materialize this epoch's send list and apply the network
                 # faults: drops and duplicates are marked on canonical slot
                 # positions, then reorder swaps scramble the send order.
-                send_list: List[Tuple[int, int, List[List[Any]], bool]] = []
+                here = schedule.at(epoch_index)
+                send_list: List[Tuple[int, Tuple[int, List[List[Any]], bool]]] = []
                 for slot, (client_id, batch_seq, states) in enumerate(batches):
                     rows = [encode_update(state) for state in states]
-                    if (epoch_index, slot) in schedule.drops:
-                        result.dropped_batches += 1
+                    if schedule.fault == "drop_batch" and slot in here:
                         result.dropped_updates += len(rows)
                         result.fault_events.append(
                             ("drop_batch", epoch_index, client_id, batch_seq)
                         )
                         continue
-                    duplicated = (epoch_index, slot) in schedule.duplicates
-                    send_list.append((client_id, batch_seq, rows, duplicated))
-                for swap_epoch, position in schedule.swaps:
-                    if swap_epoch == epoch_index and position + 1 < len(send_list):
-                        send_list[position], send_list[position + 1] = (
-                            send_list[position + 1],
-                            send_list[position],
-                        )
-                        result.reordered_swaps += 1
+                    duplicated = schedule.fault == "duplicate_batch" and slot in here
+                    send_list.append((client_id, (batch_seq, rows, duplicated)))
+                if schedule.fault == "reorder_batch":
+                    for position in here:
+                        pair = send_list[position : position + 2]
+                        send_list[position : position + 2] = pair[::-1]
                         result.fault_events.append(("reorder_batch", epoch_index, position))
 
                 if concurrent:
-                    per_client: Dict[int, List[Tuple[int, List[List[Any]], bool]]] = {}
-                    for client_id, batch_seq, rows, duplicated in send_list:
-                        per_client.setdefault(client_id, []).append(
-                            (batch_seq, rows, duplicated)
-                        )
-
-                    async def client_task(client_id: int, entries) -> None:
-                        for batch_seq, rows, duplicated in entries:
-                            accepted = await send_batch(client_id, batch_seq, rows)
-                            if duplicated and accepted:
-                                result.duplicated_batches += 1
-                                await send_batch(client_id, batch_seq, rows)
-
-                    await asyncio.gather(
-                        *(client_task(cid, entries) for cid, entries in per_client.items())
-                    )
+                    per_client: Dict[int, list] = {}
+                    for client_id, entry in send_list:
+                        per_client.setdefault(client_id, []).append(entry)
+                    sends = [send_client(epoch_index, *group) for group in per_client.items()]
+                    await asyncio.gather(*sends)
                 else:
-                    for client_id, batch_seq, rows, duplicated in send_list:
-                        accepted = await send_batch(client_id, batch_seq, rows)
-                        if duplicated and accepted:
-                            result.duplicated_batches += 1
-                            result.fault_events.append(
-                                ("duplicate_batch", epoch_index, client_id, batch_seq)
-                            )
-                            await send_batch(client_id, batch_seq, rows)
+                    for client_id, entry in send_list:
+                        await send_client(epoch_index, client_id, [entry])
 
                 # Infrastructure faults fire at the epoch boundary, before
                 # the tick — mid-stream from the clients' point of view.
-                for kill_epoch, draw in schedule.kills:
-                    if kill_epoch == epoch_index:
+                if schedule.fault == "kill_worker":
+                    for draw in here:
                         worker = self._inject_kill(coordinator, draw)
                         if worker is not None:
-                            result.worker_kills += 1
-                            result.fault_events.append(
-                                ("kill_worker", epoch_index, worker)
-                            )
-                if epoch_index in schedule.stalls:
+                            result.fault_events.append(("kill_worker", epoch_index, worker))
+                now = (epoch_index + 1) * self.epoch_length
+                if schedule.fault == "stall_epoch" and here:
                     # Withhold the tick: this epoch's updates stay queued
                     # (pressing against the bounded queue) and commit at the
                     # next boundary that does tick.
-                    result.stalled_epochs += 1
                     result.fault_events.append(("stall_epoch", epoch_index))
-                    now = (epoch_index + 1) * self.epoch_length
                     continue
-
-                now = (epoch_index + 1) * self.epoch_length
                 await control.request({"op": "tick", "now": now})
                 result.epochs_run += 1
 
             # Drain: flush retries and anything a stalled final epoch left
-            # queued, ticking forward until the server is empty.
-            rounds = 0
-            while (retry_queue or server.batcher.pending_updates) and rounds < 8:
-                pending_retries, retry_queue = retry_queue, []
-                for client_id, seq, rows in pending_retries:
-                    if await send_batch(client_id, seq, rows):
-                        result.retried_batches += 1
+            # queued, ticking forward until the server is empty — or the
+            # bound runs out, which the validation gate then reports.
+            for _ in range(_DRAIN_ROUNDS):
+                if not (retry_queue or server.batcher.pending_updates):
+                    break
+                await flush_retries()
                 now += self.epoch_length
                 await control.request({"op": "tick", "now": now})
                 result.epochs_run += 1
-                rounds += 1
 
             result.elapsed_seconds = time.perf_counter() - started
             stats_ack = await control.request({"op": "stats"})
@@ -739,12 +696,9 @@ class ScenarioRunner:
         return result
 
     def _inject_kill(self, coordinator, draw: float) -> Optional[int]:
-        """Kill the drawn worker, then restart it.
+        """Kill the drawn worker, then restart it; returns its index.
 
-        Only meaningful on the processes backend with spawned workers (at
-        any shard count); returns the worker index when a kill fired,
-        ``None`` when the configuration makes the fault inapplicable
-        (recorded as not-fired).
+        ``None`` (not fired) unless the processes backend has spawned workers.
         """
         backend = coordinator.strategy.backend
         if backend.name != "processes" or backend.worker_count == 0:
@@ -778,14 +732,10 @@ def replay_accepted_log(
     """
     from repro.serving.protocol import coordinator_snapshot
 
-    coordinator = Coordinator(
-        CoordinatorConfig(
-            bounds=bounds,
-            window=window,
-            cells_per_axis=cells_per_axis,
-            **asdict(fleet),
-        )
+    config = CoordinatorConfig(
+        bounds=bounds, window=window, cells_per_axis=cells_per_axis, **asdict(fleet)
     )
+    coordinator = Coordinator(config)
     try:
         for boundary, rows in accepted_log:
             for row in rows:

@@ -20,9 +20,12 @@ Two layers:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.coordinator import execution
 from repro.coordinator.fleet import FleetConfig
 from repro.serving.scenarios import (
     FAULT_TYPES,
@@ -54,7 +57,7 @@ def make_runner(backend="serial", **overrides):
 
 
 def injection(fault, rate=0.4, seed=0):
-    return InjectionConfig(enabled=True, fault=fault, rate=rate, seed=seed)
+    return InjectionConfig(fault=fault, rate=rate, seed=seed)
 
 
 def backend_for(fault):
@@ -79,7 +82,7 @@ class TestScheduleDeterminism:
         # rate barely above zero: every probability draw misses, so the
         # forced-fallback path must kick in.
         schedule = build_fault_schedule(
-            InjectionConfig(enabled=True, fault=fault, rate=1e-12, seed=0), plan
+            InjectionConfig(fault=fault, rate=1e-12, seed=0), plan
         )
         assert schedule != FaultSchedule()
 
@@ -89,9 +92,9 @@ class TestScheduleDeterminism:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
-            InjectionConfig(enabled=True, fault="meteor_strike")
+            InjectionConfig(fault="meteor_strike")
         with pytest.raises(ConfigurationError):
-            InjectionConfig(enabled=True, fault="drop_batch", rate=0.0)
+            InjectionConfig(fault="drop_batch", rate=0.0)
 
 
 class TestRunDeterminism:
@@ -159,6 +162,17 @@ class TestExactRecoveryFaults:
         assert chaotic.accepted_log == baseline.accepted_log
         assert chaotic.report == baseline.report
         assert chaotic.report == replay_accepted_log(chaotic.accepted_log)
+
+    def test_concurrent_runs_log_every_duplicate(self):
+        """Racing sends record each redelivered batch, as ordered sends do."""
+        runner = make_runner()
+        faulted = injection("duplicate_batch", seed=1)
+        ordered = runner.run("uniform_trickle", seed=9, injection=faulted)
+        racing = runner.run("uniform_trickle", seed=9, injection=faulted, concurrent=True)
+
+        events = [event for event in racing.fault_events if event[0] == "duplicate_batch"]
+        assert ordered.duplicated_batches >= 1
+        assert len(events) == racing.duplicated_batches == ordered.duplicated_batches
 
     def test_duplicates_are_acked_but_committed_once(self):
         runner = make_runner()
@@ -243,3 +257,55 @@ class TestReconnectStorm:
         assert result.reconnects == scenario.num_clients
         assert result.accepted_updates == result.submitted_updates
         assert result.report == replay_accepted_log(result.accepted_log)
+
+
+#: sha256 over every fault class x registered scenario x (seed, rate) pair
+#: of a serialized run: fault events, accepted log, report, traffic counts
+#: and fault counters.  Recorded before the fault path was rewritten to
+#: record each fault once; any change to how faults are drawn, fired or
+#: counted moves it.
+PARITY_DIGEST = "164bfda05ab87918cde9c41262ea3ecf70beb694cf16650be38dcdbe64cbfc26"
+
+PARITY_PAIRS = ((4, 0.25), (7, 0.6), (0, 1e-12))
+
+
+class TestParityPin:
+    def test_serialized_chaos_runs_match_the_recorded_digest(self, monkeypatch):
+        # Kills address workers by index: fix the pool width so the digest
+        # does not depend on the host's core count.
+        monkeypatch.setattr(execution, "_default_workers", lambda: 2)
+        digest = hashlib.sha256()
+        for fault in FAULT_TYPES:
+            # A queue two batches deep puts backpressure and retries in the
+            # stall runs.
+            overrides = {"max_pending_updates": 20} if fault == "stall_epoch" else {}
+            runner = make_runner(backend=backend_for(fault), **overrides)
+            for scenario_id in sorted(SCENARIOS):
+                for seed, rate in PARITY_PAIRS:
+                    result = runner.run(
+                        scenario_id, seed=seed, injection=injection(fault, rate=rate, seed=seed)
+                    )
+                    pinned = (
+                        fault,
+                        scenario_id,
+                        seed,
+                        rate,
+                        list(result.fault_events),
+                        result.accepted_log,
+                        result.report,
+                        result.submitted_updates,
+                        result.accepted_updates,
+                        result.dropped_updates,
+                        result.duplicate_acks,
+                        result.backpressure_rejections,
+                        result.retried_batches,
+                        result.reconnects,
+                        result.epochs_run,
+                        result.dropped_batches,
+                        result.duplicated_batches,
+                        result.reordered_swaps,
+                        result.worker_kills,
+                        result.stalled_epochs,
+                    )
+                    digest.update(repr(pinned).encode())
+        assert digest.hexdigest() == PARITY_DIGEST

@@ -445,6 +445,16 @@ class TestServeCommand:
         assert "reorders=" in captured
         assert "bit-for-bit EQUAL" in captured
 
+    def test_scenario_run_that_loses_traffic_fails_the_gate(self, capsys):
+        """Ramp batches outgrow a 3-update queue: they can never be admitted."""
+        exit_code = main(
+            ["serve", "--scenario", "ramp", "--max-pending", "3", "--seed", "42"]
+        )
+        captured = capsys.readouterr().out
+        assert exit_code == 1
+        assert "validation FAILED" in captured
+        assert "validation passed" not in captured
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--scenario", "no_such_traffic"])

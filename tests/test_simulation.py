@@ -126,7 +126,13 @@ class TestSimulationVariants:
     def test_determinism(self):
         first = HotPathSimulation(small_config(duration=60)).run()
         second = HotPathSimulation(small_config(duration=60)).run()
-        assert first.summary() == pytest.approx(second.summary(), rel=1e-9, abs=1e-2)
+        # Everything but the wall-clock coordinator time must repeat exactly.
+        timeless = lambda result: {
+            key: value
+            for key, value in result.summary().items()
+            if key != "mean_processing_seconds"
+        }
+        assert timeless(first) == timeless(second)
 
     def test_larger_tolerance_reduces_messages(self):
         tight = HotPathSimulation(
