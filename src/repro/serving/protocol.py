@@ -9,20 +9,27 @@ and the server dependency-free).  Every request carries an ``op``:
 ``batch``
     ``{"op": "batch", "client": C, "seq": S, "updates": [[...9 fields...]]}``
     — a client's location-update batch.  Updates are the flat 9-field form
-    of :meth:`ObjectState.as_tuple`.  ``(client, seq)`` identifies the
-    batch for dedupe: redelivering an accepted batch is idempotent.  The
+    of :meth:`ObjectState.as_tuple`.  ``client`` is an integer id and
+    ``seq`` a per-client integer batch number; ``(client, seq)`` identifies
+    the batch for dedupe: redelivering an accepted batch is idempotent.  The
     response is ``{"ok": true, "accepted": n, "seq": S}``, with
     ``"duplicate": true`` when the batch was already accepted, or
     ``{"ok": false, "error": "backpressure", ...}`` when the epoch queue is
-    full — the client must retry after the next epoch commit.
+    full — the client must retry after the next epoch commit.  A client
+    should number its batches contiguously: the server remembers its seqs
+    as runs, and a seq that would leave it more than
+    :data:`~repro.serving.batcher.MAX_SEQ_RUNS` disjoint runs is refused
+    with ``{"ok": false, "error": "too many seq gaps", ...}`` (a seq that
+    fills a gap is always admitted).
 
 ``tick``
-    ``{"op": "tick", "now": T}`` — close the current epoch at boundary
-    ``T`` (strictly increasing).  All accepted updates are committed
+    ``{"op": "tick", "now": T}`` — close the current epoch at integer
+    boundary ``T`` (strictly increasing).  All accepted updates are committed
     through :meth:`Coordinator.run_epoch`; the response carries the epoch
     counters.  Ticks make epoch boundaries explicit and deterministic —
     the harness drives them; a live deployment can enable the wall-clock
-    auto-ticker instead (:class:`ServingConfig.auto_epoch_seconds`).
+    auto-ticker instead (:class:`ServingConfig.auto_epoch_seconds`), which
+    then refuses explicit ticks.
 
 ``topk`` / ``corridors``
     Ranked hot-path / composite-corridor reports.
@@ -36,6 +43,10 @@ and the server dependency-free).  Every request carries an ``op``:
 ``stats``
     Serving counters: accepted/rejected/duplicate batches, epochs, ingest
     latency quantiles.
+
+``client``, ``seq``, ``now`` and ``k`` are decoded like a row's id and
+timestamps (:func:`_wire_integer`): an integer, or a float with no fraction;
+a bool, a string or ``1.5`` is a protocol error.
 
 All payloads are restricted to JSON scalars, lists and objects, so a
 snapshot survives a wire round trip unchanged (Python's JSON float

@@ -547,6 +547,7 @@ class ScenarioRunner:
         server = IngestionServer(
             coordinator,
             ServingConfig(port=0, max_pending_updates=self.max_pending_updates),
+            log=result.accepted_log,
         )
         await server.start()
         host, port = server.config.host, server.port
@@ -671,10 +672,6 @@ class ScenarioRunner:
             snapshot_ack = await control.request({"op": "snapshot"})
             result.server_stats = stats_ack["stats"]
             result.report = snapshot_ack["snapshot"]
-            result.accepted_log = [
-                (boundary, [list(row) for row in rows])
-                for boundary, rows in server.batcher.accepted_log
-            ]
             result.accepted_updates = server.batcher.accepted_updates
         finally:
             await asyncio.gather(

@@ -17,14 +17,16 @@ behind it lands in the *next* epoch whatever socket it arrived on.
 Epoch driving is explicit by default (clients or the harness send ``tick``
 with a strictly-increasing boundary timestamp, keeping runs deterministic
 and replayable); a live deployment sets ``auto_epoch_seconds`` to commit
-epochs on a wall-clock cadence instead.
+epochs on a wall-clock cadence instead.  The two never mix: while the
+ticker runs, an explicit ``tick`` is refused, so no client can hand the
+ticker a boundary it has already passed.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.errors import ConfigurationError, ReproError
 from repro.serving.batcher import EpochBatcher
@@ -32,6 +34,7 @@ from repro.serving.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    _wire_integer,
     coordinator_snapshot,
     decode_message,
     decode_update,
@@ -79,13 +82,22 @@ class ServingConfig:
 
 
 class IngestionServer:
-    """Serves one coordinator over newline-delimited JSON on TCP."""
+    """Serves one coordinator over newline-delimited JSON on TCP.
 
-    def __init__(self, coordinator, config: ServingConfig = ServingConfig()) -> None:
+    ``log`` is forwarded to the :class:`EpochBatcher`: an in-process caller
+    that wants the accepted log passes a list to collect it.
+    """
+
+    def __init__(
+        self,
+        coordinator,
+        config: ServingConfig = ServingConfig(),
+        log: Optional[List] = None,
+    ) -> None:
         self.coordinator = coordinator
         self.config = config
         self.batcher = EpochBatcher(
-            coordinator, max_pending_updates=config.max_pending_updates
+            coordinator, max_pending_updates=config.max_pending_updates, log=log
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._ticker: Optional[asyncio.Task] = None
@@ -211,17 +223,17 @@ class IngestionServer:
     @staticmethod
     def _requested_k(message: Dict[str, Any]) -> int:
         try:
-            return int(message.get("k", 10))
-        except (TypeError, ValueError) as exc:
+            return _wire_integer(message.get("k", 10), "k")
+        except ProtocolError as exc:
             raise ProtocolError(f"malformed k: {exc}") from None
 
     def _handle_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         try:
-            client_id = int(message["client"])
-            seq = int(message["seq"])
+            client_id = _wire_integer(message["client"], "client")
+            seq = _wire_integer(message["seq"], "seq")
             rows = message["updates"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed batch: {exc}") from None
+        except KeyError as exc:
+            raise ProtocolError(f"malformed batch: missing {exc}") from None
         if not isinstance(rows, list):
             raise ProtocolError("batch updates must be a list")
         states = [decode_update(row) for row in rows]
@@ -231,10 +243,12 @@ class IngestionServer:
         return payload
 
     def _handle_tick(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        if self._ticker is not None:
+            return {"ok": False, "error": "epochs are ticked by the server's auto-ticker"}
         try:
-            now = int(message["now"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed tick: {exc}") from None
+            now = _wire_integer(message["now"], "now")
+        except KeyError:
+            raise ProtocolError("malformed tick: missing 'now'") from None
         outcome = self.batcher.close_epoch(now)
         return {
             "ok": True,

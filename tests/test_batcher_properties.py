@@ -11,18 +11,31 @@ Three properties carry the whole serving equivalence contract:
   updates equals exactly the accepted offers.
 * **Duplicate idempotence** — redelivering any accepted ``(client, seq)``
   any number of times, in any position, changes nothing.
+
+Two more pin the bounded state behind those rules: run-length dedupe
+answers exactly as a plain ``set`` of accepted seqs would (with the run cap
+applied), and the latency histogram's p50/p99 stay within the stated
+relative error of the exact quantile.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
-from repro.serving.batcher import EpochBatcher, canonical_order
+from repro.serving import batcher as batcher_module
+from repro.serving.batcher import (
+    LATENCY_FLOOR_S,
+    LATENCY_RELATIVE_ERROR,
+    EpochBatcher,
+    LatencyHistogram,
+    canonical_order,
+)
 from repro.serving.protocol import coordinator_snapshot
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -84,7 +97,7 @@ class TestInterleavingIndependence:
         for arrival in (batches, shuffled):
             coordinator = make_coordinator()
             try:
-                batcher = EpochBatcher(coordinator)
+                batcher = EpochBatcher(coordinator, log=[])
                 for client, seq, states in arrival:
                     assert batcher.offer(client, seq, states).accepted
                 batcher.close_epoch(10)
@@ -118,7 +131,7 @@ class TestBackpressure:
 
         coordinator = make_coordinator()
         try:
-            batcher = EpochBatcher(coordinator, max_pending_updates=capacity)
+            batcher = EpochBatcher(coordinator, max_pending_updates=capacity, log=[])
             now = 10
             pending = list(arrival)
             committed_rows = []
@@ -167,8 +180,8 @@ class TestDuplicateIdempotence:
         reference = make_coordinator()
         noisy = make_coordinator()
         try:
-            clean = EpochBatcher(reference)
-            dirty = EpochBatcher(noisy)
+            clean = EpochBatcher(reference, log=[])
+            dirty = EpochBatcher(noisy, log=[])
             for client, seq, states in batches:
                 assert clean.offer(client, seq, states).accepted
                 assert dirty.offer(client, seq, states).accepted
@@ -188,3 +201,118 @@ class TestDuplicateIdempotence:
         finally:
             reference.close()
             noisy.close()
+
+
+def runs_of(seqs) -> list:
+    """The maximal runs ``[lo, hi]`` of a set of integers, in order."""
+    runs = []
+    for seq in sorted(seqs):
+        if runs and runs[-1][1] == seq - 1:
+            runs[-1][1] = seq
+        else:
+            runs.append([seq, seq])
+    return runs
+
+
+#: Seq streams: small ranges make duplicates, reorders and gaps common; the
+#: shuffled contiguous ranges are what a reordering network delivers.
+seq_streams = st.one_of(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 30)), max_size=80),
+    st.tuples(st.integers(1, 20), st.randoms(use_true_random=False)).map(
+        lambda drawn: drawn[1].sample(
+            [(client, seq) for client in (0, 1) for seq in range(drawn[0])] * 2,
+            4 * drawn[0],
+        )
+    ),
+)
+
+
+class TestRunLengthDedupe:
+    @given(stream=seq_streams, cap=st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_answer_as_a_set_of_accepted_seqs(self, stream, cap):
+        model = {}
+        with mock.patch.object(batcher_module, "MAX_SEQ_RUNS", cap):
+            batcher = EpochBatcher(coordinator=None)
+            for client, seq in stream:
+                accepted = model.setdefault(client, set())
+                decision = batcher.offer(client, seq, ())
+                if seq in accepted:
+                    assert decision.accepted and decision.duplicate
+                elif len(runs_of(accepted | {seq})) > cap:
+                    assert not decision.accepted and decision.reason == "too many seq gaps"
+                else:
+                    assert decision.accepted and not decision.duplicate
+                    accepted.add(seq)
+                runs = batcher._seq_runs[client]
+                assert [list(run) for run in zip(runs.lows, runs.highs)] == runs_of(accepted)
+        assert batcher.accepted_batches == sum(len(seqs) for seqs in model.values())
+
+    def test_a_seq_that_fills_a_gap_merges_even_at_the_cap(self):
+        with mock.patch.object(batcher_module, "MAX_SEQ_RUNS", 2):
+            batcher = EpochBatcher(coordinator=None)
+            for seq in (0, 2):
+                assert batcher.offer(7, seq, ()).accepted
+            refused = batcher.offer(7, 4, ())
+            assert not refused.accepted and refused.reason == "too many seq gaps"
+            assert batcher.rejected_batches == 1
+            assert batcher.offer(7, 1, ()).accepted  # joins [0, 0] and [2, 2]
+            assert batcher.offer(7, 4, ()).accepted  # a second run is free again
+            runs = batcher._seq_runs[7]
+            assert (runs.lows, runs.highs) == ([0, 4], [2, 4])
+
+
+#: Latencies in seconds: exact zeros, sub-floor values and the measured range.
+latencies = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, LATENCY_FLOOR_S, exclude_max=True),
+    st.floats(LATENCY_FLOOR_S, 1e3),
+)
+
+
+def assert_within_error(reported: float, exact: float) -> None:
+    if exact < LATENCY_FLOOR_S:
+        assert reported == 0.0
+    else:
+        assert abs(reported - exact) <= LATENCY_RELATIVE_ERROR * exact * (1 + 1e-9)
+
+
+def nearest_rank(samples, fraction: float) -> float:
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
+class TestLatencyHistogram:
+    @given(
+        weighted=st.lists(st.tuples(latencies, st.integers(1, 5)), min_size=1, max_size=60)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quantiles_are_within_the_stated_error(self, weighted):
+        histogram = LatencyHistogram()
+        samples = []
+        for seconds, count in weighted:
+            histogram.add(seconds, count)
+            samples.extend([seconds] * count)
+        for fraction in (0.50, 0.99):
+            assert_within_error(histogram.quantile(fraction), nearest_rank(samples, fraction))
+
+    @given(seconds=latencies, count=st.integers(1, 500))
+    @settings(max_examples=100, deadline=None)
+    def test_one_sample_and_all_equal_samples(self, seconds, count):
+        for copies in (1, count):
+            histogram = LatencyHistogram()
+            histogram.add(seconds, copies)
+            for fraction in (0.50, 0.99):
+                assert_within_error(histogram.quantile(fraction), seconds)
+
+    def test_zero_latency_reads_zero_through_the_batcher(self):
+        coordinator = make_coordinator()
+        try:
+            batcher = EpochBatcher(coordinator, clock=lambda: 5.0)  # arrival == commit
+            assert batcher.latency_quantiles() == {"p50_ms": 0.0, "p99_ms": 0.0}
+            batcher.offer(0, 0, make_states(0, 0, 3))
+            batcher.close_epoch(10)
+            assert batcher.latency_quantiles() == {"p50_ms": 0.0, "p99_ms": 0.0}
+            assert batcher.ingest_histogram.total == 3
+        finally:
+            coordinator.close()

@@ -207,6 +207,83 @@ class TestUpdateValidation:
             server.coordinator.close()
 
 
+class TestEnvelopeIntegers:
+    """``client``, ``seq``, ``now`` and ``k`` decode like the rows' integers:
+    ``int()`` used to collapse ``1.5`` onto seq 1 (acked as a duplicate, its
+    updates lost), accept ``true`` and ``"2"``, and commit ``now: 10.9`` at 10."""
+
+    def test_a_fractional_seq_is_refused_not_acked_as_a_duplicate(self):
+        server = make_server()
+        try:
+            rows = [wire_row(4, 1, 9)]
+            first = server.handle_line(
+                encode_message({"op": "batch", "client": 0, "seq": 1, "updates": rows})
+            )
+            assert first == {"ok": True, "accepted": 1, "seq": 1}
+            response = server.handle_line(
+                encode_message({"op": "batch", "client": 0, "seq": 1.5, "updates": rows})
+            )
+            assert response["ok"] is False and "seq" in response["error"]
+            assert server.protocol_errors == 1
+            assert server.batcher.duplicate_batches == 0
+        finally:
+            server.coordinator.close()
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [{"client": True, "seq": 0}, {"client": "0", "seq": 0}, {"client": 0, "seq": "2"},
+         {"client": 0, "seq": False}, {"client": 0.5, "seq": 0}, {"client": 0, "seq": None}],
+        ids=str,
+    )
+    def test_non_integer_client_or_seq_refuses_the_batch(self, envelope):
+        server = make_server()
+        try:
+            message = dict(envelope, op="batch", updates=[wire_row(4, 1, 9)])
+            response = server.handle_line(encode_message(message))
+            assert response["ok"] is False
+            assert server.protocol_errors == 1
+            assert server.batcher.accepted_batches == 0
+        finally:
+            server.coordinator.close()
+
+    @pytest.mark.parametrize("now", [10.9, "10", True, None])
+    def test_a_non_integer_boundary_commits_nothing(self, now):
+        server = make_server()
+        try:
+            response = server.handle_line(encode_message({"op": "tick", "now": now}))
+            assert response["ok"] is False and "now" in response["error"]
+            assert server.protocol_errors == 1
+            assert server.batcher.epochs_committed == 0
+        finally:
+            server.coordinator.close()
+
+    @pytest.mark.parametrize("op", ["topk", "corridors"])
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_a_non_integer_k_is_refused(self, op, k):
+        server = make_server()
+        try:
+            response = server.handle_line(encode_message({"op": op, "k": k}))
+            assert response["ok"] is False and "malformed k" in response["error"]
+        finally:
+            server.coordinator.close()
+
+    def test_integral_floats_are_their_integers(self):
+        """A JSON writer may emit 7.0 for 7; it is still 7, as in the rows."""
+        server = make_server()
+        try:
+            rows = [wire_row(4, 1, 9)]
+            ack = server.handle_line(
+                encode_message({"op": "batch", "client": 3.0, "seq": 2.0, "updates": rows})
+            )
+            assert ack == {"ok": True, "accepted": 1, "seq": 2}
+            again = server.dispatch({"op": "batch", "client": 3, "seq": 2, "updates": rows})
+            assert again["duplicate"] is True
+            tick = server.handle_line(encode_message({"op": "tick", "now": 10.0}))
+            assert tick["ok"] is True and tick["epoch"]["timestamp"] == 10
+        finally:
+            server.coordinator.close()
+
+
 class TestServingConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -390,6 +467,7 @@ class TestAutoEpochTicker:
         server = IngestionServer(
             coordinator,
             ServingConfig(port=0, auto_epoch_seconds=0.01, auto_epoch_timestamps=10),
+            log=[],
         )
         await server.start()
         try:
@@ -432,6 +510,43 @@ class TestAutoEpochTicker:
             await server.stop()
             coordinator.close()
         return snapshot, accepted_log, accepted
+
+    def test_an_explicit_tick_cannot_kill_the_ticker(self):
+        """A client tick at ``now=1000`` used to be committed, so the ticker's
+        next boundary was stale: its task died, no epoch committed again and
+        ``stop()`` re-raised the ``CoordinatorError``."""
+
+        async def drive():
+            coordinator = Coordinator(
+                CoordinatorConfig(bounds=BOUNDS, window=1_000_000, cells_per_axis=16)
+            )
+            server = IngestionServer(
+                coordinator,
+                ServingConfig(port=0, auto_epoch_seconds=0.01, auto_epoch_timestamps=10),
+            )
+            await server.start()
+            try:
+                refused = server.handle_line(encode_message({"op": "tick", "now": 1000}))
+                rows = self._batch_rows(0, 0)
+                ack = server.handle_line(
+                    encode_message({"op": "batch", "client": 0, "seq": 0, "updates": rows})
+                )
+                deadline = time.monotonic() + 5.0
+                while (
+                    server.batcher.pending_updates or server.batcher.epochs_committed < 3
+                ) and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                committed = server.batcher.epochs_committed
+                pending = server.batcher.pending_updates
+            finally:
+                await server.stop()  # used to re-raise the dead ticker's error
+                coordinator.close()
+            return refused, ack, committed, pending
+
+        refused, ack, committed, pending = asyncio.run(drive())
+        assert refused["ok"] is False and "auto-ticker" in refused["error"]
+        assert ack["ok"] is True
+        assert committed >= 3 and pending == 0
 
     @pytest.mark.parametrize("epoch_mode", ["full", "delta"])
     def test_ticker_committed_state_replays_bit_for_bit(self, epoch_mode):
