@@ -225,7 +225,9 @@ class Coordinator:
         stitcher's totals — how many corridor chains were re-welded vs.
         reused, how many fragments entered and left the hot set, how many
         expiry events coalesced into a single chain teardown, and how many
-        corridor objects were patched vs. served from cache.
+        corridor objects were patched vs. served from cache.  Reading them
+        stitches the changes the view holds pending, so they count every
+        epoch; being per stitch, they count net, coalesced patches.
         """
         cache = self._pool_cache
         reused, rebuilt = (cache.reused, cache.rebuilt) if cache is not None else (0, 0)
@@ -243,7 +245,7 @@ class Coordinator:
             corridors_reused=0,
         )
         if self._view is not None:
-            statistics.update(self._view.stitcher.totals)
+            statistics.update(self._view.stitched().totals)
         return statistics
 
     def hot_paths(self) -> List[Tuple[MotionPathRecord, int]]:

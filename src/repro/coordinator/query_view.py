@@ -4,10 +4,12 @@ An epoch changes a fraction of the hot set, and the hotness tracker already
 logs which ids.  :class:`HotPathView` keeps one rank tuple per hot path and one
 :class:`IncrementalStitcher`.  ``run_epoch`` only
 accumulates the logged ids (:meth:`HotPathView.note`); the first query after
-a commit re-reads exactly those from the index and the tracker, so epochs
-nobody queries pay nothing and every answer equals the oracle scans —
-``select_top_k(hot_paths())`` and ``stitch_paths(hot_paths())`` — bit for
-bit.  ``docs/ARCHITECTURE.md`` ("Query path") has the argument.
+a commit re-reads exactly those from the index and the tracker, and only a
+corridor, report or statistics read hands the changes on to the stitcher, so
+epochs nobody queries pay nothing, a path query pays nothing for corridors,
+and every answer equals the oracle scans — ``select_top_k(hot_paths())`` and
+``stitch_paths(hot_paths())`` — bit for bit.  ``docs/ARCHITECTURE.md``
+("Query path") has the argument.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class HotPathView:
         self._dirty: Optional[set] = set()
         #: Index deletions accounted for (all of them of dirty ids).
         self._deletions = 0
+        #: Each refreshed id's final state, not yet handed to the stitcher:
+        #: ``(path, hotness)`` if hot, ``None`` only for an id the stitcher
+        #: holds — so it never exceeds |hot| + |held| entries.
+        self._pending: Dict[int, Optional[Tuple[MotionPath, int]]] = {}
 
     def note(self, log: HotnessDeltaLog, deleted: int) -> None:
         """Accumulate one committed epoch: its drained log, its own deletions."""
@@ -50,14 +56,9 @@ class HotPathView:
             if len(self._dirty) > len(self._hotness):
                 self._dirty = None
 
-    def _state_of(self, path_id: int) -> Optional[Tuple[MotionPath, int]]:
-        count = self._hotness.hotness(path_id)
-        if count and path_id in self._index:
-            return self._index.get(path_id).path, count
-        return None
-
     def refresh(self) -> None:
-        """Bring the view up to date, proving first that the dirty set is complete.
+        """Bring the rank tuples up to date and fold the changes into the
+        pending map, proving first that the dirty set is complete.
 
         Transitions still undrained in the tracker (a crossing recorded
         directly between epochs) are dirty too; a record deleted behind the
@@ -75,16 +76,29 @@ class HotPathView:
             dirty.update(path_id for path_id, _count in self._hotness.items())
         elif not dirty:
             return
-        changes = {path_id: self._state_of(path_id) for path_id in dirty}
         self._dirty = set()
-        rank = self._rank
-        for path_id, state in changes.items():
-            if state is None:
-                rank.pop(path_id, None)
-            else:
-                path, count = state
+        rank, pending, held = self._rank, self._pending, self.stitcher
+        count_of, index = self._hotness.hotness, self._index
+        for path_id in dirty:
+            count = count_of(path_id)
+            if count and path_id in index:
+                path = index.get(path_id).path
                 rank[path_id] = (count, count * path.length, -path_id)
-        self.stitcher.apply(changes)
+                pending[path_id] = (path, count)
+            else:
+                rank.pop(path_id, None)
+                if path_id in held:
+                    pending[path_id] = None
+                else:
+                    pending.pop(path_id, None)
+
+    def stitched(self) -> IncrementalStitcher:
+        """The stitcher, brought up to date: the only place that stitches."""
+        self.refresh()
+        if self._pending:
+            pending, self._pending = self._pending, {}
+            self.stitcher.apply(pending)
+        return self.stitcher
 
     def top_k(self, k: int, by_score: bool = False) -> List[ScoredPath]:
         """Top-k hot paths: a read of the rank tuples, ``k`` objects built."""
@@ -96,12 +110,10 @@ class HotPathView:
         ]
 
     def top_k_corridors(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:
-        self.refresh()
-        return self.stitcher.top_k(k, by_score)
+        return self.stitched().top_k(k, by_score)
 
     def report(
         self, owner_of: Callable[[int], int]
     ) -> Tuple[List[CompositeCorridor], Dict[str, int]]:
         """The full corridor report and its stats (see ``IncrementalStitcher.report``)."""
-        self.refresh()
-        return self.stitcher.report(owner_of)
+        return self.stitched().report(owner_of)

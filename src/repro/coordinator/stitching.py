@@ -22,8 +22,8 @@ vertex) and at most one weld-predecessor (its single start vertex), so chains
 are simple and the corridor partition is unique.  A junction where several
 hot paths meet is a genuine fork — chaining through it would have to pick a
 branch, so the corridor ends there.  :func:`stitch_paths` applies the rule to
-every vertex at once, :class:`IncrementalStitcher` to the vertices an epoch
-touched.
+every vertex at once, :class:`IncrementalStitcher` to the vertices the
+changes since its last stitch touched.
 
 **Scoring.**  A corridor's ``hotness`` is the *minimum* member hotness (a
 corridor is only as hot as its least-travelled link) and its ``score`` is the
@@ -281,43 +281,55 @@ class IncrementalStitcher:
     corridor report is queried; this class keeps the weld structure — vertex
     occupancy, the weld decided at each vertex, the successor/predecessor
     maps, the chain partition, one rank key and the materialised
-    :class:`CompositeCorridor` per chain — alive across epochs, so a query
-    only pays for the fragments that changed since the last one.
+    :class:`CompositeCorridor` per chain — alive across stitches, so a
+    stitch only pays for the fragments that changed since the last one.
 
-    :meth:`apply` takes the state of the ids that *may* have changed — the
-    dirty set the query view accumulated from the epoch's hotness
-    transitions — never the whole hot set.  It re-decides the welds at the
-    vertices of the ids that entered or left via the same degree-1 rule as
-    :func:`stitch_paths`, and re-chains only the *tainted* chains: a chain is
-    tainted when a member was added or removed or when a weld on it appeared
-    or disappeared.  Every other chain — and its rank key and cached corridor
-    — is reused untouched.  This is corridor-aware expiry: ``k`` fragments of
-    one corridor expiring in the same epoch tear the chain down once, not
-    ``k`` times (the coalescing is counted in ``expiry_coalesced``).
+    :meth:`apply` takes the final state of the ids that *may* have changed
+    since the previous apply — the pending map the query view folds from
+    every refresh in between — never the whole hot set.  It makes one pass
+    over the changes, updating the vertex occupancy in place and collecting
+    every touched vertex into one set; then it re-decides the weld once per
+    distinct touched vertex via the same degree-1 rule as
+    :func:`stitch_paths`, and re-chains only the *tainted* chains: a chain
+    is tainted when a member was added or removed or when a weld on it
+    appeared or disappeared.  Every other chain — and its rank key and
+    cached corridor — is reused untouched.  This is corridor-aware expiry:
+    ``k`` fragments of one corridor expiring in the same apply tear the
+    chain down once, not ``k`` times (counted in ``expiry_coalesced``).
+    The counters therefore count net, coalesced patches: a weld that flips
+    and flips back among the changes of one apply taints nothing.
 
     **Exactness.**  The retained successor map always equals the one a global
-    weld pass would compute (welds are a per-vertex set function of the hot
-    set, and every touched vertex is re-decided).  Re-chaining only tainted
-    chains is exact because tainted-ness is closed over weld edges: an edge
-    between two surviving fragments either predates the change — then both
-    ends sat on the same old chain, so they are rebuilt (or reused) together —
-    or was created by it, which taints both endpoint chains.  Hence
-    :func:`chain_fragments` over the rebuilt members alone (their heads found
-    through the predecessor map, so no other weld is read) sees every edge a
-    global re-chain would, and heads/cycle-breaks come out identically, so
-    the report stays bit-for-bit equal to the full stitch — the contract of
-    ``tests/test_differential.py`` and the delta property suite.
-    A chain's rank key is ``min`` / ``sum`` over its members in chain order,
-    the very expressions :class:`CompositeCorridor` evaluates, so
-    :meth:`top_k` equals :func:`select_top_k_corridors` over the full report.
+    weld pass would compute: the weld at a vertex is a function of that
+    vertex's final occupancy alone, every touched vertex is re-decided after
+    all occupancy updates, and ``successor[p]`` is only ever written by the
+    weld at ``p``'s own end vertex.  Re-chaining only tainted chains is
+    exact because tainted-ness is closed over weld edges: an edge between
+    two surviving fragments either predates the change — then both ends sat
+    on the same old chain, so they are rebuilt (or reused) together — or was
+    created by it, which taints both endpoint chains.  So the rebuilt
+    members' heads are exactly those whose predecessor lies outside them,
+    walking from them sees every edge a global re-chain would, and what is
+    left over sits on weld cycles, broken at their smallest id as
+    :func:`chain_fragments` breaks them — the report stays bit-for-bit equal
+    to the full stitch, the contract of ``tests/test_differential.py`` and
+    the delta property suite.  A chain's rank key is ``min`` over its
+    members' hotness and the builtin ``sum`` over their scores
+    (``hotness * length``, stored per member) in chain order — the very
+    expressions :class:`CompositeCorridor` evaluates, never a running total
+    (``sum`` is compensated on CPython 3.12+) — so :meth:`top_k` equals
+    :func:`select_top_k_corridors` over the full report.
 
     Like the rest of this module, the class knows no shard layout: owners
     are resolved per :meth:`report` call, for :func:`corridor_stats` only.
     """
 
     def __init__(self) -> None:
-        self._paths: Dict[int, MotionPath] = {}
+        #: id -> ``(path, start vertex, end vertex)``, stored when it is added.
+        self._held: Dict[int, Tuple[MotionPath, Tuple[float, float], Tuple[float, float]]] = {}
         self._hotness: Dict[int, int] = {}
+        #: id -> ``hotness * path.length``, the member's corridor score.
+        self._score: Dict[int, float] = {}
         self._starts: Dict[Tuple[float, float], set] = {}
         self._ends: Dict[Tuple[float, float], set] = {}
         self._weld_at: Dict[Tuple[float, float], Tuple[int, int]] = {}
@@ -334,6 +346,10 @@ class IncrementalStitcher:
         self._since_report: Dict[str, int] = self._zero_counters()
         #: Lifetime totals, surfaced by ``shard_statistics()``.
         self.totals: Dict[str, int] = self._zero_counters()
+
+    def __contains__(self, path_id: int) -> bool:
+        """Whether ``path_id`` is one of the held (hot) fragments."""
+        return path_id in self._held
 
     @staticmethod
     def _zero_counters() -> Dict[str, int]:
@@ -352,127 +368,181 @@ class IncrementalStitcher:
         self.totals[counter] += amount
 
     def _resolve(self, path_id: int) -> Tuple[MotionPath, int]:
-        return self._paths[path_id], self._hotness[path_id]
+        return self._held[path_id][0], self._hotness[path_id]
 
     # -- weld maintenance ---------------------------------------------------------
 
-    def _reweld(self, vertex: Tuple[float, float], taint: Callable[[int], None]) -> None:
-        """Re-decide the degree-1 weld at ``vertex`` after its occupancy changed."""
-        enders = self._ends.get(vertex)
-        starters = self._starts.get(vertex)
+    def _reweld(self, vertex: Tuple[float, float], tainted: set) -> None:
+        """Re-decide the degree-1 weld at ``vertex`` from its final occupancy;
+        the ids of a weld that appeared or disappeared go into ``tainted``."""
         new_weld = None
-        if enders is not None and starters is not None and len(enders) == 1 and len(starters) == 1:
-            predecessor_id = next(iter(enders))
-            successor_id = next(iter(starters))
-            if predecessor_id != successor_id:  # a degenerate self-loop never welds
-                new_weld = (predecessor_id, successor_id)
-        old_weld = self._weld_at.get(vertex)
+        enders = self._ends.get(vertex)
+        if enders is not None and len(enders) == 1:
+            starters = self._starts.get(vertex)
+            if starters is not None and len(starters) == 1:
+                (predecessor_id,) = enders
+                (successor_id,) = starters
+                if predecessor_id != successor_id:  # a degenerate self-loop never welds
+                    new_weld = (predecessor_id, successor_id)
+        weld_at = self._weld_at
+        old_weld = weld_at.get(vertex)
         if old_weld == new_weld:
             return
         if old_weld is not None:
-            old_predecessor, old_successor = self._weld_at.pop(vertex)
+            old_predecessor, old_successor = old_weld
+            del weld_at[vertex]
             del self._successor[old_predecessor]
             del self._predecessor[old_successor]
-            taint(old_predecessor)
-            taint(old_successor)
+            tainted.update(old_weld)
         if new_weld is not None:
             predecessor_id, successor_id = new_weld
-            self._weld_at[vertex] = new_weld
+            weld_at[vertex] = new_weld
             self._successor[predecessor_id] = successor_id
             self._predecessor[successor_id] = predecessor_id
-            taint(predecessor_id)
-            taint(successor_id)
+            tainted.update(new_weld)
 
-    # -- the per-query patch ------------------------------------------------------
+    # -- the per-stitch patch -----------------------------------------------------
 
     def apply(self, changes: Mapping[int, Optional[Tuple[MotionPath, int]]]) -> None:
         """Bring the ids in ``changes`` up to date; every other id is untouched.
 
         ``changes`` maps an id to its ``(path, hotness)`` if it is hot now and
         to ``None`` if it is not (ids are never reused, so a retained id keeps
-        its path).  Ids that entered or left re-decide the welds at their two
-        vertices and the tainted chains are re-chained; a hotness-only change
-        re-keys its chain without re-welding anything; an id whose state
-        already matches costs one dict probe.
+        its path).  Ids that entered or left touch their two vertices, whose
+        welds are re-decided once each and whose tainted chains are
+        re-chained; a hotness-only change re-keys its chain without
+        re-welding anything; an id whose state already matches costs one
+        dict probe.
         """
-        dirty_heads: set = set()
-        added: set = set()
-        removed: set = set()
+        held, hotness, score = self._held, self._hotness, self._score
+        starts, ends, chain_of = self._starts, self._ends, self._chain_of
+        touched: set = set()
+        added: List[int] = []
+        removed: List[int] = []
+        removed_from: List[int] = []  # the head of each removed id's chain
         reheated: set = set()  # heads of chains with a hotness-only change
-
-        def taint(path_id: int) -> None:
-            head = self._chain_of.get(path_id)
-            if head is not None:  # else just added: re-chained anyway
-                dirty_heads.add(head)
-
-        removals_by_head: Dict[int, int] = {}
         for path_id, entry in changes.items():
-            path = self._paths.get(path_id)
             if entry is None:
-                if path is None:
+                entry = held.pop(path_id, None)
+                if entry is None:
                     continue
-                removed.add(path_id)
-                head = self._chain_of[path_id]
-                removals_by_head[head] = removals_by_head.get(head, 0) + 1
-                dirty_heads.add(head)
-                del self._paths[path_id]
-                del self._hotness[path_id]
-                start_vertex = (path.start.x, path.start.y)
-                end_vertex = (path.end.x, path.end.y)
-                self._discard(self._starts, start_vertex, path_id)
-                self._discard(self._ends, end_vertex, path_id)
-            elif path is None:
-                path, self._hotness[path_id] = entry
-                self._paths[path_id] = path
-                start_vertex = (path.start.x, path.start.y)
-                end_vertex = (path.end.x, path.end.y)
-                self._starts.setdefault(start_vertex, set()).add(path_id)
-                self._ends.setdefault(end_vertex, set()).add(path_id)
-                added.add(path_id)
+                del hotness[path_id], score[path_id]
+                removed.append(path_id)
+                removed_from.append(chain_of.pop(path_id))
+                _path, start_vertex, end_vertex = entry
+                members = starts[start_vertex]
+                if len(members) == 1:
+                    del starts[start_vertex]
+                else:
+                    members.discard(path_id)
+                members = ends[end_vertex]
+                if len(members) == 1:
+                    del ends[end_vertex]
+                else:
+                    members.discard(path_id)
+            elif path_id not in held:
+                path, count = entry
+                start, end = path.start, path.end
+                start_vertex = (start.x, start.y)
+                end_vertex = (end.x, end.y)
+                held[path_id] = (path, start_vertex, end_vertex)
+                hotness[path_id] = count
+                score[path_id] = count * path.length
+                members = starts.get(start_vertex)
+                if members is None:
+                    starts[start_vertex] = {path_id}
+                else:
+                    members.add(path_id)
+                members = ends.get(end_vertex)
+                if members is None:
+                    ends[end_vertex] = {path_id}
+                else:
+                    members.add(path_id)
+                added.append(path_id)
             else:
-                if self._hotness[path_id] != entry[1]:
-                    self._hotness[path_id] = entry[1]
-                    reheated.add(self._chain_of[path_id])
+                count = entry[1]
+                if hotness[path_id] != count:
+                    hotness[path_id] = count
+                    score[path_id] = count * held[path_id][0].length
+                    reheated.add(chain_of[path_id])
                 continue
-            self._reweld(start_vertex, taint)
-            self._reweld(end_vertex, taint)
+            touched.add(start_vertex)
+            touched.add(end_vertex)
 
-        rebuilt_members = set(added)
+        tainted: set = set()
+        for vertex in touched:
+            self._reweld(vertex, tainted)
+        dirty_heads = set(removed_from)
+        coalesced = len(removed_from) - len(dirty_heads)
+        for path_id in tainted:
+            head = chain_of.get(path_id)
+            if head is not None:  # else just added (re-chained anyway) or removed
+                dirty_heads.add(head)
+
+        chains, keys, corridors = self._chains, self._keys, self._corridors
+        rebuilt = set(added)
         for head in dirty_heads:
-            rebuilt_members.update(self._chains.pop(head))
-            del self._keys[head]
-            self._corridors.pop(head, None)
-        rebuilt_members -= removed
-        for member in removed:
-            del self._chain_of[member]
-        new_chains = chain_fragments(rebuilt_members, self._successor, self._predecessor)
+            rebuilt.update(chains.pop(head))
+            del keys[head]
+            corridors.pop(head, None)
+        rebuilt.difference_update(removed)
+        rekeyed = reheated - dirty_heads  # intact chains: only their key and corridor are stale
+        for head in rekeyed:
+            corridors.pop(head, None)
+        new_chains = self._rechain(rebuilt)
         for chain in new_chains:
             head = chain[0]
-            self._chains[head] = chain
+            chains[head] = chain
             for member in chain:
-                self._chain_of[member] = head
-            self._rekey(head)
-        for head in reheated - dirty_heads:
-            self._rekey(head)
+                chain_of[member] = head
+            rekeyed.add(head)
+        hotness_of, score_of = hotness.__getitem__, score.__getitem__
+        for head in rekeyed:
+            chain = chains[head]
+            keys[head] = (min(map(hotness_of, chain)), sum(map(score_of, chain)), -head)
 
         self._bump("fragments_added", len(added))
         self._bump("fragments_removed", len(removed))
         self._bump("chains_rewelded", len(new_chains))
-        self._bump("chains_reused", len(self._chains) - len(new_chains))
-        self._bump(
-            "expiry_coalesced",
-            sum(count - 1 for count in removals_by_head.values() if count > 1),
-        )
+        self._bump("chains_reused", len(chains) - len(new_chains))
+        self._bump("expiry_coalesced", coalesced)
 
-    def _rekey(self, head: int) -> None:
-        """Recompute one chain's rank key (and drop its now-stale corridor)."""
-        hotness, paths, chain = self._hotness, self._paths, self._chains[head]
-        self._keys[head] = (
-            min(hotness[member] for member in chain),
-            sum(hotness[member] * paths[member].length for member in chain),
-            -head,
-        )
-        self._corridors.pop(head, None)
+    def _rechain(self, members: set) -> List[List[int]]:
+        """The chains of ``members``, a set closed under weld edges.
+
+        Heads are the members with no predecessor among them, walked in any
+        order; what remains sits on weld cycles, each broken at its smallest
+        id — :func:`chain_fragments`' partition, without its sorts.
+        """
+        successor, predecessor = self._successor, self._predecessor
+        chains: List[List[int]] = []
+        visited = 0
+        for head in members:
+            if predecessor.get(head) in members:
+                continue
+            chain = [head]
+            next_id = successor.get(head)
+            while next_id is not None and next_id in members:
+                chain.append(next_id)
+                next_id = successor.get(next_id)
+            chains.append(chain)
+            visited += len(chain)
+        if visited < len(members):
+            seen = set()
+            for chain in chains:
+                seen.update(chain)
+            for head in sorted(members - seen):
+                if head in seen:
+                    continue
+                chain = [head]
+                seen.add(head)
+                next_id = successor.get(head)
+                while next_id is not None and next_id in members and next_id not in seen:
+                    chain.append(next_id)
+                    seen.add(next_id)
+                    next_id = successor.get(next_id)
+                chains.append(chain)
+        return chains
 
     def _corridor(self, head: int) -> CompositeCorridor:
         """The chain's corridor, materialised on first use after a re-key."""
@@ -491,14 +561,6 @@ class IncrementalStitcher:
             self._corridor(-negated_head)
             for _hotness, _score, negated_head in rank_top_k(self._keys.values(), k, by_score)
         ]
-
-    @staticmethod
-    def _discard(occupancy: Dict[Tuple[float, float], set], vertex: Tuple[float, float], path_id: int) -> None:
-        members = occupancy.get(vertex)
-        if members is not None:
-            members.discard(path_id)
-            if not members:
-                del occupancy[vertex]
 
     # -- the patched report -------------------------------------------------------
 

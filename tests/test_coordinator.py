@@ -10,7 +10,12 @@ from repro.core.scoring import ScoredPath
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
-from repro.coordinator.stitching import CompositeCorridor, IncrementalStitcher
+from repro.coordinator.stitching import (
+    CompositeCorridor,
+    IncrementalStitcher,
+    select_top_k_corridors,
+    stitch_paths,
+)
 
 import differential
 
@@ -319,3 +324,90 @@ class TestQueryWork:
         assert 0 < built["corridors"] <= k
         # Two vertices per id that entered or left the hot set.
         assert 0 < built["rewelds"] <= 2 * len(dirty)
+
+
+def _vertices(paths):
+    """The distinct ``(x, y)`` vertices of ``paths``, as the stitcher keys them."""
+    return {(point.x, point.y) for path in paths for point in (path.start, path.end)}
+
+
+class TestPathQueriesNeverStitch:
+    """The stitcher runs only on a corridor, report or statistics read, and
+    the changes it has not seen yet stay bounded: exact counts, no clock."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, counts, counter):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[counter] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def test_a_path_query_never_stitches(self, monkeypatch):
+        k = 10
+        coordinator = differential.make_coordinator(window=120)
+        counts = {"corridors": 0, "rewelds": 0}
+        try:
+            epochs = differential.feedback_epochs(coordinator, 5, epochs=12, objects=14)
+            for _ in range(11):
+                next(epochs)
+                coordinator.top_k_corridors(k)
+            before = {record.path_id: record.path for record, _hot in coordinator.hot_paths()}
+            next(epochs)
+            after = {record.path_id: record.path for record, _hot in coordinator.hot_paths()}
+            self._count(monkeypatch, CompositeCorridor, "__post_init__", counts, "corridors")
+            self._count(monkeypatch, IncrementalStitcher, "_reweld", counts, "rewelds")
+            coordinator.top_k(k)
+            assert counts == {"corridors": 0, "rewelds": 0}
+            coordinator.top_k_corridors(k)
+        finally:
+            coordinator.close()
+        moved = [before[i] for i in before.keys() - after.keys()]
+        moved += [after[i] for i in after.keys() - before.keys()]
+        assert moved, "no id entered or left the hot set"
+        # One weld decision per distinct vertex of the ids that entered or left.
+        assert 0 < counts["rewelds"] <= len(_vertices(moved))
+        assert counts["corridors"] <= k
+
+    def test_pending_changes_stay_bounded_and_exact(self):
+        k = 10
+        coordinator = differential.make_coordinator(window=120)
+        view = coordinator._view
+        try:
+            epochs = differential.feedback_epochs(coordinator, 7, epochs=220, objects=14)
+            for _ in range(20):
+                next(epochs)
+            coordinator.top_k_corridors(k)  # the stitcher holds the hot set of epoch 20
+            held = len(coordinator.hot_paths())
+            for _outcome in epochs:  # 200 epochs of path-only queries
+                coordinator.top_k(k)
+                assert len(view._pending) <= len(coordinator.hot_paths()) + held
+            hot = coordinator.hot_paths()
+            reference = stitch_paths(hot)
+            for by_score in (False, True):
+                assert repr(coordinator.top_k_corridors(k, by_score)) == repr(
+                    select_top_k_corridors(reference, k, by_score)
+                )
+            assert repr(coordinator.hot_corridors()) == repr(reference)
+        finally:
+            coordinator.close()
+
+    def test_statistics_count_the_pending_changes(self):
+        coordinator = differential.make_coordinator(window=120)
+        try:
+            for epoch, _outcome in enumerate(
+                differential.feedback_epochs(coordinator, 9, epochs=30, objects=14)
+            ):
+                coordinator.top_k(10)
+                if epoch == 10:
+                    coordinator.top_k_corridors(10)  # the last stitch before the read
+            statistics = coordinator.shard_statistics()
+            assert coordinator._view._pending == {}
+            # Every hot path was handed to the stitcher, and every one gone was taken back.
+            added, removed = statistics["fragments_added"], statistics["fragments_removed"]
+            assert added > removed > 0
+            assert added - removed == len(coordinator.hot_paths())
+        finally:
+            coordinator.close()

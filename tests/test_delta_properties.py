@@ -26,6 +26,7 @@ sequences check that claim for each delta carrier independently:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Tuple
 
@@ -393,6 +394,72 @@ def _changes(before, after, also=()):
     return changes
 
 
+# ---------------------------------------------------------------------------
+# Incremental stitcher: same-vertex churn, one apply per batch
+# ---------------------------------------------------------------------------
+
+#: Zero coordinates come in three spellings that compare equal but print apart.
+ZERO_SPELLINGS = (0.0, -0.0, 0)
+#: Four places a few units apart; a ``None`` coordinate is a zero spelling.
+PLACES = ((None, None), (10.0, None), (10.0, 10.0), (None, 10.0))
+
+
+def _place(index: int, spelling: int) -> Point:
+    zero = ZERO_SPELLINGS[spelling]
+    return Point(*(zero if coordinate is None else coordinate for coordinate in PLACES[index]))
+
+
+places = st.integers(0, len(PLACES) - 1)
+spellings = st.integers(0, len(ZERO_SPELLINGS) - 1)
+
+#: ("add", start place, end place, start spelling, end spelling, hotness) /
+#: ("remove", id-index) / ("retouch", id-index, hotness) /
+#: ("bounce", id-index): the id leaves and a new id with its path arrives /
+#: ("cycle", hotness): the three-path weld cycle of ``TestWeldCycles``.
+churn_events = st.one_of(
+    st.tuples(st.just("add"), places, places, spellings, spellings, st.integers(1, 3)),
+    st.tuples(st.just("remove"), st.integers(0, 20)),
+    st.tuples(st.just("retouch"), st.integers(0, 20), st.integers(1, 3)),
+    st.tuples(st.just("bounce"), st.integers(0, 20)),
+    st.tuples(st.just("cycle"), st.integers(1, 3)),
+)
+
+
+#: Ids are spread out, so a set of them does not iterate in ascending order.
+ID_STEP = 37
+
+
+def _churn(hot: Dict[int, Tuple[MotionPath, int]], next_id: int, event) -> int:
+    """Apply one ``churn_events`` event to ``hot``; returns the next free id."""
+    tag = event[0]
+    if tag == "add":
+        _tag, start, end, start_spelling, end_spelling, hotness = event
+        path = MotionPath(_place(start, start_spelling), _place(end, end_spelling))
+        hot[next_id] = (path, hotness)
+        return next_id + ID_STEP
+    if tag == "cycle":
+        v0, v1, v2 = (_place(index, 0) for index in range(3))
+        for path in (MotionPath(v0, v2), MotionPath(v1, v0), MotionPath(v2, v1)):
+            hot[next_id] = (path, event[1])
+            next_id += ID_STEP
+        return next_id
+    live = sorted(hot)
+    if not live:
+        return next_id
+    path_id = live[event[1] % len(live)]
+    if tag == "remove":
+        del hot[path_id]
+    elif tag == "retouch":
+        hot[path_id] = (hot[path_id][0], event[2])
+    else:  # bounce
+        hot[next_id] = hot.pop(path_id)
+        next_id += ID_STEP
+    return next_id
+
+
+churn_batches = st.lists(st.lists(churn_events, min_size=1, max_size=6), min_size=1, max_size=8)
+
+
 class TestIncrementalStitcherProperties:
     @settings(max_examples=200, deadline=None)
     @given(stitch_events, st.integers(0, 3))
@@ -465,3 +532,73 @@ class TestIncrementalStitcherProperties:
         assert second == first
         if first:
             assert stats["corridors_reused"] == len(first)
+
+    # Same-vertex churn: batches of events at four places, each batch handed
+    # to one ``apply`` in a shuffled order — welds that flip and flip back,
+    # cycles opened and closed, ids that came and went unseen, and vertices
+    # spelled ``0.0`` / ``-0.0`` / ``0``.
+
+    @settings(max_examples=200, deadline=None)
+    @given(churn_batches, st.randoms(use_true_random=False))
+    def test_same_vertex_churn_equals_the_global_restitch(self, batches, rng):
+        stitcher = IncrementalStitcher()
+        hot: Dict[int, Tuple[MotionPath, int]] = {}
+        next_id = 0
+        for batch in batches:
+            before, first_id = dict(hot), next_id
+            for event in batch:
+                next_id = _churn(hot, next_id, event)
+            changes = _changes(before, hot)
+            # Ids that came and went inside the batch: ``None`` for an id never held.
+            changes.update(
+                (path_id, None)
+                for path_id in range(first_id, next_id, ID_STEP)
+                if path_id not in hot
+            )
+            order = list(changes)
+            rng.shuffle(order)
+            stitcher.apply({path_id: changes[path_id] for path_id in order})
+            reference = _reference(hot)
+            for by_score in (False, True):
+                for k in (1, 3, 100):
+                    assert repr(stitcher.top_k(k, by_score)) == repr(
+                        select_top_k_corridors(reference, k, by_score)
+                    )
+            corridors, _stats = stitcher.report(lambda path_id: 0)
+            assert repr(corridors) == repr(reference)
+
+    def test_a_weld_that_flips_back_taints_nothing(self):
+        """Two paths end at ``v``, one starts there: no weld.  One ender
+        leaves as another arrives, so ``v`` still has two enders; taken one
+        change at a time the weld would appear and vanish again.  Only the
+        arrival is chained; the paths on either side of ``v`` are reused."""
+        v = Point(0.0, 0.0)
+        stitcher = IncrementalStitcher()
+        stitcher.apply({
+            0: (MotionPath(Point(-10.0, 0.0), v), 1),
+            1: (MotionPath(Point(0.0, -10.0), v), 1),
+            2: (MotionPath(v, Point(10.0, 0.0)), 1),
+        })
+        stitcher.report(lambda path_id: 0)
+        arrival = MotionPath(Point(0.0, 10.0), v)
+        stitcher.apply({1: None, 3: (arrival, 1)})
+        corridors, stats = stitcher.report(lambda path_id: 0)
+        assert (stats["chains_rewelded"], stats["chains_reused"]) == (1, 2)
+        assert [corridor.path_ids for corridor in corridors] == [(0,), (2,), (3,)]
+
+    def test_the_chain_score_is_the_builtin_sum_on_every_python(self):
+        """Scores whose sequential and compensated sums differ (CPython 3.12+
+        compensates ``sum``): the chain key, the corridor and the global
+        stitch must all hold the same float, whichever ``sum`` this is."""
+        scores = [1e16, 1.0, 1.0]
+        assert scores[0] + scores[1] + scores[2] != math.fsum(scores)
+        a, b, c, d = Point(0.0, 0.0), Point(0.0, 1e16), Point(1.0, 1e16), Point(2.0, 1e16)
+        hot = {0: (MotionPath(a, b), 1), 1: (MotionPath(b, c), 1), 2: (MotionPath(c, d), 1)}
+        assert [path.length for path, _hotness in hot.values()] == scores
+        stitcher = IncrementalStitcher()
+        stitcher.apply(hot)
+        (corridor,) = stitcher.top_k(1, by_score=True)
+        (reference,) = _reference(hot)
+        assert corridor.path_ids == reference.path_ids == (0, 1, 2)
+        key_score = stitcher._keys[0][1]
+        assert repr(key_score) == repr(corridor.score) == repr(reference.score) == repr(sum(scores))
