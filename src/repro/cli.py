@@ -23,38 +23,18 @@ import argparse
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, get_type_hints
+from typing import Optional, Sequence, get_type_hints
 
-from repro.core.errors import ConfigurationError, ReproError
+from repro.core.errors import ReproError
 from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.fleet import FleetConfig
 from repro.serving import FAULT_TYPES
-
-if TYPE_CHECKING:
-    from repro.coordinator.coordinator import CoordinatorConfig
-    from repro.serving.scenarios import BaseScenario, InjectionConfig
-    from repro.serving.server import ServingConfig
 
 # Each subcommand imports the layers it runs (the simulation, the experiment
 # runners, the scenario harness) inside its handler, so ``repro serve`` does
 # not load the simulation stack and no command loads what it does not run.
 
 __all__ = ["build_parser", "main"]
-
-
-def _scale_from_args(args: argparse.Namespace):
-    from repro.experiments.config import ExperimentScale
-
-    if not args.scale > 0:
-        raise ConfigurationError(f"scale must be positive, got {args.scale}")
-    if args.scale >= 1.0:
-        return ExperimentScale(population=1.0, duration=1.0, network_nodes_per_axis=33)
-    nodes = max(6, min(33, int(33 * (args.scale ** 0.5) * 2)))
-    return ExperimentScale(
-        population=args.scale,
-        duration=max(0.2, min(1.0, args.scale * 10)),
-        network_nodes_per_axis=nodes,
-    )
 
 
 def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
@@ -78,45 +58,43 @@ def _fleet_from_args(args: argparse.Namespace) -> FleetConfig:
     return FleetConfig(**{knob.name: getattr(args, knob.name) for knob in fields(FleetConfig)})
 
 
-class _ServeConfig(NamedTuple):
-    """What ``serve`` runs; ``scenario`` and ``injection`` only with ``--scenario``."""
-
-    fleet: FleetConfig
-    coordinator: CoordinatorConfig
-    serving: ServingConfig
-    scenario: Optional[BaseScenario] = None
-    injection: Optional[InjectionConfig] = None
-
-
-def _serve_config(args: argparse.Namespace) -> _ServeConfig:
+def _serve_config(args: argparse.Namespace) -> tuple:
+    """``(CoordinatorConfig, ServingConfig)``, or with ``--scenario`` what runs
+    the scenario instead: ``(ScenarioRunner, scenario, InjectionConfig)``."""
     from repro.core.geometry import Point, Rectangle
     from repro.coordinator.coordinator import CoordinatorConfig
     from repro.serving.server import ServingConfig
 
     fleet = _fleet_from_args(args)
-    config = _ServeConfig(
-        fleet,
-        CoordinatorConfig(
-            bounds=Rectangle(Point(0.0, 0.0), Point(args.area, args.area)),
-            window=args.window,
-            cells_per_axis=args.cells,
-            **asdict(fleet),
-        ),
-        ServingConfig(
-            host=args.host,
-            port=args.port,
-            max_pending_updates=args.max_pending,
-            auto_epoch_seconds=args.epoch_seconds,
-            auto_epoch_timestamps=args.epoch,
-        ),
+    coordinator = CoordinatorConfig(
+        bounds=Rectangle(Point(0.0, 0.0), Point(args.area, args.area)),
+        window=args.window,
+        cells_per_axis=args.cells,
+        **asdict(fleet),
+    )
+    serving = ServingConfig(
+        host=args.host,
+        port=args.port,
+        max_pending_updates=args.max_pending,
+        auto_epoch_seconds=args.epoch_seconds,
+        auto_epoch_timestamps=args.epoch,
     )
     if args.scenario is None:
-        return config
-    from repro.serving.scenarios import InjectionConfig, get_scenario
+        return coordinator, serving
+    from repro.serving.scenarios import InjectionConfig, ScenarioRunner, get_scenario
 
-    return config._replace(
-        scenario=get_scenario(args.scenario, load_factor=args.load_factor),
-        injection=InjectionConfig(fault=args.chaos, rate=args.chaos_rate, seed=args.chaos_seed),
+    runner = ScenarioRunner(
+        fleet=fleet,
+        window=args.window,
+        cells_per_axis=args.cells,
+        epoch_length=args.epoch,
+        max_pending_updates=args.max_pending,
+        bounds=coordinator.bounds,
+    )
+    return (
+        runner,
+        get_scenario(args.scenario, load_factor=args.load_factor),
+        InjectionConfig(fault=args.chaos, rate=args.chaos_rate, seed=args.chaos_seed),
     )
 
 
@@ -255,23 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
         ("figure7", "regenerate the Figure 7 sweep (vary the number of objects)"),
         ("figure8", "regenerate the Figure 8 sweep (vary the tolerance)"),
         ("ablations", "run the communication/uncertainty/grid ablations"),
-    ):
-        sub = subparsers.add_parser(name, help=description)
-        sub.add_argument("--scale", type=float, default=0.02, help="population scale factor (1.0 = paper)")
-        sub.add_argument("--seed", type=int, default=42)
-        sub.add_argument("--csv", type=Path, default=None, help="directory for CSV output")
-
-    for name, description in (
         ("figure9", "render the discovered network (Figure 9)"),
         ("figure10", "render the top-20 hottest central paths (Figure 10)"),
     ):
         sub = subparsers.add_parser(name, help=description)
-        sub.add_argument("--scale", type=float, default=0.02)
+        sub.add_argument("--scale", type=float, default=0.02, help="population scale factor (1.0 = paper)")
         sub.add_argument("--seed", type=int, default=42)
-        sub.add_argument("--width", type=int, default=72)
-        sub.add_argument("--height", type=int, default=30)
+        if name in ("figure9", "figure10"):
+            sub.add_argument("--width", type=int, default=72)
+            sub.add_argument("--height", type=int, default=30)
+        else:
+            sub.add_argument("--csv", type=Path, default=None, help="directory for CSV output")
 
     return parser
+
+
+def _scale(args: argparse.Namespace):
+    from repro.experiments.config import ExperimentScale
+
+    return ExperimentScale.at(args.scale)
 
 
 def _simulation_config(args: argparse.Namespace):
@@ -292,12 +272,11 @@ def _simulation_config(args: argparse.Namespace):
     )
 
 
-def _command_run(args: argparse.Namespace) -> int:
+def _command_run(args: argparse.Namespace, config) -> int:
     from repro.analysis.statistics import hot_path_statistics
     from repro.coordinator.stitching import select_top_k_corridors
     from repro.simulation.engine import HotPathSimulation
 
-    config = args.config
     fleet = config.fleet
     result = HotPathSimulation(config).run()
     summary = result.summary()
@@ -355,57 +334,41 @@ def _write_csv(args: argparse.Namespace, **experiments) -> None:
             print(f"csv written to {path}")
 
 
-def _command_figure7(args: argparse.Namespace) -> int:
+def _command_sweep(args: argparse.Namespace, scale) -> int:
+    """``figure7`` / ``figure8``: the sweep's table, and its rows under ``--csv``."""
     from repro.experiments.figure7 import run_figure7
-
-    report = run_figure7(scale=args.config, seed=args.seed)
-    print(report.format_table())
-    _write_csv(args, figure7_rows=report.rows)
-    return 0
-
-
-def _command_figure8(args: argparse.Namespace) -> int:
     from repro.experiments.figure8 import run_figure8
 
-    report = run_figure8(scale=args.config, seed=args.seed)
+    run = run_figure7 if args.command == "figure7" else run_figure8
+    report = run(scale=scale, seed=args.seed)
     print(report.format_table())
-    _write_csv(args, figure8_rows=report.rows)
+    _write_csv(args, **{f"{args.command}_rows": report.rows})
     return 0
 
 
-def _command_figure9(args: argparse.Namespace) -> int:
-    from repro.experiments.figure9 import run_figure9
+def _command_map(args: argparse.Namespace, scale) -> int:
+    """``figure9`` (the network beside every hot path) / ``figure10`` (the top central paths)."""
+    from repro.experiments.figure9 import run_figure9, run_figure10
 
-    report = run_figure9(
-        scale=args.config, seed=args.seed, map_width=args.width, map_height=args.height
-    )
-    print("Ground-truth network:")
-    print(report.network_map)
-    print("\nDiscovered motion paths:")
-    print(report.discovered_map)
-    print(f"\nhot paths: {len(report.hot_paths)}  coverage: {report.coverage_fraction() * 100:.1f}%")
+    run = run_figure9 if args.command == "figure9" else run_figure10
+    report = run(scale=scale, seed=args.seed, map_width=args.width, map_height=args.height)
+    if args.command == "figure9":
+        print(f"Ground-truth network:\n{report.network_map}\n\nDiscovered motion paths:")
+        print(report.discovered_map)
+        print(f"\nhot paths: {len(report.hot_paths)}  coverage: {report.coverage_fraction() * 100:.1f}%")
+    else:
+        print(report.discovered_map)
+        print(f"\ntop paths rendered: {len(report.hot_paths)}")
     return 0
 
 
-def _command_figure10(args: argparse.Namespace) -> int:
-    from repro.experiments.figure9 import run_figure10
-
-    report = run_figure10(
-        scale=args.config, seed=args.seed, map_width=args.width, map_height=args.height
-    )
-    print(report.discovered_map)
-    print(f"\ntop paths rendered: {len(report.hot_paths)}")
-    return 0
-
-
-def _command_ablations(args: argparse.Namespace) -> int:
+def _command_ablations(args: argparse.Namespace, scale) -> int:
     from repro.experiments.ablations import (
         run_communication_ablation,
         run_grid_resolution_ablation,
         run_uncertainty_ablation,
     )
 
-    scale = args.config
     communication = run_communication_ablation(scale=scale, seed=args.seed)
     uncertainty = run_uncertainty_ablation(scale=scale, seed=args.seed)
     grid = run_grid_resolution_ablation(scale=scale, seed=args.seed)
@@ -433,7 +396,7 @@ def _command_ablations(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
+def _command_serve(args: argparse.Namespace, config: tuple) -> int:
     import asyncio
 
     from repro.coordinator.coordinator import Coordinator
@@ -447,19 +410,11 @@ def _command_serve(args: argparse.Namespace) -> int:
             scenario = SCENARIOS[name]()
             print(f"  {name:<18s} clients={scenario.num_clients:<3d} epochs={scenario.epochs:<3d} {scenario.description}")
         return 0
+    if args.scenario is not None:
+        from repro.serving.scenarios import replay_accepted_log
 
-    fleet, coordinator_config, serving_config, scenario, injection = args.config
-    if scenario is not None:
-        from repro.serving.scenarios import ScenarioRunner, replay_accepted_log
-
-        runner = ScenarioRunner(
-            fleet=fleet,
-            window=coordinator_config.window,
-            cells_per_axis=coordinator_config.cells_per_axis,
-            epoch_length=serving_config.auto_epoch_timestamps,
-            max_pending_updates=serving_config.max_pending_updates,
-            bounds=coordinator_config.bounds,
-        )
+        runner, scenario, injection = config
+        fleet = runner.fleet
         result = runner.run(
             scenario, seed=args.seed, injection=injection, concurrent=args.concurrent
         )
@@ -499,6 +454,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             print("  validation passed")
         return 0 if (equal and result.passed) else 1
 
+    coordinator_config, serving_config = config
     coordinator = Coordinator(coordinator_config)
     server = IngestionServer(coordinator, serving_config)
 
@@ -511,8 +467,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"serving on {args.host}:{server.port} "
-            f"(shards={fleet.num_shards}, backend={fleet.backend}, "
-            f"kernel={resolve_kernel(fleet.kernel)}, {ticking})",
+            f"(shards={coordinator_config.num_shards}, backend={coordinator_config.backend}, "
+            f"kernel={resolve_kernel(coordinator_config.kernel)}, {ticking})",
             flush=True,
         )
         try:
@@ -529,26 +485,16 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Each subcommand: its options -> a validated config (built before anything
+#: runs, so a bad value is one usage error), then the handler that runs it.
 _COMMANDS = {
-    "run": _command_run,
-    "serve": _command_serve,
-    "figure7": _command_figure7,
-    "figure8": _command_figure8,
-    "figure9": _command_figure9,
-    "figure10": _command_figure10,
-    "ablations": _command_ablations,
-}
-
-
-#: Each subcommand's options become a validated config before anything runs.
-_CONFIGS = {
-    "run": _simulation_config,
-    "serve": _serve_config,
-    "figure7": _scale_from_args,
-    "figure8": _scale_from_args,
-    "ablations": _scale_from_args,
-    "figure9": _scale_from_args,
-    "figure10": _scale_from_args,
+    "run": (_simulation_config, _command_run),
+    "serve": (_serve_config, _command_serve),
+    "figure7": (_scale, _command_sweep),
+    "figure8": (_scale, _command_sweep),
+    "figure9": (_scale, _command_map),
+    "figure10": (_scale, _command_map),
+    "ablations": (_scale, _command_ablations),
 }
 
 
@@ -556,11 +502,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    make_config, handler = _COMMANDS[args.command]
     try:
-        args.config = _CONFIGS[args.command](args)
+        config = make_config(args)
     except ReproError as error:  # raised by a config, so by an option value
         parser.error(str(error))  # one line on stderr, exit status 2
-    return _COMMANDS[args.command](args)
+    return handler(args, config)
 
 
 if __name__ == "__main__":  # pragma: no cover

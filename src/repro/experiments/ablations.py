@@ -17,10 +17,11 @@ describes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.config import ExperimentScale, scaled_simulation_config
 from repro.simulation.engine import HotPathSimulation
+from repro.simulation.metrics import MetricsCollector
 
 __all__ = [
     "CommunicationAblationRow",
@@ -64,6 +65,12 @@ class GridResolutionAblationRow:
     mean_top_k_score: float
 
 
+def _metrics(scale: Optional[ExperimentScale], seed: int, **overrides) -> MetricsCollector:
+    """Run one scaled simulation without the DP baseline and return its metrics."""
+    config = scaled_simulation_config(scale=scale, seed=seed, run_dp_baseline=False, **overrides)
+    return HotPathSimulation(config).run().metrics
+
+
 def run_communication_ablation(
     tolerances: Sequence[float] = (2.0, 10.0, 20.0),
     scale: Optional[ExperimentScale] = None,
@@ -72,11 +79,7 @@ def run_communication_ablation(
     """Compare RayTrace uplink volume against naive reporting across tolerances."""
     rows: List[CommunicationAblationRow] = []
     for tolerance in tolerances:
-        config = scaled_simulation_config(
-            scale=scale, tolerance=tolerance, seed=seed, run_dp_baseline=False
-        )
-        result = HotPathSimulation(config).run()
-        metrics = result.metrics
+        metrics = _metrics(scale, seed, tolerance=tolerance)
         rows.append(
             CommunicationAblationRow(
                 tolerance=tolerance,
@@ -98,15 +101,7 @@ def run_uncertainty_ablation(
     """Sweep the delta parameter of the uncertainty-aware filter."""
     rows: List[UncertaintyAblationRow] = []
     for delta in deltas:
-        config = scaled_simulation_config(
-            scale=scale,
-            delta=delta,
-            seed=seed,
-            run_dp_baseline=False,
-            run_naive_baseline=False,
-        )
-        result = HotPathSimulation(config).run()
-        metrics = result.metrics
+        metrics = _metrics(scale, seed, delta=delta, run_naive_baseline=False)
         rows.append(
             UncertaintyAblationRow(
                 delta=delta,
@@ -126,15 +121,7 @@ def run_grid_resolution_ablation(
     """Sweep the grid-index resolution at otherwise default parameters."""
     rows: List[GridResolutionAblationRow] = []
     for cells in cell_counts:
-        config = scaled_simulation_config(
-            scale=scale,
-            cells_per_axis=cells,
-            seed=seed,
-            run_dp_baseline=False,
-            run_naive_baseline=False,
-        )
-        result = HotPathSimulation(config).run()
-        metrics = result.metrics
+        metrics = _metrics(scale, seed, cells_per_axis=cells, run_naive_baseline=False)
         rows.append(
             GridResolutionAblationRow(
                 cells_per_axis=cells,

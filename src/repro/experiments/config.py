@@ -83,11 +83,11 @@ class ExperimentScale:
     network_nodes_per_axis: int = 12
 
     def __post_init__(self) -> None:
-        if self.population <= 0 or self.population > 1.0:
+        if not 0.0 < self.population <= 1.0:
             raise ConfigurationError(
                 f"population scale must be in (0, 1], got {self.population}"
             )
-        if self.duration <= 0 or self.duration > 1.0:
+        if not 0.0 < self.duration <= 1.0:
             raise ConfigurationError(f"duration scale must be in (0, 1], got {self.duration}")
         if self.network_nodes_per_axis < 2:
             raise ConfigurationError(
@@ -95,8 +95,26 @@ class ExperimentScale:
             )
 
     @classmethod
+    def at(cls, population: float) -> "ExperimentScale":
+        """The scale for a population factor (``--scale`` and ``REPRO_SCALE``).
+
+        ``>= 1.0`` is the paper scale.  Below it the duration is clamped to
+        ``[0.2, 1]`` and the network grows with the square root of the
+        population, so object density per link stays in the same ballpark.
+        """
+        if not population > 0:
+            raise ConfigurationError(f"scale must be positive, got {population}")
+        if population >= 1.0:
+            return cls(population=1.0, duration=1.0, network_nodes_per_axis=33)
+        return cls(
+            population=population,
+            duration=max(0.2, min(1.0, population * 10)),
+            network_nodes_per_axis=max(6, min(33, int(33 * population ** 0.5 * 2))),
+        )
+
+    @classmethod
     def from_environment(cls) -> "ExperimentScale":
-        """Build a scale from the ``REPRO_SCALE`` environment variable.
+        """:meth:`at` the ``REPRO_SCALE`` environment variable.
 
         ``REPRO_SCALE=1.0`` reproduces the paper-size experiments;
         unset/empty uses the laptop-friendly default.
@@ -108,12 +126,7 @@ class ExperimentScale:
             population = float(raw)
         except ValueError as exc:
             raise ConfigurationError(f"invalid REPRO_SCALE value: {raw!r}") from exc
-        if population >= 1.0:
-            return cls(population=1.0, duration=1.0, network_nodes_per_axis=33)
-        # Scale the network roughly with the square root of the population so
-        # object density per link stays in the same ballpark.
-        nodes = max(6, int(33 * (population ** 0.5) * 2))
-        return cls(population=population, duration=max(0.2, population * 10), network_nodes_per_axis=min(nodes, 33))
+        return cls.at(population)
 
     def scale_objects(self, paper_count: int) -> int:
         return max(20, int(paper_count * self.population))

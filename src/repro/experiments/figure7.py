@@ -13,63 +13,28 @@ figure's data would be tabulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.config import ExperimentScale, PAPER_OBJECT_COUNTS
-from repro.experiments.sweeps import SweepRow, run_object_count_sweep
+from repro.experiments.config import ExperimentScale
+from repro.experiments.sweeps import SweepReport, run_object_count_sweep
 
 __all__ = ["Figure7Report", "run_figure7"]
 
 
-@dataclass
-class Figure7Report:
+class Figure7Report(SweepReport):
     """Data behind the three panels of Figure 7."""
 
-    rows: List[SweepRow] = field(default_factory=list)
-
-    @property
-    def object_counts(self) -> List[float]:
-        return [row.parameter_value for row in self.rows]
-
-    def panel_a(self) -> Dict[str, List[float]]:
-        """Index size series: SinglePath vs DP."""
-        return {
-            "num_objects": self.object_counts,
-            "single_path_index_size": [row.index_size for row in self.rows],
-            "dp_index_size": [row.dp_index_size for row in self.rows],
-        }
-
-    def panel_b(self) -> Dict[str, List[float]]:
-        """Top-k score series: SinglePath vs DP."""
-        return {
-            "num_objects": self.object_counts,
-            "single_path_score": [row.top_k_score for row in self.rows],
-            "dp_score": [row.dp_top_k_score for row in self.rows],
-        }
+    key = "num_objects"
+    heading = "N (paper)"
+    value_format = ">12.0f"
+    object_counts = SweepReport.values
 
     def panel_c(self) -> Dict[str, List[float]]:
         """Coordinator processing time per epoch (seconds)."""
         return {
-            "num_objects": self.object_counts,
+            self.key: self.values,
             "processing_seconds": [row.processing_seconds for row in self.rows],
         }
-
-    def format_table(self) -> str:
-        """Human-readable table of all three panels."""
-        header = (
-            f"{'N (paper)':>12} {'N (run)':>9} {'idx SP':>10} {'idx DP':>10} "
-            f"{'score SP':>12} {'score DP':>12} {'time/epoch s':>14}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{int(row.parameter_value):>12} {row.scaled_num_objects:>9} "
-                f"{row.index_size:>10.1f} {row.dp_index_size:>10.1f} "
-                f"{row.top_k_score:>12.1f} {row.dp_top_k_score:>12.1f} "
-                f"{row.processing_seconds:>14.4f}"
-            )
-        return "\n".join(lines)
 
 
 def run_figure7(
@@ -78,6 +43,5 @@ def run_figure7(
     seed: int = 42,
 ) -> Figure7Report:
     """Run the Figure 7 sweep (tolerance fixed at the default of 10 metres)."""
-    counts = list(object_counts) if object_counts is not None else PAPER_OBJECT_COUNTS
-    rows = run_object_count_sweep(counts, scale=scale, tolerance=10.0, seed=seed)
+    rows = run_object_count_sweep(object_counts, scale=scale, tolerance=10.0, seed=seed)
     return Figure7Report(rows)

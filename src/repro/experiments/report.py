@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.experiments.ablations import (
     CommunicationAblationRow,
@@ -31,26 +32,18 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
+def _rows_to_csv(rows: Sequence[object], row_type: type) -> str:
+    """CSV text of dataclass rows: a header of ``row_type``'s fields, then one line per row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(field.name for field in fields(row_type))
+    writer.writerows(astuple(row) for row in rows)
+    return buffer.getvalue()
+
+
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """Serialise Figure 7/8 sweep rows to CSV text."""
-    buffer = io.StringIO()
-    fieldnames = [
-        "parameter_name",
-        "parameter_value",
-        "scaled_num_objects",
-        "index_size",
-        "dp_index_size",
-        "top_k_score",
-        "dp_top_k_score",
-        "processing_seconds",
-        "uplink_messages",
-        "naive_messages",
-    ]
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row.as_dict())
-    return buffer.getvalue()
+    return _rows_to_csv(rows, SweepRow)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], destination: PathLike) -> Path:
@@ -64,15 +57,7 @@ def ablation_rows_to_csv(
     rows: Sequence[Union[CommunicationAblationRow, UncertaintyAblationRow, GridResolutionAblationRow]],
 ) -> str:
     """Serialise any ablation's rows to CSV text (columns follow the dataclass fields)."""
-    buffer = io.StringIO()
-    if not rows:
-        return ""
-    fieldnames = list(vars(rows[0]).keys())
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(vars(row))
-    return buffer.getvalue()
+    return _rows_to_csv(rows, type(rows[0])) if rows else ""
 
 
 def write_experiment_bundle(
@@ -88,15 +73,13 @@ def write_experiment_bundle(
     """
     destination_dir = Path(destination_dir)
     destination_dir.mkdir(parents=True, exist_ok=True)
+    experiments = {"figure7": figure7_rows, "figure8": figure8_rows}
+    experiments.update((f"ablation_{name}", rows) for name, rows in (ablations or {}).items())
     written: List[Path] = []
-    if figure7_rows:
-        written.append(write_sweep_csv(figure7_rows, destination_dir / "figure7.csv"))
-    if figure8_rows:
-        written.append(write_sweep_csv(figure8_rows, destination_dir / "figure8.csv"))
-    for name, rows in (ablations or {}).items():
-        if not rows:
-            continue
-        path = destination_dir / f"ablation_{name}.csv"
-        path.write_text(ablation_rows_to_csv(list(rows)))
-        written.append(path)
+    for name, rows in experiments.items():
+        rows = list(rows)
+        if rows:
+            path = destination_dir / f"{name}.csv"
+            path.write_text(_rows_to_csv(rows, type(rows[0])))
+            written.append(path)
     return written

@@ -4,13 +4,13 @@ Each sweep runs the full simulation (SinglePath plus the DP baseline on the
 same measurement stream) for a list of parameter values and collects one
 :class:`SweepRow` per value with exactly the series the paper plots: motion
 path index size, top-k score and coordinator processing time, for both
-methods where applicable.
+methods where applicable.  :class:`SweepReport` tabulates a sweep's rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar, Dict, List, Optional, Sequence
 
 from repro.experiments.config import (
     PAPER_OBJECT_COUNTS,
@@ -18,9 +18,9 @@ from repro.experiments.config import (
     ExperimentScale,
     scaled_simulation_config,
 )
-from repro.simulation.engine import HotPathSimulation, SimulationResult
+from repro.simulation.engine import HotPathSimulation
 
-__all__ = ["SweepRow", "run_object_count_sweep", "run_tolerance_sweep"]
+__all__ = ["SweepRow", "SweepReport", "run_object_count_sweep", "run_tolerance_sweep"]
 
 
 @dataclass
@@ -39,36 +39,87 @@ class SweepRow:
     naive_messages: int
 
     def as_dict(self) -> Dict[str, float]:
+        return asdict(self)
+
+
+@dataclass
+class SweepReport:
+    """Data behind panels (a) and (b) of a sweep figure, and its table."""
+
+    rows: List[SweepRow] = field(default_factory=list)
+
+    #: Each figure sets the swept column's key, its table heading and format.
+    key: ClassVar[str]
+    heading: ClassVar[str]
+    value_format: ClassVar[str]
+
+    @property
+    def values(self) -> List[float]:
+        return [row.parameter_value for row in self.rows]
+
+    def panel_a(self) -> Dict[str, List[float]]:
+        """Index size series: SinglePath vs DP."""
         return {
-            "parameter_name": self.parameter_name,
-            "parameter_value": self.parameter_value,
-            "scaled_num_objects": self.scaled_num_objects,
-            "index_size": self.index_size,
-            "dp_index_size": self.dp_index_size,
-            "top_k_score": self.top_k_score,
-            "dp_top_k_score": self.dp_top_k_score,
-            "processing_seconds": self.processing_seconds,
-            "uplink_messages": self.uplink_messages,
-            "naive_messages": self.naive_messages,
+            self.key: self.values,
+            "single_path_index_size": [row.index_size for row in self.rows],
+            "dp_index_size": [row.dp_index_size for row in self.rows],
         }
 
+    def panel_b(self) -> Dict[str, List[float]]:
+        """Top-k score series: SinglePath vs DP."""
+        return {
+            self.key: self.values,
+            "single_path_score": [row.top_k_score for row in self.rows],
+            "dp_score": [row.dp_top_k_score for row in self.rows],
+        }
 
-def _row_from_result(
-    parameter_name: str, parameter_value: float, result: SimulationResult
-) -> SweepRow:
-    metrics = result.metrics
-    return SweepRow(
-        parameter_name=parameter_name,
-        parameter_value=parameter_value,
-        scaled_num_objects=result.config.num_objects,
-        index_size=metrics.mean_index_size,
-        dp_index_size=metrics.mean_dp_index_size,
-        top_k_score=metrics.mean_top_k_score,
-        dp_top_k_score=metrics.mean_dp_top_k_score,
-        processing_seconds=metrics.mean_processing_seconds,
-        uplink_messages=metrics.uplink.messages,
-        naive_messages=metrics.naive_uplink.messages,
-    )
+    def format_table(self) -> str:
+        """Human-readable table of all three panels."""
+        header = (
+            f"{self.heading:>12} {'N (run)':>9} {'idx SP':>10} {'idx DP':>10} "
+            f"{'score SP':>12} {'score DP':>12} {'time/epoch s':>14}"
+        )
+        lines = [header, "-" * len(header)]
+        for row in self.rows:
+            lines.append(
+                f"{row.parameter_value:{self.value_format}} {row.scaled_num_objects:>9} "
+                f"{row.index_size:>10.1f} {row.dp_index_size:>10.1f} "
+                f"{row.top_k_score:>12.1f} {row.dp_top_k_score:>12.1f} "
+                f"{row.processing_seconds:>14.4f}"
+            )
+        return "\n".join(lines)
+
+
+def _sweep(
+    parameter_name: str,
+    values: Sequence[float],
+    scale: Optional[ExperimentScale],
+    seed: int,
+    **fixed: float,
+) -> List[SweepRow]:
+    """One simulation per value of ``parameter_name``, the others held at ``fixed``."""
+    rows: List[SweepRow] = []
+    for value in values:
+        config = scaled_simulation_config(
+            scale=scale, seed=seed, **{parameter_name: value}, **fixed
+        )
+        result = HotPathSimulation(config).run()
+        metrics = result.metrics
+        rows.append(
+            SweepRow(
+                parameter_name=parameter_name,
+                parameter_value=value,
+                scaled_num_objects=config.num_objects,
+                index_size=metrics.mean_index_size,
+                dp_index_size=metrics.mean_dp_index_size,
+                top_k_score=metrics.mean_top_k_score,
+                dp_top_k_score=metrics.mean_dp_top_k_score,
+                processing_seconds=metrics.mean_processing_seconds,
+                uplink_messages=metrics.uplink.messages,
+                naive_messages=metrics.naive_uplink.messages,
+            )
+        )
+    return rows
 
 
 def run_object_count_sweep(
@@ -78,15 +129,8 @@ def run_object_count_sweep(
     seed: int = 42,
 ) -> List[SweepRow]:
     """Vary the number of objects at fixed tolerance (the Figure 7 sweep)."""
-    counts = list(object_counts) if object_counts is not None else PAPER_OBJECT_COUNTS
-    rows: List[SweepRow] = []
-    for count in counts:
-        config = scaled_simulation_config(
-            scale=scale, num_objects=count, tolerance=tolerance, seed=seed
-        )
-        result = HotPathSimulation(config).run()
-        rows.append(_row_from_result("num_objects", count, result))
-    return rows
+    counts = object_counts if object_counts is not None else PAPER_OBJECT_COUNTS
+    return _sweep("num_objects", counts, scale, seed, tolerance=tolerance)
 
 
 def run_tolerance_sweep(
@@ -96,12 +140,5 @@ def run_tolerance_sweep(
     seed: int = 42,
 ) -> List[SweepRow]:
     """Vary the tolerance at a fixed population (the Figure 8 sweep)."""
-    values = list(tolerances) if tolerances is not None else PAPER_TOLERANCES
-    rows: List[SweepRow] = []
-    for tolerance in values:
-        config = scaled_simulation_config(
-            scale=scale, num_objects=num_objects, tolerance=tolerance, seed=seed
-        )
-        result = HotPathSimulation(config).run()
-        rows.append(_row_from_result("tolerance", tolerance, result))
-    return rows
+    values = tolerances if tolerances is not None else PAPER_TOLERANCES
+    return _sweep("tolerance", values, scale, seed, num_objects=num_objects)

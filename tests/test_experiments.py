@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments.figure7 as figure7
+from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.experiments.ablations import (
     run_communication_ablation,
@@ -23,7 +25,7 @@ from repro.experiments.config import (
     ExperimentScale,
     scaled_simulation_config,
 )
-from repro.experiments.figure7 import run_figure7
+from repro.experiments.figure7 import Figure7Report, run_figure7
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9, run_figure10
 from repro.experiments.sweeps import run_object_count_sweep, run_tolerance_sweep
@@ -59,6 +61,10 @@ class TestExperimentScale:
             ExperimentScale(duration=0.0)
         with pytest.raises(ConfigurationError):
             ExperimentScale(network_nodes_per_axis=1)
+        with pytest.raises(ConfigurationError):
+            ExperimentScale(population=float("nan"))
+        with pytest.raises(ConfigurationError):
+            ExperimentScale(duration=float("nan"))
 
     def test_scale_objects_has_floor(self):
         scale = ExperimentScale(population=0.001)
@@ -90,6 +96,37 @@ class TestExperimentScale:
         assert config.tolerance == 5.0
         assert config.window == 100
         assert config.duration >= 31
+
+
+class TestOneScaleRule:
+    """``REPRO_SCALE`` and ``--scale`` both go through :meth:`ExperimentScale.at`."""
+
+    @pytest.mark.parametrize("value", ("0.05", "0.2", "0.5", "1.0", "3.0", "inf"))
+    def test_environment_and_flag_give_the_same_scale(self, value, monkeypatch, capsys):
+        handed = []
+
+        def capture(scale, seed):
+            handed.append(scale)
+            return Figure7Report()
+
+        monkeypatch.setattr(figure7, "run_figure7", capture)
+        monkeypatch.setenv("REPRO_SCALE", value)
+        assert main(["figure7", "--scale", value]) == 0
+        assert ExperimentScale.from_environment() == ExperimentScale.at(float(value)) == handed[0]
+
+    def test_below_paper_scale_clamps(self):
+        assert ExperimentScale.at(0.5) == ExperimentScale(
+            population=0.5, duration=1.0, network_nodes_per_axis=33
+        )
+        assert ExperimentScale.at(0.001) == ExperimentScale(
+            population=0.001, duration=0.2, network_nodes_per_axis=6
+        )
+
+    @pytest.mark.parametrize("value", ("nan", "-1", "0"))
+    def test_non_positive_or_nan_is_a_configuration_error(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        with pytest.raises(ConfigurationError):
+            ExperimentScale.from_environment()
 
 
 class TestSweeps:
