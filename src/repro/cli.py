@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve the coordinator over TCP, or run a load/chaos scenario against it",
         description=(
-            "Start the asyncio ingestion front end: a TCP server speaking the "
+            "Start the ingestion front end: a single-threaded TCP server speaking the "
             "newline-delimited JSON protocol of repro.serving.protocol, batching "
             "location updates from concurrent clients into coordinator epochs with "
             "bounded-queue backpressure. With --scenario the server is instead "
@@ -397,8 +397,6 @@ def _command_ablations(args: argparse.Namespace, scale) -> int:
 
 
 def _command_serve(args: argparse.Namespace, config: tuple) -> int:
-    import asyncio
-
     from repro.coordinator.coordinator import Coordinator
     from repro.serving.server import IngestionServer
 
@@ -458,8 +456,8 @@ def _command_serve(args: argparse.Namespace, config: tuple) -> int:
     coordinator = Coordinator(coordinator_config)
     server = IngestionServer(coordinator, serving_config)
 
-    async def _serve() -> None:
-        await server.start()
+    try:
+        server.start()
         ticking = (
             f"auto epochs every {args.epoch_seconds}s"
             if args.epoch_seconds is not None
@@ -471,13 +469,7 @@ def _command_serve(args: argparse.Namespace, config: tuple) -> int:
             f"kernel={resolve_kernel(coordinator_config.kernel)}, {ticking})",
             flush=True,
         )
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    try:
-        asyncio.run(_serve())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")
     finally:

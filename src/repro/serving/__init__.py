@@ -1,7 +1,7 @@
 """Served front door for the hot-path coordinator.
 
 The paper describes a client/coordinator *protocol*; this package is the
-deployment of it — an asyncio TCP front end accepting location-update
+deployment of it — a single-threaded TCP front end accepting location-update
 batches from many concurrent clients, an epoch batcher with bounded queues
 and backpressure feeding :meth:`Coordinator.run_epoch`, wire encode/decode
 for updates and corridor/top-k responses, and a scenario-based load +
@@ -14,8 +14,8 @@ Layout:
   the canonical report snapshot used by the equivalence contract;
 * :mod:`repro.serving.batcher` — :class:`EpochBatcher`: dedupe,
   backpressure, canonical epoch ordering and the accepted-update log;
-* :mod:`repro.serving.server` — :class:`IngestionServer`, the asyncio TCP
-  endpoint;
+* :mod:`repro.serving.server` — :class:`IngestionServer`, the TCP endpoint:
+  one ``selectors`` loop with per-connection backpressure and a line cap;
 * :mod:`repro.serving.scenarios` — :class:`BaseScenario` registry,
   :class:`InjectionConfig` fault injection (``InjectionConfig(fault=...)``
   switches it on) and the :class:`ScenarioRunner`, whose

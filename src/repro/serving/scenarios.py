@@ -15,7 +15,8 @@ throughput envelope the serving layer must meet for it
   and bursts (the reconnect storm after an outage).
 
 :class:`ScenarioRunner` boots a real :class:`IngestionServer` on an
-ephemeral port, drives the scenario over genuine TCP connections, and
+ephemeral port, runs its loop on a thread of its own, drives the scenario
+over genuine TCP connections from asyncio clients, and
 injects the fault an :class:`InjectionConfig` names (``fault=None``, the
 default, injects nothing):
 
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
@@ -549,14 +551,20 @@ class ScenarioRunner:
             ServingConfig(port=0, max_pending_updates=self.max_pending_updates),
             log=result.accepted_log,
         )
-        await server.start()
+        server.start()
+        # The server loop is the only thread touching the coordinator while
+        # requests are in flight; this thread reads the batcher only after
+        # its requests are acked, and kills a worker with none in flight.
+        serving = threading.Thread(target=server.serve_forever, name="repro-serve")
+        serving.start()
         host, port = server.config.host, server.port
-        control = await _WireClient.connect(host, port)
+        control: Optional[_WireClient] = None
         clients: Dict[int, _WireClient] = {}
         ack_latencies: List[float] = []
         retry_queue: List[Tuple[int, int, List[List[Any]]]] = []
         now = 0
         try:
+            control = await _WireClient.connect(host, port)
             for client_id in range(scenario.num_clients):
                 clients[client_id] = await _WireClient.connect(host, port)
             started = time.perf_counter()
@@ -677,8 +685,10 @@ class ScenarioRunner:
             await asyncio.gather(
                 *(c.close() for c in clients.values()), return_exceptions=True
             )
-            await control.close()
-            await server.stop()
+            if control is not None:
+                await control.close()
+            server.stop()
+            serving.join()
             coordinator.close()
 
         if result.elapsed_seconds > 0:

@@ -1,4 +1,4 @@
-"""Asyncio TCP front end serving the coordinator protocol.
+"""Plain-TCP front end serving the coordinator protocol on one ``selectors`` loop.
 
 :class:`IngestionServer` is the deployment shape of the paper's protocol:
 many concurrent clients hold plain TCP connections and stream
@@ -6,25 +6,35 @@ newline-delimited JSON requests (see :mod:`repro.serving.protocol`); the
 server feeds accepted batches through one :class:`EpochBatcher` into a
 single :class:`Coordinator`.
 
-Concurrency model: the event loop is the serialization point.  Reading and
-buffering happen concurrently per connection, but each decoded request is
-dispatched synchronously on the loop thread, so batcher admission and epoch
-commits are atomic with respect to each other without locks.  An epoch
-commit (``tick``) blocks the loop for one ``run_epoch`` — deliberate: the
-epoch boundary is a barrier in the paper's protocol, and everything queued
-behind it lands in the *next* epoch whatever socket it arrived on.
+Concurrency model: one thread runs one ``selectors`` loop, and that loop is
+the serialization point.  Each connection has an inbox and an outbox; every
+complete line is dispatched synchronously on the loop thread, one at a time,
+so batcher admission and epoch commits are atomic with respect to each
+other without locks.  An epoch commit (``tick``) blocks the loop for one
+``run_epoch`` — deliberate: the epoch boundary is a barrier in the paper's
+protocol, and everything queued behind it lands in the *next* epoch whatever
+socket it arrived on.  While a connection's outbox holds more than
+:data:`HIGH_WATER` bytes the loop neither reads from it nor answers its
+buffered lines, so a client that stops reading its replies stalls only
+itself.  A line longer than ``MAX_LINE_BYTES`` gets one ``"line too long"``
+reply, then its connection closes.  The loop is the standard library's
+``selectors`` and ``socket`` alone, so a served process loads no event-loop
+framework and no ``ssl``.
 
 Epoch driving is explicit by default (clients or the harness send ``tick``
 with a strictly-increasing boundary timestamp, keeping runs deterministic
 and replayable); a live deployment sets ``auto_epoch_seconds`` to commit
-epochs on a wall-clock cadence instead.  The two never mix: while the
-ticker runs, an explicit ``tick`` is refused, so no client can hand the
-ticker a boundary it has already passed.
+epochs on a wall-clock cadence instead: the period is the loop's select
+timeout, and the next commit is due one period after the last one
+finished.  The two never mix: while the ticker runs, an explicit ``tick`` is
+refused, so no client can hand the ticker a boundary it has already passed.
 """
 
 from __future__ import annotations
 
-import asyncio
+import selectors
+import socket
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -44,6 +54,14 @@ from repro.serving.protocol import (
 )
 
 __all__ = ["ServingConfig", "IngestionServer"]
+
+#: While a connection's unsent replies exceed this many bytes the loop stops
+#: reading from it (the standard library's default write high-water mark for
+#: stream transports).
+HIGH_WATER = 64 * 1024
+
+#: Bytes asked of one ``recv``.
+_READ_SIZE = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -99,93 +117,147 @@ class IngestionServer:
         self.batcher = EpochBatcher(
             coordinator, max_pending_updates=config.max_pending_updates, log=log
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._ticker: Optional[asyncio.Task] = None
-        self._handlers: set = set()
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._listener: Optional[socket.socket] = None
+        self._wake: Optional[socket.socket] = None
+        self._stopping = False
+        self._ticking = False
         self._next_auto_now = config.auto_epoch_timestamps
         self.connections_served = 0
         self.protocol_errors = 0
 
     # -- lifecycle --------------------------------------------------------------
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
-        if self.config.auto_epoch_seconds is not None:
-            self._ticker = asyncio.get_running_loop().create_task(self._auto_epoch_loop())
+    def start(self) -> None:
+        """Bind the listener; :meth:`serve_forever` then answers on it."""
+        listener = socket.create_server((self.config.host, self.config.port))
+        listener.setblocking(False)
+        wake_read, self._wake = socket.socketpair()
+        wake_read.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(wake_read, selectors.EVENT_READ)
+        self._listener = listener
+        self._stopping = False
+        self._ticking = self.config.auto_epoch_seconds is not None
 
     @property
     def port(self) -> int:
         """The bound TCP port (resolves ``port=0`` ephemeral binds)."""
-        if self._server is None or not self._server.sockets:
+        if self._listener is None:
             raise ConfigurationError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
+        return self._listener.getsockname()[1]
 
-    async def stop(self) -> None:
-        if self._ticker is not None:
-            self._ticker.cancel()
+    def stop(self) -> None:
+        """Make :meth:`serve_forever` return; safe to call from any thread."""
+        self._stopping = True
+        wake = self._wake
+        if wake is not None:
             try:
-                await self._ticker
-            except asyncio.CancelledError:
+                wake.send(b"\0")
+            except OSError:  # the loop already closed it on its way out
                 pass
-            self._ticker = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Reap connection handlers still parked in readline (a client that
-        # disconnected without the handler observing EOF yet): cancel and
-        # await them here so nothing leaks into loop teardown.
-        for task in list(self._handlers):
-            task.cancel()
-        if self._handlers:
-            await asyncio.gather(*self._handlers, return_exceptions=True)
-        self._handlers.clear()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Run the loop until :meth:`stop`, then close every socket."""
+        if self._listener is None:
+            self.start()
+        period = self.config.auto_epoch_seconds
+        due = None if period is None else time.monotonic() + period
+        try:
+            while not self._stopping:
+                timeout = None if due is None else max(0.0, due - time.monotonic())
+                for key, events in self._selector.select(timeout):
+                    if key.data is not None:
+                        self._serve_connection(key.data, events)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+                    else:
+                        key.fileobj.recv(64)  # stop()'s wake-up byte
+                if due is not None and time.monotonic() >= due:
+                    self.batcher.close_epoch(self._next_auto_now)
+                    self._next_auto_now += self.config.auto_epoch_timestamps
+                    due = time.monotonic() + period
+        finally:
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._wake.close()
+            self._selector = self._listener = self._wake = None
+            self._ticking = False
 
     # -- connection handling ----------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_served += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
+    def _accept(self) -> None:
         try:
+            sock, _address = self._listener.accept()
+        except (BlockingIOError, ConnectionAbortedError):  # the client gave up first
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
+        self.connections_served += 1
+
+    def _serve_connection(self, connection: "_Connection", events: int) -> None:
+        sock = connection.sock
+        try:
+            if events & selectors.EVENT_READ:
+                data = sock.recv(_READ_SIZE)
+                if data:
+                    connection.inbox += data
+                else:
+                    connection.eof = True
+            # Answer and send until the inbox holds no answerable line or
+            # the peer stops taking replies (then EVENT_WRITE resumes us).
             while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(encode_message({"ok": False, "error": "line too long"}))
-                    await writer.drain()
+                self._answer(connection)
+                paused = len(connection.outbox) > HIGH_WATER
+                if connection.outbox:
+                    try:
+                        del connection.outbox[: sock.send(connection.outbox)]
+                    except BlockingIOError:
+                        break
+                if not paused or len(connection.outbox) > HIGH_WATER:
                     break
-                if not line:
-                    break
-                response = self.handle_line(line)
-                writer.write(encode_message(response))
-                await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Cancelled by stop() reaping handlers; exit quietly.
-            pass
-        finally:
-            if task is not None:
-                self._handlers.discard(task)
-            # Close without awaiting wait_closed(): when the peer already
-            # disconnected, 3.11's wait_closed can hang until loop teardown
-            # cancels the handler task (gh-104340); close() alone schedules
-            # the transport teardown and lets the handler finish cleanly.
-            writer.close()
+            connection.inbox.clear()
+            connection.outbox.clear()
+            connection.eof = True
+        if connection.eof and not (connection.inbox or connection.outbox):
+            self._selector.unregister(sock)
+            try:
+                # FIN before close: a peer that still has bytes in flight to
+                # us would otherwise see a reset instead of our last reply.
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+            sock.close()
+            return
+        wanted = selectors.EVENT_WRITE if connection.outbox else 0
+        if not (connection.eof or len(connection.outbox) > HIGH_WATER):
+            wanted |= selectors.EVENT_READ
+        if wanted != connection.events:
+            self._selector.modify(sock, wanted, connection)
+            connection.events = wanted
+
+    def _answer(self, connection: "_Connection") -> None:
+        """Answer the inbox's complete lines while the outbox is under
+        :data:`HIGH_WATER`; an unterminated line is answered at EOF."""
+        inbox, outbox, start = connection.inbox, connection.outbox, 0
+        while start < len(inbox) and len(outbox) <= HIGH_WATER:
+            end = inbox.find(b"\n", start)
+            if end < 0 and len(inbox) - start <= MAX_LINE_BYTES:
+                if not connection.eof:
+                    break
+                end = len(inbox) - 1
+            if end < 0 or end - start > MAX_LINE_BYTES:
+                outbox += encode_message({"ok": False, "error": "line too long"})
+                connection.eof = True
+                start = len(inbox)
+                break
+            outbox += encode_message(self.handle_line(bytes(inbox[start : end + 1])))
+            start = end + 1
+        del inbox[:start]
 
     # -- request dispatch (synchronous: the loop thread is the serialization
     # point, so admission and commits never interleave) -------------------------
@@ -243,7 +315,7 @@ class IngestionServer:
         return payload
 
     def _handle_tick(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        if self._ticker is not None:
+        if self._ticking:
             return {"ok": False, "error": "epochs are ticked by the server's auto-ticker"}
         try:
             now = _wire_integer(message["now"], "now")
@@ -265,12 +337,6 @@ class IngestionServer:
             },
         }
 
-    async def _auto_epoch_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.auto_epoch_seconds)
-            self.batcher.close_epoch(self._next_auto_now)
-            self._next_auto_now += self.config.auto_epoch_timestamps
-
     # -- reporting --------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
@@ -279,3 +345,18 @@ class IngestionServer:
         stats["protocol_errors"] = self.protocol_errors
         stats["index_size"] = self.coordinator.index_size()
         return stats
+
+
+class _Connection:
+    """One client socket's buffers and the events the loop watches it for."""
+
+    __slots__ = ("sock", "inbox", "outbox", "events", "eof")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        self.events = selectors.EVENT_READ
+        # Nothing more is read: the peer sent EOF, a line was refused or the
+        # connection reset.  It closes once inbox and outbox are empty.
+        self.eof = False

@@ -126,10 +126,10 @@ class TestFleetFlags:
             def __init__(self, coordinator, config):
                 coordinators.append(coordinator)
 
-            async def start(self):
+            def start(self):
                 pass
 
-            async def serve_forever(self):
+            def serve_forever(self):
                 pass
 
         # The subcommands import these when they run, from their modules.

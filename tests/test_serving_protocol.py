@@ -1,11 +1,18 @@
 """Unit tests for the serving wire protocol and the server's dispatch table,
-plus the wall-clock epoch ticker under concurrent load."""
+the served process over real sockets, and the wall-clock epoch ticker under
+concurrent load."""
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 import random
+import signal
+import socket
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -17,6 +24,7 @@ from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
 from repro.serving.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     coordinator_snapshot,
@@ -416,6 +424,131 @@ class TestDispatch:
         assert json.loads(json.dumps(report)) == report
 
 
+HELLO = encode_message({"op": "hello"})
+
+
+def serve_process(*python_flags: str) -> subprocess.Popen:
+    """``python [flags] -m repro serve --port 0``, its stdout and stderr piped."""
+    return subprocess.Popen(
+        [sys.executable, *python_flags, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+
+
+def banner_port(process: subprocess.Popen) -> int:
+    """The bound port, read from the ``serving on host:port`` banner."""
+    banner = process.stdout.readline().decode()
+    assert banner.startswith("serving on "), banner
+    return int(banner.split()[2].rsplit(":", 1)[1])
+
+
+def connect(port: int) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", port), timeout=10)
+
+
+def round_trip(connection: socket.socket, line: bytes = HELLO) -> dict:
+    connection.sendall(line)
+    reader = connection.makefile("rb")
+    try:
+        return decode_message(reader.readline())
+    finally:
+        reader.close()
+
+
+@pytest.fixture
+def served_port():
+    """A real ``repro serve`` process on an ephemeral port, SIGINT on teardown."""
+    process = serve_process()
+    try:
+        yield banner_port(process)
+    finally:
+        process.send_signal(signal.SIGINT)
+        process.communicate(timeout=30)
+
+
+class TestServedWire:
+    """The served process over real sockets: what one connection may do to
+    the server, and what it may not do to the others."""
+
+    @pytest.mark.parametrize(
+        "tail",
+        # The last: 300 000 bytes of pipelined requests behind the line are
+        # still unread when the server closes, which must not reset the reply.
+        [b"", b"\n", b"\n" + HELLO * 20_000],
+        ids=["unterminated", "terminated", "followed_by_requests"],
+    )
+    def test_an_overlong_line_gets_one_error_then_eof(self, served_port, tail):
+        with connect(served_port) as bystander, connect(served_port) as offender:
+            offender.sendall(b"x" * (MAX_LINE_BYTES + 1) + tail)
+            reader = offender.makefile("rb")
+            assert decode_message(reader.readline()) == {
+                "ok": False,
+                "error": "line too long",
+            }
+            assert reader.readline() == b""
+            reader.close()
+            assert round_trip(bystander) == {"ok": True, "version": PROTOCOL_VERSION}
+
+    def test_a_slow_reader_does_not_stall_other_clients(self, served_port):
+        """A pipelines 50 000 requests and reads nothing; B still gets served,
+        and A's replies all arrive, in order, once A reads."""
+        lines = 50_000
+        with connect(served_port) as slow, connect(served_port) as prompt:
+            sender = threading.Thread(target=slow.sendall, args=(HELLO * lines,))
+            sender.start()
+            time.sleep(0.2)  # let the server fill A's socket and stop reading it
+            started = time.monotonic()
+            assert round_trip(prompt) == {"ok": True, "version": PROTOCOL_VERSION}
+            assert time.monotonic() - started < 2.0
+            reader = slow.makefile("rb")
+            replies = [reader.readline() for _ in range(lines)]
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+            expected = encode_message({"ok": True, "version": PROTOCOL_VERSION})
+            assert replies == [expected] * lines
+            reader.close()
+
+    def test_stop_from_another_thread_returns_and_closes_clients(self):
+        server = make_server()
+        try:
+            server.start()
+            serving = threading.Thread(target=server.serve_forever, daemon=True)
+            serving.start()
+            with connect(server.port) as first, connect(server.port) as second:
+                for client in (first, second):
+                    assert round_trip(client) == {"ok": True, "version": PROTOCOL_VERSION}
+                started = time.monotonic()
+                server.stop()
+                serving.join(timeout=1.0)
+                assert not serving.is_alive()
+                assert time.monotonic() - started < 1.0
+                assert first.recv(1) == b"" and second.recv(1) == b""
+        finally:
+            server.coordinator.close()
+
+    def test_the_serve_process_imports_no_asyncio_or_ssl(self):
+        process = serve_process("-X", "importtime")
+        try:
+            with connect(banner_port(process)) as client:
+                assert round_trip(client) == {"ok": True, "version": PROTOCOL_VERSION}
+        finally:
+            process.send_signal(signal.SIGINT)
+            stdout, stderr = process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert "shutting down" in stdout.decode()
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in stderr.decode().splitlines()
+            if line.startswith("import time:")
+        }
+        assert "repro.serving.server" in imported
+        assert not {
+            name for name in imported if name.split(".")[0] in ("asyncio", "ssl", "_ssl")
+        }
+
+
 class TestAutoEpochTicker:
     """The wall-clock epoch ticker under concurrent client load.
 
@@ -469,7 +602,9 @@ class TestAutoEpochTicker:
             ServingConfig(port=0, auto_epoch_seconds=0.01, auto_epoch_timestamps=10),
             log=[],
         )
-        await server.start()
+        server.start()
+        serving = threading.Thread(target=server.serve_forever)
+        serving.start()
         try:
             host, port = server.config.host, server.port
 
@@ -503,11 +638,15 @@ class TestAutoEpochTicker:
             assert server.batcher.epochs_committed >= 3, (
                 "the wall-clock ticker never fired three times"
             )
+            # Read once the loop is gone: the ticker commits on its own thread.
+            server.stop()
+            serving.join()
             snapshot = coordinator_snapshot(coordinator)
             accepted_log = list(server.batcher.accepted_log)
             accepted = server.batcher.accepted_updates
         finally:
-            await server.stop()
+            server.stop()
+            serving.join()
             coordinator.close()
         return snapshot, accepted_log, accepted
 
@@ -516,7 +655,7 @@ class TestAutoEpochTicker:
         next boundary was stale: its task died, no epoch committed again and
         ``stop()`` re-raised the ``CoordinatorError``."""
 
-        async def drive():
+        def drive():
             coordinator = Coordinator(
                 CoordinatorConfig(bounds=BOUNDS, window=1_000_000, cells_per_axis=16)
             )
@@ -524,26 +663,33 @@ class TestAutoEpochTicker:
                 coordinator,
                 ServingConfig(port=0, auto_epoch_seconds=0.01, auto_epoch_timestamps=10),
             )
-            await server.start()
+            server.start()
+            serving = threading.Thread(target=server.serve_forever)
+            serving.start()
             try:
-                refused = server.handle_line(encode_message({"op": "tick", "now": 1000}))
-                rows = self._batch_rows(0, 0)
-                ack = server.handle_line(
-                    encode_message({"op": "batch", "client": 0, "seq": 0, "updates": rows})
-                )
+                # Over a socket: the loop thread, not this one, must run the
+                # requests, or they would race the ticker.
+                with connect(server.port) as client:
+                    refused = round_trip(client, encode_message({"op": "tick", "now": 1000}))
+                    rows = self._batch_rows(0, 0)
+                    ack = round_trip(
+                        client,
+                        encode_message({"op": "batch", "client": 0, "seq": 0, "updates": rows}),
+                    )
                 deadline = time.monotonic() + 5.0
                 while (
                     server.batcher.pending_updates or server.batcher.epochs_committed < 3
                 ) and time.monotonic() < deadline:
-                    await asyncio.sleep(0.01)
+                    time.sleep(0.01)
                 committed = server.batcher.epochs_committed
                 pending = server.batcher.pending_updates
             finally:
-                await server.stop()  # used to re-raise the dead ticker's error
+                server.stop()
+                serving.join()
                 coordinator.close()
             return refused, ack, committed, pending
 
-        refused, ack, committed, pending = asyncio.run(drive())
+        refused, ack, committed, pending = drive()
         assert refused["ok"] is False and "auto-ticker" in refused["error"]
         assert ack["ok"] is True
         assert committed >= 3 and pending == 0
