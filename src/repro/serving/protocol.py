@@ -97,7 +97,9 @@ def decode_message(line: bytes) -> Dict[str, Any]:
     """Parse one wire line into a message dict (must be a JSON object)."""
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal past
+        # CPython's digit limit; RecursionError, nesting past the stack.
         raise ProtocolError(f"undecodable message line: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(f"message must be a JSON object, got {type(payload).__name__}")
@@ -130,7 +132,10 @@ def _wire_coordinate(value: Any) -> float:
     ``float()`` alone would accept ``" 7 "`` and ``True``.
     """
     if type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the float range
+            raise ProtocolError(f"a coordinate must fit a float, got {value!r}") from None
     raise ProtocolError(f"a coordinate must be a number, got {value!r}")
 
 

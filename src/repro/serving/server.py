@@ -17,7 +17,10 @@ socket it arrived on.  While a connection's outbox holds more than
 :data:`HIGH_WATER` bytes the loop neither reads from it nor answers its
 buffered lines, so a client that stops reading its replies stalls only
 itself.  A line longer than ``MAX_LINE_BYTES`` gets one ``"line too long"``
-reply, then its connection closes.  The loop is the standard library's
+reply, then its connection closes.  A socket error, or an unexpected
+exception while answering a line, closes only the connection it came from
+(the latter is logged); running out of file descriptors pauses accepting
+for :data:`ACCEPT_RETRY_SECONDS`.  The loop is the standard library's
 ``selectors`` and ``socket`` alone, so a served process loads no event-loop
 framework and no ``ssl``.
 
@@ -32,6 +35,8 @@ refused, so no client can hand the ticker a boundary it has already passed.
 
 from __future__ import annotations
 
+import errno
+import logging
 import selectors
 import socket
 import time
@@ -62,6 +67,15 @@ HIGH_WATER = 64 * 1024
 
 #: Bytes asked of one ``recv``.
 _READ_SIZE = 256 * 1024
+
+#: How long the loop stops accepting after ``accept`` runs out of file
+#: descriptors or memory (the standard library's event loop waits as long).
+ACCEPT_RETRY_SECONDS = 1.0
+
+#: ``accept`` errors that pause accepting instead of skipping one client.
+_ACCEPT_EXHAUSTED = (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,7 @@ class IngestionServer:
         self._wake: Optional[socket.socket] = None
         self._stopping = False
         self._ticking = False
+        self._accept_paused_until: Optional[float] = None
         self._next_auto_now = config.auto_epoch_timestamps
         self.connections_served = 0
         self.protocol_errors = 0
@@ -130,7 +145,17 @@ class IngestionServer:
 
     def start(self) -> None:
         """Bind the listener; :meth:`serve_forever` then answers on it."""
-        listener = socket.create_server((self.config.host, self.config.port))
+        host = self.config.host
+        # getaddrinfo picks the family, so ``--host ::1`` binds IPv6.  An ASCII
+        # host goes in as bytes: a str would load the IDNA codec and
+        # ``unicodedata`` (~0.4 MiB resident) just to encode it.
+        family, _, _, _, address = socket.getaddrinfo(
+            (host.encode() if host.isascii() else host) or None,
+            self.config.port,
+            type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE,
+        )[0]
+        listener = socket.create_server(address, family=family)
         listener.setblocking(False)
         wake_read, self._wake = socket.socketpair()
         wake_read.setblocking(False)
@@ -140,6 +165,7 @@ class IngestionServer:
         self._listener = listener
         self._stopping = False
         self._ticking = self.config.auto_epoch_seconds is not None
+        self._accept_paused_until = None
 
     @property
     def port(self) -> int:
@@ -166,7 +192,8 @@ class IngestionServer:
         due = None if period is None else time.monotonic() + period
         try:
             while not self._stopping:
-                timeout = None if due is None else max(0.0, due - time.monotonic())
+                deadlines = [t for t in (due, self._accept_paused_until) if t is not None]
+                timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
                 for key, events in self._selector.select(timeout):
                     if key.data is not None:
                         self._serve_connection(key.data, events)
@@ -174,6 +201,10 @@ class IngestionServer:
                         self._accept()
                     else:
                         key.fileobj.recv(64)  # stop()'s wake-up byte
+                paused_until = self._accept_paused_until
+                if paused_until is not None and time.monotonic() >= paused_until:
+                    self._selector.register(self._listener, selectors.EVENT_READ)
+                    self._accept_paused_until = None
                 if due is not None and time.monotonic() >= due:
                     self.batcher.close_epoch(self._next_auto_now)
                     self._next_auto_now += self.config.auto_epoch_timestamps
@@ -181,6 +212,7 @@ class IngestionServer:
         finally:
             for key in list(self._selector.get_map().values()):
                 key.fileobj.close()
+            self._listener.close()  # unregistered while accepting is paused
             self._selector.close()
             self._wake.close()
             self._selector = self._listener = self._wake = None
@@ -191,7 +223,14 @@ class IngestionServer:
     def _accept(self) -> None:
         try:
             sock, _address = self._listener.accept()
-        except (BlockingIOError, ConnectionAbortedError):  # the client gave up first
+        except OSError as exc:
+            # Nothing pending, or the client gave up first (Linux also reports
+            # a pending connection's network error here): skip it.  Out of
+            # descriptors or memory: stop accepting for a while.
+            if exc.errno in _ACCEPT_EXHAUSTED:
+                _log.warning("accept failed (%s); pausing for %ss", exc, ACCEPT_RETRY_SECONDS)
+                self._selector.unregister(self._listener)
+                self._accept_paused_until = time.monotonic() + ACCEPT_RETRY_SECONDS
             return
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -219,9 +258,15 @@ class IngestionServer:
                         break
                 if not paused or len(connection.outbox) > HIGH_WATER:
                     break
-        except (ConnectionResetError, BrokenPipeError):
+        except OSError:  # reset, broken pipe, timed out, unreachable: this peer only
             connection.inbox.clear()
             connection.outbox.clear()
+            connection.eof = True
+        except Exception:
+            # A bug answering one line drops that line's connection, not the
+            # server; replies already queued are still sent before it closes.
+            _log.exception("closing a connection after an unexpected error")
+            connection.inbox.clear()
             connection.eof = True
         if connection.eof and not (connection.inbox or connection.outbox):
             self._selector.unregister(sock)
@@ -244,10 +289,12 @@ class IngestionServer:
         """Answer the inbox's complete lines while the outbox is under
         :data:`HIGH_WATER`; an unterminated line is answered at EOF."""
         inbox, outbox, start = connection.inbox, connection.outbox, 0
+        scanned, connection.scanned = connection.scanned, 0
         while start < len(inbox) and len(outbox) <= HIGH_WATER:
-            end = inbox.find(b"\n", start)
+            end = inbox.find(b"\n", max(start, scanned))
             if end < 0 and len(inbox) - start <= MAX_LINE_BYTES:
                 if not connection.eof:
+                    connection.scanned = len(inbox) - start
                     break
                 end = len(inbox) - 1
             if end < 0 or end - start > MAX_LINE_BYTES:
@@ -350,7 +397,7 @@ class IngestionServer:
 class _Connection:
     """One client socket's buffers and the events the loop watches it for."""
 
-    __slots__ = ("sock", "inbox", "outbox", "events", "eof")
+    __slots__ = ("sock", "inbox", "outbox", "events", "eof", "scanned")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -360,3 +407,6 @@ class _Connection:
         # Nothing more is read: the peer sent EOF, a line was refused or the
         # connection reset.  It closes once inbox and outbox are empty.
         self.eof = False
+        # Bytes at the inbox's head already searched for a newline in vain,
+        # so a line trickling in is scanned once, not once per ``recv``.
+        self.scanned = 0

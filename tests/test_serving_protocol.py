@@ -5,6 +5,8 @@ concurrent load."""
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import errno
 import json
 import os
 import random
@@ -34,7 +36,8 @@ from repro.serving.protocol import (
     encode_update,
 )
 from repro.serving.scenarios import ScenarioRunner, _WireClient, replay_accepted_log
-from repro.serving.server import IngestionServer, ServingConfig
+from repro.serving import server as server_module
+from repro.serving.server import IngestionServer, ServingConfig, _Connection
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
@@ -457,6 +460,41 @@ def round_trip(connection: socket.socket, line: bytes = HELLO) -> dict:
         reader.close()
 
 
+#: Lines that used to raise past ``handle_line``'s ``ReproError`` guard: JSON
+#: nested past the recursion limit, an integer literal past CPython's digit
+#: limit for ``int()``, and a coordinate too large for a float.
+UNDECODABLE_LINES = {
+    "deep_nesting": b"[" * 100_000 + b"\n",
+    "huge_integer": b'{"op": "hello", "n": ' + b"7" * 5_000 + b"}\n",
+    "overflowing_coordinate": encode_message(
+        {"op": "batch", "client": 0, "seq": 0, "updates": [[1, 10**400, *wire_row(1, 1, 9)[2:]]]}
+    ),
+}
+
+
+@contextlib.contextmanager
+def serving_thread(server: IngestionServer):
+    """``server`` bound and serving on a thread; stopped, joined and its
+    coordinator closed on exit."""
+    server.start()
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    try:
+        yield serving
+    finally:
+        server.stop()
+        serving.join()
+        server.coordinator.close()
+
+
+def ipv6_loopback() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
 @pytest.fixture
 def served_port():
     """A real ``repro serve`` process on an ephemeral port, SIGINT on teardown."""
@@ -490,6 +528,111 @@ class TestServedWire:
             assert reader.readline() == b""
             reader.close()
             assert round_trip(bystander) == {"ok": True, "version": PROTOCOL_VERSION}
+
+    @pytest.mark.parametrize("line", list(UNDECODABLE_LINES.values()), ids=list(UNDECODABLE_LINES))
+    def test_an_undecodable_line_is_a_protocol_error_for_its_sender_only(
+        self, served_port, line
+    ):
+        with connect(served_port) as bystander, connect(served_port) as sender:
+            reply = round_trip(sender, line)
+            assert reply["ok"] is False and reply["error"], reply
+            assert round_trip(sender) == {"ok": True, "version": PROTOCOL_VERSION}
+            assert round_trip(bystander) == {"ok": True, "version": PROTOCOL_VERSION}
+
+    def test_an_unexpected_error_closes_only_its_connection(self, monkeypatch, caplog):
+        """A bug in answering one line drops that line's connection after the
+        replies queued before it, and the server goes on serving."""
+        answer = IngestionServer.handle_line
+
+        def handle_line(self, line):
+            if line == b"boom\n":
+                raise RuntimeError("boom")
+            return answer(self, line)
+
+        monkeypatch.setattr(IngestionServer, "handle_line", handle_line)
+        server = make_server()
+        with serving_thread(server) as serving:
+            with connect(server.port) as bystander, connect(server.port) as victim:
+                victim.sendall(HELLO + b"boom\n" + HELLO)
+                reader = victim.makefile("rb")
+                assert decode_message(reader.readline())["ok"] is True
+                assert reader.readline() == b""
+                reader.close()
+                assert round_trip(bystander) == {"ok": True, "version": PROTOCOL_VERSION}
+            assert serving.is_alive()
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+
+    def test_a_socket_error_closes_only_its_connection(self, monkeypatch):
+        """``recv`` failing with ETIMEDOUT (a peer gone silent) drops that
+        peer, not the server."""
+        recv, victims = socket.socket.recv, set()
+
+        def timed_out_recv(self, size, *flags):
+            data = recv(self, size, *flags)
+            if self.family == socket.AF_INET and self.getpeername() in victims:
+                raise TimeoutError(errno.ETIMEDOUT, os.strerror(errno.ETIMEDOUT))
+            return data
+
+        monkeypatch.setattr(socket.socket, "recv", timed_out_recv)
+        server = make_server()
+        with serving_thread(server) as serving:
+            with connect(server.port) as bystander, connect(server.port) as victim:
+                victims.add(victim.getsockname())
+                victim.sendall(HELLO)
+                reader = victim.makefile("rb")
+                assert reader.readline() == b""
+                reader.close()
+                assert round_trip(bystander) == {"ok": True, "version": PROTOCOL_VERSION}
+            assert serving.is_alive()
+
+    def test_running_out_of_descriptors_pauses_accepting(self, monkeypatch):
+        """EMFILE on ``accept`` stops accepting for the retry delay, without
+        spinning on the still-readable listener, then serves the client."""
+        monkeypatch.setattr(server_module, "ACCEPT_RETRY_SECONDS", 0.3)
+        accept, calls = socket.socket.accept, []
+
+        def exhausted_once(self):
+            calls.append(time.monotonic())
+            if len(calls) == 1:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return accept(self)
+
+        monkeypatch.setattr(socket.socket, "accept", exhausted_once)
+        server = make_server()
+        with serving_thread(server):
+            with connect(server.port) as client:
+                assert round_trip(client) == {"ok": True, "version": PROTOCOL_VERSION}
+        assert len(calls) == 2
+        assert calls[1] - calls[0] >= 0.3
+
+    @pytest.mark.skipif(not ipv6_loopback(), reason="no IPv6 loopback")
+    def test_an_ipv6_host_is_served(self):
+        server = make_server(host="::1")
+        with serving_thread(server):
+            with socket.create_connection(("::1", server.port), timeout=10) as client:
+                assert round_trip(client) == {"ok": True, "version": PROTOCOL_VERSION}
+
+    def test_a_trickled_line_keeps_its_scan_offset(self):
+        """A line arriving in pieces records how much of it holds no newline,
+        so each ``recv`` searches only the bytes it added; the line is
+        answered once it is whole."""
+        server = make_server()
+        try:
+            connection = _Connection(None)
+            line = b'{"op": "hello"' + b" " * 1_000 + b"}\n"
+            pieces = [line[i : i + 100] for i in range(0, len(line), 100)]
+            for piece in pieces[:-1]:
+                connection.inbox += piece
+                server._answer(connection)
+                assert connection.scanned == len(connection.inbox) and not connection.outbox
+            connection.inbox += pieces[-1]
+            server._answer(connection)
+            assert connection.scanned == 0 and not connection.inbox
+            assert bytes(connection.outbox) == encode_message(
+                {"ok": True, "version": PROTOCOL_VERSION}
+            )
+        finally:
+            server.coordinator.close()
 
     def test_a_slow_reader_does_not_stall_other_clients(self, served_port):
         """A pipelines 50 000 requests and reads nothing; B still gets served,
@@ -602,10 +745,7 @@ class TestAutoEpochTicker:
             ServingConfig(port=0, auto_epoch_seconds=0.01, auto_epoch_timestamps=10),
             log=[],
         )
-        server.start()
-        serving = threading.Thread(target=server.serve_forever)
-        serving.start()
-        try:
+        with serving_thread(server):
             host, port = server.config.host, server.port
 
             async def client(client_id: int) -> None:
@@ -638,17 +778,12 @@ class TestAutoEpochTicker:
             assert server.batcher.epochs_committed >= 3, (
                 "the wall-clock ticker never fired three times"
             )
-            # Read once the loop is gone: the ticker commits on its own thread.
-            server.stop()
-            serving.join()
-            snapshot = coordinator_snapshot(coordinator)
-            accepted_log = list(server.batcher.accepted_log)
-            accepted = server.batcher.accepted_updates
-        finally:
-            server.stop()
-            serving.join()
-            coordinator.close()
-        return snapshot, accepted_log, accepted
+        # Read once the loop is gone: the ticker commits on its own thread.
+        return (
+            coordinator_snapshot(coordinator),
+            list(server.batcher.accepted_log),
+            server.batcher.accepted_updates,
+        )
 
     def test_an_explicit_tick_cannot_kill_the_ticker(self):
         """A client tick at ``now=1000`` used to be committed, so the ticker's
@@ -663,10 +798,7 @@ class TestAutoEpochTicker:
                 coordinator,
                 ServingConfig(port=0, auto_epoch_seconds=0.01, auto_epoch_timestamps=10),
             )
-            server.start()
-            serving = threading.Thread(target=server.serve_forever)
-            serving.start()
-            try:
+            with serving_thread(server):
                 # Over a socket: the loop thread, not this one, must run the
                 # requests, or they would race the ticker.
                 with connect(server.port) as client:
@@ -681,13 +813,7 @@ class TestAutoEpochTicker:
                     server.batcher.pending_updates or server.batcher.epochs_committed < 3
                 ) and time.monotonic() < deadline:
                     time.sleep(0.01)
-                committed = server.batcher.epochs_committed
-                pending = server.batcher.pending_updates
-            finally:
-                server.stop()
-                serving.join()
-                coordinator.close()
-            return refused, ack, committed, pending
+            return refused, ack, server.batcher.epochs_committed, server.batcher.pending_updates
 
         refused, ack, committed, pending = drive()
         assert refused["ok"] is False and "auto-ticker" in refused["error"]
