@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 from dataclasses import fields
+from pathlib import Path
 import signal
 import subprocess
 import sys
@@ -402,6 +404,28 @@ class TestFigureCommands:
         assert (tmp_path / "ablation_communication.csv").exists()
         assert (tmp_path / "ablation_uncertainty.csv").exists()
         assert (tmp_path / "ablation_grid_resolution.csv").exists()
+
+
+EXPECTED = Path(__file__).parent / "expected"
+
+
+def _mask_timing(text: str) -> str:
+    """Drop the wall-clock fields: the 7/8 tables' last column and the
+    ablations' ``time/epoch=`` (the CI ``sed`` applies the same two rules)."""
+    text = re.sub(r"[0-9]+\.[0-9]{4}$", "<masked>", text, flags=re.MULTILINE)
+    return re.sub(r"time/epoch=[0-9.]+ ms", "time/epoch=<masked> ms", text)
+
+
+class TestDriverPins:
+    """Every paper driver prints its recorded output at ``--scale 0.01 --seed 3``
+    (``tests/expected/<command>_scale001.txt``, timing masked): the SinglePath,
+    DP and naive columns stay what they were."""
+
+    @pytest.mark.parametrize("command", ("figure7", "figure8", "ablations", "figure9", "figure10"))
+    def test_driver_prints_its_pin(self, command, capsys):
+        assert main([command, "--scale", "0.01", "--seed", "3"]) == 0
+        printed = _mask_timing(capsys.readouterr().out)
+        assert printed == (EXPECTED / f"{command}_scale001.txt").read_text()
 
 
 class TestServeCommand:
