@@ -7,8 +7,8 @@ The package is organised around the paper's two-tier architecture:
 * :mod:`repro.coordinator` — the SinglePath discovery strategy, the grid
   index over motion-path endpoints and the sliding-window hotness maintenance.
 * :mod:`repro.baselines` — the Douglas-Peucker opening-window variants and the
-  relaxed DP hot-segment baseline used as the paper's competitor, plus a naive
-  "send everything" client.
+  relaxed DP hot-segment baseline used as the paper's competitor (the naive
+  "send everything" client is a message counter in the simulation engine).
 * :mod:`repro.network` / :mod:`repro.workload` — the synthetic road network and
   the network-constrained moving-object workload generator from Section 6.1.
 * :mod:`repro.simulation` — the discrete-time simulation engine that wires

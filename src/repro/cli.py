@@ -25,7 +25,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
-from repro.core.errors import ReproError
+from repro.core.errors import ConfigurationError, ReproError
 from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.fleet import FleetConfig
 from repro.serving import FAULT_TYPES
@@ -252,6 +252,13 @@ def _scale(args: argparse.Namespace):
     from repro.experiments.config import ExperimentScale
 
     return ExperimentScale.at(args.scale)
+
+
+def _map_scale(args: argparse.Namespace):
+    """``figure9`` / ``figure10``: the scale, once the map size is known to be drawable."""
+    if args.width <= 0 or args.height <= 0:
+        raise ConfigurationError(f"map size must be positive, got {args.width}x{args.height}")
+    return _scale(args)
 
 
 def _simulation_config(args: argparse.Namespace):
@@ -484,8 +491,8 @@ _COMMANDS = {
     "serve": (_serve_config, _command_serve),
     "figure7": (_scale, _command_sweep),
     "figure8": (_scale, _command_sweep),
-    "figure9": (_scale, _command_map),
-    "figure10": (_scale, _command_map),
+    "figure9": (_map_scale, _command_map),
+    "figure10": (_map_scale, _command_map),
     "ablations": (_scale, _command_ablations),
 }
 

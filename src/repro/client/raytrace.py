@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Deque, Optional, Union
 
 from repro.core.errors import ConfigurationError, CoordinatorError, InvalidGeometryError
@@ -52,8 +52,8 @@ class RayTraceConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < inf:
+            raise ConfigurationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 <= self.delta < 1.0:
             raise ConfigurationError(f"delta must be in [0, 1), got {self.delta}")
 

@@ -7,7 +7,7 @@ from repro.experiments.config import (
     ExperimentScale,
     scaled_simulation_config,
 )
-from repro.experiments.sweeps import SweepRow, run_object_count_sweep, run_tolerance_sweep
+from repro.experiments.sweeps import SweepRow
 from repro.experiments.figure7 import run_figure7
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9, run_figure10
@@ -16,12 +16,7 @@ from repro.experiments.ablations import (
     run_uncertainty_ablation,
     run_grid_resolution_ablation,
 )
-from repro.experiments.report import (
-    sweep_rows_to_csv,
-    write_sweep_csv,
-    ablation_rows_to_csv,
-    write_experiment_bundle,
-)
+from repro.experiments.report import write_experiment_bundle
 
 __all__ = [
     "PAPER_DEFAULTS",
@@ -30,8 +25,6 @@ __all__ = [
     "ExperimentScale",
     "scaled_simulation_config",
     "SweepRow",
-    "run_object_count_sweep",
-    "run_tolerance_sweep",
     "run_figure7",
     "run_figure8",
     "run_figure9",
@@ -39,8 +32,5 @@ __all__ = [
     "run_communication_ablation",
     "run_uncertainty_ablation",
     "run_grid_resolution_ablation",
-    "sweep_rows_to_csv",
-    "write_sweep_csv",
-    "ablation_rows_to_csv",
     "write_experiment_bundle",
 ]

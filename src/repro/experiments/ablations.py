@@ -66,8 +66,8 @@ class GridResolutionAblationRow:
 
 
 def _metrics(scale: Optional[ExperimentScale], seed: int, **overrides) -> MetricsCollector:
-    """Run one scaled simulation without the DP baseline and return its metrics."""
-    config = scaled_simulation_config(scale=scale, seed=seed, run_dp_baseline=False, **overrides)
+    """Run one scaled simulation and return its metrics."""
+    config = scaled_simulation_config(scale=scale, seed=seed, **overrides)
     return HotPathSimulation(config).run().metrics
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
-from repro.coordinator.fleet import FleetConfig
 from repro.network.generator import NetworkConfig
 from repro.simulation.engine import SimulationConfig
 
@@ -140,19 +139,16 @@ def scaled_simulation_config(
     scale: Optional[ExperimentScale] = None,
     num_objects: Optional[int] = None,
     tolerance: Optional[float] = None,
-    delta: float = 0.0,
-    run_dp_baseline: bool = True,
-    run_naive_baseline: bool = True,
-    cells_per_axis: int = 64,
-    fleet: FleetConfig = FleetConfig(),
-    seed: int = 42,
+    **overrides,
 ) -> SimulationConfig:
     """Build a :class:`SimulationConfig` from paper defaults, scaled for Python.
 
     ``num_objects`` and ``tolerance`` are the *paper-scale* values (e.g. 20000
     and 10.0); the population is scaled down by ``scale`` while tolerance and
     the other physical parameters are kept as-is because they are properties of
-    the environment, not of the experiment size.
+    the environment, not of the experiment size.  Every other field
+    (``seed``, ``delta``, ``fleet``, ``run_dp_baseline``, ...) is passed to
+    :class:`SimulationConfig` unchanged in ``overrides``.
     """
     scale = scale if scale is not None else ExperimentScale.from_environment()
     paper_objects = num_objects if num_objects is not None else int(PAPER_DEFAULTS["num_objects"])
@@ -164,7 +160,6 @@ def scaled_simulation_config(
     return SimulationConfig(
         num_objects=scale.scale_objects(paper_objects),
         tolerance=tolerance if tolerance is not None else PAPER_DEFAULTS["tolerance"],
-        delta=delta,
         window=int(PAPER_DEFAULTS["window"]),
         epoch_length=epoch_length,
         duration=scale.scale_duration(int(PAPER_DEFAULTS["duration"]), epoch_length),
@@ -172,10 +167,6 @@ def scaled_simulation_config(
         displacement=PAPER_DEFAULTS["displacement"],
         positional_error=PAPER_DEFAULTS["positional_error"],
         top_k=int(PAPER_DEFAULTS["top_k"]),
-        cells_per_axis=cells_per_axis,
-        fleet=fleet,
-        seed=seed,
-        run_dp_baseline=run_dp_baseline,
-        run_naive_baseline=run_naive_baseline,
         network_config=network_config,
+        **overrides,
     )

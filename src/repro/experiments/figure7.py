@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.config import ExperimentScale
-from repro.experiments.sweeps import SweepReport, run_object_count_sweep
+from repro.experiments.config import PAPER_OBJECT_COUNTS, ExperimentScale
+from repro.experiments.sweeps import SweepReport, _sweep
 
 __all__ = ["Figure7Report", "run_figure7"]
 
@@ -43,5 +43,5 @@ def run_figure7(
     seed: int = 42,
 ) -> Figure7Report:
     """Run the Figure 7 sweep (tolerance fixed at the default of 10 metres)."""
-    rows = run_object_count_sweep(object_counts, scale=scale, tolerance=10.0, seed=seed)
-    return Figure7Report(rows)
+    counts = object_counts if object_counts is not None else PAPER_OBJECT_COUNTS
+    return Figure7Report(_sweep("num_objects", counts, scale, seed, tolerance=10.0))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.config import ExperimentScale
-from repro.experiments.sweeps import SweepReport, run_tolerance_sweep
+from repro.experiments.config import PAPER_TOLERANCES, ExperimentScale
+from repro.experiments.sweeps import SweepReport, _sweep
 
 __all__ = ["Figure8Report", "run_figure8"]
 
@@ -32,5 +32,5 @@ def run_figure8(
     seed: int = 42,
 ) -> Figure8Report:
     """Run the Figure 8 sweep (population fixed at the default of 20,000 objects)."""
-    rows = run_tolerance_sweep(tolerances, scale=scale, num_objects=20000, seed=seed)
-    return Figure8Report(rows)
+    values = tolerances if tolerances is not None else PAPER_TOLERANCES
+    return Figure8Report(_sweep("tolerance", values, scale, seed, num_objects=20000))

@@ -2,62 +2,23 @@
 
 The figure runners return in-memory report objects; this module serialises
 them to CSV so results can be archived, diffed across runs and plotted with
-any external tool.  Every writer returns the path it wrote, and the combined
-:func:`write_experiment_bundle` produces one directory with a file per
-experiment — the machine-readable counterpart of ``benchmarks/results``.
+any external tool.  :func:`write_experiment_bundle` produces one directory
+with a file per experiment — the machine-readable counterpart of
+``benchmarks/results``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
-from repro.experiments.ablations import (
-    CommunicationAblationRow,
-    GridResolutionAblationRow,
-    UncertaintyAblationRow,
-)
 from repro.experiments.sweeps import SweepRow
 
-__all__ = [
-    "sweep_rows_to_csv",
-    "write_sweep_csv",
-    "ablation_rows_to_csv",
-    "write_experiment_bundle",
-]
+__all__ = ["write_experiment_bundle"]
 
 PathLike = Union[str, Path]
-
-
-def _rows_to_csv(rows: Sequence[object], row_type: type) -> str:
-    """CSV text of dataclass rows: a header of ``row_type``'s fields, then one line per row."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(field.name for field in fields(row_type))
-    writer.writerows(astuple(row) for row in rows)
-    return buffer.getvalue()
-
-
-def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """Serialise Figure 7/8 sweep rows to CSV text."""
-    return _rows_to_csv(rows, SweepRow)
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], destination: PathLike) -> Path:
-    """Write sweep rows to ``destination`` and return the written path."""
-    destination = Path(destination)
-    destination.write_text(sweep_rows_to_csv(rows))
-    return destination
-
-
-def ablation_rows_to_csv(
-    rows: Sequence[Union[CommunicationAblationRow, UncertaintyAblationRow, GridResolutionAblationRow]],
-) -> str:
-    """Serialise any ablation's rows to CSV text (columns follow the dataclass fields)."""
-    return _rows_to_csv(rows, type(rows[0])) if rows else ""
 
 
 def write_experiment_bundle(
@@ -80,6 +41,9 @@ def write_experiment_bundle(
         rows = list(rows)
         if rows:
             path = destination_dir / f"{name}.csv"
-            path.write_text(_rows_to_csv(rows, type(rows[0])))
+            with path.open("w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(field.name for field in fields(rows[0]))
+                writer.writerows(astuple(row) for row in rows)
             written.append(path)
     return written

@@ -5,22 +5,20 @@ same measurement stream) for a list of parameter values and collects one
 :class:`SweepRow` per value with exactly the series the paper plots: motion
 path index size, top-k score and coordinator processing time, for both
 methods where applicable.  :class:`SweepReport` tabulates a sweep's rows.
+A point's simulation is reclaimed before the next point starts, so each
+point's time per epoch (panel (c)) is measured with no earlier one alive.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence
 
-from repro.experiments.config import (
-    PAPER_OBJECT_COUNTS,
-    PAPER_TOLERANCES,
-    ExperimentScale,
-    scaled_simulation_config,
-)
+from repro.experiments.config import ExperimentScale, scaled_simulation_config
 from repro.simulation.engine import HotPathSimulation
 
-__all__ = ["SweepRow", "SweepReport", "run_object_count_sweep", "run_tolerance_sweep"]
+__all__ = ["SweepRow", "SweepReport"]
 
 
 @dataclass
@@ -100,11 +98,13 @@ def _sweep(
     """One simulation per value of ``parameter_name``, the others held at ``fixed``."""
     rows: List[SweepRow] = []
     for value in values:
+        # The previous point's simulation is unreachable by now: reclaim it
+        # before this point starts, so its garbage is not timed here.
+        gc.collect()
         config = scaled_simulation_config(
-            scale=scale, seed=seed, **{parameter_name: value}, **fixed
+            scale=scale, seed=seed, run_dp_baseline=True, **{parameter_name: value}, **fixed
         )
-        result = HotPathSimulation(config).run()
-        metrics = result.metrics
+        metrics = HotPathSimulation(config).run().metrics
         rows.append(
             SweepRow(
                 parameter_name=parameter_name,
@@ -120,25 +120,3 @@ def _sweep(
             )
         )
     return rows
-
-
-def run_object_count_sweep(
-    object_counts: Optional[Sequence[int]] = None,
-    scale: Optional[ExperimentScale] = None,
-    tolerance: float = 10.0,
-    seed: int = 42,
-) -> List[SweepRow]:
-    """Vary the number of objects at fixed tolerance (the Figure 7 sweep)."""
-    counts = object_counts if object_counts is not None else PAPER_OBJECT_COUNTS
-    return _sweep("num_objects", counts, scale, seed, tolerance=tolerance)
-
-
-def run_tolerance_sweep(
-    tolerances: Optional[Sequence[float]] = None,
-    scale: Optional[ExperimentScale] = None,
-    num_objects: int = 20000,
-    seed: int = 42,
-) -> List[SweepRow]:
-    """Vary the tolerance at a fixed population (the Figure 8 sweep)."""
-    values = tolerances if tolerances is not None else PAPER_TOLERANCES
-    return _sweep("tolerance", values, scale, seed, num_objects=num_objects)

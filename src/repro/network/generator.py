@@ -54,8 +54,8 @@ class NetworkConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.area_size <= 0:
-            raise ConfigurationError(f"area_size must be positive, got {self.area_size}")
+        if not 0.0 < self.area_size < math.inf:
+            raise ConfigurationError(f"area_size must be positive and finite, got {self.area_size}")
         if self.grid_nodes_per_axis < 2:
             raise ConfigurationError(
                 f"grid_nodes_per_axis must be at least 2, got {self.grid_nodes_per_axis}"

@@ -4,8 +4,10 @@ The engine reproduces the experimental setting of Section 6: a synthetic road
 network, N objects moving over it with agility alpha and displacement s, each
 object running a RayTrace filter with tolerance epsilon (or (epsilon, delta)),
 a central coordinator executing SinglePath once per epoch of Lambda timestamps
-and, optionally, the DP hot-segment baseline and the naive always-report client
-consuming the very same measurement stream for comparison.
+and, when asked, the DP hot-segment baseline consuming the very same
+measurement stream (only the Figure 7/8 sweeps print it).  The naive
+always-report client is a counter: each measurement it would send adds
+``_MEASUREMENT_BYTES`` to ``metrics.naive_uplink``.
 
 Typical use::
 
@@ -31,7 +33,6 @@ from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.stitching import CompositeCorridor
 from repro.baselines.dp_hot import DPHotSegmentTracker
-from repro.baselines.naive import NaiveClient
 from repro.network.generator import NetworkConfig, SyntheticRoadNetworkGenerator
 from repro.network.road_network import RoadNetwork
 from repro.simulation.metrics import EpochMetrics, MetricsCollector
@@ -41,6 +42,10 @@ __all__ = ["SimulationConfig", "SimulationResult", "HotPathSimulation"]
 
 Measurement = Union[TimePoint, UncertainTimePoint]
 
+# Bytes of one raw measurement the naive client would send: two coordinates, a
+# timestamp and the object id, 4 bytes each (the convention of ObjectState).
+_MEASUREMENT_BYTES = 4 * 4
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -49,10 +54,11 @@ class SimulationConfig:
     ``tolerance`` is epsilon in metres; ``delta`` enables the uncertainty-aware
     filter when positive.  ``window`` is W, ``epoch_length`` is Lambda and
     ``duration`` the total number of timestamps.  ``top_k`` is the k of the
-    quality metric.  ``run_dp_baseline`` / ``run_naive_baseline`` toggle the
-    comparison methods (they share the measurement stream, so enabling them
-    does not perturb the main method).  ``fleet`` is the coordinator's
-    topology (:class:`~repro.coordinator.fleet.FleetConfig` — shards, backend,
+    quality metric.  ``run_dp_baseline`` runs the DP hot-segment tracker on
+    the same measurement stream (off by default: only the Figure 7/8 sweeps
+    print it); ``run_naive_baseline`` counts the messages of a client that
+    sends every measurement.  Neither perturbs the main method.  ``fleet`` is
+    the coordinator's topology (:class:`~repro.coordinator.fleet.FleetConfig` — shards, backend,
     epoch mode, kernel; knob table in ``docs/ARCHITECTURE.md``): every
     value is behaviour-identical, so results are comparable across fleets.
     """
@@ -71,13 +77,11 @@ class SimulationConfig:
     fleet: FleetConfig = FleetConfig()
     seed: int = 42
     report_uncertainty: bool = False
-    run_dp_baseline: bool = True
+    run_dp_baseline: bool = False
     run_naive_baseline: bool = True
     network_config: Optional[NetworkConfig] = None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
         if self.epoch_length <= 0:
             raise ConfigurationError(f"epoch_length must be positive, got {self.epoch_length}")
         if self.duration <= self.epoch_length:
@@ -89,7 +93,7 @@ class SimulationConfig:
             raise ConfigurationError(f"window must be positive, got {self.window}")
         if self.top_k <= 0:
             raise ConfigurationError(f"top_k must be positive, got {self.top_k}")
-        RayTraceConfig(self.tolerance, self.delta)  # validates delta
+        RayTraceConfig(self.tolerance, self.delta)  # validates tolerance and delta
         self.workload_config()  # validates the population and motion fields
 
     def workload_config(self) -> WorkloadConfig:
@@ -166,7 +170,6 @@ class HotPathSimulation:
                 bounds, config.tolerance, config.window, config.cells_per_axis
             )
         self._filters: Dict[int, RayTraceFilter] = {}
-        self._naive_clients: Dict[int, NaiveClient] = {}
         self.metrics = MetricsCollector()
 
     # -- main loop -----------------------------------------------------------------
@@ -185,8 +188,7 @@ class HotPathSimulation:
             for object_id, measurement in self.workload.initial_measurements(0):
                 self._filters[object_id] = RayTraceFilter(object_id, measurement, raytrace_config)
                 if config.run_naive_baseline:
-                    self._naive_clients[object_id] = NaiveClient(object_id)
-                    self._account_naive(object_id, measurement)
+                    self.metrics.naive_uplink.record(_MEASUREMENT_BYTES)
                 self._feed_dp(object_id, measurement)
 
             for timestamp in range(1, config.duration):
@@ -195,7 +197,7 @@ class HotPathSimulation:
                     if state is not None:
                         self._submit(state)
                     if config.run_naive_baseline:
-                        self._account_naive(object_id, measurement)
+                        self.metrics.naive_uplink.record(_MEASUREMENT_BYTES)
                     self._feed_dp(object_id, measurement)
 
                 if timestamp % config.epoch_length == 0:
@@ -220,14 +222,6 @@ class HotPathSimulation:
     def _submit(self, state: ObjectState) -> None:
         self.metrics.uplink.record(state.message_size_bytes())
         self.coordinator.submit_state(state)
-
-    def _account_naive(self, object_id: int, measurement: Measurement) -> None:
-        client = self._naive_clients[object_id]
-        timepoint = (
-            measurement.certain() if isinstance(measurement, UncertainTimePoint) else measurement
-        )
-        client.observe(timepoint)
-        self.metrics.naive_uplink.record(4 * 4)
 
     def _feed_dp(self, object_id: int, measurement: Measurement) -> None:
         if self.dp_baseline is None:

@@ -250,6 +250,12 @@ class TestBadValues:
         (
             ["run", "--objects", "0"],
             ["run", "--delta", "1.0"],
+            ["run", "--tolerance", "nan"],
+            ["run", "--tolerance", "inf"],
+            ["run", "--area", "nan"],
+            ["run", "--area", "inf"],
+            ["figure9", "--width", "0"],
+            ["figure10", "--height", "-3"],
             ["figure7", "--scale", "0"],
             ["figure8", "--scale", "0"],
             ["figure9", "--scale", "nan"],

@@ -1,4 +1,4 @@
-"""Unit tests for the DP hot-segment baseline and the naive baseline."""
+"""Unit tests for the DP hot-segment baseline."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.core.trajectory import TimePoint
 from repro.baselines.dp_hot import DPHotSegmentTracker
-from repro.baselines.naive import NaiveClient
 
 
 BOUNDS = Rectangle(Point(-100.0, -100.0), Point(1100.0, 1100.0))
@@ -81,13 +80,3 @@ class TestDPHotSegmentTracker:
         for tp in l_shaped(20):
             tracker.observe(1, tp)
         assert tracker.top_k_score(5) > 0.0
-
-
-
-class TestNaiveBaseline:
-    def test_client_counts_messages_and_bytes(self):
-        client = NaiveClient(3)
-        for tp in straight(10):
-            client.observe(tp)
-        assert client.measurements_sent == 10
-        assert client.bytes_sent == 10 * 16

@@ -7,9 +7,13 @@ benchmarks use at their (larger) default scale.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 import repro.experiments.figure7 as figure7
+import repro.experiments.sweeps as sweeps
+from repro.baselines.dp_hot import DPHotSegmentTracker
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.experiments.ablations import (
@@ -28,7 +32,8 @@ from repro.experiments.config import (
 from repro.experiments.figure7 import Figure7Report, run_figure7
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9, run_figure10
-from repro.experiments.sweeps import run_object_count_sweep, run_tolerance_sweep
+from repro.simulation import engine
+from repro.simulation.engine import HotPathSimulation
 
 
 TINY = ExperimentScale(population=0.004, duration=0.2, network_nodes_per_axis=6)
@@ -131,7 +136,7 @@ class TestOneScaleRule:
 
 class TestSweeps:
     def test_object_count_sweep_rows(self):
-        rows = run_object_count_sweep([10000, 20000], scale=TINY, seed=3)
+        rows = run_figure7([10000, 20000], scale=TINY, seed=3).rows
         assert len(rows) == 2
         assert [row.parameter_value for row in rows] == [10000, 20000]
         assert rows[0].scaled_num_objects < rows[1].scaled_num_objects
@@ -141,14 +146,14 @@ class TestSweeps:
             assert row.naive_messages > row.uplink_messages
 
     def test_tolerance_sweep_rows(self):
-        rows = run_tolerance_sweep([2.0, 20.0], scale=TINY, seed=3)
+        rows = run_figure8([2.0, 20.0], scale=TINY, seed=3).rows
         assert len(rows) == 2
         assert rows[0].parameter_value == 2.0
         # Larger tolerance suppresses more updates, hence fewer or equal messages.
         assert rows[1].uplink_messages <= rows[0].uplink_messages
 
     def test_sweep_row_as_dict(self):
-        rows = run_object_count_sweep([10000], scale=TINY, seed=3)
+        rows = run_figure7([10000], scale=TINY, seed=3).rows
         as_dict = rows[0].as_dict()
         assert as_dict["parameter_name"] == "num_objects"
         assert "index_size" in as_dict
@@ -217,3 +222,59 @@ class TestAblations:
         rows = run_grid_resolution_ablation(cell_counts=(8, 32), scale=TINY, seed=3)
         assert len(rows) == 2
         assert all(row.mean_index_size > 0 for row in rows)
+
+
+class TestDriversComputeWhatTheyPrint:
+    """Each driver builds only what it prints, and a sweep keeps one point alive."""
+
+    @pytest.fixture
+    def dp_trackers_built(self, monkeypatch):
+        built = []
+
+        class CountingTracker(DPHotSegmentTracker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(1)
+
+        monkeypatch.setattr(engine, "DPHotSegmentTracker", CountingTracker)
+        return built
+
+    @pytest.mark.parametrize(
+        "argv, trackers",
+        (
+            (["run", "--objects", "40", "--duration", "30", "--network-nodes", "6",
+              "--area", "2000", "--seed", "3"], 0),
+            (["figure9", "--scale", "0.002", "--seed", "3"], 0),
+            (["figure10", "--scale", "0.002", "--seed", "3"], 0),
+            (["ablations", "--scale", "0.002", "--seed", "3"], 0),
+            (["figure7", "--scale", "0.002", "--seed", "3"], len(PAPER_OBJECT_COUNTS)),
+            (["figure8", "--scale", "0.002", "--seed", "3"], len(PAPER_TOLERANCES)),
+        ),
+        ids=lambda value: value[0] if isinstance(value, list) else str(value),
+    )
+    def test_dp_baseline_runs_only_for_figures_7_and_8(
+        self, argv, trackers, dp_trackers_built, capsys
+    ):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(dp_trackers_built) == trackers
+
+    def test_table2_config_builds_no_dp_tracker(self, dp_trackers_built):
+        simulation = HotPathSimulation(scaled_simulation_config(scale=TINY))
+        assert simulation.dp_baseline is None
+        assert dp_trackers_built == []
+
+    def test_no_earlier_coordinator_is_alive_when_a_point_starts(self, monkeypatch):
+        coordinators = []
+        alive_at_start = []
+
+        class ProbedSimulation(HotPathSimulation):
+            def __init__(self, *args, **kwargs):
+                alive_at_start.append(sum(ref() is not None for ref in coordinators))
+                super().__init__(*args, **kwargs)
+                coordinators.append(weakref.ref(self.coordinator))
+
+        monkeypatch.setattr(sweeps, "HotPathSimulation", ProbedSimulation)
+        report = run_figure7(object_counts=[10000, 20000, 50000], scale=TINY, seed=3)
+        assert len(report.rows) == 3
+        assert alive_at_start == [0, 0, 0]

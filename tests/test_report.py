@@ -8,12 +8,7 @@ import io
 import pytest
 
 from repro.experiments.ablations import CommunicationAblationRow, GridResolutionAblationRow
-from repro.experiments.report import (
-    ablation_rows_to_csv,
-    sweep_rows_to_csv,
-    write_experiment_bundle,
-    write_sweep_csv,
-)
+from repro.experiments.report import write_experiment_bundle
 from repro.experiments.sweeps import SweepRow
 
 
@@ -32,45 +27,42 @@ def sweep_row(value: float) -> SweepRow:
     )
 
 
+def written_rows(directory, **experiments):
+    """Each CSV file the bundle writes, parsed: ``{file name: [row dict, ...]}``."""
+    return {
+        path.name: list(csv.DictReader(io.StringIO(path.read_text())))
+        for path in write_experiment_bundle(directory, **experiments)
+    }
+
+
 class TestSweepCsv:
-    def test_header_and_rows(self):
-        text = sweep_rows_to_csv([sweep_row(10000), sweep_row(20000)])
-        rows = list(csv.DictReader(io.StringIO(text)))
+    def test_header_and_rows(self, tmp_path):
+        rows = written_rows(tmp_path, figure7_rows=[sweep_row(10000), sweep_row(20000)])["figure7.csv"]
         assert len(rows) == 2
         assert rows[0]["parameter_name"] == "num_objects"
         assert float(rows[1]["parameter_value"]) == 20000.0
 
-    def test_empty_rows_only_header(self):
-        text = sweep_rows_to_csv([])
-        lines = [line for line in text.splitlines() if line]
-        assert len(lines) == 1
-
     def test_write_sweep_csv(self, tmp_path):
-        path = write_sweep_csv([sweep_row(10000)], tmp_path / "sweep.csv")
+        (path,) = write_experiment_bundle(tmp_path, figure8_rows=[sweep_row(10000)])
         assert path.exists()
         assert "num_objects" in path.read_text()
 
 
 class TestAblationCsv:
-    def test_communication_rows(self):
+    def test_communication_rows(self, tmp_path):
         rows = [
             CommunicationAblationRow(2.0, 100, 3600, 1000, 16000, 0.9),
             CommunicationAblationRow(10.0, 50, 1800, 1000, 16000, 0.95),
         ]
-        text = ablation_rows_to_csv(rows)
-        parsed = list(csv.DictReader(io.StringIO(text)))
+        parsed = written_rows(tmp_path, ablations={"communication": rows})["ablation_communication.csv"]
         assert len(parsed) == 2
         assert float(parsed[0]["tolerance"]) == 2.0
         assert float(parsed[1]["reduction"]) == 0.95
 
-    def test_grid_rows(self):
+    def test_grid_rows(self, tmp_path):
         rows = [GridResolutionAblationRow(16, 0.01, 100.0, 50.0)]
-        text = ablation_rows_to_csv(rows)
-        parsed = list(csv.DictReader(io.StringIO(text)))
+        parsed = written_rows(tmp_path, ablations={"grid": rows})["ablation_grid.csv"]
         assert parsed[0]["cells_per_axis"] == "16"
-
-    def test_empty(self):
-        assert ablation_rows_to_csv([]) == ""
 
 
 class TestBundle:

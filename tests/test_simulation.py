@@ -59,7 +59,7 @@ class TestSimulationConfig:
 class TestSimulationRun:
     @pytest.fixture(scope="class")
     def result(self):
-        return HotPathSimulation(small_config()).run()
+        return HotPathSimulation(small_config(run_dp_baseline=True)).run()
 
     def test_epochs_recorded(self, result):
         # duration=80, epoch=10 -> epochs at t=10..70 plus the final one at t=79.
@@ -86,6 +86,8 @@ class TestSimulationRun:
     def test_dp_baseline_ran(self, result):
         assert result.dp_baseline is not None
         assert result.metrics.mean_dp_index_size >= 0.0
+        # Only a run that asks for it (the Figure 7/8 sweeps) builds a DP tracker.
+        assert HotPathSimulation(small_config()).dp_baseline is None
 
     def test_responses_track_states(self, result):
         # Every processed state message is answered by exactly one downlink
