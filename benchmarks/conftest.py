@@ -5,10 +5,11 @@ scale (see ``repro.experiments.config.ExperimentScale``); set the
 ``REPRO_SCALE`` environment variable to ``1.0`` to run the paper-size
 experiments instead.  Each benchmark prints the series it produced and writes
 it to ``benchmarks/out/<name>.txt`` (ignored by git) so the numbers survive
-pytest's output capture; the tracked copies under ``benchmarks/results/`` —
-the ones compared against the paper (see EXPERIMENTS.md) — carry wall-clock
-figures, so they are rewritten only when asked to: ``pytest benchmarks
---update-results``.  A plain tier-1 run leaves ``git status`` clean.
+pytest's output capture; the tracked copies under ``benchmarks/results/``
+carry wall-clock figures, so they are rewritten only when asked to:
+``pytest benchmarks --update-results``.  No committed document compares
+them with the paper yet; ROADMAP item 9(b) plans that comparison.  A plain
+tier-1 run leaves ``git status`` clean.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ drain gives up fails :meth:`BaseScenario.validate_result`.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import threading
 import time
@@ -131,8 +132,8 @@ class BaseScenario(ABC):
     min_updates_per_sec: float = 5.0
 
     def __init__(self, load_factor: float = 1.0) -> None:
-        if load_factor <= 0:
-            raise ConfigurationError(f"load_factor must be positive, got {load_factor}")
+        if not (math.isfinite(load_factor) and load_factor > 0):
+            raise ConfigurationError(f"load_factor must be positive and finite, got {load_factor}")
         self.load_factor = load_factor
 
     # -- traffic shape ----------------------------------------------------------

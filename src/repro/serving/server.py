@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import errno
 import logging
+import math
 import selectors
 import socket
 import time
@@ -103,9 +104,10 @@ class ServingConfig:
             raise ConfigurationError(
                 f"max_pending_updates must be at least 1, got {self.max_pending_updates}"
             )
-        if self.auto_epoch_seconds is not None and self.auto_epoch_seconds <= 0:
+        seconds = self.auto_epoch_seconds
+        if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
             raise ConfigurationError(
-                f"auto_epoch_seconds must be positive, got {self.auto_epoch_seconds}"
+                f"auto_epoch_seconds must be positive and finite, got {seconds}"
             )
         if self.auto_epoch_timestamps < 1:
             raise ConfigurationError(

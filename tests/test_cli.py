@@ -271,6 +271,10 @@ class TestBadValues:
             ["serve", "--cells", "0"],
             ["serve", "--area", "0"],
             ["serve", "--epoch-seconds", "-1"],
+            ["serve", "--epoch-seconds", "nan"],
+            ["serve", "--epoch-seconds", "inf"],
+            ["serve", "--scenario", "uniform_trickle", "--load-factor", "nan"],
+            ["serve", "--scenario", "uniform_trickle", "--load-factor", "inf"],
             ["serve", "--port", "70000"],
         ),
         ids=" ".join,
