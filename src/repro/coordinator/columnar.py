@@ -45,8 +45,7 @@ multiplications, and wherever the scalar code breaks ties by encounter
 order the ranking carries the insertion index as its last sort key.
 The exactness harness (``tests/test_differential.py``) enforces the
 contract over the whole configuration matrix, and ``tests/test_columnar.py``
-holds the region table to the scalar loops and the pair pass to a reference
-with hypothesis, and pins the endpoint table's equal-x removals.
+holds each kernel to a scalar reference with hypothesis.
 
 **Scale.**  An end-table query costs two bisections plus one y test per
 path whose end x lies in the box's x range, an insert or a removal one

@@ -25,10 +25,8 @@ and every stage consumes the delta:
 approximation: every epoch's responses, index contents, hotness values,
 overlap answers and corridor report must be bit-for-bit equal to the
 ``full`` rebuild — enforced at every queried epoch by the exactness harness
-(``tests/test_differential.py``, whose lockstep state machine also drives
-random event sequences through both modes); ``tests/test_delta_properties.py``
-replays the epoch journal and the hotness log against random event
-sequences.
+(``tests/test_differential.py``) and property-tested against random event
+sequences in ``tests/test_delta_properties.py``.
 """
 
 from __future__ import annotations

@@ -7,13 +7,9 @@ one ``R_all`` (Section 5.3), every query a full scan.
 
 **Matrix.**  :data:`MATRIX` is generated from ``dataclasses.fields(FleetConfig)``:
 every value a knob declares in its ``choices``, crossed with
-:data:`SHARD_COUNTS`.  A shard count only labels records for diagnostics,
-which no observation reads, so one shard stands for every count: a 16-shard
-dimension caught no committed mutant its 1-shard twin missed
-(``tools/mutants.py``).  The labels themselves are held by
-``tests/test_one_index.py``, and whole runs at 4 and 16 shards by
-``benchmarks/test_sharding_scaling.py`` and ``tests/test_execution.py``.
-Deleting a knob deletes its dimension here with no edit.
+:data:`SHARD_COUNTS` (a shard count only labels records for diagnostics, so
+one shard and a 4x4 grid stand for all counts).  Deleting a knob deletes its
+dimension here with no edit.
 
 **Scenarios.**  :data:`SCENARIOS` holds each input once: state-message
 streams, feedback walks, simulations and served runs.  A scenario's ``run``
@@ -53,8 +49,8 @@ from repro.simulation.engine import HotPathSimulation, SimulationConfig
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
-#: A shard count only labels records: one shard stands for all (module docstring).
-SHARD_COUNTS = (1,)
+#: A shard count only labels records: one shard and a 4x4 grid stand for all.
+SHARD_COUNTS = (1, 16)
 
 #: The paper's coordinator, knob by knob (the entry of a deleted knob goes unread).
 _REFERENCE_KNOBS = dict(num_shards=1, backend="serial", epoch_mode="full", kernel="object")

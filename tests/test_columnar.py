@@ -7,18 +7,11 @@ This module holds the kernel-level suites:
 * kernel resolution, and the degrade to ``object`` without numpy;
 * the shared-memory shipment round trip (``ShipmentRing.pack`` ->
   ``decode_work_shipment``);
-* two :class:`EndpointTable` pins: a start vertex's bucket is emptied with
-  its last path (no answer shows a dead bucket), and a removal among
-  equal-x ends takes its own path while the earliest equal end stays the
-  vertex key (the first path between two vertices, which no scenario of the
-  harness meets twice);
-* hypothesis suites — the pre-ranked, batched :class:`RegionTable` queries
-  against the scalar tie-break loops, including the insertion-order
-  tie-break cases (equal areas, equal counts) the ranking's last sort key
-  exists for — and the epoch's pair pass against a reference.
-
-The endpoint table's region queries against a scalar scan are the harness's
-kernel dimension: every scenario runs under ``object`` and ``columnar``.
+* hypothesis suites — :class:`EndpointTable` queries against a brute-force
+  scalar scan and its x-sorted order under inserts and removals, and the
+  pre-ranked, batched :class:`RegionTable` queries against the scalar
+  tie-break loops, including the insertion-order tie-break cases (equal
+  areas, equal counts) the ranking's last sort key exists for.
 """
 
 from __future__ import annotations
@@ -142,6 +135,66 @@ coordinate_pool = st.sampled_from([0.0, 1.0, 12.5, 25.0, 49.9, 50.0, 99.0, 100.0
 points = st.builds(Point, coordinate_pool, coordinate_pool)
 
 
+path_ids = st.integers(min_value=0, max_value=9)
+#: End coordinates with equal values that are different objects (``-0.0`` /
+#: ``0.0`` / ``0``), so equal-x runs hold several paths.
+end_points = st.builds(
+    Point,
+    st.sampled_from([-0.0, 0.0, 0, 1.0, 12.5, 50.0, 99.0]),
+    st.sampled_from([-0.0, 0.0, 1.0, 50.0]),
+)
+
+
+@st.composite
+def table_scripts(draw):
+    """Interleaved ``("add", path_id, start, end)`` / ``("remove", path_id)``
+    ops over a small id space, so ids are removed and added again (an id is
+    only added while it is not live, as ``GridIndex`` guarantees)."""
+    ops, live = [], set()
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        path_id = draw(path_ids)
+        if path_id not in live and draw(st.integers(min_value=0, max_value=3)):
+            ops.append(("add", path_id, draw(points), draw(st.one_of(points, end_points))))
+            live.add(path_id)
+        else:
+            ops.append(("remove", path_id))
+            live.discard(path_id)
+    return ops
+
+
+def replay(ops):
+    """The table and the scalar ``{path_id: (start, end)}`` dict it mirrors."""
+    table = EndpointTable()
+    scalar: Dict = {}
+    for op in ops:
+        if op[0] == "add":
+            _tag, path_id, start, end = op
+            table.add_path(path_id, start, end)
+            scalar[path_id] = (start, end)
+        else:
+            table.remove_path(op[1])
+            scalar.pop(op[1], None)
+    return table, scalar
+
+
+def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
+    """One row per path: ends sorted by x, equal x in insertion order,
+    parallel lists in step, and a start hash with no dead keys."""
+    assert len(table._start_of) == len(scalar)
+    # ``sorted`` is stable, so equal x values keep the scalar dict's
+    # insertion order — the order the table must keep them in.
+    expected = sorted(((pid, end) for pid, (_start, end) in scalar.items()), key=lambda row: row[1].x)
+    assert table._pids == [pid for pid, _end in expected]
+    assert [repr(end) for end in table._ends] == [repr(end) for _pid, end in expected]
+    assert table._xs == [end.x for end in table._ends]
+    assert table._ys == [end.y for end in table._ends]
+    expected_hash: Dict = {}
+    for pid, (start, end) in scalar.items():
+        expected_hash.setdefault(start, {})[pid] = end
+    assert table._by_start == expected_hash
+    assert table._start_of == {pid: start for pid, (start, _end) in scalar.items()}
+
+
 @st.composite
 def regions_strategy(draw):
     a, b = draw(points), draw(points)
@@ -149,6 +202,64 @@ def regions_strategy(draw):
 
 
 class TestEndpointTableKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(table_scripts(), points, regions_strategy())
+    def test_queries_match_scalar_scan(self, ops, start, region):
+        table, scalar = replay(ops)
+
+        assert table.starting_at(start, region) == [
+            pid
+            for pid, (path_start, end) in scalar.items()
+            if path_start == start and region.contains_point(end)
+        ]
+
+        expected_ends = sorted(
+            (pid, end.x, end.y) for pid, (_start, end) in scalar.items() if region.contains_point(end)
+        )
+        rows = table.end_rows_in(region)
+        assert rows == sorted(rows)
+        assert (
+            sorted((table._pids[row], table._xs[row], table._ys[row]) for row in rows)
+            == expected_ends
+        )
+        expected_vertices: Dict = {}
+        for pid, (_start, end) in scalar.items():
+            if region.contains_point(end):
+                expected_vertices.setdefault(end, []).append(pid)
+        vertices = table.end_vertices_in(region)
+        assert {repr(v): sorted(ids) for v, ids in vertices.items()} == {
+            repr(v): sorted(ids) for v, ids in expected_vertices.items()
+        }
+
+        # The first path, in insertion order, from ``start`` to exactly the
+        # probe — over every stored end, so each path starting at ``start``
+        # is met.
+        probes = {end for _start, end in scalar.values()}
+        for probe in probes | {start}:
+            expected_between = next(
+                (
+                    pid
+                    for pid, (path_start, end) in scalar.items()
+                    if path_start == start and end == probe
+                ),
+                None,
+            )
+            assert table.path_between(start, probe) == expected_between
+
+    @settings(max_examples=80, deadline=None)
+    @given(table_scripts())
+    def test_removal_keeps_the_table_sorted(self, ops):
+        """After every removal the ends are still sorted by x, equal x
+        values still in insertion order."""
+        table, scalar = replay(ops)
+        assert_table_consistent(table, scalar)
+        for pid in list(scalar):
+            table.remove_path(pid)
+            del scalar[pid]
+            assert_table_consistent(table, scalar)
+        table.remove_path(999)  # an absent id is a no-op
+        assert_table_consistent(table, {})
+
     def test_start_hash_emptied_with_its_last_path(self):
         """A vertex's bucket lives exactly as long as a path starts there,
         and keeps its paths in insertion order."""
@@ -198,6 +309,23 @@ class TestEndpointTableKernels:
         # ... and behind path 4 in the start bucket: 4 stays the first path
         # from ``start`` to that vertex.
         assert table.path_between(start, Point(0.0, 1.0)) == 4
+
+    def test_many_entries_stay_sorted_by_x(self):
+        """Paths inserted in descending end x come back in ascending x; a box
+        query returns exactly its x run."""
+        table = EndpointTable()
+        count = 192
+        for pid in range(count):
+            table.add_path(pid, Point(0.0, 0.0), Point(float(count - pid), 0.0))
+        assert table._xs == [float(x) for x in range(1, count + 1)]
+        everywhere = Rectangle(Point(0.0, 0.0), Point(float(count), 0.0))
+        assert [table._pids[row] for row in table.end_rows_in(everywhere)] == list(
+            range(count - 1, -1, -1)
+        )
+        middle = Rectangle(Point(10.0, 0.0), Point(12.0, 0.0))
+        assert [table._pids[row] for row in table.end_rows_in(middle)] == [
+            count - 10, count - 11, count - 12
+        ]
 
 
 @st.composite

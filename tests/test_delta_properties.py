@@ -12,28 +12,23 @@ sequences check that claim for each delta carrier independently:
   tracker's hot set and counters exactly, under random crossing/expiry
   interleavings;
 * **pool cache** (:class:`repro.coordinator.overlaps.OverlapPoolCache`) —
-  what no answer shows: twin coordinates (``5`` / ``5.0``, ``0.0`` /
-  ``-0.0``) address different entries, a pool is fingerprinted once an
-  epoch, and the LRU bound counts regions and spares the current epoch;
+  whatever mix of verbatim hits and rebuilds the cache chooses for a random
+  pool-churn sequence, every resolved structure is ``repr``-identical to the
+  structure a from-scratch build produces;
 * **incremental stitching**
-  (:class:`repro.coordinator.stitching.IncrementalStitcher`) — what only its
-  counters show: re-applying the state it holds re-keys no chain, and a weld
-  that flips and flips back within one apply re-chains nothing; and a
-  chain's score is the builtin ``sum`` in chain order, as the global
-  stitch's is.
-
-That a cache hit is ``repr``-identical to a fresh build, and that the
-patched corridor report and its top-k equal
-:func:`~repro.coordinator.stitching.stitch_paths` over the surviving hot
-set, is the exactness harness's ``delta`` dimension
-(``tests/test_differential.py``: every scenario in both epoch modes, and
-the lockstep state machine's random add / expire / re-heat streams).
+  (:class:`repro.coordinator.stitching.IncrementalStitcher`) — after any
+  sequence of insert/expire/hotness-change events applied as per-id change
+  sets, the patched corridor report equals
+  :func:`~repro.coordinator.stitching.stitch_paths` run fresh over the
+  surviving hot set, and the key-ranked top-k equals
+  :func:`~repro.coordinator.stitching.select_top_k_corridors` over it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+import random
+from typing import Dict, List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +37,12 @@ from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
-from repro.coordinator.stitching import IncrementalStitcher, stitch_paths
+from repro.coordinator.sharding import ShardGrid
+from repro.coordinator.stitching import (
+    IncrementalStitcher,
+    select_top_k_corridors,
+    stitch_paths,
+)
 
 from differential import make_coordinator, synthetic_stream
 
@@ -129,8 +129,49 @@ class TestHotnessDeltaReplay:
 
 
 # ---------------------------------------------------------------------------
-# Pool cache: keys, work and bound
+# Pool cache: every resolution is bit-for-bit the from-scratch build
 # ---------------------------------------------------------------------------
+
+coordinate_pool = st.sampled_from([0.0, 100.0, 250.0, 400.0, 500.0, 750.0, 900.0])
+
+
+@st.composite
+def fsa_pools(draw) -> List[Tuple[int, Rectangle]]:
+    count = draw(st.integers(min_value=0, max_value=6))
+    pool = []
+    for object_id in range(count):
+        x = draw(coordinate_pool)
+        y = draw(coordinate_pool)
+        half = draw(st.sampled_from([40.0, 90.0, 160.0]))
+        pool.append((object_id, Rectangle.from_center(Point(x, y), half)))
+    return pool
+
+
+@st.composite
+def pool_epochs(draw) -> List[List[Dict[int, Rectangle]]]:
+    """Several epochs of pools with churn: pools repeat, extend, shrink and
+    mutate across epochs."""
+    base = draw(st.lists(fsa_pools(), min_size=1, max_size=4))
+    epochs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        epoch = []
+        for pool in base:
+            action = draw(st.sampled_from(["same", "extend", "shrink", "mutate"]))
+            members = list(pool)
+            if action == "extend":
+                x = draw(coordinate_pool)
+                members = members + [
+                    (len(members) + 100, Rectangle.from_center(Point(x, x), 50.0))
+                ]
+            elif action == "shrink" and members:
+                members = members[:-1]
+            elif action == "mutate" and members:
+                object_id, rect = members[0]
+                members = [(object_id, Rectangle.from_center(rect.low, 25.0))] + members[1:]
+            epoch.append(dict(members))
+        epochs.append(epoch)
+    return epochs
+
 
 def resolve_and_build(cache, pools):
     """One epoch against the cache: build what it missed, hand it back."""
@@ -143,6 +184,83 @@ def resolve_and_build(cache, pools):
 
 
 class TestPoolCacheBitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(pool_epochs())
+    def test_resolved_structures_equal_fresh_builds(self, epochs):
+        cache = OverlapPoolCache()
+        for pools in epochs:
+            structures, _missed, stats = resolve_and_build(cache, pools)
+            assert stats["pools_total"] == len(pools)
+            assert stats["pools_total"] == stats["pools_reused"] + stats["pools_rebuilt"]
+            for pool, structure in zip(pools, structures):
+                fresh = FsaOverlapStructure.build(pool)
+                assert repr(structure.serialized()) == repr(fresh.serialized()), (
+                    "cached structure diverged from a fresh build"
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(pool_epochs())
+    def test_repeat_epochs_hit_the_cache(self, epochs):
+        """Replaying the same epoch twice must reuse every pool the second
+        time — the low-churn speedup the benchmark table measures."""
+        cache = OverlapPoolCache()
+        pools = epochs[0]
+        structures, _missed, _stats = resolve_and_build(cache, pools)
+        again, miss_again, stats = cache.resolve(pools)
+        assert miss_again == {}
+        assert stats["pools_reused"] == len(pools)
+        for first, second in zip(structures, again):
+            assert first.serialized() == second.serialized()
+
+    def test_an_extended_pool_misses_and_leaves_the_cached_entry_intact(self):
+        """Resolve pool ``P`` (cached), then ``P + extra``, then ``P``
+        verbatim again.  ``P + extra`` is a miss, built from scratch — the
+        cache has no prefix outcome that could extend ``P``'s entry — and
+        the final verbatim hit hands back ``P``'s structure unchanged.
+        """
+        cache = OverlapPoolCache()
+        base_pool = {
+            1: Rectangle.from_center(Point(100.0, 100.0), 50.0),
+            2: Rectangle.from_center(Point(120.0, 120.0), 50.0),
+        }
+        extended_pool = dict(base_pool)
+        extended_pool[3] = Rectangle.from_center(Point(110.0, 110.0), 50.0)
+
+        structures, _missed, _stats = resolve_and_build(cache, [base_pool])
+        pristine = structures[0].serialized()
+
+        extended, missed, stats = resolve_and_build(cache, [extended_pool])
+        assert missed == [0] and stats["pools_rebuilt"] == 1
+        assert extended[0].serialized() == FsaOverlapStructure.build(
+            extended_pool
+        ).serialized()
+
+        verbatim, missed, stats = resolve_and_build(cache, [base_pool])
+        assert missed == [] and stats["pools_reused"] == 1
+        assert verbatim[0].serialized() == pristine
+        assert verbatim[0].serialized() == FsaOverlapStructure.build(
+            base_pool
+        ).serialized()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pool_epochs())
+    def test_cached_entries_stay_fresh_builds(self, epochs):
+        """Property form of the pin above: after any resolve/store history,
+        re-resolving every pool ever stored returns a structure equal to a
+        fresh build of that pool."""
+        cache = OverlapPoolCache()
+        seen = []
+        for pools in epochs:
+            resolve_and_build(cache, pools)
+            seen.extend(pools)
+        replayed, _miss, _stats = cache.resolve(seen)
+        for pool, structure in zip(seen, replayed):
+            if structure is None:
+                continue
+            assert structure.serialized() == FsaOverlapStructure.build(
+                pool
+            ).serialized()
+
     def test_equal_but_differently_printed_pools_do_not_share_an_entry(self):
         """``5`` / ``5.0`` and ``0.0`` / ``-0.0`` compare equal, so a cache
         keyed by ``==`` would serve one pool's bounds for the other; the key
@@ -213,12 +331,14 @@ class TestPoolCacheBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Incremental stitcher: counters and float sums
+# Incremental stitcher vs. the global reference stitch
 # ---------------------------------------------------------------------------
 
 vertex_pool = st.sampled_from(
     [-50.0, 0.0, 100.0, 250.0, 400.0, 500.0, 625.0, 750.0, 900.0, 1000.0, 1050.0]
 )
+
+BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
 #: One event per tuple: ("insert", id, x1, y1, x2, y2, hotness) /
 #: ("expire", id-index) / ("retouch", id-index, new_hotness)
@@ -263,7 +383,137 @@ def _play(hot: Dict[int, Tuple[MotionPath, int]], next_id: int, event) -> int:
     return next_id
 
 
+def _changes(before, after, also=()):
+    """The change set between two hot sets — what the query view derives from
+    the hotness transitions — plus ``also``: ids that did not change, which a
+    dirty set is free to contain."""
+    changes = {path_id: None for path_id in before if path_id not in after}
+    for path_id, state in after.items():
+        if before.get(path_id) != state or path_id in also:
+            changes[path_id] = state
+    return changes
+
+
+# ---------------------------------------------------------------------------
+# Incremental stitcher: same-vertex churn, one apply per batch
+# ---------------------------------------------------------------------------
+
+#: Zero coordinates come in three spellings that compare equal but print apart.
+ZERO_SPELLINGS = (0.0, -0.0, 0)
+#: Four places a few units apart; a ``None`` coordinate is a zero spelling.
+PLACES = ((None, None), (10.0, None), (10.0, 10.0), (None, 10.0))
+
+
+def _place(index: int, spelling: int) -> Point:
+    zero = ZERO_SPELLINGS[spelling]
+    return Point(*(zero if coordinate is None else coordinate for coordinate in PLACES[index]))
+
+
+places = st.integers(0, len(PLACES) - 1)
+spellings = st.integers(0, len(ZERO_SPELLINGS) - 1)
+
+#: ("add", start place, end place, start spelling, end spelling, hotness) /
+#: ("remove", id-index) / ("retouch", id-index, hotness) /
+#: ("bounce", id-index): the id leaves and a new id with its path arrives /
+#: ("cycle", hotness): the three-path weld cycle of ``TestWeldCycles``.
+churn_events = st.one_of(
+    st.tuples(st.just("add"), places, places, spellings, spellings, st.integers(1, 3)),
+    st.tuples(st.just("remove"), st.integers(0, 20)),
+    st.tuples(st.just("retouch"), st.integers(0, 20), st.integers(1, 3)),
+    st.tuples(st.just("bounce"), st.integers(0, 20)),
+    st.tuples(st.just("cycle"), st.integers(1, 3)),
+)
+
+
+#: Ids are spread out, so a set of them does not iterate in ascending order.
+ID_STEP = 37
+
+
+def _churn(hot: Dict[int, Tuple[MotionPath, int]], next_id: int, event) -> int:
+    """Apply one ``churn_events`` event to ``hot``; returns the next free id."""
+    tag = event[0]
+    if tag == "add":
+        _tag, start, end, start_spelling, end_spelling, hotness = event
+        path = MotionPath(_place(start, start_spelling), _place(end, end_spelling))
+        hot[next_id] = (path, hotness)
+        return next_id + ID_STEP
+    if tag == "cycle":
+        v0, v1, v2 = (_place(index, 0) for index in range(3))
+        for path in (MotionPath(v0, v2), MotionPath(v1, v0), MotionPath(v2, v1)):
+            hot[next_id] = (path, event[1])
+            next_id += ID_STEP
+        return next_id
+    live = sorted(hot)
+    if not live:
+        return next_id
+    path_id = live[event[1] % len(live)]
+    if tag == "remove":
+        del hot[path_id]
+    elif tag == "retouch":
+        hot[path_id] = (hot[path_id][0], event[2])
+    else:  # bounce
+        hot[next_id] = hot.pop(path_id)
+        next_id += ID_STEP
+    return next_id
+
+
+churn_batches = st.lists(st.lists(churn_events, min_size=1, max_size=6), min_size=1, max_size=8)
+
+
 class TestIncrementalStitcherProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(stitch_events, st.integers(0, 3))
+    def test_patched_report_equals_global_restitch(self, events, epochs_split):
+        """Random add / remove / re-heat sequences, applied in arbitrary epoch
+        groupings with arbitrary unchanged ids riding along: the report must
+        equal ``stitch_paths`` over the surviving set, and the key-ranked
+        top-k ``select_top_k_corridors`` over that report, after every
+        ``apply``."""
+        stitcher = IncrementalStitcher()
+        hot: Dict[int, Tuple[MotionPath, int]] = {}
+        next_id = 0
+        rng = random.Random(epochs_split)
+        pending = list(events)
+        while pending:
+            take = max(1, min(len(pending), rng.randrange(1, 8)))
+            chunk, pending = pending[:take], pending[take:]
+            before = dict(hot)
+            for event in chunk:
+                next_id = _play(hot, next_id, event)
+            bystanders = {path_id for path_id in hot if rng.random() < 0.3}
+            stitcher.apply(_changes(before, hot, also=bystanders))
+            reference = _reference(hot)
+            for by_score in (False, True):
+                for k in (1, 3, 100):
+                    assert stitcher.top_k(k, by_score) == select_top_k_corridors(
+                        reference, k, by_score
+                    )
+            corridors, _stats = stitcher.report(lambda path_id: 0)
+            assert corridors == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(stitch_events)
+    def test_boundary_welds_count_the_owner_changes(self, events):
+        """The ``boundary_welds`` diagnostic, with a real 2x2 ownership map."""
+        grid = ShardGrid(BOUNDS, 2, 2)
+        stitcher = IncrementalStitcher()
+        hot: Dict[int, Tuple[MotionPath, int]] = {}
+        next_id = 0
+        for event in events:
+            next_id = _play(hot, next_id, event)
+        stitcher.apply(hot)
+
+        def owner_of(path_id: int) -> int:
+            return grid.shard_id_of(hot[path_id][0].start)
+
+        corridors, stats = stitcher.report(owner_of)
+        assert corridors == _reference(hot)
+        assert stats["boundary_welds"] == sum(
+            owner_of(previous.path_id) != owner_of(segment.path_id)
+            for corridor in corridors
+            for previous, segment in zip(corridor.segments, corridor.segments[1:])
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(stitch_events)
     def test_apply_is_idempotent(self, events):
@@ -282,6 +532,40 @@ class TestIncrementalStitcherProperties:
         assert second == first
         if first:
             assert stats["corridors_reused"] == len(first)
+
+    # Same-vertex churn: batches of events at four places, each batch handed
+    # to one ``apply`` in a shuffled order — welds that flip and flip back,
+    # cycles opened and closed, ids that came and went unseen, and vertices
+    # spelled ``0.0`` / ``-0.0`` / ``0``.
+
+    @settings(max_examples=200, deadline=None)
+    @given(churn_batches, st.randoms(use_true_random=False))
+    def test_same_vertex_churn_equals_the_global_restitch(self, batches, rng):
+        stitcher = IncrementalStitcher()
+        hot: Dict[int, Tuple[MotionPath, int]] = {}
+        next_id = 0
+        for batch in batches:
+            before, first_id = dict(hot), next_id
+            for event in batch:
+                next_id = _churn(hot, next_id, event)
+            changes = _changes(before, hot)
+            # Ids that came and went inside the batch: ``None`` for an id never held.
+            changes.update(
+                (path_id, None)
+                for path_id in range(first_id, next_id, ID_STEP)
+                if path_id not in hot
+            )
+            order = list(changes)
+            rng.shuffle(order)
+            stitcher.apply({path_id: changes[path_id] for path_id in order})
+            reference = _reference(hot)
+            for by_score in (False, True):
+                for k in (1, 3, 100):
+                    assert repr(stitcher.top_k(k, by_score)) == repr(
+                        select_top_k_corridors(reference, k, by_score)
+                    )
+            corridors, _stats = stitcher.report(lambda path_id: 0)
+            assert repr(corridors) == repr(reference)
 
     def test_a_weld_that_flips_back_taints_nothing(self):
         """Two paths end at ``v``, one starts there: no weld.  One ender

@@ -183,19 +183,3 @@ class TestQueries:
         region = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
         results = index.paths_intersecting(region)
         assert len(results) == len(inserted)
-
-
-class TestCellArithmetic:
-    def test_max_edge_maps_to_last_cell(self, unit_bounds):
-        """``_cell_of`` truncates then clamps into ``[0, cells_per_axis - 1]``:
-        a point on the bounds' max edge lands in the last cell, not one past
-        it, for cell widths the division cannot represent exactly, and
-        outside points clamp into border cells."""
-        for cells in (3, 7, 8, 13):
-            index = GridIndex(GridConfig(unit_bounds, cells_per_axis=cells))
-            last = cells - 1
-            high = unit_bounds.high
-            assert index._cell_of(high) == (last, last)
-            assert index._cell_of(Point(high.x, 0.0)) == (last, 0)
-            assert index._cell_of(Point(0.0, high.y)) == (0, last)
-            assert index._cell_of(Point(high.x + 1.0, -5.0)) == (last, 0)

@@ -237,9 +237,8 @@ class TestOwnershipDifferential:
 # Properties of the labels
 # ---------------------------------------------------------------------------
 
-#: 1x7 column stripes, 2x3 and 4x4 (a 1x3 count runs the stripes' code
-#: again: it caught no committed mutant 7 missed).
-LABEL_SHARD_COUNTS = (6, 7, 16)
+#: 1x3 and 1x7 column stripes, 2x3 and 4x4.
+LABEL_SHARD_COUNTS = (3, 6, 7, 16)
 
 #: Endpoints on the 4x4 and 2x3 cuts (multiples of 250, thirds), the 1x7
 #: stripe cuts (sevenths), and outside the bounds, so paths routinely

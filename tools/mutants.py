@@ -219,7 +219,7 @@ MUTANTS: List[Mutant] = [
     Mutant("object_cell_of_skips_the_upper_clamp", _GRID_INDEX,
            "return (min(max(col, 0), last), min(max(row, 0), last))",
            "return (min(max(col, 0), last + 1), min(max(row, 0), last))",
-           (f"{_GRID}::TestCellArithmetic::test_max_edge_maps_to_last_cell",)),
+           ("tests/test_grid_index_properties.py::TestBoundaryCells::test_max_edge_maps_to_last_cell",)),
     Mutant("object_delete_keeps_empty_cells", _GRID_INDEX,
            "                if not cell:\n                    del self._cells[key]\n",
            "                if not cell and False:\n                    del self._cells[key]\n",
