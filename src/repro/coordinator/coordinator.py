@@ -227,7 +227,9 @@ class Coordinator:
         expiry events coalesced into a single chain teardown, and how many
         corridor objects were patched vs. served from cache.  Reading them
         stitches the changes the view holds pending, so they count every
-        epoch; being per stitch, they count net, coalesced patches.
+        epoch; being per stitch, they count net, coalesced patches, and an
+        epoch whose hotness changes all cancelled (each decay matched by a
+        touch of the same path) makes no stitch and counts nothing.
         """
         cache = self._pool_cache
         reused, rebuilt = (cache.reused, cache.rebuilt) if cache is not None else (0, 0)

@@ -30,7 +30,7 @@ shard grid only labels records for diagnostics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
@@ -104,6 +104,12 @@ class GridIndex:
     def records(self) -> Iterable[MotionPathRecord]:
         """All stored motion-path records (unspecified order)."""
         return self._records.values()
+
+    @property
+    def by_id(self) -> Mapping[int, MotionPathRecord]:
+        """The live ``path_id -> record`` table, so a hot loop can bind its
+        ``get``; read it, never write it."""
+        return self._records
 
     def get(self, path_id: int) -> MotionPathRecord:
         """Return the record for ``path_id``; raises if absent."""

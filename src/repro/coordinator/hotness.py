@@ -12,7 +12,7 @@ can evict them from the grid index.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 
@@ -127,6 +127,15 @@ class HotnessTracker:
     def hotness(self, path_id: int) -> int:
         """Current hotness of ``path_id`` (zero when unknown)."""
         return self._hotness.get(path_id, 0)
+
+    @property
+    def counts(self) -> Mapping[int, int]:
+        """The live ``path_id -> hotness`` table (non-zero entries only).
+
+        The table itself, not a copy, so a hot loop can bind its ``get``;
+        read it, never write it.
+        """
+        return self._hotness
 
     def __len__(self) -> int:
         """Number of paths with non-zero hotness."""

@@ -4,10 +4,13 @@ An epoch changes a fraction of the hot set, and the hotness tracker already
 logs which ids.  :class:`HotPathView` keeps one rank tuple per hot path and one
 :class:`IncrementalStitcher`.  ``run_epoch`` only
 accumulates the logged ids (:meth:`HotPathView.note`); the first query after
-a commit re-reads exactly those from the index and the tracker, and only a
-corridor, report or statistics read hands the changes on to the stitcher, so
-epochs nobody queries pay nothing, a path query pays nothing for corridors,
-and every answer equals the oracle scans — ``select_top_k(hot_paths())`` and
+a commit re-reads those from the index and the tracker — all but the ones
+whose count came back to where it was — and only a corridor, report or
+statistics read hands the changes on to the stitcher, so epochs nobody
+queries pay nothing, a path query pays nothing for corridors, and steady
+traffic pays for neither.  A top-k answer stands until an edit reaches its
+k-th key (:class:`~repro.core.scoring.StandingTopK`).  Every answer equals
+the oracle scans — ``select_top_k(hot_paths())`` and
 ``stitch_paths(hot_paths())`` — bit for bit.  ``docs/ARCHITECTURE.md``
 ("Query path") has the argument.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.motion_path import MotionPath
-from repro.core.scoring import RankKey, ScoredPath, rank_top_k
+from repro.core.scoring import RankKey, ScoredPath, StandingTopK
 from repro.coordinator.hotness import HotnessDeltaLog
 from repro.coordinator.stitching import CompositeCorridor, IncrementalStitcher
 
@@ -35,6 +38,8 @@ class HotPathView:
         self._hotness = hotness
         self.stitcher = IncrementalStitcher()
         self._rank: Dict[int, RankKey] = {}
+        #: The last path top-k answer, kept while no edit reaches its k-th key.
+        self._standing = StandingTopK()
         #: Ids whose state may differ from the view's; ``None`` once they
         #: outnumber the hot set (the next read rescans instead of patching).
         self._dirty: Optional[set] = set()
@@ -64,33 +69,55 @@ class HotPathView:
         directly between epochs) are dirty too; a record deleted behind the
         coordinator's back, or a dirty set larger than the hot set, makes it
         re-read every id it or the tracker knows instead — the full scan.
+
+        A dirty id whose count equals the one in its rank tuple is skipped:
+        on a steadily crossed path a new crossing replaces one that expired.
+        Ids are never reused and a record's path never changes, so an equal
+        count means an equal tuple, and since ``rank`` and ``pending`` are
+        written together the stitcher already has, or is about to get, that
+        state.  Only after a deletion behind the coordinator's back does an
+        equal count prove nothing (the record may be gone): that scan
+        re-reads every id.
         """
         self._mark(self._hotness.pending_delta_ids())
         deletions = self._index.deletions
-        if deletions != self._deletions:
+        trusted = deletions == self._deletions
+        if not trusted:
             self._deletions = deletions
             self._dirty = None
         dirty = self._dirty
         if dirty is None:  # the scan: every id the view or the tracker knows
             dirty = set(self._rank)
-            dirty.update(path_id for path_id, _count in self._hotness.items())
+            dirty.update(self._hotness.counts)
         elif not dirty:
             return
         self._dirty = set()
         rank, pending, held = self._rank, self._pending, self.stitcher
-        count_of, index = self._hotness.hotness, self._index
+        count_of, record_of, ranked = self._hotness.counts.get, self._index.by_id.get, rank.get
+        edited: List[RankKey] = []  # every rank tuple replaced, old and new
         for path_id in dirty:
             count = count_of(path_id)
-            if count and path_id in index:
-                path = index.get(path_id).path
-                rank[path_id] = (count, count * path.length, -path_id)
+            old = ranked(path_id)
+            if old is not None and old[0] == count and trusted:
+                continue  # net zero: the decays and touches cancelled
+            record = record_of(path_id) if count else None
+            if record is not None:
+                path = record.path
+                key = rank[path_id] = (count, count * path.length, -path_id)
+                edited.append(key)
+                if old is not None:
+                    edited.append(old)
                 pending[path_id] = (path, count)
             else:
-                rank.pop(path_id, None)
+                if old is not None:
+                    del rank[path_id]
+                    edited.append(old)
                 if path_id in held:
                     pending[path_id] = None
                 else:
                     pending.pop(path_id, None)
+        if edited:
+            self._standing.edit(edited)
 
     def stitched(self) -> IncrementalStitcher:
         """The stitcher, brought up to date: the only place that stitches."""
@@ -101,12 +128,16 @@ class HotPathView:
         return self.stitcher
 
     def top_k(self, k: int, by_score: bool = False) -> List[ScoredPath]:
-        """Top-k hot paths: a read of the rank tuples, ``k`` objects built."""
+        """Top-k hot paths: a read of the rank tuples, ``k`` objects built.
+
+        The ranked tuples are the standing answer while every rank tuple
+        edited since it was computed lies below its k-th key.
+        """
         self.refresh()
         record_of = self._index.get
         return [
             ScoredPath(record_of(-negated_id).path, count, -negated_id)
-            for count, _score, negated_id in rank_top_k(self._rank.values(), k, by_score)
+            for count, _score, negated_id in self._standing.top_k(self._rank.values(), k, by_score)
         ]
 
     def top_k_corridors(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:

@@ -60,7 +60,7 @@ from typing import (
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.motion_path import MotionPath, MotionPathRecord
-from repro.core.scoring import RankKey, rank_top_k
+from repro.core.scoring import RankKey, StandingTopK
 
 __all__ = [
     "CorridorSegment",
@@ -124,7 +124,7 @@ class CompositeCorridor:
         return self.segments[-1].path.end
 
     # Computed once per instance and cached in ``__dict__`` (not fields, so
-    # ``repr``, equality and hash are unchanged), like ``MotionPath.length``.
+    # ``repr``, equality and hash are unchanged).
 
     @cached_property
     def length(self) -> float:
@@ -297,7 +297,12 @@ class IncrementalStitcher:
     ``k`` fragments of one corridor expiring in the same apply tear the
     chain down once, not ``k`` times (counted in ``expiry_coalesced``).
     The counters therefore count net, coalesced patches: a weld that flips
-    and flips back among the changes of one apply taints nothing.
+    and flips back among the changes of one apply taints nothing.  The
+    query view hands over only ids whose ``(path, hotness)`` changed, so a
+    stitch whose changes all cancelled (steady traffic: each new crossing
+    replaced one that expired) is no apply at all and counts nothing.  A
+    standing top-k answer (:class:`~repro.core.scoring.StandingTopK`) is
+    dropped when a chain key at or above its k-th key is edited.
 
     **Exactness.**  The retained successor map always equals the one a global
     weld pass would compute: the weld at a vertex is a function of that
@@ -341,6 +346,8 @@ class IncrementalStitcher:
         self._keys: Dict[int, RankKey] = {}
         #: head id -> materialised corridor; filled on demand, dropped on re-key.
         self._corridors: Dict[int, CompositeCorridor] = {}
+        #: The last corridor top-k answer, kept while no edit reaches its k-th key.
+        self._standing = StandingTopK()
         #: Counters accumulated since the last :meth:`report` (folded into its
         #: stats dict and then reset).
         self._since_report: Dict[str, int] = self._zero_counters()
@@ -480,14 +487,16 @@ class IncrementalStitcher:
                 dirty_heads.add(head)
 
         chains, keys, corridors = self._chains, self._keys, self._corridors
+        edited: List[RankKey] = []  # every chain key replaced, old and new
         rebuilt = set(added)
         for head in dirty_heads:
             rebuilt.update(chains.pop(head))
-            del keys[head]
+            edited.append(keys.pop(head))
             corridors.pop(head, None)
         rebuilt.difference_update(removed)
         rekeyed = reheated - dirty_heads  # intact chains: only their key and corridor are stale
         for head in rekeyed:
+            edited.append(keys[head])
             corridors.pop(head, None)
         new_chains = self._rechain(rebuilt)
         for chain in new_chains:
@@ -499,7 +508,10 @@ class IncrementalStitcher:
         hotness_of, score_of = hotness.__getitem__, score.__getitem__
         for head in rekeyed:
             chain = chains[head]
-            keys[head] = (min(map(hotness_of, chain)), sum(map(score_of, chain)), -head)
+            key = keys[head] = (min(map(hotness_of, chain)), sum(map(score_of, chain)), -head)
+            edited.append(key)
+        if edited:
+            self._standing.edit(edited)
 
         self._bump("fragments_added", len(added))
         self._bump("fragments_removed", len(removed))
@@ -556,10 +568,18 @@ class IncrementalStitcher:
         return cached
 
     def top_k(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:
-        """Top-k corridors read off the chain keys; only the winners are built."""
+        """Top-k corridors read off the chain keys; only the winners are built.
+
+        The ranked keys are the standing answer while every chain key
+        :meth:`apply` edited since it was computed lies below its k-th key;
+        the winners still go through :meth:`_corridor`, so the counters read
+        as if they had been re-ranked.
+        """
         return [
             self._corridor(-negated_head)
-            for _hotness, _score, negated_head in rank_top_k(self._keys.values(), k, by_score)
+            for _hotness, _score, negated_head in self._standing.top_k(
+                self._keys.values(), k, by_score
+            )
         ]
 
     # -- the patched report -------------------------------------------------------

@@ -16,7 +16,6 @@ lifetime and whose paths start where the previous one ended.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.core.geometry import Point, Rectangle, interpolate_point, segment_length
 
@@ -25,19 +24,20 @@ __all__ = ["MotionPath", "MotionPathRecord"]
 
 @dataclass(frozen=True)
 class MotionPath:
-    """A directed segment ``start -> end`` on the xy plane."""
+    """A directed segment ``start -> end`` on the xy plane.
+
+    ``length`` (float) is the segment's Euclidean length, used by the score
+    metric.  It is computed once, at construction, into the instance
+    ``__dict__``: not a field, so ``repr``, equality and hash are unchanged,
+    and reading it is a plain attribute read (a ``cached_property`` takes a
+    lock on its first read on CPython 3.11).
+    """
 
     start: Point
     end: Point
 
-    @cached_property
-    def length(self) -> float:
-        """Euclidean length of the segment (used by the score metric).
-
-        Cached in the instance ``__dict__``: not a field, so ``repr``,
-        equality and hash are unchanged.
-        """
-        return segment_length(self.start, self.end)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "length", segment_length(self.start, self.end))
 
     def point_at(self, fraction: float) -> Point:
         """Point ``start + fraction * (end - start)`` for ``fraction`` in [0, 1]."""

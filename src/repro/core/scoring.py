@@ -10,12 +10,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.motion_path import MotionPath, MotionPathRecord
 
-__all__ = ["RankKey", "ScoredPath", "rank_top_k", "select_top_k", "top_k_score"]
+__all__ = [
+    "RankKey",
+    "ScoredPath",
+    "StandingTopK",
+    "rank_top_k",
+    "select_top_k",
+    "top_k_score",
+]
 
 #: Rank tuple ``(hotness, score, -id)`` of a hot path or a corridor (id = lead
 #: path id): as is, the by-hotness total order of :func:`select_top_k`; read
@@ -65,6 +72,58 @@ def rank_top_k(keys: Iterable[RankKey], k: int, by_score: bool = False) -> List[
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")
     return heapq.nlargest(k, keys, key=_SCORE_FIRST if by_score else None)
+
+
+class StandingTopK:
+    """The last :func:`rank_top_k` answer over a maintained set of rank tuples,
+    kept until an edit reaches its k-th key.
+
+    The owner reports every key it adds, removes or replaces — old and new —
+    to :meth:`edit`.  The answer stands while each edited key lies below the
+    *floor*, the answer's k-th key in its own order, and the next
+    :meth:`top_k` with the same ``(k, by_score)`` returns it without a
+    re-rank.  That is exact: rank tuples are totally ordered (the last
+    element is a negated id, never shared), and the k largest keys of a set
+    do not change when every key added or removed lies below the k-th.  An
+    answer shorter than ``k`` has no floor: any edit drops it.
+    """
+
+    __slots__ = ("_query", "_keys", "_floor")
+
+    def __init__(self) -> None:
+        #: ``(k, by_score)`` of the standing answer; ``None`` when there is none.
+        self._query: Optional[Tuple[int, bool]] = None
+        self._keys: List[RankKey] = []
+        #: The k-th key, read in the answer's order; ``None`` below k keys.
+        self._floor: Optional[RankKey] = None
+
+    def top_k(self, keys: Iterable[RankKey], k: int, by_score: bool = False) -> List[RankKey]:
+        """``rank_top_k(keys, k, by_score)``, served from the standing answer
+        when it was asked for with the same ``k`` and ``by_score``.
+
+        The list returned is the standing answer itself: read it, never
+        change it.
+        """
+        query = (k, bool(by_score))
+        if query == self._query:
+            return self._keys
+        answer = rank_top_k(keys, k, by_score)
+        self._query, self._keys = query, answer
+        if len(answer) < k:
+            self._floor = None
+        else:
+            self._floor = _SCORE_FIRST(answer[-1]) if by_score else answer[-1]
+        return answer
+
+    def edit(self, keys: Iterable[RankKey]) -> None:
+        """Drop the standing answer if any of ``keys`` is at or above its floor."""
+        if self._query is None:
+            return
+        floor, by_score = self._floor, self._query[1]
+        for key in keys:
+            if floor is None or (_SCORE_FIRST(key) if by_score else key) >= floor:
+                self._query = None
+                return
 
 
 def top_k_score(top_k: Sequence[ScoredPath]) -> float:

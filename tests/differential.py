@@ -261,6 +261,35 @@ def repeating_stream() -> Stream:
     ]
 
 
+def steady_roster_stream(seed: int = 5, epochs: int = 16, roster: int = 24) -> Stream:
+    """Steady traffic: a fixed roster resubmits identical reports every epoch
+    (fresh timestamps), and every third epoch one visitor reports once.
+
+    Under a window of 25 a roster path's crossing expires in the epoch that a
+    new one touches it, so from epoch 4 on its count does not change: the
+    decays and touches cancel, and an epoch without a visitor changes no
+    count at all.
+    """
+    first = synthetic_stream(seed, epochs=1, per_epoch=roster)[0][1]
+    base = list({state.object_id: state for state in first}.values())  # one report an object
+    rng = random.Random(seed)
+    stream = []
+    for epoch in range(1, epochs + 1):
+        boundary = epoch * 10
+        states = [
+            ObjectState(s.object_id, s.start, boundary - 6, s.fsa_low, s.fsa_high, boundary - 1)
+            for s in base
+        ]
+        if epoch % 3 == 0:
+            start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
+            fsa = Rectangle.from_center(Point(start.x + 80.0, start.y), 10.0)
+            states.append(
+                ObjectState(1000 + epoch, start, boundary - 6, fsa.low, fsa.high, boundary - 1)
+            )
+        stream.append((boundary, states))
+    return stream
+
+
 def saturating_stream() -> Stream:
     """Three epochs; the middle one fills the overlap-region cap.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import scoring
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.core.scoring import ScoredPath
@@ -324,6 +325,125 @@ class TestQueryWork:
         assert 0 < built["corridors"] <= k
         # Two vertices per id that entered or left the hot set.
         assert 0 < built["rewelds"] <= 2 * len(dirty)
+
+
+class TestSteadyQueryWork:
+    """Steady traffic costs a query only what changed, as exact counts: a
+    roster whose decays and touches cancel (``differential.steady_roster_stream``
+    under a window of 25; epochs 7 and 8 change no count at all)."""
+
+    WARM_UP = 5
+
+    @staticmethod
+    def epochs(coordinator):
+        """``(epoch, outcome)`` of the steady roster, one epoch at a time."""
+        stream = differential.steady_roster_stream()
+        for epoch, (boundary, states) in enumerate(stream, start=1):
+            for state_message in states:
+                coordinator.submit_state(state_message)
+            yield epoch, coordinator.run_epoch(boundary)
+
+    @staticmethod
+    def hot_state(coordinator):
+        return {record.path_id: (record.path, hot) for record, hot in coordinator.hot_paths()}
+
+    @staticmethod
+    def dirty(outcome):
+        delta = outcome.delta
+        return set(delta.newly_hot) | set(delta.touched) | set(delta.decayed) | set(delta.vanished)
+
+    def test_apply_receives_only_the_ids_whose_state_changed(self, monkeypatch):
+        applied = []
+        apply = IncrementalStitcher.apply
+        monkeypatch.setattr(
+            IncrementalStitcher, "apply",
+            lambda self, changes: applied.append(dict(changes)) or apply(self, changes),
+        )
+        coordinator = differential.make_coordinator(window=25)
+        quiet = partial = 0
+        try:
+            stitched = {}
+            for epoch, outcome in self.epochs(coordinator):
+                applied.clear()
+                coordinator.top_k_corridors(10)
+                now = self.hot_state(coordinator)
+                if epoch > self.WARM_UP:
+                    changed = {i: state for i, state in now.items() if stitched.get(i) != state}
+                    changed.update((i, None) for i in stitched.keys() - now.keys())
+                    assert applied == ([changed] if changed else [])
+                    quiet += not changed
+                    partial += 0 < len(changed) < len(self.dirty(outcome))
+                stitched = now
+        finally:
+            coordinator.close()
+        assert quiet and partial, "no net-zero epoch, or no epoch mixing both kinds"
+
+    def test_a_repeated_query_ranks_again_once_a_change_reaches_its_floor(self, monkeypatch):
+        ranked = []
+        rank_top_k = scoring.rank_top_k
+        monkeypatch.setattr(
+            scoring, "rank_top_k", lambda *args: ranked.append(args[1]) or rank_top_k(*args)
+        )
+        coordinator = differential.make_coordinator(window=25)
+        view = coordinator._view
+        try:
+            epochs = self.epochs(coordinator)
+            for epoch, _outcome in epochs:
+                coordinator.top_k(10)
+                coordinator.top_k_corridors(10)
+                if epoch == 6:
+                    break
+            ranked.clear()
+            _epoch, outcome = next(epochs)  # epoch 7: every count as it was
+            assert self.dirty(outcome)
+            for _ in range(2):
+                coordinator.top_k(10)
+                coordinator.top_k_corridors(10)
+            assert ranked == []
+
+            # A crossing whose new rank tuple stays below the 10th.
+            floor = sorted(view._rank.values())[-10]
+            below = [
+                record.path_id for record, count in coordinator.hot_paths()
+                if (count + 1, (count + 1) * record.path.length, -record.path_id) < floor
+            ]
+            assert below, "no hot path to cross below the floor"
+            coordinator.hotness.record_crossing(below[0], 70)
+            coordinator.top_k(10)
+            assert ranked == []
+
+            # A crossing of the leading corridor's head reaches both floors.
+            lead = coordinator.top_k_corridors(10)[0].lead_path_id
+            assert ranked == []
+            coordinator.hotness.record_crossing(lead, 70)
+            for _ in range(2):
+                coordinator.top_k(10)
+            assert ranked == [10]
+            for _ in range(2):
+                coordinator.top_k_corridors(10)
+            assert ranked == [10, 10]
+        finally:
+            coordinator.close()
+
+    def test_a_net_zero_epoch_makes_no_stitch(self):
+        """The stitcher's counters count stitches, and an epoch whose
+        decays and touches all cancel hands it nothing, so it makes none."""
+        coordinator = differential.make_coordinator(window=25)
+        try:
+            epochs = self.epochs(coordinator)
+            for epoch, _outcome in epochs:
+                coordinator.shard_statistics()
+                if epoch == 6:
+                    break
+            stitcher = coordinator._view.stitcher.totals
+            before = {key: coordinator.shard_statistics()[key] for key in stitcher}
+            counts = self.hot_state(coordinator)
+            _epoch, outcome = next(epochs)  # epoch 7
+            assert self.dirty(outcome) and self.hot_state(coordinator) == counts
+            assert {key: coordinator.shard_statistics()[key] for key in stitcher} == before
+            assert repr(coordinator.hot_corridors()) == repr(stitch_paths(coordinator.hot_paths()))
+        finally:
+            coordinator.close()
 
 
 def _vertices(paths):

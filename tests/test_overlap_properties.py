@@ -447,6 +447,19 @@ class TestScalarBuildEqualsOracle:
         points=st.lists(tie_points, max_size=6),
         fsas=st.lists(tie_rectangles(), max_size=6),
     )
+    # Id 0 is added again under a binding cap: three of four slots are taken,
+    # so only its own singleton fits the derivation budget, and deriving one
+    # region more would refine the stored {0, 1} to a smaller box.
+    @example(
+        calls=[
+            (0, Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))),
+            (1, Rectangle(Point(5.0, 0.0), Point(15.0, 10.0))),
+            (0, Rectangle(Point(6.0, 0.0), Point(10.0, 10.0))),
+        ],
+        max_regions=4,
+        points=[],
+        fsas=[],
+    )
     def test_direct_adds(self, route, calls, max_regions, points, fsas):
         structure = FsaOverlapStructure(max_regions)
         reference = ReferenceFsaOverlapStructure(max_regions)

@@ -78,6 +78,7 @@ _GRID_INDEX = "src/repro/coordinator/grid_index.py"
 _OVERLAPS = "src/repro/coordinator/overlaps.py"
 _PARTITION = "src/repro/coordinator/partition.py"
 _QUERY_VIEW = "src/repro/coordinator/query_view.py"
+_SCORING = "src/repro/core/scoring.py"
 _SERVER = "src/repro/serving/server.py"
 _SINGLE_PATH = "src/repro/coordinator/single_path.py"
 _STITCHING = "src/repro/coordinator/stitching.py"
@@ -89,6 +90,8 @@ _EQUAL_X_REMOVAL = "tests/test_columnar.py::TestEndpointTableKernels::test_remov
 _WELD_CYCLE = "tests/test_stitching_properties.py::TestWeldCycles::test_cross_shard_cycle_weld_accounting"
 _POOL_CACHE = "tests/test_delta_properties.py::TestPoolCacheBitIdentity"
 _STITCHER = "tests/test_delta_properties.py::TestIncrementalStitcherProperties"
+_STEADY = "tests/test_delta_properties.py::TestSteadyRosterAnswers::test_every_answer_equals_the_oracle"
+_STEADY_WORK = "tests/test_coordinator.py::TestSteadyQueryWork"
 _GRID = "tests/test_grid_index.py"
 _SEQ_RUNS = "tests/test_batcher_properties.py::TestRunLengthDedupe"
 _HISTOGRAM = "tests/test_batcher_properties.py::TestLatencyHistogram"
@@ -329,6 +332,27 @@ MUTANTS: List[Mutant] = [
            (
                "tests/test_coordinator.py::TestPathQueriesNeverStitch::test_pending_changes_stay_bounded_and_exact",
            )),
+    # -- steady traffic: net-zero skips and standing top-k answers -------------------
+    Mutant("net_zero_skip_tests_presence_not_count", _QUERY_VIEW,
+           "if old is not None and old[0] == count and trusted:",
+           "if old is not None and trusted:",
+           (f"{_STEADY}[10-False]", f"{_STEADY_WORK}::test_apply_receives_only_the_ids_whose_state_changed")),
+    Mutant("standing_floor_test_is_strict", _SCORING,
+           "(_SCORE_FIRST(key) if by_score else key) >= floor:",
+           "(_SCORE_FIRST(key) if by_score else key) > floor:",
+           (f"{_STEADY}[1-False]",)),
+    Mutant("a_removal_keeps_the_standing_answer", _QUERY_VIEW,
+           "                    del rank[path_id]\n                    edited.append(old)\n",
+           "                    del rank[path_id]\n",
+           (f"{_STEADY}[1-False]",)),
+    Mutant("stitcher_ignores_a_rekeyed_chains_old_key", _STITCHING,
+           "        for head in rekeyed:\n            edited.append(keys[head])\n",
+           "        for head in rekeyed:\n",
+           (f"{_STEADY}[1-False]",)),
+    Mutant("standing_answer_ignores_by_score", _SCORING,
+           "if query == self._query:",
+           "if self._query is not None and query[0] == self._query[0]:",
+           (f"{_STEADY}[10-False]", f"{_STEADY}[3-True]")),
     Mutant("corridor_score_is_the_maximum", _STITCHING,
            "return sum(segment.score for segment in self.segments)",
            "return max(segment.score for segment in self.segments)",
