@@ -25,11 +25,7 @@ from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.core.trajectory import TimePoint
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessTracker
-from repro.baselines.opening_window import (
-    OpeningWindowPolicy,
-    OpeningWindowSegment,
-    OpeningWindowSimplifier,
-)
+from repro.baselines.opening_window import OpeningWindowSegment, OpeningWindowSimplifier
 
 __all__ = ["DPHotSegmentTracker"]
 
@@ -48,12 +44,10 @@ class DPHotSegmentTracker:
         tolerance: float,
         window: int = 100,
         cells_per_axis: int = 64,
-        policy: OpeningWindowPolicy = OpeningWindowPolicy.NOPW,
     ) -> None:
         if tolerance <= 0:
             raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
         self.tolerance = tolerance
-        self.policy = policy
         self.index = GridIndex(GridConfig(bounds, cells_per_axis))
         self.hotness = HotnessTracker(window)
         self._simplifiers: Dict[int, OpeningWindowSimplifier] = {}
@@ -61,14 +55,15 @@ class DPHotSegmentTracker:
     # -- streaming interface ---------------------------------------------------------
 
     def observe(self, object_id: int, timepoint: TimePoint) -> Optional[int]:
-        """Feed one measurement of ``object_id``.
+        """Feed one measurement of ``object_id`` (an :class:`UncertainTimePoint`'s
+        sigmas are ignored: the baseline reads the position and timestamp only).
 
         Returns the id of the segment that was credited (reused or newly
         stored) when the measurement closed a segment, otherwise ``None``.
         """
         simplifier = self._simplifiers.get(object_id)
         if simplifier is None:
-            simplifier = OpeningWindowSimplifier(self.tolerance, self.policy)
+            simplifier = OpeningWindowSimplifier(self.tolerance)
             self._simplifiers[object_id] = simplifier
         closed = simplifier.observe(timepoint)
         if closed is None:

@@ -4,13 +4,9 @@ These are the streaming adaptations referenced as [20] in the paper: instead
 of simplifying a complete trajectory offline, the algorithm fixes a starting
 point and repeatedly extends a candidate segment to the newest measurement
 (the *floating endpoint*), checking that all intermediate measurements stay
-within the tolerance.  When the check fails the segment is closed and a new
-one starts.  Two closing policies exist:
-
-* ``NOPW`` (normal opening window, the conservative policy) — close the
-  segment at the intermediate point that violated the tolerance the most;
-* ``BOPW`` (before opening window, the eager policy) — close the segment at
-  the measurement just before the floating endpoint.
+within the tolerance.  When the check fails the segment is closed at the
+intermediate point that violated the tolerance the most (the conservative
+``NOPW`` policy, "normal opening window") and a new one starts there.
 
 The output is a sequence of segments whose endpoints are original
 measurements, i.e. a strict trajectory synopsis.  The DP hot-segment baseline
@@ -19,7 +15,6 @@ of Section 6 builds on this generator.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -27,7 +22,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, max_distance
 from repro.core.trajectory import TimePoint
 
-__all__ = ["OpeningWindowPolicy", "OpeningWindowSegment", "OpeningWindowSimplifier", "synchronous_distance"]
+__all__ = ["OpeningWindowSegment", "OpeningWindowSimplifier", "synchronous_distance"]
 
 
 def synchronous_distance(timepoint: TimePoint, start: TimePoint, end: TimePoint) -> float:
@@ -49,13 +44,6 @@ def synchronous_distance(timepoint: TimePoint, start: TimePoint, end: TimePoint)
     return max_distance(timepoint.point, interpolated)
 
 
-class OpeningWindowPolicy(enum.Enum):
-    """Closing policy of the opening-window algorithm."""
-
-    NOPW = "nopw"
-    BOPW = "bopw"
-
-
 @dataclass(frozen=True)
 class OpeningWindowSegment:
     """One simplification segment produced by the opening-window algorithm."""
@@ -71,11 +59,10 @@ class OpeningWindowSimplifier:
     was closed by this measurement, if any.
     """
 
-    def __init__(self, tolerance: float, policy: OpeningWindowPolicy = OpeningWindowPolicy.NOPW) -> None:
+    def __init__(self, tolerance: float) -> None:
         if tolerance <= 0:
             raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
         self.tolerance = tolerance
-        self.policy = policy
         self._window: List[TimePoint] = []
 
     def observe(self, timepoint: TimePoint) -> Optional[OpeningWindowSegment]:
@@ -97,13 +84,9 @@ class OpeningWindowSimplifier:
             self._window.append(timepoint)
             return None
 
-        # Violation: close the segment according to the policy.
-        if self.policy is OpeningWindowPolicy.NOPW:
-            split_index = worst_index
-        else:
-            split_index = len(self._window) - 1
-        segment = OpeningWindowSegment(candidate_start, self._window[split_index])
+        # Violation: close the segment at the worst intermediate point.
+        segment = OpeningWindowSegment(candidate_start, self._window[worst_index])
         # The new window starts at the split point and keeps the measurements
         # after it (still to be covered), followed by the new measurement.
-        self._window = self._window[split_index:] + [timepoint]
+        self._window = self._window[worst_index:] + [timepoint]
         return segment

@@ -10,9 +10,8 @@ least ``1 - delta``.  The set of admissible ``x'`` values is an interval
     Phi((x' + eps - x) / sigma) - Phi((x' - eps - x) / sigma) = 1 - delta
 
 for the two extreme values of ``x'`` (Equation 2).  The paper recommends a
-precomputed lookup table; :class:`NormalToleranceModel` builds one (offsets of
-``x' - x`` in units of sigma, indexed by ``epsilon / sigma``) and falls back to
-bisection outside its range.
+precomputed lookup table; :class:`NormalToleranceModel` instead solves by
+bisection and caches the half width per sigma.
 
 In two dimensions the requirement splits into per-axis conditions with failure
 probability ``delta / 2`` each, so the same 1-d machinery applies to x and y
@@ -90,62 +89,49 @@ class NormalToleranceModel:
         Maximum allowed failure probability. ``delta == 0`` disables the
         probabilistic model and the tolerance interval is the plain
         ``[x - eps, x + eps]``.
-    table_resolution:
-        Number of entries in the precomputed lookup table over the offset axis.
     policy:
         Behaviour when the interval is unsatisfiable; see
-        :class:`UnsatisfiableTolerancePolicy`.
-    minimal_half_width:
-        Half width of the fallback interval used by the ``MINIMAL`` policy.
+        :class:`UnsatisfiableTolerancePolicy`.  The ``MINIMAL`` fallback
+        interval has half width ``minimal_half_width``, 5 % of ``epsilon``.
     """
 
     def __init__(
         self,
         epsilon: float,
         delta: float = 0.0,
-        table_resolution: int = 2048,
         policy: UnsatisfiableTolerancePolicy = UnsatisfiableTolerancePolicy.MINIMAL,
-        minimal_half_width: Optional[float] = None,
     ) -> None:
         if epsilon <= 0:
             raise ToleranceError(f"epsilon must be positive, got {epsilon}")
         if not 0.0 <= delta < 1.0:
             raise ToleranceError(f"delta must be in [0, 1), got {delta}")
-        if table_resolution < 2:
-            raise ToleranceError(f"table resolution must be at least 2, got {table_resolution}")
         self.epsilon = epsilon
         self.delta = delta
         self.policy = policy
-        self.minimal_half_width = (
-            minimal_half_width if minimal_half_width is not None else epsilon * 0.05
-        )
-        self._table_resolution = table_resolution
+        self.minimal_half_width = epsilon * 0.05
         # Per-axis failure budget: the paper splits delta evenly between x and y.
         self._axis_delta = delta / 2.0
-        # Lookup tables are keyed by sigma because offsets scale with sigma; we
-        # cache the solved half width for recently seen sigmas.
+        # The solved half width depends on sigma alone; cache it per sigma.
         self._half_width_cache: dict = {}
 
     # -- one-dimensional interval -------------------------------------------------
 
-    def tolerance_interval(
-        self, mean: float, sigma: float, axis_delta: Optional[float] = None
-    ) -> ToleranceInterval:
+    def tolerance_interval(self, mean: float, sigma: float) -> ToleranceInterval:
         """Admissible interval of close locations for a 1-d measurement.
 
         With ``delta == 0`` or ``sigma == 0`` this is simply
         ``[mean - eps, mean + eps]``; otherwise the interval shrinks as the
         noise grows, collapsing to the unsatisfiable case handled per policy.
+        The failure budget is the per-axis one, ``delta / 2``.
         """
-        delta = self._axis_delta if axis_delta is None else axis_delta
-        if delta <= 0.0 or sigma <= 0.0:
+        if self._axis_delta <= 0.0 or sigma <= 0.0:
             return ToleranceInterval(mean - self.epsilon, mean + self.epsilon)
-        half_width = self._solve_half_width(sigma, delta)
+        half_width = self._solve_half_width(sigma)
         if half_width is None:
             if self.policy is UnsatisfiableTolerancePolicy.RAISE:
                 raise ToleranceError(
                     f"no tolerance interval exists for sigma={sigma} with "
-                    f"epsilon={self.epsilon}, delta={delta}"
+                    f"epsilon={self.epsilon}, delta={self._axis_delta}"
                 )
             half_width = self.minimal_half_width
         return ToleranceInterval(mean - half_width, mean + half_width)
@@ -168,18 +154,19 @@ class NormalToleranceModel:
 
     # -- internals --------------------------------------------------------------------
 
-    def _solve_half_width(self, sigma: float, delta: float) -> Optional[float]:
+    def _solve_half_width(self, sigma: float) -> Optional[float]:
         """Solve Equation 2 for the half width of the admissible interval.
 
         The admissible offsets are symmetric around zero, so it suffices to
         find the largest non-negative offset ``d`` with
-        ``interval_probability(d, eps, sigma) >= 1 - delta``.  Returns ``None``
-        when even ``d = 0`` fails, i.e. the equation has no solution.
+        ``interval_probability(d, eps, sigma) >= 1 - delta / 2`` (the per-axis
+        budget).  Returns ``None`` when even ``d = 0`` fails, i.e. the
+        equation has no solution.
         """
-        key = (round(sigma, 9), round(delta, 12))
+        key = round(sigma, 9)
         if key in self._half_width_cache:
             return self._half_width_cache[key]
-        target = 1.0 - delta
+        target = 1.0 - self._axis_delta
         if interval_probability(0.0, self.epsilon, sigma) < target:
             self._half_width_cache[key] = None
             return None

@@ -123,7 +123,6 @@ class Coordinator:
             self._view = HotPathView(self.index, self.hotness)
         self.router = ShardRouter(config.bounds, config.num_shards, self.index, self.strategy)
         self._pending_states: List[ObjectState] = []
-        self._corridor_cache: Optional[List[CompositeCorridor]] = None
         self._epochs_processed = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -153,7 +152,6 @@ class Coordinator:
         """
         started = time.perf_counter()
         outcome = EpochOutcome(timestamp=now)
-        self._corridor_cache = None
 
         expired = self.hotness.advance_time(now)
         deleted: List[int] = []
@@ -281,20 +279,18 @@ class Coordinator:
         maintained view's chains with the ids dirtied since the last query
         and materialises every chain (untouched ones from the per-chain
         cache); full mode is ``stitch_paths(hot_paths())``, the seed report
-        every configuration must reproduce bit for bit.  The report's shape
-        lands in ``router.stitch_stats``.  The first call after an epoch's
-        commit caches the report until the next epoch; mutating the index or
-        hotness directly between epochs (outside ``run_epoch``) does not
-        refresh that cache.
+        every configuration must reproduce bit for bit.  Either way the report
+        is of the current state, also after a direct ``record_crossing`` or
+        ``GridIndex.delete``.  The report's shape lands in
+        ``router.stitch_stats``.
         """
-        if self._corridor_cache is None:
-            if self._view is not None:
-                corridors, stats = self._view.report(self.router.owner_of)
-            else:
-                corridors = stitch_paths(self.hot_paths())
-                stats = corridor_stats(corridors, self.router.owner_of)
-            self._corridor_cache, self.router.stitch_stats = corridors, stats
-        return self._corridor_cache
+        if self._view is not None:
+            corridors, stats = self._view.report(self.router.owner_of)
+        else:
+            corridors = stitch_paths(self.hot_paths())
+            stats = corridor_stats(corridors, self.router.owner_of)
+        self.router.stitch_stats = stats
+        return corridors
 
     def top_k_corridors(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:
         """Top-k composite corridors — the corridor-aware top-k merge.

@@ -473,12 +473,12 @@ class ProcessBackend(ExecutionBackend):
         self._rings = []
 
 
-def create_backend(name: str, workers: Optional[int] = None) -> ExecutionBackend:
+def create_backend(name: str) -> ExecutionBackend:
     """Instantiate an execution backend by name (see :data:`BACKEND_NAMES`)."""
     if name == "serial":
         return SerialBackend()
     if name == "processes":
-        return ProcessBackend(workers)
+        return ProcessBackend()
     raise ConfigurationError(
         f"unknown execution backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )

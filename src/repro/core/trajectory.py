@@ -14,7 +14,7 @@ those into shrunken tolerance intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.core.errors import InvalidTrajectoryError
 from repro.core.geometry import Point
@@ -65,10 +65,6 @@ class UncertainTimePoint:
     def y(self) -> float:
         return self.point.y
 
-    def certain(self) -> TimePoint:
-        """Drop the uncertainty and return the mean location as a plain timepoint."""
-        return TimePoint(self.point, self.timestamp)
-
 
 class Trajectory:
     """A time-ordered sequence of timepoints for a single object.
@@ -78,13 +74,10 @@ class Trajectory:
 
     __slots__ = ("object_id", "_timepoints", "_timestamps")
 
-    def __init__(self, object_id: int = 0, timepoints: Optional[Iterable[TimePoint]] = None) -> None:
+    def __init__(self, object_id: int = 0) -> None:
         self.object_id = object_id
         self._timepoints: List[TimePoint] = []
         self._timestamps: List[int] = []
-        if timepoints is not None:
-            for timepoint in timepoints:
-                self.append(timepoint)
 
     # -- mutation -------------------------------------------------------------
 

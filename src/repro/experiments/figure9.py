@@ -82,22 +82,20 @@ def run_figure10(
     scale: Optional[ExperimentScale] = None,
     seed: int = 42,
     k: int = 20,
-    centre_fraction: float = 0.5,
     map_width: int = 60,
     map_height: int = 30,
 ) -> NetworkDiscoveryReport:
     """Reproduce Figure 10: the top-k hottest motion paths in the centre of the area.
 
-    ``centre_fraction`` selects the central sub-rectangle of the monitored area
-    (0.5 keeps the central half along each axis, mirroring the paper's zoom on
-    the centre of Athens).
+    The centre is the central half of the monitored area along each axis,
+    mirroring the paper's zoom on the centre of Athens.
     """
     config = scaled_simulation_config(scale=scale, seed=seed, run_naive_baseline=False)
     result = HotPathSimulation(config).run()
 
     full_bounds = result.network.bounding_box(padding=config.tolerance)
-    margin_x = full_bounds.width * (1.0 - centre_fraction) / 2.0
-    margin_y = full_bounds.height * (1.0 - centre_fraction) / 2.0
+    margin_x = full_bounds.width / 4.0
+    margin_y = full_bounds.height / 4.0
     centre = Rectangle(
         Point(full_bounds.low.x + margin_x, full_bounds.low.y + margin_y),
         Point(full_bounds.high.x - margin_x, full_bounds.high.y - margin_y),

@@ -12,7 +12,7 @@ point's time per epoch (panel (c)) is measured with no earlier one alive.
 from __future__ import annotations
 
 import gc
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentScale, scaled_simulation_config
@@ -35,9 +35,6 @@ class SweepRow:
     processing_seconds: float
     uplink_messages: int
     naive_messages: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return asdict(self)
 
 
 @dataclass

@@ -23,13 +23,22 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.network.road_network import RoadClass, RoadNetwork
 
 __all__ = ["NetworkConfig", "SyntheticRoadNetworkGenerator"]
+
+#: Node positions move off the regular grid by up to this fraction of the
+#: spacing, so links are not axis-parallel.
+_JITTER_FRACTION = 0.25
+#: Grid rows (and columns) upgraded to each major class on the paper-scale
+#: 33x33 grid; smaller grids scale the counts down.
+_ARTERIAL_LINES = ((RoadClass.MOTORWAY, 2), (RoadClass.HIGHWAY, 4), (RoadClass.PRIMARY, 6))
+#: The chance that a grid cell gets a diagonal short-cut.
+_DIAGONAL_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -39,18 +48,11 @@ class NetworkConfig:
     ``area_size`` is the side of the square area in metres (the Athens network
     covers about 250 km², i.e. a ~15.8 km square; the default keeps that
     order of magnitude).  ``grid_nodes_per_axis`` controls the node count
-    (``n^2`` nodes in total).  ``jitter_fraction`` perturbs node positions away
-    from the regular grid so links are not axis-parallel.  The arterial
-    parameters choose how many rows/columns are upgraded to each major class.
+    (``n^2`` nodes in total).
     """
 
     area_size: float = 16000.0
     grid_nodes_per_axis: int = 33
-    jitter_fraction: float = 0.25
-    motorway_lines: int = 2
-    highway_lines: int = 4
-    primary_lines: int = 6
-    diagonal_fraction: float = 0.15
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -59,14 +61,6 @@ class NetworkConfig:
         if self.grid_nodes_per_axis < 2:
             raise ConfigurationError(
                 f"grid_nodes_per_axis must be at least 2, got {self.grid_nodes_per_axis}"
-            )
-        if not 0.0 <= self.jitter_fraction < 0.5:
-            raise ConfigurationError(
-                f"jitter_fraction must be in [0, 0.5), got {self.jitter_fraction}"
-            )
-        if not 0.0 <= self.diagonal_fraction <= 1.0:
-            raise ConfigurationError(
-                f"diagonal_fraction must be in [0, 1], got {self.diagonal_fraction}"
             )
 
 
@@ -83,7 +77,7 @@ class SyntheticRoadNetworkGenerator:
         network = RoadNetwork()
         n = config.grid_nodes_per_axis
         spacing = config.area_size / (n - 1)
-        jitter = spacing * config.jitter_fraction
+        jitter = spacing * _JITTER_FRACTION
 
         # Nodes: jittered grid.
         for row in range(n):
@@ -113,7 +107,7 @@ class SyntheticRoadNetworkGenerator:
         # pure grid structure, mirroring the irregular minor streets of a city.
         for row in range(n - 1):
             for col in range(n - 1):
-                if rng.random() < config.diagonal_fraction:
+                if rng.random() < _DIAGONAL_FRACTION:
                     node_id = row * n + col
                     if rng.random() < 0.5:
                         network.add_link(node_id, node_id + n + 1, RoadClass.SECONDARY)
@@ -127,20 +121,12 @@ class SyntheticRoadNetworkGenerator:
     def _arterial_assignment(self, rng: random.Random, n: int) -> Dict[str, Dict[int, RoadClass]]:
         """Pick which grid rows and columns carry each arterial class.
 
-        The configured line counts are sized for the paper-scale 33x33 grid;
-        smaller grids scale them down proportionally (but keep at least one
-        line per class) so every road class is represented at any size.
+        The line counts are sized for the paper-scale 33x33 grid; smaller
+        grids scale them down proportionally (but keep at least one line per
+        class) so every road class is represented at any size.
         """
-        config = self.config
-        reference = 33.0
-
-        def scaled(count: int) -> int:
-            return max(1, round(count * n / reference)) if count > 0 else 0
-
         class_counts = [
-            (RoadClass.MOTORWAY, scaled(config.motorway_lines)),
-            (RoadClass.HIGHWAY, scaled(config.highway_lines)),
-            (RoadClass.PRIMARY, scaled(config.primary_lines)),
+            (road_class, max(1, round(count * n / 33.0))) for road_class, count in _ARTERIAL_LINES
         ]
         assignment: Dict[str, Dict[int, RoadClass]] = {"rows": {}, "cols": {}}
         for axis in ("rows", "cols"):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle, interpolate_point
@@ -102,21 +102,14 @@ class RoadNetwork:
         source: int,
         target: int,
         road_class: RoadClass = RoadClass.SECONDARY,
-        weight: Optional[float] = None,
     ) -> RoadLink:
-        """Add an undirected link between two existing nodes."""
+        """Add an undirected link between two existing nodes, weighted by its class."""
         if source not in self._nodes or target not in self._nodes:
             raise ConfigurationError(f"both endpoints must exist before adding link {source}-{target}")
         if source == target:
             raise ConfigurationError(f"self-loop links are not allowed (node {source})")
         link_id = len(self._links)
-        link = RoadLink(
-            link_id,
-            source,
-            target,
-            road_class,
-            weight if weight is not None else road_class.default_weight,
-        )
+        link = RoadLink(link_id, source, target, road_class, road_class.default_weight)
         self._links[link_id] = link
         self._adjacency[source].append(link_id)
         self._adjacency[target].append(link_id)

@@ -196,15 +196,16 @@ def encode_corridor(corridor) -> Dict[str, Any]:
     }
 
 
-def coordinator_snapshot(coordinator, k: int = 10) -> Dict[str, Any]:
+def coordinator_snapshot(coordinator) -> Dict[str, Any]:
     """Canonical, order-independent, JSON-pure snapshot of coordinator state.
 
     The serving-layer equivalence artifact — part of the answer surface the
     exactness harness (``tests/differential.py``) compares, restricted to
     JSON types so a snapshot fetched over the wire compares ``==`` against
     one built in-process: sorted index records, the sorted hotness table, the
-    top-k under both rankings, and the corridor report.
+    top 10 under both rankings, and the top 10 corridors.
     """
+    k = 10
     records = sorted(
         (
             record.path_id,

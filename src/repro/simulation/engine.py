@@ -76,7 +76,6 @@ class SimulationConfig:
     cells_per_axis: int = 64
     fleet: FleetConfig = FleetConfig()
     seed: int = 42
-    report_uncertainty: bool = False
     run_dp_baseline: bool = False
     run_naive_baseline: bool = True
     network_config: Optional[NetworkConfig] = None
@@ -104,7 +103,7 @@ class SimulationConfig:
             displacement=self.displacement,
             positional_error=self.positional_error,
             duration=self.duration,
-            report_uncertainty=self.report_uncertainty or self.delta > 0.0,
+            report_uncertainty=self.delta > 0.0,
             seed=self.seed,
         )
 
@@ -119,9 +118,9 @@ class SimulationResult:
     dp_baseline: Optional[DPHotSegmentTracker]
     network: RoadNetwork
 
-    def top_k_paths(self, k: Optional[int] = None, by_score: bool = False) -> List[ScoredPath]:
+    def top_k_paths(self, k: Optional[int] = None) -> List[ScoredPath]:
         """Top-k hottest motion paths at the end of the run."""
-        return self.coordinator.top_k(k if k is not None else self.config.top_k, by_score)
+        return self.coordinator.top_k(k if k is not None else self.config.top_k)
 
     def top_k_score(self, k: Optional[int] = None) -> float:
         """Score of the final top-k set."""
@@ -224,12 +223,8 @@ class HotPathSimulation:
         self.coordinator.submit_state(state)
 
     def _feed_dp(self, object_id: int, measurement: Measurement) -> None:
-        if self.dp_baseline is None:
-            return
-        timepoint = (
-            measurement.certain() if isinstance(measurement, UncertainTimePoint) else measurement
-        )
-        self.dp_baseline.observe(object_id, timepoint)
+        if self.dp_baseline is not None:
+            self.dp_baseline.observe(object_id, measurement)
 
     def _run_epoch(self, timestamp: int) -> None:
         outcome = self.coordinator.run_epoch(timestamp)

@@ -54,7 +54,6 @@ class TrajectoryReplayDriver:
         coordinator: Coordinator,
         raytrace_config: RayTraceConfig,
         epoch_length: int = 10,
-        flush_at_end: bool = True,
         use_feedback: bool = False,
     ) -> None:
         if epoch_length <= 0:
@@ -66,7 +65,6 @@ class TrajectoryReplayDriver:
         self.coordinator = coordinator
         self.raytrace_config = raytrace_config
         self.epoch_length = epoch_length
-        self.flush_at_end = flush_at_end
         self.use_feedback = use_feedback
         self.statistics = ReplayStatistics()
         self._filters: Dict[int, RayTraceFilter] = {}
@@ -98,8 +96,7 @@ class TrajectoryReplayDriver:
             if timestamp % self.epoch_length == 0 and timestamp > start_time:
                 self._run_epoch(timestamp)
 
-        if self.flush_at_end:
-            self._flush(end_time)
+        self._flush(end_time)
         self._run_epoch(end_time + 1)
         return self.statistics
 

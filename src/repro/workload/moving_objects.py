@@ -27,7 +27,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.trajectory import TimePoint, UncertainTimePoint
 from repro.network.road_network import RoadLink, RoadNetwork
-from repro.workload.noise import NoiseModel, UniformNoiseModel
+from repro.workload.noise import UniformNoiseModel
 
 __all__ = ["WorkloadConfig", "ObjectMotionState", "MovingObjectWorkload"]
 
@@ -88,15 +88,10 @@ class MovingObjectWorkload:
         self,
         network: RoadNetwork,
         config: Optional[WorkloadConfig] = None,
-        noise_model: Optional[NoiseModel] = None,
     ) -> None:
         self.network = network
         self.config = config if config is not None else WorkloadConfig()
-        self.noise_model = (
-            noise_model
-            if noise_model is not None
-            else UniformNoiseModel(self.config.positional_error)
-        )
+        self.noise = UniformNoiseModel(self.config.positional_error)
         self._rng = random.Random(self.config.seed)
         self._states: Dict[int, ObjectMotionState] = {}
         self._initialise_objects()
@@ -194,8 +189,8 @@ class MovingObjectWorkload:
     # -- measurement --------------------------------------------------------------------------
 
     def _measure(self, true_position: Point, timestamp: int) -> Measurement:
-        measured = self.noise_model.perturb(true_position, self._rng)
+        measured = self.noise.perturb(true_position, self._rng)
         if not self.config.report_uncertainty:
             return TimePoint(measured, timestamp)
-        sigma_x, sigma_y = self.noise_model.reported_sigma()
+        sigma_x, sigma_y = self.noise.reported_sigma()
         return UncertainTimePoint(measured, timestamp, sigma_x, sigma_y)

@@ -10,24 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Protocol, Tuple
+from typing import Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 
-__all__ = ["NoiseModel", "UniformNoiseModel"]
-
-
-class NoiseModel(Protocol):
-    """Protocol of a positional noise model."""
-
-    def perturb(self, point: Point, rng: random.Random) -> Point:
-        """Return the measured (noisy) position for a true position."""
-        ...
-
-    def reported_sigma(self) -> Tuple[float, float]:
-        """Per-axis standard deviation the sensor would report (0 when noiseless)."""
-        ...
+__all__ = ["UniformNoiseModel"]
 
 
 @dataclass(frozen=True)

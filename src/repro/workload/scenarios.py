@@ -97,14 +97,13 @@ def converging_event_trajectories(
     spawn_radius: float = 2000.0,
     duration: int = 60,
     num_corridors: int = 4,
-    corridor_join_fraction: float = 0.5,
     seed: int = 1,
 ) -> Dict[int, Trajectory]:
     """Objects converging on a venue along a handful of approach corridors.
 
     Objects spawn on a circle of radius ``spawn_radius`` around the venue, walk
     towards the nearest of ``num_corridors`` evenly spaced approach corridors,
-    merge onto it at ``corridor_join_fraction`` of their journey and then follow
+    merge onto it halfway, in space and in time, and then follow
     the shared corridor to the venue — so the corridor segments close to the
     venue become hot.
     """
@@ -126,10 +125,10 @@ def converging_event_trajectories(
             venue.y + spawn_radius * math.sin(angle),
         )
         join_point = Point(
-            venue.x + spawn_radius * (1.0 - corridor_join_fraction) * math.cos(corridor_angle),
-            venue.y + spawn_radius * (1.0 - corridor_join_fraction) * math.sin(corridor_angle),
+            venue.x + spawn_radius * 0.5 * math.cos(corridor_angle),
+            venue.y + spawn_radius * 0.5 * math.sin(corridor_angle),
         )
-        join_step = max(1, int(duration * corridor_join_fraction))
+        join_step = max(1, duration // 2)
         trajectory = Trajectory(object_id)
         for step in range(duration):
             if step <= join_step:
@@ -151,22 +150,22 @@ def evacuation_trajectories(
     evacuation_radius: float = 3000.0,
     num_escape_routes: int = 3,
     duration: int = 80,
-    spawn_radius: float = 500.0,
     seed: int = 2,
 ) -> Dict[int, Trajectory]:
     """Objects fleeing a danger zone along a small number of escape routes.
 
-    Objects start scattered near the danger zone and each follows the escape
-    route whose bearing is closest to its initial bearing from the zone centre,
-    moving radially outwards along that route.  Routes therefore accumulate
-    many crossings and become the hot escape corridors the emergency scenario
-    in the paper's introduction wants surfaced.
+    Objects start scattered within 500 m of the danger zone and each follows
+    the escape route whose bearing is closest to its initial bearing from the
+    zone centre, moving radially outwards along that route.  Routes therefore
+    accumulate many crossings and become the hot escape corridors the
+    emergency scenario in the paper's introduction wants surfaced.
     """
     if num_objects <= 0 or num_escape_routes <= 0:
         raise ConfigurationError("num_objects and num_escape_routes must be positive")
     if duration < 2:
         raise ConfigurationError(f"duration must be at least 2, got {duration}")
     rng = random.Random(seed)
+    spawn_radius = 500.0
     route_angles = [2.0 * math.pi * i / num_escape_routes for i in range(num_escape_routes)]
     trajectories: Dict[int, Trajectory] = {}
     for object_id in range(num_objects):

@@ -222,7 +222,7 @@ class ReferenceRayTraceFilter:
     @staticmethod
     def _as_timepoint(measurement: Measurement) -> TimePoint:
         if isinstance(measurement, UncertainTimePoint):
-            return measurement.certain()
+            return TimePoint(measurement.point, measurement.timestamp)
         return measurement
 
 

@@ -269,9 +269,9 @@ class TestTopK:
 
 class TestLazyStitching:
     def test_stitching_is_lazy_until_queried(self):
-        """Epochs that nobody asks corridors of never pay for stitching:
-        run_epoch only invalidates the cached report, and the first query
-        afterwards stitches once."""
+        """Epochs that nobody asks corridors of never pay for stitching: the
+        first query afterwards stitches once, and a repeated query re-reads
+        the stitched chains without stitching again."""
         coordinator = differential.make_coordinator(FleetConfig(num_shards=4), window=120)
         try:
             for _outcome in differential.feedback_epochs(coordinator, seed=3, epochs=2):
@@ -280,7 +280,42 @@ class TestLazyStitching:
             corridors = coordinator.hot_corridors()
             assert corridors
             assert coordinator.router.stitch_stats["corridors"] == len(corridors)
-            assert coordinator.hot_corridors() is corridors  # cached
+            stitcher = coordinator._view.stitcher
+            stitched = dict(stitcher.totals)
+            assert coordinator.hot_corridors() == corridors
+            moved = {key for key in stitched if stitcher.totals[key] != stitched[key]}
+            assert moved == {"corridors_reused"}  # every chain served from its cache
+        finally:
+            coordinator.close()
+
+
+class TestCorridorsAfterDirectMutation:
+    """A corridor query answers from the current state after an index or
+    hotness mutation made behind the coordinator's back, also when the epoch
+    was queried before it: no report outlives a mutation."""
+
+    @pytest.mark.parametrize("epoch_mode", ["full", "delta"])
+    @pytest.mark.parametrize("mutation", ["record_crossing", "delete"])
+    def test_a_query_after_a_direct_mutation_sees_it(self, epoch_mode, mutation):
+        k = 5
+        coordinator = differential.make_coordinator(FleetConfig(epoch_mode=epoch_mode), window=120)
+        try:
+            for outcome in differential.feedback_epochs(coordinator, seed=3, epochs=3):
+                now = outcome.timestamp
+            before = coordinator.top_k_corridors(k)
+            coolest = min(coordinator.hot_paths(), key=lambda item: (item[1], item[0].path_id))
+            path_id = coolest[0].path_id
+            if mutation == "record_crossing":
+                for _ in range(50):  # from the coolest path to the hottest
+                    coordinator.hotness.record_crossing(path_id, now)
+            else:
+                path_id = before[0].lead_path_id
+                coordinator.index.delete(path_id)
+            report = stitch_paths(coordinator.hot_paths())
+            expected = select_top_k_corridors(report, k)
+            assert expected != before  # the mutation moves the answer
+            assert coordinator.top_k_corridors(k) == expected
+            assert coordinator.hot_corridors() == report
         finally:
             coordinator.close()
 

@@ -7,11 +7,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.trajectory import TimePoint
-from repro.baselines.opening_window import (
-    OpeningWindowPolicy,
-    OpeningWindowSimplifier,
-    synchronous_distance,
-)
+from repro.baselines.opening_window import OpeningWindowSimplifier, synchronous_distance
 
 
 def zigzag(n: int, amplitude: float) -> list:
@@ -25,9 +21,9 @@ def straight(n: int) -> list:
     return [TimePoint(Point(float(i), 0.0), i) for i in range(n)]
 
 
-def closed_segments(points, tolerance, policy=OpeningWindowPolicy.NOPW) -> list:
+def closed_segments(points, tolerance) -> list:
     """The segments the simplifier closes while observing ``points``."""
-    simplifier = OpeningWindowSimplifier(tolerance, policy)
+    simplifier = OpeningWindowSimplifier(tolerance)
     return [segment for segment in map(simplifier.observe, points) if segment is not None]
 
 
@@ -62,10 +58,3 @@ class TestOpeningWindow:
         segments = closed_segments(points, tolerance=1.0)
         for previous, following in zip(segments, segments[1:]):
             assert previous.end.timestamp <= following.start.timestamp
-
-    def test_nopw_vs_bopw_split_points(self):
-        """The eager policy closes at the latest point, the conservative one earlier or equal."""
-        points = straight(5) + [TimePoint(Point(float(5 + i), 5.0 * (i + 1)), 5 + i) for i in range(5)]
-        nopw = closed_segments(points, tolerance=1.0, policy=OpeningWindowPolicy.NOPW)
-        bopw = closed_segments(points, tolerance=1.0, policy=OpeningWindowPolicy.BOPW)
-        assert nopw[0].end.timestamp <= bopw[0].end.timestamp

@@ -227,8 +227,6 @@ class TestBackendRegression:
             ProcessBackend(workers=0)
         with pytest.raises(ConfigurationError):
             ProcessBackend(workers=-1)
-        with pytest.raises(ConfigurationError):
-            create_backend("processes", workers=0)
 
 
 class TestOneDecisionPath:

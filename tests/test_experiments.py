@@ -152,12 +152,6 @@ class TestSweeps:
         # Larger tolerance suppresses more updates, hence fewer or equal messages.
         assert rows[1].uplink_messages <= rows[0].uplink_messages
 
-    def test_sweep_row_as_dict(self):
-        rows = run_figure7([10000], scale=TINY, seed=3).rows
-        as_dict = rows[0].as_dict()
-        assert as_dict["parameter_name"] == "num_objects"
-        assert "index_size" in as_dict
-
 
 class TestFigureRunners:
     def test_figure7_report(self):

@@ -136,8 +136,9 @@ class TestTurningCorridorScenario:
         merged = dict(north)
         offset = len(north)
         for object_id, trajectory in south.items():
-            clone = Trajectory(object_id + offset, trajectory)
-            merged[object_id + offset] = clone
+            clone = merged[object_id + offset] = Trajectory(object_id + offset)
+            for timepoint in trajectory:
+                clone.append(timepoint)
         coordinator = replay_trajectories(merged, tolerance=10.0, bounds=BOUNDS)
         for record, _ in coordinator.hot_paths():
             y_values = (record.path.start.y, record.path.end.y)

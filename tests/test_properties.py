@@ -65,8 +65,8 @@ class TestUncertaintyProperties:
     @settings(max_examples=50, deadline=None)
     def test_interval_within_plain_epsilon_and_valid(self, epsilon, delta, sigma):
         """Any solved tolerance interval is centred, no wider than 2*eps, and meets the probability bound."""
-        model = NormalToleranceModel(epsilon=epsilon, delta=delta)
-        interval = model.tolerance_interval(mean=0.0, sigma=sigma, axis_delta=delta)
+        model = NormalToleranceModel(epsilon=epsilon, delta=2 * delta)  # per-axis budget: delta
+        interval = model.tolerance_interval(mean=0.0, sigma=sigma)
         half = (interval.high - interval.low) / 2.0
         assert half <= epsilon + 1e-6
         if half > model.minimal_half_width + 1e-12:
@@ -91,11 +91,11 @@ class TestUncertaintyProperties:
         """
         from hypothesis import assume
 
-        model = NormalToleranceModel(epsilon=epsilon, delta=delta)
+        model = NormalToleranceModel(epsilon=epsilon, delta=2 * delta)  # per-axis budget: delta
         low, high = sorted((sigma_a, sigma_b))
         assume(interval_probability(0.0, epsilon, high) >= 1.0 - delta)
-        wide = model.tolerance_interval(mean=0.0, sigma=low, axis_delta=delta)
-        narrow = model.tolerance_interval(mean=0.0, sigma=high, axis_delta=delta)
+        wide = model.tolerance_interval(mean=0.0, sigma=low)
+        narrow = model.tolerance_interval(mean=0.0, sigma=high)
         assert (narrow.high - narrow.low) / 2.0 <= (wide.high - wide.low) / 2.0 + 1e-9
 
 

@@ -65,17 +65,6 @@ class TestReplay:
         assert stats.downlink.messages <= stats.uplink.messages
         assert stats.epochs > 0
 
-    def test_without_flush_trailing_motion_not_indexed(self):
-        with_flush = make_coordinator()
-        TrajectoryReplayDriver(with_flush, RayTraceConfig(10.0), epoch_length=5).replay(
-            self._trajectories()
-        )
-        without_flush = make_coordinator()
-        TrajectoryReplayDriver(
-            without_flush, RayTraceConfig(10.0), epoch_length=5, flush_at_end=False
-        ).replay(self._trajectories())
-        assert without_flush.index_size() <= with_flush.index_size()
-
     def test_replay_accepts_plain_measurement_lists(self):
         trajectories = self._trajectories(num_objects=2)
         streams = {oid: list(trajectory) for oid, trajectory in trajectories.items()}

@@ -460,6 +460,63 @@ def round_trip(connection: socket.socket, line: bytes = HELLO) -> dict:
         reader.close()
 
 
+#: Any JSON value, with integers big enough to overflow a float but short of
+#: the fresh client id and tick of :class:`TestHandleLineFuzz`.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+_ROW = st.lists(st.integers(0, 50) | st.floats(-10.0, 1010.0) | _JSON, min_size=8, max_size=10)
+_MESSAGE = st.fixed_dictionaries(
+    {"op": st.sampled_from(["batch", "tick", "topk", "corridors", "snapshot", "stats", "hello"]) | _JSON},
+    optional={
+        "client": st.integers(0, 3) | _JSON,
+        "seq": st.integers(0, 5) | _JSON,
+        "now": st.integers(0, 100) | _JSON,
+        "k": st.integers(-2, 12) | _JSON,
+        "by_score": _JSON,
+        "updates": st.lists(_ROW | st.just(wire_row(1, 1, 9)), max_size=3) | _JSON,
+    },
+)
+_LINE = st.one_of(
+    _MESSAGE.map(encode_message),
+    _JSON.map(lambda value: json.dumps(value).encode() + b"\n"),
+    st.binary(max_size=40),
+)
+
+
+class TestHandleLineFuzz:
+    """Arbitrary JSON messages and raw bytes through ``handle_line``: it never
+    raises, every reply is a dict with ``ok``, an undecodable line counts as one
+    protocol error, and the server still commits a valid batch afterwards."""
+
+    @given(lines=st.lists(_LINE, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_no_line_breaks_the_handler(self, lines):
+        server = make_server()
+        try:
+            for line in lines:
+                try:
+                    decode_message(line)
+                    undecodable = False
+                except ProtocolError:
+                    undecodable = True
+                errors = server.protocol_errors
+                reply = server.handle_line(line)
+                assert isinstance(reply, dict) and "ok" in reply
+                if undecodable:
+                    assert reply["ok"] is False and server.protocol_errors == errors + 1
+            client, now = 2**71, 2**72  # past every fuzzed client id and tick
+            batch = {"op": "batch", "client": client, "seq": 0, "updates": [wire_row(7, 1, 9)]}
+            assert server.handle_line(encode_message(batch))["ok"] is True
+            tick = server.handle_line(encode_message({"op": "tick", "now": now}))
+            assert tick["ok"] is True and tick["epoch"]["states_processed"] >= 1
+        finally:
+            server.coordinator.close()
+
+
 #: Lines that used to raise past ``handle_line``'s ``ReproError`` guard: JSON
 #: nested past the recursion limit, an integer literal past CPython's digit
 #: limit for ``int()``, and a coordinate too large for a float.

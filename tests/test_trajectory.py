@@ -11,9 +11,10 @@ from repro.core.trajectory import TimePoint, Trajectory, UncertainTimePoint
 
 def straight_line_trajectory(n: int = 5, step: float = 10.0) -> Trajectory:
     """Object moving along the x axis, one unit of time per step."""
-    return Trajectory(
-        0, [TimePoint(Point(i * step, 0.0), i) for i in range(n)]
-    )
+    trajectory = Trajectory(0)
+    for i in range(n):
+        trajectory.append(TimePoint(Point(i * step, 0.0), i))
+    return trajectory
 
 
 class TestTimePoint:
@@ -28,13 +29,6 @@ class TestUncertainTimePoint:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidTrajectoryError):
             UncertainTimePoint(Point(0.0, 0.0), 0, -1.0, 1.0)
-
-    def test_certain_drops_uncertainty(self):
-        utp = UncertainTimePoint(Point(1.0, 2.0), 5, 0.5, 0.5)
-        tp = utp.certain()
-        assert isinstance(tp, TimePoint)
-        assert tp.point == Point(1.0, 2.0)
-        assert tp.timestamp == 5
 
     def test_accessors(self):
         utp = UncertainTimePoint(Point(1.0, 2.0), 5, 0.5, 0.25)
@@ -51,7 +45,8 @@ class TestTrajectoryConstruction:
         assert len(trajectory) == 4
 
     def test_append_requires_increasing_timestamps(self):
-        trajectory = Trajectory(0, [TimePoint(Point(0.0, 0.0), 5)])
+        trajectory = Trajectory(0)
+        trajectory.append(TimePoint(Point(0.0, 0.0), 5))
         with pytest.raises(InvalidTrajectoryError):
             trajectory.append(TimePoint(Point(1.0, 1.0), 5))
 

@@ -66,10 +66,6 @@ class TestNormalToleranceModelValidation:
         with pytest.raises(ToleranceError):
             NormalToleranceModel(epsilon=1.0, delta=1.0)
 
-    def test_invalid_table_resolution(self):
-        with pytest.raises(ToleranceError):
-            NormalToleranceModel(epsilon=1.0, table_resolution=1)
-
 
 class TestOneDimensionalInterval:
     def test_zero_delta_gives_plain_interval(self):
@@ -103,8 +99,8 @@ class TestOneDimensionalInterval:
     def test_solution_satisfies_equation_2(self):
         """At the solved boundary offset, the coverage probability equals 1 - delta."""
         epsilon, delta, sigma = 5.0, 0.1, 1.5
-        model = NormalToleranceModel(epsilon=epsilon, delta=delta)
-        interval = model.tolerance_interval(mean=0.0, sigma=sigma, axis_delta=delta)
+        model = NormalToleranceModel(epsilon=epsilon, delta=2 * delta)  # per-axis budget: delta
+        interval = model.tolerance_interval(mean=0.0, sigma=sigma)
         boundary = interval.high  # offset from the mean
         probability = interval_probability(boundary, epsilon, sigma)
         assert probability == pytest.approx(1.0 - delta, abs=1e-6)
@@ -121,10 +117,9 @@ class TestOneDimensionalInterval:
             epsilon=1.0,
             delta=0.01,
             policy=UnsatisfiableTolerancePolicy.MINIMAL,
-            minimal_half_width=0.2,
         )
         interval = model.tolerance_interval(mean=3.0, sigma=10.0)
-        assert half_width(interval) == pytest.approx(0.2)
+        assert half_width(interval) == pytest.approx(0.05)  # 5 % of epsilon
         assert center(interval) == pytest.approx(3.0)
 
 

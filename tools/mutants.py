@@ -73,6 +73,7 @@ class Mutant:
 
 
 _BATCHER = "src/repro/serving/batcher.py"
+_COORDINATOR = "src/repro/coordinator/coordinator.py"
 _COLUMNAR = "src/repro/coordinator/columnar.py"
 _GRID_INDEX = "src/repro/coordinator/grid_index.py"
 _OVERLAPS = "src/repro/coordinator/overlaps.py"
@@ -472,6 +473,19 @@ MUTANTS: List[Mutant] = [
     Mutant("ticker_takes_explicit_ticks", _SERVER,
            "if self._ticking:", "if False:",
            ("tests/test_serving_protocol.py::TestAutoEpochTicker",)),
+    # A corridor report cached across direct mutations: full mode keeps the
+    # epoch's first report until the next epoch.
+    Mutant("corridor_report_outlives_a_direct_mutation", _COORDINATOR,
+           "            corridors = stitch_paths(self.hot_paths())\n"
+           "            stats = corridor_stats(corridors, self.router.owner_of)\n",
+           "            cached = self.__dict__.get(\"_cached_report\")\n"
+           "            if cached is None or cached[0] != self._epochs_processed:\n"
+           "                report = stitch_paths(self.hot_paths())\n"
+           "                cached = self._cached_report = (\n"
+           "                    self._epochs_processed, report, corridor_stats(report, self.router.owner_of)\n"
+           "                )\n"
+           "            corridors, stats = cached[1], cached[2]\n",
+           ("tests/test_coordinator.py::TestCorridorsAfterDirectMutation",)),
 ]
 
 
