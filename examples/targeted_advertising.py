@@ -7,10 +7,10 @@ mobile-phone carrier wants to know, on-line, which approach corridors are hot
 right now so a partner store next to one of them can push a promotion to
 passers-by.
 
-The example feeds the converging-crowd trajectories through the full
-RayTrace + SinglePath pipeline (no simulation engine, so you can see the
-protocol explicitly) and then ranks the discovered motion paths by how close
-they are to the advertised store.
+The example replays the converging-crowd trajectories through the full
+RayTrace + SinglePath protocol (``TrajectoryReplayDriver``, no simulation
+engine) and then ranks the discovered motion paths by how close they are to
+the advertised store.
 
 Run it with::
 
@@ -19,47 +19,17 @@ Run it with::
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core.geometry import Point, Rectangle
-from repro.core.trajectory import Trajectory
-from repro.client.raytrace import RayTraceConfig, RayTraceFilter
+from repro.client.raytrace import RayTraceConfig
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.analysis.render import render_hot_paths
+from repro.simulation.replay import TrajectoryReplayDriver
 from repro.workload.scenarios import converging_event_trajectories
 
 VENUE = Point(0.0, 0.0)
 STORE = Point(450.0, 80.0)   # a kiosk just off the eastern approach corridor
 TOLERANCE = 25.0
 EPOCH = 5
-
-
-def replay(trajectories: Dict[int, Trajectory], coordinator: Coordinator) -> None:
-    """Drive the client/coordinator protocol over recorded trajectories."""
-    config = RayTraceConfig(TOLERANCE)
-    filters: Dict[int, RayTraceFilter] = {}
-    end_time = max(t.end_time for t in trajectories.values())
-    for timestamp in range(end_time + 1):
-        for object_id, trajectory in trajectories.items():
-            if not trajectory.covers_time(timestamp):
-                continue
-            measurement = trajectory[timestamp - trajectory.start_time]
-            if object_id not in filters:
-                filters[object_id] = RayTraceFilter(object_id, measurement, config)
-                continue
-            state = filters[object_id].observe(measurement)
-            if state is not None:
-                coordinator.submit_state(state)
-        if timestamp and timestamp % EPOCH == 0:
-            for response in coordinator.run_epoch(timestamp).responses:
-                follow_up = filters[response.object_id].receive_response(response)
-                if follow_up is not None:
-                    coordinator.submit_state(follow_up)
-    # Final flush of the still-open safe areas.
-    for filt in filters.values():
-        if not filt.waiting and filt.fsa_timestamp > filt.ssa_start.timestamp:
-            coordinator.submit_state(filt.current_state())
-    coordinator.run_epoch(end_time + 1)
 
 
 def main() -> None:
@@ -75,7 +45,8 @@ def main() -> None:
 
     bounds = Rectangle(Point(-2500.0, -2500.0), Point(2500.0, 2500.0))
     coordinator = Coordinator(CoordinatorConfig(bounds=bounds, window=500, cells_per_axis=48))
-    replay(trajectories, coordinator)
+    driver = TrajectoryReplayDriver(coordinator, RayTraceConfig(TOLERANCE), epoch_length=EPOCH)
+    driver.replay(trajectories)
 
     hot_paths = coordinator.hot_paths()
     print(f"\nDiscovered {len(hot_paths)} motion paths; top-10 by hotness:")

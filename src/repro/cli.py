@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, description in (
         ("figure7", "regenerate the Figure 7 sweep (vary the number of objects)"),
         ("figure8", "regenerate the Figure 8 sweep (vary the tolerance)"),
-        ("ablations", "run the communication/uncertainty/grid ablations"),
+        ("ablations", "run the communication/uncertainty/grid/feedback ablations"),
         ("figure9", "render the discovered network (Figure 9)"),
         ("figure10", "render the top-20 hottest central paths (Figure 10)"),
     ):
@@ -372,6 +372,7 @@ def _command_map(args: argparse.Namespace, scale) -> int:
 def _command_ablations(args: argparse.Namespace, scale) -> int:
     from repro.experiments.ablations import (
         run_communication_ablation,
+        run_feedback_ablation,
         run_grid_resolution_ablation,
         run_uncertainty_ablation,
     )
@@ -379,6 +380,7 @@ def _command_ablations(args: argparse.Namespace, scale) -> int:
     communication = run_communication_ablation(scale=scale, seed=args.seed)
     uncertainty = run_uncertainty_ablation(scale=scale, seed=args.seed)
     grid = run_grid_resolution_ablation(scale=scale, seed=args.seed)
+    feedback = run_feedback_ablation()
 
     print("communication (RayTrace vs naive):")
     for row in communication:
@@ -391,6 +393,11 @@ def _command_ablations(args: argparse.Namespace, scale) -> int:
     for row in grid:
         print(f"  cells={row.cells_per_axis:<4d} time/epoch={row.mean_processing_seconds * 1000:.2f} ms "
               f"index={row.mean_index_size:.1f}")
+    print("feedback (Section 7 hints, fixed corridor replay):")
+    for row in feedback:
+        print(f"  variant={row.variant:<9} index={row.index_size:<4d} hottest={row.max_hotness:<4d} "
+              f"uplink={row.uplink_messages:<5d} downlink_bytes={row.downlink_bytes:<6d} "
+              f"snaps={row.snapped_reports}")
 
     _write_csv(
         args,
@@ -398,6 +405,7 @@ def _command_ablations(args: argparse.Namespace, scale) -> int:
             "communication": communication,
             "uncertainty": uncertainty,
             "grid_resolution": grid,
+            "feedback": feedback,
         },
     )
     return 0

@@ -26,17 +26,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import inf, isfinite
-from typing import Deque, Optional, Union
+from typing import Deque, Optional
 
 from repro.core.errors import ConfigurationError, CoordinatorError, InvalidGeometryError
 from repro.core.geometry import Point, Rectangle
-from repro.core.trajectory import TimePoint, UncertainTimePoint
+from repro.core.trajectory import Measurement, TimePoint, UncertainTimePoint
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.client.uncertainty import NormalToleranceModel
 
 __all__ = ["RayTraceConfig", "RayTraceStatistics", "RayTraceFilter"]
-
-Measurement = Union[TimePoint, UncertainTimePoint]
 
 
 @dataclass(frozen=True)

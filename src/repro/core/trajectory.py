@@ -14,12 +14,12 @@ those into shrunken tolerance intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Union
 
 from repro.core.errors import InvalidTrajectoryError
 from repro.core.geometry import Point
 
-__all__ = ["TimePoint", "UncertainTimePoint", "Trajectory"]
+__all__ = ["TimePoint", "UncertainTimePoint", "Measurement", "Trajectory"]
 
 
 @dataclass(frozen=True)
@@ -66,57 +66,30 @@ class UncertainTimePoint:
         return self.point.y
 
 
+#: One position report: exact, or carrying its Gaussian uncertainty.
+Measurement = Union[TimePoint, UncertainTimePoint]
+
+
 class Trajectory:
     """A time-ordered sequence of timepoints for a single object.
 
     The class enforces strictly increasing timestamps.
     """
 
-    __slots__ = ("object_id", "_timepoints", "_timestamps")
+    __slots__ = ("object_id", "_timepoints")
 
     def __init__(self, object_id: int = 0) -> None:
         self.object_id = object_id
         self._timepoints: List[TimePoint] = []
-        self._timestamps: List[int] = []
-
-    # -- mutation -------------------------------------------------------------
 
     def append(self, timepoint: TimePoint) -> None:
         """Append a timepoint; its timestamp must exceed the current last one."""
-        if self._timestamps and timepoint.timestamp <= self._timestamps[-1]:
+        if self._timepoints and timepoint.timestamp <= self._timepoints[-1].timestamp:
             raise InvalidTrajectoryError(
-                f"timestamps must strictly increase: {timepoint.timestamp} after {self._timestamps[-1]}"
+                f"timestamps must strictly increase: {timepoint.timestamp} "
+                f"after {self._timepoints[-1].timestamp}"
             )
         self._timepoints.append(timepoint)
-        self._timestamps.append(timepoint.timestamp)
-
-    # -- container protocol -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._timepoints)
 
     def __iter__(self) -> Iterator[TimePoint]:
         return iter(self._timepoints)
-
-    def __getitem__(self, index: int) -> TimePoint:
-        return self._timepoints[index]
-
-    # -- accessors ---------------------------------------------------------------
-
-    @property
-    def start_time(self) -> int:
-        if not self._timepoints:
-            raise InvalidTrajectoryError("empty trajectory has no start time")
-        return self._timestamps[0]
-
-    @property
-    def end_time(self) -> int:
-        if not self._timepoints:
-            raise InvalidTrajectoryError("empty trajectory has no end time")
-        return self._timestamps[-1]
-
-    def covers_time(self, timestamp: float) -> bool:
-        """True when ``timestamp`` lies inside the observed time range."""
-        if not self._timepoints:
-            return False
-        return self._timestamps[0] <= timestamp <= self._timestamps[-1]

@@ -15,6 +15,7 @@ from repro.experiments.ablations import (
     run_communication_ablation,
     run_uncertainty_ablation,
     run_grid_resolution_ablation,
+    run_feedback_ablation,
 )
 from repro.experiments.report import write_experiment_bundle
 
@@ -32,5 +33,6 @@ __all__ = [
     "run_communication_ablation",
     "run_uncertainty_ablation",
     "run_grid_resolution_ablation",
+    "run_feedback_ablation",
     "write_experiment_bundle",
 ]

@@ -3,9 +3,9 @@
 The paper's experiments run 10,000 to 100,000 objects for 250 timestamps over
 the full Athens network in C++.  The pure-Python reproduction keeps the exact
 same parameter *structure* but scales the population, the duration and the
-network size down by a configurable factor so the whole benchmark suite runs
-on a laptop in minutes.  The scale can be raised via the ``REPRO_SCALE``
-environment variable (1.0 reproduces the paper-size runs).
+network size down by a configurable factor so every driver runs on a laptop
+in minutes.  ``--scale`` sets it (:meth:`ExperimentScale.at`; 1.0 reproduces
+the paper-size runs).
 
 Table 2 (defaults in bold in the paper):
 
@@ -26,7 +26,6 @@ Duration is 250 timestamps and an epoch corresponds to 10 timestamps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -62,7 +61,7 @@ PAPER_OBJECT_COUNTS: List[int] = [10000, 20000, 50000, 100000]
 #: Tolerance values swept in Figure 8.
 PAPER_TOLERANCES: List[float] = [1.0, 2.0, 10.0, 20.0]
 
-#: Fraction of the paper-scale population used by default in benchmarks.
+#: Fraction of the paper-scale population of ``ExperimentScale()``.
 DEFAULT_SCALE: float = 0.02
 
 
@@ -95,7 +94,7 @@ class ExperimentScale:
 
     @classmethod
     def at(cls, population: float) -> "ExperimentScale":
-        """The scale for a population factor (``--scale`` and ``REPRO_SCALE``).
+        """The scale for a population factor (``--scale``).
 
         ``>= 1.0`` is the paper scale.  Below it the duration is clamped to
         ``[0.2, 1]`` and the network grows with the square root of the
@@ -110,22 +109,6 @@ class ExperimentScale:
             duration=max(0.2, min(1.0, population * 10)),
             network_nodes_per_axis=max(6, min(33, int(33 * population ** 0.5 * 2))),
         )
-
-    @classmethod
-    def from_environment(cls) -> "ExperimentScale":
-        """:meth:`at` the ``REPRO_SCALE`` environment variable.
-
-        ``REPRO_SCALE=1.0`` reproduces the paper-size experiments;
-        unset/empty uses the laptop-friendly default.
-        """
-        raw = os.environ.get("REPRO_SCALE", "").strip()
-        if not raw:
-            return cls()
-        try:
-            population = float(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid REPRO_SCALE value: {raw!r}") from exc
-        return cls.at(population)
 
     def scale_objects(self, paper_count: int) -> int:
         return max(20, int(paper_count * self.population))
@@ -148,9 +131,10 @@ def scaled_simulation_config(
     the other physical parameters are kept as-is because they are properties of
     the environment, not of the experiment size.  Every other field
     (``seed``, ``delta``, ``fleet``, ``run_dp_baseline``, ...) is passed to
-    :class:`SimulationConfig` unchanged in ``overrides``.
+    :class:`SimulationConfig` unchanged in ``overrides``.  ``scale=None`` is
+    ``ExperimentScale()``.
     """
-    scale = scale if scale is not None else ExperimentScale.from_environment()
+    scale = scale if scale is not None else ExperimentScale()
     paper_objects = num_objects if num_objects is not None else int(PAPER_DEFAULTS["num_objects"])
     epoch_length = int(PAPER_DEFAULTS["epoch_length"])
     network_config = NetworkConfig(

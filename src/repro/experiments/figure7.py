@@ -13,7 +13,7 @@ figure's data would be tabulated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.config import PAPER_OBJECT_COUNTS, ExperimentScale
 from repro.experiments.sweeps import SweepReport, _sweep
@@ -24,17 +24,8 @@ __all__ = ["Figure7Report", "run_figure7"]
 class Figure7Report(SweepReport):
     """Data behind the three panels of Figure 7."""
 
-    key = "num_objects"
     heading = "N (paper)"
     value_format = ">12.0f"
-    object_counts = SweepReport.values
-
-    def panel_c(self) -> Dict[str, List[float]]:
-        """Coordinator processing time per epoch (seconds)."""
-        return {
-            self.key: self.values,
-            "processing_seconds": [row.processing_seconds for row in self.rows],
-        }
 
 
 def run_figure7(

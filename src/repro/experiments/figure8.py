@@ -20,10 +20,8 @@ __all__ = ["Figure8Report", "run_figure8"]
 class Figure8Report(SweepReport):
     """Data behind the three panels of Figure 8."""
 
-    key = "tolerance"
     heading = "epsilon (m)"
     value_format = ">12.1f"
-    tolerances = SweepReport.values
 
 
 def run_figure8(

@@ -3,8 +3,8 @@
 The figure runners return in-memory report objects; this module serialises
 them to CSV so results can be archived, diffed across runs and plotted with
 any external tool.  :func:`write_experiment_bundle` produces one directory
-with a file per experiment — the machine-readable counterpart of
-``benchmarks/results``.
+with a file per experiment — the machine-readable counterpart of the
+printed tables (``EXPERIMENTS.md``).
 """
 
 from __future__ import annotations

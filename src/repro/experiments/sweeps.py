@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import ClassVar, List, Optional, Sequence
 
 from repro.experiments.config import ExperimentScale, scaled_simulation_config
 from repro.simulation.engine import HotPathSimulation
@@ -39,34 +39,13 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    """Data behind panels (a) and (b) of a sweep figure, and its table."""
+    """A sweep's rows (every panel of its figure) and their table."""
 
     rows: List[SweepRow] = field(default_factory=list)
 
-    #: Each figure sets the swept column's key, its table heading and format.
-    key: ClassVar[str]
+    #: Each figure sets the swept column's table heading and format.
     heading: ClassVar[str]
     value_format: ClassVar[str]
-
-    @property
-    def values(self) -> List[float]:
-        return [row.parameter_value for row in self.rows]
-
-    def panel_a(self) -> Dict[str, List[float]]:
-        """Index size series: SinglePath vs DP."""
-        return {
-            self.key: self.values,
-            "single_path_index_size": [row.index_size for row in self.rows],
-            "dp_index_size": [row.dp_index_size for row in self.rows],
-        }
-
-    def panel_b(self) -> Dict[str, List[float]]:
-        """Top-k score series: SinglePath vs DP."""
-        return {
-            self.key: self.values,
-            "single_path_score": [row.top_k_score for row in self.rows],
-            "dp_score": [row.dp_top_k_score for row in self.rows],
-        }
 
     def format_table(self) -> str:
         """Human-readable table of all three panels."""

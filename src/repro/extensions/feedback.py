@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.geometry import Point, Rectangle
-from repro.client.raytrace import Measurement, RayTraceConfig, RayTraceFilter
+from repro.core.trajectory import Measurement
+from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.client.uncertainty import NormalToleranceModel
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig, EpochOutcome

@@ -21,12 +21,12 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.motion_path import MotionPathRecord
 from repro.core.scoring import ScoredPath
-from repro.core.trajectory import TimePoint, UncertainTimePoint
+from repro.core.trajectory import Measurement
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
@@ -40,7 +40,6 @@ from repro.workload.moving_objects import MovingObjectWorkload, WorkloadConfig
 
 __all__ = ["SimulationConfig", "SimulationResult", "HotPathSimulation"]
 
-Measurement = Union[TimePoint, UncertainTimePoint]
 
 # Bytes of one raw measurement the naive client would send: two coordinates, a
 # timestamp and the object id, 4 bytes each (the convention of ObjectState).
@@ -121,10 +120,6 @@ class SimulationResult:
     def top_k_paths(self, k: Optional[int] = None) -> List[ScoredPath]:
         """Top-k hottest motion paths at the end of the run."""
         return self.coordinator.top_k(k if k is not None else self.config.top_k)
-
-    def top_k_score(self, k: Optional[int] = None) -> float:
-        """Score of the final top-k set."""
-        return self.coordinator.top_k_score(k if k is not None else self.config.top_k)
 
     def hot_paths(self) -> List[Tuple[MotionPathRecord, int]]:
         """All motion paths with non-zero hotness at the end of the run."""

@@ -18,10 +18,10 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.core.errors import ConfigurationError
-from repro.core.trajectory import TimePoint, Trajectory, UncertainTimePoint
+from repro.core.trajectory import Measurement, Trajectory
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator
@@ -30,7 +30,6 @@ from repro.simulation.metrics import CommunicationStats
 
 __all__ = ["ReplayStatistics", "TrajectoryReplayDriver"]
 
-Measurement = Union[TimePoint, UncertainTimePoint]
 MeasurementStream = Union[Trajectory, Sequence[Measurement]]
 
 
@@ -75,24 +74,24 @@ class TrajectoryReplayDriver:
         """Replay all measurement streams and return the run's statistics.
 
         ``streams`` maps object ids to trajectories (or plain measurement
-        sequences); each stream must be ordered by timestamp, but different
-        streams may start and end at different times.
+        sequences); each stream's timestamps must strictly increase, but
+        different streams may start and end at different times, and a stream
+        may skip timestamps.  Every measurement is fed at its own timestamp,
+        so an epoch commits exactly the states the on-line protocol would
+        have reported by its boundary.
         """
         if not streams:
             raise ConfigurationError("cannot replay an empty set of trajectories")
-        normalised = {oid: self._normalise(stream) for oid, stream in streams.items()}
-        self.statistics.objects = len(normalised)
+        arrivals: Dict[int, List[Tuple[int, Measurement]]] = {}
+        for object_id, stream in streams.items():
+            for measurement in self._checked(stream):
+                arrivals.setdefault(measurement.timestamp, []).append((object_id, measurement))
+        self.statistics.objects = len(streams)
 
-        start_time = min(stream[0].timestamp for stream in normalised.values())
-        end_time = max(stream[-1].timestamp for stream in normalised.values())
-        offsets = {oid: stream[0].timestamp for oid, stream in normalised.items()}
-
+        start_time, end_time = min(arrivals), max(arrivals)
         for timestamp in range(start_time, end_time + 1):
-            for object_id, stream in normalised.items():
-                index = timestamp - offsets[object_id]
-                if index < 0 or index >= len(stream):
-                    continue
-                self._feed(object_id, stream[index])
+            for object_id, measurement in arrivals.get(timestamp, ()):
+                self._feed(object_id, measurement)
             if timestamp % self.epoch_length == 0 and timestamp > start_time:
                 self._run_epoch(timestamp)
 
@@ -103,10 +102,15 @@ class TrajectoryReplayDriver:
     # -- internals ---------------------------------------------------------------------
 
     @staticmethod
-    def _normalise(stream: MeasurementStream) -> List[Measurement]:
+    def _checked(stream: MeasurementStream) -> List[Measurement]:
         measurements = list(stream)
         if not measurements:
             raise ConfigurationError("encountered an empty trajectory")
+        for earlier, later in zip(measurements, measurements[1:]):
+            if later.timestamp <= earlier.timestamp:
+                raise ConfigurationError(
+                    f"timestamps must strictly increase: {later.timestamp} after {earlier.timestamp}"
+                )
         return measurements
 
     def _make_filter(self, object_id: int, initial: Measurement) -> RayTraceFilter:

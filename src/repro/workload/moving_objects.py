@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
-from repro.core.trajectory import TimePoint, UncertainTimePoint
+from repro.core.trajectory import Measurement, TimePoint, UncertainTimePoint
 from repro.network.road_network import RoadLink, RoadNetwork
 from repro.workload.noise import UniformNoiseModel
 
 __all__ = ["WorkloadConfig", "ObjectMotionState", "MovingObjectWorkload"]
-
-Measurement = Union[TimePoint, UncertainTimePoint]
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,9 @@ def fleet_id(fleet: FleetConfig) -> str:
     return "-".join(map(str, asdict(fleet).values()))
 
 
-def make_coordinator(fleet: FleetConfig = DEFAULT, window: int = 60) -> Coordinator:
+def make_coordinator(fleet: FleetConfig = DEFAULT, window: int = 60, cells: int = 32) -> Coordinator:
     return Coordinator(
-        CoordinatorConfig(bounds=BOUNDS, window=window, cells_per_axis=32, **asdict(fleet))
+        CoordinatorConfig(bounds=BOUNDS, window=window, cells_per_axis=cells, **asdict(fleet))
     )
 
 
@@ -169,9 +169,11 @@ Stream = List[Tuple[int, List[ObjectState]]]
 Hook = Callable[[Coordinator, int], None]
 
 
-def drive(fleet: FleetConfig, stream: Stream, window: int = 60, hook: Optional[Hook] = None) -> Run:
+def drive(
+    fleet: FleetConfig, stream: Stream, window: int = 60, hook: Optional[Hook] = None, cells: int = 32
+) -> Run:
     """Feed ``stream`` epoch by epoch, observing after every epoch."""
-    run = Run(fleet, make_coordinator(fleet, window))
+    run = Run(fleet, make_coordinator(fleet, window, cells))
     try:
         for index, (boundary, states) in enumerate(stream):
             if hook is not None:
@@ -400,13 +402,115 @@ def signed_zero_stream() -> Stream:
     ]
 
 
-def stream_scenario(name: str, stream: Stream, validate, window: int = 60) -> Scenario:
-    return Scenario(name, lambda fleet: drive(fleet, stream, window), validate)
+def _clamp(value: float, low: float = 0.0, high: float = 1000.0) -> float:
+    return min(max(value, low), high)
+
+
+def turnover_stream(turnover: float, seed: int = 5, epochs: int = 5, core: int = 32) -> Stream:
+    """A stable core of downtown reporters plus a ``turnover`` share of new ones.
+
+    The core resubmits the identical ``(object, start, FSA)`` report every
+    epoch.  Up to 50 % turnover adds that share of one-off visitors confined
+    to the far corner, so only their small components are new each epoch and
+    the core's large one repeats; above it, that share of the core itself is
+    replaced every epoch, which dirties the large component.
+    """
+    rng = random.Random(seed)
+
+    def core_reporter(object_id):
+        start = Point(rng.uniform(0.0, 700.0), rng.uniform(0.0, 700.0))
+        centre = Point(
+            _clamp(start.x + rng.uniform(-80.0, 80.0), high=700.0),
+            _clamp(start.y + rng.uniform(-80.0, 80.0), high=700.0),
+        )
+        return object_id, start, Rectangle.from_center(centre, rng.uniform(60.0, 120.0))
+
+    def visitor(object_id):
+        start = Point(rng.uniform(815.0, 985.0), rng.uniform(815.0, 985.0))
+        return object_id, start, Rectangle.from_center(start, rng.uniform(15.0, 35.0))
+
+    roster = [core_reporter(object_id) for object_id in range(core)]
+    next_id = core
+    visitors = round(core * turnover / (1.0 - turnover)) if turnover <= 0.5 else 0
+    replaced = int(core * turnover) if turnover > 0.5 else 0
+    stream = []
+    for epoch in range(1, epochs + 1):
+        boundary = epoch * 10
+        if replaced:
+            roster = roster[:-replaced]
+            while len(roster) < core:
+                roster.append(core_reporter(next_id))
+                next_id += 1
+        reporters = list(roster)
+        for _ in range(visitors):
+            reporters.append(visitor(next_id))
+            next_id += 1
+        states = [
+            ObjectState(object_id, start, boundary - 6, fsa.low, fsa.high, boundary - 1)
+            for object_id, start, fsa in reporters
+        ]
+        stream.append((boundary, states))
+    return stream
+
+
+def dense_stream(seed: int = 9, epochs: int = 2, per_epoch: int = 200) -> Stream:
+    """200 overlapping FSAs an epoch over a coarse 16x16 grid: each epoch's
+    overlap structure holds over a thousand regions, and the second epoch's
+    candidate pass probes the ends the first indexed — the load the columnar
+    kernel is for."""
+    rng = random.Random(seed)
+    stream = []
+    for epoch in range(1, epochs + 1):
+        states = []
+        for _ in range(per_epoch):
+            start = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
+            centre = Point(
+                _clamp(start.x + rng.uniform(-120.0, 120.0)),
+                _clamp(start.y + rng.uniform(-120.0, 120.0)),
+            )
+            fsa = Rectangle.from_center(centre, rng.uniform(30.0, 60.0))
+            states.append(
+                ObjectState(
+                    rng.randrange(per_epoch * 3), start, epoch * 10 - 5, fsa.low, fsa.high, epoch * 10
+                )
+            )
+        stream.append((epoch * 10, states))
+    return stream
+
+
+def stream_scenario(
+    name: str, stream: Stream, validate, window: int = 60, cells: int = 32
+) -> Scenario:
+    return Scenario(name, lambda fleet: drive(fleet, stream, window, cells=cells), validate)
+
+
+def pool_counts(run: Run) -> Tuple[int, int]:
+    statistics = run.coordinator.shard_statistics()
+    return statistics["pools_reused"], statistics["pools_rebuilt"]
 
 
 BORDER_STREAM = synthetic_stream(11)
 SATURATING_STREAM = saturating_stream()
+DENSE_STREAM = dense_stream()
 
+
+
+def dense_is_exercised(run: Run) -> List[str]:
+    """Over a thousand regions an epoch, and second-epoch paths that end on
+    vertices the first epoch indexed."""
+    records = list(run.coordinator.index.records)
+    first_ends = {record.path.end for record in records if record.created_at <= DENSE_STREAM[0][0]}
+    return expect(
+        a_thousand_regions=all(
+            len(FsaOverlapStructure.build({state.object_id: state.fsa for state in states})) >= 1000
+            for _boundary, states in DENSE_STREAM
+        ),
+        second_epoch_lands_on_indexed_ends=any(
+            record.path.end in first_ends
+            for record in records
+            if record.created_at > DENSE_STREAM[0][0]
+        ),
+    )
 
 STREAM_SCENARIOS = [
     stream_scenario(
@@ -478,6 +582,22 @@ STREAM_SCENARIOS = [
         ),
     ),
     stream_scenario(
+        "turnover_10",
+        turnover_stream(0.1),
+        lambda run: expect(core_component_reused=pool_counts(run)[0] > 0),
+        window=1_000_000,
+    ),
+    stream_scenario(
+        "turnover_90",
+        turnover_stream(0.9),
+        lambda run: expect(
+            nothing_reused=pool_counts(run)[0] == 0,
+            rebuilt_every_epoch=pool_counts(run)[1] >= len(run.outcomes),
+        ),
+        window=1_000_000,
+    ),
+    stream_scenario("dense_200", DENSE_STREAM, dense_is_exercised, cells=16),
+    stream_scenario(
         "signed_zero_singleton",
         signed_zero_stream(),
         lambda run: expect(
@@ -490,10 +610,6 @@ STREAM_SCENARIOS = [
 # ---------------------------------------------------------------------------
 # Feedback walks: each object reports from its last response
 # ---------------------------------------------------------------------------
-
-
-def _clamp(value: float, low: float = 0.0, high: float = 1000.0) -> float:
-    return min(max(value, low), high)
 
 
 def feedback_epochs(
@@ -660,6 +776,37 @@ def query_view_is_exercised(run: Run) -> List[str]:
     )
 
 
+def run_chained_walks(fleet: FleetConfig) -> Run:
+    """80 random walks of 8 steps inserted and crossed behind the
+    coordinator's back: ~600 hot fragments chained end to start across the
+    4x4 shard borders, observed once."""
+    run = Run(fleet, make_coordinator(fleet, window=10**6))
+    rng = random.Random(11)
+    for timestamp in range(80):
+        point = Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
+        for _step in range(8):
+            target = Point(
+                _clamp(point.x + rng.uniform(-180.0, 180.0)),
+                _clamp(point.y + rng.uniform(-180.0, 180.0)),
+            )
+            if target != point:
+                _hot_now(run.coordinator, MotionPath(point, target), 1, timestamp)
+                point = target
+    run.observe(None)
+    run.coordinator.close()
+    return run
+
+
+def chained_walks_are_exercised(run: Run) -> List[str]:
+    """The report is the global stitch of the hot set, with long corridors."""
+    hot = run.coordinator.hot_paths()
+    return expect(
+        hundreds_of_fragments=len(hot) >= 500,
+        global_stitch=repr(run.coordinator.hot_corridors()) == repr(stitch_paths(hot)),
+        multi_segment_corridors=multi_segment_corridors(run),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Simulations and served runs
 # ---------------------------------------------------------------------------
@@ -749,6 +896,7 @@ SCENARIOS: List[Scenario] = STREAM_SCENARIOS + [
         ),
     ),
     Scenario("query_view", run_query_view, query_view_is_exercised),
+    Scenario("chained_walks", run_chained_walks, chained_walks_are_exercised),
     simulation_scenario("simulation", seed=3, num_objects=70, duration=80, agility=0.1),
     simulation_scenario("simulation_agile", seed=9, num_objects=50, duration=70, agility=0.4),
     simulation_scenario("simulation_dense", seed=21, num_objects=110, duration=60, agility=0.1),

@@ -19,8 +19,8 @@ from typing import Deque, Optional, Tuple
 
 from repro.core.errors import CoordinatorError
 from repro.core.geometry import Point, Rectangle
-from repro.core.trajectory import TimePoint, UncertainTimePoint
-from repro.client.raytrace import Measurement, RayTraceConfig, RayTraceStatistics
+from repro.core.trajectory import Measurement, TimePoint, UncertainTimePoint
+from repro.client.raytrace import RayTraceConfig, RayTraceStatistics
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.client.uncertainty import NormalToleranceModel
 from repro.extensions.feedback import FeedbackResponse, HotVertexHint

@@ -259,6 +259,23 @@ class TestReconnectStorm:
         assert result.report == replay_accepted_log(result.accepted_log)
 
 
+class TestServingIngest:
+    @pytest.mark.parametrize("backend", ("serial", "processes"))
+    def test_ramp_at_double_load_is_ingested_whole(self, backend):
+        """The load-probing ``ramp`` scenario at twice its batch sizes, sent
+        concurrently through the TCP front door: every update is accepted,
+        the batcher measured its ingest latency, and the served report equals
+        the replay of its accepted log."""
+        result = make_runner(backend).run(
+            get_scenario("ramp", load_factor=2.0), seed=42, concurrent=True
+        )
+        assert result.report == replay_accepted_log(result.accepted_log), backend
+        assert result.passed, (backend, result.validation_errors)
+        assert result.accepted_updates == result.submitted_updates
+        assert 0.0 < result.server_stats["p50_ms"] <= result.server_stats["p99_ms"]
+        assert result.updates_per_sec > 0
+
+
 #: sha256 over every fault class x registered scenario x (seed, rate) pair
 #: of a serialized run: fault events, accepted log, report, traffic counts
 #: and fault counters.  Recorded before the fault path was rewritten to

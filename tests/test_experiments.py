@@ -2,7 +2,7 @@
 
 These use an aggressively scaled-down :class:`ExperimentScale` so the whole
 module runs in a few seconds while still exercising the exact code paths the
-benchmarks use at their (larger) default scale.
+drivers run at ``--scale 0.02`` (``tests/test_paper_shapes.py``).
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from repro.baselines.dp_hot import DPHotSegmentTracker
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.experiments.ablations import (
+    COMMUNICATION_TOLERANCES,
+    GRID_CELL_COUNTS,
+    UNCERTAINTY_DELTAS,
     run_communication_ablation,
     run_grid_resolution_ablation,
     run_uncertainty_ablation,
@@ -79,21 +82,20 @@ class TestExperimentScale:
         scale = ExperimentScale(duration=0.01)
         assert scale.scale_duration(250, epoch_length=10) == 31
 
-    def test_from_environment_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        scale = ExperimentScale.from_environment()
-        assert scale.population == DEFAULT_SCALE
+    def test_no_scale_is_the_default_scale(self):
+        assert ExperimentScale().population == DEFAULT_SCALE
+        assert scaled_simulation_config() == scaled_simulation_config(scale=ExperimentScale())
 
-    def test_from_environment_full_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "1.0")
-        scale = ExperimentScale.from_environment()
+    def test_paper_scale(self):
+        scale = ExperimentScale.at(1.0)
         assert scale.population == 1.0
         assert scale.network_nodes_per_axis == 33
 
-    def test_from_environment_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "lots")
-        with pytest.raises(ConfigurationError):
-            ExperimentScale.from_environment()
+    def test_a_scale_that_is_not_a_number_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure7", "--scale", "lots"])
+        assert exit_info.value.code == 2
+        assert "invalid float value: 'lots'" in capsys.readouterr().err
 
     def test_scaled_simulation_config_applies_scale(self):
         config = scaled_simulation_config(scale=TINY, num_objects=20000, tolerance=5.0)
@@ -104,10 +106,10 @@ class TestExperimentScale:
 
 
 class TestOneScaleRule:
-    """``REPRO_SCALE`` and ``--scale`` both go through :meth:`ExperimentScale.at`."""
+    """``--scale`` is the one scale rule: it goes through :meth:`ExperimentScale.at`."""
 
     @pytest.mark.parametrize("value", ("0.05", "0.2", "0.5", "1.0", "3.0", "inf"))
-    def test_environment_and_flag_give_the_same_scale(self, value, monkeypatch, capsys):
+    def test_the_flag_hands_the_driver_its_scale(self, value, monkeypatch, capsys):
         handed = []
 
         def capture(scale, seed):
@@ -115,9 +117,8 @@ class TestOneScaleRule:
             return Figure7Report()
 
         monkeypatch.setattr(figure7, "run_figure7", capture)
-        monkeypatch.setenv("REPRO_SCALE", value)
         assert main(["figure7", "--scale", value]) == 0
-        assert ExperimentScale.from_environment() == ExperimentScale.at(float(value)) == handed[0]
+        assert handed == [ExperimentScale.at(float(value))]
 
     def test_below_paper_scale_clamps(self):
         assert ExperimentScale.at(0.5) == ExperimentScale(
@@ -128,10 +129,9 @@ class TestOneScaleRule:
         )
 
     @pytest.mark.parametrize("value", ("nan", "-1", "0"))
-    def test_non_positive_or_nan_is_a_configuration_error(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", value)
+    def test_non_positive_or_nan_is_a_configuration_error(self, value):
         with pytest.raises(ConfigurationError):
-            ExperimentScale.from_environment()
+            ExperimentScale.at(float(value))
 
 
 class TestSweeps:
@@ -156,32 +156,26 @@ class TestSweeps:
 class TestFigureRunners:
     def test_figure7_report(self):
         report = run_figure7(object_counts=[10000, 20000], scale=TINY, seed=3)
-        assert report.object_counts == [10000, 20000]
-        panel_a = report.panel_a()
-        panel_b = report.panel_b()
-        panel_c = report.panel_c()
-        assert len(panel_a["single_path_index_size"]) == 2
-        assert len(panel_b["single_path_score"]) == 2
-        assert len(panel_c["processing_seconds"]) == 2
+        assert [row.parameter_value for row in report.rows] == [10000, 20000]
         table = report.format_table()
         assert "idx SP" in table
         assert len(table.splitlines()) == 4
 
     def test_figure7_index_grows_with_objects(self):
         report = run_figure7(object_counts=[10000, 100000], scale=TINY, seed=3)
-        sizes = report.panel_a()["single_path_index_size"]
+        sizes = [row.index_size for row in report.rows]
         assert sizes[1] > sizes[0]
 
     def test_figure8_report(self):
         report = run_figure8(tolerances=[2.0, 20.0], scale=TINY, seed=3)
-        assert report.tolerances == [2.0, 20.0]
+        assert [row.parameter_value for row in report.rows] == [2.0, 20.0]
         table = report.format_table()
         assert "epsilon" in table
         assert len(table.splitlines()) == 4
 
     def test_figure8_index_shrinks_with_tolerance(self):
         report = run_figure8(tolerances=[2.0, 40.0], scale=TINY, seed=3)
-        sizes = report.panel_a()["single_path_index_size"]
+        sizes = [row.index_size for row in report.rows]
         assert sizes[1] <= sizes[0]
 
     def test_figure9_report(self):
@@ -198,23 +192,23 @@ class TestFigureRunners:
 
 class TestAblations:
     def test_communication_ablation(self):
-        rows = run_communication_ablation(tolerances=(5.0, 20.0), scale=TINY, seed=3)
-        assert len(rows) == 2
+        rows = run_communication_ablation(scale=TINY, seed=3)
+        assert [row.tolerance for row in rows] == list(COMMUNICATION_TOLERANCES)
         for row in rows:
             assert row.naive_messages > row.raytrace_messages
             assert 0.0 < row.reduction <= 1.0
 
     def test_uncertainty_ablation(self):
-        rows = run_uncertainty_ablation(deltas=(0.0, 0.2), scale=TINY, seed=3)
-        assert len(rows) == 2
+        rows = run_uncertainty_ablation(scale=TINY, seed=3)
+        assert [row.delta for row in rows] == list(UNCERTAINTY_DELTAS)
         assert rows[0].delta == 0.0
         # A positive delta shrinks tolerance squares, so filtering can only
         # report at least as many messages as the plain-epsilon run.
-        assert rows[1].uplink_messages >= rows[0].uplink_messages
+        assert rows[-1].uplink_messages >= rows[0].uplink_messages
 
     def test_grid_resolution_ablation(self):
-        rows = run_grid_resolution_ablation(cell_counts=(8, 32), scale=TINY, seed=3)
-        assert len(rows) == 2
+        rows = run_grid_resolution_ablation(scale=TINY, seed=3)
+        assert [row.cells_per_axis for row in rows] == list(GRID_CELL_COUNTS)
         assert all(row.mean_index_size > 0 for row in rows)
 
 

@@ -9,14 +9,15 @@ travelled it.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import pytest
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.trajectory import Trajectory
-from repro.client.raytrace import RayTraceConfig, RayTraceFilter
+from repro.client.raytrace import RayTraceConfig
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
+from repro.simulation.replay import TrajectoryReplayDriver
 from repro.workload.scenarios import (
     converging_event_trajectories,
     evacuation_trajectories,
@@ -40,35 +41,9 @@ def replay_trajectories(
     coordinator = Coordinator(
         CoordinatorConfig(bounds=bounds, window=window, cells_per_axis=32)
     )
-    config = RayTraceConfig(tolerance)
-    filters: Dict[int, RayTraceFilter] = {}
-    start_times = {oid: trajectory.start_time for oid, trajectory in trajectories.items()}
-    end_time = max(trajectory.end_time for trajectory in trajectories.values())
-
-    for timestamp in range(0, end_time + 1):
-        for object_id, trajectory in trajectories.items():
-            if timestamp < start_times[object_id] or timestamp > trajectory.end_time:
-                continue
-            index = timestamp - start_times[object_id]
-            measurement = trajectory[index]
-            if object_id not in filters:
-                filters[object_id] = RayTraceFilter(object_id, measurement, config)
-                continue
-            state = filters[object_id].observe(measurement)
-            if state is not None:
-                coordinator.submit_state(state)
-        if timestamp % epoch_length == 0 and timestamp > 0:
-            outcome = coordinator.run_epoch(timestamp)
-            for response in outcome.responses:
-                follow_up = filters[response.object_id].receive_response(response)
-                if follow_up is not None:
-                    coordinator.submit_state(follow_up)
-
-    # Flush: force every filter to report its final SSA so trailing motion is indexed.
-    for object_id, filt in filters.items():
-        if not filt.waiting and filt.fsa_timestamp > filt.ssa_start.timestamp:
-            coordinator.submit_state(filt.current_state())
-    coordinator.run_epoch(end_time + 1)
+    TrajectoryReplayDriver(
+        coordinator, RayTraceConfig(tolerance), epoch_length=epoch_length
+    ).replay(trajectories)
     return coordinator
 
 
@@ -136,9 +111,7 @@ class TestTurningCorridorScenario:
         merged = dict(north)
         offset = len(north)
         for object_id, trajectory in south.items():
-            clone = merged[object_id + offset] = Trajectory(object_id + offset)
-            for timepoint in trajectory:
-                clone.append(timepoint)
+            merged[object_id + offset] = trajectory
         coordinator = replay_trajectories(merged, tolerance=10.0, bounds=BOUNDS)
         for record, _ in coordinator.hot_paths():
             y_values = (record.path.start.y, record.path.end.y)

@@ -42,7 +42,7 @@ from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.partition import ShardGrid, shard_layout
 
-from differential import drive, synthetic_stream
+from differential import SCENARIO, drive, synthetic_stream
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
@@ -341,3 +341,11 @@ class TestOwnerLabels:
         than ten times the mean (what runs never reads the labels)."""
         run = drive(FleetConfig(num_shards=16), synthetic_stream(42, downtown=0.8))
         assert run.coordinator.shard_statistics()["imbalance"] > 10.0
+
+    def test_a_simulation_spreads_over_the_labels(self):
+        """The harness's simulation on a 4x4 grid: no one label holds every
+        record."""
+        run = SCENARIO["simulation"].run(FleetConfig(num_shards=16))
+        statistics = run.coordinator.shard_statistics()
+        assert statistics["num_shards"] == 16
+        assert 0 < statistics["max_shard_records"] < statistics["total_records"]

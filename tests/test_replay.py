@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
-from repro.client.raytrace import RayTraceConfig
+from repro.core.trajectory import TimePoint
+from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.extensions.feedback import FeedbackCoordinator
 from repro.simulation.replay import TrajectoryReplayDriver
@@ -72,6 +73,94 @@ class TestReplay:
         driver = TrajectoryReplayDriver(coordinator, RayTraceConfig(10.0), epoch_length=5)
         stats = driver.replay(streams)
         assert stats.objects == 2
+
+
+def record_protocol(coordinator):
+    """Wrap ``coordinator`` so that it logs ``(state, commit epoch)`` for every
+    submitted state and the boundary of every epoch it runs."""
+    submitted, boundaries = [], []
+    submit, run_epoch = coordinator.submit_state, coordinator.run_epoch
+
+    def recording_submit(state):
+        submitted.append((state, len(boundaries)))
+        submit(state)
+
+    def recording_epoch(now):
+        boundaries.append(now)
+        return run_epoch(now)
+
+    coordinator.submit_state, coordinator.run_epoch = recording_submit, recording_epoch
+    return submitted, boundaries
+
+
+def replay_by_hand(coordinator, streams, epoch_length):
+    """The on-line protocol, timestamp by timestamp: an object's filter sees
+    the measurement taken at the current timestamp, when there is one."""
+    taken = {object_id: {m.timestamp: m for m in stream} for object_id, stream in streams.items()}
+    start = min(min(times) for times in taken.values())
+    end = max(max(times) for times in taken.values())
+    filters = {}
+    for now in range(start, end + 1):
+        for object_id, measurements in taken.items():
+            measurement = measurements.get(now)
+            if measurement is None:
+                continue
+            if object_id not in filters:
+                filters[object_id] = RayTraceFilter(object_id, measurement, RayTraceConfig(10.0))
+                continue
+            state = filters[object_id].observe(measurement)
+            if state is not None:
+                coordinator.submit_state(state)
+        if now % epoch_length == 0 and now > start:
+            for response in coordinator.run_epoch(now).responses:
+                if filters[response.object_id].waiting:
+                    follow_up = filters[response.object_id].receive_response(response)
+                    if follow_up is not None:
+                        coordinator.submit_state(follow_up)
+    for filt in filters.values():
+        if not filt.waiting and filt.fsa_timestamp > filt.ssa_start.timestamp:
+            coordinator.submit_state(filt.current_state())
+    coordinator.run_epoch(end + 1)
+
+
+class TestGappedReplay:
+    """A stream may skip timestamps: each measurement arrives at its own one."""
+
+    def _streams(self):
+        trajectories = waypoint_corridor_trajectories(
+            L_CORRIDOR, num_objects=3, duration=31, lateral_spread=2.0, seed=1
+        )
+        streams = {object_id: list(trajectory) for object_id, trajectory in trajectories.items()}
+        # Object 0's log has a hole: it was sampled at t = 0-4 and 20-30 only.
+        streams[0] = [m for m in streams[0] if not 5 <= m.timestamp < 20]
+        return streams
+
+    def test_every_state_is_committed_at_or_after_its_end(self):
+        coordinator = make_coordinator()
+        submitted, boundaries = record_protocol(coordinator)
+        TrajectoryReplayDriver(coordinator, RayTraceConfig(10.0), epoch_length=5).replay(
+            self._streams()
+        )
+        assert any(state.object_id == 0 and state.t_end >= 20 for state, _epoch in submitted)
+        for state, epoch in submitted:
+            assert state.t_end <= boundaries[epoch], (state, boundaries[epoch])
+
+    def test_a_gapped_replay_equals_the_hand_driven_protocol(self):
+        replayed, by_hand = make_coordinator(), make_coordinator()
+        replayed_log, by_hand_log = record_protocol(replayed), record_protocol(by_hand)
+        TrajectoryReplayDriver(replayed, RayTraceConfig(10.0), epoch_length=5).replay(
+            self._streams()
+        )
+        replay_by_hand(by_hand, self._streams(), epoch_length=5)
+        assert repr(replayed_log) == repr(by_hand_log)
+        assert repr(replayed.hot_paths()) == repr(by_hand.hot_paths())
+
+    @pytest.mark.parametrize("timestamps", [(0, 1, 1), (0, 2, 1)])
+    def test_a_sequence_whose_timestamps_do_not_increase_is_rejected(self, timestamps):
+        stream = [TimePoint(Point(float(t), 0.0), t) for t in timestamps]
+        driver = TrajectoryReplayDriver(make_coordinator(), RayTraceConfig(10.0))
+        with pytest.raises(ConfigurationError):
+            driver.replay({0: stream})
 
 
 class TestFeedbackReplay:

@@ -75,7 +75,7 @@ class TestSimulationRun:
         assert hotness_values == sorted(hotness_values, reverse=True)
 
     def test_top_k_score_positive(self, result):
-        assert result.top_k_score(10) > 0.0
+        assert result.coordinator.top_k_score(10) > 0.0
 
     def test_summary_keys(self, result):
         summary = result.summary()

@@ -37,40 +37,16 @@ class TestUncertainTimePoint:
 
 
 class TestTrajectoryConstruction:
-    def test_empty_trajectory_is_falsy(self):
-        assert not Trajectory(0)
-
-    def test_append_and_len(self):
+    def test_append_and_iter(self):
         trajectory = straight_line_trajectory(4)
-        assert len(trajectory) == 4
+        assert [tp.timestamp for tp in trajectory] == [0, 1, 2, 3]
+        assert [tp.point for tp in trajectory][1] == Point(10.0, 0.0)
 
     def test_append_requires_increasing_timestamps(self):
         trajectory = Trajectory(0)
         trajectory.append(TimePoint(Point(0.0, 0.0), 5))
         with pytest.raises(InvalidTrajectoryError):
             trajectory.append(TimePoint(Point(1.0, 1.0), 5))
-
-    def test_getitem_and_iter(self):
-        trajectory = straight_line_trajectory(3)
-        assert trajectory[1].point == Point(10.0, 0.0)
-        assert [tp.timestamp for tp in trajectory] == [0, 1, 2]
-
-
-class TestTrajectoryTimes:
-    def test_start_and_end_time(self):
-        trajectory = straight_line_trajectory(4)
-        assert trajectory.start_time == 0
-        assert trajectory.end_time == 3
-
-    def test_empty_trajectory_time_errors(self):
         with pytest.raises(InvalidTrajectoryError):
-            _ = Trajectory(0).start_time
-        with pytest.raises(InvalidTrajectoryError):
-            _ = Trajectory(0).end_time
-
-    def test_covers_time(self):
-        trajectory = straight_line_trajectory(4)
-        assert trajectory.covers_time(0)
-        assert trajectory.covers_time(2.5)
-        assert not trajectory.covers_time(3.5)
-        assert not Trajectory(0).covers_time(0)
+            trajectory.append(TimePoint(Point(1.0, 1.0), 4))
+        assert [tp.timestamp for tp in trajectory] == [5]

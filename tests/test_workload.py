@@ -149,7 +149,7 @@ class TestScenarios:
         venue = Point(100.0, 100.0)
         trajectories = converging_event_trajectories(num_objects=8, venue=venue, duration=30)
         for trajectory in trajectories.values():
-            final = trajectory[len(trajectory) - 1].point
+            final = list(trajectory)[-1].point
             assert final.euclidean_distance_to(venue) < 1.0
 
     def test_converging_event_invalid_args(self):
@@ -160,13 +160,14 @@ class TestScenarios:
         danger = Point(0.0, 0.0)
         trajectories = evacuation_trajectories(num_objects=6, danger_zone=danger, duration=30)
         for trajectory in trajectories.values():
-            start_distance = trajectory[0].point.euclidean_distance_to(danger)
-            end_distance = trajectory[len(trajectory) - 1].point.euclidean_distance_to(danger)
+            timepoints = list(trajectory)
+            start_distance = timepoints[0].point.euclidean_distance_to(danger)
+            end_distance = timepoints[-1].point.euclidean_distance_to(danger)
             assert end_distance > start_distance
 
     def test_evacuation_routes_shared(self):
         trajectories = evacuation_trajectories(num_objects=20, num_escape_routes=2, duration=30)
-        final_points = [t[len(t) - 1].point for t in trajectories.values()]
+        final_points = [list(t)[-1].point for t in trajectories.values()]
         distinct = {(round(p.x, 3), round(p.y, 3)) for p in final_points}
         assert len(distinct) <= 2
 

@@ -17,9 +17,9 @@ the difference.  A ``def`` nested in an unreached one is not listed again.
 
 **Knob pass** (static).  A knob is a defaulted parameter of a ``def`` in
 ``src/repro`` or a defaulted field of a ``*Config`` dataclass.  It counts as
-set when a call in ``src/``, ``bench/``, ``benchmarks/`` or ``examples/``
-passes it — by keyword, by position, or through ``*``/``**`` expansion —
-where calls are matched to definitions by name (the callee's last name; a
+set when a call in ``src/``, ``bench/`` or ``examples/`` passes it — by
+keyword, by position, or through ``*``/``**`` expansion — where calls are
+matched to definitions by name (the callee's last name; a
 class name for ``__init__`` and for the fields of a ``*Config``;
 ``replace(config, field=...)`` and ``partial(f, ...)`` are seen through).  A
 name shared by two definitions can only make a knob count as set, never
@@ -56,7 +56,7 @@ FUNCTION_KEEPERS = Path("tools/census/functions.txt")
 KNOB_KEEPERS = Path("tools/census/knobs.txt")
 
 #: Where the knob pass looks for calls (never ``tests/``).
-CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
+CALLER_DIRS = ("src", "bench", "examples")
 
 #: Entry points run this many at a time.
 WORKERS = 2
@@ -73,7 +73,7 @@ class EntryPoint:
     argv: Tuple[str, ...]
     #: The exit status the command must end with.
     status: int = 0
-    #: Run from the repository root (pytest needs its rootdir configuration).
+    #: Run from the repository root (``-m bench`` imports the package there).
     in_root: bool = False
 
 
@@ -91,11 +91,9 @@ _FAULTS = ("drop_batch", "duplicate_batch", "reorder_batch", "stall_epoch")
 _EXAMPLES = ("evacuation_monitoring", "network_discovery", "quickstart", "targeted_advertising")
 
 #: Every user entry point: each CLI command and flag family, a live server
-#: driven over every op, the bench smoke traced and untraced, the
-#: ``benchmarks/`` suite and every example.  Longest first.
+#: driven over every op, the bench smoke traced and untraced, and every
+#: example.  Longest first.
 ENTRY_POINTS: Tuple[EntryPoint, ...] = (
-    EntryPoint(("{python}", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                "--benchmark-disable", "benchmarks"), in_root=True),
     _repro("figure7", "--scale", "0.002", "--seed", "3", "--csv", "{tmp}/figure7"),
     _repro("figure8", "--scale", "0.002", "--seed", "3", "--csv", "{tmp}/figure8"),
     _repro("ablations", "--scale", "0.002", "--seed", "3", "--csv", "{tmp}/ablations"),

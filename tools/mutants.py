@@ -489,14 +489,10 @@ MUTANTS: List[Mutant] = [
 ]
 
 
-
-
-
-
 def _pytest_command(ids: Sequence[str]) -> List[str]:
     return [
         sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-        "-p", "mutants_plugin", "--benchmark-disable", f"--hypothesis-seed={SEED}", *ids,
+        "-p", "mutants_plugin", f"--hypothesis-seed={SEED}", *ids,
     ]
 
 
