@@ -11,9 +11,10 @@ per epoch over the whole batch of state messages):
 * :class:`EndpointTable` — the paths of one
   :class:`~repro.coordinator.grid_index.GridIndex`, one row each: their
   *ends* in plain lists sorted by end x, so a region query is two bisections
-  and a closed y test on the x run between them, and a hash from a path's
-  exact start vertex to ``{path id: end}``, which answers the exact-match
-  lookups.  No numpy: an FSA's x run holds a few percent of the paths.
+  and a closed y test on the x run between them, and a hash from the
+  coordinates of a path's exact start vertex to ``{path id: end}``, which
+  answers the exact-match lookups.  No numpy: an FSA's x run holds a few
+  percent of the paths.
 * :func:`touching_pairs` — the epoch's FSA-against-FSA pair pass: the pairs
   sharing positive area (the links of the overlap components) and the pairs
   that only touch along an edge or at a corner (which, with the first kind,
@@ -210,6 +211,10 @@ def touching_pairs(boxes: Sequence[Tuple[float, float, float, float]]) -> Tuple[
 # Grid-index endpoint table
 # ---------------------------------------------------------------------------
 
+#: One distinct end vertex of :meth:`EndpointTable.end_vertices_in`: the
+#: vertex and the ids of the paths ending there.
+VertexGroup = Tuple[Point, List[int]]
+
 
 class EndpointTable:
     """The paths of one grid index under the columnar kernel, one row each.
@@ -222,14 +227,21 @@ class EndpointTable:
     ``[low x, high x]`` and tests y on that run only, with the closed
     ``<=`` of ``Rectangle.contains_point``.  Among stored ends that compare
     equal but are different objects (``0.0`` / ``-0.0``, ``2`` / ``2.0``),
-    the earliest insert is met first, so it becomes the vertex key — the one
-    the object kernel's cell dicts, which keep insertion order, meet first.
+    the earliest insert is met first, so it becomes the vertex — the one the
+    object kernel's cell dicts, which keep insertion order, meet first.
 
-    ``_by_start`` maps a start vertex to ``{path id: end}`` of the paths
-    starting there, in insertion order, so ``starting_at`` and
+    ``_by_start`` maps a start vertex's ``(x, y)`` to ``{path id: end}`` of
+    the paths starting there, in insertion order, so ``starting_at`` and
     ``path_between`` are one dict probe and a scan of that vertex's paths;
-    ``_start_of`` maps a path id back to its start.  A path id is added at
+    ``_start_of`` maps a path id back to that key.  A path id is added at
     most once while it is live.
+
+    No method hashes a ``Point``: every key is a coordinate tuple, which
+    compares and hashes like the ``Point`` it stands for (``Point``'s
+    generated ``__eq__`` and ``__hash__`` read the same tuple) at about a
+    third of the cost of the dataclass's Python-level methods.  The start
+    keys never leave the table; :meth:`end_vertices_in` returns its group
+    keys.
     """
 
     __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start", "_start_of")
@@ -239,13 +251,14 @@ class EndpointTable:
         self._ys: List[float] = []
         self._ends: List[Point] = []
         self._pids: List[int] = []
-        self._by_start: Dict[Point, Dict[int, Point]] = {}
-        self._start_of: Dict[int, Point] = {}
+        self._by_start: Dict[Tuple[float, float], Dict[int, Point]] = {}
+        self._start_of: Dict[int, Tuple[float, float]] = {}
 
     def add_path(self, path_id: int, start: Point, end: Point) -> None:
         """Store the path ``start -> end`` under ``path_id``."""
-        self._start_of[path_id] = start
-        self._by_start.setdefault(start, {})[path_id] = end
+        key = (start.x, start.y)
+        self._start_of[path_id] = key
+        self._by_start.setdefault(key, {})[path_id] = end
         row = bisect_right(self._xs, end.x)
         self._xs.insert(row, end.x)
         self._ys.insert(row, end.y)
@@ -254,13 +267,13 @@ class EndpointTable:
 
     def remove_path(self, path_id: int) -> None:
         """Drop a path; an absent id is a no-op."""
-        start = self._start_of.pop(path_id, None)
-        if start is None:
+        key = self._start_of.pop(path_id, None)
+        if key is None:
             return
-        bucket = self._by_start[start]
+        bucket = self._by_start[key]
         end = bucket.pop(path_id)
         if not bucket:
-            del self._by_start[start]
+            del self._by_start[key]
         pids = self._pids
         row = bisect_left(self._xs, end.x)
         while pids[row] != path_id:
@@ -271,35 +284,38 @@ class EndpointTable:
 
     def starting_at(self, start: Point, region: Rectangle) -> List[int]:
         """Case 1: paths starting at ``start`` whose end lies inside ``region``."""
-        return [
-            path_id
-            for path_id, end in self._by_start.get(start, {}).items()
-            if region.contains_point(end)
-        ]
+        bucket = self._by_start.get((start.x, start.y))
+        if bucket is None:
+            return []
+        return [path_id for path_id, end in bucket.items() if region.contains_point(end)]
 
     def path_between(self, start: Point, end: Point) -> Optional[int]:
         """The earliest-inserted live path from ``start`` ending at ``end``."""
-        for path_id, stored_end in self._by_start.get(start, {}).items():
+        for path_id, stored_end in self._by_start.get((start.x, start.y), {}).items():
             if stored_end == end:
                 return path_id
         return None
 
     # -- region queries (two bisections and a y test) -------------------------------
 
-    def end_rows_in(self, region: Rectangle) -> List[int]:
-        """Rows of the ends inside ``region`` (closed bounds), by end x."""
-        xs, ys = self._xs, self._ys
+    def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], VertexGroup]:
+        """Case 2: the distinct end vertices inside ``region`` (closed
+        bounds), each as ``(x, y) -> (vertex, ids of the paths ending
+        there)``, by end x."""
+        xs, ys, ends, pids = self._xs, self._ys, self._ends, self._pids
         first = bisect_left(xs, region.low.x)
         last = bisect_right(xs, region.high.x, first)
         low_y, high_y = region.low.y, region.high.y
-        return [row for row in range(first, last) if low_y <= ys[row] <= high_y]
-
-    def end_vertices_in(self, region: Rectangle) -> Dict[Point, List[int]]:
-        """Case 2: distinct end vertices inside ``region`` -> ids of the paths ending there."""
-        ends, pids = self._ends, self._pids
-        vertices: Dict[Point, List[int]] = {}
-        for row in self.end_rows_in(region):
-            vertices.setdefault(ends[row], []).append(pids[row])
+        vertices: Dict[Tuple[float, float], VertexGroup] = {}
+        for row in range(first, last):
+            y = ys[row]
+            if low_y <= y <= high_y:
+                key = (xs[row], y)
+                group = vertices.get(key)
+                if group is None:
+                    vertices[key] = (ends[row], [pids[row]])
+                else:
+                    group[1].append(pids[row])
         return vertices
 
 

@@ -178,7 +178,7 @@ class Coordinator:
     def _assemble_delta(self, now: int, deleted: List[int], epoch_result) -> EpochDelta:
         """Fold the epoch's change record into a first-class :class:`EpochDelta`.
 
-        Inserted ids come from the decisions (allocated in submission order
+        Inserted ids are the epoch result's (allocated in submission order
         on every backend, so the tuple is backend-independent); hotness
         transitions are drained from the tracker's delta log, with each
         category sorted ascending — the deterministic encoding of the
@@ -187,15 +187,10 @@ class Coordinator:
         log = self.hotness.drain_delta_log()
         # All the query view costs an epoch: remember which ids to re-read.
         self._view.note(log, len(deleted))
-        inserted = tuple(
-            decision.path_id
-            for decision in epoch_result.decisions
-            if not decision.reused_existing_path
-        )
         pool_stats = self.strategy.last_pool_stats
         return EpochDelta(
             timestamp=now,
-            inserted=inserted,
+            inserted=tuple(epoch_result.inserted),
             deleted=tuple(sorted(deleted)),
             newly_hot=tuple(sorted(log.newly_hot)),
             touched=tuple(sorted(log.touched)),

@@ -195,7 +195,7 @@ class GridIndex:
     def end_vertices_in(self, region: Rectangle) -> Dict[Point, List[int]]:
         """Distinct end vertices inside ``region`` mapped to the ids of paths ending there."""
         if self._endpoints is not None:
-            return self._endpoints.end_vertices_in(region)
+            return dict(self._endpoints.end_vertices_in(region).values())
         vertices: Dict[Point, List[int]] = {}
         for (path_id, is_start), (endpoint, _other) in self._entries_in(region):
             if is_start:

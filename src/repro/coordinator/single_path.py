@@ -24,19 +24,25 @@ start of its next Spatial Safe Area.
 **The epoch pass (columnar kernel).**  Decisions are sequential, but most of
 what a Case 2/3 decision reads is fixed before the first one is made: the
 index does not change between the candidate stage and the decision stage, and
-the decision stage only ever *inserts*.  :func:`prefetch_vertex_candidates`
-computes that part for the whole epoch: each pending FSA's end vertices (two
-bisections of the index's x-sorted end table and a y test on the run between
-them), and the overlap answers, each inside the FSA's query component
-(:attr:`~repro.coordinator.overlaps.OverlapPlan.components`): from the FSA's
-own box when it touches no other FSA, else one batch per pool or for the
-merged structure — scalar loops for a small batch, the region table for a
-large one.  The decision loop keeps what depends on decision order — the
-hotness sums, the selection, the insert, and the paths inserted earlier in
-the epoch, which it probes in :class:`InsertedEnds` (sorted by end x, like
-the end table) rather than rescanning them all.  The object kernel takes
-none of this and queries the index and the merged structure per object, as
-the pinned reference.
+the decision stage only ever *inserts*.  A *lone* FSA — one that touches no
+other FSA of the epoch (:data:`~repro.coordinator.overlaps.LONE`) — has its
+answers fixed in advance: the only overlap region meeting it is its own
+singleton, so every end vertex inside it has bonus 1 and its fabricated
+vertex is its centre with count 1.  Its decision reads its end vertices from
+the live end table, which holds exactly what a pass would have read plus the
+paths inserted since.  :func:`prefetch_vertex_candidates` computes the rest
+for the whole epoch: each other pending FSA's end vertices (two bisections
+of the index's x-sorted end table and a y test on the run between them), and
+the overlap answers, each inside the FSA's query component
+(:attr:`~repro.coordinator.overlaps.OverlapPlan.components`): one batch per
+pool or for the merged structure — scalar loops for a small batch, the
+region table for a large one.  The decision keeps what depends on decision
+order — the hotness sums, the selection (inline, over the vertices: no
+candidate list, no per-decision record), the insert, and, for an FSA the
+pass read, the paths inserted earlier in the epoch, which it probes in
+:class:`InsertedEnds` (sorted by end x, like the end table) rather than
+rescanning them all.  The object kernel takes none of this and queries the
+index and the merged structure per object, as the pinned reference.
 
 Each state's FSA is built once per epoch (:attr:`ObjectState.fsa` validates
 a new ``Rectangle`` on every access) and handed to the plan, the candidate
@@ -53,7 +59,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import CoordinatorResponse, ObjectState
-from repro.coordinator.columnar import EndpointTable
+from repro.coordinator.columnar import EndpointTable, VertexGroup
 from repro.coordinator.execution import ExecutionBackend, SerialBackend
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
@@ -68,7 +74,6 @@ from repro.coordinator.overlaps import (
 __all__ = [
     "CandidatePath",
     "InsertedEnds",
-    "SinglePathDecision",
     "SinglePathEpochResult",
     "SinglePathStrategy",
     "VertexPrefetch",
@@ -91,38 +96,22 @@ CandidateVertex = Tuple[Point, int, bool]
 
 
 @dataclass
-class SinglePathDecision:
-    """Outcome of SinglePath for a single reporting object."""
-
-    object_id: int
-    response: CoordinatorResponse
-    path_id: int
-    reused_existing_path: bool
-    fabricated_vertex: bool
-
-
-@dataclass
 class SinglePathEpochResult:
     """Aggregate outcome of one SinglePath invocation (one epoch)."""
 
-    decisions: List[SinglePathDecision] = field(default_factory=list)
-    paths_inserted: int = 0
-    paths_reused: int = 0
-    vertices_fabricated: int = 0
+    #: One response per state, in submission order.
+    responses: List[CoordinatorResponse] = field(default_factory=list)
+    #: Ids of the paths the decisions inserted, in submission order (a
+    #: decision that reused a path inserts nothing).
+    inserted: List[int] = field(default_factory=list)
 
     @property
-    def responses(self) -> List[CoordinatorResponse]:
-        return [decision.response for decision in self.decisions]
+    def paths_inserted(self) -> int:
+        return len(self.inserted)
 
-    def tally(self, decision: SinglePathDecision) -> None:
-        """Append a decision and update the aggregate counters."""
-        self.decisions.append(decision)
-        if decision.reused_existing_path:
-            self.paths_reused += 1
-        else:
-            self.paths_inserted += 1
-        if decision.fabricated_vertex:
-            self.vertices_fabricated += 1
+    @property
+    def paths_reused(self) -> int:
+        return len(self.responses) - len(self.inserted)
 
 
 def apply_co_occurrence_boost(candidate_paths: Dict[int, List[CandidatePath]]) -> None:
@@ -194,16 +183,13 @@ class VertexPrefetch:
     """One object's share of the epoch pass: its Case 2/3 reads as of the
     barrier between the candidate stage and the decision stage."""
 
-    #: End vertices inside the FSA -> ids of the paths ending there.
-    end_vertices: Dict[Point, List[int]]
-    #: Vertex -> count of the smallest overlap region containing it (one
-    #: dict an epoch, shared by every object).
-    bonus: Dict[Point, int]
+    #: End vertices inside the FSA: ``(x, y) -> (vertex, ids of the paths
+    #: ending there)`` (:meth:`EndpointTable.end_vertices_in`).
+    end_vertices: Dict[Tuple[float, float], VertexGroup]
+    #: ``(x, y)`` of a vertex -> count of the smallest overlap region
+    #: containing it (one dict an epoch, shared by every object).
+    bonus: Dict[Tuple[float, float], int]
     fabricated: Optional[Tuple[Point, int]]
-    #: Paths inserted so far by this epoch's decisions; one probe an epoch,
-    #: shared by every object, read in x order (:class:`InsertedEnds` says
-    #: why that order cannot change a decision).
-    inserted: InsertedEnds
 
 
 def prefetch_vertex_candidates(
@@ -211,71 +197,60 @@ def prefetch_vertex_candidates(
     pending: Sequence[Tuple[int, int, Rectangle]],
     plan: OverlapPlan,
 ) -> Dict[int, VertexPrefetch]:
-    """The epoch pass: every pending object's Case 2/3 geometry in one batch.
+    """The epoch pass: the Case 2/3 geometry of every pending object that
+    is not lone, in one batch per query component.
 
     ``pending`` lists ``(position, object_id, fsa)`` for the states left
     without a Case 1 candidate, ``plan`` is the epoch's completed overlap
     plan and ``end_table`` the index's x-sorted end table, read here — after
     the candidate stage, before the first decision — where nothing mutates
-    the index.  Returns ``position -> VertexPrefetch``.
+    the index.  Returns ``position -> VertexPrefetch``; a lone FSA (its
+    object's FSA in the epoch map, :data:`LONE` there) gets no entry, since
+    its decision reads the live table (module docstring).
 
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
     here plus the paths inserted since, which :meth:`SinglePathStrategy.decide`
-    adds to the epoch's one ``inserted`` probe and merges back in.
+    adds to the epoch's one :class:`InsertedEnds` probe and merges back in.
 
     The overlap answers of an FSA come from its query component
     (:attr:`OverlapPlan.components`).  A region that touches the FSA, or
     contains a vertex inside it or a point of a region touching it, is made
     of FSAs that touch it or such a region, so both answers lie inside that
     component; the component's own structure holds its regions in the merged
-    order, so the tie-breaks agree too.  An FSA that touches nothing is
-    answered from its own box (the hottest region it touches is its
-    singleton, which alone contains its end vertices and centroid); a
-    component that is one pool from the pool's structure, in one batch per
-    pool; everything else — an FSA whose component joins several, an FSA
-    outside the epoch map (the earlier state of a duplicate reporter), a
-    saturated epoch — from the merged structure, in one batch.
+    order, so the tie-breaks agree too.  A component that is one pool is
+    answered from the pool's structure, in one batch per pool; everything
+    else — an FSA whose component joins several, an FSA outside the epoch
+    map (the earlier state of a duplicate reporter), a saturated epoch —
+    from the merged structure, in one batch.
 
     The bonus of a vertex is a function of the vertex alone; it is computed
     for every end vertex matched and for every fabricated centroid of the
     epoch (the only new vertices decisions normally insert), in the batch
     that fabricates the centroids.
     """
-    if not pending:
-        return {}
-    vertex_sets = [end_table.end_vertices_in(fsa) for _position, _object_id, fsa in pending]
-    fabricated: List[Optional[Tuple[Point, int]]] = [None] * len(pending)
-    bonus: Dict[Point, int] = {}
-    batches: Dict[Optional[int], List[int]] = {}
+    batches: Dict[Optional[int], List[Tuple[int, Rectangle]]] = {}
     fsas, components = plan.fsas, plan.components
-    for slot, (_position, object_id, fsa) in enumerate(pending):
+    for position, object_id, fsa in pending:
         component = components.get(object_id) if fsas.get(object_id) is fsa else None
         if component != LONE:
             # ``None`` (the merged structure) never collides with a pool index.
-            batches.setdefault(component, []).append(slot)
-            continue
-        centre = fsa.center  # the centre of its singleton region's box
-        fabricated[slot] = (centre, 1)
-        bonus[centre] = 1
-        bonus.update(dict.fromkeys(vertex_sets[slot], 1))
-    for component, slots in batches.items():
+            batches.setdefault(component, []).append((position, fsa))
+    prefetched: Dict[int, VertexPrefetch] = {}
+    bonus: Dict[Tuple[float, float], int] = {}
+    for component, members in batches.items():
         structure = plan.merged() if component is None else plan.structures[component]
-        answers = structure.candidate_vertices_for([pending[slot][2] for slot in slots])
-        vertices = list(
-            {answer[0] for answer in answers if answer is not None}.union(
-                *(vertex_sets[slot] for slot in slots)
-            )
-        )
-        bonus.update(zip(vertices, structure.containing_counts(vertices)))
-        for slot, answer in zip(slots, answers):
-            fabricated[slot] = answer
-
-    inserted = InsertedEnds()
-    return {
-        position: VertexPrefetch(vertex_sets[slot], bonus, fabricated[slot], inserted)
-        for slot, (position, _object_id, _fsa) in enumerate(pending)
-    }
+        answers = structure.candidate_vertices_for([fsa for _position, fsa in members])
+        vertices: Dict[Tuple[float, float], Point] = {}
+        for (position, fsa), answer in zip(members, answers):
+            end_vertices = end_table.end_vertices_in(fsa)
+            for key, (vertex, _path_ids) in end_vertices.items():
+                vertices[key] = vertex
+            if answer is not None:
+                vertices[(answer[0].x, answer[0].y)] = answer[0]
+            prefetched[position] = VertexPrefetch(end_vertices, bonus, answer)
+        bonus.update(zip(vertices, structure.containing_counts(list(vertices.values()))))
+    return prefetched
 
 
 class SinglePathStrategy:
@@ -338,6 +313,7 @@ class SinglePathStrategy:
         # Phase 3: selection per object, in submission order — behind the
         # epoch pass when the kernel is columnar (module docstring).
         prefetched: Dict[int, VertexPrefetch] = {}
+        inserted: Optional[InsertedEnds] = None
         if self._kernel == "columnar":
             prefetched = prefetch_vertex_candidates(
                 self._index.end_table(),
@@ -348,16 +324,21 @@ class SinglePathStrategy:
                 ],
                 plan,
             )
+            if prefetched:
+                inserted = InsertedEnds()
+        responses, inserted_ids = result.responses, result.inserted
         for position, (state, fsa) in enumerate(zip(states, fsas)):
-            result.tally(
-                self.decide(
-                    state,
-                    fsa,
-                    candidate_paths[state.object_id],
-                    plan,
-                    prefetched.get(position),
-                )
+            response, path_id = self.decide(
+                state,
+                fsa,
+                candidate_paths[state.object_id],
+                plan,
+                prefetched.get(position),
+                inserted,
             )
+            responses.append(response)
+            if path_id is not None:
+                inserted_ids.append(path_id)
         return result
 
     # -- candidate generation ------------------------------------------------------
@@ -375,38 +356,19 @@ class SinglePathStrategy:
             for record in records
         ]
 
-    def _candidate_vertices(
-        self,
-        fsa: Rectangle,
-        plan: OverlapPlan,
-        prefetch: Optional[VertexPrefetch] = None,
-    ) -> List[CandidateVertex]:
-        """``GetCandidateVertices`` plus the overlap-derived extra candidate.
-
-        With a ``prefetch`` the index and the overlap structure are not
-        queried: the end-vertex set is the prefetched one plus the paths
-        inserted since the epoch pass read the index; only a vertex the pass
-        did not see asks the merged structure.
-        """
-        if prefetch is None:
-            end_vertices = self._index.end_vertices_in(fsa)
-            bonus_of: Dict[Point, int] = {}
-            fabricated = plan.merged().candidate_vertex_for(fsa)
-        else:
-            end_vertices, bonus_of, fabricated = (
-                prefetch.end_vertices, prefetch.bonus, prefetch.fabricated
-            )
-            for record in prefetch.inserted.within(fsa):
-                end_vertices.setdefault(record.path.end, []).append(record.path_id)
+    def _candidate_vertices(self, fsa: Rectangle, plan: OverlapPlan) -> List[CandidateVertex]:
+        """``GetCandidateVertices`` plus the overlap-derived extra candidate,
+        queried per state from the index and the merged overlap structure:
+        the object kernel's pinned reference."""
         candidates: List[CandidateVertex] = []
         hotness = self._hotness.hotness
-        for vertex, path_ids in end_vertices.items():
+        merged = plan.merged()
+        for vertex, path_ids in self._index.end_vertices_in(fsa).items():
             converging = sum(hotness(path_id) for path_id in path_ids)
-            bonus = bonus_of.get(vertex)
-            if bonus is None:
-                region = plan.merged().smallest_region_containing(vertex)
-                bonus = region.count if region is not None else 0
+            region = merged.smallest_region_containing(vertex)
+            bonus = region.count if region is not None else 0
             candidates.append((vertex, converging + bonus, False))
+        fabricated = merged.candidate_vertex_for(fsa)
         if fabricated is not None:
             vertex, count = fabricated
             candidates.append((vertex, count, True))
@@ -428,20 +390,25 @@ class SinglePathStrategy:
         candidates: List[CandidatePath],
         plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
-    ) -> SinglePathDecision:
+        inserted: Optional[InsertedEnds] = None,
+    ) -> Tuple[CoordinatorResponse, Optional[int]]:
         """Choose one object's motion path given its (boosted) candidate set.
 
         ``fsa`` is the state's FSA and ``plan`` the epoch's completed overlap
         plan; ``prefetch`` is the object's share of the epoch pass
-        (:func:`prefetch_vertex_candidates`); without one the index and the
-        merged overlap structure are queried here, per object.
+        (:func:`prefetch_vertex_candidates`; ``None`` for a lone FSA and
+        under the object kernel) and ``inserted`` the epoch's probe of its
+        inserts, which every insert joins (``None`` when the pass left no
+        entry, so that nothing reads it).  :meth:`_choose_vertex` says where
+        a Case 2/3 decision reads its vertices.
+
+        Returns the response and the id of the path the decision inserted
+        (``None`` when it reused one).
 
         Both selection steps use total orders — ties fall back to the path id
         or the vertex coordinates — so the outcome is independent of the order
         in which candidates were enumerated (which is what lets the epoch
-        pass read the index in bulk and the inserts by end x).  A vertex is
-        chosen by its ``(hotness, not fabricated, x, y)`` key with a strict
-        ``>``, so the first maximum wins, as in ``max``.
+        pass read the index in bulk and the inserts by end x).
         """
         if candidates:
             chosen = max(
@@ -449,55 +416,93 @@ class SinglePathStrategy:
                 key=lambda candidate: (candidate.hotness, -candidate.record.path_id),
             )
             self._hotness.record_crossing(chosen.record.path_id, state.t_end)
-            response = CoordinatorResponse(
-                state.object_id, chosen.record.path.end, state.t_end
-            )
-            return SinglePathDecision(
-                object_id=state.object_id,
-                response=response,
-                path_id=chosen.record.path_id,
-                reused_existing_path=True,
-                fabricated_vertex=False,
-            )
+            return CoordinatorResponse(state.object_id, chosen.record.path.end, state.t_end), None
 
-        best = None
-        for vertex, hotness, fabricated in self._candidate_vertices(fsa, plan, prefetch):
-            key = (hotness, not fabricated, vertex.x, vertex.y)
-            if best is None or key > best:
-                best, endpoint, fabricated_vertex = key, vertex, fabricated
-        if endpoint == state.start:
+        start = state.start
+        endpoint = self._choose_vertex(fsa, plan, prefetch, inserted)[0]
+        if endpoint.x == start.x and endpoint.y == start.y:
             # A zero-length path carries no information and would produce a
             # degenerate segment; nudge the endpoint to another point of the
             # FSA (the centroid, falling back to a corner).
             for alternative in (fsa.center, fsa.high, fsa.low):
-                if alternative != state.start:
+                if alternative != start:
                     endpoint = alternative
                     break
-        record, inserted = self._insert_or_reuse(state.start, endpoint, state.t_end)
-        if inserted and prefetch is not None:
-            prefetch.inserted.add(record)
-        self._hotness.record_crossing(record.path_id, state.t_end)
-        response = CoordinatorResponse(state.object_id, endpoint, state.t_end)
-        return SinglePathDecision(
-            object_id=state.object_id,
-            response=response,
-            path_id=record.path_id,
-            reused_existing_path=not inserted,
-            fabricated_vertex=fabricated_vertex,
-        )
-
-    def _insert_or_reuse(
-        self, start: Point, endpoint: Point, t_end: int
-    ) -> Tuple[MotionPathRecord, bool]:
-        """Insert ``start -> endpoint`` unless an identical path already exists.
-
-        Objects processed later in the same epoch frequently choose the exact
-        endpoint fabricated for an earlier object (that is the point of the
-        overlap structure); crediting the already-inserted path instead of
-        storing a duplicate keeps the index small and concentrates hotness,
-        which is the stated goal of SinglePath.
-        """
+        # Later objects of an epoch often choose the endpoint fabricated for
+        # an earlier one (the point of the overlap structure): crediting the
+        # path already stored instead of a duplicate keeps the index small
+        # and concentrates hotness.
         record = self._index.path_between(start, endpoint)
-        if record is not None:
-            return record, False
-        return self._index.insert(MotionPath(start, endpoint), created_at=t_end), True
+        path_id = None
+        if record is None:
+            record = self._index.insert(MotionPath(start, endpoint), created_at=state.t_end)
+            path_id = record.path_id
+            if inserted is not None:
+                inserted.add(record)
+        self._hotness.record_crossing(record.path_id, state.t_end)
+        return CoordinatorResponse(state.object_id, endpoint, state.t_end), path_id
+
+    def _choose_vertex(
+        self,
+        fsa: Rectangle,
+        plan: OverlapPlan,
+        prefetch: Optional[VertexPrefetch],
+        inserted: Optional[InsertedEnds],
+    ) -> CandidateVertex:
+        """A Case 2/3 decision's vertex: the first maximum of ``(hotness, not
+        fabricated, x, y)`` under a strict ``>``, as in ``max``, returned as
+        ``(vertex, hotness, fabricated)``.
+
+        The object kernel ranks :meth:`_candidate_vertices`.  The columnar
+        kernel ranks inline: with a ``prefetch``, the prefetched end
+        vertices plus the epoch's inserts inside ``fsa`` (only a vertex the
+        pass did not see asks the merged structure for its bonus) and the
+        prefetched fabricated vertex; without one the FSA is lone, so its
+        end vertices come from the live end table with bonus 1 each, and its
+        fabricated vertex is its centre with count 1.  Distinct vertices
+        rank apart, so the enumeration order cannot matter.
+        """
+        if self._kernel != "columnar":
+            best = None
+            for vertex, hotness, fabricated in self._candidate_vertices(fsa, plan):
+                rank = (hotness, not fabricated, vertex.x, vertex.y)
+                if best is None or rank > best:
+                    best, chosen = rank, (vertex, hotness, fabricated)
+            return chosen
+
+        hotness_of = self._hotness.hotness
+        if prefetch is None:
+            centre = fsa.center
+            best, chosen = (1, False, centre.x, centre.y), (centre, 1, True)
+            for vertex, path_ids in self._index.end_table().end_vertices_in(fsa).values():
+                hotness = sum(map(hotness_of, path_ids)) + 1
+                rank = (hotness, True, vertex.x, vertex.y)
+                if rank > best:
+                    best, chosen = rank, (vertex, hotness, False)
+            return chosen
+
+        end_vertices, bonus_of = prefetch.end_vertices, prefetch.bonus
+        for record in inserted.within(fsa):
+            end = record.path.end
+            group = end_vertices.get((end.x, end.y))
+            if group is None:
+                end_vertices[(end.x, end.y)] = (end, [record.path_id])
+            else:
+                group[1].append(record.path_id)
+        best = None
+        if prefetch.fabricated is not None:
+            centre, count = prefetch.fabricated
+            best, chosen = (count, False, centre.x, centre.y), (centre, count, True)
+        for coordinates, (vertex, path_ids) in end_vertices.items():
+            bonus = bonus_of.get(coordinates)
+            if bonus is None:
+                region = plan.merged().smallest_region_containing(vertex)
+                bonus = region.count if region is not None else 0
+            hotness = sum(map(hotness_of, path_ids)) + bonus
+            rank = (hotness, True, vertex.x, vertex.y)
+            if best is None or rank > best:
+                best, chosen = rank, (vertex, hotness, False)
+        if best is None:
+            # The fall-back of :meth:`_candidate_vertices`.
+            return (fsa.center, 0, True)
+        return chosen

@@ -146,6 +146,21 @@ class TestKnobPass:
         ``replace`` (``c``); ``knob`` and ``b`` are set by the test alone."""
         assert unset_knobs(tree) == UNSET
 
+    def test_an_alias_is_called_only_through_its_bare_name(self, tree):
+        """``run = f if c else g`` makes ``run(...)`` a call of ``f`` and of
+        ``g``; ``runner.run(k=1)`` is some other ``run`` and sets neither's
+        ``k``."""
+        module = tree / "src" / "repro" / "mod.py"
+        module.write_text(module.read_text() + "\n\ndef f(k=1):\n    return k\n\n\ndef g(k=1):\n    return k\n")
+        caller = tree / "examples" / "alias.py"
+        caller.write_text(
+            "from repro.mod import f, g\n\n\n"
+            "def main(runner, c):\n    run = f if c else g\n    runner.run(k=1)\n    return run()\n"
+        )
+        assert unset_knobs(tree) == [UNSET[0], "repro/mod.py::f(k)", "repro/mod.py::g(k)", UNSET[1]]
+        caller.write_text(caller.read_text().replace("return run()", "return run(k=2)"))
+        assert unset_knobs(tree) == UNSET
+
     def test_an_added_knob_no_caller_sets_is_flagged(self, tree):
         module = tree / "src" / "repro" / "mod.py"
         module.write_text(module.read_text().replace("def in_a_worker():", "def in_a_worker(spare=0):"))

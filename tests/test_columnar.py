@@ -179,7 +179,8 @@ def replay(ops):
 
 def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
     """One row per path: ends sorted by x, equal x in insertion order,
-    parallel lists in step, and a start hash with no dead keys."""
+    parallel lists in step, and a start hash, keyed by the start's
+    coordinates, with no dead keys."""
     assert len(table._start_of) == len(scalar)
     # ``sorted`` is stable, so equal x values keep the scalar dict's
     # insertion order — the order the table must keep them in.
@@ -190,9 +191,9 @@ def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
     assert table._ys == [end.y for end in table._ends]
     expected_hash: Dict = {}
     for pid, (start, end) in scalar.items():
-        expected_hash.setdefault(start, {})[pid] = end
+        expected_hash.setdefault((start.x, start.y), {})[pid] = end
     assert table._by_start == expected_hash
-    assert table._start_of == {pid: start for pid, (start, _end) in scalar.items()}
+    assert table._start_of == {pid: (start.x, start.y) for pid, (start, _end) in scalar.items()}
 
 
 @st.composite
@@ -216,18 +217,16 @@ class TestEndpointTableKernels:
         expected_ends = sorted(
             (pid, end.x, end.y) for pid, (_start, end) in scalar.items() if region.contains_point(end)
         )
-        rows = table.end_rows_in(region)
-        assert rows == sorted(rows)
-        assert (
-            sorted((table._pids[row], table._xs[row], table._ys[row]) for row in rows)
-            == expected_ends
-        )
+        vertices = table.end_vertices_in(region)
+        assert all(key == (v.x, v.y) for key, (v, _ids) in vertices.items())
+        xs_met = [v.x for v, _ids in vertices.values()]
+        assert xs_met == sorted(xs_met)  # by end x
+        assert sorted((pid, v.x, v.y) for v, ids in vertices.values() for pid in ids) == expected_ends
         expected_vertices: Dict = {}
         for pid, (_start, end) in scalar.items():
             if region.contains_point(end):
                 expected_vertices.setdefault(end, []).append(pid)
-        vertices = table.end_vertices_in(region)
-        assert {repr(v): sorted(ids) for v, ids in vertices.items()} == {
+        assert {repr(v): sorted(ids) for v, ids in vertices.values()} == {
             repr(v): sorted(ids) for v, ids in expected_vertices.items()
         }
 
@@ -261,18 +260,18 @@ class TestEndpointTableKernels:
         assert_table_consistent(table, {})
 
     def test_start_hash_emptied_with_its_last_path(self):
-        """A vertex's bucket lives exactly as long as a path starts there,
-        and keeps its paths in insertion order."""
+        """A vertex's bucket, keyed by its coordinates, lives exactly as long
+        as a path starts there, and keeps its paths in insertion order."""
         table = EndpointTable()
         start, end = Point(1.0, 1.0), Point(50.0, 50.0)
         table.add_path(7, start, end)
         table.add_path(8, start, Point(99.0, 0.0))
         table.add_path(9, end, start)
-        assert table._by_start == {start: {7: end, 8: Point(99.0, 0.0)}, end: {9: start}}
+        assert table._by_start == {(1.0, 1.0): {7: end, 8: Point(99.0, 0.0)}, (50.0, 50.0): {9: start}}
         table.remove_path(8)
-        assert table._by_start == {start: {7: end}, end: {9: start}}
+        assert table._by_start == {(1.0, 1.0): {7: end}, (50.0, 50.0): {9: start}}
         table.remove_path(7)
-        assert table._by_start == {end: {9: start}}
+        assert table._by_start == {(50.0, 50.0): {9: start}}
         table.remove_path(9)
         assert table._by_start == {} and table._start_of == {} and table._pids == []
 
@@ -295,15 +294,15 @@ class TestEndpointTableKernels:
         assert table._pids == [3, 1, 4]
         everywhere = Rectangle(Point(-1.0, 0.0), Point(0.0, 2.0))
         (vertex, ids), *rest = (
-            item for item in table.end_vertices_in(everywhere).items() if item[0] == ends[4]
+            group for group in table.end_vertices_in(everywhere).values() if group[0] == ends[4]
         )
         assert rest == [] and ids == [4] and repr(vertex) == "Point(x=0.0, y=1.0)"
         # Re-adding path 0 puts it behind the equal ends already stored.
         table.add_path(0, start, Point(-0.0, 1.0))
         assert table._pids == [3, 1, 4, 0]
         vertices = table.end_vertices_in(everywhere)
-        assert vertices[Point(0.0, 1.0)] == [4, 0]
-        assert [repr(vertex) for vertex in vertices] == [
+        assert vertices[(0.0, 1.0)][1] == [4, 0]
+        assert [repr(vertex) for vertex, _ids in vertices.values()] == [
             "Point(x=-1.0, y=0.0)", "Point(x=-0.0, y=2.0)", "Point(x=0.0, y=1.0)"
         ]
         # ... and behind path 4 in the start bucket: 4 stays the first path
@@ -318,14 +317,14 @@ class TestEndpointTableKernels:
         for pid in range(count):
             table.add_path(pid, Point(0.0, 0.0), Point(float(count - pid), 0.0))
         assert table._xs == [float(x) for x in range(1, count + 1)]
+
+        def pids_in(region):
+            return [pid for _vertex, ids in table.end_vertices_in(region).values() for pid in ids]
+
         everywhere = Rectangle(Point(0.0, 0.0), Point(float(count), 0.0))
-        assert [table._pids[row] for row in table.end_rows_in(everywhere)] == list(
-            range(count - 1, -1, -1)
-        )
+        assert pids_in(everywhere) == list(range(count - 1, -1, -1))
         middle = Rectangle(Point(10.0, 0.0), Point(12.0, 0.0))
-        assert [table._pids[row] for row in table.end_rows_in(middle)] == [
-            count - 10, count - 11, count - 12
-        ]
+        assert pids_in(middle) == [count - 10, count - 11, count - 12]
 
 
 @st.composite

@@ -4,7 +4,7 @@ The stream is the Section 6 loop at the size ``python3 -m bench --workload
 sim_paper`` runs (320 RayTrace objects on the 9 x 9 synthetic road network,
 seed 11, 10 timestamps an epoch, a 100-timestamp window, 64 cells per axis,
 one shard, delta mode, columnar kernel): ten warm-up epochs, then 20
-counted ones.  Four counts, each pinned to what the epoch pass does now:
+counted ones.  Six counts, each pinned to what the epoch pass does now:
 
 * ``ObjectState.fsa`` evaluations — one per state per epoch: the strategy
   builds each state's FSA once and hands it to the plan, the candidate stage,
@@ -13,7 +13,10 @@ counted ones.  Four counts, each pinned to what the epoch pass does now:
   insert asks ``GridIndex.path_between`` instead of a degenerate query box;
 * end entries the pass tests on y — only those in each pending FSA's x run
   of the x-sorted end table, against every live entry per pending FSA for an
-  all-pairs mask;
+  all-pairs mask (a lone FSA's decision reads the table itself);
+* ``Point.__hash__`` calls inside ``EndpointTable`` methods — none: the table
+  keys by coordinate tuples;
+* ``VertexPrefetch`` entries — one per pending state that is not lone;
 * pool-cache table lookups — one per overlap pool, hit or miss: a miss no
   longer probes a lookup per prefix cut.
 
@@ -31,9 +34,10 @@ paper-sized and served traffic, which must never import numpy, and then
 through one epoch above the cut-off, which must, and answer as the object
 kernel does.
 
-:class:`TestEpochPassDifferential` compares, at every decision of crafted
-and random streams, the candidate vertices the epoch pass hands SinglePath
-with the ones a per-state query of the live index produces.
+:class:`TestEpochPassDifferential` compares, at every Case 2/3 decision of
+crafted and random streams, lone ones included, the vertex SinglePath
+chooses with the one a per-state query of the live index and the merged
+structure produces.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ import pytest
 
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.state import ObjectState
-from repro.coordinator import overlaps
+from repro.coordinator import overlaps, single_path
 from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig, EpochOutcome
 from repro.coordinator.fleet import FleetConfig
-from repro.coordinator.overlaps import OverlapPoolCache, build_structures, plan_shard_overlaps
+from repro.coordinator.overlaps import LONE, OverlapPoolCache, build_structures, plan_shard_overlaps
 from repro.coordinator.single_path import SinglePathStrategy
 from repro.core.geometry import Point, Rectangle
 from repro.network.generator import NetworkConfig, SyntheticRoadNetworkGenerator
@@ -67,6 +71,11 @@ pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel need
 
 OBJECTS, NODES, TOLERANCE, SEED = 320, 9, 10.0, 11
 EPOCH_LENGTH, WARMUP, COUNTED = 10, 10, 20
+
+#: The end-table reads of the counted epochs' 1 285 pending states.
+ALL_PAIRS, Y_TESTS, MATCHED = 642185, 4103, 131
+#: The pending states among those that are not lone.
+PREFETCH_ENTRIES = 56
 
 
 def paper_stream() -> Iterator[Tuple[Coordinator, int]]:
@@ -163,8 +172,9 @@ class TestEpochPassWork:
         assert counter["degenerate"] == 0  # was one per Case 2/3 decision
 
     def test_the_pass_tests_y_only_on_each_fsa_x_run(self, monkeypatch):
-        """Per pending FSA the pass y-tests the entries whose x lies in the
-        FSA's x range: two bisections bound the run."""
+        """Per pending FSA — read by the pass, or by its decision when lone —
+        the end table y-tests the entries whose x lies in the FSA's x range:
+        two bisections bound the run."""
         counter: Counter = Counter()
         end_vertices_in = EndpointTable.end_vertices_in
 
@@ -176,15 +186,72 @@ class TestEpochPassWork:
                 counter["pending"] += 1
                 counter["y_tests"] += run
                 counter["all_pairs"] += len(xs)
-                counter["matched"] += sum(len(ids) for ids in end_vertices_in(table, region).values())
+                counter["matched"] += sum(
+                    len(ids) for _vertex, ids in end_vertices_in(table, region).values()
+                )
             return end_vertices_in(table, region)
 
         monkeypatch.setattr(EndpointTable, "end_vertices_in", counted)
         counted_epochs(counter)
         assert counter["pending"] == 1285
-        assert counter["all_pairs"] == 602467  # what an all-pairs mask tests
-        assert counter["y_tests"] == 3880
-        assert counter["matched"] == 131
+        assert counter["all_pairs"] == ALL_PAIRS  # what an all-pairs mask tests
+        assert counter["y_tests"] == Y_TESTS
+        assert counter["matched"] == MATCHED
+
+    def test_the_end_table_hashes_no_point(self, monkeypatch):
+        """Every key of the end table is a coordinate tuple: no
+        ``Point.__hash__`` runs inside its methods (a start-vertex probe keyed
+        by ``Point`` ran the dataclass's Python-level hash)."""
+        counter: Counter = Counter()
+        point_hash = Point.__hash__
+        inside: List[bool] = []
+
+        def counted_hash(point):
+            if counter["on"] and inside:
+                counter["hashes"] += 1
+            return point_hash(point)
+
+        def entered(method):
+            def wrapper(*args, **kwargs):
+                inside.append(True)
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(Point, "__hash__", counted_hash)
+        for name in ("add_path", "remove_path", "starting_at", "path_between", "end_vertices_in"):
+            monkeypatch.setattr(EndpointTable, name, entered(getattr(EndpointTable, name)))
+        outcomes = counted_epochs(counter)
+        assert sum(outcome.paths_inserted for outcome in outcomes) > 0  # add_path ran
+        assert counter["hashes"] == 0
+
+    def test_only_states_that_are_not_lone_get_a_prefetch_entry(self, monkeypatch):
+        """A lone pending state — its FSA in the epoch map, touching no other
+        one — decides off the live end table and gets no ``VertexPrefetch``."""
+        counter: Counter = Counter()
+        prefetch = single_path.prefetch_vertex_candidates
+        vertex_prefetch = single_path.VertexPrefetch
+
+        def counted_prefetch(table, pending, plan):
+            if counter["on"]:
+                for _position, object_id, fsa in pending:
+                    lone = plan.fsas.get(object_id) is fsa and plan.components.get(object_id) == LONE
+                    counter["lone" if lone else "not_lone"] += 1
+            return prefetch(table, pending, plan)
+
+        def counted_entry(*args):
+            if counter["on"]:
+                counter["entries"] += 1
+            return vertex_prefetch(*args)
+
+        monkeypatch.setattr(single_path, "prefetch_vertex_candidates", counted_prefetch)
+        monkeypatch.setattr(single_path, "VertexPrefetch", counted_entry)
+        counted_epochs(counter)
+        assert counter["lone"] + counter["not_lone"] == 1285
+        assert counter["entries"] == counter["not_lone"] == PREFETCH_ENTRIES
 
     def test_a_pool_cache_miss_makes_one_table_lookup(self, monkeypatch):
         """Every pool costs one lookup, hit or miss.  A miss used to probe
@@ -439,49 +506,66 @@ class TestNumpyStaysUnloaded:
         assert completed.stdout.strip() == "ok"
 
 
+def reference_choice(strategy: SinglePathStrategy, fsa: Rectangle, plan) -> tuple:
+    """The per-state reference of a Case 2/3 choice: the first maximum of
+    ``(hotness, not fabricated, x, y)`` over the candidates a query of the
+    live index and the merged overlap structure produces."""
+    best = chosen = None
+    for vertex, hotness, fabricated in strategy._candidate_vertices(fsa, plan):
+        key = (hotness, not fabricated, vertex.x, vertex.y)
+        if best is None or key > best:
+            best, chosen = key, (vertex, hotness, fabricated)
+    return chosen
+
+
 class EpochPassChecker:
-    """Wraps ``_candidate_vertices``: whenever a decision runs off the epoch
-    pass, the per-state query of the live index must produce the same
-    candidates — vertex (down to ``repr``), hotness and the fabricated flag —
-    and the probe of the epoch's inserts must find what a linear
-    ``contains_point`` rescan of them finds.  Counts the cases the streams
-    are built to reach."""
+    """Wraps ``_choose_vertex``: every columnar Case 2/3 decision — off the
+    epoch pass or, for a lone FSA, off the live end table — must choose what
+    the per-state query of the live index and the merged structure chooses:
+    the same vertex (down to ``repr``), hotness and fabricated flag.  For a
+    decision off the pass, the probe of the epoch's inserts must also find
+    what a linear ``contains_point`` rescan of them finds.  Counts the cases
+    the streams are built to reach."""
 
     def __init__(self, monkeypatch) -> None:
         self.compared = 0
+        self.lone = 0
         self.inserts_seen = 0
         self.on_indexed_vertex = 0
-        original = SinglePathStrategy._candidate_vertices
+        original = SinglePathStrategy._choose_vertex
         checker = self
 
-        def checked(strategy, fsa, overlaps, prefetch=None):
+        def checked(strategy, fsa, plan, prefetch, inserted):
+            if strategy._kernel != "columnar":
+                return original(strategy, fsa, plan, prefetch, inserted)
             if prefetch is None:
-                return original(strategy, fsa, overlaps)
-            rescanned = [
-                record for record in prefetch.inserted if fsa.contains_point(record.path.end)
-            ]
-            assert sorted(record.path_id for record in prefetch.inserted.within(fsa)) == sorted(
-                record.path_id for record in rescanned
-            )
-            for record in rescanned:
-                checker.inserts_seen += 1
-                if record.path.end in prefetch.end_vertices:
-                    checker.on_indexed_vertex += 1
-            batched = original(strategy, fsa, overlaps, prefetch)
-            per_state = original(strategy, fsa, overlaps)
-            key = lambda candidate: (repr(candidate[0]), candidate[1], candidate[2])
-            assert sorted(map(key, batched)) == sorted(map(key, per_state))
+                checker.lone += 1
+            else:
+                rescanned = [record for record in inserted if fsa.contains_point(record.path.end)]
+                assert sorted(record.path_id for record in inserted.within(fsa)) == sorted(
+                    record.path_id for record in rescanned
+                )
+                for record in rescanned:
+                    checker.inserts_seen += 1
+                    end = record.path.end
+                    if (end.x, end.y) in prefetch.end_vertices:
+                        checker.on_indexed_vertex += 1
+            chosen = original(strategy, fsa, plan, prefetch, inserted)
+            expected = reference_choice(strategy, fsa, plan)
+            key = lambda choice: (repr(choice[0]), choice[1], choice[2])
+            assert key(chosen) == key(expected)
             checker.compared += 1
-            return batched
+            return chosen
 
-        monkeypatch.setattr(SinglePathStrategy, "_candidate_vertices", checked)
+        monkeypatch.setattr(SinglePathStrategy, "_choose_vertex", checked)
 
 
 class TestEpochPassDifferential:
     def test_crafted_stream_hits_every_merge_case(self, monkeypatch):
         checker = EpochPassChecker(monkeypatch)
         drive(DEFAULT, crafted_stream())
-        assert checker.compared >= 7
+        assert checker.compared >= 8
+        assert checker.lone >= 1  # a lone FSA, off the live end table
         assert checker.inserts_seen >= 2  # an in-epoch insert inside a later FSA
         assert checker.on_indexed_vertex >= 1  # ... onto a vertex the pass had read
 
@@ -493,10 +577,11 @@ class TestEpochPassDifferential:
         )
         checker = EpochPassChecker(monkeypatch)
         drive(DEFAULT, stream)
-        assert checker.compared > 0 and checker.inserts_seen > 0
+        assert checker.compared > checker.lone >= 40
+        assert checker.inserts_seen > 0
         assert checker.on_indexed_vertex > 0
 
     def test_object_kernel_never_runs_the_pass(self, monkeypatch):
         checker = EpochPassChecker(monkeypatch)
         drive(FleetConfig(kernel="object"), crafted_stream())
-        assert checker.compared == 0
+        assert checker.compared == checker.lone == 0

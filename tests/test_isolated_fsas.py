@@ -9,9 +9,10 @@ Two facts of the epoch pipeline, each pinned by what it no longer does:
   harness's ``signed_zero_singleton`` scenario pins that a signed-zero
   singleton never comes back from the cache with the other sign);
 * **decisions probe the epoch's inserts** — a Case 2/3 decision reads the
-  paths inserted earlier in the epoch through :class:`InsertedEnds`, not a
-  ``contains_point`` rescan of all of them.  :class:`TestInsertedEndsProbe`
-  holds the probe to that linear scan with hypothesis.
+  paths inserted earlier in the epoch from the live end table (a lone FSA)
+  or through :class:`InsertedEnds` (any other), not a ``contains_point``
+  rescan of all of them.  :class:`TestInsertedEndsProbe` holds the probe to
+  that linear scan with hypothesis.
 
 Counts, not clocks: they repeat exactly run to run.
 """
@@ -137,10 +138,11 @@ class TestIsolatedFsasSkipThePoolStage:
 
 class TestDecisionsProbeTheirInserts:
     @pytest.mark.parametrize("num_shards", [1, 4])
-    def test_disjoint_case3_reporters_make_at_most_n_containment_tests(self, num_shards, monkeypatch):
+    def test_disjoint_case3_reporters_make_no_containment_test(self, num_shards, monkeypatch):
         """The linear rescan made ``N(N-1)/2`` ``contains_point`` calls here
-        (every decision against every earlier insert); the probe makes none
-        of its own."""
+        (every decision against every earlier insert).  Every FSA is lone,
+        so each decision bisects the live end table instead, with no
+        ``contains_point`` call at all."""
         calls = Counter()
         contains_point = Rectangle.contains_point
         decide = SinglePathStrategy.decide
@@ -151,14 +153,16 @@ class TestDecisionsProbeTheirInserts:
                 calls["contains_point"] += 1
             return contains_point(self, point)
 
-        def counted_decide(*args, **kwargs):
+        def counted_decide(strategy, state, fsa, *args, **kwargs):
             deciding.append(True)
             try:
-                decision = decide(*args, **kwargs)
+                response, path_id = decide(strategy, state, fsa, *args, **kwargs)
             finally:
                 deciding.pop()
-            calls["fabricated"] += decision.fabricated_vertex and not decision.reused_existing_path
-            return decision
+            # Nothing is indexed inside a lattice FSA but its own insert, so an
+            # endpoint at its centre is the fabricated vertex.
+            calls["fabricated"] += response.endpoint == fsa.center and path_id is not None
+            return response, path_id
 
         monkeypatch.setattr(Rectangle, "contains_point", counted_contains)
         monkeypatch.setattr(SinglePathStrategy, "decide", counted_decide)
@@ -170,7 +174,7 @@ class TestDecisionsProbeTheirInserts:
         finally:
             coordinator.close()
         assert outcome.paths_inserted == N and calls["fabricated"] == N  # all Case 3
-        assert calls["contains_point"] <= N
+        assert calls["contains_point"] == 0
 
 
 # Coordinates collide on purpose: repeated x values, ends on an FSA's edge,

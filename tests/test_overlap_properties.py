@@ -515,9 +515,11 @@ def touching_epochs(draw):
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel needs numpy")
 @pytest.mark.parametrize("side", sorted(CUTOFFS))
 class TestComponentAnswers:
-    """The epoch pass answers each FSA inside its query component; every
-    answer — the fabricated vertex with its count, and the bonus of every
-    vertex it reads — must ``repr``-equal the merged structure's."""
+    """The epoch pass answers each FSA that is not lone inside its query
+    component, and a lone FSA's decision takes its fixed answers (its centre
+    with count 1, bonus 1 for every end vertex inside it); every answer — the
+    fabricated vertex with its count, and the bonus of every vertex it
+    reads — must ``repr``-equal the merged structure's."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -541,22 +543,34 @@ class TestComponentAnswers:
                 plan = plan_shard_overlaps("columnar", cache, fsas, max_regions)
                 plan.complete(build_structures(plan.missed_pools, max_regions))
                 prefetched = prefetch_vertex_candidates(table, pending, plan)
-                for position, _object_id, fsa in pending:
-                    prefetch = prefetched[position]
+                for position, object_id, fsa in pending:
+                    lone = plan.fsas[object_id] is fsa and plan.components.get(object_id) == LONE
+                    assert (position not in prefetched) == lone
+                    if lone:
+                        # Every vertex inside a lone FSA has bonus 1.
+                        end_vertices, centre = table.end_vertices_in(fsa), fsa.center
+                        fabricated = (centre, 1)
+                        bonus = dict.fromkeys([*end_vertices, (centre.x, centre.y)], 1)
+                    else:
+                        prefetch = prefetched[position]
+                        end_vertices, fabricated, bonus = (
+                            prefetch.end_vertices, prefetch.fabricated, prefetch.bonus
+                        )
                     expected = reference.candidate_vertex_for(fsa)
-                    assert repr(prefetch.fabricated) == repr(expected)
-                    vertices = list(prefetch.end_vertices)
+                    assert repr(fabricated) == repr(expected)
+                    vertices = [vertex for vertex, _path_ids in end_vertices.values()]
                     if expected is not None:
                         vertices.append(expected[0])
                     for vertex in vertices:
                         region = reference.smallest_region_containing(vertex)
-                        assert prefetch.bonus[vertex] == (region.count if region else 0)
+                        assert bonus[(vertex.x, vertex.y)] == (region.count if region else 0)
 
     def test_each_fsa_is_answered_where_its_component_lies(self, side):
-        """A lone FSA from its box, a pool nothing touches from the pool, and
-        a pool touching a singleton at a corner, an edge-to-edge pair of
-        singletons and an earlier report of a re-reporter from the merged
-        structure — which is merged once, for those alone."""
+        """A lone FSA by its own decision (no entry), a pool nothing touches
+        from the pool, and a pool touching a singleton at a corner, an
+        edge-to-edge pair of singletons and an earlier report of a
+        re-reporter from the merged structure — which is merged once, for
+        those alone."""
 
         def box(low_x, low_y, high_x, high_y):
             return Rectangle(Point(low_x, low_y), Point(high_x, high_y))
@@ -587,8 +601,10 @@ class TestComponentAnswers:
             prefetched = prefetch_vertex_candidates(EndpointTable(), pending, plan)
         assert len(merges) == 1
         reference = FsaOverlapStructure.build(fsas)
+        assert sorted(prefetched) == [1, 2, 3, 4, 5, 6, 7, 8]  # 0 and 9 are lone
         for position, _object_id, fsa in pending:
-            assert repr(prefetched[position].fabricated) == repr(reference.candidate_vertex_for(fsa))
+            fabricated = prefetched[position].fabricated if position in prefetched else (fsa.center, 1)
+            assert repr(fabricated) == repr(reference.candidate_vertex_for(fsa))
 
     def test_a_saturated_epoch_answers_everything_from_the_merged_structure(self, side):
         fsas = {object_id: Rectangle(Point(10.0 * object_id, 0.0), Point(10.0 * object_id + 1, 1.0)) for object_id in range(4)}

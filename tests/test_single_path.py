@@ -29,7 +29,7 @@ class TestEmptyEpoch:
     def test_no_states_no_decisions(self):
         strategy, index, hotness = make_strategy()
         result = strategy.process_epoch([])
-        assert result.decisions == []
+        assert result.responses == [] and result.inserted == []
         assert len(index) == 0
 
 
@@ -45,7 +45,8 @@ class TestCase1ExistingPath:
         assert result.paths_reused == 1
         assert result.paths_inserted == 0
         assert hotness.hotness(existing.path_id) == 2
-        assert result.decisions[0].response.endpoint == Point(200.0, 200.0)
+        assert result.responses[0].endpoint == Point(200.0, 200.0)
+        assert result.inserted == []
         assert len(index) == 1
 
     def test_hottest_existing_path_is_preferred(self):
@@ -59,7 +60,10 @@ class TestCase1ExistingPath:
         report = state(1, Point(100.0, 100.0), Point(190.0, 190.0), Point(210.0, 210.0))
         result = strategy.process_epoch([report])
 
-        assert result.decisions[0].path_id == hot.path_id
+        # The crossing went to the hot path, and the response is its end.
+        assert (hotness.hotness(cold.path_id), hotness.hotness(hot.path_id)) == (1, 3)
+        assert result.responses[0].endpoint == hot.path.end
+        assert result.inserted == []
 
     def test_shared_candidate_boosts_selection(self):
         """A path available to two reporters should win over one available to a single reporter."""
@@ -81,8 +85,8 @@ class TestCase1ExistingPath:
 
         assert result.paths_inserted == 0
         assert result.paths_reused == 2
-        decision_2 = [d for d in result.decisions if d.object_id == 2][0]
-        assert decision_2.path_id == shared.path_id
+        response_2 = [r for r in result.responses if r.object_id == 2][0]
+        assert response_2.endpoint == shared.path.end  # no other path from the start ends there
 
 
 class TestCase2ExistingVertex:
@@ -97,10 +101,10 @@ class TestCase2ExistingVertex:
         result = strategy.process_epoch([report])
 
         assert result.paths_inserted == 1
-        decision = result.decisions[0]
-        assert decision.response.endpoint == Point(300.0, 300.0)
-        assert not decision.fabricated_vertex
-        new_record = index.get(decision.path_id)
+        # Not fabricated: the FSA's centre is the same point, but the endpoint
+        # is the stored end vertex itself.
+        assert result.responses[0].endpoint is existing.path.end
+        new_record = index.get(result.inserted[0])
         assert new_record.path.start == Point(250.0, 250.0)
         assert new_record.path.end == Point(300.0, 300.0)
 
@@ -115,7 +119,7 @@ class TestCase2ExistingVertex:
 
         report = state(1, Point(250.0, 250.0), Point(290.0, 290.0), Point(310.0, 310.0))
         result = strategy.process_epoch([report])
-        assert result.decisions[0].response.endpoint == Point(305.0, 305.0)
+        assert result.responses[0].endpoint == Point(305.0, 305.0)
 
 
 class TestCase3FabricatedVertex:
@@ -125,9 +129,12 @@ class TestCase3FabricatedVertex:
         result = strategy.process_epoch([report])
 
         assert result.paths_inserted == 1
-        decision = result.decisions[0]
-        assert decision.fabricated_vertex
-        assert report.fsa.contains_point(decision.response.endpoint)
+        # Fabricated: the index held no vertex, so the endpoint is the centre
+        # of the FSA's singleton overlap region.
+        endpoint = result.responses[0].endpoint
+        assert endpoint == report.fsa.center
+        assert report.fsa.contains_point(endpoint)
+        assert index.get(result.inserted[0]).path.end == endpoint
 
     def test_overlapping_objects_share_fabricated_vertex(self):
         """Objects reporting together with overlapping FSAs adopt the same endpoint."""
@@ -136,7 +143,7 @@ class TestCase3FabricatedVertex:
         report_2 = state(2, Point(120.0, 100.0), Point(205.0, 205.0), Point(230.0, 230.0))
         result = strategy.process_epoch([report_1, report_2])
 
-        endpoints = {decision.response.endpoint for decision in result.decisions}
+        endpoints = {response.endpoint for response in result.responses}
         assert len(endpoints) == 1
         # Two distinct paths (different starts) converge on the shared vertex.
         assert result.paths_inserted == 2
@@ -168,9 +175,9 @@ class TestCase3FabricatedVertex:
 
         report = state(1, Point(100.0, 100.0), Point(95.0, 95.0), Point(115.0, 115.0))
         result = strategy.process_epoch([report])
-        decision = result.decisions[0]
-        assert decision.response.endpoint != Point(100.0, 100.0)
-        created = index.get(decision.path_id)
+        assert result.responses[0].endpoint != Point(100.0, 100.0)
+        created = index.get(result.inserted[0])
+        assert created.path.end == result.responses[0].endpoint
         assert created.path.length > 0.0
 
 
@@ -188,4 +195,4 @@ class TestCrossingBookkeeping:
         strategy, index, hotness = make_strategy()
         report = state(1, Point(100.0, 100.0), Point(190.0, 190.0), Point(210.0, 210.0), t_start=5, t_end=17)
         result = strategy.process_epoch([report])
-        assert result.decisions[0].response.timestamp == 17
+        assert result.responses[0].timestamp == 17

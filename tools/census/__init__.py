@@ -336,7 +336,9 @@ def _calls(root: Path) -> Dict[str, _Calls]:
     paths = [path for directory in CALLER_DIRS for path in sorted((root / directory).rglob("*.py"))]
     for path in paths:
 
-        # A name bound to a callable (``run = f if ... else g``) calls what it names.
+        # A name bound to a callable (``run = f if ... else g``) calls what it
+        # names, when it is called as that bare name: ``runner.run(...)`` is
+        # some other ``run``.
         aliases: Dict[str, List[str]] = {}
 
         def walk(node: ast.AST, classes: List[ast.ClassDef]) -> None:
@@ -349,10 +351,13 @@ def _calls(root: Path) -> Dict[str, _Calls]:
                 walk(child, [*classes, child] if isinstance(child, ast.ClassDef) else classes)
 
         def record(call: ast.Call, classes: List[ast.ClassDef]) -> None:
-            names, args = _callees(call.func, classes), list(call.args)
+            func, args = call.func, list(call.args)
+            names = _callees(func, classes)
             if names == ["partial"] and args:
-                names, args = _callees(args[0], classes), args[1:]
-            names = [alias for name in names for alias in [name, *aliases.get(name, ())]]
+                func, args = args[0], args[1:]
+                names = _callees(func, classes)
+            if isinstance(func, ast.Name):
+                names = [alias for name in names for alias in [name, *aliases.get(name, ())]]
             for name in names:
                 entry = calls.setdefault(name, _Calls(set()))
                 entry.keywords.update(k.arg for k in call.keywords if k.arg is not None)

@@ -163,10 +163,11 @@ MUTANTS: List[Mutant] = [
                f"{_MATRIX}[equal_ends-1-serial-full-columnar]",
            )),
     Mutant("lone_vertex_bonus_is_zero", _SINGLE_PATH,
-           "bonus[centre] = 1", "bonus[centre] = 0",
+           "hotness = sum(map(hotness_of, path_ids)) + 1",
+           "hotness = sum(map(hotness_of, path_ids)) + 0",
            (
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_random_streams_with_duplicate_reporters[31]",
-               f"{_OVERLAP_PROPERTIES}::TestComponentAnswers::test_component_answers_equal_the_merged_structure",
+               "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_crafted_stream_hits_every_merge_case",
            )),
     Mutant("object_plan_links_zero_area_touches", _OVERLAPS,
            "if intersection is not None and not intersection.is_degenerate():",
@@ -240,18 +241,18 @@ MUTANTS: List[Mutant] = [
            "            if path_id in ():\n                continue\n",
            (f"{_GRID}::TestQueries::test_paths_intersecting_deduplicates",)),
     Mutant("path_between_returns_the_last_match", _COLUMNAR,
-           "        for path_id, stored_end in self._by_start.get(start, {}).items():\n"
+           "        for path_id, stored_end in self._by_start.get((start.x, start.y), {}).items():\n"
            "            if stored_end == end:\n"
            "                return path_id\n"
            "        return None\n",
            "        found = None\n"
-           "        for path_id, stored_end in self._by_start.get(start, {}).items():\n"
+           "        for path_id, stored_end in self._by_start.get((start.x, start.y), {}).items():\n"
            "            if stored_end == end:\n"
            "                found = path_id\n"
            "        return found\n",
            (_EQUAL_X_REMOVAL,)),
-    Mutant("end_rows_in_tests_y_with_lt", _COLUMNAR,
-           "if low_y <= ys[row] <= high_y]", "if low_y <= ys[row] < high_y]",
+    Mutant("end_vertices_in_tests_y_with_lt", _COLUMNAR,
+           "if low_y <= y <= high_y:", "if low_y <= y < high_y:",
            (
                _EQUAL_X_REMOVAL,
                "tests/test_one_index.py::TestOwnerLabels::test_endpoint_entries_live_in_the_one_index[7]",
@@ -260,8 +261,8 @@ MUTANTS: List[Mutant] = [
            "row = bisect_right(self._xs, end.x)", "row = bisect_left(self._xs, end.x)",
            (_EQUAL_X_REMOVAL, f"{_MATRIX}[equal_ends-1-serial-full-columnar]",)),
     Mutant("endpoint_start_bucket_outlives_its_paths", _COLUMNAR,
-           "        if not bucket:\n            del self._by_start[start]\n",
-           "        if not bucket and False:\n            del self._by_start[start]\n",
+           "        if not bucket:\n            del self._by_start[key]\n",
+           "        if not bucket and False:\n            del self._by_start[key]\n",
            (
                "tests/test_columnar.py::TestEndpointTableKernels::test_start_hash_emptied_with_its_last_path",
            )),
