@@ -27,14 +27,6 @@ per epoch over the whole batch of state messages):
   a structure whose batch is large enough to pay for it
   (:data:`repro.coordinator.overlaps.TABLE_WORK`); smaller batches and every
   single query run the structure's scalar loops.
-* :class:`ShipmentRing` / :func:`decode_work_shipment` — the shared-memory
-  transport of :class:`~repro.coordinator.execution.ProcessBackend`, used
-  whenever numpy is installed, under either kernel: one reusable
-  ``multiprocessing.shared_memory`` block per worker carrying its share of
-  the epoch's cache-missed FSA pools as packed ``int64``/``float64``
-  sections, so build workers read arrays instead of unpickling per-member
-  tuples.  The float section stores every coordinate as a ``float64``, so
-  an ``int`` bound comes back as the equal ``float``.
 
 **Exactness.**  Every kernel is required to be bit-for-bit equal to the
 scalar reference (``kernel="object"``), which stays the pinned
@@ -56,7 +48,7 @@ would pay a y test per live path for every box.
 
 **numpy is optional and imported on first use.**  :data:`HAVE_NUMPY` only
 asks whether it is installed (``importlib.util.find_spec``); the module is
-loaded by the first region table or shipment, which costs about 0.1 s once
+loaded by the first region table, which costs about 0.1 s once
 per process and logs one line.  A paper-sized or served epoch stays below
 the table cut-off, so such a process never loads it (13.7 MiB of
 resident memory).  Without numpy installed :func:`resolve_kernel` degrades
@@ -82,9 +74,6 @@ __all__ = [
     "EndpointTable",
     "RegionTable",
     "touching_pairs",
-    "ShipmentRing",
-    "decode_work_shipment",
-    "close_attachments",
 ]
 
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
@@ -398,177 +387,3 @@ class RegionTable:
             winners.extend(self._first_hits(rank, mask))
         return winners
 
-
-# ---------------------------------------------------------------------------
-# Shared-memory epoch shipments (ProcessBackend transport)
-# ---------------------------------------------------------------------------
-#
-# Wire layout of one "work" shipment inside a worker's shared block: an
-# ``int64`` section followed by a ``float64`` section (the float offset is
-# the block's integer capacity, carried in the pipe header so parent and
-# worker never disagree about it).  Section order is fixed:
-#
-#   ints:   pools[n_pools, 2]  -- (pool_index, member_count)
-#           members[n_entries] -- object ids, pool-concatenated
-#   floats: members[n_entries, 4] -- FSA (lx, ly, hx, hy), pool-concatenated
-#
-# The pipe still carries a small header per shipment (and all replies), so
-# it keeps providing the happens-before edge between the parent's writes
-# and the worker's reads; the block itself is plain memory.
-
-
-def _shipment_sections(buffer, int_capacity: int, n_pools: int, n_entries: int):
-    """``(pools, member ids, member FSAs)`` views of a block, per the layout above."""
-    np = _numpy()
-    ints = np.ndarray((2 * n_pools + n_entries,), dtype=np.int64, buffer=buffer)
-    floats = np.ndarray(
-        (n_entries, 4), dtype=np.float64, buffer=buffer, offset=8 * int_capacity
-    )
-    return ints[: 2 * n_pools].reshape(n_pools, 2), ints[2 * n_pools :], floats
-
-
-class ShipmentRing:
-    """One worker's reusable shared-memory shipment block (parent side).
-
-    Grows geometrically and is reused across epochs, so the steady state
-    allocates nothing: the parent packs the worker's share of each epoch's
-    cache-missed FSA pools into the existing block and ships a constant-size
-    header over the pipe.  ``pack`` returns that header;
-    :func:`decode_work_shipment` is its worker-side inverse.
-    """
-
-    __slots__ = ("_shm", "_int_capacity", "_float_capacity")
-
-    def __init__(self) -> None:
-        self._shm = None
-        self._int_capacity = 0
-        self._float_capacity = 0
-
-    def _ensure_capacity(self, ints: int, floats: int) -> None:
-        if self._shm is not None and ints <= self._int_capacity and floats <= self._float_capacity:
-            return
-        from multiprocessing import shared_memory
-
-        int_capacity = max(self._int_capacity * 2, ints, 256)
-        float_capacity = max(self._float_capacity * 2, floats, 256)
-        if self._shm is not None:
-            self.close(unlink=True)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=8 * (int_capacity + float_capacity)
-        )
-        self._int_capacity = int_capacity
-        self._float_capacity = float_capacity
-
-    def pack(self, overlap_tasks) -> tuple:
-        """Write one build shipment; returns the ``("work_shm", ...)`` header."""
-        n_pools = len(overlap_tasks)
-        n_entries = sum(len(members) for _pool_index, members in overlap_tasks)
-        self._ensure_capacity(2 * n_pools + n_entries, 4 * n_entries)
-        pool_ints, member_ints, member_floats = _shipment_sections(
-            self._shm.buf, self._int_capacity, n_pools, n_entries
-        )
-        entry = 0
-        for row, (pool_index, members) in enumerate(overlap_tasks):
-            pool_ints[row] = (pool_index, len(members))
-            for object_id, f_lx, f_ly, f_hx, f_hy in members:
-                member_ints[entry] = object_id
-                member_floats[entry] = (f_lx, f_ly, f_hx, f_hy)
-                entry += 1
-        return ("work_shm", self._shm.name, self._int_capacity, n_pools, n_entries)
-
-    def close(self, unlink: bool = True) -> None:
-        """Release the block (and destroy it with ``unlink=True``)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            if unlink:
-                self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - defensive
-            pass
-        self._shm = None
-        self._int_capacity = 0
-        self._float_capacity = 0
-
-
-def _open_untracked(name: str):
-    """Attach to the parent's block without telling the resource tracker.
-
-    The tracker is for segments a process *owns*; ownership stays with the
-    parent's :class:`ShipmentRing`.  A forked worker shares the parent's
-    tracker process, so registering the attachment and unregistering it
-    again (the usual bpo-39959 workaround) removes the **parent's** entry:
-    the parent's ``unlink()`` then makes the tracker print a ``KeyError``
-    traceback, and until then nothing would reclaim the block if the parent
-    died abnormally.  Python 3.13 has ``track=False`` for this; below it the
-    ``register`` call is suppressed around the attach — safe here because the
-    worker loop is single-threaded, so no owned segment can be created in
-    the gap.
-    """
-    import sys
-    from multiprocessing import resource_tracker, shared_memory
-
-    if sys.version_info >= (3, 13):
-        return shared_memory.SharedMemory(name=name, track=False)
-    register = resource_tracker.register
-    resource_tracker.register = lambda *_args, **_kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = register
-
-
-def _attach(name: str, attachments: Dict[str, object]):
-    """Worker-side attach with caching (see :func:`_open_untracked`)."""
-    shm = attachments.get(name)
-    if shm is None:
-        shm = _open_untracked(name)
-        # A reallocation (new name) replaces the ring wholesale, so stale
-        # attachments can be dropped as soon as a new name arrives.
-        for stale in list(attachments.values()):
-            try:
-                stale.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        attachments.clear()
-        attachments[name] = shm
-    return shm
-
-
-def decode_work_shipment(header: Sequence, attachments: Dict[str, object]):
-    """Worker-side inverse of :meth:`ShipmentRing.pack`.
-
-    Returns ``overlap_tasks`` in exactly the shape the pickled pipe protocol
-    ships, so the worker loop downstream of the decode is transport-agnostic.
-    """
-    _kind, name, int_capacity, n_pools, n_entries = header
-    pool_ints, member_ints, member_floats = _shipment_sections(
-        _attach(name, attachments).buf, int_capacity, n_pools, n_entries
-    )
-    overlap_tasks = []
-    entry = 0
-    for row in range(n_pools):
-        pool_index, member_count = int(pool_ints[row, 0]), int(pool_ints[row, 1])
-        members = [
-            (
-                int(member_ints[entry + offset]),
-                float(member_floats[entry + offset, 0]),
-                float(member_floats[entry + offset, 1]),
-                float(member_floats[entry + offset, 2]),
-                float(member_floats[entry + offset, 3]),
-            )
-            for offset in range(member_count)
-        ]
-        entry += member_count
-        overlap_tasks.append((pool_index, members))
-    return overlap_tasks
-
-
-def close_attachments(attachments: Dict[str, object]) -> None:
-    """Worker-side cleanup on shutdown."""
-    for shm in attachments.values():
-        try:
-            shm.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-    attachments.clear()

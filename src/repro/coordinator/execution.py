@@ -19,10 +19,10 @@ while the parent runs that candidate pass (:meth:`ExecutionBackend.build_overlap
 
 Neither backend knows the kernel.  A built structure carries none (its
 single and batched queries each have one path), so a backend is handed the
-pools and the parent's pass, and the process backend ships over shared
-memory whenever numpy imports (:class:`~repro.coordinator.columnar.ShipmentRing`),
-with the pickled pipe only as the fallback (no numpy, or a block that cannot
-be allocated).
+pools and the parent's pass, and the process backend sends each worker its
+share as one pickled ``("work", share)`` message over the worker's pipe.  A
+send has the deadline a reply has (:data:`_REPLY_DEADLINE_S`), so a worker
+that stops draining its pipe cannot block the epoch either way.
 
 The backend is a property of the overlap stage, not of a shard layout: every
 ``num_shards`` runs the same strategy on the same one index, so
@@ -44,18 +44,14 @@ from __future__ import annotations
 
 import logging
 import os
+import socket
+import struct
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
-from repro.coordinator.columnar import (
-    HAVE_NUMPY,
-    ShipmentRing,
-    close_attachments,
-    decode_work_shipment,
-)
 from repro.coordinator.overlaps import FsaOverlapStructure, build_structures
 
 __all__ = [
@@ -77,9 +73,10 @@ OverlapPools = Sequence[Mapping[int, Rectangle]]
 Alongside = TypeVar("Alongside")
 
 
-#: How long the parent waits for one worker reply before it replaces the
-#: worker and does the work itself.  A constant, not a knob: it only has to
-#: be far above any real build and finite.
+#: How long the parent waits for one worker reply, or for a worker to take a
+#: message, before it replaces the worker and does the work itself.  A
+#: constant, not a knob: it only has to be far above any real build and
+#: finite.
 _REPLY_DEADLINE_S = 60.0
 
 _log = logging.getLogger(__name__)
@@ -195,31 +192,39 @@ class SerialBackend(ExecutionBackend):
         return alongside(), build_structures(overlap_pools)
 
 
+def _bound_sends(connection) -> None:
+    """Give ``connection``'s sends the deadline its replies have.
+
+    A POSIX ``Pipe()`` is a socketpair, so ``SO_SNDTIMEO`` applies: a send
+    that a stopped worker never drains (a share larger than the socket
+    buffers) fails with an ``OSError`` once it has made no progress for
+    :data:`_REPLY_DEADLINE_S`, instead of blocking the epoch.  The option is
+    set through a duplicate of the descriptor; it belongs to the socket, so
+    it holds for the connection's own descriptor too.
+    """
+    seconds, fraction = divmod(_REPLY_DEADLINE_S, 1.0)
+    timeval = struct.pack("ll", int(seconds), int(fraction * 1_000_000))
+    with socket.fromfd(connection.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as duplicate:
+        duplicate.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+
+
 def _process_worker_main(connection) -> None:
     """Worker loop of :class:`ProcessBackend` (runs in the child process).
 
     Stateless: every message is self-contained and the worker keeps nothing
-    between two of them but its shared-memory attachment.  A build message
-    carries component FSA pools (flat float tuples in pool order) and is
-    answered with the built structures as serialized region lists — region
-    order is part of the answer, because first-encountered tie-breaks in the
-    overlap queries depend on it.  It arrives as a ``"work_shm"`` header
-    naming the parent's shared-memory block, decoded into the python shape
-    of the pickled ``"work"`` message (numpy missing, or the block could not
-    be allocated) before the common build below.
+    between two of them.  A ``("work", share)`` message carries component FSA
+    pools (``(pool index, [(object id, lx, ly, hx, hy), ...])`` in pool
+    order, the bounds as the parent holds them) and is answered with the
+    built structures as serialized region lists — region order is part of
+    the answer, because first-encountered tie-breaks in the overlap queries
+    depend on it.
     """
-    attachments: Dict[str, object] = {}
     while True:
         message = connection.recv()
-        kind = message[0]
-        if kind == "stop":
-            close_attachments(attachments)
+        if message[0] == "stop":
             connection.close()
             return
-        if kind == "work_shm":
-            overlap_tasks = decode_work_shipment(message, attachments)
-        else:
-            _kind, overlap_tasks = message
+        _kind, overlap_tasks = message
         pools = [
             {
                 object_id: Rectangle(Point(f_lx, f_ly), Point(f_hx, f_hy))
@@ -242,12 +247,13 @@ class ProcessBackend(ExecutionBackend):
 
     The one thing this backend takes off the parent is the build of the
     epoch's cache-missed overlap components: pool ``i`` goes to worker
-    ``i % workers`` as flat float tuples, the parent runs the candidate loop
-    while the workers build, and the structures come back as serialized
-    region lists.  A worker that is handed no pool is not messaged.  Workers
-    hold no state, so a dead one — or one that misses
-    :data:`_REPLY_DEADLINE_S` — is replaced by a bare fork, and whatever it
-    owed this epoch is done in the parent instead of being re-sent.
+    ``i % workers`` as flat bound tuples in one pickled message, the parent
+    runs the candidate loop while the workers build, and the structures come
+    back as serialized region lists.  A worker that is handed no pool is not
+    messaged.  Workers hold no state, so a dead one — or one that does not
+    take its message or answer it within :data:`_REPLY_DEADLINE_S` — is
+    replaced by a bare fork, and whatever it owed this epoch is done in the
+    parent instead of being re-sent.
     """
 
     name = "processes"
@@ -258,7 +264,6 @@ class ProcessBackend(ExecutionBackend):
         self._workers = workers if workers is not None else _default_workers()
         self._processes: List = []
         self._connections: List = []
-        self._rings: List[ShipmentRing] = []
         #: Workers replaced after dying (killed, crashed, restarted
         #: explicitly) or missing the reply deadline — excludes ordinary
         #: spawns.
@@ -267,11 +272,22 @@ class ProcessBackend(ExecutionBackend):
         #: because ``bench/trace.py`` reads it (``bench/`` is frozen for
         #: source PRs); delete it with that read.
         self.workers_respawned = 0
-        #: Build shipments delivered through shared memory, and shipments
-        #: that fell back to the pickled pipe because the block could not be
-        #: (re)allocated.
-        self.shm_shipments = 0
-        self.shm_fallbacks = 0
+        #: Build messages sent to workers (one per worker per epoch that
+        #: hands it a pool).
+        self.shipments = 0
+
+    #: Always 0: the shared-memory transport is gone, so nothing falls back
+    #: to the pipe.  Kept only because ``bench/harness.py`` and
+    #: ``bench/trace.py`` read it; delete it with those reads.
+    shm_fallbacks = 0
+
+    @property
+    def shm_shipments(self) -> int:
+        """``shipments`` under the name ``bench/trace.py`` reports
+        (``execution.shm_shipments``), from when shipments went through
+        shared memory; the count is the same one message per worker and
+        epoch.  Delete it with that read."""
+        return self.shipments
 
     # -- worker lifecycle -------------------------------------------------------
 
@@ -294,7 +310,6 @@ class ProcessBackend(ExecutionBackend):
             process, connection = self._spawn()
             self._processes.append(process)
             self._connections.append(connection)
-            self._rings.append(ShipmentRing())
 
     def _spawn(self):
         """Start one worker process; it needs nothing but its pipe."""
@@ -305,6 +320,7 @@ class ProcessBackend(ExecutionBackend):
         )
         process.start()
         child_conn.close()
+        _bound_sends(parent_conn)
         return process, parent_conn
 
     # -- worker fault handling --------------------------------------------------
@@ -359,14 +375,22 @@ class ProcessBackend(ExecutionBackend):
         self.worker_restarts += 1
 
     def _send(self, worker: int, message: tuple) -> bool:
-        """Deliver ``message``; ``False`` when the worker could not take it
-        (it has been replaced, and the caller does the work itself)."""
+        """Deliver ``message``; ``False`` when the worker could not take it —
+        its pipe is broken, or it stopped draining the pipe and the send
+        missed :data:`_REPLY_DEADLINE_S` (see :func:`_bound_sends`).  The
+        worker has then been replaced, and the caller does the work itself."""
         if not self._processes[worker].is_alive():
             self._respawn_worker(worker)
         try:
             self._connections[worker].send(message)
             return True
-        except (BrokenPipeError, OSError):
+        except OSError as error:
+            _log.warning(
+                "process worker %d could not take its share (%s): replaced, and "
+                "its share of this epoch is done in the parent",
+                worker,
+                error,
+            )
             self._respawn_worker(worker)
             return False
 
@@ -416,11 +440,8 @@ class ProcessBackend(ExecutionBackend):
         return result, structures
 
     def _ship_pools(self, overlap_pools: OverlapPools) -> List[int]:
-        """Send every worker its share of the pools; returns the workers that
-        now owe a reply.  A share is packed into the worker's shared block
-        and only a constant-size header crosses the pipe (the header send is
-        the happens-before edge; the worker decodes before answering, so the
-        block is never read and rewritten concurrently)."""
+        """Send every worker its share of the pools as one pickled message;
+        returns the workers that now owe a reply."""
         if not overlap_pools:
             return []
         self._ensure_workers()
@@ -437,21 +458,8 @@ class ProcessBackend(ExecutionBackend):
             )
         awaited: List[int] = []
         for worker, share in enumerate(shares):
-            if not share:
-                continue
-            message = None
-            if HAVE_NUMPY:
-                try:
-                    message = self._rings[worker].pack(share)
-                    self.shm_shipments += 1
-                except (OSError, ValueError):
-                    # Block (re)allocation failed (e.g. /dev/shm exhausted):
-                    # the pickled pipe carries the same pools, so degrade
-                    # per-shipment and keep counting.
-                    self.shm_fallbacks += 1
-            if message is None:
-                message = ("work", share)
-            if self._send(worker, message):
+            if share and self._send(worker, ("work", share)):
+                self.shipments += 1
                 awaited.append(worker)
         return awaited
 
@@ -466,11 +474,8 @@ class ProcessBackend(ExecutionBackend):
             process.join(timeout=5)
             if process.is_alive():  # pragma: no cover - defensive cleanup
                 process.kill()
-        for ring in self._rings:
-            ring.close(unlink=True)
         self._processes = []
         self._connections = []
-        self._rings = []
 
 
 def create_backend(name: str) -> ExecutionBackend:

@@ -75,10 +75,9 @@ class FleetConfig:
         "columnar",
         "coordinator geometry kernels: 'columnar' (default) runs the "
         "vectorized numpy hot path — one endpoint table per index, pre-ranked "
-        "region tables, one batched geometry pass per epoch, and shared-memory "
-        "epoch shipments to process workers; 'object' is the scalar per-object "
-        "reference. Both kernels are bit-for-bit identical on every result "
-        "(without numpy, 'columnar' degrades to 'object' and says so).",
+        "region tables and one batched geometry pass per epoch; 'object' is the "
+        "scalar per-object reference. Both kernels are bit-for-bit identical on "
+        "every result (without numpy, 'columnar' degrades to 'object' and says so).",
         choices=KERNELS,
     )
 

@@ -5,8 +5,6 @@ Whole coordinators under ``--kernel columnar`` are held to the scalar
 This module holds the kernel-level suites:
 
 * kernel resolution, and the degrade to ``object`` without numpy;
-* the shared-memory shipment round trip (``ShipmentRing.pack`` ->
-  ``decode_work_shipment``);
 * hypothesis suites — :class:`EndpointTable` queries against a brute-force
   scalar scan and its x-sorted order under inserts and removals, and the
   pre-ranked, batched :class:`RegionTable` queries against the scalar
@@ -27,9 +25,6 @@ from repro.coordinator.columnar import (
     HAVE_NUMPY,
     EndpointTable,
     RegionTable,
-    ShipmentRing,
-    close_attachments,
-    decode_work_shipment,
     resolve_kernel,
     touching_pairs,
 )
@@ -77,53 +72,6 @@ class TestKernelResolution:
             assert coordinator.config.kernel == "columnar"
         finally:
             coordinator.close()
-
-
-#: Wire-format edge values: signed zero, subnormals, the float64 extremes.
-wire_floats = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-wire_members = st.tuples(
-    st.integers(min_value=0, max_value=2**62), wire_floats, wire_floats, wire_floats, wire_floats
-)
-#: One shipment: ``[(pool_index, [(object_id, lx, ly, hx, hy), ...]), ...]``.
-wire_shipments = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=10**6), st.lists(wire_members, max_size=6)),
-    max_size=6,
-)
-#: 300 members outgrow a fresh ring's 256-slot sections.
-_REGROWTH = [(0, [(2**40 + i, -0.0, 5e-324, float(i), 1e300) for i in range(300)])]
-
-
-def wire_image(shipment):
-    """Bit-exact comparison form (``-0.0 == 0.0`` would hide a lost sign)."""
-    return [
-        (pool_index, [(object_id, *(value.hex() for value in box)) for object_id, *box in members])
-        for pool_index, members in shipment
-    ]
-
-
-class TestSharedMemoryTransport:
-    """The process backend's shipment ring carries pool lists bit for bit."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(wire_shipments, max_size=4))
-    @example([[]])
-    @example([_REGROWTH, []])
-    @example([[(3, [(2**40, -0.0, 5e-324, 1.0, 2.0)])], [(0, []), (9, [(1, 0.0, 0.0, 0.0, 0.0)])]])
-    def test_pack_decode_round_trip(self, shipments):
-        """``ShipmentRing.pack`` -> ``decode_work_shipment`` is the identity
-        on pool lists, shipment after shipment through one reused ring."""
-        ring = ShipmentRing()
-        attachments: Dict[str, object] = {}
-        try:
-            for shipment in shipments:
-                decoded = decode_work_shipment(ring.pack(shipment), attachments)
-                assert wire_image(decoded) == wire_image(shipment)
-        finally:
-            close_attachments(attachments)
-            ring.close(unlink=True)
 
 
 # ---------------------------------------------------------------------------

@@ -403,8 +403,10 @@ class TestComponentBatches:
         assert counts["merged"] == 0
 
 
-#: Run by :class:`TestNumpyStaysUnloaded` in a fresh interpreter.
-_FRESH_INTERPRETER = r"""
+#: The Section 6 loop at sim_paper's size (320 objects on the 9 x 9
+#: network), the start of each script :class:`TestNumpyStaysUnloaded` runs
+#: in a fresh interpreter.
+_PAPER_SIZED = r"""
 import random, sys
 
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
@@ -416,35 +418,43 @@ from repro.serving.protocol import encode_message
 from repro.serving.server import IngestionServer
 from repro.workload.moving_objects import MovingObjectWorkload, WorkloadConfig
 
-# The Section 6 loop at sim_paper's size: 320 objects on the 9 x 9 network.
-network = SyntheticRoadNetworkGenerator(
-    NetworkConfig(area_size=16000.0 * 9 / 33.0, grid_nodes_per_axis=9, seed=2008)
-).generate()
-workload = MovingObjectWorkload(network, WorkloadConfig(num_objects=320, seed=11))
-coordinator = Coordinator(
-    CoordinatorConfig(bounds=network.bounding_box(padding=20.0), window=100, cells_per_axis=64)
-)
-assert coordinator.config.kernel == "columnar"
-config = RayTraceConfig(10.0)
-filters = {
-    object_id: RayTraceFilter(object_id, measurement, config)
-    for object_id, measurement in workload.initial_measurements(0)
-}
-now = 0
-for _epoch in range(15):
-    for _ in range(10):
-        now += 1
-        for object_id, measurement in workload.step(now):
-            state = filters[object_id].observe(measurement)
-            if state is not None:
-                coordinator.submit_state(state)
-    for response in coordinator.run_epoch(now).responses:
-        follow_up = filters[response.object_id].receive_response(response)
-        if follow_up is not None:
-            coordinator.submit_state(follow_up)
-coordinator.top_k(10)
-coordinator.top_k_corridors(10)
-coordinator.close()
+
+def paper_sized(backend):
+    network = SyntheticRoadNetworkGenerator(
+        NetworkConfig(area_size=16000.0 * 9 / 33.0, grid_nodes_per_axis=9, seed=2008)
+    ).generate()
+    workload = MovingObjectWorkload(network, WorkloadConfig(num_objects=320, seed=11))
+    coordinator = Coordinator(
+        CoordinatorConfig(
+            bounds=network.bounding_box(padding=20.0), window=100, cells_per_axis=64, backend=backend
+        )
+    )
+    assert coordinator.config.kernel == "columnar"
+    config = RayTraceConfig(10.0)
+    filters = {
+        object_id: RayTraceFilter(object_id, measurement, config)
+        for object_id, measurement in workload.initial_measurements(0)
+    }
+    now = 0
+    for _epoch in range(15):
+        for _ in range(10):
+            now += 1
+            for object_id, measurement in workload.step(now):
+                state = filters[object_id].observe(measurement)
+                if state is not None:
+                    coordinator.submit_state(state)
+        for response in coordinator.run_epoch(now).responses:
+            follow_up = filters[response.object_id].receive_response(response)
+            if follow_up is not None:
+                coordinator.submit_state(follow_up)
+    coordinator.top_k(10)
+    coordinator.top_k_corridors(10)
+    coordinator.close()
+    return coordinator
+"""
+
+_FRESH_INTERPRETER = _PAPER_SIZED + r"""
+paper_sized("serial")
 assert "numpy" not in sys.modules, "a paper-sized stream imported numpy"
 
 # Served traffic: 60 sparse updates (FSA half-width 5-25 m) an epoch over
@@ -491,12 +501,22 @@ assert answers["columnar"] == answers["object"]
 print("ok")
 """
 
+#: The same stream on the process backend: the overlapping FSAs' pools are
+#: shipped to workers, and the parent still never loads numpy.
+_PROCESSES = _PAPER_SIZED + r"""
+backend = paper_sized("processes").strategy.backend
+assert backend.shipments > 0, "no pool was shipped to a worker"
+assert "numpy" not in sys.modules, "the processes backend imported numpy"
+print("ok")
+"""
+
 
 class TestNumpyStaysUnloaded:
-    def test_paper_sized_and_served_traffic_never_import_numpy(self):
+    @staticmethod
+    def run_fresh(script: str) -> None:
         source = Path(__file__).resolve().parent.parent / "src"
         completed = subprocess.run(
-            [sys.executable, "-c", _FRESH_INTERPRETER],
+            [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": str(source)},
             capture_output=True,
             text=True,
@@ -504,6 +524,12 @@ class TestNumpyStaysUnloaded:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "ok"
+
+    def test_paper_sized_and_served_traffic_never_import_numpy(self):
+        self.run_fresh(_FRESH_INTERPRETER)
+
+    def test_paper_sized_traffic_on_the_processes_backend_never_imports_numpy(self):
+        self.run_fresh(_PROCESSES)
 
 
 def reference_choice(strategy: SinglePathStrategy, fsa: Rectangle, plan) -> tuple:

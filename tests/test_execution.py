@@ -15,7 +15,11 @@ Four layers:
   on the border scenario, whose every observation must equal the
   reference's — a closed and revived pool, an oversized pool, worker kills,
   a hung worker and (:class:`TestStatelessWorkers`) every worker killed
-  before every epoch.
+  before every epoch — and a stopped worker handed a share larger than the
+  socket buffers;
+* :class:`TestExactShipments` — a worker builds what the parent would, down
+  to ``repr``: ``int`` bounds, ``int`` bounds beyond 2**53 and ``-0.0``
+  cross the pipe as they are.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator import execution, sharding
-from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable, ShipmentRing
+from repro.coordinator.columnar import EndpointTable
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.overlaps import build_structures
@@ -346,6 +350,35 @@ class TestWorkerFaultRecovery:
         (process,) = stopped
         assert not process.is_alive()  # killed and reaped, not left stopped
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_stopped_worker_cannot_block_a_large_send(self, monkeypatch, caplog):
+        """A share larger than the socket buffers (20 000 members, ~0.8 MB
+        pickled) to a stopped worker: the send fails once it has made no
+        progress for the deadline, the worker is killed and replaced, and
+        the parent builds what the worker was handed."""
+        monkeypatch.setattr(execution, "_REPLY_DEADLINE_S", 0.2)
+        rng = random.Random(4)
+        pools = [pool_of(rng, members=20_000, base_id=0), pool_of(rng, members=5, base_id=10**6)]
+        backend = ProcessBackend(workers=2)
+        try:
+            backend._ensure_workers()
+            stopped = backend._processes[0]
+            os.kill(stopped.pid, signal.SIGSTOP)
+            started = time.monotonic()
+            with caplog.at_level(logging.WARNING, logger=execution.__name__):
+                _none, structures = backend.build_overlaps(pools, lambda: None)
+            # The deadline, a 20 000-member build in the parent and a fork.
+            assert time.monotonic() - started < 30 * execution._REPLY_DEADLINE_S
+            assert backend.worker_restarts == 1
+            assert backend.shipments == 1  # only worker 1 took its share
+            assert len(caplog.records) == 1 and "could not take" in caplog.records[0].getMessage()
+            assert not stopped.is_alive()
+            assert [repr(structure.serialized()) for structure in structures] == [
+                repr(structure.serialized()) for structure in build_structures(pools)
+            ]
+        finally:
+            backend.close()
+
     def test_restart_worker_spawns_the_fleet_when_cold(self):
         """Before the first epoch there is no fleet; restart_worker must
         bring one up rather than index into an empty pool."""
@@ -423,11 +456,11 @@ class TestStatelessWorkers:
         assert len(kills) >= len(BORDER_STREAM) - 1
         assert run.coordinator.strategy.backend.worker_restarts == len(kills) - down_at_close[0]
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="shared-memory shipments need numpy")
-    def test_epochs_ship_through_shared_memory(self):
-        """Under either kernel: the backend is handed no kernel."""
+    def test_epochs_message_the_workers(self):
+        """The border scenario hands the workers pools, and nothing falls
+        back: there is one transport."""
         backend = processes_run().coordinator.strategy.backend
-        assert backend.shm_shipments > 0
+        assert backend.shipments > 0
         assert backend.shm_fallbacks == 0
 
     def test_spawn_time_cannot_change_an_answer(self):
@@ -459,20 +492,9 @@ class TestStatelessWorkers:
         finally:
             coordinator.close()
 
-    @pytest.mark.parametrize("transport", ["shared_memory", "pipe"])
-    def test_builds_pools_without_a_router(self, transport, monkeypatch):
+    def test_builds_pools_without_a_router(self):
         """The backend needs nothing of a coordinator to do its one job: the
-        pools and the parent's pass to run meanwhile (no kernel).  Shared
-        memory carries the pools whenever numpy imports; the pickled pipe
-        takes over, shipment by shipment, when a block cannot be allocated."""
-        if transport == "shared_memory" and not HAVE_NUMPY:
-            pytest.skip("shared-memory shipments need numpy")
-
-        def no_block(_ring, _share):
-            raise OSError("no space left on device")
-
-        if transport == "pipe":
-            monkeypatch.setattr(ShipmentRing, "pack", no_block)
+        pools and the parent's pass to run meanwhile (no kernel)."""
         rng = random.Random(3)
         pools = [pool_of(rng, members, base_id=100 * i) for i, members in enumerate([1, 7, 3, 12, 2])]
         backend = ProcessBackend(workers=2)
@@ -483,12 +505,10 @@ class TestStatelessWorkers:
             assert [structure.serialized() for structure in structures] == [
                 structure.serialized() for structure in build_structures(pools)
             ]
-            shipped = (backend.shm_shipments, backend.shm_fallbacks)
-            assert shipped == ((2, 0) if transport == "shared_memory" else (0, 2 * HAVE_NUMPY))
+            assert backend.shipments == 2
         finally:
             backend.close()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="shared-memory shipments need numpy")
     def test_idle_workers_are_not_messaged(self):
         """On a steady stream most epochs miss few pools or none: a worker
         is shipped to exactly when the epoch hands it a missed pool."""
@@ -529,85 +549,87 @@ class TestStatelessWorkers:
                 missed_per_epoch.append(missed)
                 expected += min(missed, 2)
             assert 0 in missed_per_epoch and 1 in missed_per_epoch  # idle epochs, idle workers
-            assert backend.shm_shipments == expected
-            assert backend.shm_fallbacks == 0
+            assert backend.shipments == expected
         finally:
             coordinator.close()
 
 
-_OWNERSHIP_SCRIPT = """
-import multiprocessing, os, sys
-from repro.coordinator.columnar import ShipmentRing, decode_work_shipment
+#: Two FSAs whose x bounds are ``int`` beyond 2**53, where the equal
+#: ``float`` is a different number: the overlap region's centre, the epoch's
+#: endpoint, depends on which of the two the build saw.
+_BEYOND_2_53 = [
+    ObjectState(1, Point(2**53, 10.0), 0, Point(2**53 + 1, 0.0), Point(2**53 + 2, 20.0), 5),
+    ObjectState(2, Point(2**53, 12.0), 0, Point(2**53 + 1, 5.0), Point(2**53 + 5, 25.0), 5),
+]
 
-POOLS = [(0, [(7, 1.0, 2.0, 3.0, 4.0), (8, 2.0, 3.0, 5.0, 6.0)])]
+#: Overlap pools whose bounds a lossy transport would change without
+#: changing ``==``.
+EXACT_POOLS = {
+    "int": [
+        {1: Rectangle(Point(0, 0), Point(10, 10)), 2: Rectangle(Point(5, 5), Point(20, 15))},
+        {3: Rectangle(Point(100, 100), Point(130, 120)), 4: Rectangle(Point(110, 90), Point(140, 110)),
+         5: Rectangle(Point(120, 95), Point(125, 130))},
+    ],
+    "int_beyond_2_53": [
+        {1: Rectangle(Point(2**53 + 1, 0), Point(2**53 + 2, 20)),
+         2: Rectangle(Point(2**53 + 1, 5), Point(2**53 + 5, 25))},
+        {3: Rectangle(Point(-(2**60) - 3, 1), Point(2**60 + 7, 9)),
+         4: Rectangle(Point(2**60 + 1, -(2**55) - 1), Point(2**61 + 3, 3))},
+    ],
+    "negative_zero": [
+        {1: Rectangle(Point(-0.0, -0.0), Point(2.0, 2.0)), 2: Rectangle(Point(-1.0, -0.0), Point(-0.0, 3.0))},
+        {3: Rectangle(Point(-0.0, 1.0), Point(4.0, 5.0)), 4: Rectangle(Point(0.0, 2.0), Point(3.0, 4.0))},
+    ],
+}
 
-def attach(header):
-    pools = decode_work_shipment(header, {})
-    assert pools == POOLS, pools
 
-ring = ShipmentRing()
-header = ring.pack(POOLS)
-worker = multiprocessing.get_context("fork").Process(target=attach, args=(header,))
-worker.start()
-worker.join(30)
-assert worker.exitcode == 0, worker.exitcode
-print(header[1], flush=True)
-if sys.argv[1] == "die":
-    os._exit(0)  # the parent dies abnormally: no close, no unlink
-ring.close(unlink=True)
-"""
+class TestExactShipments:
+    """A pickled share carries every bound as the parent holds it, so a
+    worker's structure equals the serial build by ``repr``, not only by ``==``."""
 
-
-@pytest.mark.skipif(
-    not (HAVE_NUMPY and sys.platform.startswith("linux")),
-    reason="shared-memory shipments need numpy; fork and /dev/shm need Linux",
-)
-class TestSharedMemoryOwnership:
-    """A worker's attach must leave the parent's resource-tracker entry alone.
-
-    Forked workers share the parent's tracker process, so the old
-    register-then-unregister attach removed the *parent's* registration: its
-    ``unlink()`` then made the tracker print a ``KeyError`` traceback per
-    ring, and nothing reclaimed the block if the parent died first.
-    """
-
-    @staticmethod
-    def run_script(mode: str) -> subprocess.CompletedProcess:
-        environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        return subprocess.run(
-            [sys.executable, "-c", _OWNERSHIP_SCRIPT, mode],
-            capture_output=True, text=True, timeout=120, env=environment,
-        )
-
-    def test_unlink_after_a_worker_attach_is_silent(self):
-        done = self.run_script("unlink")
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
-        assert not os.path.exists("/dev/shm/" + done.stdout.strip().lstrip("/"))
-
-    def test_registration_survives_a_worker_attach(self):
-        """Parent gone without unlinking: the tracker still knows the block
-        is the parent's and reclaims it."""
-        done = self.run_script("die")
-        assert done.returncode == 0, done.stderr
-        block = "/dev/shm/" + done.stdout.strip().lstrip("/")
+    @pytest.mark.parametrize("bounds", sorted(EXACT_POOLS))
+    def test_worker_builds_equal_the_serial_build_by_repr(self, bounds):
+        pools = EXACT_POOLS[bounds]
+        backend = ProcessBackend(workers=2)
         try:
-            deadline = time.monotonic() + 30
-            while os.path.exists(block) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not os.path.exists(block), "the tracker forgot the parent's block"
+            _none, structures = backend.build_overlaps(pools, lambda: None)
+            assert backend.shipments == 2
         finally:
-            if os.path.exists(block):
-                os.unlink(block)
+            backend.close()
+        assert [repr(structure.serialized()) for structure in structures] == [
+            repr(structure.serialized()) for structure in build_structures(pools)
+        ]
 
-    def test_a_processes_run_prints_no_tracker_traceback(self):
+    def test_endpoints_beyond_2_53_equal_serial(self):
+        """The two-FSA epoch above: ``processes`` answers what ``serial``
+        answers, endpoint x 2**53 + 2 included."""
+        runs = [drive(FleetConfig(backend=backend), [(10, _BEYOND_2_53)]) for backend in BACKEND_NAMES]
+        assert runs[1].coordinator.strategy.backend.shipments == 1
+        serial, processes = (repr(run.outcomes[0].responses) for run in runs)
+        assert processes == serial
+        assert "x=9007199254740994.0" in serial
+
+
+class TestProcessesRun:
+    def test_stdout_is_the_serial_runs_and_stderr_is_empty(self):
+        """``repro run --backend processes`` prints what ``--backend serial``
+        prints, apart from the timing and backend lines, and nothing on
+        stderr."""
         environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "--objects", "40", "--duration", "30",
-             "--network-nodes", "6", "--area", "2000", "--shards", "4",
-             "--backend", "processes", "--seed", "3"],
-            capture_output=True, text=True, timeout=300, env=environment,
+        outputs = []
+        for backend in BACKEND_NAMES:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "run", "--objects", "40", "--duration", "30",
+                 "--network-nodes", "6", "--area", "2000", "--shards", "4",
+                 "--backend", backend, "--seed", "3"],
+                capture_output=True, text=True, timeout=300, env=environment,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == ""
+            assert "kernel=columnar" in done.stdout
+            outputs.append(done.stdout)
+        serial, processes = (
+            [line for line in output.splitlines() if backend not in line and "time per epoch" not in line]
+            for output, backend in zip(outputs, BACKEND_NAMES)
         )
-        assert done.returncode == 0, done.stderr
-        assert "kernel=columnar" in done.stdout
-        assert done.stderr == ""
+        assert processes == serial

@@ -131,7 +131,7 @@ class TestIsolatedFsasSkipThePoolStage:
                 coordinator.run_epoch(10 * epoch)
             assert sent == []
             assert backend.worker_count == 0  # never forked: nothing to build
-            assert backend.shm_shipments == 0
+            assert backend.shipments == 0
         finally:
             coordinator.close()
 

@@ -74,19 +74,23 @@ class TestCase1ExistingPath:
         hotness.record_crossing(private.path_id, 0)
         hotness.record_crossing(private.path_id, 1)
 
-        # Object 1 can reach both paths; object 2 only the shared one.  The
-        # co-occurrence boost (+1 for object 2's interest) ties the shared
-        # path with the private one for object 1; the private path still has
-        # higher raw hotness, so object 1 keeps it — but object 2's decision
-        # must reuse the shared path rather than creating anything new.
+        # Object 1 can reach both paths; object 2 only the shared one.  A
+        # candidate scores its hotness + 1, and the co-occurrence boost adds 1
+        # to the shared path for object 2's interest, so the two tie at 3
+        # (shared 1 + 1 + 1, private 2 + 1) and the lower id, the shared path,
+        # wins for object 1 too.  Object 2 must reuse the shared path rather
+        # than create anything new.
         report_1 = state(1, Point(100.0, 100.0), Point(110.0, 110.0), Point(210.0, 210.0))
         report_2 = state(2, Point(100.0, 100.0), Point(190.0, 190.0), Point(210.0, 210.0))
         result = strategy.process_epoch([report_1, report_2])
 
         assert result.paths_inserted == 0
         assert result.paths_reused == 2
-        response_2 = [r for r in result.responses if r.object_id == 2][0]
-        assert response_2.endpoint == shared.path.end  # no other path from the start ends there
+        endpoints = {response.object_id: response.endpoint for response in result.responses}
+        assert endpoints[1] == shared.path.end
+        assert endpoints[2] == shared.path.end  # no other path from the start ends there
+        # Both objects crossed the shared path; the private one kept its two.
+        assert (hotness.hotness(shared.path_id), hotness.hotness(private.path_id)) == (3, 2)
 
 
 class TestCase2ExistingVertex:
