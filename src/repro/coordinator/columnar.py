@@ -1,15 +1,12 @@
-"""Columnar kernels for the coordinator hot path.
+"""Columnar structures for the coordinator hot path.
 
-The scalar pipeline spends its epochs in per-object python geometry: grid-cell
-membership tests, closed-interval rectangle containment, FSA intersection
-scans and the region tie-break loops of the overlap queries.  The grid of
-Section 5.1 exists to keep 1-3 entries per cell, so a kernel that vectorises
-*inside* a cell pays numpy's per-call overhead on arrays of one to three
-rows; the batching unit here is the **epoch** instead (SinglePath runs once
-per epoch over the whole batch of state messages):
+The grid of Section 5.1 exists to keep 1-3 entries per cell, so a kernel that
+vectorises *inside* a cell pays numpy's per-call overhead on arrays of one to
+three rows; the batching unit here is the **epoch** instead (SinglePath runs
+once per epoch over the whole batch of state messages):
 
-* :class:`EndpointTable` — the paths of one
-  :class:`~repro.coordinator.grid_index.GridIndex`, one row each: their
+* :class:`EndpointTable` — the ``columnar`` storage of a
+  :class:`~repro.coordinator.grid_index.GridIndex`, one row per path: their
   *ends* in plain lists sorted by end x, so a region query is two bisections
   and a closed y test on the x run between them, and a hash from the
   coordinates of a path's exact start vertex to ``{path id: end}``, which
@@ -28,17 +25,19 @@ per epoch over the whole batch of state messages):
   (:data:`repro.coordinator.overlaps.TABLE_WORK`); smaller batches and every
   single query run the structure's scalar loops.
 
-**Exactness.**  Every kernel is required to be bit-for-bit equal to the
-scalar reference (``kernel="object"``), which stays the pinned
-differential baseline exactly like ``--epoch-mode full`` does for the delta
-pipeline.  The equality argument is mechanical: coordinates are stored
+**Exactness.**  Every structure is required to be bit-for-bit equal to the
+scalar loop it replaces: the end table to the ``object`` storage's cell
+dicts, the sweep to a pairwise test, the region table to the overlap
+structure's scalar queries.  The equality argument is mechanical: coordinates are stored
 verbatim (python floats and ``float64`` are the same IEEE doubles, and
 ``==`` / ``<=`` agree), areas are computed with the same two double
 multiplications, and wherever the scalar code breaks ties by encounter
 order the ranking carries the insertion index as its last sort key.
 The exactness harness (``tests/test_differential.py``) enforces the
-contract over the whole configuration matrix, and ``tests/test_columnar.py``
-holds each kernel to a scalar reference with hypothesis.
+contract over the whole configuration matrix, ``tests/test_columnar.py``
+holds each structure to a scalar reference with hypothesis, and
+``tests/test_single_path_oracle.py`` holds the shipped pipeline to a literal
+transcription of Algorithm 2.
 
 **Scale.**  An end-table query costs two bisections plus one y test per
 path whose end x lies in the box's x range, an insert or a removal one
@@ -52,7 +51,8 @@ loaded by the first region table, which costs about 0.1 s once
 per process and logs one line.  A paper-sized or served epoch stays below
 the table cut-off, so such a process never loads it (13.7 MiB of
 resident memory).  Without numpy installed :func:`resolve_kernel` degrades
-``columnar`` to ``object`` (logging one warning per process) so every
+``columnar`` to ``object`` (logging one warning per process), and the
+overlap structure answers every batch with its scalar loops, so every
 configuration keeps working on a bare interpreter.
 """
 
@@ -78,9 +78,9 @@ __all__ = [
 
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
-#: Values accepted by the ``kernel`` knob (config layers and ``--kernel``):
-#: ``object`` is the scalar per-object reference pipeline; ``columnar`` (the
-#: default) runs the vectorized kernels of this module, bit-for-bit equal.
+#: Values accepted by the ``kernel`` knob (config layers and ``--kernel``): the
+#: grid index's storage, ``object`` for the per-cell dicts of Section 5.1,
+#: ``columnar`` (the default) for :class:`EndpointTable`, bit-for-bit equal.
 KERNELS: Tuple[str, ...] = ("object", "columnar")
 
 _log = logging.getLogger(__name__)
@@ -106,9 +106,9 @@ def _numpy():
 def resolve_kernel(kernel: str) -> str:
     """Validate a kernel name, degrading ``columnar`` without numpy.
 
-    The fallback is deliberate rather than an error: the two kernels are
-    bit-for-bit equal, so a numpy-less interpreter running the scalar
-    reference is a performance change, never a behaviour change.  It is
+    The fallback is deliberate rather than an error: the two storages are
+    bit-for-bit equal, so a numpy-less interpreter running the cell dicts
+    is a performance change, never a behaviour change.  It is
     logged once per process so the slower kernel is not a silent surprise.
     """
     global _degrade_logged
@@ -206,7 +206,7 @@ VertexGroup = Tuple[Point, List[int]]
 
 
 class EndpointTable:
-    """The paths of one grid index under the columnar kernel, one row each.
+    """The paths of one grid index under the columnar storage, one row each.
 
     The paths' *ends* sit in four parallel lists sorted by end x — ``_xs``,
     ``_ys``, the end ``Point`` itself (``_ends``) and the path id
@@ -217,7 +217,7 @@ class EndpointTable:
     ``<=`` of ``Rectangle.contains_point``.  Among stored ends that compare
     equal but are different objects (``0.0`` / ``-0.0``, ``2`` / ``2.0``),
     the earliest insert is met first, so it becomes the vertex — the one the
-    object kernel's cell dicts, which keep insertion order, meet first.
+    ``object`` storage's cell dicts, which keep insertion order, meet first.
 
     ``_by_start`` maps a start vertex's ``(x, y)`` to ``{path id: end}`` of
     the paths starting there, in insertion order, so ``starting_at`` and

@@ -22,7 +22,6 @@ from repro.core.geometry import Rectangle
 from repro.core.motion_path import MotionPathRecord
 from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.client.state import CoordinatorResponse, ObjectState
-from repro.coordinator.columnar import resolve_kernel
 from repro.coordinator.delta import EpochDelta
 from repro.coordinator.execution import create_backend
 from repro.coordinator.fleet import FleetConfig
@@ -97,11 +96,12 @@ class Coordinator:
 
     def __init__(self, config: CoordinatorConfig) -> None:
         self.config = config
-        kernel = resolve_kernel(config.kernel)
         delta_mode = config.epoch_mode == "delta"
         # One index, one tracker and one strategy for every ``num_shards``:
         # the shard grid only labels records for diagnostics (``router``).
-        self.index = GridIndex(GridConfig(config.bounds, config.cells_per_axis), kernel=kernel)
+        self.index = GridIndex(
+            GridConfig(config.bounds, config.cells_per_axis), kernel=config.kernel
+        )
         self.hotness = HotnessTracker(config.window)
         # Delta mode keeps overlap components (the pool cache) and the query
         # view (rank tuples and corridor chains) alive across epochs; full
@@ -113,7 +113,6 @@ class Coordinator:
         self.strategy = SinglePathStrategy(
             self.index,
             self.hotness,
-            kernel=kernel,
             pool_cache=self._pool_cache,
             backend=create_backend(config.backend),
         )

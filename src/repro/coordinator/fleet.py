@@ -3,8 +3,8 @@
 The paper's coordinator has three parameters — the window ``W``, the grid and
 the epoch ``Lambda``.  Everything this module declares sits on top of them
 and may never change an answer: how many shards label the records (a fixed
-R x C grid, for the diagnostics only), and which backend, kernel and epoch
-pipeline run the one coordinator.
+R x C grid, for the diagnostics only), which backend and epoch pipeline run
+the one coordinator, and how its index stores endpoints.
 
 :class:`FleetConfig` is the only place a knob's name, type, default, choices,
 help text and validation appear.  Every other layer carries one value of it
@@ -73,11 +73,11 @@ class FleetConfig:
     )
     kernel: str = _knob(
         "columnar",
-        "coordinator geometry kernels: 'columnar' (default) runs the "
-        "vectorized numpy hot path — one endpoint table per index, pre-ranked "
-        "region tables and one batched geometry pass per epoch; 'object' is the "
-        "scalar per-object reference. Both kernels are bit-for-bit identical on "
-        "every result (without numpy, 'columnar' degrades to 'object' and says so).",
+        "how the grid index stores path endpoints: 'columnar' (default) keeps "
+        "one endpoint table, ends sorted by x; 'object' keeps the paper's "
+        "per-cell hash tables. Both run the same SinglePath epoch pass and are "
+        "bit-for-bit identical on every result (without numpy, 'columnar' "
+        "degrades to 'object' and says so).",
         choices=KERNELS,
     )
 

@@ -8,8 +8,10 @@ a hash table for constant-time insertion and deletion.  Keying by the full
 ``(path_id, is_start)`` pair (rather than the path id alone) matters when both
 endpoints of a path land in the same cell — e.g. short paths, or endpoints
 clamped into the same border cell — since each endpoint must keep its own
-entry.  The columnar kernel keeps one row per path instead
-(:class:`~repro.coordinator.columnar.EndpointTable`).
+entry.  The ``kernel`` chooses the storage only: ``object`` keeps these cell
+dicts, ``columnar`` one row per path in an x-sorted
+:class:`~repro.coordinator.columnar.EndpointTable`; both answer every query
+below identically, and SinglePath runs the same epoch pass over either.
 
 Query operations mirror what SinglePath needs:
 
@@ -19,8 +21,8 @@ Query operations mirror what SinglePath needs:
 * :meth:`path_between` — the first stored path from a given start vertex to
   a given end vertex (the duplicate-path probe of SinglePath's inserts);
 * :meth:`end_vertices_in` — distinct end vertices of stored paths inside a
-  query rectangle together with the ids of the paths terminating there
-  (Case 2 candidates).
+  query rectangle, keyed by their coordinates, together with the ids of the
+  paths terminating there (Case 2 candidates).
 
 The coordinator holds exactly one index, whatever ``num_shards`` says: the
 shard grid only labels records for diagnostics
@@ -35,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
-from repro.coordinator.columnar import EndpointTable, resolve_kernel
+from repro.coordinator.columnar import EndpointTable, VertexGroup, resolve_kernel
 
 __all__ = ["GridConfig", "GridIndex"]
 
@@ -73,7 +75,7 @@ class GridIndex:
         self.config = config
         self._cell_width = config.bounds.width / config.cells_per_axis
         self._cell_height = config.bounds.height / config.cells_per_axis
-        # ``object`` keeps entries in per-cell dicts (the scalar reference);
+        # ``object`` keeps entries in per-cell dicts (Section 5.1);
         # ``columnar`` keeps one endpoint table for the whole index — a row
         # per path, ends sorted by x plus a start-vertex hash — and answers
         # the queries below from it, bit-for-bit equal (see
@@ -155,7 +157,7 @@ class GridIndex:
         """Motion paths starting exactly at ``start`` whose end lies inside ``region``.
 
         Answered from the single cell containing ``start`` (the columnar
-        kernel: from that vertex's hash bucket), so the cost is independent
+        storage: from that vertex's hash bucket), so the cost is independent
         of the query rectangle's size — this is the hot-loop form of the
         Case 1 candidate query.
         """
@@ -178,8 +180,8 @@ class GridIndex:
         ``start`` must match the stored start vertex exactly: the covering-set
         chaining guarantees that a reporting object's SSA start coincides with
         the endpoint the coordinator previously assigned to it.  Answered
-        from the start vertex's hash bucket under the columnar kernel and from
-        the one cell holding ``end`` under the object kernel, both of which
+        from the start vertex's hash bucket under the columnar storage and
+        from the one cell holding ``end`` under the cell dicts, both of which
         keep insertion order.
         """
         if self._endpoints is not None:
@@ -192,27 +194,38 @@ class GridIndex:
                     return self._records[path_id]
         return None
 
-    def end_vertices_in(self, region: Rectangle) -> Dict[Point, List[int]]:
-        """Distinct end vertices inside ``region`` mapped to the ids of paths ending there."""
+    def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], VertexGroup]:
+        """The distinct end vertices inside ``region`` (closed bounds), each
+        as ``(x, y) -> (vertex, ids of the paths ending there)``.
+
+        Among stored ends that compare equal but print apart (``0.0`` /
+        ``-0.0``, ``2`` / ``2.0``) the earliest insert is the vertex under
+        both storages: the end table keeps equal x in insertion order, and
+        equal coordinates share a cell, whose dict keeps insertion order.
+        The order of the groups differs by storage; no caller may read it.
+        """
         if self._endpoints is not None:
-            return dict(self._endpoints.end_vertices_in(region).values())
-        vertices: Dict[Point, List[int]] = {}
+            return self._endpoints.end_vertices_in(region)
+        vertices: Dict[Tuple[float, float], VertexGroup] = {}
         for (path_id, is_start), (endpoint, _other) in self._entries_in(region):
-            if is_start:
-                continue
-            if region.contains_point(endpoint):
-                vertices.setdefault(endpoint, []).append(path_id)
+            if not is_start and region.contains_point(endpoint):
+                key = (endpoint.x, endpoint.y)
+                group = vertices.get(key)
+                if group is None:
+                    vertices[key] = (endpoint, [path_id])
+                else:
+                    group[1].append(path_id)
         return vertices
 
     def paths_intersecting(self, region: Rectangle) -> List[MotionPathRecord]:
         """Motion paths with at least one endpoint inside ``region``.
 
-        The DP baseline's query, answered by the ``object`` kernel only (the
+        The DP baseline's query, answered by the ``object`` storage only (the
         baseline's index); SinglePath relies on the more specific queries
         above.
         """
         if self._endpoints is not None:
-            raise CoordinatorError("paths_intersecting needs the object kernel")
+            raise CoordinatorError("paths_intersecting needs the object storage")
         seen: Set[int] = set()
         results: List[MotionPathRecord] = []
         for (path_id, _is_start), (endpoint, _other) in self._entries_in(region):
@@ -222,16 +235,6 @@ class GridIndex:
                 seen.add(path_id)
                 results.append(self._records[path_id])
         return results
-
-    def end_table(self) -> Optional[EndpointTable]:
-        """Columnar kernel: the index's :class:`EndpointTable`, ends sorted by x.
-
-        The input of the epoch pass
-        (:func:`repro.coordinator.single_path.prefetch_vertex_candidates`),
-        which bisects it onto each pending FSA's x range and tests y on that
-        run only.  ``None`` under the object kernel.
-        """
-        return self._endpoints
 
     # -- cell arithmetic ------------------------------------------------------------------
 

@@ -35,13 +35,13 @@ fabricated centroid.  The ``Rectangle`` formulation this replaced is kept
 verbatim as the test oracle ``tests/overlap_oracle.py``.
 
 **The structure carries no kernel.**  A single query is a scalar loop over
-the boxes; a batched query — only the columnar epoch pass of
+the boxes; a batched query — only the epoch pass of
 :mod:`repro.coordinator.single_path` asks one — runs that loop per query
 below :data:`TABLE_WORK` and reads the lazily built
-:class:`~repro.coordinator.columnar.RegionTable` from there.  The two are
-pinned bit-for-bit equal, so which kernel built or merged a structure cannot
-change an answer; only :func:`plan_shard_overlaps` (a sweep that also finds
-zero-area touches, or a scalar pair test) still reads the kernel.
+:class:`~repro.coordinator.columnar.RegionTable` from there (or never, when
+numpy is not installed).  The two are pinned bit-for-bit equal, and
+:func:`plan_shard_overlaps` is one sweep for every plan, so nothing here
+reads the kernel.
 
 **One structure per epoch, built per component.**  A stored subset has a
 positive-area common intersection, so its members overlap pairwise: the region
@@ -64,7 +64,7 @@ that key names one FSA, hence one component, whose own build already has the
 block in sequential order — an isolated FSA's block is its singleton alone —
 so placing every block at its FSA's submission position is the whole merge.
 
-**Each FSA is answered inside its query component.**  The columnar plan also
+**Each FSA is answered inside its query component.**  The plan also
 records the pairs that only touch (an edge or a corner, zero area): an FSA's
 *query component* is its component over both kinds of link, and every
 region that touches it or contains a vertex inside it lies there.  So the
@@ -72,8 +72,7 @@ epoch pass answers an FSA that touches nothing from its own box, a component
 that is exactly one pool from that pool's structure (the merged order
 restricted to the pool), and only the rest from the merged structure, which
 :meth:`OverlapPlan.merged` builds on first use
-(:attr:`OverlapPlan.components`).  The object kernel, the pinned reference,
-reads the merged structure for every decision.
+(:attr:`OverlapPlan.components`).
 
 Queries used by SinglePath:
 
@@ -94,7 +93,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -105,7 +103,7 @@ from typing import (
 
 from repro.core.errors import ConfigurationError, InvalidGeometryError
 from repro.core.geometry import Point, Rectangle
-from repro.coordinator.columnar import RegionTable, resolve_kernel, touching_pairs
+from repro.coordinator.columnar import HAVE_NUMPY, RegionTable, touching_pairs
 
 __all__ = [
     "OverlapRegion",
@@ -387,11 +385,14 @@ class FsaOverlapStructure:
         members, box = found
         return (_center(box), len(members))
 
-    # -- batched queries (the columnar epoch pass of SinglePath) -----------------------
+    # -- batched queries (the epoch pass of SinglePath) --------------------------------
 
     def _batch_uses_table(self, queries: int) -> bool:
-        """Whether a batch of ``queries`` reads the table (:data:`TABLE_WORK`)."""
-        return self._table is not None or queries * len(self._regions) >= TABLE_WORK
+        """Whether a batch of ``queries`` reads the table (:data:`TABLE_WORK`;
+        never without numpy, where the scalar loops answer every batch)."""
+        return HAVE_NUMPY and (
+            self._table is not None or queries * len(self._regions) >= TABLE_WORK
+        )
 
     def containing_counts(self, points: Sequence[Point]) -> List[int]:
         """Per point, the count of :meth:`smallest_region_containing` (0 for none)."""
@@ -562,19 +563,6 @@ def build_structures(
     return [FsaOverlapStructure.build(pool, max_regions) for pool in pools]
 
 
-def _overlapping_pairs(rectangles: Sequence[Rectangle]) -> Iterator[Tuple[int, int]]:
-    """Index pairs ``i < j`` whose rectangles share positive area (scalar reference).
-
-    The same predicate :meth:`FsaOverlapStructure.add` stores a derived region
-    under, so two FSAs are linked exactly when the build would pair them.
-    """
-    for i, rectangle in enumerate(rectangles):
-        for j in range(i + 1, len(rectangles)):
-            intersection = rectangle.intersection(rectangles[j])
-            if intersection is not None and not intersection.is_degenerate():
-                yield i, j
-
-
 #: :attr:`OverlapPlan.components` value of an FSA no other FSA touches.
 LONE = -1
 
@@ -601,7 +589,7 @@ class OverlapPlan:
     stats: Dict[str, int]
     cache: Optional[OverlapPoolCache]
     max_regions: int
-    #: Columnar plans: ``object_id ->`` :data:`LONE` for an FSA that touches
+    #: ``object_id ->`` :data:`LONE` for an FSA that touches
     #: no other FSA, or the index of its pool when its query component — its
     #: component over every touch, zero-area ones included — is exactly that
     #: pool.  Every other FSA is answered by the merged structure, and so is
@@ -676,7 +664,6 @@ class OverlapPlan:
 
 
 def plan_shard_overlaps(
-    kernel: str,
     cache: Optional[OverlapPoolCache],
     fsas: Mapping[int, Rectangle],
     max_regions: int = 10000,
@@ -690,20 +677,14 @@ def plan_shard_overlaps(
     more FSAs becomes one pool, and an unlinked FSA is recorded as a
     singleton — no fingerprint, no cache entry, no build, no shipment.
 
-    Under the columnar kernel the same pass (:func:`touching_pairs`) also
-    finds the pairs that touch with zero area, which join components into
-    the epoch pass's query components (:attr:`OverlapPlan.components`).
-    Under ``object``, the pinned reference, the pair test is a scalar loop
-    and every decision reads the merged structure.  (The name and ``fsas``
-    as third positional argument are what ``bench/trace.py`` wraps and
-    reads.)
+    The same pass (:func:`touching_pairs`) also finds the pairs that touch
+    with zero area, which join components into the epoch pass's query
+    components (:attr:`OverlapPlan.components`).  (``bench/trace.py`` wraps
+    this name as re-exported by :mod:`repro.coordinator.sharding`, which no
+    caller resolves.)
     """
     boxes = [(fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y) for fsa in fsas.values()]
-    columnar = resolve_kernel(kernel) == "columnar"
-    if columnar:
-        pairs, touches = touching_pairs(boxes)
-    else:
-        pairs, touches = _overlapping_pairs(list(fsas.values())), []
+    pairs, touches = touching_pairs(boxes)
     # Union-find whose roots are the smallest index of their component, so a
     # pass in submission order meets the pools ordered by first member.
     root = list(range(len(boxes)))
@@ -731,7 +712,7 @@ def plan_shard_overlaps(
     for index, (object_id, fsa) in enumerate(fsas.items()):
         if not linked[index]:
             singletons[object_id] = boxes[index]
-            if columnar and index not in shared:
+            if index not in shared:
                 components[object_id] = LONE
             continue
         top = find(index)
@@ -740,7 +721,7 @@ def plan_shard_overlaps(
             slot = slots[top] = len(plan_pools)
             plan_pools.append({})
         plan_pools[slot][object_id] = fsa
-        if columnar and top not in shared:
+        if top not in shared:
             components[object_id] = slot
     if cache is None:
         structures, misses, stats = (

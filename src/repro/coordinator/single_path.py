@@ -21,18 +21,19 @@ inserted into the grid index.  In every case a crossing is recorded with the
 hotness tracker and the chosen endpoint is sent back to the object as the
 start of its next Spatial Safe Area.
 
-**The epoch pass (columnar kernel).**  Decisions are sequential, but most of
-what a Case 2/3 decision reads is fixed before the first one is made: the
-index does not change between the candidate stage and the decision stage, and
-the decision stage only ever *inserts*.  A *lone* FSA — one that touches no
-other FSA of the epoch (:data:`~repro.coordinator.overlaps.LONE`) — has its
-answers fixed in advance: the only overlap region meeting it is its own
-singleton, so every end vertex inside it has bonus 1 and its fabricated
-vertex is its centre with count 1.  Its decision reads its end vertices from
-the live end table, which holds exactly what a pass would have read plus the
-paths inserted since.  :func:`prefetch_vertex_candidates` computes the rest
-for the whole epoch: each other pending FSA's end vertices (two bisections
-of the index's x-sorted end table and a y test on the run between them), and
+**The epoch pass.**  Decisions are sequential, but most of what a Case 2/3
+decision reads is fixed before the first one is made: the index does not
+change between the candidate stage and the decision stage, and the decision
+stage only ever *inserts*.  A *lone* FSA — one that touches no other FSA of
+the epoch (:data:`~repro.coordinator.overlaps.LONE`) — has its answers fixed
+in advance: the only overlap region meeting it is its own singleton, so every
+end vertex inside it has bonus 1 and its fabricated vertex is its centre with
+count 1.  Its decision reads its end vertices from the live index, which
+holds exactly what a pass would have read plus the paths inserted since.
+:func:`prefetch_vertex_candidates` computes the rest for the whole epoch:
+each other pending FSA's end vertices (:meth:`GridIndex.end_vertices_in`:
+two bisections of the x-sorted end table and a y test on the run between
+them, or a scan of the cells the FSA overlaps, by the index's storage), and
 the overlap answers, each inside the FSA's query component
 (:attr:`~repro.coordinator.overlaps.OverlapPlan.components`): one batch per
 pool or for the merged structure — scalar loops for a small batch, the
@@ -40,9 +41,9 @@ region table for a large one.  The decision keeps what depends on decision
 order — the hotness sums, the selection (inline, over the vertices: no
 candidate list, no per-decision record), the insert, and, for an FSA the
 pass read, the paths inserted earlier in the epoch, which it probes in
-:class:`InsertedEnds` (sorted by end x, like the end table) rather than
-rescanning them all.  The object kernel takes none of this and queries the
-index and the merged structure per object, as the pinned reference.
+:class:`InsertedEnds` (sorted by end x) rather than rescanning them all.
+Both index storages run this one pass; the literal transcription of
+Algorithm 2 it must equal is the test oracle ``tests/single_path_oracle.py``.
 
 Each state's FSA is built once per epoch (:attr:`ObjectState.fsa` validates
 a new ``Rectangle`` on every access) and handed to the plan, the candidate
@@ -59,7 +60,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import CoordinatorResponse, ObjectState
-from repro.coordinator.columnar import EndpointTable, VertexGroup
+from repro.coordinator.columnar import VertexGroup
 from repro.coordinator.execution import ExecutionBackend, SerialBackend
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
@@ -184,7 +185,7 @@ class VertexPrefetch:
     barrier between the candidate stage and the decision stage."""
 
     #: End vertices inside the FSA: ``(x, y) -> (vertex, ids of the paths
-    #: ending there)`` (:meth:`EndpointTable.end_vertices_in`).
+    #: ending there)`` (:meth:`GridIndex.end_vertices_in`).
     end_vertices: Dict[Tuple[float, float], VertexGroup]
     #: ``(x, y)`` of a vertex -> count of the smallest overlap region
     #: containing it (one dict an epoch, shared by every object).
@@ -193,7 +194,7 @@ class VertexPrefetch:
 
 
 def prefetch_vertex_candidates(
-    end_table: EndpointTable,
+    index: GridIndex,
     pending: Sequence[Tuple[int, int, Rectangle]],
     plan: OverlapPlan,
 ) -> Dict[int, VertexPrefetch]:
@@ -202,11 +203,11 @@ def prefetch_vertex_candidates(
 
     ``pending`` lists ``(position, object_id, fsa)`` for the states left
     without a Case 1 candidate, ``plan`` is the epoch's completed overlap
-    plan and ``end_table`` the index's x-sorted end table, read here — after
+    plan and ``index`` the grid index, read here — after
     the candidate stage, before the first decision — where nothing mutates
     the index.  Returns ``position -> VertexPrefetch``; a lone FSA (its
     object's FSA in the epoch map, :data:`LONE` there) gets no entry, since
-    its decision reads the live table (module docstring).
+    its decision reads the live index (module docstring).
 
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
@@ -243,7 +244,7 @@ def prefetch_vertex_candidates(
         answers = structure.candidate_vertices_for([fsa for _position, fsa in members])
         vertices: Dict[Tuple[float, float], Point] = {}
         for (position, fsa), answer in zip(members, answers):
-            end_vertices = end_table.end_vertices_in(fsa)
+            end_vertices = index.end_vertices_in(fsa)
             for key, (vertex, _path_ids) in end_vertices.items():
                 vertices[key] = vertex
             if answer is not None:
@@ -260,13 +261,11 @@ class SinglePathStrategy:
         self,
         index: GridIndex,
         hotness: HotnessTracker,
-        kernel: str = "object",
         pool_cache: Optional[OverlapPoolCache] = None,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         self._index = index
         self._hotness = hotness
-        self._kernel = kernel
         # Cross-epoch component cache of the delta pipeline (``None`` in full
         # mode).
         self._pool_cache = pool_cache
@@ -292,9 +291,7 @@ class SinglePathStrategy:
         # object — a duplicate reporter's later state, at its first position
         # — and both of its states are still decided below.
         plan = plan_shard_overlaps(
-            self._kernel,
-            self._pool_cache,
-            {state.object_id: fsa for state, fsa in zip(states, fsas)},
+            self._pool_cache, {state.object_id: fsa for state, fsa in zip(states, fsas)}
         )
         self.last_pool_stats = plan.stats
         candidate_paths, built = self.backend.build_overlaps(
@@ -310,22 +307,18 @@ class SinglePathStrategy:
         # candidate sets.
         apply_co_occurrence_boost(candidate_paths)
 
-        # Phase 3: selection per object, in submission order — behind the
-        # epoch pass when the kernel is columnar (module docstring).
-        prefetched: Dict[int, VertexPrefetch] = {}
-        inserted: Optional[InsertedEnds] = None
-        if self._kernel == "columnar":
-            prefetched = prefetch_vertex_candidates(
-                self._index.end_table(),
-                [
-                    (position, state.object_id, fsa)
-                    for position, (state, fsa) in enumerate(zip(states, fsas))
-                    if not candidate_paths[state.object_id]
-                ],
-                plan,
-            )
-            if prefetched:
-                inserted = InsertedEnds()
+        # Phase 3: selection per object, in submission order, behind the
+        # epoch pass (module docstring).
+        prefetched = prefetch_vertex_candidates(
+            self._index,
+            [
+                (position, state.object_id, fsa)
+                for position, (state, fsa) in enumerate(zip(states, fsas))
+                if not candidate_paths[state.object_id]
+            ],
+            plan,
+        )
+        inserted = InsertedEnds() if prefetched else None
         responses, inserted_ids = result.responses, result.inserted
         for position, (state, fsa) in enumerate(zip(states, fsas)):
             response, path_id = self.decide(
@@ -348,38 +341,13 @@ class SinglePathStrategy:
         the state's FSA.
 
         Answered from the single grid cell holding the SSA start (the
-        columnar kernel: from that vertex's hash bucket).
+        columnar storage: from that vertex's hash bucket).
         """
         records = self._index.paths_starting_at(state.start, fsa)
         return [
             CandidatePath(record, self._hotness.hotness(record.path_id) + 1)
             for record in records
         ]
-
-    def _candidate_vertices(self, fsa: Rectangle, plan: OverlapPlan) -> List[CandidateVertex]:
-        """``GetCandidateVertices`` plus the overlap-derived extra candidate,
-        queried per state from the index and the merged overlap structure:
-        the object kernel's pinned reference."""
-        candidates: List[CandidateVertex] = []
-        hotness = self._hotness.hotness
-        merged = plan.merged()
-        for vertex, path_ids in self._index.end_vertices_in(fsa).items():
-            converging = sum(hotness(path_id) for path_id in path_ids)
-            region = merged.smallest_region_containing(vertex)
-            bonus = region.count if region is not None else 0
-            candidates.append((vertex, converging + bonus, False))
-        fabricated = merged.candidate_vertex_for(fsa)
-        if fabricated is not None:
-            vertex, count = fabricated
-            candidates.append((vertex, count, True))
-        if not candidates:
-            # Degenerate fall-back: nothing intersects.  The object's own FSA
-            # normally sits in the overlap structure as its singleton region,
-            # but a saturated ``max_regions`` table drops late singletons (the
-            # hard cap keeps earlier insertions), so use the FSA centroid with
-            # zero hotness.
-            candidates.append((fsa.center, 0, True))
-        return candidates
 
     # -- selection ---------------------------------------------------------------------
 
@@ -396,11 +364,11 @@ class SinglePathStrategy:
 
         ``fsa`` is the state's FSA and ``plan`` the epoch's completed overlap
         plan; ``prefetch`` is the object's share of the epoch pass
-        (:func:`prefetch_vertex_candidates`; ``None`` for a lone FSA and
-        under the object kernel) and ``inserted`` the epoch's probe of its
-        inserts, which every insert joins (``None`` when the pass left no
-        entry, so that nothing reads it).  :meth:`_choose_vertex` says where
-        a Case 2/3 decision reads its vertices.
+        (:func:`prefetch_vertex_candidates`; ``None`` for a lone FSA) and
+        ``inserted`` the epoch's probe of its inserts, which every insert
+        joins (``None`` when the pass left no entry, so that nothing reads
+        it).  :meth:`_choose_vertex` says where a Case 2/3 decision reads its
+        vertices.
 
         Returns the response and the id of the path the decision inserted
         (``None`` when it reused one).
@@ -453,28 +421,19 @@ class SinglePathStrategy:
         fabricated, x, y)`` under a strict ``>``, as in ``max``, returned as
         ``(vertex, hotness, fabricated)``.
 
-        The object kernel ranks :meth:`_candidate_vertices`.  The columnar
-        kernel ranks inline: with a ``prefetch``, the prefetched end
+        The ranking is inline: with a ``prefetch``, the prefetched end
         vertices plus the epoch's inserts inside ``fsa`` (only a vertex the
         pass did not see asks the merged structure for its bonus) and the
         prefetched fabricated vertex; without one the FSA is lone, so its
-        end vertices come from the live end table with bonus 1 each, and its
+        end vertices come from the live index with bonus 1 each, and its
         fabricated vertex is its centre with count 1.  Distinct vertices
         rank apart, so the enumeration order cannot matter.
         """
-        if self._kernel != "columnar":
-            best = None
-            for vertex, hotness, fabricated in self._candidate_vertices(fsa, plan):
-                rank = (hotness, not fabricated, vertex.x, vertex.y)
-                if best is None or rank > best:
-                    best, chosen = rank, (vertex, hotness, fabricated)
-            return chosen
-
         hotness_of = self._hotness.hotness
         if prefetch is None:
             centre = fsa.center
             best, chosen = (1, False, centre.x, centre.y), (centre, 1, True)
-            for vertex, path_ids in self._index.end_table().end_vertices_in(fsa).values():
+            for vertex, path_ids in self._index.end_vertices_in(fsa).values():
                 hotness = sum(map(hotness_of, path_ids)) + 1
                 rank = (hotness, True, vertex.x, vertex.y)
                 if rank > best:
@@ -503,6 +462,11 @@ class SinglePathStrategy:
             if best is None or rank > best:
                 best, chosen = rank, (vertex, hotness, False)
         if best is None:
-            # The fall-back of :meth:`_candidate_vertices`.
+            # Degenerate fall-back: nothing intersects.  The object's own FSA
+            # normally sits in the overlap structure as its singleton region,
+            # but a saturated ``max_regions`` table drops late singletons (the
+            # hard cap keeps earlier insertions), and the earlier FSA of an
+            # object that reports twice is not in it; use the FSA centroid
+            # with zero hotness.
             return (fsa.center, 0, True)
         return chosen

@@ -23,7 +23,7 @@ anticipates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.trajectory import Measurement
@@ -88,15 +88,20 @@ class FeedbackCoordinator(Coordinator):
         return outcome, feedback
 
     def _hints_near(self, endpoint: Point) -> List[HotVertexHint]:
-        """The hottest path endpoints within ``hint_radius`` of ``endpoint``."""
+        """The hottest path endpoints within ``hint_radius`` of ``endpoint``.
+
+        Ranked by ``(-heat, x, smallest path id at the vertex)``, a total
+        order, so the hints do not depend on the order the index storage
+        enumerates its vertices in.
+        """
         region = Rectangle.from_center(endpoint, self.hint_radius)
-        vertex_heat: Dict[Point, int] = {}
-        for vertex, path_ids in self.index.end_vertices_in(region).items():
+        ranked: List[Tuple[int, float, int, Point]] = []
+        for vertex, path_ids in self.index.end_vertices_in(region).values():
             heat = sum(self.hotness.hotness(path_id) for path_id in path_ids)
             if heat > 0:
-                vertex_heat[vertex] = heat
-        ranked = sorted(vertex_heat.items(), key=lambda item: item[1], reverse=True)
-        return [HotVertexHint(vertex, heat) for vertex, heat in ranked[: self.max_hints]]
+                ranked.append((-heat, vertex.x, min(path_ids), vertex))
+        ranked.sort(key=lambda hint: hint[:3])
+        return [HotVertexHint(vertex, -heat) for heat, _x, _id, vertex in ranked[: self.max_hints]]
 
 
 class FeedbackRayTraceFilter(RayTraceFilter):

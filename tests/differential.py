@@ -1,9 +1,12 @@
-"""The exactness harness: every fleet configuration answers as the paper's coordinator.
+"""The exactness harness: every fleet configuration answers as the reference configuration.
 
-**Reference.**  :data:`REFERENCE` is the seed coordinator: one shard, the
-``serial`` backend, ``full`` epochs and the scalar ``object`` kernel — one
-grid index (Section 5.1) and Algorithm 2's sequential SinglePath pass over
-one ``R_all`` (Section 5.3), every query a full scan.
+**Reference.**  :data:`REFERENCE` is one shard, the ``serial`` backend,
+``full`` epochs and the ``object`` storage: one grid index in the Section 5.1
+cell dicts, and every top-k and corridor query recomputed from the hot set.
+It runs the same SinglePath epoch pass as every other configuration, so what
+all of them share is checked against the paper elsewhere: each scenario
+here is also replayed through the literal Algorithm 2 of
+``tests/single_path_oracle.py`` (``tests/test_single_path_oracle.py``).
 
 **Matrix.**  :data:`MATRIX` is generated from ``dataclasses.fields(FleetConfig)``:
 every value a knob declares in its ``choices``, crossed with
@@ -366,6 +369,38 @@ def boxed_report(object_id, start, low, high, t_end) -> ObjectState:
     return ObjectState(object_id, Point(*start), t_end - 5, Point(*low), Point(*high), t_end)
 
 
+def co_occurrence_stream() -> Stream:
+    """Case 1 choices that the co-occurrence boost and the id tie decide.
+
+    Epoch 1 stores two paths from each of three starts, ``(100, 100)`` to
+    ``(300, 300)`` / ``(500, 300)``, ``(800, 800)`` to ``(700, 800)`` /
+    ``(900, 800)`` and ``(100, 800)`` to ``(200, 800)`` / ``(300, 800)``;
+    epoch 2 crosses ``(300, 300)`` three more times.  In epoch 3 every
+    report has Case 1 candidates: object 6 weighs the hotter ``(300, 300)``
+    against ``(500, 300)``, which objects 7 and 8 also hold (boosted 5
+    against 4); object 13 two equally hot paths, one of which object 14 also
+    holds; object 23 two equally hot paths nobody else holds.
+    """
+    first = [
+        boxed_report(1, (100, 100), (295, 295), (305, 305), 10),
+        boxed_report(2, (100, 100), (495, 295), (505, 305), 10),
+        boxed_report(11, (800, 800), (695, 795), (705, 805), 10),
+        boxed_report(12, (800, 800), (895, 795), (905, 805), 10),
+        boxed_report(21, (100, 800), (195, 795), (205, 805), 10),
+        boxed_report(22, (100, 800), (295, 795), (305, 805), 10),
+    ]
+    second = [boxed_report(object_id, (100, 100), (290, 290), (310, 310), 20) for object_id in (3, 4, 5)]
+    third = [
+        boxed_report(6, (100, 100), (290, 290), (510, 310), 30),
+        boxed_report(7, (100, 100), (490, 290), (510, 310), 30),
+        boxed_report(8, (100, 100), (490, 290), (510, 310), 30),
+        boxed_report(13, (800, 800), (690, 790), (910, 810), 30),
+        boxed_report(14, (800, 800), (890, 790), (910, 810), 30),
+        boxed_report(23, (100, 800), (190, 790), (310, 810), 30),
+    ]
+    return [(10, first), (20, second), (30, third)]
+
+
 def equal_ends_stream() -> Stream:
     """Two equal ends that print apart; the earlier one stays the vertex key.
 
@@ -595,6 +630,14 @@ STREAM_SCENARIOS = [
             rebuilt_every_epoch=pool_counts(run)[1] >= len(run.outcomes),
         ),
         window=1_000_000,
+    ),
+    stream_scenario(
+        "co_occurrence",
+        co_occurrence_stream(),
+        lambda run: expect(
+            case_1_only_in_epoch_3=[(o.paths_reused, o.paths_inserted) for o in run.outcomes]
+            == [(0, 6), (3, 0), (6, 0)],
+        ),
     ),
     stream_scenario("dense_200", DENSE_STREAM, dense_is_exercised, cells=16),
     stream_scenario(

@@ -55,7 +55,7 @@ import pytest
 
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
 from repro.client.state import ObjectState
-from repro.coordinator import overlaps, single_path
+from repro.coordinator import columnar, overlaps, single_path
 from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig, EpochOutcome
 from repro.coordinator.fleet import FleetConfig
@@ -297,7 +297,7 @@ class TestSingleQueriesBuildNoTable:
         batched queries build exactly one, once."""
         fsas = dict(dense_pool())
         fsas[99] = Rectangle.from_center(Point(900.0, 900.0), 10.0)
-        plan = plan_shard_overlaps("columnar", OverlapPoolCache(), fsas)
+        plan = plan_shard_overlaps(OverlapPoolCache(), fsas)
         plan.complete(build_structures(plan.missed_pools))
         structure = plan.merged()
         assert len(structure) == 125 and plan.singletons
@@ -393,7 +393,7 @@ class TestComponentBatches:
             )
         fsas[900] = Rectangle.from_center(Point(700.0, 1500.0), 10.0)
         fsas[901] = Rectangle.from_center(Point(300.0, 1500.0), 10.0)
-        plan = plan_shard_overlaps("columnar", None, fsas)
+        plan = plan_shard_overlaps(None, fsas)
         sizes = [(len(pool), len(structure)) for pool, structure in zip(plan.pools, build_structures(plan.pools))]
         assert sizes == [(20, 104), (4, 15), (2, 3)] * 2
         assert len(plan.components) == len(fsas)  # nothing touches across components
@@ -401,6 +401,23 @@ class TestComponentBatches:
         run_one_epoch(fresh_reporters(fsas))
         assert counts["tables"] == 2
         assert counts["merged"] == 0
+
+    def test_without_numpy_a_dense_epoch_builds_no_table_and_answers_the_same(self, monkeypatch):
+        """A bare interpreter degrades ``columnar`` to the cell dicts, which
+        run the same pass: its batches past ``TABLE_WORK`` run the scalar
+        loops instead of a region table, and every response is the same."""
+        states = fresh_reporters(dense_pool())
+        plan = plan_shard_overlaps(None, {state.object_id: state.fsa for state in states})
+        work = [len(pool) * len(structure) for pool, structure in zip(plan.pools, build_structures(plan.pools))]
+        assert max(work) >= overlaps.TABLE_WORK
+        counts = count_tables_and_merges(monkeypatch)
+        with_numpy = repr(run_one_epoch(states).responses)
+        assert counts["tables"] == 1
+        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
+        monkeypatch.setattr(overlaps, "HAVE_NUMPY", False)
+        monkeypatch.setattr(columnar, "_degrade_logged", False)
+        assert repr(run_one_epoch(states).responses) == with_numpy
+        assert counts["tables"] == 1
 
 
 #: The Section 6 loop at sim_paper's size (320 objects on the 9 x 9
@@ -534,19 +551,28 @@ class TestNumpyStaysUnloaded:
 
 def reference_choice(strategy: SinglePathStrategy, fsa: Rectangle, plan) -> tuple:
     """The per-state reference of a Case 2/3 choice: the first maximum of
-    ``(hotness, not fabricated, x, y)`` over the candidates a query of the
-    live index and the merged overlap structure produces."""
-    best = chosen = None
-    for vertex, hotness, fabricated in strategy._candidate_vertices(fsa, plan):
-        key = (hotness, not fabricated, vertex.x, vertex.y)
-        if best is None or key > best:
-            best, chosen = key, (vertex, hotness, fabricated)
-    return chosen
+    ``(hotness, not fabricated, x, y)`` over the end vertices a query of the
+    live index finds, each with its summed hotness plus the count of the
+    merged structure's smallest region containing it, and the merged
+    structure's fabricated vertex — or the FSA's centre with hotness 0 when
+    there is neither."""
+    merged, hotness_of = plan.merged(), strategy._hotness.hotness
+    candidates = []
+    for vertex, path_ids in strategy._index.end_vertices_in(fsa).values():
+        region = merged.smallest_region_containing(vertex)
+        bonus = region.count if region is not None else 0
+        candidates.append((vertex, sum(map(hotness_of, path_ids)) + bonus, False))
+    fabricated = merged.candidate_vertex_for(fsa)
+    if fabricated is not None:
+        candidates.append((*fabricated, True))
+    if not candidates:
+        return (fsa.center, 0, True)
+    return max(candidates, key=lambda choice: (choice[1], not choice[2], choice[0].x, choice[0].y))
 
 
 class EpochPassChecker:
-    """Wraps ``_choose_vertex``: every columnar Case 2/3 decision — off the
-    epoch pass or, for a lone FSA, off the live end table — must choose what
+    """Wraps ``_choose_vertex``: every Case 2/3 decision — off the epoch
+    pass or, for a lone FSA, off the live index — must choose what
     the per-state query of the live index and the merged structure chooses:
     the same vertex (down to ``repr``), hotness and fabricated flag.  For a
     decision off the pass, the probe of the epoch's inserts must also find
@@ -562,8 +588,6 @@ class EpochPassChecker:
         checker = self
 
         def checked(strategy, fsa, plan, prefetch, inserted):
-            if strategy._kernel != "columnar":
-                return original(strategy, fsa, plan, prefetch, inserted)
             if prefetch is None:
                 checker.lone += 1
             else:
@@ -607,7 +631,11 @@ class TestEpochPassDifferential:
         assert checker.inserts_seen > 0
         assert checker.on_indexed_vertex > 0
 
-    def test_object_kernel_never_runs_the_pass(self, monkeypatch):
+    def test_the_object_storage_runs_the_same_pass(self, monkeypatch):
+        """The cell dicts answer the pass's end-vertex reads, and the lone
+        decisions' live reads, as the end table does."""
         checker = EpochPassChecker(monkeypatch)
         drive(FleetConfig(kernel="object"), crafted_stream())
-        assert checker.compared == checker.lone == 0
+        assert checker.compared >= 8
+        assert checker.lone >= 1
+        assert checker.on_indexed_vertex >= 1

@@ -79,6 +79,24 @@ class TestFeedbackCoordinator:
         _outcome, feedback = coordinator.run_epoch_with_feedback(10)
         assert len(feedback[0].hints) <= 2
 
+    @pytest.mark.parametrize("kernel", ["object", "columnar"])
+    def test_equal_heat_ties_go_to_the_smaller_x_under_both_storages(self, kernel):
+        """Three ends of heat 1 in one 250-unit cell, inserted at (50, 50),
+        then (30, 60), then the epoch's fabricated (155, 155): the one hint
+        is the smallest x, whatever order the index enumerates its vertices
+        in (the cell dicts keep insertion order and used to hint (50, 50))."""
+        coordinator = FeedbackCoordinator(
+            CoordinatorConfig(bounds=BOUNDS, window=100, cells_per_axis=4, kernel=kernel),
+            max_hints=1,
+        )
+        for end in (Point(50.0, 50.0), Point(30.0, 60.0)):
+            record = coordinator.index.insert(MotionPath(Point(500.0, 900.0), end))
+            coordinator.hotness.record_crossing(record.path_id, 1)
+        coordinator.submit_state(state(1, Point(500.0, 500.0), Point(150.0, 150.0), Point(160.0, 160.0)))
+        _outcome, feedback = coordinator.run_epoch_with_feedback(10)
+        assert feedback[0].response.endpoint == Point(155.0, 155.0)
+        assert feedback[0].hints == (HotVertexHint(Point(30.0, 60.0), 1),)
+
 
 class TestFeedbackFilter:
     def _waiting_filter(self) -> FeedbackRayTraceFilter:

@@ -104,7 +104,7 @@ class TestSameCellEndpoints:
         record = index.insert(MotionPath(Point(1100.0, 1100.0), Point(1500.0, 1200.0)))
         region = Rectangle(Point(990.0, 990.0), Point(2000.0, 2000.0))
         assert [r.path_id for r in index.paths_intersecting(region)] == [record.path_id]
-        assert Point(1500.0, 1200.0) in index.end_vertices_in(region)
+        assert (1500.0, 1200.0) in index.end_vertices_in(region)
         index.delete(record.path_id)
         assert len(index) == 0
         assert index._cells == {}
@@ -146,8 +146,9 @@ class TestQueries:
         c = index.insert(MotionPath(Point(100.0, 200.0), Point(310.0, 310.0)))
         region = Rectangle(Point(290.0, 290.0), Point(320.0, 320.0))
         vertices = index.end_vertices_in(region)
-        assert set(vertices[shared_end]) == {a.path_id, b.path_id}
-        assert vertices[Point(310.0, 310.0)] == [c.path_id]
+        assert vertices[(300.0, 300.0)][0] is shared_end
+        assert set(vertices[(300.0, 300.0)][1]) == {a.path_id, b.path_id}
+        assert vertices[(310.0, 310.0)] == (Point(310.0, 310.0), [c.path_id])
 
     def test_end_vertices_excludes_start_points(self, index):
         index.insert(MotionPath(Point(300.0, 300.0), Point(700.0, 700.0)))

@@ -83,12 +83,13 @@ class ReferenceIndex:
             default=None,
         )
 
-    def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], List[int]]:
-        vertices: Dict[Tuple[float, float], List[int]] = {}
+    def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], Tuple[str, List[int]]]:
+        """``(x, y) -> (repr of the earliest live end there, sorted ids)``."""
+        vertices: Dict[Tuple[float, float], Tuple[Point, List[int]]] = {}
         for r in self.records.values():
             if region.contains_point(r.path.end):
-                vertices.setdefault(r.path.end.as_tuple(), []).append(r.path_id)
-        return {vertex: sorted(ids) for vertex, ids in vertices.items()}
+                vertices.setdefault(r.path.end.as_tuple(), (r.path.end, []))[1].append(r.path_id)
+        return {key: (repr(end), sorted(ids)) for key, (end, ids) in vertices.items()}
 
     def paths_intersecting(self, region: Rectangle) -> List[int]:
         return sorted(
@@ -160,8 +161,8 @@ class TestAgainstReference:
     def test_end_vertices_matches_reference(self, ops, region):
         index, reference = build_both(ops, self.kernel)
         result = {
-            vertex.as_tuple(): sorted(ids)
-            for vertex, ids in index.end_vertices_in(region).items()
+            key: (repr(vertex), sorted(ids))
+            for key, (vertex, ids) in index.end_vertices_in(region).items()
         }
         assert result == reference.end_vertices_in(region)
 
@@ -276,7 +277,7 @@ class TestBoundaryCells:
             probe = Rectangle.degenerate(end)
             assert any(
                 vertex == end and record.path_id in ids
-                for vertex, ids in index.end_vertices_in(probe).items()
+                for vertex, ids in index.end_vertices_in(probe).values()
             )
         for record in inserted:
             index.delete(record.path_id)
@@ -297,8 +298,8 @@ class TestBoundaryCells:
         record = index.insert(MotionPath(Point(1.0, 1.0), end))
         region = Rectangle(BOUNDS.low, Point(edge, max(end.y, BOUNDS.low.y)))
         found = index.end_vertices_in(region)
-        assert end in found and record.path_id in found[end]
+        assert (end.x, end.y) in found and record.path_id in found[(end.x, end.y)][1]
         # Just below the edge the same closed-bound scan must exclude it.
         if edge > 0.0:
             below = Rectangle(BOUNDS.low, Point(edge - 1e-9, BOUNDS.high.y))
-            assert end not in index.end_vertices_in(below)
+            assert (end.x, end.y) not in index.end_vertices_in(below)

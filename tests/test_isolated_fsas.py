@@ -9,7 +9,7 @@ Two facts of the epoch pipeline, each pinned by what it no longer does:
   harness's ``signed_zero_singleton`` scenario pins that a signed-zero
   singleton never comes back from the cache with the other sign);
 * **decisions probe the epoch's inserts** — a Case 2/3 decision reads the
-  paths inserted earlier in the epoch from the live end table (a lone FSA)
+  paths inserted earlier in the epoch from the live index (a lone FSA)
   or through :class:`InsertedEnds` (any other), not a ``contains_point``
   rescan of all of them.  :class:`TestInsertedEndsProbe` holds the probe to
   that linear scan with hypothesis.
@@ -81,13 +81,12 @@ def count_builds(monkeypatch) -> Counter:
 
 
 class TestIsolatedFsasSkipThePoolStage:
-    @pytest.mark.parametrize("kernel", ("object", "columnar"))
-    def test_disjoint_epoch_plans_no_pool_and_builds_nothing(self, kernel, monkeypatch):
+    def test_disjoint_epoch_plans_no_pool_and_builds_nothing(self, monkeypatch):
         fsas = {state.object_id: state.fsa for state in disjoint_reporters()}
         reference = repr(FsaOverlapStructure.build(fsas).serialized())
         calls = count_builds(monkeypatch)
         cache = OverlapPoolCache()
-        plan = plan_shard_overlaps(kernel, cache, fsas)
+        plan = plan_shard_overlaps(cache, fsas)
         assert plan.pools == [] and plan.missed_pools == []
         assert list(plan.singletons) == list(fsas)
         plan.complete(build_structures(plan.missed_pools))

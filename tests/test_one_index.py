@@ -286,7 +286,7 @@ class TestOwnerLabels:
             starting = coordinator.index.paths_starting_at(start, Rectangle.degenerate(end))
             assert any(r.path_id == record.path_id for r in starting)
             ends = coordinator.index.end_vertices_in(Rectangle.degenerate(end))
-            assert record.path_id in ends.get(end, [])
+            assert record.path_id in ends.get((end.x, end.y), (end, []))[1]
 
     @pytest.mark.parametrize("num_shards", LABEL_SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)

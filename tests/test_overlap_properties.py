@@ -218,8 +218,8 @@ def serialized_repr(structure: FsaOverlapStructure) -> str:
     return repr(structure.serialized())
 
 
-def merged_structure(kernel, cache, fsas, max_regions=10000) -> FsaOverlapStructure:
-    plan = plan_shard_overlaps(kernel, cache, fsas, max_regions)
+def merged_structure(cache, fsas, max_regions=10000) -> FsaOverlapStructure:
+    plan = plan_shard_overlaps(cache, fsas, max_regions)
     plan.complete(build_structures(plan.missed_pools, max_regions))
     return plan.merged()
 
@@ -291,24 +291,23 @@ def isolated_epochs(draw) -> Dict[int, Rectangle]:
     return fsas
 
 
-@pytest.mark.parametrize("kernel", ("object", "columnar"))
 class TestMergedEpochStructure:
     """Compared by ``repr(serialized())``: region order, and which of two
     equal bounds each region kept."""
 
     @settings(max_examples=200, deadline=None)
     @given(reports=epoch_reports)
-    def test_merged_regions_equal_the_sequential_build_in_order(self, kernel, reports):
+    def test_merged_regions_equal_the_sequential_build_in_order(self, reports):
         fsas = epoch_map(reports)
-        assert serialized_repr(merged_structure(kernel, None, fsas)) == serialized_repr(
+        assert serialized_repr(merged_structure(None, fsas)) == serialized_repr(
             FsaOverlapStructure.build(fsas)
         )
 
     @settings(max_examples=150, deadline=None)
     @given(reports=epoch_reports, max_regions=st.integers(min_value=1, max_value=12))
-    def test_a_saturated_cap_falls_back_to_the_sequential_build(self, kernel, reports, max_regions):
+    def test_a_saturated_cap_falls_back_to_the_sequential_build(self, reports, max_regions):
         fsas = epoch_map(reports)
-        assert serialized_repr(merged_structure(kernel, None, fsas, max_regions)) == (
+        assert serialized_repr(merged_structure(None, fsas, max_regions)) == (
             serialized_repr(FsaOverlapStructure.build(fsas, max_regions))
         )
 
@@ -321,7 +320,7 @@ class TestMergedEpochStructure:
         ],
         extra=[],
     )
-    def test_cached_components_merge_to_the_same_structure(self, kernel, epochs, extra):
+    def test_cached_components_merge_to_the_same_structure(self, epochs, extra):
         """Hits from earlier epochs change nothing, down to the ``repr``:
         each epoch is followed by itself (a verbatim hit), by itself plus
         late arrivals (a miss, since the cache has no prefix outcome) and by
@@ -331,14 +330,14 @@ class TestMergedEpochStructure:
         for reports in epochs:
             fsas = epoch_map(reports)
             for epoch in (fsas, fsas, epoch_map(reports + extra), twin_map(fsas)):
-                assert serialized_repr(merged_structure(kernel, cache, epoch)) == (
+                assert serialized_repr(merged_structure(cache, epoch)) == (
                     serialized_repr(FsaOverlapStructure.build(epoch))
                 )
 
     @settings(max_examples=150, deadline=None)
     @given(fsas=isolated_epochs(), max_regions=region_caps)
-    def test_an_all_isolated_epoch_is_its_singletons(self, kernel, fsas, max_regions):
-        plan = plan_shard_overlaps(kernel, None, fsas, max_regions)
+    def test_an_all_isolated_epoch_is_its_singletons(self, fsas, max_regions):
+        plan = plan_shard_overlaps(None, fsas, max_regions)
         assert plan.pools == [] and list(plan.singletons) == list(fsas)
         plan.complete([])
         assert serialized_repr(plan.merged()) == serialized_repr(
@@ -347,8 +346,8 @@ class TestMergedEpochStructure:
 
     @settings(max_examples=100, deadline=None)
     @given(fsa=st.one_of(integer_rectangles(), tie_rectangles()), object_id=st.integers(0, 9))
-    def test_a_one_fsa_epoch_is_its_singleton(self, kernel, fsa, object_id):
-        plan = plan_shard_overlaps(kernel, None, {object_id: fsa})
+    def test_a_one_fsa_epoch_is_its_singleton(self, fsa, object_id):
+        plan = plan_shard_overlaps(None, {object_id: fsa})
         assert plan.pools == [] and list(plan.singletons) == [object_id]
         plan.complete([])
         assert serialized_repr(plan.merged()) == serialized_repr(
@@ -357,7 +356,7 @@ class TestMergedEpochStructure:
 
     @settings(max_examples=150, deadline=None)
     @given(reports=epoch_reports, isolated=isolated_epochs(), data=st.data())
-    def test_singletons_tip_the_cap_into_the_sequential_build(self, kernel, reports, isolated, data):
+    def test_singletons_tip_the_cap_into_the_sequential_build(self, reports, isolated, data):
         """The pools alone stay under the cap and the singletons reach it:
         the sequential build drops late singletons, and so must the merge."""
         # The isolated lattice sits far from the epoch's coordinate pools.
@@ -367,10 +366,10 @@ class TestMergedEpochStructure:
                 Point(fsa.low.x + 100, fsa.low.y + 100), Point(fsa.high.x + 100, fsa.high.y + 100)
             )
             fsas.setdefault(100 + object_id, shifted)
-        plan = plan_shard_overlaps(kernel, None, fsas)
+        plan = plan_shard_overlaps(None, fsas)
         pooled = sum(len(structure) for structure in build_structures(plan.pools))
         max_regions = pooled + data.draw(st.integers(1, len(plan.singletons)))
-        assert serialized_repr(merged_structure(kernel, None, fsas, max_regions)) == (
+        assert serialized_repr(merged_structure(None, fsas, max_regions)) == (
             serialized_repr(FsaOverlapStructure.build(fsas, max_regions))
         )
 
@@ -540,7 +539,7 @@ class TestComponentAnswers:
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
             for _round in ("miss", "hit"):
-                plan = plan_shard_overlaps("columnar", cache, fsas, max_regions)
+                plan = plan_shard_overlaps(cache, fsas, max_regions)
                 plan.complete(build_structures(plan.missed_pools, max_regions))
                 prefetched = prefetch_vertex_candidates(table, pending, plan)
                 for position, object_id, fsa in pending:
@@ -594,7 +593,7 @@ class TestComponentAnswers:
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
             patch.setattr(overlaps.OverlapPlan, "_merge", lambda plan: merges.append(1) or merge(plan))
-            plan = plan_shard_overlaps("columnar", None, fsas)
+            plan = plan_shard_overlaps(None, fsas)
             plan.complete(build_structures(plan.missed_pools))
             assert plan.components == {1: LONE, 2: 0, 3: 0, 9: LONE}
             pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(reports)]
@@ -610,7 +609,7 @@ class TestComponentAnswers:
         fsas = {object_id: Rectangle(Point(10.0 * object_id, 0.0), Point(10.0 * object_id + 1, 1.0)) for object_id in range(4)}
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
-            plan = plan_shard_overlaps("columnar", None, fsas, max_regions=4)
+            plan = plan_shard_overlaps(None, fsas, max_regions=4)
             assert set(plan.components.values()) == {LONE}
             plan.complete([])
             assert plan.components == {}

@@ -12,9 +12,11 @@ independently of the end-to-end differential harness:
   area (so no region spans two pools), and a pool cannot be split further;
 * **order** — a pool preserves the submission order of its members, and the
   pools come ordered by their first member;
-* **kernel independence** — the scalar and the batched plan agree, pool for
-  pool (no plan reads the shard layout: ``tests/test_one_index.py`` counts
-  zero shard-grid lookups in an epoch).
+* **query components** — an FSA is lone exactly when no other FSA touches
+  it, and is answered by its pool exactly when its component over every
+  touch, zero-area ones included, is that pool (no plan reads the shard
+  layout: ``tests/test_one_index.py`` counts zero shard-grid lookups in an
+  epoch).
 
 Plus the mechanics: what the plan asks to be built with and without a cache,
 and worker-side builds agreeing across both execution backends (the
@@ -33,13 +35,12 @@ from repro.core.geometry import Point, Rectangle
 from repro.client.state import ObjectState
 from repro.coordinator.execution import create_backend
 from repro.coordinator.overlaps import (
+    LONE,
     FsaOverlapStructure,
     OverlapPoolCache,
     build_structures,
     plan_shard_overlaps,
 )
-
-KERNELS = ("object", "columnar")
 
 # Coordinates collide with the 4x4 shard borders (multiples of 250) and with
 # each other, so FSAs routinely touch along an edge or at a corner — linked
@@ -85,12 +86,11 @@ def as_box(fsa: Rectangle):
 
 
 class TestComponents:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=120, deadline=None)
     @given(states=state_lists)
-    def test_pools_and_singletons_partition_the_fsas(self, kernel, states):
+    def test_pools_and_singletons_partition_the_fsas(self, states):
         fsas = epoch_fsas(states)
-        plan = plan_shard_overlaps(kernel, None, fsas)
+        plan = plan_shard_overlaps(None, fsas)
         pooled = [object_id for pool in plan.pools for object_id in pool]
         assert sorted(pooled + list(plan.singletons)) == sorted(fsas)
         for pool in plan.pools:
@@ -104,12 +104,11 @@ class TestComponents:
                 share_area(fsas[object_id], fsa) for other, fsa in fsas.items() if other != object_id
             )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=120, deadline=None)
     @given(states=state_lists)
-    def test_pools_are_the_connected_components(self, kernel, states):
+    def test_pools_are_the_connected_components(self, states):
         fsas = epoch_fsas(states)
-        plan = plan_shard_overlaps(kernel, None, fsas)
+        plan = plan_shard_overlaps(None, fsas)
         for index, pool in enumerate(plan.pools):
             for other in plan.pools[index + 1:]:
                 for fsa in pool.values():
@@ -127,12 +126,11 @@ class TestComponents:
                         frontier.append(object_id)
             assert reached == set(members)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=100, deadline=None)
     @given(states=state_lists)
-    def test_pools_keep_submission_order(self, kernel, states):
+    def test_pools_keep_submission_order(self, states):
         fsas = epoch_fsas(states)
-        plan = plan_shard_overlaps(kernel, None, fsas)
+        plan = plan_shard_overlaps(None, fsas)
         submission = {object_id: rank for rank, object_id in enumerate(fsas)}
         firsts = []
         for pool in plan.pools:
@@ -141,32 +139,45 @@ class TestComponents:
             firsts.append(ranks[0])
         assert firsts == sorted(firsts)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(states=state_lists)
-    def test_both_kernels_plan_the_same_pools(self, states):
+    def test_query_components_are_the_components_over_every_touch(self, states):
+        """Flood each FSA's component over closed intersection (zero-area
+        touches included): the FSA is lone when that is itself alone, maps
+        to its pool when that is exactly its pool's members, and is left
+        to the merged structure otherwise."""
         fsas = epoch_fsas(states)
-        scalar = plan_shard_overlaps("object", None, fsas)
-        batched = plan_shard_overlaps("columnar", None, fsas)
-        assert [list(pool.items()) for pool in batched.pools] == [
-            list(pool.items()) for pool in scalar.pools
-        ]
-        assert repr(batched.singletons) == repr(scalar.singletons)
+        plan = plan_shard_overlaps(None, fsas)
+        for object_id in fsas:
+            reached, frontier = {object_id}, [object_id]
+            while frontier:
+                current = frontier.pop()
+                for other, fsa in fsas.items():
+                    if other not in reached and fsas[current].intersects(fsa):
+                        reached.add(other)
+                        frontier.append(other)
+            pool_of = [index for index, pool in enumerate(plan.pools) if object_id in pool]
+            if reached == {object_id}:
+                expected = LONE
+            elif pool_of and reached == set(plan.pools[pool_of[0]]):
+                expected = pool_of[0]
+            else:
+                expected = None
+            assert plan.components.get(object_id) == expected
 
     def test_touching_fsas_are_not_linked_and_a_bridge_links_them(self):
         left = Rectangle(Point(0.0, 0.0), Point(10.0, 10.0))
         right = Rectangle(Point(10.0, 0.0), Point(20.0, 10.0))   # shares an edge
         corner = Rectangle(Point(20.0, 10.0), Point(30.0, 20.0))  # shares a corner
         sliver = Rectangle(Point(5.0, 5.0), Point(5.0, 9.0))      # zero width, inside left
-        for kernel in KERNELS:
-            plan = plan_shard_overlaps(kernel, None, {1: left, 2: right, 3: corner, 4: sliver})
-            assert plan.pools == []
-            assert list(plan.singletons) == [1, 2, 3, 4]
-            bridge = Rectangle(Point(9.0, 1.0), Point(11.0, 2.0))
-            plan = plan_shard_overlaps(
-                kernel, None, {1: left, 2: right, 3: corner, 4: sliver, 5: bridge}
-            )
-            assert [list(pool) for pool in plan.pools] == [[1, 2, 5]]
-            assert list(plan.singletons) == [3, 4]
+        plan = plan_shard_overlaps(None, {1: left, 2: right, 3: corner, 4: sliver})
+        assert plan.pools == []
+        assert list(plan.singletons) == [1, 2, 3, 4]
+        assert plan.components == {}  # every one touches another
+        bridge = Rectangle(Point(9.0, 1.0), Point(11.0, 2.0))
+        plan = plan_shard_overlaps(None, {1: left, 2: right, 3: corner, 4: sliver, 5: bridge})
+        assert [list(pool) for pool in plan.pools] == [[1, 2, 5]]
+        assert list(plan.singletons) == [3, 4]
 
 
 class TestPlanAgainstTheCache:
@@ -177,7 +188,7 @@ class TestPlanAgainstTheCache:
     }
 
     def run(self, cache, fsas):
-        plan = plan_shard_overlaps("object", cache, fsas)
+        plan = plan_shard_overlaps(cache, fsas)
         plan.complete(build_structures(plan.missed_pools))
         return plan, plan.merged()
 
@@ -225,7 +236,7 @@ class TestBuildStructures:
     @settings(max_examples=100, deadline=None)
     @given(states=state_lists, max_regions=st.integers(min_value=1, max_value=12))
     def test_one_independent_build_per_pool(self, states, max_regions):
-        plan = plan_shard_overlaps("object", None, epoch_fsas(states))
+        plan = plan_shard_overlaps(None, epoch_fsas(states))
         built = build_structures(plan.pools, max_regions=max_regions)
         assert len(built) == len(plan.pools)
         for structure, pool in zip(built, plan.pools):

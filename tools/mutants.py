@@ -85,6 +85,7 @@ _SINGLE_PATH = "src/repro/coordinator/single_path.py"
 _STITCHING = "src/repro/coordinator/stitching.py"
 
 _MATRIX = "tests/test_differential.py::test_every_configuration_answers_as_the_reference"
+_ORACLE = "tests/test_single_path_oracle.py::test_the_shipped_configuration_answers_as_the_oracle"
 _ORACLE_BUILD = "tests/test_overlap_properties.py::TestScalarBuildEqualsOracle"
 _OVERLAP_PROPERTIES = "tests/test_overlap_properties.py"
 _EQUAL_X_REMOVAL = "tests/test_columnar.py::TestEndpointTableKernels::test_removal_among_equal_x_takes_its_own_path"
@@ -100,6 +101,14 @@ _ENVELOPE = "tests/test_serving_protocol.py::TestEnvelopeIntegers"
 
 
 MUTANTS: List[Mutant] = [
+    # -- SinglePath's shared rules: no configuration differs, so the oracle catches --
+    Mutant("boost_counts_a_candidate_twice", _SINGLE_PATH,
+           "occurrences[candidate.record.path_id] += 1", "occurrences[candidate.record.path_id] += 2",
+           (f"{_ORACLE}[co_occurrence]",)),
+    Mutant("case_1_tie_goes_to_the_higher_id", _SINGLE_PATH,
+           "key=lambda candidate: (candidate.hotness, -candidate.record.path_id),",
+           "key=lambda candidate: (candidate.hotness, candidate.record.path_id),",
+           (f"{_ORACLE}[co_occurrence]",)),
     # -- the overlap structure (R_all) ---------------------------------------------
     Mutant("overlap_high_x_tie_takes_the_fsa_bound", _OVERLAPS,
            "if fsa_high_x < high_x:", "if fsa_high_x <= high_x:",
@@ -131,14 +140,11 @@ MUTANTS: List[Mutant] = [
     Mutant("smallest_region_count_tie_prefers_fewer_members", _OVERLAPS,
            "area == best_area and len(members) > best_count",
            "area == best_area and len(members) < best_count",
-           (
-               f"{_MATRIX}[border-1-serial-full-columnar]",
-               f"{_MATRIX}[served_concurrent-1-serial-full-columnar]",
-           )),
+           (f"{_ORACLE}[border]", f"{_ORACLE}[served]")),
     Mutant("hottest_region_area_tie_prefers_the_larger", _OVERLAPS,
            "count == best_count and area < best_area", "count == best_count and area > best_area",
            (
-               f"{_MATRIX}[skewed-1-serial-full-columnar]",
+               f"{_ORACLE}[border]",
                f"{_OVERLAP_PROPERTIES}::TestComponentAnswers::test_each_fsa_is_answered_where_its_component_lies[numpy]",
            )),
     Mutant("region_table_ranked_with_the_index_reversed", _COLUMNAR,
@@ -168,12 +174,6 @@ MUTANTS: List[Mutant] = [
            (
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_random_streams_with_duplicate_reporters[31]",
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_crafted_stream_hits_every_merge_case",
-           )),
-    Mutant("object_plan_links_zero_area_touches", _OVERLAPS,
-           "if intersection is not None and not intersection.is_degenerate():",
-           "if intersection is not None:",
-           (
-               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_an_all_isolated_epoch_is_its_singletons[object]",
            )),
     Mutant("saturation_test_is_strict", _OVERLAPS,
            "sum(map(len, structures)) >= self.max_regions",
