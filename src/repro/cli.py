@@ -1,8 +1,8 @@
 """Command-line interface for running simulations and regenerating experiments.
 
-The CLI wraps the same runners the benchmark suite uses, so a user who just
-wants the paper's figures (or a quick simulation summary) does not need to
-write any Python:
+The CLI wraps the same runners the benchmark (``bench/``, ``python3 -m
+bench``) drives, so a user who just wants the paper's figures (or a quick
+simulation summary) does not need to write any Python:
 
 .. code-block:: console
 

@@ -5,13 +5,15 @@ vectorises *inside* a cell pays numpy's per-call overhead on arrays of one to
 three rows; the batching unit here is the **epoch** instead (SinglePath runs
 once per epoch over the whole batch of state messages):
 
-* :class:`EndpointTable` — the ``columnar`` storage of a
-  :class:`~repro.coordinator.grid_index.GridIndex`, one row per path: their
-  *ends* in plain lists sorted by end x, so a region query is two bisections
-  and a closed y test on the x run between them, and a hash from the
-  coordinates of a path's exact start vertex to ``{path id: end}``, which
-  answers the exact-match lookups.  No numpy: an FSA's x run holds a few
-  percent of the paths.
+* :class:`EndpointTable` — the ``columnar`` endpoint table of a
+  :class:`~repro.coordinator.grid_index.GridIndex` (the interface the
+  ``object`` storage's :class:`~repro.coordinator.grid_index.CellTable`
+  shares), one row per path: their *ends* in plain lists sorted by end x,
+  so a region query is two bisections and a closed y test on the x run
+  between them, and a hash from the coordinates of a path's exact start
+  vertex to ``{path id: end}``, which answers the exact-match lookups.  No
+  numpy: an FSA's x run holds a few percent of the paths.  SinglePath's
+  probe of an epoch's inserts is one too, under either storage.
 * :func:`touching_pairs` — the epoch's FSA-against-FSA pair pass: the pairs
   sharing positive area (the links of the overlap components) and the pairs
   that only touch along an edge or at a corner (which, with the first kind,
@@ -64,7 +66,7 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 
 __all__ = [
@@ -221,9 +223,9 @@ class EndpointTable:
 
     ``_by_start`` maps a start vertex's ``(x, y)`` to ``{path id: end}`` of
     the paths starting there, in insertion order, so ``starting_at`` and
-    ``path_between`` are one dict probe and a scan of that vertex's paths;
-    ``_start_of`` maps a path id back to that key.  A path id is added at
-    most once while it is live.
+    ``path_between`` are one dict probe and a scan of that vertex's paths.
+    A path id is added at most once while it is live, and removed with the
+    endpoints it was added with.
 
     No method hashes a ``Point``: every key is a coordinate tuple, which
     compares and hashes like the ``Point`` it stands for (``Point``'s
@@ -233,7 +235,7 @@ class EndpointTable:
     keys.
     """
 
-    __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start", "_start_of")
+    __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start")
 
     def __init__(self) -> None:
         self._xs: List[float] = []
@@ -241,26 +243,21 @@ class EndpointTable:
         self._ends: List[Point] = []
         self._pids: List[int] = []
         self._by_start: Dict[Tuple[float, float], Dict[int, Point]] = {}
-        self._start_of: Dict[int, Tuple[float, float]] = {}
 
     def add_path(self, path_id: int, start: Point, end: Point) -> None:
         """Store the path ``start -> end`` under ``path_id``."""
-        key = (start.x, start.y)
-        self._start_of[path_id] = key
-        self._by_start.setdefault(key, {})[path_id] = end
+        self._by_start.setdefault((start.x, start.y), {})[path_id] = end
         row = bisect_right(self._xs, end.x)
         self._xs.insert(row, end.x)
         self._ys.insert(row, end.y)
         self._ends.insert(row, end)
         self._pids.insert(row, path_id)
 
-    def remove_path(self, path_id: int) -> None:
-        """Drop a path; an absent id is a no-op."""
-        key = self._start_of.pop(path_id, None)
-        if key is None:
-            return
+    def remove_path(self, path_id: int, start: Point, end: Point) -> None:
+        """Drop the live path ``start -> end`` stored under ``path_id``."""
+        key = (start.x, start.y)
         bucket = self._by_start[key]
-        end = bucket.pop(path_id)
+        del bucket[path_id]
         if not bucket:
             del self._by_start[key]
         pids = self._pids
@@ -284,6 +281,10 @@ class EndpointTable:
             if stored_end == end:
                 return path_id
         return None
+
+    def paths_intersecting(self, region: Rectangle) -> List[int]:
+        """The DP baseline's query, which only the cell dicts answer."""
+        raise CoordinatorError("paths_intersecting needs the object storage")
 
     # -- region queries (two bisections and a y test) -------------------------------
 

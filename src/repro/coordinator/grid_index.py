@@ -8,38 +8,41 @@ a hash table for constant-time insertion and deletion.  Keying by the full
 ``(path_id, is_start)`` pair (rather than the path id alone) matters when both
 endpoints of a path land in the same cell — e.g. short paths, or endpoints
 clamped into the same border cell — since each endpoint must keep its own
-entry.  The ``kernel`` chooses the storage only: ``object`` keeps these cell
-dicts, ``columnar`` one row per path in an x-sorted
-:class:`~repro.coordinator.columnar.EndpointTable`; both answer every query
-below identically, and SinglePath runs the same epoch pass over either.
+entry.  The ``kernel`` picks the endpoint table once: ``object`` keeps these
+cell dicts (:class:`CellTable`), ``columnar`` one row per path in an x-sorted
+:class:`~repro.coordinator.columnar.EndpointTable`; both have one interface
+and answer every query below identically, so each :class:`GridIndex` method
+is one delegation and SinglePath runs the same epoch pass over either.
 
 Query operations mirror what SinglePath needs:
 
-* :meth:`paths_starting_at` — motion paths that start at a given vertex and
-  end inside a query rectangle, answered from the single cell containing the
-  start vertex (Case 1 candidates);
-* :meth:`path_between` — the first stored path from a given start vertex to
-  a given end vertex (the duplicate-path probe of SinglePath's inserts);
-* :meth:`end_vertices_in` — distinct end vertices of stored paths inside a
-  query rectangle, keyed by their coordinates, together with the ids of the
-  paths terminating there (Case 2 candidates).
+* :meth:`GridIndex.paths_starting_at` — motion paths that start at a given
+  vertex and end inside a query rectangle, answered from the single cell
+  containing the start vertex (Case 1 candidates);
+* :meth:`GridIndex.path_between` — the first stored path from a given start
+  vertex to a given end vertex (the duplicate-path probe of SinglePath's
+  inserts);
+* :meth:`GridIndex.end_vertices_in` — distinct end vertices of stored paths
+  inside a query rectangle, keyed by their coordinates, together with the
+  ids of the paths terminating there (Case 2 candidates).
 
 The coordinator holds exactly one index, whatever ``num_shards`` says: the
 shard grid only labels records for diagnostics
-(:mod:`repro.coordinator.sharding`).
+(:mod:`repro.coordinator.sharding`), by the same :func:`clamped_cell` rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.coordinator.columnar import EndpointTable, VertexGroup, resolve_kernel
 
-__all__ = ["GridConfig", "GridIndex"]
+__all__ = ["GridConfig", "GridIndex", "CellTable", "clamped_cell"]
 
 #: One indexed endpoint: ``(path_id, is_start) -> (indexed endpoint, other endpoint)``.
 EntryKey = Tuple[int, bool]
@@ -68,24 +71,114 @@ class GridConfig:
             raise ConfigurationError("grid bounds must have positive area")
 
 
+def clamped_cell(
+    low: Point, width: float, height: float, cols: int, rows: int, point: Point
+) -> Tuple[int, int]:
+    """``(col, row)`` of ``point`` in ``cols`` x ``rows`` cells of ``width`` x
+    ``height`` from ``low``: truncated, then clamped, so the max edge maps to
+    the last cell and an outside point to a border cell.  The grid comes
+    first, so a grid binds it once with ``functools.partial``."""
+    col = int((point.x - low.x) / width)
+    row = int((point.y - low.y) / height)
+    return (min(max(col, 0), cols - 1), min(max(row, 0), rows - 1))
+
+
+class CellTable:
+    """The ``object`` endpoint table: ``cell -> {(path_id, is_start) ->
+    (indexed endpoint, other endpoint)}``.  Equal coordinates share a cell,
+    whose dict keeps insertion order, so among ends that compare equal but
+    print apart (``0.0`` / ``-0.0``) the earliest insert is met first."""
+
+    __slots__ = ("_cell_of", "_cells")
+
+    def __init__(self, config: GridConfig) -> None:
+        cells, bounds = config.cells_per_axis, config.bounds
+        self._cell_of = partial(
+            clamped_cell, bounds.low, bounds.width / cells, bounds.height / cells, cells, cells
+        )
+        self._cells: Dict[Tuple[int, int], Dict[EntryKey, Entry]] = {}
+
+    def add_path(self, path_id: int, start: Point, end: Point) -> None:
+        """Store the path ``start -> end`` under ``path_id``: one entry per endpoint."""
+        for is_start, endpoint, other in ((True, start, end), (False, end, start)):
+            self._cells.setdefault(self._cell_of(endpoint), {})[(path_id, is_start)] = (endpoint, other)
+
+    def remove_path(self, path_id: int, start: Point, end: Point) -> None:
+        """Drop the live path ``start -> end`` stored under ``path_id``."""
+        for is_start, endpoint in ((True, start), (False, end)):
+            key = self._cell_of(endpoint)
+            cell = self._cells[key]
+            del cell[(path_id, is_start)]
+            if not cell:
+                del self._cells[key]
+
+    def starting_at(self, start: Point, region: Rectangle) -> List[int]:
+        """Case 1: paths starting at ``start`` whose end lies inside ``region``,
+        from the one cell holding ``start``."""
+        cell = self._cells.get(self._cell_of(start), {})
+        return [
+            path_id
+            for (path_id, is_start), (endpoint, other) in cell.items()
+            if is_start and endpoint == start and region.contains_point(other)
+        ]
+
+    def path_between(self, start: Point, end: Point) -> Optional[int]:
+        """The earliest-inserted live path from ``start`` ending at ``end``,
+        from the one cell holding ``end``."""
+        cell = self._cells.get(self._cell_of(end), {})
+        for (path_id, is_start), (endpoint, other) in cell.items():
+            if not is_start and other == start and endpoint == end:
+                return path_id
+        return None
+
+    def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], VertexGroup]:
+        """Case 2: the distinct end vertices inside ``region`` (closed
+        bounds), each as ``(x, y) -> (vertex, ids of the paths ending
+        there)``, by cell."""
+        vertices: Dict[Tuple[float, float], VertexGroup] = {}
+        for (path_id, is_start), (endpoint, _other) in self._entries_in(region):
+            if not is_start and region.contains_point(endpoint):
+                key = (endpoint.x, endpoint.y)
+                group = vertices.get(key)
+                if group is None:
+                    vertices[key] = (endpoint, [path_id])
+                else:
+                    group[1].append(path_id)
+        return vertices
+
+    def paths_intersecting(self, region: Rectangle) -> List[int]:
+        """The DP baseline's query: paths with an endpoint inside ``region``."""
+        seen: Set[int] = set()
+        results: List[int] = []
+        for (path_id, _is_start), (endpoint, _other) in self._entries_in(region):
+            if path_id in seen:
+                continue
+            if region.contains_point(endpoint):
+                seen.add(path_id)
+                results.append(path_id)
+        return results
+
+    def _entries_in(self, region: Rectangle) -> Iterator[Tuple[EntryKey, Entry]]:
+        """Every entry of the cells ``region`` overlaps, column by column."""
+        low_col, low_row = self._cell_of(region.low)
+        high_col, high_row = self._cell_of(region.high)
+        cells = self._cells
+        for col in range(low_col, high_col + 1):
+            for row in range(low_row, high_row + 1):
+                cell = cells.get((col, row))
+                if cell:
+                    yield from cell.items()
+
+
 class GridIndex:
     """Grid-based index of motion-path endpoints keyed by path id."""
 
     def __init__(self, config: GridConfig, kernel: str = "object") -> None:
         self.config = config
-        self._cell_width = config.bounds.width / config.cells_per_axis
-        self._cell_height = config.bounds.height / config.cells_per_axis
-        # ``object`` keeps entries in per-cell dicts (Section 5.1);
-        # ``columnar`` keeps one endpoint table for the whole index — a row
-        # per path, ends sorted by x plus a start-vertex hash — and answers
-        # the queries below from it, bit-for-bit equal (see
-        # :mod:`repro.coordinator.columnar`).  The default stays ``object``
-        # at this layer: the coordinator config flips it fleet-wide.
-        self.kernel = resolve_kernel(kernel)
-        # cell -> {(path_id, is_start) -> (indexed endpoint, other endpoint)}
-        self._cells: Dict[Tuple[int, int], Dict[EntryKey, Entry]] = {}
-        self._endpoints: Optional[EndpointTable] = (
-            EndpointTable() if self.kernel == "columnar" else None
+        # The default stays ``object`` at this layer: the coordinator config
+        # flips it fleet-wide.
+        self._table: Union[CellTable, EndpointTable] = (
+            CellTable(config) if resolve_kernel(kernel) == "object" else EndpointTable()
         )
         # path_id -> record, for direct lookups and deletion.
         self._records: Dict[int, MotionPathRecord] = {}
@@ -127,27 +220,13 @@ class GridIndex:
         record = MotionPathRecord(self._next_path_id, path, created_at)
         self._next_path_id += 1
         self._records[record.path_id] = record
-        if self._endpoints is not None:
-            self._endpoints.add_path(record.path_id, path.start, path.end)
-        else:
-            for is_start, endpoint, other in ((True, path.start, path.end), (False, path.end, path.start)):
-                self._cells.setdefault(self._cell_of(endpoint), {})[
-                    (record.path_id, is_start)
-                ] = (endpoint, other)
+        self._table.add_path(record.path_id, path.start, path.end)
         return record
 
     def delete(self, path_id: int) -> None:
         """Remove a motion path from the index (e.g. when its hotness expires)."""
         path = self.get(path_id).path
-        if self._endpoints is not None:
-            self._endpoints.remove_path(path_id)
-        else:
-            for is_start, endpoint in ((True, path.start), (False, path.end)):
-                key = self._cell_of(endpoint)
-                cell = self._cells[key]
-                del cell[(path_id, is_start)]
-                if not cell:
-                    del self._cells[key]
+        self._table.remove_path(path_id, path.start, path.end)
         del self._records[path_id]
         self.deletions += 1
 
@@ -157,21 +236,10 @@ class GridIndex:
         """Motion paths starting exactly at ``start`` whose end lies inside ``region``.
 
         Answered from the single cell containing ``start`` (the columnar
-        storage: from that vertex's hash bucket), so the cost is independent
-        of the query rectangle's size — this is the hot-loop form of the
-        Case 1 candidate query.
+        storage: from that vertex's hash bucket), whatever the rectangle's
+        size — the hot-loop form of the Case 1 candidate query.
         """
-        if self._endpoints is not None:
-            return [
-                self._records[pid] for pid in self._endpoints.starting_at(start, region)
-            ]
-        cell = self._cells.get(self._cell_of(start))
-        results: List[MotionPathRecord] = []
-        if cell:
-            for (path_id, is_start), (endpoint, other) in cell.items():
-                if is_start and endpoint == start and region.contains_point(other):
-                    results.append(self._records[path_id])
-        return results
+        return [self._records[pid] for pid in self._table.starting_at(start, region)]
 
     def path_between(self, start: Point, end: Point) -> Optional[MotionPathRecord]:
         """The earliest-inserted live path from exactly ``start`` to exactly
@@ -180,19 +248,11 @@ class GridIndex:
         ``start`` must match the stored start vertex exactly: the covering-set
         chaining guarantees that a reporting object's SSA start coincides with
         the endpoint the coordinator previously assigned to it.  Answered
-        from the start vertex's hash bucket under the columnar storage and
-        from the one cell holding ``end`` under the cell dicts, both of which
-        keep insertion order.
+        from the one cell holding ``end`` (the columnar storage: from the
+        start vertex's hash bucket), which keeps insertion order.
         """
-        if self._endpoints is not None:
-            path_id = self._endpoints.path_between(start, end)
-            return None if path_id is None else self._records[path_id]
-        cell = self._cells.get(self._cell_of(end))
-        if cell:
-            for (path_id, is_start), (endpoint, other) in cell.items():
-                if not is_start and other == start and endpoint == end:
-                    return self._records[path_id]
-        return None
+        path_id = self._table.path_between(start, end)
+        return None if path_id is None else self._records[path_id]
 
     def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], VertexGroup]:
         """The distinct end vertices inside ``region`` (closed bounds), each
@@ -200,62 +260,16 @@ class GridIndex:
 
         Among stored ends that compare equal but print apart (``0.0`` /
         ``-0.0``, ``2`` / ``2.0``) the earliest insert is the vertex under
-        both storages: the end table keeps equal x in insertion order, and
-        equal coordinates share a cell, whose dict keeps insertion order.
-        The order of the groups differs by storage; no caller may read it.
+        both storages.  The order of the groups differs by storage; no
+        caller may read it.
         """
-        if self._endpoints is not None:
-            return self._endpoints.end_vertices_in(region)
-        vertices: Dict[Tuple[float, float], VertexGroup] = {}
-        for (path_id, is_start), (endpoint, _other) in self._entries_in(region):
-            if not is_start and region.contains_point(endpoint):
-                key = (endpoint.x, endpoint.y)
-                group = vertices.get(key)
-                if group is None:
-                    vertices[key] = (endpoint, [path_id])
-                else:
-                    group[1].append(path_id)
-        return vertices
+        return self._table.end_vertices_in(region)
 
     def paths_intersecting(self, region: Rectangle) -> List[MotionPathRecord]:
         """Motion paths with at least one endpoint inside ``region``.
 
         The DP baseline's query, answered by the ``object`` storage only (the
-        baseline's index); SinglePath relies on the more specific queries
-        above.
+        baseline's index; the end table refuses it); SinglePath relies on
+        the more specific queries above.
         """
-        if self._endpoints is not None:
-            raise CoordinatorError("paths_intersecting needs the object storage")
-        seen: Set[int] = set()
-        results: List[MotionPathRecord] = []
-        for (path_id, _is_start), (endpoint, _other) in self._entries_in(region):
-            if path_id in seen:
-                continue
-            if region.contains_point(endpoint):
-                seen.add(path_id)
-                results.append(self._records[path_id])
-        return results
-
-    # -- cell arithmetic ------------------------------------------------------------------
-
-    def _cell_of(self, point: Point) -> Tuple[int, int]:
-        bounds = self.config.bounds
-        col = int((point.x - bounds.low.x) / self._cell_width)
-        row = int((point.y - bounds.low.y) / self._cell_height)
-        last = self.config.cells_per_axis - 1
-        return (min(max(col, 0), last), min(max(row, 0), last))
-
-    def _cells_overlapping(self, region: Rectangle) -> Iterator[Tuple[int, int]]:
-        low_col, low_row = self._cell_of(region.low)
-        high_col, high_row = self._cell_of(region.high)
-        for col in range(low_col, high_col + 1):
-            for row in range(low_row, high_row + 1):
-                yield (col, row)
-
-    def _entries_in(self, region: Rectangle) -> Iterator[Tuple[EntryKey, Entry]]:
-        for cell_key in self._cells_overlapping(region):
-            cell = self._cells.get(cell_key)
-            if not cell:
-                continue
-            for entry_key, entry in cell.items():
-                yield entry_key, entry
+        return [self._records[pid] for pid in self._table.paths_intersecting(region)]

@@ -23,6 +23,7 @@ from typing import Iterator, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
+from repro.coordinator.grid_index import clamped_cell
 
 __all__ = ["shard_layout", "ShardGrid"]
 
@@ -44,7 +45,7 @@ def shard_layout(num_shards: int) -> Tuple[int, int]:
 class ShardGrid:
     """Point-to-shard assignment over an R x C partition of the bounds.
 
-    Uses the same clamped floor arithmetic as :class:`GridIndex`, so ownership
+    Uses the grid index's clamped-cell rule (:func:`clamped_cell`), so ownership
     is monotone in each coordinate: any query rectangle maps to a contiguous
     inclusive range of shard rows and columns, and a point inside the
     rectangle is always owned by a shard in that range (including points
@@ -66,11 +67,8 @@ class ShardGrid:
 
     def cell_of(self, point: Point) -> Tuple[int, int]:
         """The ``(col, row)`` of the shard owning ``point`` (clamped)."""
-        col = int((point.x - self.bounds.low.x) / self._shard_width)
-        row = int((point.y - self.bounds.low.y) / self._shard_height)
-        return (
-            min(max(col, 0), self.cols - 1),
-            min(max(row, 0), self.rows - 1),
+        return clamped_cell(
+            self.bounds.low, self._shard_width, self._shard_height, self.cols, self.rows, point
         )
 
     def shard_id_of(self, point: Point) -> int:

@@ -40,8 +40,9 @@ pool or for the merged structure — scalar loops for a small batch, the
 region table for a large one.  The decision keeps what depends on decision
 order — the hotness sums, the selection (inline, over the vertices: no
 candidate list, no per-decision record), the insert, and, for an FSA the
-pass read, the paths inserted earlier in the epoch, which it probes in
-:class:`InsertedEnds` (sorted by end x) rather than rescanning them all.
+pass read, the paths inserted earlier in the epoch, which it reads from the
+epoch's probe, an :class:`~repro.coordinator.columnar.EndpointTable` of
+its inserts, rather than rescanning them all.
 Both index storages run this one pass; the literal transcription of
 Algorithm 2 it must equal is the test oracle ``tests/single_path_oracle.py``.
 
@@ -52,15 +53,14 @@ stage, the pass and the decision.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import CoordinatorResponse, ObjectState
-from repro.coordinator.columnar import VertexGroup
+from repro.coordinator.columnar import EndpointTable, VertexGroup
 from repro.coordinator.execution import ExecutionBackend, SerialBackend
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
@@ -74,7 +74,6 @@ from repro.coordinator.overlaps import (
 
 __all__ = [
     "CandidatePath",
-    "InsertedEnds",
     "SinglePathEpochResult",
     "SinglePathStrategy",
     "VertexPrefetch",
@@ -132,53 +131,6 @@ def apply_co_occurrence_boost(candidate_paths: Dict[int, List[CandidatePath]]) -
             candidate.hotness += extra
 
 
-class InsertedEnds:
-    """The paths an epoch's decisions inserted, sorted by the end's x.
-
-    :meth:`within` finds the ones ending inside an FSA by bisecting the x
-    column onto ``[low x, high x]`` and testing y on that run only, with the
-    closed ``<=`` comparisons of ``Rectangle.contains_point``: the records a
-    linear ``contains_point`` scan would return, in O(log n + run) instead
-    of n ``contains_point`` calls.
-
-    Only their order differs, and a decision cannot see it: the vertex
-    selection uses a total key (hotness, not fabricated, x, y) over distinct
-    vertices, and the path ids merged under one vertex are only summed.  The
-    one order-visible detail is which of two ends that compare equal but are
-    different objects (``0.0`` / ``-0.0``, ``2`` / ``2.0``) becomes the
-    vertex key, and that is the earlier insert either way: equal ends share
-    an x run, and an insert goes after its equals.
-    """
-
-    __slots__ = ("_xs", "_records")
-
-    def __init__(self) -> None:
-        self._xs: List[float] = []
-        self._records: List[MotionPathRecord] = []
-
-    def __iter__(self) -> Iterator[MotionPathRecord]:
-        """Every record, by end x."""
-        return iter(self._records)
-
-    def add(self, record: MotionPathRecord) -> None:
-        x = record.path.end.x
-        at = bisect_right(self._xs, x)
-        self._xs.insert(at, x)
-        self._records.insert(at, record)
-
-    def within(self, fsa: Rectangle) -> List[MotionPathRecord]:
-        """The records whose end ``fsa`` contains (closed bounds), by end x."""
-        xs = self._xs
-        first = bisect_left(xs, fsa.low.x)
-        last = bisect_right(xs, fsa.high.x, first)
-        low_y, high_y = fsa.low.y, fsa.high.y
-        return [
-            record
-            for record in self._records[first:last]
-            if low_y <= record.path.end.y <= high_y
-        ]
-
-
 @dataclass
 class VertexPrefetch:
     """One object's share of the epoch pass: its Case 2/3 reads as of the
@@ -212,7 +164,7 @@ def prefetch_vertex_candidates(
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
     here plus the paths inserted since, which :meth:`SinglePathStrategy.decide`
-    adds to the epoch's one :class:`InsertedEnds` probe and merges back in.
+    adds to the epoch's insert probe, an end table, and merges back in.
 
     The overlap answers of an FSA come from its query component
     (:attr:`OverlapPlan.components`).  A region that touches the FSA, or
@@ -318,7 +270,7 @@ class SinglePathStrategy:
             ],
             plan,
         )
-        inserted = InsertedEnds() if prefetched else None
+        probe = EndpointTable() if prefetched else None
         responses, inserted_ids = result.responses, result.inserted
         for position, (state, fsa) in enumerate(zip(states, fsas)):
             response, path_id = self.decide(
@@ -327,7 +279,7 @@ class SinglePathStrategy:
                 candidate_paths[state.object_id],
                 plan,
                 prefetched.get(position),
-                inserted,
+                probe,
             )
             responses.append(response)
             if path_id is not None:
@@ -358,14 +310,14 @@ class SinglePathStrategy:
         candidates: List[CandidatePath],
         plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
-        inserted: Optional[InsertedEnds] = None,
+        probe: Optional[EndpointTable] = None,
     ) -> Tuple[CoordinatorResponse, Optional[int]]:
         """Choose one object's motion path given its (boosted) candidate set.
 
         ``fsa`` is the state's FSA and ``plan`` the epoch's completed overlap
         plan; ``prefetch`` is the object's share of the epoch pass
         (:func:`prefetch_vertex_candidates`; ``None`` for a lone FSA) and
-        ``inserted`` the epoch's probe of its inserts, which every insert
+        ``probe`` the end table of the epoch's inserts, which every insert
         joins (``None`` when the pass left no entry, so that nothing reads
         it).  :meth:`_choose_vertex` says where a Case 2/3 decision reads its
         vertices.
@@ -387,7 +339,7 @@ class SinglePathStrategy:
             return CoordinatorResponse(state.object_id, chosen.record.path.end, state.t_end), None
 
         start = state.start
-        endpoint = self._choose_vertex(fsa, plan, prefetch, inserted)[0]
+        endpoint = self._choose_vertex(fsa, plan, prefetch, probe)[0]
         if endpoint.x == start.x and endpoint.y == start.y:
             # A zero-length path carries no information and would produce a
             # degenerate segment; nudge the endpoint to another point of the
@@ -405,8 +357,8 @@ class SinglePathStrategy:
         if record is None:
             record = self._index.insert(MotionPath(start, endpoint), created_at=state.t_end)
             path_id = record.path_id
-            if inserted is not None:
-                inserted.add(record)
+            if probe is not None:
+                probe.add_path(path_id, start, endpoint)
         self._hotness.record_crossing(record.path_id, state.t_end)
         return CoordinatorResponse(state.object_id, endpoint, state.t_end), path_id
 
@@ -415,58 +367,48 @@ class SinglePathStrategy:
         fsa: Rectangle,
         plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch],
-        inserted: Optional[InsertedEnds],
+        probe: Optional[EndpointTable],
     ) -> CandidateVertex:
         """A Case 2/3 decision's vertex: the first maximum of ``(hotness, not
         fabricated, x, y)`` under a strict ``>``, as in ``max``, returned as
         ``(vertex, hotness, fabricated)``.
 
-        The ranking is inline: with a ``prefetch``, the prefetched end
-        vertices plus the epoch's inserts inside ``fsa`` (only a vertex the
-        pass did not see asks the merged structure for its bonus) and the
-        prefetched fabricated vertex; without one the FSA is lone, so its
+        With a ``prefetch`` the vertices are the prefetched end vertices,
+        with the ``probe``'s groups inside ``fsa`` merged in (only a vertex
+        the pass did not see asks the merged structure for its bonus), and
+        the prefetched fabricated vertex.  Without one the FSA is lone: its
         end vertices come from the live index with bonus 1 each, and its
         fabricated vertex is its centre with count 1.  Distinct vertices
         rank apart, so the enumeration order cannot matter.
         """
-        hotness_of = self._hotness.hotness
         if prefetch is None:
-            centre = fsa.center
-            best, chosen = (1, False, centre.x, centre.y), (centre, 1, True)
-            for vertex, path_ids in self._index.end_vertices_in(fsa).values():
-                hotness = sum(map(hotness_of, path_ids)) + 1
-                rank = (hotness, True, vertex.x, vertex.y)
-                if rank > best:
-                    best, chosen = rank, (vertex, hotness, False)
-            return chosen
-
-        end_vertices, bonus_of = prefetch.end_vertices, prefetch.bonus
-        for record in inserted.within(fsa):
-            end = record.path.end
-            group = end_vertices.get((end.x, end.y))
-            if group is None:
-                end_vertices[(end.x, end.y)] = (end, [record.path_id])
-            else:
-                group[1].append(record.path_id)
-        best = None
-        if prefetch.fabricated is not None:
-            centre, count = prefetch.fabricated
-            best, chosen = (count, False, centre.x, centre.y), (centre, count, True)
+            end_vertices, bonus_of = self._index.end_vertices_in(fsa), None
+            centre, count = fsa.center, 1
+        else:
+            end_vertices, bonus_of = prefetch.end_vertices, prefetch.bonus
+            for coordinates, (vertex, path_ids) in probe.end_vertices_in(fsa).items():
+                group = end_vertices.get(coordinates)
+                if group is None:
+                    end_vertices[coordinates] = (vertex, path_ids)
+                else:
+                    group[1].extend(path_ids)
+            # Degenerate fall-back when nothing intersects: the object's own
+            # FSA normally sits in the overlap structure as its singleton
+            # region, but a saturated ``max_regions`` table drops late
+            # singletons (the hard cap keeps earlier insertions), and the
+            # earlier FSA of an object that reports twice is not in it; use
+            # the FSA centroid with zero hotness, which every end vertex
+            # outranks (its hotness is at least 0 and it is not fabricated).
+            centre, count = prefetch.fabricated or (fsa.center, 0)
+        best, chosen = (count, False, centre.x, centre.y), (centre, count, True)
+        hotness_of = self._hotness.hotness
         for coordinates, (vertex, path_ids) in end_vertices.items():
-            bonus = bonus_of.get(coordinates)
+            bonus = 1 if bonus_of is None else bonus_of.get(coordinates)
             if bonus is None:
                 region = plan.merged().smallest_region_containing(vertex)
                 bonus = region.count if region is not None else 0
             hotness = sum(map(hotness_of, path_ids)) + bonus
             rank = (hotness, True, vertex.x, vertex.y)
-            if best is None or rank > best:
+            if rank > best:
                 best, chosen = rank, (vertex, hotness, False)
-        if best is None:
-            # Degenerate fall-back: nothing intersects.  The object's own FSA
-            # normally sits in the overlap structure as its singleton region,
-            # but a saturated ``max_regions`` table drops late singletons (the
-            # hard cap keeps earlier insertions), and the earlier FSA of an
-            # object that reports twice is not in it; use the FSA centroid
-            # with zero hotness.
-            return (fsa.center, 0, True)
         return chosen

@@ -115,8 +115,8 @@ class BaseScenario(ABC):
 
     The latency/throughput envelope is deliberately generous — it is a
     *serving-health gate* (a wedged event loop, a stuck epoch, a collapsed
-    pipeline), not a micro-benchmark; the benchmark suite measures the
-    real numbers.
+    pipeline), not a micro-benchmark; the benchmark (``bench/``) measures
+    the real numbers.
     """
 
     scenario_id: str = "base"

@@ -12,7 +12,9 @@ The harness is ``tests/differential.py``.  Three layers:
   ``serial`` configuration in lockstep with the reference through random
   reports (from shard-border points, from values that compare equal but
   print apart, from the object's last response), epochs, queries, and
-  inserts and deletes made behind the coordinator's back, also after a query.
+  inserts and deletes made behind the coordinator's back, also after a query;
+* paper density (``slow``) — the 10 000-object simulation runs once per
+  index storage and the two coordinator snapshots are equal.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from repro.client.state import ObjectState
 from repro.coordinator.fleet import FleetConfig
 from repro.core.geometry import Point
 from repro.core.motion_path import MotionPath
-from repro.serving.protocol import encode_corridor, encode_scored_path
+from repro.experiments.config import ExperimentScale, scaled_simulation_config
+from repro.serving.protocol import coordinator_snapshot, encode_corridor, encode_scored_path
+from repro.simulation.engine import HotPathSimulation
 
 from differential import (
     DEFAULT,
@@ -230,3 +234,21 @@ def test_lockstep_soak():
             suppress_health_check=[HealthCheck.too_slow],
         ),
     )
+
+
+@pytest.mark.slow
+def test_both_index_storages_agree_at_paper_density():
+    """10 000 objects (Figure 7's 100 000 at ``ExperimentScale.at(0.1)``,
+    DP off) through the cell dicts and through the end table: every
+    record, hotness, top-k and corridor of the end state is equal."""
+    snapshots = []
+    for kernel in ("object", "columnar"):
+        config = scaled_simulation_config(
+            ExperimentScale.at(0.1), num_objects=100000, fleet=FleetConfig(kernel=kernel)
+        )
+        assert config.num_objects == 10000 and not config.run_dp_baseline
+        simulation = HotPathSimulation(config)
+        simulation.run()
+        snapshots.append(coordinator_snapshot(simulation.coordinator))
+    assert snapshots[0]["size"] > 0
+    assert snapshots[0] == snapshots[1]

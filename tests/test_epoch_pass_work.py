@@ -59,6 +59,7 @@ from repro.coordinator import columnar, overlaps, single_path
 from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig, EpochOutcome
 from repro.coordinator.fleet import FleetConfig
+from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.overlaps import LONE, OverlapPoolCache, build_structures, plan_shard_overlaps
 from repro.coordinator.single_path import SinglePathStrategy
 from repro.core.geometry import Point, Rectangle
@@ -173,13 +174,20 @@ class TestEpochPassWork:
 
     def test_the_pass_tests_y_only_on_each_fsa_x_run(self, monkeypatch):
         """Per pending FSA — read by the pass, or by its decision when lone —
-        the end table y-tests the entries whose x lies in the FSA's x range:
-        two bisections bound the run."""
+        the index's end table y-tests the entries whose x lies in the FSA's
+        x range: two bisections bound the run.  (The decisions' insert probe
+        is an end table too; its reads are not counted.)"""
         counter: Counter = Counter()
         end_vertices_in = EndpointTable.end_vertices_in
+        grid_init = GridIndex.__init__
+        index_tables: List[EndpointTable] = []
+
+        def recorded_init(index, *args, **kwargs):
+            grid_init(index, *args, **kwargs)
+            index_tables.append(index._table)
 
         def counted(table, region):
-            if counter["on"]:
+            if counter["on"] and any(table is indexed for indexed in index_tables):
                 xs = table._xs
                 first = bisect_left(xs, region.low.x)
                 run = bisect_right(xs, region.high.x, first) - first
@@ -191,6 +199,7 @@ class TestEpochPassWork:
                 )
             return end_vertices_in(table, region)
 
+        monkeypatch.setattr(GridIndex, "__init__", recorded_init)
         monkeypatch.setattr(EndpointTable, "end_vertices_in", counted)
         counted_epochs(counter)
         assert counter["pending"] == 1285
@@ -584,15 +593,27 @@ class EpochPassChecker:
         self.lone = 0
         self.inserts_seen = 0
         self.on_indexed_vertex = 0
+        self.first_id = 0
         original = SinglePathStrategy._choose_vertex
+        original_epoch = SinglePathStrategy.process_epoch
         checker = self
 
-        def checked(strategy, fsa, plan, prefetch, inserted):
+        def epoch(strategy, states):
+            checker.first_id = strategy._index._next_path_id
+            return original_epoch(strategy, states)
+
+        def checked(strategy, fsa, plan, prefetch, probe):
             if prefetch is None:
                 checker.lone += 1
             else:
-                rescanned = [record for record in inserted if fsa.contains_point(record.path.end)]
-                assert sorted(record.path_id for record in inserted.within(fsa)) == sorted(
+                # The epoch's inserts so far, rescanned from the index.
+                rescanned = [
+                    record
+                    for path_id, record in strategy._index.by_id.items()
+                    if path_id >= checker.first_id and fsa.contains_point(record.path.end)
+                ]
+                probed = probe.end_vertices_in(fsa).values()
+                assert sorted(path_id for _vertex, ids in probed for path_id in ids) == sorted(
                     record.path_id for record in rescanned
                 )
                 for record in rescanned:
@@ -600,13 +621,14 @@ class EpochPassChecker:
                     end = record.path.end
                     if (end.x, end.y) in prefetch.end_vertices:
                         checker.on_indexed_vertex += 1
-            chosen = original(strategy, fsa, plan, prefetch, inserted)
+            chosen = original(strategy, fsa, plan, prefetch, probe)
             expected = reference_choice(strategy, fsa, plan)
             key = lambda choice: (repr(choice[0]), choice[1], choice[2])
             assert key(chosen) == key(expected)
             checker.compared += 1
             return chosen
 
+        monkeypatch.setattr(SinglePathStrategy, "process_epoch", epoch)
         monkeypatch.setattr(SinglePathStrategy, "_choose_vertex", checked)
 
 

@@ -257,8 +257,19 @@ class TestOneDecisionPath:
 
             return wrapper
 
+        def counted_on_the_index(name, method):
+            # The decisions' insert probe is an end table too: not counted.
+            def wrapper(table, *args, **kwargs):
+                if table is coordinator.index._table:
+                    calls[name] += 1
+                return method(table, *args, **kwargs)
+
+            return wrapper
+
         for name in ("add_path", "remove_path"):
-            monkeypatch.setattr(EndpointTable, name, counted(name, getattr(EndpointTable, name)))
+            monkeypatch.setattr(
+                EndpointTable, name, counted_on_the_index(name, getattr(EndpointTable, name))
+            )
         monkeypatch.setattr(
             sharding, "conflict_groups", counted("conflict_groups", sharding.conflict_groups)
         )

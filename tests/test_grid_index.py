@@ -88,7 +88,7 @@ class TestSameCellEndpoints:
         record = index.insert(MotionPath(Point(10.0, 10.0), Point(40.0, 40.0)))
         index.delete(record.path_id)
         assert len(index) == 0
-        assert index._cells == {}
+        assert index._table._cells == {}
 
     def test_same_cell_delete_keeps_neighbours(self, index):
         doomed = index.insert(MotionPath(Point(10.0, 10.0), Point(40.0, 40.0)))
@@ -107,7 +107,7 @@ class TestSameCellEndpoints:
         assert (1500.0, 1200.0) in index.end_vertices_in(region)
         index.delete(record.path_id)
         assert len(index) == 0
-        assert index._cells == {}
+        assert index._table._cells == {}
 
     def test_zero_length_path_round_trips(self, index):
         point = Point(10.0, 10.0)
@@ -116,7 +116,7 @@ class TestSameCellEndpoints:
         assert [r.path_id for r in index.paths_starting_at(point, everywhere)] == [record.path_id]
         assert index.path_between(point, point) is record
         index.delete(record.path_id)
-        assert index._cells == {}
+        assert index._table._cells == {}
 
 
 class TestQueries:

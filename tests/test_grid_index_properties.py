@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.coordinator.columnar import KERNELS
-from repro.coordinator.grid_index import GridConfig, GridIndex
+from repro.coordinator.grid_index import CellTable, GridConfig, GridIndex
+from repro.coordinator.partition import ShardGrid
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(100.0, 100.0))
 
@@ -100,11 +101,13 @@ class ReferenceIndex:
 
 
 def assert_empty_cells(index: GridIndex) -> None:
-    """No stale entry may survive in either kernel's entry store."""
-    assert index._cells == {}
-    if index._endpoints is not None:
-        table = index._endpoints
-        assert table._by_start == {} and table._start_of == {}
+    """No stale entry may survive in the index's endpoint table, whichever
+    the kernel picked."""
+    table = index._table
+    if isinstance(table, CellTable):
+        assert table._cells == {}
+    else:
+        assert table._by_start == {}
         assert table._xs == table._ys == table._ends == table._pids == []
 
 
@@ -192,7 +195,7 @@ class TestAgainstReferenceColumnar(TestAgainstReference):
 
 
 # Cell widths that are not exactly representable in binary (100/cells), so
-# repeated accumulation ``low + k * width`` and the division in ``_cell_of``
+# repeated accumulation ``low + k * width`` and the division in ``clamped_cell``
 # disagree in the last ulp — the configurations behind max-edge mapping bugs.
 ODD_CELL_COUNTS = (3, 7, 8, 13)
 KERNEL_AND_CELLS = [
@@ -203,12 +206,13 @@ KERNEL_AND_CELLS = [
 class TestBoundaryCells:
     """Pins for the cell-math audit (max-edge clamping, float accumulation).
 
-    ``_cell_of`` truncates then clamps into ``[0, cells_per_axis - 1]``: a
-    point exactly on the bounds' max edge must land in the last cell (not one
-    past it), and because ``_add_entry``, ``_remove_entry`` and every query
-    funnel through the same ``_cell_of``, an entry added at any boundary
-    point must be findable and removable regardless of which side of a cell
-    border the float division puts it on.
+    ``clamped_cell`` truncates then clamps into ``[0, cells_per_axis - 1]``:
+    a point exactly on the bounds' max edge must land in the last cell (not
+    one past it) — of the cell table and of the shard grid, which share the
+    rule — and because ``add_path``, ``remove_path`` and every query funnel
+    through the same ``_cell_of``, an entry added at any boundary point must
+    be findable and removable regardless of which side of a cell border the
+    float division puts it on.
     """
 
     def test_max_edge_maps_to_last_cell(self):
@@ -217,27 +221,27 @@ class TestBoundaryCells:
         for cells in ODD_CELL_COUNTS:
             index = GridIndex(GridConfig(BOUNDS, cells_per_axis=cells))
             last = cells - 1
-            assert index._cell_of(BOUNDS.high) == (last, last)
-            assert index._cell_of(Point(BOUNDS.high.x, 0.0)) == (last, 0)
-            assert index._cell_of(Point(0.0, BOUNDS.high.y)) == (0, last)
-            # Outside points clamp into border cells rather than indexing
-            # past the table.
-            assert index._cell_of(Point(BOUNDS.high.x + 1.0, -5.0)) == (last, 0)
+            for cell_of in (index._table._cell_of, ShardGrid(BOUNDS, cells, cells).cell_of):
+                assert cell_of(BOUNDS.high) == (last, last)
+                assert cell_of(Point(BOUNDS.high.x, 0.0)) == (last, 0)
+                assert cell_of(Point(0.0, BOUNDS.high.y)) == (0, last)
+                # Outside points clamp into border cells rather than indexing
+                # past the table.
+                assert cell_of(Point(BOUNDS.high.x + 1.0, -5.0)) == (last, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.sampled_from(KERNEL_AND_CELLS),
+        st.sampled_from(ODD_CELL_COUNTS),
         st.integers(min_value=0, max_value=200),
         st.integers(min_value=0, max_value=200),
     )
-    def test_cell_of_stays_in_range_under_accumulation(self, kernel_cells, i, j):
+    def test_cell_of_stays_in_range_under_accumulation(self, cells, i, j):
         """Accumulated ``low + k * width`` points never index out of range."""
-        kernel, cells = kernel_cells
-        index = GridIndex(GridConfig(BOUNDS, cells_per_axis=cells), kernel=kernel)
+        table = CellTable(GridConfig(BOUNDS, cells_per_axis=cells))
         width = BOUNDS.width / cells
         x = min(BOUNDS.low.x + (i / 200.0) * cells * width, BOUNDS.high.x)
         y = min(BOUNDS.low.y + (j / 200.0) * cells * width, BOUNDS.high.y)
-        col, row = index._cell_of(Point(x, y))
+        col, row = table._cell_of(Point(x, y))
         assert 0 <= col < cells and 0 <= row < cells
 
     @settings(max_examples=80, deadline=None)

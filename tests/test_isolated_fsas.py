@@ -10,9 +10,10 @@ Two facts of the epoch pipeline, each pinned by what it no longer does:
   singleton never comes back from the cache with the other sign);
 * **decisions probe the epoch's inserts** — a Case 2/3 decision reads the
   paths inserted earlier in the epoch from the live index (a lone FSA)
-  or through :class:`InsertedEnds` (any other), not a ``contains_point``
-  rescan of all of them.  :class:`TestInsertedEndsProbe` holds the probe to
-  that linear scan with hypothesis.
+  or from the epoch's probe, an :class:`EndpointTable` of its inserts (any
+  other), not a ``contains_point`` rescan of all of them.
+  :class:`TestInsertProbe` holds the probe to that linear scan with
+  hypothesis.
 
 Counts, not clocks: they repeat exactly run to run.
 """
@@ -26,9 +27,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import ObjectState
-from repro.coordinator.columnar import HAVE_NUMPY
+from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.execution import ProcessBackend
 from repro.coordinator.overlaps import (
@@ -37,7 +37,7 @@ from repro.coordinator.overlaps import (
     build_structures,
     plan_shard_overlaps,
 )
-from repro.coordinator.single_path import InsertedEnds, SinglePathStrategy
+from repro.coordinator.single_path import SinglePathStrategy
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 N = 24
@@ -191,44 +191,43 @@ def probe_rectangles(draw) -> Rectangle:
 ends = st.lists(st.builds(Point, coordinate, coordinate), max_size=30)
 
 
-def records_to(points) -> List[MotionPathRecord]:
-    start = Point(100.0, 100.0)
-    return [MotionPathRecord(path_id, MotionPath(start, end), 0) for path_id, end in enumerate(points)]
+START = Point(100.0, 100.0)
 
 
-def linear_scan(records, fsa):
-    return [record for record in records if fsa.contains_point(record.path.end)]
+def linear_scan(points, fsa):
+    """``(path_id, end)`` of the ends ``fsa`` contains, in insertion order."""
+    return [(path_id, end) for path_id, end in enumerate(points) if fsa.contains_point(end)]
 
 
-def hits(records):
-    return sorted((repr(record.path.end.as_tuple()), record.path_id) for record in records)
+class TestInsertProbe:
+    """The decisions' probe of an epoch's inserts is an :class:`EndpointTable`:
+    its :meth:`~EndpointTable.end_vertices_in` groups are what a linear
+    ``contains_point`` scan of the inserts groups by coordinates."""
 
-
-class TestInsertedEndsProbe:
     @settings(max_examples=300, deadline=None)
     @given(points=ends, fsas=st.lists(probe_rectangles(), min_size=1, max_size=6))
     def test_probe_equals_a_linear_contains_point_scan(self, points, fsas):
-        records = records_to(points)
-        probe = InsertedEnds()
-        for count, record in enumerate(records, start=1):
-            probe.add(record)
+        probe = EndpointTable()
+        for count, end in enumerate(points, start=1):
+            probe.add_path(count - 1, START, end)
             for fsa in fsas:
-                assert hits(probe.within(fsa)) == hits(linear_scan(records[:count], fsa))
-        assert sorted(record.path_id for record in probe) == list(range(len(records)))
+                expected = {}
+                for path_id, stored in linear_scan(points[:count], fsa):
+                    expected.setdefault((stored.x, stored.y), []).append(path_id)
+                found = probe.end_vertices_in(fsa)
+                assert {key: sorted(ids) for key, (_vertex, ids) in found.items()} == expected
 
     @settings(max_examples=200, deadline=None)
     @given(points=ends, fsa=probe_rectangles())
     def test_equal_ends_are_met_in_insertion_order(self, points, fsa):
         """Among ends that compare equal (``0.0`` / ``-0.0``), the earliest
-        insert comes first — the one a linear scan makes the vertex key."""
-        records = records_to(points)
-        probe = InsertedEnds()
-        for record in records:
-            probe.add(record)
-        first_seen = {}
-        for record in probe.within(fsa):
-            first_seen.setdefault(record.path.end, record.path_id)
+        insert is the vertex — the one a linear scan meets first — and the
+        ids follow in insertion order."""
         expected = {}
-        for record in linear_scan(records, fsa):
-            expected.setdefault(record.path.end, record.path_id)
-        assert first_seen == expected
+        for path_id, end in linear_scan(points, fsa):
+            expected.setdefault((end.x, end.y), (repr(end), []))[1].append(path_id)
+        probe = EndpointTable()
+        for path_id, end in enumerate(points):
+            probe.add_path(path_id, START, end)
+        found = probe.end_vertices_in(fsa)
+        assert {key: (repr(vertex), ids) for key, (vertex, ids) in found.items()} == expected

@@ -77,7 +77,6 @@ _COORDINATOR = "src/repro/coordinator/coordinator.py"
 _COLUMNAR = "src/repro/coordinator/columnar.py"
 _GRID_INDEX = "src/repro/coordinator/grid_index.py"
 _OVERLAPS = "src/repro/coordinator/overlaps.py"
-_PARTITION = "src/repro/coordinator/partition.py"
 _QUERY_VIEW = "src/repro/coordinator/query_view.py"
 _SCORING = "src/repro/core/scoring.py"
 _SERVER = "src/repro/serving/server.py"
@@ -169,8 +168,8 @@ MUTANTS: List[Mutant] = [
                f"{_MATRIX}[equal_ends-1-serial-full-columnar]",
            )),
     Mutant("lone_vertex_bonus_is_zero", _SINGLE_PATH,
-           "hotness = sum(map(hotness_of, path_ids)) + 1",
-           "hotness = sum(map(hotness_of, path_ids)) + 0",
+           "bonus = 1 if bonus_of is None else bonus_of.get(coordinates)",
+           "bonus = 0 if bonus_of is None else bonus_of.get(coordinates)",
            (
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_random_streams_with_duplicate_reporters[31]",
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_crafted_stream_hits_every_merge_case",
@@ -221,13 +220,18 @@ MUTANTS: List[Mutant] = [
                f"{_MATRIX}[equal_ends-1-serial-full-columnar]",
                f"{_GRID}::TestSameCellEndpoints::test_clamped_endpoints_share_border_cell_and_delete",
            )),
+    # ``clamped_cell`` is the cell rule of the cell table and the shard grid alike.
     Mutant("object_cell_of_skips_the_upper_clamp", _GRID_INDEX,
-           "return (min(max(col, 0), last), min(max(row, 0), last))",
-           "return (min(max(col, 0), last + 1), min(max(row, 0), last))",
-           ("tests/test_grid_index_properties.py::TestBoundaryCells::test_max_edge_maps_to_last_cell",)),
+           "return (min(max(col, 0), cols - 1), min(max(row, 0), rows - 1))",
+           "return (min(max(col, 0), cols), min(max(row, 0), rows - 1))",
+           (
+               "tests/test_grid_index_properties.py::TestBoundaryCells::test_max_edge_maps_to_last_cell",
+               "tests/test_shard_grid.py::TestPlaneCover::test_every_point_has_exactly_one_owner_whose_cell_contains_it",
+               "tests/test_one_index.py::TestOwnerLabels::test_every_path_lands_on_exactly_one_owner[7]",
+           )),
     Mutant("object_delete_keeps_empty_cells", _GRID_INDEX,
-           "                if not cell:\n                    del self._cells[key]\n",
-           "                if not cell and False:\n                    del self._cells[key]\n",
+           "            if not cell:\n                del self._cells[key]\n",
+           "            if not cell and False:\n                del self._cells[key]\n",
            (f"{_GRID}::TestSameCellEndpoints::test_same_cell_path_deletes_cleanly",)),
     Mutant("object_path_between_ignores_the_start", _GRID_INDEX,
            "if not is_start and other == start and endpoint == end:",
@@ -266,10 +270,16 @@ MUTANTS: List[Mutant] = [
            (
                "tests/test_columnar.py::TestEndpointTableKernels::test_start_hash_emptied_with_its_last_path",
            )),
-    Mutant("inserted_ends_low_bound_bisects_right", _SINGLE_PATH,
-           "first = bisect_left(xs, fsa.low.x)", "first = bisect_right(xs, fsa.low.x)",
+    Mutant("end_table_low_bound_bisects_right", _COLUMNAR,
+           "first = bisect_left(xs, region.low.x)", "first = bisect_right(xs, region.low.x)",
            (
-               "tests/test_isolated_fsas.py::TestInsertedEndsProbe::test_equal_ends_are_met_in_insertion_order",
+               "tests/test_isolated_fsas.py::TestInsertProbe::test_probe_equals_a_linear_contains_point_scan",
+               "tests/test_isolated_fsas.py::TestInsertProbe::test_equal_ends_are_met_in_insertion_order",
+           )),
+    Mutant("probe_merge_replaces_the_prefetched_ids", _SINGLE_PATH,
+           "group[1].extend(path_ids)", "group[1][:] = path_ids",
+           (
+               "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_crafted_stream_hits_every_merge_case",
            )),
     # -- corridor stitching -----------------------------------------------------------
     Mutant("weld_rule_skips_the_starter_degree", _STITCHING,
@@ -396,8 +406,8 @@ MUTANTS: List[Mutant] = [
            "if hotness[path_id] != count:", "if True:",
            (f"{_STITCHER}::test_apply_is_idempotent",)),
     Mutant("object_paths_starting_at_takes_end_entries", _GRID_INDEX,
-           "if is_start and endpoint == start and region.contains_point(other):",
-           "if endpoint == start and region.contains_point(other):",
+           "if is_start and endpoint == start and region.contains_point(other)",
+           "if endpoint == start and region.contains_point(other)",
            (
                f"{_GRID}::TestSameCellEndpoints::test_zero_length_path_round_trips",
                f"{_MATRIX}[feedback-1-serial-full-columnar]",
@@ -411,17 +421,13 @@ MUTANTS: List[Mutant] = [
            (
                "tests/test_overlaps.py::TestDuplicateReports::test_serialized_round_trip_preserves_region_order",
            )),
-    Mutant("shard_rows_clamp_one_past_the_grid", _PARTITION,
-           "min(max(row, 0), self.rows - 1),", "min(max(row, 0), self.rows),",
+    # The column clamp of ``clamped_cell`` is ``object_cell_of_skips_the_upper_clamp``.
+    Mutant("shard_rows_clamp_one_past_the_grid", _GRID_INDEX,
+           "min(max(row, 0), rows - 1))", "min(max(row, 0), rows))",
            (
                "tests/test_shard_grid.py::TestPlaneCover::test_every_point_has_exactly_one_owner_whose_cell_contains_it",
                "tests/test_one_index.py::TestOwnerLabels::test_every_path_lands_on_exactly_one_owner[6]",
-           )),
-    Mutant("shard_columns_clamp_one_past_the_grid", _PARTITION,
-           "min(max(col, 0), self.cols - 1),", "min(max(col, 0), self.cols),",
-           (
-               "tests/test_shard_grid.py::TestPlaneCover::test_every_point_has_exactly_one_owner_whose_cell_contains_it",
-               "tests/test_one_index.py::TestOwnerLabels::test_every_path_lands_on_exactly_one_owner[7]",
+               "tests/test_grid_index_properties.py::TestBoundaryCells::test_max_edge_maps_to_last_cell",
            )),
     # -- the serving tier -----------------------------------------------------------
     Mutant("seq_runs_membership_excludes_the_run_top", _BATCHER,
