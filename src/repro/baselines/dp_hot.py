@@ -73,9 +73,7 @@ class DPHotSegmentTracker:
     def advance_time(self, now: int) -> int:
         """Expire segments whose crossings fell outside the window; return how many vanished."""
         vanished = self.hotness.advance_time(now)
-        for path_id in vanished:
-            if path_id in self.index:
-                self.index.delete(path_id)
+        self.index.delete_live(vanished)
         return len(vanished)
 
     # -- segment registration ------------------------------------------------------------

@@ -16,10 +16,10 @@ communication volume, one of the costs the framework is designed to reduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.geometry import Point, Rectangle
+from repro.core.value import FrozenValue
 
 __all__ = ["ObjectState", "CoordinatorResponse"]
 
@@ -28,16 +28,26 @@ __all__ = ["ObjectState", "CoordinatorResponse"]
 _FIELD_BYTES = 4
 
 
-@dataclass(frozen=True)
-class ObjectState:
+class ObjectState(FrozenValue):
     """State message ``<s, t_s, l(t_e), u(t_e), t_e>`` sent by a reporting object."""
 
-    object_id: int
-    start: Point
-    t_start: int
-    fsa_low: Point
-    fsa_high: Point
-    t_end: int
+    __slots__ = ("object_id", "start", "t_start", "fsa_low", "fsa_high", "t_end")
+
+    def __init__(
+        self,
+        object_id: int,
+        start: Point,
+        t_start: int,
+        fsa_low: Point,
+        fsa_high: Point,
+        t_end: int,
+    ) -> None:
+        _set_state_id(self, object_id)
+        _set_start(self, start)
+        _set_t_start(self, t_start)
+        _set_fsa_low(self, fsa_low)
+        _set_fsa_high(self, fsa_high)
+        _set_t_end(self, t_end)
 
     @property
     def fsa(self) -> Rectangle:
@@ -70,14 +80,29 @@ class ObjectState:
         )
 
 
-@dataclass(frozen=True)
-class CoordinatorResponse:
+_set_state_id = ObjectState.object_id.__set__
+_set_start = ObjectState.start.__set__
+_set_t_start = ObjectState.t_start.__set__
+_set_fsa_low = ObjectState.fsa_low.__set__
+_set_fsa_high = ObjectState.fsa_high.__set__
+_set_t_end = ObjectState.t_end.__set__
+
+
+class CoordinatorResponse(FrozenValue):
     """Response ``<e, t_e>`` assigning the object its next SSA start timepoint."""
 
-    object_id: int
-    endpoint: Point
-    timestamp: int
+    __slots__ = ("object_id", "endpoint", "timestamp")
+
+    def __init__(self, object_id: int, endpoint: Point, timestamp: int) -> None:
+        _set_response_id(self, object_id)
+        _set_endpoint(self, endpoint)
+        _set_timestamp(self, timestamp)
 
     def message_size_bytes(self) -> int:
         """Size of the response on the wire: one point, one timestamp, the id."""
         return (2 + 1 + 1) * _FIELD_BYTES
+
+
+_set_response_id = CoordinatorResponse.object_id.__set__
+_set_endpoint = CoordinatorResponse.endpoint.__set__
+_set_timestamp = CoordinatorResponse.timestamp.__set__

@@ -62,8 +62,10 @@ from __future__ import annotations
 
 import importlib.util
 import logging
+import math
 import time
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
@@ -175,13 +177,17 @@ def touching_pairs(boxes: Sequence[Tuple[float, float, float, float]]) -> Tuple[
     32, ``fleet_steady`` 79 against 130; 2-core Intel Xeon, CPython 3.11),
     so the pair pass never loads numpy.
     """
-    count = len(boxes)
-    order = sorted(range(count), key=[box[0] for box in boxes].__getitem__)
-    lows = [boxes[index][0] for index in order]
+    low_xs = list(map(itemgetter(0), boxes))
+    order = sorted(range(len(boxes)), key=low_xs.__getitem__)
+    lows = list(map(low_xs.__getitem__, order))
+    lows.append(math.inf)  # past the last box: no low x lies beyond it
     overlapping: Pairs = []
     touching: Pairs = []
     for slot, index in enumerate(order):
-        _low_x, low_y, high_x, high_y = boxes[index]
+        box = boxes[index]
+        if lows[slot + 1] > box[2]:
+            continue  # the next low x is past this high x: no other box in range
+        _low_x, low_y, high_x, high_y = box
         for other in order[slot + 1 : bisect_right(lows, high_x, slot + 1)]:
             # ``other``'s low x lies in [this low x, this high x]: the x
             # ranges meet, and ``other``'s low x is the larger low.
@@ -229,10 +235,9 @@ class EndpointTable:
 
     No method hashes a ``Point``: every key is a coordinate tuple, which
     compares and hashes like the ``Point`` it stands for (``Point``'s
-    generated ``__eq__`` and ``__hash__`` read the same tuple) at about a
-    third of the cost of the dataclass's Python-level methods.  The start
-    keys never leave the table; :meth:`end_vertices_in` returns its group
-    keys.
+    ``__eq__`` and ``__hash__`` read the same tuple) without their
+    Python-level calls.  The start keys never leave the table;
+    :meth:`end_vertices_in` returns its group keys.
     """
 
     __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start")
@@ -292,20 +297,21 @@ class EndpointTable:
         """Case 2: the distinct end vertices inside ``region`` (closed
         bounds), each as ``(x, y) -> (vertex, ids of the paths ending
         there)``, by end x."""
-        xs, ys, ends, pids = self._xs, self._ys, self._ends, self._pids
-        first = bisect_left(xs, region.low.x)
-        last = bisect_right(xs, region.high.x, first)
-        low_y, high_y = region.low.y, region.high.y
+        low, high, xs = region.low, region.high, self._xs
+        first = bisect_left(xs, low.x)
+        last = bisect_right(xs, high.x, first)
         vertices: Dict[Tuple[float, float], VertexGroup] = {}
-        for row in range(first, last):
-            y = ys[row]
+        if first == last:
+            return vertices
+        low_y, high_y = low.y, high.y
+        for row, y in enumerate(self._ys[first:last], first):
             if low_y <= y <= high_y:
                 key = (xs[row], y)
                 group = vertices.get(key)
                 if group is None:
-                    vertices[key] = (ends[row], [pids[row]])
+                    vertices[key] = (self._ends[row], [self._pids[row]])
                 else:
-                    group[1].append(pids[row])
+                    group[1].append(self._pids[row])
         return vertices
 
 

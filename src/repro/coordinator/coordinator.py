@@ -153,11 +153,7 @@ class Coordinator:
         outcome = EpochOutcome(timestamp=now)
 
         expired = self.hotness.advance_time(now)
-        deleted: List[int] = []
-        for path_id in expired:
-            if path_id in self.index:
-                self.index.delete(path_id)
-                deleted.append(path_id)
+        deleted = self.index.delete_live(expired) if expired else []
         outcome.paths_expired = len(expired)
 
         states, self._pending_states = self._pending_states, []

@@ -11,20 +11,26 @@ clamped into the same border cell — since each endpoint must keep its own
 entry.  The ``kernel`` picks the endpoint table once: ``object`` keeps these
 cell dicts (:class:`CellTable`), ``columnar`` one row per path in an x-sorted
 :class:`~repro.coordinator.columnar.EndpointTable`; both have one interface
-and answer every query below identically, so each :class:`GridIndex` method
-is one delegation and SinglePath runs the same epoch pass over either.
+and answer every query below identically, so each :class:`GridIndex` query
+is the table's (a delegation, or the bound method itself) and SinglePath
+runs the same epoch pass over either.
 
 Query operations mirror what SinglePath needs:
 
-* :meth:`GridIndex.paths_starting_at` — motion paths that start at a given
-  vertex and end inside a query rectangle, answered from the single cell
-  containing the start vertex (Case 1 candidates);
-* :meth:`GridIndex.path_between` — the first stored path from a given start
-  vertex to a given end vertex (the duplicate-path probe of SinglePath's
-  inserts);
-* :meth:`GridIndex.end_vertices_in` — distinct end vertices of stored paths
+* ``GridIndex.starting_at`` — the ids of the motion paths that start at a
+  given vertex and end inside a query rectangle, answered from the single
+  cell containing the start vertex (Case 1 candidates);
+* ``GridIndex.path_between`` — the id of the first stored path from a given
+  start vertex to a given end vertex (the duplicate-path probe of
+  SinglePath's inserts);
+* ``GridIndex.end_vertices_in`` — distinct end vertices of stored paths
   inside a query rectangle, keyed by their coordinates, together with the
   ids of the paths terminating there (Case 2 candidates).
+
+The three reads a report makes, ``starting_at``, ``end_vertices_in`` and
+``path_between``, are the endpoint table's own methods, bound to the index
+once at construction: a call costs no delegation frame.  The epoch's
+expiry is one call too, :meth:`GridIndex.delete_live`.
 
 The coordinator holds exactly one index, whatever ``num_shards`` says: the
 shard grid only labels records for diagnostics
@@ -115,7 +121,9 @@ class CellTable:
     def starting_at(self, start: Point, region: Rectangle) -> List[int]:
         """Case 1: paths starting at ``start`` whose end lies inside ``region``,
         from the one cell holding ``start``."""
-        cell = self._cells.get(self._cell_of(start), {})
+        cell = self._cells.get(self._cell_of(start))
+        if cell is None:
+            return []
         return [
             path_id
             for (path_id, is_start), (endpoint, other) in cell.items()
@@ -171,7 +179,30 @@ class CellTable:
 
 
 class GridIndex:
-    """Grid-based index of motion-path endpoints keyed by path id."""
+    """Grid-based index of motion-path endpoints keyed by path id.
+
+    Three reads are the endpoint table's own bound methods, which both
+    tables share:
+
+    * ``starting_at(start, region)`` — the ids of the paths starting exactly
+      at ``start`` whose end lies inside ``region``, answered from the single
+      cell containing ``start`` (the columnar storage: from that vertex's
+      hash bucket), whatever the rectangle's size;
+    * ``path_between(start, end)`` — the id of the earliest-inserted live
+      path from exactly ``start`` to exactly ``end``, or ``None``: the
+      duplicate check of an insert.  ``start`` must match the stored start
+      vertex exactly: the covering-set chaining guarantees that a reporting
+      object's SSA start coincides with the endpoint the coordinator
+      previously assigned to it.  Answered from the one cell holding ``end``
+      (the columnar storage: from the start vertex's hash bucket), which
+      keeps insertion order;
+    * ``end_vertices_in(region)`` — the distinct end vertices inside
+      ``region`` (closed bounds), each as ``(x, y) -> (vertex, ids of the
+      paths ending there)``.  Among stored ends that compare equal but print
+      apart (``0.0`` / ``-0.0``, ``2`` / ``2.0``) the earliest insert is the
+      vertex under both storages.  The order of the groups differs by
+      storage; no caller may read it.
+    """
 
     def __init__(self, config: GridConfig, kernel: str = "object") -> None:
         self.config = config
@@ -180,6 +211,11 @@ class GridIndex:
         self._table: Union[CellTable, EndpointTable] = (
             CellTable(config) if resolve_kernel(kernel) == "object" else EndpointTable()
         )
+        # The per-report reads are the table's own methods, bound once, so a
+        # call costs no delegation frame (see the class docstring).
+        self.starting_at = self._table.starting_at
+        self.path_between = self._table.path_between
+        self.end_vertices_in = self._table.end_vertices_in
         # path_id -> record, for direct lookups and deletion.
         self._records: Dict[int, MotionPathRecord] = {}
         self._next_path_id = 0
@@ -217,53 +253,36 @@ class GridIndex:
 
     def insert(self, path: MotionPath, created_at: int = 0) -> MotionPathRecord:
         """Insert a new motion path and return its record (with a fresh id)."""
-        record = MotionPathRecord(self._next_path_id, path, created_at)
-        self._next_path_id += 1
-        self._records[record.path_id] = record
-        self._table.add_path(record.path_id, path.start, path.end)
+        path_id = self._next_path_id
+        self._next_path_id = path_id + 1
+        record = self._records[path_id] = MotionPathRecord(path_id, path, created_at)
+        self._table.add_path(path_id, path.start, path.end)
         return record
 
     def delete(self, path_id: int) -> None:
         """Remove a motion path from the index (e.g. when its hotness expires)."""
-        path = self.get(path_id).path
+        record = self._records.pop(path_id, None)
+        if record is None:
+            raise CoordinatorError(f"motion path {path_id} is not in the index")
+        path = record.path
         self._table.remove_path(path_id, path.start, path.end)
-        del self._records[path_id]
         self.deletions += 1
 
+    def delete_live(self, path_ids: Iterable[int]) -> List[int]:
+        """Remove every id of ``path_ids`` that is in the index (an epoch's
+        expired ids, in one call); returns the removed ids, in order."""
+        records, remove_path = self._records, self._table.remove_path
+        deleted: List[int] = []
+        for path_id in path_ids:
+            record = records.pop(path_id, None)
+            if record is not None:
+                path = record.path
+                remove_path(path_id, path.start, path.end)
+                deleted.append(path_id)
+        self.deletions += len(deleted)
+        return deleted
+
     # -- queries ----------------------------------------------------------------------
-
-    def paths_starting_at(self, start: Point, region: Rectangle) -> List[MotionPathRecord]:
-        """Motion paths starting exactly at ``start`` whose end lies inside ``region``.
-
-        Answered from the single cell containing ``start`` (the columnar
-        storage: from that vertex's hash bucket), whatever the rectangle's
-        size — the hot-loop form of the Case 1 candidate query.
-        """
-        return [self._records[pid] for pid in self._table.starting_at(start, region)]
-
-    def path_between(self, start: Point, end: Point) -> Optional[MotionPathRecord]:
-        """The earliest-inserted live path from exactly ``start`` to exactly
-        ``end``, or ``None``.
-
-        ``start`` must match the stored start vertex exactly: the covering-set
-        chaining guarantees that a reporting object's SSA start coincides with
-        the endpoint the coordinator previously assigned to it.  Answered
-        from the one cell holding ``end`` (the columnar storage: from the
-        start vertex's hash bucket), which keeps insertion order.
-        """
-        path_id = self._table.path_between(start, end)
-        return None if path_id is None else self._records[path_id]
-
-    def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], VertexGroup]:
-        """The distinct end vertices inside ``region`` (closed bounds), each
-        as ``(x, y) -> (vertex, ids of the paths ending there)``.
-
-        Among stored ends that compare equal but print apart (``0.0`` /
-        ``-0.0``, ``2`` / ``2.0``) the earliest insert is the vertex under
-        both storages.  The order of the groups differs by storage; no
-        caller may read it.
-        """
-        return self._table.end_vertices_in(region)
 
     def paths_intersecting(self, region: Rectangle) -> List[MotionPathRecord]:
         """Motion paths with at least one endpoint inside ``region``.

@@ -2,16 +2,18 @@
 
 The hotness of a motion path is the number of crossings recorded during the
 last ``W`` time units.  The tracker keeps a hash table ``path_id -> hotness``
-and a min-heap *event queue* of ``(expiry_time, path_id)`` tuples.  Recording
-a crossing that ended at ``t_e`` increments the counter and schedules a
-decrement at ``t_e + W``; advancing the clock pops expired events, decrements
-the counters and reports the paths whose hotness dropped to zero so the caller
-can evict them from the grid index.
+and an *event queue*: the ids due at each expiry time, in one list per time,
+and a min-heap of those times.  Recording a crossing that ended at ``t_e``
+increments the counter and schedules a decrement at ``t_e + W``; advancing
+the clock pops the expired times, decrements the counters of their ids and
+reports the paths whose hotness dropped to zero so the caller can evict them
+from the grid index.  The crossings of an epoch share a handful of end
+times, so the heap holds one entry per time rather than one per crossing.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, CoordinatorError
@@ -49,7 +51,10 @@ class HotnessTracker:
             raise ConfigurationError(f"window length must be positive, got {window}")
         self.window = window
         self._hotness: Dict[int, int] = {}
-        self._events: List[Tuple[int, int]] = []  # (expiry_time, path_id) min-heap
+        # expiry time -> the ids due then, in recording order; and a min-heap
+        # of those times.
+        self._due: Dict[int, List[int]] = {}
+        self._times: List[int] = []
         self._delta_log: Optional[HotnessDeltaLog] = None
 
     # -- delta logging (epoch_mode="delta") ----------------------------------------
@@ -84,14 +89,21 @@ class HotnessTracker:
 
         Returns the updated hotness of the path.
         """
-        new_hotness = self._hotness.get(path_id, 0) + 1
-        self._hotness[path_id] = new_hotness
-        if self._delta_log is not None:
+        counts, log = self._hotness, self._delta_log
+        new_hotness = counts.get(path_id, 0) + 1
+        counts[path_id] = new_hotness
+        if log is not None:
             if new_hotness == 1:
-                self._delta_log.newly_hot.append(path_id)
+                log.newly_hot.append(path_id)
             else:
-                self._delta_log.touched.append(path_id)
-        heapq.heappush(self._events, (t_end + self.window, path_id))
+                log.touched.append(path_id)
+        expiry = t_end + self.window
+        due = self._due.get(expiry)
+        if due is None:
+            self._due[expiry] = [path_id]
+            heappush(self._times, expiry)
+        else:
+            due.append(path_id)
         return new_hotness
 
     # -- expiry -------------------------------------------------------------------
@@ -104,22 +116,23 @@ class HotnessTracker:
         the spatial index.
         """
         vanished: List[int] = []
-        while self._events and self._events[0][0] <= now:
-            _expiry, path_id = heapq.heappop(self._events)
-            current = self._hotness.get(path_id)
-            if current is None:
-                raise CoordinatorError(
-                    f"expiry event for path {path_id} which has no hotness entry"
-                )
-            if current <= 1:
-                del self._hotness[path_id]
-                vanished.append(path_id)
-                if self._delta_log is not None:
-                    self._delta_log.vanished.append(path_id)
-            else:
-                self._hotness[path_id] = current - 1
-                if self._delta_log is not None:
-                    self._delta_log.decayed.append(path_id)
+        times, due, counts, log = self._times, self._due, self._hotness, self._delta_log
+        while times and times[0] <= now:
+            for path_id in due.pop(heappop(times)):
+                current = counts.get(path_id)
+                if current is None:
+                    raise CoordinatorError(
+                        f"expiry event for path {path_id} which has no hotness entry"
+                    )
+                if current <= 1:
+                    del counts[path_id]
+                    vanished.append(path_id)
+                    if log is not None:
+                        log.vanished.append(path_id)
+                else:
+                    counts[path_id] = current - 1
+                    if log is not None:
+                        log.decayed.append(path_id)
         return vanished
 
     # -- queries -------------------------------------------------------------------
@@ -144,7 +157,7 @@ class HotnessTracker:
     @property
     def pending_events(self) -> int:
         """Number of scheduled expiry events (one per recorded crossing)."""
-        return len(self._events)
+        return sum(map(len, self._due.values()))
 
     def items(self) -> Iterable[Tuple[int, int]]:
         """Iterate over ``(path_id, hotness)`` pairs."""

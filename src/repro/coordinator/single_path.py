@@ -29,9 +29,10 @@ the epoch (:data:`~repro.coordinator.overlaps.LONE`) — has its answers fixed
 in advance: the only overlap region meeting it is its own singleton, so every
 end vertex inside it has bonus 1 and its fabricated vertex is its centre with
 count 1.  Its decision reads its end vertices from the live index, which
-holds exactly what a pass would have read plus the paths inserted since.
+holds exactly what a pass would have read plus the paths inserted since; with
+none, its answer is its centre, unranked.
 :func:`prefetch_vertex_candidates` computes the rest for the whole epoch:
-each other pending FSA's end vertices (:meth:`GridIndex.end_vertices_in`:
+each other pending FSA's end vertices (``GridIndex.end_vertices_in``:
 two bisections of the x-sorted end table and a y test on the run between
 them, or a scan of the cells the FSA overlaps, by the index's storage), and
 the overlap answers, each inside the FSA's query component
@@ -42,7 +43,25 @@ order — the hotness sums, the selection (inline, over the vertices: no
 candidate list, no per-decision record), the insert, and, for an FSA the
 pass read, the paths inserted earlier in the epoch, which it reads from the
 epoch's probe, an :class:`~repro.coordinator.columnar.EndpointTable` of
-its inserts, rather than rescanning them all.
+those inserts, rather than rescanning them all.
+
+**What the probe holds.**  A lone decision's insert ends inside its own FSA
+(an end vertex, the centre or a corner of the nudge), and no FSA of the
+epoch map touches a lone FSA, so no FSA the pass read can contain it — but
+the earlier state of an object that reports twice is off the map, and its
+FSA can.  So a lone insert joins the probe only in an epoch with such a
+state; every other insert of a state with a prefetch entry always joins it.
+On ``sim_paper`` (no object reports twice) that is the two or three inserts
+an epoch of the states that are not lone, instead of all of them.
+
+**No delegation frames.**  A lone report is a run of constant-time steps
+(the Case 1 probe, the end-vertex read, the duplicate check, the insert, the
+crossing, the response), so the reads pay no frame of their own: the Case 1
+pass is one loop over the epoch's states
+(:meth:`SinglePathStrategy.candidate_paths`), and the index's
+per-report reads, ``starting_at``, ``end_vertices_in`` and the duplicate
+check ``path_between``, are its table's own methods, bound once.
+
 Both index storages run this one pass; the literal transcription of
 Algorithm 2 it must equal is the test oracle ``tests/single_path_oracle.py``.
 
@@ -55,6 +74,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rectangle
@@ -114,18 +134,29 @@ class SinglePathEpochResult:
         return len(self.responses) - len(self.inserted)
 
 
-def apply_co_occurrence_boost(candidate_paths: Dict[int, List[CandidatePath]]) -> None:
+def apply_co_occurrence_boost(
+    object_ids: Sequence[int], candidate_paths: Sequence[List[CandidatePath]]
+) -> None:
     """Boost hotness of paths appearing in several objects' candidate sets.
 
     Implements Lines 13-15 of Algorithm 2: each co-occurrence means another
-    reporter could also adopt the path, making it a better shared choice.  The
-    boost is a pure function of the multiset of candidate path ids.
+    reporter could also adopt the path, making it a better shared choice.
+    ``candidate_paths`` holds one candidate set per state and ``object_ids``
+    the object of each.  A path counts once per object holding it, so an
+    object that reports twice never boosts its own candidate: the boost is a
+    pure function of the set of ``(object id, path id)`` pairs.
     """
+    if not any(candidate_paths):
+        return
+    held = set()
     occurrences: Counter = Counter()
-    for candidates in candidate_paths.values():
+    for object_id, candidates in zip(object_ids, candidate_paths):
         for candidate in candidates:
-            occurrences[candidate.record.path_id] += 1
-    for candidates in candidate_paths.values():
+            holder = (object_id, candidate.record.path_id)
+            if holder not in held:
+                held.add(holder)
+                occurrences[candidate.record.path_id] += 1
+    for candidates in candidate_paths:
         for candidate in candidates:
             extra = occurrences[candidate.record.path_id] - 1
             candidate.hotness += extra
@@ -206,6 +237,10 @@ def prefetch_vertex_candidates(
     return prefetched
 
 
+_fsa_of, _object_id_of = attrgetter("fsa"), attrgetter("object_id")
+_start_of = attrgetter("start")
+
+
 class SinglePathStrategy:
     """Implementation of Algorithm 2 over a grid index and a hotness tracker."""
 
@@ -234,52 +269,45 @@ class SinglePathStrategy:
         result = SinglePathEpochResult()
         if not states:
             return result
-        fsas = [state.fsa for state in states]
+        fsas = list(map(_fsa_of, states))
 
         # Phase 1: the FSA overlap structure and the candidate motion paths
-        # per object.  The plan splits the epoch's FSAs into components and
+        # per state.  The plan splits the epoch's FSAs into components and
         # resolves them against the cache; the backend builds the misses
-        # while the candidate loop runs here.  Both dicts keep one entry per
-        # object — a duplicate reporter's later state, at its first position
-        # — and both of its states are still decided below.
-        plan = plan_shard_overlaps(
-            self._pool_cache, {state.object_id: fsa for state, fsa in zip(states, fsas)}
-        )
+        # while the candidate loop runs here.  The plan keeps one entry per
+        # object — a duplicate reporter's later FSA, at its first position —
+        # while the candidates are gathered per state, by position.
+        object_ids = list(map(_object_id_of, states))
+        mapped = dict(zip(object_ids, fsas))
+        plan = plan_shard_overlaps(self._pool_cache, mapped)
         self.last_pool_stats = plan.stats
         candidate_paths, built = self.backend.build_overlaps(
-            plan.missed_pools,
-            lambda: {
-                state.object_id: self.candidate_paths(state, fsa)
-                for state, fsa in zip(states, fsas)
-            },
+            plan.missed_pools, lambda: self.candidate_paths(states, fsas)
         )
         plan.complete(built)
 
         # Phase 2: boost hotness of paths that appear in several objects'
         # candidate sets.
-        apply_co_occurrence_boost(candidate_paths)
+        apply_co_occurrence_boost(object_ids, candidate_paths)
 
         # Phase 3: selection per object, in submission order, behind the
         # epoch pass (module docstring).
-        prefetched = prefetch_vertex_candidates(
-            self._index,
-            [
-                (position, state.object_id, fsa)
-                for position, (state, fsa) in enumerate(zip(states, fsas))
-                if not candidate_paths[state.object_id]
-            ],
-            plan,
-        )
+        pending = list(zip(range(len(states)), object_ids, fsas))
+        if any(candidate_paths):
+            pending = [entry for entry, candidates in zip(pending, candidate_paths) if not candidates]
+        prefetched = prefetch_vertex_candidates(self._index, pending, plan)
         probe = EndpointTable() if prefetched else None
-        responses, inserted_ids = result.responses, result.inserted
-        for position, (state, fsa) in enumerate(zip(states, fsas)):
-            response, path_id = self.decide(
-                state,
-                fsa,
-                candidate_paths[state.object_id],
-                plan,
-                prefetched.get(position),
-                probe,
+        # A lone decision's insert lies inside its own FSA, which no other
+        # FSA of the epoch map touches: only an FSA outside the map (the
+        # earlier state of an object reporting twice) can read it.
+        lone_probe = probe if len(mapped) < len(states) else None
+        prefetches: List[Optional[VertexPrefetch]] = [None] * len(states)
+        for position, prefetch in prefetched.items():
+            prefetches[position] = prefetch
+        responses, inserted_ids, decide = result.responses, result.inserted, self.decide
+        for state, fsa, candidates, prefetch in zip(states, fsas, candidate_paths, prefetches):
+            response, path_id = decide(
+                state, fsa, candidates, plan, prefetch, lone_probe if prefetch is None else probe
             )
             responses.append(response)
             if path_id is not None:
@@ -288,18 +316,26 @@ class SinglePathStrategy:
 
     # -- candidate generation ------------------------------------------------------
 
-    def candidate_paths(self, state: ObjectState, fsa: Rectangle) -> List[CandidatePath]:
-        """``GetCandidatePaths``: stored paths from the SSA start into ``fsa``,
-        the state's FSA.
+    def candidate_paths(
+        self, states: Sequence[ObjectState], fsas: Sequence[Rectangle]
+    ) -> List[List[CandidatePath]]:
+        """``GetCandidatePaths`` of every state, in one pass: the stored paths
+        from the state's SSA start into its FSA (``fsas``, in step).
 
-        Answered from the single grid cell holding the SSA start (the
-        columnar storage: from that vertex's hash bucket).
+        Each is answered from the single grid cell holding the SSA start
+        (the columnar storage: from that vertex's hash bucket); only the
+        rare non-empty answer is turned into candidates.
         """
-        records = self._index.paths_starting_at(state.start, fsa)
-        return [
-            CandidatePath(record, self._hotness.hotness(record.path_id) + 1)
-            for record in records
-        ]
+        starting_at = self._index.starting_at
+        candidate_paths: List[list] = list(map(starting_at, map(_start_of, states), fsas))
+        if any(candidate_paths):
+            records, hotness = self._index.by_id, self._hotness.hotness
+            for position, path_ids in enumerate(candidate_paths):
+                if path_ids:
+                    candidate_paths[position] = [
+                        CandidatePath(records[pid], hotness(pid) + 1) for pid in path_ids
+                    ]
+        return candidate_paths
 
     # -- selection ---------------------------------------------------------------------
 
@@ -317,10 +353,12 @@ class SinglePathStrategy:
         ``fsa`` is the state's FSA and ``plan`` the epoch's completed overlap
         plan; ``prefetch`` is the object's share of the epoch pass
         (:func:`prefetch_vertex_candidates`; ``None`` for a lone FSA) and
-        ``probe`` the end table of the epoch's inserts, which every insert
-        joins (``None`` when the pass left no entry, so that nothing reads
-        it).  :meth:`_choose_vertex` says where a Case 2/3 decision reads its
-        vertices.
+        ``probe`` the end table of the epoch's inserts that a later decision
+        may read: the decision reads it when it has a ``prefetch`` and its
+        insert joins it (``None`` when nothing would read the insert).  A
+        lone FSA reads its end vertices from the live index; with none, its
+        answer is its centre, the one candidate, unranked.
+        :meth:`_choose_vertex` ranks every other Case 2/3 decision.
 
         Returns the response and the id of the path the decision inserted
         (``None`` when it reused one).
@@ -330,16 +368,25 @@ class SinglePathStrategy:
         in which candidates were enumerated (which is what lets the epoch
         pass read the index in bulk and the inserts by end x).
         """
+        t_end = state.t_end
         if candidates:
             chosen = max(
                 candidates,
                 key=lambda candidate: (candidate.hotness, -candidate.record.path_id),
-            )
-            self._hotness.record_crossing(chosen.record.path_id, state.t_end)
-            return CoordinatorResponse(state.object_id, chosen.record.path.end, state.t_end), None
+            ).record
+            self._hotness.record_crossing(chosen.path_id, t_end)
+            return CoordinatorResponse(state.object_id, chosen.path.end, t_end), None
 
-        start = state.start
-        endpoint = self._choose_vertex(fsa, plan, prefetch, probe)[0]
+        index, start = self._index, state.start
+        if prefetch is not None:
+            endpoint = self._choose_vertex(fsa, plan, probe.end_vertices_in(fsa), prefetch)[0]
+        else:
+            end_vertices = index.end_vertices_in(fsa)
+            if end_vertices:
+                endpoint = self._choose_vertex(fsa, plan, end_vertices, None)[0]
+            else:
+                low, high = fsa.low, fsa.high
+                endpoint = Point((low.x + high.x) / 2.0, (low.y + high.y) / 2.0)  # its centre
         if endpoint.x == start.x and endpoint.y == start.y:
             # A zero-length path carries no information and would produce a
             # degenerate segment; nudge the endpoint to another point of the
@@ -352,41 +399,40 @@ class SinglePathStrategy:
         # an earlier one (the point of the overlap structure): crediting the
         # path already stored instead of a duplicate keeps the index small
         # and concentrates hotness.
-        record = self._index.path_between(start, endpoint)
-        path_id = None
-        if record is None:
-            record = self._index.insert(MotionPath(start, endpoint), created_at=state.t_end)
-            path_id = record.path_id
+        path_id, inserted = index.path_between(start, endpoint), None
+        if path_id is None:
+            path_id = inserted = index.insert(MotionPath(start, endpoint), t_end).path_id
             if probe is not None:
                 probe.add_path(path_id, start, endpoint)
-        self._hotness.record_crossing(record.path_id, state.t_end)
-        return CoordinatorResponse(state.object_id, endpoint, state.t_end), path_id
+        self._hotness.record_crossing(path_id, t_end)
+        return CoordinatorResponse(state.object_id, endpoint, t_end), inserted
 
     def _choose_vertex(
         self,
         fsa: Rectangle,
         plan: OverlapPlan,
+        end_vertices: Dict[Tuple[float, float], VertexGroup],
         prefetch: Optional[VertexPrefetch],
-        probe: Optional[EndpointTable],
     ) -> CandidateVertex:
         """A Case 2/3 decision's vertex: the first maximum of ``(hotness, not
         fabricated, x, y)`` under a strict ``>``, as in ``max``, returned as
         ``(vertex, hotness, fabricated)``.
 
         With a ``prefetch`` the vertices are the prefetched end vertices,
-        with the ``probe``'s groups inside ``fsa`` merged in (only a vertex
-        the pass did not see asks the merged structure for its bonus), and
-        the prefetched fabricated vertex.  Without one the FSA is lone: its
-        end vertices come from the live index with bonus 1 each, and its
-        fabricated vertex is its centre with count 1.  Distinct vertices
-        rank apart, so the enumeration order cannot matter.
+        with ``end_vertices`` — the probe's groups inside ``fsa`` — merged
+        in (only a vertex the pass did not see asks the merged structure for
+        its bonus), and the prefetched fabricated vertex.  Without one the
+        FSA is lone: ``end_vertices`` are the live index's, with bonus 1
+        each, and its fabricated vertex is its centre with count 1.
+        Distinct vertices rank apart, so the enumeration order cannot
+        matter.
         """
         if prefetch is None:
-            end_vertices, bonus_of = self._index.end_vertices_in(fsa), None
+            bonus_of = None
             centre, count = fsa.center, 1
         else:
-            end_vertices, bonus_of = prefetch.end_vertices, prefetch.bonus
-            for coordinates, (vertex, path_ids) in probe.end_vertices_in(fsa).items():
+            inserted, end_vertices, bonus_of = end_vertices, prefetch.end_vertices, prefetch.bonus
+            for coordinates, (vertex, path_ids) in inserted.items():
                 group = end_vertices.get(coordinates)
                 if group is None:
                     end_vertices[coordinates] = (vertex, path_ids)

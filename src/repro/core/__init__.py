@@ -4,7 +4,6 @@ from repro.core.geometry import (
     Point,
     Rectangle,
     max_distance,
-    euclidean_distance,
     interpolate_point,
 )
 from repro.core.trajectory import TimePoint, UncertainTimePoint, Trajectory
@@ -22,7 +21,6 @@ __all__ = [
     "Point",
     "Rectangle",
     "max_distance",
-    "euclidean_distance",
     "interpolate_point",
     "TimePoint",
     "UncertainTimePoint",

@@ -15,29 +15,32 @@ lifetime and whose paths start where the previous one ended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import hypot
 
-from repro.core.geometry import Point, Rectangle, interpolate_point, segment_length
+from repro.core.geometry import Point, Rectangle, interpolate_point
+from repro.core.value import FrozenValue, Value
 
 __all__ = ["MotionPath", "MotionPathRecord"]
 
 
-@dataclass(frozen=True)
-class MotionPath:
+class MotionPath(FrozenValue):
     """A directed segment ``start -> end`` on the xy plane.
 
     ``length`` (float) is the segment's Euclidean length, used by the score
-    metric.  It is computed once, at construction, into the instance
-    ``__dict__``: not a field, so ``repr``, equality and hash are unchanged,
-    and reading it is a plain attribute read (a ``cached_property`` takes a
-    lock on its first read on CPython 3.11).
+    metric: motion-path length is measured with the Euclidean norm even
+    though proximity uses the max-distance, matching the paper.  It is
+    computed once, at construction, into its own slot: not a field (not in
+    ``__match_args__``), so ``repr``, equality and hash are those of
+    ``(start, end)``, and reading it is a plain attribute read.
     """
 
-    start: Point
-    end: Point
+    __slots__ = ("start", "end", "length")
+    __match_args__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "length", segment_length(self.start, self.end))
+    def __init__(self, start: Point, end: Point) -> None:
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_length(self, hypot(start.x - end.x, start.y - end.y))
 
     def point_at(self, fraction: float) -> Point:
         """Point ``start + fraction * (end - start)`` for ``fraction`` in [0, 1]."""
@@ -48,14 +51,23 @@ class MotionPath:
         return Rectangle.bounding(self.start, self.end, padding)
 
 
-@dataclass
-class MotionPathRecord:
+_set_start = MotionPath.start.__set__
+_set_end = MotionPath.end.__set__
+_set_length = MotionPath.length.__set__
+
+
+class MotionPathRecord(Value):
     """A motion path as stored by the coordinator.
 
     ``path_id`` is assigned by the coordinator on insertion and is the key used
-    by the grid index, the hotness hash table and the expiry queue.
+    by the grid index, the hotness hash table and the expiry queue.  Mutable,
+    and so unhashable, like the non-frozen dataclass it replaced.
     """
 
-    path_id: int
-    path: MotionPath
-    created_at: int = 0
+    __slots__ = ("path_id", "path", "created_at")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, path_id: int, path: MotionPath, created_at: int = 0) -> None:
+        self.path_id = path_id
+        self.path = path
+        self.created_at = created_at

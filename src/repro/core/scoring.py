@@ -8,12 +8,12 @@ the score of a top-k set is the average score of its members.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.value import FrozenValue
 
 __all__ = [
     "RankKey",
@@ -31,17 +31,24 @@ RankKey = Tuple[int, float, int]
 _SCORE_FIRST = itemgetter(1, 0, 2)
 
 
-@dataclass(frozen=True)
-class ScoredPath:
+class ScoredPath(FrozenValue):
     """A motion path together with its hotness and derived score."""
 
-    path: MotionPath
-    hotness: int
-    path_id: int = -1
+    __slots__ = ("path", "hotness", "path_id")
+
+    def __init__(self, path: MotionPath, hotness: int, path_id: int = -1) -> None:
+        _set_path(self, path)
+        _set_hotness(self, hotness)
+        _set_path_id(self, path_id)
 
     @property
     def score(self) -> float:
         return self.hotness * self.path.length
+
+
+_set_path = ScoredPath.path.__set__
+_set_hotness = ScoredPath.hotness.__set__
+_set_path_id = ScoredPath.path_id.__set__
 
 
 def select_top_k(

@@ -13,21 +13,23 @@ those into shrunken tolerance intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Union
 
 from repro.core.errors import InvalidTrajectoryError
 from repro.core.geometry import Point
+from repro.core.value import FrozenValue
 
 __all__ = ["TimePoint", "UncertainTimePoint", "Measurement", "Trajectory"]
 
 
-@dataclass(frozen=True)
-class TimePoint:
+class TimePoint(FrozenValue):
     """A position observed at a discrete timestamp."""
 
-    point: Point
-    timestamp: int
+    __slots__ = ("point", "timestamp")
+
+    def __init__(self, point: Point, timestamp: int) -> None:
+        _set_point(self, point)
+        _set_timestamp(self, timestamp)
 
     @property
     def x(self) -> float:
@@ -37,8 +39,11 @@ class TimePoint:
     def y(self) -> float:
         return self.point.y
 
-@dataclass(frozen=True)
-class UncertainTimePoint:
+
+_set_point, _set_timestamp = TimePoint.point.__set__, TimePoint.timestamp.__set__
+
+
+class UncertainTimePoint(FrozenValue):
     """A noisy position measurement with per-axis Gaussian standard deviations.
 
     ``point`` holds the reported mean location.  ``sigma_x`` / ``sigma_y`` are
@@ -46,16 +51,17 @@ class UncertainTimePoint:
     assumes the axes are independent.
     """
 
-    point: Point
-    timestamp: int
-    sigma_x: float
-    sigma_y: float
+    __slots__ = ("point", "timestamp", "sigma_x", "sigma_y")
 
-    def __post_init__(self) -> None:
-        if self.sigma_x < 0 or self.sigma_y < 0:
+    def __init__(self, point: Point, timestamp: int, sigma_x: float, sigma_y: float) -> None:
+        if sigma_x < 0 or sigma_y < 0:
             raise InvalidTrajectoryError(
-                f"standard deviations must be non-negative, got ({self.sigma_x}, {self.sigma_y})"
+                f"standard deviations must be non-negative, got ({sigma_x}, {sigma_y})"
             )
+        _set_uncertain_point(self, point)
+        _set_uncertain_timestamp(self, timestamp)
+        _set_sigma_x(self, sigma_x)
+        _set_sigma_y(self, sigma_y)
 
     @property
     def x(self) -> float:
@@ -65,6 +71,11 @@ class UncertainTimePoint:
     def y(self) -> float:
         return self.point.y
 
+
+_set_uncertain_point = UncertainTimePoint.point.__set__
+_set_uncertain_timestamp = UncertainTimePoint.timestamp.__set__
+_set_sigma_x = UncertainTimePoint.sigma_x.__set__
+_set_sigma_y = UncertainTimePoint.sigma_y.__set__
 
 #: One position report: exact, or carrying its Gaussian uncertainty.
 Measurement = Union[TimePoint, UncertainTimePoint]

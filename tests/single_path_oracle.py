@@ -28,8 +28,7 @@ Nothing under ``src/`` imports this module, and it imports nothing from
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.core.geometry import Point, Rectangle
@@ -118,31 +117,34 @@ class ReferenceSinglePath:
 
         # "Case 1 candidates are the live paths that start exactly at the
         # state's SSA start and end inside its FSA (closed bounds), each with
-        # the path's hotness plus one.  They are gathered per object, so both
-        # states of an object that reports twice are decided with its later
-        # state's candidates."
-        candidates: Dict[int, List[List]] = {}
-        for state, fsa in zip(states, fsas):
-            candidates[state.object_id] = [
+        # the path's hotness plus one.  They are gathered per state, so each
+        # state of an object that reports twice is decided with its own
+        # candidates."
+        candidates = [
+            [
                 [path_id, end, self.hotness(path_id) + 1]
                 for path_id, start, end, _created in self.paths
                 if start == state.start and fsa.contains_point(end)
             ]
+            for state, fsa in zip(states, fsas)
+        ]
 
         # "The co-occurrence boost adds to each candidate the number of other
-        # objects whose candidate set holds the same path."
-        holders = Counter(
-            candidate[0] for listed in candidates.values() for candidate in listed
-        )
-        for listed in candidates.values():
+        # objects whose candidate sets hold the same path, so an object that
+        # reports twice never boosts its own candidate."
+        holders: Dict[int, Set[int]] = {}
+        for state, listed in zip(states, candidates):
             for candidate in listed:
-                candidate[2] += holders[candidate[0]] - 1
+                holders.setdefault(candidate[0], set()).add(state.object_id)
+        for listed in candidates:
+            for candidate in listed:
+                candidate[2] += len(holders[candidate[0]]) - 1
 
         # "Decisions run in submission order, and each records one crossing
         # at the state's end time."
         return [
-            self._decide(state, fsa, candidates[state.object_id], r_all)
-            for state, fsa in zip(states, fsas)
+            self._decide(state, fsa, listed, r_all)
+            for state, fsa, listed in zip(states, fsas, candidates)
         ]
 
     def _decide(

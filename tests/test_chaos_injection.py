@@ -280,8 +280,10 @@ class TestServingIngest:
 #: of a serialized run: fault events, accepted log, report, traffic counts
 #: and fault counters.  Recorded before the fault path was rewritten to
 #: record each fault once; any change to how faults are drawn, fired or
-#: counted moves it.
-PARITY_DIGEST = "164bfda05ab87918cde9c41262ea3ecf70beb694cf16650be38dcdbe64cbfc26"
+#: counted moves it.  Re-recorded when SinglePath's Case 1 candidates
+#: became per state: 20 of the 60 runs answer differently from an epoch in
+#: which some object reports twice (every served scenario has such epochs).
+PARITY_DIGEST = "25428601d9d5ea20d260504445f6e607e913519c64246a117708ae03cd384933"
 
 PARITY_PAIRS = ((4, 0.25), (7, 0.6), (0, 1e-12))
 

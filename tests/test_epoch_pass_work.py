@@ -4,7 +4,7 @@ The stream is the Section 6 loop at the size ``python3 -m bench --workload
 sim_paper`` runs (320 RayTrace objects on the 9 x 9 synthetic road network,
 seed 11, 10 timestamps an epoch, a 100-timestamp window, 64 cells per axis,
 one shard, delta mode, columnar kernel): ten warm-up epochs, then 20
-counted ones.  Six counts, each pinned to what the epoch pass does now:
+counted ones.  Seven counts, each pinned to what the epoch pass does now:
 
 * ``ObjectState.fsa`` evaluations — one per state per epoch: the strategy
   builds each state's FSA once and hands it to the plan, the candidate stage,
@@ -17,6 +17,8 @@ counted ones.  Six counts, each pinned to what the epoch pass does now:
 * ``Point.__hash__`` calls inside ``EndpointTable`` methods — none: the table
   keys by coordinate tuples;
 * ``VertexPrefetch`` entries — one per pending state that is not lone;
+* the insert probe's ``add_path`` calls — one per insert of such a state:
+  with no object reporting twice, no lone insert joins the probe;
 * pool-cache table lookups — one per overlap pool, hit or miss: a miss no
   longer probes a lookup per prefix cut.
 
@@ -77,6 +79,8 @@ EPOCH_LENGTH, WARMUP, COUNTED = 10, 10, 20
 ALL_PAIRS, Y_TESTS, MATCHED = 642185, 4103, 131
 #: The pending states among those that are not lone.
 PREFETCH_ENTRIES = 56
+#: The inserts of those, the only ones the epoch's probe holds.
+NOT_LONE_INSERTS = 53
 
 
 def paper_stream() -> Iterator[Tuple[Coordinator, int]]:
@@ -261,6 +265,57 @@ class TestEpochPassWork:
         counted_epochs(counter)
         assert counter["lone"] + counter["not_lone"] == 1285
         assert counter["entries"] == counter["not_lone"] == PREFETCH_ENTRIES
+
+    def test_only_inserts_a_later_decision_can_read_join_the_probe(self, monkeypatch):
+        """No object reports twice in these epochs, so a lone decision's
+        insert — inside its own FSA, which no other FSA touches — is read by
+        no later decision and stays out of the probe: per epoch, the probe's
+        ``add_path`` calls are the inserts of the states that are not lone
+        (every insert joined it before)."""
+        counter: Counter = Counter()
+        per_epoch: List[Tuple[int, int]] = []
+        grid_init, add_path = GridIndex.__init__, EndpointTable.add_path
+        process_epoch, decide = SinglePathStrategy.process_epoch, SinglePathStrategy.decide
+        index_tables: List[EndpointTable] = []
+
+        def recorded_init(index, *args, **kwargs):
+            grid_init(index, *args, **kwargs)
+            index_tables.append(index._table)
+
+        def counted_add(table, *args):
+            if counter["on"] and not any(table is indexed for indexed in index_tables):
+                counter["probe_adds"] += 1
+            return add_path(table, *args)
+
+        def counted_decide(strategy, reported, fsa, candidates, plan, prefetch=None, probe=None):
+            response, path_id = decide(strategy, reported, fsa, candidates, plan, prefetch, probe)
+            if counter["on"] and path_id is not None:
+                counter["lone_inserts" if prefetch is None else "inserts"] += 1
+            return response, path_id
+
+        def counted_epoch(strategy, states):
+            if counter["on"]:
+                assert len({reported.object_id for reported in states}) == len(states)
+                before = (counter["probe_adds"], counter["inserts"])
+                result = process_epoch(strategy, states)
+                per_epoch.append(
+                    (counter["probe_adds"] - before[0], counter["inserts"] - before[1])
+                )
+                return result
+            return process_epoch(strategy, states)
+
+        monkeypatch.setattr(GridIndex, "__init__", recorded_init)
+        monkeypatch.setattr(EndpointTable, "add_path", counted_add)
+        monkeypatch.setattr(SinglePathStrategy, "decide", counted_decide)
+        monkeypatch.setattr(SinglePathStrategy, "process_epoch", counted_epoch)
+        outcomes = counted_epochs(counter)
+        assert len(per_epoch) == COUNTED
+        assert all(probe_adds == inserts for probe_adds, inserts in per_epoch)
+        assert counter["probe_adds"] == counter["inserts"] == NOT_LONE_INSERTS
+        assert counter["lone_inserts"] + NOT_LONE_INSERTS == sum(
+            outcome.paths_inserted for outcome in outcomes
+        )
+        assert counter["lone_inserts"] > NOT_LONE_INSERTS
 
     def test_a_pool_cache_miss_makes_one_table_lookup(self, monkeypatch):
         """Every pool costs one lookup, hit or miss.  A miss used to probe
@@ -580,29 +635,55 @@ def reference_choice(strategy: SinglePathStrategy, fsa: Rectangle, plan) -> tupl
 
 
 class EpochPassChecker:
-    """Wraps ``_choose_vertex``: every Case 2/3 decision — off the epoch
-    pass or, for a lone FSA, off the live index — must choose what
-    the per-state query of the live index and the merged structure chooses:
-    the same vertex (down to ``repr``), hotness and fabricated flag.  For a
-    decision off the pass, the probe of the epoch's inserts must also find
-    what a linear ``contains_point`` rescan of them finds.  Counts the cases
-    the streams are built to reach."""
+    """Wraps ``decide`` and ``_choose_vertex``: every Case 2/3 decision — off
+    the epoch pass, off the live index for a lone FSA, or a lone FSA's
+    centre, chosen without ranking when it holds no end vertex — must choose
+    what the per-state query of the live index and the merged structure
+    chooses: the same vertex (down to ``repr``), hotness and fabricated flag
+    (an unranked centre: the reference must be that centre, fabricated, with
+    count 1, and the response its vertex or the nudge away from the start).
+    For a decision off the pass, the probe of the epoch's inserts must also
+    find what a linear ``contains_point`` rescan of them finds.  Counts the
+    cases the streams are built to reach."""
 
     def __init__(self, monkeypatch) -> None:
         self.compared = 0
         self.lone = 0
+        self.unranked = 0
         self.inserts_seen = 0
         self.on_indexed_vertex = 0
         self.first_id = 0
         original = SinglePathStrategy._choose_vertex
+        original_decide = SinglePathStrategy.decide
         original_epoch = SinglePathStrategy.process_epoch
         checker = self
+        key = lambda choice: (repr(choice[0]), choice[1], choice[2])
 
         def epoch(strategy, states):
             checker.first_id = strategy._index._next_path_id
             return original_epoch(strategy, states)
 
-        def checked(strategy, fsa, plan, prefetch, probe):
+        def decided(strategy, state, fsa, candidates, plan, prefetch=None, probe=None):
+            if candidates:
+                return original_decide(strategy, state, fsa, candidates, plan, prefetch, probe)
+            expected = reference_choice(strategy, fsa, plan)
+            ranked = checker.compared
+            response, path_id = original_decide(
+                strategy, state, fsa, candidates, plan, prefetch, probe
+            )
+            if checker.compared == ranked:
+                assert prefetch is None
+                assert key(expected) == (repr(fsa.center), 1, True)
+                vertex, start = expected[0], state.start
+                if vertex.x == start.x and vertex.y == start.y:
+                    vertex = next(a for a in (fsa.center, fsa.high, fsa.low) if a != start)
+                assert repr(response.endpoint) == repr(vertex)
+                checker.lone += 1
+                checker.unranked += 1
+                checker.compared += 1
+            return response, path_id
+
+        def checked(strategy, fsa, plan, end_vertices, prefetch):
             if prefetch is None:
                 checker.lone += 1
             else:
@@ -612,23 +693,23 @@ class EpochPassChecker:
                     for path_id, record in strategy._index.by_id.items()
                     if path_id >= checker.first_id and fsa.contains_point(record.path.end)
                 ]
-                probed = probe.end_vertices_in(fsa).values()
-                assert sorted(path_id for _vertex, ids in probed for path_id in ids) == sorted(
-                    record.path_id for record in rescanned
-                )
+                # ``end_vertices`` is the probe's read of them.
+                assert sorted(
+                    path_id for _vertex, ids in end_vertices.values() for path_id in ids
+                ) == sorted(record.path_id for record in rescanned)
                 for record in rescanned:
                     checker.inserts_seen += 1
                     end = record.path.end
                     if (end.x, end.y) in prefetch.end_vertices:
                         checker.on_indexed_vertex += 1
-            chosen = original(strategy, fsa, plan, prefetch, probe)
+            chosen = original(strategy, fsa, plan, end_vertices, prefetch)
             expected = reference_choice(strategy, fsa, plan)
-            key = lambda choice: (repr(choice[0]), choice[1], choice[2])
             assert key(chosen) == key(expected)
             checker.compared += 1
             return chosen
 
         monkeypatch.setattr(SinglePathStrategy, "process_epoch", epoch)
+        monkeypatch.setattr(SinglePathStrategy, "decide", decided)
         monkeypatch.setattr(SinglePathStrategy, "_choose_vertex", checked)
 
 
@@ -637,7 +718,7 @@ class TestEpochPassDifferential:
         checker = EpochPassChecker(monkeypatch)
         drive(DEFAULT, crafted_stream())
         assert checker.compared >= 8
-        assert checker.lone >= 1  # a lone FSA, off the live end table
+        assert checker.lone >= 1  # a lone FSA, answered with its centre
         assert checker.inserts_seen >= 2  # an in-epoch insert inside a later FSA
         assert checker.on_indexed_vertex >= 1  # ... onto a vertex the pass had read
 
@@ -650,6 +731,8 @@ class TestEpochPassDifferential:
         checker = EpochPassChecker(monkeypatch)
         drive(DEFAULT, stream)
         assert checker.compared > checker.lone >= 40
+        # Lone FSAs both ranked off the live end table and answered unranked.
+        assert checker.lone > checker.unranked > 0
         assert checker.inserts_seen > 0
         assert checker.on_indexed_vertex > 0
 
@@ -661,3 +744,5 @@ class TestEpochPassDifferential:
         assert checker.compared >= 8
         assert checker.lone >= 1
         assert checker.on_indexed_vertex >= 1
+        drive(FleetConfig(kernel="object"), synthetic_stream(seed=5, epochs=6))
+        assert checker.lone > checker.unranked > 0

@@ -8,12 +8,11 @@ from repro.core.errors import InvalidGeometryError
 from repro.core.geometry import (
     Point,
     Rectangle,
-    euclidean_distance,
     interpolate_point,
     interpolate_scalar,
     max_distance,
-    segment_length,
 )
+from repro.core.motion_path import MotionPath
 
 
 def box(x_min: float, y_min: float, x_max: float, y_max: float) -> Rectangle:
@@ -48,10 +47,11 @@ class TestDistances:
         assert max_distance(a, b) == max_distance(b, a) == 3.0
 
     def test_euclidean_distance(self):
-        assert euclidean_distance(Point(0.0, 0.0), Point(3.0, 4.0)) == 5.0
+        assert Point(0.0, 0.0).euclidean_distance_to(Point(3.0, 4.0)) == 5.0
 
-    def test_segment_length_is_euclidean(self):
-        assert segment_length(Point(0.0, 0.0), Point(0.0, 7.0)) == 7.0
+    def test_motion_path_length_is_euclidean(self):
+        assert MotionPath(Point(0.0, 0.0), Point(3.0, 4.0)).length == 5.0
+        assert MotionPath(Point(0.0, 0.0), Point(0.0, 7.0)).length == 7.0
 
 
 class TestInterpolation:

@@ -96,7 +96,7 @@ class TestSameCellEndpoints:
         index.delete(doomed.path_id)
         everywhere = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
         assert [r.path_id for r in index.paths_intersecting(everywhere)] == [kept.path_id]
-        assert index.paths_starting_at(Point(20.0, 20.0), everywhere)[0].path_id == kept.path_id
+        assert index.starting_at(Point(20.0, 20.0), everywhere) == [kept.path_id]
 
     def test_clamped_endpoints_share_border_cell_and_delete(self, index):
         # Both endpoints are outside the bounds and clamp into the same
@@ -113,31 +113,30 @@ class TestSameCellEndpoints:
         point = Point(10.0, 10.0)
         record = index.insert(MotionPath(point, point))
         everywhere = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-        assert [r.path_id for r in index.paths_starting_at(point, everywhere)] == [record.path_id]
-        assert index.path_between(point, point) is record
+        assert index.starting_at(point, everywhere) == [record.path_id]
+        assert index.path_between(point, point) == record.path_id
         index.delete(record.path_id)
         assert index._table._cells == {}
 
 
 class TestQueries:
     def test_paths_from_into_matches_start_and_region(self, index):
-        """Paths from ``start`` into ``region`` (``paths_starting_at``), and
+        """Paths from ``start`` into ``region`` (``starting_at``), and
         the exact ``(start, end)`` probe of an insert (``path_between``)."""
         start = Point(100.0, 100.0)
         match = index.insert(MotionPath(start, Point(200.0, 200.0)))
         index.insert(MotionPath(Point(101.0, 100.0), Point(200.0, 201.0)))  # wrong start
         index.insert(MotionPath(start, Point(900.0, 900.0)))  # end outside region
         region = Rectangle(Point(150.0, 150.0), Point(250.0, 250.0))
-        results = index.paths_starting_at(start, region)
-        assert [record.path_id for record in results] == [match.path_id]
-        assert index.path_between(start, Point(200.0, 200.0)) is match
+        assert index.starting_at(start, region) == [match.path_id]
+        assert index.path_between(start, Point(200.0, 200.0)) == match.path_id
         assert index.path_between(start, Point(200.0, 201.0)) is None
         assert index.path_between(Point(101.0, 100.0), Point(200.0, 200.0)) is None
 
     def test_paths_from_into_empty_region(self, index):
         index.insert(MotionPath(Point(100.0, 100.0), Point(200.0, 200.0)))
         region = Rectangle(Point(800.0, 800.0), Point(900.0, 900.0))
-        assert index.paths_starting_at(Point(100.0, 100.0), region) == []
+        assert index.starting_at(Point(100.0, 100.0), region) == []
 
     def test_end_vertices_in_groups_by_vertex(self, index):
         shared_end = Point(300.0, 300.0)

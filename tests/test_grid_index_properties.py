@@ -148,15 +148,13 @@ class TestAgainstReference:
         index, reference = build_both(ops, self.kernel)
         ends = {r.path.end for r in reference.records.values() if region.contains_point(r.path.end)}
         for end in ends | {start}:
-            record = index.path_between(start, end)
-            found = None if record is None else record.path_id
-            assert found == reference.path_between(start, end)
+            assert index.path_between(start, end) == reference.path_between(start, end)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.differing_executors])
     @given(operations(), pool_points, regions())
-    def test_paths_starting_at_matches_paths_from_into(self, ops, start, region):
+    def test_starting_at_matches_paths_from_into(self, ops, start, region):
         index, reference = build_both(ops, self.kernel)
-        by_start_cell = sorted(r.path_id for r in index.paths_starting_at(start, region))
+        by_start_cell = sorted(index.starting_at(start, region))
         assert by_start_cell == reference.paths_from_into(start, region)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.differing_executors])
@@ -271,9 +269,10 @@ class TestBoundaryCells:
             for other in inserted:
                 start, end = record.path.start, other.path.end
                 expected = next(
-                    (r for r in inserted if r.path.start == start and r.path.end == end), None
+                    (r.path_id for r in inserted if r.path.start == start and r.path.end == end),
+                    None,
                 )
-                assert index.path_between(start, end) is expected
+                assert index.path_between(start, end) == expected
         for record in inserted:
             # The degenerate query at each endpoint must see the entry the
             # matching _add_entry stored.

@@ -283,8 +283,8 @@ class TestOwnerLabels:
         records = [coordinator.index.insert(path) for path in paths]
         for record in records:
             start, end = record.path.start, record.path.end
-            starting = coordinator.index.paths_starting_at(start, Rectangle.degenerate(end))
-            assert any(r.path_id == record.path_id for r in starting)
+            starting = coordinator.index.starting_at(start, Rectangle.degenerate(end))
+            assert record.path_id in starting
             ends = coordinator.index.end_vertices_in(Rectangle.degenerate(end))
             assert record.path_id in ends.get((end.x, end.y), (end, []))[1]
 

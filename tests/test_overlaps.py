@@ -260,7 +260,7 @@ class TestObjectsOnlyAtTheBoundary:
     """Exact construction counts (no wall clock): the build and the ranking are scalar.
 
     ``Point`` / ``Rectangle`` constructions are counted by wrapping their
-    validating ``__post_init__``.  Building the structure and its query table
+    validating ``__init__``.  Building the structure and its query table
     constructs nothing; a query builds what it returns and nothing else.  (The
     ``Rectangle`` formulation, kept as ``tests/overlap_oracle.py``, builds a
     ``Rectangle`` and two ``Point`` objects for every stored region a new FSA
@@ -270,18 +270,18 @@ class TestObjectsOnlyAtTheBoundary:
     @pytest.fixture
     def built(self, monkeypatch):
         counts = {"points": 0, "rectangles": 0}
-        point_check, rectangle_check = Point.__post_init__, Rectangle.__post_init__
+        point_init, rectangle_init = Point.__init__, Rectangle.__init__
 
-        def counted_point(self):
+        def counted_point(self, *args, **kwargs):
             counts["points"] += 1
-            point_check(self)
+            point_init(self, *args, **kwargs)
 
-        def counted_rectangle(self):
+        def counted_rectangle(self, *args, **kwargs):
             counts["rectangles"] += 1
-            rectangle_check(self)
+            rectangle_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Point, "__post_init__", counted_point)
-        monkeypatch.setattr(Rectangle, "__post_init__", counted_rectangle)
+        monkeypatch.setattr(Point, "__init__", counted_point)
+        monkeypatch.setattr(Rectangle, "__init__", counted_rectangle)
 
         def measure(call, *args, **kwargs):
             counts["points"] = counts["rectangles"] = 0

@@ -512,18 +512,18 @@ class TestObjectsOnlyAtTheBoundary:
         filt = RayTraceFilter(7, TimePoint(Point(0.0, 0.0), 0), RayTraceConfig(4.0))
 
         built = {"points": 0, "rectangles": 0}
-        point_check, rectangle_check = Point.__post_init__, Rectangle.__post_init__
+        point_init, rectangle_init = Point.__init__, Rectangle.__init__
 
-        def counted_point(self):
+        def counted_point(self, *args, **kwargs):
             built["points"] += 1
-            point_check(self)
+            point_init(self, *args, **kwargs)
 
-        def counted_rectangle(self):
+        def counted_rectangle(self, *args, **kwargs):
             built["rectangles"] += 1
-            rectangle_check(self)
+            rectangle_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Point, "__post_init__", counted_point)
-        monkeypatch.setattr(Rectangle, "__post_init__", counted_rectangle)
+        monkeypatch.setattr(Point, "__init__", counted_point)
+        monkeypatch.setattr(Rectangle, "__init__", counted_rectangle)
 
         tally = Counter()  # (entry point, emitted a report?) -> calls
 

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath
+from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.client.state import ObjectState
+from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessTracker
-from repro.coordinator.single_path import SinglePathStrategy
+from repro.coordinator.single_path import (
+    CandidatePath,
+    SinglePathStrategy,
+    apply_co_occurrence_boost,
+)
+
+from differential import DEFAULT, drive, synthetic_stream
+from single_path_oracle import ReferenceSinglePath
 
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
@@ -200,3 +210,93 @@ class TestCrossingBookkeeping:
         report = state(1, Point(100.0, 100.0), Point(190.0, 190.0), Point(210.0, 210.0), t_start=5, t_end=17)
         result = strategy.process_epoch([report])
         assert result.responses[0].timestamp == 17
+
+
+class TestTwiceReportingObjects:
+    """An object that reports twice in one epoch: each state is decided
+    with its own Case 1 candidates, and the object boosts no candidate of
+    its own."""
+
+    def test_each_state_takes_its_own_case_1_candidate(self):
+        strategy, index, hotness = make_strategy()
+        first = index.insert(MotionPath(Point(100.0, 100.0), Point(150.0, 150.0)))
+        second = index.insert(MotionPath(Point(600.0, 600.0), Point(650.0, 650.0)))
+        earlier = state(7, Point(100.0, 100.0), Point(140.0, 140.0), Point(160.0, 160.0), t_end=5)
+        later = state(7, Point(600.0, 600.0), Point(640.0, 640.0), Point(660.0, 660.0), t_end=9)
+        result = strategy.process_epoch([earlier, later])
+        assert [response.endpoint for response in result.responses] == [
+            first.path.end,
+            second.path.end,
+        ]
+        assert result.inserted == []
+        assert hotness.hotness(first.path_id) == hotness.hotness(second.path_id) == 1
+
+    def test_a_twice_reporting_object_never_boosts_its_own_candidate(self):
+        record = MotionPathRecord(3, MotionPath(Point(0.0, 0.0), Point(1.0, 1.0)))
+        sets = [[CandidatePath(record, 1)] for _ in range(3)]
+        apply_co_occurrence_boost([7, 7, 8], sets)  # object 7 twice, object 8 once
+        assert [candidates[0].hotness for candidates in sets] == [2, 2, 2]
+        alone = [[CandidatePath(record, 1)] for _ in range(2)]
+        apply_co_occurrence_boost([7, 7], alone)
+        assert [candidates[0].hotness for candidates in alone] == [1, 1]
+
+    @pytest.mark.parametrize("seed", [11, 5, 31, 42, 21])
+    def test_every_case_1_answer_lies_inside_its_own_fsa(self, seed, monkeypatch):
+        """On the exactness harness's streams, where ids repeat within an
+        epoch, a Case 1 decision answers the end of one of its own
+        candidates: inside its own FSA.  Gathered per object, the earlier
+        state of a twice-reporting object took its later state's candidates
+        and was answered outside its FSA."""
+        counts = Counter()
+        later_ids = {}
+        process_epoch, decide = SinglePathStrategy.process_epoch, SinglePathStrategy.decide
+
+        def recorded_epoch(strategy, states):
+            later_ids.clear()
+            for position, reported in enumerate(states):
+                later_ids[id(reported)] = {other.object_id for other in states[position + 1:]}
+            return process_epoch(strategy, states)
+
+        def checked_decide(strategy, reported, fsa, candidates, *args):
+            response, path_id = decide(strategy, reported, fsa, candidates, *args)
+            if candidates:
+                counts["case_1"] += 1
+                counts["earlier_duplicate"] += reported.object_id in later_ids[id(reported)]
+                counts["outside"] += not fsa.contains_point(response.endpoint)
+            return response, path_id
+
+        monkeypatch.setattr(SinglePathStrategy, "process_epoch", recorded_epoch)
+        monkeypatch.setattr(SinglePathStrategy, "decide", checked_decide)
+        drive(DEFAULT, synthetic_stream(seed=seed))
+        assert counts["earlier_duplicate"] > 0
+        assert counts["outside"] == 0
+
+
+class TestLoneInsertProbe:
+    """A lone decision's insert joins the epoch's probe only when the epoch
+    has an FSA outside its map: the earlier state of an object that reports
+    twice, the one FSA that can touch a lone FSA."""
+
+    def test_the_earlier_state_of_a_twice_reporter_reads_a_lone_insert(self):
+        """Object 1's FSA is lone (object 7's earlier FSA, which contains
+        its centre, is off the epoch map) and fabricates its centre, (300,
+        300).  Object 7's earlier state, decided next, must see that path
+        in the probe: it outranks the centre of the smaller region of
+        object 7's later FSA, (420, 420), which it would answer without it.
+        The answers equal the literal Algorithm 2's."""
+        states = [
+            state(1, Point(100.0, 100.0), Point(250.0, 250.0), Point(350.0, 350.0), t_end=8),
+            state(7, Point(600.0, 100.0), Point(280.0, 280.0), Point(400.0, 400.0), t_end=9),
+            state(7, Point(700.0, 700.0), Point(390.0, 390.0), Point(450.0, 450.0), t_end=9),
+        ]
+        coordinator = Coordinator(CoordinatorConfig(bounds=BOUNDS, window=100))
+        for reported in states:
+            coordinator.submit_state(reported)
+        responses = coordinator.run_epoch(10).responses
+        expected = ReferenceSinglePath(100).epoch(10, states)
+        assert repr(responses) == repr(expected)
+        assert [response.endpoint for response in responses] == [
+            Point(300.0, 300.0),
+            Point(300.0, 300.0),
+            Point(420.0, 420.0),
+        ]

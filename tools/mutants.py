@@ -78,6 +78,8 @@ _COLUMNAR = "src/repro/coordinator/columnar.py"
 _GRID_INDEX = "src/repro/coordinator/grid_index.py"
 _OVERLAPS = "src/repro/coordinator/overlaps.py"
 _QUERY_VIEW = "src/repro/coordinator/query_view.py"
+_GEOMETRY = "src/repro/core/geometry.py"
+_VALUE = "src/repro/core/value.py"
 _SCORING = "src/repro/core/scoring.py"
 _SERVER = "src/repro/serving/server.py"
 _SINGLE_PATH = "src/repro/coordinator/single_path.py"
@@ -97,6 +99,7 @@ _GRID = "tests/test_grid_index.py"
 _SEQ_RUNS = "tests/test_batcher_properties.py::TestRunLengthDedupe"
 _HISTOGRAM = "tests/test_batcher_properties.py::TestLatencyHistogram"
 _ENVELOPE = "tests/test_serving_protocol.py::TestEnvelopeIntegers"
+_VALUE_TWINS = "tests/test_value_objects.py"
 
 
 MUTANTS: List[Mutant] = [
@@ -104,6 +107,11 @@ MUTANTS: List[Mutant] = [
     Mutant("boost_counts_a_candidate_twice", _SINGLE_PATH,
            "occurrences[candidate.record.path_id] += 1", "occurrences[candidate.record.path_id] += 2",
            (f"{_ORACLE}[co_occurrence]",)),
+    Mutant("boost_counts_a_twice_reporting_object_twice", _SINGLE_PATH,
+           "if holder not in held:", "if True:",
+           (
+               "tests/test_single_path.py::TestTwiceReportingObjects::test_a_twice_reporting_object_never_boosts_its_own_candidate",
+           )),
     Mutant("case_1_tie_goes_to_the_higher_id", _SINGLE_PATH,
            "key=lambda candidate: (candidate.hotness, -candidate.record.path_id),",
            "key=lambda candidate: (candidate.hotness, candidate.record.path_id),",
@@ -271,10 +279,15 @@ MUTANTS: List[Mutant] = [
                "tests/test_columnar.py::TestEndpointTableKernels::test_start_hash_emptied_with_its_last_path",
            )),
     Mutant("end_table_low_bound_bisects_right", _COLUMNAR,
-           "first = bisect_left(xs, region.low.x)", "first = bisect_right(xs, region.low.x)",
+           "first = bisect_left(xs, low.x)", "first = bisect_right(xs, low.x)",
            (
                "tests/test_isolated_fsas.py::TestInsertProbe::test_probe_equals_a_linear_contains_point_scan",
                "tests/test_isolated_fsas.py::TestInsertProbe::test_equal_ends_are_met_in_insertion_order",
+           )),
+    Mutant("lone_insert_skips_probe_with_a_twice_reporter", _SINGLE_PATH,
+           "lone_probe = probe if len(mapped) < len(states) else None", "lone_probe = None",
+           (
+               "tests/test_single_path.py::TestLoneInsertProbe::test_the_earlier_state_of_a_twice_reporter_reads_a_lone_insert",
            )),
     Mutant("probe_merge_replaces_the_prefetched_ids", _SINGLE_PATH,
            "group[1].extend(path_ids)", "group[1][:] = path_ids",
@@ -405,7 +418,7 @@ MUTANTS: List[Mutant] = [
     Mutant("apply_rekeys_an_unchanged_hotness", _STITCHING,
            "if hotness[path_id] != count:", "if True:",
            (f"{_STITCHER}::test_apply_is_idempotent",)),
-    Mutant("object_paths_starting_at_takes_end_entries", _GRID_INDEX,
+    Mutant("object_starting_at_takes_end_entries", _GRID_INDEX,
            "if is_start and endpoint == start and region.contains_point(other)",
            "if endpoint == start and region.contains_point(other)",
            (
@@ -429,6 +442,30 @@ MUTANTS: List[Mutant] = [
                "tests/test_one_index.py::TestOwnerLabels::test_every_path_lands_on_exactly_one_owner[6]",
                "tests/test_grid_index_properties.py::TestBoundaryCells::test_max_edge_maps_to_last_cell",
            )),
+    # -- the value objects: each held to its frozen-dataclass twin -------------------
+    Mutant("point_accepts_nan", _GEOMETRY,
+           "if not (_isfinite(x) and _isfinite(y)):",
+           "if not ((_isfinite(x) or x != x) and (_isfinite(y) or y != y)):",
+           (
+               f"{_VALUE_TWINS}::test_point_validation_matches_the_twin",
+               f"{_VALUE_TWINS}::test_point_rejects_nan_and_infinity_as_the_twin_does",
+           )),
+    Mutant("rectangle_accepts_an_inverted_corner_pair", _GEOMETRY,
+           "if low.x > high.x or low.y > high.y:", "if low.x > high.x and low.y > high.y:",
+           (
+               f"{_VALUE_TWINS}::test_rectangle_validation_matches_the_twin",
+               f"{_VALUE_TWINS}::test_rectangle_rejects_an_inversion_on_either_axis",
+           )),
+    Mutant("frozen_value_allows_assignment", _VALUE,
+           "raise FrozenInstanceError(f\"cannot assign to field {name!r}\")",
+           "object.__setattr__(self, name, value)",
+           (f"{_VALUE_TWINS}::test_assignment_and_deletion_raise_frozen_instance_error",)),
+    Mutant("value_eq_crosses_classes", _VALUE,
+           "if other.__class__ is self.__class__:", "if isinstance(other, Value):",
+           (f"{_VALUE_TWINS}::test_equality_across_classes_matches_the_twins",)),
+    Mutant("value_fields_skip_the_init_check", _VALUE,
+           "if parameters != fields:", "if False:",
+           (f"{_VALUE_TWINS}::test_a_class_whose_fields_and_init_parameters_differ_is_refused",)),
     # -- the serving tier -----------------------------------------------------------
     Mutant("seq_runs_membership_excludes_the_run_top", _BATCHER,
            "return run >= 0 and seq <= self.highs[run]",
