@@ -75,7 +75,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath, MotionPathRecord
@@ -135,7 +135,7 @@ class SinglePathEpochResult:
 
 
 def apply_co_occurrence_boost(
-    object_ids: Sequence[int], candidate_paths: Sequence[List[CandidatePath]]
+    object_ids: Sequence[int], candidate_paths: Sequence[Sequence[CandidatePath]]
 ) -> None:
     """Boost hotness of paths appearing in several objects' candidate sets.
 
@@ -178,7 +178,7 @@ class VertexPrefetch:
 
 def prefetch_vertex_candidates(
     index: GridIndex,
-    pending: Sequence[Tuple[int, int, Rectangle]],
+    pending: Iterable[Tuple[int, int, Rectangle]],
     plan: OverlapPlan,
 ) -> Dict[int, VertexPrefetch]:
     """The epoch pass: the Case 2/3 geometry of every pending object that
@@ -291,8 +291,9 @@ class SinglePathStrategy:
         apply_co_occurrence_boost(object_ids, candidate_paths)
 
         # Phase 3: selection per object, in submission order, behind the
-        # epoch pass (module docstring).
-        pending = list(zip(range(len(states)), object_ids, fsas))
+        # epoch pass (module docstring).  ``pending`` holds ``(position,
+        # object id, FSA)`` of the states left without a Case 1 candidate.
+        pending: Iterable[Tuple[int, int, Rectangle]] = zip(range(len(states)), object_ids, fsas)
         if any(candidate_paths):
             pending = [entry for entry, candidates in zip(pending, candidate_paths) if not candidates]
         prefetched = prefetch_vertex_candidates(self._index, pending, plan)
@@ -318,7 +319,7 @@ class SinglePathStrategy:
 
     def candidate_paths(
         self, states: Sequence[ObjectState], fsas: Sequence[Rectangle]
-    ) -> List[List[CandidatePath]]:
+    ) -> List[Sequence[CandidatePath]]:
         """``GetCandidatePaths`` of every state, in one pass: the stored paths
         from the state's SSA start into its FSA (``fsas``, in step).
 
@@ -326,8 +327,13 @@ class SinglePathStrategy:
         (the columnar storage: from that vertex's hash bucket); only the
         rare non-empty answer is turned into candidates.
         """
+        # A state without a candidate holds the shared empty tuple, so the
+        # epoch keeps no empty list per state alive (one garbage-collector
+        # allocation each).
         starting_at = self._index.starting_at
-        candidate_paths: List[list] = list(map(starting_at, map(_start_of, states), fsas))
+        candidate_paths: List[Sequence[CandidatePath]] = [
+            path_ids or () for path_ids in map(starting_at, map(_start_of, states), fsas)
+        ]
         if any(candidate_paths):
             records, hotness = self._index.by_id, self._hotness.hotness
             for position, path_ids in enumerate(candidate_paths):
@@ -343,7 +349,7 @@ class SinglePathStrategy:
         self,
         state: ObjectState,
         fsa: Rectangle,
-        candidates: List[CandidatePath],
+        candidates: Sequence[CandidatePath],
         plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
         probe: Optional[EndpointTable] = None,

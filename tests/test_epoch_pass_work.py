@@ -249,6 +249,7 @@ class TestEpochPassWork:
         vertex_prefetch = single_path.VertexPrefetch
 
         def counted_prefetch(table, pending, plan):
+            pending = list(pending)
             if counter["on"]:
                 for _position, object_id, fsa in pending:
                     lone = plan.fsas.get(object_id) is fsa and plan.components.get(object_id) == LONE
