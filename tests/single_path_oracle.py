@@ -2,7 +2,7 @@
 
 ``repro.coordinator.single_path`` runs the paper's SinglePath (Section 5.3,
 Algorithm 2) as an epoch pass over a grid index, a hotness tracker with an
-expiry heap, an overlap plan split into components, a pool cache and an
+expiry queue, an overlap plan split into components, a pool cache and an
 in-epoch insert probe.  This module is the same algorithm with none of that:
 
 * the live paths are one list of ``(id, start, end, created)`` in insertion
