@@ -8,9 +8,11 @@ a commit re-reads those from the index and the tracker — all but the ones
 whose count came back to where it was — and only a corridor, report or
 statistics read hands the changes on to the stitcher, so epochs nobody
 queries pay nothing, a path query pays nothing for corridors, and steady
-traffic pays for neither.  A top-k answer stands until an edit reaches its
-k-th key (:class:`~repro.core.scoring.StandingTopK`).  Every answer equals
-the oracle scans — ``select_top_k(hot_paths())`` and
+traffic pays for neither.  Each top-k reads a kept set of the keys at or
+above a floor (:class:`~repro.core.scoring.StandingTopK`): every edit at or
+above the floor toggles its key there, and only a kept set that runs below
+k keys sends a query back to the whole key set.  Every answer equals the
+oracle scans — ``select_top_k(hot_paths())`` and
 ``stitch_paths(hot_paths())`` — bit for bit.  ``docs/ARCHITECTURE.md``
 ("Query path") has the argument.
 """
@@ -38,7 +40,7 @@ class HotPathView:
         self._hotness = hotness
         self.stitcher = IncrementalStitcher()
         self._rank: Dict[int, RankKey] = {}
-        #: The last path top-k answer, kept while no edit reaches its k-th key.
+        #: The path rank tuples at or above a floor, kept across refreshes.
         self._standing = StandingTopK()
         #: Ids whose state may differ from the view's; ``None`` once they
         #: outnumber the hot set (the next read rescans instead of patching).
@@ -92,7 +94,7 @@ class HotPathView:
         elif not dirty:
             return
         self._dirty = set()
-        rank, pending, held = self._rank, self._pending, self.stitcher
+        rank, pending, holds = self._rank, self._pending, self.stitcher.holds
         count_of, record_of, ranked = self._hotness.counts.get, self._index.by_id.get, rank.get
         edited: List[RankKey] = []  # every rank tuple replaced, old and new
         for path_id in dirty:
@@ -112,7 +114,7 @@ class HotPathView:
                 if old is not None:
                     del rank[path_id]
                     edited.append(old)
-                if path_id in held:
+                if holds(path_id):
                     pending[path_id] = None
                 else:
                     pending.pop(path_id, None)
@@ -128,11 +130,7 @@ class HotPathView:
         return self.stitcher
 
     def top_k(self, k: int, by_score: bool = False) -> List[ScoredPath]:
-        """Top-k hot paths: a read of the rank tuples, ``k`` objects built.
-
-        The ranked tuples are the standing answer while every rank tuple
-        edited since it was computed lies below its k-th key.
-        """
+        """Top-k hot paths: a read of the kept rank tuples, ``k`` objects built."""
         self.refresh()
         record_of = self._index.get
         return [

@@ -44,12 +44,13 @@ whose two fragments carry different shard labels — is :func:`corridor_stats`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain as chain_from
+from operator import attrgetter, itemgetter
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -61,6 +62,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
 from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.core.scoring import RankKey, StandingTopK
+from repro.core.value import FrozenValue
 
 __all__ = [
     "CorridorSegment",
@@ -73,34 +75,59 @@ __all__ = [
     "select_top_k_corridors",
 ]
 
-@dataclass(frozen=True)
-class CorridorSegment:
-    """One hot motion path inside a composite corridor."""
+class CorridorSegment(FrozenValue):
+    """One hot motion path inside a composite corridor.
 
-    path_id: int
-    path: MotionPath
-    hotness: int
+    ``score`` (the member's contribution to the corridor score, ``hotness *
+    path.length``) is computed once, at construction, into its own slot: not
+    a field, so ``repr``, equality and hash are those of ``(path_id, path,
+    hotness)``.
+    """
 
-    @property
-    def score(self) -> float:
-        """The member's contribution to the corridor score: ``hotness * length``."""
-        return self.hotness * self.path.length
+    __slots__ = ("path_id", "path", "hotness", "score")
+    __match_args__ = ("path_id", "path", "hotness")
+
+    def __init__(self, path_id: int, path: MotionPath, hotness: int) -> None:
+        _set_segment_path_id(self, path_id)
+        _set_segment_path(self, path)
+        _set_segment_hotness(self, hotness)
+        _set_segment_score(self, hotness * path.length)
 
 
-@dataclass(frozen=True)
-class CompositeCorridor:
+_set_segment_path_id = CorridorSegment.path_id.__set__
+_set_segment_path = CorridorSegment.path.__set__
+_set_segment_hotness = CorridorSegment.hotness.__set__
+_set_segment_score = CorridorSegment.score.__set__
+_PATH_LENGTH = attrgetter("path.length")
+_HOTNESS = attrgetter("hotness")
+_SCORE = attrgetter("score")
+
+
+class CompositeCorridor(FrozenValue):
     """A maximal chain of hot motion paths welded end-to-start.
 
     Every hot path belongs to exactly one corridor (a path with no welds forms
     a singleton corridor), so the corridor report is a partition of the hot
     set — nothing is dropped, only grouped.
+
+    ``length`` (the chain's total Euclidean length), ``hotness`` (the minimum
+    member hotness: a corridor is only as hot as its weakest link) and
+    ``score`` (the sum of the member scores — additive, so stitching never
+    inflates it) are computed at construction into their own slots, with the
+    builtin ``sum`` and ``min`` over the segments in chain order.  They are
+    not fields: ``repr``, equality and hash are those of ``segments``.
     """
 
-    segments: Tuple[CorridorSegment, ...]
+    __slots__ = ("segments", "length", "hotness", "score")
+    __match_args__ = ("segments",)
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    def __init__(self, segments: Tuple[CorridorSegment, ...]) -> None:
+        if not segments:
             raise ConfigurationError("a composite corridor needs at least one segment")
+        _set_segments(self, segments)
+        _set_length(self, sum(map(_PATH_LENGTH, segments)))
+        _set_hotness(self, min(map(_HOTNESS, segments)))
+        _set_score(self, sum(map(_SCORE, segments)))
 
     @property
     def path_ids(self) -> Tuple[int, ...]:
@@ -123,23 +150,11 @@ class CompositeCorridor:
     def end(self) -> Point:
         return self.segments[-1].path.end
 
-    # Computed once per instance and cached in ``__dict__`` (not fields, so
-    # ``repr``, equality and hash are unchanged).
 
-    @cached_property
-    def length(self) -> float:
-        """Total Euclidean length of the chain."""
-        return sum(segment.path.length for segment in self.segments)
-
-    @cached_property
-    def hotness(self) -> int:
-        """Merged hotness: the corridor is only as hot as its weakest link."""
-        return min(segment.hotness for segment in self.segments)
-
-    @cached_property
-    def score(self) -> float:
-        """Sum of the member scores — additive, so stitching never inflates it."""
-        return sum(segment.score for segment in self.segments)
+_set_segments = CompositeCorridor.segments.__set__
+_set_length = CompositeCorridor.length.__set__
+_set_hotness = CompositeCorridor.hotness.__set__
+_set_score = CompositeCorridor.score.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +289,19 @@ def corridor_stats(
 # ---------------------------------------------------------------------------
 
 
+
+
+class _Vertex:
+    """One stitch vertex: the held ids ending and starting there, and its weld."""
+
+    __slots__ = ("enders", "starters", "weld")
+
+    def __init__(self) -> None:
+        self.enders: List[int] = []
+        self.starters: List[int] = []
+        self.weld: Optional[Tuple[int, int]] = None
+
+
 class IncrementalStitcher:
     """Maintain corridor chains incrementally under insert/expire/weld events.
 
@@ -286,44 +314,58 @@ class IncrementalStitcher:
 
     :meth:`apply` takes the final state of the ids that *may* have changed
     since the previous apply — the pending map the query view folds from
-    every refresh in between — never the whole hot set.  It makes one pass
-    over the changes, updating the vertex occupancy in place and collecting
-    every touched vertex into one set; then it re-decides the weld once per
-    distinct touched vertex via the same degree-1 rule as
-    :func:`stitch_paths`, and re-chains only the *tainted* chains: a chain
-    is tainted when a member was added or removed or when a weld on it
-    appeared or disappeared.  Every other chain — and its rank key and
-    cached corridor — is reused untouched.  This is corridor-aware expiry:
-    ``k`` fragments of one corridor expiring in the same apply tear the
-    chain down once, not ``k`` times (counted in ``expiry_coalesced``).
-    The counters therefore count net, coalesced patches: a weld that flips
-    and flips back among the changes of one apply taints nothing.  The
-    query view hands over only ids whose ``(path, hotness)`` changed, so a
-    stitch whose changes all cancelled (steady traffic: each new crossing
-    replaced one that expired) is no apply at all and counts nothing.  A
-    standing top-k answer (:class:`~repro.core.scoring.StandingTopK`) is
-    dropped when a chain key at or above its k-th key is edited.
+    every refresh in between — never the whole hot set.  It does each step
+    once per change, per vertex and per chain, in three loops:
+
+    * one pass over the changes updates the vertex occupancy in place and
+      collects every touched vertex into one set — a vertex the pass creates
+      holds one path and no weld, so only a later arrival there touches it —
+      and the chain heads of the ids that left or changed hotness;
+    * one weld decision per distinct touched vertex, by the same degree-1
+      rule as :func:`stitch_paths`; a weld that appeared or disappeared adds
+      the chain heads of its two ids as it changes;
+    * the members of those *dirty* chains, plus the ids that entered, are
+      re-chained in one loop that walks, re-labels and re-keys each chain.
+
+    A vertex is an object that holds its enders, its starters and its weld,
+    so a held fragment reaches its two vertices without a lookup; the
+    ``(x, y)`` -> vertex map is pruned of empty vertices as it grows past
+    four per held fragment, and the pruned ones are reused for new points.
+
+    Every other chain — and its rank key and cached corridor — is reused
+    untouched.  This is corridor-aware expiry: ``k`` fragments of one
+    corridor expiring in the same apply tear the chain down once, not ``k``
+    times (counted in ``expiry_coalesced``).  The counters therefore count
+    net, coalesced patches: a weld that flips and flips back among the
+    changes of one apply dirties nothing, and a chain whose only change is a
+    member's hotness is re-walked but counted as reused.  The query view
+    hands over only ids whose ``(path, hotness)`` changed, so a stitch whose
+    changes all cancelled (steady traffic: each new crossing replaced one
+    that expired) is no apply at all and counts nothing.  Every chain key
+    replaced, old and new, is reported to the kept top-k set
+    (:class:`~repro.core.scoring.StandingTopK`); ``weld_decisions`` counts
+    the weld decisions of every apply.
 
     **Exactness.**  The retained successor map always equals the one a global
     weld pass would compute: the weld at a vertex is a function of that
     vertex's final occupancy alone, every touched vertex is re-decided after
     all occupancy updates, and ``successor[p]`` is only ever written by the
-    weld at ``p``'s own end vertex.  Re-chaining only tainted chains is
-    exact because tainted-ness is closed over weld edges: an edge between
+    weld at ``p``'s own end vertex.  Re-chaining only dirty chains is exact
+    because the rebuilt members are closed over weld edges: an edge between
     two surviving fragments either predates the change — then both ends sat
     on the same old chain, so they are rebuilt (or reused) together — or was
-    created by it, which taints both endpoint chains.  So the rebuilt
-    members' heads are exactly those whose predecessor lies outside them,
-    walking from them sees every edge a global re-chain would, and what is
-    left over sits on weld cycles, broken at their smallest id as
-    :func:`chain_fragments` breaks them — the report stays bit-for-bit equal
-    to the full stitch, the contract of ``tests/test_differential.py`` and
-    the delta property suite.  A chain's rank key is ``min`` over its
-    members' hotness and the builtin ``sum`` over their scores
-    (``hotness * length``, stored per member) in chain order — the very
-    expressions :class:`CompositeCorridor` evaluates, never a running total
-    (``sum`` is compensated on CPython 3.12+) — so :meth:`top_k` equals
-    :func:`select_top_k_corridors` over the full report.
+    created by it, which dirties both endpoint chains.  So a rebuilt member
+    heads a chain exactly when it has no predecessor at all, walking from it
+    sees every edge a global re-chain would, and what is left over sits on
+    weld cycles, broken at their smallest id as :func:`chain_fragments`
+    breaks them — the report stays bit-for-bit equal to the full stitch, the
+    contract of ``tests/test_differential.py`` and the delta property suite.
+    A chain's rank key is its least member hotness and the builtin ``sum``
+    over its members' scores (``hotness * length``, stored per member) in
+    chain order — the values :class:`CompositeCorridor` computes, never a
+    running total of the scores (``sum`` is compensated on CPython 3.12+).
+    So :meth:`top_k` equals :func:`select_top_k_corridors` over the full
+    report.
 
     Like the rest of this module, the class knows no shard layout: owners
     are resolved per :meth:`report` call, for :func:`corridor_stats` only.
@@ -331,13 +373,16 @@ class IncrementalStitcher:
 
     def __init__(self) -> None:
         #: id -> ``(path, start vertex, end vertex)``, stored when it is added.
-        self._held: Dict[int, Tuple[MotionPath, Tuple[float, float], Tuple[float, float]]] = {}
+        self._held: Dict[int, Tuple[MotionPath, _Vertex, _Vertex]] = {}
+        #: Whether an id is one of the held (hot) fragments.
+        self.holds: Callable[[int], bool] = self._held.__contains__
         self._hotness: Dict[int, int] = {}
         #: id -> ``hotness * path.length``, the member's corridor score.
         self._score: Dict[int, float] = {}
-        self._starts: Dict[Tuple[float, float], set] = {}
-        self._ends: Dict[Tuple[float, float], set] = {}
-        self._weld_at: Dict[Tuple[float, float], Tuple[int, int]] = {}
+        #: ``(x, y)`` -> its vertex; pruned of empty vertices as it doubles.
+        self._vertices: Dict[Tuple[float, float], _Vertex] = {}
+        #: Pruned vertices, each empty and unwelded, for new points to reuse.
+        self._spare: List[_Vertex] = []
         self._successor: Dict[int, int] = {}
         self._predecessor: Dict[int, int] = {}
         self._chains: Dict[int, List[int]] = {}
@@ -346,17 +391,15 @@ class IncrementalStitcher:
         self._keys: Dict[int, RankKey] = {}
         #: head id -> materialised corridor; filled on demand, dropped on re-key.
         self._corridors: Dict[int, CompositeCorridor] = {}
-        #: The last corridor top-k answer, kept while no edit reaches its k-th key.
+        #: The chain keys at or above a floor, kept across applies.
         self._standing = StandingTopK()
+        #: Weld decisions made, one per distinct touched vertex of an apply.
+        self.weld_decisions = 0
         #: Counters accumulated since the last :meth:`report` (folded into its
         #: stats dict and then reset).
         self._since_report: Dict[str, int] = self._zero_counters()
         #: Lifetime totals, surfaced by ``shard_statistics()``.
         self.totals: Dict[str, int] = self._zero_counters()
-
-    def __contains__(self, path_id: int) -> bool:
-        """Whether ``path_id`` is one of the held (hot) fragments."""
-        return path_id in self._held
 
     @staticmethod
     def _zero_counters() -> Dict[str, int]:
@@ -374,40 +417,6 @@ class IncrementalStitcher:
         self._since_report[counter] += amount
         self.totals[counter] += amount
 
-    def _resolve(self, path_id: int) -> Tuple[MotionPath, int]:
-        return self._held[path_id][0], self._hotness[path_id]
-
-    # -- weld maintenance ---------------------------------------------------------
-
-    def _reweld(self, vertex: Tuple[float, float], tainted: set) -> None:
-        """Re-decide the degree-1 weld at ``vertex`` from its final occupancy;
-        the ids of a weld that appeared or disappeared go into ``tainted``."""
-        new_weld = None
-        enders = self._ends.get(vertex)
-        if enders is not None and len(enders) == 1:
-            starters = self._starts.get(vertex)
-            if starters is not None and len(starters) == 1:
-                (predecessor_id,) = enders
-                (successor_id,) = starters
-                if predecessor_id != successor_id:  # a degenerate self-loop never welds
-                    new_weld = (predecessor_id, successor_id)
-        weld_at = self._weld_at
-        old_weld = weld_at.get(vertex)
-        if old_weld == new_weld:
-            return
-        if old_weld is not None:
-            old_predecessor, old_successor = old_weld
-            del weld_at[vertex]
-            del self._successor[old_predecessor]
-            del self._predecessor[old_successor]
-            tainted.update(old_weld)
-        if new_weld is not None:
-            predecessor_id, successor_id = new_weld
-            weld_at[vertex] = new_weld
-            self._successor[predecessor_id] = successor_id
-            self._predecessor[successor_id] = predecessor_id
-            tainted.update(new_weld)
-
     # -- the per-stitch patch -----------------------------------------------------
 
     def apply(self, changes: Mapping[int, Optional[Tuple[MotionPath, int]]]) -> None:
@@ -416,18 +425,19 @@ class IncrementalStitcher:
         ``changes`` maps an id to its ``(path, hotness)`` if it is hot now and
         to ``None`` if it is not (ids are never reused, so a retained id keeps
         its path).  Ids that entered or left touch their two vertices, whose
-        welds are re-decided once each and whose tainted chains are
+        welds are re-decided once each and whose dirty chains are
         re-chained; a hotness-only change re-keys its chain without
         re-welding anything; an id whose state already matches costs one
         dict probe.
         """
-        held, hotness, score = self._held, self._hotness, self._score
-        starts, ends, chain_of = self._starts, self._ends, self._chain_of
-        touched: set = set()
+        held, hotness, score, chain_of = self._held, self._hotness, self._score, self._chain_of
+        vertices = self._vertices
+        vertex_at, spare = vertices.get, self._spare
+        touched: set = set()  # the vertices whose weld may have changed
+        touch = touched.add
         added: List[int] = []
         removed: List[int] = []
-        removed_from: List[int] = []  # the head of each removed id's chain
-        reheated: set = set()  # heads of chains with a hotness-only change
+        reheated: List[int] = []  # held ids whose hotness alone changed
         for path_id, entry in changes.items():
             if entry is None:
                 entry = held.pop(path_id, None)
@@ -435,152 +445,156 @@ class IncrementalStitcher:
                     continue
                 del hotness[path_id], score[path_id]
                 removed.append(path_id)
-                removed_from.append(chain_of.pop(path_id))
                 _path, start_vertex, end_vertex = entry
-                members = starts[start_vertex]
-                if len(members) == 1:
-                    del starts[start_vertex]
-                else:
-                    members.discard(path_id)
-                members = ends[end_vertex]
-                if len(members) == 1:
-                    del ends[end_vertex]
-                else:
-                    members.discard(path_id)
+                start_vertex.starters.remove(path_id)
+                end_vertex.enders.remove(path_id)
+                touch(start_vertex)
+                touch(end_vertex)
             elif path_id not in held:
+                # A new vertex holds this path alone, so it has no weld yet; a
+                # weld needs an ender and a starter, and the other one's
+                # arrival touches it.
                 path, count = entry
                 start, end = path.start, path.end
-                start_vertex = (start.x, start.y)
-                end_vertex = (end.x, end.y)
+                point = (start.x, start.y)
+                start_vertex = vertex_at(point)
+                if start_vertex is None:
+                    start_vertex = vertices[point] = spare.pop() if spare else _Vertex()
+                else:
+                    touch(start_vertex)
+                point = (end.x, end.y)
+                end_vertex = vertex_at(point)
+                if end_vertex is None:
+                    end_vertex = vertices[point] = spare.pop() if spare else _Vertex()
+                else:
+                    touch(end_vertex)
                 held[path_id] = (path, start_vertex, end_vertex)
                 hotness[path_id] = count
                 score[path_id] = count * path.length
-                members = starts.get(start_vertex)
-                if members is None:
-                    starts[start_vertex] = {path_id}
-                else:
-                    members.add(path_id)
-                members = ends.get(end_vertex)
-                if members is None:
-                    ends[end_vertex] = {path_id}
-                else:
-                    members.add(path_id)
+                start_vertex.starters.append(path_id)
+                end_vertex.enders.append(path_id)
                 added.append(path_id)
             else:
-                count = entry[1]
+                path, count = entry
                 if hotness[path_id] != count:
                     hotness[path_id] = count
-                    score[path_id] = count * held[path_id][0].length
-                    reheated.add(chain_of[path_id])
-                continue
-            touched.add(start_vertex)
-            touched.add(end_vertex)
+                    score[path_id] = count * path.length
+                    reheated.append(path_id)
+        removed_from = list(map(chain_of.pop, removed))  # the head of each one's chain
 
-        tainted: set = set()
+        # One weld decision per touched vertex; the ids of a weld that
+        # appeared or disappeared dirty their chains (``None``: just added).
+        dirty = set(removed_from)
+        coalesced = len(removed_from) - len(dirty)
+        mark, head_of = dirty.add, chain_of.get
+        successor, predecessor = self._successor, self._predecessor
         for vertex in touched:
-            self._reweld(vertex, tainted)
-        dirty_heads = set(removed_from)
-        coalesced = len(removed_from) - len(dirty_heads)
-        for path_id in tainted:
-            head = chain_of.get(path_id)
-            if head is not None:  # else just added (re-chained anyway) or removed
-                dirty_heads.add(head)
+            new_weld = None
+            enders = vertex.enders
+            if len(enders) == 1:
+                starters = vertex.starters
+                if len(starters) == 1:
+                    (predecessor_id,) = enders
+                    (successor_id,) = starters
+                    if predecessor_id != successor_id:  # a degenerate self-loop never welds
+                        new_weld = (predecessor_id, successor_id)
+            old_weld = vertex.weld
+            if old_weld == new_weld:
+                continue
+            vertex.weld = new_weld
+            if old_weld is not None:
+                old_predecessor, old_successor = old_weld
+                del successor[old_predecessor], predecessor[old_successor]
+                mark(head_of(old_predecessor))
+                mark(head_of(old_successor))
+                if new_weld is None:
+                    continue
+            successor[predecessor_id] = successor_id
+            predecessor[successor_id] = predecessor_id
+            mark(head_of(predecessor_id))
+            mark(head_of(successor_id))
+        dirty.discard(None)
+        self.weld_decisions += len(touched)
 
+        # Re-chain, re-label and re-key the members of every dirty chain and
+        # of every re-heated one (rebuilt whole: the same chain comes out),
+        # plus the ids that entered.
+        rewelded = len(dirty)
+        dirty.update(map(chain_of.__getitem__, reheated))
+        rekeyed = len(dirty) - rewelded
         chains, keys, corridors = self._chains, self._keys, self._corridors
-        edited: List[RankKey] = []  # every chain key replaced, old and new
-        rebuilt = set(added)
-        for head in dirty_heads:
-            rebuilt.update(chains.pop(head))
-            edited.append(keys.pop(head))
-            corridors.pop(head, None)
-        rebuilt.difference_update(removed)
-        rekeyed = reheated - dirty_heads  # intact chains: only their key and corridor are stale
-        for head in rekeyed:
-            edited.append(keys[head])
-            corridors.pop(head, None)
-        new_chains = self._rechain(rebuilt)
-        for chain in new_chains:
-            head = chain[0]
-            chains[head] = chain
-            for member in chain:
-                chain_of[member] = head
-            rekeyed.add(head)
-        hotness_of, score_of = hotness.__getitem__, score.__getitem__
-        for head in rekeyed:
-            chain = chains[head]
-            key = keys[head] = (min(map(hotness_of, chain)), sum(map(score_of, chain)), -head)
-            edited.append(key)
+        edited = list(map(keys.pop, dirty))  # every chain key replaced, old and new
+        # Every member of a dirty chain, the ones that left included, and the
+        # ids that entered.
+        members = list(chain_from(chain_from.from_iterable(map(chains.pop, dirty)), added))
+        for head in dirty.intersection(corridors):
+            del corridors[head]
+        heads = [member for member in members if member not in predecessor and member in held]
+        successor_of = successor.get
+        for head in chain_from(heads, _cycle_heads(members, removed, heads, chains)):
+            chain_of[head] = head
+            next_id = successor_of(head)
+            if next_id is None:
+                chains[head] = [head]
+                keys[head] = (hotness[head], score[head], -head)
+                continue
+            # The key as ``CompositeCorridor`` evaluates it: the least member
+            # hotness, and the builtin ``sum`` over the scores in chain order.
+            chain = chains[head] = [head]
+            scores = [score[head]]
+            least = hotness[head]
+            while next_id is not None and next_id != head:
+                chain.append(next_id)
+                chain_of[next_id] = head
+                scores.append(score[next_id])
+                count = hotness[next_id]
+                if count < least:
+                    least = count
+                next_id = successor_of(next_id)
+            keys[head] = (least, sum(scores), -head)
+        edited.extend(map(keys.__getitem__, heads))
         if edited:
             self._standing.edit(edited)
+        if len(vertices) > 4 * len(held) + 64:
+            live = self._vertices = {}
+            for point, vertex in vertices.items():
+                if vertex.enders or vertex.starters:
+                    live[point] = vertex
+                elif len(spare) < len(held):
+                    spare.append(vertex)
 
         self._bump("fragments_added", len(added))
         self._bump("fragments_removed", len(removed))
-        self._bump("chains_rewelded", len(new_chains))
-        self._bump("chains_reused", len(chains) - len(new_chains))
+        self._bump("chains_rewelded", len(heads) - rekeyed)
+        self._bump("chains_reused", len(chains) - len(heads) + rekeyed)
         self._bump("expiry_coalesced", coalesced)
 
-    def _rechain(self, members: set) -> List[List[int]]:
-        """The chains of ``members``, a set closed under weld edges.
-
-        Heads are the members with no predecessor among them, walked in any
-        order; what remains sits on weld cycles, each broken at its smallest
-        id — :func:`chain_fragments`' partition, without its sorts.
-        """
-        successor, predecessor = self._successor, self._predecessor
-        chains: List[List[int]] = []
-        visited = 0
-        for head in members:
-            if predecessor.get(head) in members:
-                continue
-            chain = [head]
-            next_id = successor.get(head)
-            while next_id is not None and next_id in members:
-                chain.append(next_id)
-                next_id = successor.get(next_id)
-            chains.append(chain)
-            visited += len(chain)
-        if visited < len(members):
-            seen = set()
-            for chain in chains:
-                seen.update(chain)
-            for head in sorted(members - seen):
-                if head in seen:
-                    continue
-                chain = [head]
-                seen.add(head)
-                next_id = successor.get(head)
-                while next_id is not None and next_id in members and next_id not in seen:
-                    chain.append(next_id)
-                    seen.add(next_id)
-                    next_id = successor.get(next_id)
-                chains.append(chain)
-        return chains
-
-    def _corridor(self, head: int) -> CompositeCorridor:
-        """The chain's corridor, materialised on first use after a re-key."""
-        cached = self._corridors.get(head)
-        if cached is None:
-            cached = build_corridors([self._chains[head]], self._resolve)[0]
-            self._corridors[head] = cached
-            self._bump("corridors_patched")
-        else:
-            self._bump("corridors_reused")
-        return cached
+    def _corridors_of(self, heads: Iterable[int]) -> List[CompositeCorridor]:
+        """The chains' corridors, each materialised on first use after a re-key."""
+        corridors, chains, held, hotness = self._corridors, self._chains, self._held, self._hotness
+        answer = []
+        patched = 0
+        for head in heads:
+            corridor = corridors.get(head)
+            if corridor is None:
+                corridor = corridors[head] = CompositeCorridor(tuple([
+                    CorridorSegment(member, held[member][0], hotness[member])
+                    for member in chains[head]
+                ]))
+                patched += 1
+            answer.append(corridor)
+        self._bump("corridors_patched", patched)
+        self._bump("corridors_reused", len(answer) - patched)
+        return answer
 
     def top_k(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:
-        """Top-k corridors read off the chain keys; only the winners are built.
-
-        The ranked keys are the standing answer while every chain key
-        :meth:`apply` edited since it was computed lies below its k-th key;
-        the winners still go through :meth:`_corridor`, so the counters read
-        as if they had been re-ranked.
-        """
-        return [
-            self._corridor(-negated_head)
+        """Top-k corridors read off the kept chain keys; only the winners are built."""
+        return self._corridors_of(
+            -negated_head
             for _hotness, _score, negated_head in self._standing.top_k(
                 self._keys.values(), k, by_score
             )
-        ]
+        )
 
     # -- the patched report -------------------------------------------------------
 
@@ -595,11 +609,34 @@ class IncrementalStitcher:
         only feeds the ``boundary_welds`` diagnostic of :func:`corridor_stats`;
         the stats also carry the counters accumulated since the last report.
         """
-        corridors = [self._corridor(head) for head in sorted(self._chains)]
+        corridors = self._corridors_of(sorted(self._chains))
         stats = corridor_stats(corridors, owner_of)
         stats.update(self._since_report)
         self._since_report = self._zero_counters()
         return corridors, stats
+
+
+
+
+def _cycle_heads(
+    members: List[int], removed: List[int], heads: List[int], chains: Dict[int, List[int]]
+) -> Iterator[int]:
+    """The smallest id of each weld cycle among ``members``, once the chains
+    from ``heads`` are walked (each is appended to ``heads``).
+
+    Every member off a cycle lies on a chain from a head; a cycle has no
+    head, so it is broken at its smallest id, as :func:`chain_fragments`
+    breaks it.  The caller walks each yielded cycle before resuming.
+    """
+    if sum(map(len, map(chains.__getitem__, heads))) == len(members) - len(removed):
+        return
+    seen = set(chain_from.from_iterable(map(chains.__getitem__, heads)))
+    seen.update(removed)
+    for head in sorted(set(members) - seen):
+        if head not in seen:
+            heads.append(head)
+            yield head
+            seen.update(chains[head])
 
 
 # ---------------------------------------------------------------------------

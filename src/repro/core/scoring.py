@@ -81,56 +81,103 @@ def rank_top_k(keys: Iterable[RankKey], k: int, by_score: bool = False) -> List[
     return heapq.nlargest(k, keys, key=_SCORE_FIRST if by_score else None)
 
 
-class StandingTopK:
-    """The last :func:`rank_top_k` answer over a maintained set of rank tuples,
-    kept until an edit reaches its k-th key.
+#: Depth of :class:`StandingTopK`'s kept set, in multiples of the ``k`` it
+#: was ranked for; it is trimmed back to that depth when it doubles.  On
+#: ``sim_paper`` (seed 11, 220 queries) depths 2, 3, 4 and 6 re-rank 6, 4, 4
+#: and 4 times; 2 sorts the fewest keys per answer.
+KEPT_DEPTH = 2
 
-    The owner reports every key it adds, removes or replaces — old and new —
-    to :meth:`edit`.  The answer stands while each edited key lies below the
-    *floor*, the answer's k-th key in its own order, and the next
-    :meth:`top_k` with the same ``(k, by_score)`` returns it without a
-    re-rank.  That is exact: rank tuples are totally ordered (the last
-    element is a negated id, never shared), and the k largest keys of a set
-    do not change when every key added or removed lies below the k-th.  An
-    answer shorter than ``k`` has no floor: any edit drops it.
+
+class StandingTopK:
+    """The top of a maintained set of rank tuples: every key at or above a
+    *floor*, kept across edits, so a top-k query reads k of a few dozen keys
+    instead of :func:`rank_top_k` over the whole set.
+
+    The owner reports every key it adds, removes or replaces — old and new,
+    in any order — to :meth:`edit`.  The *kept set* holds, in the order of
+    the query that ranked it (read as ``(score, hotness, -id)`` for
+    ``by_score``), every live key at or above its floor, and nothing else:
+
+    * an edited key at or above the floor *toggles* its membership.  That is
+      exact because rank tuples are unique (the last element is a negated
+      id) and each key is reported once per change: a removed key at or
+      above the floor is in the set, and an added one is not — a key both
+      removed and added again is reported twice and stays.  A key below the
+      floor is neither in the set nor needed;
+    * a set that doubles past its depth is trimmed back to its ``depth``
+      largest keys, the last of which becomes the floor; the invariant holds,
+      since every live key above the new floor was in the set;
+    * :meth:`top_k` answers from the set while it holds at least ``k`` keys
+      in the order asked for — the k largest of the set are then the k
+      largest of all — and re-ranks from the whole key set otherwise, to a
+      depth of :data:`KEPT_DEPTH` times ``k``.  A rank that finds fewer keys
+      than its depth keeps them all, with the floor ``()``, below every key;
+      such a set answers any ``k`` until a trim gives it a floor.
+
+    The last answer is kept until an edit toggles a key, so a query repeated
+    over unchanged keys sorts nothing.
     """
 
-    __slots__ = ("_query", "_keys", "_floor")
+    __slots__ = ("_by_score", "_kept", "_floor", "_depth", "_answer")
 
     def __init__(self) -> None:
-        #: ``(k, by_score)`` of the standing answer; ``None`` when there is none.
-        self._query: Optional[Tuple[int, bool]] = None
-        self._keys: List[RankKey] = []
-        #: The k-th key, read in the answer's order; ``None`` below k keys.
-        self._floor: Optional[RankKey] = None
+        #: The order of the kept set (``by_score``); ``None`` before a rank.
+        self._by_score: Optional[bool] = None
+        #: Every live key at or above the floor, read in the set's order.
+        self._kept: set = set()
+        self._floor: tuple = ()
+        #: The set's size right after a rank or a trim (when it was that long).
+        self._depth = 0
+        #: ``(k, answer)`` of the last query, until an edit toggles a key.
+        self._answer: Optional[Tuple[int, List[RankKey]]] = None
 
     def top_k(self, keys: Iterable[RankKey], k: int, by_score: bool = False) -> List[RankKey]:
-        """``rank_top_k(keys, k, by_score)``, served from the standing answer
-        when it was asked for with the same ``k`` and ``by_score``.
+        """``rank_top_k(keys, k, by_score)``, read off the kept set when it
+        holds ``k`` keys in the order asked for; ``keys`` is read only for a
+        re-rank.
 
-        The list returned is the standing answer itself: read it, never
-        change it.
+        The list returned is the kept answer itself: read it, never change it.
         """
-        query = (k, bool(by_score))
-        if query == self._query:
-            return self._keys
-        answer = rank_top_k(keys, k, by_score)
-        self._query, self._keys = query, answer
-        if len(answer) < k:
-            self._floor = None
-        else:
-            self._floor = _SCORE_FIRST(answer[-1]) if by_score else answer[-1]
-        return answer
+        by_score = bool(by_score)
+        answer = self._answer
+        if answer is not None and answer[0] == k and by_score is self._by_score:
+            return answer[1]
+        if k <= 0:
+            raise ConfigurationError(f"k must be positive, got {k}")
+        kept = self._kept
+        if by_score is not self._by_score or (len(kept) < k and self._floor):
+            depth = KEPT_DEPTH * k
+            ranked = rank_top_k(keys, depth, by_score)
+            kept = self._kept = set(map(_SCORE_FIRST, ranked) if by_score else ranked)
+            self._by_score, self._depth = by_score, depth
+            if len(ranked) < depth:
+                self._floor = ()
+            else:
+                self._floor = _SCORE_FIRST(ranked[-1]) if by_score else ranked[-1]
+        best = sorted(kept, reverse=True)[:k]
+        if by_score:
+            best = list(map(_SCORE_FIRST, best))
+        self._answer = (k, best)
+        return best
 
     def edit(self, keys: Iterable[RankKey]) -> None:
-        """Drop the standing answer if any of ``keys`` is at or above its floor."""
-        if self._query is None:
+        """Toggle each of ``keys`` at or above the floor in the kept set."""
+        by_score = self._by_score
+        if by_score is None:
             return
-        floor, by_score = self._floor, self._query[1]
-        for key in keys:
-            if floor is None or (_SCORE_FIRST(key) if by_score else key) >= floor:
-                self._query = None
-                return
+        hits = list(filter(self._floor.__le__, map(_SCORE_FIRST, keys) if by_score else keys))
+        if not hits:
+            return
+        kept = self._kept
+        self._answer = None
+        for key in hits:
+            if key in kept:
+                kept.remove(key)
+            else:
+                kept.add(key)
+        if len(kept) >= 2 * self._depth:
+            trimmed = sorted(kept, reverse=True)[: self._depth]
+            self._kept, self._floor = set(trimmed), trimmed[-1]
 
 
 def top_k_score(top_k: Sequence[ScoredPath]) -> float:

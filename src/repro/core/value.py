@@ -2,8 +2,9 @@
 
 ``Point``, ``Rectangle``, ``MotionPath``, ``MotionPathRecord``,
 ``TimePoint``, ``UncertainTimePoint``, ``ObjectState``,
-``CoordinatorResponse`` and ``ScoredPath`` are built in every decision,
-report and query, so they are slotted classes rather than dataclasses.  Each
+``CoordinatorResponse``, ``ScoredPath``, ``CorridorSegment`` and
+``CompositeCorridor`` are built in every decision, report and query, so they
+are slotted classes rather than dataclasses.  Each
 keeps the exact contract of the dataclass it replaced (``docs/ARCHITECTURE.md``,
 "Value objects"): the constructor's validation, the generated ``repr``,
 ``==`` only against the same class, a hash over the field tuple,
@@ -15,7 +16,9 @@ A class lists its fields once, in ``__slots__``, in the order of its
 a slot that is not a field (``MotionPath.length``) declares its own
 ``__match_args__``.  The bases derive ``repr``, ``==``, the hash and
 pickling from ``__match_args__``, through an ``attrgetter`` of the fields
-(two or more).  ``Point`` writes its own ``==``, which runs in the index's
+(the field tuple itself for two or more; a one-field class,
+``CompositeCorridor``, wraps its field in a 1-tuple, as a dataclass's
+field tuple is).  ``Point`` writes its own ``==``, which runs in the index's
 exact-match lookups.  A frozen class sets its slots in ``__init__`` through
 each slot descriptor's ``__set__`` (``_set_x = Point.x.__set__``), which
 bypasses the refusing ``__setattr__`` and is the cheapest way in.
@@ -36,8 +39,7 @@ class Value:
 
     __slots__ = ()
     __match_args__: Tuple[str, ...] = ()
-    #: The field tuple of an instance (an ``attrgetter`` of two or more
-    #: names returns a tuple).
+    #: The field tuple of an instance.
     _fields: Callable[[Any], Tuple[Any, ...]]
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -53,7 +55,11 @@ class Value:
             raise TypeError(
                 f"{cls.__qualname__}.__init__ takes {parameters}, not its fields {fields}"
             )
-        cls._fields = attrgetter(*fields)
+        if len(fields) == 1:
+            field = attrgetter(fields[0])
+            cls._fields = staticmethod(lambda value: (field(value),))
+        else:
+            cls._fields = attrgetter(*fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(

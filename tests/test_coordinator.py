@@ -7,7 +7,7 @@ import pytest
 from repro.core import scoring
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
-from repro.core.scoring import ScoredPath
+from repro.core.scoring import ScoredPath, select_top_k
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
@@ -326,7 +326,8 @@ class TestQueryWork:
     def test_a_post_commit_query_builds_k_objects(self, monkeypatch):
         k = 10
         coordinator = differential.make_coordinator(window=120)
-        built = {"scored": 0, "corridors": 0, "rewelds": 0}
+        stitcher = coordinator._view.stitcher
+        built = {"scored": 0, "corridors": 0}
 
         def counting(owner, name, counter):
             original = getattr(owner, name)
@@ -344,13 +345,14 @@ class TestQueryWork:
                 coordinator.top_k(k)
                 coordinator.top_k_corridors(k)
             counting(ScoredPath, "__init__", "scored")
-            counting(CompositeCorridor, "__post_init__", "corridors")
-            counting(IncrementalStitcher, "_reweld", "rewelds")
+            counting(CompositeCorridor, "__init__", "corridors")
             outcome = next(epochs)
             hot = len(coordinator.hot_paths())
-            built.update(scored=0, corridors=0, rewelds=0)  # hot_paths() is the oracle's
+            built.update(scored=0, corridors=0)  # hot_paths() is the oracle's
+            decided = stitcher.weld_decisions
             coordinator.top_k(k)
             coordinator.top_k_corridors(k)
+            decided = stitcher.weld_decisions - decided
         finally:
             coordinator.close()
         delta = outcome.delta
@@ -358,8 +360,8 @@ class TestQueryWork:
         assert hot > 4 * k and 0 < len(dirty) < hot, "not a steady stream"
         assert built["scored"] == k
         assert 0 < built["corridors"] <= k
-        # Two vertices per id that entered or left the hot set.
-        assert 0 < built["rewelds"] <= 2 * len(dirty)
+        # At most two weld decisions (its two vertices) per id that entered or left.
+        assert 0 < decided <= 2 * len(dirty)
 
 
 class TestSteadyQueryWork:
@@ -413,14 +415,25 @@ class TestSteadyQueryWork:
             coordinator.close()
         assert quiet and partial, "no net-zero epoch, or no epoch mixing both kinds"
 
-    def test_a_repeated_query_ranks_again_once_a_change_reaches_its_floor(self, monkeypatch):
+    def test_a_repeated_query_ranks_again_only_below_k_kept_keys(self, monkeypatch):
+        """Each top-k reads its kept set (``StandingTopK``) and re-ranks the
+        whole key set only when fewer than k keys are kept: not on a quiet
+        epoch, not on a crossing at the top, and exactly once when the best
+        paths (then the best chains) are deleted until k - 1 kept keys remain."""
         ranked = []
         rank_top_k = scoring.rank_top_k
         monkeypatch.setattr(
             scoring, "rank_top_k", lambda *args: ranked.append(args[1]) or rank_top_k(*args)
         )
+
+        def answers_as_the_oracle(coordinator):
+            hot = coordinator.hot_paths()
+            assert repr(coordinator.top_k(10)) == repr(select_top_k(hot, 10))
+            assert repr(coordinator.top_k_corridors(10)) == repr(
+                select_top_k_corridors(stitch_paths(hot), 10)
+            )
+
         coordinator = differential.make_coordinator(window=25)
-        view = coordinator._view
         try:
             epochs = self.epochs(coordinator)
             for epoch, _outcome in epochs:
@@ -432,31 +445,51 @@ class TestSteadyQueryWork:
             _epoch, outcome = next(epochs)  # epoch 7: every count as it was
             assert self.dirty(outcome)
             for _ in range(2):
-                coordinator.top_k(10)
-                coordinator.top_k_corridors(10)
+                answers_as_the_oracle(coordinator)
             assert ranked == []
-
-            # A crossing whose new rank tuple stays below the 10th.
-            floor = sorted(view._rank.values())[-10]
-            below = [
-                record.path_id for record, count in coordinator.hot_paths()
-                if (count + 1, (count + 1) * record.path.length, -record.path_id) < floor
-            ]
-            assert below, "no hot path to cross below the floor"
-            coordinator.hotness.record_crossing(below[0], 70)
-            coordinator.top_k(10)
-            assert ranked == []
-
-            # A crossing of the leading corridor's head reaches both floors.
+            # A crossing of the leading corridor's head: an edit at the top of
+            # both kept sets, answered from them.
             lead = coordinator.top_k_corridors(10)[0].lead_path_id
-            assert ranked == []
             coordinator.hotness.record_crossing(lead, 70)
+            answers_as_the_oracle(coordinator)
+            assert ranked == []
+        finally:
+            coordinator.close()
+
+        # A hot set of more than twice the kept depth, so that the kept sets
+        # have floors; delete their best keys' paths behind the coordinator's
+        # back until k - 1 kept keys remain.
+        coordinator = differential.make_coordinator(window=120)
+        view = coordinator._view
+        stitcher = view.stitcher
+        try:
+            for _outcome in differential.feedback_epochs(coordinator, 11, epochs=12, objects=14):
+                answers_as_the_oracle(coordinator)
+            assert len(coordinator.hot_paths()) > 4 * scoring.KEPT_DEPTH * 10
+            ranked.clear()
+            kept = sorted(view._standing._kept, reverse=True)
+            for _count, _score, negated_id in kept[: len(kept) - 9]:
+                coordinator.index.delete(-negated_id)
             for _ in range(2):
                 coordinator.top_k(10)
-            assert ranked == [10]
+            assert ranked == [scoring.KEPT_DEPTH * 10]
+
+            answers_as_the_oracle(coordinator)
+            ranked.clear()
+            # A deleted chain's neighbours may weld anew, with keys above the
+            # floor: delete the best kept chain, stitch, and repeat.
+            kept = stitcher._standing._kept
+            while len(kept) >= 10:
+                _hotness, _score, negated_head = max(kept)
+                for path_id in stitcher._chains[-negated_head]:
+                    coordinator.index.delete(path_id)
+                coordinator.shard_statistics()  # stitches, ranks nothing
+                kept = stitcher._standing._kept
+            assert ranked == []
             for _ in range(2):
                 coordinator.top_k_corridors(10)
-            assert ranked == [10, 10]
+            assert ranked == [scoring.KEPT_DEPTH * 10]
+            answers_as_the_oracle(coordinator)
         finally:
             coordinator.close()
 
@@ -503,7 +536,8 @@ class TestPathQueriesNeverStitch:
     def test_a_path_query_never_stitches(self, monkeypatch):
         k = 10
         coordinator = differential.make_coordinator(window=120)
-        counts = {"corridors": 0, "rewelds": 0}
+        stitcher = coordinator._view.stitcher
+        counts = {"corridors": 0}
         try:
             epochs = differential.feedback_epochs(coordinator, 5, epochs=12, objects=14)
             for _ in range(11):
@@ -512,18 +546,19 @@ class TestPathQueriesNeverStitch:
             before = {record.path_id: record.path for record, _hot in coordinator.hot_paths()}
             next(epochs)
             after = {record.path_id: record.path for record, _hot in coordinator.hot_paths()}
-            self._count(monkeypatch, CompositeCorridor, "__post_init__", counts, "corridors")
-            self._count(monkeypatch, IncrementalStitcher, "_reweld", counts, "rewelds")
+            self._count(monkeypatch, CompositeCorridor, "__init__", counts, "corridors")
+            decided = stitcher.weld_decisions
             coordinator.top_k(k)
-            assert counts == {"corridors": 0, "rewelds": 0}
+            assert counts == {"corridors": 0} and stitcher.weld_decisions == decided
             coordinator.top_k_corridors(k)
+            decided = stitcher.weld_decisions - decided
         finally:
             coordinator.close()
         moved = [before[i] for i in before.keys() - after.keys()]
         moved += [after[i] for i in after.keys() - before.keys()]
         assert moved, "no id entered or left the hot set"
-        # One weld decision per distinct vertex of the ids that entered or left.
-        assert 0 < counts["rewelds"] <= len(_vertices(moved))
+        # At most one weld decision per distinct vertex of the ids that entered or left.
+        assert 0 < decided <= len(_vertices(moved))
         assert counts["corridors"] <= k
 
     def test_pending_changes_stay_bounded_and_exact(self):

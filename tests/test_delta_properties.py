@@ -51,7 +51,13 @@ from repro.coordinator.stitching import (
 )
 from repro.core.scoring import select_top_k
 
-from differential import _hot_now, make_coordinator, steady_roster_stream, synthetic_stream
+from differential import (
+    _hot_now,
+    feedback_epochs,
+    make_coordinator,
+    steady_roster_stream,
+    synthetic_stream,
+)
 
 # ---------------------------------------------------------------------------
 # The epoch journal
@@ -675,3 +681,108 @@ class TestSteadyRosterAnswers:
         finally:
             coordinator.close()
         assert 0 < len(ranked) < asked, "no answer stood, or none was re-ranked"
+
+
+# ---------------------------------------------------------------------------
+# The kept top-k set (StandingTopK)
+# ---------------------------------------------------------------------------
+
+#: Hotness and score from small pools, so ties on either are common.
+_KEY_HOTNESS = st.sampled_from([1, 2, 3])
+_KEY_SCORE = st.sampled_from([0.5, 1.0, 2.5, 4.0])
+#: One change: an id enters, or a live one (picked by its rank in either
+#: order, so answer members are hit often) leaves or is re-keyed, or the
+#: floor key itself leaves or moves.
+_kept_change = st.tuples(
+    st.sampled_from(["add", "remove", "replace", "floor_remove", "floor_move"]),
+    st.integers(0, 40),
+    _KEY_HOTNESS,
+    _KEY_SCORE,
+)
+kept_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("query"), st.sampled_from([1, 2, 3, 5]), st.booleans()),
+        st.tuples(st.just("edit"), st.lists(_kept_change, min_size=1, max_size=6)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestKeptTopK:
+    """``StandingTopK`` over random streams of key adds, removals and
+    replacements, edited in batches in any order (a replaced key is reported
+    old and new), with ``k`` and ``by_score`` alternating between queries:
+    every answer equals ``rank_top_k`` over the live keys, and the kept set
+    never holds more than twice its depth."""
+
+    @staticmethod
+    def _victim(live, position: int, standing) -> int:
+        """The id of a live key: by rank position, or the floor key."""
+        if position < 0:
+            floor = standing._floor
+            if not floor:
+                return -1
+            raw = scoring._SCORE_FIRST(floor) if standing._by_score else floor
+            return -raw[2] if live.get(-raw[2]) == raw else -1
+        order = scoring._SCORE_FIRST if position % 2 else None
+        ranked = sorted(live.values(), key=order, reverse=True)
+        return -ranked[position % len(ranked)][2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(kept_steps, st.randoms(use_true_random=False))
+    def test_every_answer_equals_a_rank_of_the_live_keys(self, steps, rng):
+        live: Dict[int, Tuple[int, float, int]] = {}
+        standing = scoring.StandingTopK()
+        next_id = 0
+        for step in steps:
+            if step[0] == "query":
+                _query, k, by_score = step
+                answer = standing.top_k(live.values(), k, by_score)
+                assert answer == scoring.rank_top_k(live.values(), k, by_score)
+                continue
+            edited = []
+            for action, position, hotness, score in step[1]:
+                victim = -1
+                if live and action != "add":
+                    floor = action.startswith("floor")
+                    victim = self._victim(live, -1 if floor else position, standing)
+                if victim < 0:
+                    live[next_id] = (hotness, score, -next_id)
+                    edited.append(live[next_id])
+                    next_id += 1
+                elif action.endswith("remove"):
+                    edited.append(live.pop(victim))
+                else:
+                    old, live[victim] = live[victim], (hotness, score, -victim)
+                    edited.extend((old, live[victim]))
+            rng.shuffle(edited)
+            standing.edit(edited)
+            assert len(standing._kept) <= 2 * standing._depth or standing._by_score is None
+
+
+class TestKeptSetOnAStream:
+    def test_few_queries_re_rank_and_the_kept_sets_stay_bounded(self, monkeypatch):
+        """120 feedback epochs with a top-k path and corridor query each: at
+        most 5 % of the queries re-rank the whole key set, and neither kept
+        set ever holds more than twice its depth."""
+        ranked = []
+        rank_top_k = scoring.rank_top_k
+        monkeypatch.setattr(
+            scoring, "rank_top_k", lambda *args: ranked.append(args[1]) or rank_top_k(*args)
+        )
+        coordinator = make_coordinator(window=120)
+        view = coordinator._view
+        queries = 0
+        try:
+            for _outcome in feedback_epochs(coordinator, 11, epochs=120, objects=14):
+                coordinator.top_k(10)
+                coordinator.top_k_corridors(10)
+                queries += 2
+                for standing in (view._standing, view.stitcher._standing):
+                    assert len(standing._kept) <= 2 * standing._depth
+            hot = len(coordinator.hot_paths())
+        finally:
+            coordinator.close()
+        assert hot > 4 * scoring.KEPT_DEPTH * 10, "the kept sets never had a floor"
+        assert len(ranked) <= 0.05 * queries

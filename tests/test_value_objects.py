@@ -2,8 +2,8 @@
 
 ``Point``, ``Rectangle``, ``MotionPath``, ``MotionPathRecord``,
 ``TimePoint``, ``UncertainTimePoint``, ``ObjectState``,
-``CoordinatorResponse`` and ``ScoredPath`` are hand-written ``__slots__``
-classes (``repro.core.value``); ``tests/value_twins.py`` keeps the
+``CoordinatorResponse``, ``ScoredPath``, ``CorridorSegment`` and
+``CompositeCorridor`` are hand-written ``__slots__`` classes (``repro.core.value``); ``tests/value_twins.py`` keeps the
 ``@dataclass`` definitions they replaced.  On hypothesis-drawn fields —
 ``-0.0``, ``int`` coordinates beyond 2**53, the ``2`` / ``2.0`` pair — both
 must print the same ``repr``, compare and hash alike, survive a pickle round
@@ -29,6 +29,7 @@ from repro.core.motion_path import MotionPath, MotionPathRecord
 from repro.core.scoring import ScoredPath
 from repro.core.trajectory import TimePoint, UncertainTimePoint
 from repro.core.value import FrozenValue
+from repro.coordinator.stitching import CompositeCorridor, CorridorSegment
 
 REAL = SimpleNamespace(
     Point=Point,
@@ -40,6 +41,8 @@ REAL = SimpleNamespace(
     ObjectState=ObjectState,
     CoordinatorResponse=CoordinatorResponse,
     ScoredPath=ScoredPath,
+    CorridorSegment=CorridorSegment,
+    CompositeCorridor=CompositeCorridor,
 )
 NAMES = tuple(vars(REAL))
 MUTABLE = ("MotionPathRecord",)
@@ -53,8 +56,16 @@ class Spec:
     args: Tuple[Any, ...]
 
     def build(self, namespace) -> Any:
-        args = [arg.build(namespace) if isinstance(arg, Spec) else arg for arg in self.args]
-        return getattr(namespace, self.name)(*args)
+        return getattr(namespace, self.name)(*map(lambda arg: _build(arg, namespace), self.args))
+
+
+def _build(arg: Any, namespace) -> Any:
+    """A ``Spec`` built, a tuple of them built member by member, else as is."""
+    if isinstance(arg, Spec):
+        return arg.build(namespace)
+    if isinstance(arg, tuple):
+        return tuple(_build(member, namespace) for member in arg)
+    return arg
 
 
 # Coordinates: any finite float (``-0.0`` included) or an int beyond 2**53.
@@ -79,6 +90,7 @@ def specs(coordinate: st.SearchStrategy, integer: st.SearchStrategy) -> Dict[str
         return Spec("Rectangle", (Spec("Point", (xs[0], ys[0])), Spec("Point", (xs[1], ys[1]))))
 
     path = st.builds(lambda a, b: Spec("MotionPath", (a, b)), point, point)
+    segment = st.builds(lambda *args: Spec("CorridorSegment", args), integer, path, integer)
     sigma = st.one_of(st.floats(min_value=0.0, allow_nan=False), st.integers(0, 2**60), st.just(-0.0))
 
     def state(object_id, start, t_start, fsa, t_end):
@@ -103,6 +115,10 @@ def specs(coordinate: st.SearchStrategy, integer: st.SearchStrategy) -> Dict[str
         "ScoredPath": st.one_of(
             st.builds(lambda *args: Spec("ScoredPath", args), path, integer),
             st.builds(lambda *args: Spec("ScoredPath", args), path, integer, integer),
+        ),
+        "CorridorSegment": segment,
+        "CompositeCorridor": st.lists(segment, min_size=1, max_size=4).map(
+            lambda segments: Spec("CompositeCorridor", (tuple(segments),))
         ),
     }
 
@@ -206,8 +222,9 @@ def test_pickle_round_trip(name, data):
     assert type(restored) is type(value)
     assert restored == value
     assert repr(restored) == repr(value) == repr(pickle.loads(pickle.dumps(twin)))
-    if name == "MotionPath":
-        assert restored.length == value.length == twin.length
+    for aggregate in ("length", "hotness", "score"):
+        if hasattr(twin, aggregate):
+            assert repr(getattr(restored, aggregate)) == repr(getattr(twin, aggregate))
 
 
 @pytest.mark.parametrize("name", [name for name in NAMES if name not in MUTABLE])
@@ -289,3 +306,34 @@ def test_uncertain_time_point_validation_matches_the_twin(sigma_x, sigma_y):
         )
     )
     assert real == twin
+
+
+@given(spec=WIDE_SPECS["CompositeCorridor"])
+def test_the_corridor_aggregates_equal_the_twins(spec):
+    """``length``, ``hotness`` and ``score`` — slots outside ``repr``, ``==``
+    and the hash — hold the twin's ``sum`` / ``min`` values bit for bit."""
+    corridor, twin = twins(spec)
+    for aggregate in ("length", "hotness", "score"):
+        assert repr(getattr(corridor, aggregate)) == repr(getattr(twin, aggregate))
+    for segment, twin_segment in zip(corridor.segments, twin.segments):
+        assert repr(segment.score) == repr(twin_segment.score)
+
+
+def test_the_corridor_sums_are_the_builtin_sum_on_every_python():
+    """Lengths whose sequential and compensated sums differ (CPython 3.12+
+    compensates ``sum``): the slots hold whatever the builtin gives the twin."""
+    a, b, c, d = (0.0, 0.0), (0.0, 1e16), (1.0, 1e16), (2.0, 1e16)
+    for namespace in (REAL, value_twins):
+        points = [namespace.Point(*xy) for xy in (a, b, c, d)]
+        segments = tuple(
+            namespace.CorridorSegment(i, namespace.MotionPath(points[i], points[i + 1]), 1)
+            for i in range(3)
+        )
+        corridor = namespace.CompositeCorridor(segments)
+        assert repr(corridor.length) == repr(corridor.score) == repr(sum([1e16, 1.0, 1.0]))
+
+
+def test_an_empty_corridor_is_refused_as_the_twin_refuses_it():
+    real = outcome(lambda: CompositeCorridor(()))
+    assert real[0] == "ConfigurationError"
+    assert real == outcome(lambda: value_twins.CompositeCorridor(()))

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
-from repro.core.errors import InvalidGeometryError, InvalidTrajectoryError
+from repro.core.errors import ConfigurationError, InvalidGeometryError, InvalidTrajectoryError
 
 
 @dataclass(frozen=True)
@@ -98,3 +100,35 @@ class ScoredPath:
     path: MotionPath
     hotness: int
     path_id: int = -1
+
+
+@dataclass(frozen=True)
+class CorridorSegment:
+    path_id: int
+    path: MotionPath
+    hotness: int
+
+    @property
+    def score(self) -> float:
+        return self.hotness * self.path.length
+
+
+@dataclass(frozen=True)
+class CompositeCorridor:
+    segments: Tuple[CorridorSegment, ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ConfigurationError("a composite corridor needs at least one segment")
+
+    @cached_property
+    def length(self) -> float:
+        return sum(segment.path.length for segment in self.segments)
+
+    @cached_property
+    def hotness(self) -> int:
+        return min(segment.hotness for segment in self.segments)
+
+    @cached_property
+    def score(self) -> float:
+        return sum(segment.score for segment in self.segments)

@@ -95,6 +95,7 @@ _POOL_CACHE = "tests/test_delta_properties.py::TestPoolCacheBitIdentity"
 _STITCHER = "tests/test_delta_properties.py::TestIncrementalStitcherProperties"
 _STEADY = "tests/test_delta_properties.py::TestSteadyRosterAnswers::test_every_answer_equals_the_oracle"
 _STEADY_WORK = "tests/test_coordinator.py::TestSteadyQueryWork"
+_KEPT = "tests/test_delta_properties.py::TestKeptTopK::test_every_answer_equals_a_rank_of_the_live_keys"
 _GRID = "tests/test_grid_index.py"
 _SEQ_RUNS = "tests/test_batcher_properties.py::TestRunLengthDedupe"
 _HISTOGRAM = "tests/test_batcher_properties.py::TestLatencyHistogram"
@@ -296,33 +297,32 @@ MUTANTS: List[Mutant] = [
            )),
     # -- corridor stitching -----------------------------------------------------------
     Mutant("weld_rule_skips_the_starter_degree", _STITCHING,
-           "            if starters is not None and len(starters) == 1:\n"
-           "                (predecessor_id,) = enders\n"
-           "                (successor_id,) = starters\n",
-           "            if starters is not None:\n"
-           "                (predecessor_id,) = enders\n"
-           "                successor_id = min(starters)\n",
+           "                if len(starters) == 1:\n"
+           "                    (predecessor_id,) = enders\n"
+           "                    (successor_id,) = starters\n",
+           "                if starters:\n"
+           "                    (predecessor_id,) = enders\n"
+           "                    successor_id = min(starters)\n",
            (
                f"{_MATRIX}[feedback-1-serial-delta-columnar]",
                f"{_MATRIX}[query_view-1-serial-delta-object]",
            )),
     Mutant("reweld_never_removes_an_old_weld", _STITCHING,
-           "        if old_weld is not None:\n"
-           "            old_predecessor, old_successor = old_weld\n",
-           "        if old_weld is not None and False:\n"
-           "            old_predecessor, old_successor = old_weld\n",
+           "            if old_weld is not None:\n"
+           "                old_predecessor, old_successor = old_weld\n",
+           "            if old_weld is not None and False:\n"
+           "                old_predecessor, old_successor = old_weld\n",
            (
                f"{_MATRIX}[feedback-1-serial-delta-columnar]",
                f"{_MATRIX}[simulation-1-serial-delta-object]",
            )),
     Mutant("apply_taints_the_starters_of_a_touched_vertex", _STITCHING,
-           "        for vertex in touched:\n            self._reweld(vertex, tainted)\n",
-           "        for vertex in touched:\n"
-           "            self._reweld(vertex, tainted)\n"
-           "            tainted.update(starts.get(vertex, ()))\n",
+           "            old_weld = vertex.weld\n",
+           "            old_weld = vertex.weld\n"
+           "            dirty.update(map(head_of, vertex.starters))\n",
            (f"{_STITCHER}::test_a_weld_that_flips_back_taints_nothing",)),
     Mutant("chain_score_sums_in_sorted_order", _STITCHING,
-           "sum(map(score_of, chain)), -head)", "sum(sorted(map(score_of, chain))), -head)",
+           "keys[head] = (least, sum(scores), -head)", "keys[head] = (least, sum(sorted(scores)), -head)",
            (f"{_STITCHER}::test_the_chain_score_is_the_builtin_sum_on_every_python",)),
     Mutant("global_weld_rule_skips_the_ender_degree", _STITCHING,
            "if starters is None or len(enders) != 1 or len(starters) != 1:",
@@ -335,8 +335,8 @@ MUTANTS: List[Mutant] = [
            "for head in sorted(ids - visited):", "for head in sorted(ids - visited, reverse=True):",
            (f"{_MATRIX}[query_view-1-serial-delta-object]",)),
     Mutant("corridor_hotness_is_the_maximum", _STITCHING,
-           "return min(segment.hotness for segment in self.segments)",
-           "return max(segment.hotness for segment in self.segments)",
+           "_set_hotness(self, min(map(_HOTNESS, segments)))",
+           "_set_hotness(self, max(map(_HOTNESS, segments)))",
            (
                f"{_MATRIX}[query_view-1-serial-delta-object]",
                "tests/test_differential.py::test_the_scenario_exercises_what_it_is_for[query_view]",
@@ -352,7 +352,7 @@ MUTANTS: List[Mutant] = [
            "deletions = self._index.deletions", "deletions = self._deletions",
            (f"{_MATRIX}[query_view-1-serial-delta-object]",)),
     Mutant("pending_map_keeps_none_for_unheld_ids", _QUERY_VIEW,
-           "                if path_id in held:\n                    pending[path_id] = None\n",
+           "                if holds(path_id):\n                    pending[path_id] = None\n",
            "                if True:\n                    pending[path_id] = None\n",
            (
                "tests/test_coordinator.py::TestPathQueriesNeverStitch::test_pending_changes_stay_bounded_and_exact",
@@ -363,24 +363,37 @@ MUTANTS: List[Mutant] = [
            "if old is not None and trusted:",
            (f"{_STEADY}[10-False]", f"{_STEADY_WORK}::test_apply_receives_only_the_ids_whose_state_changed")),
     Mutant("standing_floor_test_is_strict", _SCORING,
-           "(_SCORE_FIRST(key) if by_score else key) >= floor:",
-           "(_SCORE_FIRST(key) if by_score else key) > floor:",
-           (f"{_STEADY}[1-False]",)),
+           "hits = list(filter(self._floor.__le__,", "hits = list(filter(self._floor.__lt__,",
+           (f"{_STEADY}[1-False]", _KEPT)),
     Mutant("a_removal_keeps_the_standing_answer", _QUERY_VIEW,
            "                    del rank[path_id]\n                    edited.append(old)\n",
            "                    del rank[path_id]\n",
            (f"{_STEADY}[1-False]",)),
     Mutant("stitcher_ignores_a_rekeyed_chains_old_key", _STITCHING,
-           "        for head in rekeyed:\n            edited.append(keys[head])\n",
-           "        for head in rekeyed:\n",
+           "        edited = list(map(keys.pop, dirty))",
+           "        edited = list(map(keys.pop, dirty.difference(map(chain_of.__getitem__, reheated))))",
            (f"{_STEADY}[1-False]",)),
     Mutant("standing_answer_ignores_by_score", _SCORING,
-           "if query == self._query:",
-           "if self._query is not None and query[0] == self._query[0]:",
+           "if answer is not None and answer[0] == k and by_score is self._by_score:",
+           "if answer is not None and answer[0] == k:",
            (f"{_STEADY}[10-False]", f"{_STEADY}[3-True]")),
+    Mutant("kept_set_adds_a_removed_key", _SCORING,
+           "            if key in kept:\n"
+           "                kept.remove(key)\n"
+           "            else:\n"
+           "                kept.add(key)\n",
+           "            kept.add(key)\n",
+           (_KEPT,)),
+    Mutant("trim_keeps_the_old_floor", _SCORING,
+           "self._kept, self._floor = set(trimmed), trimmed[-1]",
+           "self._kept = set(trimmed)",
+           (_KEPT,)),
+    Mutant("kept_set_reranks_one_key_too_late", _SCORING,
+           "(len(kept) < k and self._floor)", "(len(kept) < k - 1 and self._floor)",
+           (_KEPT,)),
     Mutant("corridor_score_is_the_maximum", _STITCHING,
-           "return sum(segment.score for segment in self.segments)",
-           "return max(segment.score for segment in self.segments)",
+           "_set_score(self, sum(map(_SCORE, segments)))",
+           "_set_score(self, max(map(_SCORE, segments)))",
            (
                f"{_MATRIX}[feedback-1-serial-delta-columnar]",
                f"{_MATRIX}[query_view-1-serial-delta-object]",
@@ -392,8 +405,8 @@ MUTANTS: List[Mutant] = [
                "tests/test_stitching_properties.py::TestChainHeadsFromPredecessors::test_a_predecessor_outside_the_subset_leaves_a_head",
            )),
     Mutant("rechain_breaks_cycles_at_the_largest_id", _STITCHING,
-           "for head in sorted(members - seen):",
-           "for head in sorted(members - seen, reverse=True):",
+           "for head in sorted(set(members) - seen):",
+           "for head in sorted(set(members) - seen, reverse=True):",
            (_WELD_CYCLE, f"{_MATRIX}[query_view-1-serial-delta-object]",)),
     Mutant("stats_count_the_cycle_closing_weld", _STITCHING,
            "        \"fragments\": welds + len(corridors),\n        \"welds\": welds,\n",
@@ -407,10 +420,8 @@ MUTANTS: List[Mutant] = [
                "tests/test_one_index.py::TestOwnerLabels::test_every_boundary_weld_follows_a_straddling_path[16]",
            )),
     Mutant("apply_skips_a_removed_fragments_vertices", _STITCHING,
-           "            touched.add(start_vertex)\n            touched.add(end_vertex)\n",
-           "            if not (removed and removed[-1] == path_id):\n"
-           "                touched.add(start_vertex)\n"
-           "                touched.add(end_vertex)\n",
+           "                touch(start_vertex)\n                touch(end_vertex)\n",
+           "",
            (
                f"{_MATRIX}[query_view-1-serial-delta-object]",
                f"{_MATRIX}[feedback_expiry-1-serial-delta-object]",
