@@ -292,11 +292,13 @@ def corridor_stats(
 
 
 class _Vertex:
-    """One stitch vertex: the held ids ending and starting there, and its weld."""
+    """One stitch vertex: its point, the held ids ending and starting there,
+    and its weld."""
 
-    __slots__ = ("enders", "starters", "weld")
+    __slots__ = ("point", "enders", "starters", "weld")
 
     def __init__(self) -> None:
+        self.point: Tuple[float, float] = (0.0, 0.0)
         self.enders: List[int] = []
         self.starters: List[int] = []
         self.weld: Optional[Tuple[int, int]] = None
@@ -379,9 +381,9 @@ class IncrementalStitcher:
         self._hotness: Dict[int, int] = {}
         #: id -> ``hotness * path.length``, the member's corridor score.
         self._score: Dict[int, float] = {}
-        #: ``(x, y)`` -> its vertex; pruned of empty vertices as it doubles.
+        #: ``(x, y)`` -> its vertex, while a held fragment starts or ends there.
         self._vertices: Dict[Tuple[float, float], _Vertex] = {}
-        #: Pruned vertices, each empty and unwelded, for new points to reuse.
+        #: Emptied vertices, each unwelded, for new points to reuse.
         self._spare: List[_Vertex] = []
         self._successor: Dict[int, int] = {}
         self._predecessor: Dict[int, int] = {}
@@ -460,12 +462,14 @@ class IncrementalStitcher:
                 start_vertex = vertex_at(point)
                 if start_vertex is None:
                     start_vertex = vertices[point] = spare.pop() if spare else _Vertex()
+                    start_vertex.point = point
                 else:
                     touch(start_vertex)
                 point = (end.x, end.y)
                 end_vertex = vertex_at(point)
                 if end_vertex is None:
                     end_vertex = vertices[point] = spare.pop() if spare else _Vertex()
+                    end_vertex.point = point
                 else:
                     touch(end_vertex)
                 held[path_id] = (path, start_vertex, end_vertex)
@@ -488,6 +492,7 @@ class IncrementalStitcher:
         coalesced = len(removed_from) - len(dirty)
         mark, head_of = dirty.add, chain_of.get
         successor, predecessor = self._successor, self._predecessor
+        emptied: List[_Vertex] = []
         for vertex in touched:
             new_weld = None
             enders = vertex.enders
@@ -498,6 +503,8 @@ class IncrementalStitcher:
                     (successor_id,) = starters
                     if predecessor_id != successor_id:  # a degenerate self-loop never welds
                         new_weld = (predecessor_id, successor_id)
+            elif not enders and not vertex.starters:
+                emptied.append(vertex)
             old_weld = vertex.weld
             if old_weld == new_weld:
                 continue
@@ -515,6 +522,11 @@ class IncrementalStitcher:
             mark(head_of(successor_id))
         dirty.discard(None)
         self.weld_decisions += len(touched)
+        # An emptied vertex leaves the map, unwelded, for a new point to reuse.
+        for vertex in emptied:
+            del vertices[vertex.point]
+        spare += emptied
+        del spare[len(held):]
 
         # Re-chain, re-label and re-key the members of every dirty chain and
         # of every re-heated one (rebuilt whole: the same chain comes out),
@@ -555,13 +567,6 @@ class IncrementalStitcher:
         edited.extend(map(keys.__getitem__, heads))
         if edited:
             self._standing.edit(edited)
-        if len(vertices) > 4 * len(held) + 64:
-            live = self._vertices = {}
-            for point, vertex in vertices.items():
-                if vertex.enders or vertex.starters:
-                    live[point] = vertex
-                elif len(spare) < len(held):
-                    spare.append(vertex)
 
         self._bump("fragments_added", len(added))
         self._bump("fragments_removed", len(removed))
