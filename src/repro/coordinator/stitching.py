@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain as chain_from
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -426,8 +426,8 @@ class IncrementalStitcher:
 
         ``changes`` maps an id to its ``(path, hotness)`` if it is hot now and
         to ``None`` if it is not (ids are never reused, so a retained id keeps
-        its path).  Ids that entered or left touch their two vertices, whose
-        welds are re-decided once each and whose dirty chains are
+        its path).  Ids that entered or left touch their vertices, whose
+        welds are re-decided once each, and their dirty chains are
         re-chained; a hotness-only change re-keys its chain without
         re-welding anything; an id whose state already matches costs one
         dict probe.
@@ -555,7 +555,7 @@ class IncrementalStitcher:
             chain = chains[head] = [head]
             scores = [score[head]]
             least = hotness[head]
-            while next_id is not None and next_id != head:
+            while next_id is not None and next_id != head:  # a cycle ends at its head
                 chain.append(next_id)
                 chain_of[next_id] = head
                 scores.append(score[next_id])

@@ -37,7 +37,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, Sequence, TextIO, Tuple
 
 __all__ = ["Target", "main"]
 
