@@ -363,11 +363,12 @@ class IncrementalStitcher:
     breaks them — the report stays bit-for-bit equal to the full stitch, the
     contract of ``tests/test_differential.py`` and the delta property suite.
     A chain's rank key is its least member hotness and the builtin ``sum``
-    over its members' scores (``hotness * length``, stored per member) in
-    chain order — the values :class:`CompositeCorridor` computes, never a
-    running total of the scores (``sum`` is compensated on CPython 3.12+).
-    So :meth:`top_k` equals :func:`select_top_k_corridors` over the full
-    report.
+    over its members' scores (``hotness * length``, stored per member in its
+    rank tuple ``(hotness, score, -id)``) in chain order — the values
+    :class:`CompositeCorridor` computes, never a running total of the scores
+    (``sum`` is compensated on CPython 3.12+); a singleton chain's key is its
+    member's rank tuple.  So :meth:`top_k` equals
+    :func:`select_top_k_corridors` over the full report.
 
     Like the rest of this module, the class knows no shard layout: owners
     are resolved per :meth:`report` call, for :func:`corridor_stats` only.
@@ -378,9 +379,9 @@ class IncrementalStitcher:
         self._held: Dict[int, Tuple[MotionPath, _Vertex, _Vertex]] = {}
         #: Whether an id is one of the held (hot) fragments.
         self.holds: Callable[[int], bool] = self._held.__contains__
-        self._hotness: Dict[int, int] = {}
-        #: id -> ``hotness * path.length``, the member's corridor score.
-        self._score: Dict[int, float] = {}
+        #: id -> ``(hotness, hotness * path.length, -id)``: its rank tuple,
+        #: whose score is the member's corridor score.
+        self._rank: Dict[int, RankKey] = {}
         #: ``(x, y)`` -> its vertex, while a held fragment starts or ends there.
         self._vertices: Dict[Tuple[float, float], _Vertex] = {}
         #: Emptied vertices, each unwelded, for new points to reuse.
@@ -432,7 +433,7 @@ class IncrementalStitcher:
         re-welding anything; an id whose state already matches costs one
         dict probe.
         """
-        held, hotness, score, chain_of = self._held, self._hotness, self._score, self._chain_of
+        held, rank, chain_of = self._held, self._rank, self._chain_of
         vertices = self._vertices
         vertex_at, spare = vertices.get, self._spare
         touched: set = set()  # the vertices whose weld may have changed
@@ -445,7 +446,7 @@ class IncrementalStitcher:
                 entry = held.pop(path_id, None)
                 if entry is None:
                     continue
-                del hotness[path_id], score[path_id]
+                del rank[path_id]
                 removed.append(path_id)
                 _path, start_vertex, end_vertex = entry
                 start_vertex.starters.remove(path_id)
@@ -473,16 +474,14 @@ class IncrementalStitcher:
                 else:
                     touch(end_vertex)
                 held[path_id] = (path, start_vertex, end_vertex)
-                hotness[path_id] = count
-                score[path_id] = count * path.length
+                rank[path_id] = (count, count * path.length, -path_id)
                 start_vertex.starters.append(path_id)
                 end_vertex.enders.append(path_id)
                 added.append(path_id)
             else:
                 path, count = entry
-                if hotness[path_id] != count:
-                    hotness[path_id] = count
-                    score[path_id] = count * path.length
+                if rank[path_id][0] != count:
+                    rank[path_id] = (count, count * path.length, -path_id)
                     reheated.append(path_id)
         removed_from = list(map(chain_of.pop, removed))  # the head of each one's chain
 
@@ -548,18 +547,18 @@ class IncrementalStitcher:
             next_id = successor_of(head)
             if next_id is None:
                 chains[head] = [head]
-                keys[head] = (hotness[head], score[head], -head)
+                keys[head] = rank[head]
                 continue
             # The key as ``CompositeCorridor`` evaluates it: the least member
             # hotness, and the builtin ``sum`` over the scores in chain order.
             chain = chains[head] = [head]
-            scores = [score[head]]
-            least = hotness[head]
+            least, member_score, _negated = rank[head]
+            scores = [member_score]
             while next_id is not None and next_id != head:  # a cycle ends at its head
                 chain.append(next_id)
                 chain_of[next_id] = head
-                scores.append(score[next_id])
-                count = hotness[next_id]
+                count, member_score, _negated = rank[next_id]
+                scores.append(member_score)
                 if count < least:
                     least = count
                 next_id = successor_of(next_id)
@@ -576,14 +575,14 @@ class IncrementalStitcher:
 
     def _corridors_of(self, heads: Iterable[int]) -> List[CompositeCorridor]:
         """The chains' corridors, each materialised on first use after a re-key."""
-        corridors, chains, held, hotness = self._corridors, self._chains, self._held, self._hotness
+        corridors, chains, held, rank = self._corridors, self._chains, self._held, self._rank
         answer = []
         patched = 0
         for head in heads:
             corridor = corridors.get(head)
             if corridor is None:
                 corridor = corridors[head] = CompositeCorridor(tuple([
-                    CorridorSegment(member, held[member][0], hotness[member])
+                    CorridorSegment(member, held[member][0], rank[member][0])
                     for member in chains[head]
                 ]))
                 patched += 1

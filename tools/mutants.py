@@ -427,7 +427,7 @@ MUTANTS: List[Mutant] = [
                f"{_MATRIX}[feedback_expiry-1-serial-delta-object]",
            )),
     Mutant("apply_rekeys_an_unchanged_hotness", _STITCHING,
-           "if hotness[path_id] != count:", "if True:",
+           "if rank[path_id][0] != count:", "if True:",
            (f"{_STITCHER}::test_apply_is_idempotent",)),
     Mutant("object_starting_at_takes_end_entries", _GRID_INDEX,
            "if is_start and endpoint == start and region.contains_point(other)",
