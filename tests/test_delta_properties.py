@@ -17,8 +17,10 @@ sequences check that claim for each delta carrier independently:
   structure a from-scratch build produces;
 * **the query view on steady traffic**
   (:class:`repro.coordinator.query_view.HotPathView`) — skipping the ids
-  whose count did not change and serving a standing top-k answer until an
-  edit reaches its k-th key answer as the oracle scans do;
+  whose count did not change and reading each top-k off a kept set of the
+  keys at or above a floor answer as the oracle scans do, and the kept set
+  (:class:`repro.core.scoring.StandingTopK`) answers as ``rank_top_k`` does
+  over any stream of edits;
 * **incremental stitching**
   (:class:`repro.coordinator.stitching.IncrementalStitcher`) — after any
   sequence of insert/expire/hotness-change events applied as per-id change
@@ -618,7 +620,7 @@ class TestIncrementalStitcherProperties:
 
 
 # ---------------------------------------------------------------------------
-# The query view on steady traffic: net-zero skips and standing answers
+# The query view on steady traffic: net-zero skips and kept answers
 # ---------------------------------------------------------------------------
 
 
@@ -632,8 +634,8 @@ def _assert_answers_as_the_oracle(coordinator, k: int, by_score: bool) -> None:
 
 class TestSteadyRosterAnswers:
     """A roster whose counts stop changing, queried the way the bench does —
-    one ``(k, by_score)`` repeated, so its answer stands across commits —
-    with other queries mixed in: every answer, standing or re-ranked, is
+    one ``(k, by_score)`` repeated, so its answer is kept across commits —
+    with other queries mixed in: every answer, kept or re-ranked, is
     ``repr``-equal to the oracle scan.  Between epochs one direct crossing;
     two isolated *flash* paths crossed nine times behind the coordinator's
     back lead the hotness ranking until the first vanishes at once (a
