@@ -75,6 +75,7 @@ __all__ = [
     "select_top_k_corridors",
 ]
 
+
 class CorridorSegment(FrozenValue):
     """One hot motion path inside a composite corridor.
 

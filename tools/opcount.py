@@ -60,10 +60,6 @@ class Target:
         owner = __import__(module_name, fromlist=["_"])
         for part in qualname.split("."):
             owner = getattr(owner, part)
-        owner = getattr(owner, "__func__", owner)  # a classmethod or bound method
-        owner = getattr(owner, "fget", owner)  # a property
-        while hasattr(owner, "__wrapped__"):
-            owner = owner.__wrapped__
         code = getattr(owner, "__code__", None)
         if code is None:
             raise ValueError(f"{name!r} is not a Python function")
