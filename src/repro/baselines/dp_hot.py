@@ -5,8 +5,10 @@ segment-reuse policy: whenever a new segment is about to be created between a
 starting point and the chosen floating point, the tracker first checks whether
 an existing segment (produced earlier, possibly by another object) falls
 completely within the candidate segment's minimum bounding box expanded by the
-tolerance.  If so, the existing segment's hotness is increased instead of
-storing a new one; otherwise the candidate segment is stored with hotness 1.
+tolerance.  If so, the earliest-inserted such segment's hotness is increased
+instead of storing a new one; otherwise the candidate segment is stored with
+hotness 1.  ``docs/ARCHITECTURE.md`` ("The DP baseline's rules") states each
+rule, and ``tests/dp_oracle.py`` transcribes them.
 
 Time is ignored when matching (the paper relaxes the requirements for DP so
 that its hotness upper-bounds what proper motion paths can achieve), but the
@@ -43,12 +45,13 @@ class DPHotSegmentTracker:
         bounds: Rectangle,
         tolerance: float,
         window: int = 100,
-        cells_per_axis: int = 64,
     ) -> None:
         if tolerance <= 0:
             raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
         self.tolerance = tolerance
-        self.index = GridIndex(GridConfig(bounds, cells_per_axis))
+        # Only the end table's region query is read, so the grid resolution
+        # changes nothing.
+        self.index = GridIndex(GridConfig(bounds), kernel="columnar")
         self.hotness = HotnessTracker(window)
         self._simplifiers: Dict[int, OpeningWindowSimplifier] = {}
 
@@ -79,21 +82,26 @@ class DPHotSegmentTracker:
     # -- segment registration ------------------------------------------------------------
 
     def _register_segment(self, segment: OpeningWindowSegment) -> int:
-        """Reuse an existing stored segment or insert the new one (MBB containment rule)."""
+        """Credit the earliest-inserted live segment lying inside the
+        candidate's MBB expanded by the tolerance (closed bounds), else
+        insert the candidate.  Both ends of such a segment lie in the box, so
+        the box's end vertices hold every one of them."""
         candidate = MotionPath(segment.start.point, segment.end.point)
         query_box = candidate.bounding_box(padding=self.tolerance)
-        reused_id: Optional[int] = None
-        for record in self.index.paths_intersecting(query_box):
-            stored_box = Rectangle.bounding(record.path.start, record.path.end)
-            if query_box.contains_rectangle(stored_box):
-                reused_id = record.path_id
-                break
-        if reused_id is not None:
-            self.hotness.record_crossing(reused_id, segment.end.timestamp)
-            return reused_id
-        record = self.index.insert(candidate, created_at=segment.end.timestamp)
-        self.hotness.record_crossing(record.path_id, segment.end.timestamp)
-        return record.path_id
+        records, inside = self.index.by_id, query_box.contains_point
+        path_id = min(
+            (
+                path_id
+                for _vertex, path_ids in self.index.end_vertices_in(query_box).values()
+                for path_id in path_ids
+                if inside(records[path_id].path.start)
+            ),
+            default=None,
+        )
+        if path_id is None:
+            path_id = self.index.insert(candidate, created_at=segment.end.timestamp).path_id
+        self.hotness.record_crossing(path_id, segment.end.timestamp)
+        return path_id
 
     # -- reporting -------------------------------------------------------------------------
 

@@ -68,7 +68,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.errors import ConfigurationError, CoordinatorError
+from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
 
 __all__ = [
@@ -286,10 +286,6 @@ class EndpointTable:
             if stored_end == end:
                 return path_id
         return None
-
-    def paths_intersecting(self, region: Rectangle) -> List[int]:
-        """The DP baseline's query, which only the cell dicts answer."""
-        raise CoordinatorError("paths_intersecting needs the object storage")
 
     # -- region queries (two bisections and a y test) -------------------------------
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
@@ -142,40 +142,22 @@ class CellTable:
     def end_vertices_in(self, region: Rectangle) -> Dict[Tuple[float, float], VertexGroup]:
         """Case 2: the distinct end vertices inside ``region`` (closed
         bounds), each as ``(x, y) -> (vertex, ids of the paths ending
-        there)``, by cell."""
-        vertices: Dict[Tuple[float, float], VertexGroup] = {}
-        for (path_id, is_start), (endpoint, _other) in self._entries_in(region):
-            if not is_start and region.contains_point(endpoint):
-                key = (endpoint.x, endpoint.y)
-                group = vertices.get(key)
-                if group is None:
-                    vertices[key] = (endpoint, [path_id])
-                else:
-                    group[1].append(path_id)
-        return vertices
-
-    def paths_intersecting(self, region: Rectangle) -> List[int]:
-        """The DP baseline's query: paths with an endpoint inside ``region``."""
-        seen: Set[int] = set()
-        results: List[int] = []
-        for (path_id, _is_start), (endpoint, _other) in self._entries_in(region):
-            if path_id in seen:
-                continue
-            if region.contains_point(endpoint):
-                seen.add(path_id)
-                results.append(path_id)
-        return results
-
-    def _entries_in(self, region: Rectangle) -> Iterator[Tuple[EntryKey, Entry]]:
-        """Every entry of the cells ``region`` overlaps, column by column."""
+        there)``, from the cells ``region`` overlaps, column by column."""
         low_col, low_row = self._cell_of(region.low)
         high_col, high_row = self._cell_of(region.high)
         cells = self._cells
+        vertices: Dict[Tuple[float, float], VertexGroup] = {}
         for col in range(low_col, high_col + 1):
             for row in range(low_row, high_row + 1):
-                cell = cells.get((col, row))
-                if cell:
-                    yield from cell.items()
+                for (path_id, is_start), (endpoint, _other) in cells.get((col, row), {}).items():
+                    if not is_start and region.contains_point(endpoint):
+                        key = (endpoint.x, endpoint.y)
+                        group = vertices.get(key)
+                        if group is None:
+                            vertices[key] = (endpoint, [path_id])
+                        else:
+                            group[1].append(path_id)
+        return vertices
 
 
 class GridIndex:
@@ -281,14 +263,3 @@ class GridIndex:
                 deleted.append(path_id)
         self.deletions += len(deleted)
         return deleted
-
-    # -- queries ----------------------------------------------------------------------
-
-    def paths_intersecting(self, region: Rectangle) -> List[MotionPathRecord]:
-        """Motion paths with at least one endpoint inside ``region``.
-
-        The DP baseline's query, answered by the ``object`` storage only (the
-        baseline's index; the end table refuses it); SinglePath relies on
-        the more specific queries above.
-        """
-        return [self._records[pid] for pid in self._table.paths_intersecting(region)]

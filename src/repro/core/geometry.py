@@ -180,15 +180,6 @@ class Rectangle(FrozenValue):
             and self.low.y <= point.y <= self.high.y
         )
 
-    def contains_rectangle(self, other: "Rectangle") -> bool:
-        """True when ``other`` lies entirely inside (or on the boundary of) this rectangle."""
-        return (
-            self.low.x <= other.low.x
-            and self.low.y <= other.low.y
-            and self.high.x >= other.high.x
-            and self.high.y >= other.high.y
-        )
-
     def intersects(self, other: "Rectangle") -> bool:
         """Closed intersection test (touching rectangles intersect)."""
         return not (

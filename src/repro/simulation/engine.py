@@ -160,9 +160,7 @@ class HotPathSimulation:
         )
         self.dp_baseline: Optional[DPHotSegmentTracker] = None
         if config.run_dp_baseline:
-            self.dp_baseline = DPHotSegmentTracker(
-                bounds, config.tolerance, config.window, config.cells_per_axis
-            )
+            self.dp_baseline = DPHotSegmentTracker(bounds, config.tolerance, config.window)
         self._filters: Dict[int, RayTraceFilter] = {}
         self.metrics = MetricsCollector()
 

@@ -428,14 +428,23 @@ def _mask_timing(text: str) -> str:
 
 class TestDriverPins:
     """Every paper driver prints its recorded output at ``--scale 0.01 --seed 3``
-    (``tests/expected/<command>_scale001.txt``, timing masked): the SinglePath,
-    DP and naive columns stay what they were."""
+    (``tests/expected/<command>_scale001.txt``, timing masked), and Figure 7
+    at EXPERIMENTS.md's ``--scale 0.02 --seed 42`` too
+    (``figure7_scale002.txt``): the SinglePath, DP and naive columns stay
+    what they were."""
 
-    @pytest.mark.parametrize("command", ("figure7", "figure8", "ablations", "figure9", "figure10"))
-    def test_driver_prints_its_pin(self, command, capsys):
-        assert main([command, "--scale", "0.01", "--seed", "3"]) == 0
+    @pytest.mark.parametrize(
+        "command, scale, seed",
+        [
+            *(pytest.param(command, "0.01", "3", id=command)
+              for command in ("figure7", "figure8", "ablations", "figure9", "figure10")),
+            pytest.param("figure7", "0.02", "42", id="figure7_scale002"),
+        ],
+    )
+    def test_driver_prints_its_pin(self, command, scale, seed, capsys):
+        assert main([command, "--scale", scale, "--seed", seed]) == 0
         printed = _mask_timing(capsys.readouterr().out)
-        assert printed == (EXPECTED / f"{command}_scale001.txt").read_text()
+        assert printed == (EXPECTED / f"{command}_scale{scale.replace('.', '')}.txt").read_text()
 
 
 class TestServeCommand:

@@ -113,12 +113,6 @@ class TestRectangle:
         assert rect.contains_point(Point(1.0, 1.0))
         assert not rect.contains_point(Point(1.0001, 1.0))
 
-    def test_contains_rectangle(self):
-        outer = box(0.0, 0.0, 10.0, 10.0)
-        inner = box(2.0, 2.0, 5.0, 5.0)
-        assert outer.contains_rectangle(inner)
-        assert not inner.contains_rectangle(outer)
-
     def test_intersects_touching(self):
         a = box(0.0, 0.0, 1.0, 1.0)
         b = box(1.0, 1.0, 2.0, 2.0)

@@ -7,7 +7,6 @@ import pytest
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
 from repro.core.motion_path import MotionPath
-from repro.coordinator.columnar import HAVE_NUMPY
 from repro.coordinator.grid_index import GridConfig, GridIndex
 
 
@@ -49,7 +48,8 @@ class TestInsertionAndDeletion:
         assert len(index) == 0
         assert record.path_id not in index
         everywhere = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-        assert index.paths_intersecting(everywhere) == []
+        assert index.end_vertices_in(everywhere) == {}
+        assert index.starting_at(Point(10.0, 10.0), everywhere) == []
 
     def test_delete_missing_raises(self, index):
         with pytest.raises(CoordinatorError):
@@ -79,10 +79,11 @@ class TestSameCellEndpoints:
     def test_same_cell_path_keeps_both_entries(self, index):
         # 1000/16 = 62.5 per cell: both endpoints land in cell (0, 0).
         record = index.insert(MotionPath(Point(10.0, 10.0), Point(40.0, 40.0)))
-        region = Rectangle(Point(0.0, 0.0), Point(20.0, 20.0))
-        # The region covers only the start; the path must still be found via
-        # its start entry (lost entirely before the fix).
-        assert [r.path_id for r in index.paths_intersecting(region)] == [record.path_id]
+        region = Rectangle(Point(30.0, 30.0), Point(50.0, 50.0))
+        # ``starting_at`` reads the start entry, lost entirely before the fix;
+        # ``end_vertices_in`` reads the end entry beside it.
+        assert index.starting_at(Point(10.0, 10.0), region) == [record.path_id]
+        assert index.end_vertices_in(region) == {(40.0, 40.0): (Point(40.0, 40.0), [record.path_id])}
 
     def test_same_cell_path_deletes_cleanly(self, index):
         record = index.insert(MotionPath(Point(10.0, 10.0), Point(40.0, 40.0)))
@@ -95,7 +96,7 @@ class TestSameCellEndpoints:
         kept = index.insert(MotionPath(Point(20.0, 20.0), Point(30.0, 30.0)))
         index.delete(doomed.path_id)
         everywhere = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-        assert [r.path_id for r in index.paths_intersecting(everywhere)] == [kept.path_id]
+        assert index.end_vertices_in(everywhere) == {(30.0, 30.0): (Point(30.0, 30.0), [kept.path_id])}
         assert index.starting_at(Point(20.0, 20.0), everywhere) == [kept.path_id]
 
     def test_clamped_endpoints_share_border_cell_and_delete(self, index):
@@ -103,7 +104,7 @@ class TestSameCellEndpoints:
         # top-right border cell; insert, query and delete must all agree.
         record = index.insert(MotionPath(Point(1100.0, 1100.0), Point(1500.0, 1200.0)))
         region = Rectangle(Point(990.0, 990.0), Point(2000.0, 2000.0))
-        assert [r.path_id for r in index.paths_intersecting(region)] == [record.path_id]
+        assert index.starting_at(Point(1100.0, 1100.0), region) == [record.path_id]
         assert (1500.0, 1200.0) in index.end_vertices_in(region)
         index.delete(record.path_id)
         assert len(index) == 0
@@ -154,26 +155,11 @@ class TestQueries:
         region = Rectangle(Point(290.0, 290.0), Point(310.0, 310.0))
         assert index.end_vertices_in(region) == {}
 
-    def test_paths_intersecting_deduplicates(self, index):
-        record = index.insert(MotionPath(Point(100.0, 100.0), Point(110.0, 110.0)))
-        region = Rectangle(Point(90.0, 90.0), Point(120.0, 120.0))
-        results = index.paths_intersecting(region)
-        assert [r.path_id for r in results] == [record.path_id]
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel needs numpy")
-    def test_paths_intersecting_needs_the_object_kernel(self, unit_bounds):
-        """The DP baseline's query: a columnar index refuses it instead of answering empty."""
-        columnar = GridIndex(GridConfig(unit_bounds, cells_per_axis=16), kernel="columnar")
-        columnar.insert(MotionPath(Point(100.0, 100.0), Point(110.0, 110.0)))
-        with pytest.raises(CoordinatorError):
-            columnar.paths_intersecting(Rectangle(Point(90.0, 90.0), Point(120.0, 120.0)))
-
     def test_points_outside_bounds_are_clamped_into_border_cells(self, index):
         # Endpoint beyond the nominal bounds must still be indexed and findable.
         record = index.insert(MotionPath(Point(500.0, 500.0), Point(1500.0, 1500.0)))
         region = Rectangle(Point(990.0, 990.0), Point(2000.0, 2000.0))
-        results = index.paths_intersecting(region)
-        assert [r.path_id for r in results] == [record.path_id]
+        assert index.end_vertices_in(region) == {(1500.0, 1500.0): (Point(1500.0, 1500.0), [record.path_id])}
 
     def test_query_spanning_many_cells(self, index):
         inserted = [
@@ -181,5 +167,5 @@ class TestQueries:
             for i in range(1, 10)
         ]
         region = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
-        results = index.paths_intersecting(region)
-        assert len(results) == len(inserted)
+        vertices = index.end_vertices_in(region)
+        assert sorted(ids for _vertex, ids in vertices.values()) == [[r.path_id] for r in inserted]

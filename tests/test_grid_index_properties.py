@@ -92,13 +92,6 @@ class ReferenceIndex:
                 vertices.setdefault(r.path.end.as_tuple(), (r.path.end, []))[1].append(r.path_id)
         return {key: (repr(end), sorted(ids)) for key, (end, ids) in vertices.items()}
 
-    def paths_intersecting(self, region: Rectangle) -> List[int]:
-        return sorted(
-            r.path_id
-            for r in self.records.values()
-            if region.contains_point(r.path.start) or region.contains_point(r.path.end)
-        )
-
 
 def assert_empty_cells(index: GridIndex) -> None:
     """No stale entry may survive in the index's endpoint table, whichever
@@ -167,13 +160,6 @@ class TestAgainstReference:
         }
         assert result == reference.end_vertices_in(region)
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.differing_executors])
-    @given(operations(), regions())
-    def test_paths_intersecting_matches_reference(self, ops, region):
-        index, reference = build_both(ops, self.kernel)
-        result = sorted(r.path_id for r in index.paths_intersecting(region))
-        assert result == reference.paths_intersecting(region)
-
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.differing_executors])
     @given(operations())
     def test_deleting_everything_empties_the_cells(self, ops):
@@ -188,8 +174,6 @@ class TestAgainstReferenceColumnar(TestAgainstReference):
     """The reference suite again, over the index-wide endpoint table."""
 
     kernel = "columnar"
-    # The DP baseline's region query is answered by its object-kernel index only.
-    test_paths_intersecting_matches_reference = None
 
 
 # Cell widths that are not exactly representable in binary (100/cells), so

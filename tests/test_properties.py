@@ -52,8 +52,8 @@ class TestGeometryProperties:
         assert (inter_ab is None) == (inter_ba is None)
         if inter_ab is not None:
             assert inter_ab == inter_ba
-            assert a.contains_rectangle(inter_ab)
-            assert b.contains_rectangle(inter_ab)
+            for corner in (inter_ab.low, inter_ab.high):
+                assert a.contains_point(corner) and b.contains_point(corner)
 
 
 class TestUncertaintyProperties:

@@ -75,6 +75,7 @@ class Mutant:
 _BATCHER = "src/repro/serving/batcher.py"
 _COORDINATOR = "src/repro/coordinator/coordinator.py"
 _COLUMNAR = "src/repro/coordinator/columnar.py"
+_DP_HOT = "src/repro/baselines/dp_hot.py"
 _GRID_INDEX = "src/repro/coordinator/grid_index.py"
 _OVERLAPS = "src/repro/coordinator/overlaps.py"
 _QUERY_VIEW = "src/repro/coordinator/query_view.py"
@@ -87,6 +88,7 @@ _STITCHING = "src/repro/coordinator/stitching.py"
 
 _MATRIX = "tests/test_differential.py::test_every_configuration_answers_as_the_reference"
 _ORACLE = "tests/test_single_path_oracle.py::test_the_shipped_configuration_answers_as_the_oracle"
+_DP_ORACLE = "tests/test_dp_oracle.py"
 _ORACLE_BUILD = "tests/test_overlap_properties.py::TestScalarBuildEqualsOracle"
 _OVERLAP_PROPERTIES = "tests/test_overlap_properties.py"
 _EQUAL_X_REMOVAL = "tests/test_columnar.py::TestEndpointTableKernels::test_removal_among_equal_x_takes_its_own_path"
@@ -249,10 +251,6 @@ MUTANTS: List[Mutant] = [
                f"{_MATRIX}[epoch_pass-1-serial-full-columnar]",
                f"{_MATRIX}[border-1-serial-full-columnar]",
            )),
-    Mutant("dp_region_query_repeats_paths", _GRID_INDEX,
-           "            if path_id in seen:\n                continue\n",
-           "            if path_id in ():\n                continue\n",
-           (f"{_GRID}::TestQueries::test_paths_intersecting_deduplicates",)),
     Mutant("path_between_returns_the_last_match", _COLUMNAR,
            "        for path_id, stored_end in self._by_start.get((start.x, start.y), {}).items():\n"
            "            if stored_end == end:\n"
@@ -294,6 +292,19 @@ MUTANTS: List[Mutant] = [
            "group[1].extend(path_ids)", "group[1][:] = path_ids",
            (
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_crafted_stream_hits_every_merge_case",
+           )),
+    # -- the DP baseline's reuse rule: the oracle catches -----------------------------
+    Mutant("dp_credits_the_latest_qualifying_segment", _DP_HOT,
+           "path_id = min(", "path_id = max(",
+           (
+               f"{_DP_ORACLE}::TestCraftedStreams::test_several_qualifying_segments_credit_the_earliest",
+               f"{_DP_ORACLE}::test_hypothesis_streams_answer_as_the_oracle",
+           )),
+    Mutant("dp_tests_only_the_end_against_the_box", _DP_HOT,
+           "if inside(records[path_id].path.start)", "if inside(records[path_id].path.end)",
+           (
+               f"{_DP_ORACLE}::TestCraftedStreams::test_a_segment_with_only_its_end_in_the_box_is_not_reused",
+               f"{_DP_ORACLE}::test_hypothesis_streams_answer_as_the_oracle",
            )),
     # -- corridor stitching -----------------------------------------------------------
     Mutant("weld_rule_skips_the_starter_degree", _STITCHING,
