@@ -1,20 +1,20 @@
 """The maintained query view: top-k paths and corridors without a re-rank.
 
 An epoch changes a fraction of the hot set, and the hotness tracker already
-logs which ids.  :class:`HotPathView` keeps one rank tuple per hot path and one
-:class:`IncrementalStitcher`.  ``run_epoch`` only
-accumulates the logged ids (:meth:`HotPathView.note`); the first query after
-a commit re-reads those from the index and the tracker — all but the ones
-whose count came back to where it was — and only a corridor, report or
-statistics read hands the changes on to the stitcher, so epochs nobody
-queries pay nothing, a path query pays nothing for corridors, and steady
-traffic pays for neither.  Each top-k reads a kept set of the keys at or
-above a floor (:class:`~repro.core.scoring.StandingTopK`): every edit at or
-above the floor toggles its key there, and only a kept set that runs below
-k keys sends a query back to the whole key set.  Every answer equals the
-oracle scans — ``select_top_k(hot_paths())`` and
-``stitch_paths(hot_paths())`` — bit for bit.  ``docs/ARCHITECTURE.md``
-("Query path") has the argument.
+logs which ids.  :class:`HotPathView` keeps one rank tuple per hot path (the
+only place one is computed) and one :class:`IncrementalStitcher`, which
+stores the tuples it is handed.  ``run_epoch`` only accumulates the logged
+ids (:meth:`HotPathView.note`); the first query after a commit re-reads
+those from the index and the tracker — all but the ones whose count came
+back to where it was — and only a corridor, report or statistics read hands
+the changes on to the stitcher, so epochs nobody queries pay nothing, a path
+query pays nothing for corridors, and steady traffic pays for neither.  Each
+top-k reads its order's kept set of the keys at or above a floor
+(:class:`~repro.core.scoring.StandingTopK`): every edit at or above a floor
+toggles its key there, and only a kept set that runs below k keys sends a
+query back to the whole key set.  Every answer equals the oracle scans —
+``select_top_k(hot_paths())`` and ``stitch_paths(hot_paths())`` — bit for
+bit.  ``docs/ARCHITECTURE.md`` ("Query path") has the argument.
 """
 
 from __future__ import annotations
@@ -40,17 +40,17 @@ class HotPathView:
         self._hotness = hotness
         self.stitcher = IncrementalStitcher()
         self._rank: Dict[int, RankKey] = {}
-        #: The path rank tuples at or above a floor, kept across refreshes.
-        self._standing = StandingTopK()
+        #: The kept sets of the path rank tuples, by hotness and by score.
+        self._standing = (StandingTopK(False), StandingTopK(True))
         #: Ids whose state may differ from the view's; ``None`` once they
         #: outnumber the hot set (the next read rescans instead of patching).
         self._dirty: Optional[set] = set()
         #: Index deletions accounted for (all of them of dirty ids).
         self._deletions = 0
         #: Each refreshed id's final state, not yet handed to the stitcher:
-        #: ``(path, hotness)`` if hot, ``None`` only for an id the stitcher
-        #: holds — so it never exceeds |hot| + |held| entries.
-        self._pending: Dict[int, Optional[Tuple[MotionPath, int]]] = {}
+        #: ``(path, rank tuple)`` if hot, ``None`` only for an id the
+        #: stitcher holds — so it never exceeds |hot| + |held| entries.
+        self._pending: Dict[int, Optional[Tuple[MotionPath, RankKey]]] = {}
 
     def note(self, log: HotnessDeltaLog, deleted: int) -> None:
         """Accumulate one committed epoch: its drained log, its own deletions."""
@@ -64,8 +64,9 @@ class HotPathView:
                 self._dirty = None
 
     def refresh(self) -> None:
-        """Bring the rank tuples up to date and fold the changes into the
-        pending map, proving first that the dirty set is complete.
+        """Bring the rank tuples (computed nowhere else) up to date and fold
+        the changes into the pending map, proving first that the dirty set
+        is complete.
 
         Transitions still undrained in the tracker (a crossing recorded
         directly between epochs) are dirty too; a record deleted behind the
@@ -109,7 +110,7 @@ class HotPathView:
                 edited.append(key)
                 if old is not None:
                     edited.append(old)
-                pending[path_id] = (path, count)
+                pending[path_id] = (path, key)
             else:
                 if old is not None:
                     del rank[path_id]
@@ -119,7 +120,8 @@ class HotPathView:
                 else:
                     pending.pop(path_id, None)
         if edited:
-            self._standing.edit(edited)
+            for standing in self._standing:
+                standing.edit(edited)
 
     def stitched(self) -> IncrementalStitcher:
         """The stitcher, brought up to date: the only place that stitches."""
@@ -135,7 +137,9 @@ class HotPathView:
         record_of = self._index.get
         return [
             ScoredPath(record_of(-negated_id).path, count, -negated_id)
-            for count, _score, negated_id in self._standing.top_k(self._rank.values(), k, by_score)
+            for count, _score, negated_id in self._standing[bool(by_score)].top_k(
+                self._rank.values(), k
+            )
         ]
 
     def top_k_corridors(self, k: int, by_score: bool = False) -> List[CompositeCorridor]:

@@ -238,7 +238,7 @@ def prefetch_vertex_candidates(
 
 
 _fsa_of, _object_id_of = attrgetter("fsa"), attrgetter("object_id")
-_start_of = attrgetter("start")
+_state_start = attrgetter("start")
 
 
 class SinglePathStrategy:
@@ -332,7 +332,7 @@ class SinglePathStrategy:
         # allocation each).
         starting_at = self._index.starting_at
         candidate_paths: List[Sequence[CandidatePath]] = [
-            path_ids or () for path_ids in map(starting_at, map(_start_of, states), fsas)
+            path_ids or () for path_ids in map(starting_at, map(_state_start, states), fsas)
         ]
         if any(candidate_paths):
             records, hotness = self._index.by_id, self._hotness.hotness

@@ -290,8 +290,6 @@ def corridor_stats(
 # ---------------------------------------------------------------------------
 
 
-
-
 class _Vertex:
     """One stitch vertex: its point, the held ids ending and starting there,
     and its weld."""
@@ -342,12 +340,12 @@ class IncrementalStitcher:
     net, coalesced patches: a weld that flips and flips back among the
     changes of one apply dirties nothing, and a chain whose only change is a
     member's hotness is re-walked but counted as reused.  The query view
-    hands over only ids whose ``(path, hotness)`` changed, so a stitch whose
-    changes all cancelled (steady traffic: each new crossing replaced one
-    that expired) is no apply at all and counts nothing.  Every chain key
-    replaced, old and new, is reported to the kept top-k set
-    (:class:`~repro.core.scoring.StandingTopK`); ``weld_decisions`` counts
-    the weld decisions of every apply.
+    hands over only ids whose ``(path, rank tuple)`` changed, so a stitch
+    whose changes all cancelled (steady traffic: each new crossing replaced
+    one that expired) is no apply at all and counts nothing.  Every chain
+    key replaced, old and new, is reported to both kept top-k sets, one per
+    order (:class:`~repro.core.scoring.StandingTopK`); ``weld_decisions``
+    counts the weld decisions of every apply.
 
     **Exactness.**  The retained successor map always equals the one a global
     weld pass would compute: the weld at a vertex is a function of that
@@ -364,11 +362,11 @@ class IncrementalStitcher:
     breaks them — the report stays bit-for-bit equal to the full stitch, the
     contract of ``tests/test_differential.py`` and the delta property suite.
     A chain's rank key is its least member hotness and the builtin ``sum``
-    over its members' scores (``hotness * length``, stored per member in its
-    rank tuple ``(hotness, score, -id)``) in chain order — the values
-    :class:`CompositeCorridor` computes, never a running total of the scores
-    (``sum`` is compensated on CPython 3.12+); a singleton chain's key is its
-    member's rank tuple.  So :meth:`top_k` equals
+    over its members' scores (``hotness * length``, the middle of the rank
+    tuple ``(hotness, score, -id)`` each member was handed with) in chain
+    order — the values :class:`CompositeCorridor` computes, never a running
+    total of the scores (``sum`` is compensated on CPython 3.12+); a
+    singleton chain's key is its member's rank tuple.  So :meth:`top_k` equals
     :func:`select_top_k_corridors` over the full report.
 
     Like the rest of this module, the class knows no shard layout: owners
@@ -380,8 +378,8 @@ class IncrementalStitcher:
         self._held: Dict[int, Tuple[MotionPath, _Vertex, _Vertex]] = {}
         #: Whether an id is one of the held (hot) fragments.
         self.holds: Callable[[int], bool] = self._held.__contains__
-        #: id -> ``(hotness, hotness * path.length, -id)``: its rank tuple,
-        #: whose score is the member's corridor score.
+        #: id -> its rank tuple ``(hotness, score, -id)``, as handed to
+        #: :meth:`apply`; the score is the member's corridor score.
         self._rank: Dict[int, RankKey] = {}
         #: ``(x, y)`` -> its vertex, while a held fragment starts or ends there.
         self._vertices: Dict[Tuple[float, float], _Vertex] = {}
@@ -395,8 +393,8 @@ class IncrementalStitcher:
         self._keys: Dict[int, RankKey] = {}
         #: head id -> materialised corridor; filled on demand, dropped on re-key.
         self._corridors: Dict[int, CompositeCorridor] = {}
-        #: The chain keys at or above a floor, kept across applies.
-        self._standing = StandingTopK()
+        #: The kept sets of the chain keys, by hotness and by score.
+        self._standing = (StandingTopK(False), StandingTopK(True))
         #: Weld decisions made, one per distinct touched vertex of an apply.
         self.weld_decisions = 0
         #: Counters accumulated since the last :meth:`report` (folded into its
@@ -423,16 +421,16 @@ class IncrementalStitcher:
 
     # -- the per-stitch patch -----------------------------------------------------
 
-    def apply(self, changes: Mapping[int, Optional[Tuple[MotionPath, int]]]) -> None:
+    def apply(self, changes: Mapping[int, Optional[Tuple[MotionPath, RankKey]]]) -> None:
         """Bring the ids in ``changes`` up to date; every other id is untouched.
 
-        ``changes`` maps an id to its ``(path, hotness)`` if it is hot now and
-        to ``None`` if it is not (ids are never reused, so a retained id keeps
-        its path).  Ids that entered or left touch their vertices, whose
-        welds are re-decided once each, and their dirty chains are
-        re-chained; a hotness-only change re-keys its chain without
-        re-welding anything; an id whose state already matches costs one
-        dict probe.
+        ``changes`` maps an id to its ``(path, (hotness, hotness *
+        path.length, -id))`` if it is hot now and to ``None`` if it is not
+        (ids are never reused, so a retained id keeps its path); the rank
+        tuple is stored as it is.  Ids that entered or left touch their
+        vertices, whose welds are re-decided once each, and their dirty
+        chains are re-chained; a re-heated id (a tuple unequal to the one
+        stored) re-keys its chain without re-welding anything.
         """
         held, rank, chain_of = self._held, self._rank, self._chain_of
         vertices = self._vertices
@@ -441,7 +439,7 @@ class IncrementalStitcher:
         touch = touched.add
         added: List[int] = []
         removed: List[int] = []
-        reheated: List[int] = []  # held ids whose hotness alone changed
+        reheated: List[int] = []  # held ids whose rank tuple alone changed
         for path_id, entry in changes.items():
             if entry is None:
                 entry = held.pop(path_id, None)
@@ -458,7 +456,7 @@ class IncrementalStitcher:
                 # A new vertex holds this path alone, so it has no weld yet; a
                 # weld needs an ender and a starter, and the other one's
                 # arrival touches it.
-                path, count = entry
+                path, key = entry
                 start, end = path.start, path.end
                 point = (start.x, start.y)
                 start_vertex = vertex_at(point)
@@ -475,14 +473,14 @@ class IncrementalStitcher:
                 else:
                     touch(end_vertex)
                 held[path_id] = (path, start_vertex, end_vertex)
-                rank[path_id] = (count, count * path.length, -path_id)
+                rank[path_id] = key
                 start_vertex.starters.append(path_id)
                 end_vertex.enders.append(path_id)
                 added.append(path_id)
             else:
-                path, count = entry
-                if rank[path_id][0] != count:
-                    rank[path_id] = (count, count * path.length, -path_id)
+                key = entry[1]
+                if rank[path_id] != key:
+                    rank[path_id] = key
                     reheated.append(path_id)
         removed_from = list(map(chain_of.pop, removed))  # the head of each one's chain
 
@@ -566,7 +564,8 @@ class IncrementalStitcher:
             keys[head] = (least, sum(scores), -head)
         edited.extend(map(keys.__getitem__, heads))
         if edited:
-            self._standing.edit(edited)
+            for standing in self._standing:
+                standing.edit(edited)
 
         self._bump("fragments_added", len(added))
         self._bump("fragments_removed", len(removed))
@@ -596,8 +595,8 @@ class IncrementalStitcher:
         """Top-k corridors read off the kept chain keys; only the winners are built."""
         return self._corridors_of(
             -negated_head
-            for _hotness, _score, negated_head in self._standing.top_k(
-                self._keys.values(), k, by_score
+            for _hotness, _score, negated_head in self._standing[bool(by_score)].top_k(
+                self._keys.values(), k
             )
         )
 
@@ -619,8 +618,6 @@ class IncrementalStitcher:
         stats.update(self._since_report)
         self._since_report = self._zero_counters()
         return corridors, stats
-
-
 
 
 def _cycle_heads(

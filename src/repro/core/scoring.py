@@ -90,14 +90,16 @@ KEPT_DEPTH = 2
 
 
 class StandingTopK:
-    """The top of a maintained set of rank tuples: every key at or above a
-    *floor*, kept across edits, so a top-k query reads k of a few dozen keys
-    instead of :func:`rank_top_k` over the whole set.
+    """The top of a maintained set of rank tuples in one order: every key at
+    or above a *floor*, kept across edits, so a top-k query reads k of a few
+    dozen keys instead of :func:`rank_top_k` over the whole set.
 
-    The owner reports every key it adds, removes or replaces — old and new,
-    in any order — to :meth:`edit`.  The *kept set* holds, in the order of
-    the query that ranked it (read as ``(score, hotness, -id)`` for
-    ``by_score``), every live key at or above its floor, and nothing else:
+    ``by_score`` fixes the order for the set's life (keys read as ``(score,
+    hotness, -id)`` if true); an owner that answers both orders keeps one
+    set per order and reports every edit to both.  The owner reports every
+    key it adds, removes or replaces — old and new, in any order — to
+    :meth:`edit`.  Once ranked, the *kept set* holds every live key at or
+    above its floor, and nothing else:
 
     * an edited key at or above the floor *toggles* its membership.  That is
       exact because rank tuples are unique (the last element is a negated
@@ -109,48 +111,45 @@ class StandingTopK:
       largest keys, the last of which becomes the floor; the invariant holds,
       since every live key above the new floor was in the set;
     * :meth:`top_k` answers from the set while it holds at least ``k`` keys
-      in the order asked for — the k largest of the set are then the k
-      largest of all — and re-ranks from the whole key set otherwise, to a
-      depth of :data:`KEPT_DEPTH` times ``k``.  A rank that finds fewer keys
-      than its depth keeps them all, with the floor ``()``, below every key;
-      such a set answers any ``k`` until a trim gives it a floor.
+      — the k largest of the set are then the k largest of all — and ranks
+      the whole key set otherwise (or on its first query), to a depth of
+      :data:`KEPT_DEPTH` times ``k``.  A rank that finds fewer keys than its
+      depth keeps them all, with the floor ``()``, below every key; such a
+      set answers any ``k`` until a trim gives it a floor.
 
-    The last answer is kept until an edit toggles a key, so a query repeated
-    over unchanged keys sorts nothing.
+    A set never ranked ignores its edits.  The last answer is kept until an
+    edit toggles a key, so a query repeated over unchanged keys sorts nothing.
     """
 
-    __slots__ = ("_by_score", "_kept", "_floor", "_depth", "_answer")
+    __slots__ = ("by_score", "_kept", "_floor", "_depth", "_answer")
 
-    def __init__(self) -> None:
-        #: The order of the kept set (``by_score``); ``None`` before a rank.
-        self._by_score: Optional[bool] = None
+    def __init__(self, by_score: bool) -> None:
+        self.by_score = by_score
         #: Every live key at or above the floor, read in the set's order.
         self._kept: set = set()
         self._floor: tuple = ()
-        #: The set's size right after a rank or a trim (when it was that long).
+        #: The set's size right after a rank or a trim (when it was that
+        #: long); 0 before the first rank.
         self._depth = 0
         #: ``(k, answer)`` of the last query, until an edit toggles a key.
         self._answer: Optional[Tuple[int, List[RankKey]]] = None
 
-    def top_k(self, keys: Iterable[RankKey], k: int, by_score: bool = False) -> List[RankKey]:
-        """``rank_top_k(keys, k, by_score)``, read off the kept set when it
-        holds ``k`` keys in the order asked for; ``keys`` is read only for a
-        re-rank.
+    def top_k(self, keys: Iterable[RankKey], k: int) -> List[RankKey]:
+        """``rank_top_k(keys, k, self.by_score)``, read off the kept set when
+        it holds ``k`` keys; ``keys`` is read only for a rank.
 
         The list returned is the kept answer itself: read it, never change it.
         """
-        by_score = bool(by_score)
         answer = self._answer
-        if answer is not None and answer[0] == k and by_score is self._by_score:
+        if answer is not None and answer[0] == k:
             return answer[1]
         if k <= 0:
             raise ConfigurationError(f"k must be positive, got {k}")
-        kept = self._kept
-        if by_score is not self._by_score or (len(kept) < k and self._floor):
-            depth = KEPT_DEPTH * k
+        by_score, kept = self.by_score, self._kept
+        if not self._depth or (len(kept) < k and self._floor):
+            depth = self._depth = KEPT_DEPTH * k
             ranked = rank_top_k(keys, depth, by_score)
             kept = self._kept = set(map(_SCORE_FIRST, ranked) if by_score else ranked)
-            self._by_score, self._depth = by_score, depth
             if len(ranked) < depth:
                 self._floor = ()
             else:
@@ -163,9 +162,9 @@ class StandingTopK:
 
     def edit(self, keys: Iterable[RankKey]) -> None:
         """Toggle each of ``keys`` at or above the floor in the kept set."""
-        by_score = self._by_score
-        if by_score is None:
+        if not self._depth:
             return
+        by_score = self.by_score
         hits = list(filter(self._floor.__le__, map(_SCORE_FIRST, keys) if by_score else keys))
         if not hits:
             return

@@ -328,7 +328,7 @@ class IngestionServer:
             return self._handle_tick(message)
         if op == "topk":
             k = self._requested_k(message)
-            paths = self.coordinator.top_k(k, by_score=bool(message.get("by_score", False)))
+            paths = self.coordinator.top_k(k, by_score=self._requested_by_score(message))
             return {"ok": True, "paths": [encode_scored_path(s) for s in paths]}
         if op == "corridors":
             corridors = self.coordinator.top_k_corridors(self._requested_k(message))
@@ -347,6 +347,14 @@ class IngestionServer:
             return _wire_integer(message.get("k", 10), "k")
         except ProtocolError as exc:
             raise ProtocolError(f"malformed k: {exc}") from None
+
+    @staticmethod
+    def _requested_by_score(message: Dict[str, Any]) -> bool:
+        """A JSON ``true`` or ``false``; a missing field is ``false``."""
+        by_score = message.get("by_score", False)
+        if by_score is not True and by_score is not False:
+            raise ProtocolError(f"malformed by_score: {by_score!r} is not true or false")
+        return by_score
 
     def _handle_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         try:

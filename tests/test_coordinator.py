@@ -382,7 +382,11 @@ class TestSteadyQueryWork:
 
     @staticmethod
     def hot_state(coordinator):
-        return {record.path_id: (record.path, hot) for record, hot in coordinator.hot_paths()}
+        """Each hot id's ``(path, rank tuple)``, as the view hands it to ``apply``."""
+        return {
+            record.path_id: (record.path, (hot, hot * record.path.length, -record.path_id))
+            for record, hot in coordinator.hot_paths()
+        }
 
     @staticmethod
     def dirty(outcome):
@@ -467,7 +471,7 @@ class TestSteadyQueryWork:
                 answers_as_the_oracle(coordinator)
             assert len(coordinator.hot_paths()) > 4 * scoring.KEPT_DEPTH * 10
             ranked.clear()
-            kept = sorted(view._standing._kept, reverse=True)
+            kept = sorted(view._standing[0]._kept, reverse=True)
             for _count, _score, negated_id in kept[: len(kept) - 9]:
                 coordinator.index.delete(-negated_id)
             for _ in range(2):
@@ -478,13 +482,13 @@ class TestSteadyQueryWork:
             ranked.clear()
             # A deleted chain's neighbours may weld anew, with keys above the
             # floor: delete the best kept chain, stitch, and repeat.
-            kept = stitcher._standing._kept
+            kept = stitcher._standing[0]._kept
             while len(kept) >= 10:
                 _hotness, _score, negated_head = max(kept)
                 for path_id in stitcher._chains[-negated_head]:
                     coordinator.index.delete(path_id)
                 coordinator.shard_statistics()  # stitches, ranks nothing
-                kept = stitcher._standing._kept
+                kept = stitcher._standing[0]._kept
             assert ranked == []
             for _ in range(2):
                 coordinator.top_k_corridors(10)

@@ -52,6 +52,7 @@ from repro.coordinator.stitching import (
     stitch_paths,
 )
 from repro.core.scoring import select_top_k
+from repro.serving.protocol import coordinator_snapshot
 
 from differential import (
     _hot_now,
@@ -398,6 +399,19 @@ def _play(hot: Dict[int, Tuple[MotionPath, int]], next_id: int, event) -> int:
     return next_id
 
 
+def _ranked(changes):
+    """``changes`` as :meth:`IncrementalStitcher.apply` takes them: each hot
+    id's ``(path, hotness)`` with its hotness replaced by the rank tuple the
+    query view computes, ``(hotness, hotness * path.length, -id)``."""
+    ranked = {}
+    for path_id, state in changes.items():
+        if state is not None:
+            path, hotness = state
+            state = (path, (hotness, hotness * path.length, -path_id))
+        ranked[path_id] = state
+    return ranked
+
+
 def _changes(before, after, also=()):
     """The change set between two hot sets — what the query view derives from
     the hotness transitions — plus ``also``: ids that did not change, which a
@@ -496,7 +510,7 @@ class TestIncrementalStitcherProperties:
             for event in chunk:
                 next_id = _play(hot, next_id, event)
             bystanders = {path_id for path_id in hot if rng.random() < 0.3}
-            stitcher.apply(_changes(before, hot, also=bystanders))
+            stitcher.apply(_ranked(_changes(before, hot, also=bystanders)))
             reference = _reference(hot)
             for by_score in (False, True):
                 for k in (1, 3, 100):
@@ -516,7 +530,7 @@ class TestIncrementalStitcherProperties:
         next_id = 0
         for event in events:
             next_id = _play(hot, next_id, event)
-        stitcher.apply(hot)
+        stitcher.apply(_ranked(hot))
 
         def owner_of(path_id: int) -> int:
             return grid.shard_id_of(hot[path_id][0].start)
@@ -540,9 +554,9 @@ class TestIncrementalStitcherProperties:
         for event in events:
             if event[0] == "insert":
                 next_id = _play(hot, next_id, event)
-        stitcher.apply(hot)
+        stitcher.apply(_ranked(hot))
         first, _ = stitcher.report(lambda path_id: 0)
-        stitcher.apply(hot)
+        stitcher.apply(_ranked(hot))
         second, stats = stitcher.report(lambda path_id: 0)
         assert second == first
         if first:
@@ -572,7 +586,7 @@ class TestIncrementalStitcherProperties:
             )
             order = list(changes)
             rng.shuffle(order)
-            stitcher.apply({path_id: changes[path_id] for path_id in order})
+            stitcher.apply(_ranked({path_id: changes[path_id] for path_id in order}))
             reference = _reference(hot)
             for by_score in (False, True):
                 for k in (1, 3, 100):
@@ -589,14 +603,14 @@ class TestIncrementalStitcherProperties:
         arrival is chained; the paths on either side of ``v`` are reused."""
         v = Point(0.0, 0.0)
         stitcher = IncrementalStitcher()
-        stitcher.apply({
+        stitcher.apply(_ranked({
             0: (MotionPath(Point(-10.0, 0.0), v), 1),
             1: (MotionPath(Point(0.0, -10.0), v), 1),
             2: (MotionPath(v, Point(10.0, 0.0)), 1),
-        })
+        }))
         stitcher.report(lambda path_id: 0)
         arrival = MotionPath(Point(0.0, 10.0), v)
-        stitcher.apply({1: None, 3: (arrival, 1)})
+        stitcher.apply(_ranked({1: None, 3: (arrival, 1)}))
         corridors, stats = stitcher.report(lambda path_id: 0)
         assert (stats["chains_rewelded"], stats["chains_reused"]) == (1, 2)
         assert [corridor.path_ids for corridor in corridors] == [(0,), (2,), (3,)]
@@ -611,7 +625,7 @@ class TestIncrementalStitcherProperties:
         hot = {0: (MotionPath(a, b), 1), 1: (MotionPath(b, c), 1), 2: (MotionPath(c, d), 1)}
         assert [path.length for path, _hotness in hot.values()] == scores
         stitcher = IncrementalStitcher()
-        stitcher.apply(hot)
+        stitcher.apply(_ranked(hot))
         (corridor,) = stitcher.top_k(1, by_score=True)
         (reference,) = _reference(hot)
         assert corridor.path_ids == reference.path_ids == (0, 1, 2)
@@ -712,20 +726,21 @@ kept_steps = st.lists(
 
 
 class TestKeptTopK:
-    """``StandingTopK`` over random streams of key adds, removals and
-    replacements, edited in batches in any order (a replaced key is reported
-    old and new), with ``k`` and ``by_score`` alternating between queries:
-    every answer equals ``rank_top_k`` over the live keys, and the kept set
-    never holds more than twice its depth."""
+    """A pair of ``StandingTopK`` sets, one per order, over random streams of
+    key adds, removals and replacements, edited in batches in any order (a
+    replaced key is reported old and new; every edit goes to both sets),
+    with ``k`` and ``by_score`` alternating between queries (each goes to
+    its order's set): every answer equals ``rank_top_k`` over the live keys,
+    and neither kept set ever holds more than twice its depth."""
 
     @staticmethod
     def _victim(live, position: int, standing) -> int:
-        """The id of a live key: by rank position, or the floor key."""
+        """The id of a live key: by rank position, or ``standing``'s floor key."""
         if position < 0:
             floor = standing._floor
             if not floor:
                 return -1
-            raw = scoring._SCORE_FIRST(floor) if standing._by_score else floor
+            raw = scoring._SCORE_FIRST(floor) if standing.by_score else floor
             return -raw[2] if live.get(-raw[2]) == raw else -1
         order = scoring._SCORE_FIRST if position % 2 else None
         ranked = sorted(live.values(), key=order, reverse=True)
@@ -735,12 +750,12 @@ class TestKeptTopK:
     @given(kept_steps, st.randoms(use_true_random=False))
     def test_every_answer_equals_a_rank_of_the_live_keys(self, steps, rng):
         live: Dict[int, Tuple[int, float, int]] = {}
-        standing = scoring.StandingTopK()
+        pair = (scoring.StandingTopK(False), scoring.StandingTopK(True))
         next_id = 0
         for step in steps:
             if step[0] == "query":
                 _query, k, by_score = step
-                answer = standing.top_k(live.values(), k, by_score)
+                answer = pair[by_score].top_k(live.values(), k)
                 assert answer == scoring.rank_top_k(live.values(), k, by_score)
                 continue
             edited = []
@@ -748,6 +763,7 @@ class TestKeptTopK:
                 victim = -1
                 if live and action != "add":
                     floor = action.startswith("floor")
+                    standing = pair[position % 2]
                     victim = self._victim(live, -1 if floor else position, standing)
                 if victim < 0:
                     live[next_id] = (hotness, score, -next_id)
@@ -759,8 +775,9 @@ class TestKeptTopK:
                     old, live[victim] = live[victim], (hotness, score, -victim)
                     edited.extend((old, live[victim]))
             rng.shuffle(edited)
-            standing.edit(edited)
-            assert len(standing._kept) <= 2 * standing._depth or standing._by_score is None
+            for standing in pair:
+                standing.edit(edited)
+                assert len(standing._kept) <= 2 * standing._depth
 
 
 class TestKeptSetOnAStream:
@@ -781,10 +798,37 @@ class TestKeptSetOnAStream:
                 coordinator.top_k(10)
                 coordinator.top_k_corridors(10)
                 queries += 2
-                for standing in (view._standing, view.stitcher._standing):
+                for standing in (*view._standing, *view.stitcher._standing):
                     assert len(standing._kept) <= 2 * standing._depth
             hot = len(coordinator.hot_paths())
         finally:
             coordinator.close()
         assert hot > 4 * scoring.KEPT_DEPTH * 10, "the kept sets never had a floor"
         assert len(ranked) <= 0.05 * queries
+
+    def test_alternating_orders_each_read_their_own_kept_set(self, monkeypatch):
+        """60 feedback epochs asking ``top_k`` and ``top_k_corridors`` at
+        ``(10, False)`` and ``(10, True)`` in turn: every answer equals the
+        oracle, and at most 5 % of the queries rank the whole key set (one
+        kept set per order).  Then 5 ``coordinator_snapshot`` calls, which ask
+        both orders, rank it 0 times."""
+        ranked = []
+        rank_top_k = scoring.rank_top_k
+        monkeypatch.setattr(
+            scoring, "rank_top_k", lambda *args: ranked.append(args[1]) or rank_top_k(*args)
+        )
+        coordinator = make_coordinator(window=120)
+        queries = 0
+        try:
+            for _outcome in feedback_epochs(coordinator, 11, epochs=60, objects=14):
+                for by_score in (False, True):
+                    _assert_answers_as_the_oracle(coordinator, 10, by_score)
+                    queries += 2
+            on_the_stream = len(ranked)
+            ranked.clear()
+            snapshots = [coordinator_snapshot(coordinator) for _ in range(5)]
+        finally:
+            coordinator.close()
+        assert queries == 240
+        assert on_the_stream <= 0.05 * queries
+        assert ranked == [] and snapshots[1:] == snapshots[:-1]

@@ -33,6 +33,7 @@ from repro.serving.protocol import (
     decode_message,
     decode_update,
     encode_message,
+    encode_scored_path,
     encode_update,
 )
 from repro.serving.scenarios import ScenarioRunner, _WireClient, replay_accepted_log
@@ -390,6 +391,34 @@ class TestDispatch:
             assert server.protocol_errors == 1
             # The handler survived: the next request on the line is served.
             assert server.handle_line(encode_message({"op": op, "k": 3}))["ok"] is True
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize("by_score", ["false", 0, 1, None, []], ids=repr)
+    def test_a_non_boolean_by_score_is_a_protocol_error_reply(self, by_score):
+        """``by_score`` used to go through ``bool()``, so ``"false"`` ranked by score."""
+        server, coordinator = self.make()
+        try:
+            message = {"op": "topk", "k": 3, "by_score": by_score}
+            response = server.handle_line(encode_message(message))
+            assert response["ok"] is False and "malformed by_score" in response["error"]
+            assert server.protocol_errors == 1
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize("field", [{"by_score": True}, {"by_score": False}, {}], ids=repr)
+    def test_a_boolean_or_missing_by_score_is_answered(self, field):
+        """JSON ``true`` / ``false`` choose the order; no field means by hotness."""
+        server, coordinator = self.make()
+        try:
+            rows = [encode_update(make_state(seed)) for seed in range(6)]
+            server.dispatch({"op": "batch", "client": 0, "seq": 0, "updates": rows})
+            server.dispatch({"op": "tick", "now": 10})
+            response = server.handle_line(encode_message(dict(field, op="topk", k=3)))
+            expected = coordinator.top_k(3, by_score=field.get("by_score", False))
+            assert expected, "nothing to rank"
+            assert response == {"ok": True, "paths": [encode_scored_path(s) for s in expected]}
+            assert server.protocol_errors == 0
         finally:
             coordinator.close()
 

@@ -98,6 +98,7 @@ _STITCHER = "tests/test_delta_properties.py::TestIncrementalStitcherProperties"
 _STEADY = "tests/test_delta_properties.py::TestSteadyRosterAnswers::test_every_answer_equals_the_oracle"
 _STEADY_WORK = "tests/test_coordinator.py::TestSteadyQueryWork"
 _KEPT = "tests/test_delta_properties.py::TestKeptTopK::test_every_answer_equals_a_rank_of_the_live_keys"
+_ALTERNATING = "tests/test_delta_properties.py::TestKeptSetOnAStream::test_alternating_orders_each_read_their_own_kept_set"
 _GRID = "tests/test_grid_index.py"
 _SEQ_RUNS = "tests/test_batcher_properties.py::TestRunLengthDedupe"
 _HISTOGRAM = "tests/test_batcher_properties.py::TestLatencyHistogram"
@@ -384,10 +385,16 @@ MUTANTS: List[Mutant] = [
            "        edited = list(map(keys.pop, dirty))",
            "        edited = list(map(keys.pop, dirty.difference(map(chain_of.__getitem__, reheated))))",
            (f"{_STEADY}[1-False]",)),
-    Mutant("standing_answer_ignores_by_score", _SCORING,
-           "if answer is not None and answer[0] == k and by_score is self._by_score:",
-           "if answer is not None and answer[0] == k:",
-           (f"{_STEADY}[10-False]", f"{_STEADY}[3-True]")),
+    Mutant("view_asks_the_hotness_set_for_every_order", _QUERY_VIEW,
+           "self._standing[bool(by_score)]", "self._standing[0]",
+           (_ALTERNATING,)),
+    Mutant("stitcher_asks_the_hotness_set_for_every_order", _STITCHING,
+           "self._standing[bool(by_score)]", "self._standing[0]",
+           (_ALTERNATING, f"{_STITCHER}::test_patched_report_equals_global_restitch")),
+    Mutant("view_edits_only_the_hotness_set", _QUERY_VIEW,
+           "            for standing in self._standing:\n",
+           "            for standing in self._standing[:1]:\n",
+           (_ALTERNATING, f"{_STEADY}[3-True]")),
     Mutant("kept_set_adds_a_removed_key", _SCORING,
            "            if key in kept:\n"
            "                kept.remove(key)\n"
@@ -438,7 +445,7 @@ MUTANTS: List[Mutant] = [
                f"{_MATRIX}[feedback_expiry-1-serial-delta-object]",
            )),
     Mutant("apply_rekeys_an_unchanged_hotness", _STITCHING,
-           "if rank[path_id][0] != count:", "if True:",
+           "if rank[path_id] != key:", "if True:",
            (f"{_STITCHER}::test_apply_is_idempotent",)),
     Mutant("object_starting_at_takes_end_entries", _GRID_INDEX,
            "if is_start and endpoint == start and region.contains_point(other)",
