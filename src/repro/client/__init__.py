@@ -4,7 +4,6 @@ from repro.client.raytrace import RayTraceFilter, RayTraceConfig
 from repro.client.state import ObjectState, CoordinatorResponse
 from repro.client.uncertainty import (
     NormalToleranceModel,
-    ToleranceInterval,
     UnsatisfiableTolerancePolicy,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "ObjectState",
     "CoordinatorResponse",
     "NormalToleranceModel",
-    "ToleranceInterval",
     "UnsatisfiableTolerancePolicy",
 ]

@@ -80,6 +80,13 @@ class RayTraceFilter:
     absorbed or buffered with scalar arithmetic only; a ``Point`` or
     ``Rectangle`` is built where one leaves the filter (:meth:`current_state`
     on a report, the :attr:`fsa` / :attr:`ssa_start` properties on demand).
+
+    The buffer of a waiting filter holds scalars only, never a measurement:
+    one flat deque of ``x, y, timestamp, sigma_x, sigma_y`` per measurement
+    (the sigmas ``None`` unless it is uncertain and the filter has a
+    tolerance model).  A buffered measurement object is released when
+    :meth:`observe` returns, so the collector never finds one waiting for the
+    next epoch.
     """
 
     def __init__(
@@ -103,7 +110,8 @@ class RayTraceFilter:
         self._collapse_fsa(initial.point)
 
         self._waiting: bool = False
-        self._buffer: Deque[Measurement] = deque()
+        #: Five entries per measurement: the arguments of its ``_process`` call.
+        self._buffer: Deque[Optional[float]] = deque()
 
     # -- public state ------------------------------------------------------------
 
@@ -129,7 +137,7 @@ class RayTraceFilter:
     @property
     def buffered_measurements(self) -> int:
         """Number of measurements waiting to be processed after the next response."""
-        return len(self._buffer)
+        return len(self._buffer) // 5
 
     def current_state(self) -> ObjectState:
         """The state message describing the current SSA (builds the two FSA corners)."""
@@ -153,17 +161,23 @@ class RayTraceFilter:
         """
         statistics = self.statistics
         statistics.measurements_processed += 1
+        point = measurement.point
+        x, y, timestamp = point.x, point.y, measurement.timestamp
+        sigma_x = sigma_y = None
+        if self._tolerance_model is not None and isinstance(measurement, UncertainTimePoint):
+            sigma_x, sigma_y = measurement.sigma_x, measurement.sigma_y
         buffer = self._buffer
         if self._waiting or buffer:
-            buffer.append(measurement)
-            if len(buffer) > statistics.buffered_high_watermark:
-                statistics.buffered_high_watermark = len(buffer)
+            buffer.extend((x, y, timestamp, sigma_x, sigma_y))
+            buffered = len(buffer) // 5
+            if buffered > statistics.buffered_high_watermark:
+                statistics.buffered_high_watermark = buffered
             return None if self._waiting else self._drain_buffer()
         # Nothing is queued ahead of it: the measurement would be the buffer's
         # only entry for the length of this call, so it skips the deque.
         if statistics.buffered_high_watermark < 1:
             statistics.buffered_high_watermark = 1
-        return self._process(measurement)
+        return self._process(x, y, timestamp, sigma_x, sigma_y)
 
     def receive_response(self, response: CoordinatorResponse) -> Optional[ObjectState]:
         """Handle the coordinator's response at an epoch boundary.
@@ -197,14 +211,22 @@ class RayTraceFilter:
 
     def _drain_buffer(self) -> Optional[ObjectState]:
         """Process buffered measurements until one breaks the SSA or the buffer empties."""
-        while not self._waiting and self._buffer:
-            measurement = self._buffer.popleft()
-            emitted = self._process(measurement)
+        buffer = self._buffer
+        pop = buffer.popleft
+        while not self._waiting and buffer:
+            emitted = self._process(pop(), pop(), pop(), pop(), pop())
             if emitted is not None:
                 return emitted
         return None
 
-    def _process(self, measurement: Measurement) -> Optional[ObjectState]:
+    def _process(
+        self,
+        x: float,
+        y: float,
+        timestamp: int,
+        sigma_x: Optional[float],
+        sigma_y: Optional[float],
+    ) -> Optional[ObjectState]:
         """One step of Algorithm 1 on floats.
 
         The arithmetic is, operation for operation, that of projecting the SSA
@@ -213,29 +235,28 @@ class RayTraceFilter:
         differential holds the two bit-identical): ``hi if hi > lo else lo``
         is ``max(lo, hi)`` with its tie-breaking, so ``-0.0`` and ``0.0`` land
         where they did, and a non-finite bound raises at the measurement that
-        produced it.
+        produced it.  The measurement arrives as its scalars; ``sigma_x`` is
+        ``None`` unless it is uncertain and the filter has a tolerance model.
         """
-        timestamp = measurement.timestamp
         if timestamp < self._t_end:
             raise CoordinatorError(
                 f"object {self.object_id}: measurement at t={timestamp} "
                 f"arrived after SSA already extends to t={self._t_end}"
             )
         # Tolerance square of the measurement (Section 4.1 shrinks it under uncertainty).
-        if self._tolerance_model is not None and isinstance(measurement, UncertainTimePoint):
-            tol_lx, tol_ly, tol_hx, tol_hy = self._tolerance_model.tolerance_square(
-                measurement
-            ).as_bounds()
+        if sigma_x is not None:
+            tol_lx, tol_ly, tol_hx, tol_hy = self._tolerance_model.tolerance_bounds(
+                x, y, sigma_x, sigma_y
+            )
         else:
-            point = measurement.point
-            x, y, epsilon = point.x, point.y, self.config.epsilon
+            epsilon = self.config.epsilon
             tol_lx, tol_ly = x - epsilon, y - epsilon
             tol_hx, tol_hy = x + epsilon, y + epsilon
             if not (
                 isfinite(tol_lx) and isfinite(tol_ly) and isfinite(tol_hx) and isfinite(tol_hy)
             ):
                 raise InvalidGeometryError(
-                    f"tolerance square of {point} with epsilon={epsilon} is not finite"
+                    f"tolerance square of {Point(x, y)} with epsilon={epsilon} is not finite"
                 )
 
         t_start = self._t_start
@@ -285,6 +306,7 @@ class RayTraceFilter:
         # to preserve temporal order relative to measurements that arrive while
         # waiting.)
         self._waiting = True
-        self._buffer.appendleft(measurement)
+        # extendleft reverses its argument: the buffer starts x, y, timestamp.
+        self._buffer.extendleft((sigma_y, sigma_x, timestamp, y, x))
         self.statistics.states_sent += 1
         return self.current_state()

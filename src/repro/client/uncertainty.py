@@ -11,7 +11,7 @@ least ``1 - delta``.  The set of admissible ``x'`` values is an interval
 
 for the two extreme values of ``x'`` (Equation 2).  The paper recommends a
 precomputed lookup table; :class:`NormalToleranceModel` instead solves by
-bisection and caches the half width per sigma.
+bisection and caches the half width per sigma (:meth:`NormalToleranceModel.half_width`).
 
 In two dimensions the requirement splits into per-axis conditions with failure
 probability ``delta / 2`` each, so the same 1-d machinery applies to x and y
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.errors import ToleranceError
 from repro.core.geometry import Point, Rectangle
@@ -33,7 +32,6 @@ from repro.core.trajectory import UncertainTimePoint
 __all__ = [
     "standard_normal_cdf",
     "interval_probability",
-    "ToleranceInterval",
     "UnsatisfiableTolerancePolicy",
     "NormalToleranceModel",
 ]
@@ -56,14 +54,6 @@ def interval_probability(center_offset: float, epsilon: float, sigma: float) -> 
     upper = standard_normal_cdf((center_offset + epsilon) / sigma)
     lower = standard_normal_cdf((center_offset - epsilon) / sigma)
     return upper - lower
-
-
-@dataclass(frozen=True)
-class ToleranceInterval:
-    """Admissible interval ``[low, high]`` of close locations on one axis."""
-
-    low: float
-    high: float
 
 
 class UnsatisfiableTolerancePolicy(enum.Enum):
@@ -116,16 +106,17 @@ class NormalToleranceModel:
 
     # -- one-dimensional interval -------------------------------------------------
 
-    def tolerance_interval(self, mean: float, sigma: float) -> ToleranceInterval:
-        """Admissible interval of close locations for a 1-d measurement.
+    def half_width(self, sigma: float) -> float:
+        """Half width of the admissible interval ``[mean - w, mean + w]`` of a
+        1-d measurement with standard deviation ``sigma``.
 
-        With ``delta == 0`` or ``sigma == 0`` this is simply
-        ``[mean - eps, mean + eps]``; otherwise the interval shrinks as the
-        noise grows, collapsing to the unsatisfiable case handled per policy.
-        The failure budget is the per-axis one, ``delta / 2``.
+        With ``delta == 0`` or ``sigma == 0`` this is simply ``epsilon``;
+        otherwise the interval shrinks as the noise grows, collapsing to the
+        unsatisfiable case handled per policy.  The failure budget is the
+        per-axis one, ``delta / 2``.
         """
         if self._axis_delta <= 0.0 or sigma <= 0.0:
-            return ToleranceInterval(mean - self.epsilon, mean + self.epsilon)
+            return self.epsilon
         half_width = self._solve_half_width(sigma)
         if half_width is None:
             if self.policy is UnsatisfiableTolerancePolicy.RAISE:
@@ -134,23 +125,38 @@ class NormalToleranceModel:
                     f"epsilon={self.epsilon}, delta={self._axis_delta}"
                 )
             half_width = self.minimal_half_width
-        return ToleranceInterval(mean - half_width, mean + half_width)
+        return half_width
 
     # -- two-dimensional square ------------------------------------------------------
 
-    def tolerance_square(self, measurement: UncertainTimePoint) -> Rectangle:
-        """Tolerance rectangle for a 2-d uncertain measurement.
+    def tolerance_bounds(
+        self, x: float, y: float, sigma_x: float, sigma_y: float
+    ) -> Tuple[float, float, float, float]:
+        """``(low x, low y, high x, high y)`` of the tolerance rectangle of a
+        2-d measurement, on scalars.
 
         The per-axis intervals are computed with failure budget ``delta / 2``
         each, following the simplification in Section 4.1, then combined into
-        an axis-aligned rectangle.
+        an axis-aligned rectangle.  A bound that is not finite raises the
+        ``InvalidGeometryError`` that building the rectangle would.
         """
-        interval_x = self.tolerance_interval(measurement.x, measurement.sigma_x)
-        interval_y = self.tolerance_interval(measurement.y, measurement.sigma_y)
-        return Rectangle(
-            Point(interval_x.low, interval_y.low),
-            Point(interval_x.high, interval_y.high),
+        half_x = self.half_width(sigma_x)
+        half_y = self.half_width(sigma_y)
+        low_x, high_x = x - half_x, x + half_x
+        low_y, high_y = y - half_y, y + half_y
+        isfinite = math.isfinite
+        if not (isfinite(low_x) and isfinite(low_y) and isfinite(high_x) and isfinite(high_y)):
+            # Exactly where the constructors refuse: they raise their own error.
+            Rectangle(Point(low_x, low_y), Point(high_x, high_y))
+        return low_x, low_y, high_x, high_y
+
+    def tolerance_square(self, measurement: UncertainTimePoint) -> Rectangle:
+        """Tolerance rectangle for a 2-d uncertain measurement
+        (:meth:`tolerance_bounds` as a ``Rectangle``)."""
+        low_x, low_y, high_x, high_y = self.tolerance_bounds(
+            measurement.x, measurement.y, measurement.sigma_x, measurement.sigma_y
         )
+        return Rectangle(Point(low_x, low_y), Point(high_x, high_y))
 
     # -- internals --------------------------------------------------------------------
 

@@ -11,7 +11,9 @@ once per epoch over the whole batch of state messages):
   shares), one row per path: their *ends* in plain lists sorted by end x,
   so a region query is two bisections and a closed y test on the x run
   between them, and a hash from the coordinates of a path's exact start
-  vertex to ``{path id: end}``, which answers the exact-match lookups.  No
+  vertex to the first id of the paths starting there (the others chained
+  id to id), with one ``{path id: end}`` map for the table, which answers
+  the exact-match lookups.  No
   numpy: an FSA's x run holds a few percent of the paths.  SinglePath's
   probe of an epoch's inserts is one too, under either storage.
 * :func:`touching_pairs` — the epoch's FSA-against-FSA pair pass: the pairs
@@ -227,10 +229,14 @@ class EndpointTable:
     the earliest insert is met first, so it becomes the vertex — the one the
     ``object`` storage's cell dicts, which keep insertion order, meet first.
 
-    ``_by_start`` maps a start vertex's ``(x, y)`` to ``{path id: end}`` of
-    the paths starting there, in insertion order, so ``starting_at`` and
-    ``path_between`` are one dict probe and a scan of that vertex's paths.
-    A path id is added at most once while it is live, and removed with the
+    A start vertex's bucket is the chain of the ids of the paths starting
+    there, in insertion order: ``_by_start`` maps the vertex's ``(x, y)``
+    to the first id, ``_after`` maps an id to the next one of its chain
+    (no entry for the last), and ``_end_of`` maps every id to its end, so
+    ``starting_at`` and ``path_between`` are one dict probe and a walk of
+    that vertex's chain.  A vertex owns no container but its key: the three
+    maps hold ints, the key tuples and the ends, one entry per path.  A
+    path id is added at most once while it is live, and removed with the
     endpoints it was added with.
 
     No method hashes a ``Point``: every key is a coordinate tuple, which
@@ -240,18 +246,26 @@ class EndpointTable:
     :meth:`end_vertices_in` returns its group keys.
     """
 
-    __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start")
+    __slots__ = ("_xs", "_ys", "_ends", "_pids", "_by_start", "_after", "_end_of")
 
     def __init__(self) -> None:
         self._xs: List[float] = []
         self._ys: List[float] = []
         self._ends: List[Point] = []
         self._pids: List[int] = []
-        self._by_start: Dict[Tuple[float, float], Dict[int, Point]] = {}
+        self._by_start: Dict[Tuple[float, float], int] = {}
+        self._after: Dict[int, int] = {}
+        self._end_of: Dict[int, Point] = {}
 
     def add_path(self, path_id: int, start: Point, end: Point) -> None:
         """Store the path ``start -> end`` under ``path_id``."""
-        self._by_start.setdefault((start.x, start.y), {})[path_id] = end
+        last = self._by_start.setdefault((start.x, start.y), path_id)
+        if last != path_id:  # the vertex's chain exists: append to its tail
+            after = self._after
+            while last in after:
+                last = after[last]
+            after[last] = path_id
+        self._end_of[path_id] = end
         row = bisect_right(self._xs, end.x)
         self._xs.insert(row, end.x)
         self._ys.insert(row, end.y)
@@ -260,11 +274,21 @@ class EndpointTable:
 
     def remove_path(self, path_id: int, start: Point, end: Point) -> None:
         """Drop the live path ``start -> end`` stored under ``path_id``."""
-        key = (start.x, start.y)
-        bucket = self._by_start[key]
-        del bucket[path_id]
-        if not bucket:
-            del self._by_start[key]
+        key, by_start, after = (start.x, start.y), self._by_start, self._after
+        successor, previous = after.pop(path_id, None), by_start[key]
+        if previous == path_id:  # the chain's first
+            if successor is None:
+                del by_start[key]
+            else:
+                by_start[key] = successor
+        else:
+            while after[previous] != path_id:
+                previous = after[previous]
+            if successor is None:
+                del after[previous]
+            else:
+                after[previous] = successor
+        del self._end_of[path_id]
         pids = self._pids
         row = bisect_left(self._xs, end.x)
         while pids[row] != path_id:
@@ -275,16 +299,24 @@ class EndpointTable:
 
     def starting_at(self, start: Point, region: Rectangle) -> List[int]:
         """Case 1: paths starting at ``start`` whose end lies inside ``region``."""
-        bucket = self._by_start.get((start.x, start.y))
-        if bucket is None:
+        path_id = self._by_start.get((start.x, start.y))
+        if path_id is None:
             return []
-        return [path_id for path_id, end in bucket.items() if region.contains_point(end)]
+        ids, end_of, after = [], self._end_of, self._after
+        while path_id is not None:
+            if region.contains_point(end_of[path_id]):
+                ids.append(path_id)
+            path_id = after.get(path_id)
+        return ids
 
     def path_between(self, start: Point, end: Point) -> Optional[int]:
         """The earliest-inserted live path from ``start`` ending at ``end``."""
-        for path_id, stored_end in self._by_start.get((start.x, start.y), {}).items():
-            if stored_end == end:
+        path_id = self._by_start.get((start.x, start.y))
+        end_of, after = self._end_of, self._after
+        while path_id is not None:
+            if end_of[path_id] == end:
                 return path_id
+            path_id = after.get(path_id)
         return None
 
     # -- region queries (two bisections and a y test) -------------------------------

@@ -32,7 +32,11 @@ and the server dependency-free).  Every request carries an ``op``:
     then refuses explicit ticks.
 
 ``topk`` / ``corridors``
-    Ranked hot-path / composite-corridor reports.
+    ``{"op": "topk", "k": K, "by_score": B}`` — ranked hot-path /
+    composite-corridor reports.  ``k`` defaults to 10.  ``by_score`` is a
+    JSON ``true`` (rank by score) or ``false`` (rank by hotness, also when
+    the field is missing), on both ops; any other value (``"false"``,
+    ``0``, ``null``) is a ``malformed by_score`` protocol error.
 
 ``snapshot``
     The canonical full-state report (:func:`coordinator_snapshot`) — the

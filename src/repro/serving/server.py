@@ -331,7 +331,9 @@ class IngestionServer:
             paths = self.coordinator.top_k(k, by_score=self._requested_by_score(message))
             return {"ok": True, "paths": [encode_scored_path(s) for s in paths]}
         if op == "corridors":
-            corridors = self.coordinator.top_k_corridors(self._requested_k(message))
+            corridors = self.coordinator.top_k_corridors(
+                self._requested_k(message), by_score=self._requested_by_score(message)
+            )
             return {"ok": True, "corridors": [encode_corridor(c) for c in corridors]}
         if op == "snapshot":
             return {"ok": True, "snapshot": coordinator_snapshot(self.coordinator)}

@@ -14,6 +14,7 @@ This module holds the kernel-level suites:
 
 from __future__ import annotations
 
+import gc
 import logging
 from typing import Dict
 
@@ -125,10 +126,22 @@ def replay(ops):
     return table, scalar
 
 
+def chains(table: EndpointTable) -> Dict:
+    """Each start key's chain of path ids, walked from its first id."""
+    walked = {}
+    for key, path_id in table._by_start.items():
+        ids = [path_id]
+        while ids[-1] in table._after:
+            ids.append(table._after[ids[-1]])
+        walked[key] = tuple(ids)
+    return walked
+
+
 def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
     """One row per path: ends sorted by x, equal x in insertion order,
-    parallel lists in step, and a start hash, keyed by the start's
-    coordinates, with no dead keys."""
+    parallel lists in step, a start hash, keyed by the start's
+    coordinates, of id chains in insertion order with no dead key or link,
+    and one ``id -> end`` map holding each live path's own end object."""
     assert len(table._pids) == len(scalar)
     # ``sorted`` is stable, so equal x values keep the scalar dict's
     # insertion order — the order the table must keep them in.
@@ -138,9 +151,14 @@ def assert_table_consistent(table: EndpointTable, scalar: Dict) -> None:
     assert table._xs == [end.x for end in table._ends]
     assert table._ys == [end.y for end in table._ends]
     expected_hash: Dict = {}
-    for pid, (start, end) in scalar.items():
-        expected_hash.setdefault((start.x, start.y), {})[pid] = end
-    assert table._by_start == expected_hash
+    for pid, (start, _end) in scalar.items():
+        key = (start.x, start.y)
+        expected_hash[key] = expected_hash.get(key, ()) + (pid,)
+    assert chains(table) == expected_hash
+    # Every link is a chain's: one per path that is not its vertex's first.
+    assert len(table._after) == len(scalar) - len(table._by_start)
+    assert list(table._end_of) == list(scalar)
+    assert all(table._end_of[pid] is end for pid, (_start, end) in scalar.items())
 
 
 @st.composite
@@ -204,20 +222,52 @@ class TestEndpointTableKernels:
             assert_table_consistent(table, scalar)
 
     def test_start_hash_emptied_with_its_last_path(self):
-        """A vertex's bucket, keyed by its coordinates, lives exactly as long
-        as a path starts there, and keeps its paths in insertion order."""
+        """A vertex's bucket, keyed by its coordinates, is the chain of its
+        path ids in insertion order (first id, then ``id -> next id``
+        links); it lives exactly as long as a path starts there, and each
+        id's link and end live exactly as long as its path."""
         table = EndpointTable()
-        start, end = Point(1.0, 1.0), Point(50.0, 50.0)
+        start, end, far = Point(1.0, 1.0), Point(50.0, 50.0), Point(99.0, 0.0)
         table.add_path(7, start, end)
-        table.add_path(8, start, Point(99.0, 0.0))
+        table.add_path(8, start, far)
+        table.add_path(10, start, end)
         table.add_path(9, end, start)
-        assert table._by_start == {(1.0, 1.0): {7: end, 8: Point(99.0, 0.0)}, (50.0, 50.0): {9: start}}
-        table.remove_path(8, start, Point(99.0, 0.0))
-        assert table._by_start == {(1.0, 1.0): {7: end}, (50.0, 50.0): {9: start}}
-        table.remove_path(7, start, end)
-        assert table._by_start == {(50.0, 50.0): {9: start}}
+        assert table._by_start == {(1.0, 1.0): 7, (50.0, 50.0): 9}
+        assert table._after == {7: 8, 8: 10}
+        assert table._end_of == {7: end, 8: far, 10: end, 9: start}
+        table.remove_path(8, start, far)  # from the middle of its chain
+        assert table._by_start == {(1.0, 1.0): 7, (50.0, 50.0): 9}
+        assert table._after == {7: 10}
+        assert table._end_of == {7: end, 10: end, 9: start}
+        table.add_path(8, start, far)  # back, at the chain's tail
+        assert chains(table) == {(1.0, 1.0): (7, 10, 8), (50.0, 50.0): (9,)}
+        table.remove_path(7, start, end)  # the chain's first
+        assert table._by_start == {(1.0, 1.0): 10, (50.0, 50.0): 9}
+        assert table._after == {10: 8}
+        table.remove_path(8, start, far)  # its last
+        table.remove_path(10, start, end)
+        assert table._by_start == {(50.0, 50.0): 9} and table._after == {}
+        assert table._end_of == {9: start}
         table.remove_path(9, end, start)
-        assert table._by_start == {} and table._pids == []
+        assert table._by_start == {} and table._end_of == {} and table._pids == []
+
+    def test_paths_from_distinct_starts_allocate_no_dict(self):
+        """N paths from N distinct start vertices leave no dict behind but
+        the table's own maps: a bucket is a chain of ids."""
+        table = EndpointTable()
+        paths = [(Point(float(i), 1.0), Point(float(i), 2.0)) for i in range(64)]
+        gc.collect()
+        before = {id(obj) for obj in gc.get_objects() if type(obj) is dict}
+        for path_id, (start, end) in enumerate(paths):
+            table.add_path(path_id, start, end)
+        own = {id(table._by_start), id(table._after), id(table._end_of)}
+        new = [
+            obj
+            for obj in gc.get_objects()
+            if type(obj) is dict and id(obj) not in before and id(obj) not in own
+        ]
+        assert new == []
+        assert len(table._by_start) == len(table._end_of) == 64 and table._after == {}
 
     def test_removal_among_equal_x_takes_its_own_path(self):
         """Ends of equal x — ``0.0``, ``-0.0``, ``0`` and the same point twice —

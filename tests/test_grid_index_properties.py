@@ -100,7 +100,7 @@ def assert_empty_cells(index: GridIndex) -> None:
     if isinstance(table, CellTable):
         assert table._cells == {}
     else:
-        assert table._by_start == {}
+        assert table._by_start == table._after == table._end_of == {}
         assert table._xs == table._ys == table._ends == table._pids == []
 
 

@@ -2,7 +2,8 @@
 
 A fake module pins the extent rule (a nested target counts in both extents,
 its calls in its caller's), and two runs of ``repro run --seed 11 --objects
-40`` print identical reports.
+40`` print identical reports.  The collection report (``--gc``) repeats too,
+on a small script that keeps lists alive.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ FAKE_WORK = (
     "    return inner() + inner()\n"
 )
 FAKE_MAIN = "import fake_work\nfake_work.outer()\nfake_work.outer()\n"
+
+FAKE_KEEPER = (
+    "def churn(n):\n"
+    "    return [[i] for i in range(n)]\n"
+    "\n"
+    "def outer():\n"
+    "    return [churn(500) for _ in range(5)]\n"
+)
+FAKE_KEEPER_MAIN = "import fake_keeper\nkept = [fake_keeper.outer() for _ in range(3)]\n"
 
 
 def _report(arguments: Sequence[str], path: str = "") -> List[str]:
@@ -84,6 +94,34 @@ def test_two_runs_print_identical_counts():
     assert sum(opcodes for opcodes, _calls in counts[
         "repro.coordinator.coordinator:Coordinator.top_k"
     ]) > 0
+
+
+def test_two_runs_print_identical_collection_reports(tmp_path):
+    """``--gc``: collections and net allocations per call, from runs
+    without ``sys.settrace``, the same on every run."""
+    (tmp_path / "fake_keeper.py").write_text(FAKE_KEEPER)
+    (tmp_path / "fake_keeper_main.py").write_text(FAKE_KEEPER_MAIN)
+    arguments = [
+        "--gc", "--function", "fake_keeper:outer", "--function", "fake_keeper:churn",
+        "--", "-m", "fake_keeper_main",
+    ]
+    first = _report(arguments, str(tmp_path))
+    assert first == _report(arguments, str(tmp_path))
+    assert first[0].startswith("opcount: PYTHONHASHSEED=0 ") and "gc thresholds" in first[0]
+    counts = _per_call(first)
+    outer, churn = counts["fake_keeper:outer"], counts["fake_keeper:churn"]
+    assert len(outer) == 3 and len(churn) == 15
+    assert all(len(row) == 4 for row in outer + churn)  # gen0 gen1 gen2 allocated
+    # Each churn call keeps 500 new lists alive (a few may come off a free
+    # list, which the collector does not count), and an outer call counts
+    # its five churn calls' allocations.
+    assert all(400 <= row[3] <= 501 for row in churn)
+    for call, row in enumerate(outer):
+        inner = churn[5 * call : 5 * call + 5]
+        assert row[3] >= sum(allocated for *_collections, allocated in inner)
+        assert row[0] >= sum(collections[0] for collections in inner)
+    # 7 500 lists kept alive start young collections inside the extents.
+    assert sum(row[0] for row in churn) > 0
 
 
 def test_a_bad_command_line_is_a_usage_error(capsys):

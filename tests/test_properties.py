@@ -64,10 +64,9 @@ class TestUncertaintyProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_interval_within_plain_epsilon_and_valid(self, epsilon, delta, sigma):
-        """Any solved tolerance interval is centred, no wider than 2*eps, and meets the probability bound."""
+        """Any solved half width is at most eps and meets the probability bound."""
         model = NormalToleranceModel(epsilon=epsilon, delta=2 * delta)  # per-axis budget: delta
-        interval = model.tolerance_interval(mean=0.0, sigma=sigma)
-        half = (interval.high - interval.low) / 2.0
+        half = model.half_width(sigma)
         assert half <= epsilon + 1e-6
         if half > model.minimal_half_width + 1e-12:
             # A genuine (non-fallback) solution: the boundary offset satisfies Equation 2.
@@ -94,9 +93,7 @@ class TestUncertaintyProperties:
         model = NormalToleranceModel(epsilon=epsilon, delta=2 * delta)  # per-axis budget: delta
         low, high = sorted((sigma_a, sigma_b))
         assume(interval_probability(0.0, epsilon, high) >= 1.0 - delta)
-        wide = model.tolerance_interval(mean=0.0, sigma=low)
-        narrow = model.tolerance_interval(mean=0.0, sigma=high)
-        assert (narrow.high - narrow.low) / 2.0 <= (wide.high - wide.low) / 2.0 + 1e-9
+        assert model.half_width(high) <= model.half_width(low) + 1e-9
 
 
 @st.composite

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -508,31 +509,27 @@ class TestObjectsOnlyAtTheBoundary:
             yield TimePoint(Point(x, y), t)
 
     def test_constructions_per_call(self, monkeypatch):
+        """A replay (``receive_response``) builds no ``TimePoint`` either:
+        the buffer holds each measurement's scalars."""
         measurements = list(self._seeded_walk(seed=11, length=1500))
         filt = RayTraceFilter(7, TimePoint(Point(0.0, 0.0), 0), RayTraceConfig(4.0))
 
-        built = {"points": 0, "rectangles": 0}
-        point_init, rectangle_init = Point.__init__, Rectangle.__init__
+        built = Counter()
+        for cls in (Point, Rectangle, TimePoint):
+            def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
 
-        def counted_point(self, *args, **kwargs):
-            built["points"] += 1
-            point_init(self, *args, **kwargs)
-
-        def counted_rectangle(self, *args, **kwargs):
-            built["rectangles"] += 1
-            rectangle_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Point, "__init__", counted_point)
-        monkeypatch.setattr(Rectangle, "__init__", counted_rectangle)
+            monkeypatch.setattr(cls, "__init__", counted_init)
 
         tally = Counter()  # (entry point, emitted a report?) -> calls
 
         def counted(call, argument):
-            built["points"] = built["rectangles"] = 0
+            built.clear()
             emitted = call(argument)
             tally[call.__name__, emitted is not None] += 1
-            expected = (0, 0) if emitted is None else (2, 0)
-            assert (built["points"], built["rectangles"]) == expected
+            expected = {} if emitted is None else {"Point": 2}
+            assert built == expected
             return emitted
 
         buffered = 0
@@ -556,3 +553,49 @@ class TestObjectsOnlyAtTheBoundary:
             ("receive_response", True): 13,
         }
         assert filt.statistics.states_sent == 137
+
+
+class _WeakPoint(Point):
+    __slots__ = ("__weakref__",)
+
+
+class _WeakTimePoint(TimePoint):
+    __slots__ = ("__weakref__",)
+
+
+class _WeakUncertainTimePoint(UncertainTimePoint):
+    __slots__ = ("__weakref__",)
+
+
+class TestBufferHoldsScalars:
+    """A waiting filter keeps no measurement object alive: each buffered
+    measurement, and the one that broke the SSA, is released when
+    ``observe`` returns, with its ``Point``."""
+
+    @pytest.mark.parametrize("uncertain", [False, True], ids=["TimePoint", "UncertainTimePoint"])
+    def test_a_buffered_measurement_is_released_when_observe_returns(self, uncertain):
+        config = RayTraceConfig(1.0, delta=0.2 if uncertain else 0.0)
+        filt = RayTraceFilter(7, TimePoint(Point(0.0, 0.0), 0), config)
+        assert filt._tolerance_model is not None if uncertain else filt._tolerance_model is None
+
+        def measurement(x, t):
+            point = _WeakPoint(x, 0.0)
+            if uncertain:
+                return _WeakUncertainTimePoint(point, t, 0.3, 0.0), point
+            return _WeakTimePoint(point, t), point
+
+        references = []
+
+        def observe(x, t):
+            made = measurement(x, t)
+            references.extend(weakref.ref(obj) for obj in made)
+            return filt.observe(made[0])
+
+        assert observe(1.0, 1) is None
+        assert observe(100.0, 2) is not None  # breaks the SSA: buffered again, then waiting
+        assert observe(101.0, 3) is None and observe(-100.0, 4) is None  # buffered
+        assert filt.waiting and filt.buffered_measurements == 3
+        assert [reference() for reference in references] == [None] * 8
+        # The replay answers from the scalars as the oracle does from the objects.
+        emitted = filt.receive_response(CoordinatorResponse(7, Point(1.0, 0.0), 1))
+        assert emitted is not None and filt.buffered_measurements == 2

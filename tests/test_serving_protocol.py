@@ -32,6 +32,7 @@ from repro.serving.protocol import (
     coordinator_snapshot,
     decode_message,
     decode_update,
+    encode_corridor,
     encode_message,
     encode_scored_path,
     encode_update,
@@ -419,6 +420,66 @@ class TestDispatch:
             assert expected, "nothing to rank"
             assert response == {"ok": True, "paths": [encode_scored_path(s) for s in expected]}
             assert server.protocol_errors == 0
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize("by_score", ["false", 0, None], ids=repr)
+    def test_a_non_boolean_by_score_on_corridors_is_a_protocol_error_reply(self, by_score):
+        server, coordinator = self.make()
+        try:
+            message = {"op": "corridors", "k": 3, "by_score": by_score}
+            response = server.handle_line(encode_message(message))
+            assert response == {
+                "ok": False,
+                "error": f"malformed by_score: {by_score!r} is not true or false",
+            }
+            assert server.protocol_errors == 1
+        finally:
+            coordinator.close()
+
+    @staticmethod
+    def commit_two_orders(server) -> None:
+        """One epoch whose hotness and score orders disagree: a short path
+        crossed three times, and a long one crossed once."""
+        short = [
+            ObjectState(object_id, Point(100.0, 100.0), 3, Point(110.0, 99.0), Point(112.0, 101.0), 8)
+            for object_id in range(3)
+        ]
+        long = ObjectState(9, Point(500.0, 500.0), 3, Point(900.0, 499.0), Point(902.0, 501.0), 8)
+        rows = [encode_update(state) for state in [*short, long]]
+        server.dispatch({"op": "batch", "client": 0, "seq": 0, "updates": rows})
+        server.dispatch({"op": "tick", "now": 10})
+
+    @pytest.mark.parametrize("field", [{"by_score": True}, {"by_score": False}, {}], ids=repr)
+    def test_corridors_are_answered_in_the_requested_order(self, field):
+        """``corridors`` used to drop ``by_score`` and always rank by hotness."""
+        server, coordinator = self.make()
+        try:
+            self.commit_two_orders(server)
+            response = server.handle_line(encode_message(dict(field, op="corridors", k=3)))
+            expected = coordinator.top_k_corridors(3, by_score=field.get("by_score", False))
+            assert response == {"ok": True, "corridors": [encode_corridor(c) for c in expected]}
+            # The long path (401 units, crossed once) leads by score only.
+            leader = response["corridors"][0]
+            assert (leader["hotness"], leader["score"]) == (
+                (1, 401.0) if field.get("by_score") else (3, 33.0)
+            )
+            assert server.protocol_errors == 0
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize("op, key", [("topk", "paths"), ("corridors", "corridors")])
+    def test_true_and_false_each_answer_in_their_own_order(self, op, key):
+        server, coordinator = self.make()
+        try:
+            self.commit_two_orders(server)
+            answers = {
+                by_score: server.handle_line(encode_message({"op": op, "by_score": by_score}))
+                for by_score in (True, False)
+            }
+            assert answers[True][key] == answers[False][key][::-1]
+            assert len(answers[True][key]) == 2
+            assert server.handle_line(encode_message({"op": op})) == answers[False]
         finally:
             coordinator.close()
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ToleranceError
-from repro.core.geometry import Point
+from repro.core.errors import InvalidGeometryError, ToleranceError
+from repro.core.geometry import Point, Rectangle
 from repro.core.trajectory import UncertainTimePoint
 from repro.client.uncertainty import (
     NormalToleranceModel,
@@ -13,14 +13,6 @@ from repro.client.uncertainty import (
     interval_probability,
     standard_normal_cdf,
 )
-
-
-def half_width(interval) -> float:
-    return (interval.high - interval.low) / 2.0
-
-
-def center(interval) -> float:
-    return (interval.high + interval.low) / 2.0
 
 
 class TestStandardNormalCdf:
@@ -70,38 +62,32 @@ class TestNormalToleranceModelValidation:
 class TestOneDimensionalInterval:
     def test_zero_delta_gives_plain_interval(self):
         model = NormalToleranceModel(epsilon=5.0, delta=0.0)
-        interval = model.tolerance_interval(mean=10.0, sigma=3.0)
-        assert interval.low == 5.0
-        assert interval.high == 15.0
+        assert model.half_width(3.0) == 5.0
 
     def test_zero_sigma_gives_plain_interval(self):
         model = NormalToleranceModel(epsilon=5.0, delta=0.1)
-        interval = model.tolerance_interval(mean=0.0, sigma=0.0)
-        assert interval.low == -5.0
-        assert interval.high == 5.0
+        assert model.half_width(0.0) == 5.0
 
     def test_interval_is_centred_on_mean(self):
         model = NormalToleranceModel(epsilon=5.0, delta=0.1)
-        interval = model.tolerance_interval(mean=7.0, sigma=1.0)
-        assert center(interval) == pytest.approx(7.0)
+        low_x, low_y, high_x, high_y = model.tolerance_bounds(7.0, -2.0, 1.0, 1.0)
+        assert (low_x + high_x) / 2.0 == pytest.approx(7.0)
+        assert (low_y + high_y) / 2.0 == pytest.approx(-2.0)
+        assert (high_x - low_x) / 2.0 == pytest.approx(model.half_width(1.0))
 
     def test_interval_shrinks_with_noise(self):
         model = NormalToleranceModel(epsilon=5.0, delta=0.1)
-        wide = model.tolerance_interval(mean=0.0, sigma=0.5)
-        narrow = model.tolerance_interval(mean=0.0, sigma=2.0)
-        assert half_width(wide) > half_width(narrow)
+        assert model.half_width(0.5) > model.half_width(2.0)
 
     def test_interval_never_exceeds_plain_epsilon(self):
         model = NormalToleranceModel(epsilon=5.0, delta=0.1)
-        interval = model.tolerance_interval(mean=0.0, sigma=0.5)
-        assert half_width(interval) <= 5.0 + 1e-9
+        assert model.half_width(0.5) <= 5.0 + 1e-9
 
     def test_solution_satisfies_equation_2(self):
         """At the solved boundary offset, the coverage probability equals 1 - delta."""
         epsilon, delta, sigma = 5.0, 0.1, 1.5
         model = NormalToleranceModel(epsilon=epsilon, delta=2 * delta)  # per-axis budget: delta
-        interval = model.tolerance_interval(mean=0.0, sigma=sigma)
-        boundary = interval.high  # offset from the mean
+        boundary = model.half_width(sigma)  # offset from the mean
         probability = interval_probability(boundary, epsilon, sigma)
         assert probability == pytest.approx(1.0 - delta, abs=1e-6)
 
@@ -110,7 +96,7 @@ class TestOneDimensionalInterval:
             epsilon=1.0, delta=0.01, policy=UnsatisfiableTolerancePolicy.RAISE
         )
         with pytest.raises(ToleranceError):
-            model.tolerance_interval(mean=0.0, sigma=10.0)
+            model.half_width(10.0)
 
     def test_unsatisfiable_minimal_policy(self):
         model = NormalToleranceModel(
@@ -118,9 +104,9 @@ class TestOneDimensionalInterval:
             delta=0.01,
             policy=UnsatisfiableTolerancePolicy.MINIMAL,
         )
-        interval = model.tolerance_interval(mean=3.0, sigma=10.0)
-        assert half_width(interval) == pytest.approx(0.05)  # 5 % of epsilon
-        assert center(interval) == pytest.approx(3.0)
+        assert model.half_width(10.0) == pytest.approx(0.05)  # 5 % of epsilon
+        low_x, _low_y, high_x, _high_y = model.tolerance_bounds(3.0, 0.0, 10.0, 0.0)
+        assert (low_x + high_x) / 2.0 == pytest.approx(3.0)
 
 
 class TestTwoDimensionalSquare:
@@ -149,3 +135,20 @@ class TestTwoDimensionalSquare:
         square = model.tolerance_square(measurement)
         assert square.width == pytest.approx(6.0)
         assert square.height == pytest.approx(6.0)
+
+    def test_square_is_the_scalar_bounds(self):
+        model = NormalToleranceModel(epsilon=5.0, delta=0.1)
+        measurement = UncertainTimePoint(Point(3.0, -4.0), 0, 0.5, 2.0)
+        square = model.tolerance_square(measurement)
+        assert square.as_bounds() == model.tolerance_bounds(3.0, -4.0, 0.5, 2.0)
+
+    def test_an_overflowing_bound_raises_the_constructors_error(self):
+        """The scalar form refuses a bound exactly where building the
+        rectangle would, with the ``Point`` constructor's own message."""
+        model = NormalToleranceModel(epsilon=1e308, delta=0.1)
+        with pytest.raises(InvalidGeometryError) as scalar:
+            model.tolerance_bounds(1.7e308, 0.0, 0.0, 0.0)
+        with pytest.raises(InvalidGeometryError) as constructed:
+            Rectangle(Point(1.7e308 - 1e308, -1e308), Point(1.7e308 + 1e308, 1e308))
+        assert str(scalar.value) == str(constructed.value)
+        assert "got (inf, 1e+308)" in str(scalar.value)

@@ -79,6 +79,7 @@ _DP_HOT = "src/repro/baselines/dp_hot.py"
 _GRID_INDEX = "src/repro/coordinator/grid_index.py"
 _OVERLAPS = "src/repro/coordinator/overlaps.py"
 _QUERY_VIEW = "src/repro/coordinator/query_view.py"
+_RAYTRACE = "src/repro/client/raytrace.py"
 _GEOMETRY = "src/repro/core/geometry.py"
 _VALUE = "src/repro/core/value.py"
 _SCORING = "src/repro/core/scoring.py"
@@ -253,14 +254,16 @@ MUTANTS: List[Mutant] = [
                f"{_MATRIX}[border-1-serial-full-columnar]",
            )),
     Mutant("path_between_returns_the_last_match", _COLUMNAR,
-           "        for path_id, stored_end in self._by_start.get((start.x, start.y), {}).items():\n"
-           "            if stored_end == end:\n"
+           "        while path_id is not None:\n"
+           "            if end_of[path_id] == end:\n"
            "                return path_id\n"
+           "            path_id = after.get(path_id)\n"
            "        return None\n",
            "        found = None\n"
-           "        for path_id, stored_end in self._by_start.get((start.x, start.y), {}).items():\n"
-           "            if stored_end == end:\n"
+           "        while path_id is not None:\n"
+           "            if end_of[path_id] == end:\n"
            "                found = path_id\n"
+           "            path_id = after.get(path_id)\n"
            "        return found\n",
            (_EQUAL_X_REMOVAL,)),
     Mutant("end_vertices_in_tests_y_with_lt", _COLUMNAR,
@@ -273,8 +276,8 @@ MUTANTS: List[Mutant] = [
            "row = bisect_right(self._xs, end.x)", "row = bisect_left(self._xs, end.x)",
            (_EQUAL_X_REMOVAL, f"{_MATRIX}[equal_ends-1-serial-full-columnar]",)),
     Mutant("endpoint_start_bucket_outlives_its_paths", _COLUMNAR,
-           "        if not bucket:\n            del self._by_start[key]\n",
-           "        if not bucket and False:\n            del self._by_start[key]\n",
+           "            if successor is None:\n                del by_start[key]\n",
+           "            if successor is None and False:\n                del by_start[key]\n",
            (
                "tests/test_columnar.py::TestEndpointTableKernels::test_start_hash_emptied_with_its_last_path",
            )),
@@ -495,7 +498,23 @@ MUTANTS: List[Mutant] = [
     Mutant("value_fields_skip_the_init_check", _VALUE,
            "if parameters != fields:", "if False:",
            (f"{_VALUE_TWINS}::test_a_class_whose_fields_and_init_parameters_differ_is_refused",)),
+    # -- the client tier: a waiting filter buffers scalars --------------------------
+    Mutant("raytrace_buffers_the_measurement_object", _RAYTRACE,
+           "            buffer.extend((x, y, timestamp, sigma_x, sigma_y))\n",
+           "            buffer.extend((x, y, timestamp, sigma_x, sigma_y))\n"
+           "            self._last_buffered = measurement\n",
+           (
+               "tests/test_raytrace.py::TestBufferHoldsScalars::"
+               "test_a_buffered_measurement_is_released_when_observe_returns[TimePoint]",
+           )),
     # -- the serving tier -----------------------------------------------------------
+    Mutant("served_corridors_ignore_by_score", _SERVER,
+           "                self._requested_k(message), by_score=self._requested_by_score(message)\n",
+           "                self._requested_k(message)\n",
+           (
+               "tests/test_serving_protocol.py::TestDispatch::"
+               "test_true_and_false_each_answer_in_their_own_order[corridors-corridors]",
+           )),
     Mutant("seq_runs_membership_excludes_the_run_top", _BATCHER,
            "return run >= 0 and seq <= self.highs[run]",
            "return run >= 0 and seq < self.highs[run]",
