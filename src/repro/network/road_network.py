@@ -8,9 +8,9 @@ secondary roads — and an object leaving a node picks an outgoing link with
 probability proportional to the link's weight.
 
 The model here is a small undirected weighted graph with exactly the
-operations the workload generator needs: weighted choice of an outgoing link,
-link geometry (length, interpolation along the link) and bounding box of the
-whole network.  It is deliberately independent of any external graph library.
+operations the workload generator reads into its tables: weighted choice of an
+outgoing link, link length, and the bounding box of the whole network.  It is
+deliberately independent of any external graph library.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.geometry import Point, Rectangle, interpolate_point
+from repro.core.geometry import Point, Rectangle
 
 __all__ = ["RoadClass", "RoadNode", "RoadLink", "RoadNetwork"]
 
@@ -147,17 +147,6 @@ class RoadNetwork:
         return self.node(link.source).location.euclidean_distance_to(
             self.node(link.target).location
         )
-
-    def position_along(self, link_id: int, from_node: int, distance: float) -> Point:
-        """Point at ``distance`` from ``from_node`` along the link, clamped to the link."""
-        link = self.link(link_id)
-        start = self.node(from_node).location
-        end = self.node(link.other_end(from_node)).location
-        length = start.euclidean_distance_to(end)
-        if length == 0.0:
-            return start
-        fraction = min(max(distance / length, 0.0), 1.0)
-        return interpolate_point(start, end, fraction)
 
     def bounding_box(self, padding: float = 0.0) -> Rectangle:
         """Minimum bounding rectangle of all node locations."""

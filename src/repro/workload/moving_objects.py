@@ -15,11 +15,18 @@ simply yields ``(object_id, measurement)`` pairs per timestamp, where the
 measurement is a plain :class:`~repro.core.trajectory.TimePoint` or an
 :class:`~repro.core.trajectory.UncertainTimePoint` when ``report_uncertainty``
 is enabled.
+
+The generator reads the network once, into tables ("Workload generator" in
+``docs/ARCHITECTURE.md``), and keeps each object as three scalars, so a step
+is table lookups and float arithmetic.  Its stream — every measurement and
+every draw of the random generator — is the object formulation's in
+``tests/workload_oracle.py``, bit for bit.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -70,7 +77,7 @@ class WorkloadConfig:
 
 @dataclass
 class ObjectMotionState:
-    """Where an object currently is on the network."""
+    """Where an object currently is on the network (a snapshot built on request)."""
 
     object_id: int
     current_node: int
@@ -80,7 +87,19 @@ class ObjectMotionState:
 
 
 class MovingObjectWorkload:
-    """Generator of per-timestamp measurement batches for a population of objects."""
+    """Generator of per-timestamp measurement batches for a population of objects.
+
+    Nodes are numbered densely in ``network.node_ids()`` order, and each
+    ``(link, from-node)`` pair a node's link choice can produce is a *leg*.
+    Per node the tables hold its location and, unless it has no link to
+    choose, its cumulative choice probabilities (summed in
+    ``link_choice_weights`` order) with the leg of each, plus the last leg
+    again for a pick above the final sum.  Per leg they hold the node it
+    arrives at, its arrival length (``link_length``), and the start, the
+    delta to the far end and the length an interpolation along it uses.  An
+    object is its node, its leg (``-1`` while it is parked at the node) and
+    its distance along the leg; its position is derived from those.
+    """
 
     def __init__(
         self,
@@ -91,104 +110,170 @@ class MovingObjectWorkload:
         self.config = config if config is not None else WorkloadConfig()
         self.noise = UniformNoiseModel(self.config.positional_error)
         self._rng = random.Random(self.config.seed)
-        self._states: Dict[int, ObjectMotionState] = {}
-        self._initialise_objects()
-
-    # -- initialisation ------------------------------------------------------------
-
-    def _initialise_objects(self) -> None:
-        node_ids = self.network.node_ids()
+        node_ids = network.node_ids()
         if not node_ids:
             raise ConfigurationError("cannot generate a workload over an empty network")
-        for object_id in range(self.config.num_objects):
-            node_id = self._rng.choice(node_ids)
-            position = self.network.node(node_id).location
-            self._states[object_id] = ObjectMotionState(
-                object_id=object_id,
-                current_node=node_id,
-                link=None,
-                distance_along=0.0,
-                position=position,
-            )
+        dense = {node_id: index for index, node_id in enumerate(node_ids)}
+        self._build_tables(node_ids, dense)
+        choice = self._rng.choice
+        self._node: List[int] = [dense[choice(node_ids)] for _ in range(self.config.num_objects)]
+        self._leg: List[int] = [-1] * self.config.num_objects
+        self._distance: List[float] = [0.0] * self.config.num_objects
+
+    # -- tables ------------------------------------------------------------------------
+
+    def _build_tables(self, node_ids: List[int], dense: Dict[int, int]) -> None:
+        network = self.network
+        locations = [network.node(node_id).location for node_id in node_ids]
+        self._node_ids = node_ids
+        self._node_x = [location.x for location in locations]
+        self._node_y = [location.y for location in locations]
+        #: Per node: cumulative choice probabilities (``None`` with no link to
+        #: choose) and the leg each picks, the fallback leg last.
+        self._cumulative: List[Optional[List[float]]] = []
+        self._choices: List[List[int]] = []
+        self._leg_link: List[RoadLink] = []
+        self._leg_to: List[int] = []
+        self._leg_arrival: List[float] = []
+        #: ``(start x, start y, delta x, delta y, length)`` of each leg.
+        self._leg_geometry: List[Tuple[float, float, float, float, float]] = []
+        legs: Dict[Tuple[int, int], int] = {}
+        for node_id in node_ids:
+            weighted = network.link_choice_weights(node_id)
+            if not weighted:
+                self._cumulative.append(None)
+                self._choices.append([])
+                continue
+            cumulative: List[float] = []
+            choices: List[int] = []
+            total = 0.0
+            for link, probability in weighted:
+                total += probability
+                cumulative.append(total)
+                key = (link.link_id, node_id)
+                if key not in legs:
+                    legs[key] = len(self._leg_link)
+                    self._add_leg(link, node_id, dense)
+                choices.append(legs[key])
+            choices.append(choices[-1])
+            self._cumulative.append(cumulative)
+            self._choices.append(choices)
+
+    def _add_leg(self, link: RoadLink, from_node: int, dense: Dict[int, int]) -> None:
+        network = self.network
+        to_node = link.other_end(from_node)
+        start = network.node(from_node).location
+        end = network.node(to_node).location
+        self._leg_link.append(link)
+        self._leg_to.append(dense[to_node])
+        self._leg_arrival.append(network.link_length(link.link_id))
+        self._leg_geometry.append(
+            (start.x, start.y, end.x - start.x, end.y - start.y, start.euclidean_distance_to(end))
+        )
+
+    def _position(self, object_id: int) -> Tuple[float, float]:
+        """The object's true position, as ``step`` computes it."""
+        leg = self._leg[object_id]
+        if leg < 0:
+            node = self._node[object_id]
+            return self._node_x[node], self._node_y[node]
+        start_x, start_y, delta_x, delta_y, length = self._leg_geometry[leg]
+        fraction = self._distance[object_id] / length
+        return start_x + fraction * delta_x, start_y + fraction * delta_y
 
     # -- public API -------------------------------------------------------------------
 
     def initial_measurements(self, timestamp: int = 0) -> List[Tuple[int, Measurement]]:
-        """Initial measurement of every object (used to seed the RayTrace filters)."""
+        """Initial measurement of every object (used to seed the RayTrace filters).
+
+        Per object, in id order, the x and then the y noise, as ``step`` draws them.
+        """
+        random_ = self._rng.random
+        err = self.config.positional_error
+        sigma_x, sigma_y = self.noise.reported_sigma()
         measurements: List[Tuple[int, Measurement]] = []
-        for object_id, state in self._states.items():
-            measurements.append((object_id, self._measure(state.position, timestamp)))
+        for object_id in range(self.config.num_objects):
+            x, y = self._position(object_id)
+            if err:
+                x += -err + (err - -err) * random_()
+                y += -err + (err - -err) * random_()
+            if self.config.report_uncertainty:
+                measured: Measurement = UncertainTimePoint(Point(x, y), timestamp, sigma_x, sigma_y)
+            else:
+                measured = TimePoint(Point(x, y), timestamp)
+            measurements.append((object_id, measured))
         return measurements
 
     def step(self, timestamp: int) -> List[Tuple[int, Measurement]]:
         """Advance the simulation by one timestamp.
 
         Returns the measurements produced at this timestamp (one per object
-        that moved).
+        that moved).  Per object, in id order: one draw for agility; for a
+        mover parked at a node with a link to choose, one draw for the link;
+        then, when ``positional_error`` is not 0, the x and then the y noise.
+        A mover advances ``displacement`` along its leg and stops at the far
+        node if it reaches it; a mover at a node without links stays there.
         """
+        random_ = self._rng.random
+        agility = self.config.agility
+        displacement = self.config.displacement
+        err = self.config.positional_error
+        low, width = -err, err - -err  # ``uniform(-err, err)`` is ``low + width * random()``
+        uncertain = self.config.report_uncertainty
+        sigma_x, sigma_y = self.noise.reported_sigma()
+        node_x, node_y = self._node_x, self._node_y
+        cumulative, choices = self._cumulative, self._choices
+        leg_to, leg_arrival, leg_geometry = self._leg_to, self._leg_arrival, self._leg_geometry
+        nodes, legs, distances = self._node, self._leg, self._distance
         measurements: List[Tuple[int, Measurement]] = []
-        for object_id, state in self._states.items():
-            if self._rng.random() > self.config.agility:
+        append = measurements.append
+        for object_id in range(len(nodes)):
+            if random_() > agility:
                 continue
-            self._advance(state)
-            measurements.append((object_id, self._measure(state.position, timestamp)))
+            leg = legs[object_id]
+            if leg < 0:
+                node = nodes[object_id]
+                table = cumulative[node]
+                if table is None:
+                    x, y = node_x[node], node_y[node]
+                else:
+                    leg = choices[node][bisect_left(table, random_())]
+                    legs[object_id] = leg
+            if leg >= 0:
+                distance = distances[object_id] + displacement
+                if distance >= leg_arrival[leg]:
+                    node = leg_to[leg]
+                    nodes[object_id] = node
+                    legs[object_id] = -1
+                    distances[object_id] = 0.0
+                    x, y = node_x[node], node_y[node]
+                else:
+                    # 0 < distance < length, so the fraction needs no clamp
+                    # and a zero-length leg never gets here.
+                    distances[object_id] = distance
+                    start_x, start_y, delta_x, delta_y, length = leg_geometry[leg]
+                    fraction = distance / length
+                    x = start_x + fraction * delta_x
+                    y = start_y + fraction * delta_y
+            if err:
+                point = Point(x + (low + width * random_()), y + (low + width * random_()))
+            else:
+                point = Point(x, y)
+            if uncertain:
+                append((object_id, UncertainTimePoint(point, timestamp, sigma_x, sigma_y)))
+            else:
+                append((object_id, TimePoint(point, timestamp)))
         return measurements
 
     def object_state(self, object_id: int) -> ObjectMotionState:
         """Current motion state of an object."""
-        try:
-            return self._states[object_id]
-        except KeyError:
-            raise ConfigurationError(f"unknown object {object_id}") from None
-
-    # -- movement ------------------------------------------------------------------------
-
-    def _advance(self, state: ObjectMotionState) -> None:
-        """Move the object by one displacement along the network."""
-        remaining = self.config.displacement
-        # An object may cross a node mid-step; the loop walks the remaining
-        # displacement across consecutive links (the paper bounds a step to "at
-        # most the opposite end node", which the single-iteration break gives).
-        if state.link is None:
-            self._choose_link(state)
-        if state.link is None:
-            return
-        link_length = self.network.link_length(state.link.link_id)
-        new_distance = state.distance_along + remaining
-        if new_distance >= link_length:
-            # Arrive at the opposite node; stop there for this step.
-            state.current_node = state.link.other_end(state.current_node)
-            state.position = self.network.node(state.current_node).location
-            state.link = None
-            state.distance_along = 0.0
-            return
-        state.distance_along = new_distance
-        state.position = self.network.position_along(
-            state.link.link_id, state.current_node, state.distance_along
+        if object_id not in range(self.config.num_objects):
+            raise ConfigurationError(f"unknown object {object_id}")
+        leg = self._leg[object_id]
+        return ObjectMotionState(
+            object_id=object_id,
+            current_node=self._node_ids[self._node[object_id]],
+            link=self._leg_link[leg] if leg >= 0 else None,
+            distance_along=self._distance[object_id],
+            position=Point(*self._position(object_id)),
         )
-
-    def _choose_link(self, state: ObjectMotionState) -> None:
-        """Pick the next outgoing link with probability proportional to weight."""
-        weighted = self.network.link_choice_weights(state.current_node)
-        if not weighted:
-            state.link = None
-            return
-        pick = self._rng.random()
-        cumulative = 0.0
-        for link, probability in weighted:
-            cumulative += probability
-            if pick <= cumulative:
-                state.link = link
-                break
-        else:
-            state.link = weighted[-1][0]
-        state.distance_along = 0.0
-
-    # -- measurement --------------------------------------------------------------------------
-
-    def _measure(self, true_position: Point, timestamp: int) -> Measurement:
-        measured = self.noise.perturb(true_position, self._rng)
-        if not self.config.report_uncertainty:
-            return TimePoint(measured, timestamp)
-        sigma_x, sigma_y = self.noise.reported_sigma()
-        return UncertainTimePoint(measured, timestamp, sigma_x, sigma_y)

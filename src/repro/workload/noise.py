@@ -4,16 +4,16 @@ The paper's generator adds *white noise* to object locations: a value chosen
 uniformly at random in ``[-err, err]`` is added independently to each
 coordinate; the sensor then reports the standard deviation of that noise
 along with each measurement when the uncertainty-aware filter is exercised.
+``MovingObjectWorkload.step`` draws the noise itself, as ``uniform(-err, err)``
+per coordinate, x first.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.geometry import Point
 
 __all__ = ["UniformNoiseModel"]
 
@@ -27,14 +27,6 @@ class UniformNoiseModel:
     def __post_init__(self) -> None:
         if self.err < 0:
             raise ConfigurationError(f"err must be non-negative, got {self.err}")
-
-    def perturb(self, point: Point, rng: random.Random) -> Point:
-        if self.err == 0.0:
-            return point
-        return Point(
-            point.x + rng.uniform(-self.err, self.err),
-            point.y + rng.uniform(-self.err, self.err),
-        )
 
     def reported_sigma(self) -> Tuple[float, float]:
         # Standard deviation of U(-err, err) is err / sqrt(3); a sensor

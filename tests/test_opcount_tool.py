@@ -8,13 +8,14 @@ on a small script that keeps lists alive.
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from tools.opcount import main
+from tools.opcount import Target, main, report_collections
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,6 +109,7 @@ def test_two_runs_print_identical_collection_reports(tmp_path):
     first = _report(arguments, str(tmp_path))
     assert first == _report(arguments, str(tmp_path))
     assert first[0].startswith("opcount: PYTHONHASHSEED=0 ") and "gc thresholds" in first[0]
+    assert "; wrapped fake_keeper:outer fake_keeper:churn; " in first[0]
     counts = _per_call(first)
     outer, churn = counts["fake_keeper:outer"], counts["fake_keeper:churn"]
     assert len(outer) == 3 and len(churn) == 15
@@ -122,6 +124,17 @@ def test_two_runs_print_identical_collection_reports(tmp_path):
         assert row[0] >= sum(collections[0] for collections in inner)
     # 7 500 lists kept alive start young collections inside the extents.
     assert sum(row[0] for row in churn) > 0
+
+
+def test_the_collection_report_names_the_wrapped_functions():
+    """Net allocations move with the set of wrapped targets, so the ``--gc``
+    header lists them, in ``--function`` order."""
+    names = ["repro.core.scoring:rank_top_k", "repro.core.geometry:interpolate_point"]
+    out = io.StringIO()
+    report_collections([Target(name) for name in names], None, out)
+    header = out.getvalue().splitlines()[0]
+    assert header.startswith("opcount: ")
+    assert f"; wrapped {names[0]} {names[1]}; per call: gen0 gen1 gen2 allocated" in header
 
 
 def test_a_bad_command_line_is_a_usage_error(capsys):

@@ -63,18 +63,6 @@ class TestRoadNetworkGeometry:
     def test_link_length(self, tiny_manual_network):
         assert tiny_manual_network.link_length(0) == pytest.approx(100.0)
 
-    def test_position_along(self, tiny_manual_network):
-        point = tiny_manual_network.position_along(0, from_node=0, distance=25.0)
-        assert point == Point(25.0, 0.0)
-
-    def test_position_along_clamps_to_link(self, tiny_manual_network):
-        point = tiny_manual_network.position_along(0, from_node=0, distance=500.0)
-        assert point == Point(100.0, 0.0)
-
-    def test_position_along_from_other_end(self, tiny_manual_network):
-        point = tiny_manual_network.position_along(0, from_node=1, distance=25.0)
-        assert point == Point(75.0, 0.0)
-
     def test_bounding_box(self, tiny_manual_network):
         box = tiny_manual_network.bounding_box()
         assert box.low == Point(0.0, 0.0)

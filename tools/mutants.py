@@ -105,6 +105,9 @@ _SEQ_RUNS = "tests/test_batcher_properties.py::TestRunLengthDedupe"
 _HISTOGRAM = "tests/test_batcher_properties.py::TestLatencyHistogram"
 _ENVELOPE = "tests/test_serving_protocol.py::TestEnvelopeIntegers"
 _VALUE_TWINS = "tests/test_value_objects.py"
+_WORKLOAD = "src/repro/workload/moving_objects.py"
+_WORKLOAD_PIN = "tests/test_workload.py::TestStreamPin::test_the_stream_is_the_recorded_one"
+_WORKLOAD_ORACLE = "tests/test_workload.py::TestOracle"
 
 
 MUTANTS: List[Mutant] = [
@@ -507,6 +510,45 @@ MUTANTS: List[Mutant] = [
                "tests/test_raytrace.py::TestBufferHoldsScalars::"
                "test_a_buffered_measurement_is_released_when_observe_returns[TimePoint]",
            )),
+    # -- the workload generator: held to tests/workload_oracle.py -------------------
+    Mutant("noise_draws_y_before_x", _WORKLOAD,
+           "point = Point(x + (low + width * random_()), y + (low + width * random_()))",
+           "noise_y = low + width * random_()\n"
+           "                point = Point(x + (low + width * random_()), y + noise_y)",
+           (
+               f"{_WORKLOAD_PIN}[MovingObjectWorkload-paper_320_seed_11]",
+               f"{_WORKLOAD_ORACLE}::test_full_agility",
+           )),
+    Mutant("initial_noise_draws_y_before_x", _WORKLOAD,
+           "                x += -err + (err - -err) * random_()\n"
+           "                y += -err + (err - -err) * random_()\n",
+           "                y += -err + (err - -err) * random_()\n"
+           "                x += -err + (err - -err) * random_()\n",
+           (
+               f"{_WORKLOAD_PIN}[MovingObjectWorkload-paper_320_seed_11]",
+               f"{_WORKLOAD_ORACLE}::test_every_stream_is_the_oracles",
+           )),
+    Mutant("link_choice_pick_is_strictly_below_the_sum", _WORKLOAD,
+           "from bisect import bisect_left", "from bisect import bisect_right as bisect_left",
+           (
+               f"{_WORKLOAD_ORACLE}::test_picks_on_a_cumulative_probability",
+               f"{_WORKLOAD_ORACLE}::test_every_scripted_stream_is_the_oracles",
+           )),
+    Mutant("link_choice_falls_back_to_the_first_link", _WORKLOAD,
+           "choices.append(choices[-1])", "choices.append(choices[0])",
+           (
+               f"{_WORKLOAD_ORACLE}::test_a_pick_above_the_last_sum_takes_the_last_link",
+               f"{_WORKLOAD_ORACLE}::test_every_scripted_stream_is_the_oracles",
+           )),
+    Mutant("arrival_is_strictly_past_the_far_node", _WORKLOAD,
+           "if distance >= leg_arrival[leg]:", "if distance > leg_arrival[leg]:",
+           (
+               f"{_WORKLOAD_ORACLE}::test_arrivals_exactly_at_the_far_node",
+               f"{_WORKLOAD_ORACLE}::test_every_stream_is_the_oracles",
+           )),
+    Mutant("agility_draw_equal_to_agility_stays", _WORKLOAD,
+           "if random_() > agility:", "if random_() >= agility:",
+           (f"{_WORKLOAD_ORACLE}::test_every_scripted_stream_is_the_oracles",)),
     # -- the serving tier -----------------------------------------------------------
     Mutant("served_corridors_ignore_by_score", _SERVER,
            "                self._requested_k(message), by_score=self._requested_by_score(message)\n",

@@ -39,7 +39,12 @@ extent's start to its end, in a second run of the command, whose output is
 discarded, with the collector off inside every extent, so no collection
 resets the count; CPython never lets a deallocation take it below zero).
 The bookkeeping allocates no object the collector counts inside an extent.
-Under ``PYTHONHASHSEED=0`` two runs print the same report.  A target bound
+Under ``PYTHONHASHSEED=0`` two runs print the same report.  The net
+allocations move with the set of wrapped targets, though: CPython does not
+count an object taken from or put back on a free list, and each wrapper
+call's transient argument tuple passes through one.  The report's header
+names the wrapped ``--function`` list, in order, and only reports whose
+lists are the same compare.  A target bound
 before the tool wraps it (a name imported into another module before the
 command runs) is missed: compare the report's call counts with the opcode
 report's.
@@ -319,8 +324,10 @@ def report(targets: Sequence[Target], calls: Optional[Tuple[int, int]], out: Tex
 def report_collections(
     targets: Sequence[Target], calls: Optional[Tuple[int, int]], out: TextIO
 ) -> None:
-    """The ``--gc`` report: per call ``#i gen0 gen1 gen2 allocated``, then the totals."""
+    """The ``--gc`` report: a header naming every wrapped target, then per
+    call ``#i gen0 gen1 gen2 allocated`` and the totals."""
     print(f"{_header()} gc thresholds {' '.join(map(str, gc.get_threshold()))}; "
+          f"wrapped {' '.join(target.name for target in targets)}; "
           f"per call: gen0 gen1 gen2 allocated", file=out)
     for target in targets:
         first = calls[0] if calls is not None else 1
