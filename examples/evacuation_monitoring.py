@@ -119,7 +119,7 @@ def main() -> None:
                 )
 
     print("\nWKT export of the final hot paths (load into any GIS viewer):")
-    final_hot = [(record, hotness) for record, hotness in coordinator.hot_paths() if hotness >= 3]
+    final_hot = [(path, hotness) for path, hotness in coordinator.hot_paths() if hotness >= 3]
     for line in paths_to_wkt(final_hot):
         print(" ", line)
 

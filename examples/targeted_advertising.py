@@ -59,13 +59,13 @@ def main() -> None:
 
     # Which hot paths pass near the advertised store?
     near_store = [
-        (record, hotness)
-        for record, hotness in hot_paths
+        (path, hotness)
+        for path, hotness in hot_paths
         if hotness >= 2
         and min(
-            record.path.start.euclidean_distance_to(STORE),
-            record.path.end.euclidean_distance_to(STORE),
-            record.path.point_at(0.5).euclidean_distance_to(STORE),
+            path.start.euclidean_distance_to(STORE),
+            path.end.euclidean_distance_to(STORE),
+            path.point_at(0.5).euclidean_distance_to(STORE),
         )
         <= 300.0
     ]

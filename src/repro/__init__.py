@@ -45,7 +45,6 @@ _EXPORTS = {
     "UncertainTimePoint": "repro.core.trajectory",
     "Trajectory": "repro.core.trajectory",
     "MotionPath": "repro.core.motion_path",
-    "MotionPathRecord": "repro.core.motion_path",
     "top_k_score": "repro.core.scoring",
     "RayTraceFilter": "repro.client.raytrace",
     "ObjectState": "repro.client.state",

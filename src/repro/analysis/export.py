@@ -15,15 +15,15 @@ import io
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from repro.core.motion_path import MotionPathRecord
+from repro.core.motion_path import MotionPath
 
 __all__ = ["paths_to_csv", "paths_to_wkt", "write_csv"]
 
-HotPath = Tuple[MotionPathRecord, int]
+HotPath = Tuple[MotionPath, int]
 
 
 def paths_to_csv(hot_paths: Iterable[HotPath]) -> str:
-    """Serialise ``(record, hotness)`` pairs to CSV text.
+    """Serialise ``(stored path, hotness)`` pairs to CSV text.
 
     Columns: path id, start x/y, end x/y, Euclidean length, hotness and score.
     """
@@ -32,17 +32,17 @@ def paths_to_csv(hot_paths: Iterable[HotPath]) -> str:
     writer.writerow(
         ["path_id", "start_x", "start_y", "end_x", "end_y", "length", "hotness", "score"]
     )
-    for record, hotness in hot_paths:
+    for path, hotness in hot_paths:
         writer.writerow(
             [
-                record.path_id,
-                f"{record.path.start.x:.3f}",
-                f"{record.path.start.y:.3f}",
-                f"{record.path.end.x:.3f}",
-                f"{record.path.end.y:.3f}",
-                f"{record.path.length:.3f}",
+                path.path_id,
+                f"{path.start.x:.3f}",
+                f"{path.start.y:.3f}",
+                f"{path.end.x:.3f}",
+                f"{path.end.y:.3f}",
+                f"{path.length:.3f}",
                 hotness,
-                f"{hotness * record.path.length:.3f}",
+                f"{hotness * path.length:.3f}",
             ]
         )
     return buffer.getvalue()
@@ -55,8 +55,8 @@ def paths_to_wkt(hot_paths: Iterable[HotPath]) -> List[str]:
     so they can be bulk-loaded or simply eyeballed.
     """
     lines: List[str] = []
-    for record, hotness in hot_paths:
-        start, end = record.path.start, record.path.end
+    for path, hotness in hot_paths:
+        start, end = path.start, path.end
         lines.append(
             f"LINESTRING ({start.x:.3f} {start.y:.3f}, {end.x:.3f} {end.y:.3f});hotness={hotness}"
         )

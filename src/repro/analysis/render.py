@@ -16,12 +16,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.network.road_network import RoadNetwork
 
 __all__ = ["AsciiMapRenderer", "render_hot_paths"]
 
-HotPath = Tuple[MotionPathRecord, int]
+HotPath = Tuple[MotionPath, int]
 
 # Density ramp from cold to hot.
 _DENSITY_RAMP = " .:-=+*#%@"
@@ -44,8 +44,8 @@ class AsciiMapRenderer:
     def render_paths(self, hot_paths: Iterable[HotPath]) -> str:
         """Render hot paths; cell brightness is proportional to accumulated hotness."""
         weights = self._blank()
-        for record, hotness in hot_paths:
-            self._rasterise(weights, record.path.start, record.path.end, max(hotness, 1))
+        for path, hotness in hot_paths:
+            self._rasterise(weights, path.start, path.end, max(hotness, 1))
         return self._to_text(weights)
 
     def render_network(self, network: RoadNetwork) -> str:

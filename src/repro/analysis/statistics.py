@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-from repro.core.motion_path import MotionPathRecord
+from repro.core.motion_path import MotionPath
 
 __all__ = [
     "DistributionSummary",
@@ -22,7 +22,7 @@ __all__ = [
     "hot_path_statistics",
 ]
 
-HotPath = Tuple[MotionPathRecord, int]
+HotPath = Tuple[MotionPath, int]
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def hot_path_statistics(hot_paths: Iterable[HotPath]) -> HotPathStatistics:
     """
     paths = list(hot_paths)
     hotness_values = [float(hotness) for _, hotness in paths]
-    length_values = [record.path.length for record, _ in paths]
-    score_values = [hotness * record.path.length for record, hotness in paths]
+    length_values = [path.length for path, _ in paths]
+    score_values = [hotness * path.length for path, hotness in paths]
 
     share = 0.0
     total_heat = sum(hotness_values)

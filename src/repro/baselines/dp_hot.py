@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.core.trajectory import TimePoint
 from repro.coordinator.grid_index import GridConfig, GridIndex
@@ -86,20 +86,20 @@ class DPHotSegmentTracker:
         candidate's MBB expanded by the tolerance (closed bounds), else
         insert the candidate.  Both ends of such a segment lie in the box, so
         the box's end vertices hold every one of them."""
-        candidate = MotionPath(segment.start.point, segment.end.point)
-        query_box = candidate.bounding_box(padding=self.tolerance)
-        records, inside = self.index.by_id, query_box.contains_point
+        start, end = segment.start.point, segment.end.point
+        query_box = Rectangle.bounding(start, end, self.tolerance)
+        paths, inside = self.index.by_id, query_box.contains_point
         path_id = min(
             (
                 path_id
                 for _vertex, path_ids in self.index.end_vertices_in(query_box).values()
                 for path_id in path_ids
-                if inside(records[path_id].path.start)
+                if inside(paths[path_id].start)
             ),
             default=None,
         )
         if path_id is None:
-            path_id = self.index.insert(candidate, created_at=segment.end.timestamp).path_id
+            path_id = self.index.insert(start, end, created_at=segment.end.timestamp).path_id
         self.hotness.record_crossing(path_id, segment.end.timestamp)
         return path_id
 
@@ -109,9 +109,9 @@ class DPHotSegmentTracker:
         """Number of distinct segments currently stored."""
         return len(self.index)
 
-    def hot_segments(self) -> List[Tuple[MotionPathRecord, int]]:
+    def hot_segments(self) -> List[Tuple[MotionPath, int]]:
         """All stored segments with non-zero hotness."""
-        results: List[Tuple[MotionPathRecord, int]] = []
+        results: List[Tuple[MotionPath, int]] = []
         for path_id, hotness in self.hotness.items():
             if path_id in self.index:
                 results.append((self.index.get(path_id), hotness))

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Rectangle
-from repro.core.motion_path import MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.coordinator.delta import EpochDelta
@@ -238,9 +238,9 @@ class Coordinator:
             statistics.update(self._view.stitched().totals)
         return statistics
 
-    def hot_paths(self) -> List[Tuple[MotionPathRecord, int]]:
-        """All stored paths with non-zero hotness, as ``(record, hotness)`` pairs."""
-        results: List[Tuple[MotionPathRecord, int]] = []
+    def hot_paths(self) -> List[Tuple[MotionPath, int]]:
+        """All stored paths with non-zero hotness, as ``(path, hotness)`` pairs."""
+        results: List[Tuple[MotionPath, int]] = []
         for path_id, hotness in self.hotness.items():
             if path_id in self.index:
                 results.append((self.index.get(path_id), hotness))

@@ -33,7 +33,7 @@ once at construction: a call costs no delegation frame.  The epoch's
 expiry is one call too, :meth:`GridIndex.delete_live`.
 
 The coordinator holds exactly one index, whatever ``num_shards`` says: the
-shard grid only labels records for diagnostics
+shard grid only labels stored paths for diagnostics
 (:mod:`repro.coordinator.sharding`), by the same :func:`clamped_cell` rule.
 """
 
@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.coordinator.columnar import EndpointTable, VertexGroup, resolve_kernel
 
 __all__ = ["GridConfig", "GridIndex", "CellTable", "clamped_cell"]
@@ -198,67 +198,65 @@ class GridIndex:
         self.starting_at = self._table.starting_at
         self.path_between = self._table.path_between
         self.end_vertices_in = self._table.end_vertices_in
-        # path_id -> record, for direct lookups and deletion.
-        self._records: Dict[int, MotionPathRecord] = {}
+        # path_id -> stored path, for direct lookups and deletion.
+        self._paths: Dict[int, MotionPath] = {}
         self._next_path_id = 0
-        #: Lifetime :meth:`delete` calls — lets the query view notice a record
+        #: Lifetime :meth:`delete` calls — lets the query view notice a path
         #: removed behind the coordinator's back.
         self.deletions = 0
 
     # -- bookkeeping -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._paths)
 
     def __contains__(self, path_id: int) -> bool:
-        return path_id in self._records
+        return path_id in self._paths
 
     @property
-    def records(self) -> Iterable[MotionPathRecord]:
-        """All stored motion-path records (unspecified order)."""
-        return self._records.values()
+    def records(self) -> Iterable[MotionPath]:
+        """All stored motion paths (unspecified order)."""
+        return self._paths.values()
 
     @property
-    def by_id(self) -> Mapping[int, MotionPathRecord]:
-        """The live ``path_id -> record`` table, so a hot loop can bind its
+    def by_id(self) -> Mapping[int, MotionPath]:
+        """The live ``path_id -> path`` table, so a hot loop can bind its
         ``get``; read it, never write it."""
-        return self._records
+        return self._paths
 
-    def get(self, path_id: int) -> MotionPathRecord:
-        """Return the record for ``path_id``; raises if absent."""
+    def get(self, path_id: int) -> MotionPath:
+        """Return the stored path ``path_id``; raises if absent."""
         try:
-            return self._records[path_id]
+            return self._paths[path_id]
         except KeyError:
             raise CoordinatorError(f"motion path {path_id} is not in the index") from None
 
     # -- insertion / deletion -------------------------------------------------------
 
-    def insert(self, path: MotionPath, created_at: int = 0) -> MotionPathRecord:
-        """Insert a new motion path and return its record (with a fresh id)."""
+    def insert(self, start: Point, end: Point, created_at: int = 0) -> MotionPath:
+        """Store the motion path ``start -> end`` under a fresh id and return it."""
         path_id = self._next_path_id
         self._next_path_id = path_id + 1
-        record = self._records[path_id] = MotionPathRecord(path_id, path, created_at)
-        self._table.add_path(path_id, path.start, path.end)
-        return record
+        path = self._paths[path_id] = MotionPath(start, end, path_id, created_at)
+        self._table.add_path(path_id, start, end)
+        return path
 
     def delete(self, path_id: int) -> None:
         """Remove a motion path from the index (e.g. when its hotness expires)."""
-        record = self._records.pop(path_id, None)
-        if record is None:
+        path = self._paths.pop(path_id, None)
+        if path is None:
             raise CoordinatorError(f"motion path {path_id} is not in the index")
-        path = record.path
         self._table.remove_path(path_id, path.start, path.end)
         self.deletions += 1
 
     def delete_live(self, path_ids: Iterable[int]) -> List[int]:
         """Remove every id of ``path_ids`` that is in the index (an epoch's
         expired ids, in one call); returns the removed ids, in order."""
-        records, remove_path = self._records, self._table.remove_path
+        paths, remove_path = self._paths, self._table.remove_path
         deleted: List[int] = []
         for path_id in path_ids:
-            record = records.pop(path_id, None)
-            if record is not None:
-                path = record.path
+            path = paths.pop(path_id, None)
+            if path is not None:
                 remove_path(path_id, path.start, path.end)
                 deleted.append(path_id)
         self.deletions += len(deleted)

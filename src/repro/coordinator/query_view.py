@@ -69,17 +69,17 @@ class HotPathView:
         is complete.
 
         Transitions still undrained in the tracker (a crossing recorded
-        directly between epochs) are dirty too; a record deleted behind the
+        directly between epochs) are dirty too; a path deleted behind the
         coordinator's back, or a dirty set larger than the hot set, makes it
         re-read every id it or the tracker knows instead — the full scan.
 
         A dirty id whose count equals the one in its rank tuple is skipped:
         on a steadily crossed path a new crossing replaces one that expired.
-        Ids are never reused and a record's path never changes, so an equal
+        Ids are never reused and a stored path is frozen, so an equal
         count means an equal tuple, and since ``rank`` and ``pending`` are
         written together the stitcher already has, or is about to get, that
         state.  Only after a deletion behind the coordinator's back does an
-        equal count prove nothing (the record may be gone): that scan
+        equal count prove nothing (the path may be gone): that scan
         re-reads every id.
         """
         self._mark(self._hotness.pending_delta_ids())
@@ -96,16 +96,15 @@ class HotPathView:
             return
         self._dirty = set()
         rank, pending, holds = self._rank, self._pending, self.stitcher.holds
-        count_of, record_of, ranked = self._hotness.counts.get, self._index.by_id.get, rank.get
+        count_of, path_of, ranked = self._hotness.counts.get, self._index.by_id.get, rank.get
         edited: List[RankKey] = []  # every rank tuple replaced, old and new
         for path_id in dirty:
             count = count_of(path_id)
             old = ranked(path_id)
             if old is not None and old[0] == count and trusted:
                 continue  # net zero: the decays and touches cancelled
-            record = record_of(path_id) if count else None
-            if record is not None:
-                path = record.path
+            path = path_of(path_id) if count else None
+            if path is not None:
                 key = rank[path_id] = (count, count * path.length, -path_id)
                 edited.append(key)
                 if old is not None:
@@ -134,9 +133,9 @@ class HotPathView:
     def top_k(self, k: int, by_score: bool = False) -> List[ScoredPath]:
         """Top-k hot paths: a read of the kept rank tuples, ``k`` objects built."""
         self.refresh()
-        record_of = self._index.get
+        path_of = self._index.get
         return [
-            ScoredPath(record_of(-negated_id).path, count, -negated_id)
+            ScoredPath(path_of(-negated_id), count, -negated_id)
             for count, _score, negated_id in self._standing[bool(by_score)].top_k(
                 self._rank.values(), k
             )

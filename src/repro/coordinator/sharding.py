@@ -85,7 +85,7 @@ class ShardRouter:
 
     def owner_of(self, path_id: int) -> int:
         """A record's shard label: the shard owning its start vertex."""
-        return self.grid.shard_id_of(self.index.get(path_id).path.start)
+        return self.grid.shard_id_of(self.index.get(path_id).start)
 
     def shard_statistics(self) -> Dict[str, float]:
         """How the index's records spread over the shard labels.
@@ -97,10 +97,10 @@ class ShardRouter:
         shard_id_of = self.grid.shard_id_of
         sizes = [0] * self.grid.num_shards
         straddling = 0
-        for record in self.index.records:
-            start_owner = shard_id_of(record.path.start)
+        for path in self.index.records:
+            start_owner = shard_id_of(path.start)
             sizes[start_owner] += 1
-            straddling += shard_id_of(record.path.end) != start_owner
+            straddling += shard_id_of(path.end) != start_owner
         total = sum(sizes)
         mean = total / len(sizes)
         return {

@@ -78,7 +78,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.coordinator.columnar import EndpointTable, VertexGroup
 from repro.coordinator.execution import ExecutionBackend, SerialBackend
@@ -106,7 +106,7 @@ __all__ = [
 class CandidatePath:
     """An available motion path for one object, with its provisional hotness."""
 
-    record: MotionPathRecord
+    path: MotionPath
     hotness: int
 
 
@@ -152,13 +152,13 @@ def apply_co_occurrence_boost(
     occurrences: Counter = Counter()
     for object_id, candidates in zip(object_ids, candidate_paths):
         for candidate in candidates:
-            holder = (object_id, candidate.record.path_id)
+            holder = (object_id, candidate.path.path_id)
             if holder not in held:
                 held.add(holder)
-                occurrences[candidate.record.path_id] += 1
+                occurrences[candidate.path.path_id] += 1
     for candidates in candidate_paths:
         for candidate in candidates:
-            extra = occurrences[candidate.record.path_id] - 1
+            extra = occurrences[candidate.path.path_id] - 1
             candidate.hotness += extra
 
 
@@ -335,11 +335,11 @@ class SinglePathStrategy:
             path_ids or () for path_ids in map(starting_at, map(_state_start, states), fsas)
         ]
         if any(candidate_paths):
-            records, hotness = self._index.by_id, self._hotness.hotness
+            paths, hotness = self._index.by_id, self._hotness.hotness
             for position, path_ids in enumerate(candidate_paths):
                 if path_ids:
                     candidate_paths[position] = [
-                        CandidatePath(records[pid], hotness(pid) + 1) for pid in path_ids
+                        CandidatePath(paths[pid], hotness(pid) + 1) for pid in path_ids
                     ]
         return candidate_paths
 
@@ -378,10 +378,10 @@ class SinglePathStrategy:
         if candidates:
             chosen = max(
                 candidates,
-                key=lambda candidate: (candidate.hotness, -candidate.record.path_id),
-            ).record
+                key=lambda candidate: (candidate.hotness, -candidate.path.path_id),
+            ).path
             self._hotness.record_crossing(chosen.path_id, t_end)
-            return CoordinatorResponse(state.object_id, chosen.path.end, t_end), None
+            return CoordinatorResponse(state.object_id, chosen.end, t_end), None
 
         index, start = self._index, state.start
         if prefetch is not None:
@@ -407,7 +407,7 @@ class SinglePathStrategy:
         # and concentrates hotness.
         path_id, inserted = index.path_between(start, endpoint), None
         if path_id is None:
-            path_id = inserted = index.insert(MotionPath(start, endpoint), t_end).path_id
+            path_id = inserted = index.insert(start, endpoint, t_end).path_id
             if probe is not None:
                 probe.add_path(path_id, start, endpoint)
         self._hotness.record_crossing(path_id, t_end)

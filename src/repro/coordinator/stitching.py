@@ -60,7 +60,7 @@ from typing import (
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.scoring import RankKey, StandingTopK
 from repro.core.value import FrozenValue
 
@@ -227,11 +227,11 @@ def build_corridors(
 
 
 def stitch_paths(
-    hot_paths: Iterable[Tuple[MotionPathRecord, int]]
+    hot_paths: Iterable[Tuple[MotionPath, int]]
 ) -> List[CompositeCorridor]:
     """Global reference stitch: the seed coordinator's long-path report.
 
-    ``hot_paths`` yields ``(record, hotness)`` pairs (the output of
+    ``hot_paths`` yields ``(stored path, hotness)`` pairs (the output of
     :meth:`Coordinator.hot_paths`).  The full-mode corridor report, and the
     oracle the delta mode's :class:`IncrementalStitcher` must reproduce bit
     for bit — the contract of ``tests/test_differential.py``.
@@ -239,11 +239,11 @@ def stitch_paths(
     info: Dict[int, Tuple[MotionPath, int]] = {}
     starts_at: Dict[Tuple[float, float], List[int]] = {}
     ends_at: Dict[Tuple[float, float], List[int]] = {}
-    for record, hotness in hot_paths:
-        path = record.path
-        info[record.path_id] = (path, hotness)
-        starts_at.setdefault((path.start.x, path.start.y), []).append(record.path_id)
-        ends_at.setdefault((path.end.x, path.end.y), []).append(record.path_id)
+    for path, hotness in hot_paths:
+        path_id = path.path_id
+        info[path_id] = (path, hotness)
+        starts_at.setdefault((path.start.x, path.start.y), []).append(path_id)
+        ends_at.setdefault((path.end.x, path.end.y), []).append(path_id)
     successor: Dict[int, int] = {}
     predecessor: Dict[int, int] = {}
     for vertex, enders in ends_at.items():

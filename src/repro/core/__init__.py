@@ -7,7 +7,7 @@ from repro.core.geometry import (
     interpolate_point,
 )
 from repro.core.trajectory import TimePoint, UncertainTimePoint, Trajectory
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.scoring import top_k_score, select_top_k
 from repro.core.errors import (
     ReproError,
@@ -26,7 +26,6 @@ __all__ = [
     "UncertainTimePoint",
     "Trajectory",
     "MotionPath",
-    "MotionPathRecord",
     "top_k_score",
     "select_top_k",
     "ReproError",

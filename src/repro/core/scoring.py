@@ -12,7 +12,7 @@ from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.value import FrozenValue
 
 __all__ = [
@@ -52,21 +52,19 @@ _set_path_id = ScoredPath.path_id.__set__
 
 
 def select_top_k(
-    paths: Iterable[Tuple[MotionPathRecord, int]],
+    paths: Iterable[Tuple[MotionPath, int]],
     k: int,
     by_score: bool = False,
 ) -> List[ScoredPath]:
     """Select the top-k paths ranked by hotness (default) or by score.
 
-    ``paths`` yields ``(record, hotness)`` pairs, typically produced by the
+    ``paths`` yields ``(stored path, hotness)`` pairs, typically produced by the
     coordinator.  Ties are broken by score so longer paths are preferred among
     equally hot ones, then by path id for determinism.
     """
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")
-    scored = [
-        ScoredPath(record.path, hotness, record.path_id) for record, hotness in paths
-    ]
+    scored = [ScoredPath(path, hotness, path.path_id) for path, hotness in paths]
     if by_score:
         key = lambda sp: (sp.score, sp.hotness, -sp.path_id)
     else:

@@ -1,26 +1,26 @@
-"""Bases of the hand-written ``__slots__`` value classes.
+"""Base of the hand-written ``__slots__`` value classes.
 
-``Point``, ``Rectangle``, ``MotionPath``, ``MotionPathRecord``,
-``TimePoint``, ``UncertainTimePoint``, ``ObjectState``,
-``CoordinatorResponse``, ``ScoredPath``, ``CorridorSegment`` and
-``CompositeCorridor`` are built in every decision, report and query, so they
-are slotted classes rather than dataclasses.  Each
-keeps the exact contract of the dataclass it replaced (``docs/ARCHITECTURE.md``,
-"Value objects"): the constructor's validation, the generated ``repr``,
-``==`` only against the same class, a hash over the field tuple,
-``__match_args__``, a pickle round trip and, for the frozen ones,
+``Point``, ``Rectangle``, ``MotionPath``, ``TimePoint``,
+``UncertainTimePoint``, ``ObjectState``, ``CoordinatorResponse``,
+``ScoredPath``, ``CorridorSegment`` and ``CompositeCorridor`` are built in
+every decision, report and query, so they are slotted classes rather than
+dataclasses.  Each keeps the exact contract of the frozen dataclass it
+replaced (``docs/ARCHITECTURE.md``, "Value objects"): the constructor's
+validation, the generated ``repr``, ``==`` only against the same class, a
+hash over the field tuple, ``__match_args__``, a pickle round trip and
 ``dataclasses.FrozenInstanceError`` on assignment and deletion.
 
 A class lists its fields once, in ``__slots__``, in the order of its
 ``__init__`` parameters (checked when the class is made); only a class with
-a slot that is not a field (``MotionPath.length``) declares its own
-``__match_args__``.  The bases derive ``repr``, ``==``, the hash and
-pickling from ``__match_args__``, through an ``attrgetter`` of the fields
+a slot that is not a field (``MotionPath``'s ``length``, ``path_id`` and
+``created_at``) declares its own ``__match_args__``.  The base derives
+``repr``, ``==``, the hash and pickling from ``__match_args__``, through an
+``attrgetter`` of the fields
 (the field tuple itself for two or more; a one-field class,
 ``CompositeCorridor``, wraps its field in a 1-tuple, as a dataclass's
 field tuple is).  ``Point`` writes its own ``==``, which runs in the index's
-exact-match lookups.  A frozen class sets its slots in ``__init__`` through
-each slot descriptor's ``__set__`` (``_set_x = Point.x.__set__``), which
+exact-match lookups.  A class sets its slots in ``__init__`` through each
+slot descriptor's ``__set__`` (``_set_x = Point.x.__set__``), which
 bypasses the refusing ``__setattr__`` and is the cheapest way in.
 """
 
@@ -30,12 +30,12 @@ from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Any, Callable, Tuple
 
-__all__ = ["Value", "FrozenValue"]
+__all__ = ["FrozenValue"]
 
 
-class Value:
+class FrozenValue:
     """``repr``, ``==``, the hash and pickling from ``__match_args__`` (the
-    fields)."""
+    fields); refuses assignment and deletion, as a frozen dataclass does."""
 
     __slots__ = ()
     __match_args__: Tuple[str, ...] = ()
@@ -45,7 +45,7 @@ class Value:
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         if "__init__" not in cls.__dict__:
-            return  # a base without fields (``FrozenValue``)
+            return  # no constructor of its own: it keeps its base's fields
         if "__match_args__" not in cls.__dict__:
             cls.__match_args__ = cls.__slots__
         fields = cls.__match_args__
@@ -79,16 +79,8 @@ class Value:
         # Rebuilt through the constructor, which validates again.
         return (self.__class__, self._fields(self))
 
-
-class FrozenValue(Value):
-    """A :class:`Value` that refuses assignment and deletion, as a frozen
-    dataclass does."""
-
-    __slots__ = ()
-
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.analysis.render import AsciiMapRenderer
 from repro.experiments.config import ExperimentScale, scaled_simulation_config
 from repro.simulation.engine import HotPathSimulation, SimulationResult
 
 __all__ = ["NetworkDiscoveryReport", "run_figure9", "run_figure10"]
 
-HotPath = Tuple[MotionPathRecord, int]
+HotPath = Tuple[MotionPath, int]
 
 
 @dataclass
@@ -102,9 +102,9 @@ def run_figure10(
     )
 
     central_paths = [
-        (record, hotness)
-        for record, hotness in result.hot_paths()
-        if centre.contains_point(record.path.start) or centre.contains_point(record.path.end)
+        (path, hotness)
+        for path, hotness in result.hot_paths()
+        if centre.contains_point(path.start) or centre.contains_point(path.end)
     ]
     central_paths.sort(key=lambda item: item[1], reverse=True)
     top = central_paths[:k]

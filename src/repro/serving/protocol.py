@@ -212,12 +212,12 @@ def coordinator_snapshot(coordinator) -> Dict[str, Any]:
     k = 10
     records = sorted(
         (
-            record.path_id,
-            [record.path.start.x, record.path.start.y],
-            [record.path.end.x, record.path.end.y],
-            record.created_at,
+            path.path_id,
+            [path.start.x, path.start.y],
+            [path.end.x, path.end.y],
+            path.created_at,
         )
-        for record in coordinator.index.records
+        for path in coordinator.index.records
     )
     return {
         "size": coordinator.index_size(),

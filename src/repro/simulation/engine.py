@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.motion_path import MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.scoring import ScoredPath
 from repro.core.trajectory import Measurement
 from repro.client.raytrace import RayTraceConfig, RayTraceFilter
@@ -121,7 +121,7 @@ class SimulationResult:
         """Top-k hottest motion paths at the end of the run."""
         return self.coordinator.top_k(k if k is not None else self.config.top_k)
 
-    def hot_paths(self) -> List[Tuple[MotionPathRecord, int]]:
+    def hot_paths(self) -> List[Tuple[MotionPath, int]]:
         """All motion paths with non-zero hotness at the end of the run."""
         return self.coordinator.hot_paths()
 

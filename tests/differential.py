@@ -534,14 +534,14 @@ def dense_is_exercised(run: Run) -> List[str]:
     """Over a thousand regions an epoch, and second-epoch paths that end on
     vertices the first epoch indexed."""
     records = list(run.coordinator.index.records)
-    first_ends = {record.path.end for record in records if record.created_at <= DENSE_STREAM[0][0]}
+    first_ends = {record.end for record in records if record.created_at <= DENSE_STREAM[0][0]}
     return expect(
         a_thousand_regions=all(
             len(FsaOverlapStructure.build({state.object_id: state.fsa for state in states})) >= 1000
             for _boundary, states in DENSE_STREAM
         ),
         second_epoch_lands_on_indexed_ends=any(
-            record.path.end in first_ends
+            record.end in first_ends
             for record in records
             if record.created_at > DENSE_STREAM[0][0]
         ),
@@ -562,7 +562,7 @@ STREAM_SCENARIOS = [
         synthetic_stream(42, downtown=0.8),
         lambda run: expect(
             downtown_majority=2 * sum(
-                r.path.start.x <= 250.0 and r.path.start.y <= 250.0
+                r.start.x <= 250.0 and r.start.y <= 250.0
                 for r in run.coordinator.index.records
             ) > run.coordinator.index_size(),
         ),
@@ -602,7 +602,7 @@ STREAM_SCENARIOS = [
         crafted_stream(),
         lambda run: expect(
             insert_onto_an_indexed_vertex=len(
-                {record.path.end for record in run.coordinator.index.records}
+                {record.end for record in run.coordinator.index.records}
             ) < run.coordinator.index_size(),
         ),
     ),
@@ -717,7 +717,7 @@ COMMUTE_A, COMMUTE_B, COMMUTE_C = Point(900.0, 100.0), Point(900.0, 600.0), Poin
 
 def _hot_now(coordinator: Coordinator, path: MotionPath, crossings: int, now: int) -> int:
     """Insert ``path`` behind the coordinator's back and cross it ``crossings`` times."""
-    record = coordinator.index.insert(path, created_at=now)
+    record = coordinator.index.insert(path.start, path.end, created_at=now)
     for _ in range(crossings):
         coordinator.hotness.record_crossing(record.path_id, now)
     return record.path_id
@@ -784,7 +784,7 @@ def run_query_view(fleet: FleetConfig) -> Run:
             run.outcomes.append(outcome)
             hot = run.coordinator.hot_paths()
             for record, _hotness in hot:
-                if first_id.setdefault(record.path, record.path_id) != record.path_id:
+                if first_id.setdefault(record, record.path_id) != record.path_id:
                     run.facts["recreated"] = True
             if epoch == 2:
                 run.facts["hot_after_mutations"] = hot
@@ -802,7 +802,7 @@ def query_view_is_exercised(run: Run) -> List[str]:
     vanished-and-re-created path, and both ways the view catches up: a patch
     from a small dirty set, and the rescan once it outgrew the hot set."""
     hot = run.facts["hot_after_mutations"]
-    keys = [(h, h * record.path.length) for record, h in hot]
+    keys = [(h, h * record.length) for record, h in hot]
     cycles = [c for c in stitch_paths(hot) if c.num_segments == 3 and c.start == c.end]
     tenth = sorted((h for _record, h in hot), reverse=True)[9]
     dirty = run.facts["dirty_before_query"]

@@ -9,15 +9,15 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.analysis.export import paths_to_csv, paths_to_wkt, write_csv
 from repro.analysis.render import AsciiMapRenderer, render_hot_paths
 
 
 def sample_paths():
     return [
-        (MotionPathRecord(0, MotionPath(Point(0.0, 0.0), Point(100.0, 0.0))), 3),
-        (MotionPathRecord(1, MotionPath(Point(0.0, 0.0), Point(0.0, 100.0))), 1),
+        (MotionPath(Point(0.0, 0.0), Point(100.0, 0.0), 0), 3),
+        (MotionPath(Point(0.0, 0.0), Point(0.0, 100.0), 1), 1),
     ]
 
 
@@ -82,7 +82,7 @@ class TestAsciiRenderer:
 
     def test_horizontal_path_lights_bottom_row(self):
         renderer = AsciiMapRenderer(self.BOUNDS, width=20, height=10)
-        paths = [(MotionPathRecord(0, MotionPath(Point(0.0, 0.0), Point(100.0, 0.0))), 1)]
+        paths = [(MotionPath(Point(0.0, 0.0), Point(100.0, 0.0), 0), 1)]
         output = renderer.render_paths(paths)
         lines = output.splitlines()
         # y=0 is the bottom row (rendered last); it must contain non-blank cells.
@@ -92,8 +92,8 @@ class TestAsciiRenderer:
     def test_hotter_path_renders_denser(self):
         renderer = AsciiMapRenderer(self.BOUNDS, width=20, height=10)
         paths = [
-            (MotionPathRecord(0, MotionPath(Point(0.0, 10.0), Point(100.0, 10.0))), 9),
-            (MotionPathRecord(1, MotionPath(Point(0.0, 90.0), Point(100.0, 90.0))), 1),
+            (MotionPath(Point(0.0, 10.0), Point(100.0, 10.0), 0), 9),
+            (MotionPath(Point(0.0, 90.0), Point(100.0, 90.0), 1), 1),
         ]
         output = renderer.render_paths(paths)
         ramp = " .:-=+*#%@"
@@ -115,6 +115,6 @@ class TestAsciiRenderer:
 
     def test_paths_outside_bounds_ignored(self):
         renderer = AsciiMapRenderer(self.BOUNDS, width=10, height=5)
-        paths = [(MotionPathRecord(0, MotionPath(Point(500.0, 500.0), Point(600.0, 600.0))), 2)]
+        paths = [(MotionPath(Point(500.0, 500.0), Point(600.0, 600.0), 0), 2)]
         output = renderer.render_paths(paths)
         assert set(output.replace("\n", "")) == {" "}

@@ -384,7 +384,7 @@ class TestSteadyQueryWork:
     def hot_state(coordinator):
         """Each hot id's ``(path, rank tuple)``, as the view hands it to ``apply``."""
         return {
-            record.path_id: (record.path, (hot, hot * record.path.length, -record.path_id))
+            record.path_id: (record, (hot, hot * record.length, -record.path_id))
             for record, hot in coordinator.hot_paths()
         }
 
@@ -547,9 +547,9 @@ class TestPathQueriesNeverStitch:
             for _ in range(11):
                 next(epochs)
                 coordinator.top_k_corridors(k)
-            before = {record.path_id: record.path for record, _hot in coordinator.hot_paths()}
+            before = {record.path_id: record for record, _hot in coordinator.hot_paths()}
             next(epochs)
-            after = {record.path_id: record.path for record, _hot in coordinator.hot_paths()}
+            after = {record.path_id: record for record, _hot in coordinator.hot_paths()}
             self._count(monkeypatch, CompositeCorridor, "__init__", counts, "corridors")
             decided = stitcher.weld_decisions
             coordinator.top_k(k)

@@ -41,7 +41,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import scoring
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import FsaOverlapStructure, OverlapPoolCache
@@ -378,7 +378,7 @@ stitch_events = st.lists(
 
 def _reference(hot: Dict[int, Tuple[MotionPath, int]]):
     return stitch_paths(
-        (MotionPathRecord(path_id, path, 0), hotness)
+        (MotionPath(path.start, path.end, path_id), hotness)
         for path_id, (path, hotness) in hot.items()
     )
 

@@ -36,7 +36,6 @@ from hypothesis.stateful import (
 from repro.client.state import ObjectState
 from repro.coordinator.fleet import FleetConfig
 from repro.core.geometry import Point
-from repro.core.motion_path import MotionPath
 from repro.experiments.config import ExperimentScale, scaled_simulation_config
 from repro.serving.protocol import coordinator_snapshot, encode_corridor, encode_scored_path
 from repro.simulation.engine import HotPathSimulation
@@ -173,7 +172,7 @@ class Lockstep(RuleBasedStateMachine):
     @rule(start=STARTS, end=STARTS, crossings=st.integers(min_value=1, max_value=3))
     def insert_and_cross_behind_the_back(self, start, end, crossings):
         def insert(coordinator):
-            record = coordinator.index.insert(MotionPath(start, end), created_at=self.now)
+            record = coordinator.index.insert(start, end, created_at=self.now)
             for _ in range(crossings):
                 coordinator.hotness.record_crossing(record.path_id, self.now)
             return record.path_id
@@ -191,7 +190,7 @@ class Lockstep(RuleBasedStateMachine):
         """What the last rule answered, plus the index and the hotness table."""
         coordinator = self.coordinators[fleet]
         records = sorted(
-            (record.path_id, record.path, record.created_at) for record in coordinator.index.records
+            (record.path_id, record, record.created_at) for record in coordinator.index.records
         )
         return repr(
             (

@@ -91,7 +91,7 @@ class TestCraftedStreams:
         dp.observe(0, here, 0)
         dp.observe(0, here, 1)
         assert dp.observe(0, Point(13.0, 3.0), 2) == 0
-        assert dp.tracker.index.get(0).path.length == 0.0
+        assert dp.tracker.index.get(0).length == 0.0
         assert dp.segment(1, Point(3.5, 2.5), here, 4) == 0  # its box holds the point
         dp.advance(10)
         dp.assert_top_k(1)
@@ -114,7 +114,7 @@ class TestCraftedStreams:
         assert dp.segment(1, Point(0.0, -0.0), Point(2.0, 0.0), 2) == stored
         dp.advance(10)
         dp.assert_top_k(1)
-        assert repr(dp.tracker.index.get(stored).path.start) == "Point(x=-0.0, y=0.0)"
+        assert repr(dp.tracker.index.get(stored).start) == "Point(x=-0.0, y=0.0)"
 
 
 #: Coordinates that compare equal but print apart, close enough for the

@@ -692,7 +692,7 @@ class EpochPassChecker:
                 rescanned = [
                     record
                     for path_id, record in strategy._index.by_id.items()
-                    if path_id >= checker.first_id and fsa.contains_point(record.path.end)
+                    if path_id >= checker.first_id and fsa.contains_point(record.end)
                 ]
                 # ``end_vertices`` is the probe's read of them.
                 assert sorted(
@@ -700,7 +700,7 @@ class EpochPassChecker:
                 ) == sorted(record.path_id for record in rescanned)
                 for record in rescanned:
                     checker.inserts_seen += 1
-                    end = record.path.end
+                    end = record.end
                     if (end.x, end.y) in prefetch.end_vertices:
                         checker.on_indexed_vertex += 1
             chosen = original(strategy, fsa, plan, end_vertices, prefetch)

@@ -37,7 +37,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator import execution, sharding
 from repro.coordinator.columnar import EndpointTable
@@ -487,10 +486,8 @@ class TestStatelessWorkers:
             backend.restart_worker(1)  # cold: forks the whole fleet, index empty
             for _ in range(1000):
                 coordinator.index.insert(
-                    MotionPath(
-                        Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-                        Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
-                    )
+                    Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
+                    Point(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)),
                 )
             assert len(coordinator.index) == 1000
             backend.restart_worker(0)  # forked from a parent holding 1 000 records

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath
 from repro.core.trajectory import TimePoint
 from repro.client.raytrace import RayTraceConfig
 from repro.client.state import CoordinatorResponse, ObjectState
@@ -47,7 +46,7 @@ class TestFeedbackCoordinator:
     def test_hints_list_nearby_hot_vertices(self):
         coordinator = make_coordinator()
         # Seed the index with a hot path ending near where the object will be sent.
-        record = coordinator.index.insert(MotionPath(Point(50.0, 50.0), Point(210.0, 210.0)))
+        record = coordinator.index.insert(Point(50.0, 50.0), Point(210.0, 210.0))
         coordinator.hotness.record_crossing(record.path_id, 1)
         coordinator.hotness.record_crossing(record.path_id, 2)
 
@@ -61,7 +60,7 @@ class TestFeedbackCoordinator:
 
     def test_hints_respect_radius(self):
         coordinator = make_coordinator(hint_radius=20.0)
-        far = coordinator.index.insert(MotionPath(Point(50.0, 50.0), Point(900.0, 900.0)))
+        far = coordinator.index.insert(Point(50.0, 50.0), Point(900.0, 900.0))
         coordinator.hotness.record_crossing(far.path_id, 1)
 
         coordinator.submit_state(state(1, Point(100.0, 100.0), Point(150.0, 150.0), Point(170.0, 170.0)))
@@ -71,9 +70,7 @@ class TestFeedbackCoordinator:
     def test_hints_capped_by_max_hints(self):
         coordinator = make_coordinator(max_hints=2)
         for i in range(5):
-            record = coordinator.index.insert(
-                MotionPath(Point(50.0, 50.0 + i), Point(200.0 + i, 200.0))
-            )
+            record = coordinator.index.insert(Point(50.0, 50.0 + i), Point(200.0 + i, 200.0))
             coordinator.hotness.record_crossing(record.path_id, 1)
         coordinator.submit_state(state(1, Point(100.0, 100.0), Point(190.0, 190.0), Point(230.0, 230.0)))
         _outcome, feedback = coordinator.run_epoch_with_feedback(10)
@@ -90,7 +87,7 @@ class TestFeedbackCoordinator:
             max_hints=1,
         )
         for end in (Point(50.0, 50.0), Point(30.0, 60.0)):
-            record = coordinator.index.insert(MotionPath(Point(500.0, 900.0), end))
+            record = coordinator.index.insert(Point(500.0, 900.0), end)
             coordinator.hotness.record_crossing(record.path_id, 1)
         coordinator.submit_state(state(1, Point(500.0, 500.0), Point(150.0, 150.0), Point(160.0, 160.0)))
         _outcome, feedback = coordinator.run_epoch_with_feedback(10)
@@ -155,7 +152,7 @@ class TestFeedbackEndToEnd:
         def run(use_feedback: bool):
             coordinator = make_coordinator(hint_radius=300.0)
             # Pre-existing hot path ending at the hinted vertex.
-            seed = coordinator.index.insert(MotionPath(Point(100.0, 0.0), hinted_vertex))
+            seed = coordinator.index.insert(Point(100.0, 0.0), hinted_vertex)
             coordinator.hotness.record_crossing(seed.path_id, 1)
             coordinator.hotness.record_crossing(seed.path_id, 2)
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.coordinator.columnar import KERNELS
 from repro.coordinator.grid_index import CellTable, GridConfig, GridIndex
 from repro.coordinator.partition import ShardGrid
@@ -49,18 +49,18 @@ def operations(draw) -> List[Tuple[str, object]]:
             ops.append(("delete", draw(st.integers(min_value=0, max_value=live - 1))))
             live -= 1
         else:
-            ops.append(("insert", MotionPath(draw(pool_points), draw(pool_points))))
+            ops.append(("insert", (draw(pool_points), draw(pool_points))))
             live += 1
     return ops
 
 
 class ReferenceIndex:
-    """Brute-force reference: a list of records, exact geometry everywhere."""
+    """Brute-force reference: a list of stored paths, exact geometry everywhere."""
 
     def __init__(self) -> None:
-        self.records: Dict[int, MotionPathRecord] = {}
+        self.records: Dict[int, MotionPath] = {}
 
-    def insert(self, record: MotionPathRecord) -> None:
+    def insert(self, record: MotionPath) -> None:
         self.records[record.path_id] = record
 
     def delete(self, path_id: int) -> None:
@@ -70,7 +70,7 @@ class ReferenceIndex:
         return sorted(
             r.path_id
             for r in self.records.values()
-            if r.path.start == start and region.contains_point(r.path.end)
+            if r.start == start and region.contains_point(r.end)
         )
 
     def path_between(self, start: Point, end: Point) -> Optional[int]:
@@ -79,7 +79,7 @@ class ReferenceIndex:
             (
                 r.path_id
                 for r in self.records.values()
-                if r.path.start == start and r.path.end == end
+                if r.start == start and r.end == end
             ),
             default=None,
         )
@@ -88,8 +88,8 @@ class ReferenceIndex:
         """``(x, y) -> (repr of the earliest live end there, sorted ids)``."""
         vertices: Dict[Tuple[float, float], Tuple[Point, List[int]]] = {}
         for r in self.records.values():
-            if region.contains_point(r.path.end):
-                vertices.setdefault(r.path.end.as_tuple(), (r.path.end, []))[1].append(r.path_id)
+            if region.contains_point(r.end):
+                vertices.setdefault(r.end.as_tuple(), (r.end, []))[1].append(r.path_id)
         return {key: (repr(end), sorted(ids)) for key, (end, ids) in vertices.items()}
 
 
@@ -110,7 +110,7 @@ def build_both(ops, kernel: str = "object") -> Tuple[GridIndex, ReferenceIndex]:
     live: List[int] = []
     for op, payload in ops:
         if op == "insert":
-            record = index.insert(payload)
+            record = index.insert(*payload)
             reference.insert(record)
             live.append(record.path_id)
         else:
@@ -130,7 +130,7 @@ class TestAgainstReference:
         assert len(index) == len(reference.records)
         for path_id, record in reference.records.items():
             assert path_id in index
-            assert index.get(path_id).path == record.path
+            assert index.get(path_id) == record
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.differing_executors])
     @given(operations(), pool_points, regions())
@@ -139,7 +139,7 @@ class TestAgainstReference:
         time through ``path_between``: each probe returns the earliest live
         path from ``start`` to that end, or ``None``."""
         index, reference = build_both(ops, self.kernel)
-        ends = {r.path.end for r in reference.records.values() if region.contains_point(r.path.end)}
+        ends = {r.end for r in reference.records.values() if region.contains_point(r.end)}
         for end in ends | {start}:
             assert index.path_between(start, end) == reference.path_between(start, end)
 
@@ -243,7 +243,7 @@ class TestBoundaryCells:
         index = GridIndex(GridConfig(BOUNDS, cells_per_axis=cells), kernel=kernel)
         inserted = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
-            record = index.insert(MotionPath(data.draw(points), data.draw(points)))
+            record = index.insert(data.draw(points), data.draw(points))
             inserted.append(record)
         for record in inserted:
             # Every (start, end) pair of stored endpoints, probed exactly:
@@ -251,16 +251,16 @@ class TestBoundaryCells:
             # whichever cell the float division picked, the probe picks the
             # same one.
             for other in inserted:
-                start, end = record.path.start, other.path.end
+                start, end = record.start, other.end
                 expected = next(
-                    (r.path_id for r in inserted if r.path.start == start and r.path.end == end),
+                    (r.path_id for r in inserted if r.start == start and r.end == end),
                     None,
                 )
                 assert index.path_between(start, end) == expected
         for record in inserted:
             # The degenerate query at each endpoint must see the entry the
             # matching _add_entry stored.
-            end = record.path.end
+            end = record.end
             probe = Rectangle.degenerate(end)
             assert any(
                 vertex == end and record.path_id in ids
@@ -282,7 +282,7 @@ class TestBoundaryCells:
             st.sampled_from([12.5, 25.0, 50.0, 62.5, BOUNDS.high.x])
         )
         end = Point(edge, data.draw(st.sampled_from([0.0, 12.5, edge])))
-        record = index.insert(MotionPath(Point(1.0, 1.0), end))
+        record = index.insert(Point(1.0, 1.0), end)
         region = Rectangle(BOUNDS.low, Point(edge, max(end.y, BOUNDS.low.y)))
         found = index.end_vertices_in(region)
         assert (end.x, end.y) in found and record.path_id in found[(end.x, end.y)][1]

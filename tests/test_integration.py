@@ -90,7 +90,7 @@ class TestTurningCorridorScenario:
             if hotness < 2:
                 continue
             # The corridor stays inside the L-shaped band around the waypoints.
-            for endpoint in (record.path.start, record.path.end):
+            for endpoint in (record.start, record.end):
                 assert -50.0 <= endpoint.x <= 650.0
                 assert -50.0 <= endpoint.y <= 650.0
 
@@ -114,7 +114,7 @@ class TestTurningCorridorScenario:
             merged[object_id + offset] = trajectory
         coordinator = replay_trajectories(merged, tolerance=10.0, bounds=BOUNDS)
         for record, _ in coordinator.hot_paths():
-            y_values = (record.path.start.y, record.path.end.y)
+            y_values = (record.start.y, record.end.y)
             assert all(y > 1000.0 for y in y_values) or all(y < -1000.0 for y in y_values)
 
 
@@ -163,8 +163,8 @@ class TestEvacuationScenario:
             if hotness < 2:
                 continue
             total += 1
-            start_distance = record.path.start.euclidean_distance_to(danger)
-            end_distance = record.path.end.euclidean_distance_to(danger)
+            start_distance = record.start.euclidean_distance_to(danger)
+            end_distance = record.end.euclidean_distance_to(danger)
             if end_distance >= start_distance:
                 outward += 1
         assert total > 0

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.geometry import Point
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.scoring import ScoredPath, select_top_k, top_k_score
 
 
@@ -38,21 +38,15 @@ class TestMotionPath:
         path = MotionPath(Point(0.0, 0.0), Point(10.0, 20.0))
         assert path.point_at(0.5) == Point(5.0, 10.0)
 
-    def test_bounding_box_with_padding(self):
-        path = MotionPath(Point(0.0, 0.0), Point(10.0, 5.0))
-        box = path.bounding_box(padding=1.0)
-        assert box.low == Point(-1.0, -1.0)
-        assert box.high == Point(11.0, 6.0)
 
-
-class TestMotionPathRecord:
+class TestStoredPath:
     def test_accessors(self):
-        record = MotionPathRecord(3, MotionPath(Point(0.0, 0.0), Point(3.0, 4.0)), 10)
-        assert record.path_id == 3
-        assert record.path.start == Point(0.0, 0.0)
-        assert record.path.end == Point(3.0, 4.0)
-        assert record.path.length == 5.0
-        assert record.created_at == 10
+        path = MotionPath(Point(0.0, 0.0), Point(3.0, 4.0), 3, 10)
+        assert path.path_id == 3
+        assert path.start == Point(0.0, 0.0)
+        assert path.end == Point(3.0, 4.0)
+        assert path.length == 5.0
+        assert path.created_at == 10
 
 
 class TestScoring:
@@ -62,10 +56,10 @@ class TestScoring:
 
     def _records(self):
         paths = [
-            (MotionPathRecord(0, MotionPath(Point(0.0, 0.0), Point(10.0, 0.0))), 5),
-            (MotionPathRecord(1, MotionPath(Point(0.0, 0.0), Point(100.0, 0.0))), 2),
-            (MotionPathRecord(2, MotionPath(Point(0.0, 0.0), Point(1.0, 0.0))), 5),
-            (MotionPathRecord(3, MotionPath(Point(0.0, 0.0), Point(2.0, 0.0))), 1),
+            (MotionPath(Point(0.0, 0.0), Point(10.0, 0.0), 0), 5),
+            (MotionPath(Point(0.0, 0.0), Point(100.0, 0.0), 1), 2),
+            (MotionPath(Point(0.0, 0.0), Point(1.0, 0.0), 2), 5),
+            (MotionPath(Point(0.0, 0.0), Point(2.0, 0.0), 3), 1),
         ]
         return paths
 

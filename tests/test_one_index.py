@@ -172,9 +172,9 @@ def reference_statistics(coordinator: Coordinator, grid: ShardGrid) -> Dict[str,
     start_owners = Counter()
     straddling = 0
     for record in coordinator.index.records:
-        start_owner = grid.shard_id_of(record.path.start)
+        start_owner = grid.shard_id_of(record.start)
         start_owners[start_owner] += 1
-        straddling += grid.shard_id_of(record.path.end) != start_owner
+        straddling += grid.shard_id_of(record.end) != start_owner
     sizes = [start_owners[shard_id] for shard_id in range(grid.num_shards)]
     total = sum(sizes)
     return {
@@ -218,7 +218,7 @@ class TestOwnershipDifferential:
         inserted = 0
         for chain in vertex_chains:
             for start, end in zip(chain, chain[1:]):
-                record = coordinator.index.insert(MotionPath(start, end), created_at=0)
+                record = coordinator.index.insert(start, end, created_at=0)
                 inserted += 1
                 if inserted % cold_every:  # every few records stay cold
                     coordinator.hotness.record_crossing(record.path_id, 0)
@@ -259,11 +259,11 @@ class TestOwnerLabels:
     def test_every_path_lands_on_exactly_one_owner(self, paths: List[MotionPath], num_shards):
         coordinator = make_coordinator(num_shards)
         router = coordinator.router
-        records = [coordinator.index.insert(path) for path in paths]
+        records = [coordinator.index.insert(path.start, path.end) for path in paths]
         owners = Counter()
         for record in records:
             owner = router.owner_of(record.path_id)
-            assert owner == router.grid.shard_id_of(record.path.start)
+            assert owner == router.grid.shard_id_of(record.start)
             assert 0 <= owner < num_shards
             owners[owner] += 1
         # The labels partition the records: no duplication, no loss.
@@ -280,9 +280,9 @@ class TestOwnerLabels:
     def test_endpoint_entries_live_in_the_one_index(self, paths, num_shards):
         coordinator = make_coordinator(num_shards)
         assert coordinator.router.index is coordinator.index
-        records = [coordinator.index.insert(path) for path in paths]
+        records = [coordinator.index.insert(path.start, path.end) for path in paths]
         for record in records:
-            start, end = record.path.start, record.path.end
+            start, end = record.start, record.end
             starting = coordinator.index.starting_at(start, Rectangle.degenerate(end))
             assert record.path_id in starting
             ends = coordinator.index.end_vertices_in(Rectangle.degenerate(end))
@@ -294,9 +294,9 @@ class TestOwnerLabels:
     def test_straddling_count_matches_geometry(self, paths, num_shards):
         coordinator = make_coordinator(num_shards)
         grid = coordinator.router.grid
-        records = [coordinator.index.insert(path) for path in paths]
+        records = [coordinator.index.insert(path.start, path.end) for path in paths]
         straddling = sum(
-            grid.shard_id_of(record.path.start) != grid.shard_id_of(record.path.end)
+            grid.shard_id_of(record.start) != grid.shard_id_of(record.end)
             for record in records
         )
         assert coordinator.shard_statistics()["straddling_paths"] == straddling
@@ -312,7 +312,7 @@ class TestOwnerLabels:
         grid = coordinator.router.grid
         for chain in vertex_chains:
             for start, end in zip(chain, chain[1:]):
-                record = coordinator.index.insert(MotionPath(start, end), created_at=0)
+                record = coordinator.index.insert(start, end, created_at=0)
                 coordinator.hotness.record_crossing(record.path_id, 0)
         corridors = coordinator.hot_corridors()
         straddling_welds = 0
@@ -327,7 +327,7 @@ class TestOwnerLabels:
     @given(paths=label_paths)
     def test_delete_empties_the_diagnostics(self, paths, num_shards):
         coordinator = make_coordinator(num_shards)
-        records = [coordinator.index.insert(path) for path in paths]
+        records = [coordinator.index.insert(path.start, path.end) for path in paths]
         for record in records:
             coordinator.index.delete(record.path_id)
         statistics = coordinator.shard_statistics()

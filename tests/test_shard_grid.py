@@ -337,7 +337,7 @@ class TestShardStatistics:
             MotionPath(Point(850.0, 850.0), Point(950.0, 950.0)),
         ]
         for path in straddling + local:
-            coordinator.index.insert(path)
+            coordinator.index.insert(path.start, path.end)
         stats = coordinator.shard_statistics()
         # Every path contributes exactly one record, to its start owner.
         assert stats["total_records"] == 5
@@ -350,7 +350,7 @@ class TestShardStatistics:
         for _ in range(30):
             start = Point(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
             end = Point(start.x + 5.0, start.y + 5.0)
-            coordinator.index.insert(MotionPath(start, end))
+            coordinator.index.insert(start, end)
         stats = coordinator.shard_statistics()
         assert stats["imbalance"] == pytest.approx(4.0)  # all load on one of 4 shards
         assert make_coordinator(4).shard_statistics()["imbalance"] == 1.0
@@ -380,7 +380,7 @@ class TestExpiryDrain:
                 for path_id in outcome.delta.deleted:
                     del live[path_id]
                 for path_id in outcome.delta.inserted:
-                    live[path_id] = coordinator.index.get(path_id).path
+                    live[path_id] = coordinator.index.get(path_id)
                 straddling = sum(
                     grid.shard_id_of(path.start) != grid.shard_id_of(path.end)
                     for path in live.values()

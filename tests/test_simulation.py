@@ -101,13 +101,13 @@ class TestSimulationRun:
     def test_hot_paths_have_positive_hotness_and_length(self, result):
         for record, hotness in result.hot_paths():
             assert hotness >= 1
-            assert record.path.length >= 0.0
+            assert record.length >= 0.0
 
     def test_paths_lie_inside_monitored_area(self, result):
         bounds = result.network.bounding_box(padding=result.config.tolerance * 4)
         for record, _ in result.hot_paths():
-            assert bounds.contains_point(record.path.start)
-            assert bounds.contains_point(record.path.end)
+            assert bounds.contains_point(record.start)
+            assert bounds.contains_point(record.end)
 
 
 class TestSimulationVariants:

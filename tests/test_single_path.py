@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.grid_index import GridConfig, GridIndex
@@ -46,7 +46,7 @@ class TestEmptyEpoch:
 class TestCase1ExistingPath:
     def test_existing_path_is_reused(self):
         strategy, index, hotness = make_strategy()
-        existing = index.insert(MotionPath(Point(100.0, 100.0), Point(200.0, 200.0)))
+        existing = index.insert(Point(100.0, 100.0), Point(200.0, 200.0))
         hotness.record_crossing(existing.path_id, 0)
 
         report = state(1, Point(100.0, 100.0), Point(190.0, 190.0), Point(210.0, 210.0))
@@ -61,8 +61,8 @@ class TestCase1ExistingPath:
 
     def test_hottest_existing_path_is_preferred(self):
         strategy, index, hotness = make_strategy()
-        cold = index.insert(MotionPath(Point(100.0, 100.0), Point(195.0, 195.0)))
-        hot = index.insert(MotionPath(Point(100.0, 100.0), Point(205.0, 205.0)))
+        cold = index.insert(Point(100.0, 100.0), Point(195.0, 195.0))
+        hot = index.insert(Point(100.0, 100.0), Point(205.0, 205.0))
         hotness.record_crossing(cold.path_id, 0)
         hotness.record_crossing(hot.path_id, 0)
         hotness.record_crossing(hot.path_id, 1)
@@ -72,14 +72,14 @@ class TestCase1ExistingPath:
 
         # The crossing went to the hot path, and the response is its end.
         assert (hotness.hotness(cold.path_id), hotness.hotness(hot.path_id)) == (1, 3)
-        assert result.responses[0].endpoint == hot.path.end
+        assert result.responses[0].endpoint == hot.end
         assert result.inserted == []
 
     def test_shared_candidate_boosts_selection(self):
         """A path available to two reporters should win over one available to a single reporter."""
         strategy, index, hotness = make_strategy()
-        shared = index.insert(MotionPath(Point(100.0, 100.0), Point(200.0, 200.0)))
-        private = index.insert(MotionPath(Point(100.0, 100.0), Point(120.0, 120.0)))
+        shared = index.insert(Point(100.0, 100.0), Point(200.0, 200.0))
+        private = index.insert(Point(100.0, 100.0), Point(120.0, 120.0))
         hotness.record_crossing(shared.path_id, 0)
         hotness.record_crossing(private.path_id, 0)
         hotness.record_crossing(private.path_id, 1)
@@ -97,8 +97,8 @@ class TestCase1ExistingPath:
         assert result.paths_inserted == 0
         assert result.paths_reused == 2
         endpoints = {response.object_id: response.endpoint for response in result.responses}
-        assert endpoints[1] == shared.path.end
-        assert endpoints[2] == shared.path.end  # no other path from the start ends there
+        assert endpoints[1] == shared.end
+        assert endpoints[2] == shared.end  # no other path from the start ends there
         # Both objects crossed the shared path; the private one kept its two.
         assert (hotness.hotness(shared.path_id), hotness.hotness(private.path_id)) == (3, 2)
 
@@ -108,7 +108,7 @@ class TestCase2ExistingVertex:
         strategy, index, hotness = make_strategy()
         # An existing path ends at (300, 300); the reporting object starts
         # somewhere else so Case 1 cannot apply, but the vertex lies in its FSA.
-        existing = index.insert(MotionPath(Point(50.0, 50.0), Point(300.0, 300.0)))
+        existing = index.insert(Point(50.0, 50.0), Point(300.0, 300.0))
         hotness.record_crossing(existing.path_id, 0)
 
         report = state(1, Point(250.0, 250.0), Point(290.0, 290.0), Point(310.0, 310.0))
@@ -117,16 +117,16 @@ class TestCase2ExistingVertex:
         assert result.paths_inserted == 1
         # Not fabricated: the FSA's centre is the same point, but the endpoint
         # is the stored end vertex itself.
-        assert result.responses[0].endpoint is existing.path.end
+        assert result.responses[0].endpoint is existing.end
         new_record = index.get(result.inserted[0])
-        assert new_record.path.start == Point(250.0, 250.0)
-        assert new_record.path.end == Point(300.0, 300.0)
+        assert new_record.start == Point(250.0, 250.0)
+        assert new_record.end == Point(300.0, 300.0)
 
     def test_hotter_vertex_preferred(self):
         strategy, index, hotness = make_strategy()
-        cold_path = index.insert(MotionPath(Point(0.0, 0.0), Point(295.0, 295.0)))
-        hot_path_a = index.insert(MotionPath(Point(0.0, 0.0), Point(305.0, 305.0)))
-        hot_path_b = index.insert(MotionPath(Point(10.0, 0.0), Point(305.0, 305.0)))
+        cold_path = index.insert(Point(0.0, 0.0), Point(295.0, 295.0))
+        hot_path_a = index.insert(Point(0.0, 0.0), Point(305.0, 305.0))
+        hot_path_b = index.insert(Point(10.0, 0.0), Point(305.0, 305.0))
         hotness.record_crossing(cold_path.path_id, 0)
         hotness.record_crossing(hot_path_a.path_id, 0)
         hotness.record_crossing(hot_path_b.path_id, 0)
@@ -148,7 +148,7 @@ class TestCase3FabricatedVertex:
         endpoint = result.responses[0].endpoint
         assert endpoint == report.fsa.center
         assert report.fsa.contains_point(endpoint)
-        assert index.get(result.inserted[0]).path.end == endpoint
+        assert index.get(result.inserted[0]).end == endpoint
 
     def test_overlapping_objects_share_fabricated_vertex(self):
         """Objects reporting together with overlapping FSAs adopt the same endpoint."""
@@ -182,7 +182,7 @@ class TestCase3FabricatedVertex:
         strategy, index, hotness = make_strategy()
         # Existing path ends exactly at the reporting object's start point and
         # that vertex lies inside its FSA, so it would be chosen as endpoint.
-        existing = index.insert(MotionPath(Point(0.0, 0.0), Point(100.0, 100.0)))
+        existing = index.insert(Point(0.0, 0.0), Point(100.0, 100.0))
         hotness.record_crossing(existing.path_id, 0)
         hotness.record_crossing(existing.path_id, 1)
         hotness.record_crossing(existing.path_id, 2)
@@ -191,8 +191,8 @@ class TestCase3FabricatedVertex:
         result = strategy.process_epoch([report])
         assert result.responses[0].endpoint != Point(100.0, 100.0)
         created = index.get(result.inserted[0])
-        assert created.path.end == result.responses[0].endpoint
-        assert created.path.length > 0.0
+        assert created.end == result.responses[0].endpoint
+        assert created.length > 0.0
 
 
 class TestCrossingBookkeeping:
@@ -219,24 +219,24 @@ class TestTwiceReportingObjects:
 
     def test_each_state_takes_its_own_case_1_candidate(self):
         strategy, index, hotness = make_strategy()
-        first = index.insert(MotionPath(Point(100.0, 100.0), Point(150.0, 150.0)))
-        second = index.insert(MotionPath(Point(600.0, 600.0), Point(650.0, 650.0)))
+        first = index.insert(Point(100.0, 100.0), Point(150.0, 150.0))
+        second = index.insert(Point(600.0, 600.0), Point(650.0, 650.0))
         earlier = state(7, Point(100.0, 100.0), Point(140.0, 140.0), Point(160.0, 160.0), t_end=5)
         later = state(7, Point(600.0, 600.0), Point(640.0, 640.0), Point(660.0, 660.0), t_end=9)
         result = strategy.process_epoch([earlier, later])
         assert [response.endpoint for response in result.responses] == [
-            first.path.end,
-            second.path.end,
+            first.end,
+            second.end,
         ]
         assert result.inserted == []
         assert hotness.hotness(first.path_id) == hotness.hotness(second.path_id) == 1
 
     def test_a_twice_reporting_object_never_boosts_its_own_candidate(self):
-        record = MotionPathRecord(3, MotionPath(Point(0.0, 0.0), Point(1.0, 1.0)))
-        sets = [[CandidatePath(record, 1)] for _ in range(3)]
+        path = MotionPath(Point(0.0, 0.0), Point(1.0, 1.0), 3)
+        sets = [[CandidatePath(path, 1)] for _ in range(3)]
         apply_co_occurrence_boost([7, 7, 8], sets)  # object 7 twice, object 8 once
         assert [candidates[0].hotness for candidates in sets] == [2, 2, 2]
-        alone = [[CandidatePath(record, 1)] for _ in range(2)]
+        alone = [[CandidatePath(path, 1)] for _ in range(2)]
         apply_co_occurrence_boost([7, 7], alone)
         assert [candidates[0].hotness for candidates in alone] == [1, 1]
 

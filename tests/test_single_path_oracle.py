@@ -28,7 +28,6 @@ from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
 from repro.core.geometry import Point
-from repro.core.motion_path import MotionPath
 
 import single_path_oracle
 from differential import DEFAULT, SCENARIOS, make_coordinator
@@ -40,7 +39,7 @@ ARCHITECTURE = Path(__file__).resolve().parent.parent / "docs" / "ARCHITECTURE.m
 def hot_set(coordinator: Coordinator) -> List[Tuple]:
     """``(id, start, end, created, hotness)`` of every hot record, by id."""
     return sorted(
-        (record.path_id, record.path.start, record.path.end, record.created_at, hotness)
+        (record.path_id, record.start, record.end, record.created_at, hotness)
         for record, hotness in coordinator.hot_paths()
     )
 
@@ -121,7 +120,7 @@ def recordings(monkeypatch) -> List[Recording]:
     monkeypatch.setattr(Coordinator, "run_epoch", recorded_run_epoch)
     monkeypatch.setattr(GridIndex, "insert", behind_the_back(
         GridIndex.insert,
-        lambda record, path, created_at=0: ("insert", path.start, path.end, created_at, record.path_id),
+        lambda path, start, end, created_at=0: ("insert", start, end, created_at, path.path_id),
     ))
     monkeypatch.setattr(GridIndex, "delete", behind_the_back(
         GridIndex.delete, lambda _result, path_id: ("delete", path_id)
@@ -190,7 +189,7 @@ def test_hypothesis_streams_answer_as_the_oracle(kernel, data):
             now = 10 * epoch
             if data.draw(st.booleans()):
                 start, end = data.draw(st.lists(st.sampled_from(POINTS), min_size=2, max_size=2, unique=True))
-                path_id = coordinator.index.insert(MotionPath(start, end), created_at=now).path_id
+                path_id = coordinator.index.insert(start, end, created_at=now).path_id
                 assert oracle.insert(start, end, now) == path_id
                 for _ in range(data.draw(st.integers(0, 2))):
                     coordinator.hotness.record_crossing(path_id, now - 5)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.geometry import Point
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.analysis.statistics import (
     DistributionSummary,
     hot_path_statistics,
@@ -15,8 +15,8 @@ from repro.analysis.statistics import (
 from road_reference import distance_to_network
 
 
-def record(path_id: int, start: Point, end: Point) -> MotionPathRecord:
-    return MotionPathRecord(path_id, MotionPath(start, end))
+def record(path_id: int, start: Point, end: Point) -> MotionPath:
+    return MotionPath(start, end, path_id)
 
 
 class TestSummariseDistribution:
@@ -105,8 +105,8 @@ class TestNetworkAlignment:
         aligned = [
             record
             for record, _hotness in hot_paths
-            if distance_to_network(record.path.start, result.network) <= tolerance
-            and distance_to_network(record.path.end, result.network) <= tolerance
+            if distance_to_network(record.start, result.network) <= tolerance
+            and distance_to_network(record.end, result.network) <= tolerance
         ]
         assert hot_paths
         assert len(aligned) / len(hot_paths) > 0.8

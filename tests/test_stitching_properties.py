@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Point
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.coordinator.coordinator import Coordinator
 from repro.coordinator.fleet import FleetConfig
 from repro.coordinator.stitching import (
@@ -70,7 +70,7 @@ def fragment_sets(draw, pool=coordinate_pool) -> Fragments:
 
 def hot_path_list(fragments: Fragments, order: List[int]):
     return [
-        (MotionPathRecord(path_id, MotionPath(*fragments[path_id][:2])), fragments[path_id][2])
+        (MotionPath(*fragments[path_id][:2], path_id), fragments[path_id][2])
         for path_id in order
     ]
 
@@ -320,8 +320,8 @@ class TestWeldCycles:
         fleet = FleetConfig(num_shards=4, epoch_mode=epoch_mode)
         coordinator = make_coordinator(fleet, window=10**6)
         v0, v1, v2 = Point(100.0, 100.0), Point(200.0, 100.0), Point(600.0, 100.0)
-        for path in (MotionPath(v0, v2), MotionPath(v1, v0), MotionPath(v2, v1)):
-            record = coordinator.index.insert(path, created_at=0)
+        for start, end in ((v0, v2), (v1, v0), (v2, v1)):
+            record = coordinator.index.insert(start, end, created_at=0)
             coordinator.hotness.record_crossing(record.path_id, 0)
         return coordinator
 

@@ -1,15 +1,17 @@
 """The value-object contract: each slotted class equals its frozen-dataclass twin.
 
-``Point``, ``Rectangle``, ``MotionPath``, ``MotionPathRecord``,
-``TimePoint``, ``UncertainTimePoint``, ``ObjectState``,
-``CoordinatorResponse``, ``ScoredPath``, ``CorridorSegment`` and
-``CompositeCorridor`` are hand-written ``__slots__`` classes (``repro.core.value``); ``tests/value_twins.py`` keeps the
-``@dataclass`` definitions they replaced.  On hypothesis-drawn fields —
-``-0.0``, ``int`` coordinates beyond 2**53, the ``2`` / ``2.0`` pair — both
-must print the same ``repr``, compare and hash alike, survive a pickle round
-trip, refuse assignment and deletion with the same
-``FrozenInstanceError`` (``MotionPathRecord`` is mutable and unhashable in
-both), and reject the same invalid fields with the same error and message.
+``Point``, ``Rectangle``, ``MotionPath``, ``TimePoint``,
+``UncertainTimePoint``, ``ObjectState``, ``CoordinatorResponse``,
+``ScoredPath``, ``CorridorSegment`` and ``CompositeCorridor`` are
+hand-written ``__slots__`` classes (``repro.core.value``);
+``tests/value_twins.py`` keeps the ``@dataclass`` definitions they replaced.
+On hypothesis-drawn fields — ``-0.0``, ``int`` coordinates beyond 2**53, the
+``2`` / ``2.0`` pair — both must print the same ``repr``, compare and hash
+alike, survive a pickle round trip, refuse assignment and deletion with the
+same ``FrozenInstanceError``, and reject the same invalid fields with the
+same error and message.  ``StoredMotionPath`` is the ``MotionPath`` case
+built as the grid index stores it, with an id and a creation time, which
+are no fields: it must pass every check an unstored path passes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from hypothesis import given, strategies as st
 import value_twins
 from repro.client.state import CoordinatorResponse, ObjectState
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath, MotionPathRecord
+from repro.core.motion_path import MotionPath
 from repro.core.scoring import ScoredPath
 from repro.core.trajectory import TimePoint, UncertainTimePoint
 from repro.core.value import FrozenValue
@@ -35,7 +37,7 @@ REAL = SimpleNamespace(
     Point=Point,
     Rectangle=Rectangle,
     MotionPath=MotionPath,
-    MotionPathRecord=MotionPathRecord,
+    StoredMotionPath=MotionPath,
     TimePoint=TimePoint,
     UncertainTimePoint=UncertainTimePoint,
     ObjectState=ObjectState,
@@ -45,7 +47,6 @@ REAL = SimpleNamespace(
     CompositeCorridor=CompositeCorridor,
 )
 NAMES = tuple(vars(REAL))
-MUTABLE = ("MotionPathRecord",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +90,9 @@ def specs(coordinate: st.SearchStrategy, integer: st.SearchStrategy) -> Dict[str
         ys = sorted((draw(coordinate), draw(coordinate)))
         return Spec("Rectangle", (Spec("Point", (xs[0], ys[0])), Spec("Point", (xs[1], ys[1]))))
 
-    path = st.builds(lambda a, b: Spec("MotionPath", (a, b)), point, point)
+    unstored = st.builds(lambda a, b: Spec("MotionPath", (a, b)), point, point)
+    stored = st.builds(lambda *args: Spec("MotionPath", args), point, point, integer, integer)
+    path = st.one_of(unstored, stored)
     segment = st.builds(lambda *args: Spec("CorridorSegment", args), integer, path, integer)
     sigma = st.one_of(st.floats(min_value=0.0, allow_nan=False), st.integers(0, 2**60), st.just(-0.0))
 
@@ -99,11 +102,8 @@ def specs(coordinate: st.SearchStrategy, integer: st.SearchStrategy) -> Dict[str
     return {
         "Point": point,
         "Rectangle": rectangle(),
-        "MotionPath": path,
-        "MotionPathRecord": st.one_of(
-            st.builds(lambda *args: Spec("MotionPathRecord", args), integer, path),
-            st.builds(lambda *args: Spec("MotionPathRecord", args), integer, path, integer),
-        ),
+        "MotionPath": unstored,
+        "StoredMotionPath": stored,
         "TimePoint": st.builds(lambda *args: Spec("TimePoint", args), point, integer),
         "UncertainTimePoint": st.builds(
             lambda *args: Spec("UncertainTimePoint", args), point, integer, sigma, sigma
@@ -195,7 +195,7 @@ def test_equality_matches_the_twins_on_colliding_fields(name, data):
     (a, twin_a), (b, twin_b) = twins(spec_a), twins(spec_b)
     assert (a == b) == (twin_a == twin_b)
     assert (a != b) == (twin_a != twin_b)
-    if a == b and name not in MUTABLE:
+    if a == b:
         assert hash(a) == hash(b)
 
 
@@ -227,11 +227,11 @@ def test_pickle_round_trip(name, data):
             assert repr(getattr(restored, aggregate)) == repr(getattr(twin, aggregate))
 
 
-@pytest.mark.parametrize("name", [name for name in NAMES if name not in MUTABLE])
+@by_name
 @given(data=st.data())
 def test_assignment_and_deletion_raise_frozen_instance_error(name, data):
     value, twin = twins(data.draw(WIDE_SPECS[name]))
-    attributes = (*value.__match_args__, "length", "not_a_field")
+    attributes = (*value.__match_args__, "length", "path_id", "created_at", "not_a_field")
     for attribute in attributes:
         for target in (value, twin):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -247,15 +247,31 @@ def test_assignment_and_deletion_raise_frozen_instance_error(name, data):
     assert repr(value) == repr(twin)  # nothing changed
 
 
-@given(spec=WIDE_SPECS["MotionPathRecord"], path_id=INTS)
-def test_the_record_is_mutable_and_unhashable(spec, path_id):
-    record, twin = twins(spec)
-    record.path_id = twin.path_id = path_id
-    record.created_at += 1
-    twin.created_at += 1
-    assert repr(record) == repr(twin)
-    assert outcome(lambda: hash(record)) == outcome(lambda: hash(twin))
-    assert outcome(lambda: hash(record))[0] == "TypeError"
+@given(spec=WIDE_SPECS["StoredMotionPath"])
+def test_a_stored_path_prints_compares_and_hashes_as_its_unstored_twin(spec):
+    """The id and the creation time are slots outside ``repr``, ``==`` and
+    the hash: a stored path equals the unstored path of its two ends, and
+    the two read their own ids."""
+    stored = spec.build(REAL)
+    start, end, path_id, created_at = (_build(arg, REAL) for arg in spec.args)
+    unstored = MotionPath(start, end)
+    assert (stored.path_id, stored.created_at) == (path_id, created_at)
+    assert (unstored.path_id, unstored.created_at) == (-1, 0)
+    assert repr(stored) == repr(unstored)
+    assert stored == unstored and unstored == stored
+    assert hash(stored) == hash(unstored)
+    assert repr(ScoredPath(stored, 1, path_id)) == repr(ScoredPath(unstored, 1, path_id))
+    assert repr(CorridorSegment(path_id, stored, 1)) == repr(CorridorSegment(path_id, unstored, 1))
+
+
+@given(spec=WIDE_SPECS["StoredMotionPath"])
+def test_a_pickled_stored_path_comes_back_unstored(spec):
+    """Pickling rebuilds a path from its fields alone (the class docstring's
+    caveat): the ends survive, the id and the creation time do not."""
+    stored = spec.build(REAL)
+    restored = pickle.loads(pickle.dumps(stored))
+    assert repr(restored) == repr(stored) and restored == stored
+    assert (restored.path_id, restored.created_at) == (-1, 0)
 
 
 REJECTED = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])

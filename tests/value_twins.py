@@ -11,7 +11,7 @@ so the two ``repr`` strings are comparable character for character.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Tuple
 
@@ -44,18 +44,22 @@ class Rectangle:
 class MotionPath:
     start: Point
     end: Point
+    # A stored path's id and creation time: set, never fields, so out of
+    # ``__match_args__`` as well (which would list an ``InitVar``).
+    path_id: InitVar[int] = -1
+    created_at: InitVar[int] = 0
+    __match_args__ = ("start", "end")
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, path_id: int, created_at: int) -> None:
         object.__setattr__(
             self, "length", math.hypot(self.start.x - self.end.x, self.start.y - self.end.y)
         )
+        object.__setattr__(self, "path_id", path_id)
+        object.__setattr__(self, "created_at", created_at)
 
 
-@dataclass
-class MotionPathRecord:
-    path_id: int
-    path: MotionPath
-    created_at: int = 0
+#: A stored path is a ``MotionPath`` built with an id and a creation time.
+StoredMotionPath = MotionPath
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ _WORKLOAD_ORACLE = "tests/test_workload.py::TestOracle"
 MUTANTS: List[Mutant] = [
     # -- SinglePath's shared rules: no configuration differs, so the oracle catches --
     Mutant("boost_counts_a_candidate_twice", _SINGLE_PATH,
-           "occurrences[candidate.record.path_id] += 1", "occurrences[candidate.record.path_id] += 2",
+           "occurrences[candidate.path.path_id] += 1", "occurrences[candidate.path.path_id] += 2",
            (f"{_ORACLE}[co_occurrence]",)),
     Mutant("boost_counts_a_twice_reporting_object_twice", _SINGLE_PATH,
            "if holder not in held:", "if True:",
@@ -121,8 +121,8 @@ MUTANTS: List[Mutant] = [
                "tests/test_single_path.py::TestTwiceReportingObjects::test_a_twice_reporting_object_never_boosts_its_own_candidate",
            )),
     Mutant("case_1_tie_goes_to_the_higher_id", _SINGLE_PATH,
-           "key=lambda candidate: (candidate.hotness, -candidate.record.path_id),",
-           "key=lambda candidate: (candidate.hotness, candidate.record.path_id),",
+           "key=lambda candidate: (candidate.hotness, -candidate.path.path_id),",
+           "key=lambda candidate: (candidate.hotness, candidate.path.path_id),",
            (f"{_ORACLE}[co_occurrence]",)),
     # -- the overlap structure (R_all) ---------------------------------------------
     Mutant("overlap_high_x_tie_takes_the_fsa_bound", _OVERLAPS,
@@ -249,6 +249,22 @@ MUTANTS: List[Mutant] = [
            "            if not cell:\n                del self._cells[key]\n",
            "            if not cell and False:\n                del self._cells[key]\n",
            (f"{_GRID}::TestSameCellEndpoints::test_same_cell_path_deletes_cleanly",)),
+    # A stored path carries its id and creation time: the oracle's hot set
+    # and the snapshot's records read both.
+    Mutant("insert_gives_the_previous_id", _GRID_INDEX,
+           "MotionPath(start, end, path_id, created_at)",
+           "MotionPath(start, end, path_id - 1, created_at)",
+           (
+               f"{_GRID}::TestTheStoredPath::test_every_read_hands_out_the_object_insert_returned",
+               f"{_ORACLE}[query_view]",
+           )),
+    Mutant("insert_drops_created_at", _GRID_INDEX,
+           "MotionPath(start, end, path_id, created_at)",
+           "MotionPath(start, end, path_id)",
+           (
+               f"{_GRID}::TestTheStoredPath::test_every_read_hands_out_the_object_insert_returned",
+               f"{_ORACLE}[query_view]",
+           )),
     Mutant("object_path_between_ignores_the_start", _GRID_INDEX,
            "if not is_start and other == start and endpoint == end:",
            "if not is_start and endpoint == end:",
@@ -308,7 +324,7 @@ MUTANTS: List[Mutant] = [
                f"{_DP_ORACLE}::test_hypothesis_streams_answer_as_the_oracle",
            )),
     Mutant("dp_tests_only_the_end_against_the_box", _DP_HOT,
-           "if inside(records[path_id].path.start)", "if inside(records[path_id].path.end)",
+           "if inside(paths[path_id].start)", "if inside(paths[path_id].end)",
            (
                f"{_DP_ORACLE}::TestCraftedStreams::test_a_segment_with_only_its_end_in_the_box_is_not_reused",
                f"{_DP_ORACLE}::test_hypothesis_streams_answer_as_the_oracle",
@@ -496,7 +512,7 @@ MUTANTS: List[Mutant] = [
            "object.__setattr__(self, name, value)",
            (f"{_VALUE_TWINS}::test_assignment_and_deletion_raise_frozen_instance_error",)),
     Mutant("value_eq_crosses_classes", _VALUE,
-           "if other.__class__ is self.__class__:", "if isinstance(other, Value):",
+           "if other.__class__ is self.__class__:", "if isinstance(other, FrozenValue):",
            (f"{_VALUE_TWINS}::test_equality_across_classes_matches_the_twins",)),
     Mutant("value_fields_skip_the_init_check", _VALUE,
            "if parameters != fields:", "if False:",
