@@ -64,6 +64,12 @@ that key names one FSA, hence one component, whose own build already has the
 block in sequential order — an isolated FSA's block is its singleton alone —
 so placing every block at its FSA's submission position is the whole merge.
 
+**The region cap is per component.**  Each overlap component's ``R_all`` is
+capped at ``max_regions`` in its own insertion order (the paper's has no
+cap): a pool is built capped on its own, an FSA with no overlap keeps its
+singleton, and the merge above interleaves capped pools too — a member that
+met a full pool stored no region and has no block.
+
 **Each FSA is answered inside its query component.**  The plan also
 records the pairs that only touch (an edge or a corner, zero area): an FSA's
 *query component* is its component over both kinds of link, and every
@@ -183,10 +189,10 @@ class FsaOverlapStructure:
     """
 
     def __init__(self, max_regions: int = 10000) -> None:
-        # Hard cap on the number of stored regions, guarding against
-        # pathological inputs where thousands of FSAs overlap pairwise; the
-        # cap trades a little candidate quality for bounded per-epoch work.
-        # ``len(self) <= max_regions`` always holds (see :meth:`add`).
+        # Hard cap on the regions :meth:`add` stores, guarding against
+        # pathological inputs where thousands of FSAs overlap pairwise; it
+        # trades a little candidate quality for bounded per-component work.
+        # The epoch's merged structure holds every component's regions.
         self._max_regions = max_regions
         self._regions: Dict[FrozenSet[int], Box] = {}
         # The batched queries' table (see
@@ -223,8 +229,9 @@ class FsaOverlapStructure:
           ``len(self) <= max_regions`` holds unconditionally.
 
         Below the cap the stored set is order-independent; when it binds the
-        kept subset depends on insertion order, which is why a saturated epoch
-        is built whole rather than per component (:meth:`OverlapPlan.merged`).
+        kept subset depends on insertion order.  The overlap stage builds one
+        structure per component, so the cap binds each component in its own
+        insertion order (:meth:`OverlapPlan.merged`).
 
         The member sets derived by one call are pairwise distinct (``members
         | {object_id}`` over stored sets without ``object_id``), so only the
@@ -592,12 +599,8 @@ class OverlapPlan:
     #: ``object_id ->`` :data:`LONE` for an FSA that touches
     #: no other FSA, or the index of its pool when its query component — its
     #: component over every touch, zero-area ones included — is exactly that
-    #: pool.  Every other FSA is answered by the merged structure, and so is
-    #: every FSA of an epoch that saturates the region cap (:meth:`complete`
-    #: empties the map).
+    #: pool.  Every other FSA is answered by the merged structure.
     components: Dict[int, int] = field(default_factory=dict)
-    #: Whether the components' regions reach the cap (set by :meth:`complete`).
-    saturated: bool = False
     _merged: Optional[FsaOverlapStructure] = field(default=None, repr=False)
 
     @property
@@ -606,29 +609,20 @@ class OverlapPlan:
         return [self.pools[index] for index in self.misses]
 
     def complete(self, built: Sequence[FsaOverlapStructure]) -> None:
-        """Take the structures of :attr:`missed_pools`, built, into :attr:`structures`.
-
-        When the components' regions — one per singleton plus every pool
-        structure's — sum to the cap, the sequential build would have hit it
-        and kept an order-dependent subset the components cannot reproduce (a
-        capped pool reads exactly ``max_regions``, so the sum sees it): every
-        query then goes to the merged structure, which is that build.
-        """
+        """Take the structures of :attr:`missed_pools`, built, into :attr:`structures`."""
         if self.cache is not None:
             self.cache.store(self.misses, built)
         structures = self.structures
         for index, structure in zip(self.misses, built):
             structures[index] = structure
-        self.saturated = len(self.singletons) + sum(map(len, structures)) >= self.max_regions
-        if self.saturated:
-            self.components = {}
 
     def merged(self) -> FsaOverlapStructure:
         """The epoch's one structure, merged on first call (after :meth:`complete`).
 
-        Equal to ``FsaOverlapStructure.build(fsas)``, region order included
-        (module docstring); a saturated epoch is built sequentially, which
-        *is* that structure.
+        Every component's structure interleaved in submission order (module
+        docstring): below the cap that is ``FsaOverlapStructure.build(fsas)``,
+        region order included, and a pool that reaches the cap keeps its own
+        capped build, whatever the rest of the epoch holds.
         """
         if self._merged is None:
             self._merged = self._merge()
@@ -639,11 +633,9 @@ class OverlapPlan:
         singletons = self.singletons
         if len(structures) == 1 and not singletons:
             return structures[0]
-        if self.saturated:
-            return FsaOverlapStructure.build(self.fsas, self.max_regions)
-        # Every pool block opens with its FSA's singleton (always stored below
-        # the cap), so one walk over each pool cuts its blocks by FSA; a walk
-        # in submission order then places every block, singletons included.
+        # Every pool block opens with its FSA's singleton, so one walk over
+        # each pool cuts its blocks by FSA; a walk in submission order then
+        # places every block, singletons included (module docstring).
         blocks: Dict[int, list] = {}
         for structure in structures:
             for item in structure._regions.items():
@@ -657,7 +649,7 @@ class OverlapPlan:
             if box is not None:
                 regions[frozenset((object_id,))] = box
             else:
-                regions.update(blocks[object_id])
+                regions.update(blocks.get(object_id, ()))
         merged = FsaOverlapStructure(self.max_regions)
         merged._regions = regions
         return merged

@@ -205,8 +205,8 @@ def prefetch_vertex_candidates(
     order, so the tie-breaks agree too.  A component that is one pool is
     answered from the pool's structure, in one batch per pool; everything
     else — an FSA whose component joins several, an FSA outside the epoch
-    map (the earlier state of a duplicate reporter), a saturated epoch —
-    from the merged structure, in one batch.
+    map (the earlier state of a duplicate reporter) — from the merged
+    structure, in one batch.
 
     The bonus of a vertex is a function of the vertex alone; it is computed
     for every end vertex matched and for every fabricated centroid of the
@@ -446,8 +446,8 @@ class SinglePathStrategy:
                     group[1].extend(path_ids)
             # Degenerate fall-back when nothing intersects: the object's own
             # FSA normally sits in the overlap structure as its singleton
-            # region, but a saturated ``max_regions`` table drops late
-            # singletons (the hard cap keeps earlier insertions), and the
+            # region, but a capped component drops the singletons of its
+            # late members (the hard cap keeps earlier insertions), and the
             # earlier FSA of an object that reports twice is not in it; use
             # the FSA centroid with zero hotness, which every end vertex
             # outranks (its hotness is at least 0 and it is not fabricated).

@@ -14,6 +14,15 @@ defined by the code below, not by prose.
 The batched queries are the single queries mapped over their inputs, which is
 what the columnar table's batched forms must equal.
 
+:meth:`ReferenceFsaOverlapStructure.build_per_component` is the epoch's
+``R_all`` under the region cap's rule — each overlap component's ``R_all`` is
+capped at ``max_regions`` in its own insertion order — transcribed
+literally: one sequential build of the whole epoch whose ``add`` counts,
+against the cap, only the stored regions of the added FSA's own component,
+found by :func:`overlap_components`, a plain scan of every pair.  The
+shipped stage, which splits the epoch and builds each component alone, must
+equal it region for region, in order.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -27,12 +36,37 @@ from repro.coordinator.overlaps import OverlapRegion, SerializedRegion
 __all__ = ["ReferenceFsaOverlapStructure"]
 
 
+def overlap_components(fsas: Mapping[int, Rectangle]) -> Dict[int, int]:
+    """``object_id ->`` the first-submitted id of its overlap component: the
+    FSAs joined, directly or through others, by an intersection of positive
+    area."""
+    ids = list(fsas)
+    component = {object_id: object_id for object_id in ids}
+    for i, first in enumerate(ids):
+        for second in ids[i + 1:]:
+            overlap = fsas[first].intersection(fsas[second])
+            if overlap is None or overlap.is_degenerate():
+                continue
+            kept, dropped = component[first], component[second]
+            if ids.index(dropped) < ids.index(kept):
+                kept, dropped = dropped, kept
+            for object_id in ids:
+                if component[object_id] == dropped:
+                    component[object_id] = kept
+    return component
+
+
 class ReferenceFsaOverlapStructure:
     """The ``R_all`` structure of Algorithm 2: FSAs and their overlaps with counts."""
 
-    def __init__(self, max_regions: int = 10000) -> None:
+    def __init__(
+        self, max_regions: int = 10000, components: Optional[Mapping[int, int]] = None
+    ) -> None:
         self._max_regions = max_regions
         self._regions: Dict[FrozenSet[int], Rectangle] = {}
+        # ``object_id -> component`` when the cap counts per component, or
+        # ``None`` when it counts every stored region.
+        self._components = components
 
     @classmethod
     def build(
@@ -44,12 +78,33 @@ class ReferenceFsaOverlapStructure:
             structure.add(object_id, fsa)
         return structure
 
+    @classmethod
+    def build_per_component(
+        cls, fsas: Mapping[int, Rectangle], max_regions: int = 10000
+    ) -> "ReferenceFsaOverlapStructure":
+        """The epoch's ``R_all``: each overlap component's ``R_all`` capped at
+        ``max_regions`` in its own insertion order."""
+        structure = cls(max_regions, overlap_components(fsas))
+        for object_id, fsa in fsas.items():
+            structure.add(object_id, fsa)
+        return structure
+
+    def _stored(self, object_id: int) -> int:
+        """The stored regions the cap counts when ``object_id`` is added."""
+        if self._components is None:
+            return len(self._regions)
+        component = self._components[object_id]
+        return sum(
+            self._components[next(iter(members))] == component for members in self._regions
+        )
+
     def add(self, object_id: int, fsa: Rectangle) -> None:
         """Insert one object's FSA, deriving intersections with existing regions."""
         singleton = frozenset([object_id])
         new_regions: Dict[FrozenSet[int], Rectangle] = {singleton: fsa}
+        stored = self._stored(object_id)
         for members, rectangle in self._regions.items():
-            if len(self._regions) + len(new_regions) >= self._max_regions:
+            if stored + len(new_regions) >= self._max_regions:
                 break
             if object_id in members:
                 continue
@@ -67,8 +122,9 @@ class ReferenceFsaOverlapStructure:
             if current is not None:
                 if rectangle.area < current.area:
                     self._regions[members] = rectangle
-            elif len(self._regions) < self._max_regions:
+            elif stored < self._max_regions:
                 self._regions[members] = rectangle
+                stored += 1
 
     def serialized(self) -> List[SerializedRegion]:
         return [

@@ -10,7 +10,8 @@ in-epoch insert probe.  This module is the same algorithm with none of that:
   the length of that list, trimmed to the window ``W`` at each epoch boundary
   (Section 5.2);
 * ``R_all`` is :class:`overlap_oracle.ReferenceFsaOverlapStructure` built
-  from the whole epoch, with its cap rule;
+  from the whole epoch in one sequential pass, each FSA's cap budget
+  counting the regions of its own overlap component;
 * every query — Case 1 candidates, Case 2 end vertices, the duplicate-path
   probe — is a scan of every live path.
 
@@ -109,11 +110,14 @@ class ReferenceSinglePath:
 
         # "`R_all` is built once per epoch from the `object_id -> FSA` map in
         # submission order; an object that reports twice keeps its first
-        # position and its later FSA."
+        # position and its later FSA. Each overlap component's `R_all` is
+        # capped at `max_regions` in its own insertion order, a component
+        # being the FSAs joined, directly or through others, by
+        # intersections of positive area."
         epoch_map: Dict[int, Rectangle] = {}
         for state, fsa in zip(states, fsas):
             epoch_map[state.object_id] = fsa
-        r_all = ReferenceFsaOverlapStructure.build(epoch_map, self.max_regions)
+        r_all = ReferenceFsaOverlapStructure.build_per_component(epoch_map, self.max_regions)
 
         # "Case 1 candidates are the live paths that start exactly at the
         # state's SSA start and end inside its FSA (closed bounds), each with
@@ -220,10 +224,10 @@ class ReferenceSinglePath:
         if fabricated is not None:
             vertices.append((fabricated[0], fabricated[1], True))
 
-        # "With no end vertex inside and no region intersecting — a saturated
-        # cap dropped the FSA's own region, or it is the earlier FSA of an
-        # object that reports twice — the candidate is the FSA's centre with
-        # hotness 0."
+        # "With no end vertex inside and no region intersecting — a capped
+        # component dropped the FSA's own region, or it is the earlier FSA of
+        # an object that reports twice — the candidate is the FSA's centre
+        # with hotness 0."
         if not vertices:
             return fsa.center
 

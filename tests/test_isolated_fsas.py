@@ -1,6 +1,6 @@
 """Work the overlap stage and the decision loop skip, as exact counts.
 
-Two facts of the epoch pipeline, each pinned by what it no longer does:
+Three facts of the epoch pipeline, each pinned by what it no longer does:
 
 * **isolated FSAs skip the pool stage** — an FSA that overlaps no other one
   is recorded as a singleton box: no ``FsaOverlapStructure.build``, no pool,
@@ -8,6 +8,8 @@ Two facts of the epoch pipeline, each pinned by what it no longer does:
   structure stays ``repr``-equal to the sequential build (the exactness
   harness's ``signed_zero_singleton`` scenario pins that a signed-zero
   singleton never comes back from the cache with the other sign);
+* **isolated FSAs never tip the region cap** — the cap binds each overlap
+  component alone, so 9 999 singletons leave a pool of two its own regions;
 * **decisions probe the epoch's inserts** — a Case 2/3 decision reads the
   paths inserted earlier in the epoch from the live index (a lone FSA)
   or from the epoch's probe, an :class:`EndpointTable` of its inserts (any
@@ -174,6 +176,46 @@ class TestDecisionsProbeTheirInserts:
             coordinator.close()
         assert outcome.paths_inserted == N and calls["fabricated"] == N  # all Case 3
         assert calls["contains_point"] == 0
+
+
+def cap_tipping_epoch() -> List[ObjectState]:
+    """One epoch whose regions sum past the default cap of 10 000 while its
+    one pool holds three regions: a state whose FSA is [100, 200]^2, 9 999
+    isolated 3 x 3 FSAs on a 10-unit lattice from (1000, 1000), and a last
+    state whose FSA [190, 230]^2 overlaps the first in [190, 200]^2."""
+    states = [ObjectState(0, Point(120.0, 120.0), 5, Point(100.0, 100.0), Point(200.0, 200.0), 10)]
+    for object_id in range(1, 10000):
+        x = 1000.0 + 10.0 * ((object_id - 1) % 100)
+        y = 1000.0 + 10.0 * ((object_id - 1) // 100)
+        states.append(
+            ObjectState(object_id, Point(x - 5.0, y - 5.0), 5, Point(x, y), Point(x + 3.0, y + 3.0), 10)
+        )
+    states.append(ObjectState(10000, Point(210.0, 210.0), 5, Point(190.0, 190.0), Point(230.0, 230.0), 10))
+    return states
+
+
+class TestIsolatedFsasNeverTipTheCap:
+    def test_the_last_state_is_answered_inside_its_own_fsa(self):
+        """The region cap binds each overlap component alone.  Capped over the
+        whole epoch, the first FSA and the 9 999 singletons filled it, the
+        last FSA lost its own regions and was answered at (150, 150), the
+        first FSA's centre; its pool of two answers it at the centre of the
+        overlap."""
+        states = cap_tipping_epoch()
+        coordinator = Coordinator(
+            CoordinatorConfig(bounds=Rectangle(Point(0.0, 0.0), Point(2100.0, 2100.0)), window=40)
+        )
+        try:
+            for state in states:
+                coordinator.submit_state(state)
+            responses = coordinator.run_epoch(10).responses
+        finally:
+            coordinator.close()
+        assert [response.object_id for response in responses] == [state.object_id for state in states]
+        assert responses[0].endpoint == responses[-1].endpoint == Point(195.0, 195.0)
+        assert all(
+            state.fsa.contains_point(response.endpoint) for state, response in zip(states, responses)
+        )
 
 
 # Coordinates collide on purpose: repeated x values, ends on an FSA's edge,

@@ -15,7 +15,10 @@ one-structure-per-epoch stage relies on: splitting an epoch into overlap
 components, building (or fetching from the cache) each pool alone, placing
 each isolated FSA's singleton box, and merging yields the sequential build's
 region list, order and tied bounds included (by ``repr``) — also when a cache
-hit meets a pool whose coordinates only ``==`` an earlier epoch's.
+hit meets a pool whose coordinates only ``==`` an earlier epoch's.  Under a
+binding region cap it yields the per-component-cap oracle's list
+(``ReferenceFsaOverlapStructure.build_per_component``): each component capped
+in its own insertion order.
 
 :class:`TestScalarBuildEqualsOracle` pins the scalar build to the
 ``Rectangle`` formulation it replaced (``tests/overlap_oracle.py``), by
@@ -305,10 +308,10 @@ class TestMergedEpochStructure:
 
     @settings(max_examples=150, deadline=None)
     @given(reports=epoch_reports, max_regions=st.integers(min_value=1, max_value=12))
-    def test_a_saturated_cap_falls_back_to_the_sequential_build(self, reports, max_regions):
+    def test_a_binding_cap_caps_each_component_in_its_own_order(self, reports, max_regions):
         fsas = epoch_map(reports)
         assert serialized_repr(merged_structure(None, fsas, max_regions)) == (
-            serialized_repr(FsaOverlapStructure.build(fsas, max_regions))
+            serialized_repr(ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions))
         )
 
     @settings(max_examples=100, deadline=None)
@@ -337,11 +340,16 @@ class TestMergedEpochStructure:
     @settings(max_examples=150, deadline=None)
     @given(fsas=isolated_epochs(), max_regions=region_caps)
     def test_an_all_isolated_epoch_is_its_singletons(self, fsas, max_regions):
+        """Every FSA keeps its singleton, however many the epoch holds."""
         plan = plan_shard_overlaps(None, fsas, max_regions)
         assert plan.pools == [] and list(plan.singletons) == list(fsas)
         plan.complete([])
-        assert serialized_repr(plan.merged()) == serialized_repr(
-            FsaOverlapStructure.build(fsas, max_regions)
+        merged = plan.merged()
+        assert [region.members for region in merged.regions()] == [
+            frozenset((object_id,)) for object_id in fsas
+        ]
+        assert serialized_repr(merged) == serialized_repr(
+            ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -356,9 +364,10 @@ class TestMergedEpochStructure:
 
     @settings(max_examples=150, deadline=None)
     @given(reports=epoch_reports, isolated=isolated_epochs(), data=st.data())
-    def test_singletons_tip_the_cap_into_the_sequential_build(self, reports, isolated, data):
-        """The pools alone stay under the cap and the singletons reach it:
-        the sequential build drops late singletons, and so must the merge."""
+    def test_singletons_never_tip_the_cap(self, reports, isolated, data):
+        """The pools alone stay under the cap and the singletons take the
+        epoch's sum to it or past it: no component reaches the cap, so the
+        merge keeps every region of the uncapped build, in its order."""
         # The isolated lattice sits far from the epoch's coordinate pools.
         fsas = epoch_map(reports)
         for object_id, fsa in isolated.items():
@@ -369,9 +378,11 @@ class TestMergedEpochStructure:
         plan = plan_shard_overlaps(None, fsas)
         pooled = sum(len(structure) for structure in build_structures(plan.pools))
         max_regions = pooled + data.draw(st.integers(1, len(plan.singletons)))
-        assert serialized_repr(merged_structure(None, fsas, max_regions)) == (
-            serialized_repr(FsaOverlapStructure.build(fsas, max_regions))
+        merged = serialized_repr(merged_structure(None, fsas, max_regions))
+        assert merged == serialized_repr(
+            ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions)
         )
+        assert merged == serialized_repr(ReferenceFsaOverlapStructure.build(fsas))
 
 
 #: Direct ``add`` calls; ids repeat, so an object is added again.
@@ -511,6 +522,10 @@ def touching_epochs(draw):
     return reports
 
 
+def box(low_x, low_y, high_x, high_y) -> Rectangle:
+    return Rectangle(Point(low_x, low_y), Point(high_x, high_y))
+
+
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel needs numpy")
 @pytest.mark.parametrize("side", sorted(CUTOFFS))
 class TestComponentAnswers:
@@ -518,7 +533,9 @@ class TestComponentAnswers:
     component, and a lone FSA's decision takes its fixed answers (its centre
     with count 1, bonus 1 for every end vertex inside it); every answer — the
     fabricated vertex with its count, and the bonus of every vertex it
-    reads — must ``repr``-equal the merged structure's."""
+    reads — must ``repr``-equal those of the per-component-cap oracle
+    (``ReferenceFsaOverlapStructure.build_per_component``), which the merged
+    structure equals."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -528,7 +545,7 @@ class TestComponentAnswers:
     )
     def test_component_answers_equal_the_merged_structure(self, side, reports, max_regions, ends):
         fsas = epoch_map(reports)
-        reference = FsaOverlapStructure.build(fsas, max_regions)
+        reference = ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions)
         table = EndpointTable()
         for path_id, end in enumerate(ends):
             table.add_path(path_id, Point(500.0, 500.0), end)
@@ -570,10 +587,6 @@ class TestComponentAnswers:
         edge-to-edge pair of singletons and an earlier report of a
         re-reporter from the merged structure — which is merged once, for
         those alone."""
-
-        def box(low_x, low_y, high_x, high_y):
-            return Rectangle(Point(low_x, low_y), Point(high_x, high_y))
-
         reports = [
             (1, box(0, 0, 2, 2)),  # lone
             (2, box(10, 10, 14, 14)),  # a pool nothing touches ...
@@ -605,11 +618,21 @@ class TestComponentAnswers:
             fabricated = prefetched[position].fabricated if position in prefetched else (fsa.center, 1)
             assert repr(fabricated) == repr(reference.candidate_vertex_for(fsa))
 
-    def test_a_saturated_epoch_answers_everything_from_the_merged_structure(self, side):
-        fsas = {object_id: Rectangle(Point(10.0 * object_id, 0.0), Point(10.0 * object_id + 1, 1.0)) for object_id in range(4)}
+    def test_an_epoch_past_the_cap_keeps_its_query_components(self, side):
+        """Four lone FSAs and a pool of two reach a cap of 4 only summed over
+        the epoch: every FSA keeps its component's answer."""
+        fsas = {object_id: box(10.0 * object_id, 0.0, 10.0 * object_id + 1, 1.0) for object_id in range(4)}
+        fsas.update({4: box(100.0, 100.0, 104.0, 104.0), 5: box(102.0, 102.0, 106.0, 106.0)})
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
             plan = plan_shard_overlaps(None, fsas, max_regions=4)
-            assert set(plan.components.values()) == {LONE}
-            plan.complete([])
-            assert plan.components == {}
+            plan.complete(build_structures(plan.missed_pools, 4))
+            assert plan.components == {0: LONE, 1: LONE, 2: LONE, 3: LONE, 4: 0, 5: 0}
+            pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(fsas.items())]
+            prefetched = prefetch_vertex_candidates(EndpointTable(), pending, plan)
+        assert sorted(prefetched) == [4, 5]
+        reference = ReferenceFsaOverlapStructure.build_per_component(fsas, 4)
+        for position, _object_id, fsa in pending:
+            fabricated = prefetched[position].fabricated if position in prefetched else (fsa.center, 1)
+            assert repr(fabricated) == repr(reference.candidate_vertex_for(fsa))
+            assert fsa.contains_point(fabricated[0])

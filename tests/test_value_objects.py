@@ -143,8 +143,9 @@ def outcome(call: Callable[[], Any]) -> Tuple[str, Any]:
 @by_name
 def test_match_args_are_the_twins_fields(name):
     fields = tuple(field.name for field in dataclasses.fields(getattr(value_twins, name)))
+    # Read off the twin's field order, not its ``__match_args__``, which
+    # dataclasses generate only from Python 3.10 on.
     assert getattr(REAL, name).__match_args__ == fields
-    assert getattr(value_twins, name).__match_args__ == fields
 
 
 def test_a_class_whose_fields_and_init_parameters_differ_is_refused():

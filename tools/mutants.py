@@ -190,11 +190,22 @@ MUTANTS: List[Mutant] = [
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_random_streams_with_duplicate_reporters[31]",
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_crafted_stream_hits_every_merge_case",
            )),
-    Mutant("saturation_test_is_strict", _OVERLAPS,
-           "sum(map(len, structures)) >= self.max_regions",
-           "sum(map(len, structures)) > self.max_regions",
+    Mutant("saturate_on_the_epoch_sum", _OVERLAPS,
+           "            structures[index] = structure\n",
+           "            structures[index] = structure\n"
+           "        if len(self.singletons) + sum(map(len, structures)) >= self.max_regions:\n"
+           "            self.components = {}\n"
+           "            self._merged = FsaOverlapStructure.build(self.fsas, self.max_regions)\n",
            (
-               f"{_OVERLAP_PROPERTIES}::TestComponentAnswers::test_a_saturated_epoch_answers_everything_from_the_merged_structure",
+               "tests/test_isolated_fsas.py::TestIsolatedFsasNeverTipTheCap::test_the_last_state_is_answered_inside_its_own_fsa",
+               f"{_OVERLAP_PROPERTIES}::TestComponentAnswers::test_an_epoch_past_the_cap_keeps_its_query_components",
+           )),
+    Mutant("drop_a_lone_singleton_at_the_cap", _OVERLAPS,
+           "            if box is not None:\n",
+           "            if box is not None and len(regions) < self.max_regions:\n",
+           (
+               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_an_all_isolated_epoch_is_its_singletons",
+               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_singletons_never_tip_the_cap",
            )),
     # -- the pool cache (delta mode) ------------------------------------------------
     Mutant("pool_fingerprint_sorts_the_pool", _OVERLAPS,
