@@ -226,7 +226,8 @@ class FsaOverlapStructure:
           already-stored member set are always applied — they do not grow it).
           Earlier-inserted FSAs therefore keep their derived overlaps when a
           flood of late arrivals would otherwise overflow the table, and
-          ``len(self) <= max_regions`` holds unconditionally.
+          ``len(self) <= max_regions`` holds for every structure built by
+          ``add``.
 
         Below the cap the stored set is order-independent; when it binds the
         kept subset depends on insertion order.  The overlap stage builds one
@@ -595,7 +596,6 @@ class OverlapPlan:
     #: Pool-cache outcome tally (zeros without a cache).
     stats: Dict[str, int]
     cache: Optional[OverlapPoolCache]
-    max_regions: int
     #: ``object_id ->`` :data:`LONE` for an FSA that touches
     #: no other FSA, or the index of its pool when its query component — its
     #: component over every touch, zero-area ones included — is exactly that
@@ -622,7 +622,9 @@ class OverlapPlan:
         Every component's structure interleaved in submission order (module
         docstring): below the cap that is ``FsaOverlapStructure.build(fsas)``,
         region order included, and a pool that reaches the cap keeps its own
-        capped build, whatever the rest of the epoch holds.
+        capped build, whatever the rest of the epoch holds.  The cap binds
+        each component alone, so the merged structure — never added to — may
+        hold more regions than it.
         """
         if self._merged is None:
             self._merged = self._merge()
@@ -650,7 +652,7 @@ class OverlapPlan:
                 regions[frozenset((object_id,))] = box
             else:
                 regions.update(blocks.get(object_id, ()))
-        merged = FsaOverlapStructure(self.max_regions)
+        merged = FsaOverlapStructure()
         merged._regions = regions
         return merged
 
@@ -658,7 +660,6 @@ class OverlapPlan:
 def plan_shard_overlaps(
     cache: Optional[OverlapPoolCache],
     fsas: Mapping[int, Rectangle],
-    max_regions: int = 10000,
 ) -> OverlapPlan:
     """Split an epoch's FSAs into overlap components and resolve them.
 
@@ -722,5 +723,5 @@ def plan_shard_overlaps(
     else:
         structures, misses, stats = cache.resolve(plan_pools)
     return OverlapPlan(
-        fsas, plan_pools, singletons, structures, misses, stats, cache, max_regions, components
+        fsas, plan_pools, singletons, structures, misses, stats, cache, components
     )

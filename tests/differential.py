@@ -532,13 +532,6 @@ SATURATING_STREAM = saturating_stream()
 DENSE_STREAM = dense_stream()
 
 
-def built_pools(states: List[ObjectState]) -> List[FsaOverlapStructure]:
-    """The pool structures the overlap stage builds for one epoch's states."""
-    plan = plan_shard_overlaps(None, {state.object_id: state.fsa for state in states})
-    return build_structures(plan.pools)
-
-
-
 def dense_is_exercised(run: Run) -> List[str]:
     """Over a thousand regions an epoch, and second-epoch paths that end on
     vertices the first epoch indexed."""
@@ -599,7 +592,14 @@ STREAM_SCENARIOS = [
         "saturated_cap",
         SATURATING_STREAM,
         lambda run: expect(
-            cap_filled=10000 in map(len, built_pools(SATURATING_STREAM[1][1])),
+            cap_filled=10000 in map(
+                len,
+                build_structures(
+                    plan_shard_overlaps(
+                        None, {state.object_id: state.fsa for state in SATURATING_STREAM[1][1]}
+                    ).pools
+                ),
+            ),
         ),
     ),
     stream_scenario(

@@ -222,7 +222,7 @@ def serialized_repr(structure: FsaOverlapStructure) -> str:
 
 
 def merged_structure(cache, fsas, max_regions=10000) -> FsaOverlapStructure:
-    plan = plan_shard_overlaps(cache, fsas, max_regions)
+    plan = plan_shard_overlaps(cache, fsas)
     plan.complete(build_structures(plan.missed_pools, max_regions))
     return plan.merged()
 
@@ -341,7 +341,7 @@ class TestMergedEpochStructure:
     @given(fsas=isolated_epochs(), max_regions=region_caps)
     def test_an_all_isolated_epoch_is_its_singletons(self, fsas, max_regions):
         """Every FSA keeps its singleton, however many the epoch holds."""
-        plan = plan_shard_overlaps(None, fsas, max_regions)
+        plan = plan_shard_overlaps(None, fsas)
         assert plan.pools == [] and list(plan.singletons) == list(fsas)
         plan.complete([])
         merged = plan.merged()
@@ -556,7 +556,7 @@ class TestComponentAnswers:
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
             for _round in ("miss", "hit"):
-                plan = plan_shard_overlaps(cache, fsas, max_regions)
+                plan = plan_shard_overlaps(cache, fsas)
                 plan.complete(build_structures(plan.missed_pools, max_regions))
                 prefetched = prefetch_vertex_candidates(table, pending, plan)
                 for position, object_id, fsa in pending:
@@ -625,7 +625,7 @@ class TestComponentAnswers:
         fsas.update({4: box(100.0, 100.0, 104.0, 104.0), 5: box(102.0, 102.0, 106.0, 106.0)})
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
-            plan = plan_shard_overlaps(None, fsas, max_regions=4)
+            plan = plan_shard_overlaps(None, fsas)
             plan.complete(build_structures(plan.missed_pools, 4))
             assert plan.components == {0: LONE, 1: LONE, 2: LONE, 3: LONE, 4: 0, 5: 0}
             pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(fsas.items())]

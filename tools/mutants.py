@@ -193,18 +193,17 @@ MUTANTS: List[Mutant] = [
     Mutant("saturate_on_the_epoch_sum", _OVERLAPS,
            "            structures[index] = structure\n",
            "            structures[index] = structure\n"
-           "        if len(self.singletons) + sum(map(len, structures)) >= self.max_regions:\n"
+           "        if len(self.singletons) + sum(map(len, structures)) >= 10000:\n"
            "            self.components = {}\n"
-           "            self._merged = FsaOverlapStructure.build(self.fsas, self.max_regions)\n",
+           "            self._merged = FsaOverlapStructure.build(self.fsas)\n",
            (
                "tests/test_isolated_fsas.py::TestIsolatedFsasNeverTipTheCap::test_the_last_state_is_answered_inside_its_own_fsa",
-               f"{_OVERLAP_PROPERTIES}::TestComponentAnswers::test_an_epoch_past_the_cap_keeps_its_query_components",
            )),
-    Mutant("drop_a_lone_singleton_at_the_cap", _OVERLAPS,
+    Mutant("drop_a_lone_singleton_beside_a_pool", _OVERLAPS,
            "            if box is not None:\n",
-           "            if box is not None and len(regions) < self.max_regions:\n",
+           "            if box is not None and not blocks:\n",
            (
-               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_an_all_isolated_epoch_is_its_singletons",
+               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_merged_regions_equal_the_sequential_build_in_order",
                f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_singletons_never_tip_the_cap",
            )),
     # -- the pool cache (delta mode) ------------------------------------------------
