@@ -21,6 +21,16 @@ inserted into the grid index.  In every case a crossing is recorded with the
 hotness tracker and the chosen endpoint is sent back to the object as the
 start of its next Spatial Safe Area.
 
+**Case 1 before the decision loop.**  The candidate stage returns each
+state's Case 1 path ids, and :meth:`SinglePathStrategy.process_epoch`
+settles every Case 1 choice before the first decision.  This is exact: the
+ranking reads hotness as of the candidate stage, and no hotness write
+separates the two stages.  A state with one candidate takes it and reads no
+hotness, as the ``max`` of one element is that element.  Only a state with
+two or more ranks its ids, by ``(hotness + the number of distinct objects
+holding the path, -id)`` (:func:`apply_co_occurrence_boost`), which is the
+paper's hotness plus one plus the other holders, the lowest id on a tie.
+
 **The epoch pass.**  Decisions are sequential, but most of what a Case 2/3
 decision reads is fixed before the first one is made: the index does not
 change between the candidate stage and the decision stage, and the decision
@@ -93,21 +103,12 @@ from repro.coordinator.overlaps import (
 )
 
 __all__ = [
-    "CandidatePath",
     "SinglePathEpochResult",
     "SinglePathStrategy",
     "VertexPrefetch",
     "apply_co_occurrence_boost",
     "prefetch_vertex_candidates",
 ]
-
-
-@dataclass
-class CandidatePath:
-    """An available motion path for one object, with its provisional hotness."""
-
-    path: MotionPath
-    hotness: int
 
 
 #: A candidate endpoint for a new motion path: ``(vertex, provisional
@@ -135,31 +136,29 @@ class SinglePathEpochResult:
 
 
 def apply_co_occurrence_boost(
-    object_ids: Sequence[int], candidate_paths: Sequence[Sequence[CandidatePath]]
-) -> None:
-    """Boost hotness of paths appearing in several objects' candidate sets.
+    object_ids: Sequence[int], candidate_ids: Sequence[Sequence[int]]
+) -> Counter:
+    """The co-occurrence boost of Lines 13-15 of Algorithm 2: ``path id ->``
+    the number of distinct objects whose candidate sets hold the path.
 
-    Implements Lines 13-15 of Algorithm 2: each co-occurrence means another
-    reporter could also adopt the path, making it a better shared choice.
-    ``candidate_paths`` holds one candidate set per state and ``object_ids``
-    the object of each.  A path counts once per object holding it, so an
-    object that reports twice never boosts its own candidate: the boost is a
-    pure function of the set of ``(object id, path id)`` pairs.
+    Each co-occurrence means another reporter could also adopt the path,
+    making it a better shared choice.  ``candidate_ids`` holds one set of
+    Case 1 path ids per state and ``object_ids`` the object of each.  A path
+    counts once per object holding it, so an object that reports twice never
+    boosts its own candidate: the boost is a pure function of the set of
+    ``(object id, path id)`` pairs.  A contested state ranks its paths by
+    hotness plus this count, which is the paper's hotness plus one plus the
+    other holders.
     """
-    if not any(candidate_paths):
-        return
     held = set()
     occurrences: Counter = Counter()
-    for object_id, candidates in zip(object_ids, candidate_paths):
-        for candidate in candidates:
-            holder = (object_id, candidate.path.path_id)
+    for object_id, path_ids in zip(object_ids, candidate_ids):
+        for path_id in path_ids:
+            holder = (object_id, path_id)
             if holder not in held:
                 held.add(holder)
-                occurrences[candidate.path.path_id] += 1
-    for candidates in candidate_paths:
-        for candidate in candidates:
-            extra = occurrences[candidate.path.path_id] - 1
-            candidate.hotness += extra
+                occurrences[path_id] += 1
+    return occurrences
 
 
 @dataclass
@@ -281,21 +280,32 @@ class SinglePathStrategy:
         mapped = dict(zip(object_ids, fsas))
         plan = plan_shard_overlaps(self._pool_cache, mapped)
         self.last_pool_stats = plan.stats
-        candidate_paths, built = self.backend.build_overlaps(
+        candidate_ids, built = self.backend.build_overlaps(
             plan.missed_pools, lambda: self.candidate_paths(states, fsas)
         )
         plan.complete(built)
 
-        # Phase 2: boost hotness of paths that appear in several objects'
-        # candidate sets.
-        apply_co_occurrence_boost(object_ids, candidate_paths)
+        # Phase 2: every Case 1 choice, before the first decision writes a
+        # hotness (module docstring).  A state with one candidate takes it;
+        # only a contested state ranks its paths, by hotness plus the
+        # co-occurrence boost, the lowest id on a tie.
+        paths = self._index.by_id
+        chosen: List[Optional[MotionPath]] = [paths[ids[0]] if ids else None for ids in candidate_ids]
+        if max(map(len, candidate_ids)) > 1:
+            occurrences = apply_co_occurrence_boost(object_ids, candidate_ids)
+            hotness = self._hotness.hotness
+            for position, ids in enumerate(candidate_ids):
+                if len(ids) > 1:
+                    chosen[position] = paths[
+                        max(ids, key=lambda path_id: (hotness(path_id) + occurrences[path_id], -path_id))
+                    ]
 
         # Phase 3: selection per object, in submission order, behind the
         # epoch pass (module docstring).  ``pending`` holds ``(position,
-        # object id, FSA)`` of the states left without a Case 1 candidate.
+        # object id, FSA)`` of the states left without a Case 1 path.
         pending: Iterable[Tuple[int, int, Rectangle]] = zip(range(len(states)), object_ids, fsas)
-        if any(candidate_paths):
-            pending = [entry for entry, candidates in zip(pending, candidate_paths) if not candidates]
+        if any(chosen):
+            pending = [entry for entry, path in zip(pending, chosen) if path is None]
         prefetched = prefetch_vertex_candidates(self._index, pending, plan)
         probe = EndpointTable() if prefetched else None
         # A lone decision's insert lies inside its own FSA, which no other
@@ -306,9 +316,9 @@ class SinglePathStrategy:
         for position, prefetch in prefetched.items():
             prefetches[position] = prefetch
         responses, inserted_ids, decide = result.responses, result.inserted, self.decide
-        for state, fsa, candidates, prefetch in zip(states, fsas, candidate_paths, prefetches):
+        for state, fsa, path, prefetch in zip(states, fsas, chosen, prefetches):
             response, path_id = decide(
-                state, fsa, candidates, plan, prefetch, lone_probe if prefetch is None else probe
+                state, fsa, path, plan, prefetch, lone_probe if prefetch is None else probe
             )
             responses.append(response)
             if path_id is not None:
@@ -319,29 +329,17 @@ class SinglePathStrategy:
 
     def candidate_paths(
         self, states: Sequence[ObjectState], fsas: Sequence[Rectangle]
-    ) -> List[Sequence[CandidatePath]]:
-        """``GetCandidatePaths`` of every state, in one pass: the stored paths
-        from the state's SSA start into its FSA (``fsas``, in step).
-
-        Each is answered from the single grid cell holding the SSA start
-        (the columnar storage: from that vertex's hash bucket); only the
-        rare non-empty answer is turned into candidates.
+    ) -> List[Sequence[int]]:
+        """Algorithm 2's candidate-path lookup for every state, in one pass:
+        the ids of the stored paths from the state's SSA start into its FSA
+        (``fsas``, in step), each answered from the single grid cell holding
+        the SSA start (the columnar storage: from that vertex's hash bucket).
         """
         # A state without a candidate holds the shared empty tuple, so the
         # epoch keeps no empty list per state alive (one garbage-collector
         # allocation each).
         starting_at = self._index.starting_at
-        candidate_paths: List[Sequence[CandidatePath]] = [
-            path_ids or () for path_ids in map(starting_at, map(_state_start, states), fsas)
-        ]
-        if any(candidate_paths):
-            paths, hotness = self._index.by_id, self._hotness.hotness
-            for position, path_ids in enumerate(candidate_paths):
-                if path_ids:
-                    candidate_paths[position] = [
-                        CandidatePath(paths[pid], hotness(pid) + 1) for pid in path_ids
-                    ]
-        return candidate_paths
+        return [path_ids or () for path_ids in map(starting_at, map(_state_start, states), fsas)]
 
     # -- selection ---------------------------------------------------------------------
 
@@ -349,39 +347,40 @@ class SinglePathStrategy:
         self,
         state: ObjectState,
         fsa: Rectangle,
-        candidates: Sequence[CandidatePath],
+        candidates: Optional[MotionPath],
         plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
         probe: Optional[EndpointTable] = None,
     ) -> Tuple[CoordinatorResponse, Optional[int]]:
-        """Choose one object's motion path given its (boosted) candidate set.
+        """Decide one state: ``candidates`` is its Case 1 path, chosen before
+        the decision loop (:meth:`process_epoch`), or ``None`` for a Case 2/3
+        state.
 
-        ``fsa`` is the state's FSA and ``plan`` the epoch's completed overlap
-        plan; ``prefetch`` is the object's share of the epoch pass
-        (:func:`prefetch_vertex_candidates`; ``None`` for a lone FSA) and
-        ``probe`` the end table of the epoch's inserts that a later decision
-        may read: the decision reads it when it has a ``prefetch`` and its
-        insert joins it (``None`` when nothing would read the insert).  A
-        lone FSA reads its end vertices from the live index; with none, its
-        answer is its centre, the one candidate, unranked.
-        :meth:`_choose_vertex` ranks every other Case 2/3 decision.
+        A Case 1 decision records the crossing of its path and answers the
+        path's end.  For the others ``fsa`` is the state's FSA and ``plan``
+        the epoch's completed overlap plan; ``prefetch`` is the object's
+        share of the epoch pass (:func:`prefetch_vertex_candidates`; ``None``
+        for a lone FSA) and ``probe`` the end table of the epoch's inserts
+        that a later decision may read: the decision reads it when it has a
+        ``prefetch`` and its insert joins it (``None`` when nothing would
+        read the insert).  A lone FSA reads its end vertices from the live
+        index; with none, its answer is its centre, the one candidate,
+        unranked.  :meth:`_choose_vertex` ranks every other Case 2/3
+        decision.
 
         Returns the response and the id of the path the decision inserted
         (``None`` when it reused one).
 
-        Both selection steps use total orders — ties fall back to the path id
-        or the vertex coordinates — so the outcome is independent of the order
-        in which candidates were enumerated (which is what lets the epoch
-        pass read the index in bulk and the inserts by end x).
+        The vertex ranking, like the Case 1 ranking, is a total order —
+        ties fall back to the vertex coordinates — so the outcome is
+        independent of the order in which candidates were enumerated (which
+        is what lets the epoch pass read the index in bulk and the inserts
+        by end x).
         """
         t_end = state.t_end
-        if candidates:
-            chosen = max(
-                candidates,
-                key=lambda candidate: (candidate.hotness, -candidate.path.path_id),
-            ).path
-            self._hotness.record_crossing(chosen.path_id, t_end)
-            return CoordinatorResponse(state.object_id, chosen.end, t_end), None
+        if candidates is not None:
+            self._hotness.record_crossing(candidates.path_id, t_end)
+            return CoordinatorResponse(state.object_id, candidates.end, t_end), None
 
         index, start = self._index, state.start
         if prefetch is not None:

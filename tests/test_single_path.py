@@ -7,18 +7,14 @@ from collections import Counter
 import pytest
 
 from repro.core.geometry import Point, Rectangle
-from repro.core.motion_path import MotionPath
 from repro.client.state import ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.grid_index import GridConfig, GridIndex
 from repro.coordinator.hotness import HotnessTracker
-from repro.coordinator.single_path import (
-    CandidatePath,
-    SinglePathStrategy,
-    apply_co_occurrence_boost,
-)
+from repro.coordinator import single_path
+from repro.coordinator.single_path import SinglePathStrategy, apply_co_occurrence_boost
 
-from differential import DEFAULT, drive, synthetic_stream
+from differential import DEFAULT, drive, steady_roster_stream, synthetic_stream
 from single_path_oracle import ReferenceSinglePath
 
 
@@ -212,6 +208,57 @@ class TestCrossingBookkeeping:
         assert result.responses[0].timestamp == 17
 
 
+class TestUncontestedCase1:
+    """A state with one Case 1 candidate takes its path unranked."""
+
+    def test_an_uncontested_epoch_reads_no_hotness_before_its_first_decision(self, monkeypatch):
+        """On a resubmitted roster 14 of the 16 epochs hold no state with two
+        or more Case 1 candidates.  In each of them no hotness is read and no
+        boost is computed between the start of the epoch and its first
+        decision (one read per candidate and one boost per epoch before)."""
+        epochs = []
+        process_epoch, candidate_paths = SinglePathStrategy.process_epoch, SinglePathStrategy.candidate_paths
+        decide, hotness = SinglePathStrategy.decide, HotnessTracker.hotness
+        boost = single_path.apply_co_occurrence_boost
+
+        def counted_epoch(strategy, states):
+            epochs.append(Counter(undecided=1))
+            return process_epoch(strategy, states)
+
+        def counted_candidates(strategy, states, fsas):
+            candidate_ids = candidate_paths(strategy, states, fsas)
+            epochs[-1]["contested"] += sum(len(path_ids) > 1 for path_ids in candidate_ids)
+            epochs[-1]["one_candidate"] += sum(len(path_ids) == 1 for path_ids in candidate_ids)
+            return candidate_ids
+
+        def counted_decide(strategy, *args):
+            if epochs:
+                epochs[-1]["undecided"] = 0
+            return decide(strategy, *args)
+
+        def counted_hotness(tracker, path_id):
+            if epochs and epochs[-1]["undecided"]:
+                epochs[-1]["hotness_reads"] += 1
+            return hotness(tracker, path_id)
+
+        def counted_boost(*args):
+            if epochs and epochs[-1]["undecided"]:
+                epochs[-1]["boosts"] += 1
+            return boost(*args)
+
+        monkeypatch.setattr(SinglePathStrategy, "process_epoch", counted_epoch)
+        monkeypatch.setattr(SinglePathStrategy, "candidate_paths", counted_candidates)
+        monkeypatch.setattr(SinglePathStrategy, "decide", counted_decide)
+        monkeypatch.setattr(HotnessTracker, "hotness", counted_hotness)
+        monkeypatch.setattr(single_path, "apply_co_occurrence_boost", counted_boost)
+        drive(DEFAULT, steady_roster_stream(), window=25)
+        uncontested = [epoch for epoch in epochs if epoch["contested"] == 0]
+        assert (len(epochs), len(uncontested)) == (16, 14)
+        assert sum(epoch["one_candidate"] for epoch in uncontested) > 0
+        assert sum(epoch["hotness_reads"] for epoch in uncontested) == 0
+        assert sum(epoch["boosts"] for epoch in uncontested) == 0
+
+
 class TestTwiceReportingObjects:
     """An object that reports twice in one epoch: each state is decided
     with its own Case 1 candidates, and the object boosts no candidate of
@@ -232,13 +279,14 @@ class TestTwiceReportingObjects:
         assert hotness.hotness(first.path_id) == hotness.hotness(second.path_id) == 1
 
     def test_a_twice_reporting_object_never_boosts_its_own_candidate(self):
-        path = MotionPath(Point(0.0, 0.0), Point(1.0, 1.0), 3)
-        sets = [[CandidatePath(path, 1)] for _ in range(3)]
-        apply_co_occurrence_boost([7, 7, 8], sets)  # object 7 twice, object 8 once
-        assert [candidates[0].hotness for candidates in sets] == [2, 2, 2]
-        alone = [[CandidatePath(path, 1)] for _ in range(2)]
-        apply_co_occurrence_boost([7, 7], alone)
-        assert [candidates[0].hotness for candidates in alone] == [1, 1]
+        """A candidate of hotness 0 ranks at its boost: 2 when objects 7
+        and 8 hold it, 1 (no boost) when object 7 alone does."""
+        sets = [[3] for _ in range(3)]
+        boost = apply_co_occurrence_boost([7, 7, 8], sets)  # object 7 twice, object 8 once
+        assert [boost[path_ids[0]] for path_ids in sets] == [2, 2, 2]
+        alone = [[3] for _ in range(2)]
+        boost = apply_co_occurrence_boost([7, 7], alone)
+        assert [boost[path_ids[0]] for path_ids in alone] == [1, 1]
 
     @pytest.mark.parametrize("seed", [11, 5, 31, 42, 21])
     def test_every_case_1_answer_lies_inside_its_own_fsa(self, seed, monkeypatch):

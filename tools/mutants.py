@@ -113,7 +113,7 @@ _WORKLOAD_ORACLE = "tests/test_workload.py::TestOracle"
 MUTANTS: List[Mutant] = [
     # -- SinglePath's shared rules: no configuration differs, so the oracle catches --
     Mutant("boost_counts_a_candidate_twice", _SINGLE_PATH,
-           "occurrences[candidate.path.path_id] += 1", "occurrences[candidate.path.path_id] += 2",
+           "occurrences[path_id] += 1", "occurrences[path_id] += 2",
            (f"{_ORACLE}[co_occurrence]",)),
     Mutant("boost_counts_a_twice_reporting_object_twice", _SINGLE_PATH,
            "if holder not in held:", "if True:",
@@ -121,8 +121,11 @@ MUTANTS: List[Mutant] = [
                "tests/test_single_path.py::TestTwiceReportingObjects::test_a_twice_reporting_object_never_boosts_its_own_candidate",
            )),
     Mutant("case_1_tie_goes_to_the_higher_id", _SINGLE_PATH,
-           "key=lambda candidate: (candidate.hotness, -candidate.path.path_id),",
-           "key=lambda candidate: (candidate.hotness, candidate.path.path_id),",
+           "(hotness(path_id) + occurrences[path_id], -path_id)",
+           "(hotness(path_id) + occurrences[path_id], path_id)",
+           (f"{_ORACLE}[co_occurrence]",)),
+    Mutant("a_contested_state_takes_its_first_candidate", _SINGLE_PATH,
+           "if len(ids) > 1:", "if len(ids) > 2:",
            (f"{_ORACLE}[co_occurrence]",)),
     # -- the overlap structure (R_all) ---------------------------------------------
     Mutant("overlap_high_x_tie_takes_the_fsa_bound", _OVERLAPS,
