@@ -8,7 +8,8 @@ engine (or a real deployment) needs:
 * :meth:`submit_state` — accept a state message from a client at any time;
 * :meth:`run_epoch` — at an epoch boundary, expire stale crossings, run
   SinglePath over the accumulated batch and return the per-object responses;
-* :meth:`top_k` / :meth:`hot_paths` — query the currently hot motion paths.
+* :meth:`top_k` / :meth:`hot_paths` — query the currently hot motion paths;
+* :meth:`refresh_queries` — bring the query view up to date ahead of a query.
 """
 
 from __future__ import annotations
@@ -294,6 +295,19 @@ class Coordinator:
         if self._view is not None:
             return self._view.top_k_corridors(k, by_score)
         return select_top_k_corridors(self.hot_corridors(), k, by_score=by_score)
+
+    def refresh_queries(self) -> None:
+        """Do now the catch-up the next query would do first; answers nothing.
+
+        Delta mode re-reads the rank tuples of the ids dirtied since the last
+        query and stitches them (``HotPathView.stitched``), so a later
+        ``top_k`` / ``top_k_corridors`` finds nothing pending; it warms no
+        particular ``k``.  Full mode keeps no view: nothing to do.  The
+        served loop calls it on its first idle turn after a commit; an
+        in-process caller need not, queries stay lazy.
+        """
+        if self._view is not None:
+            self._view.stitched()
 
     # -- accounting ------------------------------------------------------------------------
 

@@ -347,12 +347,12 @@ class SinglePathStrategy:
         self,
         state: ObjectState,
         fsa: Rectangle,
-        candidates: Optional[MotionPath],
+        path: Optional[MotionPath],
         plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
         probe: Optional[EndpointTable] = None,
     ) -> Tuple[CoordinatorResponse, Optional[int]]:
-        """Decide one state: ``candidates`` is its Case 1 path, chosen before
+        """Decide one state: ``path`` is its Case 1 path, chosen before
         the decision loop (:meth:`process_epoch`), or ``None`` for a Case 2/3
         state.
 
@@ -378,9 +378,9 @@ class SinglePathStrategy:
         by end x).
         """
         t_end = state.t_end
-        if candidates is not None:
-            self._hotness.record_crossing(candidates.path_id, t_end)
-            return CoordinatorResponse(state.object_id, candidates.end, t_end), None
+        if path is not None:
+            self._hotness.record_crossing(path.path_id, t_end)
+            return CoordinatorResponse(state.object_id, path.end, t_end), None
 
         index, start = self._index, state.start
         if prefetch is not None:

@@ -13,10 +13,16 @@ so batcher admission and epoch commits are atomic with respect to each
 other without locks.  An epoch commit (``tick``) blocks the loop for one
 ``run_epoch`` — deliberate: the epoch boundary is a barrier in the paper's
 protocol, and everything queued behind it lands in the *next* epoch whatever
-socket it arrived on.  While a connection's outbox holds more than
-:data:`HIGH_WATER` bytes the loop neither reads from it nor answers its
-buffered lines, so a client that stops reading its replies stalls only
-itself.  A line longer than ``MAX_LINE_BYTES`` gets one ``"line too long"``
+socket it arrived on.  After each commit (a ``tick`` or the auto-ticker's)
+the loop polls without blocking until a turn finds no socket ready — every
+line already received has then been answered, and every reply, the tick's
+included, handed to a socket that would take it — and on that idle turn
+calls ``Coordinator.refresh_queries`` once, so the next ``topk`` or
+``corridors`` finds the query view up to date; an error there is logged
+and leaves the catch-up to that query.  While a connection's outbox holds
+more than :data:`HIGH_WATER` bytes the loop neither reads from it nor
+answers its buffered lines, so a client that stops reading its replies
+stalls only itself.  A line longer than ``MAX_LINE_BYTES`` gets one ``"line too long"``
 reply, then its connection closes.  A socket error, or an unexpected
 exception while answering a line, closes only the connection it came from
 (the latter is logged); running out of file descriptors pauses accepting
@@ -192,11 +198,22 @@ class IngestionServer:
             self.start()
         period = self.config.auto_epoch_seconds
         due = None if period is None else time.monotonic() + period
+        refreshed = self.batcher.epochs_committed
         try:
             while not self._stopping:
                 deadlines = [t for t in (due, self._accept_paused_until) if t is not None]
                 timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-                for key, events in self._selector.select(timeout):
+                # A commit not yet refreshed: poll, and refresh on the first
+                # turn that finds nothing ready (the module docstring).
+                stale = self.batcher.epochs_committed != refreshed
+                ready = self._selector.select(0 if stale else timeout)
+                if stale and not ready:
+                    refreshed = self.batcher.epochs_committed
+                    try:
+                        self.coordinator.refresh_queries()
+                    except Exception:  # the next query catches up as it would have
+                        _log.exception("refreshing the query view after a commit failed")
+                for key, events in ready:
                     if key.data is not None:
                         self._serve_connection(key.data, events)
                     elif key.fileobj is self._listener:

@@ -11,8 +11,9 @@ The harness is ``tests/differential.py``.  Three layers:
 * a stateful model — a hypothesis ``RuleBasedStateMachine`` drives every
   ``serial`` configuration in lockstep with the reference through random
   reports (from shard-border points, from values that compare equal but
-  print apart, from the object's last response), epochs, queries, and
-  inserts and deletes made behind the coordinator's back, also after a query;
+  print apart, from the object's last response), epochs, queries, the
+  served loop's query-view refresh, and inserts and deletes made behind the
+  coordinator's back, also after a query;
 * paper density (``slow``) — the 10 000-object simulation runs once per
   index storage and the two coordinator snapshots are equal.
 """
@@ -168,6 +169,12 @@ class Lockstep(RuleBasedStateMachine):
                 [encode_corridor(c) for c in coordinator.top_k_corridors(k, by_score)],
             )
         )
+
+    @rule()
+    def refresh_queries(self):
+        """The served loop's idle catch-up: it may come at any point and
+        changes no later answer."""
+        self.each(lambda coordinator: coordinator.refresh_queries())
 
     @rule(start=STARTS, end=STARTS, crossings=st.integers(min_value=1, max_value=3))
     def insert_and_cross_behind_the_back(self, start, end, crossings):

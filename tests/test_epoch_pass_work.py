@@ -288,8 +288,8 @@ class TestEpochPassWork:
                 counter["probe_adds"] += 1
             return add_path(table, *args)
 
-        def counted_decide(strategy, reported, fsa, candidates, plan, prefetch=None, probe=None):
-            response, path_id = decide(strategy, reported, fsa, candidates, plan, prefetch, probe)
+        def counted_decide(strategy, reported, fsa, path, plan, prefetch=None, probe=None):
+            response, path_id = decide(strategy, reported, fsa, path, plan, prefetch, probe)
             if counter["on"] and path_id is not None:
                 counter["lone_inserts" if prefetch is None else "inserts"] += 1
             return response, path_id
@@ -664,13 +664,13 @@ class EpochPassChecker:
             checker.first_id = strategy._index._next_path_id
             return original_epoch(strategy, states)
 
-        def decided(strategy, state, fsa, candidates, plan, prefetch=None, probe=None):
-            if candidates:
-                return original_decide(strategy, state, fsa, candidates, plan, prefetch, probe)
+        def decided(strategy, state, fsa, path, plan, prefetch=None, probe=None):
+            if path:
+                return original_decide(strategy, state, fsa, path, plan, prefetch, probe)
             expected = reference_choice(strategy, fsa, plan)
             ranked = checker.compared
             response, path_id = original_decide(
-                strategy, state, fsa, candidates, plan, prefetch, probe
+                strategy, state, fsa, path, plan, prefetch, probe
             )
             if checker.compared == ranked:
                 assert prefetch is None

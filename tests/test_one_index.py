@@ -253,10 +253,11 @@ label_chains = st.lists(st.lists(label_points, min_size=2, max_size=5), min_size
 
 
 class TestOwnerLabels:
+    @staticmethod
     @pytest.mark.parametrize("num_shards", LABEL_SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)
     @given(paths=label_paths)
-    def test_every_path_lands_on_exactly_one_owner(self, paths: List[MotionPath], num_shards):
+    def test_every_path_lands_on_exactly_one_owner(paths: List[MotionPath], num_shards):
         coordinator = make_coordinator(num_shards)
         router = coordinator.router
         records = [coordinator.index.insert(path.start, path.end) for path in paths]
@@ -274,10 +275,11 @@ class TestOwnerLabels:
         expected_min = min(owners.values()) if len(owners) == num_shards else 0
         assert statistics["min_shard_records"] == expected_min
 
+    @staticmethod
     @pytest.mark.parametrize("num_shards", LABEL_SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)
     @given(paths=label_paths)
-    def test_endpoint_entries_live_in_the_one_index(self, paths, num_shards):
+    def test_endpoint_entries_live_in_the_one_index(paths, num_shards):
         coordinator = make_coordinator(num_shards)
         assert coordinator.router.index is coordinator.index
         records = [coordinator.index.insert(path.start, path.end) for path in paths]
@@ -288,10 +290,11 @@ class TestOwnerLabels:
             ends = coordinator.index.end_vertices_in(Rectangle.degenerate(end))
             assert record.path_id in ends.get((end.x, end.y), (end, []))[1]
 
+    @staticmethod
     @pytest.mark.parametrize("num_shards", LABEL_SHARD_COUNTS)
     @settings(max_examples=150, deadline=None)
     @given(paths=label_paths)
-    def test_straddling_count_matches_geometry(self, paths, num_shards):
+    def test_straddling_count_matches_geometry(paths, num_shards):
         coordinator = make_coordinator(num_shards)
         grid = coordinator.router.grid
         records = [coordinator.index.insert(path.start, path.end) for path in paths]
@@ -301,11 +304,12 @@ class TestOwnerLabels:
         )
         assert coordinator.shard_statistics()["straddling_paths"] == straddling
 
+    @staticmethod
     @pytest.mark.parametrize("num_shards", LABEL_SHARD_COUNTS)
     @settings(max_examples=100, deadline=None)
     @given(vertex_chains=label_chains)
     @example(vertex_chains=[[Point(100.0, 100.0), Point(900.0, 100.0), Point(900.0, 900.0)]])
-    def test_every_boundary_weld_follows_a_straddling_path(self, vertex_chains, num_shards):
+    def test_every_boundary_weld_follows_a_straddling_path(vertex_chains, num_shards):
         """A weld joins ``left``'s end to ``right``'s start, so its two labels
         differ exactly when ``left`` straddles."""
         coordinator = make_coordinator(num_shards)
@@ -322,10 +326,11 @@ class TestOwnerLabels:
                 straddling_welds += grid.shard_id_of(left.path.start) != grid.shard_id_of(left.path.end)
         assert coordinator.router.stitch_stats["boundary_welds"] == straddling_welds
 
+    @staticmethod
     @pytest.mark.parametrize("num_shards", LABEL_SHARD_COUNTS)
     @settings(max_examples=100, deadline=None)
     @given(paths=label_paths)
-    def test_delete_empties_the_diagnostics(self, paths, num_shards):
+    def test_delete_empties_the_diagnostics(paths, num_shards):
         coordinator = make_coordinator(num_shards)
         records = [coordinator.index.insert(path.start, path.end) for path in paths]
         for record in records:

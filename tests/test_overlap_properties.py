@@ -450,6 +450,7 @@ class TestScalarBuildEqualsOracle:
             return FsaOverlapStructure.from_serialized(structure.serialized(), max_regions)
         return structure
 
+    @staticmethod
     @settings(max_examples=300, deadline=None)
     @given(
         calls=add_calls,
@@ -470,7 +471,7 @@ class TestScalarBuildEqualsOracle:
         points=[],
         fsas=[],
     )
-    def test_direct_adds(self, route, calls, max_regions, points, fsas):
+    def test_direct_adds(route, calls, max_regions, points, fsas):
         structure = FsaOverlapStructure(max_regions)
         reference = ReferenceFsaOverlapStructure(max_regions)
         for object_id, fsa in calls:
@@ -479,8 +480,11 @@ class TestScalarBuildEqualsOracle:
             assert repr(structure.serialized()) == repr(reference.serialized())
             if route == "interleaved":
                 assert_same_batched(structure, reference, points, fsas)
-        self.assert_same(self.routed(route, structure, max_regions), reference, points, fsas)
+        TestScalarBuildEqualsOracle.assert_same(
+            TestScalarBuildEqualsOracle.routed(route, structure, max_regions), reference, points, fsas
+        )
 
+    @staticmethod
     @settings(max_examples=200, deadline=None)
     @given(
         reports=add_calls,
@@ -488,14 +492,16 @@ class TestScalarBuildEqualsOracle:
         points=st.lists(tie_points, max_size=6),
         fsas=st.lists(tie_rectangles(), max_size=6),
     )
-    def test_epoch_builds(self, route, reports, max_regions, points, fsas):
+    def test_epoch_builds(route, reports, max_regions, points, fsas):
         """``build`` over an epoch map, the unit the pool cache stores and the
         workers ship."""
         structure = FsaOverlapStructure.build(epoch_map(reports), max_regions)
         reference = ReferenceFsaOverlapStructure.build(epoch_map(reports), max_regions)
         if route == "interleaved":
             assert_same_batched(structure, reference, points, fsas)
-        self.assert_same(self.routed(route, structure, max_regions), reference, points, fsas)
+        TestScalarBuildEqualsOracle.assert_same(
+            TestScalarBuildEqualsOracle.routed(route, structure, max_regions), reference, points, fsas
+        )
 
 
 

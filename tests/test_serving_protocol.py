@@ -16,15 +16,17 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError, CoordinatorError
 from repro.core.geometry import Point, Rectangle
-from repro.client.state import ObjectState
+from repro.client.state import CoordinatorResponse, ObjectState
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.fleet import FleetConfig
+from repro.coordinator.stitching import IncrementalStitcher
 from repro.serving.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -40,6 +42,8 @@ from repro.serving.protocol import (
 from repro.serving.scenarios import ScenarioRunner, _WireClient, replay_accepted_log
 from repro.serving import server as server_module
 from repro.serving.server import IngestionServer, ServingConfig, _Connection
+
+import differential
 
 BOUNDS = Rectangle(Point(0.0, 0.0), Point(1000.0, 1000.0))
 
@@ -160,28 +164,31 @@ class TestUpdateValidation:
         assert (state.object_id, state.t_start, state.t_end) == (object_id, t_start, t_end)
         assert all(type(value) is int for value in (state.object_id, state.t_start, state.t_end))
 
+    @staticmethod
     @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
     @given(value=non_integers)
     @settings(max_examples=100, deadline=None)
-    def test_non_integers_are_rejected(self, field, value):
+    def test_non_integers_are_rejected(field, value):
         row = wire_row(4, 1, 9)
         row[INTEGER_FIELDS[field]] = value
         with pytest.raises(ProtocolError):
             decode_update(row)
 
+    @staticmethod
     @pytest.mark.parametrize("field", sorted(COORDINATE_FIELDS))
     @given(value=non_numbers)
     @settings(max_examples=100, deadline=None)
-    def test_non_number_coordinates_are_rejected(self, field, value):
+    def test_non_number_coordinates_are_rejected(field, value):
         row = wire_row(4, 1, 9)
         row[COORDINATE_FIELDS[field]] = value
         with pytest.raises(ProtocolError):
             decode_update(row)
 
+    @staticmethod
     @pytest.mark.parametrize("field", sorted(COORDINATE_FIELDS))
     @given(value=st.one_of(st.integers(min_value=1, max_value=19), st.floats(min_value=1.0, max_value=19.0)))
     @settings(max_examples=50, deadline=None)
-    def test_number_coordinates_decode_exactly(self, field, value):
+    def test_number_coordinates_decode_exactly(field, value):
         row = wire_row(4, 1, 9)
         row[COORDINATE_FIELDS[field]] = value
         decoded = decode_update(json.loads(json.dumps(row)))
@@ -837,6 +844,165 @@ class TestServedWire:
         assert not {
             name for name in imported if name.split(".")[0] in ("asyncio", "ssl", "_ssl")
         }
+
+
+class _WiredEpochs:
+    """``submit_state`` / ``run_epoch`` over one connection: an epoch's states
+    go as one batch, the epoch as a ``tick``, and the tick's responses come
+    back as ``CoordinatorResponse`` objects — what ``feedback_epochs`` drives."""
+
+    def __init__(self, connection: socket.socket) -> None:
+        self.connection = connection
+        self.rows: list = []
+        self.seq = 0
+
+    def submit_state(self, state: ObjectState) -> None:
+        self.rows.append(encode_update(state))
+
+    def run_epoch(self, now: int):
+        batch = {"op": "batch", "client": 0, "seq": self.seq, "updates": self.rows}
+        assert round_trip(self.connection, encode_message(batch))["ok"] is True
+        self.seq, self.rows = self.seq + 1, []
+        tick = round_trip(self.connection, encode_message({"op": "tick", "now": now}))
+        responses = [
+            CoordinatorResponse(object_id, Point(x, y), timestamp)
+            for object_id, x, y, timestamp in tick["epoch"]["responses"]
+        ]
+        return types.SimpleNamespace(responses=responses)
+
+
+def wire_answers(coordinator, k: int, by_score: bool):
+    """What ``topk`` and ``corridors`` carry for ``coordinator``, through JSON."""
+    return json.loads(
+        json.dumps(
+            [
+                [encode_scored_path(s) for s in coordinator.top_k(k, by_score)],
+                [encode_corridor(c) for c in coordinator.top_k_corridors(k, by_score)],
+            ]
+        )
+    )
+
+
+def wait_for(condition, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestServedQueryRefresh:
+    """After a commit the served loop brings the query view up to date on its
+    first idle turn, not on the next query's time, and answers nothing
+    differently: exact counts, against an in-process replay."""
+
+    K = 10
+    EPOCHS = 8
+
+    def test_the_idle_turn_stitches_and_the_queries_weld_nothing(self, monkeypatch):
+        server = make_server()
+        stitcher = server.coordinator._view.stitcher
+        applies = []
+        apply = IncrementalStitcher.apply
+
+        def counted_apply(self, pending):
+            if self is stitcher:
+                applies.append(len(pending))
+            return apply(self, pending)
+
+        monkeypatch.setattr(IncrementalStitcher, "apply", counted_apply)
+        reference = Coordinator(server.coordinator.config)
+        try:
+            with serving_thread(server), connect(server.port) as client:
+                served = differential.feedback_epochs(_WiredEpochs(client), 3, self.EPOCHS)
+                replayed = differential.feedback_epochs(reference, 3, self.EPOCHS)
+                for epoch in range(1, self.EPOCHS + 1):
+                    decided = stitcher.weld_decisions
+                    next(served)
+                    next(replayed)
+                    assert wait_for(lambda: len(applies) == epoch), "no idle stitch"
+                    assert stitcher.weld_decisions > decided
+                    decided = stitcher.weld_decisions
+                    for by_score in (False, True):
+                        topk = round_trip(
+                            client,
+                            encode_message({"op": "topk", "k": self.K, "by_score": by_score}),
+                        )
+                        corridors = round_trip(
+                            client,
+                            encode_message({"op": "corridors", "k": self.K, "by_score": by_score}),
+                        )
+                        assert [topk["paths"], corridors["corridors"]] == wire_answers(
+                            reference, self.K, by_score
+                        )
+                    assert stitcher.weld_decisions == decided and len(applies) == epoch
+        finally:
+            reference.close()
+        assert all(applies)
+
+    def test_a_pending_topk_is_answered_before_the_refresh(self, monkeypatch):
+        server = make_server()
+        calls = []
+        top_k, refresh = Coordinator.top_k, Coordinator.refresh_queries
+
+        def logged_top_k(self, *args, **kwargs):
+            calls.append("top_k")
+            return top_k(self, *args, **kwargs)
+
+        def logged_refresh(self):
+            calls.append("refresh_queries")
+            return refresh(self)
+
+        monkeypatch.setattr(Coordinator, "top_k", logged_top_k)
+        monkeypatch.setattr(Coordinator, "refresh_queries", logged_refresh)
+        reference = Coordinator(server.coordinator.config)
+        try:
+            with serving_thread(server), connect(server.port) as client:
+                wired = _WiredEpochs(client)
+                for coordinator in (wired, reference):
+                    for object_id in range(6):
+                        coordinator.submit_state(make_state(object_id))
+                batch = {"op": "batch", "client": 0, "seq": 0, "updates": wired.rows}
+                assert round_trip(client, encode_message(batch))["ok"] is True
+                reference.run_epoch(10)
+                topk = {"op": "topk", "k": self.K}
+                # One send: the topk is in the inbox when the tick's reply is written.
+                client.sendall(encode_message({"op": "tick", "now": 10}) + encode_message(topk))
+                reader = client.makefile("rb")
+                tick, answer = (decode_message(reader.readline()) for _ in range(2))
+                reader.close()
+                assert wait_for(lambda: "refresh_queries" in calls), "no idle refresh"
+        finally:
+            reference.close()
+        assert tick["ok"] is True and tick["epoch"]["states_processed"] == 6
+        assert calls == ["top_k", "refresh_queries"]
+        assert answer["paths"] == wire_answers(reference, self.K, False)[0]
+
+    def test_a_failed_refresh_is_logged_and_the_queries_catch_up(self, monkeypatch, caplog):
+        def failing_refresh(self):
+            raise RuntimeError("refresh failed")
+
+        monkeypatch.setattr(Coordinator, "refresh_queries", failing_refresh)
+        server = make_server()
+        reference = Coordinator(server.coordinator.config)
+        try:
+            with serving_thread(server) as serving, connect(server.port) as client:
+                served = differential.feedback_epochs(_WiredEpochs(client), 5, 2)
+                replayed = differential.feedback_epochs(reference, 5, 2)
+                for epoch in (1, 2):
+                    next(served)
+                    next(replayed)
+                    assert wait_for(lambda: len(caplog.records) == epoch), "no logged failure"
+                    topk = round_trip(client, encode_message({"op": "topk", "k": self.K}))
+                    corridors = round_trip(client, encode_message({"op": "corridors", "k": self.K}))
+                    assert [topk["paths"], corridors["corridors"]] == wire_answers(
+                        reference, self.K, False
+                    )
+                assert serving.is_alive()
+        finally:
+            reference.close()
+        assert [r.levelname for r in caplog.records] == ["ERROR", "ERROR"]
 
 
 class TestAutoEpochTicker:

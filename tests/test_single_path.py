@@ -305,9 +305,9 @@ class TestTwiceReportingObjects:
                 later_ids[id(reported)] = {other.object_id for other in states[position + 1:]}
             return process_epoch(strategy, states)
 
-        def checked_decide(strategy, reported, fsa, candidates, *args):
-            response, path_id = decide(strategy, reported, fsa, candidates, *args)
-            if candidates:
+        def checked_decide(strategy, reported, fsa, path, *args):
+            response, path_id = decide(strategy, reported, fsa, path, *args)
+            if path:
                 counts["case_1"] += 1
                 counts["earlier_duplicate"] += reported.object_id in later_ids[id(reported)]
                 counts["outside"] += not fsa.contains_point(response.endpoint)

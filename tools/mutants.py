@@ -636,6 +636,18 @@ MUTANTS: List[Mutant] = [
     Mutant("ticker_takes_explicit_ticks", _SERVER,
            "if self._ticking:", "if False:",
            ("tests/test_serving_protocol.py::TestAutoEpochTicker",)),
+    Mutant("served_loop_skips_the_idle_refresh", _SERVER,
+           "                        self.coordinator.refresh_queries()\n",
+           "                        pass\n",
+           (
+               "tests/test_serving_protocol.py::TestServedQueryRefresh::"
+               "test_the_idle_turn_stitches_and_the_queries_weld_nothing",
+           )),
+    Mutant("refresh_queries_drops_the_pending_map", _COORDINATOR,
+           "            self._view.stitched()\n",
+           "            self._view.refresh()\n"
+           "            self._view._pending.clear()\n",
+           ("tests/test_differential.py::TestLockstep",)),
     # A corridor report cached across direct mutations: full mode keeps the
     # epoch's first report until the next epoch.
     Mutant("corridor_report_outlives_a_direct_mutation", _COORDINATOR,
