@@ -17,9 +17,8 @@ once per epoch over the whole batch of state messages):
   numpy: an FSA's x run holds a few percent of the paths.  SinglePath's
   probe of an epoch's inserts is one too, under either storage.
 * :func:`touching_pairs` — the epoch's FSA-against-FSA pair pass: the pairs
-  sharing positive area (the links of the overlap components) and the pairs
-  that only touch along an edge or at a corner (which, with the first kind,
-  link the *query components* of the epoch pass).  An x-sorted sweep, no
+  whose closed boxes share a point (positive area, an edge or a corner),
+  the one link of the overlap stage's components.  An x-sorted sweep, no
   numpy.
 * :class:`RegionTable` — a lazily built SoA view over an
   :class:`~repro.coordinator.overlaps.FsaOverlapStructure`'s region boxes,
@@ -161,30 +160,25 @@ def _box_columns(boxes: Sequence[Tuple[float, float, float, float]]):
 Pairs = List[Tuple[int, int]]
 
 
-def touching_pairs(boxes: Sequence[Tuple[float, float, float, float]]) -> Tuple[Pairs, Pairs]:
-    """``(overlapping, touching)``: the index pairs ``i < j`` of boxes sharing
-    positive area, and of boxes whose closed boxes meet with zero area (an
-    edge or a corner in common).
+def touching_pairs(boxes: Sequence[Tuple[float, float, float, float]]) -> Pairs:
+    """The index pairs ``i < j`` of boxes whose closed boxes share a point:
+    ``max(lows) <= min(highs)`` on both axes, positive area, an edge or a
+    corner in common.
 
-    The first kind are the edges of the epoch's overlap components
-    (:func:`repro.coordinator.overlaps.plan_shard_overlaps`): strict
-    comparisons, because an intersection of zero width or height is dropped
-    by the build as well.  Both kinds link its query components.  The test is
-    the same either way: ``max(lows) <= min(highs)`` on both axes is a touch,
-    ``<`` on both an overlap.  An x-sorted sweep (boxes by low x; each one
-    against the boxes whose low x lies in its x range, found by one
-    bisection) tests only the pairs whose x ranges meet.  It beats a numpy
-    ``n x n`` broadcast on every bench workload (``sim_paper`` 23 against 52
-    us an epoch, ``serve_closed`` 26 against 48, ``fleet_dense`` 22 against
-    32, ``fleet_steady`` 79 against 130; 2-core Intel Xeon, CPython 3.11),
-    so the pair pass never loads numpy.
+    They are the links of the epoch's overlap components
+    (:func:`repro.coordinator.overlaps.plan_shard_overlaps`).  An x-sorted
+    sweep (boxes by low x; each one against the boxes whose low x lies in
+    its x range, found by one bisection) tests only the pairs whose x ranges
+    meet.  It beats a numpy ``n x n`` broadcast on every bench workload
+    (``sim_paper`` 23 against 52 us an epoch, ``serve_closed`` 26 against
+    48, ``fleet_dense`` 22 against 32, ``fleet_steady`` 79 against 130;
+    2-core Intel Xeon, CPython 3.11), so the pair pass never loads numpy.
     """
     low_xs = list(map(itemgetter(0), boxes))
     order = sorted(range(len(boxes)), key=low_xs.__getitem__)
     lows = list(map(low_xs.__getitem__, order))
     lows.append(math.inf)  # past the last box: no low x lies beyond it
-    overlapping: Pairs = []
-    touching: Pairs = []
+    pairs: Pairs = []
     for slot, index in enumerate(order):
         box = boxes[index]
         if lows[slot + 1] > box[2]:
@@ -192,18 +186,14 @@ def touching_pairs(boxes: Sequence[Tuple[float, float, float, float]]) -> Tuple[
         _low_x, low_y, high_x, high_y = box
         for other in order[slot + 1 : bisect_right(lows, high_x, slot + 1)]:
             # ``other``'s low x lies in [this low x, this high x]: the x
-            # ranges meet, and ``other``'s low x is the larger low.
-            other_low_x, other_low_y, other_high_x, other_high_y = boxes[other]
+            # ranges meet, and only the y ranges are left to test.
+            _other_low_x, other_low_y, _other_high_x, other_high_y = boxes[other]
             top = other_low_y if other_low_y > low_y else low_y
             bottom = other_high_y if other_high_y < high_y else high_y
             if top > bottom:
                 continue
-            pair = (index, other) if index < other else (other, index)
-            if top < bottom and other_low_x < (other_high_x if other_high_x < high_x else high_x):
-                overlapping.append(pair)
-            else:
-                touching.append(pair)
-    return overlapping, touching
+            pairs.append((index, other) if index < other else (other, index))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -43,42 +43,33 @@ numpy is not installed).  The two are pinned bit-for-bit equal, and
 :func:`plan_shard_overlaps` is one sweep for every plan, so nothing here
 reads the kernel.
 
-**One structure per epoch, built per component.**  A stored subset has a
-positive-area common intersection, so its members overlap pairwise: the region
-set is the disjoint union, over the connected components of the pairwise
-positive-area intersection graph, of each component's own region set.
-:func:`plan_shard_overlaps` splits the epoch's FSA map into those components.
-An FSA that overlaps no other one is a component whose whole region set is its
-own singleton region, so the plan records just its box (the *singletons*);
-only components of two or more FSAs become *pools* (disjoint, each in
-submission order).  :class:`OverlapPoolCache` serves the pools that repeat
-verbatim from earlier epochs, the rest are built independently
-(:func:`build_structures` — on worker processes under that backend), and
-:meth:`OverlapPlan.merged` interleaves the per-component region lists into the
-one structure the sequential build would have produced, *order included*:
-``add`` appends the block of regions whose latest-submitted member is the FSA
-being added, and inside a block it walks the earlier regions in their own
-order, so the sequential insertion order is the lexicographic order of each
-region's member submission positions sorted descending.  The first element of
-that key names one FSA, hence one component, whose own build already has the
-block in sequential order — an isolated FSA's block is its singleton alone —
-so placing every block at its FSA's submission position is the whole merge.
+**One structure per component.**  A stored subset has a positive-area
+common intersection, so its members overlap pairwise: the region set is the
+disjoint union, over the epoch's overlap components, of each component's own
+region set, and ``add`` meets with positive area only regions of the added
+FSA's own component.  :func:`plan_shard_overlaps` links the FSAs of every
+state of the epoch — the earlier FSA of an object that reports twice
+included — by one relation: their closed boxes share a point (positive
+area, an edge or a corner).  A component that is one FSA of the epoch map
+sharing no point with any other is *lone*, and its structure is its own
+singleton region, so the plan records nothing for it; every other component
+holding map FSAs is a *pool* of them, in submission order, whose sequential
+build is the whole-epoch build restricted to the pool, region for region and
+in order.  :class:`OverlapPoolCache` serves the pools that repeat verbatim
+from earlier epochs, and the rest are built independently
+(:func:`build_structures` — on worker processes under that backend).
 
-**The region cap is per component.**  Each overlap component's ``R_all`` is
-capped at ``max_regions`` in its own insertion order (the paper's has no
-cap): a pool is built capped on its own, an FSA with no overlap keeps its
-singleton, and the merge above interleaves capped pools too — a member that
-met a full pool stored no region and has no block.
+**Each state is answered from its own component.**  A region that touches
+an FSA, or contains a vertex inside it, is made of FSAs that share a point
+with it, so the region lies in the FSA's component, and so does every
+vertex an earlier decision of the epoch inserted inside it.  The epoch pass
+therefore answers a lone FSA from its own box and every other state from its
+pool's structure (:attr:`OverlapPlan.components`); a component of earlier
+FSAs alone is answered as against an empty ``R_all``.
 
-**Each FSA is answered inside its query component.**  The plan also
-records the pairs that only touch (an edge or a corner, zero area): an FSA's
-*query component* is its component over both kinds of link, and every
-region that touches it or contains a vertex inside it lies there.  So the
-epoch pass answers an FSA that touches nothing from its own box, a component
-that is exactly one pool from that pool's structure (the merged order
-restricted to the pool), and only the rest from the merged structure, which
-:meth:`OverlapPlan.merged` builds on first use
-(:attr:`OverlapPlan.components`).
+**The region cap is per component.**  Each component's ``R_all`` is capped
+at ``max_regions`` in its own insertion order (the paper's has no cap): a
+pool is built capped on its own, and a lone FSA keeps its singleton.
 
 Queries used by SinglePath:
 
@@ -94,7 +85,7 @@ from __future__ import annotations
 import marshal
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -192,7 +183,6 @@ class FsaOverlapStructure:
         # Hard cap on the regions :meth:`add` stores, guarding against
         # pathological inputs where thousands of FSAs overlap pairwise; it
         # trades a little candidate quality for bounded per-component work.
-        # The epoch's merged structure holds every component's regions.
         self._max_regions = max_regions
         self._regions: Dict[FrozenSet[int], Box] = {}
         # The batched queries' table (see
@@ -232,7 +222,7 @@ class FsaOverlapStructure:
         Below the cap the stored set is order-independent; when it binds the
         kept subset depends on insertion order.  The overlap stage builds one
         structure per component, so the cap binds each component in its own
-        insertion order (:meth:`OverlapPlan.merged`).
+        insertion order (:func:`plan_shard_overlaps`).
 
         The member sets derived by one call are pairwise distinct (``members
         | {object_id}`` over stored sets without ``object_id``), so only the
@@ -436,7 +426,7 @@ PoolFingerprint = bytes
 #: dense component holds as many regions as a whole epoch of small ones, so
 #: a bound on entries would let a run of never-repeating dense epochs pin
 #: several times the memory a steady run needs.  Only pool regions count
-#: (isolated FSAs never reach the cache).  Measured per epoch at seed 11,
+#: (lone FSAs never reach the cache).  Measured per epoch at seed 11,
 #: median (max): ``fleet_steady``'s 123 reporters hold 209 (226) in their
 #: pools, ``fleet_dense``'s 28 hold 122 (217), ``serve_closed``'s 60 hold 19
 #: (34) and ``sim_paper``'s 64 hold 3 (15) — so this is four or more epochs
@@ -476,16 +466,15 @@ class OverlapPoolCache:
     every pool here first and ships only the misses to the execution
     backend's workers.  A component is dirtied by any fresh FSA overlapping
     any member, and by nothing else: FSAs elsewhere in the epoch are not
-    part of its address.  Only pools — components
-    of two or more FSAs — ever reach the cache: an isolated FSA's structure
-    is its one singleton region, which :meth:`OverlapPlan.merged` places from
+    part of its address.  Only pools ever reach the cache: a lone FSA's
+    structure is its one singleton region, which the epoch pass answers from
     the FSA's box for less than a fingerprint and a lookup would cost.
 
     Two outcomes per pool, one table lookup each, both ``repr``-identical to
     a from-scratch build:
 
     * **reused** — the fingerprint matches a cached pool exactly; the cached
-      structure is returned as-is (structures are read-only to the merge).
+      structure is returned as-is (the epoch pass only reads structures).
     * **rebuilt** — no entry; the pool is built from scratch (on the
       backend) and stored for future epochs.
 
@@ -571,23 +560,22 @@ def build_structures(
     return [FsaOverlapStructure.build(pool, max_regions) for pool in pools]
 
 
-#: :attr:`OverlapPlan.components` value of an FSA no other FSA touches.
+#: :attr:`OverlapPlan.components` value of a state whose FSA is in the epoch
+#: map and shares no point with any other state's FSA.
 LONE = -1
 
 
 @dataclass
 class OverlapPlan:
-    """One epoch's overlap stage between :func:`plan_shard_overlaps` and :meth:`merged`."""
+    """One epoch's overlap stage, from :func:`plan_shard_overlaps` to :meth:`complete`."""
 
-    #: The epoch's ``object_id -> FSA`` map, in submission order.
-    fsas: Mapping[int, Rectangle]
-    #: Its connected components of two or more FSAs: disjoint pools, each in
-    #: submission order, ordered by their first member.
+    #: The components holding map FSAs, lone ones aside: disjoint pools of
+    #: their map FSAs, each in submission order, ordered by their first member.
     pools: List[Dict[int, Rectangle]]
-    #: The FSAs no other FSA overlaps, ``object_id -> box`` in submission
-    #: order: each one's whole component structure is its singleton region.
-    #: With :attr:`pools` they partition the ids of :attr:`fsas`.
-    singletons: Dict[int, Box]
+    #: Per state position, :data:`LONE`, the index of its component's pool,
+    #: or ``None`` when its component holds earlier FSAs only (an empty
+    #: ``R_all`` answers it).
+    components: List[Optional[int]]
     #: Per pool, the structure the cache served (``None`` where it missed).
     structures: List[Optional[FsaOverlapStructure]]
     #: ``pool index -> fingerprint`` of the pools still to build (the
@@ -596,12 +584,6 @@ class OverlapPlan:
     #: Pool-cache outcome tally (zeros without a cache).
     stats: Dict[str, int]
     cache: Optional[OverlapPoolCache]
-    #: ``object_id ->`` :data:`LONE` for an FSA that touches
-    #: no other FSA, or the index of its pool when its query component — its
-    #: component over every touch, zero-area ones included — is exactly that
-    #: pool.  Every other FSA is answered by the merged structure.
-    components: Dict[int, int] = field(default_factory=dict)
-    _merged: Optional[FsaOverlapStructure] = field(default=None, repr=False)
 
     @property
     def missed_pools(self) -> List[Dict[int, Rectangle]]:
@@ -616,70 +598,27 @@ class OverlapPlan:
         for index, structure in zip(self.misses, built):
             structures[index] = structure
 
-    def merged(self) -> FsaOverlapStructure:
-        """The epoch's one structure, merged on first call (after :meth:`complete`).
-
-        Every component's structure interleaved in submission order (module
-        docstring): below the cap that is ``FsaOverlapStructure.build(fsas)``,
-        region order included, and a pool that reaches the cap keeps its own
-        capped build, whatever the rest of the epoch holds.  The cap binds
-        each component alone, so the merged structure — never added to — may
-        hold more regions than it.
-        """
-        if self._merged is None:
-            self._merged = self._merge()
-        return self._merged
-
-    def _merge(self) -> FsaOverlapStructure:
-        structures = self.structures
-        singletons = self.singletons
-        if len(structures) == 1 and not singletons:
-            return structures[0]
-        # Every pool block opens with its FSA's singleton, so one walk over
-        # each pool cuts its blocks by FSA; a walk in submission order then
-        # places every block, singletons included (module docstring).
-        blocks: Dict[int, list] = {}
-        for structure in structures:
-            for item in structure._regions.items():
-                if len(item[0]) == 1:
-                    (object_id,) = item[0]
-                    block = blocks[object_id] = []
-                block.append(item)
-        regions: Dict[FrozenSet[int], Box] = {}
-        for object_id in self.fsas:
-            box = singletons.get(object_id)
-            if box is not None:
-                regions[frozenset((object_id,))] = box
-            else:
-                regions.update(blocks.get(object_id, ()))
-        merged = FsaOverlapStructure()
-        merged._regions = regions
-        return merged
-
 
 def plan_shard_overlaps(
     cache: Optional[OverlapPoolCache],
-    fsas: Mapping[int, Rectangle],
+    object_ids: Sequence[int],
+    fsas: Sequence[Rectangle],
 ) -> OverlapPlan:
-    """Split an epoch's FSAs into overlap components and resolve them.
+    """Split an epoch's states into overlap components and resolve the pools.
 
-    ``fsas`` is the epoch's ``object_id -> final FSA`` map in submission order
-    (a duplicate reporter keeps its first position but the later FSA — the
-    same replacement the sequential build applies).  Two FSAs are linked when
-    their intersection has positive area; each connected component of two or
-    more FSAs becomes one pool, and an unlinked FSA is recorded as a
-    singleton — no fingerprint, no cache entry, no build, no shipment.
-
-    The same pass (:func:`touching_pairs`) also finds the pairs that touch
-    with zero area, which join components into the epoch pass's query
-    components (:attr:`OverlapPlan.components`).  (``bench/trace.py`` wraps
-    this name as re-exported by :mod:`repro.coordinator.sharding`, which no
-    caller resolves.)
+    ``object_ids`` and ``fsas`` hold each state's object and FSA, in
+    submission order.  The epoch map keeps one FSA per object, at the
+    object's first position: its latest one (the same replacement the
+    sequential build applies).  Two states are linked when their closed FSAs
+    share a point (:func:`touching_pairs`).  A map FSA linked to nothing is
+    :data:`LONE` — no fingerprint, no cache entry, no build, no shipment —
+    and every other component's map FSAs form one pool; a component without
+    any sends nothing to the cache or to a worker.  (``bench/trace.py``
+    wraps this name as re-exported by :mod:`repro.coordinator.sharding`,
+    which no caller resolves.)
     """
-    boxes = [(fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y) for fsa in fsas.values()]
-    pairs, touches = touching_pairs(boxes)
-    # Union-find whose roots are the smallest index of their component, so a
-    # pass in submission order meets the pools ordered by first member.
+    boxes = [(fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y) for fsa in fsas]
+    # Union-find whose roots are the smallest position of their component.
     root = list(range(len(boxes)))
     linked = [False] * len(boxes)
 
@@ -688,40 +627,30 @@ def plan_shard_overlaps(
             root[index] = index = root[root[index]]
         return index
 
-    for i, j in pairs:
+    for i, j in touching_pairs(boxes):
         linked[i] = linked[j] = True
         low, high = sorted((find(i), find(j)))
         root[high] = low
-    # Roots of the components a zero-area touch joins to another component.
-    shared: Set[int] = set()
-    for i, j in touches:
-        first, second = find(i), find(j)
-        if first != second:
-            shared.update((first, second))
+    # ``object id -> position of its map FSA`` (its last state), in map order.
+    mapped = dict(zip(object_ids, range(len(boxes))))
     slots: Dict[int, int] = {}
     plan_pools: List[Dict[int, Rectangle]] = []
-    singletons: Dict[int, Box] = {}
-    components: Dict[int, int] = {}
-    for index, (object_id, fsa) in enumerate(fsas.items()):
-        if not linked[index]:
-            singletons[object_id] = boxes[index]
-            if index not in shared:
-                components[object_id] = LONE
-            continue
-        top = find(index)
-        slot = slots.get(top)
-        if slot is None:
-            slot = slots[top] = len(plan_pools)
-            plan_pools.append({})
-        plan_pools[slot][object_id] = fsa
-        if top not in shared:
-            components[object_id] = slot
+    for object_id, position in mapped.items():
+        if linked[position]:
+            top = find(position)
+            slot = slots.get(top)
+            if slot is None:
+                slot = slots[top] = len(plan_pools)
+                plan_pools.append({})
+            plan_pools[slot][object_id] = fsas[position]
+    components: List[Optional[int]] = [
+        LONE if mapped[object_id] == position and not linked[position] else slots.get(find(position))
+        for position, object_id in enumerate(object_ids)
+    ]
     if cache is None:
         structures, misses, stats = (
             [None] * len(plan_pools), dict.fromkeys(range(len(plan_pools))), zero_pool_stats()
         )
     else:
         structures, misses, stats = cache.resolve(plan_pools)
-    return OverlapPlan(
-        fsas, plan_pools, singletons, structures, misses, stats, cache, components
-    )
+    return OverlapPlan(plan_pools, components, structures, misses, stats, cache)

@@ -34,35 +34,34 @@ paper's hotness plus one plus the other holders, the lowest id on a tie.
 **The epoch pass.**  Decisions are sequential, but most of what a Case 2/3
 decision reads is fixed before the first one is made: the index does not
 change between the candidate stage and the decision stage, and the decision
-stage only ever *inserts*.  A *lone* FSA — one that touches no other FSA of
-the epoch (:data:`~repro.coordinator.overlaps.LONE`) — has its answers fixed
-in advance: the only overlap region meeting it is its own singleton, so every
-end vertex inside it has bonus 1 and its fabricated vertex is its centre with
-count 1.  Its decision reads its end vertices from the live index, which
-holds exactly what a pass would have read plus the paths inserted since; with
-none, its answer is its centre, unranked.
-:func:`prefetch_vertex_candidates` computes the rest for the whole epoch:
-each other pending FSA's end vertices (``GridIndex.end_vertices_in``:
-two bisections of the x-sorted end table and a y test on the run between
-them, or a scan of the cells the FSA overlaps, by the index's storage), and
-the overlap answers, each inside the FSA's query component
-(:attr:`~repro.coordinator.overlaps.OverlapPlan.components`): one batch per
-pool or for the merged structure — scalar loops for a small batch, the
-region table for a large one.  The decision keeps what depends on decision
-order — the hotness sums, the selection (inline, over the vertices: no
-candidate list, no per-decision record), the insert, and, for an FSA the
-pass read, the paths inserted earlier in the epoch, which it reads from the
-epoch's probe, an :class:`~repro.coordinator.columnar.EndpointTable` of
-those inserts, rather than rescanning them all.
+stage only ever *inserts*.  A *lone* FSA — in the epoch map, sharing no
+point with any other state's FSA (:data:`~repro.coordinator.overlaps.LONE`)
+— has its answers fixed in advance: the only overlap region meeting it is
+its own singleton, so every end vertex inside it has bonus 1 and its
+fabricated vertex is its centre with count 1.  Its decision reads its end
+vertices from the live index, which holds exactly what a pass would have
+read plus the paths inserted since; with none, its answer is its centre,
+unranked.  :func:`prefetch_vertex_candidates` computes the rest for the
+whole epoch: each other pending FSA's end vertices
+(``GridIndex.end_vertices_in``: two bisections of the x-sorted end table
+and a y test on the run between them, or a scan of the cells the FSA
+overlaps, by the index's storage), and the overlap answers from the
+structure of the FSA's own component
+(:attr:`~repro.coordinator.overlaps.OverlapPlan.components`), in one batch
+per component — scalar loops for a small batch, the region table for a
+large one.  The decision keeps what depends on decision order — the hotness
+sums, the selection (inline, over the vertices: no candidate list, no
+per-decision record), the insert, and, for an FSA the pass read, the paths
+inserted earlier in the epoch, which it reads from the epoch's probe, an
+:class:`~repro.coordinator.columnar.EndpointTable` of those inserts, rather
+than rescanning them all.
 
 **What the probe holds.**  A lone decision's insert ends inside its own FSA
-(an end vertex, the centre or a corner of the nudge), and no FSA of the
-epoch map touches a lone FSA, so no FSA the pass read can contain it — but
-the earlier state of an object that reports twice is off the map, and its
-FSA can.  So a lone insert joins the probe only in an epoch with such a
-state; every other insert of a state with a prefetch entry always joins it.
-On ``sim_paper`` (no object reports twice) that is the two or three inserts
-an epoch of the states that are not lone, instead of all of them.
+(an end vertex, the centre or a corner of the nudge), and no other state's
+FSA shares a point with a lone FSA, so no later decision can read it: only
+the inserts of the states with a prefetch entry join the probe.  On
+``sim_paper`` that is the two or three inserts an epoch of the states that
+are not lone, instead of all of them.
 
 **No delegation frames.**  A lone report is a run of constant-time steps
 (the Case 1 probe, the end-vertex read, the duplicate check, the insert, the
@@ -96,6 +95,7 @@ from repro.coordinator.grid_index import GridIndex
 from repro.coordinator.hotness import HotnessTracker
 from repro.coordinator.overlaps import (
     LONE,
+    FsaOverlapStructure,
     OverlapPlan,
     OverlapPoolCache,
     plan_shard_overlaps,
@@ -173,56 +173,53 @@ class VertexPrefetch:
     #: containing it (one dict an epoch, shared by every object).
     bonus: Dict[Tuple[float, float], int]
     fabricated: Optional[Tuple[Point, int]]
+    #: The ``R_all`` of the object's component, which answers the bonus of
+    #: a vertex an earlier decision of the epoch inserted.
+    structure: FsaOverlapStructure
 
 
 def prefetch_vertex_candidates(
     index: GridIndex,
-    pending: Iterable[Tuple[int, int, Rectangle]],
+    pending: Iterable[Tuple[int, Rectangle]],
     plan: OverlapPlan,
 ) -> Dict[int, VertexPrefetch]:
-    """The epoch pass: the Case 2/3 geometry of every pending object that
-    is not lone, in one batch per query component.
+    """The epoch pass: the Case 2/3 geometry of every pending state that
+    is not lone, in one batch per component.
 
-    ``pending`` lists ``(position, object_id, fsa)`` for the states left
-    without a Case 1 candidate, ``plan`` is the epoch's completed overlap
-    plan and ``index`` the grid index, read here — after
-    the candidate stage, before the first decision — where nothing mutates
-    the index.  Returns ``position -> VertexPrefetch``; a lone FSA (its
-    object's FSA in the epoch map, :data:`LONE` there) gets no entry, since
-    its decision reads the live index (module docstring).
+    ``pending`` lists ``(position, fsa)`` for the states left without a
+    Case 1 candidate, ``plan`` is the epoch's completed overlap plan and
+    ``index`` the grid index, read here — after the candidate stage, before
+    the first decision — where nothing mutates the index.  Returns
+    ``position -> VertexPrefetch``; a lone state (:data:`LONE`) gets no
+    entry, since its decision reads the live index (module docstring).
 
     Exact because the decision stage never deletes: what
     ``end_vertices_in(fsa)`` would return at decision time is the set read
     here plus the paths inserted since, which :meth:`SinglePathStrategy.decide`
     adds to the epoch's insert probe, an end table, and merges back in.
 
-    The overlap answers of an FSA come from its query component
-    (:attr:`OverlapPlan.components`).  A region that touches the FSA, or
-    contains a vertex inside it or a point of a region touching it, is made
-    of FSAs that touch it or such a region, so both answers lie inside that
-    component; the component's own structure holds its regions in the merged
-    order, so the tie-breaks agree too.  A component that is one pool is
-    answered from the pool's structure, in one batch per pool; everything
-    else — an FSA whose component joins several, an FSA outside the epoch
-    map (the earlier state of a duplicate reporter) — from the merged
-    structure, in one batch.
+    The overlap answers of an FSA come from its component's structure
+    (:attr:`OverlapPlan.components`): every region that touches the FSA or
+    contains a vertex inside it lies there, in the order of the whole-epoch
+    build, so the tie-breaks agree too.  A component of earlier FSAs alone
+    is answered by an empty structure: no fabricated vertex, bonus 0.
 
-    The bonus of a vertex is a function of the vertex alone; it is computed
-    for every end vertex matched and for every fabricated centroid of the
-    epoch (the only new vertices decisions normally insert), in the batch
-    that fabricates the centroids.
+    The bonus of a vertex is a function of the vertex alone (every FSA
+    containing it lies in one component); it is computed for every end
+    vertex matched and for every fabricated centroid of the component (the
+    only new vertices decisions normally insert), in the batch that
+    fabricates the centroids.
     """
     batches: Dict[Optional[int], List[Tuple[int, Rectangle]]] = {}
-    fsas, components = plan.fsas, plan.components
-    for position, object_id, fsa in pending:
-        component = components.get(object_id) if fsas.get(object_id) is fsa else None
+    components = plan.components
+    for position, fsa in pending:
+        component = components[position]
         if component != LONE:
-            # ``None`` (the merged structure) never collides with a pool index.
             batches.setdefault(component, []).append((position, fsa))
     prefetched: Dict[int, VertexPrefetch] = {}
     bonus: Dict[Tuple[float, float], int] = {}
     for component, members in batches.items():
-        structure = plan.merged() if component is None else plan.structures[component]
+        structure = FsaOverlapStructure() if component is None else plan.structures[component]
         answers = structure.candidate_vertices_for([fsa for _position, fsa in members])
         vertices: Dict[Tuple[float, float], Point] = {}
         for (position, fsa), answer in zip(members, answers):
@@ -231,7 +228,7 @@ def prefetch_vertex_candidates(
                 vertices[key] = vertex
             if answer is not None:
                 vertices[(answer[0].x, answer[0].y)] = answer[0]
-            prefetched[position] = VertexPrefetch(end_vertices, bonus, answer)
+            prefetched[position] = VertexPrefetch(end_vertices, bonus, answer, structure)
         bonus.update(zip(vertices, structure.containing_counts(list(vertices.values()))))
     return prefetched
 
@@ -271,14 +268,13 @@ class SinglePathStrategy:
         fsas = list(map(_fsa_of, states))
 
         # Phase 1: the FSA overlap structure and the candidate motion paths
-        # per state.  The plan splits the epoch's FSAs into components and
-        # resolves them against the cache; the backend builds the misses
-        # while the candidate loop runs here.  The plan keeps one entry per
-        # object — a duplicate reporter's later FSA, at its first position —
-        # while the candidates are gathered per state, by position.
+        # per state.  The plan splits the epoch's states into components and
+        # resolves their pools against the cache; the backend builds the
+        # misses while the candidate loop runs here.  A pool keeps one FSA
+        # per object — a duplicate reporter's later FSA, at its first
+        # position — while the candidates are gathered per state, by position.
         object_ids = list(map(_object_id_of, states))
-        mapped = dict(zip(object_ids, fsas))
-        plan = plan_shard_overlaps(self._pool_cache, mapped)
+        plan = plan_shard_overlaps(self._pool_cache, object_ids, fsas)
         self.last_pool_stats = plan.stats
         candidate_ids, built = self.backend.build_overlaps(
             plan.missed_pools, lambda: self.candidate_paths(states, fsas)
@@ -302,24 +298,19 @@ class SinglePathStrategy:
 
         # Phase 3: selection per object, in submission order, behind the
         # epoch pass (module docstring).  ``pending`` holds ``(position,
-        # object id, FSA)`` of the states left without a Case 1 path.
-        pending: Iterable[Tuple[int, int, Rectangle]] = zip(range(len(states)), object_ids, fsas)
+        # FSA)`` of the states left without a Case 1 path.  Only a decision
+        # with a prefetch entry reads the probe or adds its insert to it.
+        pending: Iterable[Tuple[int, Rectangle]] = enumerate(fsas)
         if any(chosen):
             pending = [entry for entry, path in zip(pending, chosen) if path is None]
         prefetched = prefetch_vertex_candidates(self._index, pending, plan)
         probe = EndpointTable() if prefetched else None
-        # A lone decision's insert lies inside its own FSA, which no other
-        # FSA of the epoch map touches: only an FSA outside the map (the
-        # earlier state of an object reporting twice) can read it.
-        lone_probe = probe if len(mapped) < len(states) else None
         prefetches: List[Optional[VertexPrefetch]] = [None] * len(states)
         for position, prefetch in prefetched.items():
             prefetches[position] = prefetch
         responses, inserted_ids, decide = result.responses, result.inserted, self.decide
         for state, fsa, path, prefetch in zip(states, fsas, chosen, prefetches):
-            response, path_id = decide(
-                state, fsa, path, plan, prefetch, lone_probe if prefetch is None else probe
-            )
+            response, path_id = decide(state, fsa, path, prefetch, probe)
             responses.append(response)
             if path_id is not None:
                 inserted_ids.append(path_id)
@@ -348,7 +339,6 @@ class SinglePathStrategy:
         state: ObjectState,
         fsa: Rectangle,
         path: Optional[MotionPath],
-        plan: OverlapPlan,
         prefetch: Optional[VertexPrefetch] = None,
         probe: Optional[EndpointTable] = None,
     ) -> Tuple[CoordinatorResponse, Optional[int]]:
@@ -357,16 +347,14 @@ class SinglePathStrategy:
         state.
 
         A Case 1 decision records the crossing of its path and answers the
-        path's end.  For the others ``fsa`` is the state's FSA and ``plan``
-        the epoch's completed overlap plan; ``prefetch`` is the object's
-        share of the epoch pass (:func:`prefetch_vertex_candidates`; ``None``
-        for a lone FSA) and ``probe`` the end table of the epoch's inserts
-        that a later decision may read: the decision reads it when it has a
-        ``prefetch`` and its insert joins it (``None`` when nothing would
-        read the insert).  A lone FSA reads its end vertices from the live
-        index; with none, its answer is its centre, the one candidate,
-        unranked.  :meth:`_choose_vertex` ranks every other Case 2/3
-        decision.
+        path's end.  For the others ``fsa`` is the state's FSA,
+        ``prefetch`` the object's share of the epoch pass
+        (:func:`prefetch_vertex_candidates`; ``None`` for a lone FSA) and
+        ``probe`` the end table of the epoch's inserts, which only a
+        decision with a ``prefetch`` reads and adds its insert to.  A lone
+        FSA reads its end vertices from the live index; with none, its
+        answer is its centre, the one candidate, unranked.
+        :meth:`_choose_vertex` ranks every other Case 2/3 decision.
 
         Returns the response and the id of the path the decision inserted
         (``None`` when it reused one).
@@ -384,11 +372,11 @@ class SinglePathStrategy:
 
         index, start = self._index, state.start
         if prefetch is not None:
-            endpoint = self._choose_vertex(fsa, plan, probe.end_vertices_in(fsa), prefetch)[0]
+            endpoint = self._choose_vertex(fsa, probe.end_vertices_in(fsa), prefetch)[0]
         else:
             end_vertices = index.end_vertices_in(fsa)
             if end_vertices:
-                endpoint = self._choose_vertex(fsa, plan, end_vertices, None)[0]
+                endpoint = self._choose_vertex(fsa, end_vertices, None)[0]
             else:
                 low, high = fsa.low, fsa.high
                 endpoint = Point((low.x + high.x) / 2.0, (low.y + high.y) / 2.0)  # its centre
@@ -407,7 +395,7 @@ class SinglePathStrategy:
         path_id, inserted = index.path_between(start, endpoint), None
         if path_id is None:
             path_id = inserted = index.insert(start, endpoint, t_end).path_id
-            if probe is not None:
+            if prefetch is not None:
                 probe.add_path(path_id, start, endpoint)
         self._hotness.record_crossing(path_id, t_end)
         return CoordinatorResponse(state.object_id, endpoint, t_end), inserted
@@ -415,7 +403,6 @@ class SinglePathStrategy:
     def _choose_vertex(
         self,
         fsa: Rectangle,
-        plan: OverlapPlan,
         end_vertices: Dict[Tuple[float, float], VertexGroup],
         prefetch: Optional[VertexPrefetch],
     ) -> CandidateVertex:
@@ -425,8 +412,8 @@ class SinglePathStrategy:
 
         With a ``prefetch`` the vertices are the prefetched end vertices,
         with ``end_vertices`` — the probe's groups inside ``fsa`` — merged
-        in (only a vertex the pass did not see asks the merged structure for
-        its bonus), and the prefetched fabricated vertex.  Without one the
+        in (only a vertex the pass did not see asks its component's
+        structure for its bonus), and the prefetched fabricated vertex.  Without one the
         FSA is lone: ``end_vertices`` are the live index's, with bonus 1
         each, and its fabricated vertex is its centre with count 1.
         Distinct vertices rank apart, so the enumeration order cannot
@@ -456,7 +443,7 @@ class SinglePathStrategy:
         for coordinates, (vertex, path_ids) in end_vertices.items():
             bonus = 1 if bonus_of is None else bonus_of.get(coordinates)
             if bonus is None:
-                region = plan.merged().smallest_region_containing(vertex)
+                region = prefetch.structure.smallest_region_containing(vertex)
                 bonus = region.count if region is not None else 0
             hotness = sum(map(hotness_of, path_ids)) + bonus
             rank = (hotness, True, vertex.x, vertex.y)

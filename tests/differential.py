@@ -596,7 +596,9 @@ STREAM_SCENARIOS = [
                 len,
                 build_structures(
                     plan_shard_overlaps(
-                        None, {state.object_id: state.fsa for state in SATURATING_STREAM[1][1]}
+                        None,
+                        [state.object_id for state in SATURATING_STREAM[1][1]],
+                        [state.fsa for state in SATURATING_STREAM[1][1]],
                     ).pools
                 ),
             ),

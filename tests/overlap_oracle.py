@@ -15,20 +15,21 @@ The batched queries are the single queries mapped over their inputs, which is
 what the columnar table's batched forms must equal.
 
 :meth:`ReferenceFsaOverlapStructure.build_per_component` is the epoch's
-``R_all`` under the region cap's rule — each overlap component's ``R_all`` is
-capped at ``max_regions`` in its own insertion order — transcribed
-literally: one sequential build of the whole epoch whose ``add`` counts,
-against the cap, only the stored regions of the added FSA's own component,
-found by :func:`overlap_components`, a plain scan of every pair.  The
-shipped stage, which splits the epoch and builds each component alone, must
-equal it region for region, in order.
+``R_all`` under the region cap's rule — each component's ``R_all`` is capped
+at ``max_regions`` in its own insertion order, a component being the
+epoch's states joined, directly or through others, by FSAs that share a
+point — transcribed literally: one sequential build of the whole epoch whose
+``add`` counts, against the cap, only the stored regions of the added FSA's
+own component, found by :func:`overlap_components`, a plain scan of every
+pair of states.  The shipped stage, which splits the epoch and builds each
+component alone, must equal it region for region, in order, pool by pool.
 
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.geometry import Point, Rectangle
 from repro.coordinator.overlaps import OverlapRegion, SerializedRegion
@@ -36,24 +37,20 @@ from repro.coordinator.overlaps import OverlapRegion, SerializedRegion
 __all__ = ["ReferenceFsaOverlapStructure"]
 
 
-def overlap_components(fsas: Mapping[int, Rectangle]) -> Dict[int, int]:
-    """``object_id ->`` the first-submitted id of its overlap component: the
-    FSAs joined, directly or through others, by an intersection of positive
-    area."""
-    ids = list(fsas)
-    component = {object_id: object_id for object_id in ids}
-    for i, first in enumerate(ids):
-        for second in ids[i + 1:]:
-            overlap = fsas[first].intersection(fsas[second])
-            if overlap is None or overlap.is_degenerate():
+def overlap_components(reports: Sequence[Tuple[int, Rectangle]]) -> Dict[int, int]:
+    """``object_id ->`` the first submission position of its component: the
+    epoch's ``(object_id, FSA)`` reports joined, directly or through others,
+    by closed FSAs that share a point (an edge or a corner will do).  An
+    object that reports twice is in the component of its later FSA, the one
+    its ``R_all`` entry holds."""
+    component = list(range(len(reports)))
+    for i in range(len(reports)):
+        for j in range(i + 1, len(reports)):
+            if not reports[i][1].intersects(reports[j][1]):
                 continue
-            kept, dropped = component[first], component[second]
-            if ids.index(dropped) < ids.index(kept):
-                kept, dropped = dropped, kept
-            for object_id in ids:
-                if component[object_id] == dropped:
-                    component[object_id] = kept
-    return component
+            kept, dropped = sorted((component[i], component[j]))
+            component = [kept if label == dropped else label for label in component]
+    return {object_id: label for (object_id, _fsa), label in zip(reports, component)}
 
 
 class ReferenceFsaOverlapStructure:
@@ -80,12 +77,18 @@ class ReferenceFsaOverlapStructure:
 
     @classmethod
     def build_per_component(
-        cls, fsas: Mapping[int, Rectangle], max_regions: int = 10000
+        cls,
+        reports: Union[Mapping[int, Rectangle], Sequence[Tuple[int, Rectangle]]],
+        max_regions: int = 10000,
     ) -> "ReferenceFsaOverlapStructure":
-        """The epoch's ``R_all``: each overlap component's ``R_all`` capped at
-        ``max_regions`` in its own insertion order."""
-        structure = cls(max_regions, overlap_components(fsas))
-        for object_id, fsa in fsas.items():
+        """The epoch's ``R_all`` from its ``(object_id, FSA)`` reports in
+        submission order (or a map, one report per object): each object at
+        its first position with its later FSA, and each component's
+        ``R_all`` capped at ``max_regions`` in its own insertion order."""
+        if isinstance(reports, Mapping):
+            reports = list(reports.items())
+        structure = cls(max_regions, overlap_components(reports))
+        for object_id, fsa in dict(reports).items():
             structure.add(object_id, fsa)
         return structure
 

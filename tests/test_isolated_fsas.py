@@ -2,14 +2,13 @@
 
 Three facts of the epoch pipeline, each pinned by what it no longer does:
 
-* **isolated FSAs skip the pool stage** — an FSA that overlaps no other one
-  is recorded as a singleton box: no ``FsaOverlapStructure.build``, no pool,
-  no pool-cache entry and no process-backend message, while the merged
-  structure stays ``repr``-equal to the sequential build (the exactness
-  harness's ``signed_zero_singleton`` scenario pins that a signed-zero
-  singleton never comes back from the cache with the other sign);
-* **isolated FSAs never tip the region cap** — the cap binds each overlap
-  component alone, so 9 999 singletons leave a pool of two its own regions;
+* **isolated FSAs skip the pool stage** — an FSA that shares no point with
+  any other one is lone: no ``FsaOverlapStructure.build``, no pool, no
+  pool-cache entry and no process-backend message (the exactness harness's
+  ``signed_zero_singleton`` scenario pins that a signed-zero singleton never
+  comes back from the cache with the other sign);
+* **isolated FSAs never tip the region cap** — the cap binds each component
+  alone, so 9 999 lone FSAs leave a pool of two its own regions;
 * **decisions probe the epoch's inserts** — a Case 2/3 decision reads the
   paths inserted earlier in the epoch from the live index (a lone FSA)
   or from the epoch's probe, an :class:`EndpointTable` of its inserts (any
@@ -34,6 +33,7 @@ from repro.coordinator.columnar import HAVE_NUMPY, EndpointTable
 from repro.coordinator.coordinator import Coordinator, CoordinatorConfig
 from repro.coordinator.execution import ProcessBackend
 from repro.coordinator.overlaps import (
+    LONE,
     FsaOverlapStructure,
     OverlapPoolCache,
     build_structures,
@@ -84,19 +84,19 @@ def count_builds(monkeypatch) -> Counter:
 
 class TestIsolatedFsasSkipThePoolStage:
     def test_disjoint_epoch_plans_no_pool_and_builds_nothing(self, monkeypatch):
-        fsas = {state.object_id: state.fsa for state in disjoint_reporters()}
-        reference = repr(FsaOverlapStructure.build(fsas).serialized())
+        states = disjoint_reporters()
         calls = count_builds(monkeypatch)
         cache = OverlapPoolCache()
-        plan = plan_shard_overlaps(cache, fsas)
+        plan = plan_shard_overlaps(
+            cache, [state.object_id for state in states], [state.fsa for state in states]
+        )
         assert plan.pools == [] and plan.missed_pools == []
-        assert list(plan.singletons) == list(fsas)
+        assert plan.components == [LONE] * len(states)
         plan.complete(build_structures(plan.missed_pools))
-        merged = plan.merged()
+        assert plan.structures == []
         assert calls["build"] == 0
         assert len(cache) == 0
         assert plan.stats["pools_total"] == 0
-        assert repr(merged.serialized()) == reference
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     def test_a_disjoint_epoch_adds_no_cache_entry_on_any_fleet(self, num_shards, monkeypatch):
@@ -196,7 +196,7 @@ def cap_tipping_epoch() -> List[ObjectState]:
 
 class TestIsolatedFsasNeverTipTheCap:
     def test_the_last_state_is_answered_inside_its_own_fsa(self):
-        """The region cap binds each overlap component alone.  Capped over the
+        """The region cap binds each component alone.  Capped over the
         whole epoch, the first FSA and the 9 999 singletons filled it, the
         last FSA lost its own regions and was answered at (150, 150), the
         first FSA's centre; its pool of two answers it at the centre of the

@@ -10,13 +10,14 @@ pins the set-function property the sharded overlap stage relies on: below the
 region cap, the structure is a pure function of the FSA *set*, independent of
 insertion order.
 
-:class:`TestMergedEpochStructure` pins the stronger, *ordered* statement the
-one-structure-per-epoch stage relies on: splitting an epoch into overlap
-components, building (or fetching from the cache) each pool alone, placing
-each isolated FSA's singleton box, and merging yields the sequential build's
-region list, order and tied bounds included (by ``repr``) — also when a cache
-hit meets a pool whose coordinates only ``==`` an earlier epoch's.  Under a
-binding region cap it yields the per-component-cap oracle's list
+:class:`TestPoolStructures` pins the stronger, *ordered* statement the
+one-structure-per-component stage relies on: splitting an epoch into its
+components and building (or fetching from the cache) each pool alone yields,
+pool by pool, the sequential build's regions of that pool, order and tied
+bounds included (by ``repr``), and every other region is a lone FSA's
+singleton — also when a cache hit meets a pool whose coordinates only ``==``
+an earlier epoch's.  Under a binding region cap it yields the
+per-component-cap oracle's lists
 (``ReferenceFsaOverlapStructure.build_per_component``): each component capped
 in its own insertion order.
 
@@ -188,7 +189,7 @@ class TestHardCapProperties:
 
 
 # Small integer coordinates: areas and counts tie constantly, FSAs collapse to
-# zero width, touch along edges and at corners — every tie-break the merged
+# zero width, touch along edges and at corners — every tie-break a pool's
 # order has to reproduce.
 integer_coordinate = st.integers(min_value=0, max_value=7).map(float)
 
@@ -221,10 +222,30 @@ def serialized_repr(structure: FsaOverlapStructure) -> str:
     return repr(structure.serialized())
 
 
-def merged_structure(cache, fsas, max_regions=10000) -> FsaOverlapStructure:
-    plan = plan_shard_overlaps(cache, fsas)
+def planned(cache, reports, max_regions=10000):
+    """The completed plan of an epoch's ``(object_id, FSA)`` reports, or of
+    its map (one report per object)."""
+    reports = list(reports.items()) if isinstance(reports, dict) else list(reports)
+    plan = plan_shard_overlaps(
+        cache, [object_id for object_id, _fsa in reports], [fsa for _object_id, fsa in reports]
+    )
     plan.complete(build_structures(plan.missed_pools, max_regions))
-    return plan.merged()
+    return plan
+
+
+def assert_pools_equal(plan, reference) -> None:
+    """Each pool's structure is ``reference``'s regions of that pool, in
+    order and by ``repr``, and every other region of ``reference`` is the
+    singleton of a lone FSA."""
+    pool_of = {object_id: index for index, pool in enumerate(plan.pools) for object_id in pool}
+    cut = [[] for _pool in plan.pools]
+    for region in reference.serialized():
+        index = pool_of.get(region[0][0])
+        if index is None:
+            assert len(region[0]) == 1
+        else:
+            cut[index].append(region)
+    assert [serialized_repr(structure) for structure in plan.structures] == list(map(repr, cut))
 
 
 # Equal values that are different objects: ``-0.0`` / ``0.0`` / ``0`` and
@@ -294,25 +315,50 @@ def isolated_epochs(draw) -> Dict[int, Rectangle]:
     return fsas
 
 
-class TestMergedEpochStructure:
+def corner_cliques():
+    """Two overlap cliques of three regions each, the second touching the
+    first at the corner (6, 6) and nowhere else."""
+    return {
+        1: Rectangle(Point(0.0, 0.0), Point(4.0, 4.0)),
+        2: Rectangle(Point(2.0, 2.0), Point(6.0, 6.0)),
+        3: Rectangle(Point(6.0, 6.0), Point(10.0, 10.0)),
+        4: Rectangle(Point(8.0, 8.0), Point(12.0, 12.0)),
+    }
+
+
+class TestPoolStructures:
     """Compared by ``repr(serialized())``: region order, and which of two
     equal bounds each region kept."""
 
     @settings(max_examples=200, deadline=None)
     @given(reports=epoch_reports)
-    def test_merged_regions_equal_the_sequential_build_in_order(self, reports):
-        fsas = epoch_map(reports)
-        assert serialized_repr(merged_structure(None, fsas)) == serialized_repr(
-            FsaOverlapStructure.build(fsas)
-        )
+    def test_pools_equal_the_sequential_build_in_order(self, reports):
+        assert_pools_equal(planned(None, reports), FsaOverlapStructure.build(epoch_map(reports)))
 
     @settings(max_examples=150, deadline=None)
     @given(reports=epoch_reports, max_regions=st.integers(min_value=1, max_value=12))
     def test_a_binding_cap_caps_each_component_in_its_own_order(self, reports, max_regions):
-        fsas = epoch_map(reports)
-        assert serialized_repr(merged_structure(None, fsas, max_regions)) == (
-            serialized_repr(ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions))
+        assert_pools_equal(
+            planned(None, reports, max_regions),
+            ReferenceFsaOverlapStructure.build_per_component(reports, max_regions),
         )
+
+    def test_cliques_touching_at_a_corner_share_one_cap(self):
+        """The corner joins the two cliques into one component, so a cap of
+        4 keeps the first clique's three regions and the second's first
+        singleton (each clique kept its own three under a cap per
+        positive-area component), and the second clique's last member is
+        answered from the regions left."""
+        fsas = corner_cliques()
+        plan = planned(None, fsas, 4)
+        assert plan.components == [0, 0, 0, 0]
+        reference = ReferenceFsaOverlapStructure.build_per_component(fsas, 4)
+        assert_pools_equal(plan, reference)
+        (structure,) = plan.structures
+        assert [sorted(region.members) for region in structure.regions()] == [[1], [2], [1, 2], [3]]
+        assert repr(structure.candidate_vertex_for(fsas[4])) == repr(
+            reference.candidate_vertex_for(fsas[4])
+        ) == repr((Point(8.0, 8.0), 1))
 
     @settings(max_examples=100, deadline=None)
     @given(epochs=st.lists(epoch_reports, min_size=2, max_size=4), extra=epoch_reports)
@@ -323,7 +369,7 @@ class TestMergedEpochStructure:
         ],
         extra=[],
     )
-    def test_cached_components_merge_to_the_same_structure(self, epochs, extra):
+    def test_cached_pools_equal_the_sequential_build(self, epochs, extra):
         """Hits from earlier epochs change nothing, down to the ``repr``:
         each epoch is followed by itself (a verbatim hit), by itself plus
         late arrivals (a miss, since the cache has no prefix outcome) and by
@@ -333,41 +379,32 @@ class TestMergedEpochStructure:
         for reports in epochs:
             fsas = epoch_map(reports)
             for epoch in (fsas, fsas, epoch_map(reports + extra), twin_map(fsas)):
-                assert serialized_repr(merged_structure(cache, epoch)) == (
-                    serialized_repr(FsaOverlapStructure.build(epoch))
-                )
+                assert_pools_equal(planned(cache, epoch), FsaOverlapStructure.build(epoch))
 
     @settings(max_examples=150, deadline=None)
     @given(fsas=isolated_epochs(), max_regions=region_caps)
-    def test_an_all_isolated_epoch_is_its_singletons(self, fsas, max_regions):
-        """Every FSA keeps its singleton, however many the epoch holds."""
-        plan = plan_shard_overlaps(None, fsas)
-        assert plan.pools == [] and list(plan.singletons) == list(fsas)
-        plan.complete([])
-        merged = plan.merged()
-        assert [region.members for region in merged.regions()] == [
-            frozenset((object_id,)) for object_id in fsas
-        ]
-        assert serialized_repr(merged) == serialized_repr(
-            ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions)
-        )
+    def test_an_epoch_without_overlaps_is_its_singletons(self, fsas, max_regions):
+        """Every region is a singleton: a lone FSA's own, and in a pool of
+        FSAs that touch with zero area, the first ``max_regions`` members'."""
+        plan = planned(None, fsas, max_regions)
+        for pool, structure in zip(plan.pools, plan.structures):
+            assert [region.members for region in structure.regions()] == [
+                frozenset((object_id,)) for object_id in list(pool)[:max_regions]
+            ]
+        assert_pools_equal(plan, ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions))
 
     @settings(max_examples=100, deadline=None)
     @given(fsa=st.one_of(integer_rectangles(), tie_rectangles()), object_id=st.integers(0, 9))
-    def test_a_one_fsa_epoch_is_its_singleton(self, fsa, object_id):
-        plan = plan_shard_overlaps(None, {object_id: fsa})
-        assert plan.pools == [] and list(plan.singletons) == [object_id]
-        plan.complete([])
-        assert serialized_repr(plan.merged()) == serialized_repr(
-            FsaOverlapStructure.build({object_id: fsa})
-        )
+    def test_a_one_fsa_epoch_is_lone(self, fsa, object_id):
+        plan = planned(None, {object_id: fsa})
+        assert plan.pools == [] and plan.components == [LONE]
 
     @settings(max_examples=150, deadline=None)
     @given(reports=epoch_reports, isolated=isolated_epochs(), data=st.data())
-    def test_singletons_never_tip_the_cap(self, reports, isolated, data):
-        """The pools alone stay under the cap and the singletons take the
-        epoch's sum to it or past it: no component reaches the cap, so the
-        merge keeps every region of the uncapped build, in its order."""
+    def test_lone_fsas_never_tip_the_cap(self, reports, isolated, data):
+        """The pools alone stay under the cap and the lone FSAs take the
+        epoch's sum to it or past it: no component reaches the cap, so every
+        pool keeps its regions of the uncapped build, in its order."""
         # The isolated lattice sits far from the epoch's coordinate pools.
         fsas = epoch_map(reports)
         for object_id, fsa in isolated.items():
@@ -375,14 +412,13 @@ class TestMergedEpochStructure:
                 Point(fsa.low.x + 100, fsa.low.y + 100), Point(fsa.high.x + 100, fsa.high.y + 100)
             )
             fsas.setdefault(100 + object_id, shifted)
-        plan = plan_shard_overlaps(None, fsas)
-        pooled = sum(len(structure) for structure in build_structures(plan.pools))
-        max_regions = pooled + data.draw(st.integers(1, len(plan.singletons)))
-        merged = serialized_repr(merged_structure(None, fsas, max_regions))
-        assert merged == serialized_repr(
-            ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions)
-        )
-        assert merged == serialized_repr(ReferenceFsaOverlapStructure.build(fsas))
+        plan = planned(None, fsas)
+        pooled = sum(map(len, plan.structures))
+        lone = plan.components.count(LONE)
+        max_regions = pooled + data.draw(st.integers(1, max(1, lone)))
+        plan = planned(None, fsas, max_regions)
+        assert_pools_equal(plan, ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions))
+        assert_pools_equal(plan, ReferenceFsaOverlapStructure.build(fsas))
 
 
 #: Direct ``add`` calls; ids repeat, so an object is added again.
@@ -518,7 +554,7 @@ def touching_epochs(draw):
     """One epoch's reports in submission order: the tie pool's FSAs (nested,
     zero-width, ``-0.0`` / ``0`` / ``2`` / ``2.0`` bounds, re-reporters) plus
     an isolated lattice far from them whose cells touch along edges and at
-    corners, so touches join pools, singletons and both."""
+    corners, so touches join overlap cliques, lone FSAs and both."""
     reports = list(draw(epoch_reports))
     for object_id, fsa in draw(isolated_epochs()).items():
         shifted = Rectangle(
@@ -535,13 +571,13 @@ def box(low_x, low_y, high_x, high_y) -> Rectangle:
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the columnar kernel needs numpy")
 @pytest.mark.parametrize("side", sorted(CUTOFFS))
 class TestComponentAnswers:
-    """The epoch pass answers each FSA that is not lone inside its query
-    component, and a lone FSA's decision takes its fixed answers (its centre
-    with count 1, bonus 1 for every end vertex inside it); every answer — the
-    fabricated vertex with its count, and the bonus of every vertex it
-    reads — must ``repr``-equal those of the per-component-cap oracle
-    (``ReferenceFsaOverlapStructure.build_per_component``), which the merged
-    structure equals."""
+    """The epoch pass answers each state that is not lone from its own
+    component's structure, and a lone FSA's decision takes its fixed answers
+    (its centre with count 1, bonus 1 for every end vertex inside it); every
+    answer — the fabricated vertex with its count, and the bonus of every
+    vertex it reads — must ``repr``-equal those of the per-component-cap
+    oracle's whole-epoch ``R_all``
+    (``ReferenceFsaOverlapStructure.build_per_component``)."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -549,24 +585,22 @@ class TestComponentAnswers:
         max_regions=region_caps,
         ends=st.lists(st.builds(Point, tie_coordinate, tie_coordinate), max_size=8),
     )
-    def test_component_answers_equal_the_merged_structure(self, side, reports, max_regions, ends):
-        fsas = epoch_map(reports)
-        reference = ReferenceFsaOverlapStructure.build_per_component(fsas, max_regions)
+    def test_component_answers_equal_the_oracle(self, side, reports, max_regions, ends):
+        reference = ReferenceFsaOverlapStructure.build_per_component(reports, max_regions)
         table = EndpointTable()
         for path_id, end in enumerate(ends):
             table.add_path(path_id, Point(500.0, 500.0), end)
         # Submission positions; an earlier report of a re-reporter is not in
-        # the epoch map and goes to the merged structure.
-        pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(reports)]
+        # the epoch map, but is a state of its component.
+        pending = [(position, fsa) for position, (_object_id, fsa) in enumerate(reports)]
         cache = OverlapPoolCache()
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
             for _round in ("miss", "hit"):
-                plan = plan_shard_overlaps(cache, fsas)
-                plan.complete(build_structures(plan.missed_pools, max_regions))
+                plan = planned(cache, reports, max_regions)
                 prefetched = prefetch_vertex_candidates(table, pending, plan)
-                for position, object_id, fsa in pending:
-                    lone = plan.fsas[object_id] is fsa and plan.components.get(object_id) == LONE
+                for position, fsa in pending:
+                    lone = plan.components[position] == LONE
                     assert (position not in prefetched) == lone
                     if lone:
                         # Every vertex inside a lone FSA has bonus 1.
@@ -586,59 +620,60 @@ class TestComponentAnswers:
                     for vertex in vertices:
                         region = reference.smallest_region_containing(vertex)
                         assert bonus[(vertex.x, vertex.y)] == (region.count if region else 0)
+                    if not lone:
+                        # A vertex an earlier decision inserts inside the FSA:
+                        # its bonus comes from the component's structure.
+                        for vertex in (fsa.center, fsa.low, fsa.high):
+                            region = reference.smallest_region_containing(vertex)
+                            found = prefetch.structure.smallest_region_containing(vertex)
+                            assert repr(found) == repr(region)
 
-    def test_each_fsa_is_answered_where_its_component_lies(self, side):
-        """A lone FSA by its own decision (no entry), a pool nothing touches
-        from the pool, and a pool touching a singleton at a corner, an
-        edge-to-edge pair of singletons and an earlier report of a
-        re-reporter from the merged structure — which is merged once, for
-        those alone."""
+    def test_each_state_is_answered_from_its_own_component(self, side):
+        """A lone FSA by its own decision (no entry); a pool nothing touches,
+        a pool touching an FSA at a corner and an edge-to-edge pair each from
+        its pool; the earlier report of a re-reporter that touches nothing
+        from an empty structure, and its later report, lone, by its own
+        decision."""
         reports = [
             (1, box(0, 0, 2, 2)),  # lone
             (2, box(10, 10, 14, 14)),  # a pool nothing touches ...
             (3, box(12, 12, 16, 16)),
             (4, box(30, 30, 34, 34)),  # a pool touching ...
             (5, box(32, 32, 36, 36)),
-            (6, box(36, 36, 38, 38)),  # ... this singleton at a corner
-            (7, box(50, 50, 52, 52)),  # two singletons sharing an edge
+            (6, box(36, 36, 38, 38)),  # ... this FSA at a corner
+            (7, box(50, 50, 52, 52)),  # two FSAs sharing an edge
             (8, box(52, 50, 54, 52)),
             (9, box(60, 60, 61, 61)),  # re-reported: the first FSA is off the map
             (9, box(70, 70, 71, 71)),
         ]
-        fsas = epoch_map(reports)
-        merges = []
-        merge = overlaps.OverlapPlan._merge
-
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
-            patch.setattr(overlaps.OverlapPlan, "_merge", lambda plan: merges.append(1) or merge(plan))
-            plan = plan_shard_overlaps(None, fsas)
-            plan.complete(build_structures(plan.missed_pools))
-            assert plan.components == {1: LONE, 2: 0, 3: 0, 9: LONE}
-            pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(reports)]
+            plan = planned(None, reports)
+            assert plan.components == [LONE, 0, 0, 1, 1, 1, 2, 2, None, LONE]
+            assert [list(pool) for pool in plan.pools] == [[2, 3], [4, 5, 6], [7, 8]]
+            pending = [(position, fsa) for position, (_object_id, fsa) in enumerate(reports)]
             prefetched = prefetch_vertex_candidates(EndpointTable(), pending, plan)
-        assert len(merges) == 1
-        reference = FsaOverlapStructure.build(fsas)
+        reference = ReferenceFsaOverlapStructure.build_per_component(reports)
         assert sorted(prefetched) == [1, 2, 3, 4, 5, 6, 7, 8]  # 0 and 9 are lone
-        for position, _object_id, fsa in pending:
+        assert prefetched[8].fabricated is None and len(prefetched[8].structure) == 0
+        for position, fsa in pending:
             fabricated = prefetched[position].fabricated if position in prefetched else (fsa.center, 1)
             assert repr(fabricated) == repr(reference.candidate_vertex_for(fsa))
 
-    def test_an_epoch_past_the_cap_keeps_its_query_components(self, side):
+    def test_an_epoch_past_the_cap_keeps_its_components(self, side):
         """Four lone FSAs and a pool of two reach a cap of 4 only summed over
         the epoch: every FSA keeps its component's answer."""
         fsas = {object_id: box(10.0 * object_id, 0.0, 10.0 * object_id + 1, 1.0) for object_id in range(4)}
         fsas.update({4: box(100.0, 100.0, 104.0, 104.0), 5: box(102.0, 102.0, 106.0, 106.0)})
         with pytest.MonkeyPatch.context() as patch:
             cutoffs(patch, side)
-            plan = plan_shard_overlaps(None, fsas)
-            plan.complete(build_structures(plan.missed_pools, 4))
-            assert plan.components == {0: LONE, 1: LONE, 2: LONE, 3: LONE, 4: 0, 5: 0}
-            pending = [(position, object_id, fsa) for position, (object_id, fsa) in enumerate(fsas.items())]
+            plan = planned(None, fsas, 4)
+            assert plan.components == [LONE, LONE, LONE, LONE, 0, 0]
+            pending = list(enumerate(fsas.values()))
             prefetched = prefetch_vertex_candidates(EndpointTable(), pending, plan)
         assert sorted(prefetched) == [4, 5]
         reference = ReferenceFsaOverlapStructure.build_per_component(fsas, 4)
-        for position, _object_id, fsa in pending:
+        for position, fsa in pending:
             fabricated = prefetched[position].fabricated if position in prefetched else (fsa.center, 1)
             assert repr(fabricated) == repr(reference.candidate_vertex_for(fsa))
             assert fsa.contains_point(fabricated[0])

@@ -163,7 +163,7 @@ MUTANTS: List[Mutant] = [
            "count == best_count and area < best_area", "count == best_count and area > best_area",
            (
                f"{_ORACLE}[border]",
-               f"{_OVERLAP_PROPERTIES}::TestComponentAnswers::test_each_fsa_is_answered_where_its_component_lies[numpy]",
+               f"{_OVERLAP_PROPERTIES}::TestComponentAnswers::test_each_state_is_answered_from_its_own_component[numpy]",
            )),
     Mutant("region_table_ranked_with_the_index_reversed", _COLUMNAR,
            "self._smallest = self._ranked(np.lexsort((index, neg_count, area)), bounds)",
@@ -193,27 +193,34 @@ MUTANTS: List[Mutant] = [
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_random_streams_with_duplicate_reporters[31]",
                "tests/test_epoch_pass_work.py::TestEpochPassDifferential::test_crafted_stream_hits_every_merge_case",
            )),
+    # An epoch of 10 000 states or more is linked into one component, so the
+    # cap binds the epoch's sum.
     Mutant("saturate_on_the_epoch_sum", _OVERLAPS,
-           "            structures[index] = structure\n",
-           "            structures[index] = structure\n"
-           "        if len(self.singletons) + sum(map(len, structures)) >= 10000:\n"
-           "            self.components = {}\n"
-           "            self._merged = FsaOverlapStructure.build(self.fsas)\n",
+           "    for i, j in touching_pairs(boxes):\n",
+           "    for i, j in touching_pairs(boxes) + [(0, k) for k in range(1, len(boxes))] * (len(boxes) >= 10000):\n",
            (
                "tests/test_isolated_fsas.py::TestIsolatedFsasNeverTipTheCap::test_the_last_state_is_answered_inside_its_own_fsa",
            )),
-    Mutant("drop_a_lone_singleton_beside_a_pool", _OVERLAPS,
-           "            if box is not None:\n",
-           "            if box is not None and not blocks:\n",
+    Mutant("link_only_positive_area_pairs", _COLUMNAR,
+           "            if top > bottom:\n                continue\n",
+           "            if top >= bottom or not other_low_x < min(other_high_x, high_x):\n                continue\n",
            (
-               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_merged_regions_equal_the_sequential_build_in_order",
-               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_singletons_never_tip_the_cap",
+               "tests/test_columnar.py::TestTouchingPairs::test_sweep_equals_the_reference",
+               f"{_OVERLAP_PROPERTIES}::TestPoolStructures::test_cliques_touching_at_a_corner_share_one_cap",
+               "tests/test_overlap_sharding.py::TestComponents::test_touching_fsas_are_linked",
+           )),
+    Mutant("earlier_fsa_is_off_the_link_graph", _OVERLAPS,
+           "    for i, j in touching_pairs(boxes):\n",
+           "    last = dict(zip(object_ids, range(len(boxes))))\n"
+           "    for i, j in [(i, j) for i, j in touching_pairs(boxes) if last[object_ids[i]] == i and last[object_ids[j]] == j]:\n",
+           (
+               "tests/test_single_path.py::TestLoneInsertProbe::test_the_earlier_state_of_a_twice_reporter_reads_a_lone_insert",
            )),
     # -- the pool cache (delta mode) ------------------------------------------------
     Mutant("pool_fingerprint_sorts_the_pool", _OVERLAPS,
            "for object_id, fsa in pool.items()", "for object_id, fsa in sorted(pool.items())",
            (
-               f"{_OVERLAP_PROPERTIES}::TestMergedEpochStructure::test_cached_components_merge_to_the_same_structure",
+               f"{_OVERLAP_PROPERTIES}::TestPoolStructures::test_cached_pools_equal_the_sequential_build",
            )),
     Mutant("pool_fingerprint_folds_ints_into_floats", _OVERLAPS,
            "(object_id, fsa.low.x, fsa.low.y, fsa.high.x, fsa.high.y)",
@@ -318,11 +325,6 @@ MUTANTS: List[Mutant] = [
            (
                "tests/test_isolated_fsas.py::TestInsertProbe::test_probe_equals_a_linear_contains_point_scan",
                "tests/test_isolated_fsas.py::TestInsertProbe::test_equal_ends_are_met_in_insertion_order",
-           )),
-    Mutant("lone_insert_skips_probe_with_a_twice_reporter", _SINGLE_PATH,
-           "lone_probe = probe if len(mapped) < len(states) else None", "lone_probe = None",
-           (
-               "tests/test_single_path.py::TestLoneInsertProbe::test_the_earlier_state_of_a_twice_reporter_reads_a_lone_insert",
            )),
     Mutant("probe_merge_replaces_the_prefetched_ids", _SINGLE_PATH,
            "group[1].extend(path_ids)", "group[1][:] = path_ids",
